@@ -330,6 +330,46 @@ let docs_in_range t ~lo ~hi ~f =
   let first, last = doc_span t ~lo ~hi in
   docs_between t ~first ~last ~f
 
+(* A record's sequence is one root-to-leaf trie path ending at its
+   doc-table entry, so the record contains path p iff that entry's serial
+   falls in the range of some entry of p's link.  Entries nested in an
+   earlier one ([pre <=] its [post]) add nothing: only the outermost
+   ranges are counted.  The doc table is read into an array once and
+   each link scanned front to back; per-entry probes of a compressed doc
+   table would decode (and cache) most of its blocks. *)
+let path_doc_counts ?member t =
+  let doc_pre = Store.to_array t.doc_pre in
+  let nd = Array.length doc_pre in
+  (* below.(i): member records among doc-table positions [0, i). *)
+  let below =
+    Option.map
+      (fun keep ->
+        let b = Array.make (nd + 1) 0 in
+        for i = 0 to nd - 1 do
+          b.(i + 1) <- (b.(i) + if keep (Store.get t.doc_id i) then 1 else 0)
+        done;
+        b)
+      member
+  in
+  let count lo hi =
+    let first = Bs.lower_bound doc_pre ~len:nd lo in
+    let stop = Bs.upper_bound doc_pre ~len:nd hi in
+    match below with None -> stop - first | Some b -> b.(stop) - b.(first)
+  in
+  Array.mapi
+    (fun slot off ->
+      let total = ref 0 and outer_post = ref (-1) in
+      for i = off to off + t.link_len.(slot) - 1 do
+        let pre = Store.get t.l_pre i in
+        if pre > !outer_post then begin
+          let post = Store.get t.l_post i in
+          total := !total + count pre post;
+          outer_post := post
+        end
+      done;
+      (t.paths.(t.link_path.(slot)), !total))
+    t.link_off
+
 let doc_table_base t = t.doc_base
 let layout_bytes t = t.total_bytes
 

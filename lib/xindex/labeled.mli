@@ -124,6 +124,13 @@ val docs_between : t -> first:int -> last:int -> f:(int -> unit) -> unit
     callers that located the span themselves (e.g. with instrumented
     probes). *)
 
+val path_doc_counts : ?member:(int -> bool) -> t -> (Path.t * int) array
+(** For every path with a link, the number of documents whose sequence
+    contains it — the document frequency the [gbest] statistics count
+    over the records, derived from the labels and the document table
+    alone.  With [member], only documents whose id satisfies it are
+    counted.  One pass over the link columns, O(entries × log docs). *)
+
 val doc_table_base : t -> int
 (** Byte offset of the document table region. *)
 

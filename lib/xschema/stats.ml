@@ -49,14 +49,22 @@ let of_documents_array ?value_mode docs =
   Array.iter (add_document ?value_mode t) docs;
   t
 
+let sample_members ~fraction ~seed n =
+  let rng = Random.State.make [| seed |] in
+  let m = Array.init n (fun _ -> Random.State.float rng 1.0 < fraction) in
+  if n > 0 && not (Array.mem true m) then m.(0) <- true;
+  m
+
 let sample ?value_mode ~fraction ~seed docs =
   let t = create () in
-  let rng = Random.State.make [| seed |] in
-  Array.iter
-    (fun d ->
-      if Random.State.float rng 1.0 < fraction then add_document ?value_mode t d)
-    docs;
-  if t.docs = 0 && Array.length docs > 0 then add_document ?value_mode t docs.(0);
+  let m = sample_members ~fraction ~seed (Array.length docs) in
+  Array.iteri (fun i d -> if m.(i) then add_document ?value_mode t d) docs;
+  t
+
+let of_path_counts ~docs counts =
+  let t = create () in
+  t.docs <- docs;
+  Array.iter (fun (p, n) -> if n > 0 then Hashtbl.replace t.freq p n) counts;
   t
 
 let doc_count t = t.docs

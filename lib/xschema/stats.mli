@@ -27,7 +27,20 @@ val sample :
   ?value_mode:Sequencing.Encoder.value_mode ->
   fraction:float -> seed:int -> Xmlcore.Xml_tree.t array -> t
 (** Estimates from a Bernoulli sample of the documents (at least one
-    document is always taken). *)
+    document is always taken): exactly the documents that
+    {!sample_members} selects. *)
+
+val sample_members : fraction:float -> seed:int -> int -> bool array
+(** [sample_members ~fraction ~seed n] is the membership mask {!sample}
+    draws over [n] documents, by index.  A loaded index recomputes it
+    from the persisted (seed, fraction) and its record count, so its
+    statistics cover the same sample without the documents. *)
+
+val of_path_counts : docs:int -> (Sequencing.Path.t * int) array -> t
+(** Statistics from precomputed document frequencies: [docs] documents,
+    of which [n] contain path [p] for each [(p, n)].  Paths with a zero
+    count are treated as unseen.  Used to derive the statistics of a
+    loaded index from its document table instead of its records. *)
 
 val doc_count : t -> int
 

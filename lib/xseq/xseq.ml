@@ -33,11 +33,24 @@ let default_config =
     keep_documents = true;
   }
 
+(* The original records.  A loaded index keeps the snapshot's record
+   region exactly as stored and decodes it on first use: queries never
+   touch the trees, only [document], the [Too_many] scan fallback and
+   Xlog compaction do. *)
+type records =
+  | Dropped (* built with [keep_documents = false] *)
+  | Trees of T.t array
+  | Encoded of {
+      blob : string;
+      decoded : T.t array option Atomic.t;
+      lock : Mutex.t; (* serialises the one decode *)
+    }
+
 type t = {
   labeled : Xindex.Labeled.t;
   strategy : Strategy.t;
   value_mode : Encoder.value_mode;
-  docs : T.t array option;
+  records : records;
   ndocs : int;
   total_seq_len : int;
   stats : Xschema.Stats.t option;
@@ -53,20 +66,16 @@ type t = {
 let generation_counter = Atomic.make 1
 let next_generation () = Atomic.fetch_and_add generation_counter 1
 
-let resolve_strategy config docs =
+(* [stats ()] collects the [gbest] statistics; only the probability
+   strategies ask for them. *)
+let resolve_strategy config stats =
   match config.sequencing with
   | Depth_first _ -> (Strategy.Depth_first, None)
   | Breadth_first _ -> (Strategy.Breadth_first, None)
   | Random seed -> (Strategy.Random seed, None)
   | Custom s -> (s, None)
   | Probability | Probability_weighted _ ->
-    let stats =
-      if config.sample_fraction >= 1.0 then
-        Xschema.Stats.of_documents_array ~value_mode:config.value_mode docs
-      else
-        Xschema.Stats.sample ~value_mode:config.value_mode
-          ~fraction:config.sample_fraction ~seed:config.sample_seed docs
-    in
+    let stats = stats () in
     let base = Xschema.Stats.priority stats in
     let prio =
       match config.sequencing with
@@ -101,7 +110,14 @@ let build ?domains ?pool ?(config = default_config) docs =
      lookups.  That makes the parallel build both safe and label-identical
      to the sequential one. *)
   (* Phase 1 (sequential, interns): probability statistics. *)
-  let strategy, stats = resolve_strategy config docs in
+  let strategy, stats =
+    resolve_strategy config (fun () ->
+        if config.sample_fraction >= 1.0 then
+          Xschema.Stats.of_documents_array ~value_mode:config.value_mode docs
+        else
+          Xschema.Stats.sample ~value_mode:config.value_mode
+            ~fraction:config.sample_fraction ~seed:config.sample_seed docs)
+  in
   (* Phase 2 (sequential, interns): global identical-sibling flags, in
      document order.  Paths occurring twice in any document must be
      sequenced subtree-contiguously everywhere, or query sequences cannot
@@ -149,13 +165,153 @@ let build ?domains ?pool ?(config = default_config) docs =
     labeled;
     strategy;
     value_mode = config.value_mode;
-    docs = (if config.keep_documents then Some docs else None);
+    records = (if config.keep_documents then Trees docs else Dropped);
     ndocs = Array.length docs;
     total_seq_len;
     stats;
     built_config = config;
     generation = next_generation ();
   }
+
+(* --- record region -------------------------------------------------------- *)
+
+(* Documents serialise as a pre-order walk with explicit child counts:
+   u8 kind (0 = element, 1 = value), u32 LE name/text length, bytes, and
+   for elements a u32 LE child count.  Designators are stored as their
+   source strings, never as process-specific interned ids. *)
+let encode_docs docs =
+  let b = Buffer.create 4096 in
+  let add_str s =
+    Buffer.add_int32_le b (Int32.of_int (String.length s));
+    Buffer.add_string b s
+  in
+  let rec node = function
+    | T.Element (d, cs) ->
+      Buffer.add_uint8 b 0;
+      add_str (Xmlcore.Designator.name d);
+      Buffer.add_int32_le b (Int32.of_int (List.length cs));
+      List.iter node cs
+    | T.Value s ->
+      Buffer.add_uint8 b 1;
+      add_str s
+  in
+  Array.iter node docs;
+  Buffer.contents b
+
+let corrupt_docs () = invalid_arg "Xseq.load: corrupt document region"
+
+(* Bounds-checked reads of a record region, advancing [pos]. *)
+type cursor = { blob : string; mutable pos : int }
+
+let u8 c =
+  if c.pos >= String.length c.blob then corrupt_docs ();
+  let v = Char.code (String.unsafe_get c.blob c.pos) in
+  c.pos <- c.pos + 1;
+  v
+
+let u32 c =
+  let len = String.length c.blob in
+  if c.pos + 4 > len then corrupt_docs ();
+  let v = Int32.to_int (String.get_int32_le c.blob c.pos) in
+  c.pos <- c.pos + 4;
+  if v < 0 || v > len then corrupt_docs ();
+  v
+
+(* Skips a length-prefixed name or text and returns where its bytes
+   start; they end at the new [pos]. *)
+let field c =
+  let n = u32 c in
+  if c.pos + n > String.length c.blob then corrupt_docs ();
+  let at = c.pos in
+  c.pos <- at + n;
+  at
+
+let decode_docs blob ndocs =
+  if ndocs < 0 || ndocs > String.length blob then corrupt_docs ();
+  let c = { blob; pos = 0 } in
+  let str () =
+    let at = field c in
+    String.sub blob at (c.pos - at)
+  in
+  let rec node () =
+    match u8 c with
+    | 0 ->
+      let name = str () in
+      let n = u32 c in
+      T.Element (Xmlcore.Designator.tag name, children n [])
+    | 1 -> T.Value (str ())
+    | _ -> corrupt_docs ()
+  and children n acc =
+    (* Every child consumes at least one byte, so a lying count runs out
+       of input and fails the bounds checks above. *)
+    if n = 0 then List.rev acc else children (n - 1) (node () :: acc)
+  in
+  let docs = Array.init ndocs (fun _ -> node ()) in
+  if c.pos <> String.length blob then corrupt_docs ();
+  docs
+
+(* Whether [name] is spelled by the [n] bytes of [blob] at [at] (with
+   [i] of them already compared); closure-free, so it never allocates. *)
+let rec spells name blob at n i =
+  i = n
+  || String.unsafe_get name i = String.unsafe_get blob (at + i)
+     && spells name blob at n (i + 1)
+
+let rec known bucket blob at n =
+  match bucket with
+  | [] -> false
+  | name :: rest ->
+    (String.length name = n && spells name blob at n 0) || known rest blob at n
+
+(* Interns the element tags of a record region in record order — the
+   designator ids [decode_docs] would assign — without building any
+   tree, and rejects exactly the regions [decode_docs] rejects.  The
+   walk needs no stack: the pre-order layout is consumed node by node
+   while counting the nodes still owed.  A tag seen before is recognised
+   in place, so only distinct names are copied out of the blob. *)
+let intern_record_tags blob ndocs =
+  if ndocs < 0 || ndocs > String.length blob then corrupt_docs ();
+  let c = { blob; pos = 0 } in
+  let seen = Array.make 64 [] in
+  let owed = ref ndocs in
+  while !owed > 0 do
+    decr owed;
+    match u8 c with
+    | 0 ->
+      let at = field c in
+      let n = c.pos - at in
+      let h = ref n in
+      for i = at to c.pos - 1 do
+        h := (!h * 31) + Char.code (String.unsafe_get blob i)
+      done;
+      let b = !h land 63 in
+      if not (known seen.(b) blob at n) then begin
+        let name = String.sub blob at n in
+        ignore (Xmlcore.Designator.tag name);
+        seen.(b) <- name :: seen.(b)
+      end;
+      owed := !owed + u32 c
+    | 1 -> ignore (field c)
+    | _ -> corrupt_docs ()
+  done;
+  if c.pos <> String.length blob then corrupt_docs ()
+
+let records t =
+  match t.records with
+  | Dropped -> None
+  | Trees docs -> Some docs
+  | Encoded e ->
+    (match Atomic.get e.decoded with
+     | Some docs -> Some docs
+     | None ->
+       (* At most one decode: domains racing here wait for the first. *)
+       Mutex.protect e.lock (fun () ->
+           match Atomic.get e.decoded with
+           | Some _ as docs -> docs
+           | None ->
+             let docs = Some (decode_docs e.blob t.ndocs) in
+             Atomic.set e.decoded docs;
+             docs))
 
 let query ?pager ?stats t pattern =
   match
@@ -166,7 +322,7 @@ let query ?pager ?stats t pattern =
   | exception Xquery.Instantiate.Too_many _ ->
     (* Pathological wildcard/expansion blow-up: degrade to an exact
        linear scan rather than failing, when the records are at hand. *)
-    (match t.docs with
+    (match records t with
      | Some docs -> Xquery.Embedding.filter pattern docs
      | None -> raise (Xquery.Instantiate.Too_many 0))
 
@@ -300,7 +456,7 @@ let explain t pattern =
     pattern
 
 let document t i =
-  match t.docs with
+  match records t with
   | Some docs when i >= 0 && i < Array.length docs -> docs.(i)
   | Some _ -> invalid_arg "Xseq.document: unknown id"
   | None -> invalid_arg "Xseq.document: documents were not kept"
@@ -334,76 +490,14 @@ module Store = Xstorage.Store
 
 let snapshot_version = 1
 
-(* Documents serialise as a pre-order walk with explicit child counts:
-   u8 kind (0 = element, 1 = value), u32 LE name/text length, bytes, and
-   for elements a u32 LE child count.  Designators are stored as their
-   source strings, never as process-specific interned ids. *)
-let encode_docs docs =
-  let b = Buffer.create 4096 in
-  let add_str s =
-    Buffer.add_int32_le b (Int32.of_int (String.length s));
-    Buffer.add_string b s
-  in
-  let rec node = function
-    | T.Element (d, cs) ->
-      Buffer.add_uint8 b 0;
-      add_str (Xmlcore.Designator.name d);
-      Buffer.add_int32_le b (Int32.of_int (List.length cs));
-      List.iter node cs
-    | T.Value s ->
-      Buffer.add_uint8 b 1;
-      add_str s
-  in
-  Array.iter node docs;
-  Buffer.contents b
-
-let decode_docs blob ndocs =
-  let corrupt () = invalid_arg "Xseq.load: corrupt document region" in
-  let len = String.length blob in
-  if ndocs < 0 || ndocs > len then corrupt ();
-  let pos = ref 0 in
-  let u8 () =
-    if !pos >= len then corrupt ();
-    let v = Char.code blob.[!pos] in
-    incr pos;
-    v
-  in
-  let u32 () =
-    if !pos + 4 > len then corrupt ();
-    let v = Int32.to_int (String.get_int32_le blob !pos) in
-    pos := !pos + 4;
-    if v < 0 || v > len then corrupt ();
-    v
-  in
-  let str () =
-    let n = u32 () in
-    if !pos + n > len then corrupt ();
-    let s = String.sub blob !pos n in
-    pos := !pos + n;
-    s
-  in
-  let rec node () =
-    match u8 () with
-    | 0 ->
-      let name = str () in
-      let n = u32 () in
-      T.Element (Xmlcore.Designator.tag name, children n [])
-    | 1 -> T.Value (str ())
-    | _ -> corrupt ()
-  and children n acc =
-    (* Every child consumes at least one byte, so a lying count runs out
-       of input and fails the bounds checks above. *)
-    if n = 0 then List.rev acc else children (n - 1) (node () :: acc)
-  in
-  let docs = Array.init ndocs (fun _ -> node ()) in
-  if !pos <> len then corrupt ();
-  docs
-
 let save ?(format = Store.Col1) t path =
-  let docs =
-    match t.docs with
-    | Some docs -> docs
-    | None ->
+  (* A loaded index writes its record region back verbatim, decoded or
+     not. *)
+  let blob =
+    match t.records with
+    | Encoded e -> e.blob
+    | Trees docs -> encode_docs docs
+    | Dropped ->
       invalid_arg "Xseq.save: index was built with keep_documents = false"
   in
   (* Only strategies that can be deterministically recomputed from the
@@ -437,15 +531,33 @@ let save ?(format = Store.Col1) t path =
          t.total_seq_len;
          t.ndocs;
        |]);
-  Store.add_blob store "docs" (encode_docs docs);
+  Store.add_blob store "docs" blob;
   Xindex.Labeled.add_to_store ~compact:(format = Store.Col2) t.labeled store;
   (* Compressed regions are small; 4 KiB alignment would waste a large
      fraction of the file (and of the buffer pool) on padding. *)
   let page_size = match format with Store.Col1 -> 4096 | Store.Col2 -> 1024 in
   Store.write ~page_size ~format store path
 
-let load ?mode ?pool_pages ?verify path =
-  let store = Store.open_file ?mode ?pool_pages ?verify path in
+(* The [gbest] statistics of a loaded index, read off its document table
+   instead of its records (see [Xindex.Labeled.path_doc_counts]); a
+   sampled model counts the same Bernoulli sample [Stats.sample] drew at
+   build time. *)
+let index_stats config labeled ndocs =
+  let module Stats = Xschema.Stats in
+  if config.sample_fraction >= 1.0 then
+    Stats.of_path_counts ~docs:ndocs (Xindex.Labeled.path_doc_counts labeled)
+  else begin
+    let m =
+      Stats.sample_members ~fraction:config.sample_fraction
+        ~seed:config.sample_seed ndocs
+    in
+    let member id = id >= 0 && id < ndocs && m.(id) in
+    Stats.of_path_counts
+      ~docs:(Array.fold_left (fun n b -> if b then n + 1 else n) 0 m)
+      (Xindex.Labeled.path_doc_counts ~member labeled)
+  end
+
+let restore store =
   let bad msg = invalid_arg ("Xseq.load: " ^ msg) in
   if not (Store.mem store "xseq_meta" && Store.mem store "docs") then
     bad "not an xseq index snapshot (missing xseq_meta/docs regions)";
@@ -473,11 +585,15 @@ let load ?mode ?pool_pages ?verify path =
          (Int64.logand (Int64.of_int meta.(4)) 0xFFFFFFFFL)
          (Int64.shift_left (Int64.of_int meta.(5)) 32))
   in
-  (* Documents are decoded first: record parsing interns designators in
-     exactly the order [build] would, before the index dictionary
-     re-interns the paths. *)
-  let docs = decode_docs (Store.blob store "docs") meta.(8) in
+  (* Record tags are interned first, in exactly the order decoding the
+     records would (and [build] did), before the index dictionary
+     re-interns the paths; the records themselves stay encoded. *)
+  let blob = Store.blob store "docs" in
+  let ndocs = meta.(8) in
+  intern_record_tags blob ndocs;
   let labeled = Xindex.Labeled.of_store store in
+  if Xindex.Labeled.doc_count labeled <> ndocs then
+    bad "record count disagrees with the document table";
   let config =
     {
       default_config with
@@ -488,22 +604,35 @@ let load ?mode ?pool_pages ?verify path =
     }
   in
   (* Recompute the strategy exactly as [build] derived it. *)
-  let strategy, stats = resolve_strategy config docs in
+  let strategy, stats =
+    resolve_strategy config (fun () -> index_stats config labeled ndocs)
+  in
   {
     labeled;
     strategy;
     value_mode;
-    docs = Some docs;
-    ndocs = Array.length docs;
+    records =
+      Encoded { blob; decoded = Atomic.make None; lock = Mutex.create () };
+    ndocs;
     total_seq_len = meta.(7);
     stats;
     built_config = config;
     generation = next_generation ();
   }
 
+let load ?mode ?pool_pages ?verify path =
+  let store = Store.open_file ?mode ?pool_pages ?verify path in
+  (* A rejected file must not keep a paged store's fd and buffer pool. *)
+  match restore store with
+  | t -> t
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    Store.close store;
+    Printexc.raise_with_backtrace e bt
+
 let backing_store t = Xindex.Labeled.backing_store t.labeled
 
-(* --- incremental indexing -------------------------------------------------- *)
+(* --- incremental indexing ------------------------------------------------- *)
 
 module Dynamic = struct
   type dyn = {
@@ -538,7 +667,7 @@ module Dynamic = struct
 
   let all_docs d =
     let base_docs =
-      match d.base.docs with Some a -> a | None -> assert false
+      match records d.base with Some a -> a | None -> assert false
     in
     Array.append base_docs (Array.of_list (List.rev d.tail))
 

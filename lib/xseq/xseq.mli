@@ -168,7 +168,9 @@ val explain : t -> Pattern.t -> Xquery.Engine.explanation
     (see {!Xquery.Engine.explain}). *)
 
 val document : t -> int -> Xmlcore.Xml_tree.t
-(** The original document (requires [keep_documents]).
+(** The original document (requires [keep_documents]).  A loaded index
+    decodes its stored records on the first call (or the first scan
+    fallback of {!query}): once, however many domains race for them.
     @raise Invalid_argument otherwise or for an unknown id. *)
 
 val doc_count : t -> int
@@ -192,7 +194,9 @@ val labeled : t -> Xindex.Labeled.t
 val average_sequence_length : t -> float
 
 val stats : t -> Xschema.Stats.t option
-(** The sampled statistics (present for [Probability*] sequencing). *)
+(** The sampled statistics (present for [Probability*] sequencing).  A
+    loaded index derives them from its document table rather than its
+    records; they equal the ones the build counted. *)
 
 (** {1 Persistence}
 
@@ -228,8 +232,16 @@ val load :
     probe); [Paged] leaves the index columns on disk behind a buffer
     pool of [pool_pages] pages (default 256).  [verify] (default
     [true]) checks every region checksum up front.
+
+    The records are not decoded at load.  Their region stays resident as
+    stored, validated and with its tags interned in one pass; the
+    [gbest] statistics are derived from the document table; the record
+    trees are built only when {!document} or the scan fallback of
+    {!query} first needs them.  {!save} writes the region back
+    verbatim.
     @raise Invalid_argument on a corrupt or incompatible file, naming
-    the failing part (magic, version, checksum, region). *)
+    the failing part (magic, version, checksum, region); the store is
+    closed again first. *)
 
 val backing_store : t -> Xstorage.Store.t option
 (** The open snapshot behind an index restored with [~mode:Paged] —

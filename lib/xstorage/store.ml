@@ -16,12 +16,14 @@ let format_name = function Col1 -> "xseqcol1" | Col2 -> "xseqcol2"
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let checksum_bytes b off len =
-  let h = ref fnv_offset in
+let fnv_bytes h0 b off len =
+  let h = ref h0 in
   for i = off to off + len - 1 do
     h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get b i)))) fnv_prime
   done;
   !h
+
+let checksum_bytes b off len = fnv_bytes fnv_offset b off len
 
 let checksum_string s off len =
   let h = ref fnv_offset in
@@ -538,38 +540,83 @@ let open_file ?(mode = Resident) ?(pool_pages = 256) ?(verify = true) path =
           s_file_bytes = file_len;
         }
       in
+      (* Streams the next [len] bytes of the channel through [sink] in
+         chunks of [scratch] (a multiple of 8 bytes, so int elements never
+         straddle two), folding them into hash [h] when verifying. *)
+      let scratch = Bytes.create 65536 in
+      let stream ?(sink = fun _ _ -> ()) h len =
+        let h = ref h and left = ref len in
+        while !left > 0 do
+          let n = min !left (Bytes.length scratch) in
+          really_input ic scratch 0 n;
+          sink scratch n;
+          if verify then h := fnv_bytes !h scratch 0 n;
+          left := !left - n
+        done;
+        !h
+      in
       List.iter
         (fun (name, dkind, off, cnt, raw, stored, padded, crc) ->
           let is_blob = dkind = k_blob || dkind = k_blob_lz in
-          let want_bytes = verify || mode = Resident || is_blob in
+          (* Only blobs and resident compressed columns keep their stored
+             bytes, read once into the string they stay in.  Resident
+             xseqcol1 columns are decoded straight into their flat buffer
+             and everything else is only checksummed, a chunk at a time;
+             page padding is never materialised. *)
+          let keep = is_blob || (dkind = k_ints_packed && mode = Resident) in
+          let flat =
+            if dkind = k_ints && mode = Resident then
+              Some (Bigarray.Array1.create Bigarray.int Bigarray.c_layout cnt)
+            else None
+          in
           let payload =
-            if want_bytes then begin
-              let b = Bytes.create padded in
+            if keep || verify || flat <> None then begin
               seek_in ic off;
-              (try really_input ic b 0 padded
-               with End_of_file ->
-                 fail "truncated file (region %S cut short)" name);
-              if verify && not (Int64.equal (checksum_bytes b 0 padded) crc)
-              then fail "region %S checksum mismatch" name;
-              Some b
+              try
+                let payload, h =
+                  if keep then begin
+                    let b = Bytes.create stored in
+                    really_input ic b 0 stored;
+                    ( Some (Bytes.unsafe_to_string b),
+                      if verify then checksum_bytes b 0 stored else fnv_offset )
+                  end
+                  else begin
+                    let sink =
+                      match flat with
+                      | None -> fun _ _ -> ()
+                      | Some fb ->
+                        let next = ref 0 in
+                        fun buf n ->
+                          for k = 0 to (n / 8) - 1 do
+                            Bigarray.Array1.unsafe_set fb (!next + k)
+                              (Int64.to_int (Bytes.get_int64_le buf (8 * k)))
+                          done;
+                          next := !next + (n / 8)
+                    in
+                    (None, stream ~sink fnv_offset stored)
+                  end
+                in
+                if verify && not (Int64.equal (stream h (padded - stored)) crc)
+                then fail "region %S checksum mismatch" name;
+                payload
+              with End_of_file ->
+                fail "truncated file (region %S cut short)" name
             end
             else None
           in
-          let stored_string () =
-            Bytes.sub_string (Option.get payload) 0 stored
-          in
-          (* Parse a packed column's header, from the materialised
-             payload when we have it, straight from the channel when a
-             no-verify paged open skipped the region scan.  Probe-time
-             block fetches go through the buffer pool either way. *)
+          let stored_string () = Option.get payload in
+          (* Parse a packed column's header, from the kept payload of a
+             resident column, straight from the channel for a paged one.
+             Probe-time block fetches go through the buffer pool either
+             way. *)
           let parse_packed () =
             let fetch =
               match payload with
-              | Some b ->
+              | Some s ->
                 fun o l ->
                   if o < 0 || l < 0 || o + l > stored then
                     fail "region %S packed header overruns the region" name;
-                  Bytes.sub_string b o l
+                  String.sub s o l
               | None ->
                 fun o l ->
                   if o < 0 || l < 0 || o + l > stored then
@@ -602,14 +649,7 @@ let open_file ?(mode = Resident) ?(pool_pages = 256) ?(verify = true) path =
                 fail "region %S decompressed to %d bytes, TOC says %d" name
                   (String.length raw_s) raw;
               R_blob raw_s
-            | 0, Resident ->
-              let b = Option.get payload in
-              let fb = Bigarray.Array1.create Bigarray.int Bigarray.c_layout cnt in
-              for i = 0 to cnt - 1 do
-                Bigarray.Array1.unsafe_set fb i
-                  (Int64.to_int (Bytes.get_int64_le b (8 * i)))
-              done;
-              R_ints (Flat fb)
+            | 0, Resident -> R_ints (Flat (Option.get flat))
             | 0, Paged ->
               R_ints (Paged { r = Lazy.force reader; off; len = cnt })
             | 2, Resident ->
