@@ -163,6 +163,40 @@ let table5 () = table56 "Table 5" ~identical_siblings:true
 let table6 () = table56 "Table 6" ~identical_siblings:false
 
 (* ------------------------------------------------------------------ *)
+(* Disk accesses, counted by the real store.                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The paper's "# disk accesses" / "I/O cost (# of pages)" are the pages
+   the store reads: the index is saved as an xseqcol1 snapshot with 4 KiB
+   pages (the paper's page size) and reopened paged, so every probe reads
+   its column page through the buffer pool.  [pool_pages] defaults to one
+   slot per file page — a pool that never evicts. *)
+let with_paged_snapshot ?pool_pages index f =
+  let path = Filename.temp_file "xseq_bench" ".xseq" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      Xseq.save index path;
+      let pool_pages =
+        match pool_pages with
+        | Some n -> n
+        | None -> ((Unix.stat path).Unix.st_size / 4096) + 1
+      in
+      let paged = Xseq.load ~mode:Xstorage.Store.Paged ~pool_pages path in
+      let store = Option.get (Xseq.backing_store paged) in
+      Fun.protect
+        ~finally:(fun () -> Xstorage.Store.close store)
+        (fun () -> f paged store))
+
+(* Runs [f] from a cold pool (the load's own reads and earlier queries
+   dropped) and returns its result, wall time and the pages it read. *)
+let cold_pages store f =
+  Xstorage.Store.drop_pool store;
+  let before = Xstorage.Store.page_reads store in
+  let r, t = time f in
+  (r, t, Xstorage.Store.page_reads store - before)
+
+(* ------------------------------------------------------------------ *)
 (* Table 7: query performance on XMark (Q1–Q3 of Table 4).             *)
 (* ------------------------------------------------------------------ *)
 
@@ -174,7 +208,6 @@ let table7 () =
   let n = n_scaled 20_000 in
   let docs = Xdatagen.Xmark_gen.generate ~identical_siblings:true n in
   let index = Xseq.build docs in
-  let pager = Xstorage.Pager.create ~page_size:4096 () in
   let queries =
     [
       ( "Q1",
@@ -189,18 +222,19 @@ let table7 () =
     ]
   in
   Printf.printf "(%d records indexed, %d trie nodes)\n" n (Xseq.node_count index);
+  Printf.printf "(pages: 4 KiB xseqcol1 pages read from a cold buffer pool)\n";
   Printf.printf "%-4s %-13s %-12s %-15s %-9s\n" "" "query length" "result size"
     "# disk accesses" "time (ms)";
-  List.iter
-    (fun (name, q) ->
-      let pat = Xseq.Xpath.parse q in
-      Xstorage.Pager.begin_query pager;
-      let ids, t = time (fun () -> Xseq.query ~pager index pat) in
-      Printf.printf "%-4s %-13d %-12d %-15d %-9.2f\n%!" name (Xseq.Pattern.size pat)
-        (List.length ids)
-        (Xstorage.Pager.pages_touched pager)
-        (ms t))
-    queries
+  with_paged_snapshot index (fun paged store ->
+      List.iter
+        (fun (name, q) ->
+          let pat = Xseq.Xpath.parse q in
+          let ids, t, pages =
+            cold_pages store (fun () -> Xseq.query paged pat)
+          in
+          Printf.printf "%-4s %-13d %-12d %-15d %-9.2f\n%!" name
+            (Xseq.Pattern.size pat) (List.length ids) pages (ms t))
+        queries)
 
 (* ------------------------------------------------------------------ *)
 (* Table 8: DBLP — constraint sequencing vs path and node indexes.     *)
@@ -264,20 +298,14 @@ let queries_of_length ?(wide = false) ?(value_prob = 1.0) docs ~qlen ~count ~see
   in
   gather seed [] count 0
 
-let avg_query_time ?pager index queries =
+let avg_query_time index queries =
   let total = ref 0.0 in
-  let pages = ref 0 in
   List.iter
     (fun q ->
-      (match pager with Some p -> Xstorage.Pager.begin_query p | None -> ());
-      let _, t = time (fun () -> Xseq.query ?pager index q) in
-      (match pager with
-       | Some p -> pages := !pages + Xstorage.Pager.pages_touched p
-       | None -> ());
+      let _, t = time (fun () -> Xseq.query index q) in
       total := !total +. t)
     queries;
-  let n = max 1 (List.length queries) in
-  (!total /. float_of_int n, !pages / n)
+  !total /. float_of_int (max 1 (List.length queries))
 
 let fig16a () =
   header
@@ -293,7 +321,7 @@ let fig16a () =
       let docs = Syn.generate ~schema n in
       let index = Xseq.build docs in
       let queries = queries_of_length ~value_prob:0.5 docs ~qlen:5 ~count:20 ~seed:2 in
-      let t, _ = avg_query_time index queries in
+      let t = avg_query_time index queries in
       Printf.printf "%10d %14.3f\n%!" n (ms t))
     [ 5_000; 10_000; 20_000; 40_000; 80_000 ]
 
@@ -315,7 +343,7 @@ let fig16b () =
         queries_of_length ~wide:true ~value_prob:0.0 docs ~qlen ~count:20 ~seed:3
       in
       if queries <> [] then begin
-        let t_cs, _ = avg_query_time cs queries in
+        let t_cs = avg_query_time cs queries in
         let t_vist =
           let total = ref 0.0 in
           List.iter
@@ -342,35 +370,27 @@ let fig16cd name ~i =
   let n = n_scaled 25_000 in
   let docs = Syn.dataset params n in
   let index = Xseq.build docs in
-  let labeled = Xseq.labeled index in
-  let doc_base = Xindex.Labeled.doc_table_base labeled in
-  let doc_end = Xindex.Labeled.layout_bytes labeled in
-  let pager = Xstorage.Pager.create ~page_size:4096 () in
-  Printf.printf "(%d records)\n" n;
-  Printf.printf "%6s %14s %14s %14s\n" "qlen" "index (pages)" "result (pages)"
-    "time (ms)";
-  List.iter
-    (fun qlen ->
-      let queries = queries_of_length ~value_prob:0.0 docs ~qlen ~count:12 ~seed:4 in
-      if queries <> [] then begin
-        let total = ref 0.0 and idx_pages = ref 0 and res_pages = ref 0 in
-        List.iter
-          (fun q ->
-            Xstorage.Pager.begin_query pager;
-            let _, t = time (fun () -> Xseq.query ~pager index q) in
-            let res =
-              Xstorage.Pager.pages_touched_between pager ~lo:doc_base ~hi:doc_end
-            in
-            idx_pages := !idx_pages + (Xstorage.Pager.pages_touched pager - res);
-            res_pages := !res_pages + res;
-            total := !total +. t)
-          queries;
-        let k = List.length queries in
-        Printf.printf "%6d %14d %14d %14.3f\n%!" qlen (!idx_pages / k)
-          (!res_pages / k)
-          (ms (!total /. float_of_int k))
-      end)
-    [ 2; 4; 6; 8; 10; 12 ]
+  Printf.printf "(%d records; 4 KiB xseqcol1 pages read from a cold pool)\n" n;
+  Printf.printf "%6s %16s %14s\n" "qlen" "pages per query" "time (ms)";
+  with_paged_snapshot index (fun paged store ->
+      List.iter
+        (fun qlen ->
+          let queries =
+            queries_of_length ~value_prob:0.0 docs ~qlen ~count:12 ~seed:4
+          in
+          if queries <> [] then begin
+            let total = ref 0.0 and pages = ref 0 in
+            List.iter
+              (fun q ->
+                let _, t, p = cold_pages store (fun () -> Xseq.query paged q) in
+                pages := !pages + p;
+                total := !total +. t)
+              queries;
+            let k = List.length queries in
+            Printf.printf "%6d %16d %14.3f\n%!" qlen (!pages / k)
+              (ms (!total /. float_of_int k))
+          end)
+        [ 2; 4; 6; 8; 10; 12 ])
 
 let fig16c () = fig16cd "Figure 16(c)" ~i:0
 let fig16d () = fig16cd "Figure 16(d)" ~i:25
@@ -439,30 +459,29 @@ let ablation_weights () =
         mstats.Xquery.Matcher.probes (ms t))
     [ 1.0; 10.0; 100.0 ]
 
-(* LRU buffer pool: misses vs pool size over a query workload. *)
+(* LRU buffer pool: page reads (misses) vs pool size over a query
+   workload, started from a cold pool and kept warm across queries. *)
 let ablation_buffer () =
   header
-    "Ablation: LRU buffer pool size vs page misses (query workload of 200 \
-     random queries)";
+    "Ablation: LRU buffer pool size vs page reads (query workload of 200 \
+     random queries, 4 KiB xseqcol1 pages, pool cold at the start)";
   let params = { Syn.l = 3; f = 5; a = 25; i = 10; p = 40 } in
   let n = n_scaled 20_000 in
   let docs = Syn.dataset params n in
   let index = Xseq.build docs in
   let queries = queries_of_length docs ~qlen:5 ~count:200 ~seed:11 in
-  Printf.printf "%14s %12s %12s\n" "buffer pages" "misses" "pages touched";
+  Printf.printf "%14s %12s %12s\n" "buffer pages" "page reads" "page hits";
   List.iter
-    (fun buffer_pages ->
-      let pager = Xstorage.Pager.create ~page_size:4096 ~buffer_pages () in
-      let misses = ref 0 and touched = ref 0 in
-      List.iter
-        (fun q ->
-          Xstorage.Pager.begin_query pager;
-          ignore (Xseq.query ~pager index q);
-          misses := !misses + Xstorage.Pager.misses pager;
-          touched := !touched + Xstorage.Pager.pages_touched pager)
-        queries;
-      Printf.printf "%14d %12d %12d\n%!" buffer_pages !misses !touched)
-    [ 0; 16; 64; 256; 1024 ]
+    (fun pool_pages ->
+      with_paged_snapshot ~pool_pages index (fun paged store ->
+          let hits0 = Xstorage.Store.page_hits store in
+          let (), _, reads =
+            cold_pages store (fun () ->
+                List.iter (fun q -> ignore (Xseq.query paged q)) queries)
+          in
+          Printf.printf "%14d %12d %12d\n%!" pool_pages reads
+            (Xstorage.Store.page_hits store - hits0)))
+    [ 16; 64; 256; 1024 ]
 
 (* Bulk loading vs one-by-one insertion (Section 4.1). *)
 let ablation_bulk () =

@@ -4,7 +4,7 @@
      xseq gen --kind dblp -n 1000 -o records.xml
      xseq stats records.xml
      xseq sequence records.xml --strategy depth-first --limit 3
-     xseq query records.xml "//author[text='David Maier']" --show 2 --io *)
+     xseq query records.xml "//author[text='David Maier']" --show 2 *)
 
 open Cmdliner
 
@@ -148,7 +148,6 @@ let stats_cmd =
     Printf.printf "distinct paths:       %d\n" (Xseq.distinct_paths index);
     Printf.printf "avg sequence length:  %.1f\n" (Xseq.average_sequence_length index);
     Printf.printf "size estimate (4n+cN): %d bytes\n" (Xseq.size_bytes index);
-    Printf.printf "page layout:          %d bytes\n" (Xseq.layout_bytes index);
     Printf.printf "build time:           %.0f ms\n" (dt *. 1000.)
   in
   Cmd.v
@@ -373,23 +372,28 @@ let run_local_multi index queries verbose =
     (List.length rows) (dt *. 1000.) stats.Xquery.Matcher.probes
     stats.Xquery.Matcher.candidates
 
-let run_local_single index q show io paged =
+let run_local_single index q show paged =
   let pattern = parse_xpath_or_exit q in
-  let pager = if io then Some (Xstorage.Pager.create ()) else None in
+  let store = if paged then Xseq.backing_store index else None in
+  (* Cumulative since open (the load's own reads included); the delta
+     isolates what this one query cost. *)
+  let pool () =
+    match store with
+    | Some s -> (Xstorage.Store.page_reads s, Xstorage.Store.page_hits s)
+    | None -> (0, 0)
+  in
+  let reads0, hits0 = pool () in
   let t0 = Unix.gettimeofday () in
-  let ids = Xseq.query ?pager index pattern in
+  let ids = Xseq.query index pattern in
   let dt = Unix.gettimeofday () -. t0 in
-  Printf.printf "%d matching records (%.2f ms)%s\n" (List.length ids)
-    (dt *. 1000.)
-    (match pager with
-     | Some p -> Printf.sprintf ", %d disk accesses" (Xstorage.Pager.pages_touched p)
-     | None -> "");
-  (match (paged, Xseq.backing_store index) with
-   | true, Some store ->
-     Printf.printf "buffer pool: %d page reads, %d hits\n"
-       (Xstorage.Store.page_reads store)
-       (Xstorage.Store.page_hits store)
-   | _ -> ());
+  let reads, hits = pool () in
+  Printf.printf "%d matching records (%.2f ms)\n" (List.length ids)
+    (dt *. 1000.);
+  if store <> None then begin
+    Printf.printf "buffer pool: %d page reads, %d hits\n" reads hits;
+    Printf.printf "this query: %d page reads, %d hits\n" (reads - reads0)
+      (hits - hits0)
+  end;
   List.iteri
     (fun k id ->
       if k < show then
@@ -519,18 +523,14 @@ let query_cmd =
       value & opt int 0
       & info [ "show" ] ~doc:"Print the first N matching records as XML.")
   in
-  let io =
-    Arg.(
-      value & flag
-      & info [ "io" ] ~doc:"Report simulated disk accesses for the query.")
-  in
   let paged =
     Arg.(
       value & flag
       & info [ "paged" ]
           ~doc:
             "When FILE is a saved index, leave its columns on disk and \
-             answer through the buffer pool; reports real page reads.")
+             answer through the buffer pool; reports the page reads and \
+             hits since open and, for a single query, that query's own.")
   in
   let pool_pages =
     Arg.(
@@ -619,7 +619,7 @@ let query_cmd =
              of the primary's current watermark (0 = exactly caught \
              up).")
   in
-  let run args strategy show io paged pool_pages connect verbose server_stats
+  let run args strategy show paged pool_pages connect verbose server_stats
       reload timeout health live endpoints max_staleness =
     (match endpoints with
      | Some eps ->
@@ -627,11 +627,11 @@ let query_cmd =
          Printf.eprintf "--endpoints is mutually exclusive with --connect/--live\n";
          exit 1
        end;
-       if show > 0 || io || paged || server_stats || reload <> None || health
+       if show > 0 || paged || server_stats || reload <> None || health
        then begin
          Printf.eprintf
-           "--show/--io/--paged/--server-stats/--reload/--health do not \
-            apply with --endpoints\n";
+           "--show/--paged/--server-stats/--reload/--health do not apply \
+            with --endpoints\n";
          exit 1
        end;
        run_cluster eps args max_staleness timeout verbose;
@@ -646,17 +646,17 @@ let query_cmd =
       Printf.eprintf "--live and --connect are mutually exclusive\n";
       exit 1
     | Some dir, None ->
-      if show > 0 || io || paged || server_stats || reload <> None || health
+      if show > 0 || paged || server_stats || reload <> None || health
       then begin
         Printf.eprintf
-          "--show/--io/--paged/--server-stats/--reload/--health do not \
-           apply with --live\n";
+          "--show/--paged/--server-stats/--reload/--health do not apply \
+           with --live\n";
         exit 1
       end;
       run_live_queries dir strategy args
     | None, Some addr ->
-      if show > 0 || io || paged then begin
-        Printf.eprintf "--show/--io/--paged do not apply with --connect\n";
+      if show > 0 || paged then begin
+        Printf.eprintf "--show/--paged do not apply with --connect\n";
         exit 1
       end;
       run_remote addr args verbose server_stats reload timeout health
@@ -694,10 +694,10 @@ let query_cmd =
            end
          in
          (match queries with
-          | [ q ] -> run_local_single index q show io paged
+          | [ q ] -> run_local_single index q show paged
           | _ ->
-            if show > 0 || io then begin
-              Printf.eprintf "--show/--io apply to a single query only\n";
+            if show > 0 then begin
+              Printf.eprintf "--show applies to a single query only\n";
               exit 1
             end;
             run_local_multi index queries verbose))
@@ -709,7 +709,7 @@ let query_cmd =
           against a running server with $(b,--connect).  Several queries \
           share one index and are compiled once each.")
     Term.(
-      const run $ args $ strategy_arg $ show $ io $ paged $ pool_pages
+      const run $ args $ strategy_arg $ show $ paged $ pool_pages
       $ connect $ verbose $ server_stats $ reload $ timeout $ health $ live
       $ endpoints $ max_staleness)
 
@@ -798,17 +798,6 @@ let serve_cmd =
           ~doc:
             "With $(b,--paged): buffer-pool capacity in pages (default \
              256).  Bounds the resident column-data footprint.")
-  in
-  let dynamic =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "dynamic" ] ~docv:"THRESHOLD"
-          ~doc:
-            "Serve a base-plus-delta Dynamic index with this rebuild \
-             threshold; $(b,--reload) (the Reload op) then flushes and \
-             hot-swaps the rebuilt snapshot.  Deprecated: prefer \
-             $(b,--live).")
   in
   let live =
     Arg.(
@@ -952,7 +941,7 @@ let serve_cmd =
   in
   let run input strategy socket port host workers accept_shards max_pending
       plan_cache no_plan_cache timeout_ms metrics_interval paged pool_pages
-      dynamic live sync_every memtable_limit shards follow advertise peers
+      live sync_every memtable_limit shards follow advertise peers
       sync_replicas ack_timeout_ms heartbeat_timeout_ms auto_promote
       scrub_interval scrub_rate =
     let addrs =
@@ -969,7 +958,7 @@ let serve_cmd =
     end;
     if
       paged
-      && (live <> None || dynamic <> None
+      && (live <> None
          ||
          match input with
          | Some f -> not (is_index_file f)
@@ -1049,15 +1038,10 @@ let serve_cmd =
             exit 1
         in
         if is_index_file input then Xserver.Server.Snapshot input
-        else begin
-          let docs = load_documents input in
-          let config = config_of_strategy strategy in
-          match dynamic with
-          | Some threshold ->
-            Xserver.Server.Dynamic
-              (Xseq.Dynamic.create ~config ~rebuild_threshold:threshold docs)
-          | None -> Xserver.Server.Static (Xseq.build ~config docs)
-        end
+        else
+          Xserver.Server.Static
+            (Xseq.build ~config:(config_of_strategy strategy)
+               (load_documents input))
     in
     let repl_node =
       if not repl_wanted then None
@@ -1179,7 +1163,7 @@ let serve_cmd =
     Term.(
       const run $ serve_input $ strategy_arg $ socket $ port $ host $ workers
       $ accept_shards $ max_pending $ plan_cache $ no_plan_cache $ timeout_ms
-      $ metrics_interval $ paged $ pool_pages $ dynamic $ live $ sync_every
+      $ metrics_interval $ paged $ pool_pages $ live $ sync_every
       $ memtable_limit
       $ shards $ follow $ advertise $ peers $ sync_replicas $ ack_timeout_ms
       $ heartbeat_timeout_ms $ auto_promote $ scrub_interval $ scrub_rate)
@@ -1630,15 +1614,10 @@ let query_batch_cmd =
       & info [ "domains" ] ~docv:"N"
           ~doc:"Worker domains for the batch (default 1 = sequential).")
   in
-  let io =
-    Arg.(
-      value & flag
-      & info [ "io" ] ~doc:"Report summed simulated disk accesses for the batch.")
-  in
   let ids_flag =
     Arg.(value & flag & info [ "ids" ] ~doc:"Print matching ids per query.")
   in
-  let run input strategy queries_file domains io ids_flag =
+  let run input strategy queries_file domains ids_flag =
     if domains < 1 then begin
       Printf.eprintf "--domains must be at least 1\n";
       exit 1
@@ -1669,12 +1648,7 @@ let query_batch_cmd =
     in
     let stats = Xquery.Matcher.create_stats () in
     let t0 = Unix.gettimeofday () in
-    let results, batch_io =
-      if io then
-        let results, bio = Xseq.query_batch_io ~domains ~stats index patterns in
-        (results, Some bio)
-      else (Xseq.query_batch ~domains ~stats index patterns, None)
-    in
+    let results = Xseq.query_batch ~domains ~stats index patterns in
     let dt = Unix.gettimeofday () -. t0 in
     Array.iteri
       (fun i ids ->
@@ -1689,12 +1663,7 @@ let query_batch_cmd =
       (if dt > 0. then float_of_int (Array.length patterns) /. dt else 0.);
     Printf.printf "link probes: %d, candidates: %d, rejected: %d\n"
       stats.Xquery.Matcher.probes stats.Xquery.Matcher.candidates
-      stats.Xquery.Matcher.rejected;
-    match batch_io with
-    | Some b ->
-      Printf.printf "pages touched: %d, entry accesses: %d\n"
-        b.Xseq.io_pages_touched b.Xseq.io_accesses
-    | None -> ()
+      stats.Xquery.Matcher.rejected
   in
   Cmd.v
     (Cmd.info "query-batch"
@@ -1703,8 +1672,7 @@ let query_batch_cmd =
           Results are identical to running $(b,query) once per line, for \
           any $(b,--domains).")
     Term.(
-      const run $ input_arg $ strategy_arg $ queries_arg $ domains $ io
-      $ ids_flag)
+      const run $ input_arg $ strategy_arg $ queries_arg $ domains $ ids_flag)
 
 (* --- paths ----------------------------------------------------------------- *)
 
@@ -1810,8 +1778,6 @@ let info_cmd =
       (Store.length (Store.ints store "link_off"));
     Printf.printf "doc entries:     %d\n"
       (Store.length (Store.ints store "doc_pre"));
-    Printf.printf "query layout:    %d bytes (links + doc table, simulated)\n"
-      imeta.(2);
     if compressed then
       Printf.printf "column bytes:    %d stored / %d logical (%.2fx compression)\n"
         stored logical

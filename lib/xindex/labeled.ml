@@ -3,9 +3,6 @@ module Ivec = Xutil.Ivec
 module Bs = Xutil.Binsearch
 module Store = Xstorage.Store
 
-let entry_bytes = 8
-let page_bytes = 4096
-
 type backend = Heap_arrays | Columnar
 
 (* The index is a set of flat columns (structure of arrays): per-node
@@ -23,15 +20,12 @@ type t = {
   link_path : int array; (* slot -> dictionary index *)
   link_off : int array; (* slot -> first entry position in l_* columns *)
   link_len : int array;
-  link_base : int array; (* slot -> byte offset in the simulated layout *)
   l_pre : Store.column; (* concatenated link entries, slot-major *)
   l_post : Store.column;
   l_up : Store.column;
   l_node : Store.column;
   doc_pre : Store.column; (* sorted *)
   doc_id : Store.column;
-  doc_base : int;
-  total_bytes : int;
   multi : bool array;
       (* Per-slot "some document carries this path twice" flags.  Computed
          eagerly at construction (one linear scan per link) so the frozen
@@ -47,7 +41,6 @@ type link = {
   k_node : Store.column;
   loff : int;
   llen : int;
-  lbase : int;
 }
 
 (* Link entries are in pre-order, so an entry has a same-encoding
@@ -180,15 +173,7 @@ let of_trie ?(backend = Columnar) trie =
       end
   done;
   (* Freeze links into the columnar layout: concatenated entry columns in
-     deterministic path order, page-aligned byte bases per link (the
-     paper's cost-model layout, one 8-byte unit per entry). *)
-  let next_base = ref 0 in
-  let alloc bytes =
-    let base = !next_base in
-    let pages = (max 1 bytes + page_bytes - 1) / page_bytes in
-    next_base := base + (pages * page_bytes);
-    base
-  in
+     deterministic path order. *)
   let ordered =
     List.sort
       (fun a b -> Path.compare a.apath b.apath)
@@ -202,7 +187,6 @@ let of_trie ?(backend = Columnar) trie =
   let l_node = Array.make total_entries 0 in
   let link_off = Array.make nlinks 0 in
   let link_len = Array.make nlinks 0 in
-  let link_base = Array.make nlinks 0 in
   let link_path_t = Array.make nlinks Path.epsilon in
   let off = ref 0 in
   List.iteri
@@ -210,7 +194,6 @@ let of_trie ?(backend = Columnar) trie =
       let len = Ivec.length a.apres in
       link_off.(slot) <- !off;
       link_len.(slot) <- len;
-      link_base.(slot) <- alloc (len * entry_bytes);
       link_path_t.(slot) <- a.apath;
       for i = 0 to len - 1 do
         l_pre.(!off + i) <- Ivec.get a.apres i;
@@ -232,7 +215,6 @@ let of_trie ?(backend = Columnar) trie =
   Array.sort (fun (a, _) (b, _) -> Stdlib.compare a b) pairs;
   let doc_pre = Array.map fst pairs in
   let doc_id = Array.map snd pairs in
-  let doc_base = alloc (Array.length doc_pre * entry_bytes) in
   (* Dictionary and id-valued node-path column. *)
   let paths, index_of = build_dict node_paths in
   let node_path = Array.map (fun p -> Hashtbl.find index_of p) node_paths in
@@ -248,15 +230,12 @@ let of_trie ?(backend = Columnar) trie =
     link_path;
     link_off;
     link_len;
-    link_base;
     l_pre = fz l_pre;
     l_post = fz l_post;
     l_up = fz l_up;
     l_node = fz l_node;
     doc_pre = fz doc_pre;
     doc_id = fz doc_id;
-    doc_base;
-    total_bytes = !next_base;
     multi;
     source = None;
   }
@@ -280,7 +259,6 @@ let link t p =
         k_node = t.l_node;
         loff = t.link_off.(slot);
         llen = t.link_len.(slot);
-        lbase = t.link_base.(slot);
       }
 
 let link_length l = l.llen
@@ -288,7 +266,6 @@ let link_pre l i = Store.get l.k_pre (l.loff + i)
 let link_post l i = Store.get l.k_post (l.loff + i)
 let link_up l i = Store.get l.k_up (l.loff + i)
 let link_node l i = Store.get l.k_node (l.loff + i)
-let link_base l = l.lbase
 
 let link_range l ~lo ~hi =
   let get i = link_pre l i in
@@ -369,9 +346,6 @@ let path_doc_counts ?member t =
       done;
       (t.paths.(t.link_path.(slot)), !total))
     t.link_off
-
-let doc_table_base t = t.doc_base
-let layout_bytes t = t.total_bytes
 
 let path_multiple t p =
   match Hashtbl.find_opt t.dir p with Some slot -> t.multi.(slot) | None -> false
@@ -473,8 +447,7 @@ let dict_regions_compact t store =
     (Xsuccinct.Frontcode.encode (Array.of_list (List.map fst pairs)))
 
 let add_to_store ?(compact = false) t store =
-  Store.add_ints store "meta"
-    (Store.heap [| t.n; t.doc_base; t.total_bytes |]);
+  Store.add_ints store "meta" (Store.heap [| t.n |]);
   (if compact then dict_regions_compact else dict_regions) t store;
   Store.add_ints store "node_pre" t.pre;
   Store.add_ints store "node_post" t.post;
@@ -482,7 +455,6 @@ let add_to_store ?(compact = false) t store =
   Store.add_ints store "link_path" (Store.heap t.link_path);
   Store.add_ints store "link_off" (Store.heap t.link_off);
   Store.add_ints store "link_len" (Store.heap t.link_len);
-  Store.add_ints store "link_base" (Store.heap t.link_base);
   Store.add_ints store "link_multi"
     (Store.heap (Array.map (fun b -> if b then 1 else 0) t.multi));
   Store.add_ints store "l_pre" t.l_pre;
@@ -496,9 +468,13 @@ let corrupt msg = invalid_arg ("Labeled.of_store: inconsistent snapshot: " ^ msg
 
 let of_store store =
   let meta = Store.to_array (Store.ints store "meta") in
-  if Array.length meta <> 3 then corrupt "meta region size";
-  let n = meta.(0) and doc_base = meta.(1) and total_bytes = meta.(2) in
-  if n < 0 || doc_base < 0 || total_bytes < 0 then corrupt "negative meta field";
+  (* Snapshots written before the simulated page layout was retired carry
+     two more meta fields (its byte offsets) and a [link_base] region;
+     both are ignored. *)
+  if Array.length meta <> 1 && Array.length meta <> 3 then
+    corrupt "meta region size";
+  let n = meta.(0) in
+  if n < 0 then corrupt "negative node count";
   (* Re-intern the dictionary (parents precede children by construction).
      Compact (xseqcol2) snapshots carry deduplicated designator ids over
      a front-coded name table; legacy snapshots spell each entry out. *)
@@ -569,13 +545,11 @@ let of_store store =
   let link_path = Store.to_array (Store.ints store "link_path") in
   let link_off = Store.to_array (Store.ints store "link_off") in
   let link_len = Store.to_array (Store.ints store "link_len") in
-  let link_base = Store.to_array (Store.ints store "link_base") in
   let link_multi = Store.to_array (Store.ints store "link_multi") in
   let nlinks = Array.length link_path in
   if
     Array.length link_off <> nlinks
     || Array.length link_len <> nlinks
-    || Array.length link_base <> nlinks
     || Array.length link_multi <> nlinks
   then corrupt "link directory sizes";
   let l_pre = Store.ints store "l_pre" in
@@ -615,15 +589,12 @@ let of_store store =
     link_path;
     link_off;
     link_len;
-    link_base;
     l_pre;
     l_post;
     l_up;
     l_node;
     doc_pre;
     doc_id;
-    doc_base;
-    total_bytes;
     multi = Array.map (fun x -> x <> 0) link_multi;
     source = Some store;
   }
@@ -641,7 +612,6 @@ type portable_link = {
   s_posts : int array;
   s_ups : int array;
   s_nodes : int array;
-  s_base : int;
 }
 
 type portable = {
@@ -654,8 +624,6 @@ type portable = {
   s_links : portable_link array;
   s_doc_pres : int array;
   s_doc_ids : int array;
-  s_doc_base : int;
-  s_total_bytes : int;
 }
 
 let to_portable t =
@@ -686,7 +654,6 @@ let to_portable t =
              s_posts = slice t.l_post t.link_off.(slot) t.link_len.(slot);
              s_ups = slice t.l_up t.link_off.(slot) t.link_len.(slot);
              s_nodes = slice t.l_node t.link_off.(slot) t.link_len.(slot);
-             s_base = t.link_base.(slot);
            }))
   in
   {
@@ -699,8 +666,6 @@ let to_portable t =
     s_links = Array.of_list links;
     s_doc_pres = Store.to_array t.doc_pre;
     s_doc_ids = Store.to_array t.doc_id;
-    s_doc_base = t.doc_base;
-    s_total_bytes = t.total_bytes;
   }
 
 let of_portable ?(backend = Columnar) s =
@@ -728,7 +693,6 @@ let of_portable ?(backend = Columnar) s =
   let link_path = Array.make nlinks 0 in
   let link_off = Array.make nlinks 0 in
   let link_len = Array.make nlinks 0 in
-  let link_base = Array.make nlinks 0 in
   let dir = Hashtbl.create nlinks in
   let off = ref 0 in
   Array.iteri
@@ -737,7 +701,6 @@ let of_portable ?(backend = Columnar) s =
       link_path.(slot) <- l.s_path;
       link_off.(slot) <- !off;
       link_len.(slot) <- len;
-      link_base.(slot) <- l.s_base;
       Array.blit l.s_pres 0 l_pre !off len;
       Array.blit l.s_posts 0 l_post !off len;
       Array.blit l.s_ups 0 l_up !off len;
@@ -760,15 +723,12 @@ let of_portable ?(backend = Columnar) s =
     link_path;
     link_off;
     link_len;
-    link_base;
     l_pre = fz l_pre;
     l_post = fz l_post;
     l_up = fz l_up;
     l_node = fz l_node;
     doc_pre = fz s.s_doc_pres;
     doc_id = fz s.s_doc_ids;
-    doc_base = s.s_doc_base;
-    total_bytes = s.s_total_bytes;
     multi;
     source = None;
   }

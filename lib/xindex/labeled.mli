@@ -19,14 +19,12 @@
     [l_post] / [l_up] / [l_node], slot-major in deterministic path
     order), the sorted document table, and a small in-memory link
     directory of offsets into them.  Each column is an
-    {!Xstorage.Store.column}, so one view serves three physical
-    representations: heap [int array]s (the original pointer-rich
-    backend, kept for A/B comparison), unboxed flat buffers, and pages
-    of an open snapshot file read through the buffer pool.
-
-    For I/O accounting, links and the document table are laid out on a
-    {!Xstorage.Pager}-compatible byte layout (8-byte entries, page-aligned
-    regions); the layout math is identical across backends. *)
+    {!Xstorage.Store.column}, so one view serves every physical
+    representation: heap [int array]s (the original pointer-rich
+    backend, kept for A/B comparison), unboxed flat buffers, pages of an
+    open snapshot file read through the buffer pool, and compressed
+    blocks.  Page I/O is the store's business: it counts the pages it
+    reads (see {!backing_store}). *)
 
 module Path = Sequencing.Path
 
@@ -75,12 +73,6 @@ val link_up : link -> int -> int
 val link_node : link -> int -> int
 (** Trie node id of a link entry. *)
 
-val link_base : link -> int
-(** Byte offset of the link's region in the simulated layout. *)
-
-val entry_bytes : int
-(** Bytes per link/doc entry in the layout (8). *)
-
 val link_range : link -> lo:int -> hi:int -> int * int
 (** [(first, last)] inclusive link positions with [lo <= pre <= hi];
     [first > last] when empty. *)
@@ -105,10 +97,6 @@ val docs_in_range : t -> lo:int -> hi:int -> f:(int -> unit) -> unit
     with serial in [lo, hi].  Ids may repeat across calls but not within
     one call. *)
 
-val doc_span : t -> lo:int -> hi:int -> int * int
-(** [(first, last)] inclusive positions in the document table covered by
-    the serial range — used for I/O accounting of the result fetch. *)
-
 val doc_len : t -> int
 (** Entries in the document table. *)
 
@@ -130,12 +118,6 @@ val path_doc_counts : ?member:(int -> bool) -> t -> (Path.t * int) array
     over the records, derived from the labels and the document table
     alone.  With [member], only documents whose id satisfies it are
     counted.  One pass over the link columns, O(entries × log docs). *)
-
-val doc_table_base : t -> int
-(** Byte offset of the document table region. *)
-
-val layout_bytes : t -> int
-(** Total bytes of the layout (links + doc table), page-aligned. *)
 
 val pre_of_node : t -> int -> int
 val post_of_node : t -> int -> int
@@ -166,6 +148,9 @@ val of_store : Xstorage.Store.t -> t
     backing the store has — resident buffers, disk pages behind the
     buffer pool, or compressed blocks decoded on probe — so opening a
     snapshot in paged mode yields an index that reads pages on demand.
+    Snapshots from before the simulated page layout was retired — a
+    three-field [meta] region and a [link_base] region — load too; the
+    extra fields and region are ignored.
 
     @raise Invalid_argument naming the inconsistency if the regions are
     missing, mis-sized, or internally contradictory.  Validation covers

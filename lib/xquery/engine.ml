@@ -4,10 +4,10 @@ let compile ?limit ?max_expansions ~strategy ~value_mode idx pattern =
   let cnodes = Instantiate.run ?limit ~mem ~value_mode pattern in
   List.concat_map (Query_seq.compile ?max_expansions ~flagged ~strategy) cnodes
 
-let query ?mode ?pager ?stats ?limit ?max_expansions ~strategy ~value_mode idx
+let query ?mode ?stats ?limit ?max_expansions ~strategy ~value_mode idx
     pattern =
   let compiled = compile ?limit ?max_expansions ~strategy ~value_mode idx pattern in
-  Matcher.run_collect ?mode ?pager ?stats idx compiled
+  Matcher.run_collect ?mode ?stats idx compiled
 
 type explanation = {
   pattern : string;

@@ -9,7 +9,6 @@
 
 val query :
   ?mode:Matcher.mode ->
-  ?pager:Xstorage.Pager.t ->
   ?stats:Matcher.stats ->
   ?limit:int ->
   ?max_expansions:int ->

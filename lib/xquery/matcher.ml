@@ -1,5 +1,4 @@
 module Labeled = Xindex.Labeled
-module Pager = Xstorage.Pager
 
 type mode = Constraint | Naive
 
@@ -18,7 +17,7 @@ let merge_stats ~into s =
   into.rejected <- into.rejected + s.rejected;
   into.matches <- into.matches + s.matches
 
-let run ?(mode = Constraint) ?pager ?stats idx (q : Query_seq.compiled) ~on_doc
+let run ?(mode = Constraint) ?stats idx (q : Query_seq.compiled) ~on_doc
     =
   (* A fresh sink per call when the caller does not supply one: a shared
      mutable default would be a data race once queries run on several
@@ -29,19 +28,13 @@ let run ?(mode = Constraint) ?pager ?stats idx (q : Query_seq.compiled) ~on_doc
   let links = Array.map (Labeled.link idx) q.paths in
   if Array.for_all Option.is_some links then begin
     let links = Array.map Option.get links in
-    let touch_entry l i =
-      stats.probes <- stats.probes + 1;
-      match pager with
-      | Some p ->
-        Pager.touch p (Labeled.link_base l + (i * Labeled.entry_bytes))
-      | None -> ()
-    in
-    (* Binary searches instrumented entry by entry. *)
+    let probe () = stats.probes <- stats.probes + 1 in
+    (* Binary searches counted entry by entry. *)
     let lower_bound l x =
       let lo = ref 0 and hi = ref (Labeled.link_length l) in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        touch_entry l mid;
+        probe ();
         if Labeled.link_pre l mid < x then lo := mid + 1 else hi := mid
       done;
       !lo
@@ -50,7 +43,7 @@ let run ?(mode = Constraint) ?pager ?stats idx (q : Query_seq.compiled) ~on_doc
       let lo = ref 0 and hi = ref (Labeled.link_length l) in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        touch_entry l mid;
+        probe ();
         if Labeled.link_pre l mid <= x then lo := mid + 1 else hi := mid
       done;
       !lo
@@ -60,33 +53,26 @@ let run ?(mode = Constraint) ?pager ?stats idx (q : Query_seq.compiled) ~on_doc
       let rec climb i =
         if i < 0 then -1
         else begin
-          touch_entry l i;
+          probe ();
           if Labeled.link_post l i >= x then i else climb (Labeled.link_up l i)
         end
       in
       climb (upper_bound l x - 1)
     in
     (* The identical-sibling test reads the entry and its successor — both
-       are charged, exactly like any other probe. *)
+       count, exactly like any other probe. *)
     let same_desc l i =
-      touch_entry l i;
-      if i + 1 < Labeled.link_length l then touch_entry l (i + 1);
+      probe ();
+      if i + 1 < Labeled.link_length l then probe ();
       Labeled.link_same_desc l i
     in
     (* The document table is located by binary search too, so its probes
-       hit the pager entry by entry like link probes do. *)
-    let touch_doc i =
-      stats.probes <- stats.probes + 1;
-      match pager with
-      | Some p ->
-        Pager.touch p (Labeled.doc_table_base idx + (i * Labeled.entry_bytes))
-      | None -> ()
-    in
+       count entry by entry like link probes do. *)
     let doc_lower x =
       let lo = ref 0 and hi = ref (Labeled.doc_len idx) in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        touch_doc mid;
+        probe ();
         if Labeled.doc_pre_at idx mid < x then lo := mid + 1 else hi := mid
       done;
       !lo
@@ -95,7 +81,7 @@ let run ?(mode = Constraint) ?pager ?stats idx (q : Query_seq.compiled) ~on_doc
       let lo = ref 0 and hi = ref (Labeled.doc_len idx) in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
-        touch_doc mid;
+        probe ();
         if Labeled.doc_pre_at idx mid <= x then lo := mid + 1 else hi := mid
       done;
       !lo
@@ -109,17 +95,7 @@ let run ?(mode = Constraint) ?pager ?stats idx (q : Query_seq.compiled) ~on_doc
         let dlo = lo - 1 and dhi = hi in
         let first = doc_lower dlo in
         let last = doc_upper dhi - 1 in
-        if first <= last then begin
-          (match pager with
-           | Some p ->
-             (* Result fetch scans the located span: half-open byte range
-                over entries [first, last]. *)
-             Pager.touch_range p
-               (Labeled.doc_table_base idx + (first * Labeled.entry_bytes))
-               (Labeled.doc_table_base idx + ((last + 1) * Labeled.entry_bytes))
-           | None -> ());
-          Labeled.docs_between idx ~first ~last ~f:on_doc
-        end
+        if first <= last then Labeled.docs_between idx ~first ~last ~f:on_doc
       end
       else begin
         let l = links.(i) in
@@ -128,7 +104,7 @@ let run ?(mode = Constraint) ?pager ?stats idx (q : Query_seq.compiled) ~on_doc
         let pos = ref first in
         let continue = ref true in
         while !continue && !pos < stop do
-          touch_entry l !pos;
+          probe ();
           let pre = Labeled.link_pre l !pos in
           if pre > hi then continue := false
           else begin
@@ -159,11 +135,11 @@ let run ?(mode = Constraint) ?pager ?stats idx (q : Query_seq.compiled) ~on_doc
     search 0 1 (Labeled.root_post idx)
   end
 
-let run_collect ?mode ?pager ?stats idx compiled_list =
+let run_collect ?mode ?stats idx compiled_list =
   let seen = Hashtbl.create 64 in
   List.iter
     (fun q ->
-      run ?mode ?pager ?stats idx q ~on_doc:(fun d ->
+      run ?mode ?stats idx q ~on_doc:(fun d ->
           if not (Hashtbl.mem seen d) then Hashtbl.replace seen d ()))
     compiled_list;
   List.sort Stdlib.compare (Hashtbl.fold (fun d () acc -> d :: acc) seen [])

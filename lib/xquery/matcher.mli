@@ -16,16 +16,16 @@
     Figure 4 (it is what the ViST baseline pairs with per-document
     verification).
 
-    When a {!Xstorage.Pager} is supplied, every link-entry probe and
-    document-table read is charged to the page layout.
+    Every link-entry and document-table probe is counted in [stats];
+    the pages those probes read are counted by the columns' own
+    {!Xstorage.Store} (see {!Xstorage.Store.page_reads}).
 
     {2 Thread-safety}
 
     The index itself is read-only and may be shared across domains, but a
-    [stats] record and a {!Xstorage.Pager.t} are single-domain mutable
-    accumulators: each concurrent worker must own a private instance and
-    the owners' results can be combined afterwards with {!merge_stats}
-    (resp. by summing the pager's per-query counters).  [Xseq.query_batch]
+    [stats] record is a single-domain mutable accumulator: each
+    concurrent worker must own a private instance and the owners' results
+    can be combined afterwards with {!merge_stats}.  [Xseq.query_batch]
     follows exactly this per-worker-then-merge discipline. *)
 
 type mode = Constraint | Naive
@@ -46,7 +46,6 @@ val merge_stats : into:stats -> stats -> unit
 
 val run :
   ?mode:mode ->
-  ?pager:Xstorage.Pager.t ->
   ?stats:stats ->
   Xindex.Labeled.t ->
   Query_seq.compiled ->
@@ -58,7 +57,6 @@ val run :
 
 val run_collect :
   ?mode:mode ->
-  ?pager:Xstorage.Pager.t ->
   ?stats:stats ->
   Xindex.Labeled.t ->
   Query_seq.compiled list ->

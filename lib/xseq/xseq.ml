@@ -4,7 +4,6 @@ module T = Xmlcore.Xml_tree
 module Strategy = Sequencing.Strategy
 module Encoder = Sequencing.Encoder
 module Domain_pool = Xutil.Domain_pool
-module Pager = Xstorage.Pager
 
 type sequencing =
   | Depth_first of { canonical : bool }
@@ -59,10 +58,10 @@ type t = {
 }
 
 (* Every index constructed in this process — built, loaded, or rebuilt by
-   [Dynamic] — gets a distinct generation, so a prepared query can prove
-   it belongs to the index it is run against.  The counter is atomic
-   because [Dynamic] rebuilds may race with concurrent builds (e.g. a
-   server hot-swapping snapshots while another domain builds). *)
+   an [Xlog] compaction — gets a distinct generation, so a prepared query
+   can prove it belongs to the index it is run against.  The counter is
+   atomic because builds may race (e.g. a background compaction while a
+   server hot-swaps snapshots). *)
 let generation_counter = Atomic.make 1
 let next_generation () = Atomic.fetch_and_add generation_counter 1
 
@@ -313,9 +312,9 @@ let records t =
              Atomic.set e.decoded docs;
              docs))
 
-let query ?pager ?stats t pattern =
+let query ?stats t pattern =
   match
-    Xquery.Engine.query ?pager ?stats ~strategy:t.strategy
+    Xquery.Engine.query ?stats ~strategy:t.strategy
       ~value_mode:t.value_mode t.labeled pattern
   with
   | ids -> ids
@@ -326,16 +325,10 @@ let query ?pager ?stats t pattern =
      | Some docs -> Xquery.Embedding.filter pattern docs
      | None -> raise (Xquery.Instantiate.Too_many 0))
 
-let query_xpath ?pager ?stats t s = query ?pager ?stats t (Xpath.parse s)
+let query_xpath ?stats t s = query ?stats t (Xpath.parse s)
 let contains t pattern doc = List.mem doc (query t pattern)
 
 (* --- batched execution ---------------------------------------------------- *)
-
-type batch_io = {
-  io_pages_touched : int;
-  io_misses : int;
-  io_accesses : int;
-}
 
 (* Contiguous ranges of [n] items split into at most [chunks] pieces. *)
 let chunk_ranges n chunks =
@@ -370,61 +363,6 @@ let query_batch ?domains ?pool ?stats t patterns =
    | None -> ());
   Array.concat (Array.to_list (Array.map fst chunked))
 
-let query_batch_io ?domains ?pool ?stats ?page_size ?(buffer_pages = 0) t
-    patterns =
-  let n = Array.length patterns in
-  let chunked =
-    with_pool_opt ?domains ?pool (fun p ->
-        (* Each worker owns a private pager; per-query counts are summed
-           afterwards.  With the default [buffer_pages = 0] every page
-           that a query touches is a miss, so the totals are independent
-           of how queries were assigned to chunks. *)
-        let ranges = chunk_ranges n (4 * Domain_pool.size p) in
-        Domain_pool.run p
-          (Array.map
-             (fun (lo, len) () ->
-               let pager = Pager.create ?page_size ~buffer_pages () in
-               let s = Xquery.Matcher.create_stats () in
-               let ids =
-                 Array.init len (fun k ->
-                     Pager.begin_query pager;
-                     let ids = query ~pager ~stats:s t patterns.(lo + k) in
-                     let io =
-                       {
-                         io_pages_touched = Pager.pages_touched pager;
-                         io_misses = Pager.misses pager;
-                         io_accesses = 0;
-                       }
-                     in
-                     (ids, io))
-               in
-               (ids, s, Pager.total_accesses pager))
-             ranges))
-  in
-  (match stats with
-   | Some into ->
-     Array.iter (fun (_, s, _) -> Xquery.Matcher.merge_stats ~into s) chunked
-   | None -> ());
-  let per_query =
-    Array.concat (Array.to_list (Array.map (fun (ids, _, _) -> ids) chunked))
-  in
-  let io =
-    Array.fold_left
-      (fun acc (qs, _, accesses) ->
-        Array.fold_left
-          (fun acc (_, io) ->
-            {
-              io_pages_touched = acc.io_pages_touched + io.io_pages_touched;
-              io_misses = acc.io_misses + io.io_misses;
-              io_accesses = acc.io_accesses;
-            })
-          { acc with io_accesses = acc.io_accesses + accesses }
-          qs)
-      { io_pages_touched = 0; io_misses = 0; io_accesses = 0 }
-      chunked
-  in
-  (Array.map fst per_query, io)
-
 type prepared = {
   plans : Xquery.Query_seq.compiled list;
   prepared_gen : int; (* generation of the index this was compiled for *)
@@ -438,7 +376,7 @@ let prepare t pattern =
     prepared_gen = t.generation;
   }
 
-let run_prepared ?pager ?stats t prepared =
+let run_prepared ?stats t prepared =
   (* Compiled sequences embed label ranges of one specific index; running
      them elsewhere would silently return garbage ids.  The generation
      stamp turns that into a checked error — the server's plan cache
@@ -449,7 +387,7 @@ let run_prepared ?pager ?stats t prepared =
          "Xseq.run_prepared: prepared query belongs to index generation %d, \
           not %d"
          prepared.prepared_gen t.generation);
-  Xquery.Matcher.run_collect ?pager ?stats t.labeled prepared.plans
+  Xquery.Matcher.run_collect ?stats t.labeled prepared.plans
 
 let explain t pattern =
   Xquery.Engine.explain ~strategy:t.strategy ~value_mode:t.value_mode t.labeled
@@ -465,7 +403,6 @@ let doc_count t = t.ndocs
 let node_count t = Xindex.Labeled.node_count t.labeled
 let distinct_paths t = Xindex.Labeled.distinct_paths t.labeled
 let size_bytes t = Xindex.Labeled.size_bytes t.labeled ~record_count:t.ndocs
-let layout_bytes t = Xindex.Labeled.layout_bytes t.labeled
 let strategy t = t.strategy
 let value_mode t = t.value_mode
 let labeled t = t.labeled
@@ -631,101 +568,3 @@ let load ?mode ?pool_pages ?verify path =
     Printexc.raise_with_backtrace e bt
 
 let backing_store t = Xindex.Labeled.backing_store t.labeled
-
-(* --- incremental indexing ------------------------------------------------- *)
-
-module Dynamic = struct
-  type dyn = {
-    mutable base : t;
-    mutable tail : T.t list; (* newest first; ids continue after base *)
-    mutable tail_len : int;
-    mutable tail_index : t option;
-        (* memoised index over the current tail (ids are tail positions);
-           invalidated by [add]/[flush], rebuilt lazily at query time once
-           the tail is big enough for indexing to beat scanning *)
-    threshold : int;
-    dconfig : config;
-    ddomains : int;
-  }
-
-  (* Below this many tail documents an exact scan is cheaper than
-     building even a small index. *)
-  let index_tail_from = 32
-
-  let create ?(domains = 1) ?(config = default_config)
-      ?(rebuild_threshold = 1024) docs =
-    let config = { config with keep_documents = true } in
-    {
-      base = build ~domains ~config docs;
-      tail = [];
-      tail_len = 0;
-      tail_index = None;
-      threshold = max 1 rebuild_threshold;
-      dconfig = config;
-      ddomains = domains;
-    }
-
-  let all_docs d =
-    let base_docs =
-      match records d.base with Some a -> a | None -> assert false
-    in
-    Array.append base_docs (Array.of_list (List.rev d.tail))
-
-  let flush d =
-    if d.tail_len > 0 then begin
-      d.base <- build ~domains:d.ddomains ~config:d.dconfig (all_docs d);
-      d.tail <- [];
-      d.tail_len <- 0;
-      d.tail_index <- None
-    end
-
-  let add d doc =
-    let id = d.base.ndocs + d.tail_len in
-    d.tail <- doc :: d.tail;
-    d.tail_len <- d.tail_len + 1;
-    d.tail_index <- None;
-    if d.tail_len >= d.threshold then flush d;
-    id
-
-  let query d pattern =
-    let base_hits = query d.base pattern in
-    let tail_hits =
-      if d.tail_len = 0 then []
-      else if d.tail_len < index_tail_from then begin
-        (* Small tail: exact scan, no sequence re-encoding at all. *)
-        let hits = ref [] in
-        List.iteri
-          (fun k doc ->
-            if Xquery.Embedding.matches pattern doc then
-              (* [tail] is newest-first: position k from the end. *)
-              hits := (d.base.ndocs + d.tail_len - 1 - k) :: !hits)
-          d.tail;
-        List.sort Stdlib.compare !hits
-      end
-      else begin
-        (* Big tail: index it once and reuse across queries, instead of
-           re-encoding every tail document on every query. *)
-        let ti =
-          match d.tail_index with
-          | Some ti -> ti
-          | None ->
-            let ti =
-              build ~domains:d.ddomains ~config:d.dconfig
-                (Array.of_list (List.rev d.tail))
-            in
-            d.tail_index <- Some ti;
-            ti
-        in
-        List.map (fun i -> d.base.ndocs + i) (query ti pattern)
-      end
-    in
-    base_hits @ tail_hits
-
-  let query_xpath d s = query d (Xpath.parse s)
-  let doc_count d = d.base.ndocs + d.tail_len
-  let pending d = d.tail_len
-
-  let snapshot d =
-    flush d;
-    d.base
-end

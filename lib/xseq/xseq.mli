@@ -69,7 +69,7 @@ val build :
     independent — see DESIGN.md, "Parallel construction".  The default
     [domains = 1] spawns no domains and is the sequential code path. *)
 
-val query : ?pager:Xstorage.Pager.t -> ?stats:Xquery.Matcher.stats -> t -> Pattern.t -> int list
+val query : ?stats:Xquery.Matcher.stats -> t -> Pattern.t -> int list
 (** Ids of the documents containing the pattern, sorted.  Queries whose
     wildcard instantiation or isomorphism expansion would explode fall
     back to an exact linear scan of the kept documents (so answers are
@@ -77,7 +77,7 @@ val query : ?pager:Xstorage.Pager.t -> ?stats:Xquery.Matcher.stats -> t -> Patte
     queries raise {!Xquery.Instantiate.Too_many} instead.
     @raise Xquery.Query_seq.Unsupported_strategy for a {!Random} index. *)
 
-val query_xpath : ?pager:Xstorage.Pager.t -> ?stats:Xquery.Matcher.stats -> t -> string -> int list
+val query_xpath : ?stats:Xquery.Matcher.stats -> t -> string -> int list
 (** Parses the XPath fragment and runs {!query}. *)
 
 val contains : t -> Pattern.t -> int -> bool
@@ -89,8 +89,8 @@ val contains : t -> Pattern.t -> int -> bool
     labelled index is strictly read-only after construction and query
     compilation never writes the global intern tables (value lookups use
     {!Xmlcore.Designator.find_value}), so workers share [t] directly;
-    each worker owns a private {!Xquery.Matcher.stats} record and
-    {!Xstorage.Pager.t} which are merged once the batch completes. *)
+    each worker owns a private {!Xquery.Matcher.stats} record, merged
+    once the batch completes. *)
 
 val query_batch :
   ?domains:int ->
@@ -109,29 +109,6 @@ val query_batch :
     @raise Xquery.Query_seq.Unsupported_strategy for a {!Random} index
     (the whole batch fails, like the equivalent sequential loop). *)
 
-type batch_io = {
-  io_pages_touched : int;  (** sum over queries of distinct pages touched *)
-  io_misses : int;  (** sum over queries of buffer misses *)
-  io_accesses : int;  (** entry-level accesses across the whole batch *)
-}
-
-val query_batch_io :
-  ?domains:int ->
-  ?pool:Xutil.Domain_pool.t ->
-  ?stats:Xquery.Matcher.stats ->
-  ?page_size:int ->
-  ?buffer_pages:int ->
-  t ->
-  Pattern.t array ->
-  int list array * batch_io
-(** Like {!query_batch} but charges every probe to a per-worker
-    {!Xstorage.Pager} and returns the summed I/O accounting.  With the
-    default [buffer_pages = 0] each query's page count is independent of
-    how queries were assigned to workers, so the totals are deterministic
-    across domain counts; with a warm LRU ([buffer_pages > 0]) miss
-    counts depend on the per-worker access interleaving and only
-    [io_pages_touched] stays assignment-independent. *)
-
 type prepared
 (** A compiled query: wildcard instantiation and sequence expansion done
     once, reusable across executions (and what the benchmarks amortise).
@@ -143,7 +120,7 @@ val prepare : t -> Pattern.t -> prepared
     @raise Xquery.Instantiate.Too_many when expansion explodes —
     {!query}'s scan fallback does not apply to prepared queries. *)
 
-val run_prepared : ?pager:Xstorage.Pager.t -> ?stats:Xquery.Matcher.stats -> t -> prepared -> int list
+val run_prepared : ?stats:Xquery.Matcher.stats -> t -> prepared -> int list
 (** Executes a prepared query.  The index must be the one it was prepared
     against: the compiled sequences embed that index's label ranges, so
     [run_prepared] checks the generation stamp and raises
@@ -182,9 +159,6 @@ val distinct_paths : t -> int
 
 val size_bytes : t -> int
 (** The paper's [4n + cN] disk-size estimate (Section 6.2). *)
-
-val layout_bytes : t -> int
-(** Bytes of the simulated page layout (links + document table). *)
 
 val strategy : t -> Sequencing.Strategy.t
 val value_mode : t -> Sequencing.Encoder.value_mode
@@ -246,55 +220,5 @@ val load :
 val backing_store : t -> Xstorage.Store.t option
 (** The open snapshot behind an index restored with [~mode:Paged] —
     exposes buffer-pool statistics ({!Xstorage.Store.page_reads} /
-    {!Xstorage.Store.page_hits}); [None] for in-memory indexes. *)
-
-(** {1 Incremental indexing}
-
-    {b Deprecated} in favour of the [Xlog] subsystem, which is this idea
-    grown up: durable (write-ahead logged, crash-recoverable), with
-    deletes (tombstones), delta {e segments} instead of one unindexed
-    tail, and non-blocking background compaction instead of a blocking
-    full rebuild.  [Dynamic] is kept as a volatile in-process
-    accumulator for existing callers; new code should use
-    [Xlog.open_]/[insert]/[query].
-
-    The labelled index is rebuilt wholesale (labels are dense pre/post
-    ranges), so {!Dynamic} batches insertions: new records accumulate in
-    a tail, and once the tail exceeds a threshold the whole index is
-    rebuilt — the classic base-plus-delta pattern.  A small tail is
-    scanned exactly; a larger one is indexed once and the tail index
-    memoised across queries (it used to be re-encoded per query).
-    Results are always exact. *)
-
-module Dynamic : sig
-  type dyn
-
-  val create :
-    ?domains:int ->
-    ?config:config ->
-    ?rebuild_threshold:int ->
-    Xmlcore.Xml_tree.t array ->
-    dyn
-  (** [rebuild_threshold] (default 1024) bounds the unindexed tail.
-      [config.keep_documents] is forced on (rebuilds need the records).
-      [domains] (default 1) is passed to every {!Xseq.build} the
-      accumulator performs, including threshold-triggered rebuilds. *)
-
-  val add : dyn -> Xmlcore.Xml_tree.t -> int
-  (** Inserts a record and returns its id (ids are stable across
-      rebuilds). *)
-
-  val query : dyn -> Pattern.t -> int list
-  val query_xpath : dyn -> string -> int list
-
-  val doc_count : dyn -> int
-
-  val pending : dyn -> int
-  (** Records currently in the unindexed tail. *)
-
-  val flush : dyn -> unit
-  (** Forces a rebuild so that {!pending} becomes 0. *)
-
-  val snapshot : dyn -> t
-  (** The underlying index after a {!flush}. *)
-end
+    {!Xstorage.Store.page_hits}) and {!Xstorage.Store.drop_pool} for
+    cold-cache page counts; [None] for in-memory indexes. *)

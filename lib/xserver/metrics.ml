@@ -23,8 +23,6 @@ type t = {
   mutable connections_opened : int;
   mutable connections_closed : int;
   matcher : Matcher.stats;
-  mutable page_reads : int;
-  mutable page_hits : int;
 }
 
 let create () =
@@ -39,8 +37,6 @@ let create () =
     connections_opened = 0;
     connections_closed = 0;
     matcher = Matcher.create_stats ();
-    page_reads = 0;
-    page_hits = 0;
   }
 
 let with_lock t f =
@@ -76,11 +72,6 @@ let connection_closed t =
   with_lock t (fun () -> t.connections_closed <- t.connections_closed + 1)
 
 let merge_matcher t s = with_lock t (fun () -> Matcher.merge_stats ~into:t.matcher s)
-
-let add_pager_io t ~reads ~hits =
-  with_lock t (fun () ->
-      t.page_reads <- t.page_reads + reads;
-      t.page_hits <- t.page_hits + hits)
 
 let sum_tbl tbl = Hashtbl.fold (fun _ v acc -> acc + v) tbl 0
 let requests_total t = with_lock t (fun () -> sum_tbl t.by_op)
@@ -168,12 +159,6 @@ let to_json ?(extra = []) t =
                  kv "candidates" (string_of_int t.matcher.Matcher.candidates);
                  kv "rejected" (string_of_int t.matcher.Matcher.rejected);
                  kv "matches" (string_of_int t.matcher.Matcher.matches);
-               ]);
-          kv "pager"
-            (obj
-               [
-                 kv "page_reads" (string_of_int t.page_reads);
-                 kv "page_hits" (string_of_int t.page_hits);
                ]);
         ]
         @ List.map (fun (k, v) -> kv k v) extra

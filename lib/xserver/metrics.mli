@@ -28,9 +28,6 @@ val merge_matcher : t -> Xquery.Matcher.stats -> unit
 (** Folds one request's private matcher counters into the registry via
     {!Xquery.Matcher.merge_stats}. *)
 
-val add_pager_io : t -> reads:int -> hits:int -> unit
-(** Buffer-pool page accounting for paged indexes. *)
-
 (** {1 Reading} *)
 
 val requests_total : t -> int

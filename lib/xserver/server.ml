@@ -76,7 +76,6 @@ let addr_of_string s =
 type source =
   | Static of Xseq.t
   | Snapshot of string
-  | Dynamic of Xseq.Dynamic.dyn
   | Live of Xlog.t
   | Sharded of Xshard.t
 
@@ -294,9 +293,6 @@ let serving_of_source config = function
       Xseq.load ~mode:config.snapshot_mode
         ~pool_pages:config.snapshot_pool_pages path
     in
-    { backend = B_index index; gen = Xseq.generation index }
-  | Dynamic dyn ->
-    let index = Xseq.Dynamic.snapshot dyn in
     { backend = B_index index; gen = Xseq.generation index }
   | Live log -> { backend = B_live log; gen = Xlog.generation log }
   | Sharded sh -> { backend = B_shard sh; gen = Xshard.generation sh }

@@ -60,10 +60,6 @@ type source =
       (** serve the snapshot at this path; [Reload None] re-loads the
           same path (picking up a newly written file), [Reload (Some p)]
           loads and switches to [p] *)
-  | Dynamic of Xseq.Dynamic.dyn
-      (** base-plus-delta index; [Reload None] flushes the tail and
-          serves the rebuilt snapshot.  Deprecated — serve a {!Live}
-          store instead. *)
   | Live of Xlog.t
       (** durable ingestion store: queries answer over base + delta
           segments + memtable minus tombstones, and the [Insert] /

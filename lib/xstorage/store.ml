@@ -41,7 +41,7 @@ type reader = {
   r_page_size : int;
   file_len : int;
   pages : (int, bytes) Hashtbl.t;
-  pool : Pager.Lru.t;
+  pool : Lru.t;
   lock : Mutex.t;
   mutable reads : int;
   mutable hits : int;
@@ -131,7 +131,7 @@ let page_bytes r page =
       match Hashtbl.find_opt r.pages page with
       | Some b ->
         r.hits <- r.hits + 1;
-        ignore (Pager.Lru.access r.pool page);
+        ignore (Lru.access r.pool page);
         b
       | None ->
         r.reads <- r.reads + 1;
@@ -142,9 +142,9 @@ let page_bytes r page =
         seek_in r.ic pos;
         (try really_input r.ic b 0 avail
          with End_of_file -> invalid_arg "Store: truncated file (page read)");
-        if Pager.Lru.capacity r.pool > 0 then begin
+        if Lru.capacity r.pool > 0 then begin
           Hashtbl.replace r.pages page b;
-          ignore (Pager.Lru.access r.pool page)
+          ignore (Lru.access r.pool page)
         end;
         b)
 
@@ -520,7 +520,7 @@ let open_file ?(mode = Resident) ?(pool_pages = 256) ?(verify = true) path =
              file_len;
              pages;
              pool =
-               Pager.Lru.create
+               Lru.create
                  ~on_evict:(fun p -> Hashtbl.remove pages p)
                  (max 1 pool_pages);
              lock = Mutex.create ();
@@ -715,28 +715,37 @@ let page_reads t = match t.reader with Some r -> r.reads | None -> 0
 let page_hits t = match t.reader with Some r -> r.hits | None -> 0
 
 let pool_capacity t =
-  match t.reader with Some r -> Pager.Lru.capacity r.pool | None -> 0
+  match t.reader with Some r -> Lru.capacity r.pool | None -> 0
 
-let close t =
+(* Empties the page cache, the LRU and the decoded-block caches of paged
+   packed columns (their blocks were read through the pool).  The caller
+   holds the pool mutex. *)
+let clear_caches t r =
+  Hashtbl.reset r.pages;
+  Lru.clear r.pool;
+  Hashtbl.iter
+    (fun _ region ->
+      match region with
+      | R_ints (Packed p) when p.p_paged ->
+        Array.iter (fun slot -> Atomic.set slot (-1, [||])) p.p_cache
+      | _ -> ())
+    t.tbl
+
+let with_pool t f =
   match t.reader with
   | None -> ()
   | Some r ->
     Mutex.lock r.lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock r.lock)
-      (fun () ->
-        if not r.closed then begin
-          r.closed <- true;
-          Hashtbl.reset r.pages;
-          close_in_noerr r.ic;
-          (* Drop decoded-block caches of paged packed columns: a
-             closed handle must refuse every probe, not answer the
-             cached subset and raise on the rest. *)
-          Hashtbl.iter
-            (fun _ region ->
-              match region with
-              | R_ints (Packed p) when p.p_paged ->
-                Array.iter (fun slot -> Atomic.set slot (-1, [||])) p.p_cache
-              | _ -> ())
-            t.tbl
-        end)
+    Fun.protect ~finally:(fun () -> Mutex.unlock r.lock) (fun () -> f r)
+
+let drop_pool t = with_pool t (clear_caches t)
+
+(* A closed handle must refuse every probe, not answer the cached subset
+   and raise on the rest: closing drops every cache too. *)
+let close t =
+  with_pool t (fun r ->
+      if not r.closed then begin
+        r.closed <- true;
+        close_in_noerr r.ic;
+        clear_caches t r
+      end)

@@ -1,16 +1,17 @@
 (** Columnar flat-buffer storage engine.
 
-    One format for memory, disk, and the pager: an index is a bag of named
-    {e regions} — typed int columns (64-bit little-endian elements) and raw
-    byte blobs — laid out page-aligned.  The same column handle serves
-    three physical representations:
+    One format for memory and disk, and the only place page I/O is
+    counted: an index is a bag of named {e regions} — typed int columns
+    (64-bit little-endian elements) and raw byte blobs — laid out
+    page-aligned.  The same column handle serves four physical
+    representations:
 
     - {b Heap}: a plain OCaml [int array] (the seed's pointer-rich
       representation, kept for A/B comparison);
     - {b Flat}: an unboxed [Bigarray] buffer — cache-friendly
       structure-of-arrays, and exactly the bytes that go to disk;
     - {b Paged}: a region of an open snapshot file, read on demand through
-      a real buffer pool (page cache + {!Pager.Lru} eviction), so queries
+      a real buffer pool (page cache + {!Lru} eviction), so queries
       can run straight off disk without materialising the column;
     - {b Packed}: a delta+varint compressed column ([Xsuccinct.Packed])
       probed in compressed form — resident skip tables, blocks decoded
@@ -191,6 +192,14 @@ val page_hits : t -> int
 
 val pool_capacity : t -> int
 (** Buffer-pool capacity in pages; 0 for memory/resident stores. *)
+
+val drop_pool : t -> unit
+(** Empties the buffer pool — cached pages, LRU residency and the
+    decoded-block caches of paged compressed columns — so the next probe
+    of every page reads it from disk again: a cold restart.  The
+    {!page_reads} / {!page_hits} counters keep counting.  A no-op for
+    memory and resident stores.  Safe to call while other domains
+    query. *)
 
 val close : t -> unit
 (** Closes the underlying file, if any.  Further paged reads raise. *)

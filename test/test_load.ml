@@ -220,6 +220,92 @@ let test_save_verbatim () =
                 [ Store.Resident; Store.Paged ])
             [ Store.Col1; Store.Col2 ]))
 
+(* --- legacy layout -------------------------------------------------------- *)
+
+(* Snapshots written before the simulated page model was retired carry
+   [meta = [| n; doc_base; total_bytes |]] and a [link_base] region after
+   [link_len]: the page-aligned byte offsets of every link and of the
+   document table in that model.  [write_legacy] rebuilds exactly that
+   layout through [Store.memory] from the regions of a current
+   snapshot. *)
+let write_legacy ~format index path =
+  with_temp_file (fun current ->
+      Xseq.save ~format index current;
+      let src = Store.open_file current in
+      let next = ref 0 in
+      let alloc entries =
+        let base = !next in
+        next := base + ((max 1 (8 * entries) + 4095) / 4096 * 4096);
+        base
+      in
+      let link_base =
+        Array.map alloc (Store.to_array (Store.ints src "link_len"))
+      in
+      let doc_base = alloc (Store.length (Store.ints src "doc_pre")) in
+      let legacy = Store.memory () in
+      List.iter
+        (fun r ->
+          match (r.Store.r_name, r.Store.r_kind) with
+          | "meta", _ ->
+            let n = (Store.to_array (Store.ints src "meta")).(0) in
+            Store.add_ints legacy "meta" (Store.heap [| n; doc_base; !next |])
+          | "link_len", _ ->
+            Store.add_ints legacy "link_len" (Store.ints src "link_len");
+            Store.add_ints legacy "link_base" (Store.heap link_base)
+          | name, `Ints -> Store.add_ints legacy name (Store.ints src name)
+          | name, `Blob -> Store.add_blob legacy name (Store.blob src name))
+        (Store.regions src);
+      Store.write ~page_size:(Store.page_size src) ~format legacy path;
+      Store.close src)
+
+(* A legacy-layout snapshot loads in both formats and both modes and
+   answers id-for-id like the in-memory index; saving it again writes
+   the current layout. *)
+let test_legacy_layout () =
+  let corpora =
+    [
+      ("dblp", Xdatagen.Dblp_gen.generate ~seed:5 200);
+      ( "xmark",
+        Xdatagen.Xmark_gen.generate ~seed:5 ~identical_siblings:true 80 );
+    ]
+  in
+  let opts =
+    { Xdatagen.Query_gen.default_opts with size = 4; value_prob = 0.5 }
+  in
+  List.iter
+    (fun (name, docs) ->
+      let index = Xseq.build docs in
+      let queries = Xdatagen.Query_gen.generate ~seed:9 ~opts docs 12 in
+      with_temp_file (fun path ->
+          List.iter
+            (fun format ->
+              write_legacy ~format index path;
+              let legacy = Store.open_file path in
+              Alcotest.(check bool) "legacy file has link_base" true
+                (Store.mem legacy "link_base");
+              List.iter
+                (fun mode ->
+                  let loaded = Xseq.load ~mode path in
+                  List.iter
+                    (fun q ->
+                      Alcotest.(check (list int))
+                        (Printf.sprintf "%s %s: %s" name
+                           (Store.format_name format)
+                           (Xquery.Pattern.to_string q))
+                        (Xseq.query index q) (Xseq.query loaded q))
+                    queries;
+                  with_temp_file (fun resaved ->
+                      Xseq.save ~format loaded resaved;
+                      let s = Store.open_file resaved in
+                      Alcotest.(check bool) "re-save drops link_base" false
+                        (Store.mem s "link_base");
+                      Alcotest.(check int) "re-save writes a 1-field meta" 1
+                        (Store.length (Store.ints s "meta")));
+                  Option.iter Store.close (Xseq.backing_store loaded))
+                [ Store.Resident; Store.Paged ])
+            [ Store.Col1; Store.Col2 ]))
+    corpora
+
 (* --- failed loads --------------------------------------------------------- *)
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
@@ -297,6 +383,9 @@ let () =
           Alcotest.test_case "save of an undecoded load is verbatim" `Quick
             test_save_verbatim;
         ] );
+      ( "legacy",
+        [ Alcotest.test_case "page-layout snapshots load" `Quick
+            test_legacy_layout ] );
       ( "failures",
         [ Alcotest.test_case "failed paged loads close their store" `Quick
             test_failed_loads_close ] );

@@ -1,12 +1,14 @@
 (* Determinism and oracle properties for the domain-parallel paths:
 
    - [Xseq.build ~domains] must produce an index byte-identical (in its
-     portable form: labels, links, layout, document table) to the
+     portable form: labels, links, document table) to the
      sequential build, for every sequencing strategy;
    - [Xseq.query_batch] must agree with the sequential [Xseq.query] and
      with the brute-force embedding oracle under 1, 2 and 8 domains;
-   - merged per-worker matcher stats and pager totals must equal the
-     sequential totals (no lost or double-counted work).
+   - merged per-worker matcher stats must equal the sequential totals
+     (no lost or double-counted work);
+   - an [Xlog] store building on several domains answers like a
+     sequential one.
 
    Worker domains are shared across properties: spawning is the expensive
    part, so the 2- and 8-domain pools are created lazily once and shut
@@ -26,7 +28,7 @@ let () =
         [ pool2; pool8 ])
 
 (* The full portable form covers pre/post labels, node paths, horizontal
-   links (entries, up-pointers, page bases) and the document table, so
+   links (entries, up-pointers) and the document table, so
    fingerprint equality is label-and-link identity, not just equal
    sizes. *)
 let fingerprint index =
@@ -209,47 +211,10 @@ let prop_batch_stats_totals =
             Xseq.query_batch ~pool:(Lazy.force pool8) ~stats i p);
         ])
 
-let prop_batch_io_totals =
-  QCheck.Test.make
-    ~name:"batch I/O totals are domain-count independent" ~count:30
-    QCheck.(int_range 0 100_000)
-    (fun seed ->
-      let index = Lazy.force corpus_index in
-      let patterns = workload seed in
-      (* Sequential reference: one pager, per-query accounting summed by
-         hand.  [buffer_pages = 0] makes every per-query count
-         assignment-independent. *)
-      let pager = Xstorage.Pager.create () in
-      let seq_pages = ref 0 and seq_misses = ref 0 in
-      Array.iter
-        (fun q ->
-          Xstorage.Pager.begin_query pager;
-          ignore (Xseq.query ~pager index q);
-          seq_pages := !seq_pages + Xstorage.Pager.pages_touched pager;
-          seq_misses := !seq_misses + Xstorage.Pager.misses pager)
-        patterns;
-      let seq_accesses = Xstorage.Pager.total_accesses pager in
-      let results, _ = Xseq.query_batch_io ~domains:1 index patterns in
-      let sequential = Array.map (fun q -> Xseq.query index q) patterns in
-      if results <> sequential then
-        QCheck.Test.fail_reportf "query_batch_io changes answers (seed %d)"
-          seed;
-      List.for_all
-        (fun run ->
-          let _, (io : Xseq.batch_io) = run index patterns in
-          io.Xseq.io_pages_touched = !seq_pages
-          && io.Xseq.io_misses = !seq_misses
-          && io.Xseq.io_accesses = seq_accesses)
-        [
-          (fun i p -> Xseq.query_batch_io ~domains:1 i p);
-          (fun i p -> Xseq.query_batch_io ~pool:(Lazy.force pool2) i p);
-          (fun i p -> Xseq.query_batch_io ~pool:(Lazy.force pool8) i p);
-        ])
-
 (* Regression: N copies of one query run concurrently must count exactly
    N times the single-query work — a shared mutable stats record (the old
-   [no_stats] default) or a shared pager would double-count or lose
-   updates under domains. *)
+   [no_stats] default) would double-count or lose updates under
+   domains. *)
 let test_no_double_count () =
   let index = Lazy.force corpus_index in
   let q = (workload 77).(0) in
@@ -324,27 +289,53 @@ let test_merge_stats () =
   Alcotest.(check int) "matches" 1 a.Xquery.Matcher.matches;
   Alcotest.(check int) "source unchanged" 4 b.Xquery.Matcher.probes
 
-let test_dynamic_parallel () =
-  (* A Dynamic accumulator with parallel rebuilds answers exactly like a
-     sequential one. *)
+let rec rm_rf path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+    Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+    Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
+let test_xlog_parallel () =
+  (* An Xlog store whose segment seals and compactions build on two
+     domains answers exactly like a sequential one — over sealed delta
+     segments, and after compaction like a fresh build. *)
   let docs = Lazy.force corpus in
   let slice = Array.sub docs 0 60 in
-  let d1 = Xseq.Dynamic.create ~rebuild_threshold:16 [||] in
-  let d2 = Xseq.Dynamic.create ~domains:2 ~rebuild_threshold:16 [||] in
-  Array.iter
-    (fun doc ->
-      ignore (Xseq.Dynamic.add d1 doc);
-      ignore (Xseq.Dynamic.add d2 doc))
-    slice;
   let opts = { Qgen.default_opts with size = 4; value_prob = 0.5 } in
-  List.iter
-    (fun q ->
-      Alcotest.(check (list int))
-        (Xquery.Pattern.to_string q)
-        (Xseq.Dynamic.query d1 q) (Xseq.Dynamic.query d2 q))
-    (Qgen.generate ~seed:21 ~opts slice 6);
-  Alcotest.(check int) "snapshot identical" (Xseq.node_count (Xseq.Dynamic.snapshot d1))
-    (Xseq.node_count (Xseq.Dynamic.snapshot d2))
+  let queries = Qgen.generate ~seed:21 ~opts slice 6 in
+  let dir k =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "xseq-parallel-%d-%d" (Unix.getpid ()) k)
+  in
+  let d1 = dir 1 and d2 = dir 2 in
+  List.iter rm_rf [ d1; d2 ];
+  Fun.protect
+    ~finally:(fun () -> List.iter rm_rf [ d1; d2 ])
+    (fun () ->
+      let l1 = Xlog.open_ ~sync_every:0 ~memtable_limit:16 d1 in
+      let l2 = Xlog.open_ ~sync_every:0 ~domains:2 ~memtable_limit:16 d2 in
+      Array.iter
+        (fun doc ->
+          ignore (Xlog.insert l1 doc : int);
+          ignore (Xlog.insert l2 doc : int))
+        slice;
+      let agree stage want =
+        List.iter
+          (fun q ->
+            let name = stage ^ ": " ^ Xquery.Pattern.to_string q in
+            Alcotest.(check (list int)) name (want q) (Xlog.query l1 q);
+            Alcotest.(check (list int)) name (want q) (Xlog.query l2 q))
+          queries
+      in
+      Alcotest.(check bool) "segments sealed" true (Xlog.segments l2 > 0);
+      agree "segments" (Xlog.query l1);
+      ignore (Xlog.compact l1 : bool);
+      ignore (Xlog.compact l2 : bool);
+      agree "compacted" (Xseq.query (Xseq.build slice));
+      Xlog.close l1;
+      Xlog.close l2)
 
 let () =
   Alcotest.run "parallel"
@@ -359,7 +350,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_query_batch_oracle;
           QCheck_alcotest.to_alcotest prop_batch_stats_totals;
-          QCheck_alcotest.to_alcotest prop_batch_io_totals;
         ] );
       ( "accounting",
         [
@@ -368,6 +358,6 @@ let () =
             test_memo_fallback_batch;
           Alcotest.test_case "merge_stats" `Quick test_merge_stats;
         ] );
-      ( "dynamic",
-        [ Alcotest.test_case "parallel rebuilds" `Quick test_dynamic_parallel ] );
+      ( "xlog",
+        [ Alcotest.test_case "parallel rebuilds" `Quick test_xlog_parallel ] );
     ]

@@ -106,28 +106,6 @@ let prop_save_load (docs, seed) =
         (fun q -> Xseq.query index q = Xseq.query restored q)
         (queries_of ~seed docs))
 
-(* Page accounting: the link regions and the document table are
-   page-aligned and disjoint, so their per-query page counts partition the
-   total. *)
-let prop_pager_partition (docs, seed) =
-  let docs = Array.of_list docs in
-  let index = Xseq.build docs in
-  let labeled = Xseq.labeled index in
-  let doc_base = Xindex.Labeled.doc_table_base labeled in
-  let doc_end = max (doc_base + 1) (Xindex.Labeled.layout_bytes labeled) in
-  let pager = Xstorage.Pager.create ~page_size:256 () in
-  List.for_all
-    (fun q ->
-      Xstorage.Pager.begin_query pager;
-      ignore (Xseq.query ~pager index q);
-      let total = Xstorage.Pager.pages_touched pager in
-      let links = Xstorage.Pager.pages_touched_between pager ~lo:0 ~hi:doc_base in
-      let docs_io =
-        Xstorage.Pager.pages_touched_between pager ~lo:doc_base ~hi:doc_end
-      in
-      total = links + docs_io)
-    (queries_of ~seed docs)
-
 let prop_baseline name build query (docs, seed) =
   let docs = Array.of_list docs in
   let b = build docs in
@@ -351,6 +329,5 @@ let () =
                  Xbaseline.Vist.query b q));
           mk_prop "naive superset of constraint" ~count:80 prop_naive_superset;
           mk_prop "save/load preserves answers" ~count:50 prop_save_load;
-          mk_prop "pager accounting partitions" ~count:50 prop_pager_partition;
         ] );
     ]

@@ -479,23 +479,6 @@ let test_reload_hot_swap () =
               Alcotest.(check int) "serving b" gen_b gen;
               Alcotest.(check (list int)) "b's answer" want_b ids)))
 
-let test_dynamic_reload () =
-  let dyn = Xseq.Dynamic.create ~rebuild_threshold:1000 docs_a in
-  with_server (Server.Dynamic dyn) (fun srv addr ->
-      Client.with_connection addr (fun c ->
-          Alcotest.(check (list int)) "initial" [ 1; 2 ] (Client.query c "/P/L/S");
-          let id = Xseq.Dynamic.add dyn extra_doc in
-          Alcotest.(check int) "appended id" 4 id;
-          (* the server keeps answering against its snapshot... *)
-          Alcotest.(check (list int)) "snapshot isolation" [ 1; 2 ]
-            (Client.query c "/P/L/S");
-          (* ...until a reload folds the tail in *)
-          let gen0 = Server.generation srv in
-          let gen1 = Client.reload c in
-          Alcotest.(check bool) "generation advanced" true (gen1 <> gen0);
-          Alcotest.(check (list int)) "tail visible" [ 1; 2; 4 ]
-            (Client.query c "/P/L/S")))
-
 (* --- live ingestion ---------------------------------------------------------- *)
 
 let rec rm_rf path =
@@ -1150,7 +1133,6 @@ let () =
         [
           Alcotest.test_case "snapshot swap is consistent" `Quick
             test_reload_hot_swap;
-          Alcotest.test_case "dynamic source reload" `Quick test_dynamic_reload;
         ] );
       ( "pipelining",
         [

@@ -1,186 +1,96 @@
-(* The simulated pager: layout, access accounting, LRU buffering. *)
+(* The pager — Store's buffer pool: its LRU eviction policy
+   (Xstorage.Lru) and the page accounting of paged columns. *)
 
-module Pager = Xstorage.Pager
-
-let test_alloc_alignment () =
-  let p = Pager.create ~page_size:4096 () in
-  let a = Pager.alloc p ~bytes:10 in
-  let b = Pager.alloc p ~bytes:5000 in
-  let c = Pager.alloc p ~bytes:1 in
-  Alcotest.(check int) "first at 0" 0 a;
-  Alcotest.(check int) "page aligned" 4096 b;
-  Alcotest.(check int) "two pages" (4096 * 3) c;
-  (* zero-byte regions still take a page so they never share *)
-  let d = Pager.alloc p ~bytes:0 in
-  Alcotest.(check int) "empty region" (4096 * 4) d
-
-let test_touch_counting () =
-  let p = Pager.create ~page_size:100 () in
-  Pager.begin_query p;
-  Pager.touch p 5;
-  Pager.touch p 50;
-  Pager.touch p 150;
-  Alcotest.(check int) "two distinct pages" 2 (Pager.pages_touched p);
-  Alcotest.(check int) "three accesses" 3 (Pager.total_accesses p);
-  Alcotest.(check int) "misses = pages without buffer" 2 (Pager.misses p);
-  Pager.begin_query p;
-  Alcotest.(check int) "reset" 0 (Pager.pages_touched p);
-  Alcotest.(check int) "accesses persist" 3 (Pager.total_accesses p)
-
-let test_touch_range () =
-  let p = Pager.create ~page_size:100 () in
-  Pager.begin_query p;
-  Pager.touch_range p 50 250;
-  Alcotest.(check int) "three pages" 3 (Pager.pages_touched p)
-
-(* Regression: touch_range and pages_touched_between share one half-open
-   [lo, hi) convention, so a range ending exactly on a page boundary must
-   not leak a touch of the next page. *)
-let test_range_boundaries () =
-  let p = Pager.create ~page_size:100 () in
-  Pager.begin_query p;
-  Pager.touch_range p 100 200;
-  Alcotest.(check int) "[100,200) is one page" 1 (Pager.pages_touched p);
-  Alcotest.(check int) "accounted inside [100,200)" 1
-    (Pager.pages_touched_between p ~lo:100 ~hi:200);
-  Alcotest.(check int) "nothing in [200,300)" 0
-    (Pager.pages_touched_between p ~lo:200 ~hi:300);
-  Alcotest.(check int) "nothing in [0,100)" 0
-    (Pager.pages_touched_between p ~lo:0 ~hi:100);
-  Pager.begin_query p;
-  Pager.touch_range p 100 201;
-  Alcotest.(check int) "[100,201) spills into the next page" 2
-    (Pager.pages_touched p);
-  Pager.begin_query p;
-  Pager.touch_range p 150 150;
-  Alcotest.(check int) "empty range touches nothing" 0 (Pager.pages_touched p);
-  Alcotest.(check int) "empty accounting range" 0
-    (Pager.pages_touched_between p ~lo:150 ~hi:150)
-
-(* Property: for any [lo, hi), touch_range touches exactly the pages the
-   accounting reports for the same range — the two sides can never
-   disagree at a boundary again. *)
-let prop_range_convention =
-  QCheck.Test.make ~name:"touch_range matches pages_touched_between"
-    ~count:500
-    QCheck.(pair (int_bound 5_000) (int_bound 5_000))
-    (fun (a, b) ->
-      let lo = min a b and hi = max a b in
-      let p = Pager.create ~page_size:128 () in
-      Pager.begin_query p;
-      Pager.touch_range p lo hi;
-      let expected =
-        if hi > lo then ((hi - 1) / 128) - (lo / 128) + 1 else 0
-      in
-      Pager.pages_touched p = expected
-      && Pager.pages_touched_between p ~lo ~hi = Pager.pages_touched p)
+module Lru = Xstorage.Lru
+module Store = Xstorage.Store
 
 let test_lru_on_evict () =
   let evicted = ref [] in
-  let l = Pager.Lru.create ~on_evict:(fun pg -> evicted := pg :: !evicted) 2 in
-  ignore (Pager.Lru.access l 1);
-  ignore (Pager.Lru.access l 2);
-  ignore (Pager.Lru.access l 3);
+  let l = Lru.create ~on_evict:(fun pg -> evicted := pg :: !evicted) 2 in
+  ignore (Lru.access l 1);
+  ignore (Lru.access l 2);
+  ignore (Lru.access l 3);
   (* capacity 2: page 1 is the LRU victim *)
   Alcotest.(check (list int)) "evicted LRU page" [ 1 ] !evicted;
-  Alcotest.(check bool) "new page resident" true (Pager.Lru.mem l 3);
-  Alcotest.(check bool) "victim gone" false (Pager.Lru.mem l 1);
-  Alcotest.(check int) "size at capacity" 2 (Pager.Lru.size l)
+  Alcotest.(check bool) "new page resident" true (Lru.mem l 3);
+  Alcotest.(check bool) "victim gone" false (Lru.mem l 1);
+  Alcotest.(check int) "size at capacity" 2 (Lru.size l)
 
 let test_lru_hits () =
-  let p = Pager.create ~page_size:100 ~buffer_pages:2 () in
-  Pager.begin_query p;
-  Pager.touch p 0;
-  (* page 0: miss *)
-  Pager.touch p 0;
-  (* hit *)
-  Alcotest.(check int) "one miss" 1 (Pager.misses p);
-  Pager.begin_query p;
-  Pager.touch p 0;
-  (* still resident: hit *)
-  Alcotest.(check int) "cross-query hit" 0 (Pager.misses p)
+  let l = Lru.create 2 in
+  Alcotest.(check bool) "first access misses" false (Lru.access l 0);
+  Alcotest.(check bool) "second access hits" true (Lru.access l 0)
 
 let test_lru_eviction () =
-  let p = Pager.create ~page_size:100 ~buffer_pages:2 () in
-  Pager.begin_query p;
-  Pager.touch p 0;
-  (* page 0 *)
-  Pager.touch p 100;
-  (* page 1 *)
-  Pager.touch p 200;
+  let l = Lru.create 2 in
+  ignore (Lru.access l 0);
+  ignore (Lru.access l 1);
   (* page 2 evicts page 0 (LRU) *)
-  Pager.touch p 0;
-  (* page 0: miss again *)
-  Alcotest.(check int) "four misses" 4 (Pager.misses p);
-  (* page 2 was recently used: hit *)
-  Pager.touch p 200;
-  Alcotest.(check int) "still four" 4 (Pager.misses p)
+  ignore (Lru.access l 2);
+  Alcotest.(check bool) "evicted page misses" false (Lru.access l 0);
+  (* page 0 evicted page 1; page 2 was recently used: hit *)
+  Alcotest.(check bool) "recent page hits" true (Lru.access l 2)
 
 let test_lru_recency_update () =
-  let p = Pager.create ~page_size:100 ~buffer_pages:2 () in
-  Pager.begin_query p;
-  Pager.touch p 0;
-  Pager.touch p 100;
-  Pager.touch p 0;
+  let l = Lru.create 2 in
+  ignore (Lru.access l 0);
+  ignore (Lru.access l 1);
   (* refresh page 0; page 1 is now LRU *)
-  Pager.touch p 200;
+  ignore (Lru.access l 0);
   (* evicts page 1 *)
-  Pager.touch p 0;
-  (* hit *)
-  Pager.touch p 100;
-  (* miss: was evicted *)
-  Alcotest.(check int) "misses" 4 (Pager.misses p)
+  ignore (Lru.access l 2);
+  Alcotest.(check bool) "refreshed page hits" true (Lru.access l 0);
+  Alcotest.(check bool) "evicted page misses" false (Lru.access l 1)
 
-let test_reset_pool () =
-  let p = Pager.create ~page_size:100 ~buffer_pages:4 () in
-  Pager.begin_query p;
-  Pager.touch p 0;
-  Pager.reset_pool p;
-  Pager.begin_query p;
-  Pager.touch p 0;
-  Alcotest.(check int) "cold again" 1 (Pager.misses p)
+(* A paged store over one int column of [n] elements with 16-byte pages
+   (two elements per page), in a temporary file. *)
+let with_paged n f =
+  let path = Filename.temp_file "xseq_pager" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
+    (fun () ->
+      let s = Store.memory () in
+      Store.add_ints s "col" (Store.heap (Array.init n (fun i -> i * 10)));
+      Store.write ~page_size:16 s path;
+      let s = Store.open_file ~mode:Store.Paged ~pool_pages:1_000 path in
+      Fun.protect
+        ~finally:(fun () -> Store.close s)
+        (fun () -> f s (Store.ints s "col")))
 
-(* Property: for any access trace, pages_touched <= misses-without-buffer,
-   and misses with an infinite buffer across one query equals distinct
-   pages. *)
+let test_touch_counting () =
+  with_paged 8 (fun s col ->
+      (* elements 0 and 1 share page 0; element 2 is on page 1 *)
+      List.iter (fun i -> ignore (Store.get col i)) [ 0; 1; 2 ];
+      Alcotest.(check int) "two distinct pages read" 2 (Store.page_reads s);
+      Alcotest.(check int) "the shared page hits" 1 (Store.page_hits s))
+
+(* Property: over any trace of element reads, with a pool that never
+   evicts, page reads are exactly the distinct pages touched and reads
+   plus hits are exactly the reads issued. *)
 let prop_accounting =
-  QCheck.Test.make ~name:"accounting invariants" ~count:200
-    QCheck.(list (int_bound 10_000))
-    (fun offsets ->
-      let unbuffered = Pager.create ~page_size:128 () in
-      let buffered = Pager.create ~page_size:128 ~buffer_pages:1_000_000 () in
-      Pager.begin_query unbuffered;
-      Pager.begin_query buffered;
-      List.iter
-        (fun o ->
-          Pager.touch unbuffered o;
-          Pager.touch buffered o)
-        offsets;
-      let distinct =
-        List.sort_uniq Stdlib.compare (List.map (fun o -> o / 128) offsets)
-      in
-      Pager.pages_touched unbuffered = List.length distinct
-      && Pager.misses unbuffered = List.length distinct
-      && Pager.misses buffered = List.length distinct)
+  QCheck.Test.make ~name:"accounting invariants" ~count:100
+    QCheck.(list (int_bound 63))
+    (fun trace ->
+      with_paged 64 (fun s col ->
+          List.iter
+            (fun i -> assert (Store.get col i = i * 10))
+            trace;
+          let distinct =
+            List.sort_uniq Stdlib.compare (List.map (fun i -> i / 2) trace)
+          in
+          Store.page_reads s = List.length distinct
+          && Store.page_reads s + Store.page_hits s = List.length trace))
 
 let () =
   Alcotest.run "storage"
     [
       ( "pager",
         [
-          Alcotest.test_case "alloc alignment" `Quick test_alloc_alignment;
           Alcotest.test_case "touch counting" `Quick test_touch_counting;
-          Alcotest.test_case "touch range" `Quick test_touch_range;
-          Alcotest.test_case "range boundaries" `Quick test_range_boundaries;
           Alcotest.test_case "lru on_evict" `Quick test_lru_on_evict;
           Alcotest.test_case "lru hits" `Quick test_lru_hits;
           Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
           Alcotest.test_case "lru recency" `Quick test_lru_recency_update;
-          Alcotest.test_case "reset pool" `Quick test_reset_pool;
         ] );
-      ( "properties",
-        [
-          QCheck_alcotest.to_alcotest prop_accounting;
-          QCheck_alcotest.to_alcotest prop_range_convention;
-        ] );
+      ("properties", [ QCheck_alcotest.to_alcotest prop_accounting ]);
     ]

@@ -115,6 +115,44 @@ let test_roundtrip_paged () =
       | _ -> Alcotest.fail "read after close succeeded"
       | exception Invalid_argument _ -> ())
 
+(* [drop_pool] is a cold restart: after it, a query reads its pages from
+   disk again — a positive count, and the same count every time — on
+   both paged formats.  A compressed column's decoded-block cache must
+   be dropped too, or the second cold run would read fewer pages. *)
+let test_drop_pool_cold_reads () =
+  let docs = Xdatagen.Dblp_gen.generate 200 in
+  let index = Xseq.build docs in
+  let q = Xseq.Xpath.parse "/inproceedings[year='1999']/author" in
+  let want = Xseq.query index q in
+  List.iter
+    (fun format ->
+      with_temp "xseq_drop_pool" (fun path ->
+          Xseq.save ~format index path;
+          let paged = Xseq.load ~mode:Store.Paged ~pool_pages:4096 path in
+          let store = Option.get (Xseq.backing_store paged) in
+          Fun.protect
+            ~finally:(fun () -> Store.close store)
+            (fun () ->
+              let reads_of f =
+                let before = Store.page_reads store in
+                Alcotest.(check (list int)) "answers" want (f ());
+                Store.page_reads store - before
+              in
+              let cold () =
+                Store.drop_pool store;
+                reads_of (fun () -> Xseq.query paged q)
+              in
+              let first = cold () in
+              let second = cold () in
+              let name = Store.format_name format in
+              Alcotest.(check bool) (name ^ ": reads pages") true (first > 0);
+              Alcotest.(check int) (name ^ ": same count twice") first second;
+              Alcotest.(check int)
+                (name ^ ": a warm pool reads nothing")
+                0
+                (reads_of (fun () -> Xseq.query paged q)))))
+    [ Store.Col1; Store.Col2 ]
+
 (* Compressed (xseqcol2) round trip: packed int columns and LZ blobs
    survive resident and paged reopening, element for element, including
    full-range values whose deltas wrap. *)
@@ -448,7 +486,6 @@ type probe_trace = {
   candidates : int;
   rejected : int;
   matches : int;
-  pages : int;
 }
 
 let run_variant labeled ~strategy ~value_mode q =
@@ -456,9 +493,7 @@ let run_variant labeled ~strategy ~value_mode q =
   | exception Xquery.Instantiate.Too_many _ -> None
   | compiled ->
     let stats = Xquery.Matcher.create_stats () in
-    let pager = Xstorage.Pager.create ~page_size:256 () in
-    Xstorage.Pager.begin_query pager;
-    let ids = Xquery.Matcher.run_collect ~pager ~stats labeled compiled in
+    let ids = Xquery.Matcher.run_collect ~stats labeled compiled in
     Some
       {
         ids;
@@ -466,14 +501,13 @@ let run_variant labeled ~strategy ~value_mode q =
         candidates = stats.Xquery.Matcher.candidates;
         rejected = stats.Xquery.Matcher.rejected;
         matches = stats.Xquery.Matcher.matches;
-        pages = Xstorage.Pager.pages_touched pager;
       }
 
 (* Every physical backend — heap arrays, flat buffers, a reloaded resident
    snapshot, a paged snapshot read through the buffer pool, and the
    compressed (xseqcol2) snapshot both resident and paged — must produce
-   identical ids, identical matcher counters and identical simulated page
-   counts; and the ids must agree with the brute-force embedding oracle. *)
+   identical ids and identical matcher counters; and the ids must agree
+   with the brute-force embedding oracle. *)
 let prop_backend_oracle (docs, seed) =
   let docs = Array.of_list docs in
   let index = Xseq.build docs in
@@ -535,13 +569,11 @@ let prop_backend_oracle (docs, seed) =
                         | None -> name ^ "=<too many>"
                         | Some t ->
                           Printf.sprintf
-                            "%s={ids=[%s] probes=%d cand=%d rej=%d match=%d \
-                             pages=%d}"
+                            "%s={ids=[%s] probes=%d cand=%d rej=%d match=%d}"
                             name
                             (String.concat ","
                                (List.map string_of_int t.ids))
-                            t.probes t.candidates t.rejected t.matches
-                            t.pages)
+                            t.probes t.candidates t.rejected t.matches)
                       runs))
             else true
           | [] -> true)
@@ -702,6 +734,8 @@ let () =
           Alcotest.test_case "resident round trip" `Quick
             test_roundtrip_resident;
           Alcotest.test_case "paged round trip" `Quick test_roundtrip_paged;
+          Alcotest.test_case "drop_pool reads cold" `Quick
+            test_drop_pool_cold_reads;
           Alcotest.test_case "compressed round trip" `Quick
             test_roundtrip_compressed;
           Alcotest.test_case "api errors" `Quick test_api_errors;
@@ -741,7 +775,7 @@ let () =
         [
           mk_prop
             "heap = columnar = resident = paged = compressed (ids, \
-             counters, pages)"
+             counters)"
             ~count:60 prop_backend_oracle;
           Alcotest.test_case "value-mode round trips" `Quick
             test_roundtrip_value_modes;

@@ -158,8 +158,7 @@ let test_size_accessors () =
   Alcotest.(check bool) "size formula" true
     (Xseq.size_bytes index = (4 * 2) + (8 * Xseq.node_count index));
   Alcotest.(check bool) "avg seq len" true (Xseq.average_sequence_length index > 0.);
-  Alcotest.(check bool) "paths > 0" true (Xseq.distinct_paths index > 0);
-  Alcotest.(check bool) "layout > 0" true (Xseq.layout_bytes index > 0)
+  Alcotest.(check bool) "paths > 0" true (Xseq.distinct_paths index > 0)
 
 let test_document_roundtrip () =
   let index = build [ project_doc ] in
@@ -337,52 +336,6 @@ let test_contains () =
   Alcotest.(check bool) "doc 1 matches" true (Xseq.contains index p 1);
   Alcotest.(check bool) "doc 0 does not" false (Xseq.contains index p 0)
 
-(* --- dynamic index ---------------------------------------------------------- *)
-
-let test_dynamic_basics () =
-  let d = Xseq.Dynamic.create ~rebuild_threshold:3 [| project_doc |] in
-  Alcotest.(check int) "initial count" 1 (Xseq.Dynamic.doc_count d);
-  let id1 = Xseq.Dynamic.add d fig4_doc in
-  let id2 = Xseq.Dynamic.add d fig4_doc_conj in
-  Alcotest.(check int) "id1" 1 id1;
-  Alcotest.(check int) "id2" 2 id2;
-  Alcotest.(check int) "pending" 2 (Xseq.Dynamic.pending d);
-  (* queries see base + tail, with correct ids *)
-  Alcotest.(check (list int)) "tail visible" [ 1; 2 ]
-    (Xseq.Dynamic.query_xpath d "/P/L/S");
-  Alcotest.(check (list int)) "base visible" [ 0 ]
-    (Xseq.Dynamic.query_xpath d "/P/D[L='boston']");
-  (* the third add crosses the threshold and triggers a rebuild *)
-  let id3 = Xseq.Dynamic.add d (T.elt "P" [ T.elt "L" [ T.elt "S" [] ] ]) in
-  Alcotest.(check int) "id3" 3 id3;
-  Alcotest.(check int) "flushed" 0 (Xseq.Dynamic.pending d);
-  Alcotest.(check (list int)) "after rebuild" [ 1; 2; 3 ]
-    (Xseq.Dynamic.query_xpath d "/P/L/S")
-
-let test_dynamic_matches_batch () =
-  (* Incrementally built answers = batch-built answers at every step. *)
-  let docs = Xdatagen.Synthetic.dataset { Xdatagen.Synthetic.l = 3; f = 4; a = 25; i = 20; p = 40 } 40 in
-  let d = Xseq.Dynamic.create ~rebuild_threshold:7 [||] in
-  Array.iteri
-    (fun k doc ->
-      ignore (Xseq.Dynamic.add d doc);
-      if k mod 13 = 0 then begin
-        let batch = Xseq.build (Array.sub docs 0 (k + 1)) in
-        let opts =
-          { Xdatagen.Query_gen.default_opts with size = 4; value_prob = 0.5 }
-        in
-        List.iter
-          (fun q ->
-            Alcotest.(check (list int))
-              (Xquery.Pattern.to_string q)
-              (Xseq.query batch q) (Xseq.Dynamic.query d q))
-          (Xdatagen.Query_gen.generate ~seed:k ~opts (Array.sub docs 0 (k + 1)) 4)
-      end)
-    docs;
-  let snap = Xseq.Dynamic.snapshot d in
-  Alcotest.(check int) "snapshot complete" 40 (Xseq.doc_count snap);
-  Alcotest.(check int) "nothing pending" 0 (Xseq.Dynamic.pending d)
-
 let () =
   Alcotest.run "xseq"
     [
@@ -418,10 +371,5 @@ let () =
           Alcotest.test_case "prepared queries" `Quick test_prepared_queries;
           Alcotest.test_case "generation stamp" `Quick test_generation_stamp;
           Alcotest.test_case "contains" `Quick test_contains;
-        ] );
-      ( "dynamic",
-        [
-          Alcotest.test_case "basics" `Quick test_dynamic_basics;
-          Alcotest.test_case "matches batch build" `Quick test_dynamic_matches_batch;
         ] );
     ]
