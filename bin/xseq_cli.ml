@@ -414,6 +414,16 @@ let report_log_recovery cmd log =
     Printf.eprintf "xseq %s: recovered %d WAL records%s\n" cmd r.Xlog.replayed
       (recovery_suffix r)
 
+(* The one seeding path of both CLI entry points ([serve --live DIR FILE]
+   and [ingest --live DIR FILE...] on an empty store): a single bulk
+   build, durable on return, ids 0..n-1. *)
+let seed_live cmd log docs =
+  match Xlog.seed log docs with
+  | ids -> ids
+  | exception Xlog.Degraded reason ->
+    Printf.eprintf "%s: cannot seed the live store: %s\n" cmd reason;
+    exit 1
+
 let report_shard_recovery cmd sh =
   List.iter
     (fun (i, r) ->
@@ -847,7 +857,8 @@ let serve_cmd =
       & info [] ~docv:"FILE"
           ~doc:
             "XML records or a saved index to serve (optional with \
-             $(b,--live)).")
+             $(b,--live): records given with an empty $(b,--live) store \
+             seed it in one bulk build; refused with $(b,--follow)).")
   in
   let follow =
     Arg.(
@@ -1021,10 +1032,16 @@ let serve_cmd =
         log_store := Some log;
         report_log_recovery "serve" log;
         (match input with
+         | Some _ when follow <> None ->
+           (* A follower's store is a mirror of its primary's WAL: seeding
+              would rotate it out of step. *)
+           Printf.eprintf
+             "serve: --follow takes no FILE (a follower's store is filled \
+              by replication)\n";
+           exit 1
          | Some file when Xlog.next_id log = 0 ->
            let docs = load_documents file in
-           Array.iter (fun d -> ignore (Xlog.insert log d : int)) docs;
-           Xlog.flush log;
+           ignore (seed_live "serve" log docs : int array);
            Printf.eprintf "xseq serve: seeded live store with %d records\n"
              (Array.length docs)
          | _ -> ());
@@ -1208,7 +1225,8 @@ let ingest_cmd =
           ~doc:
             "Sleep MS milliseconds between records — ingestion pacing; \
              the CI crash-recovery test uses it to widen its kill \
-             window.")
+             window.  Paced records are inserted one by one, even into \
+             an empty $(b,--live) store.")
   in
   let do_flush =
     Arg.(
@@ -1383,16 +1401,25 @@ let ingest_cmd =
         (fun () ->
           report_log_recovery "ingest" log;
           let t0 = Unix.gettimeofday () in
-          let first = ref (-1) and last = ref (-1) and n = ref 0 in
-          List.iter
-            (fun d ->
-              let id = Xlog.insert log d in
-              if !first < 0 then first := id;
-              last := id;
-              incr n;
-              throttle ())
-            docs;
-          report ~range:true !n !first !last (Unix.gettimeofday () -. t0);
+          (* Paced ingestion (--throttle-ms) stays record by record. *)
+          if throttle_ms = 0 && docs <> [] && Xlog.next_id log = 0 then begin
+            let ids = seed_live "ingest" log (Array.of_list docs) in
+            report ~range:true (Array.length ids) 0
+              (Array.length ids - 1)
+              (Unix.gettimeofday () -. t0)
+          end
+          else begin
+            let first = ref (-1) and last = ref (-1) and n = ref 0 in
+            List.iter
+              (fun d ->
+                let id = Xlog.insert log d in
+                if !first < 0 then first := id;
+                last := id;
+                incr n;
+                throttle ())
+              docs;
+            report ~range:true !n !first !last (Unix.gettimeofday () -. t0)
+          end;
           List.iter
             (fun id ->
               let existed = Xlog.remove log id in
@@ -1419,7 +1446,10 @@ let ingest_cmd =
           running $(b,xseq serve --live) with $(b,--connect).  Every \
           record is WAL-logged before it is acknowledged; $(b,--delete) \
           tombstones ids and $(b,--flush)/$(b,--compact) drive the \
-          maintenance ops by hand.")
+          maintenance ops by hand.  With $(b,--live) and no \
+          $(b,--throttle-ms), an empty store (one that never allocated \
+          an id) is seeded instead: one bulk build, ids 0..n-1, durable \
+          on return, with the WAL starting after the seed.")
     Term.(
       const run $ files $ strategy_arg $ connect $ live $ sync_every
       $ throttle_ms $ do_flush $ do_compact $ deletes $ shards)

@@ -52,6 +52,10 @@ type t = {
   mutable bg : Thread.t option;
   mutable closed : bool;
   mutable cut_seq : int;  (** next no-rotation snapshot serial *)
+  mutable base_settled : bool;
+      (** the base (if any) is what a rebuild would write: an xseqcol2
+          file built under [config].  With no deltas, memtable or
+          tombstones on top, {!compact} has nothing to do. *)
   mutable retain_wal : unit -> int option;
       (** replication retention hook: [Some seq] keeps WAL files [>= seq]
           through pruning (live subscriptions still need them) *)
@@ -449,6 +453,14 @@ let prune_files t keep_wal_from keep_base =
       if doomed then try Sys.remove (Filename.concat t.dirname name) with Sys_error _ -> ())
     (Sys.readdir t.dirname)
 
+(* Bases are compressed snapshots; directories written before that carry
+   xseqcol1 bases, which still load (and are rewritten by the next
+   compaction, see [base_settled]). *)
+let save_base t name seg =
+  let path = Filename.concat t.dirname name in
+  Xseq.save ~format:Xstorage.Store.Col2 seg.index path;
+  fsync_path path
+
 let compact_finish t snap =
   Fun.protect
     ~finally:(fun () -> locked t (fun () -> t.compacting <- false))
@@ -471,9 +483,7 @@ let compact_finish t snap =
           let ids = Array.map fst live in
           let seg = build_seg t ids (Array.map snd live) in
           let name = snap.s_base_name in
-          let path = Filename.concat t.dirname name in
-          Xseq.save seg.index path;
-          fsync_path path;
+          save_base t name seg;
           (Some seg, name, ids)
         end
       in
@@ -495,6 +505,7 @@ let compact_finish t snap =
           | Some a, Some b when a == b -> ()
           | None, None -> ()
           | _ -> invalid_arg "Xlog: base diverged from compaction snapshot");
+          t.base_settled <- true;
           Atomic.set t.view
             {
               base;
@@ -505,17 +516,21 @@ let compact_finish t snap =
               stamp = fresh_stamp ();
             }))
 
-(* Translate a disk fault during the rebuild/checkpoint into degraded
-   state.  {!Xfault.Crashed} (simulated power loss) passes through
-   untouched: the harness owns recovery and nothing may touch the disk. *)
-let compact_finish_guarded t snap =
-  try compact_finish t snap with
+(* Translate a disk fault while writing a base and its checkpoint into
+   degraded state.  {!Xfault.Crashed} (simulated power loss) passes
+   through untouched: the harness owns recovery and nothing may touch the
+   disk. *)
+let disk_guard t ~what f =
+  try f () with
   | Xfault.Crashed as e -> raise e
-  | Unix.Unix_error (e, fn, _) -> degrade_and_raise t ~what:"checkpoint" e fn
-  | Sys_error msg -> (
-    let reason = "checkpoint: " ^ msg in
+  | Unix.Unix_error (e, fn, _) -> degrade_and_raise t ~what e fn
+  | Sys_error msg ->
+    let reason = what ^ ": " ^ msg in
     Atomic.set t.degraded (Some reason);
-    raise (Degraded reason))
+    raise (Degraded reason)
+
+let compact_finish_guarded t snap =
+  disk_guard t ~what:"checkpoint" (fun () -> compact_finish t snap)
 
 let spawn_compaction t snap =
   t.bg <-
@@ -533,20 +548,34 @@ let spawn_compaction t snap =
                (Printexc.to_string e))
          ())
 
-let compact ?(wait = true) ?(rotate = true) t =
+(* A rebuild would only rewrite the current base: nothing sits on top of
+   it and it already has the current format and configuration.
+   writer_m held. *)
+let settled_locked t =
+  let v = Atomic.get t.view in
+  t.base_settled && v.segs = [] && v.npending = 0 && Iset.is_empty v.tombs
+
+(* [force] rebuilds even a settled store (recovery's re-persist). *)
+let compact_with ~force ~wait ~rotate t =
   match
     locked t (fun () ->
         check_writable t;
-        let cut = compact_cut_locked ~rotate t in
-        (match cut with
-        | Some snap when not wait -> spawn_compaction t snap
-        | _ -> ());
-        cut)
+        if (not force) && (not t.compacting) && settled_locked t then `Settled
+        else
+          match compact_cut_locked ~rotate t with
+          | None -> `Busy
+          | Some snap ->
+            if not wait then spawn_compaction t snap;
+            `Cut snap)
   with
-  | None -> false
-  | Some snap ->
+  | `Settled -> true
+  | `Busy -> false
+  | `Cut snap ->
     if wait then compact_finish_guarded t snap;
     true
+
+let compact ?(wait = true) ?(rotate = true) t =
+  compact_with ~force:false ~wait ~rotate t
 
 (* --- recovery probe ------------------------------------------------------ *)
 
@@ -587,7 +616,7 @@ let try_recover t =
        but still visible in the view; a full synchronous compaction
        re-persists everything before we report the store writable. *)
     try
-      ignore (compact ~wait:true t : bool);
+      ignore (compact_with ~force:true ~wait:true ~rotate:true t : bool);
       true
     with
     | Xfault.Crashed as e -> raise e
@@ -651,6 +680,51 @@ let flush t =
       check_writable t;
       seal_locked t;
       wal_sync t)
+
+(* The paper's bulk load for an empty store: one build over the whole
+   batch instead of a memtable's worth at a time plus the compactions
+   that would fold those segments together.  The WAL rotates first, so
+   the checkpoint's replay point is the start of a fresh file and the
+   log holds only what follows the seed; the base is durable before the
+   checkpoint names it.  A crash before the checkpoint rename leaves an
+   empty store (the base file is an orphan the next prune removes). *)
+let seed t docs =
+  maybe_probe t;
+  locked t (fun () ->
+      check_writable t;
+      let v = Atomic.get t.view in
+      if t.next_id <> 0 || t.compacting || Option.is_some v.base then
+        invalid_arg "Xlog.seed: the store is not empty";
+      let n = Array.length docs in
+      let ids = Array.init n Fun.id in
+      if n > 0 then begin
+        let seg = build_seg t ids docs in
+        rotate_locked t;
+        let name = base_file t.wal_index in
+        disk_guard t ~what:"seed" (fun () ->
+            save_base t name seg;
+            write_checkpoint t.dirname
+              {
+                c_wal_index = t.wal_index;
+                c_wal_offset = String.length Wal.magic;
+                c_next_id = n;
+                c_base = name;
+                c_ids = ids;
+              });
+        t.next_id <- n;
+        t.base_settled <- true;
+        Atomic.set t.view
+          {
+            base = Some seg;
+            segs = [];
+            pending = [];
+            npending = 0;
+            tombs = Iset.empty;
+            stamp = fresh_stamp ();
+          };
+        prune_files t t.wal_index name
+      end;
+      ids)
 
 (* --- replication (follower side) -----------------------------------------
 
@@ -1274,10 +1348,23 @@ type loaded = {
   ld_wal : Wal.writer;
   ld_wal_index : int;
   ld_next_id : int;
+  ld_base_settled : bool;
   ld_recovery : recovery;
 }
 
-let load_dir ~sync_every dirname =
+(* Whether a snapshot file is in the compressed container: its magic
+   (already validated by the load that precedes this).  Opening it
+   through {!Xstorage.Store} again would materialise its blobs. *)
+let is_col2 path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      String.equal
+        (really_input_string ic 8)
+        (Xstorage.Store.format_name Xstorage.Store.Col2))
+
+let load_dir ~sync_every ~config dirname =
   let ckp =
     match read_checkpoint (Filename.concat dirname "checkpoint") with
     | Ok c -> c
@@ -1290,14 +1377,22 @@ let load_dir ~sync_every dirname =
       let base =
         if String.equal c.c_base "" then None
         else begin
-          let index = Xseq.load (Filename.concat dirname c.c_base) in
+          let path = Filename.concat dirname c.c_base in
+          let index = Xseq.load path in
           if Xseq.doc_count index <> Array.length c.c_ids then
             invalid_arg "Xlog.open_: base snapshot disagrees with checkpoint";
-          Some { index; ids = c.c_ids }
+          Some ({ index; ids = c.c_ids }, path)
         end
       in
       (base, c.c_wal_index, c.c_wal_offset, c.c_next_id)
   in
+  let base_settled =
+    match base with
+    | None -> true
+    | Some (seg, path) ->
+      is_col2 path && Xseq.built_under seg.index config
+  in
+  let base = Option.map fst base in
   (* Replay the WAL suffix. *)
   let replayed = ref 0 in
   let torn = ref [] in
@@ -1361,6 +1456,7 @@ let load_dir ~sync_every dirname =
     ld_wal = wal;
     ld_wal_index = wal_index;
     ld_next_id = !next_id;
+    ld_base_settled = base_settled;
     ld_recovery =
       {
         replayed = !replayed;
@@ -1377,7 +1473,7 @@ let open_ ?(sync_every = 1) ?(memtable_limit = 256) ?(max_segments = 8)
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   (* Finish any snapshot install a crash interrupted before reading. *)
   ignore (Transfer.install_ready dirname : bool);
-  let ld = load_dir ~sync_every dirname in
+  let ld = load_dir ~sync_every ~config dirname in
   let t =
     {
       dirname;
@@ -1390,6 +1486,7 @@ let open_ ?(sync_every = 1) ?(memtable_limit = 256) ?(max_segments = 8)
       bg = None;
       closed = false;
       cut_seq = scan_cut_seq dirname;
+      base_settled = ld.ld_base_settled;
       retain_wal = (fun () -> None);
       sync_every;
       memtable_limit = max 1 memtable_limit;
@@ -1422,7 +1519,7 @@ let reseed t =
         Error "no staged snapshot to install"
       else begin
         Wal.abort t.wal;
-        match load_dir ~sync_every:t.sync_every t.dirname with
+        match load_dir ~sync_every:t.sync_every ~config:t.config t.dirname with
         | exception e ->
           let msg = "reseed: " ^ Printexc.to_string e in
           Atomic.set t.degraded (Some msg);
@@ -1432,6 +1529,7 @@ let reseed t =
           t.wal_index <- ld.ld_wal_index;
           t.next_id <- ld.ld_next_id;
           t.cut_seq <- scan_cut_seq t.dirname;
+          t.base_settled <- ld.ld_base_settled;
           Atomic.set t.view ld.ld_view;
           Atomic.set t.quarantined false;
           Atomic.set t.degraded None;

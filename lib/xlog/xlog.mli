@@ -5,7 +5,7 @@
     {v
       wal-000017.log    current write-ahead log (see {!Wal})
       wal-000016.log    older logs awaiting the next checkpoint
-      base-000016.xseq  columnar snapshot of the compacted base index
+      base-000016.xseq  xseqcol2 snapshot of the compacted base index
       checkpoint        commit record naming the snapshot + replay point
     v}
 
@@ -101,6 +101,21 @@ val flush : t -> unit
 (** Seals the memtable into a delta segment (if non-empty) and fsyncs
     the WAL. *)
 
+val seed : t -> Xmlcore.Xml_tree.t array -> int array
+(** Bulk-loads an empty store: the documents get ids [0..n-1] from one
+    {!Xseq.build}, saved as the base snapshot, instead of [n] inserts,
+    their seals and the compactions that fold them together.  The WAL
+    rotates first, so the log starts after the seed and holds none of
+    it; on return the base is fsynced and a checkpoint with next id [n]
+    commits it, and the next {!insert} gets id [n].  A crash before the
+    checkpoint commits reopens as an empty store that can be seeded
+    again.  Returns the ids.  Never call it on a follower: the rotation
+    would break the WAL mirror.
+    @raise Invalid_argument if any id was ever allocated (the store is
+    not empty) or a compaction is in flight.
+    @raise Degraded if the write path is (or goes) out of service — the
+    store is then still empty. *)
+
 val compact : ?wait:bool -> ?rotate:bool -> t -> bool
 (** Rebuilds base ⊎ deltas minus tombstones, checkpoints, prunes WALs
     and installs the result.  With [wait = false] the heavy rebuild runs
@@ -111,7 +126,14 @@ val compact : ?wait:bool -> ?rotate:bool -> t -> bool
     mirror of the primary's, so it may never invent a rotation of its
     own — the checkpoint records the mid-file replay offset and pruning
     keeps the current file.  [false] if a compaction was already in
-    flight — at most one runs at a time. *)
+    flight — at most one runs at a time.
+
+    A {e settled} store is left alone and [compact] returns [true]: with
+    no sealed delta, an empty memtable and no tombstone, and a base (or
+    none) that is an xseqcol2 file built under the store's config, a
+    rebuild would only rewrite the same base.  The base file, the
+    checkpoint and the WAL are untouched (no rotation).  A legacy
+    xseqcol1 base, or one built under another config, is rewritten. *)
 
 val query : ?stats:Xquery.Matcher.stats -> t -> Pattern.t -> int list
 (** Live ids of the documents containing the pattern, sorted — answers

@@ -8,81 +8,91 @@ exception Unsupported_strategy of string
 
 (* --- identical-sibling permutation expansion ------------------------- *)
 
-let rec permutations = function
-  | [] -> [ [] ]
-  | l ->
-    List.concat_map
-      (fun x ->
-        let rest = ref [] and seen = ref false in
-        List.iter
-          (fun y -> if (not !seen) && y == x then seen := true else rest := y :: !rest)
-          l;
-        List.map (fun p -> x :: p) (permutations (List.rev !rest)))
-      l
+(* The distinct arrangements of a multiset, lazily.  [classes] pairs one
+   representative of each structurally distinct member with its
+   multiplicity; each arrangement comes out exactly once — k!/(c1!…cm!)
+   of them, so a group of k identical members has one, where listing all
+   k! permutations and deduplicating afterwards is exponential. *)
+let rec arrangements classes : Instantiate.cnode list Seq.t =
+  if List.for_all (fun (_, c) -> c = 0) classes then Seq.return []
+  else
+    Seq.flat_map
+      (fun (x, c) ->
+        if c = 0 then Seq.empty
+        else
+          let rest =
+            List.map (fun (y, d) -> if y == x then (y, d - 1) else (y, d)) classes
+          in
+          Seq.map (fun tail -> x :: tail) (arrangements rest))
+      (List.to_seq classes)
 
-(* All reorderings of [kids] where members of each same-path group permute
-   among that group's positions (other positions keep their occupant). *)
-let group_permutations kids =
+(* The classes of structurally equal members, in first-occurrence order,
+   with their counts. *)
+let multiset members =
+  List.fold_left
+    (fun classes m ->
+      if List.exists (fun (y, _) -> Instantiate.cnode_compare y m = 0) classes then
+        List.map
+          (fun (y, d) -> if Instantiate.cnode_compare y m = 0 then (y, d + 1) else (y, d))
+          classes
+      else classes @ [ (m, 1) ])
+    [] members
+
+(* All distinct reorderings of [kids] where members of each same-path
+   group permute among that group's positions (other positions keep
+   their occupant), generated lazily. *)
+let group_permutations kids : Instantiate.cnode list Seq.t =
   let arr = Array.of_list kids in
-  let groups : (Path.t * int list) list =
+  let groups : int list list =
     let tbl = Hashtbl.create 8 in
     Array.iteri
       (fun i (c : Instantiate.cnode) ->
         let l = try Hashtbl.find tbl c.path with Not_found -> [] in
         Hashtbl.replace tbl c.path (i :: l))
       arr;
-    Hashtbl.fold (fun p l acc -> (p, List.rev l) :: acc) tbl []
+    Hashtbl.fold
+      (fun _ l acc -> if List.compare_length_with l 1 > 0 then List.rev l :: acc else acc)
+      tbl []
   in
-  let multi = List.filter (fun (_, l) -> List.length l > 1) groups in
-  if multi = [] then [ kids ]
-  else begin
-    (* For each multi-member group, permute the members over the group's
-       positions; combine choices across groups. *)
-    let base = Array.copy arr in
-    let rec assign groups_left acc =
-      match groups_left with
-      | [] -> acc
-      | (_, positions) :: rest ->
-        let members = List.map (fun i -> arr.(i)) positions in
-        let acc' =
-          List.concat_map
-            (fun arrangement ->
-              List.map
-                (fun (snapshot : Instantiate.cnode array) ->
-                  let copy = Array.copy snapshot in
-                  List.iteri
-                    (fun k pos -> copy.(pos) <- List.nth arrangement k)
-                    positions;
-                  copy)
-                acc)
-            (permutations members)
-        in
-        assign rest acc'
-    in
-    let results = assign multi [ base ] in
-    List.map Array.to_list results
-  end
+  (* One group at a time: each arrangement of the group fills its
+     positions in a copy of every partial assignment so far. *)
+  let fill (partial : Instantiate.cnode array) positions arrangement =
+    let copy = Array.copy partial in
+    List.iter2 (fun pos m -> copy.(pos) <- m) positions arrangement;
+    copy
+  in
+  if groups = [] then Seq.return kids
+  else
+    List.fold_left
+      (fun partials positions ->
+        let classes = multiset (List.map (fun i -> arr.(i)) positions) in
+        Seq.flat_map
+          (fun partial -> Seq.map (fill partial positions) (arrangements classes))
+          partials)
+      (Seq.return arr) groups
+    |> Seq.map Array.to_list
 
 let rec expand_variants ~budget (c : Instantiate.cnode) : Instantiate.cnode list =
   (* Variants of every child, then the cartesian product, then sibling
-     group permutations of each product member. *)
+     group permutations of each product member — all lazy, and each
+     variant is charged to the budget as it is generated, so an
+     over-budget node stops at the budget instead of building every
+     variant first. *)
   let kid_variant_lists = List.map (expand_variants ~budget) c.kids in
   let products =
-    List.fold_left
-      (fun acc variants ->
-        List.concat_map
-          (fun partial -> List.map (fun v -> v :: partial) variants)
-          acc)
-      [ [] ] kid_variant_lists
+    List.fold_right
+      (fun variants rest ->
+        Seq.flat_map
+          (fun v -> Seq.map (fun tail -> v :: tail) rest)
+          (List.to_seq variants))
+      kid_variant_lists (Seq.return [])
   in
-  let with_perms =
-    List.concat_map (fun rev_kids -> group_permutations (List.rev rev_kids)) products
-  in
-  let result =
-    List.map (fun kids -> { Instantiate.path = c.path; kids }) with_perms
-  in
-  budget (List.length result);
-  result
+  List.of_seq
+    (Seq.map
+       (fun kids ->
+         budget 1;
+         { Instantiate.path = c.path; kids })
+       (Seq.flat_map group_permutations products))
 
 (* --- junction normalisation ------------------------------------------ *)
 
@@ -97,18 +107,26 @@ let rec expand_variants ~budget (c : Instantiate.cnode) : Instantiate.cnode list
    invalid (injectivity).  Unflagged steps have at most one data node per
    document, so sharing is forced and no ordering deviation exists. *)
 
-(* All set partitions of a list. *)
-let rec partitions = function
+(* The set partitions of a list whose every part satisfies [ok].  [ok]
+   must hold of every singleton and survive removing members from a part
+   (a failing part stays failing as it grows), so failing parts are
+   pruned as they form:
+   k explicit members of one path yield their single valid partition
+   instead of all Bell(k) partitions, filtered afterwards. *)
+let rec partitions ~ok = function
   | [] -> [ [] ]
   | x :: rest ->
     List.concat_map
       (fun parts ->
         ([ x ] :: parts)
-        :: List.mapi
-             (fun i _ ->
-               List.mapi (fun j p -> if i = j then x :: p else p) parts)
-             parts)
-      (partitions rest)
+        :: List.filter_map Fun.id
+             (List.mapi
+                (fun i p ->
+                  if ok (x :: p) then
+                    Some (List.mapi (fun j p -> if i = j then x :: p else p) parts)
+                  else None)
+                parts))
+      (partitions ~ok rest)
 
 let rec normalize ~flagged ~budget (c : Instantiate.cnode) :
     Instantiate.cnode list =
@@ -163,11 +181,7 @@ let rec normalize ~flagged ~budget (c : Instantiate.cnode) :
       let parts_ok part =
         List.length (List.filter (is_explicit s) part) <= 1
       in
-      List.filter_map
-        (fun parts ->
-          if List.for_all parts_ok parts then Some (List.map merge parts)
-          else None)
-        (partitions members)
+      List.map (List.map merge) (partitions ~ok:parts_ok members)
     end
     else if explicit_count >= 2 then
       (* Two distinct query nodes on an unflagged path: no document can

@@ -28,9 +28,12 @@ val compile :
   strategy:Sequencing.Strategy.t ->
   Instantiate.cnode ->
   compiled list
-(** All query sequences of one concrete pattern (one per identical-sibling
-    permutation, deduplicated).  [max_expansions] (default 256) bounds the
-    number of permutations.
+(** All query sequences of one concrete pattern (one per distinct
+    identical-sibling arrangement, deduplicated).  [max_expansions]
+    (default 256) bounds the number of variants; each is charged as it is
+    generated, so a query over the budget raises
+    {!Instantiate.Too_many} as soon as the count passes it, not after
+    enumerating every permutation.
 
     [flagged] must be the index's {!Xindex.Labeled.path_multiple}: query
     elements whose path is duplicated somewhere in the data trigger the

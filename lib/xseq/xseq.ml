@@ -427,6 +427,27 @@ module Store = Xstorage.Store
 
 let snapshot_version = 1
 
+(* Only strategies that can be deterministically recomputed from the
+   records survive a round trip: (tag, argument) as [xseq_meta] stores
+   them. *)
+let persisted_sequencing = function
+  | Depth_first { canonical } -> Some (0, Bool.to_int canonical)
+  | Breadth_first { canonical } -> Some (1, Bool.to_int canonical)
+  | Random seed -> Some (2, seed)
+  | Probability -> Some (3, 0)
+  | Probability_weighted _ | Custom _ -> None
+
+let built_under t config =
+  let a = t.built_config in
+  (match persisted_sequencing a.sequencing with
+   | Some p -> persisted_sequencing config.sequencing = Some p
+   | None -> false)
+  && a.value_mode = config.value_mode
+  && Int64.equal
+       (Int64.bits_of_float a.sample_fraction)
+       (Int64.bits_of_float config.sample_fraction)
+  && a.sample_seed = config.sample_seed
+
 let save ?(format = Store.Col1) t path =
   (* A loaded index writes its record region back verbatim, decoded or
      not. *)
@@ -437,16 +458,10 @@ let save ?(format = Store.Col1) t path =
     | Dropped ->
       invalid_arg "Xseq.save: index was built with keep_documents = false"
   in
-  (* Only strategies that can be deterministically recomputed from the
-     records survive a round trip. *)
   let seq_tag, seq_arg =
-    match t.built_config.sequencing with
-    | Depth_first { canonical } -> (0, Bool.to_int canonical)
-    | Breadth_first { canonical } -> (1, Bool.to_int canonical)
-    | Random seed -> (2, seed)
-    | Probability -> (3, 0)
-    | Probability_weighted _ | Custom _ ->
-      invalid_arg "Xseq.save: custom strategies cannot be persisted"
+    match persisted_sequencing t.built_config.sequencing with
+    | Some p -> p
+    | None -> invalid_arg "Xseq.save: custom strategies cannot be persisted"
   in
   let vm = match t.value_mode with Encoder.Hashed -> 0 | Encoder.Text -> 1 in
   (* The sampling fraction must survive bit-exactly, or the reloaded

@@ -198,6 +198,14 @@ val save : ?format:Xstorage.Store.file_format -> t -> string -> unit
     false] or with a [Custom]/[Probability_weighted] strategy (closures
     cannot be persisted). *)
 
+val built_under : t -> config -> bool
+(** Whether the index's labels are the ones a build under [config] would
+    give: same sequencing, value mode and sampling ([bulk] and
+    [keep_documents] do not change labels).  A loaded index compares
+    the configuration its snapshot recorded.  [false] whenever either
+    side uses a [Custom] or [Probability_weighted] strategy, whose
+    closures cannot be compared. *)
+
 val load :
   ?mode:Xstorage.Store.mode -> ?pool_pages:int -> ?verify:bool -> string -> t
 (** [load path] restores a saved index; queries answer exactly as on the

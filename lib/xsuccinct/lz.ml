@@ -23,13 +23,19 @@ let compress s =
   let out = Buffer.create (16 + (n / 2)) in
   add_u32 out n;
   (* Hash chains: head.(h) = most recent position hashing to [h],
-     prev.(i) = previous position with i's hash — walked up to
-     [max_chain] deep to find the longest match, not just the nearest. *)
+     prev i = previous position with i's hash — walked up to [max_chain]
+     deep to find the longest match, not just the nearest.  The chain
+     has one entry per input byte, so it is stored in 32-bit slots
+     rather than 8-byte array cells.  Only [insert] writes a slot, and
+     it writes slot [i] before anything reads it, so the bytes start
+     uninitialised. *)
+  if n > 0x7FFF_FFFF then invalid_arg "Lz.compress: input over 2 GiB";
   let head = Array.make hash_size (-1) in
-  let prev = Array.make (max 1 n) (-1) in
+  let chain = Bytes.create (4 * n) in
+  let prev i = Int32.to_int (Bytes.get_int32_le chain (4 * i)) in
   let insert i =
     let h = hash4 s i in
-    prev.(i) <- head.(h);
+    Bytes.set_int32_le chain (4 * i) (Int32.of_int head.(h));
     head.(h) <- i
   in
   let lit_start = ref 0 in
@@ -46,14 +52,22 @@ let compress s =
     while !cand >= 0 && !tries > 0 do
       (* Cheap rejection: a longer match must agree where the current
          best ends.  [cand < i], so [i + best_len < n] bounds both
-         probes; at [i + best_len = n] no longer match exists at all. *)
+         probes; at [i + best_len = n] no longer match exists at all.
+         The same bound makes every read below in range. *)
       if
         !best_len = 0
         || (!i + !best_len < n
-            && Char.equal s.[!cand + !best_len] s.[!i + !best_len])
+            && Char.equal
+                 (String.unsafe_get s (!cand + !best_len))
+                 (String.unsafe_get s (!i + !best_len)))
       then begin
         let k = ref 0 in
-        while !i + !k < n && Char.equal s.[!cand + !k] s.[!i + !k] do
+        while
+          !i + !k < n
+          && Char.equal
+               (String.unsafe_get s (!cand + !k))
+               (String.unsafe_get s (!i + !k))
+        do
           incr k
         done;
         if !k > !best_len then begin
@@ -61,7 +75,7 @@ let compress s =
           best_pos := !cand
         end
       end;
-      cand := prev.(!cand);
+      cand := prev !cand;
       decr tries
     done;
     if !best_len >= min_match then begin

@@ -232,6 +232,55 @@ let test_query_seq_permutations () =
   (* Two identical L siblings: both subtree orders must be generated. *)
   Alcotest.(check int) "two permutations" 2 (List.length compiled)
 
+(* Identical predicates must not make compilation exponential: a group
+   of k equal siblings has one distinct arrangement, not k!, and every
+   variant is charged to the expansion budget as it is generated.  Work
+   is measured in allocated words (deterministic); the bound is
+   quadratic in the pattern size (8x the worst seen over 400 cases),
+   where enumerating all k! permutations first exceeds it from k = 8 on
+   and exhausts memory by k = 12.  Compilation either succeeds or refuses with
+   [Too_many] — never after exponential work. *)
+let rec pattern_of_tree (t : T.t) =
+  match t with
+  | T.Value s -> Pattern.text s
+  | T.Element (tag, kids) ->
+    Pattern.elt (Xmlcore.Designator.name tag) (List.map pattern_of_tree kids)
+
+let prop_identical_groups_polynomial =
+  let gen =
+    Gen.(pair (int_range 2 12) (map (fun t -> T.elt "g" [ t ]) doc_gen))
+  in
+  let print (k, t) = Printf.sprintf "k=%d %s" k (Xmlcore.Xml_printer.to_string t) in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name:"identical groups compile in polynomial work" ~count:60
+       (QCheck.make ~print gen) (fun (k, t) ->
+         let doc = T.elt "P" (List.init k (fun _ -> t)) in
+         let index = Xseq.build [| doc |] in
+         let mem p = Option.is_some (Xindex.Labeled.link (Xseq.labeled index) p) in
+         let pattern = Pattern.elt "P" (List.init k (fun _ -> pattern_of_tree t)) in
+         let size = Pattern.size pattern in
+         let w0 = Gc.minor_words () in
+         let outcome =
+           match
+             List.concat_map
+               (Xquery.Query_seq.compile ~strategy:(Xseq.strategy index))
+               (Xquery.Instantiate.run ~mem ~value_mode:Sequencing.Encoder.Hashed pattern)
+           with
+           | compiled -> `Compiled (List.length compiled)
+           | exception Xquery.Instantiate.Too_many _ -> `Refused
+         in
+         let words = Gc.minor_words () -. w0 in
+         let bound = 3000. *. float_of_int (size * size) in
+         if words > bound then
+           QCheck.Test.fail_reportf "k=%d size=%d: %.0f words > bound %.0f" k size words bound;
+         (match outcome with
+          | `Compiled 0 -> QCheck.Test.fail_report "no sequence for a matching query"
+          | `Compiled _ ->
+            if Xseq.query index pattern <> [ 0 ] then
+              QCheck.Test.fail_report "the document does not answer"
+          | `Refused -> ());
+         true))
+
 (* Regression: a query branch reaching *through* a duplicated path (here
    d.c) must be tried both inside the same d.c block as its sibling branch
    and in a different one (junction normalisation + set partitions).
@@ -303,6 +352,7 @@ let () =
           Alcotest.test_case "instantiate star" `Quick test_instantiate_star;
           Alcotest.test_case "instantiate descendant" `Quick test_instantiate_descendant;
           Alcotest.test_case "query permutations" `Quick test_query_seq_permutations;
+          prop_identical_groups_polynomial;
           Alcotest.test_case "// parent pointers" `Quick test_parents_across_descendant;
           Alcotest.test_case "regression: junction blocks" `Quick
             test_regression_junction_blocks;

@@ -179,6 +179,92 @@ let test_transfer_roundtrip () =
               Xlog.close primary)))
     [ 777; 64 * 1024; max_int ]
 
+let manifest dir =
+  match Transfer.manifest_of_dir dir with
+  | Ok m -> m
+  | Error m -> Alcotest.failf "manifest: %s" m
+
+(* Stream a primary's snapshot into [fdir] and commit it. *)
+let transfer ~src fdir =
+  let recv = Transfer.recv_create fdir in
+  stream ~chunk:4096 src (manifest src) recv;
+  match Transfer.recv_finish recv with
+  | Ok () -> ()
+  | Error m -> Alcotest.failf "recv_finish: %s" m
+
+(* A seed rotates the WAL and prunes the file it started in, so a fresh
+   follower's cursor (the start of the log) is already pruned: it must
+   re-seed through a snapshot transfer, then answer id for id and tail
+   on from there. *)
+let test_follower_of_seeded_primary () =
+  with_dir (fun pdir ->
+      with_dir (fun fdir ->
+          let primary = Xlog.open_ ~sync_every:1 pdir in
+          ignore (Xlog.seed primary (Array.init 40 doc) : int array);
+          let follower = Xlog.open_ ~sync_every:1 ~memtable_limit:8 fdir in
+          (match Wal.tail ~dir:pdir (Xlog.wal_position follower) with
+          | Error (Wal.Position_pruned _) -> ()
+          | Ok _ -> Alcotest.fail "a fresh follower tailed across the seed"
+          | Error (Wal.Tail_error m) -> Alcotest.failf "untyped tail error: %s" m);
+          transfer ~src:pdir fdir;
+          (match Xlog.reseed follower with
+          | Ok () -> ()
+          | Error m -> Alcotest.failf "reseed: %s" m);
+          check_same_answers "reseeded follower" primary follower;
+          for i = 40 to 49 do
+            ignore (Xlog.insert primary (doc i) : int)
+          done;
+          ignore (Xlog.remove primary 5 : bool);
+          catch_up ~src:pdir follower;
+          check_same_answers "tailing follower" primary follower;
+          check_wal_mirror "tailing follower" pdir fdir;
+          Xlog.close follower;
+          Xlog.close primary))
+
+(* A directory written before bases were compressed: its xseqcol1 base
+   opens, answers id for id, passes scrub and transfer verification, and
+   an explicit compaction rewrites it as xseqcol2. *)
+let test_legacy_col1_base () =
+  with_dir (fun dir ->
+      with_dir (fun fdir ->
+          let log = build_primary dir in
+          let answers log = List.map (Xlog.query_xpath log) xpaths in
+          let want = answers log in
+          let next = Xlog.next_id log in
+          Xlog.close log;
+          let base_format path =
+            let st = Xstorage.Store.open_file path in
+            Fun.protect
+              ~finally:(fun () -> Xstorage.Store.close st)
+              (fun () -> Xstorage.Store.file_format st)
+          in
+          let bases () =
+            List.filter
+              (fun n -> Filename.check_suffix n ".xseq")
+              (Array.to_list (Sys.readdir dir))
+          in
+          (match bases () with
+          | [ b ] ->
+            let path = Filename.concat dir b in
+            Xseq.save ~format:Xstorage.Store.Col1 (Xseq.load path) path;
+            Alcotest.(check bool) "legacy base in place" true
+              (base_format path = Xstorage.Store.Col1)
+          | l -> Alcotest.failf "%d base files" (List.length l));
+          let log = Xlog.open_ ~sync_every:1 dir in
+          Alcotest.(check bool) "answers id for id" true (answers log = want);
+          Alcotest.(check int) "next id" next (Xlog.next_id log);
+          let r = Scrub.scrub_dir dir in
+          Alcotest.(check int) "scrub finds nothing" 0 (List.length r.Scrub.errors);
+          transfer ~src:dir fdir;
+          Alcotest.(check bool) "compact" true (Xlog.compact ~wait:true log);
+          (match bases () with
+          | [ b ] ->
+            Alcotest.(check bool) "rewritten as xseqcol2" true
+              (base_format (Filename.concat dir b) = Xstorage.Store.Col2)
+          | l -> Alcotest.failf "%d base files after compaction" (List.length l));
+          Alcotest.(check bool) "answers after the rewrite" true (answers log = want);
+          Xlog.close log))
+
 (* Kill -9 shapes: an abandoned staging dir is invisible to [open_]; a
    committed [xfer.ready] is installed by the next [open_] without any
    explicit install call. *)
@@ -551,6 +637,9 @@ let () =
             test_transfer_rejects_corruption;
           Alcotest.test_case "live reseed" `Quick test_reseed_live_handle;
           Alcotest.test_case "empty primary" `Quick test_transfer_empty_primary;
+          Alcotest.test_case "follower of a seeded primary" `Quick
+            test_follower_of_seeded_primary;
+          Alcotest.test_case "legacy xseqcol1 base" `Quick test_legacy_col1_base;
         ] );
       ( "scrub",
         [

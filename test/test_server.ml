@@ -155,6 +155,38 @@ let test_bad_xpath () =
             (List.assoc "/P/L/S" expected)
             (Client.query c "/P/L/S")))
 
+(* A short XPath with ten identical predicates once held a worker for
+   seconds (all 10! sibling permutations were built before the expansion
+   budget was checked).  It must now be refused or answered in well
+   under 50 ms, and the worker must be free for the next request.  Three
+   distinct queries, so the plan cache cannot answer them, and the
+   fastest counts: one scheduling hiccup on a loaded box is not what is
+   being measured. *)
+let test_identical_predicates_bounded () =
+  let article k =
+    e "article"
+      (e "title" [ v (Printf.sprintf "t%d" k) ]
+      :: List.init 12 (fun i -> e "author" [ v (Printf.sprintf "a%d" (i + k)) ]))
+  in
+  let index = Xseq.build [| article 0; article 1; e "article" [ e "author" [] ] |] in
+  with_server (Server.Static index) (fun _srv addr ->
+      Client.with_connection addr (fun c ->
+          let fastest = ref infinity in
+          List.iter
+            (fun tail ->
+              let q =
+                "//article" ^ String.concat "" (List.init 10 (fun _ -> "[author]")) ^ tail
+              in
+              let t0 = Unix.gettimeofday () in
+              (match Client.query c q with
+               | ids -> Alcotest.(check (list int)) ("answer of " ^ q) [ 0; 1 ] ids
+               | exception Client.Server_error (P.Bad_request, _) -> ());
+              fastest := Float.min !fastest (Unix.gettimeofday () -. t0))
+            [ ""; "[title]"; "[author][title]" ];
+          if !fastest >= 0.05 then
+            Alcotest.failf "ten identical predicates took %.0f ms" (!fastest *. 1000.);
+          Client.ping c))
+
 (* --- concurrency and hostile peers ----------------------------------------- *)
 
 let test_concurrent_and_hostile () =
@@ -1113,6 +1145,8 @@ let () =
         [
           Alcotest.test_case "wire = offline" `Quick test_roundtrip;
           Alcotest.test_case "bad xpath" `Quick test_bad_xpath;
+          Alcotest.test_case "identical predicates stay bounded" `Quick
+            test_identical_predicates_bounded;
           Alcotest.test_case "address parsing" `Quick test_addr_parse;
         ] );
       ( "concurrency",

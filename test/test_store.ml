@@ -410,6 +410,50 @@ let test_lz_unit () =
   | _ -> Alcotest.fail "truncated lz stream accepted"
   | exception Invalid_argument _ -> ()
 
+(* The compressor's output is pinned byte for byte: snapshots written
+   before and after any change to its internals must be identical.  The
+   record regions are what [Xseq.save] stores (the [docs] blob of a
+   fixed DBLP and XMark corpus); the incompressible input comes from a
+   fixed xorshift stream, so no library generator can move it. *)
+let record_region docs =
+  with_temp "lz_golden" (fun path ->
+      Xseq.save (Xseq.build docs) path;
+      let st = Store.open_file path in
+      Fun.protect ~finally:(fun () -> Store.close st) (fun () -> Store.blob st "docs"))
+
+let xorshift_bytes n =
+  let x = ref 0x2545F491 in
+  String.init n (fun _ ->
+      x := !x lxor ((!x lsl 13) land 0xFFFFFFFF);
+      x := !x lxor (!x lsr 17);
+      x := !x lxor ((!x lsl 5) land 0xFFFFFFFF);
+      Char.chr (!x land 0xff))
+
+let test_lz_golden () =
+  let cases =
+    [
+      ("empty", "", "f1d3ff8443297732862df21dc4e57262");
+      ("3 bytes", "abc", "f771429754d2fdb4e9936f76dca0d927");
+      ("incompressible", xorshift_bytes 65_536, "bce981211499c043a87879947351969a");
+      ( "dblp records",
+        record_region (Xdatagen.Dblp_gen.generate ~seed:7 1500),
+        "b5dbedb9945b6041732a713c4cc42c6f" );
+      ( "xmark records",
+        record_region (Xdatagen.Xmark_gen.generate ~seed:7 ~identical_siblings:true 300),
+        "43d3926e05393ea22285231a2187b06f" );
+    ]
+  in
+  List.iter
+    (fun (what, input, want) ->
+      let z = Lz.compress input in
+      Alcotest.(check string) (what ^ ": round trip") input (Lz.decompress ~name:what z);
+      Alcotest.(check string)
+        (Printf.sprintf "%s: output digest (%d -> %d bytes)" what (String.length input)
+           (String.length z))
+        want
+        (Digest.to_hex (Digest.string z)))
+    cases
+
 let prop_packed_roundtrip =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~count:150 ~name:"packed: decode_all inverts encode"
@@ -746,6 +790,7 @@ let () =
           Alcotest.test_case "packed unit" `Quick test_packed_unit;
           Alcotest.test_case "frontcode unit" `Quick test_frontcode_unit;
           Alcotest.test_case "lz unit" `Quick test_lz_unit;
+          Alcotest.test_case "lz output pinned" `Quick test_lz_golden;
           prop_packed_roundtrip;
           prop_frontcode_roundtrip;
           prop_lz_roundtrip;

@@ -794,6 +794,213 @@ let test_replica_compaction_no_rotate () =
           check_against_oracle "promoted follower serves writes" follower !live;
           Xlog.close follower))
 
+(* --- bulk seeding and settled compaction ------------------------------------ *)
+
+let seed_docs n =
+  Array.init n (fun i ->
+      e
+        (if i mod 5 = 4 then "Q" else "P")
+        [
+          e "L" [ v (if i mod 2 = 0 then "x" else "y") ];
+          (if i mod 3 = 0 then e "S" [] else e "B" [ e "M" [ v "x" ] ]);
+        ])
+
+let seeded n =
+  let docs = seed_docs n in
+  List.init n (fun i -> (i, docs.(i)))
+
+let base_files dir =
+  List.sort compare
+    (List.filter
+       (fun n -> String.length n > 5 && String.sub n 0 5 = "base-")
+       (Array.to_list (Sys.readdir dir)))
+
+let base_format dir name =
+  let st = Xstorage.Store.open_file (Filename.concat dir name) in
+  Fun.protect
+    ~finally:(fun () -> Xstorage.Store.close st)
+    (fun () -> Xstorage.Store.file_format st)
+
+let expect_invalid what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Invalid_argument _ -> ()
+
+let test_seed_oracle () =
+  with_dir (fun dir ->
+      let docs = seed_docs 40 in
+      let log = Xlog.open_ ~memtable_limit:4 dir in
+      Alcotest.(check (array int)) "ids" (Array.init 40 Fun.id) (Xlog.seed log docs);
+      let live = ref (seeded 40) in
+      check_against_oracle "seeded" log !live;
+      Alcotest.(check int) "no delta" 0 (Xlog.segments log);
+      Alcotest.(check int) "no memtable" 0 (Xlog.pending log);
+      (* One compressed base; the log starts after the seed. *)
+      (match base_files dir with
+       | [ b ] ->
+         Alcotest.(check bool) "base is xseqcol2" true
+           (base_format dir b = Xstorage.Store.Col2)
+       | l -> Alcotest.failf "%d base files" (List.length l));
+      let pos = Xlog.wal_position log in
+      Alcotest.(check bool) "the WAL rotated" true (pos.Wal.file > 0);
+      Alcotest.(check (list int)) "only the fresh WAL file" [ pos.Wal.file ]
+        (List.map fst (Wal.list_files dir));
+      Alcotest.(check int) "the WAL holds nothing" (String.length Wal.magic)
+        pos.Wal.off;
+      expect_invalid "a second seed" (fun () -> Xlog.seed log docs);
+      let d = e "P" [ e "S" [] ] in
+      Alcotest.(check int) "next insert" 40 (Xlog.insert log d);
+      live := !live @ [ (40, d) ];
+      List.iter
+        (fun id ->
+          Alcotest.(check bool) "remove a seeded id" true (Xlog.remove log id);
+          live := List.remove_assoc id !live)
+        [ 0; 17; 39 ];
+      check_against_oracle "inserted and removed" log !live;
+      Xlog.close log;
+      let log = Xlog.open_ ~memtable_limit:4 dir in
+      check_against_oracle "reopened" log !live;
+      Alcotest.(check bool) "compact" true (Xlog.compact ~wait:true log);
+      check_against_oracle "compacted" log !live;
+      Xlog.close log;
+      let log = Xlog.open_ dir in
+      check_against_oracle "reopened after compaction" log !live;
+      Alcotest.(check int) "ids continue" 41 (Xlog.insert log d);
+      Xlog.close log);
+  (* Emptiness is about ids, not live documents: a store whose every
+     document was removed still refuses a seed. *)
+  with_dir (fun dir ->
+      let log = Xlog.open_ dir in
+      let id = Xlog.insert log (e "P" []) in
+      ignore (Xlog.remove log id : bool);
+      expect_invalid "seeding a used store" (fun () -> Xlog.seed log (seed_docs 3));
+      Xlog.close log)
+
+(* Power loss during a seed: before the checkpoint rename the store is
+   still empty (and can be seeded again); after it, complete. *)
+let test_seed_crash () =
+  let n = 30 in
+  let docs = seed_docs n in
+  (* A seed's last fsync is the directory fsync after the checkpoint
+     rename; count them on a dry run. *)
+  let fsyncs =
+    with_dir (fun dir ->
+        let log = Xlog.open_ dir in
+        let inj = Xfault.Injector.create [] in
+        Xfault.with_injector inj (fun () -> ignore (Xlog.seed log docs : int array));
+        Xlog.close log;
+        Xfault.Injector.op_count inj Xfault.Fsync)
+  in
+  let crash_seed dir rule =
+    let log = Xlog.open_ dir in
+    (match
+       Xfault.with_injector (Xfault.Injector.create [ rule ]) (fun () ->
+           Xlog.seed log docs)
+     with
+     | _ -> Alcotest.fail "the seed outlived its crash point"
+     | exception Xfault.Crashed -> ());
+    Xlog.abandon log;
+    Xlog.open_ dir
+  in
+  with_dir (fun dir ->
+      let log =
+        crash_seed dir { Xfault.at = 0; on = Xfault.Rename; fault = Xfault.Fail_stop }
+      in
+      Alcotest.(check int) "no id allocated" 0 (Xlog.next_id log);
+      check_against_oracle "crashed before the commit" log [];
+      ignore (Xlog.seed log docs : int array);
+      check_against_oracle "seeded again" log (seeded n);
+      Xlog.close log;
+      Alcotest.(check int) "the orphan base was pruned" 1
+        (List.length (base_files dir));
+      let log = Xlog.open_ dir in
+      check_against_oracle "reseeded, reopened" log (seeded n);
+      Xlog.close log);
+  with_dir (fun dir ->
+      let log =
+        crash_seed dir
+          { Xfault.at = fsyncs - 1; on = Xfault.Fsync; fault = Xfault.Fail_stop }
+      in
+      Alcotest.(check int) "every id allocated" n (Xlog.next_id log);
+      check_against_oracle "crashed after the commit" log (seeded n);
+      Xlog.close log)
+
+(* What a compaction leaves on disk: base files, checkpoint bytes and
+   the WAL position. *)
+let disk_state dir log =
+  (base_files dir, read_whole (Filename.concat dir "checkpoint"), Xlog.wal_position log)
+
+let check_untouched what dir log =
+  let before = disk_state dir log in
+  Alcotest.(check bool) (what ^ ": compact") true (Xlog.compact ~wait:true log);
+  let files, ckp, pos = disk_state dir log in
+  let files0, ckp0, pos0 = before in
+  Alcotest.(check (list string)) (what ^ ": same base file") files0 files;
+  Alcotest.(check bool) (what ^ ": same checkpoint") true (String.equal ckp0 ckp);
+  Alcotest.(check int) (what ^ ": WAL position kept") 0 (Wal.position_compare pos0 pos)
+
+let check_rebuilds what dir log =
+  let files0, _, pos0 = disk_state dir log in
+  Alcotest.(check bool) (what ^ ": compact") true (Xlog.compact ~wait:true log);
+  let files, _, pos = disk_state dir log in
+  if files = files0 then Alcotest.failf "%s: the base was not rewritten" what;
+  Alcotest.(check bool) (what ^ ": WAL rotated") true (pos.Wal.file > pos0.Wal.file);
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) (what ^ ": new base is xseqcol2") true
+        (base_format dir b = Xstorage.Store.Col2))
+    files;
+  (* ...after which the store is settled again. *)
+  check_untouched (what ^ ", then again") dir log
+
+let test_settled_compaction () =
+  with_dir (fun dir ->
+      let log = Xlog.open_ dir in
+      ignore (Xlog.seed log (seed_docs 20) : int array);
+      let live = ref (seeded 20) in
+      check_untouched "seeded" dir log;
+      Xlog.flush log;
+      check_untouched "flushed" dir log;
+      ignore (Xlog.remove log 4 : bool);
+      live := List.remove_assoc 4 !live;
+      check_rebuilds "tombstone" dir log;
+      let d = e "P" [ e "S" [] ] in
+      ignore (Xlog.insert log d : int);
+      live := !live @ [ (20, d) ];
+      Xlog.flush log;
+      Alcotest.(check int) "a delta" 1 (Xlog.segments log);
+      check_rebuilds "delta" dir log;
+      ignore (Xlog.insert log d : int);
+      live := !live @ [ (21, d) ];
+      check_rebuilds "memtable" dir log;
+      check_against_oracle "after the rebuilds" log !live;
+      Xlog.close log;
+      (* A base built under another configuration is rebuilt under the
+         store's. *)
+      let config =
+        { Xseq.default_config with sequencing = Xseq.Depth_first { canonical = true } }
+      in
+      let log = Xlog.open_ ~config dir in
+      check_rebuilds "config change" dir log;
+      check_against_oracle "rebuilt depth-first" log !live;
+      Xlog.close log;
+      let log = Xlog.open_ dir in
+      check_rebuilds "config changed back" dir log;
+      Xlog.close log;
+      (* A legacy xseqcol1 base, as older builds wrote it. *)
+      (match base_files dir with
+       | [ b ] ->
+         let path = Filename.concat dir b in
+         Xseq.save ~format:Xstorage.Store.Col1 (Xseq.load path) path;
+         Alcotest.(check bool) "rewritten as xseqcol1" true
+           (base_format dir b = Xstorage.Store.Col1)
+       | l -> Alcotest.failf "%d base files" (List.length l));
+      let log = Xlog.open_ dir in
+      check_against_oracle "legacy base" log !live;
+      check_rebuilds "legacy base" dir log;
+      check_against_oracle "legacy base rebuilt" log !live;
+      Xlog.close log)
+
 (* --- prepared plans ---------------------------------------------------------- *)
 
 let test_prepared_stamps () =
@@ -927,6 +1134,13 @@ let () =
             test_corrupt_record_recovery;
           Alcotest.test_case "corrupt checkpoint refused" `Quick
             test_corrupt_checkpoint_refused;
+        ] );
+      ( "seeding",
+        [
+          Alcotest.test_case "seed oracle" `Quick test_seed_oracle;
+          Alcotest.test_case "crash around the seed commit" `Quick test_seed_crash;
+          Alcotest.test_case "settled compaction is a no-op" `Quick
+            test_settled_compaction;
         ] );
       ( "concurrency",
         [
