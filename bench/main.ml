@@ -483,24 +483,74 @@ let ablation_buffer () =
             (Xstorage.Store.page_hits store - hits0)))
     [ 16; 64; 256; 1024 ]
 
-(* Bulk loading vs one-by-one insertion (Section 4.1). *)
+(* The index build broken down by phase, as [xseq index] runs it:
+   parse the records' text, build (the phases [Xseq.build] reports),
+   save an xseqcol1 snapshot.  Each corpus is built first in a process
+   where its paths are not yet interned.  The last rows compare the
+   sorted bulk load of Section 4.1 with one-by-one trie insertion; they
+   rebuild the same corpus, so the intern tables are warm. *)
 let ablation_bulk () =
-  header "Ablation: bulk load (sorted) vs incremental insertion build time";
-  let n = n_scaled 40_000 in
-  let docs = Xdatagen.Dblp_gen.generate n in
-  let build bulk =
-    let _, t =
-      time (fun () ->
-          Xseq.build
-            ~config:{ Xseq.default_config with bulk; keep_documents = false }
-            docs)
-    in
-    t
+  header
+    "Build breakdown by phase (ms), and bulk load (sorted) vs incremental \
+     insertion";
+  let phases =
+    [ "parse"; "flatten+intern"; "counts"; "encode"; "sort+label"; "save" ]
   in
-  let t_inc = build false in
-  let t_bulk = build true in
-  Printf.printf "incremental: %.0f ms\nbulk:        %.0f ms\n%!" (ms t_inc)
-    (ms t_bulk)
+  let corpora =
+    [
+      ("DBLP", Xdatagen.Dblp_gen.generate (n_scaled 20_000));
+      ( "XMark",
+        Xdatagen.Xmark_gen.generate ~identical_siblings:true
+          (n_scaled 10_000) );
+    ]
+  in
+  let columns =
+    List.map
+      (fun (name, generated) ->
+        let texts = Array.map Xmlcore.Xml_printer.to_string generated in
+        let times = Hashtbl.create 8 in
+        let docs, t_parse =
+          time (fun () -> Array.map Xmlcore.Xml_parser.parse_string texts)
+        in
+        Hashtbl.replace times "parse" t_parse;
+        let index = Xseq.build ~on_phase:(Hashtbl.replace times) docs in
+        let path = Filename.temp_file "xseq_bench" ".xseq" in
+        let (), t_save = time (fun () -> Xseq.save index path) in
+        Sys.remove path;
+        Hashtbl.replace times "save" t_save;
+        let build bulk =
+          snd
+            (time (fun () ->
+                 Xseq.build
+                   ~config:
+                     { Xseq.default_config with bulk; keep_documents = false }
+                   docs))
+        in
+        let t_inc = build false in
+        let t_bulk = build true in
+        ( Printf.sprintf "%s %d" name (Array.length docs),
+          List.map (Hashtbl.find times) phases,
+          t_inc,
+          t_bulk ))
+      corpora
+  in
+  Printf.printf "%-28s" "phase";
+  List.iter (fun (name, _, _, _) -> Printf.printf " %14s" name) columns;
+  print_newline ();
+  let row label values =
+    Printf.printf "%-28s" label;
+    List.iter (fun v -> Printf.printf " %14.0f" (ms v)) values;
+    print_newline ()
+  in
+  List.iteri
+    (fun i phase ->
+      row phase (List.map (fun (_, ts, _, _) -> List.nth ts i) columns))
+    phases;
+  row "total"
+    (List.map (fun (_, ts, _, _) -> List.fold_left ( +. ) 0. ts) columns);
+  row "build, incremental (warm)" (List.map (fun (_, _, t, _) -> t) columns);
+  row "build, bulk (warm)" (List.map (fun (_, _, _, t) -> t) columns);
+  flush stdout
 
 (* Hashed vs character-sequence value representation (Section 2.1). *)
 let ablation_valuemode () =
@@ -1749,11 +1799,15 @@ let micro () =
     [
       (* Figure 14: the cost of sequencing one document. *)
       Test.make ~name:"fig14-encode-constraint"
-        (Staged.stage (fun () -> Sequencing.Encoder.encode ~strategy docs.(0)));
+        (Staged.stage
+           (let scratch = Sequencing.Encoder.create_scratch () in
+            fun () -> Sequencing.Encoder.encode ~scratch ~strategy docs.(0)));
       Test.make ~name:"fig14-encode-depth-first"
-        (Staged.stage (fun () ->
-             Sequencing.Encoder.encode ~strategy:Sequencing.Strategy.Depth_first
-               docs.(0)));
+        (Staged.stage
+           (let scratch = Sequencing.Encoder.create_scratch () in
+            fun () ->
+              Sequencing.Encoder.encode ~scratch
+                ~strategy:Sequencing.Strategy.Depth_first docs.(0)));
       (* Figure 15 / Tables 5-6: trie insertion. *)
       Test.make ~name:"table5-trie-insert"
         (Staged.stage

@@ -165,10 +165,11 @@ let sequence_cmd =
     let config = config_of_strategy strategy in
     let index = Xseq.build ~config docs in
     let strategy = Xseq.strategy index in
+    let scratch = Sequencing.Encoder.create_scratch () in
     Array.iteri
       (fun i doc ->
         if i < limit then begin
-          let seq = Sequencing.Encoder.encode ~strategy doc in
+          let seq = Sequencing.Encoder.encode ~scratch ~strategy doc in
           Printf.printf "record %d: %s\n" i
             (String.concat " "
                (List.map Sequencing.Path.to_string (Array.to_list seq)))
@@ -1755,8 +1756,16 @@ let explain_cmd =
   in
   let run input strategy q =
     let index = load_or_build input (config_of_strategy strategy) in
-    let pattern = Xseq.Xpath.parse q in
-    let e = Xseq.explain index pattern in
+    let pattern = parse_xpath_or_exit q in
+    let e =
+      try Xseq.explain index pattern
+      with Xquery.Instantiate.Too_many n ->
+        Printf.eprintf
+          "explain: the query's expansion exceeded the budget (%d variants); \
+           query answers it with a scan of the records instead\n"
+          n;
+        exit 1
+    in
     Printf.printf "pattern:          %s\n" e.Xquery.Engine.pattern;
     Printf.printf "instantiations:   %d\n" e.instantiations;
     Printf.printf "query sequences:  %d\n" e.sequences;

@@ -17,15 +17,39 @@ type value_mode =
           by an end marker — the Index-Fabric option, which allows
           subsequence matching inside values. *)
 
-val encode :
-  ?value_mode:value_mode ->
-  ?ident:(Path.t -> bool) ->
-  strategy:Strategy.t ->
-  Xmlcore.Xml_tree.t ->
-  Path.t array
-(** [encode ~strategy t] is the constraint sequence of [t].  The result
-    always satisfies {!Seq_constraint.is_valid}.  Default [value_mode] is
-    {!Hashed}.
+type flat
+(** A record flattened in pre-order: every node's path encoding, where
+    its subtree ends, and whether a sibling carries the same path.  The
+    input of {!sequence}; built once per record by {!flatten}. *)
+
+type scratch
+(** Growable buffers for {!flatten}, including an identical-sibling
+    census indexed by path id that grows to the number of interned
+    paths.  A scratch is reused across records to avoid that cost per
+    record.  It is mutable and unsynchronised: give each thread or domain
+    that flattens its own. *)
+
+val create_scratch : unit -> scratch
+
+val flatten :
+  ?value_mode:value_mode -> ?scratch:scratch -> Xmlcore.Xml_tree.t -> flat
+(** [flatten t] interns [t]'s designators and paths, in pre-order, and
+    records [t]'s node paths and identical-sibling flags.  Identical
+    siblings are found in time linear in the number of children.  The
+    result does not alias [scratch] (default: a fresh one).  Once every
+    path of [t] is interned, [flatten] only reads the intern tables, so
+    it may run on several domains at once, each with its own scratch.
+    Default [value_mode] is {!Hashed}. *)
+
+val paths : flat -> Path.t array
+(** The node paths in pre-order — the multiset of path encodings of
+    the record, without any sequencing decision (the "set
+    representation" of Section 2.2). *)
+
+val sequence :
+  ?ident:(Path.t -> bool) -> strategy:Strategy.t -> flat -> Path.t array
+(** [sequence ~strategy f] is the constraint sequence of the flattened
+    record.  The result always satisfies {!Seq_constraint.is_valid}.
 
     [ident] extends the identical-sibling rule to a {e global} path-level
     trigger: the subtree recursion fires for any node whose path satisfies
@@ -34,20 +58,27 @@ val encode :
     documents duplicate a path must sequence that path's subtree
     contiguously in {e every} document (and in every query), otherwise
     the per-document deviation from pure priority order makes subsequence
-    matching miss valid embeddings.  {!Xseq} computes the flag set in a
-    pre-pass ("does any document contain this path twice?") and threads
-    it through both document encoding and query compilation. *)
+    matching miss valid embeddings.  {!Xseq} flags every path that some
+    record contains twice and threads the flags through both document
+    encoding and query compilation.
 
-val multiple_paths :
-  ?value_mode:value_mode -> Xmlcore.Xml_tree.t -> Path.t list
-(** The paths occurring at least twice in the document — the per-document
-    contribution to the global [ident] flag set. *)
+    Reads the intern tables only; safe to run on several domains. *)
+
+val encode :
+  ?value_mode:value_mode ->
+  ?scratch:scratch ->
+  ?ident:(Path.t -> bool) ->
+  strategy:Strategy.t ->
+  Xmlcore.Xml_tree.t ->
+  Path.t array
+(** [encode ~strategy t] is [sequence ~strategy (flatten t)].  Pass a
+    [scratch] when encoding many records. *)
 
 val paths_of_tree :
   ?value_mode:value_mode -> Xmlcore.Xml_tree.t -> Path.t array
-(** The multiset of path encodings of [t]'s nodes in document (pre-)order,
-    without any sequencing decision — the "set representation" of
-    Section 2.2, used by the DataGuide baseline and by statistics
+(** [paths (flatten t)], without the identical-sibling census or a
+    scratch: the path encodings of [t]'s nodes in document
+    (pre-)order, used by the DataGuide baseline and by statistics
     collection. *)
 
 val value_end_marker : Xmlcore.Designator.t

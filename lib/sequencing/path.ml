@@ -19,13 +19,12 @@ type t = int
 
 let dummy_tag = D.tag ""
 
-module PMap = Map.Make (struct
-  type t = int * int
+(* Keyed by (parent path, designator) packed into one int, so a lookup
+   compares machine integers and allocates no tuple.  Both ids stay far
+   below 2^31. *)
+module PMap = Map.Make (Int)
 
-  let compare (a1, a2) (b1, b2) =
-    let c = Stdlib.compare a1 b1 in
-    if c <> 0 then c else Stdlib.compare a2 b2
-end)
+let key p d = (p lsl 31) lor D.to_int d
 
 let map : int PMap.t Atomic.t = Atomic.make PMap.empty
 let parents : int array Atomic.t = Atomic.make (Array.make 4096 (-1))
@@ -63,7 +62,7 @@ let grow id =
   end
 
 let child p d =
-  let key = (p, D.to_int d) in
+  let key = key p d in
   (* Lock-free fast path: the path is already interned. *)
   match PMap.find_opt key (Atomic.get map) with
   | Some id -> id
@@ -87,7 +86,7 @@ let child p d =
           Atomic.set next (id + 1);
           id)
 
-let find_child p d = PMap.find_opt (p, D.to_int d) (Atomic.get map)
+let find_child p d = PMap.find_opt (key p d) (Atomic.get map)
 
 let parent p =
   if p = epsilon then invalid_arg "Path.parent: epsilon";

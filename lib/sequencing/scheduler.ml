@@ -2,7 +2,7 @@ type spec = {
   prio : int -> float;
   path_id : int -> int;
   rank : int -> int;
-  children : int -> int list;
+  iter_children : int -> (int -> unit) -> unit;
   has_identical : int -> bool;
 }
 
@@ -66,11 +66,9 @@ end
 let emit spec ~root =
   let out = ref [] in
   let push_children heap i =
-    List.iter
-      (fun c ->
+    spec.iter_children i (fun c ->
         Heap.push heap
           { Heap.prio = spec.prio c; path = spec.path_id c; rank = spec.rank c; item = c })
-      (spec.children i)
   in
   let rec sequentialize i =
     out := i :: !out;

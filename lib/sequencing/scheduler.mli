@@ -17,7 +17,8 @@ type spec = {
   prio : int -> float;  (** strategy priority; larger comes earlier *)
   path_id : int -> int;  (** [Path.to_int] of the node's encoding *)
   rank : int -> int;  (** pre-order position; must be unique *)
-  children : int -> int list;  (** children in document order *)
+  iter_children : int -> (int -> unit) -> unit;
+      (** applies a function to each child, in document order *)
   has_identical : int -> bool;
       (** whether some sibling carries the same path encoding *)
 }

@@ -17,10 +17,13 @@ let no_stats = create_stats ()
 
 let build docs =
   let trie = Xindex.Trie.create () in
+  let scratch = Encoder.create_scratch () in
   let seqs =
     Array.mapi
       (fun i doc ->
-        (Encoder.encode ~strategy:Strategy.Depth_first (T.sort_by_tag doc), i))
+        ( Encoder.encode ~scratch ~strategy:Strategy.Depth_first
+            (T.sort_by_tag doc),
+          i ))
       docs
   in
   Xindex.Trie.bulk_load trie seqs;

@@ -1,5 +1,4 @@
 module Path = Sequencing.Path
-module Ivec = Xutil.Ivec
 module Bs = Xutil.Binsearch
 module Store = Xstorage.Store
 
@@ -52,157 +51,59 @@ let has_nested pres posts off len =
   in
   scan 0
 
-(* Path dictionary: every path appearing anywhere is a trie-node path and
-   the trie is prefix-closed, so the node paths cover the dictionary.
-   Depth-then-id order guarantees parents precede children. *)
-let build_dict node_paths =
-  let seen = Hashtbl.create 256 in
-  Array.iter (fun p -> Hashtbl.replace seen p ()) node_paths;
-  let ordered =
-    List.sort
-      (fun a b ->
-        match Stdlib.compare (Path.depth a) (Path.depth b) with
-        | 0 -> Path.compare a b
-        | c -> c)
-      (Hashtbl.fold (fun p () acc -> p :: acc) seen [])
-  in
-  let paths = Array.of_list ordered in
-  let index_of = Hashtbl.create (Array.length paths) in
-  Array.iteri (fun i p -> Hashtbl.replace index_of p i) paths;
-  (paths, index_of)
-
 let freeze backend a =
   match backend with
   | Heap_arrays -> Store.heap a
   | Columnar -> Store.flat_of_array a
 
-(* Mutable link accumulator used during the DFS. *)
-type accum = {
-  apath : Path.t;
-  apres : Ivec.t;
-  aposts : Ivec.t;
-  aups : Ivec.t;
-  anodes : Ivec.t;
-}
-
-let of_trie ?(backend = Columnar) trie =
-  let nnodes = Trie.node_count trie + 1 in
-  (* Adjacency: children of each node, sorted by path id for a
-     deterministic labelling. *)
-  let children = Array.make nnodes [] in
-  Trie.iter_edges trie (fun parent child ->
-      children.(parent) <- child :: children.(parent));
-  Array.iteri
-    (fun i kids ->
-      children.(i) <-
-        List.sort
-          (fun a b -> Path.compare (Trie.path_of trie a) (Trie.path_of trie b))
-          kids)
-    children;
-  let pre = Array.make nnodes 0 in
-  let post = Array.make nnodes 0 in
-  let node_paths = Array.make nnodes Path.epsilon in
-  let accums : (Path.t, accum) Hashtbl.t = Hashtbl.create 1024 in
-  let stacks : (Path.t, int list ref) Hashtbl.t = Hashtbl.create 1024 in
-  let accum_of p =
-    match Hashtbl.find_opt accums p with
-    | Some a -> a
-    | None ->
-      let a =
-        {
-          apath = p;
-          apres = Ivec.create ();
-          aposts = Ivec.create ();
-          aups = Ivec.create ();
-          anodes = Ivec.create ();
-        }
-      in
-      Hashtbl.replace accums p a;
-      a
-  in
-  let stack_of p =
-    match Hashtbl.find_opt stacks p with
-    | Some s -> s
-    | None ->
-      let s = ref [] in
-      Hashtbl.replace stacks p s;
-      s
-  in
-  let counter = ref 0 in
-  (* Iterative DFS with enter/exit events.  Exit frames carry the link
-     position to backfill the post label. *)
-  let stack = Stack.create () in
-  Stack.push (`Enter 0) stack;
-  while not (Stack.is_empty stack) do
-    match Stack.pop stack with
-    | `Enter node ->
-      let serial = !counter in
-      incr counter;
-      pre.(node) <- serial;
-      let p = Trie.path_of trie node in
-      node_paths.(node) <- p;
-      let link_pos =
-        if node = 0 then -1
-        else begin
-          let a = accum_of p in
-          let s = stack_of p in
-          let up = match !s with [] -> -1 | top :: _ -> top in
-          let pos = Ivec.length a.apres in
-          Ivec.push a.apres serial;
-          Ivec.push a.aposts 0;
-          Ivec.push a.aups up;
-          Ivec.push a.anodes node;
-          s := pos :: !s;
-          pos
-        end
-      in
-      Stack.push (`Exit (node, link_pos)) stack;
-      (* Push children reversed so the smallest path id is visited first. *)
-      List.iter (fun c -> Stack.push (`Enter c) stack) (List.rev children.(node))
-    | `Exit (node, link_pos) ->
-      let last = !counter - 1 in
-      post.(node) <- last;
-      if node <> 0 then begin
-        let p = node_paths.(node) in
-        let a = accum_of p in
-        Ivec.set a.aposts link_pos last;
-        let s = stack_of p in
-        (match !s with
-         | _ :: rest -> s := rest
-         | [] -> assert false)
-      end
+(* Both constructors label a trie of [n] nodes (node 0 is the virtual
+   root) into per-node arrays, then call [assemble]:
+   - [order.(s)] is the node with serial [s], and [pre] its inverse;
+   - [post.(v)] is the largest serial in [v]'s subtree;
+   - [path.(v)] is [v]'s encoding, every path id below [width];
+   - [up.(v)] is the link position of [v]'s nearest same-path proper
+     ancestor, or -1;
+   - [ends] holds the (end node, document id) of every sequence, in
+     insertion order. *)
+let assemble ~backend ~width ~order ~pre ~post ~path ~up ends =
+  let n = Array.length pre in
+  (* Links are a counting sort of the nodes by path id: slots in
+     ascending path id, each slot's entries in serial order. *)
+  let next = Array.make width 0 in
+  for v = 1 to n - 1 do
+    let p = Path.to_int path.(v) in
+    next.(p) <- next.(p) + 1
   done;
-  (* Freeze links into the columnar layout: concatenated entry columns in
-     deterministic path order. *)
-  let ordered =
-    List.sort
-      (fun a b -> Path.compare a.apath b.apath)
-      (Hashtbl.fold (fun _ a acc -> a :: acc) accums [])
-  in
-  let nlinks = List.length ordered in
-  let total_entries = nnodes - 1 in
-  let l_pre = Array.make total_entries 0 in
-  let l_post = Array.make total_entries 0 in
-  let l_up = Array.make total_entries 0 in
-  let l_node = Array.make total_entries 0 in
+  let nlinks = Array.fold_left (fun k c -> if c > 0 then k + 1 else k) 0 next in
   let link_off = Array.make nlinks 0 in
   let link_len = Array.make nlinks 0 in
   let link_path_t = Array.make nlinks Path.epsilon in
-  let off = ref 0 in
-  List.iteri
-    (fun slot a ->
-      let len = Ivec.length a.apres in
-      link_off.(slot) <- !off;
-      link_len.(slot) <- len;
-      link_path_t.(slot) <- a.apath;
-      for i = 0 to len - 1 do
-        l_pre.(!off + i) <- Ivec.get a.apres i;
-        l_post.(!off + i) <- Ivec.get a.aposts i;
-        l_up.(!off + i) <- Ivec.get a.aups i;
-        l_node.(!off + i) <- Ivec.get a.anodes i
-      done;
-      off := !off + len)
-    ordered;
+  let slot = ref 0 and off = ref 0 in
+  for p = 0 to width - 1 do
+    let len = next.(p) in
+    if len > 0 then begin
+      link_off.(!slot) <- !off;
+      link_len.(!slot) <- len;
+      link_path_t.(!slot) <- Path.of_int p;
+      next.(p) <- !off;
+      off := !off + len;
+      incr slot
+    end
+  done;
+  let l_pre = Array.make (n - 1) 0 in
+  let l_post = Array.make (n - 1) 0 in
+  let l_up = Array.make (n - 1) 0 in
+  let l_node = Array.make (n - 1) 0 in
+  for s = 1 to n - 1 do
+    let v = order.(s) in
+    let p = Path.to_int path.(v) in
+    let e = next.(p) in
+    next.(p) <- e + 1;
+    l_pre.(e) <- s;
+    l_post.(e) <- post.(v);
+    l_up.(e) <- up.(v);
+    l_node.(e) <- v
+  done;
   let dir = Hashtbl.create nlinks in
   Array.iteri (fun slot p -> Hashtbl.replace dir p slot) link_path_t;
   let multi =
@@ -210,18 +111,25 @@ let of_trie ?(backend = Columnar) trie =
         has_nested l_pre l_post link_off.(slot) link_len.(slot))
   in
   (* Document table sorted by end-node serial. *)
-  let entries = Trie.doc_entries trie in
-  let pairs = Array.map (fun (node, doc) -> (pre.(node), doc)) entries in
+  let pairs = Array.map (fun (node, doc) -> (pre.(node), doc)) ends in
   Array.sort (fun (a, _) (b, _) -> Stdlib.compare a b) pairs;
   let doc_pre = Array.map fst pairs in
   let doc_id = Array.map snd pairs in
-  (* Dictionary and id-valued node-path column. *)
-  let paths, index_of = build_dict node_paths in
-  let node_path = Array.map (fun p -> Hashtbl.find index_of p) node_paths in
-  let link_path = Array.map (fun p -> Hashtbl.find index_of p) link_path_t in
+  (* Dictionary: epsilon and the link paths (every node path), by depth
+     then id — a stable sort of the id-ordered paths — so parents
+     precede children; node and link paths are stored as dictionary
+     indexes. *)
+  let paths = Array.append [| Path.epsilon |] link_path_t in
+  Array.stable_sort
+    (fun a b -> Int.compare (Path.depth a) (Path.depth b))
+    paths;
+  let index_of = next (* its offsets are spent *) in
+  Array.iteri (fun i p -> index_of.(Path.to_int p) <- i) paths;
+  let node_path = Array.map (fun p -> index_of.(Path.to_int p)) path in
+  let link_path = Array.map (fun p -> index_of.(Path.to_int p)) link_path_t in
   let fz = freeze backend in
   {
-    n = nnodes - 1;
+    n = n - 1;
     pre = fz pre;
     post = fz post;
     node_path = fz node_path;
@@ -239,6 +147,119 @@ let of_trie ?(backend = Columnar) trie =
     multi;
     source = None;
   }
+
+(* [entries] and [innermost] are per path id: the link entries created
+   so far, and the link position of the innermost open node.  Opening a
+   node makes it the innermost; closing it restores its [up]. *)
+let open_node ~entries ~innermost ~up v p =
+  let p = Path.to_int p in
+  up.(v) <- innermost.(p);
+  innermost.(p) <- entries.(p);
+  entries.(p) <- entries.(p) + 1
+
+let close_node ~innermost ~up v p = innermost.(Path.to_int p) <- up.(v)
+
+let of_trie ?(backend = Columnar) trie =
+  let n = Trie.node_count trie + 1 in
+  let path = Array.init n (Trie.path_of trie) in
+  let width = 1 + Array.fold_left (fun m p -> max m (Path.to_int p)) 0 path in
+  (* Adjacency: children of each node, sorted by path id for a
+     deterministic labelling. *)
+  let children = Array.make n [] in
+  Trie.iter_edges trie (fun parent child ->
+      children.(parent) <- child :: children.(parent));
+  Array.iteri
+    (fun i kids ->
+      children.(i) <-
+        List.sort (fun a b -> Path.compare path.(a) path.(b)) kids)
+    children;
+  let pre = Array.make n 0 and post = Array.make n 0 in
+  let order = Array.make n 0 and up = Array.make n (-1) in
+  let entries = Array.make width 0 and innermost = Array.make width (-1) in
+  let counter = ref 0 in
+  (* Iterative DFS with enter/exit events. *)
+  let stack = Stack.create () in
+  Stack.push (`Enter 0) stack;
+  while not (Stack.is_empty stack) do
+    match Stack.pop stack with
+    | `Enter v ->
+      pre.(v) <- !counter;
+      order.(!counter) <- v;
+      incr counter;
+      if v <> 0 then open_node ~entries ~innermost ~up v path.(v);
+      Stack.push (`Exit v) stack;
+      (* Push children reversed so the smallest path id is visited first. *)
+      List.iter (fun c -> Stack.push (`Enter c) stack) (List.rev children.(v))
+    | `Exit v ->
+      post.(v) <- !counter - 1;
+      if v <> 0 then close_node ~innermost ~up v path.(v)
+  done;
+  assemble ~backend ~width ~order ~pre ~post ~path ~up (Trie.doc_entries trie)
+
+(* Sequences sorted by [Trie.compare_seq] create trie nodes in
+   depth-first order, children by ascending path id: exactly the order
+   [of_trie] visits them.  So a node's id is its serial, the sequences
+   only have to be compared with their predecessor, and the nodes still
+   open when a sequence diverges from its predecessor are closed with
+   the last serial issued. *)
+let of_sorted ?(backend = Columnar) seqs =
+  let nseqs = Array.length seqs in
+  (* lcp.(k): the prefix sequence [k] shares with sequence [k - 1], i.e.
+     the nodes it reuses. *)
+  let lcp = Array.make nseqs 0 in
+  let n = ref 1 and width = ref 1 and depth = ref 0 in
+  Array.iteri
+    (fun k (s, _) ->
+      let len = Array.length s in
+      if len = 0 then invalid_arg "Labeled.of_sorted: empty sequence";
+      let l = ref 0 in
+      if k > 0 then begin
+        let prev = fst seqs.(k - 1) in
+        let plen = Array.length prev in
+        while !l < len && !l < plen && Path.equal s.(!l) prev.(!l) do
+          incr l
+        done;
+        if !l < plen && (!l = len || Path.compare s.(!l) prev.(!l) < 0) then
+          invalid_arg "Labeled.of_sorted: sequences are not sorted"
+      end;
+      lcp.(k) <- !l;
+      n := !n + len - !l;
+      depth := max !depth len;
+      for i = !l to len - 1 do
+        width := max !width (Path.to_int s.(i) + 1)
+      done)
+    seqs;
+  let n = !n in
+  let serial = Array.init n Fun.id in
+  let path = Array.make n Path.epsilon in
+  let post = Array.make n (n - 1) and up = Array.make n (-1) in
+  let entries = Array.make !width 0 and innermost = Array.make !width (-1) in
+  let open_at = Array.make (!depth + 1) 0 (* open node per depth *) in
+  let ends = Array.make nseqs (0, 0) in
+  let next = ref 1 and open_depth = ref 0 in
+  let close_below d =
+    for i = !open_depth downto d + 1 do
+      let v = open_at.(i) in
+      post.(v) <- !next - 1;
+      close_node ~innermost ~up v path.(v)
+    done;
+    open_depth := d
+  in
+  Array.iteri
+    (fun k (s, doc) ->
+      close_below lcp.(k);
+      for d = lcp.(k) + 1 to Array.length s do
+        let v = !next in
+        incr next;
+        path.(v) <- s.(d - 1);
+        open_node ~entries ~innermost ~up v path.(v);
+        open_at.(d) <- v
+      done;
+      open_depth := Array.length s;
+      ends.(k) <- (open_at.(!open_depth), doc))
+    seqs;
+  close_below 0;
+  assemble ~backend ~width:!width ~order:serial ~pre:serial ~post ~path ~up ends
 
 let node_count t = t.n
 let doc_count t = Store.length t.doc_id

@@ -43,6 +43,19 @@ val of_trie : ?backend:backend -> Trie.t -> t
     [backend] (default [Columnar]) picks the physical column
     representation; query answers are identical either way. *)
 
+val of_sorted : ?backend:backend -> (Path.t array * int) array -> t
+(** [of_sorted seqs] is the index {!of_trie} builds from
+    [Trie.bulk_load] of [seqs] — the same columns, byte for byte — for
+    [(sequence, document id)] pairs already sorted by
+    {!Trie.compare_seq}.  It builds no trie: sorted sequences create trie
+    nodes in the depth-first order the labelling visits them, so a node's
+    id is its serial, and one sweep comparing each sequence with its
+    predecessor assigns serials, closes ranges, links every node to its
+    nearest same-path ancestor and records where each sequence ends.
+    Path links are then a counting sort of the nodes by path id.
+
+    @raise Invalid_argument on an empty sequence or unsorted input. *)
+
 val remap : ?backend:backend -> t -> t
 (** The same index over different physical columns (default [Columnar]).
     Used by the storage benchmarks and backend-equivalence tests. *)

@@ -13,8 +13,6 @@ let create () =
   Ivec.push paths (Path.to_int Path.epsilon);
   { paths; edges = Hashtbl.create 4096; doc_nodes = Ivec.create (); doc_ids = Ivec.create () }
 
-let root _ = 0
-
 let edge_key parent path =
   (* Node and path ids stay well below 2^31 at any realistic scale. *)
   (parent lsl 31) lor path
@@ -61,16 +59,6 @@ let doc_count t = Ivec.length t.doc_ids
 let path_of t id = Path.of_int (Ivec.get t.paths id)
 
 let iter_edges t f = Hashtbl.iter (fun key child -> f (key lsr 31) child) t.edges
-
-let children_sorted t parent =
-  (* Enumerating the edge table per node would be quadratic; [Labeled]
-     calls this through a precomputed adjacency built once.  For direct
-     use we still provide a correct (if slow) fallback. *)
-  let acc = ref [] in
-  Hashtbl.iter
-    (fun key child -> if key lsr 31 = parent then acc := child :: !acc)
-    t.edges;
-  List.sort (fun a b -> Stdlib.compare (Ivec.get t.paths a) (Ivec.get t.paths b)) !acc
 
 let doc_entries t =
   Array.init (Ivec.length t.doc_ids) (fun i ->

@@ -16,10 +16,16 @@ val insert : t -> Path.t array -> doc:int -> unit
 (** Inserts one sequence; [doc] is the caller's document/record id.
     @raise Invalid_argument on an empty sequence. *)
 
+val compare_seq : Path.t array * int -> Path.t array * int -> int
+(** The order {!bulk_load} sorts [(sequence, document id)] pairs in:
+    lexicographic over path ids, a prefix before its extensions;
+    document ids are ignored. *)
+
 val bulk_load : t -> (Path.t array * int) array -> unit
-(** Sorts the sequences lexicographically before inserting — the paper's
-    static bulk load.  The resulting trie is identical to one built by
-    repeated {!insert}. *)
+(** Sorts the sequences with {!compare_seq} before inserting — the
+    paper's static bulk load.  The resulting trie holds the same
+    sequences as one built by repeated {!insert}; {!Labeled.of_sorted}
+    labels the sorted sequences without building it. *)
 
 val node_count : t -> int
 (** Number of trie nodes, excluding the virtual root. *)
@@ -30,9 +36,7 @@ val doc_count : t -> int
 (** Internal accessors used by {!Labeled} (stable, but not part of the
     user-facing API). *)
 
-val root : t -> int
 val path_of : t -> int -> Path.t
-val children_sorted : t -> int -> int list
 val iter_edges : t -> (int -> int -> unit) -> unit
 (** [iter_edges t f] applies [f parent child] to every trie edge, in no
     particular order. *)

@@ -303,7 +303,7 @@ let compile_one ~flagged ~strategy flat =
       Scheduler.prio;
       path_id = (fun i -> Path.to_int flat.fpaths.(i));
       rank = (fun i -> i);
-      children = (fun i -> flat.fchildren.(i));
+      iter_children = (fun i f -> List.iter f flat.fchildren.(i));
       has_identical;
     }
   in

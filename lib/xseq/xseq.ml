@@ -3,6 +3,7 @@ module Xpath = Xquery.Xpath_parser
 module T = Xmlcore.Xml_tree
 module Strategy = Sequencing.Strategy
 module Encoder = Sequencing.Encoder
+module Path = Sequencing.Path
 module Domain_pool = Xutil.Domain_pool
 
 type sequencing =
@@ -83,14 +84,6 @@ let resolve_strategy config stats =
     in
     (Strategy.Probability prio, Some stats)
 
-let canonicalize config doc =
-  match config.sequencing with
-  | Depth_first { canonical = true } | Breadth_first { canonical = true } ->
-    T.sort_by_tag doc
-  | Depth_first { canonical = false }
-  | Breadth_first { canonical = false }
-  | Random _ | Probability | Probability_weighted _ | Custom _ -> doc
-
 (* Runs [f] with the caller's pool when one is supplied, otherwise with a
    transient pool of [domains] workers (default 1 = inline, no domains
    spawned — the exact sequential code path). *)
@@ -101,71 +94,170 @@ let with_pool_opt ?domains ?pool f =
     let domains = match domains with Some d -> d | None -> 1 in
     Domain_pool.with_pool ~domains f
 
-let build ?domains ?pool ?(config = default_config) docs =
-  (* Deterministic phase discipline (DESIGN.md): the global designator and
-     path intern tables are unsynchronised, so every phase that can intern
-     runs sequentially first — in exactly the order the pure sequential
-     build interns — and the parallel phase below performs only read-only
-     lookups.  That makes the parallel build both safe and label-identical
-     to the sequential one. *)
-  (* Phase 1 (sequential, interns): probability statistics. *)
-  let strategy, stats =
-    resolve_strategy config (fun () ->
-        if config.sample_fraction >= 1.0 then
-          Xschema.Stats.of_documents_array ~value_mode:config.value_mode docs
-        else
-          Xschema.Stats.sample ~value_mode:config.value_mode
-            ~fraction:config.sample_fraction ~seed:config.sample_seed docs)
+(* Per-path counts over the flat records, indexed by path id: [stamp]
+   is the last record that contained the path, so a path seen again
+   under the same stamp occurs twice in that record ([multi], the global
+   identical-sibling trigger), and a path seen under a new stamp adds
+   one to its record frequency [freq] when the record is [counted].
+   Every path of [flats] is interned already, so its id is below
+   [Path.count ()]. *)
+type census = { stamp : int array; freq : int array; multi : Bytes.t }
+
+let count_paths ~counted flats =
+  let width = Path.count () in
+  let c =
+    {
+      stamp = Array.make width (-1);
+      freq = Array.make width 0;
+      multi = Bytes.make width '\000';
+    }
   in
-  (* Phase 2 (sequential, interns): global identical-sibling flags, in
-     document order.  Paths occurring twice in any document must be
-     sequenced subtree-contiguously everywhere, or query sequences cannot
-     align with data sequences (see Encoder.encode).  As a side effect
-     this pass interns every designator and path the encoder will touch —
-     [multiple_paths] and [encode] expand and flatten the same tree. *)
-  let ident_set = Hashtbl.create 256 in
-  Array.iter
-    (fun doc ->
-      List.iter
-        (fun p -> Hashtbl.replace ident_set p ())
-        (Encoder.multiple_paths ~value_mode:config.value_mode doc))
-    docs;
-  let ident p = Hashtbl.mem ident_set p in
-  (* Phase 3 (sequential, interns): canonicalisation.  Tag-sorting
-     interns whole-string value designators — new ones under the Text
-     value mode, whose encoder only interns per-character designators —
-     so it too must stay sequential and in document order. *)
-  let canon =
+  Array.iteri
+    (fun record flat ->
+      let counted = counted record in
+      Array.iter
+        (fun p ->
+          let p = Path.to_int p in
+          if c.stamp.(p) = record then Bytes.set c.multi p '\001'
+          else begin
+            c.stamp.(p) <- record;
+            if counted then c.freq.(p) <- c.freq.(p) + 1
+          end)
+        (Encoder.paths flat))
+    flats;
+  c
+
+let build ?domains ?pool ?on_phase ?(config = default_config) docs =
+  let phase name f =
+    match on_phase with
+    | None -> f ()
+    | Some report ->
+      let t0 = Unix.gettimeofday () in
+      let r = f () in
+      report name (Unix.gettimeofday () -. t0);
+      r
+  in
+  (* Phase discipline (DESIGN.md §9): the designator and path intern
+     tables are written only by the sequential walk below, in a fixed
+     order; the parallel phase only reads them.  That makes the parallel
+     build label-identical to the sequential one. *)
+  let ndocs = Array.length docs in
+  let value_mode = config.value_mode in
+  (* The probability model counts a Bernoulli sample of the records, or
+     all of them. *)
+  let sample =
     match config.sequencing with
-    | Depth_first { canonical = true } | Breadth_first { canonical = true } ->
-      Array.map (canonicalize config) docs
-    | Depth_first _ | Breadth_first _ | Random _ | Probability
-    | Probability_weighted _ | Custom _ ->
-      docs
+    | (Probability | Probability_weighted _)
+      when config.sample_fraction < 1.0 ->
+      Some
+        (Xschema.Stats.sample_members ~fraction:config.sample_fraction
+           ~seed:config.sample_seed ndocs)
+    | Probability | Probability_weighted _ | Depth_first _ | Breadth_first _
+    | Random _ | Custom _ ->
+      None
   in
-  (* Phase 4 (parallel, read-only): encoding.  Pure per document — it
-     reads the now-frozen intern tables, ident set and statistics. *)
+  let canonical =
+    match config.sequencing with
+    | Depth_first { canonical } | Breadth_first { canonical } -> canonical
+    | Random _ | Probability | Probability_weighted _ | Custom _ -> false
+  in
+  (* Phase 1 (sequential, interns): one walk per record flattens it.
+     Sampled records go first, then the rest, both in record order. *)
+  (* The build owns its flattening buffers: builds may run concurrently
+     on threads of one domain (a seal beside a background compaction). *)
+  let scratch = Encoder.create_scratch () in
+  let flats =
+    phase "flatten+intern" (fun () ->
+        let flats = Array.make ndocs None in
+        let walk i =
+          flats.(i) <- Some (Encoder.flatten ~value_mode ~scratch docs.(i))
+        in
+        (match sample with
+         | Some m ->
+           Array.iteri (fun i keep -> if keep then walk i) m;
+           Array.iteri (fun i keep -> if not keep then walk i) m
+         | None -> for i = 0 to ndocs - 1 do walk i done);
+        Array.map Option.get flats)
+  in
+  (* Phase 2 (sequential): per-path counts over the flat records, the
+     statistics they give, and the encoder's priority of every path. *)
+  let census, strategy, stats, encode_strategy =
+    phase "counts" (fun () ->
+        let census =
+          count_paths flats ~counted:(fun i ->
+              match sample with Some m -> m.(i) | None -> true)
+        in
+        let strategy, stats =
+          resolve_strategy config (fun () ->
+              let counts = ref [] in
+              for p = Array.length census.freq - 1 downto 0 do
+                if census.freq.(p) > 0 then
+                  counts := (Path.of_int p, census.freq.(p)) :: !counts
+              done;
+              let docs =
+                match sample with
+                | Some m ->
+                  Array.fold_left (fun n b -> if b then n + 1 else n) 0 m
+                | None -> ndocs
+              in
+              Xschema.Stats.of_path_counts ~docs (Array.of_list !counts))
+        in
+        (* Each path's priority is computed once, not once per node. *)
+        let encode_strategy =
+          match strategy with
+          | Strategy.Probability f ->
+            let prio =
+              Array.init (Array.length census.stamp) (fun p ->
+                  if census.stamp.(p) >= 0 then f (Path.of_int p) else 0.)
+            in
+            Strategy.Probability (fun p -> prio.(Path.to_int p))
+          | Strategy.Depth_first | Strategy.Breadth_first | Strategy.Random _ ->
+            strategy
+        in
+        (census, strategy, stats, encode_strategy))
+  in
+  let ident p = Bytes.get census.multi (Path.to_int p) <> '\000' in
+  (* Phase 3 (parallel, read-only): encoding from the flat records.
+     Canonical modes sequence the tag-sorted records instead; sorting
+     interns whole-string value designators (new ones under the Text
+     value mode), so it and the re-flattening run first, sequentially. *)
   let seqs =
-    with_pool_opt ?domains ?pool (fun p ->
-        Domain_pool.map p
-          (Encoder.encode ~value_mode:config.value_mode ~ident ~strategy)
-          canon)
+    phase "encode" (fun () ->
+        let flats =
+          if canonical then
+            Array.map
+              (fun d -> Encoder.flatten ~value_mode ~scratch (T.sort_by_tag d))
+              docs
+          else flats
+        in
+        with_pool_opt ?domains ?pool (fun p ->
+            Domain_pool.map p
+              (Encoder.sequence ~ident ~strategy:encode_strategy)
+              flats))
   in
   let total_seq_len = Array.fold_left (fun n s -> n + Array.length s) 0 seqs in
-  (* Phase 5 (sequential): loading.  [bulk_load] sorts the sequences, so
-     it is insertion-order-independent; the non-bulk path replays the
-     sequential insertion order exactly. *)
-  let trie = Xindex.Trie.create () in
-  if config.bulk then
-    Xindex.Trie.bulk_load trie (Array.mapi (fun i seq -> (seq, i)) seqs)
-  else Array.iteri (fun i seq -> Xindex.Trie.insert trie seq ~doc:i) seqs;
-  let labeled = Xindex.Labeled.of_trie trie in
+  (* Phase 4 (sequential): labelling.  The bulk path sorts the sequences
+     and labels them in one sweep; the non-bulk path replays the
+     sequential insertion order into a trie. *)
+  let labeled =
+    phase "sort+label" (fun () ->
+        if config.bulk then begin
+          let sorted = Array.mapi (fun i seq -> (seq, i)) seqs in
+          Array.sort Xindex.Trie.compare_seq sorted;
+          Xindex.Labeled.of_sorted sorted
+        end
+        else begin
+          let trie = Xindex.Trie.create () in
+          Array.iteri (fun i seq -> Xindex.Trie.insert trie seq ~doc:i) seqs;
+          Xindex.Labeled.of_trie trie
+        end)
+  in
   {
     labeled;
     strategy;
-    value_mode = config.value_mode;
+    value_mode;
     records = (if config.keep_documents then Trees docs else Dropped);
-    ndocs = Array.length docs;
+    ndocs;
     total_seq_len;
     stats;
     built_config = config;

@@ -55,19 +55,40 @@ type t
 val build :
   ?domains:int ->
   ?pool:Xutil.Domain_pool.t ->
+  ?on_phase:(string -> float -> unit) ->
   ?config:config ->
   Xmlcore.Xml_tree.t array ->
   t
 (** Builds an index over the documents; ids are array indices.
 
-    With [~domains:n] (or an existing [~pool]) the per-document encoding
-    phase is chunked across [n] worker domains.  The result is {e
+    The build runs four phases (DESIGN.md §9):
+    - ["flatten+intern"]: one walk per record interns its designators
+      and paths and keeps the record's flat pre-order form.  For a
+      sampled probability model the sampled records are walked first,
+      then the rest.
+    - ["counts"]: one pass over each flat record's paths, with per-path
+      arrays.  It yields the document frequencies of the [gbest]
+      statistics and the global identical-sibling flags (paths some
+      record contains twice).  Then each path's priority is computed
+      once.
+    - ["encode"]: the constraint sequence of every record, from its
+      flat form.  Canonical modes sequence the tag-sorted records
+      instead.
+    - ["sort+label"]: the sequences are sorted and labelled in one sweep
+      ({!Xindex.Labeled.of_sorted}).  With [bulk = false] they are
+      inserted into a trie in record order instead.
+
+    [on_phase] is called with each phase's name and wall-clock seconds
+    as it ends; it changes nothing about the result.
+
+    With [~domains:n] (or an existing [~pool]) the encoding phase is
+    chunked across [n] worker domains.  The result is {e
     label-identical} to the sequential build for every sequencing
-    strategy: all interning phases (statistics, identical-sibling
-    pre-pass, canonicalisation) run sequentially first, the parallel
-    phase only reads, and the trie bulk load is insertion-order
-    independent — see DESIGN.md, "Parallel construction".  The default
-    [domains = 1] spawns no domains and is the sequential code path. *)
+    strategy: only the sequential first phase (and the tag sort of the
+    canonical modes) interns, the parallel phase only reads, and the
+    sorted labelling is insertion-order independent — see DESIGN.md,
+    "Parallel construction".  The default [domains = 1] spawns no
+    domains and is the sequential code path. *)
 
 val query : ?stats:Xquery.Matcher.stats -> t -> Pattern.t -> int list
 (** Ids of the documents containing the pattern, sorted.  Queries whose

@@ -205,6 +205,96 @@ let prop_bulk_equals_incremental =
                s)
            seqs)
 
+(* Random multisets of sequences over a four-path alphabet: sequences
+   share prefixes, some are duplicated, some are truncated copies (a
+   prefix of another sequence), and one repeats a single path along its
+   whole root-to-leaf chain, so same-path nodes nest and [up] pointers
+   chain. *)
+let seq_alphabet =
+  [| p_of [ "a" ]; p_of [ "a"; "b" ]; p_of [ "c" ]; p_of [ "a"; "d" ] |]
+
+let seqs_gen : Path.t array list Gen.t =
+  let open Gen in
+  let seq = array_size (int_range 1 6) (oneofa seq_alphabet) in
+  let* base = list_size (int_range 1 8) seq in
+  let* derived =
+    list_size (int_range 0 6)
+      (let* s = oneofl base in
+       let* cut = int_range 1 (Array.length s) in
+       oneofl [ s; Array.sub s 0 cut ])
+  in
+  let* k = int_range 1 5 in
+  let* p = oneofa seq_alphabet in
+  let chain = Array.make k p in
+  (* [| a |] keeps the dictionary prefix-closed, as records' paths are. *)
+  shuffle_l ((chain :: [| seq_alphabet.(0) |] :: base) @ derived)
+
+let seqs_print seqs =
+  String.concat " | "
+    (List.map
+       (fun s -> String.concat "," (Array.to_list (Array.map Path.to_string s)))
+       seqs)
+
+(* Every column of the sorted sweep equals the column [of_trie] labels
+   from a bulk-loaded trie. *)
+let prop_sweep_equals_trie =
+  QCheck.Test.make ~name:"of_sorted = of_trie after bulk_load" ~count:300
+    (QCheck.make ~print:seqs_print seqs_gen) (fun seqs ->
+      let seqs = Array.of_list (List.mapi (fun i s -> (s, i)) seqs) in
+      let trie = Trie.create () in
+      Trie.bulk_load trie seqs;
+      let want = Labeled.of_trie trie in
+      let sorted = Array.copy seqs in
+      Array.sort Trie.compare_seq sorted;
+      let got = Labeled.of_sorted sorted in
+      let check what f =
+        let a = f want and b = f got in
+        if a <> b then QCheck.Test.fail_reportf "%s differs" what
+      in
+      let nodes l = List.init (Labeled.node_count l + 1) Fun.id in
+      check "pre" (fun l -> List.map (Labeled.pre_of_node l) (nodes l));
+      check "post" (fun l -> List.map (Labeled.post_of_node l) (nodes l));
+      check "node_path" (fun l -> List.map (Labeled.path_of_node l) (nodes l));
+      let dict =
+        List.sort_uniq Path.compare
+          (List.map (Labeled.path_of_node want) (nodes want))
+      in
+      let entries l =
+        List.map
+          (fun p ->
+            match Labeled.link l p with
+            | None -> None
+            | Some k ->
+              Some
+                (List.init (Labeled.link_length k) (fun i ->
+                     ( Labeled.link_pre k i,
+                       Labeled.link_post k i,
+                       Labeled.link_up k i,
+                       Labeled.link_node k i ))))
+          dict
+      in
+      check "distinct paths" Labeled.distinct_paths;
+      check "l_pre, l_post, l_up, l_node" entries;
+      check "multi" (fun l -> List.map (Labeled.path_multiple l) dict);
+      check "document table" (fun l ->
+          List.init (Labeled.doc_len l) (fun i ->
+              (Labeled.doc_pre_at l i, Labeled.doc_id_at l i)));
+      check "portable snapshot" (fun l ->
+          Marshal.to_string (Labeled.to_portable l) []);
+      true)
+
+let test_of_sorted_rejects () =
+  let a = p_of [ "a" ] and b = p_of [ "a"; "b" ] in
+  Alcotest.check_raises "unsorted"
+    (Invalid_argument "Labeled.of_sorted: sequences are not sorted") (fun () ->
+      ignore (Labeled.of_sorted [| ([| a; b |], 0); ([| a |], 1) |]));
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Labeled.of_sorted: empty sequence") (fun () ->
+      ignore (Labeled.of_sorted [| ([||], 0) |]));
+  let l = Labeled.of_sorted [||] in
+  Alcotest.(check (pair int int)) "no sequences: the root alone" (0, 0)
+    (Labeled.node_count l, Labeled.root_post l)
+
 let prop_docs_in_range =
   QCheck.Test.make ~name:"docs_in_range over full range = all docs" ~count:150
     arb_corpus (fun docs ->
@@ -228,6 +318,8 @@ let () =
           Alcotest.test_case "basic" `Quick test_labeled_basic;
           Alcotest.test_case "link lookup" `Quick test_link_lookup;
           Alcotest.test_case "path_multiple" `Quick test_path_multiple;
+          Alcotest.test_case "of_sorted rejects bad input" `Quick
+            test_of_sorted_rejects;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -235,6 +327,7 @@ let () =
             prop_link_invariants;
             prop_nearest_in_link;
             prop_bulk_equals_incremental;
+            prop_sweep_equals_trie;
             prop_docs_in_range;
           ] );
     ]

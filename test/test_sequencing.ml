@@ -183,10 +183,50 @@ let test_ident_flag_extends () =
     [ "P"; "P.D"; "P.Mid"; "P.D.Low" ]
     (path_strings (Enc.encode ~strategy:(S.Probability prio) t))
 
+(* The global identical-sibling trigger a build derives: a record
+   containing P.D twice makes every record sequence P.D's subtree
+   contiguously, as an explicit [ident] does above. *)
 let test_multiple_paths () =
-  let ps = Enc.multiple_paths fig3c in
-  Alcotest.(check (list string)) "duplicated paths" [ "P.D" ]
-    (List.map Path.to_string ps)
+  let prio p =
+    match D.name (Path.tag p) with
+    | "D" -> 0.8
+    | "Mid" -> 0.5
+    | "High" -> 0.4
+    | "Low" -> 0.1
+    | _ -> 1.0
+  in
+  let twice =
+    e "P" [ e "D" [ e "Low" [] ]; e "D" [ e "High" [] ]; e "Mid" [] ]
+  in
+  let once = e "P" [ e "D" [ e "Low" [] ]; e "Mid" [] ] in
+  (* The sequence of record [doc]: the paths of the trie nodes on the
+     root-to-end chain of its entry in the document table. *)
+  let sequence_of docs doc =
+    let config =
+      { Xseq.default_config with sequencing = Xseq.Custom (S.Probability prio) }
+    in
+    let l = Xseq.labeled (Xseq.build ~config docs) in
+    let module L = Xindex.Labeled in
+    let entry =
+      List.find
+        (fun i -> L.doc_id_at l i = doc)
+        (List.init (L.doc_len l) Fun.id)
+    in
+    let last = L.doc_pre_at l entry in
+    List.init (L.node_count l + 1) Fun.id
+    |> List.filter (fun n ->
+           n <> L.root_pre l
+           && L.pre_of_node l n <= last
+           && L.post_of_node l n >= last)
+    |> List.sort (fun a b -> compare (L.pre_of_node l a) (L.pre_of_node l b))
+    |> List.map (fun n -> Path.to_string (L.path_of_node l n))
+  in
+  Alcotest.(check (list string)) "alone, priority order"
+    [ "P"; "P.D"; "P.Mid"; "P.D.Low" ]
+    (sequence_of [| once |] 0);
+  Alcotest.(check (list string)) "beside a duplicate, contiguous"
+    [ "P"; "P.D"; "P.D.Low"; "P.Mid" ]
+    (sequence_of [| twice; once |] 1)
 
 let test_text_mode () =
   let t = e "L" [ v "ab" ] in

@@ -160,6 +160,59 @@ let test_size_accessors () =
   Alcotest.(check bool) "avg seq len" true (Xseq.average_sequence_length index > 0.);
   Alcotest.(check bool) "paths > 0" true (Xseq.distinct_paths index > 0)
 
+(* [on_phase] sees the four build phases in order and changes nothing. *)
+let test_build_phases () =
+  let docs = [| project_doc; fig4_doc |] in
+  let seen = ref [] in
+  let observed =
+    Xseq.build ~on_phase:(fun name _ -> seen := name :: !seen) docs
+  in
+  Alcotest.(check (list string)) "phases"
+    [ "flatten+intern"; "counts"; "encode"; "sort+label" ]
+    (List.rev !seen);
+  let portable i =
+    Marshal.to_string (Xindex.Labeled.to_portable (Xseq.labeled i)) []
+  in
+  Alcotest.(check bool) "same index" true
+    (portable observed = portable (Xseq.build docs))
+
+(* Builds running on threads of one domain — a seal beside a background
+   compaction — each own their flattening buffers.  The sequential
+   builds intern every path first, so the concurrent ones must
+   reproduce them exactly. *)
+let test_concurrent_builds () =
+  let corpora =
+    [|
+      Xdatagen.Dblp_gen.generate ~seed:3 1500;
+      Xdatagen.Xmark_gen.generate ~seed:4 ~identical_siblings:true 400;
+    |]
+  in
+  let portable docs =
+    let l = Xseq.labeled (Xseq.build docs) in
+    Marshal.to_string (Xindex.Labeled.to_portable l) []
+  in
+  let expected = Array.map portable corpora in
+  let results = Array.make_matrix 4 8 "" in
+  let threads =
+    Array.init 4 (fun t ->
+        Thread.create
+          (fun () ->
+            for round = 0 to 7 do
+              results.(t).(round) <- portable corpora.(t mod 2)
+            done)
+          ())
+  in
+  Array.iter Thread.join threads;
+  Array.iteri
+    (fun t rounds ->
+      Array.iter
+        (fun r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "thread %d equals the sequential build" t)
+            true (r = expected.(t mod 2)))
+        rounds)
+    results
+
 let test_document_roundtrip () =
   let index = build [ project_doc ] in
   Alcotest.(check bool) "kept document" true
@@ -350,6 +403,8 @@ let () =
           Alcotest.test_case "strategies agree" `Quick test_strategies_agree;
           Alcotest.test_case "text prefix" `Quick test_text_prefix;
           Alcotest.test_case "size accessors" `Quick test_size_accessors;
+          Alcotest.test_case "build phases" `Quick test_build_phases;
+          Alcotest.test_case "concurrent builds" `Quick test_concurrent_builds;
           Alcotest.test_case "document roundtrip" `Quick test_document_roundtrip;
         ] );
       ( "persistence",
