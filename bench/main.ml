@@ -440,15 +440,18 @@ let ablation_weights () =
   Printf.printf "%14s %12s %12s %12s\n" "w(date)" "candidates" "probes" "time(ms)";
   List.iter
     (fun w ->
-      let stats = Xschema.Stats.of_documents_array docs in
-      if w <> 1.0 then
-        Xschema.Stats.set_tag_weight stats (Xmlcore.Designator.tag "date") w;
+      (* The statistics price the paths of the index being built. *)
+      let weighted symbols =
+        let stats = Xschema.Stats.of_documents_array ~symbols docs in
+        if w <> 1.0 then Xschema.Stats.set_tag_weight stats "date" w;
+        Xschema.Stats.strategy stats
+      in
       let index =
         Xseq.build
           ~config:
             {
               Xseq.default_config with
-              sequencing = Xseq.Custom (Xschema.Stats.strategy stats);
+              sequencing = Xseq.Custom weighted;
               keep_documents = false;
             }
           docs
@@ -485,10 +488,9 @@ let ablation_buffer () =
 
 (* The index build broken down by phase, as [xseq index] runs it:
    parse the records' text, build (the phases [Xseq.build] reports),
-   save an xseqcol1 snapshot.  Each corpus is built first in a process
-   where its paths are not yet interned.  The last rows compare the
-   sorted bulk load of Section 4.1 with one-by-one trie insertion; they
-   rebuild the same corpus, so the intern tables are warm. *)
+   save an xseqcol1 snapshot.  The last rows compare the sorted bulk
+   load of Section 4.1 with one-by-one trie insertion, on the parsed
+   records of the first build. *)
 let ablation_bulk () =
   header
     "Build breakdown by phase (ms), and bulk load (sorted) vs incremental \
@@ -548,8 +550,8 @@ let ablation_bulk () =
     phases;
   row "total"
     (List.map (fun (_, ts, _, _) -> List.fold_left ( +. ) 0. ts) columns);
-  row "build, incremental (warm)" (List.map (fun (_, _, t, _) -> t) columns);
-  row "build, bulk (warm)" (List.map (fun (_, _, _, t) -> t) columns);
+  row "build, incremental" (List.map (fun (_, _, t, _) -> t) columns);
+  row "build, bulk" (List.map (fun (_, _, _, t) -> t) columns);
   flush stdout
 
 (* Hashed vs character-sequence value representation (Section 2.1). *)
@@ -591,8 +593,17 @@ let parallel () =
   let docs = Syn.dataset params n in
   let domain_counts = [ 1; 2; 4; 8 ] in
   let baseline = Xseq.build docs in
+  (* The columnar snapshot bytes: labels, links, document table and path
+     dictionary. *)
   let fingerprint index =
-    Marshal.to_string (Xindex.Labeled.to_portable (Xseq.labeled index)) []
+    let store = Xstorage.Store.memory () in
+    Xindex.Labeled.add_to_store (Xseq.labeled index) store;
+    let file = Filename.temp_file "xseq_fingerprint" ".col" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove file)
+      (fun () ->
+        Xstorage.Store.write store file;
+        In_channel.with_open_bin file In_channel.input_all)
   in
   let base_fp = fingerprint baseline in
   let queries =
@@ -1779,6 +1790,7 @@ let micro () =
   let params = { Syn.l = 3; f = 5; a = 25; i = 10; p = 40 } in
   let docs = Syn.dataset params 2_000 in
   let stats = Xschema.Stats.of_documents_array docs in
+  let symbols = Xschema.Stats.symbols stats in
   let strategy = Xschema.Stats.strategy stats in
   let index = Xseq.build docs in
   let xmark = Xdatagen.Xmark_gen.generate ~identical_siblings:true 2_000 in
@@ -1801,17 +1813,18 @@ let micro () =
       Test.make ~name:"fig14-encode-constraint"
         (Staged.stage
            (let scratch = Sequencing.Encoder.create_scratch () in
-            fun () -> Sequencing.Encoder.encode ~scratch ~strategy docs.(0)));
+            fun () ->
+              Sequencing.Encoder.encode ~scratch ~strategy symbols docs.(0)));
       Test.make ~name:"fig14-encode-depth-first"
         (Staged.stage
            (let scratch = Sequencing.Encoder.create_scratch () in
             fun () ->
               Sequencing.Encoder.encode ~scratch
-                ~strategy:Sequencing.Strategy.Depth_first docs.(0)));
+                ~strategy:Sequencing.Strategy.Depth_first symbols docs.(0)));
       (* Figure 15 / Tables 5-6: trie insertion. *)
       Test.make ~name:"table5-trie-insert"
         (Staged.stage
-           (let seq = Sequencing.Encoder.encode ~strategy docs.(0) in
+           (let seq = Sequencing.Encoder.encode ~strategy symbols docs.(0) in
             fun () ->
               let t = Xindex.Trie.create () in
               Xindex.Trie.insert t seq ~doc:0));

@@ -165,14 +165,17 @@ let sequence_cmd =
     let config = config_of_strategy strategy in
     let index = Xseq.build ~config docs in
     let strategy = Xseq.strategy index in
+    let symbols = Xseq.symbols index in
     let scratch = Sequencing.Encoder.create_scratch () in
     Array.iteri
       (fun i doc ->
         if i < limit then begin
-          let seq = Sequencing.Encoder.encode ~scratch ~strategy doc in
+          let seq = Sequencing.Encoder.encode ~scratch ~strategy symbols doc in
           Printf.printf "record %d: %s\n" i
             (String.concat " "
-               (List.map Sequencing.Path.to_string (Array.to_list seq)))
+               (List.map
+                  (Sequencing.Symtab.Path.to_string symbols)
+                  (Array.to_list seq)))
         end)
       docs
   in
@@ -1720,22 +1723,21 @@ let paths_cmd =
     | Some stats ->
       (* Enumerate the index's element paths with their estimates. *)
       let labeled = Xseq.labeled index in
+      let module Path = Sequencing.Symtab.Path in
+      let symbols = Xseq.symbols index in
       let rec walk acc p =
         List.fold_left
-          (fun acc c ->
-            if Option.is_some (Xindex.Labeled.link labeled c) then
-              walk ((c, Xschema.Stats.p_root stats c) :: acc) c
-            else acc)
+          (fun acc c -> walk ((c, Xschema.Stats.p_root stats c) :: acc) c)
           acc
-          (Sequencing.Path.element_children p)
+          (Path.element_children symbols p)
       in
-      let all = walk [] Sequencing.Path.epsilon in
+      let all = walk [] Path.epsilon in
       let sorted = List.sort (fun (_, a) (_, b) -> Stdlib.compare b a) all in
       Printf.printf "%-44s %10s %10s\n" "path" "p(C|root)" "duplicated";
       List.iteri
         (fun i (p, prob) ->
           if i < top then
-            Printf.printf "%-44s %10.4f %10b\n" (Sequencing.Path.to_string p) prob
+            Printf.printf "%-44s %10.4f %10b\n" (Path.to_string symbols p) prob
               (Xindex.Labeled.path_multiple labeled p))
         sorted
   in

@@ -60,15 +60,14 @@ let () =
   (* Eq. 6 in action: boost a frequently-queried, highly selective path so
      it appears earlier in the sequences, shrinking the search space. *)
   Printf.printf "\ntuning: weighting the selective 'date' path (Eq. 6)\n";
-  let stats = Xschema.Stats.of_documents_array docs in
-  Xschema.Stats.set_tag_weight stats (Xmlcore.Designator.tag "date") 50.0;
+  let date_weighted symbols =
+    let stats = Xschema.Stats.of_documents_array ~symbols docs in
+    Xschema.Stats.set_tag_weight stats "date" 50.0;
+    Xschema.Stats.strategy stats
+  in
   let weighted =
     Xseq.build
-      ~config:
-        {
-          Xseq.default_config with
-          sequencing = Xseq.Custom (Xschema.Stats.strategy stats);
-        }
+      ~config:{ Xseq.default_config with sequencing = Xseq.Custom date_weighted }
       docs
   in
   let q1 = snd (List.hd queries) in

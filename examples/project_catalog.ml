@@ -7,7 +7,7 @@
 module T = Xmlcore.Xml_tree
 module Enc = Sequencing.Encoder
 module S = Sequencing.Strategy
-module Path = Sequencing.Path
+module Path = Sequencing.Symtab.Path
 
 let e = T.elt
 let v = T.text
@@ -39,26 +39,30 @@ let other_projects =
     e "P" [ v "xml"; e "D" [ e "L" [ v "newyork" ]; e "M" [ v "johnson" ] ] ];
   ]
 
+(* Every sequence below is made of the paths of one symbol table. *)
+let symbols = Sequencing.Symtab.create ()
+
 let print_seq title seq =
   Printf.printf "%-14s %s\n" title
-    (String.concat " " (List.map Path.to_string (Array.to_list seq)))
+    (String.concat " " (List.map (Path.to_string symbols) (Array.to_list seq)))
 
 let () =
   Printf.printf "=== sequencing Figure 1 under different strategies ===\n";
-  print_seq "depth-first" (Enc.encode ~strategy:S.Depth_first project);
-  print_seq "breadth-first" (Enc.encode ~strategy:S.Breadth_first project);
-  print_seq "random(7)" (Enc.encode ~strategy:(S.Random 7) project);
+  let encode strategy = Enc.encode ~strategy symbols project in
+  print_seq "depth-first" (encode S.Depth_first);
+  print_seq "breadth-first" (encode S.Breadth_first);
+  print_seq "random(7)" (encode (S.Random 7));
 
   (* The probability strategy orders by sampled occurrence probability. *)
   let docs = Array.of_list (project :: other_projects) in
-  let stats = Xschema.Stats.of_documents_array docs in
-  print_seq "gbest" (Enc.encode ~strategy:(Xschema.Stats.strategy stats) project);
+  let stats = Xschema.Stats.of_documents_array ~symbols docs in
+  print_seq "gbest" (encode (Xschema.Stats.strategy stats));
 
   (* Every one of them reconstructs the same tree (Theorem 1). *)
   let ok =
     List.for_all
       (fun strategy ->
-        T.isomorphic project (Sequencing.Decoder.decode (Enc.encode ~strategy project)))
+        T.isomorphic project (Sequencing.Decoder.decode symbols (encode strategy)))
       [ S.Depth_first; S.Breadth_first; S.Random 7; Xschema.Stats.strategy stats ]
   in
   Printf.printf "all sequences decode back to the same tree: %b\n\n" ok;

@@ -8,7 +8,7 @@
    Run with:  dune exec examples/schema_driven.exe *)
 
 module Schema = Xschema.Schema
-module Path = Sequencing.Path
+module Path = Sequencing.Symtab.Path
 
 (* Figure 12: P(1.0){ v1(0.001), R(0.9){ U(0.8){ M(0.8){v2} }, L(0.4){v3} } } *)
 let schema =
@@ -31,9 +31,10 @@ let schema =
 
 let () =
   Printf.printf "=== Figure 13: derived p(C|root) ===\n";
+  let symbols = Sequencing.Symtab.create () in
   List.iter
-    (fun (path, p) -> Printf.printf "  %-14s %.4f\n" (Path.to_string path) p)
-    (Schema.p_root schema);
+    (fun (path, p) -> Printf.printf "  %-14s %.4f\n" (Path.to_string symbols path) p)
+    (Schema.p_root schema symbols);
 
   (* A document conforming to the schema, sequenced by the schema-driven
      strategy: frequent elements first, rare values last (the paper's
@@ -47,9 +48,11 @@ let () =
             [ elt "U" [ elt "M" [ text "v2" ] ]; elt "L" [ text "v3" ] ];
         ])
   in
-  let seq = Sequencing.Encoder.encode ~strategy:(Schema.strategy schema) doc in
+  let seq =
+    Sequencing.Encoder.encode ~strategy:(Schema.strategy schema symbols) symbols doc
+  in
   Printf.printf "\nschema-driven sequence:\n  %s\n"
-    (String.concat " " (List.map Path.to_string (Array.to_list seq)));
+    (String.concat " " (List.map (Path.to_string symbols) (Array.to_list seq)));
 
   (* The same strategy plugs into index construction via Custom. *)
   let docs =

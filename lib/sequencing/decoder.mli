@@ -10,8 +10,9 @@
 
 exception Invalid_sequence of string
 
-val decode : Path.t array -> Xmlcore.Xml_tree.t
-(** [decode seq] rebuilds the tree.  Leaves whose designator is a value
+val decode : Symtab.t -> Symtab.Path.t array -> Xmlcore.Xml_tree.t
+(** [decode symbols seq] rebuilds the tree from a sequence over the
+    paths of [symbols].  Leaves whose designator is a value
     designator become [Value] nodes; everything else becomes an element.
     @raise Invalid_sequence if [seq] is not a valid ancestor-first
     constraint sequence (see {!Seq_constraint.is_valid}). *)

@@ -1,9 +1,10 @@
-module D = Xmlcore.Designator
+module D = Symtab.Designator
+module Path = Symtab.Path
 module T = Xmlcore.Xml_tree
 
 type value_mode = Hashed | Text
 
-let value_end_marker = D.value "\x00end"
+let value_end = "\x00end"
 
 (* A record flattened in pre-order.  The children of node [i] are
    [i + 1], then [stop.(c)] after each child [c], while below
@@ -21,9 +22,9 @@ let paths f = f.fpaths
    path id: they hold the last sibling group (a counter of the scratch)
    in which the path occurred once and twice, so spotting identical
    siblings takes two array reads per child, with no table per node and
-   nothing to reset between groups or records.  They grow to the number
-   of interned paths on the first sibling group, so one scratch should
-   serve many records. *)
+   nothing to reset between groups or records.  They grow to the size of
+   the symbol table on the first sibling group, so one scratch should
+   serve many records of one build. *)
 type scratch = {
   mutable spaths : Path.t array;
   mutable sstop : int array;
@@ -57,11 +58,11 @@ let push s path =
   Bytes.unsafe_set s.stwin i '\000';
   s.n <- i + 1
 
-let mark_twins s i =
+let mark_twins symbols s i =
   let stop = s.sstop.(i) and first = i + 1 in
   (* Only a node with at least two children can have identical ones. *)
   if first < stop && s.sstop.(first) < stop then begin
-    let width = Path.count () and cap = Array.length s.seen in
+    let width = Symtab.path_count symbols and cap = Array.length s.seen in
     if width > cap then begin
       let grow a = Array.append a (Array.make (max width (2 * cap) - cap) 0) in
       s.seen <- grow s.seen;
@@ -83,57 +84,50 @@ let mark_twins s i =
     done
   end
 
-(* Pre-order: a node's path is interned before any of its children's,
-   and value designators in document order.  A text value becomes a
-   chain of character designators closed by [value_end_marker]; its
-   characters are interned last to first, the order in which the
-   recursive tree expansion this walk replaced created them. *)
-let rec visit s ~twins mode parent t =
+(* Pre-order: a node's path is interned before any of its children's.
+   A text value becomes a chain of character designators closed by the
+   [value_end] designator. *)
+let rec visit symbols s ~twins mode parent t =
   match t with
-  | T.Element (d, cs) ->
+  | T.Element (name, cs) ->
     let i = s.n in
-    push s (Path.child parent d);
+    push s (Path.child symbols parent (D.tag symbols name));
     let path = s.spaths.(i) in
-    List.iter (visit s ~twins mode path) cs;
+    List.iter (visit symbols s ~twins mode path) cs;
     s.sstop.(i) <- s.n;
-    if twins then mark_twins s i
+    if twins then mark_twins symbols s i
   | T.Value v ->
     (match mode with
      | Hashed ->
-       push s (Path.child parent (D.value v));
+       push s (Path.child symbols parent (D.value symbols v));
        s.sstop.(s.n - 1) <- s.n
      | Text ->
-       let len = String.length v in
-       let ds = Array.make len value_end_marker in
-       for k = len - 1 downto 0 do
-         ds.(k) <- D.char_value v.[k]
-       done;
        let first = s.n in
        let p = ref parent in
-       Array.iter
-         (fun d ->
-           p := Path.child !p d;
+       String.iter
+         (fun c ->
+           p := Path.child symbols !p (D.char_value symbols c);
            push s !p)
-         ds;
-       push s (Path.child !p value_end_marker);
+         v;
+       push s (Path.child symbols !p (D.value symbols value_end));
        for k = first to s.n - 1 do
          s.sstop.(k) <- s.n
        done)
 
-let flatten_with s ~twins value_mode t =
+let flatten_with symbols s ~twins value_mode t =
   s.n <- 0;
-  visit s ~twins value_mode Path.epsilon t;
+  visit symbols s ~twins value_mode Path.epsilon t;
   {
     fpaths = Array.sub s.spaths 0 s.n;
     stop = Array.sub s.sstop 0 s.n;
     twin = Bytes.sub s.stwin 0 s.n;
   }
 
-let priority_fun strategy paths =
+let priority_fun symbols strategy paths =
   match strategy with
   | Strategy.Depth_first -> fun i -> -.float_of_int i
   | Strategy.Breadth_first ->
-    fun i -> -.float_of_int ((Path.depth paths.(i) * (1 lsl 26)) + i)
+    fun i -> -.float_of_int ((Path.depth symbols paths.(i) * (1 lsl 26)) + i)
   | Strategy.Random seed ->
     let salt = Array.fold_left (fun h p -> (h * 31) + Path.to_int p) 17 paths in
     let rng = Random.State.make [| seed; salt |] in
@@ -141,11 +135,12 @@ let priority_fun strategy paths =
     fun i -> prios.(i)
   | Strategy.Probability f -> fun i -> f paths.(i)
 
-let sequence ?(ident = fun _ -> false) ~strategy f =
+let sequence ?(ident = fun _ -> false) ~strategy symbols f =
   let paths = f.fpaths in
   let spec =
     {
-      Scheduler.prio = priority_fun strategy paths;
+      Scheduler.prio = priority_fun symbols strategy paths;
+      depth = (fun i -> Path.depth symbols paths.(i));
       path_id = (fun i -> Path.to_int paths.(i));
       rank = Fun.id;
       iter_children =
@@ -164,13 +159,13 @@ let sequence ?(ident = fun _ -> false) ~strategy f =
   List.iteri (fun k i -> seq.(k) <- paths.(i)) (Scheduler.emit spec ~root:0);
   seq
 
-let flatten ?(value_mode = Hashed) ?(scratch = create_scratch ()) t =
-  flatten_with scratch ~twins:true value_mode t
+let flatten ?(value_mode = Hashed) ?(scratch = create_scratch ()) symbols t =
+  flatten_with symbols scratch ~twins:true value_mode t
 
-let encode ?value_mode ?scratch ?ident ~strategy t =
-  sequence ?ident ~strategy (flatten ?value_mode ?scratch t)
+let encode ?value_mode ?scratch ?ident ~strategy symbols t =
+  sequence ?ident ~strategy symbols (flatten ?value_mode ?scratch symbols t)
 
 (* Without identical-sibling flags a fresh scratch costs only the size
    of the record. *)
-let paths_of_tree ?(value_mode = Hashed) t =
-  (flatten_with (create_scratch ()) ~twins:false value_mode t).fpaths
+let paths_of_tree ?(value_mode = Hashed) symbols t =
+  (flatten_with symbols (create_scratch ()) ~twins:false value_mode t).fpaths

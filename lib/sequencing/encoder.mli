@@ -24,31 +24,37 @@ type flat
 
 type scratch
 (** Growable buffers for {!flatten}, including an identical-sibling
-    census indexed by path id that grows to the number of interned
-    paths.  A scratch is reused across records to avoid that cost per
-    record.  It is mutable and unsynchronised: give each thread or domain
-    that flattens its own. *)
+    census indexed by path id that grows to the size of the symbol
+    table.  A scratch is reused across the records of one build to avoid
+    that cost per record.  It is mutable and unsynchronised: give each
+    thread or domain that flattens its own. *)
 
 val create_scratch : unit -> scratch
 
 val flatten :
-  ?value_mode:value_mode -> ?scratch:scratch -> Xmlcore.Xml_tree.t -> flat
-(** [flatten t] interns [t]'s designators and paths, in pre-order, and
-    records [t]'s node paths and identical-sibling flags.  Identical
-    siblings are found in time linear in the number of children.  The
-    result does not alias [scratch] (default: a fresh one).  Once every
-    path of [t] is interned, [flatten] only reads the intern tables, so
-    it may run on several domains at once, each with its own scratch.
-    Default [value_mode] is {!Hashed}. *)
+  ?value_mode:value_mode ->
+  ?scratch:scratch ->
+  Symtab.t ->
+  Xmlcore.Xml_tree.t ->
+  flat
+(** [flatten symbols t] interns [t]'s designators and paths into
+    [symbols], in pre-order, and records [t]'s node paths and
+    identical-sibling flags.  Identical siblings are found in time linear
+    in the number of children.  The result does not alias [scratch]
+    (default: a fresh one).  Default [value_mode] is {!Hashed}. *)
 
-val paths : flat -> Path.t array
+val paths : flat -> Symtab.Path.t array
 (** The node paths in pre-order — the multiset of path encodings of
     the record, without any sequencing decision (the "set
     representation" of Section 2.2). *)
 
 val sequence :
-  ?ident:(Path.t -> bool) -> strategy:Strategy.t -> flat -> Path.t array
-(** [sequence ~strategy f] is the constraint sequence of the flattened
+  ?ident:(Symtab.Path.t -> bool) ->
+  strategy:Strategy.t ->
+  Symtab.t ->
+  flat ->
+  Symtab.Path.t array
+(** [sequence ~strategy symbols f] is the constraint sequence of the flattened
     record.  The result always satisfies {!Seq_constraint.is_valid}.
 
     [ident] extends the identical-sibling rule to a {e global} path-level
@@ -62,25 +68,31 @@ val sequence :
     record contains twice and threads the flags through both document
     encoding and query compilation.
 
-    Reads the intern tables only; safe to run on several domains. *)
+    Only reads [symbols], which must be the table [f] was flattened
+    into; safe to run on several domains. *)
 
 val encode :
   ?value_mode:value_mode ->
   ?scratch:scratch ->
-  ?ident:(Path.t -> bool) ->
+  ?ident:(Symtab.Path.t -> bool) ->
   strategy:Strategy.t ->
+  Symtab.t ->
   Xmlcore.Xml_tree.t ->
-  Path.t array
-(** [encode ~strategy t] is [sequence ~strategy (flatten t)].  Pass a
-    [scratch] when encoding many records. *)
+  Symtab.Path.t array
+(** [encode ~strategy symbols t] is
+    [sequence ~strategy symbols (flatten symbols t)].  Pass a [scratch]
+    when encoding many records. *)
 
 val paths_of_tree :
-  ?value_mode:value_mode -> Xmlcore.Xml_tree.t -> Path.t array
+  ?value_mode:value_mode ->
+  Symtab.t ->
+  Xmlcore.Xml_tree.t ->
+  Symtab.Path.t array
 (** [paths (flatten t)], without the identical-sibling census or a
     scratch: the path encodings of [t]'s nodes in document
     (pre-)order, used by the DataGuide baseline and by statistics
     collection. *)
 
-val value_end_marker : Xmlcore.Designator.t
-(** Terminator designator closing every {!Text}-mode value chain, so that
-    equality queries do not match proper prefixes. *)
+val value_end : string
+(** The value whose designator closes every {!Text}-mode value chain, so
+    that equality queries do not match proper prefixes. *)

@@ -1,11 +1,11 @@
-module D = Xmlcore.Designator
 module T = Xmlcore.Xml_tree
 
-type t = { parents : int array; tags : D.t array }
+type label = Tag of string | Text of string
+type t = { parents : int array; tags : label array }
 
 let encode tree =
   let n = T.node_count tree in
-  let tags = Array.make n (D.tag "") in
+  let tags = Array.make n (Tag "") in
   let parent = Array.make (n + 1) 0 in
   let degree = Array.make (n + 1) 0 in
   (* Post-order numbering. *)
@@ -15,7 +15,7 @@ let encode tree =
     incr counter;
     let me = !counter in
     tags.(me - 1) <-
-      (match t with T.Element (d, _) -> d | T.Value s -> D.value s);
+      (match t with T.Element (name, _) -> Tag name | T.Value s -> Text s);
     List.iter
       (fun k ->
         parent.(k) <- me;
@@ -84,10 +84,10 @@ let decode { parents; tags } =
   (* Post-order sibling numbers increase left to right, so sort. *)
   let rec build k =
     let kids = List.sort Stdlib.compare children.(k) in
-    let d = tags.(k - 1) in
-    match kids with
-    | [] when D.is_value d -> T.Value (D.name d)
-    | kids -> T.Element (d, List.map build kids)
+    match tags.(k - 1), kids with
+    | Text s, [] -> T.Value s
+    | Text _, _ :: _ -> invalid_arg "Prufer.decode: value with children"
+    | Tag name, kids -> T.Element (name, List.map build kids)
   in
   build n
 

@@ -7,17 +7,20 @@
     exactly, including sibling order (post-order numbers of siblings
     increase left to right). *)
 
+type label =
+  | Tag of string  (** an element or attribute name *)
+  | Text of string  (** a value leaf *)
+
 type t = {
   parents : int array;
       (** [parents.(i)] is the number of the parent of the (i+1)-th deleted
           leaf; length n-1. *)
-  tags : Xmlcore.Designator.t array;
-      (** [tags.(k)] is the designator of node number [k+1]; length n. *)
+  tags : label array;  (** [tags.(k)] labels node number [k+1]; length n. *)
 }
 
 val encode : Xmlcore.Xml_tree.t -> t
-(** Prüfer code of the tree; value leaves are labelled with value
-    designators. *)
+(** Prüfer code of the tree; value leaves are labelled with their
+    text. *)
 
 val decode : t -> Xmlcore.Xml_tree.t
 (** Inverse of {!encode}. @raise Invalid_argument on a malformed code. *)

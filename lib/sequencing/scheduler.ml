@@ -1,5 +1,6 @@
 type spec = {
   prio : int -> float;
+  depth : int -> int;
   path_id : int -> int;
   rank : int -> int;
   iter_children : int -> (int -> unit) -> unit;
@@ -7,17 +8,19 @@ type spec = {
 }
 
 module Heap = struct
-  type entry = { prio : float; path : int; rank : int; item : int }
+  type entry = { prio : float; depth : int; path : int; rank : int; item : int }
   type t = { mutable data : entry array; mutable size : int }
 
-  let dummy = { prio = 0.; path = 0; rank = 0; item = 0 }
+  let dummy = { prio = 0.; depth = 0; path = 0; rank = 0; item = 0 }
   let create () = { data = Array.make 16 dummy; size = 0 }
   let is_empty h = h.size = 0
 
   let before a b =
     a.prio > b.prio
-    || (a.prio = b.prio
-        && (a.path < b.path || (a.path = b.path && a.rank < b.rank)))
+    || a.prio = b.prio
+       && (a.depth < b.depth
+          || a.depth = b.depth
+             && (a.path < b.path || (a.path = b.path && a.rank < b.rank)))
 
   let push h e =
     if h.size = Array.length h.data then begin
@@ -68,7 +71,13 @@ let emit spec ~root =
   let push_children heap i =
     spec.iter_children i (fun c ->
         Heap.push heap
-          { Heap.prio = spec.prio c; path = spec.path_id c; rank = spec.rank c; item = c })
+          {
+            Heap.prio = spec.prio c;
+            depth = spec.depth c;
+            path = spec.path_id c;
+            rank = spec.rank c;
+            item = c;
+          })
   in
   let rec sequentialize i =
     out := i :: !out;

@@ -11,22 +11,22 @@
 
 type kind = F1 | F2
 
-val forward_prefix : Path.t array -> int -> int option
-(** [forward_prefix seq i] is the index of the forward prefix of element
-    [i]: the nearest [j < i] with [seq.(j) = Path.parent seq.(i)]
+val forward_prefix : Symtab.t -> Symtab.Path.t array -> int -> int option
+(** [forward_prefix symbols seq i] is the index of the forward prefix of
+    element [i]: the nearest [j < i] with [seq.(j) = Path.parent seq.(i)]
     (Definition 2, restricted to ancestor-first sequences, which is what
     {!Encoder} produces and the paper's sequencing procedure guarantees).
     [None] when no such element exists — for the root, or for an invalid
     sequence. *)
 
-val is_valid : Path.t array -> bool
-(** [is_valid seq] checks that [seq] is a well-formed ancestor-first
-    constraint sequence: it is non-empty, its first element has depth 1,
-    and every later element has a forward prefix (so the tree can be
-    reconstructed by {!Decoder}). *)
+val is_valid : Symtab.t -> Symtab.Path.t array -> bool
+(** [is_valid symbols seq] checks that [seq] is a well-formed
+    ancestor-first constraint sequence: it is non-empty, its first
+    element has depth 1, and every later element has a forward prefix
+    (so the tree can be reconstructed by {!Decoder}). *)
 
-val holds : kind -> Path.t array -> int -> int -> bool
-(** [holds k seq i j] evaluates the constraint [f_k(seq.(i), seq.(j))]:
-    for {!F1}, strict prefix containment; for {!F2}, whether [i] is the
-    forward prefix of [j] at depth [Path.depth seq.(i)].  Indices must be
-    valid. *)
+val holds : Symtab.t -> kind -> Symtab.Path.t array -> int -> int -> bool
+(** [holds symbols k seq i j] evaluates the constraint
+    [f_k(seq.(i), seq.(j))]: for {!F1}, strict prefix containment; for
+    {!F2}, whether [i] is the forward prefix of [j] at depth
+    [Path.depth seq.(i)].  Indices must be valid. *)

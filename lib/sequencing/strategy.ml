@@ -2,7 +2,7 @@ type t =
   | Depth_first
   | Breadth_first
   | Random of int
-  | Probability of (Path.t -> float)
+  | Probability of (Symtab.Path.t -> float)
 
 let name = function
   | Depth_first -> "depth-first"

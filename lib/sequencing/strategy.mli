@@ -16,9 +16,10 @@ type t =
   | Depth_first
   | Breadth_first
   | Random of int  (** seed; deterministic per (seed, document) *)
-  | Probability of (Path.t -> float)
+  | Probability of (Symtab.Path.t -> float)
       (** [gbest]: priority of a node is the weighted probability of its
-          path; ties break on path id then document position. *)
+          path; ties break on path id then document position.  The
+          function prices the paths of one index's symbol table. *)
 
 val name : t -> string
 (** Short name for reports: ["depth-first"], ["breadth-first"],

@@ -1,0 +1,139 @@
+(** Symbol tables: the designators and paths of one index.
+
+    The paper designates each element or attribute name by a
+    {e designator} and each value by a value designator [h(value)]
+    (Section 2.1), and encodes every node by the designator path from
+    the root to it ([P], [PD], [PDL], [PDLv1], ...; Section 2.2).  A
+    symbol table interns both into small integers, so paths, sequences
+    and index structures manipulate machine words only.
+
+    Every index owns its table.  A build creates an empty one and its
+    sequential flatten phase is the only writer: designators and paths
+    get ids in first-seen order, from [Path.epsilon = 0].  A loaded
+    index builds its table from the snapshot's stored dictionary, so its
+    path ids are dictionary indexes.  Once the index exists the table is
+    only read — by parallel encoding and by query compilation, from any
+    number of domains — and it is dropped with the index.  A name the
+    index lacks is simply absent ({!Designator.find_tag},
+    {!Path.find_child}), so a query that mentions it misses cleanly.
+
+    Ids mean nothing outside their table: compare paths of two indexes
+    by their names ({!Path.to_list} and {!Designator.name}). *)
+
+type t
+
+val create : unit -> t
+(** An empty table: no designators, and the one path {!Path.epsilon}. *)
+
+val path_count : t -> int
+(** Paths in the table, [epsilon] included; every path id is below it. *)
+
+module Designator : sig
+  type table := t
+
+  type t = private int
+  (** A designator of one table.  Tags and values live in disjoint
+      namespaces: [tag tbl "x"] and [value tbl "x"] differ. *)
+
+  val tag : table -> string -> t
+  (** [tag tbl name] interns an element or attribute name. *)
+
+  val value : table -> string -> t
+  (** [value tbl text] interns a value (the paper's [h(·)] option for
+      value nodes). *)
+
+  val char_value : table -> char -> t
+  (** [char_value tbl c] interns one character of the text-sequence value
+      representation (the Index-Fabric-style option, where ["boston"]
+      becomes [b,o,s,t,o,n]). *)
+
+  val find_tag : table -> string -> t option
+  (** The tag designator of [name], if the table has one.  Never
+      interns. *)
+
+  val find_value : table -> string -> t option
+
+  val is_value : table -> t -> bool
+  (** Whether [d] was created by {!value} or {!char_value}. *)
+
+  val name : table -> t -> string
+  (** The source string of [d] (without namespace marker). *)
+
+  val equal : t -> t -> bool
+end
+
+module Path : sig
+  type table := t
+
+  type t = private int
+  (** A root path of one table, with parent pointers, so prefix tests,
+      depth lookups and child navigation are O(1)/O(depth) integer
+      operations.  The table doubles as the {e schema path trie} that
+      wildcard query steps expand over: each path knows its element
+      children. *)
+
+  val epsilon : t
+  (** The empty path [ε] (depth 0), the parent of every document root. *)
+
+  val child : table -> t -> Designator.t -> t
+  (** [child tbl p d] is the path [p.d], interning it on first use. *)
+
+  val find_child : table -> t -> Designator.t -> t option
+  (** Like {!child} but [None] instead of interning: query
+      instantiation must not invent paths that carry no data. *)
+
+  val parent : table -> t -> t
+  (** One-step prefix.  @raise Invalid_argument on {!epsilon}. *)
+
+  val tag : table -> t -> Designator.t
+  (** Last designator.  @raise Invalid_argument on {!epsilon}. *)
+
+  val depth : table -> t -> int
+  (** Number of designators; [depth tbl epsilon = 0]. *)
+
+  val element_children : table -> t -> t list
+  (** One-step extensions of [p] by a {e tag} designator, in ascending id
+      (value extensions are excluded: wildcards never match value
+      nodes). *)
+
+  val is_prefix : table -> t -> t -> bool
+  (** [is_prefix tbl p q] iff [p] is a (non-strict) prefix of [q], the
+      paper's [p ⊆ q]. *)
+
+  val is_strict_prefix : table -> t -> t -> bool
+  (** The paper's [p ⊂ q]. *)
+
+  val ancestor_at_depth : table -> t -> int -> t
+  (** [ancestor_at_depth tbl p d] is the prefix of [p] of depth [d].
+      @raise Invalid_argument if [d] exceeds [depth tbl p] or is
+      negative. *)
+
+  val of_list : table -> Designator.t list -> t
+  (** Interns the path spelled by a designator list, from the root. *)
+
+  val to_list : table -> t -> Designator.t list
+  (** Designators from the root down. *)
+
+  val equal : t -> t -> bool
+
+  val compare : t -> t -> int
+  (** Total order on ids (fast, arbitrary). *)
+
+  val lex_compare : table -> t -> t -> int
+  (** Lexicographic order on designators, each ranked by name with
+      values before tags, whatever their ids.  A prefix sorts before its
+      extensions.  For a tag-sorted document
+      ({!Xmlcore.Xml_tree.sort_by_tag} orders siblings the same way)
+      this is exactly depth-first visit order, which is what aligns
+      ViST-style query sequences with data sequences. *)
+
+  val to_int : t -> int
+
+  val of_int : table -> int -> t
+  (** Inverse of {!to_int}.  @raise Invalid_argument if the table has no
+      such path. *)
+
+  val to_string : table -> t -> string
+  (** Dotted rendering, e.g. ["P.D.L.v(boston)"]: tags verbatim, values
+      as [v(text)]. *)
+end

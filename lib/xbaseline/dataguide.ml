@@ -1,7 +1,9 @@
-module Path = Sequencing.Path
+module Symtab = Sequencing.Symtab
+module Path = Symtab.Path
 module Encoder = Sequencing.Encoder
 
 type t = {
+  symbols : Symtab.t; (* every path of the documents *)
   postings : (Path.t, int array) Hashtbl.t; (* path -> sorted doc ids *)
   docs : Xmlcore.Xml_tree.t array;
 }
@@ -16,6 +18,7 @@ let create_stats () = { lookups = 0; scanned = 0; verified = 0 }
 let no_stats = create_stats ()
 
 let build docs =
+  let symbols = Symtab.create () in
   let lists : (Path.t, int list ref) Hashtbl.t = Hashtbl.create 1024 in
   Array.iteri
     (fun id doc ->
@@ -28,13 +31,13 @@ let build docs =
             | Some l -> l := id :: !l
             | None -> Hashtbl.replace lists p (ref [ id ])
           end)
-        (Encoder.paths_of_tree doc))
+        (Encoder.paths_of_tree symbols doc))
     docs;
   let postings = Hashtbl.create (Hashtbl.length lists) in
   Hashtbl.iter
     (fun p l -> Hashtbl.replace postings p (Array.of_list (List.rev !l)))
     lists;
-  { postings; docs }
+  { symbols; postings; docs }
 
 (* Root-to-leaf paths of a concrete pattern. *)
 let rec leaves (c : Xquery.Instantiate.cnode) =
@@ -57,8 +60,7 @@ let intersect stats a b =
   Array.of_list (List.rev !out)
 
 let query ?(stats = no_stats) t pattern =
-  let mem p = Hashtbl.mem t.postings p in
-  match Xquery.Instantiate.run ~mem ~value_mode:Encoder.Hashed pattern with
+  match Xquery.Instantiate.run ~value_mode:Encoder.Hashed t.symbols pattern with
   | exception Xquery.Instantiate.Too_many _ ->
     (* Wildcard blow-up: degrade to an exact scan. *)
     Xquery.Embedding.filter pattern t.docs

@@ -16,29 +16,26 @@ let create_stats () =
 let no_stats = create_stats ()
 
 let build docs =
+  let symbols = Sequencing.Symtab.create () in
   let trie = Xindex.Trie.create () in
   let scratch = Encoder.create_scratch () in
   let seqs =
     Array.mapi
       (fun i doc ->
-        ( Encoder.encode ~scratch ~strategy:Strategy.Depth_first
+        ( Encoder.encode ~scratch ~strategy:Strategy.Depth_first symbols
             (T.sort_by_tag doc),
           i ))
       docs
   in
   Xindex.Trie.bulk_load trie seqs;
-  { labeled = Xindex.Labeled.of_trie trie; docs }
+  { labeled = Xindex.Labeled.of_trie symbols trie; docs }
 
 let scan t pattern = Xquery.Embedding.filter pattern t.docs
 
 let query_indexed ~stats t pattern =
-  let mem p = Option.is_some (Xindex.Labeled.link t.labeled p) in
-  let cnodes = Xquery.Instantiate.run ~mem ~value_mode:Encoder.Hashed pattern in
-  let flagged = Xindex.Labeled.path_multiple t.labeled in
   let compiled =
-    List.concat_map
-      (Xquery.Query_seq.compile ~flagged ~strategy:Strategy.Depth_first)
-      cnodes
+    Xquery.Engine.compile ~strategy:Strategy.Depth_first
+      ~value_mode:Encoder.Hashed t.labeled pattern
   in
   let seen = Hashtbl.create 64 in
   List.iter

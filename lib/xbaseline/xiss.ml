@@ -1,9 +1,11 @@
-module D = Xmlcore.Designator
+module Symtab = Sequencing.Symtab
+module D = Symtab.Designator
 module T = Xmlcore.Xml_tree
 
 type entry = { doc : int; pre : int; post : int; depth : int }
 
 type t = {
+  symbols : Symtab.t; (* the designators the nodes are posted under *)
   postings : (D.t, entry array) Hashtbl.t;
   element_designators : D.t list; (* tags only, for Star *)
   docs : T.t array;
@@ -19,6 +21,7 @@ let create_stats () = { scanned = 0; joined = 0; verified = 0 }
 let no_stats = create_stats ()
 
 let build docs =
+  let symbols = Symtab.create () in
   let lists : (D.t, entry list ref) Hashtbl.t = Hashtbl.create 256 in
   let post d e =
     match Hashtbl.find_opt lists d with
@@ -36,7 +39,9 @@ let build docs =
          | T.Value _ -> ());
         let post_serial = !counter - 1 in
         let d =
-          match t with T.Element (d, _) -> d | T.Value s -> D.value s
+          match t with
+          | T.Element (name, _) -> D.tag symbols name
+          | T.Value s -> D.value symbols s
         in
         post d { doc; pre; post = post_serial; depth }
       in
@@ -49,11 +54,14 @@ let build docs =
       let arr = Array.of_list !l in
       Array.sort (fun a b -> Stdlib.compare (a.doc, a.pre) (b.doc, b.pre)) arr;
       Hashtbl.replace postings d arr;
-      if not (D.is_value d) then elements := d :: !elements)
+      if not (D.is_value symbols d) then elements := d :: !elements)
     lists;
-  { postings; element_designators = !elements; docs }
+  { symbols; postings; element_designators = !elements; docs }
 
 let lookup t d = Option.value ~default:[||] (Hashtbl.find_opt t.postings d)
+
+let lookup_name t find name =
+  match find t.symbols name with Some d -> lookup t d | None -> [||]
 
 let star_list t =
   let all = List.concat_map (fun d -> Array.to_list (lookup t d)) t.element_designators in
@@ -64,7 +72,7 @@ let star_list t =
 let base_list t stats (test : Xquery.Pattern.test) =
   match test with
   | Xquery.Pattern.Tag s ->
-    let l = lookup t (D.tag s) in
+    let l = lookup_name t D.find_tag s in
     stats.scanned <- stats.scanned + Array.length l;
     l
   | Xquery.Pattern.Star ->
@@ -72,7 +80,7 @@ let base_list t stats (test : Xquery.Pattern.test) =
     stats.scanned <- stats.scanned + Array.length l;
     l
   | Xquery.Pattern.Text s ->
-    let l = lookup t (D.value s) in
+    let l = lookup_name t D.find_value s in
     stats.scanned <- stats.scanned + Array.length l;
     l
   | Xquery.Pattern.Text_prefix s ->
@@ -81,7 +89,10 @@ let base_list t stats (test : Xquery.Pattern.test) =
     let acc = ref [] in
     Hashtbl.iter
       (fun d l ->
-        if D.is_value d && String.starts_with ~prefix:s (D.name d) then
+        if
+          D.is_value t.symbols d
+          && String.starts_with ~prefix:s (D.name t.symbols d)
+        then
           acc := Array.to_list l :: !acc)
       t.postings;
     let arr = Array.of_list (List.concat !acc) in

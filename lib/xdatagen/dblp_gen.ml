@@ -96,10 +96,8 @@ let record rng id =
 let record rng id =
   let r = record rng id in
   match r with
-  | T.Element (d, T.Element (kd, _) :: rest)
-    when Xmlcore.Designator.name d = "book"
-         && Xmlcore.Designator.name kd = "key"
-         && Random.State.int rng 10 = 0 ->
+  | T.Element (("book" as d), T.Element ("key", _) :: rest)
+    when Random.State.int rng 10 = 0 ->
     T.Element (d, field "key" "Maier" :: rest)
   | r -> r
 

@@ -63,7 +63,7 @@ let exact_of_doc ?wide ~rng ~size doc =
           (fun c -> if Hashtbl.mem chosen c then Some (build c) else None)
           (List.rev children.(i))
       in
-      Pattern.elt (Xmlcore.Designator.name d) kids
+      Pattern.elt d kids
   in
   build 0
 

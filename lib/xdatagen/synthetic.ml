@@ -102,7 +102,7 @@ let gen_doc rng (schema : Schema.t) =
           if Random.State.float rng 1.0 < c.exist then Some (gen c) else None)
         s.children
     in
-    T.Element (Xmlcore.Designator.tag s.tag, value_leaf @ kids)
+    T.Element (s.tag, value_leaf @ kids)
   in
   gen schema
 

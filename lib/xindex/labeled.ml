@@ -1,4 +1,6 @@
-module Path = Sequencing.Path
+module Symtab = Sequencing.Symtab
+module D = Symtab.Designator
+module Path = Symtab.Path
 module Bs = Xutil.Binsearch
 module Store = Xstorage.Store
 
@@ -8,14 +10,21 @@ type backend = Heap_arrays | Columnar
    label columns, the concatenated link entry columns, the document
    table, and a small in-memory link directory of offsets into them.
    Columns are Store handles, so the very same view serves heap arrays,
-   unboxed flat buffers, and disk pages behind the buffer pool. *)
+   unboxed flat buffers, and disk pages behind the buffer pool.
+
+   Paths are the index's own: [symbols] holds them.  The dictionary is
+   epsilon and every link path, by depth then id; the columns name paths
+   by dictionary index.  A loaded index's path ids are its dictionary
+   indexes; a built index keeps its build ids and maps the dictionary
+   onto them. *)
 type t = {
+  symbols : Symtab.t;
   n : int; (* nodes excluding virtual root *)
   pre : Store.column; (* node id -> serial *)
   post : Store.column;
   node_path : Store.column; (* node id -> dictionary index *)
-  paths : Path.t array; (* dictionary: index -> interned path, depth order *)
-  dir : (Path.t, int) Hashtbl.t; (* path -> link slot *)
+  dict : Path.t array option; (* dictionary index -> path; None: identity *)
+  slot : int array; (* path id -> link slot, or -1 *)
   link_path : int array; (* slot -> dictionary index *)
   link_off : int array; (* slot -> first entry position in l_* columns *)
   link_len : int array;
@@ -60,13 +69,14 @@ let freeze backend a =
    root) into per-node arrays, then call [assemble]:
    - [order.(s)] is the node with serial [s], and [pre] its inverse;
    - [post.(v)] is the largest serial in [v]'s subtree;
-   - [path.(v)] is [v]'s encoding, every path id below [width];
+   - [path.(v)] is [v]'s encoding, a path of [symbols];
    - [up.(v)] is the link position of [v]'s nearest same-path proper
      ancestor, or -1;
    - [ends] holds the (end node, document id) of every sequence, in
      insertion order. *)
-let assemble ~backend ~width ~order ~pre ~post ~path ~up ends =
+let assemble ~backend ~symbols ~order ~pre ~post ~path ~up ends =
   let n = Array.length pre in
+  let width = Symtab.path_count symbols in
   (* Links are a counting sort of the nodes by path id: slots in
      ascending path id, each slot's entries in serial order. *)
   let next = Array.make width 0 in
@@ -84,7 +94,7 @@ let assemble ~backend ~width ~order ~pre ~post ~path ~up ends =
     if len > 0 then begin
       link_off.(!slot) <- !off;
       link_len.(!slot) <- len;
-      link_path_t.(!slot) <- Path.of_int p;
+      link_path_t.(!slot) <- Path.of_int symbols p;
       next.(p) <- !off;
       off := !off + len;
       incr slot
@@ -104,8 +114,8 @@ let assemble ~backend ~width ~order ~pre ~post ~path ~up ends =
     l_up.(e) <- up.(v);
     l_node.(e) <- v
   done;
-  let dir = Hashtbl.create nlinks in
-  Array.iteri (fun slot p -> Hashtbl.replace dir p slot) link_path_t;
+  let slot = Array.make width (-1) in
+  Array.iteri (fun s p -> slot.(Path.to_int p) <- s) link_path_t;
   let multi =
     Array.init nlinks (fun slot ->
         has_nested l_pre l_post link_off.(slot) link_len.(slot))
@@ -119,22 +129,23 @@ let assemble ~backend ~width ~order ~pre ~post ~path ~up ends =
      then id — a stable sort of the id-ordered paths — so parents
      precede children; node and link paths are stored as dictionary
      indexes. *)
-  let paths = Array.append [| Path.epsilon |] link_path_t in
+  let dict = Array.append [| Path.epsilon |] link_path_t in
   Array.stable_sort
-    (fun a b -> Int.compare (Path.depth a) (Path.depth b))
-    paths;
+    (fun a b -> Int.compare (Path.depth symbols a) (Path.depth symbols b))
+    dict;
   let index_of = next (* its offsets are spent *) in
-  Array.iteri (fun i p -> index_of.(Path.to_int p) <- i) paths;
+  Array.iteri (fun i p -> index_of.(Path.to_int p) <- i) dict;
   let node_path = Array.map (fun p -> index_of.(Path.to_int p)) path in
   let link_path = Array.map (fun p -> index_of.(Path.to_int p)) link_path_t in
   let fz = freeze backend in
   {
+    symbols;
     n = n - 1;
     pre = fz pre;
     post = fz post;
     node_path = fz node_path;
-    paths;
-    dir;
+    dict = Some dict;
+    slot;
     link_path;
     link_off;
     link_len;
@@ -159,10 +170,10 @@ let open_node ~entries ~innermost ~up v p =
 
 let close_node ~innermost ~up v p = innermost.(Path.to_int p) <- up.(v)
 
-let of_trie ?(backend = Columnar) trie =
+let of_trie ?(backend = Columnar) symbols trie =
   let n = Trie.node_count trie + 1 in
   let path = Array.init n (Trie.path_of trie) in
-  let width = 1 + Array.fold_left (fun m p -> max m (Path.to_int p)) 0 path in
+  let width = Symtab.path_count symbols in
   (* Adjacency: children of each node, sorted by path id for a
      deterministic labelling. *)
   let children = Array.make n [] in
@@ -194,7 +205,7 @@ let of_trie ?(backend = Columnar) trie =
       post.(v) <- !counter - 1;
       if v <> 0 then close_node ~innermost ~up v path.(v)
   done;
-  assemble ~backend ~width ~order ~pre ~post ~path ~up (Trie.doc_entries trie)
+  assemble ~backend ~symbols ~order ~pre ~post ~path ~up (Trie.doc_entries trie)
 
 (* Sequences sorted by [Trie.compare_seq] create trie nodes in
    depth-first order, children by ascending path id: exactly the order
@@ -202,12 +213,12 @@ let of_trie ?(backend = Columnar) trie =
    only have to be compared with their predecessor, and the nodes still
    open when a sequence diverges from its predecessor are closed with
    the last serial issued. *)
-let of_sorted ?(backend = Columnar) seqs =
+let of_sorted ?(backend = Columnar) symbols seqs =
   let nseqs = Array.length seqs in
   (* lcp.(k): the prefix sequence [k] shares with sequence [k - 1], i.e.
      the nodes it reuses. *)
   let lcp = Array.make nseqs 0 in
-  let n = ref 1 and width = ref 1 and depth = ref 0 in
+  let n = ref 1 and depth = ref 0 in
   Array.iteri
     (fun k (s, _) ->
       let len = Array.length s in
@@ -224,16 +235,14 @@ let of_sorted ?(backend = Columnar) seqs =
       end;
       lcp.(k) <- !l;
       n := !n + len - !l;
-      depth := max !depth len;
-      for i = !l to len - 1 do
-        width := max !width (Path.to_int s.(i) + 1)
-      done)
+      depth := max !depth len)
     seqs;
   let n = !n in
   let serial = Array.init n Fun.id in
   let path = Array.make n Path.epsilon in
   let post = Array.make n (n - 1) and up = Array.make n (-1) in
-  let entries = Array.make !width 0 and innermost = Array.make !width (-1) in
+  let width = Symtab.path_count symbols in
+  let entries = Array.make width 0 and innermost = Array.make width (-1) in
   let open_at = Array.make (!depth + 1) 0 (* open node per depth *) in
   let ends = Array.make nseqs (0, 0) in
   let next = ref 1 and open_depth = ref 0 in
@@ -259,7 +268,7 @@ let of_sorted ?(backend = Columnar) seqs =
       ends.(k) <- (open_at.(!open_depth), doc))
     seqs;
   close_below 0;
-  assemble ~backend ~width:!width ~order:serial ~pre:serial ~post ~path ~up ends
+  assemble ~backend ~symbols ~order:serial ~pre:serial ~post ~path ~up ends
 
 let node_count t = t.n
 let doc_count t = Store.length t.doc_id
@@ -268,10 +277,24 @@ let root_post t = Store.get t.post 0
 
 let size_bytes t ~record_count = (4 * record_count) + (8 * t.n)
 
+let symbols t = t.symbols
+
+let dict_path t i =
+  match t.dict with Some dict -> dict.(i) | None -> Path.of_int t.symbols i
+
+let dict_size t =
+  match t.dict with
+  | Some dict -> Array.length dict
+  | None -> Symtab.path_count t.symbols
+
+let slot_of t p =
+  let p = Path.to_int p in
+  if p < Array.length t.slot then t.slot.(p) else -1
+
 let link t p =
-  match Hashtbl.find_opt t.dir p with
-  | None -> None
-  | Some slot ->
+  match slot_of t p with
+  | -1 -> None
+  | slot ->
     Some
       {
         k_pre = t.l_pre;
@@ -365,15 +388,15 @@ let path_doc_counts ?member t =
           outer_post := post
         end
       done;
-      (t.paths.(t.link_path.(slot)), !total))
+      (dict_path t t.link_path.(slot), !total))
     t.link_off
 
 let path_multiple t p =
-  match Hashtbl.find_opt t.dir p with Some slot -> t.multi.(slot) | None -> false
+  match slot_of t p with -1 -> false | slot -> t.multi.(slot)
 
 let pre_of_node t id = Store.get t.pre id
 let post_of_node t id = Store.get t.post id
-let path_of_node t id = t.paths.(Store.get t.node_path id)
+let path_of_node t id = dict_path t (Store.get t.node_path id)
 let distinct_paths t = Array.length t.link_off
 let backing_store t = t.source
 
@@ -399,26 +422,41 @@ let remap ?(backend = Columnar) t =
 
 (* Region names in the columnar snapshot (see Xstorage.Store for the file
    format).  The dictionary spells each path out (kind + name + parent
-   entry) so a snapshot re-interns cleanly in any process. *)
+   entry), so a loaded index rebuilds its own symbol table from it. *)
+
+(* The dictionary entry of every path of the index: [(parent entry,
+   designator)] for each entry but epsilon, which has none. *)
+let dict_entries t =
+  let n = dict_size t in
+  let index_of = Array.make (Symtab.path_count t.symbols) (-1) in
+  for i = 0 to n - 1 do
+    index_of.(Path.to_int (dict_path t i)) <- i
+  done;
+  Array.init n (fun i ->
+      let p = dict_path t i in
+      if Path.equal p Path.epsilon then None
+      else
+        Some
+          ( index_of.(Path.to_int (Path.parent t.symbols p)),
+            Path.tag t.symbols p ))
 
 let dict_regions t store =
+  let entries = dict_entries t in
+  let n = Array.length entries in
   let names = Buffer.create 1024 in
-  let n = Array.length t.paths in
   let parent = Array.make n (-1) in
   let kind = Array.make n 0 in
   let name_off = Array.make (n + 1) 0 in
-  let index_of = Hashtbl.create n in
-  Array.iteri (fun i p -> Hashtbl.replace index_of p i) t.paths;
   Array.iteri
-    (fun i p ->
+    (fun i e ->
       name_off.(i) <- Buffer.length names;
-      if not (Path.equal p Path.epsilon) then begin
-        let d = Path.tag p in
-        parent.(i) <- Hashtbl.find index_of (Path.parent p);
-        kind.(i) <- (if Xmlcore.Designator.is_value d then 1 else 0);
-        Buffer.add_string names (Xmlcore.Designator.name d)
-      end)
-    t.paths;
+      Option.iter
+        (fun (pi, d) ->
+          parent.(i) <- pi;
+          kind.(i) <- Bool.to_int (D.is_value t.symbols d);
+          Buffer.add_string names (D.name t.symbols d))
+        e)
+    entries;
   name_off.(n) <- Buffer.length names;
   Store.add_ints store "dict_parent" (Store.heap parent);
   Store.add_ints store "dict_kind" (Store.heap kind);
@@ -432,34 +470,28 @@ let dict_regions t store =
    edge cost drops from one spelled-out name per entry to one small
    id. *)
 let dict_regions_compact t store =
-  let n = Array.length t.paths in
+  let entries = dict_entries t in
+  let n = Array.length entries in
   let parent = Array.make n (-1) in
   let desig = Array.make n (-1) in
-  let index_of = Hashtbl.create n in
-  Array.iteri (fun i p -> Hashtbl.replace index_of p i) t.paths;
+  let key d = (D.name t.symbols d, Bool.to_int (D.is_value t.symbols d)) in
   let uniq = Hashtbl.create 64 in
   Array.iter
-    (fun p ->
-      if not (Path.equal p Path.epsilon) then begin
-        let d = Path.tag p in
-        let k = if Xmlcore.Designator.is_value d then 1 else 0 in
-        Hashtbl.replace uniq (Xmlcore.Designator.name d, k) ()
-      end)
-    t.paths;
+    (Option.iter (fun (_, d) -> Hashtbl.replace uniq (key d) ()))
+    entries;
   let pairs =
     List.sort Stdlib.compare (Hashtbl.fold (fun kv () acc -> kv :: acc) uniq [])
   in
   let id_of = Hashtbl.create (List.length pairs) in
   List.iteri (fun i kv -> Hashtbl.replace id_of kv i) pairs;
   Array.iteri
-    (fun i p ->
-      if not (Path.equal p Path.epsilon) then begin
-        let d = Path.tag p in
-        let k = if Xmlcore.Designator.is_value d then 1 else 0 in
-        parent.(i) <- Hashtbl.find index_of (Path.parent p);
-        desig.(i) <- Hashtbl.find id_of (Xmlcore.Designator.name d, k)
-      end)
-    t.paths;
+    (fun i e ->
+      Option.iter
+        (fun (pi, d) ->
+          parent.(i) <- pi;
+          desig.(i) <- Hashtbl.find id_of (key d))
+        e)
+    entries;
   Store.add_ints store "dict_parent" (Store.heap parent);
   Store.add_ints store "dict_desig" (Store.heap desig);
   Store.add_ints store "desig_kind"
@@ -496,67 +528,65 @@ let of_store store =
     corrupt "meta region size";
   let n = meta.(0) in
   if n < 0 then corrupt "negative node count";
-  (* Re-intern the dictionary (parents precede children by construction).
-     Compact (xseqcol2) snapshots carry deduplicated designator ids over
-     a front-coded name table; legacy snapshots spell each entry out. *)
+  (* The dictionary becomes the index's symbol table, entry i as path i:
+     epsilon first, every other entry extending an earlier one.
+     Compact (xseqcol2) snapshots name each entry's designator by an id
+     into a front-coded (kind, name) table; legacy snapshots spell each
+     entry out. *)
   let parent = Store.to_array (Store.ints store "dict_parent") in
   let ndict = Array.length parent in
-  let paths = Array.make (max 1 ndict) Path.epsilon in
-  if Store.mem store "dict_desig" then begin
-    let desig = Store.to_array (Store.ints store "dict_desig") in
-    let dkind = Store.to_array (Store.ints store "desig_kind") in
-    let dnames =
-      try
-        Xsuccinct.Frontcode.decode
-          ~name:"Labeled.of_store: inconsistent snapshot: designator names"
-          (Store.blob store "desig_names")
-      with Invalid_argument _ -> corrupt "designator name table"
-    in
-    let ndesig = Array.length dnames in
-    if Array.length desig <> ndict || Array.length dkind <> ndesig then
-      corrupt "dictionary region sizes";
-    let desigs =
-      Array.init ndesig (fun i ->
-          if dkind.(i) = 1 then Xmlcore.Designator.value dnames.(i)
-          else if dkind.(i) = 0 then Xmlcore.Designator.tag dnames.(i)
-          else corrupt "designator kind out of range")
-    in
-    for i = 0 to ndict - 1 do
-      if parent.(i) < 0 then begin
-        if desig.(i) >= 0 then corrupt "root entry with a designator";
-        paths.(i) <- Path.epsilon
-      end
-      else begin
-        if parent.(i) >= i then corrupt "dictionary parent order";
+  let symbols = Symtab.create () in
+  let designator kind name =
+    match kind with
+    | 0 -> D.tag symbols name
+    | 1 -> D.value symbols name
+    | _ -> corrupt "designator kind out of range"
+  in
+  let entry_designator =
+    if Store.mem store "dict_desig" then begin
+      let desig = Store.to_array (Store.ints store "dict_desig") in
+      let dkind = Store.to_array (Store.ints store "desig_kind") in
+      let dnames =
+        try
+          Xsuccinct.Frontcode.decode
+            ~name:"Labeled.of_store: inconsistent snapshot: designator names"
+            (Store.blob store "desig_names")
+        with Invalid_argument _ -> corrupt "designator name table"
+      in
+      let ndesig = Array.length dnames in
+      if Array.length desig <> ndict || Array.length dkind <> ndesig then
+        corrupt "dictionary region sizes";
+      let desigs =
+        Array.init ndesig (fun i -> designator dkind.(i) dnames.(i))
+      in
+      if ndict > 0 && desig.(0) >= 0 then
+        corrupt "root entry with a designator";
+      fun i ->
         if desig.(i) < 0 || desig.(i) >= ndesig then
           corrupt "designator id out of range";
-        paths.(i) <- Path.child paths.(parent.(i)) desigs.(desig.(i))
-      end
-    done
-  end
-  else begin
-    let kind = Store.to_array (Store.ints store "dict_kind") in
-    let name_off = Store.to_array (Store.ints store "dict_name_off") in
-    let names = Store.blob store "dict_names" in
-    if Array.length kind <> ndict || Array.length name_off <> ndict + 1 then
-      corrupt "dictionary region sizes";
-    for i = 0 to ndict - 1 do
-      let lo = name_off.(i) and hi = name_off.(i + 1) in
-      if lo < 0 || hi < lo || hi > String.length names then
-        corrupt "dictionary name offsets";
-      if parent.(i) < 0 then paths.(i) <- Path.epsilon
-      else begin
-        if parent.(i) >= i then corrupt "dictionary parent order";
-        let name = String.sub names lo (hi - lo) in
-        let d =
-          if kind.(i) = 1 then Xmlcore.Designator.value name
-          else Xmlcore.Designator.tag name
-        in
-        paths.(i) <- Path.child paths.(parent.(i)) d
-      end
-    done
-  end;
-  let paths = Array.sub paths 0 ndict in
+        desigs.(desig.(i))
+    end
+    else begin
+      let kind = Store.to_array (Store.ints store "dict_kind") in
+      let name_off = Store.to_array (Store.ints store "dict_name_off") in
+      let names = Store.blob store "dict_names" in
+      if Array.length kind <> ndict || Array.length name_off <> ndict + 1 then
+        corrupt "dictionary region sizes";
+      fun i ->
+        let lo = name_off.(i) and hi = name_off.(i + 1) in
+        if lo < 0 || hi < lo || hi > String.length names then
+          corrupt "dictionary name offsets";
+        designator kind.(i) (String.sub names lo (hi - lo))
+    end
+  in
+  if ndict = 0 || parent.(0) >= 0 then corrupt "dictionary root";
+  for i = 1 to ndict - 1 do
+    if parent.(i) < 0 || parent.(i) >= i then corrupt "dictionary parent order";
+    let p =
+      Path.child symbols (Path.of_int symbols parent.(i)) (entry_designator i)
+    in
+    if Path.to_int p <> i then corrupt "duplicate dictionary entry"
+  done;
   let pre = Store.ints store "node_pre" in
   let post = Store.ints store "node_post" in
   let node_path = Store.ints store "node_path" in
@@ -583,15 +613,15 @@ let of_store store =
     || Store.length l_up <> total_entries
     || Store.length l_node <> total_entries
   then corrupt "link column sizes";
-  let dir = Hashtbl.create nlinks in
-  for slot = 0 to nlinks - 1 do
-    if link_path.(slot) < 0 || link_path.(slot) >= ndict then
+  let slot = Array.make ndict (-1) in
+  for s = 0 to nlinks - 1 do
+    if link_path.(s) < 0 || link_path.(s) >= ndict then
       corrupt "link path id out of range";
     if
-      link_off.(slot) < 0 || link_len.(slot) < 0
-      || link_off.(slot) + link_len.(slot) > total_entries
+      link_off.(s) < 0 || link_len.(s) < 0
+      || link_off.(s) + link_len.(s) > total_entries
     then corrupt "link slice out of range";
-    Hashtbl.replace dir paths.(link_path.(slot)) slot
+    slot.(link_path.(s)) <- s
   done;
   let doc_pre = Store.ints store "doc_pre" in
   let doc_id = Store.ints store "doc_id" in
@@ -601,12 +631,13 @@ let of_store store =
     if pid < 0 || pid >= ndict then corrupt "node path id out of range"
   done;
   {
+    symbols;
     n;
     pre;
     post;
     node_path;
-    paths;
-    dir;
+    dict = None;
+    slot;
     link_path;
     link_off;
     link_len;
@@ -618,138 +649,4 @@ let of_store store =
     doc_id;
     multi = Array.map (fun x -> x <> 0) link_multi;
     source = Some store;
-  }
-
-(* --- portability -------------------------------------------------------- *)
-
-(* Paths are referenced through a dictionary whose entries spell out the
-   designator (kind + source string) and point at their parent entry, in
-   depth order so parents precede children.  Entry 0 is epsilon. *)
-type dict_entry = { dparent : int; dkind : char; dname : string }
-
-type portable_link = {
-  s_path : int; (* dictionary index *)
-  s_pres : int array;
-  s_posts : int array;
-  s_ups : int array;
-  s_nodes : int array;
-}
-
-type portable = {
-  s_version : int;
-  s_dict : dict_entry array;
-  s_n : int;
-  s_pre : int array;
-  s_post : int array;
-  s_node_paths : int array; (* dictionary indexes *)
-  s_links : portable_link array;
-  s_doc_pres : int array;
-  s_doc_ids : int array;
-}
-
-let to_portable t =
-  let index_of = Hashtbl.create (Array.length t.paths) in
-  Array.iteri (fun i p -> Hashtbl.replace index_of p i) t.paths;
-  let dict =
-    Array.map
-      (fun p ->
-        if Path.equal p Path.epsilon then { dparent = -1; dkind = 'T'; dname = "" }
-        else begin
-          let d = Path.tag p in
-          {
-            dparent = Hashtbl.find index_of (Path.parent p);
-            dkind = (if Xmlcore.Designator.is_value d then 'V' else 'T');
-            dname = Xmlcore.Designator.name d;
-          }
-        end)
-      t.paths
-  in
-  let slice col off len = Array.init len (fun i -> Store.get col (off + i)) in
-  let links =
-    List.sort
-      (fun a b -> Stdlib.compare a.s_path b.s_path)
-      (List.init (Array.length t.link_off) (fun slot ->
-           {
-             s_path = t.link_path.(slot);
-             s_pres = slice t.l_pre t.link_off.(slot) t.link_len.(slot);
-             s_posts = slice t.l_post t.link_off.(slot) t.link_len.(slot);
-             s_ups = slice t.l_up t.link_off.(slot) t.link_len.(slot);
-             s_nodes = slice t.l_node t.link_off.(slot) t.link_len.(slot);
-           }))
-  in
-  {
-    s_version = 1;
-    s_dict = dict;
-    s_n = t.n;
-    s_pre = Store.to_array t.pre;
-    s_post = Store.to_array t.post;
-    s_node_paths = Store.to_array t.node_path;
-    s_links = Array.of_list links;
-    s_doc_pres = Store.to_array t.doc_pre;
-    s_doc_ids = Store.to_array t.doc_id;
-  }
-
-let of_portable ?(backend = Columnar) s =
-  if s.s_version <> 1 then invalid_arg "Labeled.of_portable: unknown version";
-  (* Re-intern the dictionary (parents precede children by construction). *)
-  let paths = Array.make (max 1 (Array.length s.s_dict)) Path.epsilon in
-  Array.iteri
-    (fun i e ->
-      if e.dparent < 0 then paths.(i) <- Path.epsilon
-      else begin
-        let d =
-          if e.dkind = 'V' then Xmlcore.Designator.value e.dname
-          else Xmlcore.Designator.tag e.dname
-        in
-        paths.(i) <- Path.child paths.(e.dparent) d
-      end)
-    s.s_dict;
-  let paths = Array.sub paths 0 (Array.length s.s_dict) in
-  let nlinks = Array.length s.s_links in
-  let total_entries = Array.fold_left (fun a l -> a + Array.length l.s_pres) 0 s.s_links in
-  let l_pre = Array.make total_entries 0 in
-  let l_post = Array.make total_entries 0 in
-  let l_up = Array.make total_entries 0 in
-  let l_node = Array.make total_entries 0 in
-  let link_path = Array.make nlinks 0 in
-  let link_off = Array.make nlinks 0 in
-  let link_len = Array.make nlinks 0 in
-  let dir = Hashtbl.create nlinks in
-  let off = ref 0 in
-  Array.iteri
-    (fun slot l ->
-      let len = Array.length l.s_pres in
-      link_path.(slot) <- l.s_path;
-      link_off.(slot) <- !off;
-      link_len.(slot) <- len;
-      Array.blit l.s_pres 0 l_pre !off len;
-      Array.blit l.s_posts 0 l_post !off len;
-      Array.blit l.s_ups 0 l_up !off len;
-      Array.blit l.s_nodes 0 l_node !off len;
-      Hashtbl.replace dir paths.(l.s_path) slot;
-      off := !off + len)
-    s.s_links;
-  let multi =
-    Array.init nlinks (fun slot ->
-        has_nested l_pre l_post link_off.(slot) link_len.(slot))
-  in
-  let fz = freeze backend in
-  {
-    n = s.s_n;
-    pre = fz s.s_pre;
-    post = fz s.s_post;
-    node_path = fz s.s_node_paths;
-    paths;
-    dir;
-    link_path;
-    link_off;
-    link_len;
-    l_pre = fz l_pre;
-    l_post = fz l_post;
-    l_up = fz l_up;
-    l_node = fz l_node;
-    doc_pre = fz s.s_doc_pres;
-    doc_id = fz s.s_doc_ids;
-    multi;
-    source = None;
   }

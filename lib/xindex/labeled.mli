@@ -24,9 +24,16 @@
     backend, kept for A/B comparison), unboxed flat buffers, pages of an
     open snapshot file read through the buffer pool, and compressed
     blocks.  Page I/O is the store's business: it counts the pages it
-    reads (see {!backing_store}). *)
+    reads (see {!backing_store}).
 
-module Path = Sequencing.Path
+    {2 Symbols}
+
+    An index owns the symbol table its paths belong to ({!symbols}):
+    the build's table for a built index, one rebuilt from the stored
+    dictionary for a loaded one.  Every [Path.t] an index takes or
+    returns is a path of that table. *)
+
+module Path = Sequencing.Symtab.Path
 
 type t
 
@@ -37,14 +44,16 @@ type backend =
   | Heap_arrays  (** plain OCaml [int array] columns (the seed layout) *)
   | Columnar  (** unboxed flat buffers (structure of arrays) *)
 
-val of_trie : ?backend:backend -> Trie.t -> t
-(** Labels the trie (children visited in ascending path-id order, so the
-    labelling is deterministic) and builds links and the document table.
+val of_trie : ?backend:backend -> Sequencing.Symtab.t -> Trie.t -> t
+(** Labels the trie, whose paths belong to the table (children visited
+    in ascending path-id order, so the labelling is deterministic), and
+    builds links and the document table.
     [backend] (default [Columnar]) picks the physical column
     representation; query answers are identical either way. *)
 
-val of_sorted : ?backend:backend -> (Path.t array * int) array -> t
-(** [of_sorted seqs] is the index {!of_trie} builds from
+val of_sorted :
+  ?backend:backend -> Sequencing.Symtab.t -> (Path.t array * int) array -> t
+(** [of_sorted symbols seqs] is the index {!of_trie} builds from
     [Trie.bulk_load] of [seqs] — the same columns, byte for byte — for
     [(sequence, document id)] pairs already sorted by
     {!Trie.compare_seq}.  It builds no trie: sorted sequences create trie
@@ -59,6 +68,10 @@ val of_sorted : ?backend:backend -> (Path.t array * int) array -> t
 val remap : ?backend:backend -> t -> t
 (** The same index over different physical columns (default [Columnar]).
     Used by the storage benchmarks and backend-equivalence tests. *)
+
+val symbols : t -> Sequencing.Symtab.t
+(** The table of the index's paths.  Queries resolve names against it
+    and only read it. *)
 
 val node_count : t -> int
 (** Trie nodes excluding the virtual root (the paper's [N]). *)
@@ -144,8 +157,10 @@ val distinct_paths : t -> int
     The index serialises to an {!Xstorage.Store} as a bag of named
     regions (label columns, link columns, link directory, document
     table, and a spelled-out path dictionary), so a snapshot written by
-    {!Xstorage.Store.write} re-interns cleanly in any process — and, in
-    paged mode, answers queries straight off disk. *)
+    {!Xstorage.Store.write} carries its own symbols — and, in paged
+    mode, answers queries straight off disk.  The dictionary holds
+    epsilon and every link path, by depth and then by the index's path
+    id, so parents precede children and siblings keep their order. *)
 
 val add_to_store : ?compact:bool -> t -> Xstorage.Store.t -> unit
 (** Registers every index region with the store.  Region names are
@@ -156,8 +171,9 @@ val add_to_store : ?compact:bool -> t -> Xstorage.Store.t -> unit
     compressed (xseqcol2) snapshots use; {!of_store} reads either. *)
 
 val of_store : Xstorage.Store.t -> t
-(** Rebuilds the index view over the store's regions, re-interning the
-    path dictionary into the current process.  Columns keep whatever
+(** Rebuilds the index view over the store's regions.  The stored
+    dictionary becomes the index's symbol table, entry [i] as path id
+    [i].  Columns keep whatever
     backing the store has — resident buffers, disk pages behind the
     buffer pool, or compressed blocks decoded on probe — so opening a
     snapshot in paged mode yields an index that reads pages on demand.
@@ -168,27 +184,13 @@ val of_store : Xstorage.Store.t -> t
     @raise Invalid_argument naming the inconsistency if the regions are
     missing, mis-sized, or internally contradictory.  Validation covers
     every cross-region invariant (sizes, dictionary parent order, id
-    ranges, link-slice bounds), so a structurally valid file that passed
-    checksums cannot produce out-of-bounds reads here. *)
+    ranges, link-slice bounds, no entry twice), so a structurally valid
+    file that passed checksums cannot produce out-of-bounds reads
+    here. *)
 
 val backing_store : t -> Xstorage.Store.t option
 (** The open snapshot behind an index built by {!of_store}, for
     buffer-pool statistics; [None] for in-memory indexes. *)
-
-type portable
-(** A process-independent snapshot of the index: interned path ids are
-    replaced by a self-contained path dictionary, so the snapshot can be
-    marshalled and re-interned by {!of_portable} in a different process
-    (where designator/path ids differ).  Superseded by the columnar
-    snapshot for persistence; kept for structural fingerprinting in
-    tests and benchmarks. *)
-
-val to_portable : t -> portable
-
-val of_portable : ?backend:backend -> portable -> t
-(** Re-interns every path of the snapshot into the current process's
-    tables and rebuilds the index.  [of_portable (to_portable t)] answers
-    every query exactly as [t] does. *)
 
 val path_multiple : t -> Path.t -> bool
 (** Whether some indexed document contains the path at least twice

@@ -1,17 +1,22 @@
-module Path = Sequencing.Path
+module Path = Sequencing.Symtab.Path
 module Ivec = Xutil.Ivec
 
 type t = {
-  paths : Ivec.t; (* node id -> path id; node 0 is the virtual root *)
+  mutable paths : Path.t array; (* node id -> path; node 0 is the root *)
+  mutable nodes : int; (* including the root *)
   edges : (int, int) Hashtbl.t; (* (parent << 31) | path  ->  child node *)
   doc_nodes : Ivec.t;
   doc_ids : Ivec.t;
 }
 
 let create () =
-  let paths = Ivec.create ~capacity:1024 () in
-  Ivec.push paths (Path.to_int Path.epsilon);
-  { paths; edges = Hashtbl.create 4096; doc_nodes = Ivec.create (); doc_ids = Ivec.create () }
+  {
+    paths = Array.make 1024 Path.epsilon;
+    nodes = 1;
+    edges = Hashtbl.create 4096;
+    doc_nodes = Ivec.create ();
+    doc_ids = Ivec.create ();
+  }
 
 let edge_key parent path =
   (* Node and path ids stay well below 2^31 at any realistic scale. *)
@@ -21,8 +26,11 @@ let child_of t parent path =
   Hashtbl.find_opt t.edges (edge_key parent (Path.to_int path))
 
 let add_child t parent path =
-  let id = Ivec.length t.paths in
-  Ivec.push t.paths (Path.to_int path);
+  let id = t.nodes in
+  if id = Array.length t.paths then
+    t.paths <- Array.append t.paths (Array.make id Path.epsilon);
+  t.paths.(id) <- path;
+  t.nodes <- id + 1;
   Hashtbl.replace t.edges (edge_key parent (Path.to_int path)) id;
   id
 
@@ -54,9 +62,9 @@ let bulk_load t seqs =
   Array.sort compare_seq sorted;
   Array.iter (fun (seq, doc) -> insert t seq ~doc) sorted
 
-let node_count t = Ivec.length t.paths - 1
+let node_count t = t.nodes - 1
 let doc_count t = Ivec.length t.doc_ids
-let path_of t id = Path.of_int (Ivec.get t.paths id)
+let path_of t id = t.paths.(id)
 
 let iter_edges t f = Hashtbl.iter (fun key child -> f (key lsr 31) child) t.edges
 

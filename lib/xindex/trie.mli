@@ -6,7 +6,7 @@
     document id is appended to the id list of the node where its sequence
     ends. *)
 
-module Path = Sequencing.Path
+module Path = Sequencing.Symtab.Path
 
 type t
 

@@ -20,9 +20,9 @@ let add_doc b doc =
     Buffer.add_string b s
   in
   let rec node = function
-    | T.Element (d, cs) ->
+    | T.Element (name, cs) ->
       Buffer.add_uint8 b 0;
-      add_str (Xmlcore.Designator.name d);
+      add_str name;
       Buffer.add_int32_le b (Int32.of_int (List.length cs));
       List.iter node cs
     | T.Value s ->
@@ -101,7 +101,7 @@ let rec doc c depth =
     (* Each child consumes at least one byte, so a lying count runs out
        of payload and fails the bounds checks above. *)
     if n > c.limit - c.pos then bad "child count %d overruns payload" n;
-    T.Element (Xmlcore.Designator.tag name, children c depth n [])
+    T.Element (name, children c depth n [])
   | 1 -> T.Value (str c)
   | k -> bad "unknown node kind %d" k
 

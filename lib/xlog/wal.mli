@@ -22,7 +22,6 @@
     Documents serialise exactly like {!Xseq.save}'s record region: a
     pre-order walk of [u8 kind] (0 element, 1 value), [u32 LE] length +
     bytes for names/text, and a [u32 LE] child count for elements.
-    Designators are stored as source strings, never process-interned ids.
 
     {1 Defensive decoding}
 

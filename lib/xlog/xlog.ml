@@ -857,6 +857,7 @@ let doc_count t =
 let next_id t = locked t (fun () -> t.next_id)
 let pending t = (Atomic.get t.view).npending
 let segments t = List.length (Atomic.get t.view).segs
+let base t = Option.map (fun seg -> seg.index) (Atomic.get t.view).base
 let tombstones t = Iset.cardinal (Atomic.get t.view).tombs
 let generation t = (Atomic.get t.view).stamp
 let wal_offset t = locked t (fun () -> Wal.offset t.wal)

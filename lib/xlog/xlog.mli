@@ -210,6 +210,10 @@ val pending : t -> int
 val segments : t -> int
 (** Sealed delta segments (the compacted base not included). *)
 
+val base : t -> Xseq.t option
+(** The installed compacted base index, if any.  Its document ids are
+    positions in the base, not store ids. *)
+
 val tombstones : t -> int
 (** Tombstones carried by the current view (compaction reclaims them). *)
 

@@ -198,7 +198,7 @@ let rec parse_element ~keep_whitespace state =
   let attrs = parse_attributes state [] in
   if looking_at state "/>" then begin
     expect state "/>";
-    Xml_tree.Element (Designator.tag name, List.rev attrs)
+    Xml_tree.Element (name, List.rev attrs)
   end
   else begin
     expect state ">";
@@ -209,7 +209,7 @@ let rec parse_element ~keep_whitespace state =
       fail state (Printf.sprintf "mismatched close tag </%s> for <%s>" close name);
     skip_spaces state;
     expect state ">";
-    Xml_tree.Element (Designator.tag name, attrs @ children)
+    Xml_tree.Element (name, attrs @ children)
   end
 
 and parse_attributes state acc =

@@ -20,8 +20,7 @@ let escape_attr s =
   Buffer.contents buf
 
 let is_attr_child = function
-  | Xml_tree.Element (d, [ Xml_tree.Value _ ]) ->
-    let n = Designator.name d in
+  | Xml_tree.Element (n, [ Xml_tree.Value _ ]) ->
     String.length n > 0 && n.[0] = '@'
   | _ -> false
 
@@ -42,12 +41,11 @@ let to_string ?(indent = false) tree =
       let attrs, rest = split_attrs children in
       pad level;
       Buffer.add_char buf '<';
-      Buffer.add_string buf (Designator.name d);
+      Buffer.add_string buf d;
       List.iter
         (fun a ->
           match a with
-          | Xml_tree.Element (ad, [ Xml_tree.Value v ]) ->
-            let n = Designator.name ad in
+          | Xml_tree.Element (n, [ Xml_tree.Value v ]) ->
             Buffer.add_char buf ' ';
             Buffer.add_string buf (String.sub n 1 (String.length n - 1));
             Buffer.add_string buf "=\"";
@@ -63,7 +61,7 @@ let to_string ?(indent = false) tree =
          Buffer.add_char buf '>';
          escape buf ~attr:false v;
          Buffer.add_string buf "</";
-         Buffer.add_string buf (Designator.name d);
+         Buffer.add_string buf d;
          Buffer.add_char buf '>'
        | rest ->
          Buffer.add_char buf '>';
@@ -71,7 +69,7 @@ let to_string ?(indent = false) tree =
          List.iter (emit (level + 1)) rest;
          pad level;
          Buffer.add_string buf "</";
-         Buffer.add_string buf (Designator.name d);
+         Buffer.add_string buf d;
          Buffer.add_char buf '>';
          nl ())
   in

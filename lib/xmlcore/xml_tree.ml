@@ -1,9 +1,9 @@
 type t =
-  | Element of Designator.t * t list
+  | Element of string * t list
   | Value of string
 
-let elt name children = Element (Designator.tag name, children)
-let attr name v = Element (Designator.tag ("@" ^ name), [ Value v ])
+let elt name children = Element (name, children)
+let attr name v = Element ("@" ^ name, [ Value v ])
 let text v = Value v
 
 let tag = function
@@ -31,7 +31,7 @@ let rec equal a b =
   match a, b with
   | Value x, Value y -> String.equal x y
   | Element (da, ca), Element (db, cb) ->
-    Designator.equal da db && List.equal equal ca cb
+    String.equal da db && List.equal equal ca cb
   | Value _, Element _ | Element _, Value _ -> false
 
 let rec compare a b =
@@ -40,7 +40,7 @@ let rec compare a b =
   | Value _, Element _ -> -1
   | Element _, Value _ -> 1
   | Element (da, ca), Element (db, cb) ->
-    let c = Designator.compare da db in
+    let c = String.compare da db in
     if c <> 0 then c else List.compare compare ca cb
 
 let rec canonical_sort t =
@@ -55,15 +55,16 @@ let rec sort_by_tag t =
   match t with
   | Value _ -> t
   | Element (d, cs) ->
-    (* Values key on their value designator so that document order agrees
-       with the designator-id lexicographic order used by the depth-first
-       query pipeline. *)
-    let key = function
-      | Value s -> Designator.to_int (Designator.value s)
-      | Element (cd, _) -> Designator.to_int cd
+    (* Values before elements, each by name: the order in which
+       [Sequencing.Symtab.Path.lex_compare] ranks designators, so document
+       order agrees with the depth-first query pipeline in every index. *)
+    let order a b =
+      match a, b with
+      | Value x, Value y | Element (x, _), Element (y, _) -> String.compare x y
+      | Value _, Element _ -> -1
+      | Element _, Value _ -> 1
     in
-    let cs = List.map sort_by_tag cs in
-    let cs = List.stable_sort (fun a b -> Stdlib.compare (key a) (key b)) cs in
+    let cs = List.stable_sort order (List.map sort_by_tag cs) in
     Element (d, cs)
 
 let rec has_identical_siblings = function
@@ -72,9 +73,9 @@ let rec has_identical_siblings = function
     let tags =
       List.filter_map (function Element (d, _) -> Some d | Value _ -> None) cs
     in
-    let sorted = List.sort Designator.compare tags in
+    let sorted = List.sort String.compare tags in
     let rec dup = function
-      | a :: (b :: _ as rest) -> Designator.equal a b || dup rest
+      | a :: (b :: _ as rest) -> String.equal a b || dup rest
       | [ _ ] | [] -> false
     in
     dup sorted || List.exists has_identical_siblings cs
@@ -87,8 +88,8 @@ let rec fold f acc t =
 
 let rec pp ppf = function
   | Value v -> Format.fprintf ppf "%S" v
-  | Element (d, []) -> Designator.pp ppf d
+  | Element (d, []) -> Format.pp_print_string ppf d
   | Element (d, cs) ->
-    Format.fprintf ppf "%a(%a)" Designator.pp d
+    Format.fprintf ppf "%s(%a)" d
       (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ",") pp)
       cs

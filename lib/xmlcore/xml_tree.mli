@@ -1,26 +1,30 @@
 (** The XML data model: ordered labelled trees with value leaves.
 
     Following the paper (Figure 1), an XML document/record is a tree whose
-    internal nodes carry element or attribute designators and whose leaves
-    may carry text values.  Attributes are normalised into child elements
+    internal nodes carry element or attribute names and whose leaves may
+    carry text values.  Attributes are normalised into child elements
     whose tag is the attribute name prefixed with ['@'], and their text
-    into a {!Value} leaf, so the whole model is a single tree shape. *)
+    into a {!Value} leaf, so the whole model is a single tree shape.
+
+    Trees carry names as strings; designators (the paper's interned
+    names) belong to the symbol table of the index a tree is put in
+    ({!Sequencing.Symtab}), so a tree means the same in every index. *)
 
 type t =
-  | Element of Designator.t * t list
+  | Element of string * t list  (** tag name and children *)
   | Value of string
 
 val elt : string -> t list -> t
-(** [elt name children] is [Element (Designator.tag name, children)]. *)
+(** [elt name children] is [Element (name, children)]. *)
 
 val attr : string -> string -> t
 (** [attr name v] is the normalised form of an attribute:
-    [Element (tag ("@" ^ name), [Value v])]. *)
+    [Element ("@" ^ name, [Value v])]. *)
 
 val text : string -> t
 (** [text v] is [Value v]. *)
 
-val tag : t -> Designator.t
+val tag : t -> string
 (** Tag of an element.  @raise Invalid_argument on a [Value]. *)
 
 val children : t -> t list
@@ -53,8 +57,9 @@ val canonical_sort : t -> t
     [equal (canonical_sort a) (canonical_sort b)]. *)
 
 val sort_by_tag : t -> t
-(** Recursively {e stable}-sorts siblings by their tag designator only
-    (value leaves sort before elements, by their text).  Unlike
+(** Recursively {e stable}-sorts siblings by their tag name only (value
+    leaves sort before elements, by their text), whichever index the tree
+    is later put in.  Unlike
     {!canonical_sort} the subtree contents do not influence the order, so
     a pattern and any document embedding it sort their common tags the
     same way — the property the depth-first (ViST-style) query pipeline

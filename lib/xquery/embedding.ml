@@ -1,10 +1,9 @@
 module T = Xmlcore.Xml_tree
-module D = Xmlcore.Designator
 
 (* Flattened document: pre-order arrays with (pre, post) for O(1)
    descendant tests. *)
 type doc = {
-  tags : D.t option array; (* None for value leaves *)
+  tags : string option array; (* None for value leaves *)
   values : string option array;
   parent : int array;
   post : int array;
@@ -55,7 +54,7 @@ let test_ok doc test node =
   | Pattern.Star -> doc.tags.(node) <> None
   | Pattern.Tag s ->
     (match doc.tags.(node) with
-     | Some d -> String.equal (D.name d) s
+     | Some d -> String.equal d s
      | None -> false)
   | Pattern.Text s ->
     (match doc.values.(node) with Some v -> String.equal v s | None -> false)

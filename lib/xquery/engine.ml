@@ -1,8 +1,15 @@
-let compile ?limit ?max_expansions ~strategy ~value_mode idx pattern =
-  let mem p = Option.is_some (Xindex.Labeled.link idx p) in
+(* Names resolve against the index's own symbol table, read-only. *)
+let instantiate ?limit ?max_expansions ~strategy ~value_mode idx pattern =
+  let symbols = Xindex.Labeled.symbols idx in
   let flagged = Xindex.Labeled.path_multiple idx in
-  let cnodes = Instantiate.run ?limit ~mem ~value_mode pattern in
-  List.concat_map (Query_seq.compile ?max_expansions ~flagged ~strategy) cnodes
+  let cnodes = Instantiate.run ?limit ~value_mode symbols pattern in
+  ( cnodes,
+    List.concat_map
+      (Query_seq.compile ?max_expansions ~flagged ~strategy symbols)
+      cnodes )
+
+let compile ?limit ?max_expansions ~strategy ~value_mode idx pattern =
+  snd (instantiate ?limit ?max_expansions ~strategy ~value_mode idx pattern)
 
 let query ?mode ?stats ?limit ?max_expansions ~strategy ~value_mode idx
     pattern =
@@ -19,17 +26,16 @@ type explanation = {
 }
 
 let explain ?mode ?limit ?max_expansions ~strategy ~value_mode idx pattern =
-  let mem p = Option.is_some (Xindex.Labeled.link idx p) in
-  let flagged = Xindex.Labeled.path_multiple idx in
-  let cnodes = Instantiate.run ?limit ~mem ~value_mode pattern in
-  let compiled =
-    List.concat_map (Query_seq.compile ?max_expansions ~flagged ~strategy) cnodes
+  let cnodes, compiled =
+    instantiate ?limit ?max_expansions ~strategy ~value_mode idx pattern
   in
   let stats = Matcher.create_stats () in
   let results = Matcher.run_collect ?mode ~stats idx compiled in
   let render (q : Query_seq.compiled) =
     String.concat " "
-      (List.map Sequencing.Path.to_string (Array.to_list q.paths))
+      (List.map
+         (Sequencing.Symtab.Path.to_string (Xindex.Labeled.symbols idx))
+         (Array.to_list q.paths))
   in
   {
     pattern = Pattern.to_string pattern;

@@ -14,7 +14,7 @@ let rec of_tree ?(axis = Child) tree =
   | T.Value s -> { test = Text s; axis; children = [] }
   | T.Element (d, cs) ->
     {
-      test = Tag (Xmlcore.Designator.name d);
+      test = Tag d;
       axis;
       children = List.map (of_tree ~axis:Child) cs;
     }

@@ -1,4 +1,4 @@
-module Path = Sequencing.Path
+module Path = Sequencing.Symtab.Path
 module Strategy = Sequencing.Strategy
 module Scheduler = Sequencing.Scheduler
 
@@ -128,11 +128,13 @@ let rec partitions ~ok = function
                 parts))
       (partitions ~ok rest)
 
-let rec normalize ~flagged ~budget (c : Instantiate.cnode) :
+let rec normalize symbols ~flagged ~budget (c : Instantiate.cnode) :
     Instantiate.cnode list =
-  let cd = Path.depth c.path in
+  let cd = Path.depth symbols c.path in
   (* Group children by their first step below [c]. *)
-  let step (k : Instantiate.cnode) = Path.ancestor_at_depth k.path (cd + 1) in
+  let step (k : Instantiate.cnode) =
+    Path.ancestor_at_depth symbols k.path (cd + 1)
+  in
   let groups : (Path.t * Instantiate.cnode list) list =
     let tbl = Hashtbl.create 8 in
     let order = ref [] in
@@ -151,17 +153,20 @@ let rec normalize ~flagged ~budget (c : Instantiate.cnode) :
   (* Wrap a lone deep child in junctions at every flagged intermediate
      level (shallowest first; recursion handles the rest). *)
   let rec wrap_deep parent_depth (k : Instantiate.cnode) =
-    let kd = Path.depth k.path in
+    let kd = Path.depth symbols k.path in
     let rec first_flagged d =
       if d >= kd then None
       else begin
-        let anc = Path.ancestor_at_depth k.path d in
+        let anc = Path.ancestor_at_depth symbols k.path d in
         if flagged anc then Some anc else first_flagged (d + 1)
       end
     in
     match first_flagged (parent_depth + 1) with
     | Some anc when not (Path.equal anc k.path) ->
-      { Instantiate.path = anc; kids = [ wrap_deep (Path.depth anc) k ] }
+      {
+        Instantiate.path = anc;
+        kids = [ wrap_deep (Path.depth symbols anc) k ];
+      }
     | _ -> k
   in
   (* Variants for one sibling group at step [s]. *)
@@ -210,7 +215,9 @@ let rec normalize ~flagged ~budget (c : Instantiate.cnode) :
       List.concat_map
         (fun kids ->
           (* Normalise each child; product of the children's variants. *)
-          let kid_variants = List.map (normalize ~flagged ~budget) kids in
+          let kid_variants =
+            List.map (normalize symbols ~flagged ~budget) kids
+          in
           if List.exists (fun v -> v = []) kid_variants then []
           else
             List.map
@@ -269,38 +276,40 @@ let flatten (c : Instantiate.cnode) =
 (* Dense lexicographic ranks: equal paths share a rank, so the scheduler
    falls through to its rank (document-position) tie-break — which is what
    lets identical-sibling permutations produce distinct sequences. *)
-let lex_ranks paths =
+let lex_ranks symbols paths =
   let n = Array.length paths in
   let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> Path.lex_compare paths.(a) paths.(b)) order;
+  Array.sort (fun a b -> Path.lex_compare symbols paths.(a) paths.(b)) order;
   let rank = Array.make n 0 in
   let current = ref 0 in
   Array.iteri
     (fun pos i ->
-      if pos > 0 && Path.lex_compare paths.(order.(pos - 1)) paths.(i) <> 0 then
+      if pos > 0 && not (Path.equal paths.(order.(pos - 1)) paths.(i)) then
         incr current;
       rank.(i) <- !current)
     order;
   rank
 
-let compile_one ~flagged ~strategy flat =
+let compile_one symbols ~flagged ~strategy flat =
   let has_identical i = flat.fident.(i) || flagged flat.fpaths.(i) in
   let prio =
     match strategy with
     | Strategy.Probability f -> fun i -> f flat.fpaths.(i)
     | Strategy.Depth_first ->
-      let rank = lex_ranks flat.fpaths in
+      let rank = lex_ranks symbols flat.fpaths in
       fun i -> -.float_of_int rank.(i)
     | Strategy.Breadth_first ->
-      let rank = lex_ranks flat.fpaths in
+      let rank = lex_ranks symbols flat.fpaths in
       fun i ->
-        -.float_of_int ((Path.depth flat.fpaths.(i) * (1 lsl 26)) + rank.(i))
+        -.float_of_int
+            ((Path.depth symbols flat.fpaths.(i) * (1 lsl 26)) + rank.(i))
     | Strategy.Random _ ->
       raise (Unsupported_strategy "random sequencing cannot be queried")
   in
   let spec =
     {
       Scheduler.prio;
+      depth = (fun i -> Path.depth symbols flat.fpaths.(i));
       path_id = (fun i -> Path.to_int flat.fpaths.(i));
       rank = (fun i -> i);
       iter_children = (fun i f -> List.iter f flat.fchildren.(i));
@@ -320,16 +329,19 @@ let compile_one ~flagged ~strategy flat =
     order;
   { paths; parents }
 
-let compile ?(max_expansions = 256) ?(flagged = fun _ -> true) ~strategy cnode =
+let compile ?(max_expansions = 256) ?(flagged = fun _ -> true) ~strategy
+    symbols cnode =
   let count = ref 0 in
   let budget n =
     count := !count + n;
     if !count > max_expansions then raise (Instantiate.Too_many !count)
   in
-  let normalized = normalize ~flagged ~budget cnode in
+  let normalized = normalize symbols ~flagged ~budget cnode in
   let variants = List.concat_map (expand_variants ~budget) normalized in
   let compiled =
-    List.map (fun v -> compile_one ~flagged ~strategy (flatten v)) variants
+    List.map
+      (fun v -> compile_one symbols ~flagged ~strategy (flatten v))
+      variants
   in
   (* Deduplicate sequences that coincide (identical sibling subtrees that
      are themselves equal produce equal permutations). *)

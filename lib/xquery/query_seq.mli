@@ -14,7 +14,7 @@
     edge). *)
 
 type compiled = {
-  paths : Sequencing.Path.t array;
+  paths : Sequencing.Symtab.Path.t array;
   parents : int array;
       (** [parents.(i)] is the sequence position of element [i]'s pattern
           parent, or -1 for the pattern root. *)
@@ -24,12 +24,14 @@ exception Unsupported_strategy of string
 
 val compile :
   ?max_expansions:int ->
-  ?flagged:(Sequencing.Path.t -> bool) ->
+  ?flagged:(Sequencing.Symtab.Path.t -> bool) ->
   strategy:Sequencing.Strategy.t ->
+  Sequencing.Symtab.t ->
   Instantiate.cnode ->
   compiled list
-(** All query sequences of one concrete pattern (one per distinct
-    identical-sibling arrangement, deduplicated).  [max_expansions]
+(** All query sequences of one concrete pattern over the paths of a
+    table (one per distinct identical-sibling arrangement,
+    deduplicated).  [max_expansions]
     (default 256) bounds the number of variants; each is charged as it is
     generated, so a query over the budget raises
     {!Instantiate.Too_many} as soon as the count passes it, not after

@@ -1,5 +1,6 @@
-module D = Xmlcore.Designator
-module Path = Sequencing.Path
+module Symtab = Sequencing.Symtab
+module D = Symtab.Designator
+module Path = Symtab.Path
 
 type t = {
   tag : string;
@@ -16,8 +17,8 @@ let node ?(exist = 1.0) ?(weight = 1.0) ?value tag children =
 
 let uniform_values k = { cardinality = k; known = [] }
 
-let rec collect parent_path parent_p acc s =
-  let path = Path.child parent_path (D.tag s.tag) in
+let rec collect symbols parent_path parent_p acc s =
+  let path = Path.child symbols parent_path (D.tag symbols s.tag) in
   let p = parent_p *. s.exist in
   let acc = (path, p) :: acc in
   let acc =
@@ -25,22 +26,26 @@ let rec collect parent_path parent_p acc s =
     | None -> acc
     | Some v ->
       List.fold_left
-        (fun acc (text, pv) -> (Path.child path (D.value text), p *. pv) :: acc)
+        (fun acc (text, pv) ->
+          (Path.child symbols path (D.value symbols text), p *. pv) :: acc)
         acc v.known
   in
-  List.fold_left (collect path p) acc s.children
+  List.fold_left (collect symbols path p) acc s.children
 
-let p_root s = List.rev (collect Path.epsilon 1.0 [] s)
+let p_root s symbols = List.rev (collect symbols Path.epsilon 1.0 [] s)
 
-(* Priority table: weighted probabilities for schema paths, plus the
-   per-slot fallback probability for anonymous domain values. *)
+(* Priority table over the schema's own symbol table: weighted
+   probabilities for schema paths, plus the per-slot fallback
+   probability for anonymous domain values. *)
 type tables = {
+  own : Symtab.t;
   prio : (Path.t, float) Hashtbl.t;
   value_slot : (Path.t, float) Hashtbl.t; (* parent path -> prio of one anon value *)
 }
 
 let rec fill tables parent_path parent_p s =
-  let path = Path.child parent_path (D.tag s.tag) in
+  let own = tables.own in
+  let path = Path.child own parent_path (D.tag own s.tag) in
   let p = parent_p *. s.exist in
   Hashtbl.replace tables.prio path (p *. s.weight);
   (match s.value with
@@ -49,7 +54,7 @@ let rec fill tables parent_path parent_p s =
      List.iter
        (fun (text, pv) ->
          Hashtbl.replace tables.prio
-           (Path.child path (D.value text))
+           (Path.child own path (D.value own text))
            (p *. pv *. s.weight))
        v.known;
      let anon = p /. float_of_int (max 1 v.cardinality) in
@@ -57,30 +62,44 @@ let rec fill tables parent_path parent_p s =
   List.iter (fill tables path p) s.children
 
 let tables_of s =
-  let tables = { prio = Hashtbl.create 256; value_slot = Hashtbl.create 64 } in
+  let tables =
+    {
+      own = Symtab.create ();
+      prio = Hashtbl.create 256;
+      value_slot = Hashtbl.create 64;
+    }
+  in
   fill tables Path.epsilon 1.0 s;
   tables
 
-let to_priority s =
-  let tables = tables_of s in
-  let memo : (Path.t, float) Hashtbl.t = Hashtbl.create 256 in
-  let rec lookup path =
-    if Path.equal path Path.epsilon then 1.0
-    else
-      match Hashtbl.find_opt tables.prio path with
-      | Some p -> p
-      | None ->
-        (match Hashtbl.find_opt memo path with
-         | Some p -> p
-         | None ->
-           let p =
-             match Hashtbl.find_opt tables.value_slot (Path.parent path) with
-             | Some anon when D.is_value (Path.tag path) -> anon
-             | _ -> lookup (Path.parent path) *. 0.1
-           in
-           Hashtbl.replace memo path p;
-           p)
+(* A path of [symbols] is priced by its names: [resolve] walks it from
+   the root through the schema's own table, so the price depends on
+   nothing but the spelling.  Pricing only reads, so it is safe from any
+   number of domains. *)
+let to_priority s symbols =
+  let { own; prio; value_slot } = tables_of s in
+  let rec resolve p =
+    if Path.equal p Path.epsilon then (Some Path.epsilon, 1.0)
+    else begin
+      let parent, parent_prio = resolve (Path.parent symbols p) in
+      let d = Path.tag symbols p in
+      let is_value = D.is_value symbols d in
+      let find = if is_value then D.find_value else D.find_tag in
+      let mine =
+        Option.bind parent (fun q ->
+            Option.bind (find own (D.name symbols d)) (Path.find_child own q))
+      in
+      let price =
+        match Option.bind mine (Hashtbl.find_opt prio) with
+        | Some price -> price
+        | None ->
+          (match Option.bind parent (Hashtbl.find_opt value_slot) with
+           | Some anon when is_value -> anon
+           | _ -> parent_prio *. 0.1)
+      in
+      (mine, price)
+    end
   in
-  lookup
+  fun p -> snd (resolve p)
 
-let strategy s = Sequencing.Strategy.Probability (to_priority s)
+let strategy s symbols = Sequencing.Strategy.Probability (to_priority s symbols)

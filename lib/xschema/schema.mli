@@ -29,18 +29,24 @@ val node : ?exist:float -> ?weight:float -> ?value:value -> string -> t list -> 
 val uniform_values : int -> value
 (** [uniform_values k] is a domain of [k] equiprobable values. *)
 
-val p_root : t -> (Sequencing.Path.t * float) list
-(** All concrete element paths of the schema with their [p(C|root)]
-    (Figure 13).  Value designator paths are included for [known] values
-    only (with probability [exist × p(v)]); anonymous domain values
-    contribute through {!to_priority}'s fallback. *)
+val p_root :
+  t -> Sequencing.Symtab.t -> (Sequencing.Symtab.Path.t * float) list
+(** All concrete element paths of the schema, interned into the table,
+    with their [p(C|root)] (Figure 13).  Value designator paths are
+    included for [known] values only (with probability [exist × p(v)]);
+    anonymous domain values contribute through {!to_priority}'s
+    fallback. *)
 
-val to_priority : t -> Sequencing.Path.t -> float
-(** The [gbest] priority function: [p'(C|root)] for schema paths;
+val to_priority :
+  t -> Sequencing.Symtab.t -> Sequencing.Symtab.Path.t -> float
+(** The [gbest] priority function over the paths of a table, priced by
+    their names: [p'(C|root)] for schema paths;
     unknown-value paths under a value slot get
     [p(slot|root) / cardinality]; paths outside the schema decay
     geometrically from their longest known prefix, so priorities stay
     consistent between data and query sequencing. *)
 
-val strategy : t -> Sequencing.Strategy.t
-(** [Probability (to_priority t)]. *)
+val strategy : t -> Sequencing.Symtab.t -> Sequencing.Strategy.t
+(** [Probability (to_priority t symbols)]: pass it as
+    [Xseq.Custom (Schema.strategy schema)], and each index applies it to
+    its own table. *)

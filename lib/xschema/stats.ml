@@ -1,53 +1,64 @@
-module D = Xmlcore.Designator
-module Path = Sequencing.Path
+module Symtab = Sequencing.Symtab
+module D = Symtab.Designator
+module Path = Symtab.Path
 module Encoder = Sequencing.Encoder
 
-module PMap = Map.Make (Path)
-
 type t = {
-  mutable docs : int;
-  freq : (Path.t, int) Hashtbl.t; (* #docs containing the path *)
+  symbols : Symtab.t;
+  docs : int;
+  freq : int array; (* per path id: #docs containing the path *)
+  p : float array; (* per path id: the p_root estimate *)
   weights : (Path.t, float) Hashtbl.t;
-  memo : float PMap.t Atomic.t; (* fallback p_root cache *)
-      (* [freq] and [weights] are frozen once sequencing starts, but the
-         fallback cache is written lazily from whatever domain happens to
-         price an unseen path first — during parallel encoding or batched
-         query compilation.  It used to be a mutex'd hashtable, which put
-         a lock acquisition on every fallback lookup of every query in a
-         batch; it is now an immutable map published by CAS, so the
-         per-query hot path reads it with a single atomic load and only
-         a genuinely new path pays a (retried) publication. *)
 }
 
-let create () =
-  {
-    docs = 0;
-    freq = Hashtbl.create 1024;
-    weights = Hashtbl.create 16;
-    memo = Atomic.make PMap.empty;
-  }
+(* Estimates for every path of the table ([freq] has one count per
+   path), parents first (a path's id is always above its parent's): seen
+   paths by frequency, unseen ones decaying from their parent.  Computed
+   once, so pricing only reads. *)
+let make symbols ~docs freq =
+  let n = Array.length freq in
+  let p = Array.make n 1.0 in
+  for id = 1 to n - 1 do
+    p.(id) <-
+      (if freq.(id) > 0 then
+         float_of_int freq.(id) /. float_of_int (max 1 docs)
+       else
+         let parent = Path.parent symbols (Path.of_int symbols id) in
+         p.(Path.to_int parent) *. 0.1)
+  done;
+  { symbols; docs; freq; p; weights = Hashtbl.create 16 }
 
-let add_document ?value_mode t doc =
-  t.docs <- t.docs + 1;
-  let seen = Hashtbl.create 64 in
-  Array.iter
-    (fun p ->
-      if not (Hashtbl.mem seen p) then begin
-        Hashtbl.replace seen p ();
-        let n = try Hashtbl.find t.freq p with Not_found -> 0 in
-        Hashtbl.replace t.freq p (n + 1)
-      end)
-    (Encoder.paths_of_tree ?value_mode doc)
+(* Counts the documents [keep] selects, each path once per document. *)
+let count ?value_mode ?(symbols = Symtab.create ()) ~keep docs =
+  let counted = ref 0 in
+  let paths =
+    Array.mapi
+      (fun i d ->
+        if keep i then begin
+          incr counted;
+          Encoder.paths_of_tree ?value_mode symbols d
+        end
+        else [||])
+      docs
+  in
+  let n = Symtab.path_count symbols in
+  let freq = Array.make n 0 and stamp = Array.make n (-1) in
+  Array.iteri
+    (fun i ->
+      Array.iter (fun p ->
+          let p = Path.to_int p in
+          if stamp.(p) <> i then begin
+            stamp.(p) <- i;
+            freq.(p) <- freq.(p) + 1
+          end))
+    paths;
+  make symbols ~docs:!counted freq
 
-let of_documents ?value_mode docs =
-  let t = create () in
-  List.iter (add_document ?value_mode t) docs;
-  t
+let of_documents_array ?value_mode ?symbols docs =
+  count ?value_mode ?symbols ~keep:(fun _ -> true) docs
 
-let of_documents_array ?value_mode docs =
-  let t = create () in
-  Array.iter (add_document ?value_mode t) docs;
-  t
+let of_documents ?value_mode ?symbols docs =
+  of_documents_array ?value_mode ?symbols (Array.of_list docs)
 
 let sample_members ~fraction ~seed n =
   let rng = Random.State.make [| seed |] in
@@ -55,60 +66,45 @@ let sample_members ~fraction ~seed n =
   if n > 0 && not (Array.mem true m) then m.(0) <- true;
   m
 
-let sample ?value_mode ~fraction ~seed docs =
-  let t = create () in
+let sample ?value_mode ?symbols ~fraction ~seed docs =
   let m = sample_members ~fraction ~seed (Array.length docs) in
-  Array.iteri (fun i d -> if m.(i) then add_document ?value_mode t d) docs;
-  t
+  count ?value_mode ?symbols ~keep:(fun i -> m.(i)) docs
 
-let of_path_counts ~docs counts =
-  let t = create () in
-  t.docs <- docs;
-  Array.iter (fun (p, n) -> if n > 0 then Hashtbl.replace t.freq p n) counts;
-  t
+let of_path_counts symbols ~docs counts =
+  let freq = Array.make (Symtab.path_count symbols) 0 in
+  Array.iter (fun (p, n) -> freq.(Path.to_int p) <- max 0 n) counts;
+  make symbols ~docs freq
 
+let symbols t = t.symbols
 let doc_count t = t.docs
 
 let rec p_root t path =
-  if Path.equal path Path.epsilon then 1.0
-  else
-    match Hashtbl.find_opt t.freq path with
-    | Some n -> float_of_int n /. float_of_int (max 1 t.docs)
-    | None ->
-      (* Lock-free cache probe; the recursive estimate itself runs
-         unsynchronised (a racing domain at worst recomputes the same
-         deterministic value), and publication retries by CAS so a
-         concurrent writer's entries are never lost. *)
-      (match PMap.find_opt path (Atomic.get t.memo) with
-       | Some p -> p
-       | None ->
-         let p = p_root t (Path.parent path) *. 0.1 in
-         let rec publish () =
-           let cur = Atomic.get t.memo in
-           if PMap.mem path cur then ()
-           else if not (Atomic.compare_and_set t.memo cur (PMap.add path p cur))
-           then publish ()
-         in
-         publish ();
-         p)
+  let id = Path.to_int path in
+  if id < Array.length t.p then t.p.(id)
+  else p_root t (Path.parent t.symbols path) *. 0.1
 
 let p_parent t path =
   if Path.equal path Path.epsilon then 1.0
   else begin
-    let pp = p_root t (Path.parent path) in
+    let pp = p_root t (Path.parent t.symbols path) in
     if pp <= 0. then 0. else p_root t path /. pp
   end
 
 let set_weight t path w = Hashtbl.replace t.weights path w
 
-let set_tag_weight t d w =
-  Hashtbl.iter
-    (fun path _ ->
-      if (not (Path.equal path Path.epsilon)) && D.equal (Path.tag path) d then
-        Hashtbl.replace t.weights path w)
+let set_tag_weight t name w =
+  Array.iteri
+    (fun id n ->
+      if n > 0 then begin
+        let d = Path.tag t.symbols (Path.of_int t.symbols id) in
+        if (not (D.is_value t.symbols d)) && D.name t.symbols d = name then
+          Hashtbl.replace t.weights (Path.of_int t.symbols id) w
+      end)
     t.freq
 
 let weight t path = try Hashtbl.find t.weights path with Not_found -> 1.0
 let priority t path = p_root t path *. weight t path
 let strategy t = Sequencing.Strategy.Probability (priority t)
-let distinct_paths t = Hashtbl.length t.freq
+
+let distinct_paths t =
+  Array.fold_left (fun k n -> if n > 0 then k + 1 else k) 0 t.freq

@@ -7,25 +7,36 @@
     simple sequencing procedure of Section 2.4 relies on (ancestors come
     out first under the probability strategy).
 
-    Thread-safety: collection ({!of_documents}, {!sample}, {!set_weight},
-    …) must run on a single domain.  Once collection is done, {!p_root},
-    {!p_parent} and {!priority} may be called from many domains
-    concurrently — the internal fallback cache for unseen paths is
-    mutex-protected, so pricing is safe during parallel encoding and
-    batched query compilation. *)
+    Statistics price the paths of one symbol table: the one they were
+    counted into, fixed at construction.  Estimates for every path of the
+    table are computed then, so {!p_root}, {!p_parent} and {!priority}
+    only read and may be called from many domains at once.  {!set_weight}
+    and {!set_tag_weight} must run on one domain, before pricing
+    starts. *)
 
 type t
 
 val of_documents :
-  ?value_mode:Sequencing.Encoder.value_mode -> Xmlcore.Xml_tree.t list -> t
-(** Collects path document-frequencies over the sample. *)
+  ?value_mode:Sequencing.Encoder.value_mode ->
+  ?symbols:Sequencing.Symtab.t ->
+  Xmlcore.Xml_tree.t list ->
+  t
+(** Collects path document-frequencies over the sample, interning its
+    paths into [symbols] (default: a fresh table). *)
 
 val of_documents_array :
-  ?value_mode:Sequencing.Encoder.value_mode -> Xmlcore.Xml_tree.t array -> t
+  ?value_mode:Sequencing.Encoder.value_mode ->
+  ?symbols:Sequencing.Symtab.t ->
+  Xmlcore.Xml_tree.t array ->
+  t
 
 val sample :
   ?value_mode:Sequencing.Encoder.value_mode ->
-  fraction:float -> seed:int -> Xmlcore.Xml_tree.t array -> t
+  ?symbols:Sequencing.Symtab.t ->
+  fraction:float ->
+  seed:int ->
+  Xmlcore.Xml_tree.t array ->
+  t
 (** Estimates from a Bernoulli sample of the documents (at least one
     document is always taken): exactly the documents that
     {!sample_members} selects. *)
@@ -36,32 +47,37 @@ val sample_members : fraction:float -> seed:int -> int -> bool array
     from the persisted (seed, fraction) and its record count, so its
     statistics cover the same sample without the documents. *)
 
-val of_path_counts : docs:int -> (Sequencing.Path.t * int) array -> t
-(** Statistics from precomputed document frequencies: [docs] documents,
-    of which [n] contain path [p] for each [(p, n)].  Paths with a zero
-    count are treated as unseen.  Used to derive the statistics of a
-    loaded index from its document table instead of its records. *)
+val of_path_counts :
+  Sequencing.Symtab.t -> docs:int -> (Sequencing.Symtab.Path.t * int) array -> t
+(** Statistics from precomputed document frequencies over the paths of
+    a table: [docs] documents, of which [n] contain path [p] for each
+    [(p, n)].  Paths with a zero count are treated as unseen.  Used by a
+    build, which counts as it flattens, and to derive the statistics of
+    a loaded index from its document table instead of its records. *)
+
+val symbols : t -> Sequencing.Symtab.t
+(** The table whose paths these statistics price. *)
 
 val doc_count : t -> int
 
-val p_root : t -> Sequencing.Path.t -> float
+val p_root : t -> Sequencing.Symtab.Path.t -> float
 (** Estimated [p(C|root)]; unseen paths decay geometrically from their
     longest seen prefix so estimates remain deterministic and
     parent-monotone. *)
 
-val p_parent : t -> Sequencing.Path.t -> float
+val p_parent : t -> Sequencing.Symtab.Path.t -> float
 (** Estimated [p(C|parent)] = [p(C|root) / p(parent|root)] (Figure 12). *)
 
-val set_weight : t -> Sequencing.Path.t -> float -> unit
+val set_weight : t -> Sequencing.Symtab.Path.t -> float -> unit
 (** Registers the tunable weight [w(C)] of Eq. 6 for a path; weights
     default to 1. *)
 
-val set_tag_weight : t -> Xmlcore.Designator.t -> float -> unit
-(** Applies a weight to every known path ending in the given designator —
-    a convenient way to promote "frequently queried and highly selective"
+val set_tag_weight : t -> string -> float -> unit
+(** Applies a weight to every seen path ending in the named element — a
+    convenient way to promote "frequently queried and highly selective"
     elements (Impact 2 of Section 5.1). *)
 
-val priority : t -> Sequencing.Path.t -> float
+val priority : t -> Sequencing.Symtab.Path.t -> float
 (** [p'(C|root) = p(C|root) × w(C)] (Eq. 6). *)
 
 val strategy : t -> Sequencing.Strategy.t

@@ -3,7 +3,8 @@ module Xpath = Xquery.Xpath_parser
 module T = Xmlcore.Xml_tree
 module Strategy = Sequencing.Strategy
 module Encoder = Sequencing.Encoder
-module Path = Sequencing.Path
+module Symtab = Sequencing.Symtab
+module Path = Symtab.Path
 module Domain_pool = Xutil.Domain_pool
 
 type sequencing =
@@ -11,8 +12,8 @@ type sequencing =
   | Breadth_first of { canonical : bool }
   | Random of int
   | Probability
-  | Probability_weighted of (Sequencing.Path.t -> float)
-  | Custom of Strategy.t
+  | Probability_weighted of (Symtab.t -> Path.t -> float)
+  | Custom of (Symtab.t -> Strategy.t)
 
 type config = {
   sequencing : sequencing;
@@ -56,6 +57,7 @@ type t = {
   stats : Xschema.Stats.t option;
   built_config : config; (* for persistence: how the strategy was derived *)
   generation : int; (* process-unique stamp; see [generation] in the mli *)
+  resequenced : bool; (* loaded from a version-1 snapshot, see [restore] *)
 }
 
 (* Every index constructed in this process — built, loaded, or rebuilt by
@@ -66,20 +68,22 @@ type t = {
 let generation_counter = Atomic.make 1
 let next_generation () = Atomic.fetch_and_add generation_counter 1
 
-(* [stats ()] collects the [gbest] statistics; only the probability
-   strategies ask for them. *)
-let resolve_strategy config stats =
+(* The strategy over the paths of [symbols]; [stats ()] collects the
+   [gbest] statistics, which only the probability strategies ask for. *)
+let resolve_strategy config symbols stats =
   match config.sequencing with
   | Depth_first _ -> (Strategy.Depth_first, None)
   | Breadth_first _ -> (Strategy.Breadth_first, None)
   | Random seed -> (Strategy.Random seed, None)
-  | Custom s -> (s, None)
+  | Custom s -> (s symbols, None)
   | Probability | Probability_weighted _ ->
     let stats = stats () in
     let base = Xschema.Stats.priority stats in
     let prio =
       match config.sequencing with
-      | Probability_weighted w -> fun p -> base p *. w p
+      | Probability_weighted w ->
+        let w = w symbols in
+        fun p -> base p *. w p
       | _ -> base
     in
     (Strategy.Probability prio, Some stats)
@@ -99,12 +103,11 @@ let with_pool_opt ?domains ?pool f =
    under the same stamp occurs twice in that record ([multi], the global
    identical-sibling trigger), and a path seen under a new stamp adds
    one to its record frequency [freq] when the record is [counted].
-   Every path of [flats] is interned already, so its id is below
-   [Path.count ()]. *)
+   Every path of [flats] is in [symbols] already. *)
 type census = { stamp : int array; freq : int array; multi : Bytes.t }
 
-let count_paths ~counted flats =
-  let width = Path.count () in
+let count_paths symbols ~counted flats =
+  let width = Symtab.path_count symbols in
   let c =
     {
       stamp = Array.make width (-1);
@@ -137,10 +140,11 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
       report name (Unix.gettimeofday () -. t0);
       r
   in
-  (* Phase discipline (DESIGN.md §9): the designator and path intern
-     tables are written only by the sequential walk below, in a fixed
-     order; the parallel phase only reads them.  That makes the parallel
-     build label-identical to the sequential one. *)
+  (* Phase discipline (DESIGN.md §9): the index's symbol table is
+     written only by the sequential walk below, in a fixed order; the
+     parallel phase only reads it.  That makes the parallel build
+     label-identical to the sequential one. *)
+  let symbols = Symtab.create () in
   let ndocs = Array.length docs in
   let value_mode = config.value_mode in
   (* The probability model counts a Bernoulli sample of the records, or
@@ -170,7 +174,8 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
     phase "flatten+intern" (fun () ->
         let flats = Array.make ndocs None in
         let walk i =
-          flats.(i) <- Some (Encoder.flatten ~value_mode ~scratch docs.(i))
+          flats.(i) <-
+            Some (Encoder.flatten ~value_mode ~scratch symbols docs.(i))
         in
         (match sample with
          | Some m ->
@@ -184,15 +189,15 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
   let census, strategy, stats, encode_strategy =
     phase "counts" (fun () ->
         let census =
-          count_paths flats ~counted:(fun i ->
+          count_paths symbols flats ~counted:(fun i ->
               match sample with Some m -> m.(i) | None -> true)
         in
         let strategy, stats =
-          resolve_strategy config (fun () ->
+          resolve_strategy config symbols (fun () ->
               let counts = ref [] in
               for p = Array.length census.freq - 1 downto 0 do
                 if census.freq.(p) > 0 then
-                  counts := (Path.of_int p, census.freq.(p)) :: !counts
+                  counts := (Path.of_int symbols p, census.freq.(p)) :: !counts
               done;
               let docs =
                 match sample with
@@ -200,7 +205,8 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
                   Array.fold_left (fun n b -> if b then n + 1 else n) 0 m
                 | None -> ndocs
               in
-              Xschema.Stats.of_path_counts ~docs (Array.of_list !counts))
+              Xschema.Stats.of_path_counts symbols ~docs
+                (Array.of_list !counts))
         in
         (* Each path's priority is computed once, not once per node. *)
         let encode_strategy =
@@ -208,7 +214,8 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
           | Strategy.Probability f ->
             let prio =
               Array.init (Array.length census.stamp) (fun p ->
-                  if census.stamp.(p) >= 0 then f (Path.of_int p) else 0.)
+                  if census.stamp.(p) >= 0 then f (Path.of_int symbols p)
+                  else 0.)
             in
             Strategy.Probability (fun p -> prio.(Path.to_int p))
           | Strategy.Depth_first | Strategy.Breadth_first | Strategy.Random _ ->
@@ -218,21 +225,21 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
   in
   let ident p = Bytes.get census.multi (Path.to_int p) <> '\000' in
   (* Phase 3 (parallel, read-only): encoding from the flat records.
-     Canonical modes sequence the tag-sorted records instead; sorting
-     interns whole-string value designators (new ones under the Text
-     value mode), so it and the re-flattening run first, sequentially. *)
+     Canonical modes sequence the tag-sorted records instead, flattened
+     first and sequentially; their paths are all in the table already. *)
   let seqs =
     phase "encode" (fun () ->
         let flats =
           if canonical then
             Array.map
-              (fun d -> Encoder.flatten ~value_mode ~scratch (T.sort_by_tag d))
+              (fun d ->
+                Encoder.flatten ~value_mode ~scratch symbols (T.sort_by_tag d))
               docs
           else flats
         in
         with_pool_opt ?domains ?pool (fun p ->
             Domain_pool.map p
-              (Encoder.sequence ~ident ~strategy:encode_strategy)
+              (Encoder.sequence ~ident ~strategy:encode_strategy symbols)
               flats))
   in
   let total_seq_len = Array.fold_left (fun n s -> n + Array.length s) 0 seqs in
@@ -244,12 +251,12 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
         if config.bulk then begin
           let sorted = Array.mapi (fun i seq -> (seq, i)) seqs in
           Array.sort Xindex.Trie.compare_seq sorted;
-          Xindex.Labeled.of_sorted sorted
+          Xindex.Labeled.of_sorted symbols sorted
         end
         else begin
           let trie = Xindex.Trie.create () in
           Array.iteri (fun i seq -> Xindex.Trie.insert trie seq ~doc:i) seqs;
-          Xindex.Labeled.of_trie trie
+          Xindex.Labeled.of_trie symbols trie
         end)
   in
   {
@@ -262,14 +269,14 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
     stats;
     built_config = config;
     generation = next_generation ();
+    resequenced = false;
   }
 
 (* --- record region -------------------------------------------------------- *)
 
 (* Documents serialise as a pre-order walk with explicit child counts:
    u8 kind (0 = element, 1 = value), u32 LE name/text length, bytes, and
-   for elements a u32 LE child count.  Designators are stored as their
-   source strings, never as process-specific interned ids. *)
+   for elements a u32 LE child count. *)
 let encode_docs docs =
   let b = Buffer.create 4096 in
   let add_str s =
@@ -277,9 +284,9 @@ let encode_docs docs =
     Buffer.add_string b s
   in
   let rec node = function
-    | T.Element (d, cs) ->
+    | T.Element (name, cs) ->
       Buffer.add_uint8 b 0;
-      add_str (Xmlcore.Designator.name d);
+      add_str name;
       Buffer.add_int32_le b (Int32.of_int (List.length cs));
       List.iter node cs
     | T.Value s ->
@@ -329,7 +336,7 @@ let decode_docs blob ndocs =
     | 0 ->
       let name = str () in
       let n = u32 c in
-      T.Element (Xmlcore.Designator.tag name, children n [])
+      T.Element (name, children n [])
     | 1 -> T.Value (str ())
     | _ -> corrupt_docs ()
   and children n acc =
@@ -341,46 +348,18 @@ let decode_docs blob ndocs =
   if c.pos <> String.length blob then corrupt_docs ();
   docs
 
-(* Whether [name] is spelled by the [n] bytes of [blob] at [at] (with
-   [i] of them already compared); closure-free, so it never allocates. *)
-let rec spells name blob at n i =
-  i = n
-  || String.unsafe_get name i = String.unsafe_get blob (at + i)
-     && spells name blob at n (i + 1)
-
-let rec known bucket blob at n =
-  match bucket with
-  | [] -> false
-  | name :: rest ->
-    (String.length name = n && spells name blob at n 0) || known rest blob at n
-
-(* Interns the element tags of a record region in record order — the
-   designator ids [decode_docs] would assign — without building any
-   tree, and rejects exactly the regions [decode_docs] rejects.  The
-   walk needs no stack: the pre-order layout is consumed node by node
-   while counting the nodes still owed.  A tag seen before is recognised
-   in place, so only distinct names are copied out of the blob. *)
-let intern_record_tags blob ndocs =
+(* Rejects exactly the record regions [decode_docs] rejects, without
+   building any tree.  The walk needs no stack: the pre-order layout is
+   consumed node by node while counting the nodes still owed. *)
+let validate_records blob ndocs =
   if ndocs < 0 || ndocs > String.length blob then corrupt_docs ();
   let c = { blob; pos = 0 } in
-  let seen = Array.make 64 [] in
   let owed = ref ndocs in
   while !owed > 0 do
     decr owed;
     match u8 c with
     | 0 ->
-      let at = field c in
-      let n = c.pos - at in
-      let h = ref n in
-      for i = at to c.pos - 1 do
-        h := (!h * 31) + Char.code (String.unsafe_get blob i)
-      done;
-      let b = !h land 63 in
-      if not (known seen.(b) blob at n) then begin
-        let name = String.sub blob at n in
-        ignore (Xmlcore.Designator.tag name);
-        seen.(b) <- name :: seen.(b)
-      end;
+      ignore (field c);
       owed := !owed + u32 c
     | 1 -> ignore (field c)
     | _ -> corrupt_docs ()
@@ -498,6 +477,7 @@ let size_bytes t = Xindex.Labeled.size_bytes t.labeled ~record_count:t.ndocs
 let strategy t = t.strategy
 let value_mode t = t.value_mode
 let labeled t = t.labeled
+let symbols t = Xindex.Labeled.symbols t.labeled
 let generation t = t.generation
 
 let average_sequence_length t =
@@ -515,9 +495,16 @@ module Store = Xstorage.Store
    original records as a structural blob, and a small [xseq_meta] region
    recording how the strategy was derived.  Nothing is marshalled — every
    byte is decoded through bounds-checked readers, so a foreign or
-   damaged file is rejected with a diagnostic, never interpreted. *)
+   damaged file is rejected with a diagnostic, never interpreted.
 
-let snapshot_version = 1
+   Version 2 sequences under the index's own symbol table: canonical
+   modes sort siblings by tag name and [gbest] breaks ties on depth,
+   then path id.  Version 1 sorted canonical siblings by process-wide
+   tag id and broke ties on the build's path ids, so queries compiled
+   under today's rules can miss its labels; [restore] re-sequences its
+   records instead of reading its index regions. *)
+
+let snapshot_version = 2
 
 (* Only strategies that can be deterministically recomputed from the
    records survive a round trip: (tag, argument) as [xseq_meta] stores
@@ -531,9 +518,10 @@ let persisted_sequencing = function
 
 let built_under t config =
   let a = t.built_config in
-  (match persisted_sequencing a.sequencing with
-   | Some p -> persisted_sequencing config.sequencing = Some p
-   | None -> false)
+  (not t.resequenced)
+  && (match persisted_sequencing a.sequencing with
+     | Some p -> persisted_sequencing config.sequencing = Some p
+     | None -> false)
   && a.value_mode = config.value_mode
   && Int64.equal
        (Int64.bits_of_float a.sample_fraction)
@@ -588,15 +576,17 @@ let save ?(format = Store.Col1) t path =
    build time. *)
 let index_stats config labeled ndocs =
   let module Stats = Xschema.Stats in
+  let symbols = Xindex.Labeled.symbols labeled in
   if config.sample_fraction >= 1.0 then
-    Stats.of_path_counts ~docs:ndocs (Xindex.Labeled.path_doc_counts labeled)
+    Stats.of_path_counts symbols ~docs:ndocs
+      (Xindex.Labeled.path_doc_counts labeled)
   else begin
     let m =
       Stats.sample_members ~fraction:config.sample_fraction
         ~seed:config.sample_seed ndocs
     in
     let member id = id >= 0 && id < ndocs && m.(id) in
-    Stats.of_path_counts
+    Stats.of_path_counts symbols
       ~docs:(Array.fold_left (fun n b -> if b then n + 1 else n) 0 m)
       (Xindex.Labeled.path_doc_counts ~member labeled)
   end
@@ -607,7 +597,7 @@ let restore store =
     bad "not an xseq index snapshot (missing xseq_meta/docs regions)";
   let meta = Store.to_array (Store.ints store "xseq_meta") in
   if Array.length meta <> 9 then bad "malformed xseq_meta region";
-  if meta.(0) <> snapshot_version then
+  if meta.(0) <> 1 && meta.(0) <> snapshot_version then
     bad (Printf.sprintf "unsupported snapshot version %d" meta.(0));
   let sequencing =
     match (meta.(1), meta.(2)) with
@@ -629,15 +619,10 @@ let restore store =
          (Int64.logand (Int64.of_int meta.(4)) 0xFFFFFFFFL)
          (Int64.shift_left (Int64.of_int meta.(5)) 32))
   in
-  (* Record tags are interned first, in exactly the order decoding the
-     records would (and [build] did), before the index dictionary
-     re-interns the paths; the records themselves stay encoded. *)
+  (* The records stay encoded; they are only validated. *)
   let blob = Store.blob store "docs" in
   let ndocs = meta.(8) in
-  intern_record_tags blob ndocs;
-  let labeled = Xindex.Labeled.of_store store in
-  if Xindex.Labeled.doc_count labeled <> ndocs then
-    bad "record count disagrees with the document table";
+  validate_records blob ndocs;
   let config =
     {
       default_config with
@@ -647,22 +632,35 @@ let restore store =
       sample_seed = meta.(6);
     }
   in
-  (* Recompute the strategy exactly as [build] derived it. *)
-  let strategy, stats =
-    resolve_strategy config (fun () -> index_stats config labeled ndocs)
-  in
-  {
-    labeled;
-    strategy;
-    value_mode;
-    records =
-      Encoded { blob; decoded = Atomic.make None; lock = Mutex.create () };
-    ndocs;
-    total_seq_len = meta.(7);
-    stats;
-    built_config = config;
-    generation = next_generation ();
-  }
+  if meta.(0) = 1 then begin
+    (* The rebuilt index reads nothing more from the file. *)
+    let docs = decode_docs blob ndocs in
+    Store.close store;
+    let t = build ~config:{ config with keep_documents = true } docs in
+    { t with resequenced = true }
+  end
+  else
+    let labeled = Xindex.Labeled.of_store store in
+    if Xindex.Labeled.doc_count labeled <> ndocs then
+      bad "record count disagrees with the document table";
+    (* Recompute the strategy exactly as [build] derived it. *)
+    let strategy, stats =
+      resolve_strategy config (Xindex.Labeled.symbols labeled) (fun () ->
+          index_stats config labeled ndocs)
+    in
+    {
+      labeled;
+      strategy;
+      value_mode;
+      records =
+        Encoded { blob; decoded = Atomic.make None; lock = Mutex.create () };
+      ndocs;
+      total_seq_len = meta.(7);
+      stats;
+      built_config = config;
+      generation = next_generation ();
+      resequenced = false;
+    }
 
 let load ?mode ?pool_pages ?verify path =
   let store = Store.open_file ?mode ?pool_pages ?verify path in

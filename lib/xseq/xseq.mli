@@ -28,12 +28,15 @@ type sequencing =
   | Probability
       (** [gbest] with probabilities sampled from the indexed documents
           (the default). *)
-  | Probability_weighted of (Sequencing.Path.t -> float)
+  | Probability_weighted of
+      (Sequencing.Symtab.t -> Sequencing.Symtab.Path.t -> float)
       (** [gbest] with explicit weights [w(C)] (Eq. 6) multiplied into the
-          sampled probabilities. *)
-  | Custom of Sequencing.Strategy.t
-      (** Caller-supplied strategy, used as-is for both documents and
-          queries. *)
+          sampled probabilities.  The function is applied to the index's
+          symbol table once, then prices that table's paths. *)
+  | Custom of (Sequencing.Symtab.t -> Sequencing.Strategy.t)
+      (** Caller-supplied strategy for the paths of the index's symbol
+          table (e.g. [Custom (Xschema.Schema.strategy schema)]), used for
+          both documents and queries. *)
 
 type config = {
   sequencing : sequencing;
@@ -63,9 +66,9 @@ val build :
 
     The build runs four phases (DESIGN.md §9):
     - ["flatten+intern"]: one walk per record interns its designators
-      and paths and keeps the record's flat pre-order form.  For a
-      sampled probability model the sampled records are walked first,
-      then the rest.
+      and paths into the index's own symbol table and keeps the record's
+      flat pre-order form.  For a sampled probability model the sampled
+      records are walked first, then the rest.
     - ["counts"]: one pass over each flat record's paths, with per-path
       arrays.  It yields the document frequencies of the [gbest]
       statistics and the global identical-sibling flags (paths some
@@ -84,10 +87,11 @@ val build :
     With [~domains:n] (or an existing [~pool]) the encoding phase is
     chunked across [n] worker domains.  The result is {e
     label-identical} to the sequential build for every sequencing
-    strategy: only the sequential first phase (and the tag sort of the
-    canonical modes) interns, the parallel phase only reads, and the
-    sorted labelling is insertion-order independent — see DESIGN.md,
-    "Parallel construction".  The default [domains = 1] spawns no
+    strategy: only the sequential first phase writes the symbol table,
+    the parallel phase only reads it, and the sorted labelling is
+    insertion-order independent — see DESIGN.md, "Parallel
+    construction".  The result depends only on [config] and [docs], not
+    on any other index of the process.  The default [domains = 1] spawns no
     domains and is the sequential code path. *)
 
 val query : ?stats:Xquery.Matcher.stats -> t -> Pattern.t -> int list
@@ -107,11 +111,10 @@ val contains : t -> Pattern.t -> int -> bool
 (** {1 Batched execution}
 
     Many queries against one frozen index, executed concurrently.  The
-    labelled index is strictly read-only after construction and query
-    compilation never writes the global intern tables (value lookups use
-    {!Xmlcore.Designator.find_value}), so workers share [t] directly;
-    each worker owns a private {!Xquery.Matcher.stats} record, merged
-    once the batch completes. *)
+    labelled index and its symbol table are strictly read-only after
+    construction (query compilation only looks names up), so workers
+    share [t] directly; each worker owns a private
+    {!Xquery.Matcher.stats} record, merged once the batch completes. *)
 
 val query_batch :
   ?domains:int ->
@@ -186,6 +189,10 @@ val value_mode : t -> Sequencing.Encoder.value_mode
 val labeled : t -> Xindex.Labeled.t
 (** The underlying labelled index, for low-level experimentation. *)
 
+val symbols : t -> Sequencing.Symtab.t
+(** The index's symbol table ({!Xindex.Labeled.symbols}): the paths its
+    sequences, statistics and compiled queries are made of. *)
+
 val average_sequence_length : t -> float
 
 val stats : t -> Xschema.Stats.t option
@@ -225,7 +232,9 @@ val built_under : t -> config -> bool
     [keep_documents] do not change labels).  A loaded index compares
     the configuration its snapshot recorded.  [false] whenever either
     side uses a [Custom] or [Probability_weighted] strategy, whose
-    closures cannot be compared. *)
+    closures cannot be compared, and for an index loaded from a
+    version-1 snapshot (see {!load}): its file holds labels of the old
+    sequencing rules, so it must be rewritten. *)
 
 val load :
   ?mode:Xstorage.Store.mode -> ?pool_pages:int -> ?verify:bool -> string -> t
@@ -237,11 +246,20 @@ val load :
     [true]) checks every region checksum up front.
 
     The records are not decoded at load.  Their region stays resident as
-    stored, validated and with its tags interned in one pass; the
-    [gbest] statistics are derived from the document table; the record
+    stored, validated in one pass; the index's symbol table is the
+    snapshot's dictionary; the [gbest] statistics are derived from the
+    document table; the record
     trees are built only when {!document} or the scan fallback of
     {!query} first needs them.  {!save} writes the region back
     verbatim.
+
+    A version-1 snapshot (written before symbol tables were per index)
+    sorted canonical siblings by process-wide tag id and broke [gbest]
+    ties on build path ids, so today's query sequences can miss its
+    labels.  Its records are decoded and re-sequenced under the stored
+    configuration instead: the result is an in-memory index whatever
+    [mode] asks for, the file is closed again, and {!built_under} is
+    [false] for it.
     @raise Invalid_argument on a corrupt or incompatible file, naming
     the failing part (magic, version, checksum, region); the store is
     closed again first. *)

@@ -19,10 +19,10 @@
     make the task functions safe.  Tasks run concurrently on several
     domains, so they must only touch shared state that is immutable or
     independently synchronised for the duration of the batch.  In this
-    codebase the relevant shared structures are the global
-    {!Xmlcore.Designator} and [Sequencing.Path] intern tables: parallel
-    phases must be arranged so that they only {e read} those tables (see
-    [Xseq.build]'s sequential pre-intern pass and DESIGN.md §9).
+    codebase the relevant shared structure is an index's symbol table
+    ([Sequencing.Symtab]): parallel phases must be arranged so that they
+    only {e read} it (see [Xseq.build]'s sequential flatten phase and
+    DESIGN.md §9).
 
     {2 Dispatch}
 

@@ -73,12 +73,12 @@ let test_dblp_shapes () =
   let kinds = Hashtbl.create 4 in
   Array.iter
     (fun d ->
-      let k = Xmlcore.Designator.name (T.tag d) in
+      let k = T.tag d in
       Hashtbl.replace kinds k ();
       (* every record has key, title, author and year *)
       let child_names =
         List.filter_map
-          (fun c -> match c with T.Element (t, _) -> Some (Xmlcore.Designator.name t) | _ -> None)
+          (fun c -> match c with T.Element (t, _) -> Some t | _ -> None)
           (T.children d)
       in
       List.iter
@@ -104,7 +104,7 @@ let test_xmark_shapes () =
   Alcotest.(check bool) "deterministic" true
     (corpus_equal docs (Xmark.generate ~identical_siblings:true 400));
   Alcotest.(check bool) "all rooted at site" true
-    (Array.for_all (fun d -> Xmlcore.Designator.name (T.tag d) = "site") docs);
+    (Array.for_all (fun d -> T.tag d = "site") docs);
   let with_ident =
     Array.exists T.has_identical_siblings docs
   in

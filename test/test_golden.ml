@@ -2,14 +2,14 @@
    formats — over fixed-seed DBLP and XMark corpora, under every
    persisted sequencing configuration.  Labels, link order, dictionary
    order and the document table all follow from the order in which a
-   build interns designators and paths, so any change to that order, to
-   the sequencing, or to the labelling shows up here as a changed
-   digest.
+   build interns designators and paths into its symbol table, so any
+   change to that order, to the sequencing, or to the labelling shows up
+   here as a changed digest, as does a new snapshot version.
 
-   Each snapshot is built in a forked child: interning is process-global,
-   and a build that found its corpus already interned by an earlier build
-   would not exercise its own interning order.  The children see the
-   same fresh tables whatever subset of the suite runs. *)
+   Every build owns its symbol table, so a digest depends on nothing but
+   the (corpus, config) pair: all pairs are built in one process, once
+   in list order and once reversed, and must give the same digests both
+   times. *)
 
 type corpus = Dblp | Xmark
 
@@ -41,40 +41,39 @@ let configs =
 let golden =
   [
     (Dblp, "probability",
-      "1c0bd2cedafe2809281f086e3fb5a983", "6f96e4717314d5ddff38fa27da81ebf0");
+      "2fe2cd3197b41b4557ce25167ee6b455", "ca924c0ee2989a1a73e8fc972e3ff006");
     (Dblp, "probability/sample 0.3",
-      "92cece7ea2ab9f83054b7fca1b59bafa", "f21e4a154bad2708676e689b16f7149c");
+      "d714cb3e6d34bb4d0b2e1995297ba197", "483eef9c12c2d93e5949363436e10986");
     (Dblp, "depth-first",
-      "1d8ef4e682f5fc015a72e381b306bfff", "fb4e4008e5efb747cbce4ad13d9aa425");
+      "3fd375183f444d6194f2d6c90c9b024a", "50e48002c9e23d7caf8a238a6c45391b");
     (Dblp, "depth-first/canonical",
-      "d60015c21af6a86b572ce78568004230", "6d94d0757c765ee0ef78b4aa384253ea");
+      "b4068c8ca4eab86a40f03e97824757ff", "e7ceced1812060b38e741d855e3f03fd");
     (Dblp, "breadth-first",
-      "37b9939d928f18962af306b303eaf8be", "bc3cb2233706e6d17a695d1a85bf9bc9");
+      "beece4e6bef145910f40758eb48f86af", "777d0a8f5ddbfe97002d29ca49d1c614");
     (Dblp, "breadth-first/canonical",
-      "a2643d2857d71624bfae95f3f4f0cf7c", "872beada88aa19728c4f34261c054846");
+      "83376ccb36dca5dbab2b4d4f6131b07b", "54c445796e5da1c84043b7fdeefd023d");
     (Dblp, "random",
-      "f00cd0954656b2aab728227622a59bc8", "45f1b1b1b3d81160618ea51798af4863");
+      "71a91b00ef893e1139b2c110ce443539", "88e7cc73b45edea642a5c85319166362");
     (Dblp, "text",
-      "007ffcc872126d3873d0e94414d2e6a3", "9f0a61f31bc5e25cac3baed7a45578e2");
+      "d137abb2f17dffcf47b43423c12faa0a", "0bfd0553631076a20ef7b5293146bab6");
     (Xmark, "probability",
-      "f48cb61a7a80b4185a8a87298eafcf72", "0847a3ba6fcb2046531d3f87159ddce5");
+      "85c86915c9b25f122307c1b6b060aa70", "5ab21da0d03c1ff4235f41c55bd9784d");
     (Xmark, "probability/sample 0.3",
-      "e3b90c0ab8d7e0c9ffa8d0d2f17ac1db", "1ad00219f85c0db4a21b918defccf861");
+      "77f6009b72d62fea45bea4ebd52dcb20", "7e519fc570343e23e129ebc4ccf289f1");
     (Xmark, "depth-first",
-      "9fb8c14904201d53a621ac13ecfd2ebd", "96242a14c57bbdeb703ff340eadade91");
+      "d36bc0d60fa5c0ab422b377b232e65fd", "6b970821a3f3f53d124b076ccb5f71c2");
     (Xmark, "depth-first/canonical",
-      "fa5a7813c1d16b75272381a3bd0c403f", "a10ed65981dee6ba1420ea9648825322");
+      "20fe2411746532e6a231eedde5fc067b", "b7e32dc4cd7b10b9e286c1698215962b");
     (Xmark, "breadth-first",
-      "f8955c75e1c640ebcbeee03f34565f81", "164fcdc6a30607f1653cae6dbf0121c4");
+      "5915cba6e1032483ff532f0203db61ff", "425ead3696fd378dec1c9947f93bf1ca");
     (Xmark, "breadth-first/canonical",
-      "3335a26878905faf77c5aabbd67aa879", "2001ed3f7113c7e178f0bd4d081e7ca5");
+      "48ffbb2db31b993af7ad1f604422c6d0", "9f575e6ec518e812015eae59e4aba155");
     (Xmark, "random",
-      "c4ca628e66af5e241a6941f3ecd8c2dc", "40bc170805d102592d738fd1f9db5e84");
+      "c72155ab3bbe23f8672ca78d76d25cfd", "42a6bba51c0b21e9f10a5bade23d9d6e");
     (Xmark, "text",
-      "d81c8d44201fc2aaaff275688d02fe63", "410280a4d3b0634766426c086f9bbf4a");
+      "c470d6d211a47e4374d3c71ff1f3e431", "b87b3445389cddefa2ce0295ae498a83");
   ]
 
-(* Builds in a fresh child process and returns the two digests. *)
 let digests corpus config =
   let col1 = Filename.temp_file "xseq_golden" ".col1" in
   let col2 = Filename.temp_file "xseq_golden" ".col2" in
@@ -84,31 +83,30 @@ let digests corpus config =
         (fun f -> try Sys.remove f with Sys_error _ -> ())
         [ col1; col2 ])
     (fun () ->
-      match Unix.fork () with
-      | 0 ->
-        let code =
-          match
-            let index = Xseq.build ~config (generate corpus) in
-            Xseq.save ~format:Xstorage.Store.Col1 index col1;
-            Xseq.save ~format:Xstorage.Store.Col2 index col2
-          with
-          | () -> 0
-          | exception e ->
-            prerr_endline (Printexc.to_string e);
-            1
-        in
-        Unix._exit code
-      | pid ->
-        (match Unix.waitpid [] pid with
-         | _, Unix.WEXITED 0 -> ()
-         | _ -> Alcotest.fail "snapshot build failed in the child");
-        (Digest.to_hex (Digest.file col1), Digest.to_hex (Digest.file col2)))
+      let index = Xseq.build ~config (generate corpus) in
+      Xseq.save ~format:Xstorage.Store.Col1 index col1;
+      Xseq.save ~format:Xstorage.Store.Col2 index col2;
+      (Digest.to_hex (Digest.file col1), Digest.to_hex (Digest.file col2)))
 
 let test_digests () =
+  let run pairs =
+    List.map
+      (fun (corpus, name, _, _) ->
+        ((corpus, name), digests corpus (List.assoc name configs)))
+      pairs
+  in
+  let forward = run golden in
+  let backward = run (List.rev golden) in
+  List.iter
+    (fun (pair, got) ->
+      if List.assoc pair backward <> got then
+        Alcotest.failf "(%s, %S) depends on the build order"
+          (corpus_name (fst pair)) (snd pair))
+    forward;
   let mismatches =
     List.filter_map
       (fun (corpus, name, want1, want2) ->
-        let got1, got2 = digests corpus (List.assoc name configs) in
+        let got1, got2 = List.assoc (corpus, name) forward in
         if got1 = want1 && got2 = want2 then None
         else
           Some

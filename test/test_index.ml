@@ -1,8 +1,9 @@
 (* Trie construction, labelling invariants, path links, document table. *)
 
 module T = Xmlcore.Xml_tree
-module D = Xmlcore.Designator
-module Path = Sequencing.Path
+module Symtab = Sequencing.Symtab
+module D = Symtab.Designator
+module Path = Symtab.Path
 module Enc = Sequencing.Encoder
 module S = Sequencing.Strategy
 module Trie = Xindex.Trie
@@ -11,7 +12,10 @@ module Gen = QCheck.Gen
 
 let e = T.elt
 
-let p_of names = Path.of_list (List.map D.tag names)
+(* The symbol table every path and index below belongs to. *)
+let sy = Symtab.create ()
+
+let p_of names = Path.of_list sy (List.map (D.tag sy) names)
 
 let seq_of names_list = Array.of_list (List.map p_of names_list)
 
@@ -44,9 +48,9 @@ let doc_corpus =
 let labeled_of docs =
   let t = Trie.create () in
   Array.iteri
-    (fun i d -> Trie.insert t (Enc.encode ~strategy:S.Depth_first d) ~doc:i)
+    (fun i d -> Trie.insert t (Enc.encode sy ~strategy:S.Depth_first d) ~doc:i)
     docs;
-  Labeled.of_trie t
+  Labeled.of_trie sy t
 
 let test_labeled_basic () =
   let l = labeled_of doc_corpus in
@@ -114,7 +118,7 @@ let prop_link_invariants =
             (fun d ->
               Array.iter
                 (fun p -> Hashtbl.replace seen p ())
-                (Enc.paths_of_tree d))
+                (Enc.paths_of_tree sy d))
             docs;
           Hashtbl.fold
             (fun p () ok ->
@@ -157,7 +161,7 @@ let prop_nearest_in_link =
           let paths = Hashtbl.create 64 in
           Array.iter
             (fun d ->
-              Array.iter (fun p -> Hashtbl.replace paths p ()) (Enc.paths_of_tree d))
+              Array.iter (fun p -> Hashtbl.replace paths p ()) (Enc.paths_of_tree sy d))
             _docs;
           Hashtbl.iter
             (fun p () ->
@@ -181,13 +185,13 @@ let prop_bulk_equals_incremental =
     (fun docs ->
       let docs = Array.of_list docs in
       let seqs =
-        Array.mapi (fun i d -> (Enc.encode ~strategy:S.Depth_first d, i)) docs
+        Array.mapi (fun i d -> (Enc.encode sy ~strategy:S.Depth_first d, i)) docs
       in
       let t1 = Trie.create () in
       Array.iter (fun (s, i) -> Trie.insert t1 s ~doc:i) seqs;
       let t2 = Trie.create () in
       Trie.bulk_load t2 (Array.copy seqs);
-      let l1 = Labeled.of_trie t1 and l2 = Labeled.of_trie t2 in
+      let l1 = Labeled.of_trie sy t1 and l2 = Labeled.of_trie sy t2 in
       (* Same node count and identical link shapes per path. *)
       Labeled.node_count l1 = Labeled.node_count l2
       && Array.for_all
@@ -232,7 +236,7 @@ let seqs_gen : Path.t array list Gen.t =
 let seqs_print seqs =
   String.concat " | "
     (List.map
-       (fun s -> String.concat "," (Array.to_list (Array.map Path.to_string s)))
+       (fun s -> String.concat "," (Array.to_list (Array.map (Path.to_string sy) s)))
        seqs)
 
 (* Every column of the sorted sweep equals the column [of_trie] labels
@@ -243,10 +247,10 @@ let prop_sweep_equals_trie =
       let seqs = Array.of_list (List.mapi (fun i s -> (s, i)) seqs) in
       let trie = Trie.create () in
       Trie.bulk_load trie seqs;
-      let want = Labeled.of_trie trie in
+      let want = Labeled.of_trie sy trie in
       let sorted = Array.copy seqs in
       Array.sort Trie.compare_seq sorted;
-      let got = Labeled.of_sorted sorted in
+      let got = Labeled.of_sorted sy sorted in
       let check what f =
         let a = f want and b = f got in
         if a <> b then QCheck.Test.fail_reportf "%s differs" what
@@ -279,19 +283,18 @@ let prop_sweep_equals_trie =
       check "document table" (fun l ->
           List.init (Labeled.doc_len l) (fun i ->
               (Labeled.doc_pre_at l i, Labeled.doc_id_at l i)));
-      check "portable snapshot" (fun l ->
-          Marshal.to_string (Labeled.to_portable l) []);
+      check "snapshot bytes" Fingerprint.of_labeled;
       true)
 
 let test_of_sorted_rejects () =
   let a = p_of [ "a" ] and b = p_of [ "a"; "b" ] in
   Alcotest.check_raises "unsorted"
     (Invalid_argument "Labeled.of_sorted: sequences are not sorted") (fun () ->
-      ignore (Labeled.of_sorted [| ([| a; b |], 0); ([| a |], 1) |]));
+      ignore (Labeled.of_sorted sy [| ([| a; b |], 0); ([| a |], 1) |]));
   Alcotest.check_raises "empty"
     (Invalid_argument "Labeled.of_sorted: empty sequence") (fun () ->
-      ignore (Labeled.of_sorted [| ([||], 0) |]));
-  let l = Labeled.of_sorted [||] in
+      ignore (Labeled.of_sorted sy [| ([||], 0) |]));
+  let l = Labeled.of_sorted sy [||] in
   Alcotest.(check (pair int int)) "no sequences: the root alone" (0, 0)
     (Labeled.node_count l, Labeled.root_post l)
 

@@ -4,6 +4,9 @@
    its store on failure nor allocates the records. *)
 
 module T = Xmlcore.Xml_tree
+module Symtab = Sequencing.Symtab
+module Path = Symtab.Path
+module D = Symtab.Designator
 module Stats = Xschema.Stats
 module Labeled = Xindex.Labeled
 module Store = Xstorage.Store
@@ -44,7 +47,16 @@ let value_mode = function
 (* Every path of the index dictionary, read off the nodes. *)
 let dictionary_paths labeled =
   List.init (Labeled.node_count labeled + 1) (Labeled.path_of_node labeled)
-  |> List.sort_uniq Sequencing.Path.compare
+  |> List.sort_uniq Path.compare
+
+(* The path of [dst] spelled like [p] of [src]: ids are table-local. *)
+let rec translate src dst p =
+  if Path.equal p Path.epsilon then Some Path.epsilon
+  else
+    Option.bind (translate src dst (Path.parent src p)) (fun parent ->
+        let d = Path.tag src p in
+        let find = if D.is_value src d then D.find_value else D.find_tag in
+        Option.bind (find dst (D.name src d)) (Path.find_child dst parent))
 
 let same_stats ~what labeled reference derived =
   let fail fmt = QCheck.Test.fail_reportf ("%s: " ^^ fmt) what in
@@ -54,12 +66,16 @@ let same_stats ~what labeled reference derived =
   if Stats.distinct_paths derived <> Stats.distinct_paths reference then
     fail "%d distinct paths, records say %d" (Stats.distinct_paths derived)
       (Stats.distinct_paths reference);
+  let symbols = Labeled.symbols labeled in
   List.iter
     (fun p ->
-      let want = Stats.p_root reference p and got = Stats.p_root derived p in
-      if not (Float.equal want got) then
-        fail "p_root %s = %g, records say %g" (Sequencing.Path.to_string p) got
-          want)
+      let name = Path.to_string symbols p in
+      match translate symbols (Stats.symbols reference) p with
+      | None -> fail "%s is not a path of the records" name
+      | Some q ->
+        let want = Stats.p_root reference q and got = Stats.p_root derived p in
+        if not (Float.equal want got) then
+          fail "p_root %s = %g, records say %g" name got want)
     (dictionary_paths labeled);
   true
 
@@ -89,7 +105,14 @@ let prop_stats_from_index (kind, seed) =
           ("full", 1.0, lazy (Stats.of_documents_array ~value_mode docs));
           ( "sampled",
             0.3,
-            lazy (Stats.sample ~value_mode ~fraction:0.3 ~seed docs) );
+            lazy
+              ((* Every record's paths, as in a build; the sample counts. *)
+               let symbols = Symtab.create () in
+               Array.iter
+                 (fun d ->
+                   ignore (Sequencing.Encoder.paths_of_tree ~value_mode symbols d))
+                 docs;
+               Stats.sample ~value_mode ~symbols ~fraction:0.3 ~seed docs) );
         ])
 
 let stats_oracle =
@@ -100,7 +123,8 @@ let stats_oracle =
        prop_stats_from_index)
 
 (* Compiled query sequences of a reload equal the built index's, in every
-   container and storage mode. *)
+   container and storage mode: the same paths, by name (ids are each
+   index's own), in the same order, with the same pattern parents. *)
 let test_compiled_sequences () =
   let docs = Xdatagen.Xmark_gen.generate ~seed:7 ~identical_siblings:true 150 in
   let index = Xseq.build docs in
@@ -118,7 +142,11 @@ let test_compiled_sequences () =
       Xquery.Engine.compile ~strategy:(Xseq.strategy t)
         ~value_mode:(Xseq.value_mode t) (Xseq.labeled t) q
     with
-    | plans -> Ok plans
+    | plans ->
+      let spell (c : Xquery.Query_seq.compiled) =
+        (Array.map (Path.to_string (Xseq.symbols t)) c.paths, c.parents)
+      in
+      Ok (List.sort compare (List.map spell plans))
     | exception Xquery.Instantiate.Too_many n -> Error n
   in
   let want = List.map (compile index) queries in
@@ -139,6 +167,166 @@ let test_compiled_sequences () =
               Option.iter Store.close (Xseq.backing_store loaded))
             [ ("resident", Store.Resident); ("paged", Store.Paged) ])
         [ Store.Col1; Store.Col2 ])
+
+(* --- one symbol table per index -------------------------------------------- *)
+
+(* Three records whose [zeta] and [alpha] siblings tie on priority: every
+   record has both.  The build interns [zeta] first, so both its
+   sequences and its stored dictionary put [zeta] before [alpha]. *)
+let zeta_first =
+  [|
+    "<r><zeta>1</zeta><alpha>2</alpha></r>";
+    "<r><zeta>3</zeta><alpha>4</alpha></r>";
+    "<r><zeta>5</zeta><alpha>6</alpha></r>";
+  |]
+
+let cross_index_configs =
+  [
+    ("default", Xseq.default_config);
+    ( "depth-first/canonical",
+      {
+        Xseq.default_config with
+        sequencing = Xseq.Depth_first { canonical = true };
+      } );
+  ]
+
+(* The snapshots are written by another process, as a server's
+   [--reload] target is, so the loading process's own history of names
+   (here: [alpha] before [zeta]) differs from the build's. *)
+let cross_index_snapshots =
+  lazy
+    (let files =
+       List.concat_map
+         (fun (name, _) ->
+           List.map
+             (fun format ->
+               ( (name, format),
+                 Filename.temp_file "xseq_cross" (Store.format_name format) ))
+             [ Store.Col1; Store.Col2 ])
+         cross_index_configs
+     in
+     at_exit (fun () ->
+         List.iter (fun (_, f) -> try Sys.remove f with Sys_error _ -> ()) files);
+     (match Unix.fork () with
+      | 0 ->
+        let code =
+          match
+            List.iter
+              (fun ((name, format), file) ->
+                let config = List.assoc name cross_index_configs in
+                let docs = Array.map Xmlcore.Xml_parser.parse_string zeta_first in
+                Xseq.save ~format (Xseq.build ~config docs) file)
+              files
+          with
+          | () -> 0
+          | exception _ -> 1
+        in
+        Unix._exit code
+      | pid ->
+        (match Unix.waitpid [] pid with
+         | _, Unix.WEXITED 0 -> ()
+         | _ -> Alcotest.fail "snapshot writer failed"));
+     files)
+
+(* An index answers from its own names, whatever else the process has
+   seen: here an index over [alpha]-first records (default strategy) or
+   a parse of [alpha] before [zeta] (canonical depth-first, which sorts
+   siblings by name) precedes the load. *)
+let test_cross_index name () =
+  let files = Lazy.force cross_index_snapshots in
+  (match name with
+   | "default" ->
+     ignore
+       (Xseq.build
+          [| Xmlcore.Xml_parser.parse_string "<r><alpha>2</alpha><zeta>1</zeta></r>" |])
+   | _ -> ignore (Xmlcore.Xml_parser.parse_string "<x><alpha/><zeta/></x>"));
+  let query = Xseq.Xpath.parse "/r[zeta='1'][alpha='2']" in
+  let want =
+    Xquery.Embedding.filter query
+      (Array.map Xmlcore.Xml_parser.parse_string zeta_first)
+  in
+  Alcotest.(check (list int)) "brute force" [ 0 ] want;
+  let answers =
+    List.map
+      (fun format ->
+        let loaded = Xseq.load (List.assoc (name, format) files) in
+        (Store.format_name format, Xseq.query loaded query))
+      [ Store.Col1; Store.Col2 ]
+  in
+  Alcotest.(check (list (pair string (list int))))
+    name
+    (List.map (fun (format, _) -> (format, want)) answers)
+    answers
+
+(* Priority ties across depths: [text] (depth 3) is met before
+   [location] (depth 2) when the build interns, but a loaded index
+   numbers its paths by depth.  Sequencing breaks ties on depth first,
+   so the reload sequences queries as the build sequenced records. *)
+let test_cross_depth_ties () =
+  let docs =
+    Array.map Xmlcore.Xml_parser.parse_string
+      [|
+        "<item><description><text>a</text></description><location>US</location></item>";
+        "<item><description><text>b</text></description><location>EU</location></item>";
+      |]
+  in
+  let query = Xseq.Xpath.parse "/item[location]/description/text" in
+  let want = Xquery.Embedding.filter query docs in
+  Alcotest.(check (list int)) "brute force" [ 0; 1 ] want;
+  let index = Xseq.build docs in
+  Alcotest.(check (list int)) "built" want (Xseq.query index query);
+  with_temp_file (fun path ->
+      Xseq.save index path;
+      Alcotest.(check (list int)) "loaded" want (Xseq.query (Xseq.load path) query))
+
+(* Snapshots written by [xseq index --compress] before snapshot version
+   2, when sequencing used process-wide tag and path ids:
+   [v1_depth_first.xseq] ([--strategy depth-first], canonical) over
+   [zeta_first], and [v1_probability.xseq] (the default strategy) over
+   the two records of [test_cross_depth_ties].  Read under today's
+   rules, the first answers the zeta/alpha query with nothing; a load
+   re-sequences both from their records, and [built_under] marks their
+   files for rewriting. *)
+let v1_snapshots =
+  let data = Filename.concat (Filename.dirname Sys.executable_name) "data" in
+  List.map
+    (fun (file, config, xpath) -> (Filename.concat data file, config, xpath))
+  [
+    ( "v1_depth_first.xseq",
+      { Xseq.default_config with sequencing = Depth_first { canonical = true } },
+      "/r[zeta='1'][alpha='2']" );
+    ( "v1_probability.xseq",
+      Xseq.default_config,
+      "/item[location]/description/text" );
+  ]
+
+let test_v1_snapshots () =
+  List.iter
+    (fun (file, config, xpath) ->
+      let query = Xseq.Xpath.parse xpath in
+      let check what index =
+        let docs = Array.init (Xseq.doc_count index) (Xseq.document index) in
+        let want = Xquery.Embedding.filter query docs in
+        if want = [] then Alcotest.failf "%s: %s matches no record" file xpath;
+        Alcotest.(check (list int)) (file ^ ", " ^ what) want
+          (Xseq.query index query)
+      in
+      List.iter
+        (fun mode ->
+          let loaded = Xseq.load ~mode file in
+          check "loaded" loaded;
+          Alcotest.(check bool) (file ^ " is settled") false
+            (Xseq.built_under loaded config);
+          Alcotest.(check bool) "no backing store" true
+            (Xseq.backing_store loaded = None);
+          with_temp_file (fun path ->
+              Xseq.save ~format:Store.Col2 loaded path;
+              let again = Xseq.load ~mode path in
+              check "rewritten" again;
+              Alcotest.(check bool) (file ^ " rewritten is settled") true
+                (Xseq.built_under again config)))
+        [ Store.Resident; Store.Paged ])
+    v1_snapshots
 
 (* --- records on demand ---------------------------------------------------- *)
 
@@ -323,7 +511,7 @@ let test_failed_loads_close () =
               Store.add_ints store "xseq_meta" (Store.heap [| 1; 2; 3 |]));
             (fun store ->
               Store.add_ints store "xseq_meta"
-                (Store.heap [| 1; 3; 0; 0; 0; 0; 42; 0; 0 |]);
+                (Store.heap [| 2; 3; 0; 0; 0; 0; 42; 0; 0 |]);
               Store.add_ints store "meta" (Store.heap [| 0; 0 |]));
           ]
         in
@@ -349,8 +537,8 @@ let allocated_words () =
   s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
 
 (* Words allocated by a load of a fixed 2,000-record DBLP snapshot,
-   measured after a warm-up load has interned every designator; word
-   counts do not depend on the machine.  The load measured about 0.36M
+   measured after a warm-up load; word counts do not depend on the
+   machine.  The load, symbol table included, measured about 0.38M
    words.  Decoding the records as part of it costs about 0.39M more,
    and recounting the statistics over them (as loads once did) brings
    it to 3.9M, so a change that materialises them again fails here. *)
@@ -372,6 +560,16 @@ let test_load_allocation () =
 let () =
   Alcotest.run "load"
     [
+      ( "symbols",
+        List.map
+          (fun (name, _) ->
+            Alcotest.test_case ("cross-index answers, " ^ name) `Quick
+              (test_cross_index name))
+          cross_index_configs
+        @ [
+            Alcotest.test_case "ties across depths survive reloads" `Quick
+              test_cross_depth_ties;
+          ] );
       ("statistics", [ stats_oracle ]);
       ( "sequences",
         [ Alcotest.test_case "compiled sequences survive reloads" `Quick
@@ -384,8 +582,12 @@ let () =
             test_save_verbatim;
         ] );
       ( "legacy",
-        [ Alcotest.test_case "page-layout snapshots load" `Quick
-            test_legacy_layout ] );
+        [
+          Alcotest.test_case "page-layout snapshots load" `Quick
+            test_legacy_layout;
+          Alcotest.test_case "version-1 snapshots re-sequence" `Quick
+            test_v1_snapshots;
+        ] );
       ( "failures",
         [ Alcotest.test_case "failed paged loads close their store" `Quick
             test_failed_loads_close ] );

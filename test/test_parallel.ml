@@ -1,7 +1,7 @@
 (* Determinism and oracle properties for the domain-parallel paths:
 
    - [Xseq.build ~domains] must produce an index byte-identical (in its
-     portable form: labels, links, document table) to the
+     columnar snapshot: labels, links, document table) to the
      sequential build, for every sequencing strategy;
    - [Xseq.query_batch] must agree with the sequential [Xseq.query] and
      with the brute-force embedding oracle under 1, 2 and 8 domains;
@@ -27,12 +27,11 @@ let () =
         (fun p -> if Lazy.is_val p then Pool.shutdown (Lazy.force p))
         [ pool2; pool8 ])
 
-(* The full portable form covers pre/post labels, node paths, horizontal
-   links (entries, up-pointers) and the document table, so
-   fingerprint equality is label-and-link identity, not just equal
-   sizes. *)
-let fingerprint index =
-  Marshal.to_string (Xindex.Labeled.to_portable (Xseq.labeled index)) []
+(* The columnar snapshot bytes cover pre/post labels, node paths,
+   horizontal links (entries, up-pointers), the document table and the
+   path dictionary, so fingerprint equality is label-and-link identity,
+   not just equal sizes. *)
+let fingerprint = Fingerprint.of_index
 
 (* --- parallel build = sequential build, per strategy ---------------------- *)
 

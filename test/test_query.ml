@@ -195,39 +195,40 @@ let test_matcher_stats () =
 let test_instantiate_star () =
   let d = e "P" [ e "R" [ e "M" [] ]; e "D" [ e "M" [] ] ] in
   let index = Xseq.build (Array.of_list [ d ]) in
-  let mem p = Option.is_some (Xindex.Labeled.link (Xseq.labeled index) p) in
   let pattern = Pattern.(elt "P" [ star [ elt "M" [] ] ]) in
   let cnodes =
-    Xquery.Instantiate.run ~mem ~value_mode:Sequencing.Encoder.Hashed pattern
+    Xquery.Instantiate.run ~value_mode:Sequencing.Encoder.Hashed
+      (Xseq.symbols index) pattern
   in
   Alcotest.(check int) "star instantiates to R and D" 2 (List.length cnodes)
 
 let test_instantiate_descendant () =
   let d = e "a" [ e "b" [ e "c" [ e "d" [] ] ] ] in
   let index = Xseq.build (Array.of_list [ d ]) in
-  let mem p = Option.is_some (Xindex.Labeled.link (Xseq.labeled index) p) in
   let pattern = Pattern.(elt "a" [ elt ~axis:Descendant "d" [] ]) in
   let cnodes =
-    Xquery.Instantiate.run ~mem ~value_mode:Sequencing.Encoder.Hashed pattern
+    Xquery.Instantiate.run ~value_mode:Sequencing.Encoder.Hashed
+      (Xseq.symbols index) pattern
   in
   Alcotest.(check int) "one concrete d" 1 (List.length cnodes);
   (* no zero-depth // self match: the only 'a' path is the root itself *)
   let p2 = Pattern.(elt "a" [ elt ~axis:Descendant "a" [] ]) in
-  let c2 = Xquery.Instantiate.run ~mem ~value_mode:Sequencing.Encoder.Hashed p2 in
+  let c2 = Xquery.Instantiate.run ~value_mode:Sequencing.Encoder.Hashed
+      (Xseq.symbols index) p2 in
   Alcotest.(check int) "no self match" 0 (List.length c2)
 
 let test_query_seq_permutations () =
   let d = e "P" [ e "L" [ e "S" [] ]; e "L" [ e "B" [] ] ] in
   let index = Xseq.build (Array.of_list [ d ]) in
-  let mem p = Option.is_some (Xindex.Labeled.link (Xseq.labeled index) p) in
   let pattern =
     Pattern.(elt "P" [ elt "L" [ elt "S" [] ]; elt "L" [ elt "B" [] ] ])
   in
   let cnodes =
-    Xquery.Instantiate.run ~mem ~value_mode:Sequencing.Encoder.Hashed pattern
+    Xquery.Instantiate.run ~value_mode:Sequencing.Encoder.Hashed
+      (Xseq.symbols index) pattern
   in
   let compiled =
-    List.concat_map (Xquery.Query_seq.compile ~strategy:(Xseq.strategy index)) cnodes
+    List.concat_map (Xquery.Query_seq.compile ~strategy:(Xseq.strategy index) (Xseq.symbols index)) cnodes
   in
   (* Two identical L siblings: both subtree orders must be generated. *)
   Alcotest.(check int) "two permutations" 2 (List.length compiled)
@@ -244,7 +245,7 @@ let rec pattern_of_tree (t : T.t) =
   match t with
   | T.Value s -> Pattern.text s
   | T.Element (tag, kids) ->
-    Pattern.elt (Xmlcore.Designator.name tag) (List.map pattern_of_tree kids)
+    Pattern.elt tag (List.map pattern_of_tree kids)
 
 let prop_identical_groups_polynomial =
   let gen =
@@ -256,15 +257,15 @@ let prop_identical_groups_polynomial =
        (QCheck.make ~print gen) (fun (k, t) ->
          let doc = T.elt "P" (List.init k (fun _ -> t)) in
          let index = Xseq.build [| doc |] in
-         let mem p = Option.is_some (Xindex.Labeled.link (Xseq.labeled index) p) in
-         let pattern = Pattern.elt "P" (List.init k (fun _ -> pattern_of_tree t)) in
+                let pattern = Pattern.elt "P" (List.init k (fun _ -> pattern_of_tree t)) in
          let size = Pattern.size pattern in
          let w0 = Gc.minor_words () in
          let outcome =
            match
              List.concat_map
-               (Xquery.Query_seq.compile ~strategy:(Xseq.strategy index))
-               (Xquery.Instantiate.run ~mem ~value_mode:Sequencing.Encoder.Hashed pattern)
+               (Xquery.Query_seq.compile ~strategy:(Xseq.strategy index) (Xseq.symbols index))
+               (Xquery.Instantiate.run ~value_mode:Sequencing.Encoder.Hashed
+      (Xseq.symbols index) pattern)
            with
            | compiled -> `Compiled (List.length compiled)
            | exception Xquery.Instantiate.Too_many _ -> `Refused

@@ -1,14 +1,18 @@
 (* Schema probability trees (Figures 12–13, Eq. 6) and sampled statistics. *)
 
 module T = Xmlcore.Xml_tree
-module D = Xmlcore.Designator
-module Path = Sequencing.Path
+module Symtab = Sequencing.Symtab
+module D = Symtab.Designator
+module Path = Symtab.Path
 module Schema = Xschema.Schema
 module Stats = Xschema.Stats
 module Gen = QCheck.Gen
 
 let e = T.elt
 let v = T.text
+
+(* The symbol table every path below belongs to. *)
+let sy = Symtab.create ()
 
 (* Figure 12's tree: P(1.0) with children v1(0.001), R(0.9);
    R has children U(0.8), L(0.4); U has M(0.8) with value v2(0.001/0.8);
@@ -31,10 +35,10 @@ let fig12 =
         ];
     ]
 
-let path_of names = Path.of_list (List.map D.tag names)
+let path_of names = Path.of_list sy (List.map (D.tag sy) names)
 
 let test_fig13_products () =
-  let probs = Schema.p_root fig12 in
+  let probs = Schema.p_root fig12 sy in
   let lookup names =
     let p = path_of names in
     List.assoc p probs
@@ -48,7 +52,7 @@ let test_fig13_products () =
   Alcotest.(check bool) "p(M|root)=0.576" true
     (close (lookup [ "P"; "R"; "U"; "M" ]) 0.576);
   (* known value: p(v3|root) = 0.36 × 0.1 = 0.036 (Figure 13) *)
-  let v3 = Path.child (path_of [ "P"; "R"; "L" ]) (D.value "v3") in
+  let v3 = Path.child sy (path_of [ "P"; "R"; "L" ]) (D.value sy "v3") in
   Alcotest.(check bool) "p(v3|root)=0.036" true (close (List.assoc v3 probs) 0.036)
 
 let test_priority_weights () =
@@ -60,14 +64,14 @@ let test_priority_weights () =
         Schema.node ~exist:0.4 ~weight:3.0 "L" [];
       ]
   in
-  let prio = Schema.to_priority weighted in
+  let prio = Schema.to_priority weighted sy in
   Alcotest.(check bool) "weighted up" true
     (prio (path_of [ "P"; "L" ]) > prio (path_of [ "P"; "U" ]))
 
 let test_priority_fallbacks () =
-  let prio = Schema.to_priority fig12 in
+  let prio = Schema.to_priority fig12 sy in
   (* Anonymous values under a slot share p(slot)/cardinality. *)
-  let anon = Path.child (path_of [ "P"; "R"; "L" ]) (D.value "someval") in
+  let anon = Path.child sy (path_of [ "P"; "R"; "L" ]) (D.value sy "someval") in
   Alcotest.(check bool) "anon value positive" true (prio anon > 0.);
   Alcotest.(check bool) "anon below element" true
     (prio anon < prio (path_of [ "P"; "R"; "L" ]));
@@ -77,7 +81,7 @@ let test_priority_fallbacks () =
     (prio unknown < prio (path_of [ "P"; "R" ]) && prio unknown > 0.)
 
 let test_strategy_wrapper () =
-  match Schema.strategy fig12 with
+  match Schema.strategy fig12 sy with
   | Sequencing.Strategy.Probability _ -> ()
   | _ -> Alcotest.fail "expected a Probability strategy"
 
@@ -92,7 +96,7 @@ let corpus =
   ]
 
 let test_stats_frequencies () =
-  let s = Stats.of_documents corpus in
+  let s = Stats.of_documents ~symbols:sy corpus in
   Alcotest.(check int) "doc count" 4 (Stats.doc_count s);
   let close a b = abs_float (a -. b) < 1e-9 in
   Alcotest.(check bool) "p(P)=1" true (close (Stats.p_root s (path_of [ "P" ])) 1.0);
@@ -108,13 +112,13 @@ let test_stats_frequencies () =
   Alcotest.(check bool) "distinct paths" true (Stats.distinct_paths s >= 5)
 
 let test_stats_weights () =
-  let s = Stats.of_documents corpus in
+  let s = Stats.of_documents ~symbols:sy corpus in
   let l = path_of [ "P"; "R"; "L" ] in
   let before = Stats.priority s l in
   Stats.set_weight s l 10.0;
   Alcotest.(check bool) "weight multiplies" true
     (abs_float (Stats.priority s l -. (before *. 10.0)) < 1e-9);
-  Stats.set_tag_weight s (D.tag "D") 5.0;
+  Stats.set_tag_weight s "D" 5.0;
   Alcotest.(check bool) "tag weight" true
     (abs_float (Stats.priority s (path_of [ "P"; "D" ]) -. 2.5) < 1e-9)
 
@@ -144,14 +148,14 @@ let prop_parent_monotone =
        ~print:(fun l -> String.concat ";" (List.map (Format.asprintf "%a" T.pp) l))
        Gen.(list_size (int_range 1 10) tree_gen))
     (fun docs ->
-      let s = Stats.of_documents docs in
+      let s = Stats.of_documents ~symbols:sy docs in
       List.for_all
         (fun d ->
           Array.for_all
             (fun p ->
-              Path.depth p < 2
-              || Stats.p_root s (Path.parent p) >= Stats.p_root s p -. 1e-12)
-            (Sequencing.Encoder.paths_of_tree d))
+              Path.depth sy p < 2
+              || Stats.p_root s (Path.parent sy p) >= Stats.p_root s p -. 1e-12)
+            (Sequencing.Encoder.paths_of_tree sy d))
         docs)
 
 let () =

@@ -1,8 +1,9 @@
 (* Paths, constraints, strategies, encoder/decoder, Prüfer codes. *)
 
 module T = Xmlcore.Xml_tree
-module D = Xmlcore.Designator
-module Path = Sequencing.Path
+module Symtab = Sequencing.Symtab
+module D = Symtab.Designator
+module Path = Symtab.Path
 module C = Sequencing.Seq_constraint
 module Enc = Sequencing.Encoder
 module Dec = Sequencing.Decoder
@@ -12,7 +13,37 @@ module Gen = QCheck.Gen
 let e = T.elt
 let v = T.text
 
-let p_of names = Path.of_list (List.map D.tag names)
+(* The symbol table every path and sequence below belongs to. *)
+let sy = Symtab.create ()
+
+let p_of names = Path.of_list sy (List.map (D.tag sy) names)
+
+(* --- designators ---------------------------------------------------------- *)
+
+let test_designator_identity () =
+  Alcotest.(check bool) "same tag same id" true
+    (D.equal (D.tag sy "project") (D.tag sy "project"));
+  Alcotest.(check bool) "tag <> value" false
+    (D.equal (D.tag sy "boston") (D.value sy "boston"));
+  Alcotest.(check bool) "value is value" true (D.is_value sy (D.value sy "x"));
+  Alcotest.(check bool) "tag is not value" false (D.is_value sy (D.tag sy "x"));
+  Alcotest.(check string) "name round trip" "boston"
+    (D.name sy (D.value sy "boston"));
+  Alcotest.(check bool) "char value" true (D.is_value sy (D.char_value sy 'q'));
+  Alcotest.(check string) "char name" "q" (D.name sy (D.char_value sy 'q'));
+  Alcotest.(check bool) "find_tag never interns" true
+    (D.find_tag sy "never-seen" = None && D.find_tag sy "never-seen" = None)
+
+(* Tables are independent: ids start afresh in each, in first-seen
+   order, and a name one table lacks is absent there. *)
+let test_tables_independent () =
+  let a = Symtab.create () and b = Symtab.create () in
+  let pa = Path.of_list a [ D.tag a "r"; D.tag a "zeta" ] in
+  let pb = Path.of_list b [ D.tag b "r"; D.tag b "alpha" ] in
+  Alcotest.(check int) "same first ids" (Path.to_int pa) (Path.to_int pb);
+  Alcotest.(check int) "epsilon and two paths" 3 (Symtab.path_count a);
+  Alcotest.(check bool) "alpha absent from a" true (D.find_tag a "alpha" = None);
+  Alcotest.(check string) "names" "r.zeta" (Path.to_string a pa)
 
 (* --- paths --------------------------------------------------------------- *)
 
@@ -20,54 +51,57 @@ let test_path_intern () =
   let a = p_of [ "P"; "D"; "L" ] in
   let b = p_of [ "P"; "D"; "L" ] in
   Alcotest.(check bool) "hash-consed" true (Path.equal a b);
-  Alcotest.(check int) "depth" 3 (Path.depth a);
-  Alcotest.(check string) "tag" "L" (D.name (Path.tag a));
-  Alcotest.(check bool) "parent" true (Path.equal (Path.parent a) (p_of [ "P"; "D" ]));
-  Alcotest.(check int) "epsilon depth" 0 (Path.depth Path.epsilon)
+  Alcotest.(check int) "depth" 3 (Path.depth sy a);
+  Alcotest.(check string) "tag" "L" (D.name sy (Path.tag sy a));
+  Alcotest.(check bool) "parent" true (Path.equal (Path.parent sy a) (p_of [ "P"; "D" ]));
+  Alcotest.(check int) "epsilon depth" 0 (Path.depth sy Path.epsilon)
 
 let test_path_prefix () =
   let pd = p_of [ "P"; "D" ] and pdl = p_of [ "P"; "D"; "L" ] in
   let pr = p_of [ "P"; "R" ] in
-  Alcotest.(check bool) "prefix" true (Path.is_prefix pd pdl);
-  Alcotest.(check bool) "strict" true (Path.is_strict_prefix pd pdl);
-  Alcotest.(check bool) "not self-strict" false (Path.is_strict_prefix pd pd);
-  Alcotest.(check bool) "self prefix" true (Path.is_prefix pd pd);
-  Alcotest.(check bool) "not prefix" false (Path.is_prefix pr pdl);
+  Alcotest.(check bool) "prefix" true (Path.is_prefix sy pd pdl);
+  Alcotest.(check bool) "strict" true (Path.is_strict_prefix sy pd pdl);
+  Alcotest.(check bool) "not self-strict" false (Path.is_strict_prefix sy pd pd);
+  Alcotest.(check bool) "self prefix" true (Path.is_prefix sy pd pd);
+  Alcotest.(check bool) "not prefix" false (Path.is_prefix sy pr pdl);
   Alcotest.(check bool) "ancestor at depth" true
-    (Path.equal (Path.ancestor_at_depth pdl 1) (p_of [ "P" ]));
-  Alcotest.(check bool) "epsilon prefix of all" true (Path.is_prefix Path.epsilon pdl)
+    (Path.equal (Path.ancestor_at_depth sy pdl 1) (p_of [ "P" ]));
+  Alcotest.(check bool) "epsilon prefix of all" true (Path.is_prefix sy Path.epsilon pdl)
 
 let test_path_roundtrip () =
-  let ds = [ D.tag "P"; D.tag "D"; D.value "boston" ] in
+  let ds = [ D.tag sy "P"; D.tag sy "D"; D.value sy "boston" ] in
   Alcotest.(check bool) "of_list/to_list" true
-    (List.equal D.equal ds (Path.to_list (Path.of_list ds)))
+    (List.equal D.equal ds (Path.to_list sy (Path.of_list sy ds)))
 
 let test_lex_compare () =
-  let cmp a b = Path.lex_compare (p_of a) (p_of b) in
+  let cmp a b = Path.lex_compare sy (p_of a) (p_of b) in
   Alcotest.(check bool) "prefix first" true (cmp [ "P" ] [ "P"; "D" ] < 0);
   Alcotest.(check bool) "equal" true (cmp [ "P"; "D" ] [ "P"; "D" ] = 0);
-  (* first differing designator decides; intern zz and aa fresh in order *)
-  let t1 = D.tag "lex_first" and t2 = D.tag "lex_second" in
-  let a = Path.child (p_of [ "P" ]) t1 and b = Path.child (p_of [ "P" ]) t2 in
-  Alcotest.(check bool) "by designator id" true (Path.lex_compare a b < 0);
+  (* The first differing designator decides, by name: interning "lex_b"
+     before "lex_a" changes nothing. *)
+  let b = Path.child sy (p_of [ "P" ]) (D.tag sy "lex_b") in
+  let a = Path.child sy (p_of [ "P" ]) (D.tag sy "lex_a") in
+  Alcotest.(check bool) "by name, not id" true (Path.lex_compare sy a b < 0);
   Alcotest.(check bool) "deep vs shallow divergence" true
-    (Path.lex_compare (Path.child a (D.tag "x")) b < 0)
+    (Path.lex_compare sy (Path.child sy a (D.tag sy "x")) b < 0);
+  Alcotest.(check bool) "values before tags" true
+    (Path.lex_compare sy (Path.child sy (p_of [ "P" ]) (D.value sy "zz")) a < 0)
 
 let test_element_children () =
   let parent = p_of [ "EC" ] in
-  let c1 = Path.child parent (D.tag "ec_a") in
-  let _v = Path.child parent (D.value "ec_val") in
-  let kids = Path.element_children parent in
+  let c1 = Path.child sy parent (D.tag sy "ec_a") in
+  let _v = Path.child sy parent (D.value sy "ec_val") in
+  let kids = Path.element_children sy parent in
   Alcotest.(check bool) "element child listed" true
     (List.exists (Path.equal c1) kids);
   Alcotest.(check bool) "value child excluded" true
-    (List.for_all (fun k -> not (D.is_value (Path.tag k))) kids);
+    (List.for_all (fun k -> not (D.is_value sy (Path.tag sy k))) kids);
   Alcotest.(check bool) "find_child" true
-    (match Path.find_child parent (D.tag "ec_a") with
+    (match Path.find_child sy parent (D.tag sy "ec_a") with
      | Some p -> Path.equal p c1
      | None -> false);
   Alcotest.(check bool) "find_child misses" true
-    (Path.find_child parent (D.tag "ec_nonexistent") = None)
+    (Path.find_child sy parent (D.tag sy "ec_nonexistent") = None)
 
 (* --- constraints --------------------------------------------------------- *)
 
@@ -79,32 +113,32 @@ let fp_example =
     p_of [ "P" ];
     p_of [ "P"; "D" ];
     p_of [ "P"; "D"; "L" ];
-    Path.child (p_of [ "P"; "D"; "L" ]) (D.value "v1");
+    Path.child sy (p_of [ "P"; "D"; "L" ]) (D.value sy "v1");
     p_of [ "P"; "D" ];
     p_of [ "P"; "D"; "M" ];
-    Path.child (p_of [ "P"; "D"; "M" ]) (D.value "v3");
+    Path.child sy (p_of [ "P"; "D"; "M" ]) (D.value sy "v3");
   |]
 
 let test_forward_prefix () =
   Alcotest.(check (option int)) "PDM's fp is 2nd PD" (Some 4)
-    (C.forward_prefix fp_example 5);
+    (C.forward_prefix sy fp_example 5);
   Alcotest.(check (option int)) "PDL's fp is 1st PD" (Some 1)
-    (C.forward_prefix fp_example 2);
-  Alcotest.(check (option int)) "root has none" None (C.forward_prefix fp_example 0)
+    (C.forward_prefix sy fp_example 2);
+  Alcotest.(check (option int)) "root has none" None (C.forward_prefix sy fp_example 0)
 
 let test_constraint_holds () =
-  Alcotest.(check bool) "f2: 2nd PD ancestor of PDM" true (C.holds C.F2 fp_example 4 5);
+  Alcotest.(check bool) "f2: 2nd PD ancestor of PDM" true (C.holds sy C.F2 fp_example 4 5);
   Alcotest.(check bool) "f2: 1st PD not ancestor of PDM" false
-    (C.holds C.F2 fp_example 1 5);
-  Alcotest.(check bool) "f1 can't tell them apart" true (C.holds C.F1 fp_example 1 5)
+    (C.holds sy C.F2 fp_example 1 5);
+  Alcotest.(check bool) "f1 can't tell them apart" true (C.holds sy C.F1 fp_example 1 5)
 
 let test_is_valid () =
-  Alcotest.(check bool) "example valid" true (C.is_valid fp_example);
-  Alcotest.(check bool) "empty invalid" false (C.is_valid [||]);
+  Alcotest.(check bool) "example valid" true (C.is_valid sy fp_example);
+  Alcotest.(check bool) "empty invalid" false (C.is_valid sy [||]);
   Alcotest.(check bool) "orphan invalid" false
-    (C.is_valid [| p_of [ "P" ]; p_of [ "P"; "D"; "L" ] |]);
+    (C.is_valid sy [| p_of [ "P" ]; p_of [ "P"; "D"; "L" ] |]);
   Alcotest.(check bool) "deep first invalid" false
-    (C.is_valid [| p_of [ "P"; "D" ] |])
+    (C.is_valid sy [| p_of [ "P"; "D" ] |])
 
 (* --- encoder: paper's Table 1 -------------------------------------------- *)
 
@@ -115,7 +149,7 @@ let fig3b =
 let fig3c =
   e "P" [ v "xml"; e "D" []; e "D" [ e "L" [ v "boston" ]; e "M" [ v "johnson" ] ] ]
 
-let path_strings seq = List.map Path.to_string (Array.to_list seq)
+let path_strings seq = List.map (Path.to_string sy) (Array.to_list seq)
 
 let test_table1_depth_first () =
   Alcotest.(check (list string)) "fig 3(b)"
@@ -123,27 +157,27 @@ let test_table1_depth_first () =
       "P"; "P.v(xml)"; "P.D"; "P.D.L"; "P.D.L.v(boston)"; "P.D"; "P.D.M";
       "P.D.M.v(johnson)";
     ]
-    (path_strings (Enc.encode ~strategy:S.Depth_first fig3b));
+    (path_strings (Enc.encode sy ~strategy:S.Depth_first fig3b));
   Alcotest.(check (list string)) "fig 3(c)"
     [
       "P"; "P.v(xml)"; "P.D"; "P.D"; "P.D.L"; "P.D.L.v(boston)"; "P.D.M";
       "P.D.M.v(johnson)";
     ]
-    (path_strings (Enc.encode ~strategy:S.Depth_first fig3c))
+    (path_strings (Enc.encode sy ~strategy:S.Depth_first fig3c))
 
 let test_breadth_first () =
   let t = e "P" [ e "R" [ e "M" [] ]; e "D" [ e "U" [] ] ] in
   Alcotest.(check (list string)) "level order"
     [ "P"; "P.R"; "P.D"; "P.R.M"; "P.D.U" ]
-    (path_strings (Enc.encode ~strategy:S.Breadth_first t))
+    (path_strings (Enc.encode sy ~strategy:S.Breadth_first t))
 
 let test_probability_order () =
   (* Higher p' comes out earlier regardless of document order. *)
   let t = e "P" [ e "Rare" [] ; e "Common" [] ] in
-  let prio p = if D.name (Path.tag p) = "Common" then 0.9 else 0.1 in
+  let prio p = if D.name sy (Path.tag sy p) = "Common" then 0.9 else 0.1 in
   Alcotest.(check (list string)) "by probability"
     [ "P"; "P.Common"; "P.Rare" ]
-    (path_strings (Enc.encode ~strategy:(S.Probability prio) t))
+    (path_strings (Enc.encode sy ~strategy:(S.Probability prio) t))
 
 let test_identical_sibling_recursion () =
   (* With identical siblings, the first selected sibling's whole subtree is
@@ -153,7 +187,7 @@ let test_identical_sibling_recursion () =
     e "P" [ e "D" [ e "Low" [] ]; e "D" [ e "High" [] ]; e "Mid" [] ]
   in
   let prio p =
-    match D.name (Path.tag p) with
+    match D.name sy (Path.tag sy p) with
     | "D" -> 0.8
     | "Mid" -> 0.5
     | "High" -> 0.4
@@ -162,13 +196,13 @@ let test_identical_sibling_recursion () =
   in
   Alcotest.(check (list string)) "subtree contiguity"
     [ "P"; "P.D"; "P.D.Low"; "P.D"; "P.D.High"; "P.Mid" ]
-    (path_strings (Enc.encode ~strategy:(S.Probability prio) t))
+    (path_strings (Enc.encode sy ~strategy:(S.Probability prio) t))
 
 let test_ident_flag_extends () =
   (* The global flag forces contiguity even without local duplicates. *)
   let t = e "P" [ e "D" [ e "Low" [] ]; e "Mid" [] ] in
   let prio p =
-    match D.name (Path.tag p) with
+    match D.name sy (Path.tag sy p) with
     | "D" -> 0.8
     | "Mid" -> 0.5
     | "Low" -> 0.1
@@ -178,17 +212,17 @@ let test_ident_flag_extends () =
   Alcotest.(check (list string)) "flag-triggered contiguity"
     [ "P"; "P.D"; "P.D.Low"; "P.Mid" ]
     (path_strings
-       (Enc.encode ~ident:(Path.equal flagged) ~strategy:(S.Probability prio) t));
+       (Enc.encode sy ~ident:(Path.equal flagged) ~strategy:(S.Probability prio) t));
   Alcotest.(check (list string)) "without flag, priority order"
     [ "P"; "P.D"; "P.Mid"; "P.D.Low" ]
-    (path_strings (Enc.encode ~strategy:(S.Probability prio) t))
+    (path_strings (Enc.encode sy ~strategy:(S.Probability prio) t))
 
 (* The global identical-sibling trigger a build derives: a record
    containing P.D twice makes every record sequence P.D's subtree
    contiguously, as an explicit [ident] does above. *)
 let test_multiple_paths () =
-  let prio p =
-    match D.name (Path.tag p) with
+  let prio symbols p =
+    match D.name symbols (Path.tag symbols p) with
     | "D" -> 0.8
     | "Mid" -> 0.5
     | "High" -> 0.4
@@ -203,7 +237,10 @@ let test_multiple_paths () =
      root-to-end chain of its entry in the document table. *)
   let sequence_of docs doc =
     let config =
-      { Xseq.default_config with sequencing = Xseq.Custom (S.Probability prio) }
+      {
+        Xseq.default_config with
+        sequencing = Xseq.Custom (fun symbols -> S.Probability (prio symbols));
+      }
     in
     let l = Xseq.labeled (Xseq.build ~config docs) in
     let module L = Xindex.Labeled in
@@ -219,7 +256,7 @@ let test_multiple_paths () =
            && L.pre_of_node l n <= last
            && L.post_of_node l n >= last)
     |> List.sort (fun a b -> compare (L.pre_of_node l a) (L.pre_of_node l b))
-    |> List.map (fun n -> Path.to_string (L.path_of_node l n))
+    |> List.map (fun n -> Path.to_string (L.symbols l) (L.path_of_node l n))
   in
   Alcotest.(check (list string)) "alone, priority order"
     [ "P"; "P.D"; "P.Mid"; "P.D.Low" ]
@@ -232,19 +269,19 @@ let test_text_mode () =
   let t = e "L" [ v "ab" ] in
   Alcotest.(check (list string)) "char chain"
     [ "L"; "L.v(a)"; "L.v(a).v(b)"; "L.v(a).v(b).v(\x00end)" ]
-    (path_strings (Enc.encode ~value_mode:Enc.Text ~strategy:S.Depth_first t))
+    (path_strings (Enc.encode sy ~value_mode:Enc.Text ~strategy:S.Depth_first t))
 
 (* --- decoder ------------------------------------------------------------- *)
 
 let test_decode_exact_df () =
-  let seq = Enc.encode ~strategy:S.Depth_first fig3b in
-  Alcotest.(check bool) "df round trip is exact" true (T.equal (Dec.decode seq) fig3b)
+  let seq = Enc.encode sy ~strategy:S.Depth_first fig3b in
+  Alcotest.(check bool) "df round trip is exact" true (T.equal (Dec.decode sy seq) fig3b)
 
 let test_decode_invalid () =
-  (match Dec.decode [||] with
+  (match Dec.decode sy [||] with
    | exception Dec.Invalid_sequence _ -> ()
    | _ -> Alcotest.fail "empty must fail");
-  match Dec.decode [| p_of [ "P" ]; p_of [ "Q" ] |] with
+  match Dec.decode sy [| p_of [ "P" ]; p_of [ "Q" ] |] with
   | exception Dec.Invalid_sequence _ -> ()
   | _ -> Alcotest.fail "two roots must fail"
 
@@ -280,13 +317,13 @@ let prop_valid name strategy =
   QCheck.Test.make
     ~name:(Printf.sprintf "encode %s yields valid constraint sequence" name)
     ~count:300 arb_tree (fun t ->
-      C.is_valid (Enc.encode ~strategy t))
+      C.is_valid sy (Enc.encode sy ~strategy t))
 
 let prop_roundtrip name strategy =
   QCheck.Test.make
     ~name:(Printf.sprintf "decode (encode %s) isomorphic" name)
     ~count:300 arb_tree (fun t ->
-      T.isomorphic t (Dec.decode (Enc.encode ~strategy t)))
+      T.isomorphic t (Dec.decode sy (Enc.encode sy ~strategy t)))
 
 let prop_multiset name strategy =
   QCheck.Test.make
@@ -296,20 +333,20 @@ let prop_multiset name strategy =
         let l = Array.to_list a in
         List.sort Path.compare l
       in
-      sorted (Enc.encode ~strategy t) = sorted (Enc.paths_of_tree t))
+      sorted (Enc.encode sy ~strategy t) = sorted (Enc.paths_of_tree sy t))
 
 let prop_ident_still_valid =
   QCheck.Test.make ~name:"global ident flag keeps sequences valid" ~count:300
     arb_tree (fun t ->
       let seq =
-        Enc.encode ~ident:(fun p -> Path.to_int p mod 2 = 0)
+        Enc.encode sy ~ident:(fun p -> Path.to_int p mod 2 = 0)
           ~strategy:S.Breadth_first t
       in
-      C.is_valid seq && T.isomorphic t (Dec.decode seq))
+      C.is_valid sy seq && T.isomorphic t (Dec.decode sy seq))
 
 let prop_text_mode_roundtrip =
   QCheck.Test.make ~name:"text mode sequences valid" ~count:200 arb_tree (fun t ->
-      C.is_valid (Enc.encode ~value_mode:Enc.Text ~strategy:S.Depth_first t))
+      C.is_valid sy (Enc.encode sy ~value_mode:Enc.Text ~strategy:S.Depth_first t))
 
 (* --- Prüfer -------------------------------------------------------------- *)
 
@@ -338,6 +375,12 @@ let prop_prufer_roundtrip =
 let () =
   Alcotest.run "sequencing"
     [
+      ( "designator",
+        [
+          Alcotest.test_case "identity" `Quick test_designator_identity;
+          Alcotest.test_case "tables are independent" `Quick
+            test_tables_independent;
+        ] );
       ( "paths",
         [
           Alcotest.test_case "intern" `Quick test_path_intern;

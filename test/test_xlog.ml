@@ -454,6 +454,61 @@ let test_corrupt_record_recovery () =
       Alcotest.failf "flip at %d: corruption not diagnosed" pos
   done
 
+(* Churn — insert records with fresh values, delete the oldest, compact
+   — leaves a base whose symbol table holds the live records' paths
+   only: as many as a fresh build over them.  Names of deleted records
+   go with the base they lived in. *)
+let test_churn_dictionary () =
+  with_dir (fun dir ->
+      let log = Xlog.open_ ~memtable_limit:8 dir in
+      let live = Queue.create () in
+      for round = 0 to 9 do
+        for k = 0 to 19 do
+          let key = (round * 20) + k in
+          let doc =
+            e "P"
+              [
+                e "L" [ v (Printf.sprintf "value-%d" key) ];
+                e (if key mod 3 = 0 then "S" else "B") [];
+              ]
+          in
+          Queue.push (Xlog.insert log doc, doc) live
+        done;
+        for _ = 1 to 15 do
+          ignore (Xlog.remove log (fst (Queue.pop live)) : bool)
+        done;
+        ignore (Xlog.compact ~wait:true log : bool)
+      done;
+      let paths index = Sequencing.Symtab.path_count (Xseq.symbols index) in
+      let docs = Array.of_seq (Seq.map snd (Queue.to_seq live)) in
+      Alcotest.(check int) "live records" 50 (Array.length docs);
+      (* The live records' distinct root paths, plus the empty path. *)
+      let seen = Hashtbl.create 64 in
+      let rec walk prefix = function
+        | T.Element (name, cs) ->
+          let p = ("<" ^ name) :: prefix in
+          Hashtbl.replace seen p ();
+          List.iter (walk p) cs
+        | T.Value s -> Hashtbl.replace seen (s :: prefix) ()
+      in
+      Array.iter (walk []) docs;
+      let fresh = Hashtbl.length seen + 1 in
+      Alcotest.(check int) "a fresh build's dictionary" fresh
+        (paths (Xseq.build docs));
+      (match Xlog.base log with
+       | Some base ->
+         Alcotest.(check int) "installed base = a fresh build's" fresh
+           (paths base)
+       | None -> Alcotest.fail "no base after compaction");
+      Xlog.close log;
+      let file =
+        Sys.readdir dir |> Array.to_list
+        |> List.filter (fun f -> String.starts_with ~prefix:"base-" f)
+        |> List.sort compare |> List.rev |> List.hd
+      in
+      Alcotest.(check int) "saved base = a fresh build's" fresh
+        (paths (Xseq.load (Filename.concat dir file))))
+
 (* A corrupt checkpoint is refused loudly (it is the commit record —
    silently ignoring it could serve an index missing acknowledged
    writes that compaction already pruned from the WAL). *)
@@ -1110,6 +1165,8 @@ let () =
         [
           Alcotest.test_case "insert/remove/flush/compact/reopen" `Quick
             test_basic_store;
+          Alcotest.test_case "churn keeps the dictionary live-sized" `Quick
+            test_churn_dictionary;
           QCheck_alcotest.to_alcotest qcheck_schedules_match_oracle;
         ] );
       ( "replication",

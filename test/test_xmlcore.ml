@@ -1,26 +1,12 @@
 (* XML data model and parser/printer tests. *)
 
 module T = Xmlcore.Xml_tree
-module D = Xmlcore.Designator
 module P = Xmlcore.Xml_parser
 module Pr = Xmlcore.Xml_printer
 module Gen = QCheck.Gen
 
 let e = T.elt
 let v = T.text
-
-(* --- designators -------------------------------------------------------- *)
-
-let test_designator_identity () =
-  Alcotest.(check bool) "same tag same id" true
-    (D.equal (D.tag "project") (D.tag "project"));
-  Alcotest.(check bool) "tag <> value" false
-    (D.equal (D.tag "boston") (D.value "boston"));
-  Alcotest.(check bool) "value is value" true (D.is_value (D.value "x"));
-  Alcotest.(check bool) "tag is not value" false (D.is_value (D.tag "x"));
-  Alcotest.(check string) "name round trip" "boston" (D.name (D.value "boston"));
-  Alcotest.(check bool) "char value" true (D.is_value (D.char_value 'q'));
-  Alcotest.(check string) "char name" "q" (D.name (D.char_value 'q'))
 
 (* --- tree operations ----------------------------------------------------- *)
 
@@ -49,9 +35,18 @@ let test_sort_by_tag_stable () =
   | T.Element
       (_, [ T.Element (_, [ T.Element (z, _) ]); T.Element (_, [ T.Element (a, _) ]) ])
     ->
-    Alcotest.(check string) "first kept" "Z" (D.name z);
-    Alcotest.(check string) "second kept" "A" (D.name a)
+    Alcotest.(check string) "first kept" "Z" z;
+    Alcotest.(check string) "second kept" "A" a
   | _ -> Alcotest.fail "unexpected shape"
+
+(* Siblings sort by name — values first — whatever order the names were
+   first seen in, so every index sorts a record the same way. *)
+let test_sort_by_tag_names () =
+  ignore (P.parse_string "<x><zeta/><alpha/></x>");
+  let t = e "r" [ e "zeta" [ v "1" ]; v "b"; e "alpha" [ v "2" ]; v "a" ] in
+  Alcotest.(check bool) "values, then tags, each by name" true
+    (T.equal (T.sort_by_tag t)
+       (e "r" [ v "a"; v "b"; e "alpha" [ v "2" ]; e "zeta" [ v "1" ] ]))
 
 (* --- parser -------------------------------------------------------------- *)
 
@@ -196,12 +191,12 @@ let prop_fold_counts =
 let () =
   Alcotest.run "xmlcore"
     [
-      ("designator", [ Alcotest.test_case "identity" `Quick test_designator_identity ]);
       ( "tree",
         [
           Alcotest.test_case "measures" `Quick test_tree_measures;
           Alcotest.test_case "isomorphism" `Quick test_isomorphism;
           Alcotest.test_case "sort_by_tag stable" `Quick test_sort_by_tag_stable;
+          Alcotest.test_case "sort_by_tag by name" `Quick test_sort_by_tag_names;
         ] );
       ( "parser",
         [

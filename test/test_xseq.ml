@@ -170,16 +170,12 @@ let test_build_phases () =
   Alcotest.(check (list string)) "phases"
     [ "flatten+intern"; "counts"; "encode"; "sort+label" ]
     (List.rev !seen);
-  let portable i =
-    Marshal.to_string (Xindex.Labeled.to_portable (Xseq.labeled i)) []
-  in
   Alcotest.(check bool) "same index" true
-    (portable observed = portable (Xseq.build docs))
+    (Fingerprint.of_index observed = Fingerprint.of_index (Xseq.build docs))
 
 (* Builds running on threads of one domain — a seal beside a background
-   compaction — each own their flattening buffers.  The sequential
-   builds intern every path first, so the concurrent ones must
-   reproduce them exactly. *)
+   compaction — each own their flattening buffers and symbol table, so
+   the concurrent ones must reproduce the sequential ones exactly. *)
 let test_concurrent_builds () =
   let corpora =
     [|
@@ -187,18 +183,15 @@ let test_concurrent_builds () =
       Xdatagen.Xmark_gen.generate ~seed:4 ~identical_siblings:true 400;
     |]
   in
-  let portable docs =
-    let l = Xseq.labeled (Xseq.build docs) in
-    Marshal.to_string (Xindex.Labeled.to_portable l) []
-  in
-  let expected = Array.map portable corpora in
+  let fingerprint docs = Fingerprint.of_index (Xseq.build docs) in
+  let expected = Array.map fingerprint corpora in
   let results = Array.make_matrix 4 8 "" in
   let threads =
     Array.init 4 (fun t ->
         Thread.create
           (fun () ->
             for round = 0 to 7 do
-              results.(t).(round) <- portable corpora.(t mod 2)
+              results.(t).(round) <- fingerprint corpora.(t mod 2)
             done)
           ())
   in
@@ -267,6 +260,22 @@ let test_save_load_sampled =
     { Xseq.default_config with sample_fraction = 0.5; sample_seed = 9 }
     roundtrip_docs roundtrip_queries
 
+(* Builds leave nothing behind: each index owns its symbol table, so 30
+   builds over fresh DBLP records, each index dropped, keep the live heap
+   flat. *)
+let test_builds_do_not_leak () =
+  let live_after_build i =
+    ignore
+      (Sys.opaque_identity
+         (Xseq.build (Xdatagen.Dblp_gen.generate ~seed:(1000 + i) 1000)));
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let live = Array.init 30 (fun i -> live_after_build (i + 1)) in
+  let second = live.(1) and last = live.(29) in
+  if float_of_int last > 1.2 *. float_of_int second then
+    Alcotest.failf "live words %d after build 30, %d after build 2" last second
+
 let test_save_rejects () =
   let index =
     build ~config:{ Xseq.default_config with keep_documents = false } [ project_doc ]
@@ -279,7 +288,7 @@ let test_save_rejects () =
       ~config:
         {
           Xseq.default_config with
-          sequencing = Xseq.Custom Sequencing.Strategy.Depth_first;
+          sequencing = Xseq.Custom (fun _ -> Sequencing.Strategy.Depth_first);
         }
       [ project_doc ]
   in
@@ -308,7 +317,8 @@ let test_weights_do_not_change_results () =
           Xseq.default_config with
           sequencing =
             Xseq.Probability_weighted
-              (fun p -> 1.0 +. float_of_int (Sequencing.Path.to_int p mod 7));
+              (fun _ p ->
+                1.0 +. float_of_int (Sequencing.Symtab.Path.to_int p mod 7));
         }
       docs
   in
@@ -405,6 +415,7 @@ let () =
           Alcotest.test_case "size accessors" `Quick test_size_accessors;
           Alcotest.test_case "build phases" `Quick test_build_phases;
           Alcotest.test_case "concurrent builds" `Quick test_concurrent_builds;
+          Alcotest.test_case "builds do not leak" `Quick test_builds_do_not_leak;
           Alcotest.test_case "document roundtrip" `Quick test_document_roundtrip;
         ] );
       ( "persistence",
