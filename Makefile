@@ -27,12 +27,13 @@ bench:
 bench-json:
 	dune exec bench/main.exe -- parallel shard storage server ingest faults repl scrub
 
-# Perf regression gate: rerun the parallel + shard experiments at their
-# default (env-tunable) sizes and hold the speedups to the checked-in
-# floors in bench/floors.json, diffing against the committed
-# BENCH_parallel.json / BENCH_shard.json.  Core-count-aware: scaling
-# floors on >=4 cores, parity floors (catching serialization
-# regressions) on smaller boxes.
+# Perf regression gate: rerun every experiment bench/gate.py gates
+# (parallel, shard, storage, server, repl, scrub) at its default
+# (env-tunable) size and hold the results to the checked-in floors in
+# bench/floors.json, diffing each BENCH_*.json against its committed
+# baseline.  Core-count-aware: scaling floors on >=4 cores, parity
+# floors (catching serialization regressions) on smaller boxes.  CI
+# runs this target, so the list lives here only.
 bench-gate:
 	dune exec bench/main.exe -- parallel shard storage server repl scrub
 	python3 bench/gate.py

@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Bench regression gate.
 
-Reads the fresh BENCH_parallel.json and BENCH_shard.json produced by
-`dune exec bench/main.exe -- parallel shard`, applies the checked-in
-floors from bench/floors.json, and diffs the speedups against the
-committed BENCH_*.json baselines so perf regressions fail loudly
-instead of drifting.
+Reads the fresh BENCH_parallel/shard/storage/server/repl/scrub.json
+that `make bench-gate` produces, applies the checked-in floors from
+bench/floors.json, and diffs the results against the committed
+BENCH_*.json baselines so perf regressions fail loudly instead of
+drifting.
 
 Floors are core-count-aware: on a runner with at least
 `min_cores_for_scaling` cores the 'scaling' floors apply (parallelism

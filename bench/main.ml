@@ -488,13 +488,9 @@ let ablation_buffer () =
 
 (* The index build broken down by phase, as [xseq index] runs it:
    parse the records' text, build (the phases [Xseq.build] reports),
-   save an xseqcol1 snapshot.  The last rows compare the sorted bulk
-   load of Section 4.1 with one-by-one trie insertion, on the parsed
-   records of the first build. *)
+   save an xseqcol1 snapshot. *)
 let ablation_bulk () =
-  header
-    "Build breakdown by phase (ms), and bulk load (sorted) vs incremental \
-     insertion";
+  header "Build breakdown by phase (ms)";
   let phases =
     [ "parse"; "flatten+intern"; "counts"; "encode"; "sort+label"; "save" ]
   in
@@ -520,24 +516,12 @@ let ablation_bulk () =
         let (), t_save = time (fun () -> Xseq.save index path) in
         Sys.remove path;
         Hashtbl.replace times "save" t_save;
-        let build bulk =
-          snd
-            (time (fun () ->
-                 Xseq.build
-                   ~config:
-                     { Xseq.default_config with bulk; keep_documents = false }
-                   docs))
-        in
-        let t_inc = build false in
-        let t_bulk = build true in
         ( Printf.sprintf "%s %d" name (Array.length docs),
-          List.map (Hashtbl.find times) phases,
-          t_inc,
-          t_bulk ))
+          List.map (Hashtbl.find times) phases ))
       corpora
   in
   Printf.printf "%-28s" "phase";
-  List.iter (fun (name, _, _, _) -> Printf.printf " %14s" name) columns;
+  List.iter (fun (name, _) -> Printf.printf " %14s" name) columns;
   print_newline ();
   let row label values =
     Printf.printf "%-28s" label;
@@ -545,13 +529,9 @@ let ablation_bulk () =
     print_newline ()
   in
   List.iteri
-    (fun i phase ->
-      row phase (List.map (fun (_, ts, _, _) -> List.nth ts i) columns))
+    (fun i phase -> row phase (List.map (fun (_, ts) -> List.nth ts i) columns))
     phases;
-  row "total"
-    (List.map (fun (_, ts, _, _) -> List.fold_left ( +. ) 0. ts) columns);
-  row "build, incremental" (List.map (fun (_, _, t, _) -> t) columns);
-  row "build, bulk" (List.map (fun (_, _, _, t) -> t) columns);
+  row "total" (List.map (fun (_, ts) -> List.fold_left ( +. ) 0. ts) columns);
   flush stdout
 
 (* Hashed vs character-sequence value representation (Section 2.1). *)
@@ -1821,13 +1801,11 @@ let micro () =
             fun () ->
               Sequencing.Encoder.encode ~scratch
                 ~strategy:Sequencing.Strategy.Depth_first symbols docs.(0)));
-      (* Figure 15 / Tables 5-6: trie insertion. *)
-      Test.make ~name:"table5-trie-insert"
+      (* Figure 15 / Tables 5-6: labelling one document's sequence. *)
+      Test.make ~name:"table5-label"
         (Staged.stage
-           (let seq = Sequencing.Encoder.encode ~strategy symbols docs.(0) in
-            fun () ->
-              let t = Xindex.Trie.create () in
-              Xindex.Trie.insert t seq ~doc:0));
+           (let seqs = [| Sequencing.Encoder.encode ~strategy symbols docs.(0) |] in
+            fun () -> Xindex.Labeled.build symbols seqs));
       (* Table 7: one XMark query end to end. *)
       Test.make ~name:"table7-Q1"
         (Staged.stage (fun () -> Xseq.query xmark_index q1));

@@ -52,10 +52,20 @@ let strategy_conv =
   in
   Arg.conv (parse, print)
 
+(* A snapshot the store rejects (bad checksum, truncation, inconsistent
+   regions) is an input error like a malformed record file: print the
+   store's diagnostic against the file and exit 1. *)
+let guard_snapshot path f =
+  try f ()
+  with Invalid_argument msg ->
+    Printf.eprintf "%s: %s\n" path msg;
+    exit 1
+
 (* Load a saved index, or build one from XML records. *)
-let load_or_build path config =
-  if is_index_file path then Xseq.load path
-  else Xseq.build ~config (load_documents path)
+let load_or_build ?domains ?mode ?pool_pages path config =
+  if is_index_file path then
+    guard_snapshot path (fun () -> Xseq.load ?mode ?pool_pages path)
+  else Xseq.build ?domains ~config (load_documents path)
 
 let config_of_strategy = function
   | `Probability -> Xseq.default_config
@@ -692,20 +702,16 @@ let query_cmd =
            Printf.eprintf "%s: no such file\n" input;
            exit 1
          end;
+         if paged && not (is_index_file input) then begin
+           Printf.eprintf "--paged requires a saved index file\n";
+           exit 1
+         end;
          let index =
-           if is_index_file input then
-             Xseq.load
-               ~mode:
-                 (if paged then Xstorage.Store.Paged else Xstorage.Store.Resident)
-               ~pool_pages input
-           else begin
-             if paged then begin
-               Printf.eprintf "--paged requires a saved index file\n";
-               exit 1
-             end;
-             Xseq.build ~config:(config_of_strategy strategy)
-               (load_documents input)
-           end
+           load_or_build
+             ~mode:
+               (if paged then Xstorage.Store.Paged else Xstorage.Store.Resident)
+             ~pool_pages input
+             (config_of_strategy strategy)
          in
          (match queries with
           | [ q ] -> run_local_single index q show paged
@@ -1123,7 +1129,12 @@ let serve_cmd =
         scrub = scrubber;
       }
     in
-    let server = Xserver.Server.create ~config source in
+    let server =
+      match source with
+      | Xserver.Server.Snapshot file ->
+        guard_snapshot file (fun () -> Xserver.Server.create ~config source)
+      | _ -> Xserver.Server.create ~config source
+    in
     Xserver.Server.start server addrs;
     (match scrubber with
      | Some sc ->
@@ -1656,13 +1667,7 @@ let query_batch_cmd =
       Printf.eprintf "--domains must be at least 1\n";
       exit 1
     end;
-    let index =
-      if is_index_file input then Xseq.load input
-      else
-        Xseq.build ~domains
-          ~config:(config_of_strategy strategy)
-          (load_documents input)
-    in
+    let index = load_or_build ~domains input (config_of_strategy strategy) in
     let lines = String.split_on_char '\n' (read_file queries_file) in
     let texts =
       List.filter
@@ -1801,24 +1806,38 @@ let info_cmd =
       exit 1
     end;
     let module Store = Xstorage.Store in
-    let store = Store.open_file input in
     (* Counts straight from the regions — no document re-interning. *)
-    let xmeta = Store.to_array (Store.ints store "xseq_meta") in
-    let imeta = Store.to_array (Store.ints store "meta") in
+    let store, xmeta, imeta, links, doc_entries =
+      guard_snapshot input (fun () ->
+          let store = Store.open_file input in
+          let region name = Store.ints store name in
+          let xmeta = Store.to_array (region "xseq_meta") in
+          let imeta = Store.to_array (region "meta") in
+          if Array.length xmeta <> 9 || Array.length imeta = 0 then
+            invalid_arg "malformed xseq_meta/meta region";
+          ( store,
+            xmeta,
+            imeta,
+            Store.length (region "link_off"),
+            Store.length (region "doc_pre") ))
+    in
     let regions = Store.regions store in
     let logical = List.fold_left (fun a r -> a + r.Store.r_bytes) 0 regions in
     let stored = List.fold_left (fun a r -> a + r.Store.r_stored) 0 regions in
     let compressed = Store.file_format store = Store.Col2 in
     Printf.printf "file:            %s\n" input;
-    Printf.printf "format:          %s v1, %d-byte pages, %d bytes\n"
+    Printf.printf "format:          %s, %d-byte pages, %d bytes\n"
       (Store.format_name (Store.file_format store))
       (Store.page_size store) (Store.file_bytes store);
+    Printf.printf "snapshot:        version %d\n" xmeta.(0);
+    if xmeta.(0) = 1 then
+      print_endline
+        "note:            every load re-sequences the records in memory; \
+         --paged buys nothing";
     Printf.printf "records:         %d\n" xmeta.(8);
     Printf.printf "trie nodes:      %d\n" imeta.(0);
-    Printf.printf "distinct paths:  %d\n"
-      (Store.length (Store.ints store "link_off"));
-    Printf.printf "doc entries:     %d\n"
-      (Store.length (Store.ints store "doc_pre"));
+    Printf.printf "distinct paths:  %d\n" links;
+    Printf.printf "doc entries:     %d\n" doc_entries;
     if compressed then
       Printf.printf "column bytes:    %d stored / %d logical (%.2fx compression)\n"
         stored logical

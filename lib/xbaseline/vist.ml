@@ -17,18 +17,15 @@ let no_stats = create_stats ()
 
 let build docs =
   let symbols = Sequencing.Symtab.create () in
-  let trie = Xindex.Trie.create () in
   let scratch = Encoder.create_scratch () in
   let seqs =
-    Array.mapi
-      (fun i doc ->
-        ( Encoder.encode ~scratch ~strategy:Strategy.Depth_first symbols
-            (T.sort_by_tag doc),
-          i ))
+    Array.map
+      (fun doc ->
+        Encoder.encode ~scratch ~strategy:Strategy.Depth_first symbols
+          (T.sort_by_tag doc))
       docs
   in
-  Xindex.Trie.bulk_load trie seqs;
-  { labeled = Xindex.Labeled.of_trie symbols trie; docs }
+  { labeled = Xindex.Labeled.build symbols seqs; docs }
 
 let scan t pattern = Xquery.Embedding.filter pattern t.docs
 

@@ -60,22 +60,27 @@ let has_nested pres posts off len =
   in
   scan 0
 
-let freeze backend a =
-  match backend with
-  | Heap_arrays -> Store.heap a
-  | Columnar -> Store.flat_of_array a
+(* Sequences sorted lexicographically by path id, a prefix before its
+   extensions; document ids are ignored. *)
+let compare_seq (a, _) (b, _) =
+  let la = Array.length a and lb = Array.length b in
+  let rec loop i =
+    if i >= la || i >= lb then Stdlib.compare la lb
+    else
+      let c = Path.compare a.(i) b.(i) in
+      if c <> 0 then c else loop (i + 1)
+  in
+  loop 0
 
-(* Both constructors label a trie of [n] nodes (node 0 is the virtual
-   root) into per-node arrays, then call [assemble]:
-   - [order.(s)] is the node with serial [s], and [pre] its inverse;
+(* [assemble] takes the labelled trie of [n] nodes, node 0 the virtual
+   root and every node id its serial:
    - [post.(v)] is the largest serial in [v]'s subtree;
    - [path.(v)] is [v]'s encoding, a path of [symbols];
    - [up.(v)] is the link position of [v]'s nearest same-path proper
      ancestor, or -1;
-   - [ends] holds the (end node, document id) of every sequence, in
-     insertion order. *)
-let assemble ~backend ~symbols ~order ~pre ~post ~path ~up ends =
-  let n = Array.length pre in
+   - [ends] holds the (end node, document id) of every sequence. *)
+let assemble ~symbols ~post ~path ~up ends =
+  let n = Array.length post in
   let width = Symtab.path_count symbols in
   (* Links are a counting sort of the nodes by path id: slots in
      ascending path id, each slot's entries in serial order. *)
@@ -104,12 +109,11 @@ let assemble ~backend ~symbols ~order ~pre ~post ~path ~up ends =
   let l_post = Array.make (n - 1) 0 in
   let l_up = Array.make (n - 1) 0 in
   let l_node = Array.make (n - 1) 0 in
-  for s = 1 to n - 1 do
-    let v = order.(s) in
+  for v = 1 to n - 1 do
     let p = Path.to_int path.(v) in
     let e = next.(p) in
     next.(p) <- e + 1;
-    l_pre.(e) <- s;
+    l_pre.(e) <- v;
     l_post.(e) <- post.(v);
     l_up.(e) <- up.(v);
     l_node.(e) <- v
@@ -121,10 +125,9 @@ let assemble ~backend ~symbols ~order ~pre ~post ~path ~up ends =
         has_nested l_pre l_post link_off.(slot) link_len.(slot))
   in
   (* Document table sorted by end-node serial. *)
-  let pairs = Array.map (fun (node, doc) -> (pre.(node), doc)) ends in
-  Array.sort (fun (a, _) (b, _) -> Stdlib.compare a b) pairs;
-  let doc_pre = Array.map fst pairs in
-  let doc_id = Array.map snd pairs in
+  Array.sort (fun (a, _) (b, _) -> Stdlib.compare a b) ends;
+  let doc_pre = Array.map fst ends in
+  let doc_id = Array.map snd ends in
   (* Dictionary: epsilon and the link paths (every node path), by depth
      then id — a stable sort of the id-ordered paths — so parents
      precede children; node and link paths are stored as dictionary
@@ -137,11 +140,11 @@ let assemble ~backend ~symbols ~order ~pre ~post ~path ~up ends =
   Array.iteri (fun i p -> index_of.(Path.to_int p) <- i) dict;
   let node_path = Array.map (fun p -> index_of.(Path.to_int p)) path in
   let link_path = Array.map (fun p -> index_of.(Path.to_int p)) link_path_t in
-  let fz = freeze backend in
+  let fz = Store.flat_of_array in
   {
     symbols;
     n = n - 1;
-    pre = fz pre;
+    pre = fz (Array.init n Fun.id);
     post = fz post;
     node_path = fz node_path;
     dict = Some dict;
@@ -159,61 +162,14 @@ let assemble ~backend ~symbols ~order ~pre ~post ~path ~up ends =
     source = None;
   }
 
-(* [entries] and [innermost] are per path id: the link entries created
-   so far, and the link position of the innermost open node.  Opening a
-   node makes it the innermost; closing it restores its [up]. *)
-let open_node ~entries ~innermost ~up v p =
-  let p = Path.to_int p in
-  up.(v) <- innermost.(p);
-  innermost.(p) <- entries.(p);
-  entries.(p) <- entries.(p) + 1
-
-let close_node ~innermost ~up v p = innermost.(Path.to_int p) <- up.(v)
-
-let of_trie ?(backend = Columnar) symbols trie =
-  let n = Trie.node_count trie + 1 in
-  let path = Array.init n (Trie.path_of trie) in
-  let width = Symtab.path_count symbols in
-  (* Adjacency: children of each node, sorted by path id for a
-     deterministic labelling. *)
-  let children = Array.make n [] in
-  Trie.iter_edges trie (fun parent child ->
-      children.(parent) <- child :: children.(parent));
-  Array.iteri
-    (fun i kids ->
-      children.(i) <-
-        List.sort (fun a b -> Path.compare path.(a) path.(b)) kids)
-    children;
-  let pre = Array.make n 0 and post = Array.make n 0 in
-  let order = Array.make n 0 and up = Array.make n (-1) in
-  let entries = Array.make width 0 and innermost = Array.make width (-1) in
-  let counter = ref 0 in
-  (* Iterative DFS with enter/exit events. *)
-  let stack = Stack.create () in
-  Stack.push (`Enter 0) stack;
-  while not (Stack.is_empty stack) do
-    match Stack.pop stack with
-    | `Enter v ->
-      pre.(v) <- !counter;
-      order.(!counter) <- v;
-      incr counter;
-      if v <> 0 then open_node ~entries ~innermost ~up v path.(v);
-      Stack.push (`Exit v) stack;
-      (* Push children reversed so the smallest path id is visited first. *)
-      List.iter (fun c -> Stack.push (`Enter c) stack) (List.rev children.(v))
-    | `Exit v ->
-      post.(v) <- !counter - 1;
-      if v <> 0 then close_node ~innermost ~up v path.(v)
-  done;
-  assemble ~backend ~symbols ~order ~pre ~post ~path ~up (Trie.doc_entries trie)
-
-(* Sequences sorted by [Trie.compare_seq] create trie nodes in
-   depth-first order, children by ascending path id: exactly the order
-   [of_trie] visits them.  So a node's id is its serial, the sequences
-   only have to be compared with their predecessor, and the nodes still
-   open when a sequence diverges from its predecessor are closed with
-   the last serial issued. *)
-let of_sorted ?(backend = Columnar) symbols seqs =
+(* Sorted sequences create trie nodes in depth-first order, children by
+   ascending path id: exactly the order the labelling visits them.  So a
+   node's id is its serial, each sequence only has to be compared with
+   its predecessor, and the nodes still open when a sequence diverges
+   from its predecessor are closed with the last serial issued. *)
+let build symbols seqs =
+  let seqs = Array.mapi (fun i s -> (s, i)) seqs in
+  Array.sort compare_seq seqs;
   let nseqs = Array.length seqs in
   (* lcp.(k): the prefix sequence [k] shares with sequence [k - 1], i.e.
      the nodes it reuses. *)
@@ -222,25 +178,25 @@ let of_sorted ?(backend = Columnar) symbols seqs =
   Array.iteri
     (fun k (s, _) ->
       let len = Array.length s in
-      if len = 0 then invalid_arg "Labeled.of_sorted: empty sequence";
+      if len = 0 then invalid_arg "Labeled.build: empty sequence";
       let l = ref 0 in
       if k > 0 then begin
         let prev = fst seqs.(k - 1) in
         let plen = Array.length prev in
         while !l < len && !l < plen && Path.equal s.(!l) prev.(!l) do
           incr l
-        done;
-        if !l < plen && (!l = len || Path.compare s.(!l) prev.(!l) < 0) then
-          invalid_arg "Labeled.of_sorted: sequences are not sorted"
+        done
       end;
       lcp.(k) <- !l;
       n := !n + len - !l;
       depth := max !depth len)
     seqs;
   let n = !n in
-  let serial = Array.init n Fun.id in
   let path = Array.make n Path.epsilon in
   let post = Array.make n (n - 1) and up = Array.make n (-1) in
+  (* Per path id: the link entries created so far, and the link position
+     of the innermost open node.  Opening a node makes it the innermost;
+     closing it restores its [up]. *)
   let width = Symtab.path_count symbols in
   let entries = Array.make width 0 and innermost = Array.make width (-1) in
   let open_at = Array.make (!depth + 1) 0 (* open node per depth *) in
@@ -250,7 +206,7 @@ let of_sorted ?(backend = Columnar) symbols seqs =
     for i = !open_depth downto d + 1 do
       let v = open_at.(i) in
       post.(v) <- !next - 1;
-      close_node ~innermost ~up v path.(v)
+      innermost.(Path.to_int path.(v)) <- up.(v)
     done;
     open_depth := d
   in
@@ -260,15 +216,18 @@ let of_sorted ?(backend = Columnar) symbols seqs =
       for d = lcp.(k) + 1 to Array.length s do
         let v = !next in
         incr next;
+        let p = Path.to_int s.(d - 1) in
         path.(v) <- s.(d - 1);
-        open_node ~entries ~innermost ~up v path.(v);
+        up.(v) <- innermost.(p);
+        innermost.(p) <- entries.(p);
+        entries.(p) <- entries.(p) + 1;
         open_at.(d) <- v
       done;
       open_depth := Array.length s;
       ends.(k) <- (open_at.(!open_depth), doc))
     seqs;
   close_below 0;
-  assemble ~backend ~symbols ~order:serial ~pre:serial ~post ~path ~up ends
+  assemble ~symbols ~post ~path ~up ends
 
 let node_count t = t.n
 let doc_count t = Store.length t.doc_id
@@ -403,7 +362,12 @@ let backing_store t = t.source
 (* Rebuild the same index over a different column backend — used by the
    storage benchmarks and the backend-equivalence oracle tests. *)
 let remap ?(backend = Columnar) t =
-  let fz c = freeze backend (Store.to_array c) in
+  let fz c =
+    let a = Store.to_array c in
+    match backend with
+    | Heap_arrays -> Store.heap a
+    | Columnar -> Store.flat_of_array a
+  in
   {
     t with
     pre = fz t.pre;

@@ -44,26 +44,20 @@ type backend =
   | Heap_arrays  (** plain OCaml [int array] columns (the seed layout) *)
   | Columnar  (** unboxed flat buffers (structure of arrays) *)
 
-val of_trie : ?backend:backend -> Sequencing.Symtab.t -> Trie.t -> t
-(** Labels the trie, whose paths belong to the table (children visited
-    in ascending path-id order, so the labelling is deterministic), and
-    builds links and the document table.
-    [backend] (default [Columnar]) picks the physical column
-    representation; query answers are identical either way. *)
+val build : Sequencing.Symtab.t -> Path.t array array -> t
+(** [build symbols seqs] labels the trie of the constraint sequences,
+    [seqs.(i)] that of document [i], whose paths belong to the table.
+    The trie's nodes are the sequences' distinct prefixes, numbered
+    depth-first with children in ascending path-id order, so the
+    labelling is deterministic.  No trie is built: sorted sequences
+    create its nodes in the order the labelling visits them, so one
+    sweep comparing each sorted sequence with its predecessor assigns
+    serials, closes ranges, links every node to its nearest same-path
+    ancestor and records where each sequence ends.  Path links are then
+    a counting sort of the nodes by path id.  The columns are unboxed
+    flat buffers ([Columnar]).
 
-val of_sorted :
-  ?backend:backend -> Sequencing.Symtab.t -> (Path.t array * int) array -> t
-(** [of_sorted symbols seqs] is the index {!of_trie} builds from
-    [Trie.bulk_load] of [seqs] — the same columns, byte for byte — for
-    [(sequence, document id)] pairs already sorted by
-    {!Trie.compare_seq}.  It builds no trie: sorted sequences create trie
-    nodes in the depth-first order the labelling visits them, so a node's
-    id is its serial, and one sweep comparing each sequence with its
-    predecessor assigns serials, closes ranges, links every node to its
-    nearest same-path ancestor and records where each sequence ends.
-    Path links are then a counting sort of the nodes by path id.
-
-    @raise Invalid_argument on an empty sequence or unsorted input. *)
+    @raise Invalid_argument on an empty sequence. *)
 
 val remap : ?backend:backend -> t -> t
 (** The same index over different physical columns (default [Columnar]).

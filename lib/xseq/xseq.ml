@@ -20,7 +20,6 @@ type config = {
   value_mode : Encoder.value_mode;
   sample_fraction : float;
   sample_seed : int;
-  bulk : bool;
   keep_documents : bool;
 }
 
@@ -30,7 +29,6 @@ let default_config =
     value_mode = Encoder.Hashed;
     sample_fraction = 1.0;
     sample_seed = 42;
-    bulk = true;
     keep_documents = true;
   }
 
@@ -243,21 +241,10 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
               flats))
   in
   let total_seq_len = Array.fold_left (fun n s -> n + Array.length s) 0 seqs in
-  (* Phase 4 (sequential): labelling.  The bulk path sorts the sequences
-     and labels them in one sweep; the non-bulk path replays the
-     sequential insertion order into a trie. *)
+  (* Phase 4 (sequential): the sequences are sorted and labelled in one
+     sweep. *)
   let labeled =
-    phase "sort+label" (fun () ->
-        if config.bulk then begin
-          let sorted = Array.mapi (fun i seq -> (seq, i)) seqs in
-          Array.sort Xindex.Trie.compare_seq sorted;
-          Xindex.Labeled.of_sorted symbols sorted
-        end
-        else begin
-          let trie = Xindex.Trie.create () in
-          Array.iteri (fun i seq -> Xindex.Trie.insert trie seq ~doc:i) seqs;
-          Xindex.Labeled.of_trie symbols trie
-        end)
+    phase "sort+label" (fun () -> Xindex.Labeled.build symbols seqs)
   in
   {
     labeled;

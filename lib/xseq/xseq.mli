@@ -10,8 +10,8 @@
     ]}
 
     [build] sequences every document with the probability-based strategy
-    [gbest] (estimated by sampling the documents themselves), bulk-loads
-    the sequences into a labelled trie, and answers tree-pattern queries
+    [gbest] (estimated by sampling the documents themselves), sorts the
+    sequences and labels the trie they spell, and answers tree-pattern queries
     holistically through constraint subsequence matching — no structural
     joins, no per-document post-processing, no false alarms. *)
 
@@ -45,7 +45,6 @@ type config = {
       (** fraction of documents sampled for probability estimation
           (default 1.0) *)
   sample_seed : int;
-  bulk : bool;  (** sort sequences before insertion (default true) *)
   keep_documents : bool;
       (** retain the parsed documents for retrieval / verification
           (default true) *)
@@ -78,8 +77,7 @@ val build :
       flat form.  Canonical modes sequence the tag-sorted records
       instead.
     - ["sort+label"]: the sequences are sorted and labelled in one sweep
-      ({!Xindex.Labeled.of_sorted}).  With [bulk = false] they are
-      inserted into a trie in record order instead.
+      ({!Xindex.Labeled.build}).
 
     [on_phase] is called with each phase's name and wall-clock seconds
     as it ends; it changes nothing about the result.
@@ -228,8 +226,8 @@ val save : ?format:Xstorage.Store.file_format -> t -> string -> unit
 
 val built_under : t -> config -> bool
 (** Whether the index's labels are the ones a build under [config] would
-    give: same sequencing, value mode and sampling ([bulk] and
-    [keep_documents] do not change labels).  A loaded index compares
+    give: same sequencing, value mode and sampling ([keep_documents]
+    does not change labels).  A loaded index compares
     the configuration its snapshot recorded.  [false] whenever either
     side uses a [Custom] or [Probability_weighted] strategy, whose
     closures cannot be compared, and for an index loaded from a

@@ -1,4 +1,5 @@
-(* Trie construction, labelling invariants, path links, document table. *)
+(* Labelling, path links and the document table, against the paper's
+   definitions. *)
 
 module T = Xmlcore.Xml_tree
 module Symtab = Sequencing.Symtab
@@ -6,7 +7,6 @@ module D = Symtab.Designator
 module Path = Symtab.Path
 module Enc = Sequencing.Encoder
 module S = Sequencing.Strategy
-module Trie = Xindex.Trie
 module Labeled = Xindex.Labeled
 module Gen = QCheck.Gen
 
@@ -19,24 +19,40 @@ let p_of names = Path.of_list sy (List.map (D.tag sy) names)
 
 let seq_of names_list = Array.of_list (List.map p_of names_list)
 
-(* --- trie ---------------------------------------------------------------- *)
-
-let test_trie_sharing () =
-  let t = Trie.create () in
-  Trie.insert t (seq_of [ [ "a" ]; [ "a"; "b" ]; [ "a"; "b"; "c" ] ]) ~doc:0;
-  Trie.insert t (seq_of [ [ "a" ]; [ "a"; "b" ]; [ "a"; "b"; "d" ] ]) ~doc:1;
-  (* shared prefix a, a.b; two leaves *)
-  Alcotest.(check int) "nodes" 4 (Trie.node_count t);
-  Alcotest.(check int) "docs" 2 (Trie.doc_count t);
-  Trie.insert t (seq_of [ [ "a" ]; [ "a"; "b" ] ]) ~doc:2;
-  Alcotest.(check int) "prefix reuses nodes" 4 (Trie.node_count t)
-
-let test_trie_empty_rejected () =
-  let t = Trie.create () in
-  Alcotest.check_raises "empty" (Invalid_argument "Trie.insert: empty sequence")
-    (fun () -> Trie.insert t [||] ~doc:0)
-
 (* --- labelling ----------------------------------------------------------- *)
+
+let test_prefix_sharing () =
+  let abc = seq_of [ [ "a" ]; [ "a"; "b" ]; [ "a"; "b"; "c" ] ]
+  and abd = seq_of [ [ "a" ]; [ "a"; "b" ]; [ "a"; "b"; "d" ] ] in
+  let l = Labeled.build sy [| abc; abd |] in
+  (* shared prefix a, a.b; two leaves *)
+  Alcotest.(check int) "nodes" 4 (Labeled.node_count l);
+  Alcotest.(check int) "docs" 2 (Labeled.doc_count l);
+  let l = Labeled.build sy [| abc; abd; seq_of [ [ "a" ]; [ "a"; "b" ] ] |] in
+  Alcotest.(check int) "prefix reuses nodes" 4 (Labeled.node_count l)
+
+(* A document with no path has no node in the sequence trie. *)
+let test_trie_empty_rejected () =
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Labeled.build: empty sequence") (fun () ->
+      ignore (Labeled.build sy [| [||] |]))
+
+(* Bad input to the labeller: an empty sequence among others is refused,
+   no sequences at all give the root alone, and sequences out of order
+   are sorted rather than refused. *)
+let test_build_rejects_bad_input () =
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Labeled.build: empty sequence") (fun () ->
+      ignore (Labeled.build sy [| [| p_of [ "a" ] |]; [||] |]));
+  let l = Labeled.build sy [||] in
+  Alcotest.(check (pair int int)) "no sequences: the root alone" (0, 0)
+    (Labeled.node_count l, Labeled.root_post l);
+  let a = p_of [ "a" ] and b = p_of [ "a"; "b" ] in
+  let sorted = Labeled.build sy [| [| a |]; [| a; b |] |]
+  and unsorted = Labeled.build sy [| [| a; b |]; [| a |] |] in
+  Alcotest.(check (pair int int)) "unsorted input: same trie"
+    (Labeled.node_count sorted, Labeled.root_post sorted)
+    (Labeled.node_count unsorted, Labeled.root_post unsorted)
 
 let doc_corpus =
   [|
@@ -46,11 +62,7 @@ let doc_corpus =
   |]
 
 let labeled_of docs =
-  let t = Trie.create () in
-  Array.iteri
-    (fun i d -> Trie.insert t (Enc.encode sy ~strategy:S.Depth_first d) ~doc:i)
-    docs;
-  Labeled.of_trie sy t
+  Labeled.build sy (Array.map (Enc.encode sy ~strategy:S.Depth_first) docs)
 
 let test_labeled_basic () =
   let l = labeled_of doc_corpus in
@@ -180,35 +192,6 @@ let prop_nearest_in_link =
             paths;
           !ok))
 
-let prop_bulk_equals_incremental =
-  QCheck.Test.make ~name:"bulk load = incremental build" ~count:150 arb_corpus
-    (fun docs ->
-      let docs = Array.of_list docs in
-      let seqs =
-        Array.mapi (fun i d -> (Enc.encode sy ~strategy:S.Depth_first d, i)) docs
-      in
-      let t1 = Trie.create () in
-      Array.iter (fun (s, i) -> Trie.insert t1 s ~doc:i) seqs;
-      let t2 = Trie.create () in
-      Trie.bulk_load t2 (Array.copy seqs);
-      let l1 = Labeled.of_trie sy t1 and l2 = Labeled.of_trie sy t2 in
-      (* Same node count and identical link shapes per path. *)
-      Labeled.node_count l1 = Labeled.node_count l2
-      && Array.for_all
-           (fun (s, _) ->
-             Array.for_all
-               (fun p ->
-                 match Labeled.link l1 p, Labeled.link l2 p with
-                 | Some a, Some b ->
-                   Labeled.link_length a = Labeled.link_length b
-                   && List.init (Labeled.link_length a) (fun i ->
-                          (Labeled.link_pre a i, Labeled.link_post a i))
-                      = List.init (Labeled.link_length b) (fun i ->
-                            (Labeled.link_pre b i, Labeled.link_post b i))
-                 | _ -> false)
-               s)
-           seqs)
-
 (* Random multisets of sequences over a four-path alphabet: sequences
    share prefixes, some are duplicated, some are truncated copies (a
    prefix of another sequence), and one repeats a single path along its
@@ -239,64 +222,119 @@ let seqs_print seqs =
        (fun s -> String.concat "," (Array.to_list (Array.map (Path.to_string sy) s)))
        seqs)
 
-(* Every column of the sorted sweep equals the column [of_trie] labels
-   from a bulk-loaded trie. *)
-let prop_sweep_equals_trie =
-  QCheck.Test.make ~name:"of_sorted = of_trie after bulk_load" ~count:300
-    (QCheck.make ~print:seqs_print seqs_gen) (fun seqs ->
-      let seqs = Array.of_list (List.mapi (fun i s -> (s, i)) seqs) in
-      let trie = Trie.create () in
-      Trie.bulk_load trie seqs;
-      let want = Labeled.of_trie sy trie in
-      let sorted = Array.copy seqs in
-      Array.sort Trie.compare_seq sorted;
-      let got = Labeled.of_sorted sy sorted in
-      let check what f =
-        let a = f want and b = f got in
-        if a <> b then QCheck.Test.fail_reportf "%s differs" what
-      in
-      let nodes l = List.init (Labeled.node_count l + 1) Fun.id in
-      check "pre" (fun l -> List.map (Labeled.pre_of_node l) (nodes l));
-      check "post" (fun l -> List.map (Labeled.post_of_node l) (nodes l));
-      check "node_path" (fun l -> List.map (Labeled.path_of_node l) (nodes l));
-      let dict =
-        List.sort_uniq Path.compare
-          (List.map (Labeled.path_of_node want) (nodes want))
-      in
-      let entries l =
-        List.map
-          (fun p ->
-            match Labeled.link l p with
-            | None -> None
-            | Some k ->
-              Some
-                (List.init (Labeled.link_length k) (fun i ->
-                     ( Labeled.link_pre k i,
-                       Labeled.link_post k i,
-                       Labeled.link_up k i,
-                       Labeled.link_node k i ))))
-          dict
-      in
-      check "distinct paths" Labeled.distinct_paths;
-      check "l_pre, l_post, l_up, l_node" entries;
-      check "multi" (fun l -> List.map (Labeled.path_multiple l) dict);
-      check "document table" (fun l ->
-          List.init (Labeled.doc_len l) (fun i ->
-              (Labeled.doc_pre_at l i, Labeled.doc_id_at l i)));
-      check "snapshot bytes" Fingerprint.of_labeled;
-      true)
+(* The paper's labelling, straight from its definition (Section 4.1):
+   the trie's nodes are the distinct non-empty prefixes of the
+   sequences, and a depth-first walk from the root, children in
+   ascending path id, numbers every node ([pre]) and records the largest
+   number in its subtree ([post]).  A path's link lists its nodes in
+   [pre] order; a node's [up] is the link position of its nearest proper
+   ancestor with the same path.  Returns the nodes by serial as (post,
+   path, up) and the (end serial, document id) of every sequence. *)
+let reference_labels seqs =
+  (* Prefixes are reversed path lists; [children] maps one to the
+     distinct paths that extend it. *)
+  let children = Hashtbl.create 64 in
+  Array.iter
+    (fun s ->
+      ignore
+        (Array.fold_left
+           (fun prefix p ->
+             let kids =
+               Option.value (Hashtbl.find_opt children prefix) ~default:[]
+             in
+             if not (List.mem p kids) then
+               Hashtbl.replace children prefix (p :: kids);
+             p :: prefix)
+           [] s))
+    seqs;
+  let serial = Hashtbl.create 64 and positions = Hashtbl.create 16 in
+  let nodes = ref [] and next = ref 1 in
+  (* [open_]: per path on the chain from the root, the link position of
+     its deepest node. *)
+  let rec visit prefix open_ =
+    let kids = Option.value (Hashtbl.find_opt children prefix) ~default:[] in
+    List.iter
+      (fun p ->
+        let pre = !next and child = p :: prefix in
+        incr next;
+        Hashtbl.replace serial child pre;
+        let pos = Option.value (Hashtbl.find_opt positions p) ~default:0 in
+        Hashtbl.replace positions p (pos + 1);
+        let up = Option.value (List.assoc_opt p open_) ~default:(-1) in
+        visit child ((p, pos) :: open_);
+        nodes := (pre, (!next - 1, p, up)) :: !nodes)
+      (List.sort Path.compare kids)
+  in
+  visit [] [];
+  let nodes = Array.of_list (List.map snd (List.sort compare !nodes)) in
+  let ends =
+    Array.mapi
+      (fun i s ->
+        (Hashtbl.find serial (Array.fold_left (fun acc p -> p :: acc) [] s), i))
+      seqs
+  in
+  (nodes, List.sort compare (Array.to_list ends))
 
-let test_of_sorted_rejects () =
-  let a = p_of [ "a" ] and b = p_of [ "a"; "b" ] in
-  Alcotest.check_raises "unsorted"
-    (Invalid_argument "Labeled.of_sorted: sequences are not sorted") (fun () ->
-      ignore (Labeled.of_sorted sy [| ([| a; b |], 0); ([| a |], 1) |]));
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Labeled.of_sorted: empty sequence") (fun () ->
-      ignore (Labeled.of_sorted sy [| ([||], 0) |]));
-  let l = Labeled.of_sorted sy [||] in
-  Alcotest.(check (pair int int)) "no sequences: the root alone" (0, 0)
-    (Labeled.node_count l, Labeled.root_post l)
+(* Every column [Labeled.build] sweeps out equals the reference
+   labelling. *)
+let prop_build_equals_reference =
+  QCheck.Test.make ~name:"build = reference labelling" ~count:300
+    (QCheck.make ~print:seqs_print seqs_gen) (fun seqs ->
+      let seqs = Array.of_list seqs in
+      let l = Labeled.build sy seqs in
+      let nodes, ends = reference_labels seqs in
+      let n = Array.length nodes in
+      let check what want got =
+        if want <> got then QCheck.Test.fail_reportf "%s differs" what
+      in
+      check "node count" n (Labeled.node_count l);
+      check "root post" n (Labeled.post_of_node l 0);
+      Array.iteri
+        (fun i (post, path, _) ->
+          let v = i + 1 in
+          check "pre" v (Labeled.pre_of_node l v);
+          check "post" post (Labeled.post_of_node l v);
+          check "node path" path (Labeled.path_of_node l v))
+        nodes;
+      let paths =
+        List.sort_uniq Path.compare
+          (Array.to_list (Array.map (fun (_, p, _) -> p) nodes))
+      in
+      check "distinct paths" (List.length paths) (Labeled.distinct_paths l);
+      List.iter
+        (fun p ->
+          (* (pre, post, up, node) of the path's nodes, in pre order. *)
+          let want =
+            List.filter_map
+              (fun v ->
+                let post, q, up = nodes.(v - 1) in
+                if Path.equal p q then Some (v, post, up, v) else None)
+              (List.init n (fun i -> i + 1))
+          in
+          let got =
+            match Labeled.link l p with
+            | None -> []
+            | Some k ->
+              List.init (Labeled.link_length k) (fun i ->
+                  ( Labeled.link_pre k i,
+                    Labeled.link_post k i,
+                    Labeled.link_up k i,
+                    Labeled.link_node k i ))
+          in
+          check "link entries" want got;
+          let nested =
+            List.exists
+              (fun (pre, post, _, _) ->
+                List.exists (fun (x, _, _, _) -> pre < x && x <= post) want)
+              want
+          in
+          check "multiple" nested (Labeled.path_multiple l p))
+        paths;
+      check "document table" ends
+        (List.sort compare
+           (List.init (Labeled.doc_len l) (fun i ->
+                (Labeled.doc_pre_at l i, Labeled.doc_id_at l i))));
+      true)
 
 let prop_docs_in_range =
   QCheck.Test.make ~name:"docs_in_range over full range = all docs" ~count:150
@@ -312,25 +350,23 @@ let () =
   Alcotest.run "index"
     [
       ( "trie",
-        [
-          Alcotest.test_case "sharing" `Quick test_trie_sharing;
-          Alcotest.test_case "empty rejected" `Quick test_trie_empty_rejected;
-        ] );
+        [ Alcotest.test_case "empty rejected" `Quick test_trie_empty_rejected ]
+      );
       ( "labeled",
         [
+          Alcotest.test_case "prefix sharing" `Quick test_prefix_sharing;
           Alcotest.test_case "basic" `Quick test_labeled_basic;
           Alcotest.test_case "link lookup" `Quick test_link_lookup;
           Alcotest.test_case "path_multiple" `Quick test_path_multiple;
           Alcotest.test_case "of_sorted rejects bad input" `Quick
-            test_of_sorted_rejects;
+            test_build_rejects_bad_input;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_link_invariants;
             prop_nearest_in_link;
-            prop_bulk_equals_incremental;
-            prop_sweep_equals_trie;
+            prop_build_equals_reference;
             prop_docs_in_range;
           ] );
     ]

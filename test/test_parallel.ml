@@ -57,8 +57,6 @@ let build_configs =
       } );
     ( "random",
       { Xseq.default_config with sequencing = Xseq.Random 11 } );
-    ( "incremental insert",
-      { Xseq.default_config with bulk = false } );
   ]
 
 let small_corpus seed =

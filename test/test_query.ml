@@ -368,7 +368,6 @@ let () =
           engine_prop "breadth-first" (cfg (Xseq.Breadth_first { canonical = true }));
           engine_prop "text-mode"
             { Xseq.default_config with value_mode = Sequencing.Encoder.Text };
-          engine_prop "incremental insert" { Xseq.default_config with bulk = false };
           mk_prop "dataguide = oracle" ~count:80
             (prop_baseline "dataguide" Xbaseline.Dataguide.build (fun b q ->
                  Xbaseline.Dataguide.query b q));
