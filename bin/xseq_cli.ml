@@ -782,13 +782,9 @@ let serve_cmd =
     Arg.(
       value & opt int 256
       & info [ "plan-cache" ] ~docv:"N"
-          ~doc:"Prepared-plan LRU capacity (default 256).")
-  in
-  let no_plan_cache =
-    Arg.(
-      value & flag
-      & info [ "no-plan-cache" ]
-          ~doc:"Disable the prepared-plan cache (every query recompiles).")
+          ~doc:
+            "Prepared-plan LRU capacity (default 256); 0 disables the cache, \
+             so every query recompiles.")
   in
   let timeout_ms =
     Arg.(
@@ -961,7 +957,7 @@ let serve_cmd =
              (default 32).")
   in
   let run input strategy socket port host workers accept_shards max_pending
-      plan_cache no_plan_cache timeout_ms metrics_interval paged pool_pages
+      plan_cache timeout_ms metrics_interval paged pool_pages
       live sync_every memtable_limit shards follow advertise peers
       sync_replicas ack_timeout_ms heartbeat_timeout_ms auto_promote
       scrub_interval scrub_rate =
@@ -1120,7 +1116,7 @@ let serve_cmd =
         workers;
         accept_shards = max 1 accept_shards;
         max_pending;
-        plan_cache_capacity = (if no_plan_cache then 0 else plan_cache);
+        plan_cache_capacity = plan_cache;
         default_timeout_ms = timeout_ms;
         snapshot_mode =
           (if paged then Xstorage.Store.Paged else Xstorage.Store.Resident);
@@ -1161,7 +1157,7 @@ let serve_cmd =
       (Xserver.Server.generation server)
       (String.concat ", " (List.map Xserver.Server.addr_to_string addrs))
       workers (max 1 accept_shards) max_pending
-      (if no_plan_cache then 0 else plan_cache);
+      plan_cache;
     let stop _ = Xserver.Server.request_stop server in
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
@@ -1194,7 +1190,7 @@ let serve_cmd =
           --connect) is the matching client).")
     Term.(
       const run $ serve_input $ strategy_arg $ socket $ port $ host $ workers
-      $ accept_shards $ max_pending $ plan_cache $ no_plan_cache $ timeout_ms
+      $ accept_shards $ max_pending $ plan_cache $ timeout_ms
       $ metrics_interval $ paged $ pool_pages $ live $ sync_every
       $ memtable_limit
       $ shards $ follow $ advertise $ peers $ sync_replicas $ ack_timeout_ms
@@ -1818,7 +1814,7 @@ let info_cmd =
           ( store,
             xmeta,
             imeta,
-            Store.length (region "link_off"),
+            Store.length (region "link_len"),
             Store.length (region "doc_pre") ))
     in
     let regions = Store.regions store in

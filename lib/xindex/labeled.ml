@@ -6,9 +6,11 @@ module Store = Xstorage.Store
 
 type backend = Heap_arrays | Columnar
 
-(* The index is a set of flat columns (structure of arrays): per-node
-   label columns, the concatenated link entry columns, the document
-   table, and a small in-memory link directory of offsets into them.
+(* The index is a set of flat columns (structure of arrays): the
+   concatenated link entry columns, the document table, and a small
+   in-memory link directory of offsets into them.  A node's id is its
+   serial, so the link entries are the nodes: no per-node column is
+   kept.
    Columns are Store handles, so the very same view serves heap arrays,
    unboxed flat buffers, and disk pages behind the buffer pool.
 
@@ -19,19 +21,17 @@ type backend = Heap_arrays | Columnar
    onto them. *)
 type t = {
   symbols : Symtab.t;
-  n : int; (* nodes excluding virtual root *)
-  pre : Store.column; (* node id -> serial *)
-  post : Store.column;
-  node_path : Store.column; (* node id -> dictionary index *)
+  n : int; (* nodes excluding virtual root; the root's post *)
   dict : Path.t array option; (* dictionary index -> path; None: identity *)
   slot : int array; (* path id -> link slot, or -1 *)
   link_path : int array; (* slot -> dictionary index *)
-  link_off : int array; (* slot -> first entry position in l_* columns *)
+  link_off : int array;
+      (* slot -> first entry position in l_* columns: the prefix sums of
+         [link_len], never stored *)
   link_len : int array;
   l_pre : Store.column; (* concatenated link entries, slot-major *)
   l_post : Store.column;
   l_up : Store.column;
-  l_node : Store.column;
   doc_pre : Store.column; (* sorted *)
   doc_id : Store.column;
   multi : bool array;
@@ -46,7 +46,6 @@ type link = {
   k_pre : Store.column;
   k_post : Store.column;
   k_up : Store.column;
-  k_node : Store.column;
   loff : int;
   llen : int;
 }
@@ -108,15 +107,13 @@ let assemble ~symbols ~post ~path ~up ends =
   let l_pre = Array.make (n - 1) 0 in
   let l_post = Array.make (n - 1) 0 in
   let l_up = Array.make (n - 1) 0 in
-  let l_node = Array.make (n - 1) 0 in
   for v = 1 to n - 1 do
     let p = Path.to_int path.(v) in
     let e = next.(p) in
     next.(p) <- e + 1;
     l_pre.(e) <- v;
     l_post.(e) <- post.(v);
-    l_up.(e) <- up.(v);
-    l_node.(e) <- v
+    l_up.(e) <- up.(v)
   done;
   let slot = Array.make width (-1) in
   Array.iteri (fun s p -> slot.(Path.to_int p) <- s) link_path_t;
@@ -130,23 +127,18 @@ let assemble ~symbols ~post ~path ~up ends =
   let doc_id = Array.map snd ends in
   (* Dictionary: epsilon and the link paths (every node path), by depth
      then id — a stable sort of the id-ordered paths — so parents
-     precede children; node and link paths are stored as dictionary
-     indexes. *)
+     precede children; link paths are stored as dictionary indexes. *)
   let dict = Array.append [| Path.epsilon |] link_path_t in
   Array.stable_sort
     (fun a b -> Int.compare (Path.depth symbols a) (Path.depth symbols b))
     dict;
   let index_of = next (* its offsets are spent *) in
   Array.iteri (fun i p -> index_of.(Path.to_int p) <- i) dict;
-  let node_path = Array.map (fun p -> index_of.(Path.to_int p)) path in
   let link_path = Array.map (fun p -> index_of.(Path.to_int p)) link_path_t in
   let fz = Store.flat_of_array in
   {
     symbols;
     n = n - 1;
-    pre = fz (Array.init n Fun.id);
-    post = fz post;
-    node_path = fz node_path;
     dict = Some dict;
     slot;
     link_path;
@@ -155,7 +147,6 @@ let assemble ~symbols ~post ~path ~up ends =
     l_pre = fz l_pre;
     l_post = fz l_post;
     l_up = fz l_up;
-    l_node = fz l_node;
     doc_pre = fz doc_pre;
     doc_id = fz doc_id;
     multi;
@@ -231,8 +222,7 @@ let build symbols seqs =
 
 let node_count t = t.n
 let doc_count t = Store.length t.doc_id
-let root_pre t = Store.get t.pre 0
-let root_post t = Store.get t.post 0
+let root_post t = t.n
 
 let size_bytes t ~record_count = (4 * record_count) + (8 * t.n)
 
@@ -259,7 +249,6 @@ let link t p =
         k_pre = t.l_pre;
         k_post = t.l_post;
         k_up = t.l_up;
-        k_node = t.l_node;
         loff = t.link_off.(slot);
         llen = t.link_len.(slot);
       }
@@ -268,7 +257,6 @@ let link_length l = l.llen
 let link_pre l i = Store.get l.k_pre (l.loff + i)
 let link_post l i = Store.get l.k_post (l.loff + i)
 let link_up l i = Store.get l.k_up (l.loff + i)
-let link_node l i = Store.get l.k_node (l.loff + i)
 
 let link_range l ~lo ~hi =
   let get i = link_pre l i in
@@ -353,10 +341,7 @@ let path_doc_counts ?member t =
 let path_multiple t p =
   match slot_of t p with -1 -> false | slot -> t.multi.(slot)
 
-let pre_of_node t id = Store.get t.pre id
-let post_of_node t id = Store.get t.post id
-let path_of_node t id = dict_path t (Store.get t.node_path id)
-let distinct_paths t = Array.length t.link_off
+let distinct_paths t = Array.length t.link_len
 let backing_store t = t.source
 
 (* Rebuild the same index over a different column backend — used by the
@@ -370,13 +355,9 @@ let remap ?(backend = Columnar) t =
   in
   {
     t with
-    pre = fz t.pre;
-    post = fz t.post;
-    node_path = fz t.node_path;
     l_pre = fz t.l_pre;
     l_post = fz t.l_post;
     l_up = fz t.l_up;
-    l_node = fz t.l_node;
     doc_pre = fz t.doc_pre;
     doc_id = fz t.doc_id;
     source = None;
@@ -466,18 +447,13 @@ let dict_regions_compact t store =
 let add_to_store ?(compact = false) t store =
   Store.add_ints store "meta" (Store.heap [| t.n |]);
   (if compact then dict_regions_compact else dict_regions) t store;
-  Store.add_ints store "node_pre" t.pre;
-  Store.add_ints store "node_post" t.post;
-  Store.add_ints store "node_path" t.node_path;
   Store.add_ints store "link_path" (Store.heap t.link_path);
-  Store.add_ints store "link_off" (Store.heap t.link_off);
   Store.add_ints store "link_len" (Store.heap t.link_len);
   Store.add_ints store "link_multi"
     (Store.heap (Array.map (fun b -> if b then 1 else 0) t.multi));
   Store.add_ints store "l_pre" t.l_pre;
   Store.add_ints store "l_post" t.l_post;
   Store.add_ints store "l_up" t.l_up;
-  Store.add_ints store "l_node" t.l_node;
   Store.add_ints store "doc_pre" t.doc_pre;
   Store.add_ints store "doc_id" t.doc_id
 
@@ -551,55 +527,44 @@ let of_store store =
     in
     if Path.to_int p <> i then corrupt "duplicate dictionary entry"
   done;
-  let pre = Store.ints store "node_pre" in
-  let post = Store.ints store "node_post" in
-  let node_path = Store.ints store "node_path" in
-  if Store.length pre <> n + 1 || Store.length post <> n + 1
-     || Store.length node_path <> n + 1
-  then corrupt "node column sizes";
+  (* Snapshots written before the per-node columns were retired also
+     carry [node_pre], [node_post], [node_path], [l_node] and [link_off];
+     they are ignored, [link_off] being the prefix sums of [link_len]. *)
   let link_path = Store.to_array (Store.ints store "link_path") in
-  let link_off = Store.to_array (Store.ints store "link_off") in
   let link_len = Store.to_array (Store.ints store "link_len") in
   let link_multi = Store.to_array (Store.ints store "link_multi") in
   let nlinks = Array.length link_path in
-  if
-    Array.length link_off <> nlinks
-    || Array.length link_len <> nlinks
-    || Array.length link_multi <> nlinks
-  then corrupt "link directory sizes";
+  if Array.length link_len <> nlinks || Array.length link_multi <> nlinks then
+    corrupt "link directory sizes";
+  let link_off = Array.make nlinks 0 and total_entries = ref 0 in
+  Array.iteri
+    (fun s len ->
+      if len < 0 || len > n then corrupt "link length out of range";
+      link_off.(s) <- !total_entries;
+      total_entries := !total_entries + len)
+    link_len;
   let l_pre = Store.ints store "l_pre" in
   let l_post = Store.ints store "l_post" in
   let l_up = Store.ints store "l_up" in
-  let l_node = Store.ints store "l_node" in
-  let total_entries = Store.length l_pre in
+  (* Every node but the root is exactly one link entry. *)
   if
-    Store.length l_post <> total_entries
-    || Store.length l_up <> total_entries
-    || Store.length l_node <> total_entries
+    !total_entries <> n
+    || Store.length l_pre <> n
+    || Store.length l_post <> n
+    || Store.length l_up <> n
   then corrupt "link column sizes";
   let slot = Array.make ndict (-1) in
-  for s = 0 to nlinks - 1 do
-    if link_path.(s) < 0 || link_path.(s) >= ndict then
-      corrupt "link path id out of range";
-    if
-      link_off.(s) < 0 || link_len.(s) < 0
-      || link_off.(s) + link_len.(s) > total_entries
-    then corrupt "link slice out of range";
-    slot.(link_path.(s)) <- s
-  done;
+  Array.iteri
+    (fun s p ->
+      if p < 0 || p >= ndict then corrupt "link path id out of range";
+      slot.(p) <- s)
+    link_path;
   let doc_pre = Store.ints store "doc_pre" in
   let doc_id = Store.ints store "doc_id" in
   if Store.length doc_pre <> Store.length doc_id then corrupt "doc table sizes";
-  for id = 0 to n do
-    let pid = Store.get node_path id in
-    if pid < 0 || pid >= ndict then corrupt "node path id out of range"
-  done;
   {
     symbols;
     n;
-    pre;
-    post;
-    node_path;
     dict = None;
     slot;
     link_path;
@@ -608,7 +573,6 @@ let of_store store =
     l_pre;
     l_post;
     l_up;
-    l_node;
     doc_pre;
     doc_id;
     multi = Array.map (fun x -> x <> 0) link_multi;

@@ -14,11 +14,13 @@
 
     {2 Columnar representation}
 
-    The index is stored as flat columns (structure of arrays): per-node
-    label columns, the concatenated link-entry columns ([l_pre] /
-    [l_post] / [l_up] / [l_node], slot-major in deterministic path
-    order), the sorted document table, and a small in-memory link
-    directory of offsets into them.  Each column is an
+    The index is stored as flat columns (structure of arrays): the
+    concatenated link-entry columns ([l_pre] / [l_post] / [l_up],
+    slot-major in deterministic path order), the sorted document table,
+    and a small in-memory link directory of offsets into them.  A trie
+    node's id is its serial and every node but the virtual root is
+    exactly one link entry, so the links are the labels: there are no
+    per-node columns.  Each column is an
     {!Xstorage.Store.column}, so one view serves every physical
     representation: heap [int array]s (the original pointer-rich
     backend, kept for A/B comparison), unboxed flat buffers, pages of an
@@ -72,10 +74,9 @@ val node_count : t -> int
 
 val doc_count : t -> int
 
-val root_pre : t -> int
-(** Serial of the virtual root (0); its range spans the whole index. *)
-
 val root_post : t -> int
+(** The virtual root's post label: its range [[0, root_post]] spans the
+    whole index, so it equals {!node_count}. *)
 
 val size_bytes : t -> record_count:int -> int
 (** The paper's disk-size estimate [4n + cN] with [c = 8] (Section 6.2). *)
@@ -89,9 +90,6 @@ val link_post : link -> int -> int
 
 val link_up : link -> int -> int
 (** Link position of the nearest same-encoding proper ancestor, or -1. *)
-
-val link_node : link -> int -> int
-(** Trie node id of a link entry. *)
 
 val link_range : link -> lo:int -> hi:int -> int * int
 (** [(first, last)] inclusive link positions with [lo <= pre <= hi];
@@ -139,18 +137,14 @@ val path_doc_counts : ?member:(int -> bool) -> t -> (Path.t * int) array
     alone.  With [member], only documents whose id satisfies it are
     counted.  One pass over the link columns, O(entries × log docs). *)
 
-val pre_of_node : t -> int -> int
-val post_of_node : t -> int -> int
-val path_of_node : t -> int -> Path.t
-
 val distinct_paths : t -> int
 (** Number of horizontal links. *)
 
 (** {1 Columnar snapshots}
 
     The index serialises to an {!Xstorage.Store} as a bag of named
-    regions (label columns, link columns, link directory, document
-    table, and a spelled-out path dictionary), so a snapshot written by
+    regions (link columns, link directory, document table, and a
+    spelled-out path dictionary), so a snapshot written by
     {!Xstorage.Store.write} carries its own symbols — and, in paged
     mode, answers queries straight off disk.  The dictionary holds
     epsilon and every link path, by depth and then by the index's path
@@ -173,12 +167,16 @@ val of_store : Xstorage.Store.t -> t
     snapshot in paged mode yields an index that reads pages on demand.
     Snapshots from before the simulated page layout was retired — a
     three-field [meta] region and a [link_base] region — load too; the
-    extra fields and region are ignored.
+    extra fields and region are ignored.  So are the per-node columns
+    ([node_pre], [node_post], [node_path]), the [l_node] link column
+    and the stored [link_off] directory of older snapshots: link offsets
+    are the prefix sums of [link_len].
 
     @raise Invalid_argument naming the inconsistency if the regions are
     missing, mis-sized, or internally contradictory.  Validation covers
     every cross-region invariant (sizes, dictionary parent order, id
-    ranges, link-slice bounds, no entry twice), so a structurally valid
+    ranges, link lengths summing to the [meta] node count and to the
+    link columns' length, no entry twice), so a structurally valid
     file that passed checksums cannot produce out-of-bounds reads
     here. *)
 

@@ -41,37 +41,37 @@ let configs =
 let golden =
   [
     (Dblp, "probability",
-      "2fe2cd3197b41b4557ce25167ee6b455", "ca924c0ee2989a1a73e8fc972e3ff006");
+      "7300a870adbc81e7bb0e17f27e256c84", "11b5c2564f68ee0f78c3e048c580a328");
     (Dblp, "probability/sample 0.3",
-      "d714cb3e6d34bb4d0b2e1995297ba197", "483eef9c12c2d93e5949363436e10986");
+      "b5a62896d78364430a2c4fceba462761", "e6998f0f418e6e5b0c04f241ce59a361");
     (Dblp, "depth-first",
-      "3fd375183f444d6194f2d6c90c9b024a", "50e48002c9e23d7caf8a238a6c45391b");
+      "577a39b117dccc0e86ebe71041da7ce4", "6723daae5b4f818cbd9c20527796b6f1");
     (Dblp, "depth-first/canonical",
-      "b4068c8ca4eab86a40f03e97824757ff", "e7ceced1812060b38e741d855e3f03fd");
+      "f905aa70f53a7e052156622b6ba7f331", "3ec536b80c0f22cbcd901e3484b16760");
     (Dblp, "breadth-first",
-      "beece4e6bef145910f40758eb48f86af", "777d0a8f5ddbfe97002d29ca49d1c614");
+      "a9b5b68bea3e88149e48989bccbb09d2", "82d45a7d2bb982caef26f03741d4e8b5");
     (Dblp, "breadth-first/canonical",
-      "83376ccb36dca5dbab2b4d4f6131b07b", "54c445796e5da1c84043b7fdeefd023d");
+      "4d5bc3879d5ec1780dcf577b1c33176a", "627d5767377da5f42f474a067a88c6bf");
     (Dblp, "random",
-      "71a91b00ef893e1139b2c110ce443539", "88e7cc73b45edea642a5c85319166362");
+      "474e900254cdda0c7f53b592fda00287", "53d64df9c20f22b7ff0ef43ac2043aee");
     (Dblp, "text",
-      "d137abb2f17dffcf47b43423c12faa0a", "0bfd0553631076a20ef7b5293146bab6");
+      "46f8bc1bec9e130b796a48889a8576a4", "e9c1db380e6c562c6fcfb4139cbcb185");
     (Xmark, "probability",
-      "85c86915c9b25f122307c1b6b060aa70", "5ab21da0d03c1ff4235f41c55bd9784d");
+      "bdc6e689fee68b24a92dc7aebb5b745c", "b7329d487a0fcb61d453a4aeaba720c5");
     (Xmark, "probability/sample 0.3",
-      "77f6009b72d62fea45bea4ebd52dcb20", "7e519fc570343e23e129ebc4ccf289f1");
+      "9b7d00df35ec9db447c406315033d11b", "71c82d858fd461d457b55be2d09033df");
     (Xmark, "depth-first",
-      "d36bc0d60fa5c0ab422b377b232e65fd", "6b970821a3f3f53d124b076ccb5f71c2");
+      "53c7d00e6f40fedecfd9c01603275c47", "2eef41a3c859ef57cd5c35138d43cf39");
     (Xmark, "depth-first/canonical",
-      "20fe2411746532e6a231eedde5fc067b", "b7e32dc4cd7b10b9e286c1698215962b");
+      "840555bee461f41eb955116c0bb48c00", "c9e53698d4edc32176cf6909443eb642");
     (Xmark, "breadth-first",
-      "5915cba6e1032483ff532f0203db61ff", "425ead3696fd378dec1c9947f93bf1ca");
+      "ccdb30ade7bf251f19298828796514bc", "ed6d3c93456a17145ca9983cafc84359");
     (Xmark, "breadth-first/canonical",
-      "48ffbb2db31b993af7ad1f604422c6d0", "9f575e6ec518e812015eae59e4aba155");
+      "a09995df54a053f7431fc8046364686d", "9a918c850e533467d1d493920b5e25f2");
     (Xmark, "random",
-      "c72155ab3bbe23f8672ca78d76d25cfd", "42a6bba51c0b21e9f10a5bade23d9d6e");
+      "399e905299fe36cbd032b7fab99f12e5", "7d2262b8b620e312d77d95a319ea56c5");
     (Xmark, "text",
-      "c470d6d211a47e4374d3c71ff1f3e431", "b87b3445389cddefa2ce0295ae498a83");
+      "7ce0308555de41ff5a66a1dddcfe9cfd", "3ea6a3af2678e45e57628f13d87f4f33");
   ]
 
 let digests corpus config =

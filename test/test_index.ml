@@ -67,7 +67,6 @@ let labeled_of docs =
 let test_labeled_basic () =
   let l = labeled_of doc_corpus in
   Alcotest.(check int) "doc count" 3 (Labeled.doc_count l);
-  Alcotest.(check int) "root pre" 0 (Labeled.root_pre l);
   Alcotest.(check int) "root post covers all" (Labeled.node_count l)
     (Labeled.root_post l);
   Alcotest.(check int) "size formula" ((4 * 3) + (8 * Labeled.node_count l))
@@ -276,7 +275,10 @@ let reference_labels seqs =
   (nodes, List.sort compare (Array.to_list ends))
 
 (* Every column [Labeled.build] sweeps out equals the reference
-   labelling. *)
+   labelling.  A node's id is its serial and each node but the root is
+   one link entry, so the nodes are read off the links: the (pre, post,
+   path) of every entry of every link are exactly the reference's nodes
+   1..n. *)
 let prop_build_equals_reference =
   QCheck.Test.make ~name:"build = reference labelling" ~count:300
     (QCheck.make ~print:seqs_print seqs_gen) (fun seqs ->
@@ -288,14 +290,7 @@ let prop_build_equals_reference =
         if want <> got then QCheck.Test.fail_reportf "%s differs" what
       in
       check "node count" n (Labeled.node_count l);
-      check "root post" n (Labeled.post_of_node l 0);
-      Array.iteri
-        (fun i (post, path, _) ->
-          let v = i + 1 in
-          check "pre" v (Labeled.pre_of_node l v);
-          check "post" post (Labeled.post_of_node l v);
-          check "node path" path (Labeled.path_of_node l v))
-        nodes;
+      check "root post" n (Labeled.root_post l);
       let paths =
         List.sort_uniq Path.compare
           (Array.to_list (Array.map (fun (_, p, _) -> p) nodes))
@@ -303,12 +298,12 @@ let prop_build_equals_reference =
       check "distinct paths" (List.length paths) (Labeled.distinct_paths l);
       List.iter
         (fun p ->
-          (* (pre, post, up, node) of the path's nodes, in pre order. *)
+          (* (pre, post, up) of the path's nodes, in pre order. *)
           let want =
             List.filter_map
               (fun v ->
                 let post, q, up = nodes.(v - 1) in
-                if Path.equal p q then Some (v, post, up, v) else None)
+                if Path.equal p q then Some (v, post, up) else None)
               (List.init n (fun i -> i + 1))
           in
           let got =
@@ -318,18 +313,31 @@ let prop_build_equals_reference =
               List.init (Labeled.link_length k) (fun i ->
                   ( Labeled.link_pre k i,
                     Labeled.link_post k i,
-                    Labeled.link_up k i,
-                    Labeled.link_node k i ))
+                    Labeled.link_up k i ))
           in
           check "link entries" want got;
           let nested =
             List.exists
-              (fun (pre, post, _, _) ->
-                List.exists (fun (x, _, _, _) -> pre < x && x <= post) want)
+              (fun (pre, post, _) ->
+                List.exists (fun (x, _, _) -> pre < x && x <= post) want)
               want
           in
           check "multiple" nested (Labeled.path_multiple l p))
         paths;
+      (* The links, read as nodes, are the reference's nodes 1..n. *)
+      let link_nodes =
+        Array.to_list (Labeled.path_doc_counts l)
+        |> List.concat_map (fun (p, _) ->
+               let k = Option.get (Labeled.link l p) in
+               List.init (Labeled.link_length k) (fun i ->
+                   (Labeled.link_pre k i, (Labeled.link_post k i, p))))
+        |> List.sort compare
+      in
+      check "nodes"
+        (List.init n (fun i ->
+             let post, path, _ = nodes.(i) in
+             (i + 1, (post, path))))
+        link_nodes;
       check "document table" ends
         (List.sort compare
            (List.init (Labeled.doc_len l) (fun i ->

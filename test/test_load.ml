@@ -44,10 +44,10 @@ let value_mode = function
   | Dblp_text -> Sequencing.Encoder.Text
   | Synthetic | Dblp | Xmark -> Sequencing.Encoder.Hashed
 
-(* Every path of the index dictionary, read off the nodes. *)
+(* Every path of the index dictionary: epsilon and the link paths. *)
 let dictionary_paths labeled =
-  List.init (Labeled.node_count labeled + 1) (Labeled.path_of_node labeled)
-  |> List.sort_uniq Path.compare
+  Path.epsilon
+  :: Array.to_list (Array.map fst (Labeled.path_doc_counts labeled))
 
 (* The path of [dst] spelled like [p] of [src]: ids are table-local. *)
 let rec translate src dst p =
@@ -328,6 +328,57 @@ let test_v1_snapshots () =
         [ Store.Resident; Store.Paged ])
     v1_snapshots
 
+(* Version-2 snapshots written by [xseq index] (and [--compress]) over
+   the 200 DBLP records of [v2_dblp.xml], before the per-node columns
+   and the stored link offsets were retired: they carry [node_pre],
+   [node_post], [node_path], [l_node] and [link_off], which a load
+   ignores and a save no longer writes. *)
+let retired_regions =
+  [ "node_pre"; "node_post"; "node_path"; "l_node"; "link_off" ]
+
+let v2_snapshots =
+  let data = Filename.concat (Filename.dirname Sys.executable_name) "data" in
+  List.map (Filename.concat data)
+    [ "v2_dblp.xseq"; "v2_dblp_compressed.xseq" ]
+
+let has_regions file names =
+  let s = Store.open_file file in
+  Fun.protect
+    ~finally:(fun () -> Store.close s)
+    (fun () -> List.filter (Store.mem s) names)
+
+let test_v2_snapshots () =
+  List.iter
+    (fun file ->
+      Alcotest.(check (list string)) (file ^ " has the retired regions")
+        retired_regions (has_regions file retired_regions);
+      let resident = Xseq.load file in
+      let docs =
+        Array.init (Xseq.doc_count resident) (Xseq.document resident)
+      in
+      let fresh = Xseq.build docs in
+      let opts =
+        { Xdatagen.Query_gen.default_opts with size = 4; value_prob = 0.5 }
+      in
+      let queries = Xdatagen.Query_gen.generate ~seed:9 ~opts docs 24 in
+      List.iter
+        (fun mode ->
+          let loaded = Xseq.load ~mode file in
+          List.iter
+            (fun q ->
+              Alcotest.(check (list int))
+                (Printf.sprintf "%s %s" file (Xquery.Pattern.to_string q))
+                (Xseq.query fresh q) (Xseq.query loaded q))
+            queries;
+          let store = Option.get (Xseq.backing_store loaded) in
+          with_temp_file (fun path ->
+              Xseq.save ~format:(Store.file_format store) loaded path;
+              Alcotest.(check (list string)) (file ^ " re-saved without them")
+                [] (has_regions path retired_regions));
+          Store.close store)
+        [ Store.Resident; Store.Paged ])
+    v2_snapshots
+
 (* --- records on demand ---------------------------------------------------- *)
 
 (* Four wildcard branches over DBLP's record fields expand past the
@@ -587,6 +638,8 @@ let () =
             test_legacy_layout;
           Alcotest.test_case "version-1 snapshots re-sequence" `Quick
             test_v1_snapshots;
+          Alcotest.test_case "version-2 snapshots with node columns load"
+            `Quick test_v2_snapshots;
         ] );
       ( "failures",
         [ Alcotest.test_case "failed paged loads close their store" `Quick

@@ -60,7 +60,7 @@ let test_reinsert_refreshes_recency () =
   Alcotest.(check (option string)) "c evicted" None (find c "c");
   Alcotest.(check (option string)) "a outlives both" (Some "A2") (find c "a")
 
-(* capacity <= 0 is the --no-plan-cache server: every lookup misses,
+(* capacity <= 0 is the [--plan-cache 0] server: every lookup misses,
    every insert is dropped, and the counters still count. *)
 let test_capacity_zero () =
   let c = C.create ~capacity:0 in

@@ -234,7 +234,8 @@ let test_multiple_paths () =
   in
   let once = e "P" [ e "D" [ e "Low" [] ]; e "Mid" [] ] in
   (* The sequence of record [doc]: the paths of the trie nodes on the
-     root-to-end chain of its entry in the document table. *)
+     root-to-end chain of its entry in the document table, i.e. the link
+     entries whose range holds that entry's serial, in serial order. *)
   let sequence_of docs doc =
     let config =
       {
@@ -250,13 +251,15 @@ let test_multiple_paths () =
         (List.init (L.doc_len l) Fun.id)
     in
     let last = L.doc_pre_at l entry in
-    List.init (L.node_count l + 1) Fun.id
-    |> List.filter (fun n ->
-           n <> L.root_pre l
-           && L.pre_of_node l n <= last
-           && L.post_of_node l n >= last)
-    |> List.sort (fun a b -> compare (L.pre_of_node l a) (L.pre_of_node l b))
-    |> List.map (fun n -> Path.to_string (L.symbols l) (L.path_of_node l n))
+    Array.to_list (L.path_doc_counts l)
+    |> List.concat_map (fun (p, _) ->
+           let k = Option.get (L.link l p) in
+           List.init (L.link_length k) Fun.id
+           |> List.filter (fun i ->
+                  L.link_pre k i <= last && L.link_post k i >= last)
+           |> List.map (fun i -> (L.link_pre k i, p)))
+    |> List.sort compare
+    |> List.map (fun (_, p) -> Path.to_string (L.symbols l) p)
   in
   Alcotest.(check (list string)) "alone, priority order"
     [ "P"; "P.D"; "P.Mid"; "P.D.Low" ]

@@ -662,12 +662,13 @@ let test_roundtrip_value_modes () =
     ]
 
 (* Loading rejects snapshots whose regions disagree with each other even
-   when every checksum is valid. *)
-let test_inconsistent_snapshot () =
+   when every checksum is valid.  [tampered region f] rewrites a saved
+   snapshot with [f] applied to one int region and expects the load to
+   fail with the diagnostic [want]. *)
+let tampered region f ~want =
   let docs = Xdatagen.Dblp_gen.generate 10 in
   let index = Xseq.build docs in
   with_temp "xseq_inconsistent" (fun path ->
-      (* Rebuild the snapshot with a lying node count. *)
       let s = Store.memory () in
       let tmp = Filename.temp_file "xseq_src" ".idx" in
       Fun.protect
@@ -678,10 +679,10 @@ let test_inconsistent_snapshot () =
           List.iter
             (fun r ->
               match (r.Store.r_name, r.Store.r_kind) with
-              | "meta", _ ->
-                let m = Store.to_array (Store.ints src "meta") in
-                m.(0) <- m.(0) + 1;
-                Store.add_ints s "meta" (Store.heap m)
+              | name, `Ints when name = region ->
+                let m = Store.to_array (Store.ints src name) in
+                f m;
+                Store.add_ints s name (Store.heap m)
               | name, `Ints -> Store.add_ints s name (Store.ints src name)
               | name, `Blob -> Store.add_blob s name (Store.blob src name))
             (Store.regions src);
@@ -690,9 +691,18 @@ let test_inconsistent_snapshot () =
       match Xseq.load path with
       | _ -> Alcotest.fail "inconsistent snapshot accepted"
       | exception Invalid_argument msg ->
-        Alcotest.(check bool)
-          "diagnostic names the inconsistency" true
-          (String.length msg > 0))
+        Alcotest.(check string) "diagnostic names the inconsistency"
+          ("Labeled.of_store: inconsistent snapshot: " ^ want)
+          msg)
+
+(* A lying node count, or a lying link length, breaks the agreement of
+   the link lengths' sum, the link columns' length and the node count. *)
+let test_inconsistent_snapshot () =
+  tampered "meta" (fun m -> m.(0) <- m.(0) + 1) ~want:"link column sizes";
+  tampered "link_len"
+    (fun m -> m.(0) <- m.(0) + 1)
+    ~want:"link column sizes";
+  tampered "link_len" (fun m -> m.(0) <- -1) ~want:"link length out of range"
 
 (* The compact dictionary's cross-region invariants: a designator id
    pointing outside the name table must be rejected even though every

@@ -1,31 +1,8 @@
-(* The utility layer: growable vectors, binary searches and the domain
-   pool. *)
+(* The utility layer: binary searches, the domain pool and the event
+   loop. *)
 
-module Ivec = Xutil.Ivec
 module Bs = Xutil.Binsearch
 module Pool = Xutil.Domain_pool
-
-let test_ivec_basics () =
-  let v = Ivec.create () in
-  Alcotest.(check int) "empty" 0 (Ivec.length v);
-  for i = 0 to 99 do
-    Ivec.push v (i * 2)
-  done;
-  Alcotest.(check int) "length" 100 (Ivec.length v);
-  Alcotest.(check int) "get" 84 (Ivec.get v 42);
-  Ivec.set v 42 7;
-  Alcotest.(check int) "set" 7 (Ivec.get v 42);
-  Alcotest.(check int) "to_array" 100 (Array.length (Ivec.to_array v));
-  Alcotest.(check bool) "backing array big enough" true
-    (Array.length (Ivec.unsafe_data v) >= 100)
-
-let test_ivec_bounds () =
-  let v = Ivec.create ~capacity:2 () in
-  Ivec.push v 1;
-  Alcotest.check_raises "get oob" (Invalid_argument "Ivec.get") (fun () ->
-      ignore (Ivec.get v 1));
-  Alcotest.check_raises "set oob" (Invalid_argument "Ivec.set") (fun () ->
-      Ivec.set v (-1) 0)
 
 let test_binsearch () =
   let a = [| 1; 3; 3; 3; 7; 9 |] in
@@ -254,11 +231,6 @@ let test_evloop_writev () =
 let () =
   Alcotest.run "xutil"
     [
-      ( "ivec",
-        [
-          Alcotest.test_case "basics" `Quick test_ivec_basics;
-          Alcotest.test_case "bounds" `Quick test_ivec_bounds;
-        ] );
       ("binsearch", [ Alcotest.test_case "cases" `Quick test_binsearch ]);
       ("properties", [ QCheck_alcotest.to_alcotest prop_bounds ]);
       ( "domain pool",
