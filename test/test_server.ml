@@ -641,6 +641,115 @@ let test_live_reload_compacts () =
           Alcotest.(check (list int)) "post-compaction answer" want
             (Client.query c q)))
 
+(* A 2-shard store over the wire: answers equal in-process
+   [Xshard.query] on a seeded query set, mutations route through the
+   shards, Stats carries the "sharded" block, and a write routed to a
+   down shard answers [Degraded] while Health reports the shard until
+   it can be re-opened. *)
+let test_sharded_wire () =
+  let dir = Filename.temp_file "xseq_shard" ".store" in
+  Sys.remove dir;
+  Fun.protect
+    ~finally:(fun () -> rm_rf dir)
+    (fun () ->
+      let sh = Xshard.open_ ~shards:2 ~probe_interval:infinity dir in
+      Fun.protect
+        ~finally:(fun () -> Xshard.close sh)
+        (fun () ->
+          let docs = Xdatagen.Dblp_gen.generate ~seed:11 60 in
+          ignore (Xshard.insert_batch sh docs : int array);
+          Xshard.flush sh;
+          (* Patterns drawn from the corpus, kept when their XPath text
+             parses back to the same pattern. *)
+          let queries =
+            Xdatagen.Query_gen.generate ~seed:5
+              ~opts:{ Xdatagen.Query_gen.default_opts with size = 3 }
+              docs 40
+            |> List.map Xquery.Pattern.to_string
+            |> List.filter (fun q ->
+                   match Xquery.Xpath_parser.parse q with
+                   | p -> Xquery.Pattern.to_string p = q
+                   | exception _ -> false)
+          in
+          Alcotest.(check bool) "query set is not empty" true
+            (List.length queries >= 10);
+          with_server (Server.Sharded sh) (fun _srv addr ->
+              Client.with_connection addr (fun c ->
+                  List.iter
+                    (fun q ->
+                      Alcotest.(check (list int)) ("sharded " ^ q)
+                        (Xshard.query_xpath sh q) (Client.query c q))
+                    queries;
+                  let batch = Client.query_batch c (Array.of_list queries) in
+                  List.iteri
+                    (fun i q ->
+                      Alcotest.(check (list int)) ("batch " ^ q)
+                        (Xshard.query_xpath sh q) batch.(i))
+                    queries;
+                  (* Insert, delete and flush go through the shards. *)
+                  let marker = "/P/L/S" in
+                  let id = Client.insert c (xml_of extra_doc) in
+                  Alcotest.(check (list int)) "inserted visible" [ id ]
+                    (Client.query c marker);
+                  Alcotest.(check (list int)) "in-process agrees" [ id ]
+                    (Xshard.query_xpath sh marker);
+                  Alcotest.(check bool) "delete" true (Client.delete c id);
+                  Alcotest.(check bool) "delete again" false
+                    (Client.delete c id);
+                  Alcotest.(check (list int)) "tombstone visible" []
+                    (Client.query c marker);
+                  Alcotest.(check int) "flush answers the generation"
+                    (Xshard.generation sh) (Client.flush c);
+                  let json = Client.stats c in
+                  Alcotest.(check bool) "sharded block" true
+                    (index_of json "\"sharded\"" <> None);
+                  Alcotest.(check int) "shards" 2 (find_int json "shards");
+                  Alcotest.(check int) "none down" 0
+                    (find_int json "down_shards");
+                  (* Down the shard the next insert routes to, and make
+                     its re-open fail by putting a file where its
+                     directory was: writes to it answer [Degraded], and
+                     Health (which tries the re-open) stays degraded. *)
+                  let s = Xshard.next_route sh in
+                  let shard_dir =
+                    Filename.concat dir (Printf.sprintf "shard-%03d" s)
+                  in
+                  Xshard.mark_down sh s "pulled for the test";
+                  Sys.rename shard_dir (shard_dir ^ ".away");
+                  close_out (open_out shard_dir);
+                  (match Client.insert c (xml_of extra_doc) with
+                   | _ -> Alcotest.fail "insert routed to a down shard accepted"
+                   | exception Client.Server_error (P.Degraded, _) -> ());
+                  (match
+                     Client.delete c (Xshard.encode_id ~shard:s ~local:0)
+                   with
+                   | _ -> Alcotest.fail "delete on a down shard accepted"
+                   | exception Client.Server_error (P.Degraded, _) -> ());
+                  let h = Client.health c in
+                  Alcotest.(check bool) "health degraded" true
+                    h.Client.degraded;
+                  Alcotest.(check bool) "reason names the shard" true
+                    (index_of h.Client.reason (Printf.sprintf "shard %d" s)
+                     <> None);
+                  Alcotest.(check int) "one down" 1
+                    (find_int (Client.stats c) "down_shards");
+                  (* Reads keep answering from the surviving shard. *)
+                  List.iter
+                    (fun q ->
+                      Alcotest.(check (list int)) ("partial " ^ q)
+                        (Xshard.query_xpath sh q) (Client.query c q))
+                    queries;
+                  (* Put the directory back: the next Health re-opens
+                     the shard and writes are accepted again. *)
+                  Sys.remove shard_dir;
+                  Sys.rename (shard_dir ^ ".away") shard_dir;
+                  let h = Client.health c in
+                  Alcotest.(check bool) "health recovered" false
+                    h.Client.degraded;
+                  let id = Client.insert c (xml_of extra_doc) in
+                  Alcotest.(check (list int)) "writes re-armed" [ id ]
+                    (Client.query c marker)))))
+
 (* --- pipelining -------------------------------------------------------------- *)
 
 (* N requests written on one connection before any response is read:
@@ -1193,6 +1302,8 @@ let () =
             test_live_ops_rejected;
           Alcotest.test_case "reload compacts under queries" `Quick
             test_live_reload_compacts;
+          Alcotest.test_case "sharded store over the wire" `Quick
+            test_sharded_wire;
         ] );
       ( "fault tolerance",
         [
