@@ -429,12 +429,13 @@ let report_log_recovery cmd log =
       (recovery_suffix r)
 
 (* The one seeding path of both CLI entry points ([serve --live DIR FILE]
-   and [ingest --live DIR FILE...] on an empty store): a single bulk
-   build, durable on return, ids 0..n-1. *)
-let seed_live cmd log docs =
-  match Xlog.seed log docs with
+   and [ingest --live DIR FILE...] on a store that never allocated an
+   id), sharded or not: [Xlog.seed] or [Xshard.seed], one bulk build per
+   store (per shard), durable on return, no WAL record. *)
+let seed_live cmd seed docs =
+  match seed docs with
   | ids -> ids
-  | exception Xlog.Degraded reason ->
+  | exception (Xlog.Degraded reason | Xshard.Shard_down (_, reason)) ->
     Printf.eprintf "%s: cannot seed the live store: %s\n" cmd reason;
     exit 1
 
@@ -1015,11 +1016,11 @@ let serve_cmd =
         in
         shard_store := Some sh;
         report_shard_recovery "serve" sh;
+        (* Just opened, so the routing sequence is the ids allocated. *)
         (match input with
-         | Some file when Xshard.doc_count sh = 0 ->
+         | Some file when Xshard.next_seq sh = 0 ->
            let docs = load_documents file in
-           ignore (Xshard.insert_batch sh docs : int array);
-           Xshard.flush sh;
+           ignore (seed_live "serve" (Xshard.seed sh) docs : int array);
            Printf.eprintf
              "xseq serve: seeded %d-shard store with %d records\n"
              (Xshard.shard_count sh) (Array.length docs)
@@ -1047,7 +1048,7 @@ let serve_cmd =
            exit 1
          | Some file when Xlog.next_id log = 0 ->
            let docs = load_documents file in
-           ignore (seed_live "serve" log docs : int array);
+           ignore (seed_live "serve" (Xlog.seed log) docs : int array);
            Printf.eprintf "xseq serve: seeded live store with %d records\n"
              (Array.length docs)
          | _ -> ());
@@ -1359,12 +1360,19 @@ let ingest_cmd =
           report_shard_recovery "ingest" sh;
           let t0 = Unix.gettimeofday () in
           let n = ref 0 in
-          List.iter
-            (fun d ->
-              ignore (Xshard.insert sh d : int);
-              incr n;
-              throttle ())
-            docs;
+          (* The unsharded rule: paced ingestion stays record by record,
+             a store that never allocated an id is seeded. *)
+          if throttle_ms = 0 && docs <> [] && Xshard.next_seq sh = 0 then
+            n :=
+              Array.length
+                (seed_live "ingest" (Xshard.seed sh) (Array.of_list docs))
+          else
+            List.iter
+              (fun d ->
+                ignore (Xshard.insert sh d : int);
+                incr n;
+                throttle ())
+              docs;
           (* Shard-tagged ids are not contiguous (the shard number lives
              in the high bits), so a first..last range would be
              misleading here; report the routing fan-out instead. *)
@@ -1414,7 +1422,7 @@ let ingest_cmd =
           let t0 = Unix.gettimeofday () in
           (* Paced ingestion (--throttle-ms) stays record by record. *)
           if throttle_ms = 0 && docs <> [] && Xlog.next_id log = 0 then begin
-            let ids = seed_live "ingest" log (Array.of_list docs) in
+            let ids = seed_live "ingest" (Xlog.seed log) (Array.of_list docs) in
             report ~range:true (Array.length ids) 0
               (Array.length ids - 1)
               (Unix.gettimeofday () -. t0)

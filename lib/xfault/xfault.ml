@@ -438,4 +438,14 @@ module Io = struct
     do_write (fun l -> Unix.write_substring fd s pos l) len (consult Send)
 
   let recv fd buf pos len = do_read fd buf pos len (consult Recv)
+
+  let rec retry_eintr f =
+    try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retry_eintr f
+
+  let write_all fd s pos len =
+    let w = ref 0 in
+    while !w < len do
+      w :=
+        !w + retry_eintr (fun () -> write_substring fd s (pos + !w) (len - !w))
+    done
 end

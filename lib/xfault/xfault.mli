@@ -161,4 +161,13 @@ module Io : sig
   val send : Unix.file_descr -> bytes -> int -> int -> int
   val send_substring : Unix.file_descr -> string -> int -> int -> int
   val recv : Unix.file_descr -> bytes -> int -> int -> int
+
+  val retry_eintr : (unit -> 'a) -> 'a
+  (** [retry_eintr f] calls [f] again for as long as it fails with
+      [EINTR]. *)
+
+  val write_all : Unix.file_descr -> string -> int -> int -> unit
+  (** [write_all fd s pos len] writes all [len] bytes with
+      {!write_substring}, absorbing short writes and [EINTR]; real
+      faults (ENOSPC, EIO, a fail-stop) escape. *)
 end

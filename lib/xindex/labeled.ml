@@ -557,6 +557,7 @@ let of_store store =
   Array.iteri
     (fun s p ->
       if p < 0 || p >= ndict then corrupt "link path id out of range";
+      if slot.(p) >= 0 then corrupt "duplicate link path";
       slot.(p) <- s)
     link_path;
   let doc_pre = Store.ints store "doc_pre" in

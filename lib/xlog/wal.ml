@@ -178,9 +178,6 @@ let scan_string ?offset s =
    fault-injection harness can hit it.  [EINTR] is absorbed here — an
    interrupt storm must never surface to the store. *)
 
-let rec retry_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retry_eintr f
-
 let read_file path =
   let fd = Xfault.Io.openfile path [ Unix.O_RDONLY ] 0 in
   Fun.protect
@@ -191,7 +188,10 @@ let read_file path =
       let pos = ref 0 in
       let eof = ref false in
       while (not !eof) && !pos < size do
-        let n = retry_eintr (fun () -> Xfault.Io.read fd buf !pos (size - !pos)) in
+        let n =
+          Xfault.Io.retry_eintr (fun () ->
+              Xfault.Io.read fd buf !pos (size - !pos))
+        in
         if n = 0 then eof := true else pos := !pos + n
       done;
       Bytes.sub_string buf 0 !pos)
@@ -275,7 +275,10 @@ let read_range path ~off ~len =
       let pos = ref 0 in
       let eof = ref false in
       while (not !eof) && !pos < len do
-        let n = retry_eintr (fun () -> Xfault.Io.read fd buf !pos (len - !pos)) in
+        let n =
+          Xfault.Io.retry_eintr (fun () ->
+              Xfault.Io.read fd buf !pos (len - !pos))
+        in
         if n = 0 then eof := true else pos := !pos + n
       done;
       Bytes.sub_string buf 0 !pos)
@@ -408,15 +411,6 @@ type writer = {
   mutable closed : bool;
 }
 
-let write_all fd s =
-  let n = String.length s in
-  let written = ref 0 in
-  while !written < n do
-    written :=
-      !written
-      + retry_eintr (fun () -> Xfault.Io.write_substring fd s !written (n - !written))
-  done
-
 let flush_buf w =
   if Buffer.length w.buf > 0 then begin
     (* The buffer is cleared before the write: if the disk fails mid-way
@@ -425,7 +419,7 @@ let flush_buf w =
        memtable and the recovery compaction re-persists them. *)
     let s = Buffer.contents w.buf in
     Buffer.clear w.buf;
-    write_all w.fd s
+    Xfault.Io.write_all w.fd s 0 (String.length s)
   end
 
 let create ?(sync_every = 1) path =
@@ -435,8 +429,8 @@ let create ?(sync_every = 1) path =
     if size = 0 then begin
       (* The magic write doubles as the disk-health probe the store's
          recovery path relies on: it must actually reach the platter. *)
-      write_all fd magic;
-      retry_eintr (fun () -> Xfault.Io.fsync fd);
+      Xfault.Io.write_all fd magic 0 (String.length magic);
+      Xfault.Io.retry_eintr (fun () -> Xfault.Io.fsync fd);
       String.length magic
     end
     else begin
@@ -445,7 +439,7 @@ let create ?(sync_every = 1) path =
       let eof = ref false in
       while (not !eof) && !pos < Bytes.length hdr do
         let n =
-          retry_eintr (fun () ->
+          Xfault.Io.retry_eintr (fun () ->
               Xfault.Io.read fd hdr !pos (Bytes.length hdr - !pos))
         in
         if n = 0 then eof := true else pos := !pos + n
@@ -472,7 +466,7 @@ let create ?(sync_every = 1) path =
 
 let sync w =
   flush_buf w;
-  retry_eintr (fun () -> Xfault.Io.fsync w.fd);
+  Xfault.Io.retry_eintr (fun () -> Xfault.Io.fsync w.fd);
   w.unsynced <- 0;
   w.durable <- w.off
 

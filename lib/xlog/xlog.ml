@@ -107,9 +107,6 @@ type checkpoint = {
   c_ids : int array;
 }
 
-let rec retry_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retry_eintr f
-
 let write_file_sync path s =
   let fd =
     Xfault.Io.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
@@ -117,13 +114,8 @@ let write_file_sync path s =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
-      let n = String.length s in
-      let w = ref 0 in
-      while !w < n do
-        w :=
-          !w + retry_eintr (fun () -> Xfault.Io.write_substring fd s !w (n - !w))
-      done;
-      retry_eintr (fun () -> Xfault.Io.fsync fd))
+      Xfault.Io.write_all fd s 0 (String.length s);
+      Xfault.Io.retry_eintr (fun () -> Xfault.Io.fsync fd))
 
 (* Errors a filesystem uses to refuse fsync-on-this-kind-of-handle
    outright (directories on some filesystems, fds without fsync support,
@@ -143,7 +135,7 @@ let fsync_path path =
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        try retry_eintr (fun () -> Xfault.Io.fsync fd)
+        try Xfault.Io.retry_eintr (fun () -> Xfault.Io.fsync fd)
         with Unix.Unix_error (e, _, _) when fsync_refusal e -> ())
 
 let write_checkpoint dir c =
@@ -1062,7 +1054,7 @@ module Transfer = struct
               let left = ref n in
               while !left > 0 do
                 let k =
-                  retry_eintr (fun () ->
+                  Xfault.Io.retry_eintr (fun () ->
                       Xfault.Io.read fd buf 0 (min !left (Bytes.length buf)))
                 in
                 if k = 0 then
@@ -1136,7 +1128,7 @@ module Transfer = struct
     rm_rf rv.rv_tmp
 
   let close_entry rv fd =
-    retry_eintr (fun () -> Xfault.Io.fsync fd);
+    Xfault.Io.retry_eintr (fun () -> Xfault.Io.fsync fd);
     rv.rv_fd <- None;
     (try Unix.close fd with Unix.Unix_error _ -> ())
 
@@ -1169,13 +1161,7 @@ module Transfer = struct
             fd
         in
         let n = min len (e.e_size - rv.rv_written) in
-        let w = ref 0 in
-        while !w < n do
-          w :=
-            !w
-            + retry_eintr (fun () ->
-                  Xfault.Io.write_substring fd s (off + !w) (n - !w))
-        done;
+        Xfault.Io.write_all fd s off n;
         rv.rv_written <- rv.rv_written + n;
         feed_files rv s (off + n) (len - n)
       end

@@ -54,9 +54,6 @@ let sockaddr_of = function
     (Unix.PF_INET, Unix.ADDR_INET (inet, port))
   | Server.Unix_sock path -> (Unix.PF_UNIX, Unix.ADDR_UNIX path)
 
-let rec retry_eintr f =
-  try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retry_eintr f
-
 (* Non-blocking connect + select: a sharp connect timeout instead of the
    kernel's minutes-long default.  [timeout_ms <= 0] waits forever. *)
 let connect_fd ~timeout_ms addr =
@@ -66,7 +63,7 @@ let connect_fd ~timeout_ms addr =
     Unix.set_nonblock fd;
     let wait () =
       let tmo = if timeout_ms > 0 then float_of_int timeout_ms /. 1000. else -1. in
-      match retry_eintr (fun () -> Unix.select [] [ fd ] [] tmo) with
+      match Xfault.Io.retry_eintr (fun () -> Unix.select [] [ fd ] [] tmo) with
       | _, [], _ ->
         raise (Timeout (Printf.sprintf "connect: no answer within %dms" timeout_ms))
       | _ -> (

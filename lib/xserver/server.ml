@@ -139,27 +139,40 @@ let default_config =
   }
 
 (* What a request executes against: one [Atomic.get] pins the backend
-   for the whole request.  A frozen backend's generation is fixed at
-   swap time; a live store's structure generation moves underneath us
-   (seals, compaction installs), so it is read per request. *)
+   for the whole request.  A frozen index's generation is fixed at swap
+   time; a live store's structure generation moves underneath us (seals,
+   compaction installs), so it is read per request. *)
 type backend = B_index of Xseq.t | B_live of Xlog.t | B_shard of Xshard.t
 
-type serving = { backend : backend; gen : int }
+(* The query face every backend shares: [Xseq], [Xlog] and [Xshard]
+   all fit it unchanged. *)
+module type STORE = sig
+  type t
+  type prepared
 
-let serving_gen sv =
-  match sv.backend with
-  | B_index _ -> sv.gen
+  val prepare : t -> Xquery.Pattern.t -> prepared
+  val run_prepared : ?stats:Xquery.Matcher.stats -> t -> prepared -> int list
+  val query : ?stats:Xquery.Matcher.stats -> t -> Xquery.Pattern.t -> int list
+  val generation : t -> int
+end
+
+(* ... and the write face of the two mutable ones. *)
+module type LIVE = sig
+  include STORE
+
+  val insert : t -> Xmlcore.Xml_tree.t -> int
+  val remove : t -> int -> bool
+  val flush : t -> unit
+end
+
+let generation_of = function
+  | B_index index -> Xseq.generation index
   | B_live log -> Xlog.generation log
   | B_shard sh -> Xshard.generation sh
 
-(* Cached plans carry which compiler produced them; generations are
-   allocated from one process-wide sequence ({!Xseq.next_generation}),
-   so a key collision across backend kinds cannot happen — the variant
-   check is defence in depth. *)
-type plan =
-  | Plan_index of Xseq.prepared
-  | Plan_live of Xlog.prepared
-  | Plan_shard of Xshard.prepared
+(* A cached plan is its run closure over the store it was compiled
+   for. *)
+type plan = Xquery.Matcher.stats -> int list
 
 (* One pipelined request on one connection.  [sl_op = ""] marks a
    framing-error slot (an error frame owed for input that never decoded
@@ -265,7 +278,7 @@ type repl = {
 type t = {
   config : config;
   mutable source : source; (* guarded by [reload_m] *)
-  serving : serving Atomic.t;
+  serving : backend Atomic.t;
   cache : plan Plan_cache.t;
   metrics : Metrics.t;
   pool : Pool.t;
@@ -286,16 +299,14 @@ type t = {
   started_at : float;
 }
 
-let serving_of_source config = function
-  | Static index -> { backend = B_index index; gen = Xseq.generation index }
+let backend_of_source config = function
+  | Static index -> B_index index
   | Snapshot path ->
-    let index =
-      Xseq.load ~mode:config.snapshot_mode
-        ~pool_pages:config.snapshot_pool_pages path
-    in
-    { backend = B_index index; gen = Xseq.generation index }
-  | Live log -> { backend = B_live log; gen = Xlog.generation log }
-  | Sharded sh -> { backend = B_shard sh; gen = Xshard.generation sh }
+    B_index
+      (Xseq.load ~mode:config.snapshot_mode
+         ~pool_pages:config.snapshot_pool_pages path)
+  | Live log -> B_live log
+  | Sharded sh -> B_shard sh
 
 let create ?(config = default_config) source =
   if config.workers < 1 then invalid_arg "Server.create: workers < 1";
@@ -347,7 +358,7 @@ let create ?(config = default_config) source =
   {
     config;
     source;
-    serving = Atomic.make (serving_of_source config source);
+    serving = Atomic.make (backend_of_source config source);
     cache = Plan_cache.create ~capacity:config.plan_cache_capacity;
     metrics = Metrics.create ();
     pool = Pool.create ~domains:config.workers ();
@@ -368,7 +379,7 @@ let create ?(config = default_config) source =
 
 let metrics t = t.metrics
 let plan_cache t = t.cache
-let generation t = serving_gen (Atomic.get t.serving)
+let generation t = generation_of (Atomic.get t.serving)
 
 let pending t =
   Mutex.lock t.adm_m;
@@ -391,56 +402,38 @@ let try_admit t =
 
 (* --- query execution ------------------------------------------------------- *)
 
-(* Compile-or-reuse: normalized pattern text keys the LRU; the entry's
-   generation stamp guarantees the plan belongs to the backend snapshot.
-   Queries whose expansion explodes ([Too_many]) bypass the cache and
-   take the exact-scan fallback.  On a live store the structure can seal
-   between the cache probe and the run — [Xlog.run_prepared] raises on
-   its stamp check and the query falls back to the uncached (always
-   current) path rather than answering from a stale plan. *)
-let answer_pattern t sv stats pattern =
-  let key = Xquery.Pattern.to_string pattern in
-  match sv.backend with
-  | B_index index ->
-    (match Plan_cache.find t.cache ~generation:sv.gen key with
-     | Some (Plan_index plans) -> Xseq.run_prepared ~stats index plans
-     | Some (Plan_live _) | Some (Plan_shard _) | None ->
-       (match Xseq.prepare index pattern with
-        | plans ->
-          Plan_cache.add t.cache ~generation:sv.gen key (Plan_index plans);
-          Xseq.run_prepared ~stats index plans
-        | exception Xquery.Instantiate.Too_many _ ->
-          Xseq.query ~stats index pattern))
-  | B_live log ->
-    let gen = Xlog.generation log in
-    let run plan =
-      try Xlog.run_prepared ~stats log plan
-      with Invalid_argument _ -> Xlog.query ~stats log pattern
-    in
-    (match Plan_cache.find t.cache ~generation:gen key with
-     | Some (Plan_live plan) -> run plan
-     | Some (Plan_index _) | Some (Plan_shard _) | None ->
-       (match Xlog.prepare log pattern with
-        | plan ->
-          Plan_cache.add t.cache ~generation:gen key (Plan_live plan);
-          run plan
-        | exception Xquery.Instantiate.Too_many _ ->
-          Xlog.query ~stats log pattern))
-  | B_shard sh ->
-    let gen = Xshard.generation sh in
-    let run plan =
-      try Xshard.run_prepared ~stats sh plan
-      with Invalid_argument _ -> Xshard.query ~stats sh pattern
-    in
-    (match Plan_cache.find t.cache ~generation:gen key with
-     | Some (Plan_shard plan) -> run plan
-     | Some (Plan_index _) | Some (Plan_live _) | None ->
-       (match Xshard.prepare sh pattern with
-        | plan ->
-          Plan_cache.add t.cache ~generation:gen key (Plan_shard plan);
-          run plan
-        | exception Xquery.Instantiate.Too_many _ ->
-          Xshard.query ~stats sh pattern))
+(* Compile-or-reuse, the same for every backend: normalized pattern
+   text keys the LRU; the entry's generation stamp guarantees the plan
+   belongs to the store snapshot.  Queries whose expansion explodes
+   ([Too_many]) bypass the cache and take the exact-scan fallback.  On a
+   live store the structure can seal between the cache probe and the
+   run — [run_prepared] raises on its stamp check and the query falls
+   back to the uncached (always current) path rather than answering
+   from a stale plan.  Generations come from one process-wide sequence
+   except a sharded store's, which sums its shards'; the [kind] prefix
+   keeps such a sum from ever naming another backend's plan. *)
+let answer (type s) (module S : STORE with type t = s) ~kind t (store : s)
+    stats pattern =
+  let key = kind ^ Xquery.Pattern.to_string pattern in
+  let generation = S.generation store in
+  let run (plan : plan) =
+    try plan stats with Invalid_argument _ -> S.query ~stats store pattern
+  in
+  match Plan_cache.find t.cache ~generation key with
+  | Some plan -> run plan
+  | None -> (
+    match S.prepare store pattern with
+    | prepared ->
+      let plan stats = S.run_prepared ~stats store prepared in
+      Plan_cache.add t.cache ~generation key plan;
+      run plan
+    | exception Xquery.Instantiate.Too_many _ -> S.query ~stats store pattern)
+
+let answer_pattern t backend stats pattern =
+  match backend with
+  | B_index index -> answer (module Xseq) ~kind:"i" t index stats pattern
+  | B_live log -> answer (module Xlog) ~kind:"l" t log stats pattern
+  | B_shard sh -> answer (module Xshard) ~kind:"s" t sh stats pattern
 
 let parse_xpath xpath =
   match Xquery.Xpath_parser.parse xpath with
@@ -471,9 +464,7 @@ let reload ?path t =
     ~finally:(fun () -> Mutex.unlock t.reload_m)
     (fun () ->
       let source =
-        match (path, t.source) with
-        | Some p, _ -> Snapshot p
-        | None, src -> src
+        match path with Some p -> Snapshot p | None -> t.source
       in
       (* Build the replacement entirely off to the side; only the final
          pointer swap is visible to queries.  [Static] with no path keeps
@@ -481,31 +472,27 @@ let reload ?path t =
          with no path flushes the memtable and compacts the store in
          place — concurrent queries keep answering throughout, against
          whichever view is installed when they pin it. *)
-      let sv =
-        match source with
-        | Static _ when path = None -> Atomic.get t.serving
-        | Live log when path = None ->
-          Xlog.flush log;
-          ignore (Xlog.compact log : bool);
-          serving_of_source t.config source
-        | Sharded sh when path = None ->
-          Xshard.flush sh;
-          ignore (Xshard.compact sh : bool);
-          serving_of_source t.config source
-        | s -> serving_of_source t.config s
-      in
+      (match source with
+       | Live log ->
+         Xlog.flush log;
+         ignore (Xlog.compact log : bool)
+       | Sharded sh ->
+         Xshard.flush sh;
+         ignore (Xshard.compact sh : bool)
+       | _ -> ());
+      let backend = backend_of_source t.config source in
       t.source <- source;
-      Atomic.set t.serving sv;
-      serving_gen sv)
+      Atomic.set t.serving backend;
+      generation_of backend)
 
 (* --- stats ----------------------------------------------------------------- *)
 
 let stats_json t =
-  let sv = Atomic.get t.serving in
+  let backend = Atomic.get t.serving in
   let hits = Plan_cache.hits t.cache and misses = Plan_cache.misses t.cache in
   let looked = hits + misses in
   let page_reads, page_hits, pool_pages =
-    match sv.backend with
+    match backend with
     | B_index index ->
       (match Xseq.backing_store index with
        | Some s ->
@@ -516,7 +503,7 @@ let stats_json t =
     | B_live _ | B_shard _ -> (0, 0, 0)
   in
   let live_extra =
-    match sv.backend with
+    match backend with
     | B_index _ -> []
     | B_shard sh ->
       (* Per-shard state plus the aggregate, so an operator watching
@@ -613,7 +600,7 @@ let stats_json t =
   Metrics.to_json
     ~extra:
       ([
-        ("generation", string_of_int (serving_gen sv));
+        ("generation", string_of_int (generation_of backend));
         ("uptime_s",
          Printf.sprintf "%.1f" (Unix.gettimeofday () -. t.started_at));
         ("pending", string_of_int (pending t));
@@ -638,32 +625,6 @@ let stats_json t =
     t.metrics
 
 (* --- non-query dispatch ---------------------------------------------------- *)
-
-(* The two mutable backends behind one face for the Insert/Delete/Flush
-   arms.  [Xshard.Shard_down] maps to the same wire code as [Degraded]:
-   from the client's point of view both mean "this write is refused
-   until the store heals", and the message names the failed shard. *)
-type live_backend = L_log of Xlog.t | L_shard of Xshard.t
-
-let live_store t =
-  match (Atomic.get t.serving).backend with
-  | B_live log -> Some (L_log log)
-  | B_shard sh -> Some (L_shard sh)
-  | B_index _ -> None
-
-let live_insert lb doc =
-  match lb with L_log log -> Xlog.insert log doc | L_shard sh -> Xshard.insert sh doc
-
-let live_remove lb id =
-  match lb with L_log log -> Xlog.remove log id | L_shard sh -> Xshard.remove sh id
-
-let live_flush = function
-  | L_log log -> Xlog.flush log
-  | L_shard sh -> Xshard.flush sh
-
-let live_generation = function
-  | L_log log -> Xlog.generation log
-  | L_shard sh -> Xshard.generation sh
 
 let op_name : P.request -> string = function
   | P.Ping -> "ping"
@@ -692,6 +653,41 @@ let repl_follower t =
     Some (r.rp_hooks.repl_leader_hint ())
   | _ -> None
 
+let apply (type s) (module L : LIVE with type t = s) (store : s) req =
+  match req with
+  | P.Insert { xml } -> (
+    match Xmlcore.Xml_parser.parse_string xml with
+    | doc -> P.Inserted { id = L.insert store doc }
+    | exception Xmlcore.Xml_parser.Parse_error { pos; line; msg } ->
+      err P.Bad_request "XML parse error at line %d (byte %d): %s" line pos msg)
+  | P.Delete { id } -> P.Deleted { existed = L.remove store id }
+  | P.Flush ->
+    L.flush store;
+    P.Flushed { generation = L.generation store }
+  | _ -> err P.Server_error "internal: %s is not a mutation" (op_name req)
+
+(* Insert, Delete and Flush, for both live backends.
+   [Xshard.Shard_down] maps to the same wire code as [Degraded]: from
+   the client's point of view both mean "this write is refused until the
+   store heals", and the message names the failed shard. *)
+let mutate t req =
+  match repl_follower t with
+  | Some hint -> err P.Not_primary "%s" hint
+  | None -> (
+    match
+      match Atomic.get t.serving with
+      | B_index _ -> err P.Bad_request "server is not serving a live store"
+      | B_live log -> apply (module Xlog) log req
+      | B_shard sh -> apply (module Xshard) sh req
+    with
+    | resp -> resp
+    | exception Xlog.Degraded reason ->
+      err P.Degraded "store is read-only: %s" reason
+    | exception Xshard.Shard_down (i, reason) ->
+      err P.Degraded "shard %d is down: %s" i reason
+    | exception e ->
+      err P.Server_error "%s failed: %s" (op_name req) (Printexc.to_string e))
+
 (* Everything except queries (which go through admission + the batched
    exec path) and the inline ops.  Runs on a pool worker. *)
 let run_op t (req : P.request) : P.response =
@@ -708,113 +704,42 @@ let run_op t (req : P.request) : P.response =
        err P.Degraded "store is read-only: %s" reason
      | exception e ->
        err P.Server_error "reload failed: %s" (Printexc.to_string e))
-  | P.Insert { xml } ->
-    (match repl_follower t with
-     | Some hint -> err P.Not_primary "%s" hint
-     | None ->
-     match live_store t with
-     | None -> err P.Bad_request "server is not serving a live store"
-     | Some lb ->
-       (match Xmlcore.Xml_parser.parse_string xml with
-        | doc ->
-          (match live_insert lb doc with
-           | id -> P.Inserted { id }
-           | exception Xlog.Degraded reason ->
-             err P.Degraded "store is read-only: %s" reason
-           | exception Xshard.Shard_down (i, reason) ->
-             err P.Degraded "shard %d is down: %s" i reason
-           | exception e ->
-             err P.Server_error "insert failed: %s" (Printexc.to_string e))
-        | exception Xmlcore.Xml_parser.Parse_error { pos; line; msg } ->
-          err P.Bad_request "XML parse error at line %d (byte %d): %s" line
-            pos msg))
-  | P.Delete { id } ->
-    (match repl_follower t with
-     | Some hint -> err P.Not_primary "%s" hint
-     | None ->
-     match live_store t with
-     | None -> err P.Bad_request "server is not serving a live store"
-     | Some lb ->
-       (match live_remove lb id with
-        | existed -> P.Deleted { existed }
-        | exception Xlog.Degraded reason ->
-          err P.Degraded "store is read-only: %s" reason
-        | exception Xshard.Shard_down (i, reason) ->
-          err P.Degraded "shard %d is down: %s" i reason
-        | exception e ->
-          err P.Server_error "delete failed: %s" (Printexc.to_string e)))
-  | P.Flush ->
-    (match repl_follower t with
-     | Some hint -> err P.Not_primary "%s" hint
-     | None ->
-     match live_store t with
-     | None -> err P.Bad_request "server is not serving a live store"
-     | Some lb ->
-       (match live_flush lb with
-        | () -> P.Flushed { generation = live_generation lb }
-        | exception Xlog.Degraded reason ->
-          err P.Degraded "store is read-only: %s" reason
-        | exception Xshard.Shard_down (i, reason) ->
-          err P.Degraded "shard %d is down: %s" i reason
-        | exception e ->
-          err P.Server_error "flush failed: %s" (Printexc.to_string e)))
+  | P.Insert _ | P.Delete _ | P.Flush -> mutate t req
   | P.Health ->
-    (let sv = Atomic.get t.serving in
-     match sv.backend with
-     | B_index index ->
-       P.Health_status
-         {
-           degraded = false;
-           reason = "";
-           generation = sv.gen;
-           doc_count = Xseq.doc_count index;
-         }
-     | B_live log ->
-       (* The health probe doubles as the recovery probe: if the store
-          is degraded, test the disk and re-arm the write path when it
-          has healed — so operators watching Health see the recovery
-          happen without waiting for the next write attempt. *)
-       (match Xlog.degraded_reason log with
-        | Some _ -> ignore (Xlog.try_recover log : bool)
-        | None -> ());
-       let degraded, reason =
-         match Xlog.degraded_reason log with
-         | Some reason -> (true, reason)
-         | None -> (false, "")
-       in
-       P.Health_status
-         {
-           degraded;
-           reason;
-           generation = Xlog.generation log;
-           doc_count = Xlog.doc_count log;
-         }
-     | B_shard sh ->
-       (* Same probe-on-health contract, per shard: degraded shards
-          get a disk probe, down shards a re-open attempt, so watching
-          Health heals whatever healed underneath.  The report is
-          degraded as soon as any single shard refuses writes — the
-          reason names them all. *)
-       (match Xshard.degraded_shards sh with
-        | [] -> ()
-        | _ -> ignore (Xshard.try_recover sh : bool));
-       let degraded, reason =
-         match Xshard.degraded_shards sh with
-         | [] -> (false, "")
-         | l ->
-           ( true,
-             String.concat "; "
-               (List.map
-                  (fun (i, r) -> Printf.sprintf "shard %d: %s" i r)
-                  l) )
-       in
-       P.Health_status
-         {
-           degraded;
-           reason;
-           generation = Xshard.generation sh;
-           doc_count = Xshard.doc_count sh;
-         })
+    (* The health probe doubles as the recovery probe: a degraded live
+       store gets a disk probe (degraded shards a disk probe, down
+       shards a re-open attempt), so operators watching Health see the
+       recovery happen without waiting for the next write attempt.  A
+       sharded store is degraded as soon as any single shard refuses
+       writes — the reason names them all. *)
+    let backend = Atomic.get t.serving in
+    let reason, doc_count =
+      match backend with
+      | B_index index -> (None, Xseq.doc_count index)
+      | B_live log ->
+        if Xlog.degraded_reason log <> None then
+          ignore (Xlog.try_recover log : bool);
+        (Xlog.degraded_reason log, Xlog.doc_count log)
+      | B_shard sh ->
+        if Xshard.degraded_shards sh <> [] then
+          ignore (Xshard.try_recover sh : bool);
+        let reason =
+          match Xshard.degraded_shards sh with
+          | [] -> None
+          | l ->
+            Some
+              (String.concat "; "
+                 (List.map (fun (i, r) -> Printf.sprintf "shard %d: %s" i r) l))
+        in
+        (reason, Xshard.doc_count sh)
+    in
+    P.Health_status
+      {
+        degraded = reason <> None;
+        reason = Option.value reason ~default:"";
+        generation = generation_of backend;
+        doc_count;
+      }
   | P.Promote ->
     (match t.repl with
      | None -> err P.Unsupported "this server has no replication role"
@@ -1350,7 +1275,7 @@ and handle_fetch_snapshot t c ~token ~cursor =
   if c.c_sub <> None then
     answer (err P.Bad_request "connection is subscribed to the WAL stream")
   else
-    match (Atomic.get t.serving).backend with
+    match Atomic.get t.serving with
     | B_index _ | B_shard _ ->
       answer
         (err P.Unsupported "snapshot transfer requires serving a live store")
@@ -1602,9 +1527,9 @@ let run_exec t items =
           if expired x.x_deadline then
             err P.Timeout "deadline expired before execution"
           else begin
-            let sv = Atomic.get t.serving in
-            let ids = Array.map (answer_pattern t sv stats) x.x_patterns in
-            let generation = serving_gen sv in
+            let backend = Atomic.get t.serving in
+            let ids = Array.map (answer_pattern t backend stats) x.x_patterns in
+            let generation = generation_of backend in
             if x.x_batch then P.Batch_result { generation; ids }
             else P.Result { generation; ids = ids.(0) }
           end

@@ -29,6 +29,9 @@
     - {b Plan cache}: query compilation (wildcard instantiation +
       isomorphism expansion) is cached in a {!Plan_cache} LRU keyed by
       the {e normalized} pattern text, stamped with the index generation.
+      One answer path serves every backend: an index, an [Xlog] and an
+      [Xshard] store share the cache probe, the [Too_many] exact-scan
+      fallback and the stale-plan fallback.
     - {b Hot swap}: the served index lives in an [Atomic.t]; [Reload]
       builds/loads the replacement off to the side and swaps the pointer,
       so concurrent queries answer against a consistent index — old until
@@ -180,11 +183,11 @@ val wait : t -> unit
 val metrics : t -> Metrics.t
 
 type plan
-(** A cached compiled query: an {!Xseq.prepared} for frozen backends, an
-    [Xlog.prepared] for live stores, or an [Xshard.prepared] (one
-    sub-plan per shard) for sharded stores.  Generation stamps come from
-    one process-wide sequence, so the kinds never collide on a cache key
-    — and dispatch still checks the variant defensively. *)
+(** A cached compiled query: the run closure of a prepared plan over the
+    store it was compiled for (an index, an [Xlog] or an [Xshard]
+    store).  Every backend takes the same cache probe, prepare and
+    fallbacks; the cache key carries the backend kind, so a sharded
+    store's summed generation never names another kind's plan. *)
 
 val plan_cache : t -> plan Plan_cache.t
 

@@ -80,12 +80,7 @@ let write_meta dir k =
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
     (fun () ->
-      let len = String.length payload in
-      let written = ref 0 in
-      while !written < len do
-        written :=
-          !written + F.Io.write_substring fd payload !written (len - !written)
-      done;
+      F.Io.write_all fd payload 0 (String.length payload);
       F.Io.fsync fd);
   F.Io.rename tmp (meta_path dir)
 
@@ -223,43 +218,61 @@ let run_all ?pool thunks =
   | Some p when Domain_pool.size p > 1 -> ignore (Domain_pool.run p thunks)
   | _ -> Array.iter (fun f -> f ()) thunks
 
-let insert_batch ?pool t docs =
+(* Routes [n] documents exactly as [n] consecutive inserts would, then
+   runs [f shard log positions] on every shard with a share (positions
+   ascending), in parallel; the first failure re-raises once every
+   other shard finished. *)
+let scatter ?pool t n f =
   let pool = match pool with Some _ -> pool | None -> t.pool in
+  let base = Atomic.fetch_and_add t.seq n in
+  let groups = Array.make t.k [] in
+  for i = n - 1 downto 0 do
+    let s = route_of_seq t (base + i) in
+    groups.(s) <- i :: groups.(s)
+  done;
+  let errors = Array.make t.k None in
+  let thunks =
+    Array.of_list
+      (List.filter_map
+         (fun sh ->
+           let positions = groups.(sh.index) in
+           if positions = [] then None
+           else
+             Some
+               (fun () ->
+                 try with_shard t sh.index (fun log -> f sh.index log positions)
+                 with e -> errors.(sh.index) <- Some e))
+         (Array.to_list t.shards))
+  in
+  run_all ?pool thunks;
+  match Array.find_map Fun.id errors with Some e -> raise e | None -> ()
+
+let insert_batch ?pool t docs =
   let n = Array.length docs in
-  if n = 0 then [||]
-  else begin
-    let base = Atomic.fetch_and_add t.seq n in
-    let ids = Array.make n (-1) in
-    let groups = Array.make t.k [] in
-    for i = n - 1 downto 0 do
-      let s = route_of_seq t (base + i) in
-      groups.(s) <- i :: groups.(s)
-    done;
-    let errors = Array.make t.k None in
-    let thunks =
-      Array.of_list
-        (List.filter_map
-           (fun sh ->
-             let positions = groups.(sh.index) in
-             if positions = [] then None
-             else
-               Some
-                 (fun () ->
-                   try
-                     with_shard t sh.index (fun log ->
-                         List.iter
-                           (fun pos ->
-                             ids.(pos) <-
-                               encode_id ~shard:sh.index
-                                 ~local:(Xlog.insert log docs.(pos)))
-                           positions)
-                   with e -> errors.(sh.index) <- Some e))
-           (Array.to_list t.shards))
-    in
-    run_all ?pool thunks;
-    (match Array.find_map Fun.id errors with Some e -> raise e | None -> ());
-    ids
-  end
+  let ids = Array.make n (-1) in
+  if n > 0 then
+    scatter ?pool t n (fun shard log positions ->
+        List.iter
+          (fun pos ->
+            ids.(pos) <- encode_id ~shard ~local:(Xlog.insert log docs.(pos)))
+          positions);
+  ids
+
+let seed ?pool t docs =
+  if Array.exists (fun sh -> Xlog.next_id sh.log <> 0) t.shards then
+    invalid_arg "Xshard.seed: the store is not empty";
+  let n = Array.length docs in
+  let ids = Array.make n (-1) in
+  if n > 0 then
+    scatter ?pool t n (fun shard log positions ->
+        let positions = Array.of_list positions in
+        let locals =
+          Xlog.seed log (Array.map (fun pos -> docs.(pos)) positions)
+        in
+        Array.iteri
+          (fun j pos -> ids.(pos) <- encode_id ~shard ~local:locals.(j))
+          positions);
+  ids
 
 let remove t id =
   let s = shard_of_id id in

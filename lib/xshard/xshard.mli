@@ -124,6 +124,16 @@ val insert_batch : ?pool:Xutil.Domain_pool.t -> t -> Xmlcore.Xml_tree.t array ->
     acknowledged appends are durable, re-inserting the failed documents
     is the caller's retry. *)
 
+val seed :
+  ?pool:Xutil.Domain_pool.t -> t -> Xmlcore.Xml_tree.t array -> int array
+(** Bulk-loads a store that never allocated an id: routes the batch
+    exactly as {!insert_batch} would on it (so the ids are the same) and
+    loads each shard's share with one {!Xlog.seed}, in parallel.  No
+    shard's WAL holds a seeded record; every shard is durable on return.
+    @raise Invalid_argument if any shard ever allocated an id;
+    @raise Xlog.Degraded / @raise Shard_down as {!insert_batch}, after
+    the other shards finished their share. *)
+
 val remove : t -> int -> bool
 (** Tombstones a global id on its shard.  [false] if the id's shard tag
     or local id was never allocated, or it is already removed.

@@ -378,9 +378,6 @@ let write ?(page_size = 4096) ?(format = Col1) t path =
   (* Physical writes go through the {!Xfault.Io} shim so fault-injection
      schedules reach snapshot saves; EINTR and short writes are absorbed
      here, real faults (ENOSPC, EIO, Crashed) escape to the caller. *)
-  let rec retry_eintr f =
-    try f () with Unix.Unix_error (Unix.EINTR, _, _) -> retry_eintr f
-  in
   let fd =
     Xfault.Io.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
@@ -388,11 +385,7 @@ let write ?(page_size = 4096) ?(format = Col1) t path =
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       let write_all b =
-        let n = Bytes.length b in
-        let w = ref 0 in
-        while !w < n do
-          w := !w + retry_eintr (fun () -> Xfault.Io.write fd b !w (n - !w))
-        done
+        Xfault.Io.write_all fd (Bytes.unsafe_to_string b) 0 (Bytes.length b)
       in
       write_all header;
       List.iter (fun (_, _, _, _, _, b, _) -> write_all b) payloads)

@@ -338,6 +338,46 @@ let test_reopen_equivalence () =
                   Alcotest.(check (list int)) "answers survive reopen" want got)
                 parsed_patterns)))
 
+(* --- seeding ------------------------------------------------------------------ *)
+
+(* [seed] routes like [insert_batch] on a fresh store: same ids, same
+   answers, the next insert lands on the same id — and no shard's WAL
+   holds a seeded record, so a reopen replays nothing. *)
+let test_seed_matches_insert_batch () =
+  let docs = Array.init 30 (fun i -> doc_pool.(i mod Array.length doc_pool)) in
+  with_dir (fun batch_dir ->
+      with_dir (fun seed_dir ->
+          let batched = Xshard.open_ ~shards:3 batch_dir in
+          Fun.protect
+            ~finally:(fun () -> Xshard.close batched)
+            (fun () ->
+              let want = Xshard.insert_batch batched docs in
+              let seeded = Xshard.open_ ~shards:3 seed_dir in
+              let got = Xshard.seed seeded docs in
+              Xshard.close seeded;
+              Alcotest.(check (array int)) "same ids" want got;
+              let seeded = Xshard.open_ seed_dir in
+              Fun.protect
+                ~finally:(fun () -> Xshard.close seeded)
+                (fun () ->
+                  List.iter
+                    (fun (i, r) ->
+                      Alcotest.(check int)
+                        (Printf.sprintf "shard %d replays nothing" i)
+                        0 r.Xlog.replayed)
+                    (Xshard.recovery seeded);
+                  List.iter
+                    (fun pat ->
+                      Alcotest.(check (list int)) "same answers"
+                        (Xshard.query batched pat) (Xshard.query seeded pat))
+                    parsed_patterns;
+                  Alcotest.(check int) "next insert, same id"
+                    (Xshard.insert batched doc_pool.(1))
+                    (Xshard.insert seeded doc_pool.(1));
+                  match Xshard.seed seeded docs with
+                  | _ -> Alcotest.fail "seeded a store that allocated ids"
+                  | exception Invalid_argument _ -> ()))))
+
 (* --- batched scatter-gather -------------------------------------------------- *)
 
 let test_query_batch_matches_query () =
@@ -444,6 +484,8 @@ let () =
           Alcotest.test_case "pinned seeds" `Quick test_equivalence_pinned;
           QCheck_alcotest.to_alcotest qcheck_equivalence;
           Alcotest.test_case "reopen equivalence" `Quick test_reopen_equivalence;
+          Alcotest.test_case "seed = insert_batch, no WAL replay" `Quick
+            test_seed_matches_insert_batch;
         ] );
       ( "scatter-gather",
         [

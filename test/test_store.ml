@@ -696,13 +696,17 @@ let tampered region f ~want =
           msg)
 
 (* A lying node count, or a lying link length, breaks the agreement of
-   the link lengths' sum, the link columns' length and the node count. *)
+   the link lengths' sum, the link columns' length and the node count;
+   a link directory naming one path twice is rejected too. *)
 let test_inconsistent_snapshot () =
   tampered "meta" (fun m -> m.(0) <- m.(0) + 1) ~want:"link column sizes";
   tampered "link_len"
     (fun m -> m.(0) <- m.(0) + 1)
     ~want:"link column sizes";
-  tampered "link_len" (fun m -> m.(0) <- -1) ~want:"link length out of range"
+  tampered "link_len" (fun m -> m.(0) <- -1) ~want:"link length out of range";
+  (* Two links naming one path: the later would shadow the earlier in
+     the path-to-link map and drop its entries from every answer. *)
+  tampered "link_path" (fun m -> m.(1) <- m.(0)) ~want:"duplicate link path"
 
 (* The compact dictionary's cross-region invariants: a designator id
    pointing outside the name table must be rejected even though every
