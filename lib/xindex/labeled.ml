@@ -39,7 +39,7 @@ type t = {
          eagerly at construction (one linear scan per link) so the frozen
          index is strictly read-only afterwards — query compilation probes
          this table from several domains at once. *)
-  source : Store.t option; (* the open snapshot, for paged indexes *)
+  source : Store.t option; (* the open snapshot the index was read from *)
 }
 
 type link = {
@@ -302,28 +302,23 @@ let docs_in_range t ~lo ~hi ~f =
    doc-table entry, so the record contains path p iff that entry's serial
    falls in the range of some entry of p's link.  Entries nested in an
    earlier one ([pre <=] its [post]) add nothing: only the outermost
-   ranges are counted.  The doc table is read into an array once and
-   each link scanned front to back; per-entry probes of a compressed doc
-   table would decode (and cache) most of its blocks. *)
+   ranges are counted.  [below.(x)] counts the (member) doc-table entries
+   whose serial is under [x], so a range's count is a difference of two
+   of them: one pass over the doc table, then one over each link. *)
 let path_doc_counts ?member t =
-  let doc_pre = Store.to_array t.doc_pre in
-  let nd = Array.length doc_pre in
-  (* below.(i): member records among doc-table positions [0, i). *)
-  let below =
-    Option.map
-      (fun keep ->
-        let b = Array.make (nd + 1) 0 in
-        for i = 0 to nd - 1 do
-          b.(i + 1) <- (b.(i) + if keep (Store.get t.doc_id i) then 1 else 0)
-        done;
-        b)
-      member
-  in
-  let count lo hi =
-    let first = Bs.lower_bound doc_pre ~len:nd lo in
-    let stop = Bs.upper_bound doc_pre ~len:nd hi in
-    match below with None -> stop - first | Some b -> b.(stop) - b.(first)
-  in
+  let below = Array.make (t.n + 2) 0 in
+  for i = 0 to doc_len t - 1 do
+    let x = doc_pre_at t i in
+    if x < 0 || x > t.n then
+      invalid_arg "Labeled.path_doc_counts: document serial out of range";
+    let counted =
+      match member with None -> true | Some keep -> keep (doc_id_at t i)
+    in
+    if counted then below.(x + 1) <- below.(x + 1) + 1
+  done;
+  for x = 1 to t.n + 1 do
+    below.(x) <- below.(x) + below.(x - 1)
+  done;
   Array.mapi
     (fun slot off ->
       let total = ref 0 and outer_post = ref (-1) in
@@ -331,7 +326,7 @@ let path_doc_counts ?member t =
         let pre = Store.get t.l_pre i in
         if pre > !outer_post then begin
           let post = Store.get t.l_post i in
-          total := !total + count pre post;
+          total := !total + below.(post + 1) - below.(pre);
           outer_post := post
         end
       done;

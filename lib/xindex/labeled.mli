@@ -161,10 +161,12 @@ val add_to_store : ?compact:bool -> t -> Xstorage.Store.t -> unit
 val of_store : Xstorage.Store.t -> t
 (** Rebuilds the index view over the store's regions.  The stored
     dictionary becomes the index's symbol table, entry [i] as path id
-    [i].  Columns keep whatever
-    backing the store has — resident buffers, disk pages behind the
-    buffer pool, or compressed blocks decoded on probe — so opening a
-    snapshot in paged mode yields an index that reads pages on demand.
+    [i].  The link and document columns are the only regions the index
+    keeps, with whatever backing the store gives them — resident
+    buffers, disk pages behind the buffer pool, or compressed blocks
+    decoded on probe — so opening a snapshot in paged mode yields an
+    index that reads pages on demand.  The dictionary and the link
+    directory are read once into heap arrays and the symbol table.
     Snapshots from before the simulated page layout was retired — a
     three-field [meta] region and a [link_base] region — load too; the
     extra fields and region are ignored.  So are the per-node columns

@@ -1207,10 +1207,7 @@ module Transfer = struct
                      scan.Wal.good_bytes e.e_size)
           else Ok ())
     else if Filename.check_suffix e.e_name ".xseq" then
-      match
-        Xstorage.Store.open_file ~mode:Xstorage.Store.Paged ~pool_pages:16
-          ~verify:true path
-      with
+      match Xstorage.Store.open_file path with
       | st ->
         Xstorage.Store.close st;
         Ok ()
@@ -1575,10 +1572,7 @@ module Scrub = struct
     (match ckp with
     | Some c when not (String.equal c.c_base "") -> (
       let path = Filename.concat dirname c.c_base in
-      match
-        Xstorage.Store.open_file ~mode:Xstorage.Store.Paged ~pool_pages:16
-          ~verify:true path
-      with
+      match Xstorage.Store.open_file path with
       | st ->
         Xstorage.Store.close st;
         scanned c.c_base (file_size path)

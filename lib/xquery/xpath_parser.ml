@@ -26,7 +26,12 @@ let is_name_char c =
   || (c >= '0' && c <= '9')
   || c = '_' || c = '-' || c = '.' || c = '@'
 
+(* A step never starts with '.': the lexer takes dots as name characters
+   (tags like [a.b] exist), so [.] and [..] would otherwise parse as
+   tags that no record has, and answer nothing instead of failing. *)
 let parse_name state =
+  if (not (eof state)) && peek state = '.' then
+    fail state "'.' and '..' steps are not supported";
   let start = state.pos in
   while (not (eof state)) && is_name_char (peek state) do
     state.pos <- state.pos + 1

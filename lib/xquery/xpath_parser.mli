@@ -10,6 +10,9 @@
     - relative paths inside predicates may themselves use [/], [//] and
       [*].
 
+    The self and parent steps ([.], [..]) are not supported: a step that
+    starts with a dot is a {!Syntax_error} at the dot's position.
+
     Since the query interface is {e Tree Pattern → P(Doc Ids)}, the result
     of parsing is just the pattern tree; there is no notion of a selected
     step. *)

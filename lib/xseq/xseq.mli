@@ -96,8 +96,10 @@ val query : ?stats:Xquery.Matcher.stats -> t -> Pattern.t -> int list
 (** Ids of the documents containing the pattern, sorted.  Queries whose
     wildcard instantiation or isomorphism expansion would explode fall
     back to an exact linear scan of the kept documents (so answers are
-    never wrong and never lost); with [keep_documents = false] such
-    queries raise {!Xquery.Instantiate.Too_many} instead.
+    never wrong and never lost); a loaded index reads its records from
+    its file for the scan and decodes one at a time.  With
+    [keep_documents = false] such queries raise
+    {!Xquery.Instantiate.Too_many} instead.
     @raise Xquery.Query_seq.Unsupported_strategy for a {!Random} index. *)
 
 val query_xpath : ?stats:Xquery.Matcher.stats -> t -> string -> int list
@@ -168,8 +170,8 @@ val explain : t -> Pattern.t -> Xquery.Engine.explanation
 
 val document : t -> int -> Xmlcore.Xml_tree.t
 (** The original document (requires [keep_documents]).  A loaded index
-    decodes its stored records on the first call (or the first scan
-    fallback of {!query}): once, however many domains race for them.
+    reads and decodes its stored records on the first call: once,
+    however many domains race for them.
     @raise Invalid_argument otherwise or for an unknown id. *)
 
 val doc_count : t -> int
@@ -234,22 +236,23 @@ val built_under : t -> config -> bool
     version-1 snapshot (see {!load}): its file holds labels of the old
     sequencing rules, so it must be rewritten. *)
 
-val load :
-  ?mode:Xstorage.Store.mode -> ?pool_pages:int -> ?verify:bool -> string -> t
+val load : ?mode:Xstorage.Store.mode -> ?pool_pages:int -> string -> t
 (** [load path] restores a saved index; queries answer exactly as on the
-    original.  [mode] (default [Resident]) materialises every column in
-    memory (compressed snapshots stay compressed, decoding blocks on
-    probe); [Paged] leaves the index columns on disk behind a buffer
-    pool of [pool_pages] pages (default 256).  [verify] (default
-    [true]) checks every region checksum up front.
+    original.  [mode] (default [Resident]) reads the label columns and
+    the document table into memory (compressed snapshots stay
+    compressed, decoding blocks on probe); [Paged] leaves them on disk
+    behind a buffer pool of [pool_pages] pages (default 256).  Every
+    region checksum is checked at open.
 
-    The records are not decoded at load.  Their region stays resident as
-    stored, validated in one pass; the index's symbol table is the
-    snapshot's dictionary; the [gbest] statistics are derived from the
-    document table; the record
-    trees are built only when {!document} or the scan fallback of
-    {!query} first needs them.  {!save} writes the region back
-    verbatim.
+    The index's symbol table is the snapshot's dictionary and the
+    [gbest] statistics are derived from the document table.  The
+    records stay in the file: a load validates their region from a
+    transient read and keeps none of it.  {!document} reads and decodes
+    them on its first call and keeps the trees; the scan fallback of
+    {!query} reads them and tests one record at a time, keeping nothing;
+    {!save} copies the region.  Each read checks the region's checksum
+    again.  The index keeps the file open (see {!Xstorage.Store}), so
+    it still reads its records after the file is unlinked or replaced.
 
     A version-1 snapshot (written before symbol tables were per index)
     sorted canonical siblings by process-wide tag id and broke [gbest]

@@ -58,11 +58,24 @@
     Checksums cover the {e stored} bytes, so the corruption guarantees
     are format-independent; {!open_file} dispatches on the magic.
 
-    Opening a compressed snapshot [Resident] keeps the columns
-    compressed in memory (skip tables plus delta bytes) and decodes
-    blocks on probe; [Paged] additionally leaves the delta bytes on
-    disk behind the buffer pool, so the resident cost of a column is
-    its skip tables plus the decoded-block cache.
+    A compressed column read from a [Resident] store stays compressed
+    in memory (skip tables plus delta bytes) and decodes blocks on
+    probe; a [Paged] store leaves the delta bytes on disk behind the
+    buffer pool, so the resident cost of a column is its skip tables
+    plus the decoded-block cache.
+
+    {2 What an open file store holds}
+
+    An open file store keeps its table of contents, its file descriptor
+    and, in [Paged] mode, the handles of its int columns — nothing else.
+    {!open_file} streams every region once to check its checksum and
+    keeps none of the bytes.  {!blob}, and {!ints} on a [Resident]
+    store, read the region from the file when called, check its
+    checksum again and hand the result to the caller, who decides what
+    stays in memory.  The descriptor lives as long as the store: {!close}
+    releases it, or a finaliser once the store and every column handle
+    it gave out are unreachable.  A store whose file was unlinked or
+    replaced after the open therefore still reads its own regions.
 
     {2 Buffer-pool discipline}
 
@@ -114,12 +127,23 @@ val add_blob : t -> string -> string -> unit
 (** Registers a raw byte region. *)
 
 val ints : t -> string -> column
-(** Looks a column region up by name.
-    @raise Invalid_argument if absent or a blob. *)
+(** Looks a column region up by name.  A memory store hands back the
+    column it was given, a [Paged] file store its paged handle.  A
+    [Resident] file store reads the region from the file on every call,
+    checks its checksum and returns a fresh in-memory column (a flat
+    buffer for xseqcol1, a still-compressed column for xseqcol2) that
+    the store does not keep.
+    @raise Invalid_argument if absent or a blob, and, for a region read
+    from the file, on a checksum mismatch, a short read or a closed
+    store. *)
 
 val blob : t -> string -> string
-(** Looks a blob region up by name (blobs are always materialised, even in
-    paged mode).  @raise Invalid_argument if absent or an int column. *)
+(** Looks a blob region up by name.  A file store reads it from the file
+    on every call, in either mode, checks its checksum and decompresses
+    it; the store keeps no copy.
+    @raise Invalid_argument if absent or an int column, and, for a file
+    store, on a checksum mismatch, a corrupt compressed payload, a short
+    read or a closed store. *)
 
 val mem : t -> string -> bool
 
@@ -140,17 +164,15 @@ val write : ?page_size:int -> ?format:file_format -> t -> string -> unit
 
 type mode =
   | Resident
-      (** copy every region into memory: flat buffers for xseqcol1,
-          still-compressed columns for xseqcol2 *)
+      (** {!ints} reads a region into memory when called: a flat buffer
+          for xseqcol1, a still-compressed column for xseqcol2 *)
   | Paged  (** leave int columns on disk behind the buffer pool *)
 
-val open_file : ?mode:mode -> ?pool_pages:int -> ?verify:bool -> string -> t
-(** [open_file path] validates the header and table of contents and
-    returns the store.  [mode] defaults to [Resident].  [pool_pages]
-    (default 256) bounds the paged backend's buffer pool.  [verify]
-    (default [true]) additionally streams every region once to check its
-    checksum — with [false], paged opens skip the scan and trust the
-    (always-verified) header.
+val open_file : ?mode:mode -> ?pool_pages:int -> string -> t
+(** [open_file path] validates the header and table of contents, streams
+    every region once to check its checksum, and returns the store.
+    [mode] defaults to [Resident].  [pool_pages] (default 256) bounds the
+    paged backend's buffer pool.
 
     @raise Invalid_argument naming the failure: bad magic, unsupported
     version, header or region checksum mismatch, truncated file,
@@ -202,7 +224,9 @@ val drop_pool : t -> unit
     query. *)
 
 val close : t -> unit
-(** Closes the underlying file, if any.  Further paged reads raise. *)
+(** Closes the underlying file, if any.  Further paged reads, and reads
+    of regions from the file, raise.  Columns a [Resident] store handed
+    out stay usable. *)
 
 val checksum_bytes : Bytes.t -> int -> int -> int64
 (** FNV-1a 64 over [len] bytes at [off] — exposed for tests. *)

@@ -155,6 +155,22 @@ let test_bad_xpath () =
             (List.assoc "/P/L/S" expected)
             (Client.query c "/P/L/S")))
 
+(* A self step is refused over the wire, its position in the message,
+   rather than parsed as a tag named "." that answers nothing. *)
+let test_self_step () =
+  with_server (Server.Static index_a) (fun _srv addr ->
+      Client.with_connection addr (fun c ->
+          (match Client.query c "//P[.//S]" with
+           | _ -> Alcotest.fail "expected Bad_request"
+           | exception Client.Server_error (P.Bad_request, msg) ->
+             Alcotest.(check bool)
+               ("the message names the position: " ^ msg)
+               true
+               (index_of msg "at position 4" <> None));
+          Alcotest.(check (list int)) "the connection still answers"
+            (List.assoc "/P/L/S" expected)
+            (Client.query c "/P/L/S")))
+
 (* A short XPath with ten identical predicates once held a worker for
    seconds (all 10! sibling permutations were built before the expansion
    budget was checked).  It must now be refused or answered in well
@@ -1254,6 +1270,7 @@ let () =
         [
           Alcotest.test_case "wire = offline" `Quick test_roundtrip;
           Alcotest.test_case "bad xpath" `Quick test_bad_xpath;
+          Alcotest.test_case "self step is a bad request" `Quick test_self_step;
           Alcotest.test_case "identical predicates stay bounded" `Quick
             test_identical_predicates_bounded;
           Alcotest.test_case "address parsing" `Quick test_addr_parse;

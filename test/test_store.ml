@@ -324,6 +324,54 @@ let test_diagnostics format () =
     (fun b -> Bytes.set b (Bytes.length b - 1) '\xff')
     [ "checksum" ]
 
+(* Flips one bit of the file in place, as a disk might under an open
+   store: the open descriptor sees the change. *)
+let flip_in_place path pos =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let b = Bytes.create 1 in
+      ignore (Unix.lseek fd pos Unix.SEEK_SET);
+      if Unix.read fd b 0 1 <> 1 then Alcotest.fail "short read";
+      Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x10));
+      ignore (Unix.lseek fd pos Unix.SEEK_SET);
+      if Unix.write fd b 0 1 <> 1 then Alcotest.fail "short write")
+
+(* A region read after the open is checksummed again before anything
+   uses it.  A byte of the record region flipped once the store is open
+   is reported as that region's checksum mismatch, by [Store.blob] and by
+   a loaded index's [document]: never a decoder's complaint (the LZ
+   decompressor's, the record decoder's), which would mean the bytes were
+   decoded first. *)
+let test_flip_after_open () =
+  let index = Xseq.build (Xdatagen.Dblp_gen.generate ~seed:8 200) in
+  List.iter
+    (fun format ->
+      with_temp "store_flip_open" (fun path ->
+          Xseq.save ~format index path;
+          let store = Store.open_file path in
+          let loaded = Xseq.load path in
+          let docs =
+            List.find (fun r -> r.Store.r_name = "docs") (Store.regions store)
+          in
+          flip_in_place path (docs.Store.r_offset + (docs.Store.r_stored / 2));
+          let mismatch what f =
+            match f () with
+            | _ ->
+              Alcotest.failf "%s %s: a flipped region was read back"
+                (Store.format_name format) what
+            | exception Invalid_argument msg ->
+              Alcotest.(check string)
+                (Store.format_name format ^ " " ^ what)
+                "Store: region \"docs\" checksum mismatch" msg
+          in
+          mismatch "blob" (fun () -> Store.blob store "docs");
+          mismatch "document" (fun () -> Xseq.document loaded 0);
+          Store.close store;
+          Option.iter Store.close (Xseq.backing_store loaded)))
+    [ Store.Col1; Store.Col2 ]
+
 (* --- xsuccinct codecs ----------------------------------------------------- *)
 
 module Varint = Xsuccinct.Varint
@@ -823,6 +871,8 @@ let () =
             (test_diagnostics Store.Col1);
           Alcotest.test_case "diagnostics name the failure (xseqcol2)" `Quick
             (test_diagnostics Store.Col2);
+          Alcotest.test_case "a region flipped after the open fails its read"
+            `Quick test_flip_after_open;
           Alcotest.test_case "inconsistent regions" `Quick
             test_inconsistent_snapshot;
           Alcotest.test_case "inconsistent compact dictionary" `Quick
