@@ -23,9 +23,10 @@ bench:
 # replicated pair's shipping lag / follower read throughput
 # (BENCH_repl.json).
 # ... and the anti-entropy scrub's overhead on a mixed serving
-# workload (BENCH_scrub.json).
+# workload (BENCH_scrub.json), and the words a snapshot load allocates
+# and keeps, symbol table included (BENCH_load.json).
 bench-json:
-	dune exec bench/main.exe -- parallel shard storage server ingest faults repl scrub
+	dune exec bench/main.exe -- parallel shard storage server ingest faults repl scrub load
 
 # Perf regression gate: rerun every experiment bench/gate.py gates
 # (parallel, shard, storage, server, repl, scrub) at its default

@@ -534,6 +534,105 @@ let ablation_bulk () =
   row "total" (List.map (fun (_, ts) -> List.fold_left ( +. ) 0. ts) columns);
   flush stdout
 
+(* ------------------------------------------------------------------ *)
+(* Load layer: what restoring a snapshot allocates and keeps.          *)
+(* ------------------------------------------------------------------ *)
+
+(* Words allocated since the program started: the minor heap counted
+   exactly, plus what went straight to the major heap. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+let live_words () =
+  Gc.full_major ();
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* [Xseq.load] of a DBLP snapshot served resident and of a compressed
+   XMark snapshot served paged: the words a load allocates, the words
+   the loaded index keeps after a full collection, the words its symbol
+   table reaches, and the median load time.  Word counts are
+   deterministic; every number is taken after a warm-up load.  Sizes:
+   XSEQ_BENCH_LOAD_DBLP, XSEQ_BENCH_LOAD_XMARK (records) and
+   XSEQ_BENCH_LOAD_REPS (timed loads). *)
+let load_bench () =
+  header "Load layer: words allocated and retained by Xseq.load";
+  let reps = env_int "XSEQ_BENCH_LOAD_REPS" 5 in
+  let configs =
+    [
+      ( "dblp_xseqcol1_resident",
+        Xdatagen.Dblp_gen.generate
+          (env_int "XSEQ_BENCH_LOAD_DBLP" (n_scaled 20_000)),
+        Xstorage.Store.Col1,
+        Xstorage.Store.Resident );
+      ( "xmark_xseqcol2_paged",
+        Xdatagen.Xmark_gen.generate ~identical_siblings:true
+          (env_int "XSEQ_BENCH_LOAD_XMARK" (n_scaled 10_000)),
+        Xstorage.Store.Col2,
+        Xstorage.Store.Paged );
+    ]
+  in
+  let rows =
+    List.map
+      (fun (name, docs, format, mode) ->
+        let path = Filename.temp_file "xseq_bench_load" ".xseq" in
+        Fun.protect
+          ~finally:(fun () -> Sys.remove path)
+          (fun () ->
+            Xseq.save ~format (Xseq.build docs) path;
+            let load () = Xseq.load ~mode ~pool_pages:64 path in
+            let close t =
+              Option.iter Xstorage.Store.close (Xseq.backing_store t)
+            in
+            close (load ());
+            let before = allocated_words () in
+            let t = load () in
+            let allocated = allocated_words () -. before in
+            close t;
+            let before = live_words () in
+            let t = load () in
+            let retained = live_words () - before in
+            let symtab =
+              Obj.reachable_words
+                (Obj.repr (Xindex.Labeled.symbols (Xseq.labeled t)))
+            in
+            let paths = Sequencing.Symtab.path_count (Xseq.symbols t) in
+            close t;
+            let times =
+              Array.init reps (fun _ ->
+                  let t, dt = time load in
+                  close t;
+                  ms dt)
+            in
+            Array.sort compare times;
+            let load_ms = times.(reps / 2) in
+            Printf.printf
+              "%-24s %6d records %6d paths: allocated %.0f words, retained \
+               %d, symbol table %d, load %.1f ms\n%!"
+              name (Array.length docs) paths allocated retained symtab load_ms;
+            ( name,
+              Array.length docs,
+              paths,
+              allocated,
+              retained,
+              symtab,
+              load_ms )))
+      configs
+  in
+  write_json "load" (fun oc ->
+      Printf.fprintf oc "{\n  \"reps\": %d,\n  \"runs\": [\n" reps;
+      List.iteri
+        (fun i (name, records, paths, allocated, retained, symtab, load_ms) ->
+          Printf.fprintf oc
+            "    {\"config\": %S, \"records\": %d, \"paths\": %d, \
+             \"allocated_words\": %.0f, \"retained_words\": %d, \
+             \"symtab_words\": %d, \"load_ms\": %.2f}%s\n"
+            name records paths allocated retained symtab load_ms
+            (if i = List.length rows - 1 then "" else ","))
+        rows;
+      Printf.fprintf oc "  ]\n}\n")
+
 (* Hashed vs character-sequence value representation (Section 2.1). *)
 let ablation_valuemode () =
   header
@@ -1856,6 +1955,7 @@ let experiments =
     ("ablation-buffer", ablation_buffer);
     ("ablation-bulk", ablation_bulk);
     ("ablation-valuemode", ablation_valuemode);
+    ("load", load_bench);
     ("parallel", parallel);
     ("shard", shard_bench);
     ("storage", storage);

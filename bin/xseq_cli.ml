@@ -1812,8 +1812,8 @@ let info_cmd =
       guard_snapshot input (fun () ->
           let store = Store.open_file input in
           let region name = Store.ints store name in
-          let xmeta = Store.to_array (region "xseq_meta") in
-          let imeta = Store.to_array (region "meta") in
+          let xmeta = Store.int_array store "xseq_meta" in
+          let imeta = Store.int_array store "meta" in
           if Array.length xmeta <> 9 || Array.length imeta = 0 then
             invalid_arg "malformed xseq_meta/meta region";
           ( store,

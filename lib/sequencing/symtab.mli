@@ -10,12 +10,23 @@
     Every index owns its table.  A build creates an empty one and its
     sequential flatten phase is the only writer: designators and paths
     get ids in first-seen order, from [Path.epsilon = 0].  A loaded
-    index builds its table from the snapshot's stored dictionary, so its
-    path ids are dictionary indexes.  Once the index exists the table is
-    only read — by parallel encoding and by query compilation, from any
-    number of domains — and it is dropped with the index.  A name the
-    index lacks is simply absent ({!Designator.find_tag},
-    {!Path.find_child}), so a query that mentions it misses cleanly.
+    index builds its table with {!of_dictionary} from the snapshot's
+    stored dictionary, at its final size, so its path ids are dictionary
+    indexes.  Once the index exists the table is only read — by
+    parallel encoding and by query compilation, from any number of
+    domains — and it is dropped with the index.  A name the index lacks
+    is simply absent ({!Designator.find_tag}, {!Path.find_child}), so a
+    query that mentions it misses cleanly.
+
+    The table is flat: designators and paths are columns indexed by id
+    (a designator's name and kind; a path's parent, last designator,
+    depth and element-child thread), and each has an open-addressing
+    index of ids (a power-of-two [int array], linear probing, at most
+    half full) whose keys are read back from those columns.  One index
+    serves both designator namespaces, the kind folded into the hash
+    and the equality test.  Interning a new designator or path allocates
+    nothing but the growth of those arrays, and a lookup allocates
+    nothing.
 
     Ids mean nothing outside their table: compare paths of two indexes
     by their names ({!Path.to_list} and {!Designator.name}). *)
@@ -24,6 +35,25 @@ type t
 
 val create : unit -> t
 (** An empty table: no designators, and the one path {!Path.epsilon}. *)
+
+val of_dictionary :
+  kinds:int array ->
+  names:string array ->
+  parents:int array ->
+  desigs:int array ->
+  t
+(** [of_dictionary ~kinds ~names ~parents ~desigs] is the table of a
+    stored path dictionary, sized to fit it.  [kinds] and [names] are a
+    designator table: entry [j] is a tag ([kinds.(j) = 0]) or a value
+    ([1]) named [names.(j)], interned in table order.  Dictionary entry
+    [0] is {!Path.epsilon} ([parents.(0)] and [desigs.(0)] negative);
+    entry [i > 0] extends entry [parents.(i) < i] by designator
+    [desigs.(i)], and becomes path [i].
+    @raise Invalid_argument naming the violated condition: ["dictionary
+    region sizes"], ["dictionary root"], ["root entry with a
+    designator"], ["designator kind out of range"], ["dictionary parent
+    order"], ["designator id out of range"] or ["duplicate dictionary
+    entry"]. *)
 
 val path_count : t -> int
 (** Paths in the table, [epsilon] included; every path id is below it. *)

@@ -34,11 +34,12 @@ type t = {
   l_up : Store.column;
   doc_pre : Store.column; (* sorted *)
   doc_id : Store.column;
-  multi : bool array;
-      (* Per-slot "some document carries this path twice" flags.  Computed
-         eagerly at construction (one linear scan per link) so the frozen
-         index is strictly read-only afterwards — query compilation probes
-         this table from several domains at once. *)
+  multi : Bytes.t;
+      (* Per-slot "some document carries this path twice" flags, '\001'
+         when set.  Computed eagerly at construction (one linear scan per
+         link) so the frozen index is strictly read-only afterwards —
+         query compilation probes this table from several domains at
+         once. *)
   source : Store.t option; (* the open snapshot the index was read from *)
 }
 
@@ -118,8 +119,9 @@ let assemble ~symbols ~post ~path ~up ends =
   let slot = Array.make width (-1) in
   Array.iteri (fun s p -> slot.(Path.to_int p) <- s) link_path_t;
   let multi =
-    Array.init nlinks (fun slot ->
-        has_nested l_pre l_post link_off.(slot) link_len.(slot))
+    Bytes.init nlinks (fun slot ->
+        if has_nested l_pre l_post link_off.(slot) link_len.(slot) then '\001'
+        else '\000')
   in
   (* Document table sorted by end-node serial. *)
   Array.sort (fun (a, _) (b, _) -> Stdlib.compare a b) ends;
@@ -305,12 +307,12 @@ let docs_in_range t ~lo ~hi ~f =
    ranges are counted.  [below.(x)] counts the (member) doc-table entries
    whose serial is under [x], so a range's count is a difference of two
    of them: one pass over the doc table, then one over each link. *)
-let path_doc_counts ?member t =
+let path_frequencies ?member t =
   let below = Array.make (t.n + 2) 0 in
   for i = 0 to doc_len t - 1 do
     let x = doc_pre_at t i in
     if x < 0 || x > t.n then
-      invalid_arg "Labeled.path_doc_counts: document serial out of range";
+      invalid_arg "Labeled.path_frequencies: document serial out of range";
     let counted =
       match member with None -> true | Some keep -> keep (doc_id_at t i)
     in
@@ -319,22 +321,34 @@ let path_doc_counts ?member t =
   for x = 1 to t.n + 1 do
     below.(x) <- below.(x) + below.(x - 1)
   done;
-  Array.mapi
-    (fun slot off ->
-      let total = ref 0 and outer_post = ref (-1) in
-      for i = off to off + t.link_len.(slot) - 1 do
-        let pre = Store.get t.l_pre i in
-        if pre > !outer_post then begin
-          let post = Store.get t.l_post i in
-          total := !total + below.(post + 1) - below.(pre);
-          outer_post := post
-        end
-      done;
-      (dict_path t t.link_path.(slot), !total))
-    t.link_off
+  let freq = Array.make (Symtab.path_count t.symbols) 0 in
+  for slot = 0 to Array.length t.link_off - 1 do
+    let total = ref 0 and outer_post = ref (-1) in
+    let off = t.link_off.(slot) in
+    for i = off to off + t.link_len.(slot) - 1 do
+      let pre = Store.get t.l_pre i in
+      if pre > !outer_post then begin
+        let post = Store.get t.l_post i in
+        total := !total + below.(post + 1) - below.(pre);
+        outer_post := post
+      end
+    done;
+    freq.(Path.to_int (dict_path t t.link_path.(slot))) <- !total
+  done;
+  freq
+
+let path_doc_counts ?member t =
+  let freq = path_frequencies ?member t in
+  Array.map
+    (fun i ->
+      let p = dict_path t i in
+      (p, freq.(Path.to_int p)))
+    t.link_path
 
 let path_multiple t p =
-  match slot_of t p with -1 -> false | slot -> t.multi.(slot)
+  match slot_of t p with
+  | -1 -> false
+  | slot -> Bytes.get t.multi slot <> '\000'
 
 let distinct_paths t = Array.length t.link_len
 let backing_store t = t.source
@@ -445,7 +459,9 @@ let add_to_store ?(compact = false) t store =
   Store.add_ints store "link_path" (Store.heap t.link_path);
   Store.add_ints store "link_len" (Store.heap t.link_len);
   Store.add_ints store "link_multi"
-    (Store.heap (Array.map (fun b -> if b then 1 else 0) t.multi));
+    (Store.heap
+       (Array.init (Bytes.length t.multi) (fun s ->
+            Char.code (Bytes.get t.multi s))));
   Store.add_ints store "l_pre" t.l_pre;
   Store.add_ints store "l_post" t.l_post;
   Store.add_ints store "l_up" t.l_up;
@@ -455,7 +471,8 @@ let add_to_store ?(compact = false) t store =
 let corrupt msg = invalid_arg ("Labeled.of_store: inconsistent snapshot: " ^ msg)
 
 let of_store store =
-  let meta = Store.to_array (Store.ints store "meta") in
+  let ints = Store.int_array store in
+  let meta = ints "meta" in
   (* Snapshots written before the simulated page layout was retired carry
      two more meta fields (its byte offsets) and a [link_base] region;
      both are ignored. *)
@@ -467,67 +484,46 @@ let of_store store =
      epsilon first, every other entry extending an earlier one.
      Compact (xseqcol2) snapshots name each entry's designator by an id
      into a front-coded (kind, name) table; legacy snapshots spell each
-     entry out. *)
-  let parent = Store.to_array (Store.ints store "dict_parent") in
-  let ndict = Array.length parent in
-  let symbols = Symtab.create () in
-  let designator kind name =
-    match kind with
-    | 0 -> D.tag symbols name
-    | 1 -> D.value symbols name
-    | _ -> corrupt "designator kind out of range"
-  in
-  let entry_designator =
-    if Store.mem store "dict_desig" then begin
-      let desig = Store.to_array (Store.ints store "dict_desig") in
-      let dkind = Store.to_array (Store.ints store "desig_kind") in
-      let dnames =
-        try
-          Xsuccinct.Frontcode.decode
-            ~name:"Labeled.of_store: inconsistent snapshot: designator names"
-            (Store.blob store "desig_names")
-        with Invalid_argument _ -> corrupt "designator name table"
-      in
-      let ndesig = Array.length dnames in
-      if Array.length desig <> ndict || Array.length dkind <> ndesig then
-        corrupt "dictionary region sizes";
-      let desigs =
-        Array.init ndesig (fun i -> designator dkind.(i) dnames.(i))
-      in
-      if ndict > 0 && desig.(0) >= 0 then
-        corrupt "root entry with a designator";
-      fun i ->
-        if desig.(i) < 0 || desig.(i) >= ndesig then
-          corrupt "designator id out of range";
-        desigs.(desig.(i))
-    end
+     entry out, which makes entry i > 0 designator i - 1 of a table
+     with repeats. *)
+  let parents = ints "dict_parent" in
+  let ndict = Array.length parents in
+  if ndict = 0 then corrupt "dictionary root";
+  let kinds, names, desigs =
+    if Store.mem store "dict_desig" then
+      ( ints "desig_kind",
+        (try
+           Xsuccinct.Frontcode.decode
+             ~name:"Labeled.of_store: inconsistent snapshot: designator names"
+             (Store.blob store "desig_names")
+         with Invalid_argument _ -> corrupt "designator name table"),
+        ints "dict_desig" )
     else begin
-      let kind = Store.to_array (Store.ints store "dict_kind") in
-      let name_off = Store.to_array (Store.ints store "dict_name_off") in
+      let kind = ints "dict_kind" in
+      let name_off = ints "dict_name_off" in
       let names = Store.blob store "dict_names" in
       if Array.length kind <> ndict || Array.length name_off <> ndict + 1 then
         corrupt "dictionary region sizes";
-      fun i ->
-        let lo = name_off.(i) and hi = name_off.(i + 1) in
-        if lo < 0 || hi < lo || hi > String.length names then
-          corrupt "dictionary name offsets";
-        designator kind.(i) (String.sub names lo (hi - lo))
+      ( Array.sub kind 1 (ndict - 1),
+        Array.init (ndict - 1) (fun j ->
+            let lo = name_off.(j + 1) and hi = name_off.(j + 2) in
+            if lo < 0 || hi < lo || hi > String.length names then
+              corrupt "dictionary name offsets";
+            String.sub names lo (hi - lo)),
+        Array.init ndict (fun i -> i - 1) )
     end
   in
-  if ndict = 0 || parent.(0) >= 0 then corrupt "dictionary root";
-  for i = 1 to ndict - 1 do
-    if parent.(i) < 0 || parent.(i) >= i then corrupt "dictionary parent order";
-    let p =
-      Path.child symbols (Path.of_int symbols parent.(i)) (entry_designator i)
-    in
-    if Path.to_int p <> i then corrupt "duplicate dictionary entry"
-  done;
+  let symbols =
+    match Symtab.of_dictionary ~kinds ~names ~parents ~desigs with
+    | symbols -> symbols
+    | exception Invalid_argument what -> corrupt what
+  in
   (* Snapshots written before the per-node columns were retired also
      carry [node_pre], [node_post], [node_path], [l_node] and [link_off];
      they are ignored, [link_off] being the prefix sums of [link_len]. *)
-  let link_path = Store.to_array (Store.ints store "link_path") in
-  let link_len = Store.to_array (Store.ints store "link_len") in
-  let link_multi = Store.to_array (Store.ints store "link_multi") in
+  let link_path = ints "link_path" in
+  let link_len = ints "link_len" in
+  let link_multi = ints "link_multi" in
   let nlinks = Array.length link_path in
   if Array.length link_len <> nlinks || Array.length link_multi <> nlinks then
     corrupt "link directory sizes";
@@ -571,6 +567,8 @@ let of_store store =
     l_up;
     doc_pre;
     doc_id;
-    multi = Array.map (fun x -> x <> 0) link_multi;
+    multi =
+      Bytes.init nlinks (fun s ->
+          if link_multi.(s) <> 0 then '\001' else '\000');
     source = Some store;
   }

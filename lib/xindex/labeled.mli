@@ -130,12 +130,17 @@ val docs_between : t -> first:int -> last:int -> f:(int -> unit) -> unit
     callers that located the span themselves (e.g. with instrumented
     probes). *)
 
+val path_frequencies : ?member:(int -> bool) -> t -> int array
+(** Per path id of {!symbols}, the number of documents whose sequence
+    contains the path (0 for a path without a link) — the document
+    frequency the [gbest] statistics count over the records, derived
+    from the labels and the document table alone.  With [member], only
+    documents whose id satisfies it are counted.  One pass over the
+    document table and one over the link columns. *)
+
 val path_doc_counts : ?member:(int -> bool) -> t -> (Path.t * int) array
-(** For every path with a link, the number of documents whose sequence
-    contains it — the document frequency the [gbest] statistics count
-    over the records, derived from the labels and the document table
-    alone.  With [member], only documents whose id satisfies it are
-    counted.  One pass over the link columns, O(entries × log docs). *)
+(** {!path_frequencies} as [(path, count)] pairs, one for every path
+    with a link, in link order. *)
 
 val distinct_paths : t -> int
 (** Number of horizontal links. *)
@@ -165,8 +170,10 @@ val of_store : Xstorage.Store.t -> t
     keeps, with whatever backing the store gives them — resident
     buffers, disk pages behind the buffer pool, or compressed blocks
     decoded on probe — so opening a snapshot in paged mode yields an
-    index that reads pages on demand.  The dictionary and the link
-    directory are read once into heap arrays and the symbol table.
+    index that reads pages on demand.  The dictionary regions are read
+    once, straight into arrays, and become the symbol table
+    ({!Sequencing.Symtab.of_dictionary}); the link directory regions are
+    read the same way and kept as heap arrays.
     Snapshots from before the simulated page layout was retired — a
     three-field [meta] region and a [link_base] region — load too; the
     extra fields and region are ignored.  So are the per-node columns

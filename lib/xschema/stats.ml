@@ -15,7 +15,7 @@ type t = {
    path), parents first (a path's id is always above its parent's): seen
    paths by frequency, unseen ones decaying from their parent.  Computed
    once, so pricing only reads. *)
-let make symbols ~docs freq =
+let of_frequencies symbols ~docs freq =
   let n = Array.length freq in
   let p = Array.make n 1.0 in
   for id = 1 to n - 1 do
@@ -52,7 +52,7 @@ let count ?value_mode ?(symbols = Symtab.create ()) ~keep docs =
             freq.(p) <- freq.(p) + 1
           end))
     paths;
-  make symbols ~docs:!counted freq
+  of_frequencies symbols ~docs:!counted freq
 
 let of_documents_array ?value_mode ?symbols docs =
   count ?value_mode ?symbols ~keep:(fun _ -> true) docs
@@ -69,11 +69,6 @@ let sample_members ~fraction ~seed n =
 let sample ?value_mode ?symbols ~fraction ~seed docs =
   let m = sample_members ~fraction ~seed (Array.length docs) in
   count ?value_mode ?symbols ~keep:(fun i -> m.(i)) docs
-
-let of_path_counts symbols ~docs counts =
-  let freq = Array.make (Symtab.path_count symbols) 0 in
-  Array.iter (fun (p, n) -> freq.(Path.to_int p) <- max 0 n) counts;
-  make symbols ~docs freq
 
 let symbols t = t.symbols
 let doc_count t = t.docs

@@ -47,13 +47,15 @@ val sample_members : fraction:float -> seed:int -> int -> bool array
     from the persisted (seed, fraction) and its record count, so its
     statistics cover the same sample without the documents. *)
 
-val of_path_counts :
-  Sequencing.Symtab.t -> docs:int -> (Sequencing.Symtab.Path.t * int) array -> t
+val of_frequencies : Sequencing.Symtab.t -> docs:int -> int array -> t
 (** Statistics from precomputed document frequencies over the paths of
-    a table: [docs] documents, of which [n] contain path [p] for each
-    [(p, n)].  Paths with a zero count are treated as unseen.  Used by a
-    build, which counts as it flattens, and to derive the statistics of
-    a loaded index from its document table instead of its records. *)
+    a table: [docs] documents, of which [freq.(id)] contain path [id]
+    ([freq] has at most one count per path of the table).  A path with
+    a zero count, or beyond the array, is treated as unseen.  The
+    statistics keep [freq], which the caller must not change
+    afterwards.  Used by a build, which counts as it flattens, and to
+    derive the statistics of a loaded index from its document table
+    instead of its records. *)
 
 val symbols : t -> Sequencing.Symtab.t
 (** The table whose paths these statistics price. *)

@@ -194,19 +194,13 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
         in
         let strategy, stats =
           resolve_strategy config symbols (fun () ->
-              let counts = ref [] in
-              for p = Array.length census.freq - 1 downto 0 do
-                if census.freq.(p) > 0 then
-                  counts := (Path.of_int symbols p, census.freq.(p)) :: !counts
-              done;
               let docs =
                 match sample with
                 | Some m ->
                   Array.fold_left (fun n b -> if b then n + 1 else n) 0 m
                 | None -> ndocs
               in
-              Xschema.Stats.of_path_counts symbols ~docs
-                (Array.of_list !counts))
+              Xschema.Stats.of_frequencies symbols ~docs census.freq)
         in
         (* Each path's priority is computed once, not once per node. *)
         let encode_strategy =
@@ -577,31 +571,31 @@ let save ?(format = Store.Col1) t path =
   Store.write ~page_size ~format store path
 
 (* The [gbest] statistics of a loaded index, read off its document table
-   instead of its records (see [Xindex.Labeled.path_doc_counts]); a
+   instead of its records (see [Xindex.Labeled.path_frequencies]); a
    sampled model counts the same Bernoulli sample [Stats.sample] drew at
    build time. *)
 let index_stats config labeled ndocs =
   let module Stats = Xschema.Stats in
   let symbols = Xindex.Labeled.symbols labeled in
   if config.sample_fraction >= 1.0 then
-    Stats.of_path_counts symbols ~docs:ndocs
-      (Xindex.Labeled.path_doc_counts labeled)
+    Stats.of_frequencies symbols ~docs:ndocs
+      (Xindex.Labeled.path_frequencies labeled)
   else begin
     let m =
       Stats.sample_members ~fraction:config.sample_fraction
         ~seed:config.sample_seed ndocs
     in
     let member id = id >= 0 && id < ndocs && m.(id) in
-    Stats.of_path_counts symbols
+    Stats.of_frequencies symbols
       ~docs:(Array.fold_left (fun n b -> if b then n + 1 else n) 0 m)
-      (Xindex.Labeled.path_doc_counts ~member labeled)
+      (Xindex.Labeled.path_frequencies ~member labeled)
   end
 
 let restore store =
   let bad msg = invalid_arg ("Xseq.load: " ^ msg) in
   if not (Store.mem store "xseq_meta" && Store.mem store "docs") then
     bad "not an xseq index snapshot (missing xseq_meta/docs regions)";
-  let meta = Store.to_array (Store.ints store "xseq_meta") in
+  let meta = Store.int_array store "xseq_meta" in
   if Array.length meta <> 9 then bad "malformed xseq_meta region";
   if meta.(0) <> 1 && meta.(0) <> snapshot_version then
     bad (Printf.sprintf "unsupported snapshot version %d" meta.(0));

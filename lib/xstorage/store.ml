@@ -300,8 +300,12 @@ let read_prefix = "Store: "
    come out as "Store: region \"l_pre\": <what broke>". *)
 let codec_name name = Printf.sprintf "Store: region %S" name
 
-(* A multiple of 8, so an int element never straddles two chunks. *)
+(* Multiples of 8, so an int element never straddles two chunks.  The
+   open streams every region through one [chunk_bytes] scratch; a region
+   read when asked for gets its own [read_chunk_bytes] chunk, the only
+   allocation beyond its result. *)
 let chunk_bytes = 65536
+let read_chunk_bytes = 16384
 
 (* Streams region [e] through [buf] a chunk at a time, each read under
    the lock, handing [sink buf at n] the chunk's stored bytes (region
@@ -324,7 +328,7 @@ let stream_region ~prefix r e ~buf sink =
   if not (Int64.equal !h e.e_crc) then
     fail_with prefix "region %S checksum mismatch" e.e_name
 
-let chunk_for e = Bytes.create (min chunk_bytes e.e_padded)
+let chunk_for e = Bytes.create (min read_chunk_bytes e.e_padded)
 
 (* The stored bytes of a region, in the string they are handed over in. *)
 let read_stored r e =
@@ -349,23 +353,32 @@ let parse_packed ~prefix e fetch =
       e.e_name (Xsuccinct.Packed.count ph) e.e_count;
   ph
 
+(* Hands every element of the xseqcol1 int region [e] to [set i x],
+   decoded a chunk at a time. *)
+let stream_ints r e set =
+  stream_region ~prefix:read_prefix r e ~buf:(chunk_for e) (fun buf at n ->
+      for k = 0 to (n / 8) - 1 do
+        set ((at / 8) + k) (Int64.to_int (Bytes.get_int64_le buf (8 * k)))
+      done)
+
+(* An xseqcol2 int region's header, over the stored bytes read into
+   memory. *)
+let read_packed r e =
+  let data = read_stored r e in
+  let fetch o l = String.sub data o l in
+  (parse_packed ~prefix:read_prefix e fetch, fetch)
+
 (* A resident int region: xseqcol1 elements are decoded straight into a
-   flat buffer, a chunk at a time; an xseqcol2 column stays compressed
-   in the string it was read into, blocks decoded on probe. *)
+   flat buffer; an xseqcol2 column stays compressed in the string it was
+   read into, blocks decoded on probe. *)
 let read_ints r e =
   if e.e_kind = k_ints then begin
     let fb = Bigarray.Array1.create Bigarray.int Bigarray.c_layout e.e_count in
-    stream_region ~prefix:read_prefix r e ~buf:(chunk_for e) (fun buf at n ->
-        for k = 0 to (n / 8) - 1 do
-          Bigarray.Array1.unsafe_set fb ((at / 8) + k)
-            (Int64.to_int (Bytes.get_int64_le buf (8 * k)))
-        done);
+    stream_ints r e (Bigarray.Array1.unsafe_set fb);
     Flat fb
   end
   else begin
-    let data = read_stored r e in
-    let fetch o l = String.sub data o l in
-    let ph = parse_packed ~prefix:read_prefix e fetch in
+    let ph, fetch = read_packed r e in
     Packed (packed_col ~paged:false ph fetch)
   end
 
@@ -380,13 +393,29 @@ let read_blob r e =
     raw
   end
 
+let not_ints name =
+  invalid_arg (Printf.sprintf "Store: region %S is a blob, not ints" name)
+
 let ints t name =
   match find t name with
   | R_ints c | R_file { handle = Some c; _ } -> c
   | R_file { r; e; handle = None } when not (is_blob_kind e.e_kind) ->
     read_ints r e
-  | R_blob _ | R_file _ ->
-    invalid_arg (Printf.sprintf "Store: region %S is a blob, not ints" name)
+  | R_blob _ | R_file _ -> not_ints name
+
+let int_array t name =
+  match find t name with
+  | R_ints c | R_file { handle = Some c; _ } -> to_array c
+  | R_file { r; e; handle = None } when not (is_blob_kind e.e_kind) ->
+    if e.e_kind = k_ints then begin
+      let a = Array.make e.e_count 0 in
+      stream_ints r e (Array.unsafe_set a);
+      a
+    end
+    else
+      let ph, fetch = read_packed r e in
+      Xsuccinct.Packed.decode_all ph ~fetch
+  | R_blob _ | R_file _ -> not_ints name
 
 let blob t name =
   match find t name with

@@ -137,6 +137,13 @@ val ints : t -> string -> column
     from the file, on a checksum mismatch, a short read or a closed
     store. *)
 
+val int_array : t -> string -> int array
+(** The elements of a column region, in a fresh OCaml array.  A
+    [Resident] file store decodes the region from the file straight
+    into the array (no intermediate column); other stores copy the
+    column {!ints} returns.
+    @raise Invalid_argument as {!ints} does. *)
+
 val blob : t -> string -> string
 (** Looks a blob region up by name.  A file store reads it from the file
     on every call, in either mode, checks its checksum and decompresses

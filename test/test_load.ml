@@ -685,10 +685,12 @@ let allocated_words () =
 
 (* Words allocated by a load of a fixed 2,000-record DBLP snapshot,
    measured after a warm-up load; word counts do not depend on the
-   machine.  The load, symbol table included, measured about 0.38M
-   words.  Decoding the records as part of it costs about 0.39M more,
-   and recounting the statistics over them (as loads once did) brings
-   it to 3.9M, so a change that materialises them again fails here. *)
+   machine.  The load, symbol table included, measured 478k words with
+   a hashtable symbol table and 332k with the flat one, built at its
+   final size from arrays the dictionary regions are read into.
+   Decoding the records as part of it costs about 0.39M more, and
+   recounting the statistics over them (as loads once did) brings it to
+   3.9M, so a change that materialises them again fails here. *)
 let load_word_bound = 550_000.
 
 let test_load_allocation () =
@@ -708,8 +710,9 @@ let test_load_allocation () =
    the symbol table, the link directory and the statistics; the label
    columns are flat buffers, outside the heap.  The record region
    (505k bytes, 63k words) and the dictionary's names stay in the file.
-   Measured 171k words; a store that kept its regions in memory
-   retained 252k, more than the bound plus the record region. *)
+   Measured 137k words (171k with a hashtable symbol table); a store
+   that kept its regions in memory retained 252k, more than the bound
+   plus the record region. *)
 let retained_word_bound = 180_000
 
 let test_load_retention () =
@@ -725,6 +728,26 @@ let test_load_retention () =
       if words > retained_word_bound then
         Alcotest.failf "a load retained %d words (bound %d)" words
           retained_word_bound)
+
+(* Words the symbol table of the same loaded index reaches: its name
+   and path columns, its two open-addressing id indexes and the
+   designator names.  Measured 97k words; the table of three hashtables
+   and doubling arrays it replaced reached 126k. *)
+let symtab_word_bound = 105_000
+
+let test_symtab_footprint () =
+  let docs = Xdatagen.Dblp_gen.generate ~seed:2024 2000 in
+  with_temp_file (fun path ->
+      Xseq.save (Xseq.build docs) path;
+      let loaded = Xseq.load path in
+      let words =
+        Obj.reachable_words
+          (Obj.repr (Labeled.symbols (Xseq.labeled loaded)))
+      in
+      Option.iter Store.close (Xseq.backing_store loaded);
+      if words > symtab_word_bound then
+        Alcotest.failf "a loaded symbol table reaches %d words (bound %d)"
+          words symtab_word_bound)
 
 let () =
   Alcotest.run "load"
@@ -776,5 +799,7 @@ let () =
             test_load_allocation;
           Alcotest.test_case "a load retains no regions" `Quick
             test_load_retention;
+          Alcotest.test_case "a loaded symbol table is flat" `Quick
+            test_symtab_footprint;
         ] );
     ]

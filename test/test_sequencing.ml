@@ -103,6 +103,254 @@ let test_element_children () =
   Alcotest.(check bool) "find_child misses" true
     (Path.find_child sy parent (D.tag sy "ec_nonexistent") = None)
 
+(* --- symbol table against a model ----------------------------------------- *)
+
+(* Names for the model: short ones over a small alphabet (so tags and
+   values collide), the empty string, and long ones. *)
+let model_name rng =
+  let len =
+    match Random.State.int rng 20 with
+    | 0 -> 0
+    | 1 -> 200 + Random.State.int rng 800
+    | _ -> 1 + Random.State.int rng 6
+  in
+  String.init len (fun _ -> Char.chr (Char.code 'a' + Random.State.int rng 4))
+
+(* Paths spelled out by name, values before tags at each step, as the
+   model orders them. *)
+let model_spelling tbl p =
+  List.map
+    (fun d -> (if D.is_value tbl d then 0 else 1), D.name tbl d)
+    (Path.to_list tbl p)
+
+let test_symtab_model () =
+  let rng = Random.State.make [| 42 |] in
+  let tbl = Symtab.create () in
+  (* The model: (is_value, name) -> designator, and (parent, designator)
+     -> (path, designator); ids count up in first-seen order. *)
+  let desigs = Hashtbl.create 64 and all_desigs = ref [||] in
+  let edges = Hashtbl.create 64 and npaths = ref 1 in
+  let intern_desig is_value name =
+    let d = if is_value then D.value tbl name else D.tag tbl name in
+    (match Hashtbl.find_opt desigs (is_value, name) with
+     | Some want -> Alcotest.(check int) "designator is stable" want (d :> int)
+     | None ->
+       Alcotest.(check int) "designators in first-seen order"
+         (Hashtbl.length desigs) (d :> int);
+       Hashtbl.replace desigs (is_value, name) (d :> int);
+       all_desigs := Array.append !all_desigs [| d |]);
+    d
+  in
+  (* The same string as a tag and as a value, and the empty string. *)
+  List.iter
+    (fun name ->
+      ignore (intern_desig false name);
+      ignore (intern_desig true name))
+    [ ""; "x"; "both" ];
+  (* Enough edges to double the path index at least three times. *)
+  while !npaths < 6_000 do
+    let d = intern_desig (Random.State.bool rng) (model_name rng) in
+    let parent = Random.State.int rng !npaths in
+    let p = Path.to_int (Path.child tbl (Path.of_int tbl parent) d) in
+    match Hashtbl.find_opt edges (parent, (d :> int)) with
+    | Some (want, _) -> Alcotest.(check int) "path is stable" want p
+    | None ->
+      Alcotest.(check int) "paths in first-seen order" !npaths p;
+      Hashtbl.replace edges (parent, (d :> int)) (p, d);
+      incr npaths
+  done;
+  Alcotest.(check int) "path count" !npaths (Symtab.path_count tbl);
+  (* Many small tables of names that are both a tag and a value: their
+     probe chains cross often, so a probe that confused the namespaces
+     would show. *)
+  for _ = 1 to 500 do
+    let small = Symtab.create () in
+    let names = List.init 30 (fun i -> model_name rng ^ string_of_int i) in
+    List.iteri
+      (fun i name ->
+        let first_tag = i mod 2 = 0 in
+        let a = if first_tag then D.tag small name else D.value small name in
+        let b = if first_tag then D.value small name else D.tag small name in
+        Alcotest.(check int) "two designators per name" ((2 * i) + 1)
+          (b :> int);
+        Alcotest.(check bool) "kinds differ" true
+          (D.is_value small a <> D.is_value small b))
+      names;
+    List.iteri
+      (fun i name ->
+        let tag, value =
+          if i mod 2 = 0 then (2 * i, (2 * i) + 1) else ((2 * i) + 1, 2 * i)
+        in
+        Alcotest.(check (option int)) "small find_tag" (Some tag)
+          (Option.map (fun (d : D.t) -> (d :> int)) (D.find_tag small name));
+        Alcotest.(check (option int)) "small find_value" (Some value)
+          (Option.map (fun (d : D.t) -> (d :> int)) (D.find_value small name)))
+      names
+  done;
+  (* Every binding is found, and re-interning returns it. *)
+  Hashtbl.iter
+    (fun (is_value, name) want ->
+      let found, other =
+        if is_value then (D.find_value tbl name, D.find_tag tbl name)
+        else (D.find_tag tbl name, D.find_value tbl name)
+      in
+      Alcotest.(check (option int)) "find designator" (Some want)
+        (Option.map (fun (d : D.t) -> (d :> int)) found);
+      Alcotest.(check bool) "namespaces are disjoint"
+        (Hashtbl.mem desigs (not is_value, name))
+        (Option.is_some other);
+      let d = if is_value then D.value tbl name else D.tag tbl name in
+      Alcotest.(check int) "designator again" want (d :> int);
+      Alcotest.(check bool) "kind" is_value (D.is_value tbl d);
+      Alcotest.(check string) "name" name (D.name tbl d))
+    desigs;
+  Hashtbl.iter
+    (fun (parent, _) (want, (d : D.t)) ->
+      let pp = Path.of_int tbl parent and p = Path.of_int tbl want in
+      Alcotest.(check int) "parent" parent (Path.to_int (Path.parent tbl p));
+      Alcotest.(check int) "tag" (d :> int) (Path.tag tbl p :> int);
+      Alcotest.(check int) "depth" (Path.depth tbl pp + 1) (Path.depth tbl p);
+      Alcotest.(check (option int)) "find child" (Some want)
+        (Option.map Path.to_int (Path.find_child tbl pp d));
+      Alcotest.(check int) "child again" want
+        (Path.to_int (Path.child tbl pp d)))
+    edges;
+  (* Lookups of absent names and edges miss, and never intern. *)
+  let ndesig = Array.length !all_desigs in
+  for _ = 1 to 2_000 do
+    let name = model_name rng ^ "?" in
+    Alcotest.(check bool) "absent tag" true (D.find_tag tbl name = None);
+    Alcotest.(check bool) "absent value" true (D.find_value tbl name = None);
+    let parent = Random.State.int rng !npaths in
+    let d = !all_desigs.(Random.State.int rng ndesig) in
+    Alcotest.(check bool) "find_child agrees with the model"
+      (Hashtbl.mem edges (parent, (d :> int)))
+      (Path.find_child tbl (Path.of_int tbl parent) d <> None)
+  done;
+  Alcotest.(check int) "lookups never intern" !npaths (Symtab.path_count tbl);
+  Alcotest.(check int) "lookups add no designator" ndesig
+    (D.tag tbl "fresh" :> int);
+  (* Element children: the tag extensions of each path, ascending. *)
+  let kids = Array.make !npaths [] in
+  Hashtbl.iter
+    (fun (parent, _) (child, d) ->
+      if not (D.is_value tbl d) then kids.(parent) <- child :: kids.(parent))
+    edges;
+  Array.iteri
+    (fun p want ->
+      Alcotest.(check (list int)) "element children" (List.sort compare want)
+        (List.map Path.to_int (Path.element_children tbl (Path.of_int tbl p))))
+    kids;
+  (* Lexicographic order by spelled-out names. *)
+  for _ = 1 to 5_000 do
+    let a = Path.of_int tbl (Random.State.int rng !npaths)
+    and b = Path.of_int tbl (Random.State.int rng !npaths) in
+    Alcotest.(check int) "lex_compare agrees with the model"
+      (compare (compare (model_spelling tbl a) (model_spelling tbl b)) 0)
+      (compare (Path.lex_compare tbl a b) 0)
+  done;
+  (* The table of a dictionary equals, name for name, the table interned
+     path by path in dictionary order: by depth, then id. *)
+  let order = Array.init (!npaths - 1) (fun i -> i + 1) in
+  Array.stable_sort
+    (fun a b ->
+      compare
+        (Path.depth tbl (Path.of_int tbl a))
+        (Path.depth tbl (Path.of_int tbl b)))
+    order;
+  let order = Array.append [| 0 |] order in
+  let entry = Array.make !npaths 0 in
+  Array.iteri (fun i p -> entry.(p) <- i) order;
+  let kinds = Array.map (fun d -> Bool.to_int (D.is_value tbl d)) !all_desigs in
+  let names = Array.map (D.name tbl) !all_desigs in
+  let parents =
+    Array.map
+      (fun p ->
+        if p = 0 then -1
+        else entry.(Path.to_int (Path.parent tbl (Path.of_int tbl p))))
+      order
+  in
+  let entry_desigs =
+    Array.map
+      (fun p -> if p = 0 then -1 else (Path.tag tbl (Path.of_int tbl p) :> int))
+      order
+  in
+  let loaded =
+    Symtab.of_dictionary ~kinds ~names ~parents ~desigs:entry_desigs
+  in
+  (* The same dictionary with every entry's designator spelled out, as
+     xseqcol1 snapshots store it: a designator table with repeats. *)
+  let spelled_out =
+    let entry j = !all_desigs.(entry_desigs.(j + 1)) in
+    Symtab.of_dictionary
+      ~kinds:(Array.init (!npaths - 1) (fun j -> kinds.((entry j :> int))))
+      ~names:(Array.init (!npaths - 1) (fun j -> names.((entry j :> int))))
+      ~parents
+      ~desigs:(Array.init !npaths (fun i -> i - 1))
+  in
+  let interned = Symtab.create () in
+  Array.iteri
+    (fun i p ->
+      let spelled = model_spelling tbl (Path.of_int tbl p) in
+      let q =
+        Path.of_list interned
+          (List.map
+             (fun (rank, name) ->
+               if rank = 0 then D.value interned name else D.tag interned name)
+             spelled)
+      in
+      Alcotest.(check int) "interned in dictionary order" i (Path.to_int q);
+      Alcotest.(check (list (pair int string))) "dictionary entry by name"
+        spelled
+        (model_spelling loaded (Path.of_int loaded i));
+      Alcotest.(check (list (pair int string))) "spelled-out entry by name"
+        spelled
+        (model_spelling spelled_out (Path.of_int spelled_out i)))
+    order;
+  for i = 0 to !npaths - 1 do
+    let kids tbl =
+      List.map Path.to_int (Path.element_children tbl (Path.of_int tbl i))
+    in
+    Alcotest.(check (list int)) "same element children" (kids interned)
+      (kids loaded)
+  done;
+  Alcotest.(check int) "dictionary path count" !npaths
+    (Symtab.path_count loaded);
+  Hashtbl.iter
+    (fun (is_value, name) _ ->
+      let found =
+        if is_value then D.find_value loaded name else D.find_tag loaded name
+      in
+      Alcotest.(check (option string)) "dictionary designator" (Some name)
+        (Option.map (D.name loaded) found))
+    desigs
+
+(* [Symtab.of_dictionary] keeps every check a snapshot load relies on. *)
+let test_symtab_dictionary_checks () =
+  let rejects what ~kinds ~names ~parents ~desigs =
+    match Symtab.of_dictionary ~kinds ~names ~parents ~desigs with
+    | _ -> Alcotest.failf "accepted a dictionary with %s" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check string) "diagnostic" what msg
+  in
+  let kinds = [| 0; 1 |] and names = [| "a"; "a" |] in
+  ignore
+    (Symtab.of_dictionary ~kinds ~names ~parents:[| -1; 0; 1 |]
+       ~desigs:[| -1; 0; 1 |]);
+  rejects "dictionary root" ~kinds ~names ~parents:[||] ~desigs:[||];
+  rejects "root entry with a designator" ~kinds ~names ~parents:[| -1 |]
+    ~desigs:[| 0 |];
+  rejects "designator kind out of range" ~kinds:[| 2 |] ~names:[| "a" |]
+    ~parents:[| -1 |] ~desigs:[| -1 |];
+  rejects "dictionary parent order" ~kinds ~names ~parents:[| -1; 1 |]
+    ~desigs:[| -1; 0 |];
+  rejects "designator id out of range" ~kinds ~names ~parents:[| -1; 0 |]
+    ~desigs:[| -1; 2 |];
+  rejects "duplicate dictionary entry" ~kinds ~names ~parents:[| -1; 0; 0 |]
+    ~desigs:[| -1; 1; 1 |];
+  rejects "dictionary region sizes" ~kinds ~names ~parents:[| -1; 0 |]
+    ~desigs:[| -1 |]
+
 (* --- constraints --------------------------------------------------------- *)
 
 (* The paper's forward-prefix example (Section 2.3): in
@@ -391,6 +639,10 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_path_roundtrip;
           Alcotest.test_case "lex compare" `Quick test_lex_compare;
           Alcotest.test_case "element children" `Quick test_element_children;
+          Alcotest.test_case "symbol table against a model" `Quick
+            test_symtab_model;
+          Alcotest.test_case "dictionary checks" `Quick
+            test_symtab_dictionary_checks;
         ] );
       ( "constraints",
         [
