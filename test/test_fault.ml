@@ -718,6 +718,222 @@ let qcheck_shard_torture =
 
 let test_shard_pinned_seeds () = List.iter shard_torture_run [ 1; 2; 3; 5; 8 ]
 
+(* --- durable protocols: a pinned I/O sequence ----------------------------- *)
+
+(* Fixed scripts over every durable protocol, each run
+   under an empty-schedule injector.  The shim's per-class operation
+   counts and the bytes of every file left behind are pinned: a change
+   that reorders, adds or drops a durable step, or moves a byte on
+   disk, fails here before any crash test could notice.  This is the
+   operation sequence the exhaustive crash-point enumeration walks. *)
+
+let seq_doc i =
+  e "P"
+    (e "L" [ v (string_of_int i) ]
+    :: (if i mod 3 = 0 then [ e "S" [ v "s" ] ] else []))
+
+let seq_docs lo n = Array.init n (fun i -> seq_doc (lo + i))
+let file_ops = [ F.Open; F.Read; F.Write; F.Fsync; F.Rename ]
+
+(* "name md5" for every regular file under [dir], sorted by name. *)
+let dir_files dir =
+  List.filter_map
+    (fun n ->
+      let p = Filename.concat dir n in
+      if Sys.is_directory p then None
+      else Some (n ^ " " ^ Digest.to_hex (Digest.file p)))
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+let check_io_sequence name ~ops ~files dirs script =
+  let inj = F.Injector.create [] in
+  F.with_injector inj script;
+  let counts =
+    String.concat " "
+      (List.map
+         (fun op ->
+           Printf.sprintf "%s=%d" (F.op_to_string op)
+             (F.Injector.op_count inj op))
+         file_ops)
+  in
+  Alcotest.(check string) (name ^ ": operations per class") ops counts;
+  Alcotest.(check (list string))
+    (name ^ ": files left") files
+    (List.concat_map
+       (fun (tag, d) -> List.map (fun f -> tag ^ "/" ^ f) (dir_files d))
+       dirs)
+
+let slash_p = Xseq.Xpath.parse "/P"
+let slash_s = Xseq.Xpath.parse "/P/S"
+
+let io_open dir =
+  Xlog.open_ ~probe_interval:no_probe ~memtable_limit:8 ~max_segments:1000 dir
+
+let io_seed () =
+  with_dir (fun dir ->
+      check_io_sequence "seed" [ ("d", dir) ]
+        ~ops:"open=6 read=0 write=20 fsync=8 rename=1"
+        ~files:
+          [
+            "d/base-000001.xseq 9ec1687ed996b20ca62e96a55ce86cf7";
+            "d/checkpoint 78ea0dddaed3556f34bee03ce21bda10";
+            "d/wal-000001.log 5fcbd0168b7562a604831f6029b72519";
+          ]
+        (fun () ->
+          let log = io_open dir in
+          ignore (Xlog.seed log (seq_docs 0 40) : int array);
+          ignore (Xlog.insert log (seq_doc 40) : int);
+          Xlog.close log))
+
+let io_compact () =
+  with_dir (fun dir ->
+      check_io_sequence "inserts, seals, compaction" [ ("d", dir) ]
+        ~ops:"open=6 read=0 write=41 fsync=29 rename=1"
+        ~files:
+          [
+            "d/base-000001.xseq 5315287721dfea702493218276ae9408";
+            "d/checkpoint b82cdf1d349051ef524d0ba854182be1";
+            "d/wal-000001.log e08acc4c76d2dd38e8c74cd59eed8210";
+          ]
+        (fun () ->
+          let log = io_open dir in
+          Array.iter
+            (fun d -> ignore (Xlog.insert log d : int))
+            (seq_docs 0 20);
+          Alcotest.(check int) "sealed twice" 2 (Xlog.segments log);
+          ignore (Xlog.remove log 3 : bool);
+          Alcotest.(check bool) "compacted" true (Xlog.compact log);
+          ignore (Xlog.insert log (seq_doc 20) : int);
+          Alcotest.(check int) "live" 20 (List.length (Xlog.query log slash_p));
+          Xlog.close log))
+
+(* Two mirrored batches: the first seals one segment, the second a
+   second one, which passes [max_segments = 1] and cuts a compaction
+   without rotating.  That compaction runs on the background thread;
+   [close] joins it, and the counts are totals, so they do not depend
+   on how the two threads interleave. *)
+let io_replica () =
+  with_dir (fun dir ->
+      let batch ops =
+        String.concat "" (List.map Xlog.Wal.encode_record ops)
+      in
+      let inserts lo n =
+        List.init n (fun i -> Xlog.Wal.Insert (lo + i, seq_doc (lo + i)))
+      in
+      check_io_sequence "replica apply with a no-rotation cut" [ ("d", dir) ]
+        ~ops:"open=8 read=2 write=20 fsync=11 rename=1"
+        ~files:
+          [
+            "d/base-000000-000000.xseq 64efc5da69ad060eab3c5e69b25e1b9e";
+            "d/checkpoint d9409e88a8934c784bc769da1b2f5608";
+            "d/wal-000000.log 915c164a1a93aaba559d8f7553b3929e";
+          ]
+        (fun () ->
+          let log =
+            Xlog.open_ ~probe_interval:no_probe ~memtable_limit:8
+              ~max_segments:1 dir
+          in
+          List.iter
+            (fun ops ->
+              let records = batch ops in
+              let from = Xlog.wal_position log in
+              let next =
+                { from with Xlog.Wal.off = from.off + String.length records }
+              in
+              match Xlog.replica_apply log ~from ~next records with
+              | Ok _ -> ()
+              | Error m -> Alcotest.failf "replica_apply: %s" m)
+            [ inserts 0 10; inserts 10 10 @ [ Xlog.Wal.Remove 4 ] ];
+          Xlog.close log;
+          let log = io_open dir in
+          Alcotest.(check int) "mirrored live" 19
+            (List.length (Xlog.query log slash_p));
+          Xlog.close log))
+
+let io_torn_tail () =
+  with_dir (fun dir ->
+      check_io_sequence "reopen after a torn tail" [ ("d", dir) ]
+        ~ops:"open=3 read=2 write=8 fsync=10 rename=0"
+        ~files:
+          [
+            "d/wal-000000.log 3859fa91a6e896853e2c33bb7c72fb4b";
+          ]
+        (fun () ->
+          let log = io_open dir in
+          Array.iter (fun d -> ignore (Xlog.insert log d : int)) (seq_docs 0 6);
+          Xlog.close log;
+          let wal = Filename.concat dir (Xlog.Wal.file_name 0) in
+          Unix.truncate wal ((Unix.stat wal).Unix.st_size - 5);
+          let log = io_open dir in
+          Alcotest.(check int) "one torn tail" 1
+            (List.length (Xlog.recovery log).Xlog.torn);
+          Alcotest.(check int) "five records survive" 5
+            (List.length (Xlog.query log slash_p));
+          ignore (Xlog.insert log (seq_doc 6) : int);
+          Xlog.close log))
+
+(* A mid-file cut, so the stream carries a WAL prefix past the magic;
+   two inserts land after the cut and stay out of the stream. *)
+let io_transfer () =
+  with_dir (fun pdir ->
+      with_dir (fun fdir ->
+          let module X = Xlog.Transfer in
+          check_io_sequence "transfer, install, reseed"
+            [ ("p", pdir); ("f", fdir) ]
+            ~ops:"open=43 read=23 write=66 fsync=28 rename=6"
+        ~files:
+          [
+            "p/base-000001-000000.xseq c2a79e32482d8d70d29bf58b7dc5e2e6";
+            "p/checkpoint ca4b24c0b756a427330618c40257e900";
+            "p/wal-000001.log d99c1b50dbaf464b9d346239258b562d";
+            "f/base-000001-000000.xseq c2a79e32482d8d70d29bf58b7dc5e2e6";
+            "f/checkpoint ca4b24c0b756a427330618c40257e900";
+            "f/wal-000001.log 80e66f96f00e0216c49f08fdefde8692";
+          ]
+            (fun () ->
+              let primary = io_open pdir in
+              ignore (Xlog.seed primary (seq_docs 0 30) : int array);
+              Array.iter
+                (fun d -> ignore (Xlog.insert primary d : int))
+                (seq_docs 30 5);
+              ignore (Xlog.remove primary 2 : bool);
+              ignore (Xlog.compact ~rotate:false primary : bool);
+              Array.iter
+                (fun d -> ignore (Xlog.insert primary d : int))
+                (seq_docs 35 2);
+              let follower = io_open fdir in
+              let m =
+                match X.manifest_of_dir pdir with
+                | Ok m -> m
+                | Error e -> Alcotest.failf "manifest: %s" e
+              in
+              let rv = X.recv_create fdir in
+              while X.recv_got rv < m.X.x_total do
+                match X.read_slice pdir m ~off:(X.recv_got rv) ~len:1000 with
+                | Error e -> Alcotest.failf "read_slice: %s" e
+                | Ok piece -> (
+                  match X.recv_write rv piece with
+                  | Ok () -> ()
+                  | Error e -> Alcotest.failf "recv_write: %s" e)
+              done;
+              (match X.recv_finish rv with
+              | Ok () -> ()
+              | Error e -> Alcotest.failf "recv_finish: %s" e);
+              (match Xlog.reseed follower with
+              | Ok () -> ()
+              | Error e -> Alcotest.failf "reseed: %s" e);
+              Alcotest.(check (list int)) "follower answers the cut"
+                (List.filter (fun id -> id < 35) (Xlog.query primary slash_s))
+                (Xlog.query follower slash_s);
+              Xlog.close follower;
+              Xlog.close primary)))
+
+let test_io_sequence () =
+  io_seed ();
+  io_compact ();
+  io_replica ();
+  io_torn_tail ();
+  io_transfer ()
+
 (* --- partition weather ------------------------------------------------------ *)
 
 let with_socketpair f =
@@ -879,5 +1095,10 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_torture;
           Alcotest.test_case "shard pinned seeds" `Quick test_shard_pinned_seeds;
           QCheck_alcotest.to_alcotest qcheck_shard_torture;
+        ] );
+      ( "io sequence",
+        [
+          Alcotest.test_case "durable protocols keep their I/O sequence"
+            `Quick test_io_sequence;
         ] );
     ]
