@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-json bench-gate chaos examples doc clean
+.PHONY: all build test bench bench-json bench-gate chaos examples doc loc clean
 
 all: build
 
@@ -67,6 +67,14 @@ examples:
 	dune exec examples/bibliography.exe -- 10000
 	dune exec examples/auction_site.exe -- 10000
 	dune exec examples/live_feed.exe
+
+# Net lines of code, a tracked number: .ml + .mli lines per lib/
+# directory, then for all of lib/.  Prints only; nothing gates on it.
+loc:
+	@for d in lib/*/; do \
+	  printf '%6d  %s\n' "$$(cat $$d*.ml $$d*.mli 2>/dev/null | wc -l)" "$$d"; \
+	done
+	@printf '%6d  lib/\n' "$$(cat lib/*/*.ml lib/*/*.mli | wc -l)"
 
 clean:
 	dune clean

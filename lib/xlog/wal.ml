@@ -238,7 +238,7 @@ let position_compare a b =
   else Stdlib.compare a.off b.off
 
 let position_to_string p = Printf.sprintf "(%d, %d)" p.file p.off
-let file_name i = Printf.sprintf "wal-%06d.log" i
+let file_name = Layout.wal
 
 let list_files dir =
   match Sys.readdir dir with
@@ -246,9 +246,9 @@ let list_files dir =
   | names ->
     Array.to_list names
     |> List.filter_map (fun name ->
-           match Scanf.sscanf_opt name "wal-%06d.log%!" Fun.id with
-           | Some i -> Some (i, Filename.concat dir name)
-           | None -> None)
+           match Layout.classify name with
+           | Layout.Wal i -> Some (i, Filename.concat dir name)
+           | _ -> None)
     |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
 
 type batch = { b_records : string; b_count : int; b_next : position }

@@ -95,8 +95,8 @@ val position_to_string : position -> string
 (** ["(17, 128)"] — for errors, stats and logs. *)
 
 val file_name : int -> string
-(** ["wal-%06d.log"] — the WAL file naming scheme, shared with the
-    store. *)
+(** The name of WAL file [i] in a store directory (its layout is in
+    xlog.mli). *)
 
 val list_files : string -> (int * string) list
 (** WAL files in a store directory as [(seq, path)], ascending.  Empty

@@ -3,10 +3,18 @@
     A store lives in a directory:
 
     {v
-      wal-000017.log    current write-ahead log (see {!Wal})
-      wal-000016.log    older logs awaiting the next checkpoint
-      base-000016.xseq  xseqcol2 snapshot of the compacted base index
-      checkpoint        commit record naming the snapshot + replay point
+      wal-NNNNNN.log           write-ahead log file N (see {!Wal}); the
+                               highest is current, older ones await the
+                               next checkpoint
+      base-NNNNNN.xseq         xseqcol2 snapshot of the compacted base,
+                               cut by rotating to WAL file N
+      base-NNNNNN-CCCCCC.xseq  the same, cut mid-file in WAL file N
+                               without rotating (replica compaction C)
+      checkpoint               commit record: base name + replay point
+      checkpoint.tmp           a checkpoint being written
+      xfer.tmp/                snapshot transfer being received
+      xfer.ready/              received transfer committed for install,
+                               with a MANIFEST naming the staged files
     v}
 
     Every [insert]/[remove] appends a WAL record before becoming
@@ -22,12 +30,13 @@
     are allocated monotonically and segments seal in order, per-segment
     sorted answers concatenate into a globally sorted answer — no merge.
 
-    {e Compaction} rebuilds base ⊎ deltas (minus tombstones) off-thread
-    on the shared domain pool, persists the result as a columnar
-    snapshot, commits a checkpoint (tmp + fsync + rename), deletes the
-    WAL files the snapshot absorbed, and atomically installs the new
-    base — concurrent queries keep answering against the old view until
-    the swap, and the structure stamp change invalidates cached plans
+    {e Compaction} is a plan plus one commit.  The plan maps the frozen
+    view to its live documents; the commit rebuilds them off-thread on
+    the shared domain pool, persists the result as a columnar snapshot,
+    commits a checkpoint (tmp + fsync + rename), atomically installs
+    the new base and deletes the WAL files the snapshot absorbed —
+    concurrent queries keep answering against the old view until the
+    swap, and the structure stamp change invalidates cached plans
     through the same generation check {!Xseq.run_prepared} performs for
     the server's plan cache.
 

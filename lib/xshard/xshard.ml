@@ -303,38 +303,42 @@ type 'a partial = {
 let encode_all shard locals =
   List.map (fun local -> encode_id ~shard ~local) locals
 
-(* Scatter-gather core: run [f] against every shard, skipping (and
-   reporting) the down ones; a [Crashed] raised mid-query also lands in
-   [failed_shards] rather than aborting the surviving shards' answers.
-   Answers concatenate in shard order, which is global id order. *)
-let gather t f =
-  let failed = ref [] in
-  let per_shard =
-    Array.map
-      (fun sh ->
-        match sh.down with
-        | Some reason ->
-          failed := (sh.index, reason) :: !failed;
-          None
-        | None -> (
-          try Some (f sh)
-          with F.Crashed ->
-            mark_down t sh.index "fail-stop (crashed)";
-            failed := (sh.index, "fail-stop (crashed)") :: !failed;
-            None))
-      t.shards
+(* Scatter-gather core, the one walk over shards for queries: run [f]
+   against every shard, skipping (and reporting) the down ones; a
+   [Crashed] raised mid-query also lands in [failed_shards] rather than
+   aborting the surviving shards' answers.  With a [pool], one task per
+   shard. *)
+let gather ?pool t f =
+  let per_shard = Array.make t.k None and failed = Array.make t.k None in
+  run_all ?pool
+    (Array.map
+       (fun sh () ->
+         match sh.down with
+         | Some reason -> failed.(sh.index) <- Some reason
+         | None -> (
+           try per_shard.(sh.index) <- Some (f sh)
+           with F.Crashed ->
+             mark_down t sh.index "fail-stop (crashed)";
+             failed.(sh.index) <- Some "fail-stop (crashed)"))
+       t.shards);
+  let failed =
+    List.filter_map
+      (fun sh -> Option.map (fun r -> (sh.index, r)) failed.(sh.index))
+      (Array.to_list t.shards)
   in
-  let failed = List.rev !failed in
   (per_shard, { value = (); complete = failed = []; failed_shards = failed })
+
+(* Answers concatenate in shard order, which is global id order. *)
+let concat per_shard answer =
+  List.concat_map
+    (function Some a -> answer a | None -> [])
+    (Array.to_list per_shard)
 
 let query_detail ?stats t pat =
   let per_shard, p =
     gather t (fun sh -> encode_all sh.index (Xlog.query ?stats sh.log pat))
   in
-  let value =
-    List.concat_map (function Some l -> l | None -> []) (Array.to_list per_shard)
-  in
-  { p with value }
+  { p with value = concat per_shard Fun.id }
 
 let query ?stats t pat = (query_detail ?stats t pat).value
 
@@ -343,50 +347,28 @@ let query_xpath ?stats t expr =
 
 let query_batch_detail ?pool ?stats t pats =
   let pool = match pool with Some _ -> pool | None -> t.pool in
-  let npat = Array.length pats in
   (* One task per shard, not per pattern: a task answers the whole batch
      against its shard with a private stats record, merged once at the
      end — the per-worker-then-merge discipline of [Matcher], with no
      lock anywhere on the per-query path. *)
-  let answers : int list array option array = Array.make t.k None in
-  let merged : Matcher.stats array = Array.init t.k (fun _ -> Matcher.create_stats ()) in
-  let failed = ref [] in
-  let fm = Mutex.create () in
-  let thunks =
-    Array.map
-      (fun sh ->
-        fun () ->
-         match sh.down with
-         | Some reason ->
-           Mutex.protect fm (fun () ->
-               failed := (sh.index, reason) :: !failed)
-         | None -> (
-           let own = merged.(sh.index) in
-           try
-             answers.(sh.index) <-
-               Some
-                 (Array.map
-                    (fun pat ->
-                      encode_all sh.index (Xlog.query ~stats:own sh.log pat))
-                    pats)
-           with F.Crashed ->
-             mark_down t sh.index "fail-stop (crashed)";
-             Mutex.protect fm (fun () ->
-                 failed := (sh.index, "fail-stop (crashed)") :: !failed)))
-      t.shards
+  let own = Array.init t.k (fun _ -> Matcher.create_stats ()) in
+  let per_shard, p =
+    gather ?pool t (fun sh ->
+        Array.map
+          (fun pat ->
+            encode_all sh.index
+              (Xlog.query ~stats:own.(sh.index) sh.log pat))
+          pats)
   in
-  run_all ?pool thunks;
-  (match stats with
-  | None -> ()
-  | Some into -> Array.iter (fun s -> Matcher.merge_stats ~into s) merged);
-  let value =
-    Array.init npat (fun q ->
-        List.concat_map
-          (function Some per_pat -> per_pat.(q) | None -> [])
-          (Array.to_list answers))
-  in
-  let failed = List.sort compare !failed in
-  { value; complete = failed = []; failed_shards = failed }
+  Option.iter
+    (fun into -> Array.iter (fun s -> Matcher.merge_stats ~into s) own)
+    stats;
+  {
+    p with
+    value =
+      Array.init (Array.length pats) (fun q ->
+          concat per_shard (fun a -> a.(q)));
+  }
 
 let query_batch ?pool ?stats t pats =
   (query_batch_detail ?pool ?stats t pats).value
@@ -406,14 +388,7 @@ let generation t = Array.fold_left (fun acc sh -> acc + shard_gen sh) 0 t.shards
 type prepared = { plans : Xlog.prepared option array; gen : int }
 
 let prepare t pat =
-  let plans =
-    Array.map
-      (fun sh ->
-        match sh.down with
-        | Some _ -> None
-        | None -> Some (Xlog.prepare sh.log pat))
-      t.shards
-  in
+  let plans, _ = gather t (fun sh -> Xlog.prepare sh.log pat) in
   { plans; gen = generation t }
 
 let run_prepared ?stats t prep =
@@ -428,9 +403,7 @@ let run_prepared ?stats t prep =
         | Some plan ->
           encode_all sh.index (Xlog.run_prepared ?stats sh.log plan))
   in
-  List.concat_map
-    (function Some l -> l | None -> [])
-    (Array.to_list per_shard)
+  concat per_shard Fun.id
 
 (* ---------- Degradation and recovery ----------------------------------- *)
 
