@@ -29,14 +29,15 @@ bench-json:
 	dune exec bench/main.exe -- parallel shard storage server ingest faults repl scrub load
 
 # Perf regression gate: rerun every experiment bench/gate.py gates
-# (parallel, shard, storage, server, repl, scrub) at its default
+# (parallel, shard, storage, server, repl, scrub, load) at its default
 # (env-tunable) size and hold the results to the checked-in floors in
 # bench/floors.json, diffing each BENCH_*.json against its committed
 # baseline.  Core-count-aware: scaling floors on >=4 cores, parity
-# floors (catching serialization regressions) on smaller boxes.  CI
-# runs this target, so the list lives here only.
+# floors (catching serialization regressions) on smaller boxes; the load
+# layer's memory ceilings hold on any box.  CI runs this target, so the
+# list lives here only.
 bench-gate:
-	dune exec bench/main.exe -- parallel shard storage server repl scrub
+	dune exec bench/main.exe -- parallel shard storage server repl scrub load
 	python3 bench/gate.py
 
 # Seeded fault-injection torture suite at chaos intensity: many more

@@ -1,11 +1,18 @@
 #!/usr/bin/env python3
 """Bench regression gate.
 
-Reads the fresh BENCH_parallel/shard/storage/server/repl/scrub.json
+Reads the fresh BENCH_parallel/shard/storage/server/repl/scrub/load.json
 that `make bench-gate` produces, applies the checked-in floors from
 bench/floors.json, and diffs the results against the committed
 BENCH_*.json baselines so perf regressions fail loudly instead of
 drifting.
+
+The load layer (BENCH_load.json) is gated on memory: per load
+configuration, the words a loaded index retains and the bytes its
+columns keep off the heap must stay under checked-in ceilings.  Those
+counts do not depend on the machine, so the ceilings hold on every core
+count; they apply when the run loaded the record count they were set
+for.
 
 Floors are core-count-aware: on a runner with at least
 `min_cores_for_scaling` cores the 'scaling' floors apply (parallelism
@@ -132,6 +139,36 @@ def gate(name, fresh_path, floors_cfg, keys, correctness_key, failures, diff_key
             )
 
 
+def gate_load(fresh_path, floors_cfg, failures):
+    fresh = load(fresh_path)
+    cfg = floors_cfg["load"]
+    print(f"== load: ceilings on {', '.join(cfg['keys'])}")
+    runs = {run.get("config"): run for run in fresh.get("runs", [])}
+    for config, ceilings in cfg["ceilings"].items():
+        run = runs.get(config)
+        if run is None:
+            failures.append(f"load: {fresh_path} lacks config {config}")
+            continue
+        if run.get("records") != ceilings["records"]:
+            print(
+                f"   {config}: {run.get('records')} records, ceilings are for "
+                f"{ceilings['records']}; informational only"
+            )
+            continue
+        for key in cfg["keys"]:
+            got, ceiling = run.get(key), ceilings[key]
+            if got is None:
+                failures.append(f"load: {config} lacks {key}")
+                continue
+            status = "ok" if got <= ceiling else "FAIL"
+            print(f"   {config} {key}: {got} (ceiling {ceiling}) {status}")
+            if got > ceiling:
+                failures.append(
+                    f"load: {config} {key} = {got} is above the ceiling "
+                    f"{ceiling}"
+                )
+
+
 def main():
     floors_cfg = load(FLOORS_PATH)
     failures = []
@@ -189,6 +226,7 @@ def main():
         "answers_ok",
         failures,
     )
+    gate_load("BENCH_load.json", floors_cfg, failures)
     if failures:
         print("\nbench gate FAILED:")
         for f in failures:

@@ -552,8 +552,11 @@ let live_words () =
 (* [Xseq.load] of a DBLP snapshot served resident and of a compressed
    XMark snapshot served paged: the words a load allocates, the words
    the loaded index keeps after a full collection, the words its symbol
-   table reaches, and the median load time.  Word counts are
-   deterministic; every number is taken after a warm-up load.  Sizes:
+   table, link directory and statistics reach (each apart), the bytes
+   its columns keep outside the heap, and the median load time.  Word
+   and byte counts are deterministic; every number is taken after a
+   warm-up load.  bench/gate.py holds the retained words and the
+   off-heap bytes to ceilings.  Sizes:
    XSEQ_BENCH_LOAD_DBLP, XSEQ_BENCH_LOAD_XMARK (records) and
    XSEQ_BENCH_LOAD_REPS (timed loads). *)
 let load_bench () =
@@ -593,10 +596,18 @@ let load_bench () =
             let before = live_words () in
             let t = load () in
             let retained = live_words () - before in
+            let labeled = Xseq.labeled t in
             let symtab =
-              Obj.reachable_words
-                (Obj.repr (Xindex.Labeled.symbols (Xseq.labeled t)))
+              Obj.reachable_words (Obj.repr (Xindex.Labeled.symbols labeled))
             in
+            let directory = Xindex.Labeled.directory_words labeled in
+            (* Statistics share the index's symbol table: count the rest. *)
+            let stats =
+              match Xseq.stats t with
+              | Some st -> Obj.reachable_words (Obj.repr st) - symtab
+              | None -> 0
+            in
+            let column_bytes = Xindex.Labeled.column_bytes labeled in
             let paths = Sequencing.Symtab.path_count (Xseq.symbols t) in
             close t;
             let times =
@@ -609,26 +620,38 @@ let load_bench () =
             let load_ms = times.(reps / 2) in
             Printf.printf
               "%-24s %6d records %6d paths: allocated %.0f words, retained \
-               %d, symbol table %d, load %.1f ms\n%!"
-              name (Array.length docs) paths allocated retained symtab load_ms;
+               %d (symbol table %d, directory %d, statistics %d), %d \
+               off-heap column bytes, load %.1f ms\n%!"
+              name (Array.length docs) paths allocated retained symtab
+              directory stats column_bytes load_ms;
             ( name,
               Array.length docs,
               paths,
               allocated,
               retained,
-              symtab,
+              (symtab, directory, stats, column_bytes),
               load_ms )))
       configs
   in
   write_json "load" (fun oc ->
       Printf.fprintf oc "{\n  \"reps\": %d,\n  \"runs\": [\n" reps;
       List.iteri
-        (fun i (name, records, paths, allocated, retained, symtab, load_ms) ->
+        (fun i
+             ( name,
+               records,
+               paths,
+               allocated,
+               retained,
+               (symtab, directory, stats, column_bytes),
+               load_ms ) ->
           Printf.fprintf oc
             "    {\"config\": %S, \"records\": %d, \"paths\": %d, \
              \"allocated_words\": %.0f, \"retained_words\": %d, \
-             \"symtab_words\": %d, \"load_ms\": %.2f}%s\n"
-            name records paths allocated retained symtab load_ms
+             \"symtab_words\": %d, \"directory_words\": %d, \
+             \"stats_words\": %d, \"column_bytes\": %d, \"load_ms\": \
+             %.2f}%s\n"
+            name records paths allocated retained symtab directory stats
+            column_bytes load_ms
             (if i = List.length rows - 1 then "" else ","))
         rows;
       Printf.fprintf oc "  ]\n}\n")

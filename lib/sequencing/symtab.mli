@@ -19,14 +19,21 @@
     query that mentions it misses cleanly.
 
     The table is flat: designators and paths are columns indexed by id
-    (a designator's name and kind; a path's parent, last designator,
-    depth and element-child thread), and each has an open-addressing
-    index of ids (a power-of-two [int array], linear probing, at most
-    half full) whose keys are read back from those columns.  One index
-    serves both designator namespaces, the kind folded into the hash
-    and the equality test.  Interning a new designator or path allocates
-    nothing but the growth of those arrays, and a lookup allocates
-    nothing.
+    (a designator's kind and the offset of its name; a path's parent,
+    last designator, depth and element-child thread), and each has an
+    open-addressing index of ids (a power-of-two vector, linear probing,
+    at most half full) whose keys are read back from those columns.
+    Every column and index holds 32-bit values ({!Xutil.I32}), so ids,
+    path counts and name bytes stay below [2^31]; interning past that
+    raises [Invalid_argument].  The designator names are one blob, each
+    name a slice of it.  One index serves both designator namespaces,
+    the kind folded into the hash and the equality test.  Interning a
+    new designator or path allocates nothing but the growth of those
+    columns, and a lookup compares its key against a slice of the blob
+    in place: it allocates nothing but the [Some] of a hit.
+    {!Designator.name} is the one accessor that copies a name out;
+    {!Designator.name_equal} and {!Designator.name_has_prefix} test one
+    without copying.
 
     Ids mean nothing outside their table: compare paths of two indexes
     by their names ({!Path.to_list} and {!Designator.name}). *)
@@ -38,22 +45,25 @@ val create : unit -> t
 
 val of_dictionary :
   kinds:int array ->
-  names:string array ->
+  names:string ->
+  name_off:int array ->
   parents:int array ->
   desigs:int array ->
   t
-(** [of_dictionary ~kinds ~names ~parents ~desigs] is the table of a
-    stored path dictionary, sized to fit it.  [kinds] and [names] are a
-    designator table: entry [j] is a tag ([kinds.(j) = 0]) or a value
-    ([1]) named [names.(j)], interned in table order.  Dictionary entry
-    [0] is {!Path.epsilon} ([parents.(0)] and [desigs.(0)] negative);
-    entry [i > 0] extends entry [parents.(i) < i] by designator
-    [desigs.(i)], and becomes path [i].
+(** [of_dictionary ~kinds ~names ~name_off ~parents ~desigs] is the
+    table of a stored path dictionary, sized to fit it.  [kinds],
+    [names] and [name_off] are a designator table: entry [j] is a tag
+    ([kinds.(j) = 0]) or a value ([1]) named by bytes
+    [[name_off.(j), name_off.(j + 1))] of [names], interned in table
+    order.  The table copies the names it keeps into its own blob.
+    Dictionary entry [0] is {!Path.epsilon} ([parents.(0)] and
+    [desigs.(0)] negative); entry [i > 0] extends entry
+    [parents.(i) < i] by designator [desigs.(i)], and becomes path [i].
     @raise Invalid_argument naming the violated condition: ["dictionary
     region sizes"], ["dictionary root"], ["root entry with a
-    designator"], ["designator kind out of range"], ["dictionary parent
-    order"], ["designator id out of range"] or ["duplicate dictionary
-    entry"]. *)
+    designator"], ["dictionary name offsets"], ["designator kind out of
+    range"], ["dictionary parent order"], ["designator id out of range"]
+    or ["duplicate dictionary entry"]. *)
 
 val path_count : t -> int
 (** Paths in the table, [epsilon] included; every path id is below it. *)
@@ -87,7 +97,16 @@ module Designator : sig
   (** Whether [d] was created by {!value} or {!char_value}. *)
 
   val name : table -> t -> string
-  (** The source string of [d] (without namespace marker). *)
+  (** The source string of [d] (without namespace marker), copied out of
+      the table's name blob. *)
+
+  val name_equal : table -> t -> string -> bool
+  (** [name_equal tbl d s] is [String.equal (name tbl d) s], without
+      copying the name: it allocates nothing. *)
+
+  val name_has_prefix : table -> t -> string -> bool
+  (** [name_has_prefix tbl d prefix] is
+      [String.starts_with ~prefix (name tbl d)], allocating nothing. *)
 
   val equal : t -> t -> bool
 end

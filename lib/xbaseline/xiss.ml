@@ -89,10 +89,7 @@ let base_list t stats (test : Xquery.Pattern.test) =
     let acc = ref [] in
     Hashtbl.iter
       (fun d l ->
-        if
-          D.is_value t.symbols d
-          && String.starts_with ~prefix:s (D.name t.symbols d)
-        then
+        if D.is_value t.symbols d && D.name_has_prefix t.symbols d s then
           acc := Array.to_list l :: !acc)
       t.postings;
     let arr = Array.of_list (List.concat !acc) in

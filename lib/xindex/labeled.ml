@@ -3,6 +3,7 @@ module D = Symtab.Designator
 module Path = Symtab.Path
 module Bs = Xutil.Binsearch
 module Store = Xstorage.Store
+module I32 = Xutil.I32
 
 type backend = Heap_arrays | Columnar
 
@@ -12,7 +13,9 @@ type backend = Heap_arrays | Columnar
    serial, so the link entries are the nodes: no per-node column is
    kept.
    Columns are Store handles, so the very same view serves heap arrays,
-   unboxed flat buffers, and disk pages behind the buffer pool.
+   unboxed flat buffers, and disk pages behind the buffer pool.  The
+   directory is 32-bit ([I32]), like the flat columns: an index holds at
+   most [max_nodes] nodes.
 
    Paths are the index's own: [symbols] holds them.  The dictionary is
    epsilon and every link path, by depth then id; the columns name paths
@@ -23,12 +26,11 @@ type t = {
   symbols : Symtab.t;
   n : int; (* nodes excluding virtual root; the root's post *)
   dict : Path.t array option; (* dictionary index -> path; None: identity *)
-  slot : int array; (* path id -> link slot, or -1 *)
-  link_path : int array; (* slot -> dictionary index *)
-  link_off : int array;
-      (* slot -> first entry position in l_* columns: the prefix sums of
-         [link_len], never stored *)
-  link_len : int array;
+  slot : I32.t; (* path id -> link slot, or -1 *)
+  link_path : I32.t; (* slot -> dictionary index *)
+  link_off : I32.t;
+      (* slot s's entries are positions [link_off.(s), link_off.(s + 1))
+         of the l_* columns: the prefix sums of the stored [link_len] *)
   l_pre : Store.column; (* concatenated link entries, slot-major *)
   l_post : Store.column;
   l_up : Store.column;
@@ -90,21 +92,20 @@ let assemble ~symbols ~post ~path ~up ends =
     next.(p) <- next.(p) + 1
   done;
   let nlinks = Array.fold_left (fun k c -> if c > 0 then k + 1 else k) 0 next in
-  let link_off = Array.make nlinks 0 in
-  let link_len = Array.make nlinks 0 in
+  let link_off = Array.make (nlinks + 1) 0 in
   let link_path_t = Array.make nlinks Path.epsilon in
   let slot = ref 0 and off = ref 0 in
   for p = 0 to width - 1 do
     let len = next.(p) in
     if len > 0 then begin
       link_off.(!slot) <- !off;
-      link_len.(!slot) <- len;
       link_path_t.(!slot) <- Path.of_int symbols p;
       next.(p) <- !off;
       off := !off + len;
       incr slot
     end
   done;
+  link_off.(nlinks) <- !off;
   let l_pre = Array.make (n - 1) 0 in
   let l_post = Array.make (n - 1) 0 in
   let l_up = Array.make (n - 1) 0 in
@@ -116,11 +117,12 @@ let assemble ~symbols ~post ~path ~up ends =
     l_post.(e) <- post.(v);
     l_up.(e) <- up.(v)
   done;
-  let slot = Array.make width (-1) in
-  Array.iteri (fun s p -> slot.(Path.to_int p) <- s) link_path_t;
+  let slot = I32.make width (-1) in
+  Array.iteri (fun s p -> I32.set slot (Path.to_int p) s) link_path_t;
   let multi =
-    Bytes.init nlinks (fun slot ->
-        if has_nested l_pre l_post link_off.(slot) link_len.(slot) then '\001'
+    Bytes.init nlinks (fun s ->
+        let off = link_off.(s) in
+        if has_nested l_pre l_post off (link_off.(s + 1) - off) then '\001'
         else '\000')
   in
   (* Document table sorted by end-node serial. *)
@@ -143,9 +145,8 @@ let assemble ~symbols ~post ~path ~up ends =
     n = n - 1;
     dict = Some dict;
     slot;
-    link_path;
-    link_off;
-    link_len;
+    link_path = I32.of_array link_path;
+    link_off = I32.of_array link_off;
     l_pre = fz l_pre;
     l_post = fz l_post;
     l_up = fz l_up;
@@ -154,6 +155,15 @@ let assemble ~symbols ~post ~path ~up ends =
     multi;
     source = None;
   }
+
+let max_nodes = I32.max_value
+
+let check_node_count n =
+  if n < 0 || n > max_nodes then
+    invalid_arg
+      (Printf.sprintf
+         "Labeled.build: %d nodes do not fit 32-bit labels (at most %d)" n
+         max_nodes)
 
 (* Sorted sequences create trie nodes in depth-first order, children by
    ascending path id: exactly the order the labelling visits them.  So a
@@ -185,6 +195,7 @@ let build symbols seqs =
       depth := max !depth len)
     seqs;
   let n = !n in
+  check_node_count (n - 1);
   let path = Array.make n Path.epsilon in
   let post = Array.make n (n - 1) and up = Array.make n (-1) in
   (* Per path id: the link entries created so far, and the link position
@@ -240,19 +251,20 @@ let dict_size t =
 
 let slot_of t p =
   let p = Path.to_int p in
-  if p < Array.length t.slot then t.slot.(p) else -1
+  if p < I32.length t.slot then I32.get t.slot p else -1
 
 let link t p =
   match slot_of t p with
   | -1 -> None
   | slot ->
+    let loff = I32.get t.link_off slot in
     Some
       {
         k_pre = t.l_pre;
         k_post = t.l_post;
         k_up = t.l_up;
-        loff = t.link_off.(slot);
-        llen = t.link_len.(slot);
+        loff;
+        llen = I32.get t.link_off (slot + 1) - loff;
       }
 
 let link_length l = l.llen
@@ -322,10 +334,9 @@ let path_frequencies ?member t =
     below.(x) <- below.(x) + below.(x - 1)
   done;
   let freq = Array.make (Symtab.path_count t.symbols) 0 in
-  for slot = 0 to Array.length t.link_off - 1 do
+  for slot = 0 to I32.length t.link_path - 1 do
     let total = ref 0 and outer_post = ref (-1) in
-    let off = t.link_off.(slot) in
-    for i = off to off + t.link_len.(slot) - 1 do
+    for i = I32.get t.link_off slot to I32.get t.link_off (slot + 1) - 1 do
       let pre = Store.get t.l_pre i in
       if pre > !outer_post then begin
         let post = Store.get t.l_post i in
@@ -333,25 +344,35 @@ let path_frequencies ?member t =
         outer_post := post
       end
     done;
-    freq.(Path.to_int (dict_path t t.link_path.(slot))) <- !total
+    freq.(Path.to_int (dict_path t (I32.get t.link_path slot))) <- !total
   done;
   freq
 
 let path_doc_counts ?member t =
   let freq = path_frequencies ?member t in
-  Array.map
-    (fun i ->
-      let p = dict_path t i in
+  Array.init (I32.length t.link_path) (fun slot ->
+      let p = dict_path t (I32.get t.link_path slot) in
       (p, freq.(Path.to_int p)))
-    t.link_path
 
 let path_multiple t p =
   match slot_of t p with
   | -1 -> false
   | slot -> Bytes.get t.multi slot <> '\000'
 
-let distinct_paths t = Array.length t.link_len
+let distinct_paths t = I32.length t.link_path
 let backing_store t = t.source
+
+let directory_words t =
+  Obj.reachable_words (Obj.repr t.slot)
+  + Obj.reachable_words (Obj.repr t.link_path)
+  + Obj.reachable_words (Obj.repr t.link_off)
+  + Obj.reachable_words (Obj.repr t.multi)
+
+let column_bytes t =
+  List.fold_left
+    (fun total c -> total + Store.off_heap_bytes c)
+    0
+    [ t.l_pre; t.l_post; t.l_up; t.doc_pre; t.doc_id ]
 
 (* Rebuild the same index over a different column backend — used by the
    storage benchmarks and the backend-equivalence oracle tests. *)
@@ -456,8 +477,11 @@ let dict_regions_compact t store =
 let add_to_store ?(compact = false) t store =
   Store.add_ints store "meta" (Store.heap [| t.n |]);
   (if compact then dict_regions_compact else dict_regions) t store;
-  Store.add_ints store "link_path" (Store.heap t.link_path);
-  Store.add_ints store "link_len" (Store.heap t.link_len);
+  Store.add_ints store "link_path" (Store.heap (I32.to_array t.link_path));
+  Store.add_ints store "link_len"
+    (Store.heap
+       (Array.init (I32.length t.link_path) (fun s ->
+            I32.get t.link_off (s + 1) - I32.get t.link_off s)));
   Store.add_ints store "link_multi"
     (Store.heap
        (Array.init (Bytes.length t.multi) (fun s ->
@@ -480,41 +504,40 @@ let of_store store =
     corrupt "meta region size";
   let n = meta.(0) in
   if n < 0 then corrupt "negative node count";
+  if n > max_nodes then corrupt "node count beyond 32 bits";
   (* The dictionary becomes the index's symbol table, entry i as path i:
      epsilon first, every other entry extending an earlier one.
      Compact (xseqcol2) snapshots name each entry's designator by an id
      into a front-coded (kind, name) table; legacy snapshots spell each
      entry out, which makes entry i > 0 designator i - 1 of a table
-     with repeats. *)
+     with repeats, named straight out of the stored name blob. *)
   let parents = ints "dict_parent" in
   let ndict = Array.length parents in
   if ndict = 0 then corrupt "dictionary root";
-  let kinds, names, desigs =
-    if Store.mem store "dict_desig" then
-      ( ints "desig_kind",
-        (try
-           Xsuccinct.Frontcode.decode
-             ~name:"Labeled.of_store: inconsistent snapshot: designator names"
-             (Store.blob store "desig_names")
-         with Invalid_argument _ -> corrupt "designator name table"),
-        ints "dict_desig" )
+  let kinds, names, name_off, desigs =
+    if Store.mem store "dict_desig" then begin
+      let names, name_off =
+        try
+          Xsuccinct.Frontcode.decode
+            ~name:"Labeled.of_store: inconsistent snapshot: designator names"
+            (Store.blob store "desig_names")
+        with Invalid_argument _ -> corrupt "designator name table"
+      in
+      (ints "desig_kind", names, name_off, ints "dict_desig")
+    end
     else begin
       let kind = ints "dict_kind" in
       let name_off = ints "dict_name_off" in
-      let names = Store.blob store "dict_names" in
       if Array.length kind <> ndict || Array.length name_off <> ndict + 1 then
         corrupt "dictionary region sizes";
       ( Array.sub kind 1 (ndict - 1),
-        Array.init (ndict - 1) (fun j ->
-            let lo = name_off.(j + 1) and hi = name_off.(j + 2) in
-            if lo < 0 || hi < lo || hi > String.length names then
-              corrupt "dictionary name offsets";
-            String.sub names lo (hi - lo)),
+        Store.blob store "dict_names",
+        Array.sub name_off 1 ndict,
         Array.init ndict (fun i -> i - 1) )
     end
   in
   let symbols =
-    match Symtab.of_dictionary ~kinds ~names ~parents ~desigs with
+    match Symtab.of_dictionary ~kinds ~names ~name_off ~parents ~desigs with
     | symbols -> symbols
     | exception Invalid_argument what -> corrupt what
   in
@@ -527,12 +550,13 @@ let of_store store =
   let nlinks = Array.length link_path in
   if Array.length link_len <> nlinks || Array.length link_multi <> nlinks then
     corrupt "link directory sizes";
-  let link_off = Array.make nlinks 0 and total_entries = ref 0 in
+  (* Offsets fit 32 bits up to [n]; a larger sum fails the check below. *)
+  let link_off = I32.make (nlinks + 1) 0 and total_entries = ref 0 in
   Array.iteri
     (fun s len ->
       if len < 0 || len > n then corrupt "link length out of range";
-      link_off.(s) <- !total_entries;
-      total_entries := !total_entries + len)
+      total_entries := !total_entries + len;
+      if !total_entries <= n then I32.set link_off (s + 1) !total_entries)
     link_len;
   let l_pre = Store.ints store "l_pre" in
   let l_post = Store.ints store "l_post" in
@@ -544,12 +568,12 @@ let of_store store =
     || Store.length l_post <> n
     || Store.length l_up <> n
   then corrupt "link column sizes";
-  let slot = Array.make ndict (-1) in
+  let slot = I32.make ndict (-1) in
   Array.iteri
     (fun s p ->
       if p < 0 || p >= ndict then corrupt "link path id out of range";
-      if slot.(p) >= 0 then corrupt "duplicate link path";
-      slot.(p) <- s)
+      if I32.get slot p >= 0 then corrupt "duplicate link path";
+      I32.set slot p s)
     link_path;
   let doc_pre = Store.ints store "doc_pre" in
   let doc_id = Store.ints store "doc_id" in
@@ -559,9 +583,8 @@ let of_store store =
     n;
     dict = None;
     slot;
-    link_path;
+    link_path = I32.of_array link_path;
     link_off;
-    link_len;
     l_pre;
     l_post;
     l_up;

@@ -20,10 +20,14 @@
     and a small in-memory link directory of offsets into them.  A trie
     node's id is its serial and every node but the virtual root is
     exactly one link entry, so the links are the labels: there are no
-    per-node columns.  Each column is an
+    per-node columns.  Every label, offset and id is a 32-bit value: the
+    link directory is {!Xutil.I32} vectors (a path-to-slot map, each
+    slot's dictionary index, and [n + 1] entry offsets), and a flat
+    column is an [int32] buffer.  Each column is an
     {!Xstorage.Store.column}, so one view serves every physical
     representation: heap [int array]s (the original pointer-rich
-    backend, kept for A/B comparison), unboxed flat buffers, pages of an
+    backend, kept for A/B comparison), unboxed 32-bit flat buffers,
+    pages of an
     open snapshot file read through the buffer pool, and compressed
     blocks.  Page I/O is the store's business: it counts the pages it
     reads (see {!backing_store}).
@@ -59,7 +63,17 @@ val build : Sequencing.Symtab.t -> Path.t array array -> t
     a counting sort of the nodes by path id.  The columns are unboxed
     flat buffers ([Columnar]).
 
-    @raise Invalid_argument on an empty sequence. *)
+    @raise Invalid_argument on an empty sequence, or if the trie has
+    more than {!max_nodes} nodes (see {!check_node_count}). *)
+
+val max_nodes : int
+(** The most trie nodes an index holds, [2^31 - 1]: serials are 32-bit
+    labels. *)
+
+val check_node_count : int -> unit
+(** [check_node_count n] is the check {!build} makes on its node count
+    before it labels anything.
+    @raise Invalid_argument if [n] is negative or above {!max_nodes}. *)
 
 val remap : ?backend:backend -> t -> t
 (** The same index over different physical columns (default [Columnar]).
@@ -145,6 +159,15 @@ val path_doc_counts : ?member:(int -> bool) -> t -> (Path.t * int) array
 val distinct_paths : t -> int
 (** Number of horizontal links. *)
 
+val directory_words : t -> int
+(** Words the link directory keeps on the OCaml heap: the path-to-slot
+    map, the slots' dictionary indexes, their entry offsets and their
+    multiplicity flags. *)
+
+val column_bytes : t -> int
+(** Bytes the link and document columns keep outside the OCaml heap
+    ({!Xstorage.Store.off_heap_bytes}): their flat buffers. *)
+
 (** {1 Columnar snapshots}
 
     The index serialises to an {!Xstorage.Store} as a bag of named
@@ -173,7 +196,8 @@ val of_store : Xstorage.Store.t -> t
     index that reads pages on demand.  The dictionary regions are read
     once, straight into arrays, and become the symbol table
     ({!Sequencing.Symtab.of_dictionary}); the link directory regions are
-    read the same way and kept as heap arrays.
+    read the same way and kept as 32-bit vectors, [link_len] as the
+    entry offsets it sums to.
     Snapshots from before the simulated page layout was retired — a
     three-field [meta] region and a [link_base] region — load too; the
     extra fields and region are ignored.  So are the per-node columns
@@ -185,7 +209,8 @@ val of_store : Xstorage.Store.t -> t
     missing, mis-sized, or internally contradictory.  Validation covers
     every cross-region invariant (sizes, dictionary parent order, id
     ranges, link lengths summing to the [meta] node count and to the
-    link columns' length, no entry twice), so a structurally valid
+    link columns' length, a node count within {!max_nodes}, no entry
+    twice), so a structurally valid
     file that passed checksums cannot produce out-of-bounds reads
     here. *)
 

@@ -30,7 +30,7 @@ let descendants symbols p =
    a name test is one lookup in the table, a wildcard every child or
    descendant. *)
 let element_candidates symbols test axis pp =
-  let named s p = String.equal (D.name symbols (Path.tag symbols p)) s in
+  let named s p = D.name_equal symbols (Path.tag symbols p) s in
   match axis, test with
   | Pattern.Child, Pattern.Tag s ->
     Option.to_list

@@ -6,7 +6,8 @@ module Encoder = Sequencing.Encoder
 type t = {
   symbols : Symtab.t;
   docs : int;
-  freq : int array; (* per path id: #docs containing the path *)
+  seen : Bytes.t; (* per path id: '\001' if some document has the path *)
+  distinct : int; (* paths seen *)
   p : float array; (* per path id: the p_root estimate *)
   weights : (Path.t, float) Hashtbl.t;
 }
@@ -14,7 +15,8 @@ type t = {
 (* Estimates for every path of the table ([freq] has one count per
    path), parents first (a path's id is always above its parent's): seen
    paths by frequency, unseen ones decaying from their parent.  Computed
-   once, so pricing only reads. *)
+   once, so pricing only reads; of the counts only which paths were seen
+   is kept. *)
 let of_frequencies symbols ~docs freq =
   let n = Array.length freq in
   let p = Array.make n 1.0 in
@@ -26,7 +28,13 @@ let of_frequencies symbols ~docs freq =
          let parent = Path.parent symbols (Path.of_int symbols id) in
          p.(Path.to_int parent) *. 0.1)
   done;
-  { symbols; docs; freq; p; weights = Hashtbl.create 16 }
+  let seen =
+    Bytes.init n (fun id -> if freq.(id) > 0 then '\001' else '\000')
+  in
+  let distinct =
+    Array.fold_left (fun k c -> if c > 0 then k + 1 else k) 0 freq
+  in
+  { symbols; docs; seen; distinct; p; weights = Hashtbl.create 16 }
 
 (* Counts the documents [keep] selects, each path once per document. *)
 let count ?value_mode ?(symbols = Symtab.create ()) ~keep docs =
@@ -88,18 +96,17 @@ let p_parent t path =
 let set_weight t path w = Hashtbl.replace t.weights path w
 
 let set_tag_weight t name w =
-  Array.iteri
-    (fun id n ->
-      if n > 0 then begin
-        let d = Path.tag t.symbols (Path.of_int t.symbols id) in
-        if (not (D.is_value t.symbols d)) && D.name t.symbols d = name then
-          Hashtbl.replace t.weights (Path.of_int t.symbols id) w
-      end)
-    t.freq
+  for id = 0 to Bytes.length t.seen - 1 do
+    if Bytes.get t.seen id <> '\000' then begin
+      let p = Path.of_int t.symbols id in
+      let d = Path.tag t.symbols p in
+      if (not (D.is_value t.symbols d)) && D.name_equal t.symbols d name then
+        Hashtbl.replace t.weights p w
+    end
+  done
 
 let weight t path = try Hashtbl.find t.weights path with Not_found -> 1.0
 let priority t path = p_root t path *. weight t path
 let strategy t = Sequencing.Strategy.Probability (priority t)
 
-let distinct_paths t =
-  Array.fold_left (fun k n -> if n > 0 then k + 1 else k) 0 t.freq
+let distinct_paths t = t.distinct

@@ -52,8 +52,8 @@ val of_frequencies : Sequencing.Symtab.t -> docs:int -> int array -> t
     a table: [docs] documents, of which [freq.(id)] contain path [id]
     ([freq] has at most one count per path of the table).  A path with
     a zero count, or beyond the array, is treated as unseen.  The
-    statistics keep [freq], which the caller must not change
-    afterwards.  Used by a build, which counts as it flattens, and to
+    statistics keep their estimates and which paths were seen, not
+    [freq] itself.  Used by a build, which counts as it flattens, and to
     derive the statistics of a loaded index from its document table
     instead of its records. *)
 

@@ -487,6 +487,16 @@ let reload ?path t =
 
 (* --- stats ----------------------------------------------------------------- *)
 
+(* The collector's counters since the process started: heap size now and
+   at its peak (words), and collections so far. *)
+let gc_json () =
+  let g = Gc.quick_stat () in
+  Printf.sprintf
+    "{\"heap_words\": %d, \"top_heap_words\": %d, \"minor_collections\": \
+     %d, \"major_collections\": %d, \"compactions\": %d}"
+    g.Gc.heap_words g.Gc.top_heap_words g.Gc.minor_collections
+    g.Gc.major_collections g.Gc.compactions
+
 let stats_json t =
   let backend = Atomic.get t.serving in
   let hits = Plan_cache.hits t.cache and misses = Plan_cache.misses t.cache in
@@ -620,6 +630,7 @@ let stats_json t =
           Printf.sprintf
             "{\"page_reads\": %d, \"page_hits\": %d, \"pool_pages\": %d}"
             page_reads page_hits pool_pages );
+        ("gc", gc_json ());
       ]
       @ live_extra @ repl_extra @ scrub_extra)
     t.metrics

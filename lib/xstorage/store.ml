@@ -37,7 +37,10 @@ let checksum_string s off len =
 
 (* --- columns ------------------------------------------------------------ *)
 
-type flat = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+(* Flat columns hold 32-bit elements: every label, serial and id of an
+   index fits, and the file's 64-bit elements are narrowed as they are
+   read. *)
+type flat = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type reader = {
   fd : Unix.file_descr; (* unbuffered: every read sees the file as it is *)
@@ -75,8 +78,18 @@ type column =
 let heap a = Heap a
 
 let flat_of_array a =
-  let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (Array.length a) in
-  Array.iteri (fun i x -> Bigarray.Array1.unsafe_set b i x) a;
+  let b =
+    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (Array.length a)
+  in
+  Array.iteri
+    (fun i x ->
+      if not (Xutil.I32.fits x) then
+        invalid_arg
+          (Printf.sprintf
+             "Store.flat_of_array: element %d (%d) does not fit in 32 bits" i
+             x);
+      Bigarray.Array1.unsafe_set b i (Int32.of_int x))
+    a;
   Flat b
 
 let length = function
@@ -91,6 +104,10 @@ let is_paged = function
   | Heap _ | Flat _ -> false
 
 let is_packed = function Packed _ -> true | Heap _ | Flat _ | Paged _ -> false
+
+let off_heap_bytes = function
+  | Flat b -> 4 * Bigarray.Array1.dim b
+  | Heap _ | Paged _ | Packed _ -> 0
 
 (* Decoded-block cache: enough slots to hold the hot set of a
    range-restricted binary search (a handful of link lists at a time),
@@ -185,7 +202,7 @@ let read_via_pool r pos0 len =
 let get c i =
   match c with
   | Heap a -> a.(i)
-  | Flat b -> Bigarray.Array1.get b i
+  | Flat b -> Int32.to_int (Bigarray.Array1.get b i)
   | Paged { r; off; len } ->
     if i < 0 || i >= len then invalid_arg "Store.get: index out of bounds";
     let byte = off + (i * 8) in
@@ -207,7 +224,9 @@ let get c i =
 let to_array c =
   match c with
   | Heap a -> Array.copy a
-  | Flat b -> Array.init (Bigarray.Array1.dim b) (Bigarray.Array1.get b)
+  | Flat b ->
+    Array.init (Bigarray.Array1.dim b) (fun i ->
+        Int32.to_int (Bigarray.Array1.get b i))
   | Paged { len; _ } -> Array.init len (fun i -> get c i)
   | Packed p -> Xsuccinct.Packed.decode_all p.ph ~fetch:p.p_fetch
 
@@ -368,13 +387,26 @@ let read_packed r e =
   let fetch o l = String.sub data o l in
   (parse_packed ~prefix:read_prefix e fetch, fetch)
 
-(* A resident int region: xseqcol1 elements are decoded straight into a
-   flat buffer; an xseqcol2 column stays compressed in the string it was
-   read into, blocks decoded on probe. *)
+(* A resident int region: xseqcol1 elements are narrowed straight into a
+   32-bit flat buffer, and a value that does not fit fails the read; an
+   xseqcol2 column stays compressed in the string it was read into,
+   blocks decoded on probe. *)
 let read_ints r e =
   if e.e_kind = k_ints then begin
-    let fb = Bigarray.Array1.create Bigarray.int Bigarray.c_layout e.e_count in
-    stream_ints r e (Bigarray.Array1.unsafe_set fb);
+    let fb =
+      Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout e.e_count
+    in
+    stream_region ~prefix:read_prefix r e ~buf:(chunk_for e) (fun buf at n ->
+        for k = 0 to (n / 8) - 1 do
+          let x = Bytes.get_int64_le buf (8 * k) in
+          let x32 = Int64.to_int32 x in
+          if not (Int64.equal (Int64.of_int32 x32) x) then
+            fail_with read_prefix
+              "inconsistent snapshot: region %S element %d (%s) does not fit \
+               in 32 bits"
+              e.e_name ((at / 8) + k) (Int64.to_string x);
+          Bigarray.Array1.unsafe_set fb ((at / 8) + k) x32
+        done);
     Flat fb
   end
   else begin

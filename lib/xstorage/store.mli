@@ -2,14 +2,17 @@
 
     One format for memory and disk, and the only place page I/O is
     counted: an index is a bag of named {e regions} — typed int columns
-    (64-bit little-endian elements) and raw byte blobs — laid out
-    page-aligned.  The same column handle serves four physical
+    (64-bit little-endian elements on disk) and raw byte blobs — laid
+    out page-aligned.  The same column handle serves four physical
     representations:
 
     - {b Heap}: a plain OCaml [int array] (the seed's pointer-rich
       representation, kept for A/B comparison);
-    - {b Flat}: an unboxed [Bigarray] buffer — cache-friendly
-      structure-of-arrays, and exactly the bytes that go to disk;
+    - {b Flat}: an unboxed [int32] [Bigarray] buffer outside the OCaml
+      heap — cache-friendly structure-of-arrays at four bytes an
+      element.  Every value an index stores (labels, serials, ids) fits
+      in 32 bits; a flat column refuses one that does not, and the file's
+      8-byte elements are narrowed as they are read;
     - {b Paged}: a region of an open snapshot file, read on demand through
       a real buffer pool (page cache + {!Lru} eviction), so queries
       can run straight off disk without materialising the column;
@@ -92,7 +95,8 @@ val heap : int array -> column
 (** Wraps a heap array (no copy). *)
 
 val flat_of_array : int array -> column
-(** Copies into a fresh unboxed flat buffer. *)
+(** Copies into a fresh unboxed 32-bit flat buffer.
+    @raise Invalid_argument if an element does not fit in 32 bits. *)
 
 val get : column -> int -> int
 (** [get c i] is element [i].  @raise Invalid_argument out of bounds. *)
@@ -108,6 +112,10 @@ val is_paged : column -> bool
 
 val is_packed : column -> bool
 (** True for compressed (decode-on-probe) columns. *)
+
+val off_heap_bytes : column -> int
+(** Bytes the column keeps outside the OCaml heap: four an element for a
+    flat buffer, 0 for the other backings. *)
 
 (** {1 Stores} *)
 
@@ -130,12 +138,13 @@ val ints : t -> string -> column
 (** Looks a column region up by name.  A memory store hands back the
     column it was given, a [Paged] file store its paged handle.  A
     [Resident] file store reads the region from the file on every call,
-    checks its checksum and returns a fresh in-memory column (a flat
-    buffer for xseqcol1, a still-compressed column for xseqcol2) that
-    the store does not keep.
+    checks its checksum and returns a fresh in-memory column (a 32-bit
+    flat buffer for xseqcol1, a still-compressed column for xseqcol2)
+    that the store does not keep.
     @raise Invalid_argument if absent or a blob, and, for a region read
     from the file, on a checksum mismatch, a short read or a closed
-    store. *)
+    store.  An xseqcol1 element that does not fit in 32 bits fails the
+    read with ["Store: inconsistent snapshot: region ..."]. *)
 
 val int_array : t -> string -> int array
 (** The elements of a column region, in a fresh OCaml array.  A
@@ -171,8 +180,8 @@ val write : ?page_size:int -> ?format:file_format -> t -> string -> unit
 
 type mode =
   | Resident
-      (** {!ints} reads a region into memory when called: a flat buffer
-          for xseqcol1, a still-compressed column for xseqcol2 *)
+      (** {!ints} reads a region into memory when called: a 32-bit flat
+          buffer for xseqcol1, a still-compressed column for xseqcol2 *)
   | Paged  (** leave int columns on disk behind the buffer pool *)
 
 val open_file : ?mode:mode -> ?pool_pages:int -> string -> t

@@ -33,6 +33,9 @@ let encode names =
     names;
   Buffer.contents buf
 
+(* Two passes over the entries: the first checks them and sizes each
+   name, the second copies the names into one exactly-sized blob, each
+   shared prefix from the name before it. *)
 let decode ~name s =
   let len = String.length s in
   if len < 4 then fail name "front-coded blob of %d bytes lacks a header" len;
@@ -41,19 +44,28 @@ let decode ~name s =
   if count < 0 || count > len then
     fail name "front-coded entry count %d is implausible for %d bytes" count
       len;
+  let off = Array.make (count + 1) 0 in
   let pos = ref 4 in
-  let out = Array.make count "" in
   for i = 0 to count - 1 do
     let shared = Varint.uvarint ~name s ~pos ~limit:len in
     let fresh = Varint.uvarint ~name s ~pos ~limit:len in
-    let prev = if i = 0 then "" else out.(i - 1) in
-    if shared > String.length prev then
+    let prev = if i = 0 then 0 else off.(i) - off.(i - 1) in
+    if shared > prev then
       fail name "entry %d shares %d bytes with a %d-byte predecessor" i
-        shared (String.length prev);
+        shared prev;
     if fresh < 0 || !pos + fresh > len then
       fail name "entry %d's %d-byte suffix overruns the blob" i fresh;
-    out.(i) <- String.sub prev 0 shared ^ String.sub s !pos fresh;
+    off.(i + 1) <- off.(i) + shared + fresh;
     pos := !pos + fresh
   done;
   if !pos <> len then fail name "%d trailing bytes after last entry" (len - !pos);
-  out
+  let blob = Bytes.create off.(count) in
+  pos := 4;
+  for i = 0 to count - 1 do
+    let shared = Varint.uvarint ~name s ~pos ~limit:len in
+    let fresh = Varint.uvarint ~name s ~pos ~limit:len in
+    if shared > 0 then Bytes.blit blob off.(i - 1) blob off.(i) shared;
+    Bytes.blit_string s !pos blob (off.(i) + shared) fresh;
+    pos := !pos + fresh
+  done;
+  (Bytes.unsafe_to_string blob, off)

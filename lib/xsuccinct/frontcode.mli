@@ -15,6 +15,8 @@ val encode : string array -> string
     (duplicates allowed).  Raises [Invalid_argument] if unsorted — the
     decoder could not reproduce the order-dependent prefixes. *)
 
-val decode : name:string -> string -> string array
-(** Inverse of {!encode}.  Raises [Invalid_argument] (mentioning
+val decode : name:string -> string -> string * int array
+(** Inverse of {!encode}, as the names back to back in one string and
+    [n + 1] offsets: name [i] is bytes [[off.(i), off.(i + 1))].  No
+    string is allocated a name.  Raises [Invalid_argument] (mentioning
     [name]) on truncated, trailing or inconsistent bytes. *)

@@ -37,6 +37,21 @@ let test_trie_empty_rejected () =
     (Invalid_argument "Labeled.build: empty sequence") (fun () ->
       ignore (Labeled.build sy [| [||] |]))
 
+(* Labels are 32-bit: the build checks its node count before it labels
+   anything, and refuses a trie past [max_nodes] rather than widen. *)
+let test_node_count_limit () =
+  Alcotest.(check int) "max_nodes" 0x7fff_ffff Labeled.max_nodes;
+  Labeled.check_node_count 0;
+  Labeled.check_node_count Labeled.max_nodes;
+  List.iter
+    (fun n ->
+      match Labeled.check_node_count n with
+      | () -> Alcotest.failf "%d nodes accepted" n
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool) "names the build" true
+          (String.starts_with ~prefix:"Labeled.build: " msg))
+    [ Labeled.max_nodes + 1; 1 lsl 40; -1 ]
+
 (* Bad input to the labeller: an empty sequence among others is refused,
    no sequences at all give the root alone, and sequences out of order
    are sorted rather than refused. *)
@@ -368,6 +383,8 @@ let () =
           Alcotest.test_case "path_multiple" `Quick test_path_multiple;
           Alcotest.test_case "of_sorted rejects bad input" `Quick
             test_build_rejects_bad_input;
+          Alcotest.test_case "node count fits 32-bit labels" `Quick
+            test_node_count_limit;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -709,11 +709,11 @@ let test_load_allocation () =
 (* Live words the same load leaves behind once the collector has run:
    the symbol table, the link directory and the statistics; the label
    columns are flat buffers, outside the heap.  The record region
-   (505k bytes, 63k words) and the dictionary's names stay in the file.
-   Measured 137k words (171k with a hashtable symbol table); a store
-   that kept its regions in memory retained 252k, more than the bound
-   plus the record region. *)
-let retained_word_bound = 180_000
+   (505k bytes, 63k words) stays in the file.  Measured 71.6k words with
+   32-bit columns and one name blob; 137k with 64-bit columns and a
+   boxed string a name, 171k with a hashtable symbol table, and a store
+   that kept its regions in memory retained 252k. *)
+let retained_word_bound = 78_000
 
 let test_load_retention () =
   let path, _ = snapshot_of (Xdatagen.Dblp_gen.generate ~seed:2024 2000) in
@@ -731,9 +731,11 @@ let test_load_retention () =
 
 (* Words the symbol table of the same loaded index reaches: its name
    and path columns, its two open-addressing id indexes and the
-   designator names.  Measured 97k words; the table of three hashtables
-   and doubling arrays it replaced reached 126k. *)
-let symtab_word_bound = 105_000
+   designator names.  Measured 53.4k words with 32-bit columns and one
+   name blob; 97k with [int array] columns and a boxed string a name,
+   and the table of three hashtables and doubling arrays before that
+   reached 126k. *)
+let symtab_word_bound = 58_000
 
 let test_symtab_footprint () =
   let docs = Xdatagen.Dblp_gen.generate ~seed:2024 2000 in
@@ -748,6 +750,22 @@ let test_symtab_footprint () =
       if words > symtab_word_bound then
         Alcotest.failf "a loaded symbol table reaches %d words (bound %d)"
           words symtab_word_bound)
+
+(* Bytes the same loaded index keeps outside the heap: its five flat
+   label and document columns, four bytes an element.  Measured 205.5k;
+   the 8-byte columns they replaced took twice that. *)
+let column_byte_bound = 210_000
+
+let test_column_bytes () =
+  let docs = Xdatagen.Dblp_gen.generate ~seed:2024 2000 in
+  with_temp_file (fun path ->
+      Xseq.save (Xseq.build docs) path;
+      let loaded = Xseq.load path in
+      let bytes = Labeled.column_bytes (Xseq.labeled loaded) in
+      Option.iter Store.close (Xseq.backing_store loaded);
+      if bytes > column_byte_bound then
+        Alcotest.failf "a loaded index keeps %d column bytes (bound %d)" bytes
+          column_byte_bound)
 
 let () =
   Alcotest.run "load"
@@ -801,5 +819,7 @@ let () =
             test_load_retention;
           Alcotest.test_case "a loaded symbol table is flat" `Quick
             test_symtab_footprint;
+          Alcotest.test_case "label columns are 32-bit" `Quick
+            test_column_bytes;
         ] );
     ]

@@ -116,6 +116,17 @@ let model_name rng =
   in
   String.init len (fun _ -> Char.chr (Char.code 'a' + Random.State.int rng 4))
 
+(* A designator name table as [Symtab.of_dictionary] takes it: one blob
+   and the offsets of its names. *)
+let name_blob names =
+  let off = Array.make (Array.length names + 1) 0 in
+  Array.iteri (fun j s -> off.(j + 1) <- off.(j) + String.length s) names;
+  (String.concat "" (Array.to_list names), off)
+
+let of_dictionary ~kinds ~names ~parents ~desigs =
+  let names, name_off = name_blob names in
+  Symtab.of_dictionary ~kinds ~names ~name_off ~parents ~desigs
+
 (* Paths spelled out by name, values before tags at each step, as the
    model orders them. *)
 let model_spelling tbl p =
@@ -230,6 +241,52 @@ let test_symtab_model () =
   Alcotest.(check int) "lookups never intern" !npaths (Symtab.path_count tbl);
   Alcotest.(check int) "lookups add no designator" ndesig
     (D.tag tbl "fresh" :> int);
+  (* Lookups and name tests read the name blob in place, for names of
+     every length up to 1000 bytes: a miss, a name test and a prefix test
+     allocate nothing, a hit its [Some] alone (two words). *)
+  let all = !all_desigs in
+  let n = Array.length all in
+  let spelled = Array.map (D.name tbl) all in
+  let valued = Array.map (D.is_value tbl) all in
+  let absent = Array.map (fun name -> name ^ "?") spelled in
+  let halves =
+    Array.map (fun name -> String.sub name 0 (String.length name / 2)) spelled
+  in
+  Alcotest.(check bool) "long names in the table" true
+    (Array.exists (fun name -> String.length name >= 200) spelled);
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = minor_words ignore in
+  let words f = minor_words f -. overhead in
+  let find i key =
+    if valued.(i) then D.find_value tbl key else D.find_tag tbl key
+  in
+  Alcotest.(check (float 0.)) "hits allocate their Some alone"
+    (float_of_int (2 * n))
+    (words (fun () ->
+         for i = 0 to n - 1 do
+           ignore (Sys.opaque_identity (find i spelled.(i)))
+         done));
+  Alcotest.(check (float 0.)) "misses allocate nothing" 0.
+    (words (fun () ->
+         for i = 0 to n - 1 do
+           ignore (Sys.opaque_identity (find i absent.(i)));
+           ignore (Sys.opaque_identity (D.find_tag tbl absent.(i)))
+         done));
+  let agree = ref 0 in
+  Alcotest.(check (float 0.)) "name tests allocate nothing" 0.
+    (words (fun () ->
+         for i = 0 to n - 1 do
+           let d = all.(i) in
+           if D.name_equal tbl d spelled.(i) then incr agree;
+           if not (D.name_equal tbl d absent.(i)) then incr agree;
+           if D.name_has_prefix tbl d halves.(i) then incr agree;
+           if not (D.name_has_prefix tbl d absent.(i)) then incr agree
+         done));
+  Alcotest.(check int) "name tests agree with the names" (4 * n) !agree;
   (* Element children: the tag extensions of each path, ascending. *)
   let kids = Array.make !npaths [] in
   Hashtbl.iter
@@ -275,14 +332,12 @@ let test_symtab_model () =
       (fun p -> if p = 0 then -1 else (Path.tag tbl (Path.of_int tbl p) :> int))
       order
   in
-  let loaded =
-    Symtab.of_dictionary ~kinds ~names ~parents ~desigs:entry_desigs
-  in
+  let loaded = of_dictionary ~kinds ~names ~parents ~desigs:entry_desigs in
   (* The same dictionary with every entry's designator spelled out, as
      xseqcol1 snapshots store it: a designator table with repeats. *)
   let spelled_out =
     let entry j = !all_desigs.(entry_desigs.(j + 1)) in
-    Symtab.of_dictionary
+    of_dictionary
       ~kinds:(Array.init (!npaths - 1) (fun j -> kinds.((entry j :> int))))
       ~names:(Array.init (!npaths - 1) (fun j -> names.((entry j :> int))))
       ~parents
@@ -328,14 +383,14 @@ let test_symtab_model () =
 (* [Symtab.of_dictionary] keeps every check a snapshot load relies on. *)
 let test_symtab_dictionary_checks () =
   let rejects what ~kinds ~names ~parents ~desigs =
-    match Symtab.of_dictionary ~kinds ~names ~parents ~desigs with
+    match of_dictionary ~kinds ~names ~parents ~desigs with
     | _ -> Alcotest.failf "accepted a dictionary with %s" what
     | exception Invalid_argument msg ->
       Alcotest.(check string) "diagnostic" what msg
   in
   let kinds = [| 0; 1 |] and names = [| "a"; "a" |] in
   ignore
-    (Symtab.of_dictionary ~kinds ~names ~parents:[| -1; 0; 1 |]
+    (of_dictionary ~kinds ~names ~parents:[| -1; 0; 1 |]
        ~desigs:[| -1; 0; 1 |]);
   rejects "dictionary root" ~kinds ~names ~parents:[||] ~desigs:[||];
   rejects "root entry with a designator" ~kinds ~names ~parents:[| -1 |]
@@ -349,7 +404,20 @@ let test_symtab_dictionary_checks () =
   rejects "duplicate dictionary entry" ~kinds ~names ~parents:[| -1; 0; 0 |]
     ~desigs:[| -1; 1; 1 |];
   rejects "dictionary region sizes" ~kinds ~names ~parents:[| -1; 0 |]
-    ~desigs:[| -1 |]
+    ~desigs:[| -1 |];
+  (* Name offsets that leave the blob or run backwards. *)
+  List.iter
+    (fun name_off ->
+      match
+        Symtab.of_dictionary ~kinds ~names:"ab" ~name_off
+          ~parents:[| -1; 0 |] ~desigs:[| -1; 0 |]
+      with
+      | _ -> Alcotest.fail "accepted bad name offsets"
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) "diagnostic" "dictionary name offsets" msg)
+    [ [| 0; 1; 3 |]; [| -1; 0; 1 |]; [| 0; 2; 1 |] ];
+  rejects "dictionary region sizes" ~kinds ~names:[| "a" |]
+    ~parents:[| -1 |] ~desigs:[| -1 |]
 
 (* --- constraints --------------------------------------------------------- *)
 

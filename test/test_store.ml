@@ -54,14 +54,22 @@ let test_roundtrip_resident () =
   with_temp "store_rt" (fun path ->
       Store.write ~page_size:16 (tiny_store ()) path;
       let s = Store.open_file path in
-      let col = Store.ints s "col" in
       Alcotest.(check (list int))
         "int column survives"
         [ 1; 2; 3; 42; 1000; -7; max_int ]
-        (Array.to_list (Store.to_array col));
+        (Array.to_list (Store.int_array s "col"));
+      (* A resident column is 32-bit: [max_int] fails the read. *)
+      (match Store.ints s "col" with
+       | _ -> Alcotest.fail "a resident column held max_int"
+       | exception Invalid_argument msg ->
+         Alcotest.(check string) "diagnostic"
+           "Store: inconsistent snapshot: region \"col\" element 6 \
+            (4611686018427387903) does not fit in 32 bits"
+           msg);
+      let col = Store.ints s "flat" in
       Alcotest.(check (list int))
         "flat column survives" [ 9; 8; 7 ]
-        (Array.to_list (Store.to_array (Store.ints s "flat")));
+        (Array.to_list (Store.to_array col));
       Alcotest.(check string) "blob survives" "hello, store"
         (Store.blob s "blob");
       Alcotest.(check bool) "resident columns are not paged" false
@@ -426,12 +434,18 @@ let test_packed_unit () =
   | _ -> Alcotest.fail "truncated packed column accepted"
   | exception Invalid_argument _ -> ()
 
+(* The names a decoded blob and its offsets spell. *)
+let frontcode_names ~name s =
+  let blob, off = Frontcode.decode ~name s in
+  Array.init (Array.length off - 1) (fun i ->
+      String.sub blob off.(i) (off.(i + 1) - off.(i)))
+
 let test_frontcode_unit () =
   let names = [| ""; "a"; "ab"; "ab"; "abc"; "abd"; "b" |] in
   let s = Frontcode.encode names in
   Alcotest.(check (array string))
     "decode inverts encode" names
-    (Frontcode.decode ~name:"t" s);
+    (frontcode_names ~name:"t" s);
   (match Frontcode.encode [| "b"; "a" |] with
   | _ -> Alcotest.fail "unsorted input accepted"
   | exception Invalid_argument _ -> ());
@@ -524,7 +538,7 @@ let prop_frontcode_roundtrip =
               (string_size ~gen:printable (int_range 0 10))))
        (fun names ->
          Array.sort compare names;
-         Frontcode.decode ~name:"q" (Frontcode.encode names) = names))
+         frontcode_names ~name:"q" (Frontcode.encode names) = names))
 
 let prop_lz_roundtrip =
   QCheck_alcotest.to_alcotest
@@ -710,38 +724,45 @@ let test_roundtrip_value_modes () =
     ]
 
 (* Loading rejects snapshots whose regions disagree with each other even
-   when every checksum is valid.  [tampered region f] rewrites a saved
-   snapshot with [f] applied to one int region and expects the load to
-   fail with the diagnostic [want]. *)
-let tampered region f ~want =
+   when every checksum is valid.  [write_tampered region f path] writes
+   to [path] a snapshot of a small index with [f] applied to one int
+   region; [tampered region f] expects the load of that file to fail
+   with the diagnostic [want]. *)
+let write_tampered region f path =
   let docs = Xdatagen.Dblp_gen.generate 10 in
   let index = Xseq.build docs in
+  let s = Store.memory () in
+  let tmp = Filename.temp_file "xseq_src" ".idx" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+    (fun () ->
+      Xseq.save index tmp;
+      let src = Store.open_file tmp in
+      List.iter
+        (fun r ->
+          match (r.Store.r_name, r.Store.r_kind) with
+          | name, `Ints when name = region ->
+            let m = Store.int_array src name in
+            f m;
+            Store.add_ints s name (Store.heap m)
+          | name, `Ints -> Store.add_ints s name (Store.ints src name)
+          | name, `Blob -> Store.add_blob s name (Store.blob src name))
+        (Store.regions src);
+      Store.write s path;
+      Store.close src)
+
+let load_fails ?(prefix = "Labeled.of_store: inconsistent snapshot: ") path
+    ~want =
+  match Xseq.load path with
+  | _ -> Alcotest.fail "inconsistent snapshot accepted"
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "diagnostic names the inconsistency"
+      (prefix ^ want) msg
+
+let tampered region f ~want =
   with_temp "xseq_inconsistent" (fun path ->
-      let s = Store.memory () in
-      let tmp = Filename.temp_file "xseq_src" ".idx" in
-      Fun.protect
-        ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
-        (fun () ->
-          Xseq.save index tmp;
-          let src = Store.open_file tmp in
-          List.iter
-            (fun r ->
-              match (r.Store.r_name, r.Store.r_kind) with
-              | name, `Ints when name = region ->
-                let m = Store.to_array (Store.ints src name) in
-                f m;
-                Store.add_ints s name (Store.heap m)
-              | name, `Ints -> Store.add_ints s name (Store.ints src name)
-              | name, `Blob -> Store.add_blob s name (Store.blob src name))
-            (Store.regions src);
-          Store.write s path;
-          Store.close src);
-      match Xseq.load path with
-      | _ -> Alcotest.fail "inconsistent snapshot accepted"
-      | exception Invalid_argument msg ->
-        Alcotest.(check string) "diagnostic names the inconsistency"
-          ("Labeled.of_store: inconsistent snapshot: " ^ want)
-          msg)
+      write_tampered region f path;
+      load_fails path ~want)
 
 (* A lying node count, or a lying link length, breaks the agreement of
    the link lengths' sum, the link columns' length and the node count;
@@ -755,6 +776,65 @@ let test_inconsistent_snapshot () =
   (* Two links naming one path: the later would shadow the earlier in
      the path-to-link map and drop its entries from every answer. *)
   tampered "link_path" (fun m -> m.(1) <- m.(0)) ~want:"duplicate link path"
+
+(* The CLI binary beside this test's build directory, if it is built. *)
+let cli =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "xseq_cli.exe")
+
+(* [xseq args], its output discarded: the exit code. *)
+let run_cli args =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close null)
+    (fun () ->
+      let pid =
+        Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin null
+          null
+      in
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED code -> code
+      | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n)
+
+(* Every value a loaded index holds is 32-bit.  A snapshot with a label,
+   a link-directory entry, a dictionary entry or a node count of 2^31 is
+   damaged: its load fails with an "inconsistent snapshot" diagnostic,
+   and [xseq info] and [xseq query] exit 1 on it.  A build refuses such
+   values the same way. *)
+let test_beyond_32_bits () =
+  let wide = 1 lsl 31 in
+  tampered "meta" (fun m -> m.(0) <- wide) ~want:"node count beyond 32 bits";
+  tampered "link_len" (fun m -> m.(0) <- wide)
+    ~want:"link length out of range";
+  tampered "link_path" (fun m -> m.(0) <- wide)
+    ~want:"link path id out of range";
+  tampered "dict_parent" (fun m -> m.(1) <- wide)
+    ~want:"dictionary parent order";
+  tampered "dict_name_off" (fun m -> m.(2) <- wide)
+    ~want:"dictionary name offsets";
+  List.iter
+    (fun region ->
+      with_temp "xseq_wide" (fun path ->
+          write_tampered region (fun m -> m.(0) <- wide) path;
+          load_fails ~prefix:"Store: inconsistent snapshot: " path
+            ~want:
+              (Printf.sprintf
+                 "region %S element 0 (2147483648) does not fit in 32 bits"
+                 region);
+          if Sys.file_exists cli then begin
+            Alcotest.(check int) "query exits 1" 1
+              (run_cli [ "query"; path; "//author" ]);
+            (* [info] reads the doc table, not the link columns. *)
+            if region = "doc_pre" then
+              Alcotest.(check int) "info exits 1" 1 (run_cli [ "info"; path ])
+          end))
+    [ "l_pre"; "l_post"; "l_up"; "doc_pre"; "doc_id" ];
+  (match Store.flat_of_array [| 0; -wide; wide |] with
+   | _ -> Alcotest.fail "a flat column took 2^31"
+   | exception Invalid_argument _ -> ());
+  Alcotest.(check int) "a flat column takes -2^31" (-wide)
+    (Store.get (Store.flat_of_array [| 0; -wide |]) 1)
 
 (* The compact dictionary's cross-region invariants: a designator id
    pointing outside the name table must be rejected even though every
@@ -877,6 +957,8 @@ let () =
             test_inconsistent_snapshot;
           Alcotest.test_case "inconsistent compact dictionary" `Quick
             test_inconsistent_compact_dict;
+          Alcotest.test_case "values beyond 32 bits" `Quick
+            test_beyond_32_bits;
           Alcotest.test_case "compressed save under fault injection" `Quick
             test_compressed_save_faults;
         ] );
