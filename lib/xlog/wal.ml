@@ -322,11 +322,23 @@ let tail ~dir ?(max_bytes = default_tail_bytes) pos =
     Ok { b_records = ""; b_count = 0; b_next = { file = seq; off = String.length magic } }
   in
   let wait () = Ok { b_records = ""; b_count = 0; b_next = pos } in
+  let pruned file =
+    Error (Position_pruned { earliest = { file; off = String.length magic } })
+  in
+  (* A listed file that is gone by the time it is read was pruned under
+     the cursor (a checkpoint ran between the listing and the read). *)
+  let vanished () =
+    match List.find_opt (fun (i, _) -> i > pos.file) (list_files dir) with
+    | Some (seq, _) -> pruned seq
+    | None -> pruned (pos.file + 1)
+  in
+  let failed fn e =
+    Error (Tail_error (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
+  in
   match files with
   | [] -> Error (Tail_error (Printf.sprintf "no WAL files in %s" dir))
   | (earliest, _) :: _ ->
-    if pos.file < earliest then
-      Error (Position_pruned { earliest = { file = earliest; off = String.length magic } })
+    if pos.file < earliest then pruned earliest
     else if pos.off < String.length magic then
       Error
         (Tail_error
@@ -346,8 +358,8 @@ let tail ~dir ?(max_bytes = default_tail_bytes) pos =
                   (position_to_string pos))))
       | Some path -> (
         match (Unix.stat path).Unix.st_size with
-        | exception Unix.Unix_error (e, fn, _) ->
-          Error (Tail_error (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
+        | exception Unix.Unix_error (Unix.ENOENT, _, _) -> vanished ()
+        | exception Unix.Unix_error (e, fn, _) -> failed fn e
         | size ->
           if pos.off > size then begin
             match next_file_after pos.file with
@@ -364,8 +376,8 @@ let tail ~dir ?(max_bytes = default_tail_bytes) pos =
             let rec attempt window =
               match read_range path ~off:pos.off ~len:(min window (size - pos.off)) with
               | exception Sys_error msg -> Error (Tail_error msg)
-              | exception Unix.Unix_error (e, fn, _) ->
-                Error (Tail_error (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
+              | exception Unix.Unix_error (Unix.ENOENT, _, _) -> vanished ()
+              | exception Unix.Unix_error (e, fn, _) -> failed fn e
               | data -> (
                 let good, count, reason = walk_records data ~file_off:pos.off ~size in
                 if count > 0 then

@@ -131,7 +131,9 @@ val tail : dir:string -> ?max_bytes:int -> position -> (batch, tail_error) resul
     never acknowledged).  An empty batch with [b_next = pos] means
     "caught up, poll again".  A position older than the oldest retained
     file is {!Position_pruned}, {e not} an exception — WAL pruning must
-    never crash the shipping path.  Never raises. *)
+    never crash the shipping path.  So is a position in a listed file
+    that is gone ([ENOENT]) by the time it is read: a checkpoint pruned
+    it between the directory listing and the read.  Never raises. *)
 
 (** {1 Appending}
 

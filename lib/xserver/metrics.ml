@@ -1,13 +1,11 @@
-(* All counters live behind one mutex; reads take the same lock so a
-   [Stats] response is a consistent snapshot (e.g. the end-to-end test
+(* All counters live behind one mutex; rendering takes the same lock so
+   a [Stats] response is a consistent snapshot (e.g. the end-to-end test
    reconciles per-op counts against requests it actually sent). *)
 
 module Matcher = Xquery.Matcher
 
-(* Upper bounds of the latency histogram, in milliseconds.  Buckets are
-   cumulative like Prometheus's: a 0.7 ms request increments every bucket
-   with bound >= 1.0 when rendered, but is stored in the first bucket
-   whose bound contains it. *)
+(* Upper bounds of the latency histogram, in milliseconds.  A request
+   is counted in the first bucket whose bound contains it. *)
 let bucket_bounds_ms =
   [| 0.05; 0.1; 0.25; 0.5; 1.0; 2.5; 5.0; 10.0; 25.0; 50.0; 100.0; 250.0;
      1000.0 |]
@@ -74,25 +72,10 @@ let connection_closed t =
 let merge_matcher t s = with_lock t (fun () -> Matcher.merge_stats ~into:t.matcher s)
 
 let sum_tbl tbl = Hashtbl.fold (fun _ v acc -> acc + v) tbl 0
-let requests_total t = with_lock t (fun () -> sum_tbl t.by_op)
-let errors_total t = with_lock t (fun () -> sum_tbl t.by_error)
 
 let sorted_bindings tbl =
   List.sort (fun (a, _) (b, _) -> String.compare a b)
     (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
-let requests_by_op t = with_lock t (fun () -> sorted_bindings t.by_op)
-
-let active_connections t =
-  with_lock t (fun () -> t.connections_opened - t.connections_closed)
-
-let latency_buckets t =
-  with_lock t (fun () ->
-      let cumulative = ref 0 in
-      let n = Array.length bucket_bounds_ms in
-      List.init (n + 1) (fun i ->
-          cumulative := !cumulative + t.buckets.(i);
-          ((if i < n then bucket_bounds_ms.(i) else infinity), !cumulative)))
 
 (* --- JSON ----------------------------------------------------------------- *)
 

@@ -30,15 +30,6 @@ val merge_matcher : t -> Xquery.Matcher.stats -> unit
 
 (** {1 Reading} *)
 
-val requests_total : t -> int
-val requests_by_op : t -> (string * int) list
-val errors_total : t -> int
-val active_connections : t -> int
-
-val latency_buckets : t -> (float * int) list
-(** Cumulative [(upper_bound_ms, count)] pairs, last bound is
-    [infinity] — Prometheus-style. *)
-
 val to_json :
   ?extra:(string * string) list -> t -> string
 (** The whole registry as one JSON object (counters, per-op requests,

@@ -92,6 +92,9 @@ type response =
       data : string;
     }
 
+let error code fmt =
+  Printf.ksprintf (fun message -> Error { code; message }) fmt
+
 (* --- opcodes -------------------------------------------------------------- *)
 
 let op_ping = 0x00

@@ -181,6 +181,10 @@ type response =
       data : string;
     }  (** one slice of a snapshot transfer ({!request.Fetch_snapshot}) *)
 
+val error : error_code -> ('a, unit, string, response) format4 -> 'a
+(** [error code fmt ...] is the [Error] response with that code and the
+    formatted message. *)
+
 (** {1 Codec} *)
 
 val encode_request : request -> string

@@ -39,8 +39,9 @@
    - the served index is an [Atomic.t] of an immutable record: readers
      [Atomic.get] once per request and use that snapshot throughout, so a
      concurrent [Reload] can never tear a request across two indexes;
-   - the plan cache, metrics registry and admission counter each carry
-     their own mutex;
+   - the plan cache, the metrics registry, the admission counter and
+     {!Replication}'s shared lists (subscriptions, parked mutations,
+     snapshot transfers) each carry their own mutex;
    - a slot's response cell is an [Atomic.t]: the worker fills it, the
      loop reads it — the completion post (mutex + wakeup) publishes it;
    - [stop_requested] is an [Atomic.t bool] so a signal handler can set
@@ -79,30 +80,18 @@ type source =
   | Live of Xlog.t
   | Sharded of Xshard.t
 
-(* Replication is wired through a hook record rather than a direct
-   dependency on the engine: the server owns the wire mechanics
-   (subscription pumping, ack bookkeeping, role gating) while role,
-   epoch and promotion live with whoever built the hooks ([Xrepl]) —
-   xserver never links against xrepl. *)
-type repl_hooks = {
-  repl_log : Xlog.t;  (** the replicated store — must be the served source *)
+(* The primary's half of replication lives in {!Replication}; role,
+   epoch and promotion live with whoever built the hooks. *)
+type repl_hooks = Replication.hooks = {
+  repl_log : Xlog.t;
   repl_role : unit -> [ `Primary | `Follower ];
   repl_epoch : unit -> int;
-  repl_leader_hint : unit -> string;  (** "" when unknown *)
+  repl_leader_hint : unit -> string;
   repl_promote : unit -> (int, string) result;
   repl_observe_epoch : int -> unit;
-      (** a subscriber announced this epoch; a primary seeing a higher
-          one was deposed and must step down (fencing) *)
   repl_lag : unit -> int * int;
-      (** (records, bytes) this node trails its primary; (0, 0) on a
-          primary *)
   repl_sync_replicas : int;
-      (** mutations are acknowledged only once this many subscribers
-          durably hold them; 0 = asynchronous *)
   repl_ack_timeout_ms : int;
-      (** parked mutations answer [Timeout] after this long without
-          enough acks (the write {e is} applied locally — the client
-          must treat it as indeterminate, exactly like any timeout) *)
 }
 
 type config = {
@@ -110,10 +99,8 @@ type config = {
   max_pending : int;
   plan_cache_capacity : int;
   default_timeout_ms : int;
-  drain_timeout_s : float;
   debug_delay_ms : int;
   accept_shards : int;
-  max_pipeline : int;
   snapshot_mode : Xstorage.Store.mode;
   snapshot_pool_pages : int;
   repl : repl_hooks option;
@@ -128,10 +115,8 @@ let default_config =
     max_pending = 64;
     plan_cache_capacity = 256;
     default_timeout_ms = 0;
-    drain_timeout_s = 5.0;
     debug_delay_ms = 0;
     accept_shards = 1;
-    max_pipeline = 256;
     snapshot_mode = Xstorage.Store.Resident;
     snapshot_pool_pages = 256;
     repl = None;
@@ -197,36 +182,8 @@ type conn = {
   mutable c_want_write : bool;
   mutable c_closed : bool;
   mutable c_close_after_flush : bool;
-  mutable c_sub : sub option;
-      (** [Some _] once the peer subscribed to the WAL stream: the
-          connection has left the request/response model — the server
-          pushes batches and heartbeats, the peer sends only acks *)
-  mutable c_xfer : xfer option;
-      (** [Some _] while a snapshot transfer is streaming out: chunks
-          refill the output queue as the kernel drains it, under the
-          same high-water mark as every other push *)
+  c_peer : conn Replication.peer;  (** subscription / snapshot transfer *)
   c_loop : loop;
-}
-
-(* One outbound snapshot transfer.  Owned by the connection's loop
-   thread; the transfer {e list} (WAL retention pinning) is shared and
-   guarded by [repl.rp_m]. *)
-and xfer = {
-  xf_dir : string;
-  xf_manifest : Xlog.Transfer.manifest;
-  mutable xf_offset : int;  (** next stream byte to ship *)
-}
-
-(* One live WAL subscription.  Owned by the connection's loop thread
-   like the rest of the connection state; the subscription {e list}
-   (membership, retention, ack floor) is shared and guarded by
-   [repl.rp_m]. *)
-and sub = {
-  s_conn : conn;
-  mutable s_cursor : Xlog.Wal.position;  (** next byte to ship *)
-  mutable s_acked : Xlog.Wal.position;
-      (** highest position the subscriber durably applied *)
-  mutable s_last_send : float;  (** heartbeat pacing *)
 }
 
 and loop = {
@@ -253,28 +210,6 @@ and exec_item = {
   x_deadline : float option;
 }
 
-(* A mutation response parked until [repl_sync_replicas] subscribers
-   acknowledge the log position it produced (semi-synchronous
-   replication): the client's ack then implies the record survives the
-   primary's death. *)
-type waiter = {
-  w_conn : conn;
-  w_slot : slot;
-  w_resp : P.response;
-  w_pos : Xlog.Wal.position;  (** durable position the record is under *)
-  w_deadline : float;
-}
-
-type repl = {
-  rp_hooks : repl_hooks;
-  rp_m : Mutex.t;  (** guards [rp_subs], [rp_waiters] and [rp_xfers] *)
-  mutable rp_subs : sub list;
-  mutable rp_waiters : waiter list;
-  mutable rp_xfers : xfer list;
-      (** live snapshot transfers: their manifests pin the WAL file the
-          stream still has to read through the retention hook *)
-}
-
 type t = {
   config : config;
   mutable source : source; (* guarded by [reload_m] *)
@@ -282,7 +217,7 @@ type t = {
   cache : plan Plan_cache.t;
   metrics : Metrics.t;
   pool : Pool.t;
-  repl : repl option;
+  repl : conn Replication.t;
   (* admission *)
   adm_m : Mutex.t;
   mutable in_flight : int;
@@ -308,61 +243,95 @@ let backend_of_source config = function
   | Live log -> B_live log
   | Sharded sh -> B_shard sh
 
+(* --- connection output ---------------------------------------------------- *)
+
+let tick_ms = 250 (* loop wait bound so the stop flag is noticed promptly *)
+
+(* Per-connection cap on decoded-but-unanswered requests: at the cap the
+   server stops reading that connection until responses flush —
+   backpressure, not an error. *)
+let max_pipeline = 256
+
+(* Write-side backpressure high-water mark.  A connection whose unsent
+   output exceeds this stops reading — the pipeline cap alone is not
+   enough, because a slot is popped the moment its response is encoded,
+   so a peer pipelining small queries with large results while never
+   draining its socket would otherwise regrow the slot budget forever
+   and pin unbounded memory.  Reading resumes once the kernel has
+   accepted enough bytes to fall back under the mark.  Worst case a
+   connection holds the mark plus the responses of slots already open
+   when it tripped: bounded, and only a peer ignoring its own replies
+   ever gets near it. *)
+let outq_hwm = 1 lsl 20
+
+(* How long a graceful shutdown keeps answering what is already owed
+   before it closes what is left. *)
+let drain_timeout_s = 5.0
+
+(* Encode a response onto the output queue and return what was queued;
+   the caller decides when to hit the socket.  A response too large to
+   frame (a query matching ~2M+ ids overflows [P.max_payload]) must not
+   strand the client: it becomes a Server_error the peer can actually
+   receive. *)
+let enqueue metrics c resp =
+  let resp, parts =
+    match P.encode_response_iov resp with
+    | parts -> (resp, parts)
+    | exception Invalid_argument _ ->
+      let resp =
+        P.error P.Server_error "result exceeds the %d byte response payload cap"
+          P.max_payload
+      in
+      (resp, P.encode_response_iov resp)
+  in
+  Metrics.add_bytes metrics ~received:0
+    ~sent:(List.fold_left (fun a s -> a + String.length s) 0 parts);
+  List.iter
+    (fun s ->
+      c.c_outq_bytes <- c.c_outq_bytes + String.length s;
+      Queue.push s c.c_outq)
+    parts;
+  resp
+
+(* Open the response slot a request is owed, at the back of the
+   connection's FIFO. *)
+let open_slot c op =
+  let slot =
+    { sl_op = op; sl_t0 = Unix.gettimeofday (); sl_resp = Atomic.make None }
+  in
+  Queue.push slot c.c_slots;
+  slot
+
 let create ?(config = default_config) source =
   if config.workers < 1 then invalid_arg "Server.create: workers < 1";
   if config.max_pending < 1 then invalid_arg "Server.create: max_pending < 1";
   if config.accept_shards < 1 then invalid_arg "Server.create: accept_shards < 1";
-  if config.max_pipeline < 1 then invalid_arg "Server.create: max_pipeline < 1";
-  let repl =
-    match config.repl with
-    | None -> None
-    | Some hooks ->
-      (* The replicated log must be what the server serves: the
-         staleness guard compares the served id watermark, and the
-         pump ships the served store's WAL. *)
-      (match source with
-       | Live log when log == hooks.repl_log -> ()
-       | _ ->
-         invalid_arg
-           "Server.create: replication requires serving the replicated \
-            store (Live log)");
-      let r =
-        { rp_hooks = hooks; rp_m = Mutex.create (); rp_subs = [];
-          rp_waiters = []; rp_xfers = [] }
-      in
-      (* Live subscriptions pin the WAL files they still have to read:
-         pruning past a cursor is survivable (Position_pruned + re-seed)
-         but never free, so checkpoints keep them.  Snapshot transfers
-         pin the file their manifest's WAL prefix lives in — pruning it
-         mid-stream would only force the fetcher to restart. *)
-      Xlog.set_wal_retention hooks.repl_log (fun () ->
-          Mutex.lock r.rp_m;
-          let min_opt acc f =
-            match acc with None -> Some f | Some g -> Some (min g f)
-          in
-          let keep =
-            List.fold_left
-              (fun acc s -> min_opt acc s.s_cursor.Xlog.Wal.file)
-              None r.rp_subs
-          in
-          let keep =
-            List.fold_left
-              (fun acc x ->
-                min_opt acc x.xf_manifest.Xlog.Transfer.x_wal_index)
-              keep r.rp_xfers
-          in
-          Mutex.unlock r.rp_m;
-          keep);
-      Some r
+  (* The replicated log must be what the server serves: the staleness
+     guard compares the served id watermark, and the pump ships the
+     served store's WAL. *)
+  (match (config.repl, source) with
+   | None, _ -> ()
+   | Some hooks, Live log when log == hooks.repl_log -> ()
+   | Some _, _ ->
+     invalid_arg
+       "Server.create: replication requires serving the replicated store \
+        (Live log)");
+  let metrics = Metrics.create () in
+  let sink =
+    {
+      Replication.push = (fun c resp -> ignore (enqueue metrics c resp));
+      room = (fun c -> outq_hwm - c.c_outq_bytes);
+      close_after_flush = (fun c -> c.c_close_after_flush <- true);
+    }
   in
   {
     config;
     source;
     serving = Atomic.make (backend_of_source config source);
     cache = Plan_cache.create ~capacity:config.plan_cache_capacity;
-    metrics = Metrics.create ();
+    metrics;
     pool = Pool.create ~domains:config.workers ();
-    repl;
+    repl = Replication.create config.repl sink;
     adm_m = Mutex.create ();
     in_flight = 0;
     stop_requested = Atomic.make false;
@@ -440,9 +409,6 @@ let parse_xpath xpath =
   | p -> Ok p
   | exception Xquery.Xpath_parser.Syntax_error { pos; msg } ->
     Error (Printf.sprintf "%s at position %d in %S" msg pos xpath)
-
-let err code fmt =
-  Printf.ksprintf (fun message -> P.Error { code; message }) fmt
 
 (* The deadline is fixed when the frame is admitted; workers re-check it
    when they dequeue the job, so a request that starved in the queue
@@ -561,32 +527,6 @@ let stats_json t =
             degraded reason );
       ]
   in
-  let repl_extra =
-    match t.repl with
-    | None -> []
-    | Some r ->
-      let h = r.rp_hooks in
-      let lag_records, lag_bytes = h.repl_lag () in
-      Mutex.lock r.rp_m;
-      let nsubs = List.length r.rp_subs
-      and nwait = List.length r.rp_waiters in
-      Mutex.unlock r.rp_m;
-      let d = Xlog.wal_durable_position h.repl_log in
-      [
-        ( "repl",
-          Printf.sprintf
-            "{\"role\": %S, \"epoch\": %d, \"durable_file\": %d, \
-             \"durable_off\": %d, \"next_id\": %d, \"leader_hint\": %S, \
-             \"subscribers\": %d, \"parked_mutations\": %d, \
-             \"repl_lag_records\": %d, \"repl_lag_bytes\": %d}"
-            (match h.repl_role () with
-             | `Primary -> "primary"
-             | `Follower -> "follower")
-            (h.repl_epoch ()) d.Xlog.Wal.file d.Xlog.Wal.off
-            (Xlog.next_id h.repl_log) (h.repl_leader_hint ()) nsubs nwait
-            lag_records lag_bytes );
-      ]
-  in
   let scrub_extra =
     match t.config.scrub with
     | None -> []
@@ -632,7 +572,7 @@ let stats_json t =
             page_reads page_hits pool_pages );
         ("gc", gc_json ());
       ]
-      @ live_extra @ repl_extra @ scrub_extra)
+      @ live_extra @ Replication.stats t.repl @ scrub_extra)
     t.metrics
 
 (* --- non-query dispatch ---------------------------------------------------- *)
@@ -655,66 +595,55 @@ let op_name : P.request -> string = function
   | P.Fetch_snapshot _ -> "fetch_snapshot"
   | P.Unknown _ -> "unknown"
 
-(* [Some hint] when this node is a replication follower: mutations are
-   refused with [Not_primary] whose message {e is} the leader endpoint
-   hint — the client chases it instead of retrying here. *)
-let repl_follower t =
-  match t.repl with
-  | Some r when r.rp_hooks.repl_role () = `Follower ->
-    Some (r.rp_hooks.repl_leader_hint ())
-  | _ -> None
-
 let apply (type s) (module L : LIVE with type t = s) (store : s) req =
   match req with
   | P.Insert { xml } -> (
     match Xmlcore.Xml_parser.parse_string xml with
     | doc -> P.Inserted { id = L.insert store doc }
     | exception Xmlcore.Xml_parser.Parse_error { pos; line; msg } ->
-      err P.Bad_request "XML parse error at line %d (byte %d): %s" line pos msg)
+      P.error P.Bad_request "XML parse error at line %d (byte %d): %s" line
+        pos msg)
   | P.Delete { id } -> P.Deleted { existed = L.remove store id }
   | P.Flush ->
     L.flush store;
     P.Flushed { generation = L.generation store }
-  | _ -> err P.Server_error "internal: %s is not a mutation" (op_name req)
+  | _ -> P.error P.Server_error "internal: %s is not a mutation" (op_name req)
 
 (* Insert, Delete and Flush, for both live backends.
    [Xshard.Shard_down] maps to the same wire code as [Degraded]: from
    the client's point of view both mean "this write is refused until the
    store heals", and the message names the failed shard. *)
 let mutate t req =
-  match repl_follower t with
-  | Some hint -> err P.Not_primary "%s" hint
+  match Replication.refuse_write t.repl with
+  | Some refusal -> refusal
   | None -> (
     match
       match Atomic.get t.serving with
-      | B_index _ -> err P.Bad_request "server is not serving a live store"
+      | B_index _ -> P.error P.Bad_request "server is not serving a live store"
       | B_live log -> apply (module Xlog) log req
       | B_shard sh -> apply (module Xshard) sh req
     with
     | resp -> resp
     | exception Xlog.Degraded reason ->
-      err P.Degraded "store is read-only: %s" reason
+      P.error P.Degraded "store is read-only: %s" reason
     | exception Xshard.Shard_down (i, reason) ->
-      err P.Degraded "shard %d is down: %s" i reason
+      P.error P.Degraded "shard %d is down: %s" i reason
     | exception e ->
-      err P.Server_error "%s failed: %s" (op_name req) (Printexc.to_string e))
+      P.error P.Server_error "%s failed: %s" (op_name req)
+        (Printexc.to_string e))
 
-(* Everything except queries (which go through admission + the batched
-   exec path) and the inline ops.  Runs on a pool worker. *)
+(* The requests that do disk work.  Queries go through admission and
+   the batched exec path, and the rest answer inline on the loop.  Runs
+   on a pool worker. *)
 let run_op t (req : P.request) : P.response =
   match req with
-  | P.Ping -> P.Pong
-  | P.Stats -> P.Stats_json (stats_json t)
-  | P.Query _ | P.Query_batch _ ->
-    (* routed through [dispatch_query], never here *)
-    err P.Server_error "internal: query reached run_op"
   | P.Reload path ->
     (match reload ?path t with
      | gen -> P.Reloaded { generation = gen }
      | exception Xlog.Degraded reason ->
-       err P.Degraded "store is read-only: %s" reason
+       P.error P.Degraded "store is read-only: %s" reason
      | exception e ->
-       err P.Server_error "reload failed: %s" (Printexc.to_string e))
+       P.error P.Server_error "reload failed: %s" (Printexc.to_string e))
   | P.Insert _ | P.Delete _ | P.Flush -> mutate t req
   | P.Health ->
     (* The health probe doubles as the recovery probe: a degraded live
@@ -751,127 +680,22 @@ let run_op t (req : P.request) : P.response =
         generation = generation_of backend;
         doc_count;
       }
-  | P.Promote ->
-    (match t.repl with
-     | None -> err P.Unsupported "this server has no replication role"
-     | Some r ->
-       (match r.rp_hooks.repl_promote () with
-        | Ok epoch -> P.Promoted { epoch }
-        | Error m -> err P.Server_error "promote failed: %s" m
-        | exception e ->
-          err P.Server_error "promote failed: %s" (Printexc.to_string e)))
-  | P.Repl_status ->
-    (match t.repl with
-     | None -> err P.Unsupported "this server has no replication role"
-     | Some r ->
-       let h = r.rp_hooks in
-       let lag_records, lag_bytes = h.repl_lag () in
-       P.Repl_state
-         {
-           role = h.repl_role ();
-           epoch = h.repl_epoch ();
-           durable = Xlog.wal_durable_position h.repl_log;
-           next_id = Xlog.next_id h.repl_log;
-           leader_hint = h.repl_leader_hint ();
-           lag_records;
-           lag_bytes;
-         })
-  | P.Subscribe _ | P.Wal_ack _ | P.Query_bounded _ | P.Fetch_snapshot _ ->
-    (* handled inline on the loop thread, never here *)
-    err P.Server_error "internal: replication op reached run_op"
-  | P.Unknown { op } ->
-    err P.Unsupported "request opcode 0x%02x is not supported by this server"
-      op
-
-(* Which requests change the store — the ones whose completion (with
-   replication on) should wake the loops so subscription pumps ship the
-   new records without waiting out a tick. *)
-let repl_mutation = function
-  | P.Insert _ | P.Delete _ | P.Flush -> true
-  | _ -> false
+  | P.Promote -> Replication.promote t.repl
+  | P.Repl_status -> Replication.status t.repl
+  | P.Ping | P.Stats | P.Query _ | P.Query_batch _ | P.Subscribe _
+  | P.Wal_ack _ | P.Query_bounded _ | P.Fetch_snapshot _ | P.Unknown _ ->
+    P.error P.Server_error "internal: %s reached run_op" (op_name req)
 
 let nudge_loops t = Array.iter (fun l -> Ev.wakeup l.l_ev) t.loops
 
-(* Semi-sync parking decision, made on the worker after the mutation
-   applied: force the record to stable storage locally (the position a
-   follower acks must exist durably on both sides), then hold the
-   response until {!release_waiters} sees enough acks.  A failed sync
-   skips parking — the response goes out as-is and the local degrade
-   machinery has already flipped the store read-only. *)
-let repl_parking t req (resp : P.response) =
-  match t.repl with
-  | Some r
-    when r.rp_hooks.repl_sync_replicas > 0
-         && repl_mutation req
-         && (match resp with P.Error _ -> false | _ -> true)
-         && r.rp_hooks.repl_role () = `Primary -> (
-    match Xlog.sync r.rp_hooks.repl_log with
-    | () -> Some (r, Xlog.wal_durable_position r.rp_hooks.repl_log)
-    | exception _ -> None)
-  | _ -> None
-
-let park_waiter r c slot resp ~pos =
-  let w =
-    {
-      w_conn = c;
-      w_slot = slot;
-      w_resp = resp;
-      w_pos = pos;
-      w_deadline =
-        Unix.gettimeofday ()
-        +. (float_of_int (max 1 r.rp_hooks.repl_ack_timeout_ms) /. 1000.);
-    }
-  in
-  Mutex.lock r.rp_m;
-  r.rp_waiters <- w :: r.rp_waiters;
-  Mutex.unlock r.rp_m
-
 (* --- connection state machine ---------------------------------------------- *)
-
-let tick_ms = 250 (* loop wait bound so the stop flag is noticed promptly *)
-
-(* Write-side backpressure high-water mark.  A connection whose unsent
-   output exceeds this stops reading — the pipeline cap alone is not
-   enough, because a slot is popped the moment its response is encoded,
-   so a peer pipelining small queries with large results while never
-   draining its socket would otherwise regrow the slot budget forever
-   and pin unbounded memory.  Reading resumes once the kernel has
-   accepted enough bytes to fall back under the mark.  Worst case a
-   connection holds the mark plus the responses of slots already open
-   when it tripped: bounded, and only a peer ignoring its own replies
-   ever gets near it. *)
-let outq_hwm = 1 lsl 20
-
-(* Snapshot-transfer chunk size: a few chunks fit under [outq_hwm], so
-   the stream refills in kernel-drain-sized steps without ever parking
-   more than the mark. *)
-let xfer_chunk = 256 * 1024
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let close_conn t c =
   if not c.c_closed then begin
     c.c_closed <- true;
-    (match (c.c_sub, t.repl) with
-     | Some sub, Some r ->
-       (* Dead subscriber: stop pinning its WAL files and drop its ack
-          from the semi-sync floor (parked mutations now waiting on a
-          replica that no longer exists time out). *)
-       c.c_sub <- None;
-       Mutex.lock r.rp_m;
-       r.rp_subs <- List.filter (fun s -> s != sub) r.rp_subs;
-       Mutex.unlock r.rp_m
-     | _ -> ());
-    (match c.c_xfer with
-     | Some xf ->
-       c.c_xfer <- None;
-       (match t.repl with
-        | Some r ->
-          Mutex.lock r.rp_m;
-          r.rp_xfers <- List.filter (fun x -> x != xf) r.rp_xfers;
-          Mutex.unlock r.rp_m
-        | None -> ())
-     | None -> ());
+    Replication.disconnect t.repl c.c_peer;
     Ev.remove c.c_loop.l_ev c.c_fd;
     Hashtbl.remove c.c_loop.l_conns c.c_fd;
     close_quietly c.c_fd;
@@ -897,6 +721,15 @@ let update_interest t c =
         c.c_want_write <- write
       | exception Unix.Unix_error _ -> close_conn t c
   end
+
+(* Worker side: fill the slot, post the completion, wake the loop. *)
+let post c slot resp =
+  Atomic.set slot.sl_resp (Some resp);
+  let l = c.c_loop in
+  Mutex.lock l.l_m;
+  l.l_compl <- c :: l.l_compl;
+  Mutex.unlock l.l_m;
+  Ev.wakeup l.l_ev
 
 (* Vectored write of whatever is queued.  Under an active fault
    injector the batched writev is bypassed — each slice goes through
@@ -970,12 +803,8 @@ let rec try_write t c =
     (* A live snapshot transfer refills the output queue as the kernel
        drains it: produce strictly behind the backpressure mark, write,
        repeat until the mark is hit or the stream ends. *)
-    let continue = ref (c.c_xfer <> None) in
-    while
-      !continue && (not c.c_closed) && c.c_outq_bytes <= outq_hwm
-      && c.c_xfer <> None
-    do
-      if fill_xfer t c then go () else continue := false
+    while (not c.c_closed) && Replication.refill t.repl c c.c_peer do
+      go ()
     done;
     maybe_resume t c;
     update_interest t c
@@ -998,37 +827,17 @@ and flush_ready t c =
       let slot = Queue.pop c.c_slots in
       match Atomic.get slot.sl_resp with
       | None -> continue := false (* unreachable: checked above *)
-      | Some resp ->
+      | Some resp -> (
         if slot.sl_op <> "" then
           Metrics.record_request t.metrics ~op:slot.sl_op
             ~latency_s:(Unix.gettimeofday () -. slot.sl_t0);
-        (* A response too large to frame (a query matching ~2M+ ids
-           overflows [P.max_payload]) must not strand the client or
-           leak past this slot: substitute a Server_error response the
-           peer can actually receive.  The slot is already popped, so
-           in-order delivery is preserved for everything behind it. *)
-        let resp, parts =
-          match P.encode_response_iov resp with
-          | parts -> (resp, parts)
-          | exception Invalid_argument _ ->
-            let resp =
-              err P.Server_error
-                "result exceeds the %d byte response payload cap"
-                P.max_payload
-            in
-            (resp, P.encode_response_iov resp)
-        in
-        (match resp with
-         | P.Error { code; _ } ->
-           Metrics.record_error t.metrics ~code:(P.error_code_to_string code)
-         | _ -> ());
-        Metrics.add_bytes t.metrics ~received:0
-          ~sent:(List.fold_left (fun a s -> a + String.length s) 0 parts);
-        List.iter
-          (fun s ->
-            c.c_outq_bytes <- c.c_outq_bytes + String.length s;
-            Queue.push s c.c_outq)
-          parts
+        (* The slot is already popped, so an oversize response replaced
+           by an error keeps in-order delivery for everything behind
+           it. *)
+        match enqueue t.metrics c resp with
+        | P.Error { code; _ } ->
+          Metrics.record_error t.metrics ~code:(P.error_code_to_string code)
+        | _ -> ())
     done;
     (* The pipeline cap may have cleared: resume reading (frames may
        already be buffered in the decoder). *)
@@ -1043,7 +852,7 @@ and maybe_resume t c =
   if
     c.c_paused
     && (not c.c_loop.l_draining)
-    && Queue.length c.c_slots < t.config.max_pipeline
+    && Queue.length c.c_slots < max_pipeline
     && c.c_outq_bytes <= outq_hwm
   then begin
     c.c_paused <- false;
@@ -1063,20 +872,15 @@ and drain_frames t c =
   let rec go () =
     if c.c_closed || c.c_close_after_flush then ()
     else if
-      Queue.length c.c_slots >= t.config.max_pipeline
+      Queue.length c.c_slots >= max_pipeline
       || c.c_outq_bytes > outq_hwm
     then c.c_paused <- true
     else
       match P.Decoder.next c.c_dec with
       | P.Decoder.Need_more -> ()
       | P.Decoder.Corrupt msg ->
-        let slot =
-          { sl_op = ""; sl_t0 = Unix.gettimeofday ();
-            sl_resp = Atomic.make None }
-        in
-        Queue.push slot c.c_slots;
         c.c_close_after_flush <- true;
-        complete t c slot (err P.Bad_request "bad frame: %s" msg)
+        answer t c "" (P.error P.Bad_request "bad frame: %s" msg)
       | P.Decoder.Frame frame ->
         Metrics.add_bytes t.metrics ~received:(String.length frame) ~sent:0;
         handle_frame t c frame;
@@ -1084,94 +888,84 @@ and drain_frames t c =
   in
   go ()
 
+(* A response owed now: open its slot and complete it. *)
+and answer t c op resp = complete t c (open_slot c op) resp
+
+(* A replication request either answers or turned the connection into
+   a stream whose first frames are queued. *)
+and answer_or_write t c op = function
+  | Some resp -> answer t c op resp
+  | None -> try_write t c
+
 and handle_frame t c frame =
-  let new_slot op =
-    let s =
-      { sl_op = op; sl_t0 = Unix.gettimeofday (); sl_resp = Atomic.make None }
-    in
-    Queue.push s c.c_slots;
-    s
-  in
   match P.decode_request frame with
   | Error msg ->
     (* A well-framed payload that does not decode: answer and drop the
        connection, exactly like the blocking server did. *)
-    let slot = new_slot "" in
     c.c_close_after_flush <- true;
-    complete t c slot (err P.Bad_request "bad frame: %s" msg)
+    answer t c "" (P.error P.Bad_request "bad frame: %s" msg)
   | Ok req -> (
     match req with
-    | P.Ping -> complete t c (new_slot "ping") P.Pong
-    | P.Stats -> complete t c (new_slot "stats") (P.Stats_json (stats_json t))
+    | P.Ping -> answer t c "ping" P.Pong
+    | P.Stats -> answer t c "stats" (P.Stats_json (stats_json t))
     | P.Unknown { op } ->
-      complete t c (new_slot "unknown")
-        (err P.Unsupported
+      answer t c "unknown"
+        (P.error P.Unsupported
            "request opcode 0x%02x is not supported by this server" op)
     | P.Query { xpath; timeout_ms } ->
       dispatch_query t c ~timeout_ms ~batch:false [| xpath |]
     | P.Query_batch { xpaths; timeout_ms } ->
       dispatch_query t c ~timeout_ms ~batch:true xpaths
-    | P.Subscribe { epoch; pos } -> handle_subscribe t c ~epoch ~pos
-    | P.Wal_ack { pos } -> handle_wal_ack t c pos
+    | P.Subscribe { epoch; pos } ->
+      answer_or_write t c "subscribe"
+        (Replication.subscribe t.repl c c.c_peer ~epoch ~pos)
+    | P.Wal_ack { pos } ->
+      Option.iter (answer t c "wal_ack")
+        (Replication.wal_ack t.repl c.c_peer pos)
     | P.Fetch_snapshot { token; cursor } ->
-      handle_fetch_snapshot t c ~token ~cursor
+      let log =
+        match Atomic.get t.serving with B_live log -> Some log | _ -> None
+      in
+      answer_or_write t c "fetch_snapshot"
+        (Replication.fetch_snapshot t.repl c.c_peer ~log ~token ~cursor)
     | P.Query_bounded { xpath; timeout_ms; min_gen } -> (
-      (* The staleness guard runs on the loop thread — it is one atomic
-         id-watermark read; only queries that pass pay admission. *)
-      match t.repl with
-      | None ->
-        complete t c (new_slot "query_bounded")
-          (err P.Unsupported
-             "this server has no replication role (bounded-staleness \
-              reads need one)")
-      | Some r ->
-        if Xlog.next_id r.rp_hooks.repl_log < min_gen then
-          complete t c (new_slot "query_bounded")
-            (err P.Not_primary "%s" (r.rp_hooks.repl_leader_hint ()))
-        else dispatch_query t c ~timeout_ms ~batch:false [| xpath |])
+      match Replication.refuse_bounded t.repl ~min_gen with
+      | Some refusal -> answer t c "query_bounded" refusal
+      | None -> dispatch_query t c ~timeout_ms ~batch:false [| xpath |])
     | P.Reload _ | P.Insert _ | P.Delete _ | P.Flush | P.Health
     | P.Promote | P.Repl_status ->
       (* Mutations, reloads and health probes do real disk work; they
          run on a worker so the loop never blocks.  Pipelined requests
          behind them may execute concurrently — responses still flush
-         in order. *)
-      let slot = new_slot (op_name req) in
+         in order.  Under semi-sync a mutation's answer parks until
+         enough replicas hold it; a mutation wakes the loops so pumps
+         ship the new record now and acks release the parked answer. *)
+      let slot = open_slot c (op_name req) in
       Pool.async t.pool (fun () ->
           let resp =
             try run_op t req
-            with e -> err P.Server_error "%s" (Printexc.to_string e)
+            with e -> P.error P.Server_error "%s" (Printexc.to_string e)
           in
-          match repl_parking t req resp with
-          | Some (r, pos) ->
-            park_waiter r c slot resp ~pos;
-            (* Wake the loops twice over: pumps ship the new record to
-               subscribers now, and their acks release the parked
-               response. *)
-            nudge_loops t
-          | None ->
-            post t c slot resp;
-            if t.repl <> None && repl_mutation req then nudge_loops t))
+          if not (Replication.park t.repl req resp ~reply:(post c slot)) then
+            post c slot resp;
+          if Replication.wakes_pumps t.repl req then nudge_loops t))
 
 and dispatch_query t c ~timeout_ms ~batch xpaths =
-  let op = if batch then "query_batch" else "query" in
-  let slot =
-    { sl_op = op; sl_t0 = Unix.gettimeofday (); sl_resp = Atomic.make None }
-  in
-  Queue.push slot c.c_slots;
+  let slot = open_slot c (if batch then "query_batch" else "query") in
   (* Parse before admission: a malformed query is a [Bad_request], not
      load. *)
   let patterns = Array.map parse_xpath xpaths in
   match
     Array.find_map (function Error m -> Some m | Ok _ -> None) patterns
   with
-  | Some m -> complete t c slot (err P.Bad_request "%s" m)
+  | Some m -> complete t c slot (P.error P.Bad_request "%s" m)
   | None ->
     let patterns =
       Array.map (function Ok p -> p | Error _ -> assert false) patterns
     in
     if not (try_admit t) then
       complete t c slot
-        (err P.Overloaded "server at capacity (%d requests in flight)"
+        (P.error P.Overloaded "server at capacity (%d requests in flight)"
            t.config.max_pending)
     else begin
       let deadline = deadline_of t timeout_ms in
@@ -1181,346 +975,11 @@ and dispatch_query t c ~timeout_ms ~batch xpaths =
         :: c.c_loop.l_exec
     end
 
-(* Worker side: fill the slot, post the completion, wake the loop. *)
-and post t c slot resp =
-  ignore t;
-  Atomic.set slot.sl_resp (Some resp);
-  let l = c.c_loop in
-  Mutex.lock l.l_m;
-  l.l_compl <- c :: l.l_compl;
-  Mutex.unlock l.l_m;
-  Ev.wakeup l.l_ev
-
-(* --- replication: subscription pump + semi-sync ---------------------------- *)
-
-(* Encode a pushed (slot-less) frame straight onto the output queue.
-   Same oversize fallback as {!flush_ready}; the caller decides when to
-   hit the socket. *)
-and push_response t c resp =
-  let parts =
-    match P.encode_response_iov resp with
-    | parts -> parts
-    | exception Invalid_argument _ ->
-      P.encode_response_iov
-        (err P.Server_error "result exceeds the %d byte response payload cap"
-           P.max_payload)
-  in
-  Metrics.add_bytes t.metrics ~received:0
-    ~sent:(List.fold_left (fun a s -> a + String.length s) 0 parts);
-  List.iter
-    (fun s ->
-      c.c_outq_bytes <- c.c_outq_bytes + String.length s;
-      Queue.push s c.c_outq)
-    parts
-
-and drop_sub r sub =
-  sub.s_conn.c_sub <- None;
-  Mutex.lock r.rp_m;
-  r.rp_subs <- List.filter (fun s -> s != sub) r.rp_subs;
-  Mutex.unlock r.rp_m
-
-(* --- snapshot transfer (sender side) ---------------------------------- *)
-
-and unpin_xfer t xf =
-  match t.repl with
-  | Some r ->
-    Mutex.lock r.rp_m;
-    r.rp_xfers <- List.filter (fun x -> x != xf) r.rp_xfers;
-    Mutex.unlock r.rp_m
-  | None -> ()
-
-(* Enqueue stream chunks up to the backpressure mark.  No socket calls
-   here — the caller ([try_write]) owns the write side.  [true] iff
-   anything was enqueued. *)
-and fill_xfer t c =
-  match c.c_xfer with
-  | None -> false
-  | Some xf ->
-    let m = xf.xf_manifest in
-    let filled = ref false in
-    let continue = ref true in
-    while !continue && (not c.c_closed) && c.c_outq_bytes <= outq_hwm do
-      let len = min xfer_chunk (m.Xlog.Transfer.x_total - xf.xf_offset) in
-      match Xlog.Transfer.read_slice xf.xf_dir m ~off:xf.xf_offset ~len with
-      | Error msg ->
-        (* The files moved under the manifest (a compaction pruned the
-           WAL prefix mid-stream): fail this transfer; the fetcher
-           re-requests and restarts under a fresh token. *)
-        push_response t c (err P.Server_error "snapshot transfer: %s" msg);
-        c.c_xfer <- None;
-        unpin_xfer t xf;
-        filled := true;
-        continue := false
-      | Ok data ->
-        let dlen = String.length data in
-        let last = xf.xf_offset + dlen >= m.Xlog.Transfer.x_total in
-        push_response t c
-          (P.Snapshot_chunk
-             {
-               token = m.Xlog.Transfer.x_token;
-               total = m.Xlog.Transfer.x_total;
-               offset = xf.xf_offset;
-               last;
-               crc = Xstorage.Store.checksum_string data 0 dlen;
-               data;
-             });
-        xf.xf_offset <- xf.xf_offset + dlen;
-        filled := true;
-        if last then begin
-          c.c_xfer <- None;
-          unpin_xfer t xf;
-          continue := false
-        end
-    done;
-    !filled
-
-and handle_fetch_snapshot t c ~token ~cursor =
-  let answer resp =
-    let s =
-      { sl_op = "fetch_snapshot"; sl_t0 = Unix.gettimeofday ();
-        sl_resp = Atomic.make None }
-    in
-    Queue.push s c.c_slots;
-    complete t c s resp
-  in
-  if c.c_sub <> None then
-    answer (err P.Bad_request "connection is subscribed to the WAL stream")
-  else
-    match Atomic.get t.serving with
-    | B_index _ | B_shard _ ->
-      answer
-        (err P.Unsupported "snapshot transfer requires serving a live store")
-    | B_live log -> (
-      (* A re-request supersedes any transfer already streaming on this
-         connection — the resume/restart decision is the client's. *)
-      (match c.c_xfer with
-       | Some xf ->
-         c.c_xfer <- None;
-         unpin_xfer t xf
-       | None -> ());
-      let dir = Xlog.dir log in
-      match Xlog.Transfer.manifest_of_dir dir with
-      | Error m -> answer (err P.Server_error "snapshot transfer: %s" m)
-      | Ok man ->
-        (* Resume only when the fetcher holds the current snapshot's
-           token and a sane cursor; anything else restarts at 0 under
-           the (possibly new) token. *)
-        let offset =
-          if
-            String.equal token man.Xlog.Transfer.x_token
-            && cursor >= 0
-            && cursor <= man.Xlog.Transfer.x_total
-          then cursor
-          else 0
-        in
-        let xf = { xf_dir = dir; xf_manifest = man; xf_offset = offset } in
-        c.c_xfer <- Some xf;
-        (match t.repl with
-         | Some r ->
-           Mutex.lock r.rp_m;
-           r.rp_xfers <- xf :: r.rp_xfers;
-           Mutex.unlock r.rp_m
-         | None -> ());
-        try_write t c)
-
-and handle_subscribe t c ~epoch ~pos =
-  let slot op =
-    let s =
-      { sl_op = op; sl_t0 = Unix.gettimeofday (); sl_resp = Atomic.make None }
-    in
-    Queue.push s c.c_slots;
-    s
-  in
-  match t.repl with
-  | None ->
-    complete t c (slot "subscribe")
-      (err P.Unsupported "this server has no replication role")
-  | Some r ->
-    let h = r.rp_hooks in
-    (* Fencing, server side: a subscriber that has seen a higher epoch
-       proves this primary was deposed while it was away — step down
-       before deciding the role answer below. *)
-    h.repl_observe_epoch epoch;
-    if h.repl_role () <> `Primary then
-      complete t c (slot "subscribe")
-        (err P.Not_primary "%s" (h.repl_leader_hint ()))
-    else if c.c_sub <> None then
-      complete t c (slot "subscribe")
-        (err P.Bad_request "connection is already subscribed")
-    else begin
-      let sub =
-        { s_conn = c; s_cursor = pos; s_acked = pos; s_last_send = 0. }
-      in
-      c.c_sub <- Some sub;
-      Mutex.lock r.rp_m;
-      r.rp_subs <- sub :: r.rp_subs;
-      Mutex.unlock r.rp_m;
-      (* One immediate heartbeat — the subscriber learns the primary's
-         epoch and durable end before the first batch — then whatever
-         the log already holds past its cursor. *)
-      push_response t c
-        (P.Repl_heartbeat
-           {
-             epoch = h.repl_epoch ();
-             durable = Xlog.wal_durable_position h.repl_log;
-             next_id = Xlog.next_id h.repl_log;
-           });
-      sub.s_last_send <- Unix.gettimeofday ();
-      pump_sub t r sub
-    end
-
-(* The subscriber durably applied the stream up to [pos]: one-way, no
-   response slot.  On a connection that never subscribed the frame is
-   meaningless and dropped (a build with no replication at all answers
-   [Unsupported] instead, so a misdirected client is not silently
-   ignored). *)
-and handle_wal_ack t c pos =
-  match (t.repl, c.c_sub) with
-  | None, _ ->
-    let s =
-      { sl_op = "wal_ack"; sl_t0 = Unix.gettimeofday ();
-        sl_resp = Atomic.make None }
-    in
-    Queue.push s c.c_slots;
-    complete t c s (err P.Unsupported "this server has no replication role")
-  | Some r, Some sub ->
-    if Xlog.Wal.position_compare pos sub.s_acked > 0 then sub.s_acked <- pos;
-    release_waiters t r
-  | Some _, None -> ()
-
-(* Ship everything committed past the cursor, bounded by the write-side
-   backpressure mark: a slow subscriber pins at most the high-water mark
-   of encoded batches, and the pump resumes from its cursor once the
-   kernel drains them.  Runs on the connection's owning loop only. *)
-and pump_sub t r sub =
-  let c = sub.s_conn in
-  let still_current () =
-    match c.c_sub with Some s -> s == sub | None -> false
-  in
-  if (not c.c_closed) && still_current () then begin
-    let h = r.rp_hooks in
-    if h.repl_role () <> `Primary then begin
-      (* Deposed mid-stream: the subscriber must chase the new leader. *)
-      push_response t c (err P.Not_primary "%s" (h.repl_leader_hint ()));
-      drop_sub r sub;
-      c.c_close_after_flush <- true;
-      try_write t c
-    end
-    else begin
-      let dir = Xlog.dir h.repl_log in
-      let continue = ref true in
-      let sent = ref false in
-      while !continue && (not c.c_closed) && c.c_outq_bytes <= outq_hwm do
-        match Xlog.Wal.tail ~dir sub.s_cursor with
-        | Ok b ->
-          if
-            b.Xlog.Wal.b_count > 0
-            || Xlog.Wal.position_compare b.Xlog.Wal.b_next sub.s_cursor <> 0
-          then begin
-            (* A zero-record batch that still advances mirrors a file
-               rotation — the follower must replay it as one. *)
-            push_response t c
-              (P.Wal_batch
-                 {
-                   epoch = h.repl_epoch ();
-                   from = sub.s_cursor;
-                   next = b.Xlog.Wal.b_next;
-                   count = b.Xlog.Wal.b_count;
-                   records = b.Xlog.Wal.b_records;
-                 });
-            sub.s_cursor <- b.Xlog.Wal.b_next;
-            sent := true
-          end
-          else continue := false
-        | Error (Xlog.Wal.Position_pruned { earliest }) ->
-          push_response t c
-            (err P.Pruned
-               "wal pruned past the subscription; earliest retained \
-                position is %s"
-               (Xlog.Wal.position_to_string earliest));
-          drop_sub r sub;
-          c.c_close_after_flush <- true;
-          continue := false
-        | Error (Xlog.Wal.Tail_error m) ->
-          push_response t c (err P.Server_error "wal tail: %s" m);
-          drop_sub r sub;
-          c.c_close_after_flush <- true;
-          continue := false
-      done;
-      let now = Unix.gettimeofday () in
-      if !sent then sub.s_last_send <- now
-      else if
-        (not c.c_closed) && still_current () && now -. sub.s_last_send > 1.0
-      then begin
-        (* Idle heartbeat: lets the follower tell a quiet primary from a
-           dead one, and keeps its staleness watermark fresh. *)
-        push_response t c
-          (P.Repl_heartbeat
-             {
-               epoch = h.repl_epoch ();
-               durable = Xlog.wal_durable_position h.repl_log;
-               next_id = Xlog.next_id h.repl_log;
-             });
-        sub.s_last_send <- now
-      end;
-      try_write t c
-    end
-  end
-
-(* Release parked mutations: the semi-sync floor is the k-th highest
-   subscriber ack (k = [repl_sync_replicas]); everything at or under it
-   is replicated widely enough to acknowledge.  Expired waiters answer
-   [Timeout] — the write applied locally but the replicas are silent,
-   the same indeterminate verdict as any timeout. *)
-and release_waiters t r =
-  let now = Unix.gettimeofday () in
-  Mutex.lock r.rp_m;
-  let k = r.rp_hooks.repl_sync_replicas in
-  let floor =
-    let acks =
-      List.sort
-        (fun a b -> Xlog.Wal.position_compare b a)
-        (List.map (fun s -> s.s_acked) r.rp_subs)
-    in
-    if k > 0 && List.length acks >= k then Some (List.nth acks (k - 1))
-    else None
-  in
-  let ready, expired, keep =
-    List.fold_left
-      (fun (rd, ex, kp) w ->
-        match floor with
-        | Some f when Xlog.Wal.position_compare w.w_pos f <= 0 ->
-          (w :: rd, ex, kp)
-        | _ ->
-          if now > w.w_deadline then (rd, w :: ex, kp) else (rd, ex, w :: kp))
-      ([], [], []) r.rp_waiters
-  in
-  r.rp_waiters <- List.rev keep;
-  Mutex.unlock r.rp_m;
-  List.iter (fun w -> post t w.w_conn w.w_slot w.w_resp) ready;
-  List.iter
-    (fun w ->
-      post t w.w_conn w.w_slot
-        (err P.Timeout
-           "replicated to fewer than %d replica(s) within %dms (the write \
-            is applied locally; its replication is indeterminate)"
-           r.rp_hooks.repl_sync_replicas r.rp_hooks.repl_ack_timeout_ms))
-    expired
-
-(* Per-tick replication work for one loop: pump the subscriptions this
-   loop owns (connection state is loop-affine), and sweep the semi-sync
-   waiters for expiry — acks release them promptly from the ack path;
-   the tick only bounds how late a timeout verdict can be. *)
+(* Per-tick replication work for one loop: pump the subscriptions on
+   the connections it owns and write what they produced. *)
 let repl_tick t l =
-  match t.repl with
-  | None -> ()
-  | Some r ->
-    Mutex.lock r.rp_m;
-    let subs = List.filter (fun s -> s.s_conn.c_loop == l) r.rp_subs in
-    let have_waiters = r.rp_waiters <> [] in
-    Mutex.unlock r.rp_m;
-    List.iter (fun sub -> pump_sub t r sub) subs;
-    if have_waiters then release_waiters t r
+  List.iter (try_write t)
+    (Replication.tick t.repl ~mine:(fun c -> c.c_loop == l))
 
 (* Executes one chunk of admitted queries.  Per-response costs are
    amortised over the chunk: matcher stats merge once, admission
@@ -1536,7 +995,7 @@ let run_exec t items =
           if t.config.debug_delay_ms > 0 then
             Thread.delay (float_of_int t.config.debug_delay_ms /. 1000.);
           if expired x.x_deadline then
-            err P.Timeout "deadline expired before execution"
+            P.error P.Timeout "deadline expired before execution"
           else begin
             let backend = Atomic.get t.serving in
             let ids = Array.map (answer_pattern t backend stats) x.x_patterns in
@@ -1544,7 +1003,7 @@ let run_exec t items =
             if x.x_batch then P.Batch_result { generation; ids }
             else P.Result { generation; ids = ids.(0) }
           end
-        with e -> err P.Server_error "%s" (Printexc.to_string e)
+        with e -> P.error P.Server_error "%s" (Printexc.to_string e)
       in
       Atomic.set x.x_slot.sl_resp (Some resp))
     items;
@@ -1651,8 +1110,7 @@ let accept_burst t l lfd =
           c_want_write = false;
           c_closed = false;
           c_close_after_flush = false;
-          c_sub = None;
-          c_xfer = None;
+          c_peer = Replication.peer ();
           c_loop = l;
         }
       in
@@ -1690,7 +1148,7 @@ let loop_drain t l =
         acc || not (Queue.is_empty c.c_slots && Queue.is_empty c.c_outq))
       l.l_conns false
   in
-  let deadline = Unix.gettimeofday () +. t.config.drain_timeout_s in
+  let deadline = Unix.gettimeofday () +. drain_timeout_s in
   while owed () && Unix.gettimeofday () < deadline do
     let evs = Ev.wait l.l_ev ~timeout_ms:50 in
     drain_completions t l;
@@ -1769,13 +1227,13 @@ let bind_unix path =
 let request_stop t =
   Atomic.set t.stop_requested true;
   (* Nudge every loop out of its wait; safe from a signal handler. *)
-  Array.iter (fun l -> Ev.wakeup l.l_ev) t.loops
+  nudge_loops t
 
 let coordinator_run t loop_threads =
   while not (Atomic.get t.stop_requested) do
     Thread.delay 0.05
   done;
-  Array.iter (fun l -> Ev.wakeup l.l_ev) t.loops;
+  nudge_loops t;
   List.iter (fun th -> try Thread.join th with _ -> ()) loop_threads;
   (* Loops are gone: stop accepting, remove Unix socket files so a
      clean shutdown leaves nothing behind. *)

@@ -9,15 +9,20 @@
     non-blocking state machine — reading, executing and writing live
     at once, so clients may {e pipeline}: write N requests before
     reading any response, and responses come back strictly in request
-    order.  Incremental frame decoding ({!Protocol.Decoder}) turns
-    whatever bytes arrived into requests; cheap ops answer inline on
-    the loop; queries and mutations execute on a shared
-    {!Xutil.Domain_pool} of worker domains (queries micro-batched per
-    tick to amortise the handoff), and workers post completions back
-    through an eventfd wakeup.  Responses leave in batched writev(2)
-    calls.  TCP listeners shard across loops with [SO_REUSEPORT];
-    Unix-domain listeners are shared by every loop.  Everything else
-    is bookkeeping:
+    order.  A connection holds at most 256 decoded-but-unanswered
+    requests; at that cap the server stops reading it until responses
+    flush (backpressure, not an error).  Incremental frame decoding
+    ({!Protocol.Decoder}) turns whatever bytes arrived into requests;
+    cheap ops answer inline on the loop; queries and mutations execute
+    on a shared {!Xutil.Domain_pool} of worker domains (queries
+    micro-batched per tick to amortise the handoff), and workers post
+    completions back through an eventfd wakeup.  Responses leave in
+    batched writev(2) calls.  TCP listeners shard across loops with
+    [SO_REUSEPORT]; Unix-domain listeners are shared by every loop.
+    The primary's half of replication (subscription pump, semi-sync
+    waiters, snapshot sender) lives in {!Replication}, which reaches a
+    connection only through a small sink.  Everything else is
+    bookkeeping:
 
     - {b Admission control}: at most [max_pending] query requests may be
       in flight (queued or executing) at once.  A request arriving beyond
@@ -41,7 +46,7 @@
       error frame (or close the connection) and never raise past the
       connection thread; the accept loop cannot be crashed by a client.
     - {b Graceful shutdown}: {!stop} stops accepting, lets in-flight
-      requests finish (bounded by [drain_timeout_s]), closes every
+      requests finish (bounded by a fixed 5 s), closes every
       connection, unlinks Unix socket files, and shuts the worker pool
       down. *)
 
@@ -123,17 +128,12 @@ type config = {
   max_pending : int;  (** admission bound on in-flight queries (default 64) *)
   plan_cache_capacity : int;  (** 0 disables the prepared-plan cache *)
   default_timeout_ms : int;  (** deadline for requests that carry none; 0 = none *)
-  drain_timeout_s : float;  (** graceful-shutdown drain bound (default 5s) *)
   debug_delay_ms : int;
       (** artificial per-query delay before the deadline check — test
           instrumentation for overload/timeout scenarios (default 0) *)
   accept_shards : int;
       (** event-loop threads; TCP listeners get one [SO_REUSEPORT]
           socket per loop, Unix-domain listeners are shared (default 1) *)
-  max_pipeline : int;
-      (** per-connection cap on decoded-but-unanswered requests; at the
-          cap the server stops reading that connection until responses
-          flush — backpressure, not an error (default 256) *)
   snapshot_mode : Xstorage.Store.mode;
       (** how {!Snapshot} sources (including reload targets) are opened:
           [Resident] (default) materialises the index, [Paged] serves

@@ -725,6 +725,32 @@ let test_tail_pruned_position () =
         (List.length kept >= 2);
       Xlog.close log)
 
+(* A file pruned between the directory listing and the read is a
+   pruned position too, never a [Tail_error]: a dangling
+   wal-000000.log listed before a real wal-000001.log stands in for
+   the checkpoint that removes it mid-tail. *)
+let test_tail_vanished_file () =
+  with_dir (fun dir ->
+      let log = Xlog.open_ ~sync_every:1 dir in
+      for i = 0 to 9 do
+        ignore (Xlog.insert log (e "P" [ e "L" [ v (string_of_int i) ] ]) : int)
+      done;
+      ignore (Xlog.compact ~wait:true log : bool);
+      Xlog.close log;
+      Unix.symlink "wal-gone.log" (Filename.concat dir "wal-000000.log");
+      Alcotest.(check (list int)) "both files listed" [ 0; 1 ]
+        (List.map fst (Wal.list_files dir));
+      List.iter
+        (fun off ->
+          match Wal.tail ~dir { Wal.file = 0; off } with
+          | Error (Wal.Position_pruned { earliest }) ->
+            Alcotest.(check string) "earliest names the survivor" "(1, 8)"
+              (Wal.position_to_string earliest)
+          | Ok _ -> Alcotest.fail "a vanished file answered a batch"
+          | Error (Wal.Tail_error m) ->
+            Alcotest.failf "a vanished file was not typed as pruned: %s" m)
+        [ 8; 100 ])
+
 let test_replica_mirror () =
   with_dir (fun pdir ->
       with_dir (fun fdir ->
@@ -802,7 +828,13 @@ let test_replica_mirror () =
 let test_replica_compaction_no_rotate () =
   with_dir (fun pdir ->
       with_dir (fun fdir ->
-          let primary = Xlog.open_ ~sync_every:1 ~memtable_limit:4 pdir in
+          (* The primary never compacts in the background: a compaction
+             rotating and pruning its WAL while the follower still tails
+             it would race [catch_up] (primary rotation is "replica
+             mirror"'s subject, with retention pinned). *)
+          let primary =
+            Xlog.open_ ~sync_every:1 ~memtable_limit:4 ~max_segments:64 pdir
+          in
           let follower =
             Xlog.open_ ~sync_every:1 ~memtable_limit:4 ~max_segments:2 fdir
           in
@@ -1179,6 +1211,8 @@ let () =
             test_tail_mid_pruned_file;
           Alcotest.test_case "pruned position is typed" `Quick
             test_tail_pruned_position;
+          Alcotest.test_case "vanished file is pruned" `Quick
+            test_tail_vanished_file;
           Alcotest.test_case "replica mirror" `Quick test_replica_mirror;
           Alcotest.test_case "replica compaction keeps the mirror" `Quick
             test_replica_compaction_no_rotate;
