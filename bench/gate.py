@@ -8,8 +8,9 @@ BENCH_*.json baselines so perf regressions fail loudly instead of
 drifting.
 
 The load layer (BENCH_load.json) is gated on memory: per load
-configuration, the words a loaded index retains and the bytes its
-columns keep off the heap must stay under checked-in ceilings.  Those
+configuration, the words a load allocates, the words the loaded index
+retains and the bytes its columns keep off the heap must stay under
+checked-in ceilings.  Those
 counts do not depend on the machine, so the ceilings hold on every core
 count; they apply when the run loaded the record count they were set
 for.

@@ -555,8 +555,8 @@ let live_words () =
    table, link directory and statistics reach (each apart), the bytes
    its columns keep outside the heap, and the median load time.  Word
    and byte counts are deterministic; every number is taken after a
-   warm-up load.  bench/gate.py holds the retained words and the
-   off-heap bytes to ceilings.  Sizes:
+   warm-up load.  bench/gate.py holds the allocated and retained words
+   and the off-heap bytes to ceilings.  Sizes:
    XSEQ_BENCH_LOAD_DBLP, XSEQ_BENCH_LOAD_XMARK (records) and
    XSEQ_BENCH_LOAD_REPS (timed loads). *)
 let load_bench () =

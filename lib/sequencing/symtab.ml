@@ -36,17 +36,18 @@ let index_capacity n =
   done;
   !c
 
-(* Columns with room for [desigs] designators named in [name_bytes]
-   bytes, and [paths] paths. *)
-let make ~desigs ~name_bytes ~paths =
+(* Columns with room for [desigs] designators named in [names], whose
+   offsets [name_off] holds, and for [paths] paths, whose parents
+   [parents] holds. *)
+let make ~desigs ~names ~name_off ~paths ~parents =
   {
     desig_index = I32.make (index_capacity desigs) (-1);
-    names = Bytes.create name_bytes;
-    name_off = I32.make (desigs + 1) 0;
+    names;
+    name_off;
     is_value = Bytes.make desigs '\000';
     ndesig = 0;
     path_index = I32.make (index_capacity (paths - 1)) (-1);
-    parents = I32.make paths (-1);
+    parents;
     last = I32.make paths (-1);
     depths = I32.make paths 0;
     first_kid = I32.make paths (-1);
@@ -54,7 +55,10 @@ let make ~desigs ~name_bytes ~paths =
     npaths = 1;
   }
 
-let create () = make ~desigs:64 ~name_bytes:512 ~paths:256
+let create () =
+  make ~desigs:64 ~names:(Bytes.create 512) ~name_off:(I32.make 65 0)
+    ~paths:256 ~parents:(I32.make 256 (-1))
+
 let path_count t = t.npaths
 
 (* [v] with room for element [used]. *)
@@ -333,50 +337,70 @@ module Path = struct
 end
 
 let of_dictionary ~kinds ~names ~name_off ~parents ~desigs =
-  let ntable = Array.length kinds and ndict = Array.length parents in
-  if Array.length name_off <> ntable + 1 || Array.length desigs <> ndict then
-    invalid_arg "dictionary region sizes";
-  if ndict = 0 || parents.(0) >= 0 then invalid_arg "dictionary root";
-  if desigs.(0) >= 0 then invalid_arg "root entry with a designator";
-  if name_off.(0) < 0 || name_off.(ntable) > String.length names then
-    invalid_arg "dictionary name offsets";
-  for j = 0 to ntable - 1 do
-    if name_off.(j + 1) < name_off.(j) then
+  let ndict = I32.length parents and ntable = I32.length kinds in
+  (* A spelled-out dictionary names entry i by table entry i; entry 0,
+     epsilon's, names nothing. *)
+  let first, desig_of =
+    match desigs with Some d -> (0, I32.get d) | None -> (1, Fun.id)
+  in
+  if
+    I32.length name_off <> ntable + 1
+    ||
+    match desigs with
+    | Some d -> I32.length d <> ndict
+    | None -> ntable <> ndict
+  then invalid_arg "dictionary region sizes";
+  if ndict = 0 || I32.get parents 0 >= 0 then invalid_arg "dictionary root";
+  if first = 0 && desig_of 0 >= 0 then
+    invalid_arg "root entry with a designator";
+  if I32.get name_off first < 0 || I32.get name_off ntable > Bytes.length names
+  then invalid_arg "dictionary name offsets";
+  for j = first to ntable - 1 do
+    if I32.get name_off (j + 1) < I32.get name_off j then
       invalid_arg "dictionary name offsets"
   done;
-  let blob = Bytes.unsafe_of_string names in
+  (* The table adopts [names], [name_off] and [parents].  Designator d's
+     name moves to bytes [name_off.(d), name_off.(d + 1)) of [names]: no
+     later than where table entry j >= d held it, so each name is read
+     before anything overwrites it, and [start] keeps entry j's offset
+     past the write of [name_off.(j)]. *)
+  let start = ref (I32.get name_off first) in
+  I32.set name_off 0 0;
+  I32.set parents 0 (-1);
   let t =
-    make ~desigs:ntable
-      ~name_bytes:(name_off.(ntable) - name_off.(0))
-      ~paths:ndict
+    make ~desigs:(ntable - first) ~names ~name_off ~paths:ndict ~parents
   in
-  let ids = Array.make ntable 0 in
-  for j = 0 to ntable - 1 do
+  for j = first to ntable - 1 do
     let kind =
-      match kinds.(j) with
+      match I32.get kinds j with
       | 0 -> '\000'
       | 1 -> '\001'
       | _ -> invalid_arg "designator kind out of range"
     in
-    ids.(j) <-
-      Designator.intern t kind blob name_off.(j)
-        (name_off.(j + 1) - name_off.(j))
+    let stop = I32.get name_off (j + 1) in
+    (* Entry j's kind is spent: the slot holds its designator now. *)
+    I32.set kinds j (Designator.intern t kind names !start (stop - !start));
+    start := stop
   done;
   (* A table that spells a designator out more than once interns fewer
-     than it holds: trim the columns and the index to what was
+     than it holds, and leaves slack behind the kept names.  Trimming it
+     copies every kept name, so the columns are trimmed only when the
+     slack passes an eighth of the names; the index always fits what was
      interned. *)
-  if t.ndesig < ntable then begin
-    t.names <- Bytes.sub t.names 0 (name_start t t.ndesig);
+  let kept = name_start t t.ndesig in
+  if Bytes.length t.names - kept > kept / 8 then begin
+    t.names <- Bytes.sub t.names 0 kept;
     t.name_off <- I32.sub t.name_off 0 (t.ndesig + 1);
-    t.is_value <- Bytes.sub t.is_value 0 t.ndesig;
-    let capacity = index_capacity t.ndesig in
-    if capacity < I32.length t.desig_index then
-      t.desig_index <- reindex capacity 0 (t.ndesig - 1) (desig_key t)
+    t.is_value <- Bytes.sub t.is_value 0 t.ndesig
   end;
+  let capacity = index_capacity t.ndesig in
+  if capacity < I32.length t.desig_index then
+    t.desig_index <- reindex capacity 0 (t.ndesig - 1) (desig_key t);
   for i = 1 to ndict - 1 do
-    let p = parents.(i) and j = desigs.(i) in
+    let p = I32.get parents i and j = desig_of i in
     if p < 0 || p >= i then invalid_arg "dictionary parent order";
-    if j < 0 || j >= ntable then invalid_arg "designator id out of range";
-    if Path.child t p ids.(j) <> i then invalid_arg "duplicate dictionary entry"
+    if j < first || j >= ntable then invalid_arg "designator id out of range";
+    if Path.child t p (I32.get kinds j) <> i then
+      invalid_arg "duplicate dictionary entry"
   done;
   t

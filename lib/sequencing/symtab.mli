@@ -44,21 +44,34 @@ val create : unit -> t
 (** An empty table: no designators, and the one path {!Path.epsilon}. *)
 
 val of_dictionary :
-  kinds:int array ->
-  names:string ->
-  name_off:int array ->
-  parents:int array ->
-  desigs:int array ->
+  kinds:Xutil.I32.t ->
+  names:Bytes.t ->
+  name_off:Xutil.I32.t ->
+  parents:Xutil.I32.t ->
+  desigs:Xutil.I32.t option ->
   t
 (** [of_dictionary ~kinds ~names ~name_off ~parents ~desigs] is the
     table of a stored path dictionary, sized to fit it.  [kinds],
     [names] and [name_off] are a designator table: entry [j] is a tag
     ([kinds.(j) = 0]) or a value ([1]) named by bytes
     [[name_off.(j), name_off.(j + 1))] of [names], interned in table
-    order.  The table copies the names it keeps into its own blob.
-    Dictionary entry [0] is {!Path.epsilon} ([parents.(0)] and
-    [desigs.(0)] negative); entry [i > 0] extends entry
-    [parents.(i) < i] by designator [desigs.(i)], and becomes path [i].
+    order.  Dictionary entry [0] is {!Path.epsilon} ([parents.(0)]
+    negative); entry [i > 0] extends entry [parents.(i) < i] by a
+    designator and becomes path [i].  With [desigs = Some d] that
+    designator is table entry [d.(i)] ([d.(0)] negative).  With
+    [desigs = None] the dictionary spells every entry out: entry [i]'s
+    designator is table entry [i], so the table has one entry per
+    dictionary entry, and entry [0]'s is ignored.
+
+    The table takes ownership of all five arguments.  It compacts the
+    names it keeps in place, to the front of [names], keeps [names],
+    [name_off] and [parents] as its own columns, and spends [kinds] as
+    scratch.  Names spelled out more than once leave slack behind the
+    kept ones; when it passes an eighth of them, the table trims its
+    columns into copies.  A caller hands over a
+    blob nobody else sees — a fresh file read or a decoder's output —
+    and never the shared string of a memory store
+    ({!Xstorage.Store.blob_bytes} copies that one).
     @raise Invalid_argument naming the violated condition: ["dictionary
     region sizes"], ["dictionary root"], ["root entry with a
     designator"], ["dictionary name offsets"], ["designator kind out of

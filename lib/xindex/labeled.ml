@@ -26,8 +26,7 @@ type t = {
   symbols : Symtab.t;
   n : int; (* nodes excluding virtual root; the root's post *)
   dict : Path.t array option; (* dictionary index -> path; None: identity *)
-  slot : I32.t; (* path id -> link slot, or -1 *)
-  link_path : I32.t; (* slot -> dictionary index *)
+  slot : I32.t; (* path id -> link slot, or -1; see [slot_paths] *)
   link_off : I32.t;
       (* slot s's entries are positions [link_off.(s), link_off.(s + 1))
          of the l_* columns: the prefix sums of the stored [link_len] *)
@@ -131,21 +130,17 @@ let assemble ~symbols ~post ~path ~up ends =
   let doc_id = Array.map snd ends in
   (* Dictionary: epsilon and the link paths (every node path), by depth
      then id — a stable sort of the id-ordered paths — so parents
-     precede children; link paths are stored as dictionary indexes. *)
+     precede children. *)
   let dict = Array.append [| Path.epsilon |] link_path_t in
   Array.stable_sort
     (fun a b -> Int.compare (Path.depth symbols a) (Path.depth symbols b))
     dict;
-  let index_of = next (* its offsets are spent *) in
-  Array.iteri (fun i p -> index_of.(Path.to_int p) <- i) dict;
-  let link_path = Array.map (fun p -> index_of.(Path.to_int p)) link_path_t in
   let fz = Store.flat_of_array in
   {
     symbols;
     n = n - 1;
     dict = Some dict;
     slot;
-    link_path = I32.of_array link_path;
     link_off = I32.of_array link_off;
     l_pre = fz l_pre;
     l_post = fz l_post;
@@ -267,6 +262,18 @@ let link t p =
         llen = I32.get t.link_off (slot + 1) - loff;
       }
 
+let distinct_paths t = I32.length t.link_off - 1
+
+(* The path of every link slot, the inverse of [slot]: the index keeps
+   no copy of it. *)
+let slot_paths t =
+  let paths = I32.make (distinct_paths t) 0 in
+  for p = 0 to I32.length t.slot - 1 do
+    let s = I32.get t.slot p in
+    if s >= 0 then I32.set paths s p
+  done;
+  paths
+
 let link_length l = l.llen
 let link_pre l i = Store.get l.k_pre (l.loff + i)
 let link_post l i = Store.get l.k_post (l.loff + i)
@@ -312,59 +319,80 @@ let docs_in_range t ~lo ~hi ~f =
   let first, last = doc_span t ~lo ~hi in
   docs_between t ~first ~last ~f
 
+(* Serials are ranked in blocks of [1 lsl rank_shift]: [below.(k)]
+   counts the serials under [k lsl rank_shift], so the serials of block
+   [k] are [serials.(below.(k)) .. serials.(below.(k + 1) - 1)], and the
+   rank of [x] (the serials under it) is a binary search among those of
+   its block. *)
+let rank_shift = 6
+
+let rank serials below x =
+  let lo = ref below.(x lsr rank_shift)
+  and hi = ref below.((x lsr rank_shift) + 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if serials.(mid) < x then lo := mid + 1 else hi := mid
+  done;
+  !lo
+
 (* A record's sequence is one root-to-leaf trie path ending at its
    doc-table entry, so the record contains path p iff that entry's serial
    falls in the range of some entry of p's link.  Entries nested in an
    earlier one ([pre <=] its [post]) add nothing: only the outermost
-   ranges are counted.  [below.(x)] counts the (member) doc-table entries
-   whose serial is under [x], so a range's count is a difference of two
-   of them: one pass over the doc table, then one over each link. *)
+   ranges are counted.  [serials] holds the (member) doc-table serials,
+   sorted as the table is, so a range's count is a difference of two
+   ranks: one pass over the doc table, then one over each link. *)
 let path_frequencies ?member t =
-  let below = Array.make (t.n + 2) 0 in
+  let serials = Array.make (doc_len t) 0 and counted = ref 0 in
+  let below = Array.make (((t.n + 1) lsr rank_shift) + 2) 0 in
   for i = 0 to doc_len t - 1 do
     let x = doc_pre_at t i in
     if x < 0 || x > t.n then
       invalid_arg "Labeled.path_frequencies: document serial out of range";
-    let counted =
-      match member with None -> true | Some keep -> keep (doc_id_at t i)
-    in
-    if counted then below.(x + 1) <- below.(x + 1) + 1
+    match member with
+    | Some keep when not (keep (doc_id_at t i)) -> ()
+    | Some _ | None ->
+      serials.(!counted) <- x;
+      incr counted;
+      let k = (x lsr rank_shift) + 1 in
+      below.(k) <- below.(k) + 1
   done;
-  for x = 1 to t.n + 1 do
-    below.(x) <- below.(x) + below.(x - 1)
+  for k = 1 to Array.length below - 1 do
+    below.(k) <- below.(k) + below.(k - 1)
   done;
   let freq = Array.make (Symtab.path_count t.symbols) 0 in
-  for slot = 0 to I32.length t.link_path - 1 do
+  let paths = slot_paths t in
+  for slot = 0 to I32.length paths - 1 do
     let total = ref 0 and outer_post = ref (-1) in
     for i = I32.get t.link_off slot to I32.get t.link_off (slot + 1) - 1 do
       let pre = Store.get t.l_pre i in
       if pre > !outer_post then begin
         let post = Store.get t.l_post i in
-        total := !total + below.(post + 1) - below.(pre);
+        total :=
+          !total + rank serials below (post + 1) - rank serials below pre;
         outer_post := post
       end
     done;
-    freq.(Path.to_int (dict_path t (I32.get t.link_path slot))) <- !total
+    freq.(I32.get paths slot) <- !total
   done;
   freq
 
 let path_doc_counts ?member t =
   let freq = path_frequencies ?member t in
-  Array.init (I32.length t.link_path) (fun slot ->
-      let p = dict_path t (I32.get t.link_path slot) in
-      (p, freq.(Path.to_int p)))
+  let paths = slot_paths t in
+  Array.init (I32.length paths) (fun slot ->
+      let p = I32.get paths slot in
+      (Path.of_int t.symbols p, freq.(p)))
 
 let path_multiple t p =
   match slot_of t p with
   | -1 -> false
   | slot -> Bytes.get t.multi slot <> '\000'
 
-let distinct_paths t = I32.length t.link_path
 let backing_store t = t.source
 
 let directory_words t =
   Obj.reachable_words (Obj.repr t.slot)
-  + Obj.reachable_words (Obj.repr t.link_path)
   + Obj.reachable_words (Obj.repr t.link_off)
   + Obj.reachable_words (Obj.repr t.multi)
 
@@ -399,15 +427,19 @@ let remap ?(backend = Columnar) t =
    format).  The dictionary spells each path out (kind + name + parent
    entry), so a loaded index rebuilds its own symbol table from it. *)
 
+(* The dictionary index of every path id, or -1. *)
+let dict_index t =
+  let index_of = Array.make (Symtab.path_count t.symbols) (-1) in
+  for i = 0 to dict_size t - 1 do
+    index_of.(Path.to_int (dict_path t i)) <- i
+  done;
+  index_of
+
 (* The dictionary entry of every path of the index: [(parent entry,
    designator)] for each entry but epsilon, which has none. *)
 let dict_entries t =
-  let n = dict_size t in
-  let index_of = Array.make (Symtab.path_count t.symbols) (-1) in
-  for i = 0 to n - 1 do
-    index_of.(Path.to_int (dict_path t i)) <- i
-  done;
-  Array.init n (fun i ->
+  let index_of = dict_index t in
+  Array.init (dict_size t) (fun i ->
       let p = dict_path t i in
       if Path.equal p Path.epsilon then None
       else
@@ -477,10 +509,13 @@ let dict_regions_compact t store =
 let add_to_store ?(compact = false) t store =
   Store.add_ints store "meta" (Store.heap [| t.n |]);
   (if compact then dict_regions_compact else dict_regions) t store;
-  Store.add_ints store "link_path" (Store.heap (I32.to_array t.link_path));
+  let index_of = dict_index t and paths = slot_paths t in
+  Store.add_ints store "link_path"
+    (Store.heap
+       (Array.init (I32.length paths) (fun s -> index_of.(I32.get paths s))));
   Store.add_ints store "link_len"
     (Store.heap
-       (Array.init (I32.length t.link_path) (fun s ->
+       (Array.init (I32.length paths) (fun s ->
             I32.get t.link_off (s + 1) - I32.get t.link_off s)));
   Store.add_ints store "link_multi"
     (Store.heap
@@ -495,8 +530,7 @@ let add_to_store ?(compact = false) t store =
 let corrupt msg = invalid_arg ("Labeled.of_store: inconsistent snapshot: " ^ msg)
 
 let of_store store =
-  let ints = Store.int_array store in
-  let meta = ints "meta" in
+  let meta = Store.int_array store "meta" in
   (* Snapshots written before the simulated page layout was retired carry
      two more meta fields (its byte offsets) and a [link_base] region;
      both are ignored. *)
@@ -505,15 +539,18 @@ let of_store store =
   let n = meta.(0) in
   if n < 0 then corrupt "negative node count";
   if n > max_nodes then corrupt "node count beyond 32 bits";
+  (* Directory regions are read straight into 32-bit vectors.  A value
+     beyond 32 bits saturates, and every check below rejects it as it
+     would the value itself. *)
+  let dir = Store.i32 store in
   (* The dictionary becomes the index's symbol table, entry i as path i:
      epsilon first, every other entry extending an earlier one.
      Compact (xseqcol2) snapshots name each entry's designator by an id
      into a front-coded (kind, name) table; legacy snapshots spell each
-     entry out, which makes entry i > 0 designator i - 1 of a table
-     with repeats, named straight out of the stored name blob. *)
-  let parents = ints "dict_parent" in
-  let ndict = Array.length parents in
-  if ndict = 0 then corrupt "dictionary root";
+     entry out, named straight out of the stored name blob.  The table
+     takes the vectors and the blob over. *)
+  let parents = dir "dict_parent" in
+  if I32.length parents = 0 then corrupt "dictionary root";
   let kinds, names, name_off, desigs =
     if Store.mem store "dict_desig" then begin
       let names, name_off =
@@ -523,41 +560,40 @@ let of_store store =
             (Store.blob store "desig_names")
         with Invalid_argument _ -> corrupt "designator name table"
       in
-      (ints "desig_kind", names, name_off, ints "dict_desig")
+      ( dir "desig_kind",
+        Bytes.unsafe_of_string names,
+        I32.of_array name_off,
+        Some (dir "dict_desig") )
     end
-    else begin
-      let kind = ints "dict_kind" in
-      let name_off = ints "dict_name_off" in
-      if Array.length kind <> ndict || Array.length name_off <> ndict + 1 then
-        corrupt "dictionary region sizes";
-      ( Array.sub kind 1 (ndict - 1),
-        Store.blob store "dict_names",
-        Array.sub name_off 1 ndict,
-        Array.init ndict (fun i -> i - 1) )
-    end
+    else
+      ( dir "dict_kind",
+        Store.blob_bytes store "dict_names",
+        dir "dict_name_off",
+        None )
   in
   let symbols =
     match Symtab.of_dictionary ~kinds ~names ~name_off ~parents ~desigs with
     | symbols -> symbols
     | exception Invalid_argument what -> corrupt what
   in
+  let ndict = Symtab.path_count symbols in
   (* Snapshots written before the per-node columns were retired also
      carry [node_pre], [node_post], [node_path], [l_node] and [link_off];
      they are ignored, [link_off] being the prefix sums of [link_len]. *)
-  let link_path = ints "link_path" in
-  let link_len = ints "link_len" in
-  let link_multi = ints "link_multi" in
-  let nlinks = Array.length link_path in
-  if Array.length link_len <> nlinks || Array.length link_multi <> nlinks then
+  let link_path = dir "link_path" in
+  let link_len = dir "link_len" in
+  let link_multi = dir "link_multi" in
+  let nlinks = I32.length link_path in
+  if I32.length link_len <> nlinks || I32.length link_multi <> nlinks then
     corrupt "link directory sizes";
   (* Offsets fit 32 bits up to [n]; a larger sum fails the check below. *)
   let link_off = I32.make (nlinks + 1) 0 and total_entries = ref 0 in
-  Array.iteri
-    (fun s len ->
-      if len < 0 || len > n then corrupt "link length out of range";
-      total_entries := !total_entries + len;
-      if !total_entries <= n then I32.set link_off (s + 1) !total_entries)
-    link_len;
+  for s = 0 to nlinks - 1 do
+    let len = I32.get link_len s in
+    if len < 0 || len > n then corrupt "link length out of range";
+    total_entries := !total_entries + len;
+    if !total_entries <= n then I32.set link_off (s + 1) !total_entries
+  done;
   let l_pre = Store.ints store "l_pre" in
   let l_post = Store.ints store "l_post" in
   let l_up = Store.ints store "l_up" in
@@ -569,12 +605,12 @@ let of_store store =
     || Store.length l_up <> n
   then corrupt "link column sizes";
   let slot = I32.make ndict (-1) in
-  Array.iteri
-    (fun s p ->
-      if p < 0 || p >= ndict then corrupt "link path id out of range";
-      if I32.get slot p >= 0 then corrupt "duplicate link path";
-      I32.set slot p s)
-    link_path;
+  for s = 0 to nlinks - 1 do
+    let p = I32.get link_path s in
+    if p < 0 || p >= ndict then corrupt "link path id out of range";
+    if I32.get slot p >= 0 then corrupt "duplicate link path";
+    I32.set slot p s
+  done;
   let doc_pre = Store.ints store "doc_pre" in
   let doc_id = Store.ints store "doc_id" in
   if Store.length doc_pre <> Store.length doc_id then corrupt "doc table sizes";
@@ -583,7 +619,6 @@ let of_store store =
     n;
     dict = None;
     slot;
-    link_path = I32.of_array link_path;
     link_off;
     l_pre;
     l_post;
@@ -592,6 +627,6 @@ let of_store store =
     doc_id;
     multi =
       Bytes.init nlinks (fun s ->
-          if link_multi.(s) <> 0 then '\001' else '\000');
+          if I32.get link_multi s <> 0 then '\001' else '\000');
     source = Some store;
   }

@@ -193,11 +193,13 @@ val of_store : Xstorage.Store.t -> t
     keeps, with whatever backing the store gives them — resident
     buffers, disk pages behind the buffer pool, or compressed blocks
     decoded on probe — so opening a snapshot in paged mode yields an
-    index that reads pages on demand.  The dictionary regions are read
-    once, straight into arrays, and become the symbol table
-    ({!Sequencing.Symtab.of_dictionary}); the link directory regions are
-    read the same way and kept as 32-bit vectors, [link_len] as the
-    entry offsets it sums to.
+    index that reads pages on demand.  The dictionary and link
+    directory regions are read once, straight into 32-bit vectors
+    ({!Xstorage.Store.i32}).  The dictionary's vectors and its name
+    blob are handed over to the symbol table
+    ({!Sequencing.Symtab.of_dictionary}); the link directory keeps
+    [link_len] as the entry offsets it sums to, and [link_path] only as
+    the path-to-link map it inverts to.
     Snapshots from before the simulated page layout was retired — a
     three-field [meta] region and a [link_base] region — load too; the
     extra fields and region are ignored.  So are the per-node columns

@@ -281,47 +281,113 @@ let encode_docs docs =
 
 let corrupt_docs () = invalid_arg "Xseq.load: corrupt document region"
 
-(* Bounds-checked reads of a record region, advancing [pos]. *)
-type cursor = { blob : string; mutable pos : int }
+(* Bounds-checked reads of a record region streamed from its store a
+   chunk at a time.  Positions are region offsets: the chunk in [buf]
+   holds bytes [lo, hi), and [pos] may run ahead of [hi] past skipped
+   bytes, which the next read streams through. *)
+type cursor = {
+  stream : Store.blob_stream;
+  len : int; (* region bytes *)
+  mutable buf : Bytes.t;
+  mutable lo : int;
+  mutable hi : int;
+  mutable pos : int;
+}
 
-let u8 c =
-  if c.pos >= String.length c.blob then corrupt_docs ();
-  let v = Char.code (String.unsafe_get c.blob c.pos) in
+(* Streams chunks until the one holding byte [pos]; the caller has
+   checked [pos < len]. *)
+let rec fill c =
+  if c.pos >= c.hi then begin
+    let buf, n = Store.stream_next c.stream in
+    if n = 0 then corrupt_docs ();
+    c.buf <- buf;
+    c.lo <- c.hi;
+    c.hi <- c.hi + n;
+    fill c
+  end
+
+let byte c =
+  fill c;
+  let v = Char.code (Bytes.unsafe_get c.buf (c.pos - c.lo)) in
   c.pos <- c.pos + 1;
   v
 
+let u8 c =
+  if c.pos >= c.len then corrupt_docs ();
+  byte c
+
 let u32 c =
-  let len = String.length c.blob in
-  if c.pos + 4 > len then corrupt_docs ();
-  let v = Int32.to_int (String.get_int32_le c.blob c.pos) in
-  c.pos <- c.pos + 4;
-  if v < 0 || v > len then corrupt_docs ();
+  if c.pos + 4 > c.len then corrupt_docs ();
+  fill c;
+  let v =
+    if c.pos + 4 <= c.hi then begin
+      let v = Int32.to_int (Bytes.get_int32_le c.buf (c.pos - c.lo)) in
+      c.pos <- c.pos + 4;
+      v
+    end
+    else
+      (* Straddles two chunks: byte by byte, sign-extended as above. *)
+      let b0 = byte c in
+      let b1 = byte c in
+      let b2 = byte c in
+      let b3 = byte c in
+      let x = b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24) in
+      (x lxor 0x8000_0000) - 0x8000_0000
+  in
+  if v < 0 || v > c.len then corrupt_docs ();
   v
 
-(* Skips a length-prefixed name or text and returns where its bytes
-   start; they end at the new [pos]. *)
+(* The length of a length-prefixed name or text, whose bytes start at
+   [pos]. *)
 let field c =
   let n = u32 c in
-  if c.pos + n > String.length c.blob then corrupt_docs ();
-  let at = c.pos in
-  c.pos <- at + n;
-  at
+  if c.pos + n > c.len then corrupt_docs ();
+  n
 
-(* Runs [f] over a cursor on a region of [ndocs] records, which must
-   consume the region exactly. *)
-let with_cursor blob ndocs f =
-  if ndocs < 0 || ndocs > String.length blob then corrupt_docs ();
-  let c = { blob; pos = 0 } in
-  let r = f c in
-  if c.pos <> String.length blob then corrupt_docs ();
-  r
+let skip c n = c.pos <- c.pos + n
+
+(* The next [n] bytes, copied out of however many chunks hold them. *)
+let take c n =
+  let b = Bytes.create n in
+  let filled = ref 0 in
+  while !filled < n do
+    fill c;
+    let k = min (n - !filled) (c.hi - c.pos) in
+    Bytes.blit c.buf (c.pos - c.lo) b !filled k;
+    c.pos <- c.pos + k;
+    filled := !filled + k
+  done;
+  Bytes.unsafe_to_string b
+
+(* Runs [f] over a cursor on the record region of [store], [ndocs]
+   records that must consume it exactly.  The region's checksum is
+   checked before any verdict: a failure of [f] is reported only once
+   the rest of the region was read and found intact, and so is its
+   result. *)
+let with_cursor store ndocs f =
+  let stream = Store.stream_blob store "docs" in
+  let c =
+    { stream; len = Store.stream_length stream; buf = Bytes.empty; lo = 0;
+      hi = 0; pos = 0 }
+  in
+  let verdict =
+    match
+      if ndocs < 0 || ndocs > c.len then corrupt_docs ();
+      let r = f c in
+      if c.pos <> c.len then corrupt_docs ();
+      r
+    with
+    | r -> Ok r
+    | exception e -> Error (e, Printexc.get_raw_backtrace ())
+  in
+  Store.stream_finish stream;
+  match verdict with
+  | Ok r -> r
+  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
 (* The record at the cursor, which moves past it. *)
 let decode_record c =
-  let str () =
-    let at = field c in
-    String.sub c.blob at (c.pos - at)
-  in
+  let str () = take c (field c) in
   let rec node () =
     match u8 c with
     | 0 ->
@@ -337,22 +403,22 @@ let decode_record c =
   in
   node ()
 
-let decode_docs blob ndocs =
-  with_cursor blob ndocs (fun c -> Array.init ndocs (fun _ -> decode_record c))
+let decode_docs store ndocs =
+  with_cursor store ndocs (fun c -> Array.init ndocs (fun _ -> decode_record c))
 
 (* Rejects exactly the record regions [decode_docs] rejects, without
    building any tree.  The walk needs no stack: the pre-order layout is
    consumed node by node while counting the nodes still owed. *)
-let validate_records blob ndocs =
-  with_cursor blob ndocs (fun c ->
+let validate_records store ndocs =
+  with_cursor store ndocs (fun c ->
       let owed = ref ndocs in
       while !owed > 0 do
         decr owed;
         match u8 c with
         | 0 ->
-          ignore (field c);
+          skip c (field c);
           owed := !owed + u32 c
-        | 1 -> ignore (field c)
+        | 1 -> skip c (field c)
         | _ -> corrupt_docs ()
       done)
 
@@ -369,9 +435,7 @@ let records t =
            match Atomic.get e.decoded with
            | Some _ as docs -> docs
            | None ->
-             let docs =
-               Some (decode_docs (Store.blob e.store "docs") t.ndocs)
-             in
+             let docs = Some (decode_docs e.store t.ndocs) in
              Atomic.set e.decoded docs;
              docs))
 
@@ -384,13 +448,14 @@ let query ?stats t pattern =
   | exception Xquery.Instantiate.Too_many _ -> (
     (* Pathological wildcard/expansion blow-up: degrade to an exact
        linear scan rather than failing, when the records are at hand.
-       Records still in the file are read, decoded and tested one at a
-       time, and none outlives the scan. *)
+       Records still in the file are streamed, decoded and tested one
+       at a time, and none outlives the scan; the answer waits for the
+       region's checksum. *)
     match t.records with
     | Dropped -> raise (Xquery.Instantiate.Too_many 0)
     | Trees docs -> Xquery.Embedding.filter pattern docs
     | Stored e ->
-      with_cursor (Store.blob e.store "docs") t.ndocs (fun c ->
+      with_cursor e.store t.ndocs (fun c ->
           let ids = ref [] in
           for id = 0 to t.ndocs - 1 do
             if Xquery.Embedding.matches pattern (decode_record c) then
@@ -631,14 +696,14 @@ let restore store =
   in
   if meta.(0) = 1 then begin
     (* The rebuilt index reads nothing more from the file. *)
-    let docs = decode_docs (Store.blob store "docs") ndocs in
+    let docs = decode_docs store ndocs in
     Store.close store;
     let t = build ~config:{ config with keep_documents = true } docs in
     { t with resequenced = true }
   end
   else begin
-    (* The records stay in the file; a transient read validates them. *)
-    validate_records (Store.blob store "docs") ndocs;
+    (* The records stay in the file; a streamed read validates them. *)
+    validate_records store ndocs;
     let labeled = Xindex.Labeled.of_store store in
     if Xindex.Labeled.doc_count labeled <> ndocs then
       bad "record count disagrees with the document table";

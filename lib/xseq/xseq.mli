@@ -246,12 +246,14 @@ val load : ?mode:Xstorage.Store.mode -> ?pool_pages:int -> string -> t
 
     The index's symbol table is the snapshot's dictionary and the
     [gbest] statistics are derived from the document table.  The
-    records stay in the file: a load validates their region from a
-    transient read and keeps none of it.  {!document} reads and decodes
-    them on its first call and keeps the trees; the scan fallback of
-    {!query} reads them and tests one record at a time, keeping nothing;
-    {!save} copies the region.  Each read checks the region's checksum
-    again.  The index keeps the file open (see {!Xstorage.Store}), so
+    records stay in the file: a load validates their region as it
+    streams in, 16 KiB at a time (an LZ-coded xseqcol2 region is
+    decompressed whole), and keeps none of it.  {!document} reads and
+    decodes them on its first call and keeps the trees; the scan
+    fallback of {!query} streams them the same way and tests one record
+    at a time, keeping nothing; {!save} copies the region.  Each read
+    checks the region's checksum again, before its verdict: a damaged
+    region is reported as a checksum mismatch, never as a bad record.  The index keeps the file open (see {!Xstorage.Store}), so
     it still reads its records after the file is unlinked or replaced.
 
     A version-1 snapshot (written before symbol tables were per index)

@@ -326,26 +326,71 @@ let codec_name name = Printf.sprintf "Store: region %S" name
 let chunk_bytes = 65536
 let read_chunk_bytes = 16384
 
-(* Streams region [e] through [buf] a chunk at a time, each read under
-   the lock, handing [sink buf at n] the chunk's stored bytes (region
-   bytes [at, at + n), from [buf]'s start), and checks the region
-   checksum, over the stored bytes and the page padding, once the last
-   chunk is in.  A sink only stages bytes: nothing is used before the
-   check. *)
-let stream_region ~prefix r e ~buf sink =
-  let h = ref fnv_offset and pos = ref 0 in
-  while !pos < e.e_padded do
-    let n = min (Bytes.length buf) (e.e_padded - !pos) in
-    (try Mutex.protect r.lock (fun () -> input_at r (e.e_off + !pos) buf 0 n)
-     with End_of_file ->
-       fail_with prefix "truncated file (region %S cut short)" e.e_name);
-    h := fnv_bytes !h buf 0 n;
-    let data = min n (e.e_stored - !pos) in
-    if data > 0 then sink buf !pos data;
-    pos := !pos + n
+(* A region read front to back through [buf], a chunk at a time, each
+   read under the lock and hashed as it comes in.  [pos] counts the
+   region bytes read so far, page padding included. *)
+type stream = {
+  s_r : reader;
+  s_e : entry;
+  s_buf : Bytes.t;
+  s_prefix : string; (* diagnostics: open_prefix or read_prefix *)
+  mutable s_pos : int;
+  mutable s_h : int64;
+}
+
+let open_stream ~prefix r e buf =
+  {
+    s_r = r;
+    s_e = e;
+    s_buf = buf;
+    s_prefix = prefix;
+    s_pos = 0;
+    s_h = fnv_offset;
+  }
+
+(* Reads and hashes the next chunk; returns how many of its bytes are
+   stored bytes (the rest is padding). *)
+let read_next s =
+  let e = s.s_e and at = s.s_pos in
+  let n = min (Bytes.length s.s_buf) (e.e_padded - at) in
+  (try
+     Mutex.protect s.s_r.lock (fun () ->
+         input_at s.s_r (e.e_off + at) s.s_buf 0 n)
+   with End_of_file ->
+     fail_with s.s_prefix "truncated file (region %S cut short)" e.e_name);
+  s.s_h <- fnv_bytes s.s_h s.s_buf 0 n;
+  s.s_pos <- at + n;
+  min n (e.e_stored - at)
+
+(* The next chunk's stored bytes, from [s_buf]'s start; 0 once every
+   stored byte was handed out. *)
+let next_data s = if s.s_pos >= s.s_e.e_stored then 0 else read_next s
+
+(* Reads what is left of the region and checks its checksum, over the
+   stored bytes and the page padding. *)
+let finish_stream s =
+  while s.s_pos < s.s_e.e_padded do
+    ignore (read_next s)
   done;
-  if not (Int64.equal !h e.e_crc) then
-    fail_with prefix "region %S checksum mismatch" e.e_name
+  if not (Int64.equal s.s_h s.s_e.e_crc) then
+    fail_with s.s_prefix "region %S checksum mismatch" s.s_e.e_name
+
+(* Streams region [e] through [buf], handing [sink buf at n] each
+   chunk's stored bytes (region bytes [at, at + n), from [buf]'s start),
+   and checks the checksum once the last chunk is in.  A sink only
+   stages bytes: nothing is used before the check. *)
+let stream_region ~prefix r e ~buf sink =
+  let s = open_stream ~prefix r e buf in
+  let rec go () =
+    let at = s.s_pos in
+    match next_data s with
+    | 0 -> ()
+    | n ->
+      sink buf at n;
+      go ()
+  in
+  go ();
+  finish_stream s
 
 let chunk_for e = Bytes.create (min read_chunk_bytes e.e_padded)
 
@@ -435,26 +480,98 @@ let ints t name =
     read_ints r e
   | R_blob _ | R_file _ -> not_ints name
 
-let int_array t name =
+(* Hands every element of a packed column to [set i x], block by
+   block. *)
+let iter_packed ph fetch set =
+  for b = 0 to Xsuccinct.Packed.nblocks ph - 1 do
+    Xsuccinct.Packed.decode_into ph ~fetch b set
+  done
+
+(* The element count of int region [name], and a function that hands
+   each element to [set i x]: a column the store holds is walked, a
+   region read from the file is decoded as it streams in (xseqcol1) or
+   block by block (xseqcol2). *)
+let elements t name =
   match find t name with
-  | R_ints c | R_file { handle = Some c; _ } -> to_array c
+  | R_ints c | R_file { handle = Some c; _ } ->
+    ( length c,
+      fun set ->
+        match c with
+        | Packed p -> iter_packed p.ph p.p_fetch set
+        | Heap _ | Flat _ | Paged _ ->
+          for i = 0 to length c - 1 do
+            set i (get c i)
+          done )
   | R_file { r; e; handle = None } when not (is_blob_kind e.e_kind) ->
-    if e.e_kind = k_ints then begin
-      let a = Array.make e.e_count 0 in
-      stream_ints r e (Array.unsafe_set a);
-      a
-    end
-    else
-      let ph, fetch = read_packed r e in
-      Xsuccinct.Packed.decode_all ph ~fetch
+    ( e.e_count,
+      fun set ->
+        if e.e_kind = k_ints then stream_ints r e set
+        else
+          let ph, fetch = read_packed r e in
+          iter_packed ph fetch set )
   | R_blob _ | R_file _ -> not_ints name
+
+let int_array t name =
+  let n, iter = elements t name in
+  let a = Array.make n 0 in
+  iter (Array.unsafe_set a);
+  a
+
+let saturate x =
+  if x > Xutil.I32.max_value then Xutil.I32.max_value
+  else if x < Xutil.I32.min_value then Xutil.I32.min_value
+  else x
+
+let i32 t name =
+  let n, iter = elements t name in
+  let v = Xutil.I32.make n 0 in
+  iter (fun i x -> Xutil.I32.set v i (saturate x));
+  v
+
+let not_blob name =
+  invalid_arg (Printf.sprintf "Store: region %S is ints, not a blob" name)
 
 let blob t name =
   match find t name with
   | R_blob s -> s
   | R_file { r; e; _ } when is_blob_kind e.e_kind -> read_blob r e
-  | R_ints _ | R_file _ ->
-    invalid_arg (Printf.sprintf "Store: region %S is ints, not a blob" name)
+  | R_ints _ | R_file _ -> not_blob name
+
+let blob_bytes t name =
+  match find t name with
+  | R_blob s -> Bytes.of_string s
+  | R_file { r; e; _ } when is_blob_kind e.e_kind ->
+    Bytes.unsafe_of_string (read_blob r e)
+  | R_ints _ | R_file _ -> not_blob name
+
+(* A raw blob region of a file is streamed; a memory store's blob and an
+   LZ region, decompressed whole once its checksum is checked, come as
+   one chunk. *)
+type blob_stream =
+  | Chunks of stream
+  | Whole of { data : string; mutable given : bool }
+
+let stream_blob t name =
+  match find t name with
+  | R_blob s -> Whole { data = s; given = false }
+  | R_file { r; e; _ } when e.e_kind = k_blob ->
+    Chunks (open_stream ~prefix:read_prefix r e (chunk_for e))
+  | R_file { r; e; _ } when is_blob_kind e.e_kind ->
+    Whole { data = read_blob r e; given = false }
+  | R_ints _ | R_file _ -> not_blob name
+
+let stream_length = function
+  | Chunks s -> s.s_e.e_raw
+  | Whole w -> String.length w.data
+
+let stream_next = function
+  | Chunks s -> (s.s_buf, next_data s)
+  | Whole w when w.given -> (Bytes.empty, 0)
+  | Whole w ->
+    w.given <- true;
+    (Bytes.unsafe_of_string w.data, String.length w.data)
+
+let stream_finish = function Chunks s -> finish_stream s | Whole _ -> ()
 
 let mem t name = Hashtbl.mem t.tbl name
 let names t = List.rev t.order

@@ -153,6 +153,17 @@ val int_array : t -> string -> int array
     column {!ints} returns.
     @raise Invalid_argument as {!ints} does. *)
 
+val i32 : t -> string -> Xutil.I32.t
+(** The elements of a column region in a fresh 32-bit vector, decoded
+    straight into it: a [Resident] file store streams an xseqcol1 region
+    a chunk at a time and decodes an xseqcol2 region block by block;
+    other stores walk the column {!ints} returns.  An element beyond 32
+    bits saturates at [Xutil.I32.max_value] or [Xutil.I32.min_value], so
+    a caller that range-checks the values rejects it as it would the
+    value itself.
+    @raise Invalid_argument as {!ints} does, but never for a wide
+    element. *)
+
 val blob : t -> string -> string
 (** Looks a blob region up by name.  A file store reads it from the file
     on every call, in either mode, checks its checksum and decompresses
@@ -160,6 +171,41 @@ val blob : t -> string -> string
     @raise Invalid_argument if absent or an int column, and, for a file
     store, on a checksum mismatch, a corrupt compressed payload, a short
     read or a closed store. *)
+
+val blob_bytes : t -> string -> Bytes.t
+(** {!blob} in bytes the caller owns and may mutate: a file store's
+    fresh read, or a copy of a memory store's string (which is shared
+    with whoever registered it, and never mutated). *)
+
+(** {2 Streamed blobs} *)
+
+type blob_stream
+(** A blob region read front to back.  A raw blob of a file store (every
+    xseqcol1 blob) comes 16 KiB at a time through one buffer, hashed as
+    it is read; an LZ-compressed region (checksummed, then decompressed
+    whole) and a memory store's blob come as one chunk. *)
+
+val stream_blob : t -> string -> blob_stream
+(** Starts reading blob region [name].
+    @raise Invalid_argument if absent or an int column, and as {!blob}
+    does for a compressed region. *)
+
+val stream_length : blob_stream -> int
+(** The region's length in (logical) bytes. *)
+
+val stream_next : blob_stream -> Bytes.t * int
+(** [(buf, n)]: the next [n] bytes of the region, at the start of [buf];
+    [n = 0] once every byte was handed out.  [buf] is overwritten by the
+    next call and must not be mutated.  Nothing read is checked until
+    {!stream_finish}.
+    @raise Invalid_argument on a short read or a closed store. *)
+
+val stream_finish : blob_stream -> unit
+(** Reads what is left of the region and checks its checksum: the
+    verdict on every byte {!stream_next} handed out, due before any of
+    them is acted on.
+    @raise Invalid_argument ["Store: region ... checksum mismatch"], or
+    on a short read or a closed store. *)
 
 val mem : t -> string -> bool
 

@@ -146,7 +146,7 @@ let first t b =
     fail t.p_name "skip-table index %d outside [0, %d)" b t.p_nblocks;
   t.p_firsts.(b)
 
-let decode_block t ~fetch b =
+let decode_into t ~fetch b set =
   if b < 0 || b >= t.p_nblocks then
     fail t.p_name "block %d outside [0, %d)" b t.p_nblocks;
   let lo = b * t.p_block in
@@ -158,22 +158,28 @@ let decode_block t ~fetch b =
   if String.length s <> len then
     fail t.p_name "fetch returned %d bytes for block %d's %d-byte range"
       (String.length s) b len;
-  let out = Array.make n 0 in
-  out.(0) <- t.p_firsts.(b);
+  let x = ref t.p_firsts.(b) in
+  set lo !x;
   let pos = ref 0 in
   for i = 1 to n - 1 do
-    let d = Varint.unzigzag (Varint.uvarint ~name:t.p_name s ~pos ~limit:len) in
-    out.(i) <- out.(i - 1) + d
+    x := !x + Varint.unzigzag (Varint.uvarint ~name:t.p_name s ~pos ~limit:len);
+    set (lo + i) !x
   done;
   if !pos <> len then
-    fail t.p_name "block %d has %d trailing delta bytes" b (len - !pos);
+    fail t.p_name "block %d has %d trailing delta bytes" b (len - !pos)
+
+let decode_block t ~fetch b =
+  if b < 0 || b >= t.p_nblocks then
+    fail t.p_name "block %d outside [0, %d)" b t.p_nblocks;
+  let lo = b * t.p_block in
+  let out = Array.make (min t.p_block (t.p_count - lo)) 0 in
+  decode_into t ~fetch b (fun i x -> out.(i - lo) <- x);
   out
 
 let decode_all t ~fetch =
   let out = Array.make t.p_count 0 in
   for b = 0 to t.p_nblocks - 1 do
-    let xs = decode_block t ~fetch b in
-    Array.blit xs 0 out (b * t.p_block) (Array.length xs)
+    decode_into t ~fetch b (Array.unsafe_set out)
   done;
   out
 

@@ -65,6 +65,13 @@ val decode_block : t -> fetch:(int -> int -> string) -> int -> int array
     array, [first] included).  Fetches only that block's byte range.
     Raises [Invalid_argument] on corrupt delta bytes. *)
 
+val decode_into :
+  t -> fetch:(int -> int -> string) -> int -> (int -> int -> unit) -> unit
+(** [decode_into t ~fetch b set] decodes block [b] as {!decode_block}
+    does, handing element [i] of the column to [set i x] instead of
+    building an array.  Raises [Invalid_argument] as {!decode_block}
+    does, possibly after some elements were handed over. *)
+
 val decode_all : t -> fetch:(int -> int -> string) -> int array
 (** The whole column, decoded block by block. *)
 

@@ -8,6 +8,9 @@
 
 type t
 
+val min_value : int
+(** [-2^31]. *)
+
 val max_value : int
 (** [2^31 - 1]. *)
 

@@ -2,6 +2,7 @@
 
 module T = Xmlcore.Xml_tree
 module Symtab = Sequencing.Symtab
+module I32 = Xutil.I32
 module D = Symtab.Designator
 module Path = Symtab.Path
 module C = Sequencing.Seq_constraint
@@ -117,15 +118,17 @@ let model_name rng =
   String.init len (fun _ -> Char.chr (Char.code 'a' + Random.State.int rng 4))
 
 (* A designator name table as [Symtab.of_dictionary] takes it: one blob
-   and the offsets of its names. *)
+   and the offsets of its names, fresh for the table to take over. *)
 let name_blob names =
   let off = Array.make (Array.length names + 1) 0 in
   Array.iteri (fun j s -> off.(j + 1) <- off.(j) + String.length s) names;
-  (String.concat "" (Array.to_list names), off)
+  (Bytes.of_string (String.concat "" (Array.to_list names)), I32.of_array off)
 
 let of_dictionary ~kinds ~names ~parents ~desigs =
   let names, name_off = name_blob names in
-  Symtab.of_dictionary ~kinds ~names ~name_off ~parents ~desigs
+  Symtab.of_dictionary ~kinds:(I32.of_array kinds) ~names ~name_off
+    ~parents:(I32.of_array parents)
+    ~desigs:(Option.map I32.of_array desigs)
 
 (* Paths spelled out by name, values before tags at each step, as the
    model orders them. *)
@@ -332,16 +335,21 @@ let test_symtab_model () =
       (fun p -> if p = 0 then -1 else (Path.tag tbl (Path.of_int tbl p) :> int))
       order
   in
-  let loaded = of_dictionary ~kinds ~names ~parents ~desigs:entry_desigs in
+  let loaded =
+    of_dictionary ~kinds ~names ~parents ~desigs:(Some entry_desigs)
+  in
   (* The same dictionary with every entry's designator spelled out, as
-     xseqcol1 snapshots store it: a designator table with repeats. *)
+     xseqcol1 snapshots store it: a designator table with repeats, one
+     entry per dictionary entry, epsilon's an empty tag. *)
   let spelled_out =
-    let entry j = !all_desigs.(entry_desigs.(j + 1)) in
+    let spell f epsilon =
+      Array.init !npaths (fun i ->
+          if i = 0 then epsilon else f (entry_desigs.(i) :> int))
+    in
     of_dictionary
-      ~kinds:(Array.init (!npaths - 1) (fun j -> kinds.((entry j :> int))))
-      ~names:(Array.init (!npaths - 1) (fun j -> names.((entry j :> int))))
-      ~parents
-      ~desigs:(Array.init !npaths (fun i -> i - 1))
+      ~kinds:(spell (fun d -> kinds.(d)) 0)
+      ~names:(spell (fun d -> names.(d)) "")
+      ~parents ~desigs:None
   in
   let interned = Symtab.create () in
   Array.iteri
@@ -391,33 +399,48 @@ let test_symtab_dictionary_checks () =
   let kinds = [| 0; 1 |] and names = [| "a"; "a" |] in
   ignore
     (of_dictionary ~kinds ~names ~parents:[| -1; 0; 1 |]
-       ~desigs:[| -1; 0; 1 |]);
-  rejects "dictionary root" ~kinds ~names ~parents:[||] ~desigs:[||];
+       ~desigs:(Some [| -1; 0; 1 |]));
+  rejects "dictionary root" ~kinds ~names ~parents:[||] ~desigs:(Some [||]);
   rejects "root entry with a designator" ~kinds ~names ~parents:[| -1 |]
-    ~desigs:[| 0 |];
+    ~desigs:(Some [| 0 |]);
   rejects "designator kind out of range" ~kinds:[| 2 |] ~names:[| "a" |]
-    ~parents:[| -1 |] ~desigs:[| -1 |];
+    ~parents:[| -1 |] ~desigs:(Some [| -1 |]);
   rejects "dictionary parent order" ~kinds ~names ~parents:[| -1; 1 |]
-    ~desigs:[| -1; 0 |];
+    ~desigs:(Some [| -1; 0 |]);
   rejects "designator id out of range" ~kinds ~names ~parents:[| -1; 0 |]
-    ~desigs:[| -1; 2 |];
+    ~desigs:(Some [| -1; 2 |]);
   rejects "duplicate dictionary entry" ~kinds ~names ~parents:[| -1; 0; 0 |]
-    ~desigs:[| -1; 1; 1 |];
+    ~desigs:(Some [| -1; 1; 1 |]);
   rejects "dictionary region sizes" ~kinds ~names ~parents:[| -1; 0 |]
-    ~desigs:[| -1 |];
+    ~desigs:(Some [| -1 |]);
   (* Name offsets that leave the blob or run backwards. *)
   List.iter
     (fun name_off ->
       match
-        Symtab.of_dictionary ~kinds ~names:"ab" ~name_off
-          ~parents:[| -1; 0 |] ~desigs:[| -1; 0 |]
+        Symtab.of_dictionary ~kinds:(I32.of_array kinds)
+          ~names:(Bytes.of_string "ab") ~name_off:(I32.of_array name_off)
+          ~parents:(I32.of_array [| -1; 0 |])
+          ~desigs:(Some (I32.of_array [| -1; 0 |]))
       with
       | _ -> Alcotest.fail "accepted bad name offsets"
       | exception Invalid_argument msg ->
         Alcotest.(check string) "diagnostic" "dictionary name offsets" msg)
     [ [| 0; 1; 3 |]; [| -1; 0; 1 |]; [| 0; 2; 1 |] ];
   rejects "dictionary region sizes" ~kinds ~names:[| "a" |]
-    ~parents:[| -1 |] ~desigs:[| -1 |]
+    ~parents:[| -1 |] ~desigs:(Some [| -1 |]);
+  (* A spelled-out dictionary has one table entry per dictionary entry;
+     epsilon's names nothing and is not checked. *)
+  ignore
+    (of_dictionary ~kinds:[| 7; 0; 1 |] ~names:[| "x"; "a"; "a" |]
+       ~parents:[| -1; 0; 1 |] ~desigs:None);
+  rejects "dictionary region sizes" ~kinds ~names ~parents:[| -1; 0; 1 |]
+    ~desigs:None;
+  rejects "designator kind out of range" ~kinds:[| 0; 2 |] ~names
+    ~parents:[| -1; 0 |] ~desigs:None;
+  rejects "dictionary parent order" ~kinds ~names ~parents:[| -1; 1 |]
+    ~desigs:None;
+  rejects "duplicate dictionary entry" ~kinds:[| 0; 0; 0 |]
+    ~names:[| ""; "a"; "a" |] ~parents:[| -1; 0; 0 |] ~desigs:None
 
 (* --- constraints --------------------------------------------------------- *)
 

@@ -728,28 +728,32 @@ let test_roundtrip_value_modes () =
    to [path] a snapshot of a small index with [f] applied to one int
    region; [tampered region f] expects the load of that file to fail
    with the diagnostic [want]. *)
-let write_tampered region f path =
-  let docs = Xdatagen.Dblp_gen.generate 10 in
-  let index = Xseq.build docs in
+let copy_snapshot ?(format = Store.Col1) index ~ints ~blob path =
   let s = Store.memory () in
   let tmp = Filename.temp_file "xseq_src" ".idx" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
     (fun () ->
-      Xseq.save index tmp;
+      Xseq.save ~format index tmp;
       let src = Store.open_file tmp in
       List.iter
         (fun r ->
           match (r.Store.r_name, r.Store.r_kind) with
-          | name, `Ints when name = region ->
+          | name, `Ints ->
             let m = Store.int_array src name in
-            f m;
+            ints name m;
             Store.add_ints s name (Store.heap m)
-          | name, `Ints -> Store.add_ints s name (Store.ints src name)
-          | name, `Blob -> Store.add_blob s name (Store.blob src name))
+          | name, `Blob ->
+            Store.add_blob s name (blob name (Store.blob src name)))
         (Store.regions src);
-      Store.write s path;
+      Store.write ~format s path;
       Store.close src)
+
+let write_tampered ?format region f path =
+  let index = Xseq.build (Xdatagen.Dblp_gen.generate 10) in
+  copy_snapshot ?format index path
+    ~ints:(fun name m -> if name = region then f m)
+    ~blob:(fun _ s -> s)
 
 let load_fails ?(prefix = "Labeled.of_store: inconsistent snapshot: ") path
     ~want =
@@ -759,9 +763,9 @@ let load_fails ?(prefix = "Labeled.of_store: inconsistent snapshot: ") path
     Alcotest.(check string) "diagnostic names the inconsistency"
       (prefix ^ want) msg
 
-let tampered region f ~want =
+let tampered ?format region f ~want =
   with_temp "xseq_inconsistent" (fun path ->
-      write_tampered region f path;
+      write_tampered ?format region f path;
       load_fails path ~want)
 
 (* A lying node count, or a lying link length, breaks the agreement of
@@ -830,11 +834,136 @@ let test_beyond_32_bits () =
               Alcotest.(check int) "info exits 1" 1 (run_cli [ "info"; path ])
           end))
     [ "l_pre"; "l_post"; "l_up"; "doc_pre"; "doc_id" ];
+  (* The compact dictionary's regions are read through the same 32-bit
+     reader. *)
+  tampered ~format:Store.Col2 "dict_desig" (fun m -> m.(1) <- wide)
+    ~want:"designator id out of range";
+  tampered ~format:Store.Col2 "desig_kind" (fun m -> m.(0) <- wide)
+    ~want:"designator kind out of range";
   (match Store.flat_of_array [| 0; -wide; wide |] with
    | _ -> Alcotest.fail "a flat column took 2^31"
    | exception Invalid_argument _ -> ());
   Alcotest.(check int) "a flat column takes -2^31" (-wide)
     (Store.get (Store.flat_of_array [| 0; -wide |]) 1)
+
+(* --- record regions at chunk edges --------------------------------------- *)
+
+(* A record region as [Xseq.save] writes it: records in pre-order, each
+   node a u8 kind (0 element, 1 value), the u32 LE length and bytes of
+   its name or text, and an element's u32 LE child count. *)
+let records_region docs =
+  let b = Buffer.create 4096 in
+  let str s =
+    Buffer.add_int32_le b (Int32.of_int (String.length s));
+    Buffer.add_string b s
+  in
+  let rec node = function
+    | T.Element (name, cs) ->
+      Buffer.add_uint8 b 0;
+      str name;
+      Buffer.add_int32_le b (Int32.of_int (List.length cs));
+      List.iter node cs
+    | T.Value s ->
+      Buffer.add_uint8 b 1;
+      str s
+  in
+  Array.iter node docs;
+  Buffer.to_bytes b
+
+(* A record region is checked and decoded 16 KiB at a time. *)
+let chunk = 16384
+
+(* The second record's name length (258, bytes 02 01 00 00) is at byte
+   1, its name at 5 and its child count (259, bytes 03 01 00 00) at 263:
+   a misassembled u32 reads another value. *)
+let second =
+  T.Element
+    ( String.make 258 'n',
+      List.init 259 (fun i -> T.Value (string_of_int i)) )
+
+(* Two records, the first padded so that byte [at] of the second lands
+   [before] bytes (default 2) before the first chunk boundary; and where
+   the second starts. *)
+let straddling ?(before = 2) at =
+  let start = chunk - before - at in
+  (* The first record's header and its value's take 15 bytes. *)
+  ( [| T.Element ("r", [ T.Value (String.make (start - 15) 'x') ]); second |],
+    start )
+
+(* Fields that straddle the boundary decode; record regions that lie, at
+   the boundary or elsewhere, fail the load with the record check's
+   diagnostic, whatever chunk the lie is in. *)
+let test_records_at_chunk_edges () =
+  let corrupt name at edit =
+    let docs, start = straddling at in
+    let index = Xseq.build docs in
+    with_temp "xseq_records" (fun path ->
+        copy_snapshot index path ~ints:(fun _ _ -> ())
+          ~blob:(fun region s ->
+            if region <> "docs" then s
+            else begin
+              let want = records_region docs in
+              Alcotest.(check string) "record layout" (Bytes.to_string want) s;
+              Bytes.to_string (edit (Bytes.of_string s) start)
+            end);
+        match Xseq.load path with
+        | _ -> Alcotest.failf "%s: accepted" name
+        | exception Invalid_argument msg ->
+          Alcotest.(check string) name "Xseq.load: corrupt document region"
+            msg)
+  in
+  List.iter
+    (fun (what, at, before) ->
+      let docs, _ = straddling ~before at in
+      with_temp "xseq_records" (fun path ->
+          Xseq.save (Xseq.build docs) path;
+          let loaded = Xseq.load path in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s straddles by %d, decoded" what before)
+            true
+            (Xseq.document loaded 1 = second);
+          Option.iter Store.close (Xseq.backing_store loaded)))
+    (("name", 5, 2)
+    :: List.concat_map
+         (fun before ->
+           [ ("name length", 1, before); ("child count", 263, before) ])
+         [ 1; 2; 3 ]);
+  let set32 at v b start =
+    Bytes.set_int32_le b (start + at) (Int32.of_int v);
+    b
+  in
+  corrupt "straddling name length past the region" 1 (set32 1 0x7fff_0000);
+  corrupt "region cut inside a straddling name" 5 (fun b _ ->
+      Bytes.sub b 0 chunk);
+  corrupt "straddling child count that overruns" 263 (set32 263 1000);
+  corrupt "truncated last record" 1 (fun b _ ->
+      Bytes.sub b 0 (Bytes.length b - 1));
+  corrupt "trailing bytes" 1 (fun b _ -> Bytes.cat b (Bytes.make 1 '\000'));
+  corrupt "child count that overruns the region" 1 (fun b _ ->
+      Bytes.set_int32_le b 6 3l;
+      b)
+
+(* A record region whose checksum fails is reported as such, even where
+   its bytes would fail the record check first: a name length flipped in
+   the second chunk, after the store was opened. *)
+let test_records_checksum_first () =
+  let docs, start = straddling 1 in
+  with_temp "xseq_records_flip" (fun path ->
+      Xseq.save (Xseq.build docs) path;
+      let store = Store.open_file path in
+      let region =
+        List.find (fun r -> r.Store.r_name = "docs") (Store.regions store)
+      in
+      Store.close store;
+      let loaded = Xseq.load path in
+      (* The name length's high byte, past the boundary. *)
+      flip_in_place path (region.Store.r_offset + start + 4);
+      (match Xseq.document loaded 1 with
+       | _ -> Alcotest.fail "a flipped record region was decoded"
+       | exception Invalid_argument msg ->
+         Alcotest.(check string) "checksum before the record check"
+           "Store: region \"docs\" checksum mismatch" msg);
+      Option.iter Store.close (Xseq.backing_store loaded))
 
 (* The compact dictionary's cross-region invariants: a designator id
    pointing outside the name table must be rejected even though every
@@ -961,6 +1090,10 @@ let () =
             test_beyond_32_bits;
           Alcotest.test_case "compressed save under fault injection" `Quick
             test_compressed_save_faults;
+          Alcotest.test_case "record regions at chunk edges" `Quick
+            test_records_at_chunk_edges;
+          Alcotest.test_case "record checksum before the record check" `Quick
+            test_records_checksum_first;
         ] );
       ( "oracle",
         [
