@@ -362,19 +362,24 @@ let path_frequencies ?member t =
   done;
   let freq = Array.make (Symtab.path_count t.symbols) 0 in
   let paths = slot_paths t in
-  for slot = 0 to I32.length paths - 1 do
-    let total = ref 0 and outer_post = ref (-1) in
-    for i = I32.get t.link_off slot to I32.get t.link_off (slot + 1) - 1 do
-      let pre = Store.get t.l_pre i in
-      if pre > !outer_post then begin
-        let post = Store.get t.l_post i in
-        total :=
-          !total + rank serials below (post + 1) - rank serials below pre;
-        outer_post := post
-      end
-    done;
-    freq.(I32.get paths slot) <- !total
-  done;
+  let count pre_at post_at =
+    for slot = 0 to I32.length paths - 1 do
+      let total = ref 0 and outer_post = ref (-1) in
+      for i = I32.get t.link_off slot to I32.get t.link_off (slot + 1) - 1 do
+        let pre = pre_at i in
+        if pre > !outer_post then begin
+          let post = post_at i in
+          total :=
+            !total + rank serials below (post + 1) - rank serials below pre;
+          outer_post := post
+        end
+      done;
+      freq.(I32.get paths slot) <- !total
+    done
+  in
+  (* Slot order is link-column order: both columns are read front to
+     back. *)
+  Store.scan t.l_pre (fun pre_at -> Store.scan t.l_post (count pre_at));
   freq
 
 let path_doc_counts ?member t =

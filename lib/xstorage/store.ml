@@ -38,8 +38,8 @@ let checksum_string s off len =
 (* --- columns ------------------------------------------------------------ *)
 
 (* Flat columns hold 32-bit elements: every label, serial and id of an
-   index fits, and the file's 64-bit elements are narrowed as they are
-   read. *)
+   index fits.  A file's 32-bit elements are copied in as they are; its
+   64-bit elements are narrowed as they are read. *)
 type flat = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type reader = {
@@ -72,7 +72,8 @@ type packed_col = {
 type column =
   | Heap of int array
   | Flat of flat
-  | Paged of { r : reader; off : int; len : int }
+  | Paged of { r : reader; off : int; len : int; width : int }
+      (* [width]: bytes an element takes in the file, 4 or 8 *)
   | Packed of packed_col
 
 let heap a = Heap a
@@ -199,16 +200,21 @@ let read_via_pool r pos0 len =
     Bytes.unsafe_to_string b
   end
 
+(* The [width]-byte little-endian element at [pos] of [b]. *)
+let element width b pos =
+  if width = 4 then Int32.to_int (Bytes.get_int32_le b pos)
+  else Int64.to_int (Bytes.get_int64_le b pos)
+
 let get c i =
   match c with
   | Heap a -> a.(i)
   | Flat b -> Int32.to_int (Bigarray.Array1.get b i)
-  | Paged { r; off; len } ->
+  | Paged { r; off; len; width } ->
     if i < 0 || i >= len then invalid_arg "Store.get: index out of bounds";
-    let byte = off + (i * 8) in
+    let byte = off + (i * width) in
     let page = byte / r.r_page_size in
     let b = page_bytes r page in
-    Int64.to_int (Bytes.get_int64_le b (byte - (page * r.r_page_size)))
+    element width b (byte - (page * r.r_page_size))
   | Packed p ->
     if i < 0 || i >= Xsuccinct.Packed.count p.ph then
       invalid_arg "Store.get: index out of bounds";
@@ -221,6 +227,56 @@ let get c i =
     if r = 0 then Xsuccinct.Packed.first p.ph b
     else Array.unsafe_get (packed_block p b) r
 
+(* A compressed column read front to back decodes each block once, into
+   one buffer per cache slot instead of a fresh array per block.  The
+   blocks it fetches, and so the pages it reads, are those [get] would
+   fetch; once the walk ends, each cache slot holds the last block it
+   decoded there, as after the same reads through [get]. *)
+let scan c f =
+  match c with
+  | Heap _ | Flat _ | Paged _ -> f (get c)
+  | Packed p ->
+    let count = Xsuccinct.Packed.count p.ph in
+    let bs = Xsuccinct.Packed.block_size p.ph in
+    let slots = Array.length p.p_cache in
+    let bufs = Array.make slots [||] and last = Array.make slots (-1) in
+    let cur = ref (-1) and cur_elts = ref [||] in
+    let load b =
+      let s = b land p.p_mask in
+      let bid, elts = Atomic.get p.p_cache.(s) in
+      if bid = b then elts
+      else begin
+        if Array.length bufs.(s) = 0 then bufs.(s) <- Array.make bs 0;
+        let buf = bufs.(s) and lo = b * bs in
+        Xsuccinct.Packed.decode_into p.ph ~fetch:p.p_fetch b (fun i x ->
+            Array.unsafe_set buf (i - lo) x);
+        last.(s) <- b;
+        buf
+      end
+    in
+    let get i =
+      if i < 0 || i >= count then invalid_arg "Store.get: index out of bounds";
+      let b = i / bs in
+      let r = i - (b * bs) in
+      if r = 0 then Xsuccinct.Packed.first p.ph b
+      else begin
+        if b <> !cur then begin
+          cur_elts := load b;
+          cur := b
+        end;
+        Array.unsafe_get !cur_elts r
+      end
+    in
+    let v = f get in
+    Array.iteri
+      (fun s b ->
+        if b >= 0 then
+          let n = min bs (count - (b * bs)) in
+          Atomic.set p.p_cache.(s)
+            (b, if n = bs then bufs.(s) else Array.sub bufs.(s) 0 n))
+      last;
+    v
+
 let to_array c =
   match c with
   | Heap a -> Array.copy a
@@ -232,14 +288,19 @@ let to_array c =
 
 (* --- stores ------------------------------------------------------------- *)
 
-(* Disk kinds.  0 and 1 are the only kinds xseqcol1 knows; 2 and 3 are
-   the compressed encodings introduced by xseqcol2.  Odd kinds are
-   blobs. *)
+(* Disk kinds.  0, 1 and 4 are xseqcol1's kinds; 2 and 3 are the
+   compressed encodings of xseqcol2, which also knows 0 and 1.  Odd
+   kinds are blobs. *)
 let k_ints = 0
 let k_blob = 1
 let k_ints_packed = 2
 let k_blob_lz = 3
+let k_ints32 = 4
 let is_blob_kind k = k land 1 = 1
+
+(* Bytes an element of a raw int region of kind [k] takes on disk. *)
+let elt_bytes k = if k = k_ints32 then 4 else 8
+let is_raw_ints k = k = k_ints || k = k_ints32
 
 (* A region of an open file, as its TOC entry describes it. *)
 type entry = {
@@ -319,10 +380,10 @@ let read_prefix = "Store: "
    come out as "Store: region \"l_pre\": <what broke>". *)
 let codec_name name = Printf.sprintf "Store: region %S" name
 
-(* Multiples of 8, so an int element never straddles two chunks.  The
-   open streams every region through one [chunk_bytes] scratch; a region
-   read when asked for gets its own [read_chunk_bytes] chunk, the only
-   allocation beyond its result. *)
+(* Multiples of 8, so no int element (4 or 8 bytes) straddles two
+   chunks.  The open streams every region through one [chunk_bytes]
+   scratch; a region read when asked for gets its own [read_chunk_bytes]
+   chunk, the only allocation beyond its result. *)
 let chunk_bytes = 65536
 let read_chunk_bytes = 16384
 
@@ -417,12 +478,13 @@ let parse_packed ~prefix e fetch =
       e.e_name (Xsuccinct.Packed.count ph) e.e_count;
   ph
 
-(* Hands every element of the xseqcol1 int region [e] to [set i x],
-   decoded a chunk at a time. *)
+(* Hands every element of the raw int region [e] (4- or 8-byte
+   elements) to [set i x], decoded a chunk at a time. *)
 let stream_ints r e set =
+  let w = elt_bytes e.e_kind in
   stream_region ~prefix:read_prefix r e ~buf:(chunk_for e) (fun buf at n ->
-      for k = 0 to (n / 8) - 1 do
-        set ((at / 8) + k) (Int64.to_int (Bytes.get_int64_le buf (8 * k)))
+      for k = 0 to (n / w) - 1 do
+        set ((at / w) + k) (element w buf (w * k))
       done)
 
 (* An xseqcol2 int region's header, over the stored bytes read into
@@ -432,26 +494,35 @@ let read_packed r e =
   let fetch o l = String.sub data o l in
   (parse_packed ~prefix:read_prefix e fetch, fetch)
 
-(* A resident int region: xseqcol1 elements are narrowed straight into a
-   32-bit flat buffer, and a value that does not fit fails the read; an
-   xseqcol2 column stays compressed in the string it was read into,
-   blocks decoded on probe. *)
+(* A resident int region: a raw region goes straight into a 32-bit flat
+   buffer — 4-byte elements as they are, 8-byte ones narrowed, failing
+   the read on a value that does not fit; an xseqcol2 column stays
+   compressed in the string it was read into, blocks decoded on probe. *)
 let read_ints r e =
-  if e.e_kind = k_ints then begin
+  if is_raw_ints e.e_kind then begin
     let fb =
       Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout e.e_count
     in
-    stream_region ~prefix:read_prefix r e ~buf:(chunk_for e) (fun buf at n ->
-        for k = 0 to (n / 8) - 1 do
-          let x = Bytes.get_int64_le buf (8 * k) in
-          let x32 = Int64.to_int32 x in
-          if not (Int64.equal (Int64.of_int32 x32) x) then
-            fail_with read_prefix
-              "inconsistent snapshot: region %S element %d (%s) does not fit \
-               in 32 bits"
-              e.e_name ((at / 8) + k) (Int64.to_string x);
-          Bigarray.Array1.unsafe_set fb ((at / 8) + k) x32
-        done);
+    let copy buf at n =
+      for k = 0 to (n / 4) - 1 do
+        Bigarray.Array1.unsafe_set fb ((at / 4) + k)
+          (Bytes.get_int32_le buf (4 * k))
+      done
+    in
+    let narrow buf at n =
+      for k = 0 to (n / 8) - 1 do
+        let x = Bytes.get_int64_le buf (8 * k) in
+        let x32 = Int64.to_int32 x in
+        if not (Int64.equal (Int64.of_int32 x32) x) then
+          fail_with read_prefix
+            "inconsistent snapshot: region %S element %d (%s) does not fit in \
+             32 bits"
+            e.e_name ((at / 8) + k) (Int64.to_string x);
+        Bigarray.Array1.unsafe_set fb ((at / 8) + k) x32
+      done
+    in
+    stream_region ~prefix:read_prefix r e ~buf:(chunk_for e)
+      (if e.e_kind = k_ints32 then copy else narrow);
     Flat fb
   end
   else begin
@@ -489,8 +560,8 @@ let iter_packed ph fetch set =
 
 (* The element count of int region [name], and a function that hands
    each element to [set i x]: a column the store holds is walked, a
-   region read from the file is decoded as it streams in (xseqcol1) or
-   block by block (xseqcol2). *)
+   region read from the file is decoded as it streams in (raw) or block
+   by block (packed). *)
 let elements t name =
   match find t name with
   | R_ints c | R_file { handle = Some c; _ } ->
@@ -505,7 +576,7 @@ let elements t name =
   | R_file { r; e; handle = None } when not (is_blob_kind e.e_kind) ->
     ( e.e_count,
       fun set ->
-        if e.e_kind = k_ints then stream_ints r e set
+        if is_raw_ints e.e_kind then stream_ints r e set
         else
           let ph, fetch = read_packed r e in
           iter_packed ph fetch set )
@@ -576,8 +647,19 @@ let stream_finish = function Chunks s -> finish_stream s | Whole _ -> ()
 let mem t name = Hashtbl.mem t.tbl name
 let names t = List.rev t.order
 
+(* Bytes an element of [c] takes in an xseqcol1 file: 4 when every value
+   fits in 32 bits, else 8. *)
+let elt_width c =
+  match c with
+  | Flat _ | Paged { width = 4; _ } -> 4
+  | Heap _ | Paged _ | Packed _ ->
+    let n = length c in
+    let rec narrow i = i = n || (Xutil.I32.fits (get c i) && narrow (i + 1)) in
+    if narrow 0 then 4 else 8
+
+(* The raw bytes [write] (xseqcol1) gives a region of a memory store. *)
 let region_raw_bytes = function
-  | R_ints c -> 8 * length c
+  | R_ints c -> elt_width c * length c
   | R_blob s -> String.length s
   | R_file { e; _ } -> e.e_raw
 
@@ -601,12 +683,15 @@ let encode_region format t name =
   in
   match format, contents with
   | Col1, `Ints c ->
+    (* 32-bit elements unless a value needs more, region by region. *)
     let n = length c in
-    let b = Bytes.create (8 * n) in
+    let w = elt_width c in
+    let b = Bytes.create (w * n) in
     for i = 0 to n - 1 do
-      Bytes.set_int64_le b (8 * i) (Int64.of_int (get c i))
+      if w = 4 then Bytes.set_int32_le b (4 * i) (Int32.of_int (get c i))
+      else Bytes.set_int64_le b (8 * i) (Int64.of_int (get c i))
     done;
-    (k_ints, n, Bytes.unsafe_to_string b)
+    ((if w = 4 then k_ints32 else k_ints), n, Bytes.unsafe_to_string b)
   | Col1, `Blob s -> (k_blob, String.length s, s)
   | Col2, `Ints c ->
     (k_ints_packed, length c, Xsuccinct.Packed.encode (to_array c))
@@ -657,8 +742,8 @@ let write ?(page_size = 4096) ?(format = Col1) t path =
       Bytes.blit_string name 0 header (e + 1) (String.length name);
       Bytes.set_uint8 header (e + 32) dkind;
       (* xseqcol2 entries carry the stored (compressed) byte length;
-         xseqcol1 derives it from the count and leaves these bytes
-         zero, keeping its files byte-identical to earlier builds. *)
+         xseqcol1 derives it from the kind and the count and leaves
+         these bytes zero. *)
       (match format with
        | Col1 -> ()
        | Col2 -> Bytes.set_int32_le header (e + 36) (Int32.of_int stored));
@@ -689,8 +774,9 @@ let write ?(page_size = 4096) ?(format = Col1) t path =
       List.iter (fun (_, _, _, _, _, b, _) -> write_all b) payloads)
 
 (* [file_bytes] of a memory store: what [write] (xseqcol1) would
-   produce.  Compressed sizes exist only after encoding, so the
-   prediction stays format-free. *)
+   produce, each int region at the element width the writer picks.
+   Compressed sizes exist only after encoding, so the prediction is
+   xseqcol1's. *)
 let file_bytes t =
   if t.s_file_bytes < 0 then begin
     let ps = t.s_page_size and names = names t in
@@ -725,7 +811,8 @@ let close_reader r =
    the buffer pool.  A packed column's header is parsed here, once,
    straight from the file. *)
 let paged_handle r e : column =
-  if e.e_kind = k_ints then Paged { r; off = e.e_off; len = e.e_count }
+  if is_raw_ints e.e_kind then
+    Paged { r; off = e.e_off; len = e.e_count; width = elt_bytes e.e_kind }
   else begin
     let direct o l =
       let b = Bytes.create l in
@@ -800,11 +887,13 @@ let open_file ?(mode = Resident) ?(pool_pages = 256) path =
             let dkind = Bytes.get_uint8 header (e + 32) in
             (match format, dkind with
              | _, (0 | 1) -> ()
-             | Col2, (2 | 3) -> ()
+             | Col1, 4 | Col2, (2 | 3) -> ()
              | _, k -> fail "malformed TOC entry %S (unknown kind %d)" name k);
             let off = Int64.to_int (Bytes.get_int64_le header (e + 40)) in
             let cnt = Int64.to_int (Bytes.get_int64_le header (e + 48)) in
-            let raw = if is_blob_kind dkind then cnt else 8 * cnt in
+            let raw =
+              if is_blob_kind dkind then cnt else elt_bytes dkind * cnt
+            in
             let stored =
               match format with
               | Col1 -> raw

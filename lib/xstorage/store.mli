@@ -2,8 +2,8 @@
 
     One format for memory and disk, and the only place page I/O is
     counted: an index is a bag of named {e regions} — typed int columns
-    (64-bit little-endian elements on disk) and raw byte blobs — laid
-    out page-aligned.  The same column handle serves four physical
+    (32- or 64-bit little-endian elements on disk) and raw byte blobs —
+    laid out page-aligned.  The same column handle serves four physical
     representations:
 
     - {b Heap}: a plain OCaml [int array] (the seed's pointer-rich
@@ -11,8 +11,10 @@
     - {b Flat}: an unboxed [int32] [Bigarray] buffer outside the OCaml
       heap — cache-friendly structure-of-arrays at four bytes an
       element.  Every value an index stores (labels, serials, ids) fits
-      in 32 bits; a flat column refuses one that does not, and the file's
-      8-byte elements are narrowed as they are read;
+      in 32 bits; a flat column refuses one that does not.  A file's
+      4-byte elements are copied in as they are, and 8-byte ones (older
+      files, or a region with a wider value) are narrowed as they are
+      read;
     - {b Paged}: a region of an open snapshot file, read on demand through
       a real buffer pool (page cache + {!Lru} eviction), so queries
       can run straight off disk without materialising the column;
@@ -34,15 +36,22 @@
     32      8     header checksum (FNV-1a 64 over [0,32) ++ [40,payload))
     40      64×k  table of contents, one fixed-width entry per region:
                     name     32 bytes (u8 length + bytes, zero padded)
-                    kind     8 bytes (u8: 0 = ints, 1 = blob; zero padded)
+                    kind     8 bytes (u8: 0 = 64-bit ints, 1 = blob,
+                             4 = 32-bit ints; zero padded)
                     offset   u64 LE (absolute, page-aligned)
                     count    u64 LE (elements for ints, bytes for blob)
                     checksum u64 LE (FNV-1a 64 of the padded region bytes)
             ...   zero padding to the payload offset
     payload ...   regions, each page-aligned and zero-padded to a page
-                  boundary; ints regions store each element as 8 bytes LE
+                  boundary; an ints region stores each element as 4
+                  bytes LE (kind 4) or 8 bytes LE (kind 0)
     v}
 
+    {!write} gives an int region kind 4 when every one of its values
+    fits in 32 bits — every column an index writes, and its [xseq_meta]
+    unless a sampling fraction needs 64 bits — and kind 0 otherwise: a
+    choice per region, read back from the TOC.  Files whose int regions
+    are all kind 0 (written before kind 4 existed) still open.
     Every byte of the file is covered by a checksum (header + per-region),
     so bit flips and truncations are detected at {!open_file} and reported
     as [Invalid_argument] with the failing part named — never decoded as
@@ -54,10 +63,11 @@
     ["xseqcol2"] and two extra region kinds: int columns stored as
     block-wise delta + varint with sampled skip pointers
     ([Xsuccinct.Packed], kind 2) and blobs stored LZ-compressed
-    ([Xsuccinct.Lz], kind 3, used only when it wins).  Compressed TOC
-    entries additionally carry the stored (compressed) byte length in
-    the u32 at entry offset 36 — bytes that are zero padding in
-    xseqcol1, whose files remain byte-identical to earlier builds.
+    ([Xsuccinct.Lz], kind 3, used only when it wins).  Kind 4 is
+    xseqcol1's alone; an xseqcol2 TOC entry claiming it is malformed.
+    Compressed TOC entries additionally carry the stored (compressed)
+    byte length in the u32 at entry offset 36 — bytes that are zero
+    padding in xseqcol1.
     Checksums cover the {e stored} bytes, so the corruption guarantees
     are format-independent; {!open_file} dispatches on the magic.
 
@@ -102,6 +112,15 @@ val get : column -> int -> int
 (** [get c i] is element [i].  @raise Invalid_argument out of bounds. *)
 
 val length : column -> int
+
+val scan : column -> ((int -> int) -> 'a) -> 'a
+(** [scan c f] is [f get], where [get i] is [Store.get c i] for an [f]
+    that reads [c] at nondecreasing indices.  A compressed column then
+    decodes each block it fetches once, into one of a few buffers
+    reused across the walk (one per decoded-block cache slot): the same
+    fetches and page reads as {!get}, without a fresh array per block,
+    and the decoded-block cache is left as those reads would leave it.
+    Reading backwards is not an error, but may decode a block again. *)
 
 val to_array : column -> int array
 (** Materialises the column (reads a paged column in full). *)
@@ -212,7 +231,9 @@ val mem : t -> string -> bool
 (** {1 Persistence} *)
 
 type file_format =
-  | Col1  (** xseqcol1: raw 8-byte little-endian elements *)
+  | Col1
+      (** xseqcol1: raw little-endian elements, 4 bytes each unless a
+          region holds a value beyond 32 bits *)
   | Col2  (** xseqcol2: delta+varint columns, LZ blobs *)
 
 val format_name : file_format -> string
@@ -221,7 +242,7 @@ val format_name : file_format -> string
 val write : ?page_size:int -> ?format:file_format -> t -> string -> unit
 (** [write t path] serialises every region to [path] in the format above.
     [page_size] defaults to 4096 and must be a positive multiple of 8 (so
-    an 8-byte element never straddles a page).  [format] (default
+    no element straddles a page).  [format] (default
     {!Col1}) selects the container: {!Col2} writes compressed regions. *)
 
 type mode =
@@ -246,7 +267,10 @@ type region_info = {
   r_name : string;
   r_kind : [ `Ints | `Blob ];
   r_count : int;  (** elements for ints, bytes for blobs *)
-  r_bytes : int;  (** logical (uncompressed) payload bytes *)
+  r_bytes : int;
+      (** logical (uncompressed) payload bytes: for an xseqcol2 int
+          column 8 an element; for an xseqcol1 one, the 4 or 8 bytes an
+          element takes in the file *)
   r_stored : int;
       (** bytes actually stored before page padding; equals [r_bytes]
           for uncompressed regions *)
@@ -265,7 +289,9 @@ val file_format : t -> file_format
 
 val file_bytes : t -> int
 (** Total serialised size: actual file size for file stores, the exact
-    size {!write} would produce for memory stores. *)
+    size {!write} would produce (xseqcol1, default page size) for memory
+    stores, each int region at the element width {!write} picks for
+    it. *)
 
 val page_reads : t -> int
 (** Pages fetched from disk by the paged backend (buffer-pool misses)

@@ -85,6 +85,37 @@ let test_roundtrip_resident () =
             "memory store predicts the same size"
             (String.length (read_all path2))
             (Store.file_bytes (tiny_store ())));
+      (* It does for regions of several pages at either element width:
+         12,000 bytes of 32-bit elements, 8,000 of 64-bit ones. *)
+      let pages () =
+        let m = Store.memory () in
+        Store.add_ints m "narrow"
+          (Store.heap (Array.init 3000 (fun i -> i - 1500)));
+        Store.add_ints m "wide"
+          (Store.heap
+             (Array.init 1000 (fun i -> if i = 999 then max_int else i)));
+        m
+      in
+      with_temp "store_rt_pages" (fun path3 ->
+          Store.write (pages ()) path3;
+          let m = pages () in
+          Alcotest.(check int)
+            "memory store predicts multi-page regions"
+            (String.length (read_all path3))
+            (Store.file_bytes m);
+          let f = Store.open_file path3 in
+          let shape s =
+            List.map
+              (fun r -> (r.Store.r_bytes, r.Store.r_pages))
+              (Store.regions s)
+          in
+          Alcotest.(check (list (pair int int)))
+            "memory store regions (bytes, pages)"
+            [ (12_000, 3); (8_000, 2) ]
+            (shape m);
+          Alcotest.(check (list (pair int int)))
+            "file regions = memory store regions" (shape m) (shape f);
+          Store.close f);
       let names = List.map (fun r -> r.Store.r_name) (Store.regions s) in
       Alcotest.(check (list string))
         "TOC order = registration order" [ "col"; "flat"; "blob" ] names;
@@ -1037,6 +1068,169 @@ let test_compressed_save_faults () =
       | _ -> Alcotest.fail "open EIO swallowed"
       | exception Unix.Unix_error (Unix.EIO, _, _) -> ())
 
+(* --- element widths ------------------------------------------------------ *)
+
+let lo32 = Xutil.I32.min_value
+let hi32 = Xutil.I32.max_value
+
+let region_info s name =
+  List.find (fun r -> r.Store.r_name = name) (Store.regions s)
+
+(* An xseqcol1 int region is written at four bytes an element when every
+   value fits in 32 bits, the extremes included, and reads back the same
+   through the resident, paged and 32-bit readers.  One wider value keeps
+   its whole region at eight bytes. *)
+let test_element_widths () =
+  let narrow = [| 0; lo32; hi32; -1; 7; hi32; lo32 |] in
+  let wide = [| 0; lo32; hi32; hi32 + 1 |] in
+  with_temp "store_widths" (fun path ->
+      let m = Store.memory () in
+      Store.add_ints m "narrow" (Store.heap (Array.copy narrow));
+      Store.add_ints m "wide" (Store.heap (Array.copy wide));
+      Store.write ~page_size:16 m path;
+      let ints = Alcotest.(list int) in
+      let resident = Store.open_file path in
+      let paged = Store.open_file ~mode:Store.Paged ~pool_pages:2 path in
+      List.iter
+        (fun (name, a, width) ->
+          let r = region_info resident name in
+          Alcotest.(check int)
+            (name ^ " bytes") (width * Array.length a) r.Store.r_bytes;
+          Alcotest.(check int)
+            (name ^ " stored") (width * Array.length a) r.Store.r_stored;
+          let want = Array.to_list a in
+          Alcotest.check ints (name ^ " int_array") want
+            (Array.to_list (Store.int_array resident name));
+          let col = Store.ints paged name in
+          Alcotest.check ints (name ^ " paged")
+            want
+            (List.init (Store.length col) (Store.get col));
+          Alcotest.check ints (name ^ " i32")
+            (List.map (fun x -> max lo32 (min hi32 x)) want)
+            (Array.to_list (Xutil.I32.to_array (Store.i32 resident name))))
+        [ ("narrow", narrow, 4); ("wide", wide, 8) ];
+      Alcotest.check ints "narrow resident" (Array.to_list narrow)
+        (Array.to_list (Store.to_array (Store.ints resident "narrow")));
+      (match Store.ints resident "wide" with
+       | _ -> Alcotest.fail "a resident column held 2^31"
+       | exception Invalid_argument msg ->
+         Alcotest.(check string) "wide resident diagnostic"
+           "Store: inconsistent snapshot: region \"wide\" element 3 \
+            (2147483648) does not fit in 32 bits"
+           msg);
+      Store.close resident;
+      Store.close paged);
+  (* A snapshot written with 8-byte elements comes out 32-bit when it is
+     saved again, from a paged load as from a resident one. *)
+  let legacy =
+    Filename.concat
+      (Filename.concat (Filename.dirname Sys.executable_name) "data")
+      "v2_dblp.xseq"
+  in
+  Alcotest.(check int) "the legacy l_pre is 8-byte" 8
+    (let s = Store.open_file legacy in
+     let r = region_info s "l_pre" in
+     Store.close s;
+     r.Store.r_bytes / r.Store.r_count);
+  let resave mode path =
+    let loaded = Xseq.load ~mode legacy in
+    Xseq.save loaded path;
+    Option.iter Store.close (Xseq.backing_store loaded);
+    read_all path
+  in
+  with_temp "store_resave_resident" (fun p1 ->
+      with_temp "store_resave_paged" (fun p2 ->
+          let resident = resave Store.Resident p1 in
+          Alcotest.(check bool)
+            "paged re-save = resident re-save" true
+            (String.equal resident (resave Store.Paged p2));
+          let s = Store.open_file p1 in
+          let r = region_info s "l_pre" in
+          Alcotest.(check int) "re-saved l_pre is 32-bit" (4 * r.Store.r_count)
+            r.Store.r_bytes;
+          Store.close s))
+
+(* [Store.scan] over a paged compressed column reads what [Store.get]
+   reads, page for page, and leaves the decoded-block cache as [get]
+   would: later probes read the same pages through either handle. *)
+let test_scan_matches_get () =
+  let n = 5000 in
+  let value i = (i * 7919) mod 10007 in
+  with_temp "store_scan" (fun path ->
+      let m = Store.memory () in
+      Store.add_ints m "col" (Store.heap (Array.init n value));
+      Store.write ~page_size:64 ~format:Store.Col2 m path;
+      let walk read =
+        List.filter_map
+          (fun i -> if i mod 3 = 1 then None else Some (read i))
+          (List.init n Fun.id)
+      in
+      let open_col () =
+        let s = Store.open_file ~mode:Store.Paged ~pool_pages:8 path in
+        (s, Store.ints s "col")
+      in
+      let s1, c1 = open_col () and s2, c2 = open_col () in
+      let counters s = (Store.page_reads s, Store.page_hits s) in
+      let pair = Alcotest.(pair int int) in
+      let via_get = walk (Store.get c1) in
+      Alcotest.(check (list int)) "values" (walk value) via_get;
+      Alcotest.(check (list int))
+        "scan = get" via_get
+        (Store.scan c2 (fun get -> walk get));
+      Alcotest.check pair "the walk's pages" (counters s1) (counters s2);
+      let probes = List.init 300 (fun k -> (k * 2741) mod n) in
+      List.iter (fun i -> ignore (Store.get c1 i)) probes;
+      List.iter (fun i -> ignore (Store.get c2 i)) probes;
+      Alcotest.check pair "later probes' pages" (counters s1) (counters s2);
+      Store.close s1;
+      Store.close s2)
+
+(* Rewrites the file at [path] through [f] and seals its header with a
+   fresh checksum, so only the checks behind the checksum see the
+   change. *)
+let patch_file path f =
+  let b = f (Bytes.of_string (read_all path)) in
+  let payload = Int32.to_int (Bytes.get_int32_le b 20) in
+  Bytes.set_int64_le b 32
+    (Int64.logxor
+       (Store.checksum_bytes b 0 32)
+       (Store.checksum_bytes b 40 (payload - 40)));
+  write_all path (Bytes.to_string b)
+
+let open_fails path ~want =
+  match Store.open_file path with
+  | s ->
+    Store.close s;
+    Alcotest.failf "opened despite %s" want
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) "diagnostic" ("Store.open_file: " ^ want) msg
+
+(* Kind 4 (32-bit elements) belongs to xseqcol1: an xseqcol2 TOC entry
+   claiming it is malformed.  A 32-bit region cut short, behind a header
+   that agrees with the shorter file, is reported as truncated. *)
+let test_element_width_toc () =
+  let one_region () =
+    let m = Store.memory () in
+    Store.add_ints m "col" (Store.heap (Array.init 40 (fun i -> i * 3)));
+    m
+  in
+  with_temp "store_kind4_col2" (fun path ->
+      Store.write ~page_size:16 ~format:Store.Col2 (one_region ()) path;
+      patch_file path (fun b ->
+          Bytes.set_uint8 b (40 + 32) 4;
+          b);
+      open_fails path ~want:"malformed TOC entry \"col\" (unknown kind 4)");
+  with_temp "store_kind4_cut" (fun path ->
+      Store.write ~page_size:16 (one_region ()) path;
+      Alcotest.(check int) "the region is 32-bit" 4
+        (Char.code (read_all path).[40 + 32]);
+      patch_file path (fun b ->
+          let len = Bytes.length b - 16 in
+          Bytes.set_int64_le b 24 (Int64.of_int len);
+          Bytes.sub b 0 len);
+      open_fails path
+        ~want:"truncated file (region \"col\" extends past the end)")
+
 let mk_prop name ~count f =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name ~count (QCheck.make ~print:case_print case_gen) f)
@@ -1054,6 +1248,10 @@ let () =
           Alcotest.test_case "compressed round trip" `Quick
             test_roundtrip_compressed;
           Alcotest.test_case "api errors" `Quick test_api_errors;
+          Alcotest.test_case "32-bit and 64-bit elements" `Quick
+            test_element_widths;
+          Alcotest.test_case "scan reads what get reads" `Quick
+            test_scan_matches_get;
         ] );
       ( "codecs",
         [
@@ -1094,6 +1292,8 @@ let () =
             test_records_at_chunk_edges;
           Alcotest.test_case "record checksum before the record check" `Quick
             test_records_checksum_first;
+          Alcotest.test_case "32-bit regions in the table of contents" `Quick
+            test_element_width_toc;
         ] );
       ( "oracle",
         [
