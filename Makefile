@@ -14,9 +14,11 @@ bench:
 	dune exec bench/main.exe
 
 # Machine-readable benchmarks: parallel build / batched-query throughput
-# (BENCH_parallel.json), storage-backend probe throughput
-# (BENCH_storage.json), query-server throughput/latency with the
-# plan cache A/B'd (BENCH_server.json), the durable ingestion path —
+# (BENCH_parallel.json), probe throughput of the column backings —
+# columnar, paged, compressed resident and paged — and the
+# compressed-paged/columnar latency ratio (BENCH_storage.json),
+# query-server throughput/latency with the plan cache A/B'd
+# (BENCH_server.json), the durable ingestion path —
 # fsync batching, query latency under concurrent ingest, recovery time
 # (BENCH_ingest.json) — the fault-injection shim's overhead plus
 # the degrade/recover cycle cost (BENCH_faults.json) — and the

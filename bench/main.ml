@@ -770,9 +770,8 @@ let parallel () =
 
 let storage () =
   header
-    "Storage: heap arrays vs columnar flat buffers vs disk pages vs \
-     compressed columns\n\
-     one index, five physical backings, identical answers required \
+    "Storage: columnar flat buffers vs disk pages vs compressed columns\n\
+     one index, four physical backings, identical answers required \
      (see BENCH_storage.json)";
   let cores = Domain.recommended_domain_count () in
   let n = n_scaled 8_000 in
@@ -825,10 +824,6 @@ let storage () =
          physical column backing differs. *)
       let variants =
         [
-          ( "heap",
-            Xindex.Labeled.remap ~backend:Xindex.Labeled.Heap_arrays
-              (Xseq.labeled index),
-            Xseq.strategy index, Xseq.value_mode index, None );
           ( "columnar", Xseq.labeled index, Xseq.strategy index,
             Xseq.value_mode index, None );
           ( "paged", Xseq.labeled paged, Xseq.strategy paged,
@@ -866,8 +861,8 @@ let storage () =
                 true
               | Some r ->
                 if answers <> r then
-                  Printf.printf "!! backend %s diverged from heap answers\n"
-                    name;
+                  Printf.printf
+                    "!! backend %s diverged from columnar answers\n" name;
                 answers = r
             in
             let probes = stats.Xquery.Matcher.probes in
@@ -891,11 +886,13 @@ let storage () =
       (* Intra-run latency ratio: both halves measured under the same
          box interference, so it gates stably where absolute times
          would not. *)
-      let zpaged_vs_heap =
-        if time_of "heap" > 0. then time_of "compressed-paged" /. time_of "heap"
+      let zpaged_vs_columnar =
+        if time_of "columnar" > 0. then
+          time_of "compressed-paged" /. time_of "columnar"
         else 0.
       in
-      Printf.printf "compressed-paged vs heap: %.2fx slower\n" zpaged_vs_heap;
+      Printf.printf "compressed-paged vs columnar: %.2fx slower\n"
+        zpaged_vs_columnar;
       write_json "storage" (fun oc ->
           Printf.fprintf oc
             "{\n  \"cores\": %d,\n  \"records\": %d,\n  \"queries\": %d,\n\
@@ -914,9 +911,8 @@ let storage () =
             rows;
           Printf.fprintf oc "  ],\n";
           Printf.fprintf oc "  \"compression_ratio\": %.3f,\n" ratio;
-          Printf.fprintf oc "  \"compressed_paged_vs_heap\": %.3f\n}\n"
-            zpaged_vs_heap);
-      Printf.printf "wrote BENCH_storage.json\n%!")
+          Printf.fprintf oc "  \"compressed_paged_vs_columnar\": %.3f\n}\n"
+            zpaged_vs_columnar))
 
 (* ------------------------------------------------------------------ *)
 (* Server: the concurrent query service under closed-loop load.        *)
@@ -1358,10 +1354,7 @@ let ingest_bench () =
     "recovery: WAL replay of %d records in %.1f ms; checkpointed open \
      replays %d in %.1f ms\n%!"
     replayed replay_ms ckp_replayed ckp_ms;
-  let oc = open_out "BENCH_ingest.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  write_json "ingest" (fun oc ->
       Printf.fprintf oc "{\n  \"records\": %d,\n  \"insert_runs\": [\n" n;
       List.iteri
         (fun i (sync_every, rate, dt, wal_bytes) ->
@@ -1382,8 +1375,7 @@ let ingest_bench () =
       Printf.fprintf oc
         "  \"recovery\": {\"replayed\": %d, \"wal_replay_ms\": %.1f, \
          \"checkpoint_replayed\": %d, \"checkpoint_open_ms\": %.1f}\n}\n"
-        replayed replay_ms ckp_replayed ckp_ms);
-  Printf.printf "wrote BENCH_ingest.json\n%!"
+        replayed replay_ms ckp_replayed ckp_ms)
 
 (* ------------------------------------------------------------------ *)
 (* Faultline: what the fault-injection shim costs on the hot write     *)
@@ -1467,10 +1459,7 @@ let faults_bench () =
     "degrade on ENOSPC: %.3f ms; recover (rotate + compact %d docs): %.1f \
      ms; query healthy %.3f ms vs degraded %.3f ms\n%!"
     degrade_ms n recover_ms q_healthy_ms q_degraded_ms;
-  let oc = open_out "BENCH_faults.json" in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
+  write_json "faults" (fun oc ->
       Printf.fprintf oc "{\n  \"records\": %d,\n  \"shim_overhead\": [\n" n;
       List.iteri
         (fun i (label, rate, dt) ->
@@ -1483,8 +1472,7 @@ let faults_bench () =
         "  ],\n\
         \  \"degrade_recover\": {\"degrade_ms\": %.3f, \"recover_ms\": %.1f, \
          \"query_healthy_ms\": %.3f, \"query_degraded_ms\": %.3f}\n}\n"
-        degrade_ms recover_ms q_healthy_ms q_degraded_ms);
-  Printf.printf "wrote BENCH_faults.json\n%!"
+        degrade_ms recover_ms q_healthy_ms q_degraded_ms)
 
 (* ------------------------------------------------------------------ *)
 (* Shard: K-shard hash-routed ingest and scatter-gather queries.       *)

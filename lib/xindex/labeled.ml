@@ -5,15 +5,13 @@ module Bs = Xutil.Binsearch
 module Store = Xstorage.Store
 module I32 = Xutil.I32
 
-type backend = Heap_arrays | Columnar
-
 (* The index is a set of flat columns (structure of arrays): the
    concatenated link entry columns, the document table, and a small
    in-memory link directory of offsets into them.  A node's id is its
    serial, so the link entries are the nodes: no per-node column is
    kept.
-   Columns are Store handles, so the very same view serves heap arrays,
-   unboxed flat buffers, and disk pages behind the buffer pool.  The
+   Columns are Store handles, so the very same view serves unboxed flat
+   buffers, disk pages behind the buffer pool and compressed blocks.  The
    directory is 32-bit ([I32]), like the flat columns: an index holds at
    most [max_nodes] nodes.
 
@@ -279,12 +277,6 @@ let link_pre l i = Store.get l.k_pre (l.loff + i)
 let link_post l i = Store.get l.k_post (l.loff + i)
 let link_up l i = Store.get l.k_up (l.loff + i)
 
-let link_range l ~lo ~hi =
-  let get i = link_pre l i in
-  let first = Bs.lower_bound_by ~get ~len:l.llen lo in
-  let last = Bs.upper_bound_by ~get ~len:l.llen hi - 1 in
-  (first, last)
-
 let link_floor l x = Bs.floor_index_by ~get:(fun i -> link_pre l i) ~len:l.llen x
 
 (* Link entries are in pre-order, so an entry has a same-encoding
@@ -407,25 +399,6 @@ let column_bytes t =
     0
     [ t.l_pre; t.l_post; t.l_up; t.doc_pre; t.doc_id ]
 
-(* Rebuild the same index over a different column backend — used by the
-   storage benchmarks and the backend-equivalence oracle tests. *)
-let remap ?(backend = Columnar) t =
-  let fz c =
-    let a = Store.to_array c in
-    match backend with
-    | Heap_arrays -> Store.heap a
-    | Columnar -> Store.flat_of_array a
-  in
-  {
-    t with
-    l_pre = fz t.l_pre;
-    l_post = fz t.l_post;
-    l_up = fz t.l_up;
-    doc_pre = fz t.doc_pre;
-    doc_id = fz t.doc_id;
-    source = None;
-  }
-
 (* --- snapshot regions ---------------------------------------------------- *)
 
 (* Region names in the columnar snapshot (see Xstorage.Store for the file
@@ -470,9 +443,9 @@ let dict_regions t store =
         e)
     entries;
   name_off.(n) <- Buffer.length names;
-  Store.add_ints store "dict_parent" (Store.heap parent);
-  Store.add_ints store "dict_kind" (Store.heap kind);
-  Store.add_ints store "dict_name_off" (Store.heap name_off);
+  Store.add_int_array store "dict_parent" parent;
+  Store.add_int_array store "dict_kind" kind;
+  Store.add_int_array store "dict_name_off" name_off;
   Store.add_blob store "dict_names" (Buffer.contents names)
 
 (* Compact dictionary: trie edges are (parent entry, designator id); the
@@ -504,28 +477,24 @@ let dict_regions_compact t store =
           desig.(i) <- Hashtbl.find id_of (key d))
         e)
     entries;
-  Store.add_ints store "dict_parent" (Store.heap parent);
-  Store.add_ints store "dict_desig" (Store.heap desig);
-  Store.add_ints store "desig_kind"
-    (Store.heap (Array.of_list (List.map snd pairs)));
+  Store.add_int_array store "dict_parent" parent;
+  Store.add_int_array store "dict_desig" desig;
+  Store.add_int_array store "desig_kind" (Array.of_list (List.map snd pairs));
   Store.add_blob store "desig_names"
     (Xsuccinct.Frontcode.encode (Array.of_list (List.map fst pairs)))
 
 let add_to_store ?(compact = false) t store =
-  Store.add_ints store "meta" (Store.heap [| t.n |]);
+  Store.add_int_array store "meta" [| t.n |];
   (if compact then dict_regions_compact else dict_regions) t store;
   let index_of = dict_index t and paths = slot_paths t in
-  Store.add_ints store "link_path"
-    (Store.heap
-       (Array.init (I32.length paths) (fun s -> index_of.(I32.get paths s))));
-  Store.add_ints store "link_len"
-    (Store.heap
-       (Array.init (I32.length paths) (fun s ->
-            I32.get t.link_off (s + 1) - I32.get t.link_off s)));
-  Store.add_ints store "link_multi"
-    (Store.heap
-       (Array.init (Bytes.length t.multi) (fun s ->
-            Char.code (Bytes.get t.multi s))));
+  Store.add_int_array store "link_path"
+    (Array.init (I32.length paths) (fun s -> index_of.(I32.get paths s)));
+  Store.add_int_array store "link_len"
+    (Array.init (I32.length paths) (fun s ->
+         I32.get t.link_off (s + 1) - I32.get t.link_off s));
+  Store.add_int_array store "link_multi"
+    (Array.init (Bytes.length t.multi) (fun s ->
+         Char.code (Bytes.get t.multi s)));
   Store.add_ints store "l_pre" t.l_pre;
   Store.add_ints store "l_post" t.l_post;
   Store.add_ints store "l_up" t.l_up;

@@ -25,12 +25,10 @@
     slot's dictionary index, and [n + 1] entry offsets), and a flat
     column is an [int32] buffer.  Each column is an
     {!Xstorage.Store.column}, so one view serves every physical
-    representation: heap [int array]s (the original pointer-rich
-    backend, kept for A/B comparison), unboxed 32-bit flat buffers,
-    pages of an
-    open snapshot file read through the buffer pool, and compressed
-    blocks.  Page I/O is the store's business: it counts the pages it
-    reads (see {!backing_store}).
+    representation: unboxed 32-bit flat buffers (a built index), pages
+    of an open snapshot file read through the buffer pool, and
+    compressed blocks.  Page I/O is the store's business: it counts the
+    pages it reads (see {!backing_store}).
 
     {2 Symbols}
 
@@ -46,10 +44,6 @@ type t
 type link
 (** A horizontal path link. *)
 
-type backend =
-  | Heap_arrays  (** plain OCaml [int array] columns (the seed layout) *)
-  | Columnar  (** unboxed flat buffers (structure of arrays) *)
-
 val build : Sequencing.Symtab.t -> Path.t array array -> t
 (** [build symbols seqs] labels the trie of the constraint sequences,
     [seqs.(i)] that of document [i], whose paths belong to the table.
@@ -60,8 +54,10 @@ val build : Sequencing.Symtab.t -> Path.t array array -> t
     sweep comparing each sorted sequence with its predecessor assigns
     serials, closes ranges, links every node to its nearest same-path
     ancestor and records where each sequence ends.  Path links are then
-    a counting sort of the nodes by path id.  The columns are unboxed
-    flat buffers ([Columnar]).
+    a counting sort of the nodes by path id.  The link and document
+    columns are unboxed 32-bit flat buffers
+    ({!Xstorage.Store.flat_of_array}), the one in-memory backing a
+    column has.
 
     @raise Invalid_argument on an empty sequence, or if the trie has
     more than {!max_nodes} nodes (see {!check_node_count}). *)
@@ -74,10 +70,6 @@ val check_node_count : int -> unit
 (** [check_node_count n] is the check {!build} makes on its node count
     before it labels anything.
     @raise Invalid_argument if [n] is negative or above {!max_nodes}. *)
-
-val remap : ?backend:backend -> t -> t
-(** The same index over different physical columns (default [Columnar]).
-    Used by the storage benchmarks and backend-equivalence tests. *)
 
 val symbols : t -> Sequencing.Symtab.t
 (** The table of the index's paths.  Queries resolve names against it
@@ -104,10 +96,6 @@ val link_post : link -> int -> int
 
 val link_up : link -> int -> int
 (** Link position of the nearest same-encoding proper ancestor, or -1. *)
-
-val link_range : link -> lo:int -> hi:int -> int * int
-(** [(first, last)] inclusive link positions with [lo <= pre <= hi];
-    [first > last] when empty. *)
 
 val link_floor : link -> int -> int
 (** Largest position with [pre <= x], or -1. *)
@@ -181,7 +169,10 @@ val column_bytes : t -> int
 val add_to_store : ?compact:bool -> t -> Xstorage.Store.t -> unit
 (** Registers every index region with the store.  Region names are
     reserved; combine with other regions freely as long as names do not
-    clash.  With [~compact:true] the path dictionary is written in its
+    clash.  The link and document columns are registered as the
+    columns the index holds, without a copy; the dictionary and link
+    directory as arrays ({!Xstorage.Store.add_int_array}).  With
+    [~compact:true] the path dictionary is written in its
     compact form — trie edges as (parent, designator id) pairs over a
     deduplicated, front-coded designator name table — the layout
     compressed (xseqcol2) snapshots use; {!of_store} reads either. *)

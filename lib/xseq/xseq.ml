@@ -615,19 +615,21 @@ let save ?(format = Store.Col1) t path =
   let frac_lo = Int64.to_int (Int64.logand bits 0xFFFFFFFFL) in
   let frac_hi = Int64.to_int (Int64.shift_right_logical bits 32) in
   let store = Store.memory () in
-  Store.add_ints store "xseq_meta"
-    (Store.heap
-       [|
-         snapshot_version;
-         seq_tag;
-         seq_arg;
-         vm;
-         frac_lo;
-         frac_hi;
-         t.built_config.sample_seed;
-         t.total_seq_len;
-         t.ndocs;
-       |]);
+  (* A staged array: a fraction's words are unsigned 32-bit values, and
+     a region holding one beyond [Int32.max_int] keeps 8-byte
+     elements. *)
+  Store.add_int_array store "xseq_meta"
+    [|
+      snapshot_version;
+      seq_tag;
+      seq_arg;
+      vm;
+      frac_lo;
+      frac_hi;
+      t.built_config.sample_seed;
+      t.total_seq_len;
+      t.ndocs;
+    |];
   Store.add_blob store "docs" blob;
   Xindex.Labeled.add_to_store ~compact:(format = Store.Col2) t.labeled store;
   (* Compressed regions are small; 4 KiB alignment would waste a large

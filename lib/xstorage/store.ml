@@ -70,13 +70,10 @@ type packed_col = {
 }
 
 type column =
-  | Heap of int array
   | Flat of flat
   | Paged of { r : reader; off : int; len : int; width : int }
       (* [width]: bytes an element takes in the file, 4 or 8 *)
   | Packed of packed_col
-
-let heap a = Heap a
 
 let flat_of_array a =
   let b =
@@ -94,7 +91,6 @@ let flat_of_array a =
   Flat b
 
 let length = function
-  | Heap a -> Array.length a
   | Flat b -> Bigarray.Array1.dim b
   | Paged { len; _ } -> len
   | Packed p -> Xsuccinct.Packed.count p.ph
@@ -102,13 +98,11 @@ let length = function
 let is_paged = function
   | Paged _ -> true
   | Packed p -> p.p_paged
-  | Heap _ | Flat _ -> false
-
-let is_packed = function Packed _ -> true | Heap _ | Flat _ | Paged _ -> false
+  | Flat _ -> false
 
 let off_heap_bytes = function
   | Flat b -> 4 * Bigarray.Array1.dim b
-  | Heap _ | Paged _ | Packed _ -> 0
+  | Paged _ | Packed _ -> 0
 
 (* Decoded-block cache: enough slots to hold the hot set of a
    range-restricted binary search (a handful of link lists at a time),
@@ -207,7 +201,6 @@ let element width b pos =
 
 let get c i =
   match c with
-  | Heap a -> a.(i)
   | Flat b -> Int32.to_int (Bigarray.Array1.get b i)
   | Paged { r; off; len; width } ->
     if i < 0 || i >= len then invalid_arg "Store.get: index out of bounds";
@@ -234,7 +227,7 @@ let get c i =
    decoded there, as after the same reads through [get]. *)
 let scan c f =
   match c with
-  | Heap _ | Flat _ | Paged _ -> f (get c)
+  | Flat _ | Paged _ -> f (get c)
   | Packed p ->
     let count = Xsuccinct.Packed.count p.ph in
     let bs = Xsuccinct.Packed.block_size p.ph in
@@ -279,7 +272,6 @@ let scan c f =
 
 let to_array c =
   match c with
-  | Heap a -> Array.copy a
   | Flat b ->
     Array.init (Bigarray.Array1.dim b) (fun i ->
         Int32.to_int (Bigarray.Array1.get b i))
@@ -314,11 +306,13 @@ type entry = {
   e_crc : int64; (* over the padded bytes *)
 }
 
-(* A file store keeps its TOC, its reader and the handles of its paged
+(* A memory store holds columns, staged arrays (of any width) and blobs.
+   A file store keeps its TOC, its reader and the handles of its paged
    int columns; every other region is read from the file, and its
    checksum checked again, each time it is asked for. *)
 type region =
   | R_ints of column
+  | R_array of int array
   | R_blob of string
   | R_file of { r : reader; e : entry; handle : column option }
 
@@ -361,6 +355,7 @@ let add t name region =
   t.s_file_bytes <- -1
 
 let add_ints t name col = add t name (R_ints col)
+let add_int_array t name a = add t name (R_array a)
 let add_blob t name s = add t name (R_blob s)
 
 let find t name =
@@ -547,6 +542,7 @@ let not_ints name =
 let ints t name =
   match find t name with
   | R_ints c | R_file { handle = Some c; _ } -> c
+  | R_array a -> flat_of_array a
   | R_file { r; e; handle = None } when not (is_blob_kind e.e_kind) ->
     read_ints r e
   | R_blob _ | R_file _ -> not_ints name
@@ -569,10 +565,11 @@ let elements t name =
       fun set ->
         match c with
         | Packed p -> iter_packed p.ph p.p_fetch set
-        | Heap _ | Flat _ | Paged _ ->
+        | Flat _ | Paged _ ->
           for i = 0 to length c - 1 do
             set i (get c i)
           done )
+  | R_array a -> (Array.length a, fun set -> Array.iteri set a)
   | R_file { r; e; handle = None } when not (is_blob_kind e.e_kind) ->
     ( e.e_count,
       fun set ->
@@ -606,14 +603,14 @@ let blob t name =
   match find t name with
   | R_blob s -> s
   | R_file { r; e; _ } when is_blob_kind e.e_kind -> read_blob r e
-  | R_ints _ | R_file _ -> not_blob name
+  | R_ints _ | R_array _ | R_file _ -> not_blob name
 
 let blob_bytes t name =
   match find t name with
   | R_blob s -> Bytes.of_string s
   | R_file { r; e; _ } when is_blob_kind e.e_kind ->
     Bytes.unsafe_of_string (read_blob r e)
-  | R_ints _ | R_file _ -> not_blob name
+  | R_ints _ | R_array _ | R_file _ -> not_blob name
 
 (* A raw blob region of a file is streamed; a memory store's blob and an
    LZ region, decompressed whole once its checksum is checked, come as
@@ -629,7 +626,7 @@ let stream_blob t name =
     Chunks (open_stream ~prefix:read_prefix r e (chunk_for e))
   | R_file { r; e; _ } when is_blob_kind e.e_kind ->
     Whole { data = read_blob r e; given = false }
-  | R_ints _ | R_file _ -> not_blob name
+  | R_ints _ | R_array _ | R_file _ -> not_blob name
 
 let stream_length = function
   | Chunks s -> s.s_e.e_raw
@@ -647,19 +644,22 @@ let stream_finish = function Chunks s -> finish_stream s | Whole _ -> ()
 let mem t name = Hashtbl.mem t.tbl name
 let names t = List.rev t.order
 
-(* Bytes an element of [c] takes in an xseqcol1 file: 4 when every value
-   fits in 32 bits, else 8. *)
-let elt_width c =
-  match c with
+(* Bytes an element takes in an xseqcol1 file: 4 when each of the [n]
+   values [get] gives fits in 32 bits, else 8. *)
+let width_of n get =
+  let rec narrow i = i = n || (Xutil.I32.fits (get i) && narrow (i + 1)) in
+  if narrow 0 then 4 else 8
+
+let elt_width = function
   | Flat _ | Paged { width = 4; _ } -> 4
-  | Heap _ | Paged _ | Packed _ ->
-    let n = length c in
-    let rec narrow i = i = n || (Xutil.I32.fits (get c i) && narrow (i + 1)) in
-    if narrow 0 then 4 else 8
+  | c -> width_of (length c) (get c)
+
+let array_width a = width_of (Array.length a) (Array.get a)
 
 (* The raw bytes [write] (xseqcol1) gives a region of a memory store. *)
 let region_raw_bytes = function
   | R_ints c -> elt_width c * length c
+  | R_array a -> array_width a * Array.length a
   | R_blob s -> String.length s
   | R_file { e; _ } -> e.e_raw
 
@@ -676,25 +676,28 @@ let padded_bytes page_size raw = max page_size (round_up page_size raw)
 let encode_region format t name =
   let contents =
     match find t name with
-    | R_ints c -> `Ints c
+    | R_ints c -> `Col c
+    | R_array a -> `Array a
     | R_blob s -> `Blob s
     | R_file { e; _ } when is_blob_kind e.e_kind -> `Blob (blob t name)
-    | R_file _ -> `Ints (ints t name)
+    | R_file _ -> `Col (ints t name)
   in
-  match format, contents with
-  | Col1, `Ints c ->
-    (* 32-bit elements unless a value needs more, region by region. *)
-    let n = length c in
-    let w = elt_width c in
+  (* 32-bit elements unless a value needs more, region by region. *)
+  let raw n w get =
     let b = Bytes.create (w * n) in
     for i = 0 to n - 1 do
-      if w = 4 then Bytes.set_int32_le b (4 * i) (Int32.of_int (get c i))
-      else Bytes.set_int64_le b (8 * i) (Int64.of_int (get c i))
+      if w = 4 then Bytes.set_int32_le b (4 * i) (Int32.of_int (get i))
+      else Bytes.set_int64_le b (8 * i) (Int64.of_int (get i))
     done;
     ((if w = 4 then k_ints32 else k_ints), n, Bytes.unsafe_to_string b)
+  in
+  match format, contents with
+  | Col1, `Col c -> raw (length c) (elt_width c) (get c)
+  | Col1, `Array a -> raw (Array.length a) (array_width a) (Array.get a)
   | Col1, `Blob s -> (k_blob, String.length s, s)
-  | Col2, `Ints c ->
+  | Col2, `Col c ->
     (k_ints_packed, length c, Xsuccinct.Packed.encode (to_array c))
+  | Col2, `Array a -> (k_ints_packed, Array.length a, Xsuccinct.Packed.encode a)
   | Col2, `Blob s ->
     (* Keep whichever form is smaller; decoders accept both. *)
     let z = Xsuccinct.Lz.compress s in
@@ -985,13 +988,17 @@ let regions t =
           r_offset = e.e_off;
           r_pages = e.e_padded / t.s_page_size;
         }
-      | (R_ints _ | R_blob _) as region ->
+      | (R_ints _ | R_array _ | R_blob _) as region ->
         (* Memory store: synthesise the info [write] would produce. *)
         let raw = region_raw_bytes region in
         {
           r_name = name;
           r_kind = (match region with R_blob _ -> `Blob | _ -> `Ints);
-          r_count = (match region with R_ints c -> length c | _ -> raw);
+          r_count =
+            (match region with
+             | R_ints c -> length c
+             | R_array a -> Array.length a
+             | _ -> raw);
           r_bytes = raw;
           r_stored = raw;
           r_offset = -1;

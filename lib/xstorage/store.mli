@@ -3,11 +3,9 @@
     One format for memory and disk, and the only place page I/O is
     counted: an index is a bag of named {e regions} — typed int columns
     (32- or 64-bit little-endian elements on disk) and raw byte blobs —
-    laid out page-aligned.  The same column handle serves four physical
+    laid out page-aligned.  The same column handle serves three physical
     representations:
 
-    - {b Heap}: a plain OCaml [int array] (the seed's pointer-rich
-      representation, kept for A/B comparison);
     - {b Flat}: an unboxed [int32] [Bigarray] buffer outside the OCaml
       heap — cache-friendly structure-of-arrays at four bytes an
       element.  Every value an index stores (labels, serials, ids) fits
@@ -101,9 +99,6 @@
 type column
 (** A handle to an int column, independent of its physical backing. *)
 
-val heap : int array -> column
-(** Wraps a heap array (no copy). *)
-
 val flat_of_array : int array -> column
 (** Copies into a fresh unboxed 32-bit flat buffer.
     @raise Invalid_argument if an element does not fit in 32 bits. *)
@@ -129,12 +124,9 @@ val is_paged : column -> bool
 (** True when probes may touch the file (a Paged column, or a Packed
     column whose delta blocks live behind the buffer pool). *)
 
-val is_packed : column -> bool
-(** True for compressed (decode-on-probe) columns. *)
-
 val off_heap_bytes : column -> int
 (** Bytes the column keeps outside the OCaml heap: four an element for a
-    flat buffer, 0 for the other backings. *)
+    flat buffer, 0 for a paged or compressed column. *)
 
 (** {1 Stores} *)
 
@@ -150,12 +142,20 @@ val add_ints : t -> string -> column -> unit
 (** Registers an int column region.  Region names are unique, at most 31
     bytes.  @raise Invalid_argument on duplicates or oversized names. *)
 
+val add_int_array : t -> string -> int array -> unit
+(** Registers an int region staged as a plain array, kept without a copy
+    (the caller must not mutate it afterwards): the small regions a save
+    assembles, whose values may need more than 32 bits.  {!write} picks
+    the element width from the values, as for any column.
+    @raise Invalid_argument as {!add_ints} does. *)
+
 val add_blob : t -> string -> string -> unit
 (** Registers a raw byte region. *)
 
 val ints : t -> string -> column
 (** Looks a column region up by name.  A memory store hands back the
-    column it was given, a [Paged] file store its paged handle.  A
+    column it was given, or a staged array copied into a fresh flat
+    buffer; a [Paged] file store hands back its paged handle.  A
     [Resident] file store reads the region from the file on every call,
     checks its checksum and returns a fresh in-memory column (a 32-bit
     flat buffer for xseqcol1, a still-compressed column for xseqcol2)
@@ -163,7 +163,8 @@ val ints : t -> string -> column
     @raise Invalid_argument if absent or a blob, and, for a region read
     from the file, on a checksum mismatch, a short read or a closed
     store.  An xseqcol1 element that does not fit in 32 bits fails the
-    read with ["Store: inconsistent snapshot: region ..."]. *)
+    read with ["Store: inconsistent snapshot: region ..."], a staged
+    array element that does not fit fails as {!flat_of_array} does. *)
 
 val int_array : t -> string -> int array
 (** The elements of a column region, in a fresh OCaml array.  A

@@ -586,10 +586,10 @@ let write_legacy ~format index path =
           match (r.Store.r_name, r.Store.r_kind) with
           | "meta", _ ->
             let n = (Store.to_array (Store.ints src "meta")).(0) in
-            Store.add_ints legacy "meta" (Store.heap [| n; doc_base; !next |])
+            Store.add_int_array legacy "meta" [| n; doc_base; !next |]
           | "link_len", _ ->
             Store.add_ints legacy "link_len" (Store.ints src "link_len");
-            Store.add_ints legacy "link_base" (Store.heap link_base)
+            Store.add_int_array legacy "link_base" link_base
           | name, `Ints -> Store.add_ints legacy name (Store.ints src name)
           | name, `Blob -> Store.add_blob legacy name (Store.blob src name))
         (Store.regions src);
@@ -658,11 +658,11 @@ let test_failed_loads_close () =
         let bad_files =
           [
             (fun store ->
-              Store.add_ints store "xseq_meta" (Store.heap [| 1; 2; 3 |]));
+              Store.add_int_array store "xseq_meta" [| 1; 2; 3 |]);
             (fun store ->
-              Store.add_ints store "xseq_meta"
-                (Store.heap [| 2; 3; 0; 0; 0; 0; 42; 0; 0 |]);
-              Store.add_ints store "meta" (Store.heap [| 0; 0 |]));
+              Store.add_int_array store "xseq_meta"
+                [| 2; 3; 0; 0; 0; 0; 42; 0; 0 |];
+              Store.add_int_array store "meta" [| 0; 0 |]);
           ]
         in
         List.iter

@@ -56,7 +56,7 @@ let with_paged ~wide n f =
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let s = Store.memory () in
-      Store.add_ints s "col" (Store.heap (Array.init n (value ~wide)));
+      Store.add_int_array s "col" (Array.init n (value ~wide));
       Store.write ~page_size:16 s path;
       let s = Store.open_file ~mode:Store.Paged ~pool_pages:1_000 path in
       Fun.protect

@@ -1,10 +1,9 @@
 (* The columnar storage engine: write/open round trips, exhaustive
    corruption detection, the paged buffer pool, and the backend-equivalence
-   oracle — heap arrays, flat buffers, and disk pages must answer every
-   query identically, counter for counter. *)
+   oracle — the built index's flat buffers, disk pages and compressed
+   columns must answer every query identically, counter for counter. *)
 
 module Store = Xstorage.Store
-module Labeled = Xindex.Labeled
 module T = Xmlcore.Xml_tree
 module Gen = QCheck.Gen
 module Pattern = Xquery.Pattern
@@ -29,7 +28,7 @@ let write_all path s =
 
 let tiny_store () =
   let s = Store.memory () in
-  Store.add_ints s "col" (Store.heap [| 1; 2; 3; 42; 1000; -7; max_int |]);
+  Store.add_int_array s "col" [| 1; 2; 3; 42; 1000; -7; max_int |];
   Store.add_ints s "flat" (Store.flat_of_array [| 9; 8; 7 |]);
   Store.add_blob s "blob" "hello, store";
   s
@@ -42,7 +41,7 @@ let spread = Array.init 400 (fun i -> (i * 7919 mod 2003) - 1001)
 
 let tiny_store2 () =
   let s = Store.memory () in
-  Store.add_ints s "col" (Store.heap (Array.copy extremes));
+  Store.add_int_array s "col" (Array.copy extremes);
   Store.add_ints s "flat" (Store.flat_of_array (Array.copy spread));
   Store.add_blob s "blob"
     (String.concat ";" (List.init 60 (fun i -> Printf.sprintf "entry-%d" i)));
@@ -89,11 +88,9 @@ let test_roundtrip_resident () =
          12,000 bytes of 32-bit elements, 8,000 of 64-bit ones. *)
       let pages () =
         let m = Store.memory () in
-        Store.add_ints m "narrow"
-          (Store.heap (Array.init 3000 (fun i -> i - 1500)));
-        Store.add_ints m "wide"
-          (Store.heap
-             (Array.init 1000 (fun i -> if i = 999 then max_int else i)));
+        Store.add_int_array m "narrow" (Array.init 3000 (fun i -> i - 1500));
+        Store.add_int_array m "wide"
+          (Array.init 1000 (fun i -> if i = 999 then max_int else i));
         m
       in
       with_temp "store_rt_pages" (fun path3 ->
@@ -263,8 +260,8 @@ let test_roundtrip_compressed () =
 
 let test_api_errors () =
   let s = Store.memory () in
-  Store.add_ints s "dup" (Store.heap [| 1 |]);
-  (match Store.add_ints s "dup" (Store.heap [| 2 |]) with
+  Store.add_int_array s "dup" [| 1 |];
+  (match Store.add_int_array s "dup" [| 2 |] with
   | () -> Alcotest.fail "duplicate region accepted"
   | exception Invalid_argument _ -> ());
   (match Store.add_blob s (String.make 40 'x') "b" with
@@ -640,11 +637,11 @@ let run_variant labeled ~strategy ~value_mode q =
         matches = stats.Xquery.Matcher.matches;
       }
 
-(* Every physical backend — heap arrays, flat buffers, a reloaded resident
-   snapshot, a paged snapshot read through the buffer pool, and the
-   compressed (xseqcol2) snapshot both resident and paged — must produce
-   identical ids and identical matcher counters; and the ids must agree
-   with the brute-force embedding oracle. *)
+(* Every physical backend — the built index's flat buffers (the
+   reference), a reloaded resident snapshot, a paged snapshot read through
+   the buffer pool, and the compressed (xseqcol2) snapshot both resident
+   and paged — must produce identical ids and identical matcher counters;
+   and the ids must agree with the brute-force embedding oracle. *)
 let prop_backend_oracle (docs, seed) =
   let docs = Array.of_list docs in
   let index = Xseq.build docs in
@@ -664,9 +661,6 @@ let prop_backend_oracle (docs, seed) =
       let zpaged = Xseq.load ~mode:Store.Paged ~pool_pages:4 zpath in
       let variants =
         [
-          ( "heap",
-            Labeled.remap ~backend:Labeled.Heap_arrays (Xseq.labeled index),
-            Xseq.strategy index, Xseq.value_mode index );
           ("columnar", Xseq.labeled index, Xseq.strategy index,
            Xseq.value_mode index);
           ("resident", Xseq.labeled resident, Xseq.strategy resident,
@@ -773,7 +767,7 @@ let copy_snapshot ?(format = Store.Col1) index ~ints ~blob path =
           | name, `Ints ->
             let m = Store.int_array src name in
             ints name m;
-            Store.add_ints s name (Store.heap m)
+            Store.add_int_array s name m
           | name, `Blob ->
             Store.add_blob s name (blob name (Store.blob src name)))
         (Store.regions src);
@@ -1018,7 +1012,7 @@ let test_inconsistent_compact_dict () =
                 Alcotest.(check bool)
                   "compact dictionary present" true (Array.length m > 1);
                 m.(1) <- 1_000_000;
-                Store.add_ints s "dict_desig" (Store.heap m)
+                Store.add_int_array s "dict_desig" m
               | name, `Ints -> Store.add_ints s name (Store.ints src name)
               | name, `Blob -> Store.add_blob s name (Store.blob src name))
             (Store.regions src);
@@ -1085,8 +1079,8 @@ let test_element_widths () =
   let wide = [| 0; lo32; hi32; hi32 + 1 |] in
   with_temp "store_widths" (fun path ->
       let m = Store.memory () in
-      Store.add_ints m "narrow" (Store.heap (Array.copy narrow));
-      Store.add_ints m "wide" (Store.heap (Array.copy wide));
+      Store.add_int_array m "narrow" (Array.copy narrow);
+      Store.add_int_array m "wide" (Array.copy wide);
       Store.write ~page_size:16 m path;
       let ints = Alcotest.(list int) in
       let resident = Store.open_file path in
@@ -1158,7 +1152,7 @@ let test_scan_matches_get () =
   let value i = (i * 7919) mod 10007 in
   with_temp "store_scan" (fun path ->
       let m = Store.memory () in
-      Store.add_ints m "col" (Store.heap (Array.init n value));
+      Store.add_int_array m "col" (Array.init n value);
       Store.write ~page_size:64 ~format:Store.Col2 m path;
       let walk read =
         List.filter_map
@@ -1211,7 +1205,7 @@ let open_fails path ~want =
 let test_element_width_toc () =
   let one_region () =
     let m = Store.memory () in
-    Store.add_ints m "col" (Store.heap (Array.init 40 (fun i -> i * 3)));
+    Store.add_int_array m "col" (Array.init 40 (fun i -> i * 3));
     m
   in
   with_temp "store_kind4_col2" (fun path ->
@@ -1298,8 +1292,7 @@ let () =
       ( "oracle",
         [
           mk_prop
-            "heap = columnar = resident = paged = compressed (ids, \
-             counters)"
+            "backings = columnar (ids, counters)"
             ~count:60 prop_backend_oracle;
           Alcotest.test_case "value-mode round trips" `Quick
             test_roundtrip_value_modes;
