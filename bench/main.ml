@@ -768,6 +768,17 @@ let parallel () =
 (* Storage: probe throughput across physical column backends.          *)
 (* ------------------------------------------------------------------ *)
 
+(* The bytes of [docs] as a record region of snapshot versions 1 and
+   2: a u8 kind and a u32 length before each name or text, and a u32
+   child count after each element's name. *)
+let spelled_record_bytes docs =
+  let rec node = function
+    | T.Element (name, cs) ->
+      List.fold_left (fun a c -> a + node c) (9 + String.length name) cs
+    | T.Value s -> 5 + String.length s
+  in
+  Array.fold_left (fun a d -> a + node d) 0 docs
+
 let storage () =
   header
     "Storage: columnar flat buffers vs disk pages vs compressed columns\n\
@@ -806,13 +817,19 @@ let storage () =
          element, blobs as they are, no page padding: [xseq info]'s
          "logical"), not the xseqcol1 file, whose 32-bit elements would
          make the ratio read the uncompressed format's own saving as a
-         loss. *)
+         loss.  The record region counts at its size in the spelled-out
+         layout of snapshot versions 1 and 2, computed over the records,
+         so a more compact record layout shrinks only the file the ratio
+         divides by. *)
       let logical_bytes =
         match Xseq.backing_store zpaged with
         | Some s ->
           List.fold_left
-            (fun a r -> a + r.Xstorage.Store.r_bytes)
-            0 (Xstorage.Store.regions s)
+            (fun a r ->
+              if r.Xstorage.Store.r_name = "docs" then a
+              else a + r.Xstorage.Store.r_bytes)
+            (spelled_record_bytes docs)
+            (Xstorage.Store.regions s)
         | None -> 0
       in
       let ratio =
@@ -1205,8 +1222,7 @@ let server_bench () =
         \  \"p99_ms_serial_worst\": %.3f\n\
          }\n"
         cache_speedup best_serial best_pipelined pipelined_speedup
-        p99_serial_worst);
-  Printf.printf "wrote BENCH_server.json\n%!"
+        p99_serial_worst)
 
 (* ------------------------------------------------------------------ *)
 (* Ingest: the durable write path — WAL fsync batching, query latency  *)
@@ -1839,8 +1855,7 @@ let scrub_bench () =
         \  \"answers_ok\": %b\n\
          }\n"
         cores n (ms dt_off) (ms dt_on) passes errors overhead answers_ok
-        answers_ok);
-  Printf.printf "wrote BENCH_scrub.json\n%!"
+        answers_ok)
 
 (* ------------------------------------------------------------------ *)
 (* Soak verification: engine vs brute-force oracle at bench scale.     *)

@@ -1885,7 +1885,8 @@ let index_cmd =
   let run input strategy output compress =
     let t0 = Unix.gettimeofday () in
     (* A snapshot is loaded and written again: its records are copied
-       from the file, and a version-1 file comes out as version 2. *)
+       from the file, and a version-1 or version-2 file comes out as
+       version 3. *)
     let index =
       if is_index_file input then
         guard_snapshot input (fun () ->
@@ -1907,8 +1908,8 @@ let index_cmd =
              and $(b,stats) accept the saved file in place of the XML input.  \
              Given a saved index instead of records, rewrite it to the \
              output in the requested format, under the strategy it was \
-             built with ($(b,--strategy) is ignored); a version-1 snapshot \
-             is written as version 2.")
+             built with ($(b,--strategy) is ignored); a version-1 or \
+             version-2 snapshot is written as version 3.")
     Term.(const run $ input_arg $ strategy_arg $ output $ compress)
 
 (* Deterministic fault injection for chaos harnesses: a schedule in the

@@ -7,6 +7,7 @@ module Symtab = Sequencing.Symtab
 module Path = Symtab.Path
 module Domain_pool = Xutil.Domain_pool
 module Store = Xstorage.Store
+module Varint = Xsuccinct.Varint
 
 type sequencing =
   | Depth_first of { canonical : bool }
@@ -37,12 +38,14 @@ let default_config =
    record region, read from the file on use: queries never touch them.
    [document] (and through it Xlog compaction) decodes them once and
    keeps the trees; the [Too_many] scan fallback tests them one at a
-   time and keeps nothing; [save] copies the region. *)
+   time and keeps nothing; [save] copies the region, or re-codes one of
+   an older layout. *)
 type records =
   | Dropped (* built with [keep_documents = false] *)
   | Trees of T.t array
   | Stored of {
       store : Store.t;
+      version : int; (* the snapshot version, which fixes the layout *)
       decoded : T.t array option Atomic.t;
       lock : Mutex.t; (* serialises the one decode *)
     }
@@ -257,34 +260,74 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
 
 (* --- record region -------------------------------------------------------- *)
 
-(* Documents serialise as a pre-order walk with explicit child counts:
-   u8 kind (0 = element, 1 = value), u32 LE name/text length, bytes, and
-   for elements a u32 LE child count. *)
-let encode_docs docs =
-  let b = Buffer.create 4096 in
-  let add_str s =
-    Buffer.add_int32_le b (Int32.of_int (String.length s));
-    Buffer.add_string b s
-  in
+(* The records serialise as one pre-order walk with explicit child
+   counts.  Version 3 regions open with a name table: a uvarint count,
+   then each element name's uvarint length and bytes, in first-seen
+   pre-order.  A node is then an element, uvarint (2 * name id) and a
+   uvarint child count, or a value, uvarint (2 * length + 1) and its
+   bytes.  Versions 1 and 2 spell every node out: a u8 kind (0 =
+   element, 1 = value), the u32 LE length and bytes of its name or
+   text, and for an element a u32 LE child count.  Either way every node
+   takes at least one byte.  Only loads of old files read the spelled
+   layout; [save] writes version 3. *)
+
+(* A version-3 region under construction, a record at a time: the name
+   table and the nodes grow apart and are joined at the end. *)
+type encoder = {
+  ids : (string, int) Hashtbl.t;
+  table : Buffer.t;
+  nodes : Buffer.t;
+}
+
+let encoder () =
+  {
+    ids = Hashtbl.create 64;
+    table = Buffer.create 256;
+    nodes = Buffer.create 4096;
+  }
+
+let add_record e doc =
+  let uv = Varint.add_uvarint e.nodes in
   let rec node = function
     | T.Element (name, cs) ->
-      Buffer.add_uint8 b 0;
-      add_str name;
-      Buffer.add_int32_le b (Int32.of_int (List.length cs));
+      let id =
+        match Hashtbl.find_opt e.ids name with
+        | Some id -> id
+        | None ->
+          let id = Hashtbl.length e.ids in
+          Hashtbl.add e.ids name id;
+          Varint.add_uvarint e.table (String.length name);
+          Buffer.add_string e.table name;
+          id
+      in
+      uv (2 * id);
+      uv (List.length cs);
       List.iter node cs
     | T.Value s ->
-      Buffer.add_uint8 b 1;
-      add_str s
+      uv ((2 * String.length s) + 1);
+      Buffer.add_string e.nodes s
   in
-  Array.iter node docs;
+  node doc
+
+let region e =
+  let b = Buffer.create (Buffer.length e.table + Buffer.length e.nodes + 9) in
+  Varint.add_uvarint b (Hashtbl.length e.ids);
+  Buffer.add_buffer b e.table;
+  Buffer.add_buffer b e.nodes;
   Buffer.contents b
+
+let encode_docs docs =
+  let e = encoder () in
+  Array.iter (add_record e) docs;
+  region e
 
 let corrupt_docs () = invalid_arg "Xseq.load: corrupt document region"
 
 (* Bounds-checked reads of a record region streamed from its store a
    chunk at a time.  Positions are region offsets: the chunk in [buf]
    holds bytes [lo, hi), and [pos] may run ahead of [hi] past skipped
-   bytes, which the next read streams through. *)
+   bytes, which the next read streams through.  [name] is the name of
+   the element [header] read last. *)
 type cursor = {
   stream : Store.blob_stream;
   len : int; (* region bytes *)
@@ -292,6 +335,7 @@ type cursor = {
   mutable lo : int;
   mutable hi : int;
   mutable pos : int;
+  mutable name : string;
 }
 
 (* Streams chunks until the one holding byte [pos]; the caller has
@@ -337,6 +381,28 @@ let u32 c =
   if v < 0 || v > c.len then corrupt_docs ();
   v
 
+(* A LEB128 varint as [Xsuccinct.Varint] writes it, byte by byte, so it
+   may straddle two chunks: at most 9 bytes, and no final zero byte
+   after the first, which would spell a shorter value at length. *)
+let rec uvarint_from c v shift =
+  let b = u8 c in
+  let v = v lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then begin
+    if b = 0 && shift > 0 then corrupt_docs ();
+    v
+  end
+  else if shift = 56 then corrupt_docs ()
+  else uvarint_from c v (shift + 7)
+
+let uvarint c = uvarint_from c 0 0
+
+(* [uvarint] as a count of whole things in the rest of the region, each
+   at least a byte long. *)
+let count c =
+  let n = uvarint c in
+  if n < 0 || n > c.len - c.pos then corrupt_docs ();
+  n
+
 (* The length of a length-prefixed name or text, whose bytes start at
    [pos]. *)
 let field c =
@@ -359,21 +425,55 @@ let take c n =
   done;
   Bytes.unsafe_to_string b
 
-(* Runs [f] over a cursor on the record region of [store], [ndocs]
-   records that must consume it exactly.  The region's checksum is
-   checked before any verdict: a failure of [f] is reported only once
-   the rest of the region was read and found intact, and so is its
-   result. *)
-let with_cursor store ndocs f =
+(* How a region spells its nodes: in full (versions 1 and 2), or
+   against the name table it opens with (version 3). *)
+type layout = Spelled | Coded of string array
+
+(* The next node's header.  An element gives its child count and leaves
+   its name in [c.name] (a spelled name only when [named]); a value
+   gives [-1 - length], its bytes next at the cursor. *)
+let header layout ~named c =
+  match layout with
+  | Spelled -> (
+    match u8 c with
+    | 0 ->
+      let n = field c in
+      if named then c.name <- take c n else skip c n;
+      u32 c
+    | 1 -> -1 - field c
+    | _ -> corrupt_docs ())
+  | Coded names ->
+    let tag = uvarint c in
+    let arg = tag lsr 1 in
+    if tag land 1 = 0 then begin
+      if arg >= Array.length names then corrupt_docs ();
+      c.name <- Array.unsafe_get names arg;
+      count c
+    end
+    else begin
+      if arg > c.len - c.pos then corrupt_docs ();
+      -1 - arg
+    end
+
+(* Runs [f] over a cursor on the record region of [store], laid out as
+   snapshot [version] writes it, and [ndocs] records that must consume
+   it exactly.  The region's checksum is checked before any verdict: a
+   failure of [f] is reported only once the rest of the region was read
+   and found intact, and so is its result. *)
+let with_records store ~version ndocs f =
   let stream = Store.stream_blob store "docs" in
   let c =
     { stream; len = Store.stream_length stream; buf = Bytes.empty; lo = 0;
-      hi = 0; pos = 0 }
+      hi = 0; pos = 0; name = "" }
   in
   let verdict =
     match
       if ndocs < 0 || ndocs > c.len then corrupt_docs ();
-      let r = f c in
+      let layout =
+        if version < 3 then Spelled
+        else Coded (Array.init (count c) (fun _ -> take c (count c)))
+      in
+      let r = f layout c in
       if c.pos <> c.len then corrupt_docs ();
       r
     with
@@ -385,17 +485,15 @@ let with_cursor store ndocs f =
   | Ok r -> r
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
 
-(* The record at the cursor, which moves past it. *)
-let decode_record c =
-  let str () = take c (field c) in
+(* The record at the cursor, which moves past it.  A version-3 record
+   shares its names with the name table. *)
+let decode_record layout c =
   let rec node () =
-    match u8 c with
-    | 0 ->
-      let name = str () in
-      let n = u32 c in
-      T.Element (name, children n [])
-    | 1 -> T.Value (str ())
-    | _ -> corrupt_docs ()
+    let h = header layout ~named:true c in
+    if h >= 0 then
+      let name = c.name in
+      T.Element (name, children h [])
+    else T.Value (take c (-1 - h))
   and children n acc =
     (* Every child consumes at least one byte, so a lying count runs out
        of input and fails the bounds checks above. *)
@@ -403,24 +501,31 @@ let decode_record c =
   in
   node ()
 
-let decode_docs store ndocs =
-  with_cursor store ndocs (fun c -> Array.init ndocs (fun _ -> decode_record c))
+let decode_docs store ~version ndocs =
+  with_records store ~version ndocs (fun layout c ->
+      Array.init ndocs (fun _ -> decode_record layout c))
 
 (* Rejects exactly the record regions [decode_docs] rejects, without
    building any tree.  The walk needs no stack: the pre-order layout is
    consumed node by node while counting the nodes still owed. *)
-let validate_records store ndocs =
-  with_cursor store ndocs (fun c ->
+let validate_records store ~version ndocs =
+  with_records store ~version ndocs (fun layout c ->
       let owed = ref ndocs in
       while !owed > 0 do
         decr owed;
-        match u8 c with
-        | 0 ->
-          skip c (field c);
-          owed := !owed + u32 c
-        | 1 -> skip c (field c)
-        | _ -> corrupt_docs ()
+        let h = header layout ~named:false c in
+        if h >= 0 then owed := !owed + h else skip c (-1 - h)
       done)
+
+(* A version-3 region holding the records of an older one, read and
+   re-coded one record at a time. *)
+let transcode store ~version ndocs =
+  with_records store ~version ndocs (fun layout c ->
+      let e = encoder () in
+      for _ = 1 to ndocs do
+        add_record e (decode_record layout c)
+      done;
+      region e)
 
 let records t =
   match t.records with
@@ -435,7 +540,9 @@ let records t =
            match Atomic.get e.decoded with
            | Some _ as docs -> docs
            | None ->
-             let docs = Some (decode_docs e.store t.ndocs) in
+             let docs =
+               Some (decode_docs e.store ~version:e.version t.ndocs)
+             in
              Atomic.set e.decoded docs;
              docs))
 
@@ -455,10 +562,10 @@ let query ?stats t pattern =
     | Dropped -> raise (Xquery.Instantiate.Too_many 0)
     | Trees docs -> Xquery.Embedding.filter pattern docs
     | Stored e ->
-      with_cursor e.store t.ndocs (fun c ->
+      with_records e.store ~version:e.version t.ndocs (fun layout c ->
           let ids = ref [] in
           for id = 0 to t.ndocs - 1 do
-            if Xquery.Embedding.matches pattern (decode_record c) then
+            if Xquery.Embedding.matches pattern (decode_record layout c) then
               ids := id :: !ids
           done;
           List.rev !ids))
@@ -562,14 +669,18 @@ let stats t = t.stats
    byte is decoded through bounds-checked readers, so a foreign or
    damaged file is rejected with a diagnostic, never interpreted.
 
-   Version 2 sequences under the index's own symbol table: canonical
-   modes sort siblings by tag name and [gbest] breaks ties on depth,
-   then path id.  Version 1 sorted canonical siblings by process-wide
-   tag id and broke ties on the build's path ids, so queries compiled
-   under today's rules can miss its labels; [restore] re-sequences its
-   records instead of reading its index regions. *)
+   Versions 1, 2 and 3 are read; version 3 is written.  Version 3 codes
+   the record region against a table of element names (see "record
+   region" above); versions 1 and 2 spell every name out, and [save]
+   re-codes such a region.  Versions 2 and 3 sequence under the index's
+   own symbol table: canonical modes sort siblings by tag name and
+   [gbest] breaks ties on depth, then path id.  Version 1 sorted
+   canonical siblings by process-wide tag id and broke ties on the
+   build's path ids, so queries compiled under today's rules can miss
+   its labels; [restore] re-sequences its records instead of reading its
+   index regions. *)
 
-let snapshot_version = 2
+let snapshot_version = 3
 
 (* Only strategies that can be deterministically recomputed from the
    records survive a round trip: (tag, argument) as [xseq_meta] stores
@@ -595,10 +706,11 @@ let built_under t config =
 
 let save ?(format = Store.Col1) t path =
   (* A loaded index copies its record region from its file, decoded or
-     not. *)
+     not, and re-codes one of an older layout. *)
   let blob =
     match t.records with
-    | Stored e -> Store.blob e.store "docs"
+    | Stored e when e.version = snapshot_version -> Store.blob e.store "docs"
+    | Stored e -> transcode e.store ~version:e.version t.ndocs
     | Trees docs -> encode_docs docs
     | Dropped ->
       invalid_arg "Xseq.save: index was built with keep_documents = false"
@@ -664,7 +776,8 @@ let restore store =
     bad "not an xseq index snapshot (missing xseq_meta/docs regions)";
   let meta = Store.int_array store "xseq_meta" in
   if Array.length meta <> 9 then bad "malformed xseq_meta region";
-  if meta.(0) <> 1 && meta.(0) <> snapshot_version then
+  let version = meta.(0) in
+  if version < 1 || version > snapshot_version then
     bad (Printf.sprintf "unsupported snapshot version %d" meta.(0));
   let sequencing =
     match (meta.(1), meta.(2)) with
@@ -696,16 +809,16 @@ let restore store =
       sample_seed = meta.(6);
     }
   in
-  if meta.(0) = 1 then begin
+  if version = 1 then begin
     (* The rebuilt index reads nothing more from the file. *)
-    let docs = decode_docs store ndocs in
+    let docs = decode_docs store ~version ndocs in
     Store.close store;
     let t = build ~config:{ config with keep_documents = true } docs in
     { t with resequenced = true }
   end
   else begin
     (* The records stay in the file; a streamed read validates them. *)
-    validate_records store ndocs;
+    validate_records store ~version ndocs;
     let labeled = Xindex.Labeled.of_store store in
     if Xindex.Labeled.doc_count labeled <> ndocs then
       bad "record count disagrees with the document table";
@@ -719,7 +832,13 @@ let restore store =
       strategy;
       value_mode;
       records =
-        Stored { store; decoded = Atomic.make None; lock = Mutex.create () };
+        Stored
+          {
+            store;
+            version;
+            decoded = Atomic.make None;
+            lock = Mutex.create ();
+          };
       ndocs;
       total_seq_len = meta.(7);
       stats;

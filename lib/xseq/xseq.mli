@@ -206,7 +206,9 @@ val stats : t -> Xschema.Stats.t option
     trie as flat int-column regions, the original records as a structural
     blob, and a small metadata region recording how the probability model
     was derived (so the strategy is deterministically recomputed on
-    load).  Nothing is marshalled — every region is checksummed and
+    load).  Snapshot versions 1, 2 and 3 are read; version 3 is written.
+    Version 3 codes the record blob against a table of element names,
+    where versions 1 and 2 spell every name out.  Nothing is marshalled — every region is checksummed and
     decoded through bounds-checked readers, so a corrupt, truncated or
     foreign file is rejected with a diagnostic naming the failure.
 
@@ -221,7 +223,9 @@ val save : ?format:Xstorage.Store.file_format -> t -> string -> unit
     {!Xstorage.Store.Col2} writes the compressed form — delta+varint
     label columns, LZ document blob, compact front-coded path
     dictionary — typically several times smaller and loadable by the
-    same {!load} (which dispatches on the file's magic).
+    same {!load} (which dispatches on the file's magic).  The file is
+    snapshot version 3.  A loaded index copies its record region from
+    its file, and re-codes a version-2 region record by record.
     @raise Invalid_argument for indexes built with [keep_documents =
     false] or with a [Custom]/[Probability_weighted] strategy (closures
     cannot be persisted). *)

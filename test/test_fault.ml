@@ -774,7 +774,7 @@ let io_seed () =
         ~ops:"open=6 read=0 write=20 fsync=8 rename=1"
         ~files:
           [
-            "d/base-000001.xseq 9ec1687ed996b20ca62e96a55ce86cf7";
+            "d/base-000001.xseq a978fcfa81c7ec3b91badeb774f09fb5";
             "d/checkpoint 78ea0dddaed3556f34bee03ce21bda10";
             "d/wal-000001.log 5fcbd0168b7562a604831f6029b72519";
           ]
@@ -790,7 +790,7 @@ let io_compact () =
         ~ops:"open=6 read=0 write=41 fsync=29 rename=1"
         ~files:
           [
-            "d/base-000001.xseq 5315287721dfea702493218276ae9408";
+            "d/base-000001.xseq e6b426d2f9193e7265302e0768073c08";
             "d/checkpoint b82cdf1d349051ef524d0ba854182be1";
             "d/wal-000001.log e08acc4c76d2dd38e8c74cd59eed8210";
           ]
@@ -823,7 +823,7 @@ let io_replica () =
         ~ops:"open=8 read=2 write=20 fsync=11 rename=1"
         ~files:
           [
-            "d/base-000000-000000.xseq 64efc5da69ad060eab3c5e69b25e1b9e";
+            "d/base-000000-000000.xseq 8038abaa08e421b535c0bca4bf0b9387";
             "d/checkpoint d9409e88a8934c784bc769da1b2f5608";
             "d/wal-000000.log 915c164a1a93aaba559d8f7553b3929e";
           ]
@@ -882,10 +882,10 @@ let io_transfer () =
             ~ops:"open=43 read=23 write=66 fsync=28 rename=6"
         ~files:
           [
-            "p/base-000001-000000.xseq c2a79e32482d8d70d29bf58b7dc5e2e6";
+            "p/base-000001-000000.xseq 0fb7547870c87b447460ec55e92d0f83";
             "p/checkpoint ca4b24c0b756a427330618c40257e900";
             "p/wal-000001.log d99c1b50dbaf464b9d346239258b562d";
-            "f/base-000001-000000.xseq c2a79e32482d8d70d29bf58b7dc5e2e6";
+            "f/base-000001-000000.xseq 0fb7547870c87b447460ec55e92d0f83";
             "f/checkpoint ca4b24c0b756a427330618c40257e900";
             "f/wal-000001.log 80e66f96f00e0216c49f08fdefde8692";
           ]

@@ -47,37 +47,37 @@ let configs =
 let golden =
   [
     (Dblp, "probability",
-      "3ec3982811ecb06cc588e76bf8574105", "11b5c2564f68ee0f78c3e048c580a328");
+      "0bf210bbcf99a73ea40bdcc67584f678", "c05c1728d74ca28a0dc84bd49b1c395e");
     (Dblp, "probability/sample 0.3",
-      "ceee76b9f875e2fd45ad2db177f2a5ec", "e6998f0f418e6e5b0c04f241ce59a361");
+      "f436d20b271df495c1d90e85b7711e5d", "1a76d3fc14d61bd893b5b99bb9543db5");
     (Dblp, "depth-first",
-      "9b0c0b0f44e8d92d3bfb51db85de25da", "6723daae5b4f818cbd9c20527796b6f1");
+      "8220b451dc630997aa962631c794f85d", "4f0f6884f915bb6a9fd092f221663732");
     (Dblp, "depth-first/canonical",
-      "7b41106950604893405f8229190aa59a", "3ec536b80c0f22cbcd901e3484b16760");
+      "b861a808e8a84a054d3d41354ff4935e", "009aff6e9a5a05bcc43331173b6fc161");
     (Dblp, "breadth-first",
-      "59bdeeaa0c39dde1d9ff232f9c5ff66c", "82d45a7d2bb982caef26f03741d4e8b5");
+      "dd36d74588bdf73a30b07ac0719ad03a", "91e5867ef82f418616aa1e7d31d2571d");
     (Dblp, "breadth-first/canonical",
-      "c8f5defdd072077d56fd6f6f88ccf0a8", "627d5767377da5f42f474a067a88c6bf");
+      "8106cadf71f6dca76fc35b96cf9d51e6", "5512cd49ed52a51a08b0dfe19c460e40");
     (Dblp, "random",
-      "a7175bdd6e7aa0ca239eb98cf15d42ee", "53d64df9c20f22b7ff0ef43ac2043aee");
+      "5607957c614a31ff69f23f0b2eca6c9c", "c9a00417e6a93419abc7266b0ad9cff7");
     (Dblp, "text",
-      "c3281f3d49341f23b1f0f44be2d3f40d", "e9c1db380e6c562c6fcfb4139cbcb185");
+      "2e6d1f7232052cdcdd537b78565f4a58", "37b170256abd41f80679d6856b5dd06a");
     (Xmark, "probability",
-      "040dd596267d07798bd67c2b9e31cb78", "b7329d487a0fcb61d453a4aeaba720c5");
+      "e57955efad1a31abf99494d921876e16", "d28f121d9bcf646a1a150606a3e1cbf9");
     (Xmark, "probability/sample 0.3",
-      "63771de86f14752bc765f89e2257b14e", "71c82d858fd461d457b55be2d09033df");
+      "94e1d280517f695ec581ba89ddc823a7", "006dc44a8f284dc7b202b6150ad2948c");
     (Xmark, "depth-first",
-      "429726dd92baca68644c0fb79da109f9", "2eef41a3c859ef57cd5c35138d43cf39");
+      "0fb4a8537d4435f7fd6dd80b05c47746", "96c8dd52803a1831b6d4473a0ce1f267");
     (Xmark, "depth-first/canonical",
-      "fd433bef742e9928a78b365acc8c67e5", "c9e53698d4edc32176cf6909443eb642");
+      "b395f36c114d0e39e436dbea36a6b101", "7603077c9cf01e7ca36cfc306d9dce64");
     (Xmark, "breadth-first",
-      "b2fb0f74bc94a813d1f8b8149ca6bbdf", "ed6d3c93456a17145ca9983cafc84359");
+      "34e3f150aa19abb79e9a9baee7c28a6c", "dc31b99c9530b5601ac4e01bda4a9eb1");
     (Xmark, "breadth-first/canonical",
-      "25d536ab066523d27ff607dd10961f01", "9a918c850e533467d1d493920b5e25f2");
+      "835a63a235672fdc08bdcf80a8e66646", "9b1d02b915cc4b492241677e572f16e4");
     (Xmark, "random",
-      "76ec2a2770dc376c480d028dd4074155", "7d2262b8b620e312d77d95a319ea56c5");
+      "81d06daee8b53c72e6836a3659ec8c26", "644459fa496dc1d956625eb96acfed3e");
     (Xmark, "text",
-      "e5eb8a5ac290db8282e1102b318107b0", "3ea6a3af2678e45e57628f13d87f4f33");
+      "bfbe6423f54a1ec3bd0a6849e1bc0df7", "37143fdabe3af8806ebecc8c926278cf");
   ]
 
 (* The re-saves checked, as (format loaded, load mode, format saved). *)

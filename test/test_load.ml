@@ -379,6 +379,66 @@ let test_v2_snapshots () =
         [ Store.Resident; Store.Paged ])
     v2_snapshots
 
+let snapshot_version file =
+  let s = Store.open_file file in
+  Fun.protect
+    ~finally:(fun () -> Store.close s)
+    (fun () -> (Store.int_array s "xseq_meta").(0))
+
+let docs_bytes file =
+  let s = Store.open_file file in
+  Fun.protect
+    ~finally:(fun () -> Store.close s)
+    (fun () ->
+      (List.find (fun r -> r.Store.r_name = "docs") (Store.regions s))
+        .Store.r_bytes)
+
+(* Saving a loaded version-2 snapshot writes version 3: its record
+   region is re-coded against a name table, in fewer bytes, and the
+   re-saved file gives the same records and answers, resident and
+   paged. *)
+let test_v2_resaved_as_v3 () =
+  List.iter
+    (fun file ->
+      Alcotest.(check int) (file ^ " is version 2") 2 (snapshot_version file);
+      let original = Xseq.load file in
+      let docs =
+        Array.init (Xseq.doc_count original) (Xseq.document original)
+      in
+      let opts =
+        { Xdatagen.Query_gen.default_opts with size = 4; value_prob = 0.5 }
+      in
+      let queries = Xdatagen.Query_gen.generate ~seed:9 ~opts docs 24 in
+      List.iter
+        (fun mode ->
+          let loaded = Xseq.load ~mode file in
+          let store = Option.get (Xseq.backing_store loaded) in
+          with_temp_file (fun path ->
+              Xseq.save ~format:(Store.file_format store) loaded path;
+              Alcotest.(check int) (file ^ " re-saved as version 3") 3
+                (snapshot_version path);
+              if docs_bytes path >= docs_bytes file then
+                Alcotest.failf "%s: re-coded record region of %d bytes, %d \
+                                before" file (docs_bytes path) (docs_bytes file);
+              let again = Xseq.load ~mode path in
+              Array.iteri
+                (fun i d ->
+                  if not (T.equal d (Xseq.document again i)) then
+                    Alcotest.failf "%s: record %d differs once re-saved" file i)
+                docs;
+              List.iter
+                (fun q ->
+                  Alcotest.(check (list int))
+                    (Printf.sprintf "%s re-saved, %s" file
+                       (Xquery.Pattern.to_string q))
+                    (Xseq.query original q) (Xseq.query again q))
+                queries;
+              Option.iter Store.close (Xseq.backing_store again));
+          Store.close store)
+        [ Store.Resident; Store.Paged ];
+      Option.iter Store.close (Xseq.backing_store original))
+    v2_snapshots
+
 (* --- records on demand ---------------------------------------------------- *)
 
 (* Four wildcard branches over DBLP's record fields expand past the
@@ -839,6 +899,8 @@ let () =
             test_v1_snapshots;
           Alcotest.test_case "version-2 snapshots with node columns load"
             `Quick test_v2_snapshots;
+          Alcotest.test_case "version-2 snapshots re-save as version 3" `Quick
+            test_v2_resaved_as_v3;
         ] );
       ( "failures",
         [

@@ -500,16 +500,35 @@ let test_lz_unit () =
   | _ -> Alcotest.fail "truncated lz stream accepted"
   | exception Invalid_argument _ -> ()
 
+(* A record region as snapshot versions 1 and 2 wrote it: records in
+   pre-order, each node a u8 kind (0 element, 1 value), the u32 LE
+   length and bytes of its name or text, and an element's u32 LE child
+   count. *)
+let spelled_region docs =
+  let b = Buffer.create 4096 in
+  let str s =
+    Buffer.add_int32_le b (Int32.of_int (String.length s));
+    Buffer.add_string b s
+  in
+  let rec node = function
+    | T.Element (name, cs) ->
+      Buffer.add_uint8 b 0;
+      str name;
+      Buffer.add_int32_le b (Int32.of_int (List.length cs));
+      List.iter node cs
+    | T.Value s ->
+      Buffer.add_uint8 b 1;
+      str s
+  in
+  Array.iter node docs;
+  Buffer.to_bytes b
+
 (* The compressor's output is pinned byte for byte: snapshots written
    before and after any change to its internals must be identical.  The
-   record regions are what [Xseq.save] stores (the [docs] blob of a
-   fixed DBLP and XMark corpus); the incompressible input comes from a
+   record regions are a fixed DBLP and XMark corpus in the version-2
+   layout, which the test spells out itself, so a change of the record
+   layout cannot move them; the incompressible input comes from a
    fixed xorshift stream, so no library generator can move it. *)
-let record_region docs =
-  with_temp "lz_golden" (fun path ->
-      Xseq.save (Xseq.build docs) path;
-      let st = Store.open_file path in
-      Fun.protect ~finally:(fun () -> Store.close st) (fun () -> Store.blob st "docs"))
 
 let xorshift_bytes n =
   let x = ref 0x2545F491 in
@@ -526,10 +545,13 @@ let test_lz_golden () =
       ("3 bytes", "abc", "f771429754d2fdb4e9936f76dca0d927");
       ("incompressible", xorshift_bytes 65_536, "bce981211499c043a87879947351969a");
       ( "dblp records",
-        record_region (Xdatagen.Dblp_gen.generate ~seed:7 1500),
+        Bytes.to_string
+          (spelled_region (Xdatagen.Dblp_gen.generate ~seed:7 1500)),
         "b5dbedb9945b6041732a713c4cc42c6f" );
       ( "xmark records",
-        record_region (Xdatagen.Xmark_gen.generate ~seed:7 ~identical_siblings:true 300),
+        Bytes.to_string
+          (spelled_region
+             (Xdatagen.Xmark_gen.generate ~seed:7 ~identical_siblings:true 300)),
         "43d3926e05393ea22285231a2187b06f" );
     ]
   in
@@ -873,34 +895,87 @@ let test_beyond_32_bits () =
 
 (* --- record regions at chunk edges --------------------------------------- *)
 
-(* A record region as [Xseq.save] writes it: records in pre-order, each
-   node a u8 kind (0 element, 1 value), the u32 LE length and bytes of
-   its name or text, and an element's u32 LE child count. *)
-let records_region docs =
-  let b = Buffer.create 4096 in
-  let str s =
-    Buffer.add_int32_le b (Int32.of_int (String.length s));
-    Buffer.add_string b s
+(* A record region as [Xseq.save] writes it (snapshot version 3): a
+   name table (a uvarint count, then each element name's uvarint length
+   and bytes, first seen first), then the records in pre-order, an
+   element as uvarint (2 * name id) and a uvarint child count, a value
+   as uvarint (2 * length + 1) and its bytes; and the offset each record
+   starts at. *)
+let coded_region docs =
+  let ids = Hashtbl.create 16 in
+  let table = Buffer.create 256 and nodes = Buffer.create 4096 in
+  let id name =
+    match Hashtbl.find_opt ids name with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids in
+      Hashtbl.add ids name i;
+      Varint.add_uvarint table (String.length name);
+      Buffer.add_string table name;
+      i
   in
   let rec node = function
     | T.Element (name, cs) ->
-      Buffer.add_uint8 b 0;
-      str name;
-      Buffer.add_int32_le b (Int32.of_int (List.length cs));
+      Varint.add_uvarint nodes (2 * id name);
+      Varint.add_uvarint nodes (List.length cs);
       List.iter node cs
     | T.Value s ->
-      Buffer.add_uint8 b 1;
-      str s
+      Varint.add_uvarint nodes ((2 * String.length s) + 1);
+      Buffer.add_string nodes s
   in
-  Array.iter node docs;
-  Buffer.to_bytes b
+  let starts =
+    Array.map
+      (fun d ->
+        let at = Buffer.length nodes in
+        node d;
+        at)
+      docs
+  in
+  let b = Buffer.create (Buffer.length table + Buffer.length nodes + 9) in
+  Varint.add_uvarint b (Hashtbl.length ids);
+  Buffer.add_buffer b table;
+  let base = Buffer.length b in
+  Buffer.add_buffer b nodes;
+  (Buffer.to_bytes b, Array.map (( + ) base) starts)
+
+(* Writes to [path] a snapshot of [docs] labelled [version] in its
+   [xseq_meta], with [region] for its record region.  On the way the
+   region [Xseq.save] wrote is checked against [coded_region]. *)
+let save_region ~version docs region path =
+  copy_snapshot (Xseq.build docs) path
+    ~ints:(fun name m -> if name = "xseq_meta" then m.(0) <- version)
+    ~blob:(fun name s ->
+      if name <> "docs" then s
+      else begin
+        Alcotest.(check string) "record layout"
+          (Bytes.to_string (fst (coded_region docs)))
+          s;
+        Bytes.to_string region
+      end)
+
+(* [load path] fails with the record check's diagnostic. *)
+let corrupt_region name path =
+  match Xseq.load path with
+  | _ -> Alcotest.failf "%s: accepted" name
+  | exception Invalid_argument msg ->
+    Alcotest.(check string) name "Xseq.load: corrupt document region" msg
+
+(* The region of the snapshot at [path]. *)
+let region_entry path name =
+  let store = Store.open_file path in
+  Fun.protect
+    ~finally:(fun () -> Store.close store)
+    (fun () ->
+      List.find (fun r -> r.Store.r_name = name) (Store.regions store))
 
 (* A record region is checked and decoded 16 KiB at a time. *)
 let chunk = 16384
 
-(* The second record's name length (258, bytes 02 01 00 00) is at byte
-   1, its name at 5 and its child count (259, bytes 03 01 00 00) at 263:
-   a misassembled u32 reads another value. *)
+(* The version-2 tests build their snapshots through [save_region]: the
+   spelled layout is read only from old files.  The second record's
+   name length (258, bytes 02 01 00 00) is at byte 1, its name at 5 and
+   its child count (259, bytes 03 01 00 00) at 263: a misassembled u32
+   reads another value. *)
 let second =
   T.Element
     ( String.make 258 'n',
@@ -917,36 +992,34 @@ let straddling ?(before = 2) at =
 
 (* Fields that straddle the boundary decode; record regions that lie, at
    the boundary or elsewhere, fail the load with the record check's
-   diagnostic, whatever chunk the lie is in. *)
+   diagnostic, whatever chunk the lie is in.  A loaded version-2 region
+   re-saves in the version-3 layout. *)
 let test_records_at_chunk_edges () =
   let corrupt name at edit =
     let docs, start = straddling at in
-    let index = Xseq.build docs in
     with_temp "xseq_records" (fun path ->
-        copy_snapshot index path ~ints:(fun _ _ -> ())
-          ~blob:(fun region s ->
-            if region <> "docs" then s
-            else begin
-              let want = records_region docs in
-              Alcotest.(check string) "record layout" (Bytes.to_string want) s;
-              Bytes.to_string (edit (Bytes.of_string s) start)
-            end);
-        match Xseq.load path with
-        | _ -> Alcotest.failf "%s: accepted" name
-        | exception Invalid_argument msg ->
-          Alcotest.(check string) name "Xseq.load: corrupt document region"
-            msg)
+        save_region ~version:2 docs
+          (edit (spelled_region docs) start)
+          path;
+        corrupt_region name path)
   in
   List.iter
     (fun (what, at, before) ->
       let docs, _ = straddling ~before at in
       with_temp "xseq_records" (fun path ->
-          Xseq.save (Xseq.build docs) path;
+          save_region ~version:2 docs (spelled_region docs) path;
           let loaded = Xseq.load path in
           Alcotest.(check bool)
             (Printf.sprintf "%s straddles by %d, decoded" what before)
             true
             (Xseq.document loaded 1 = second);
+          with_temp "xseq_records_v3" (fun resaved ->
+              Xseq.save loaded resaved;
+              let s = Store.open_file resaved in
+              Alcotest.(check string) "re-saved in the version-3 layout"
+                (Bytes.to_string (fst (coded_region docs)))
+                (Store.blob s "docs");
+              Store.close s);
           Option.iter Store.close (Xseq.backing_store loaded)))
     (("name", 5, 2)
     :: List.concat_map
@@ -968,21 +1041,130 @@ let test_records_at_chunk_edges () =
       Bytes.set_int32_le b 6 3l;
       b)
 
-(* A record region whose checksum fails is reported as such, even where
-   its bytes would fail the record check first: a name length flipped in
-   the second chunk, after the store was opened. *)
+(* A version-2 record region whose checksum fails is reported as such,
+   even where its bytes would fail the record check first: a name
+   length flipped in the second chunk, after the store was opened. *)
 let test_records_checksum_first () =
   let docs, start = straddling 1 in
   with_temp "xseq_records_flip" (fun path ->
-      Xseq.save (Xseq.build docs) path;
-      let store = Store.open_file path in
-      let region =
-        List.find (fun r -> r.Store.r_name = "docs") (Store.regions store)
-      in
-      Store.close store;
+      save_region ~version:2 docs (spelled_region docs) path;
+      let region = region_entry path "docs" in
       let loaded = Xseq.load path in
       (* The name length's high byte, past the boundary. *)
       flip_in_place path (region.Store.r_offset + start + 4);
+      (match Xseq.document loaded 1 with
+       | _ -> Alcotest.fail "a flipped record region was decoded"
+       | exception Invalid_argument msg ->
+         Alcotest.(check string) "checksum before the record check"
+           "Store: region \"docs\" checksum mismatch" msg);
+      Option.iter Store.close (Xseq.backing_store loaded))
+
+(* The version-3 twins.  Sixty-five names come before the second
+   record's, so its name id (65, tag 130), its child count (200) and its
+   first value's tag (a 100-byte text, 201) take two bytes each, at
+   offsets 0, 2 and 4 of the record. *)
+let coded_second =
+  T.Element
+    ("second", List.init 200 (fun i -> T.Value (Printf.sprintf "%100d" i)))
+
+let coded_first pad =
+  T.Element
+    ( "r",
+      List.init 64 (fun i -> T.Element (Printf.sprintf "a%d" i, []))
+      @ [ T.Value (String.make pad 'x') ] )
+
+(* As [straddling], for the version-3 layout: the pad moves the second
+   record byte for byte, and once more where the pad's own tag grows a
+   byte. *)
+let coded_straddling ?(before = 2) at =
+  let target = chunk - before - at in
+  let docs pad = [| coded_first pad; coded_second |] in
+  let rec fit pad =
+    let start = (snd (coded_region (docs pad))).(1) in
+    if start = target then docs pad else fit (pad + target - start)
+  in
+  (fit 100, target)
+
+(* [Bytes.sub b at len] replaced by [s]. *)
+let splice b at len s =
+  Bytes.concat Bytes.empty
+    [
+      Bytes.sub b 0 at;
+      Bytes.of_string s;
+      Bytes.sub b (at + len) (Bytes.length b - at - len);
+    ]
+
+let test_coded_records_at_chunk_edges () =
+  let corrupt ?(before = 2) name at edit =
+    let docs, start = coded_straddling ~before at in
+    with_temp "xseq_coded" (fun path ->
+        save_region ~version:3 docs (edit (fst (coded_region docs)) start) path;
+        corrupt_region name path)
+  in
+  List.iter
+    (fun (what, at, before) ->
+      let docs, start = coded_straddling ~before at in
+      with_temp "xseq_coded" (fun path ->
+          Xseq.save (Xseq.build docs) path;
+          let s = Store.open_file path in
+          let region = Store.blob s "docs" in
+          Store.close s;
+          Alcotest.(check string) "record layout"
+            (Bytes.to_string (fst (coded_region docs)))
+            region;
+          Alcotest.(check int) "second record's start" start
+            (snd (coded_region docs)).(1);
+          let loaded = Xseq.load path in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s straddles by %d, decoded" what before)
+            true
+            (Xseq.document loaded 1 = coded_second);
+          Option.iter Store.close (Xseq.backing_store loaded)))
+    (List.concat_map
+       (fun before ->
+         [
+           ("name id", 0, before);
+           ("child count", 2, before);
+           ("text length", 4, before);
+         ])
+       [ 1; 2; 3 ]);
+  let set at s b start = splice b (start + at) (String.length s) s in
+  corrupt ~before:1 "straddling name id past the table" 0 (set 0 "\x84\x01");
+  corrupt "name id past the table" 0 (set 0 "\x84\x01");
+  corrupt ~before:1 "region cut inside a straddling child count" 2
+    (fun b _ -> Bytes.sub b 0 chunk);
+  corrupt ~before:1 "straddling child count that overruns" 2
+    (set 2 "\xc9\x01");
+  corrupt ~before:1 "straddling text length past the region" 4 (fun b start ->
+      splice b (start + 4) 2 "\xff\xff\x7f");
+  corrupt "truncated name table" 0 (fun b _ -> Bytes.sub b 0 100);
+  corrupt "name length past the region" 0 (fun b _ ->
+      (* The first name's length, "r"'s, is byte 1. *)
+      splice b 1 1 "\xff\xff\x03");
+  corrupt "varint longer than nine bytes" 0 (fun b start ->
+      splice b start 2 "\x82\x81\x80\x80\x80\x80\x80\x80\x80\x00");
+  corrupt "varint with a needless zero byte" 2 (fun b start ->
+      (* 200 as c8 81 00, not c8 01: the reader takes only the shortest
+         form, the writer's. *)
+      splice b (start + 2) 2 "\xc8\x81\x00");
+  corrupt "text length past the region" 0 (fun b _ ->
+      (* The last value's 100 bytes, claimed as 101. *)
+      let at = Bytes.length b - 102 in
+      splice b at 2 "\xcb\x01");
+  corrupt "child count that overruns the region" 2 (set 2 "\xc9\x01");
+  corrupt "truncated last record" 0 (fun b _ ->
+      Bytes.sub b 0 (Bytes.length b - 1));
+  corrupt "trailing bytes" 0 (fun b _ -> Bytes.cat b (Bytes.make 1 '\000'))
+
+(* A flipped straddling name id would fail the record check (0x01 ->
+   0x11 names id 1089 of 66): the checksum is reported first. *)
+let test_coded_records_checksum_first () =
+  let docs, start = coded_straddling ~before:1 0 in
+  with_temp "xseq_coded_flip" (fun path ->
+      Xseq.save (Xseq.build docs) path;
+      let region = region_entry path "docs" in
+      let loaded = Xseq.load path in
+      flip_in_place path (region.Store.r_offset + start + 1);
       (match Xseq.document loaded 1 with
        | _ -> Alcotest.fail "a flipped record region was decoded"
        | exception Invalid_argument msg ->
@@ -1286,6 +1468,10 @@ let () =
             test_records_at_chunk_edges;
           Alcotest.test_case "record checksum before the record check" `Quick
             test_records_checksum_first;
+          Alcotest.test_case "version-3 record regions at chunk edges" `Quick
+            test_coded_records_at_chunk_edges;
+          Alcotest.test_case "version-3 record checksum before the record check"
+            `Quick test_coded_records_checksum_first;
           Alcotest.test_case "32-bit regions in the table of contents" `Quick
             test_element_width_toc;
         ] );
