@@ -17,13 +17,47 @@
    and an xseqcol2 snapshot loaded resident or paged (compressed
    columns) and saved as xseqcol2. *)
 
-type corpus = Dblp | Xmark
+(* [Dblp_text] and [Xmark_text] are the same records printed as XML and
+   read back through [Xml_parser.parse_fragments]; [Mixed_text] is XML
+   text dense in what the generators never write (references, CDATA,
+   comments, processing instructions, blank runs, either quote), so the
+   parser is under the same pins as the build. *)
+type corpus = Dblp | Xmark | Dblp_text | Xmark_text | Mixed_text
 
-let corpus_name = function Dblp -> "dblp" | Xmark -> "xmark"
+let corpus_name = function
+  | Dblp -> "dblp"
+  | Xmark -> "xmark"
+  | Dblp_text -> "dblp text"
+  | Xmark_text -> "xmark text"
+  | Mixed_text -> "mixed text"
 
-let generate = function
+let mixed_text n =
+  let b = Buffer.create 8192 in
+  for i = 0 to n - 1 do
+    Printf.bprintf b "<rec id=\"%d&amp;%d\" k='&quot;%d&apos;'>\n  " i (i mod 7)
+      (i mod 5);
+    Printf.bprintf b "<t>a &lt; b &amp; c%d&gt;</t><!-- note %d -->" (i mod 11) i;
+    if i mod 3 = 0 then
+      Printf.bprintf b "<c><![CDATA[x<y & z%d]]]></c>\n" (i mod 4);
+    if i mod 5 = 0 then Buffer.add_string b "<n>&#x41;&#66;&#233;&#x20AC;</n>";
+    if i mod 7 = 0 then Buffer.add_string b "<e a='1' b=\"2\"/>";
+    Printf.bprintf b "<?pi %d?><v>%d<!-- split -->%d</v>  \n</rec>\n" i (i mod 13)
+      (i mod 3)
+  done;
+  Buffer.contents b
+
+let parse_text s = Array.of_list (Xmlcore.Xml_parser.parse_fragments s)
+
+let print_records docs =
+  String.concat "\n"
+    (Array.to_list (Array.map (Xmlcore.Xml_printer.to_string ~indent:false) docs))
+
+let rec generate = function
   | Dblp -> Xdatagen.Dblp_gen.generate ~seed:11 300
   | Xmark -> Xdatagen.Xmark_gen.generate ~seed:5 ~identical_siblings:true 120
+  | Dblp_text -> parse_text (print_records (generate Dblp))
+  | Xmark_text -> parse_text (print_records (generate Xmark))
+  | Mixed_text -> parse_text (mixed_text 200)
 
 let configs =
   let c = Xseq.default_config in
@@ -78,6 +112,16 @@ let golden =
       "81d06daee8b53c72e6836a3659ec8c26", "644459fa496dc1d956625eb96acfed3e");
     (Xmark, "text",
       "bfbe6423f54a1ec3bd0a6849e1bc0df7", "37143fdabe3af8806ebecc8c926278cf");
+    (Dblp_text, "probability",
+      "0bf210bbcf99a73ea40bdcc67584f678", "c05c1728d74ca28a0dc84bd49b1c395e");
+    (Xmark_text, "probability",
+      "e57955efad1a31abf99494d921876e16", "d28f121d9bcf646a1a150606a3e1cbf9");
+    (Mixed_text, "probability",
+      "79a9e1e02a356c073262d5bbe49911bd", "f15d3b92f11f8249d6518c0d04e40910");
+    (Mixed_text, "depth-first/canonical",
+      "f119151a011eaa5dd13c4820576202a1", "d5c4ec00cee8796136caeb808f690308");
+    (Mixed_text, "text",
+      "166f1e74b254a471b1dd8b19ef87cad5", "875dde6fb0dbc50970ee607cbb9ac469");
   ]
 
 (* The re-saves checked, as (format loaded, load mode, format saved). *)

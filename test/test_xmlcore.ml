@@ -104,6 +104,34 @@ let test_parse_error_position () =
   | exception P.Parse_error { line; _ } -> Alcotest.(check int) "line" 3 line
   | _ -> Alcotest.fail "expected parse error"
 
+(* Where each error is reported: (input, position, line, message). *)
+let test_parse_error_positions () =
+  let cases =
+    [
+      ("<a>abc", 6, 1, "unterminated element content");
+      ("<a>\nab\nc", 8, 3, "unterminated element content");
+      ("<a>x&amp;", 9, 1, "unterminated element content");
+      ("<a>&lt;", 7, 1, "unterminated element content");
+      ("<a>x&amp;&bogus;y</a>", 16, 1, "unknown entity &bogus;");
+      ("<a>x&amp", 8, 1, "unterminated entity reference");
+      ("<a>x&amp;</b>", 12, 1, "mismatched close tag </b> for <a>");
+      ("<a b='x&amp;", 12, 1, "unterminated attribute value");
+      ("<a b=\"&quot;&#x3C;\"", 19, 1, "unterminated start tag");
+      ("<a><![CDATA[x]]", 15, 1, "unterminated CDATA section");
+      ("<a><!-- x --", 12, 1, "unterminated comment");
+      ("<a>x<", 5, 1, "expected a name");
+      ("<a>\n</ab>", 8, 2, "mismatched close tag </ab> for <a>");
+    ]
+  in
+  List.iter
+    (fun (src, pos, line, msg) ->
+      match P.parse_fragments src with
+      | exception P.Parse_error e ->
+        Alcotest.(check (triple int int string))
+          (Printf.sprintf "%S" src) (pos, line, msg) (e.pos, e.line, e.msg)
+      | _ -> Alcotest.failf "expected a parse error for %S" src)
+    cases
+
 let test_fragments () =
   let ts = P.parse_fragments "<a/><b>x</b> <c/>" in
   Alcotest.(check int) "three roots" 3 (List.length ts)
@@ -176,6 +204,103 @@ let prop_print_parse_indent =
       let t = strip t in
       T.equal (P.parse_string ~keep_whitespace:false (Pr.to_string ~indent:true t)) t)
 
+(* XML text written a piece at a time, with the tree it must parse to.
+   Values are dense in the five escaped characters and each is written
+   as escaped text (named or numeric references, chosen per character)
+   or, when it holds no "]]>", as a CDATA section.  Comments sit between
+   siblings at random, and always between two text runs, which would
+   otherwise read as one value.  Attribute values use either quote. *)
+let dense_char = Gen.oneofa [| '&'; '<'; '>'; '\''; '"'; 'a'; ';'; '#'; ']'; ' ' |]
+
+let dense_value =
+  Gen.(
+    map
+      (fun cs ->
+        let s = String.of_seq (List.to_seq cs) in
+        (* Blank text is dropped, so keep one character that is not. *)
+        if String.trim s = "" then s ^ "q" else s)
+      (list_size (int_range 1 12) dense_char))
+
+let escape_char st c =
+  match c, Gen.int_bound 2 st with
+  | '&', 0 -> "&amp;"
+  | '<', 0 -> "&lt;"
+  | '>', 0 -> "&gt;"
+  | '\'', 0 -> "&apos;"
+  | '"', 0 -> "&quot;"
+  | ('&' | '<' | '>' | '\'' | '"'), 1 -> Printf.sprintf "&#%d;" (Char.code c)
+  | ('&' | '<' | '>' | '\'' | '"'), _ -> Printf.sprintf "&#x%X;" (Char.code c)
+  | c, _ -> String.make 1 c
+
+let escaped st s =
+  String.concat "" (List.map (escape_char st) (List.of_seq (String.to_seq s)))
+
+(* A value as one CDATA section ([`Cdata]) or as escaped text. *)
+let render_value st s =
+  let has_end = ref false in
+  for i = 0 to String.length s - 3 do
+    if String.sub s i 3 = "]]>" then has_end := true
+  done;
+  if (not !has_end) && Gen.bool st then (`Cdata, "<![CDATA[" ^ s ^ "]]>")
+  else (`Text, escaped st s)
+
+let dense_doc : (string * T.t) Gen.t =
+ fun st ->
+  let comment = "<!-- c&<> -->" in
+  let rec node depth =
+    let tag = tag_gen st in
+    let attrs =
+      List.init (Gen.int_bound 2 st) (fun i ->
+          let v = dense_value st in
+          let quote = if Gen.bool st then '"' else '\'' in
+          let body =
+            String.concat ""
+              (List.map
+                 (fun c ->
+                   if c = quote || c = '&' || c = '<' then escape_char st c
+                   else String.make 1 c)
+                 (List.of_seq (String.to_seq v)))
+          in
+          ( Printf.sprintf " k%d=%c%s%c" i quote body quote,
+            T.attr (Printf.sprintf "k%d" i) v ))
+    in
+    let fanout = if depth >= 3 then 0 else Gen.int_bound 4 st in
+    let kids =
+      List.init fanout (fun _ ->
+          if Gen.int_bound 2 st = 0 then begin
+            let v = dense_value st in
+            let kind, text = render_value st v in
+            (kind, text, T.Value v)
+          end
+          else
+            let text, tree = node (depth + 1) in
+            (`Element, text, tree))
+    in
+    (* Two text runs in a row would read as one value: a comment
+       between them keeps them apart.  Elsewhere a comment is a coin
+       toss. *)
+    let body = Buffer.create 64 in
+    ignore
+      (List.fold_left
+         (fun prev (kind, text, _) ->
+           if (prev = `Text && kind = `Text) || Gen.int_bound 3 st = 0 then
+             Buffer.add_string body comment;
+           Buffer.add_string body text;
+           kind)
+         `Element kids);
+    if Gen.bool st then Buffer.add_string body comment;
+    ( Printf.sprintf "<%s%s>%s</%s>" tag
+        (String.concat "" (List.map fst attrs))
+        (Buffer.contents body) tag,
+      T.elt tag (List.map snd attrs @ List.map (fun (_, _, t) -> t) kids) )
+  in
+  node 0
+
+let prop_dense_roundtrip =
+  QCheck.Test.make ~name:"dense text parses to its tree" ~count:500
+    (QCheck.make ~print:fst dense_doc)
+    (fun (text, tree) -> T.equal (P.parse_string text) tree)
+
 let prop_canonical_sort_isomorphic =
   QCheck.Test.make ~name:"canonical_sort is isomorphic" ~count:300 arb_tree
     (fun t -> T.isomorphic t (T.canonical_sort t))
@@ -207,6 +332,8 @@ let () =
           Alcotest.test_case "whitespace" `Quick test_parse_whitespace;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "error position" `Quick test_parse_error_position;
+          Alcotest.test_case "error positions at the end of text" `Quick
+            test_parse_error_positions;
           Alcotest.test_case "fragments" `Quick test_fragments;
         ] );
       ( "printer",
@@ -219,6 +346,7 @@ let () =
           [
             prop_print_parse;
             prop_print_parse_indent;
+            prop_dense_roundtrip;
             prop_canonical_sort_isomorphic;
             prop_sort_by_tag_isomorphic;
             prop_fold_counts;
