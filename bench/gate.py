@@ -10,10 +10,11 @@ drifting.
 The load layer (BENCH_load.json) is gated on memory: per load
 configuration, the words a load allocates, the words the loaded index
 retains and the bytes its columns keep off the heap must stay under
-checked-in ceilings.  Those
-counts do not depend on the machine, so the ceilings hold on every core
-count; they apply when the run loaded the record count they were set
-for.
+checked-in ceilings.  So is set-up, per corpus: the words the XML parse,
+each build phase and each snapshot save allocate, and the bytes of each
+snapshot.  Those counts do not depend on the machine, so the ceilings
+hold on every core count; they apply when the run used the record count
+they were set for.
 
 Floors are core-count-aware: on a runner with at least
 `min_cores_for_scaling` cores the 'scaling' floors apply (parallelism
@@ -140,34 +141,47 @@ def gate(name, fresh_path, floors_cfg, keys, correctness_key, failures, diff_key
             )
 
 
-def gate_load(fresh_path, floors_cfg, failures):
-    fresh = load(fresh_path)
-    cfg = floors_cfg["load"]
-    print(f"== load: ceilings on {', '.join(cfg['keys'])}")
-    runs = {run.get("config"): run for run in fresh.get("runs", [])}
-    for config, ceilings in cfg["ceilings"].items():
-        run = runs.get(config)
-        if run is None:
-            failures.append(f"load: {fresh_path} lacks config {config}")
+def gate_ceilings(name, fresh_path, cfg, rows, id_key, failures):
+    """Hold every row of `rows` (JSON objects named by `id_key`) under the
+    per-row ceilings of `cfg`; rows measured at another record count
+    than their ceilings were set for are informational."""
+    print(f"== {name}: ceilings on {', '.join(cfg['keys'])}")
+    by_id = {row.get(id_key): row for row in rows}
+    for row_id, ceilings in cfg["ceilings"].items():
+        row = by_id.get(row_id)
+        if row is None:
+            failures.append(f"{name}: {fresh_path} lacks {id_key} {row_id}")
             continue
-        if run.get("records") != ceilings["records"]:
+        if row.get("records") != ceilings["records"]:
             print(
-                f"   {config}: {run.get('records')} records, ceilings are for "
+                f"   {row_id}: {row.get('records')} records, ceilings are for "
                 f"{ceilings['records']}; informational only"
             )
             continue
         for key in cfg["keys"]:
-            got, ceiling = run.get(key), ceilings[key]
+            got, ceiling = row.get(key), ceilings[key]
             if got is None:
-                failures.append(f"load: {config} lacks {key}")
+                failures.append(f"{name}: {row_id} lacks {key}")
                 continue
             status = "ok" if got <= ceiling else "FAIL"
-            print(f"   {config} {key}: {got} (ceiling {ceiling}) {status}")
+            print(f"   {row_id} {key}: {got} (ceiling {ceiling}) {status}")
             if got > ceiling:
                 failures.append(
-                    f"load: {config} {key} = {got} is above the ceiling "
+                    f"{name}: {row_id} {key} = {got} is above the ceiling "
                     f"{ceiling}"
                 )
+
+
+def gate_load(fresh_path, floors_cfg, failures):
+    fresh = load(fresh_path)
+    gate_ceilings(
+        "load", fresh_path, floors_cfg["load"], fresh.get("runs", []), "config",
+        failures,
+    )
+    gate_ceilings(
+        "setup", fresh_path, floors_cfg["setup"], fresh.get("setup", []),
+        "corpus", failures,
+    )
 
 
 def main():

@@ -549,27 +549,86 @@ let live_words () =
   Gc.full_major ();
   (Gc.stat ()).Gc.live_words
 
-(* [Xseq.load] of a DBLP snapshot served resident and of a compressed
-   XMark snapshot served paged: the words a load allocates, the words
-   the loaded index keeps after a full collection, the words its symbol
-   table, link directory and statistics reach (each apart), the bytes
-   its columns keep outside the heap, and the median load time.  Word
-   and byte counts are deterministic; every number is taken after a
-   warm-up load.  bench/gate.py holds the allocated and retained words
-   and the off-heap bytes to ceilings.  Sizes:
+(* The words [f ()] allocates, and its wall time in ms.  A full
+   collection first runs every pending finaliser, so none runs inside
+   the span. *)
+let counted f =
+  Gc.full_major ();
+  let before = allocated_words () in
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  let words = allocated_words () -. before in
+  (r, words, ms (Unix.gettimeofday () -. t0))
+
+(* The set-up ledger of one corpus, from raw XML to both snapshot
+   formats: the words (and noisy ms) of the XML parse of the rendered
+   records, of each [Xseq.build ?on_phase] phase and of [Xseq.save] to
+   xseqcol1 and to xseqcol2, and the bytes of each snapshot.  The
+   snapshots are left at [col1] and [col2]. *)
+let setup_ledger docs ~col1 ~col2 =
+  let text =
+    String.concat "\n"
+      (Array.to_list (Array.map (Xmlcore.Xml_printer.to_string ~indent:false) docs))
+  in
+  let parsed, parse_words, parse_ms =
+    counted (fun () -> Xmlcore.Xml_parser.parse_fragments text)
+  in
+  let parsed = Array.of_list parsed in
+  if not (Array.for_all2 T.equal parsed docs) then
+    failwith "load: the parsed records differ from the rendered ones";
+  let phases = ref [] in
+  Gc.full_major ();
+  let mark = ref (allocated_words ()) in
+  let index =
+    Xseq.build
+      ~on_phase:(fun name dt ->
+        let words = allocated_words () -. !mark in
+        phases := (name, words, ms dt) :: !phases;
+        mark := allocated_words ())
+      parsed
+  in
+  let save format path =
+    let (), words, dt = counted (fun () -> Xseq.save ~format index path) in
+    (words, dt, (Unix.stat path).Unix.st_size)
+  in
+  let col1_words, col1_ms, col1_bytes = save Xstorage.Store.Col1 col1 in
+  let col2_words, col2_ms, col2_bytes = save Xstorage.Store.Col2 col2 in
+  (* (key, words or bytes, ms) in pipeline order; a phase's key is its
+     name with '+' spelled '_'. *)
+  ( String.length text,
+    (("parse", parse_words, parse_ms)
+     :: List.rev_map
+          (fun (name, w, dt) ->
+            (String.map (function '+' -> '_' | c -> c) name, w, dt))
+          !phases)
+    @ [ ("save_col1", col1_words, col1_ms); ("save_col2", col2_words, col2_ms) ],
+    (col1_bytes, col2_bytes) )
+
+(* Set-up and load of a DBLP corpus (its snapshot served resident from
+   xseqcol1) and of an XMark corpus (served paged from xseqcol2).  Per
+   corpus, the set-up ledger above.  Per load: the words a load
+   allocates, the words the loaded index keeps after a full collection,
+   the words its symbol table, link directory and statistics reach
+   (each apart), the bytes its columns keep outside the heap, and the
+   median load time.  Word and byte counts are deterministic; every
+   load number is taken after a warm-up load.  bench/gate.py holds the
+   set-up words and snapshot bytes, the allocated and retained load
+   words and the off-heap bytes to ceilings.  Sizes:
    XSEQ_BENCH_LOAD_DBLP, XSEQ_BENCH_LOAD_XMARK (records) and
    XSEQ_BENCH_LOAD_REPS (timed loads). *)
 let load_bench () =
-  header "Load layer: words allocated and retained by Xseq.load";
+  header "Set-up and load layers: words allocated from raw XML to a loaded index";
   let reps = env_int "XSEQ_BENCH_LOAD_REPS" 5 in
   let configs =
     [
-      ( "dblp_xseqcol1_resident",
+      ( "dblp",
+        "dblp_xseqcol1_resident",
         Xdatagen.Dblp_gen.generate
           (env_int "XSEQ_BENCH_LOAD_DBLP" (n_scaled 20_000)),
         Xstorage.Store.Col1,
         Xstorage.Store.Resident );
-      ( "xmark_xseqcol2_paged",
+      ( "xmark",
+        "xmark_xseqcol2_paged",
         Xdatagen.Xmark_gen.generate ~identical_siblings:true
           (env_int "XSEQ_BENCH_LOAD_XMARK" (n_scaled 10_000)),
         Xstorage.Store.Col2,
@@ -578,20 +637,30 @@ let load_bench () =
   in
   let rows =
     List.map
-      (fun (name, docs, format, mode) ->
-        let path = Filename.temp_file "xseq_bench_load" ".xseq" in
+      (fun (corpus, name, docs, format, mode) ->
+        let col1 = Filename.temp_file "xseq_bench_setup" ".col1" in
+        let col2 = Filename.temp_file "xseq_bench_setup" ".col2" in
         Fun.protect
-          ~finally:(fun () -> Sys.remove path)
+          ~finally:(fun () -> List.iter Sys.remove [ col1; col2 ])
           (fun () ->
-            Xseq.save ~format (Xseq.build docs) path;
+            let input_bytes, ledger, (col1_bytes, col2_bytes) =
+              setup_ledger docs ~col1 ~col2
+            in
+            Printf.printf "%-6s %6d records, %d bytes of XML:" corpus
+              (Array.length docs) input_bytes;
+            List.iter
+              (fun (key, w, dt) -> Printf.printf " %s %.0f words (%.0f ms)," key w dt)
+              ledger;
+            Printf.printf " snapshots %d / %d bytes\n%!" col1_bytes col2_bytes;
+            let path =
+              match format with Xstorage.Store.Col1 -> col1 | Col2 -> col2
+            in
             let load () = Xseq.load ~mode ~pool_pages:64 path in
             let close t =
               Option.iter Xstorage.Store.close (Xseq.backing_store t)
             in
             close (load ());
-            let before = allocated_words () in
-            let t = load () in
-            let allocated = allocated_words () -. before in
+            let t, allocated, _ = counted load in
             close t;
             let before = live_words () in
             let t = load () in
@@ -624,26 +693,44 @@ let load_bench () =
                off-heap column bytes, load %.1f ms\n%!"
               name (Array.length docs) paths allocated retained symtab
               directory stats column_bytes load_ms;
-            ( name,
-              Array.length docs,
-              paths,
-              allocated,
-              retained,
-              (symtab, directory, stats, column_bytes),
-              load_ms )))
+            ( (corpus, Array.length docs, input_bytes, ledger, col1_bytes, col2_bytes),
+              ( name,
+                Array.length docs,
+                paths,
+                allocated,
+                retained,
+                (symtab, directory, stats, column_bytes),
+                load_ms ) )))
       configs
   in
+  let last i = if i = List.length rows - 1 then "" else "," in
   write_json "load" (fun oc ->
-      Printf.fprintf oc "{\n  \"reps\": %d,\n  \"runs\": [\n" reps;
+      Printf.fprintf oc "{\n  \"reps\": %d,\n  \"setup\": [\n" reps;
+      List.iteri
+        (fun i ((corpus, records, input_bytes, ledger, col1_bytes, col2_bytes), _) ->
+          Printf.fprintf oc "    {\"corpus\": %S, \"records\": %d, \"input_bytes\": %d"
+            corpus records input_bytes;
+          List.iter
+            (fun (key, w, _) -> Printf.fprintf oc ", \"%s_words\": %.0f" key w)
+            ledger;
+          Printf.fprintf oc ", \"col1_bytes\": %d, \"col2_bytes\": %d" col1_bytes
+            col2_bytes;
+          List.iter
+            (fun (key, _, dt) -> Printf.fprintf oc ", \"%s_ms\": %.1f" key dt)
+            ledger;
+          Printf.fprintf oc "}%s\n" (last i))
+        rows;
+      Printf.fprintf oc "  ],\n  \"runs\": [\n";
       List.iteri
         (fun i
-             ( name,
-               records,
-               paths,
-               allocated,
-               retained,
-               (symtab, directory, stats, column_bytes),
-               load_ms ) ->
+             ( _,
+               ( name,
+                 records,
+                 paths,
+                 allocated,
+                 retained,
+                 (symtab, directory, stats, column_bytes),
+                 load_ms ) ) ->
           Printf.fprintf oc
             "    {\"config\": %S, \"records\": %d, \"paths\": %d, \
              \"allocated_words\": %.0f, \"retained_words\": %d, \
@@ -651,8 +738,7 @@ let load_bench () =
              \"stats_words\": %d, \"column_bytes\": %d, \"load_ms\": \
              %.2f}%s\n"
             name records paths allocated retained symtab directory stats
-            column_bytes load_ms
-            (if i = List.length rows - 1 then "" else ","))
+            column_bytes load_ms (last i))
         rows;
       Printf.fprintf oc "  ]\n}\n")
 

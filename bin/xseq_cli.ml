@@ -1823,9 +1823,18 @@ let info_cmd =
             Store.length (region "doc_pre") ))
     in
     let regions = Store.regions store in
-    let logical = List.fold_left (fun a r -> a + r.Store.r_bytes) 0 regions in
-    let stored = List.fold_left (fun a r -> a + r.Store.r_stored) 0 regions in
+    (* The record region is already coded (names as ids, lengths as
+       varints), so its logical bytes are not comparable with a
+       column's: it gets its own line. *)
+    let records, columns =
+      List.partition (fun r -> r.Store.r_name = "docs") regions
+    in
+    let sum field rs = List.fold_left (fun a r -> a + field r) 0 rs in
+    let bytes r = r.Store.r_bytes and stored r = r.Store.r_stored in
     let compressed = Store.file_format store = Store.Col2 in
+    let ratio ~stored ~logical =
+      if stored > 0 then float_of_int logical /. float_of_int stored else 0.
+    in
     Printf.printf "file:            %s\n" input;
     Printf.printf "format:          %s, %d-byte pages, %d bytes\n"
       (Store.format_name (Store.file_format store))
@@ -1839,11 +1848,18 @@ let info_cmd =
     Printf.printf "trie nodes:      %d\n" imeta.(0);
     Printf.printf "distinct paths:  %d\n" links;
     Printf.printf "doc entries:     %d\n" doc_entries;
-    if compressed then
+    if compressed then begin
+      let s = sum stored columns and l = sum bytes columns in
       Printf.printf "column bytes:    %d stored / %d logical (%.2fx compression)\n"
-        stored logical
-        (if stored > 0 then float_of_int logical /. float_of_int stored else 0.)
-    else Printf.printf "column bytes:    %d\n" logical;
+        s l (ratio ~stored:s ~logical:l);
+      let s = sum stored records and c = sum bytes records in
+      Printf.printf "record region:   %d stored / %d coded (%.2fx compression)\n"
+        s c (ratio ~stored:s ~logical:c)
+    end
+    else begin
+      Printf.printf "column bytes:    %d\n" (sum bytes columns);
+      Printf.printf "record region:   %d coded\n" (sum bytes records)
+    end;
     Printf.printf "\n%-16s %-5s %12s %12s %12s %8s %12s\n" "region" "kind"
       "elements" "bytes" "stored" "pages" "offset";
     List.iter
@@ -1859,8 +1875,9 @@ let info_cmd =
     (Cmd.info "info"
        ~doc:"Print a saved index's on-disk table of contents: every region \
              with its element count, logical and stored byte sizes, page \
-             count and file offset — plus the whole-file compression ratio \
-             for xseqcol2 snapshots.")
+             count and file offset — plus, for xseqcol2 snapshots, the \
+             compression ratio of the columns and, apart, of the record \
+             region.")
     Term.(const run $ input)
 
 (* --- index (build + save) ------------------------------------------------ *)

@@ -413,35 +413,38 @@ let dict_index t =
   done;
   index_of
 
-(* The dictionary entry of every path of the index: [(parent entry,
-   designator)] for each entry but epsilon, which has none. *)
-let dict_entries t =
+(* The dictionary as two columns: entry [i]'s parent entry and
+   designator id, both -1 for epsilon, which has neither. *)
+let dict_columns t =
   let index_of = dict_index t in
-  Array.init (dict_size t) (fun i ->
-      let p = dict_path t i in
-      if Path.equal p Path.epsilon then None
-      else
-        Some
-          ( index_of.(Path.to_int (Path.parent t.symbols p)),
-            Path.tag t.symbols p ))
+  let n = dict_size t in
+  let parent = Array.make n (-1) and desig = Array.make n (-1) in
+  for i = 0 to n - 1 do
+    let p = dict_path t i in
+    if not (Path.equal p Path.epsilon) then begin
+      parent.(i) <- index_of.(Path.to_int (Path.parent t.symbols p));
+      desig.(i) <- (Path.tag t.symbols p :> int)
+    end
+  done;
+  (parent, desig)
+
+(* The designator of dictionary entry [i], epsilon excepted. *)
+let entry_designator t i = Path.tag t.symbols (dict_path t i)
 
 let dict_regions t store =
-  let entries = dict_entries t in
-  let n = Array.length entries in
+  let parent, desig = dict_columns t in
+  let n = Array.length parent in
   let names = Buffer.create 1024 in
-  let parent = Array.make n (-1) in
   let kind = Array.make n 0 in
   let name_off = Array.make (n + 1) 0 in
-  Array.iteri
-    (fun i e ->
-      name_off.(i) <- Buffer.length names;
-      Option.iter
-        (fun (pi, d) ->
-          parent.(i) <- pi;
-          kind.(i) <- Bool.to_int (D.is_value t.symbols d);
-          Buffer.add_string names (D.name t.symbols d))
-        e)
-    entries;
+  for i = 0 to n - 1 do
+    name_off.(i) <- Buffer.length names;
+    if desig.(i) >= 0 then begin
+      let d = entry_designator t i in
+      kind.(i) <- Bool.to_int (D.is_value t.symbols d);
+      Buffer.add_string names (D.name t.symbols d)
+    end
+  done;
   name_off.(n) <- Buffer.length names;
   Store.add_int_array store "dict_parent" parent;
   Store.add_int_array store "dict_kind" kind;
@@ -453,35 +456,56 @@ let dict_regions t store =
    whose names — sorted, hence prefix-heavy — are front-coded.  A DBLP
    trie has thousands of edges over a few dozen distinct tags, so the
    edge cost drops from one spelled-out name per entry to one small
-   id. *)
+   id.  The table is ranked by name bytes ([String.compare]), then
+   tags (kind 0) before values (kind 1). *)
 let dict_regions_compact t store =
-  let entries = dict_entries t in
-  let n = Array.length entries in
-  let parent = Array.make n (-1) in
-  let desig = Array.make n (-1) in
-  let key d = (D.name t.symbols d, Bool.to_int (D.is_value t.symbols d)) in
-  let uniq = Hashtbl.create 64 in
-  Array.iter
-    (Option.iter (fun (_, d) -> Hashtbl.replace uniq (key d) ()))
-    entries;
-  let pairs =
-    List.sort Stdlib.compare (Hashtbl.fold (fun kv () acc -> kv :: acc) uniq [])
-  in
-  let id_of = Hashtbl.create (List.length pairs) in
-  List.iteri (fun i kv -> Hashtbl.replace id_of kv i) pairs;
+  let parent, desig = dict_columns t in
+  (* The name and kind of each designator in use, by id; -1 marks an id
+     no entry uses. *)
+  let top = Array.fold_left max (-1) desig in
+  let name_of = Array.make (top + 1) "" and kind_of = Array.make (top + 1) (-1) in
   Array.iteri
-    (fun i e ->
-      Option.iter
-        (fun (pi, d) ->
-          parent.(i) <- pi;
-          desig.(i) <- Hashtbl.find id_of (key d))
-        e)
-    entries;
+    (fun i d ->
+      if d >= 0 && kind_of.(d) < 0 then begin
+        let dd = entry_designator t i in
+        name_of.(d) <- D.name t.symbols dd;
+        kind_of.(d) <- Bool.to_int (D.is_value t.symbols dd)
+      end)
+    desig;
+  let ids =
+    Array.make (Array.fold_left (fun n k -> n + Bool.to_int (k >= 0)) 0 kind_of) 0
+  in
+  let k = ref 0 in
+  Array.iteri
+    (fun d kind ->
+      if kind >= 0 then begin
+        ids.(!k) <- d;
+        incr k
+      end)
+    kind_of;
+  let order a b =
+    match String.compare name_of.(a) name_of.(b) with
+    | 0 -> Int.compare kind_of.(a) kind_of.(b)
+    | c -> c
+  in
+  Array.sort order ids;
+  (* A table read from a spelled-out dictionary may hold one (kind,
+     name) under several ids: they share a rank. *)
+  let rank = Array.make (top + 1) (-1) in
+  let nkeys = ref 0 in
+  Array.iteri
+    (fun j d ->
+      if j > 0 && order ids.(j - 1) d <> 0 then incr nkeys;
+      rank.(d) <- !nkeys)
+    ids;
+  let keys = Array.make (min (!nkeys + 1) (Array.length ids)) 0 in
+  Array.iter (fun d -> keys.(rank.(d)) <- d) ids;
+  Array.iteri (fun i d -> if d >= 0 then desig.(i) <- rank.(d)) desig;
   Store.add_int_array store "dict_parent" parent;
   Store.add_int_array store "dict_desig" desig;
-  Store.add_int_array store "desig_kind" (Array.of_list (List.map snd pairs));
+  Store.add_int_array store "desig_kind" (Array.map (fun d -> kind_of.(d)) keys);
   Store.add_blob store "desig_names"
-    (Xsuccinct.Frontcode.encode (Array.of_list (List.map fst pairs)))
+    (Xsuccinct.Frontcode.encode (Array.map (fun d -> name_of.(d)) keys))
 
 let add_to_store ?(compact = false) t store =
   Store.add_int_array store "meta" [| t.n |];

@@ -16,10 +16,16 @@ let eof state = state.pos >= String.length state.src
 let peek state = state.src.[state.pos]
 let advance state = state.pos <- state.pos + 1
 
+(* Compared in place: the parser asks this at every markup boundary. *)
 let looking_at state prefix =
-  let n = String.length prefix in
-  state.pos + n <= String.length state.src
-  && String.sub state.src state.pos n = prefix
+  let n = String.length prefix and src = state.src and pos = state.pos in
+  pos + n <= String.length src
+  &&
+  let i = ref 0 in
+  while !i < n && String.unsafe_get src (pos + !i) = String.unsafe_get prefix !i do
+    incr i
+  done;
+  !i = n
 
 let expect state prefix =
   if looking_at state prefix then state.pos <- state.pos + String.length prefix
@@ -94,26 +100,42 @@ let parse_reference state buf =
        end
      | None -> fail state (Printf.sprintf "unknown entity &%s;" ent))
 
+(* Advance past the run of characters that are neither [stop] nor '&';
+   return where it started. *)
+let skip_run state stop =
+  let start = state.pos in
+  while (not (eof state)) && peek state <> stop && peek state <> '&' do
+    advance state
+  done;
+  start
+
+let run_since state start = String.sub state.src start (state.pos - start)
+
+(* Character data up to [stop] (exclusive) or the end of input: each
+   run between references is one copy, and a [Buffer] is made only once
+   a reference appears. *)
+let parse_chars state stop =
+  let start = skip_run state stop in
+  if eof state || peek state = stop then run_since state start
+  else begin
+    let buf = Buffer.create (2 * (state.pos - start) + 16) in
+    Buffer.add_substring buf state.src start (state.pos - start);
+    while (not (eof state)) && peek state = '&' do
+      parse_reference state buf;
+      let start = skip_run state stop in
+      Buffer.add_substring buf state.src start (state.pos - start)
+    done;
+    Buffer.contents buf
+  end
+
 let parse_attr_value state =
   let quote = peek state in
   if quote <> '"' && quote <> '\'' then fail state "expected a quoted value";
   advance state;
-  let buf = Buffer.create 16 in
-  let rec loop () =
-    if eof state then fail state "unterminated attribute value"
-    else if peek state = quote then advance state
-    else if peek state = '&' then begin
-      parse_reference state buf;
-      loop ()
-    end
-    else begin
-      Buffer.add_char buf (peek state);
-      advance state;
-      loop ()
-    end
-  in
-  loop ();
-  Buffer.contents buf
+  let v = parse_chars state quote in
+  if eof state then fail state "unterminated attribute value";
+  advance state;
+  v
 
 let skip_comment state =
   expect state "<!--";
@@ -162,18 +184,16 @@ let skip_doctype state =
   in
   loop ()
 
-let parse_cdata state buf =
+let parse_cdata state =
   expect state "<![CDATA[";
-  let rec loop () =
-    if looking_at state "]]>" then expect state "]]>"
-    else if eof state then fail state "unterminated CDATA section"
-    else begin
-      Buffer.add_char buf (peek state);
-      advance state;
-      loop ()
-    end
-  in
-  loop ()
+  let start = state.pos in
+  while not (looking_at state "]]>" || eof state) do
+    advance state
+  done;
+  if eof state then fail state "unterminated CDATA section";
+  let s = run_since state start in
+  expect state "]]>";
+  s
 
 let is_blank s = String.for_all is_space s
 
@@ -204,9 +224,18 @@ let rec parse_element ~keep_whitespace state =
     expect state ">";
     let children = parse_content ~keep_whitespace state [] in
     expect state "</";
-    let close = parse_name state in
-    if not (String.equal close name) then
-      fail state (Printf.sprintf "mismatched close tag </%s> for <%s>" close name);
+    (* The close tag is checked against [name] in place. *)
+    let after = state.pos + String.length name in
+    if
+      looking_at state name
+      && (after >= String.length state.src
+         || not (is_name_char state.src.[after]))
+    then state.pos <- after
+    else begin
+      let close = parse_name state in
+      fail state
+        (Printf.sprintf "mismatched close tag </%s> for <%s>" close name)
+    end;
     skip_spaces state;
     expect state ">";
     Xml_tree.Element (name, attrs @ children)
@@ -232,11 +261,9 @@ and parse_content ~keep_whitespace state acc =
     skip_comment state;
     parse_content ~keep_whitespace state acc
   end
-  else if looking_at state "<![CDATA[" then begin
-    let buf = Buffer.create 16 in
-    parse_cdata state buf;
-    parse_content ~keep_whitespace state (Xml_tree.Value (Buffer.contents buf) :: acc)
-  end
+  else if looking_at state "<![CDATA[" then
+    parse_content ~keep_whitespace state
+      (Xml_tree.Value (parse_cdata state) :: acc)
   else if looking_at state "<?" then begin
     skip_pi state;
     parse_content ~keep_whitespace state acc
@@ -245,21 +272,7 @@ and parse_content ~keep_whitespace state acc =
     parse_content ~keep_whitespace state
       (parse_element ~keep_whitespace state :: acc)
   else begin
-    let buf = Buffer.create 16 in
-    let rec text_loop () =
-      if eof state || peek state = '<' then ()
-      else if peek state = '&' then begin
-        parse_reference state buf;
-        text_loop ()
-      end
-      else begin
-        Buffer.add_char buf (peek state);
-        advance state;
-        text_loop ()
-      end
-    in
-    text_loop ();
-    let s = Buffer.contents buf in
+    let s = parse_chars state '<' in
     if (not keep_whitespace) && is_blank s then
       parse_content ~keep_whitespace state acc
     else parse_content ~keep_whitespace state (Xml_tree.Value s :: acc)

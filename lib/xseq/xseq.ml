@@ -286,18 +286,19 @@ let encoder () =
     nodes = Buffer.create 4096;
   }
 
-let add_record e doc =
-  let uv = Varint.add_uvarint e.nodes in
+(* One record in pre-order: each node through [uv] (a uvarint) and [str]
+   (raw bytes).  An element name gets the next id in [ids] the first
+   time it is seen, and [named] hears of it. *)
+let walk_record ids ~named ~uv ~str doc =
   let rec node = function
     | T.Element (name, cs) ->
       let id =
-        match Hashtbl.find_opt e.ids name with
-        | Some id -> id
-        | None ->
-          let id = Hashtbl.length e.ids in
-          Hashtbl.add e.ids name id;
-          Varint.add_uvarint e.table (String.length name);
-          Buffer.add_string e.table name;
+        match Hashtbl.find ids name with
+        | id -> id
+        | exception Not_found ->
+          let id = Hashtbl.length ids in
+          Hashtbl.add ids name id;
+          named name;
           id
       in
       uv (2 * id);
@@ -305,9 +306,16 @@ let add_record e doc =
       List.iter node cs
     | T.Value s ->
       uv ((2 * String.length s) + 1);
-      Buffer.add_string e.nodes s
+      str s
   in
   node doc
+
+let add_record e doc =
+  walk_record e.ids
+    ~named:(fun name ->
+      Varint.add_uvarint e.table (String.length name);
+      Buffer.add_string e.table name)
+    ~uv:(Varint.add_uvarint e.nodes) ~str:(Buffer.add_string e.nodes) doc
 
 let region e =
   let b = Buffer.create (Buffer.length e.table + Buffer.length e.nodes + 9) in
@@ -316,10 +324,35 @@ let region e =
   Buffer.add_buffer b e.nodes;
   Buffer.contents b
 
+(* Records in memory are walked twice: once to size the region and name
+   the ids, once to write it into a buffer of exactly that size. *)
 let encode_docs docs =
-  let e = encoder () in
-  Array.iter (add_record e) docs;
-  region e
+  let ids = Hashtbl.create 64 in
+  let names = ref [] and size = ref 0 in
+  let add n = size := !size + n in
+  Array.iter
+    (walk_record ids
+       ~named:(fun name ->
+         names := name :: !names;
+         add (Varint.uvarint_size (String.length name) + String.length name))
+       ~uv:(fun v -> add (Varint.uvarint_size v))
+       ~str:(fun s -> add (String.length s)))
+    docs;
+  let count = Hashtbl.length ids in
+  let b = Bytes.create (Varint.uvarint_size count + !size) in
+  let pos = ref (Varint.set_uvarint b 0 count) in
+  let uv v = pos := Varint.set_uvarint b !pos v in
+  let str s =
+    Bytes.blit_string s 0 b !pos (String.length s);
+    pos := !pos + String.length s
+  in
+  List.iter
+    (fun name ->
+      uv (String.length name);
+      str name)
+    (List.rev !names);
+  Array.iter (walk_record ids ~named:ignore ~uv ~str) docs;
+  Bytes.unsafe_to_string b
 
 let corrupt_docs () = invalid_arg "Xseq.load: corrupt document region"
 

@@ -324,10 +324,15 @@ let create ?(config = default_config) source =
       close_after_flush = (fun c -> c.c_close_after_flush <- true);
     }
   in
+  (* Load before the worker domains start.  A record's fields are
+     evaluated right to left, so a load written in the record below
+     would run after the pool started, beside two idle domains, and a
+     load that raised would leave them behind. *)
+  let serving = Atomic.make (backend_of_source config source) in
   {
     config;
     source;
-    serving = Atomic.make (backend_of_source config source);
+    serving;
     cache = Plan_cache.create ~capacity:config.plan_cache_capacity;
     metrics;
     pool = Pool.create ~domains:config.workers ();

@@ -48,6 +48,10 @@ type reader = {
   file_len : int;
   pages : (int, bytes) Hashtbl.t;
   pool : Lru.t; (* capacity 0 for resident stores: nothing is cached *)
+  spare : Bytes.t ref;
+      (* the buffer of the page the pool evicted last, for the next read
+         to reuse, or [Bytes.empty]; page bytes are only read under
+         [lock], so no reader still holds it *)
   lock : Mutex.t; (* serialises every seek + read of [fd] *)
   mutable reads : int;
   mutable hits : int;
@@ -64,6 +68,8 @@ type reader = {
 type packed_col = {
   ph : Xsuccinct.Packed.t;
   p_fetch : int -> int -> string; (* region-relative byte fetch *)
+  p_copy : int -> int -> Bytes.t -> unit;
+      (* the same range copied to the front of a caller's buffer *)
   p_cache : (int * int array) Atomic.t array;
   p_mask : int;
   p_paged : bool;
@@ -115,11 +121,12 @@ let cache_slots nblocks =
   done;
   !s
 
-let packed_col ~paged ph fetch =
+let packed_col ~paged ph fetch copy =
   let slots = cache_slots (Xsuccinct.Packed.nblocks ph) in
   {
     ph;
     p_fetch = fetch;
+    p_copy = copy;
     p_cache = Array.init slots (fun _ -> Atomic.make (-1, [||]));
     p_mask = slots - 1;
     p_paged = paged;
@@ -152,45 +159,63 @@ let input_at r pos b off len =
   if r.closed then invalid_arg "Store: store is closed";
   read_at r.fd pos b off len
 
-(* Fetch the page holding byte [pos] of the file, through the buffer pool.
-   Serialised: a paged store may be shared across query domains. *)
-let page_bytes r page =
-  Mutex.protect r.lock (fun () ->
-      if r.closed then invalid_arg "Store: store is closed";
-      match Hashtbl.find_opt r.pages page with
-      | Some b ->
-        r.hits <- r.hits + 1;
-        ignore (Lru.access r.pool page);
+(* The bytes of file page [page], through the buffer pool; the caller
+   holds [r.lock] and reads them before releasing it, since the buffer
+   is reused once the pool evicts the page.  Serialised: a paged store
+   may be shared across query domains. *)
+let page_locked r page =
+  if r.closed then invalid_arg "Store: store is closed";
+  match Hashtbl.find r.pages page with
+  | b ->
+    r.hits <- r.hits + 1;
+    ignore (Lru.access r.pool page);
+    b
+  | exception Not_found ->
+    r.reads <- r.reads + 1;
+    let ps = r.r_page_size in
+    let pos = page * ps in
+    let avail = min ps (r.file_len - pos) in
+    if avail <= 0 then invalid_arg "Store: page read past end of file";
+    (* Entering the pool evicts its least recently used page first, and
+       this read reuses that page's buffer. *)
+    let cached = Lru.capacity r.pool > 0 in
+    if cached then ignore (Lru.access r.pool page);
+    let b =
+      if Bytes.length !(r.spare) = ps then begin
+        let b = !(r.spare) in
+        r.spare := Bytes.empty;
         b
-      | None ->
-        r.reads <- r.reads + 1;
-        let pos = page * r.r_page_size in
-        let avail = min r.r_page_size (r.file_len - pos) in
-        if avail <= 0 then invalid_arg "Store: page read past end of file";
-        let b = Bytes.make r.r_page_size '\000' in
-        (try input_at r pos b 0 avail
-         with End_of_file -> invalid_arg "Store: truncated file (page read)");
-        if Lru.capacity r.pool > 0 then begin
-          Hashtbl.replace r.pages page b;
-          ignore (Lru.access r.pool page)
-        end;
-        b)
+      end
+      else Bytes.create ps
+    in
+    if avail < ps then Bytes.fill b avail (ps - avail) '\000';
+    (try input_at r pos b 0 avail
+     with End_of_file -> invalid_arg "Store: truncated file (page read)");
+    if cached then Hashtbl.replace r.pages page b;
+    b
 
-(* Assemble an arbitrary byte range from buffer-pool pages. *)
-let read_via_pool r pos0 len =
+(* Copy [len] bytes at file offset [pos0] to the front of [dst], from
+   buffer-pool pages. *)
+let copy_via_pool r pos0 len dst =
+  Mutex.protect r.lock (fun () ->
+      let ps = r.r_page_size in
+      let pos = ref pos0 and at = ref 0 in
+      while !at < len do
+        let page = !pos / ps in
+        let pb = page_locked r page in
+        let in_page = !pos - (page * ps) in
+        let n = min (len - !at) (ps - in_page) in
+        Bytes.blit pb in_page dst !at n;
+        pos := !pos + n;
+        at := !at + n
+      done)
+
+(* An arbitrary byte range, assembled from buffer-pool pages. *)
+let read_via_pool r pos len =
   if len = 0 then ""
   else begin
     let b = Bytes.create len in
-    let pos = ref pos0 and dst = ref 0 in
-    while !dst < len do
-      let page = !pos / r.r_page_size in
-      let pb = page_bytes r page in
-      let in_page = !pos - (page * r.r_page_size) in
-      let n = min (len - !dst) (r.r_page_size - in_page) in
-      Bytes.blit pb in_page b !dst n;
-      pos := !pos + n;
-      dst := !dst + n
-    done;
+    copy_via_pool r pos len b;
     Bytes.unsafe_to_string b
   end
 
@@ -206,8 +231,14 @@ let get c i =
     if i < 0 || i >= len then invalid_arg "Store.get: index out of bounds";
     let byte = off + (i * width) in
     let page = byte / r.r_page_size in
-    let b = page_bytes r page in
-    element width b (byte - (page * r.r_page_size))
+    Mutex.lock r.lock;
+    (match element width (page_locked r page) (byte - (page * r.r_page_size)) with
+     | v ->
+       Mutex.unlock r.lock;
+       v
+     | exception e ->
+       Mutex.unlock r.lock;
+       raise e)
   | Packed p ->
     if i < 0 || i >= Xsuccinct.Packed.count p.ph then
       invalid_arg "Store.get: index out of bounds";
@@ -234,17 +265,22 @@ let scan c f =
     let slots = Array.length p.p_cache in
     let bufs = Array.make slots [||] and last = Array.make slots (-1) in
     let cur = ref (-1) and cur_elts = ref [||] in
+    (* A block's delta bytes are copied into one reused buffer and
+       decoded from it. *)
+    let bytes = ref Bytes.empty in
     let load b =
       let s = b land p.p_mask in
       let bid, elts = Atomic.get p.p_cache.(s) in
       if bid = b then elts
       else begin
         if Array.length bufs.(s) = 0 then bufs.(s) <- Array.make bs 0;
-        let buf = bufs.(s) and lo = b * bs in
-        Xsuccinct.Packed.decode_into p.ph ~fetch:p.p_fetch b (fun i x ->
-            Array.unsafe_set buf (i - lo) x);
+        let at, len = Xsuccinct.Packed.block_span p.ph b in
+        if Bytes.length !bytes < len then bytes := Bytes.create (max len 256);
+        p.p_copy at len !bytes;
+        Xsuccinct.Packed.decode_span p.ph b (Bytes.unsafe_to_string !bytes)
+          bufs.(s);
         last.(s) <- b;
-        buf
+        bufs.(s)
       end
     in
     let get i =
@@ -487,7 +523,9 @@ let stream_ints r e set =
 let read_packed r e =
   let data = read_stored r e in
   let fetch o l = String.sub data o l in
-  (parse_packed ~prefix:read_prefix e fetch, fetch)
+  ( parse_packed ~prefix:read_prefix e fetch,
+    fetch,
+    fun o l dst -> Bytes.blit_string data o dst 0 l )
 
 (* A resident int region: a raw region goes straight into a 32-bit flat
    buffer — 4-byte elements as they are, 8-byte ones narrowed, failing
@@ -521,8 +559,8 @@ let read_ints r e =
     Flat fb
   end
   else begin
-    let ph, fetch = read_packed r e in
-    Packed (packed_col ~paged:false ph fetch)
+    let ph, fetch, copy = read_packed r e in
+    Packed (packed_col ~paged:false ph fetch copy)
   end
 
 let read_blob r e =
@@ -575,7 +613,7 @@ let elements t name =
       fun set ->
         if is_raw_ints e.e_kind then stream_ints r e set
         else
-          let ph, fetch = read_packed r e in
+          let ph, fetch, _ = read_packed r e in
           iter_packed ph fetch set )
   | R_blob _ | R_file _ -> not_ints name
 
@@ -671,38 +709,59 @@ let padded_bytes page_size raw = max page_size (round_up page_size raw)
 (* --- writing ------------------------------------------------------------ *)
 
 (* Serialise region [name] for [format].  Returns the disk kind, the TOC
-   count field (elements for int columns, raw bytes for blobs) and the
-   un-padded stored bytes. *)
+   count field (elements for int columns, raw bytes for blobs), the
+   un-padded stored length and a function writing the stored bytes at
+   the front of a buffer: the caller allocates the padded region once
+   and nothing is serialised into an intermediate copy. *)
 let encode_region format t name =
-  let contents =
-    match find t name with
-    | R_ints c -> `Col c
-    | R_array a -> `Array a
-    | R_blob s -> `Blob s
-    | R_file { e; _ } when is_blob_kind e.e_kind -> `Blob (blob t name)
-    | R_file _ -> `Col (ints t name)
+  let verbatim kind s =
+    (kind, String.length s, String.length s, fun b ->
+        Bytes.blit_string s 0 b 0 (String.length s))
   in
-  (* 32-bit elements unless a value needs more, region by region. *)
-  let raw n w get =
-    let b = Bytes.create (w * n) in
-    for i = 0 to n - 1 do
-      if w = 4 then Bytes.set_int32_le b (4 * i) (Int32.of_int (get i))
-      else Bytes.set_int64_le b (8 * i) (Int64.of_int (get i))
-    done;
-    ((if w = 4 then k_ints32 else k_ints), n, Bytes.unsafe_to_string b)
+  (* [n] ints read by [get]: packed, or raw elements [w] bytes wide —
+     32-bit unless a value needs more, region by region. *)
+  let int_region n w get =
+    match format with
+    | Col1 ->
+      ( (if w = 4 then k_ints32 else k_ints),
+        n,
+        w * n,
+        fun b ->
+          for i = 0 to n - 1 do
+            if w = 4 then Bytes.set_int32_le b (4 * i) (Int32.of_int (get i))
+            else Bytes.set_int64_le b (8 * i) (Int64.of_int (get i))
+          done )
+    | Col2 ->
+      let size, write = Xsuccinct.Packed.encoder ~count:n get in
+      (k_ints_packed, n, size, fun b -> write b 0)
   in
-  match format, contents with
-  | Col1, `Col c -> raw (length c) (elt_width c) (get c)
-  | Col1, `Array a -> raw (Array.length a) (array_width a) (Array.get a)
-  | Col1, `Blob s -> (k_blob, String.length s, s)
-  | Col2, `Col c ->
-    (k_ints_packed, length c, Xsuccinct.Packed.encode (to_array c))
-  | Col2, `Array a -> (k_ints_packed, Array.length a, Xsuccinct.Packed.encode a)
-  | Col2, `Blob s ->
-    (* Keep whichever form is smaller; decoders accept both. *)
-    let z = Xsuccinct.Lz.compress s in
-    if String.length z < String.length s then (k_blob_lz, String.length s, z)
-    else (k_blob, String.length s, s)
+  (* A flat column is read in place; any other is decoded once. *)
+  let column c =
+    match c with
+    | Flat b ->
+      int_region (length c) (elt_width c) (fun i ->
+          Int32.to_int (Bigarray.Array1.get b i))
+    | Paged _ | Packed _ ->
+      let a = to_array c in
+      int_region (Array.length a) (elt_width c) (Array.get a)
+  in
+  let blob_region s =
+    match format with
+    | Col1 -> verbatim k_blob s
+    | Col2 ->
+      (* Keep whichever form is smaller; decoders accept both. *)
+      let z = Xsuccinct.Lz.compress s in
+      if String.length z < String.length s then
+        let kind, _, stored, write = verbatim k_blob_lz z in
+        (kind, String.length s, stored, write)
+      else verbatim k_blob s
+  in
+  match find t name with
+  | R_ints c -> column c
+  | R_array a -> int_region (Array.length a) (array_width a) (Array.get a)
+  | R_blob s -> blob_region s
+  | R_file { e; _ } when is_blob_kind e.e_kind -> blob_region (blob t name)
+  | R_file _ -> column (ints t name)
 
 let write ?(page_size = 4096) ?(format = Col1) t path =
   if page_size <= 0 || page_size mod 8 <> 0 then
@@ -717,11 +776,11 @@ let write ?(page_size = 4096) ?(format = Col1) t path =
   let payloads =
     List.map
       (fun name ->
-        let dkind, cnt, data = encode_region format t name in
-        let stored = String.length data in
+        let dkind, cnt, stored, write = encode_region format t name in
         let padded = padded_bytes page_size stored in
-        let b = Bytes.make padded '\000' in
-        Bytes.blit_string data 0 b 0 stored;
+        let b = Bytes.create padded in
+        write b;
+        Bytes.fill b stored (padded - stored) '\000';
         let o = !off in
         off := o + padded;
         (name, dkind, cnt, stored, o, b, checksum_bytes b 0 padded))
@@ -826,7 +885,9 @@ let paged_handle r e : column =
     in
     let ph = parse_packed ~prefix:open_prefix e direct in
     Packed
-      (packed_col ~paged:true ph (fun o l -> read_via_pool r (e.e_off + o) l))
+      (packed_col ~paged:true ph
+         (fun o l -> read_via_pool r (e.e_off + o) l)
+         (fun o l dst -> copy_via_pool r (e.e_off + o) l dst))
   end
 
 let open_file ?(mode = Resident) ?(pool_pages = 256) path =
@@ -927,6 +988,7 @@ let open_file ?(mode = Resident) ?(pool_pages = 256) path =
             })
       in
       let pages = Hashtbl.create 64 in
+      let spare = ref Bytes.empty in
       let r =
         {
           fd;
@@ -935,8 +997,11 @@ let open_file ?(mode = Resident) ?(pool_pages = 256) path =
           pages;
           pool =
             Lru.create
-              ~on_evict:(fun p -> Hashtbl.remove pages p)
+              ~on_evict:(fun p ->
+                Option.iter (fun b -> spare := b) (Hashtbl.find_opt pages p);
+                Hashtbl.remove pages p)
               (match mode with Paged -> max 1 pool_pages | Resident -> 0);
+          spare;
           lock = Mutex.create ();
           reads = 0;
           hits = 0;

@@ -16,17 +16,7 @@ let header_fixed = 16
 let fail name fmt =
   Printf.ksprintf (fun s -> invalid_arg (name ^ ": " ^ s)) fmt
 
-(* Little-endian fixed-width helpers over strings/buffers. *)
-let add_u32 buf v =
-  for i = 0 to 3 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
-
-let add_i64 buf v =
-  for i = 0 to 7 do
-    Buffer.add_char buf (Char.chr ((v lsr (8 * i)) land 0xff))
-  done
-
+(* Little-endian fixed-width helpers over strings. *)
 let get_u32 name s off =
   if off < 0 || off + 4 > String.length s then
     fail name "u32 read at %d out of bounds" off;
@@ -42,43 +32,66 @@ let get_i64 name s off =
   done;
   !v
 
-let encode ?(block = default_block) xs =
+let encoder ?(block = default_block) ~count get =
   if block < 1 || block > max_block then
     invalid_arg
       (Printf.sprintf "Packed.encode: block size %d outside [1, %d]" block
          max_block);
-  let count = Array.length xs in
   if count > 0xFFFF_FFFF then
     invalid_arg "Packed.encode: column too large for u32 header fields";
   let nblocks = (count + block - 1) / block in
-  let data = Buffer.create (count * 2) in
+  (* Sizing pass: block offsets and firsts, and the delta stream's
+     length.  Subtraction wraps mod the int width; decode re-wraps, so
+     the round trip is exact even across min_int/max_int spans. *)
   let offsets = Array.make nblocks 0 in
   let firsts = Array.make nblocks 0 in
+  let data_len = ref 0 in
   for b = 0 to nblocks - 1 do
     let lo = b * block in
     let hi = min count (lo + block) in
-    offsets.(b) <- Buffer.length data;
-    firsts.(b) <- xs.(lo);
+    offsets.(b) <- !data_len;
+    let prev = ref (get lo) in
+    firsts.(b) <- !prev;
     for i = lo + 1 to hi - 1 do
-      (* Subtraction wraps mod the int width; decode re-wraps, so the
-         round trip is exact even across min_int/max_int spans. *)
-      Varint.add_uvarint data (Varint.zigzag (xs.(i) - xs.(i - 1)))
+      let x = get i in
+      data_len := !data_len + Varint.uvarint_size (Varint.zigzag (x - !prev));
+      prev := x
     done
   done;
-  let data_len = Buffer.length data in
+  let data_len = !data_len in
   if data_len > 0xFFFF_FFFF then
     invalid_arg "Packed.encode: delta stream too large for u32 header fields";
-  let out =
-    Buffer.create (header_fixed + (12 * nblocks) + data_len)
+  let data_off = header_fixed + (12 * nblocks) in
+  let write out off =
+    let set_u32 at v = Bytes.set_int32_le out (off + at) (Int32.of_int v) in
+    set_u32 0 count;
+    set_u32 4 block;
+    set_u32 8 nblocks;
+    set_u32 12 data_len;
+    Array.iteri (fun b o -> set_u32 (header_fixed + (4 * b)) o) offsets;
+    (* A first is its 63-bit pattern, the top bit of the 8 bytes clear. *)
+    Array.iteri
+      (fun b f ->
+        Bytes.set_int64_le out
+          (off + header_fixed + (4 * nblocks) + (8 * b))
+          (Int64.logand (Int64.of_int f) Int64.max_int))
+      firsts;
+    let pos = ref (off + data_off) in
+    for b = 0 to nblocks - 1 do
+      let lo = b * block in
+      let hi = min count (lo + block) in
+      for i = lo + 1 to hi - 1 do
+        pos := Varint.set_uvarint out !pos (Varint.zigzag (get i - get (i - 1)))
+      done
+    done
   in
-  add_u32 out count;
-  add_u32 out block;
-  add_u32 out nblocks;
-  add_u32 out data_len;
-  Array.iter (fun o -> add_u32 out o) offsets;
-  Array.iter (fun f -> add_i64 out f) firsts;
-  Buffer.add_buffer out data;
-  Buffer.contents out
+  (data_off + data_len, write)
+
+let encode ?block xs =
+  let size, write = encoder ?block ~count:(Array.length xs) (Array.get xs) in
+  let out = Bytes.create size in
+  write out 0;
+  Bytes.unsafe_to_string out
 
 let parse ~name ~fetch ~length =
   if length < header_fixed then
@@ -146,27 +159,45 @@ let first t b =
     fail t.p_name "skip-table index %d outside [0, %d)" b t.p_nblocks;
   t.p_firsts.(b)
 
-let decode_into t ~fetch b set =
+let block_span t b =
   if b < 0 || b >= t.p_nblocks then
     fail t.p_name "block %d outside [0, %d)" b t.p_nblocks;
-  let lo = b * t.p_block in
-  let n = min t.p_block (t.p_count - lo) in
   let off = t.p_offsets.(b) in
   let next = if b + 1 < t.p_nblocks then t.p_offsets.(b + 1) else t.p_data_len in
-  let len = next - off in
-  let s = if len = 0 then "" else fetch (t.p_data_off + off) len in
+  (t.p_data_off + off, next - off)
+
+(* Block [b]'s elements from its [len] delta bytes at [off] of [s]. *)
+let decode_bytes t b s off len set =
+  let lo = b * t.p_block in
+  let n = min t.p_block (t.p_count - lo) in
+  let x = ref t.p_firsts.(b) in
+  set lo !x;
+  let pos = ref off in
+  for i = 1 to n - 1 do
+    x :=
+      !x
+      + Varint.unzigzag
+          (Varint.uvarint ~name:t.p_name s ~pos ~limit:(off + len));
+    set (lo + i) !x
+  done;
+  if !pos <> off + len then
+    fail t.p_name "block %d has %d trailing delta bytes" b (off + len - !pos)
+
+let decode_into t ~fetch b set =
+  let at, len = block_span t b in
+  let s = if len = 0 then "" else fetch at len in
   if String.length s <> len then
     fail t.p_name "fetch returned %d bytes for block %d's %d-byte range"
       (String.length s) b len;
-  let x = ref t.p_firsts.(b) in
-  set lo !x;
-  let pos = ref 0 in
-  for i = 1 to n - 1 do
-    x := !x + Varint.unzigzag (Varint.uvarint ~name:t.p_name s ~pos ~limit:len);
-    set (lo + i) !x
-  done;
-  if !pos <> len then
-    fail t.p_name "block %d has %d trailing delta bytes" b (len - !pos)
+  decode_bytes t b s 0 len set
+
+let decode_span t b s dst =
+  let _, len = block_span t b in
+  if String.length s < len then
+    fail t.p_name "%d bytes held for block %d's %d-byte range"
+      (String.length s) b len;
+  let lo = b * t.p_block in
+  decode_bytes t b s 0 len (fun i x -> dst.(i - lo) <- x)
 
 let decode_block t ~fetch b =
   if b < 0 || b >= t.p_nblocks then

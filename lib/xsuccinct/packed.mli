@@ -39,6 +39,14 @@ val encode : ?block:int -> int array -> string
     inputs just compress better.  Raises [Invalid_argument] if [block]
     is outside [1, 2^20]. *)
 
+val encoder :
+  ?block:int -> count:int -> (int -> int) -> int * (Bytes.t -> int -> unit)
+(** [encoder ~count get] serializes the column [get 0 .. get (count - 1)]
+    as {!encode} would, without building it: it is the serialized size
+    and a function writing exactly that many bytes into a buffer at an
+    offset.  [get] is called again by the writer.  Raises
+    [Invalid_argument] as {!encode} does. *)
+
 val parse : name:string -> fetch:(int -> int -> string) -> length:int -> t
 (** [parse ~name ~fetch ~length] reads and validates the header of a
     serialized column of [length] total bytes.  [fetch off len] must
@@ -71,6 +79,19 @@ val decode_into :
     does, handing element [i] of the column to [set i x] instead of
     building an array.  Raises [Invalid_argument] as {!decode_block}
     does, possibly after some elements were handed over. *)
+
+val block_span : t -> int -> int * int
+(** [block_span t b] is the offset (relative to the start of the
+    serialized form, as [fetch] takes it) and the length of block [b]'s
+    delta bytes: the one range {!decode_into} fetches for it.  Raises
+    [Invalid_argument] if [b] is out of range. *)
+
+val decode_span : t -> int -> string -> int array -> unit
+(** [decode_span t b s dst] decodes block [b] from its delta bytes,
+    which the caller has put at the front of [s] (see {!block_span}),
+    into [dst.(0)] onwards; [dst] holds at least the block's elements.
+    Nothing is fetched.  Raises [Invalid_argument] as {!decode_block}
+    does. *)
 
 val decode_all : t -> fetch:(int -> int -> string) -> int array
 (** The whole column, decoded block by block. *)

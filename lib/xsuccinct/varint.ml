@@ -13,6 +13,24 @@ let add_uvarint buf v =
     else Buffer.add_char buf (Char.chr (b lor 0x80))
   done
 
+let uvarint_size v =
+  let v = ref (v lsr 7) and n = ref 1 in
+  while !v <> 0 do
+    v := !v lsr 7;
+    incr n
+  done;
+  !n
+
+let set_uvarint b pos v =
+  let v = ref v and p = ref pos in
+  while !v lsr 7 <> 0 do
+    Bytes.set b !p (Char.chr (!v land 0x7f lor 0x80));
+    v := !v lsr 7;
+    incr p
+  done;
+  Bytes.set b !p (Char.chr !v);
+  !p + 1
+
 let uvarint ~name s ~pos ~limit =
   let v = ref 0 and shift = ref 0 and p = ref !pos and fin = ref false in
   while not !fin do

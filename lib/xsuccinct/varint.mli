@@ -15,6 +15,14 @@ val add_uvarint : Buffer.t -> int -> unit
     63-bit two's-complement pattern.  Negative [v] is allowed (it
     encodes the full-width bit pattern, 9 bytes). *)
 
+val uvarint_size : int -> int
+(** Bytes {!add_uvarint} takes for [v]: 1 to 9. *)
+
+val set_uvarint : Bytes.t -> int -> int -> int
+(** [set_uvarint b pos v] writes what {!add_uvarint} appends for [v] at
+    [pos] of [b] and returns the position after it.  The caller has
+    room for {!uvarint_size}[ v] bytes. *)
+
 val uvarint : name:string -> string -> pos:int ref -> limit:int -> int
 (** [uvarint ~name s ~pos ~limit] decodes one varint from [s] starting
     at [!pos], advancing [pos] past it.  Bytes at or beyond [limit] are
