@@ -26,20 +26,23 @@ bench:
 # (BENCH_repl.json).
 # ... and the anti-entropy scrub's overhead on a mixed serving
 # workload (BENCH_scrub.json), and the words a snapshot load allocates
-# and keeps, symbol table included (BENCH_load.json).
+# and keeps, symbol table included (BENCH_load.json), and the page counts
+# of Table 7, Fig. 16(c,d) and the LRU ablation at fixed sizes
+# (BENCH_scorecard.json).
 bench-json:
-	dune exec bench/main.exe -- parallel shard storage server ingest faults repl scrub load
+	dune exec bench/main.exe -- parallel shard storage server ingest faults repl scrub load scorecard
 
 # Perf regression gate: rerun every experiment bench/gate.py gates
-# (parallel, shard, storage, server, repl, scrub, load) at its default
-# (env-tunable) size and hold the results to the checked-in floors in
-# bench/floors.json, diffing each BENCH_*.json against its committed
-# baseline.  Core-count-aware: scaling floors on >=4 cores, parity
-# floors (catching serialization regressions) on smaller boxes; the load
-# layer's memory ceilings hold on any box.  CI runs this target, so the
+# (parallel, shard, storage, server, repl, scrub, load, scorecard) at its
+# default (env-tunable) size and hold the results to the checked-in floors
+# in bench/floors.json, diffing each BENCH_*.json against its committed
+# baseline; the scorecard's counts must equal the committed ones.
+# Core-count-aware: scaling floors on >=4 cores, parity floors (catching
+# serialization regressions) on smaller boxes; the load layer's memory
+# ceilings hold on any box.  CI runs this target, so the
 # list lives here only.
 bench-gate:
-	dune exec bench/main.exe -- parallel shard storage server repl scrub load
+	dune exec bench/main.exe -- parallel shard storage server repl scrub load scorecard
 	python3 bench/gate.py
 
 # Seeded fault-injection torture suite at chaos intensity: many more

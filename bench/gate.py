@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Bench regression gate.
 
-Reads the fresh BENCH_parallel/shard/storage/server/repl/scrub/load.json
-that `make bench-gate` produces, applies the checked-in floors from
+Reads the fresh BENCH_parallel/shard/storage/server/repl/scrub/load/
+scorecard.json that `make bench-gate` produces, applies the checked-in floors from
 bench/floors.json, and diffs the results against the committed
 BENCH_*.json baselines so perf regressions fail loudly instead of
 drifting.
@@ -15,6 +15,12 @@ each build phase and each snapshot save allocate, and the bytes of each
 snapshot.  Those counts do not depend on the machine, so the ceilings
 hold on every core count; they apply when the run used the record count
 they were set for.
+
+The scorecard (BENCH_scorecard.json: the page counts and result sizes
+of Table 7, Fig. 16(c,d) and the LRU ablation at fixed sizes) is held
+exactly to the committed file, value by value, and the storage
+experiment's probe count must be the same on every backing and, at the
+committed record count, equal to the committed one.
 
 Floors are core-count-aware: on a runner with at least
 `min_cores_for_scaling` cores the 'scaling' floors apply (parallelism
@@ -172,6 +178,76 @@ def gate_ceilings(name, fresh_path, cfg, rows, id_key, failures):
                 )
 
 
+def leaves(value, path=""):
+    """Every scalar of a JSON value, keyed by its path."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            yield from leaves(v, f"{path}.{k}" if path else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            yield from leaves(v, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def gate_exact(name, fresh_path, failures):
+    """Hold every value of `fresh_path` exactly to the committed file: for
+    results the code determines (page counts, result sizes), where any
+    change is a change of behaviour to be named, not noise."""
+    fresh = load(fresh_path)
+    base = committed(fresh_path)
+    if base is None:
+        print(f"== {name}: no committed {fresh_path} baseline; nothing to compare")
+        return
+    got, was = dict(leaves(fresh)), dict(leaves(base))
+    moved = [
+        f"{key}: committed {was.get(key)} -> fresh {got.get(key)}"
+        for key in sorted(set(got) | set(was))
+        if got.get(key) != was.get(key)
+    ]
+    print(f"== {name}: {len(was)} values held exactly, {len(moved)} moved")
+    for m in moved:
+        print(f"   {m}")
+        failures.append(f"{name}: {m}")
+
+
+def gate_probes(fresh_path, failures):
+    """Every storage backing runs the same matcher over the same queries,
+    so each must count the same probes; at the committed record count,
+    the committed number."""
+    fresh = load(fresh_path)
+    probes = {run.get("backend"): run.get("probes") for run in fresh.get("runs", [])}
+    print(f"== storage probes: {probes}")
+    if len(set(probes.values())) != 1:
+        failures.append(f"storage: backings count different probes: {probes}")
+    base = committed(fresh_path)
+    if base is None or base.get("records") != fresh.get("records"):
+        print("   no committed baseline at this record count; informational")
+        return
+    want = {run.get("probes") for run in base.get("runs", [])}
+    for backend, got in probes.items():
+        if {got} != want:
+            failures.append(
+                f"storage: {backend} counts {got} probes, committed {sorted(want)}"
+            )
+    # The compressed-paged backing's page reads (the load's statistics
+    # pass plus the batch, through a 64-page pool) repeat exactly run to
+    # run, so they are pinned too.
+    def reads(doc):
+        return next(
+            (run.get("page_reads") for run in doc.get("runs", [])
+             if run.get("backend") == "compressed-paged"),
+            None,
+        )
+
+    was, got = reads(base), reads(fresh)
+    print(f"   compressed-paged page_reads: committed {was} -> fresh {got}")
+    if was != got:
+        failures.append(
+            f"storage: compressed-paged reads {got} pages, committed {was}"
+        )
+
+
 def gate_load(fresh_path, floors_cfg, failures):
     fresh = load(fresh_path)
     gate_ceilings(
@@ -211,6 +287,7 @@ def main():
         "answers_ok",
         failures,
     )
+    gate_probes("BENCH_storage.json", failures)
     gate(
         "server",
         "BENCH_server.json",
@@ -242,6 +319,7 @@ def main():
         failures,
     )
     gate_load("BENCH_load.json", floors_cfg, failures)
+    gate_exact("scorecard", "BENCH_scorecard.json", failures)
     if failures:
         print("\nbench gate FAILED:")
         for f in failures:

@@ -200,12 +200,9 @@ let cold_pages store f =
 (* Table 7: query performance on XMark (Q1–Q3 of Table 4).             *)
 (* ------------------------------------------------------------------ *)
 
-let table7 () =
-  header
-    "Table 7: Q1-Q3 on the XMark-like dataset\n\
-     paper (65k records): Q1 len 6, 1 result, 23 accesses, 0.10s; Q2 len 3, \
-     167, 5, 0.02s; Q3 len 5, 6, 9, 0.07s";
-  let n = n_scaled 20_000 in
+(* Table 7's rows over [n] XMark records, printed as they are measured:
+   (query, result size, pages read from a cold pool). *)
+let table7_at n =
   let docs = Xdatagen.Xmark_gen.generate ~identical_siblings:true n in
   let index = Xseq.build docs in
   let queries =
@@ -226,15 +223,23 @@ let table7 () =
   Printf.printf "%-4s %-13s %-12s %-15s %-9s\n" "" "query length" "result size"
     "# disk accesses" "time (ms)";
   with_paged_snapshot index (fun paged store ->
-      List.iter
+      List.map
         (fun (name, q) ->
           let pat = Xseq.Xpath.parse q in
           let ids, t, pages =
             cold_pages store (fun () -> Xseq.query paged pat)
           in
           Printf.printf "%-4s %-13d %-12d %-15d %-9.2f\n%!" name
-            (Xseq.Pattern.size pat) (List.length ids) pages (ms t))
+            (Xseq.Pattern.size pat) (List.length ids) pages (ms t);
+          (name, List.length ids, pages))
         queries)
+
+let table7 () =
+  header
+    "Table 7: Q1-Q3 on the XMark-like dataset\n\
+     paper (65k records): Q1 len 6, 1 result, 23 accesses, 0.10s; Q2 len 3, \
+     167, 5, 0.02s; Q3 len 5, 6, 9, 0.07s";
+  ignore (table7_at (n_scaled 20_000))
 
 (* ------------------------------------------------------------------ *)
 (* Table 8: DBLP — constraint sequencing vs path and node indexes.     *)
@@ -358,27 +363,22 @@ let fig16b () =
       end)
     [ 2; 4; 6; 8; 10; 12 ]
 
-let fig16cd name ~i =
-  header
-    (Printf.sprintf
-       "%s: I/O cost and query time vs query length (%s identical siblings)\n\
-        paper: index I/O grows with query length (less sharing deep down); \
-        identical siblings cost a large constant factor"
-       name
-       (if i = 0 then "no" else "with"));
+(* Figure 16(c) ([i = 0]) or 16(d) ([i = 25]) over [n] synthetic
+   records, printed as measured: (query length, pages per query). *)
+let fig16cd_at ~i n =
   let params = { Syn.l = 3; f = 5; a = 25; i; p = 40 } in
-  let n = n_scaled 25_000 in
   let docs = Syn.dataset params n in
   let index = Xseq.build docs in
   Printf.printf "(%d records; 4 KiB xseqcol1 pages read from a cold pool)\n" n;
   Printf.printf "%6s %16s %14s\n" "qlen" "pages per query" "time (ms)";
   with_paged_snapshot index (fun paged store ->
-      List.iter
+      List.filter_map
         (fun qlen ->
           let queries =
             queries_of_length ~value_prob:0.0 docs ~qlen ~count:12 ~seed:4
           in
-          if queries <> [] then begin
+          if queries = [] then None
+          else begin
             let total = ref 0.0 and pages = ref 0 in
             List.iter
               (fun q ->
@@ -388,9 +388,20 @@ let fig16cd name ~i =
               queries;
             let k = List.length queries in
             Printf.printf "%6d %16d %14.3f\n%!" qlen (!pages / k)
-              (ms (!total /. float_of_int k))
+              (ms (!total /. float_of_int k));
+            Some (qlen, !pages / k)
           end)
         [ 2; 4; 6; 8; 10; 12 ])
+
+let fig16cd name ~i =
+  header
+    (Printf.sprintf
+       "%s: I/O cost and query time vs query length (%s identical siblings)\n\
+        paper: index I/O grows with query length (less sharing deep down); \
+        identical siblings cost a large constant factor"
+       name
+       (if i = 0 then "no" else "with"));
+  ignore (fig16cd_at ~i (n_scaled 25_000))
 
 let fig16c () = fig16cd "Figure 16(c)" ~i:0
 let fig16d () = fig16cd "Figure 16(d)" ~i:25
@@ -463,18 +474,17 @@ let ablation_weights () =
     [ 1.0; 10.0; 100.0 ]
 
 (* LRU buffer pool: page reads (misses) vs pool size over a query
-   workload, started from a cold pool and kept warm across queries. *)
-let ablation_buffer () =
-  header
-    "Ablation: LRU buffer pool size vs page reads (query workload of 200 \
-     random queries, 4 KiB xseqcol1 pages, pool cold at the start)";
+   workload, started from a cold pool and kept warm across queries.
+   Printed as measured over [n] synthetic records: (pool pages, page
+   reads). *)
+let ablation_buffer_at n =
   let params = { Syn.l = 3; f = 5; a = 25; i = 10; p = 40 } in
-  let n = n_scaled 20_000 in
   let docs = Syn.dataset params n in
   let index = Xseq.build docs in
   let queries = queries_of_length docs ~qlen:5 ~count:200 ~seed:11 in
+  Printf.printf "(%d records)\n" n;
   Printf.printf "%14s %12s %12s\n" "buffer pages" "page reads" "page hits";
-  List.iter
+  List.map
     (fun pool_pages ->
       with_paged_snapshot ~pool_pages index (fun paged store ->
           let hits0 = Xstorage.Store.page_hits store in
@@ -483,8 +493,51 @@ let ablation_buffer () =
                 List.iter (fun q -> ignore (Xseq.query paged q)) queries)
           in
           Printf.printf "%14d %12d %12d\n%!" pool_pages reads
-            (Xstorage.Store.page_hits store - hits0)))
+            (Xstorage.Store.page_hits store - hits0);
+          (pool_pages, reads)))
     [ 16; 64; 256; 1024 ]
+
+let ablation_buffer () =
+  header
+    "Ablation: LRU buffer pool size vs page reads (query workload of 200 \
+     random queries, 4 KiB xseqcol1 pages, pool cold at the start)";
+  ignore (ablation_buffer_at (n_scaled 20_000))
+
+(* The page counts of Table 7, Fig. 16(c,d) and the LRU ablation at
+   fixed sizes that [--scale] does not change, in BENCH_scorecard.json:
+   every value is a count the code determines, so bench/gate.py holds
+   each one exactly to the committed file. *)
+let scorecard () =
+  header
+    "Scorecard: Table 7 (2,000 records), Fig. 16(c,d) (2,500) and the LRU \
+     ablation (2,000) at fixed sizes (see BENCH_scorecard.json)";
+  let t7_n = 2_000 and f16_n = 2_500 and ab_n = 2_000 in
+  let t7 = table7_at t7_n in
+  let f16c = fig16cd_at ~i:0 f16_n in
+  let f16d = fig16cd_at ~i:25 f16_n in
+  let ab = ablation_buffer_at ab_n in
+  let list f rows = String.concat ", " (List.map f rows) in
+  let per_qlen rows =
+    list (fun (q, p) -> Printf.sprintf "{\"qlen\": %d, \"pages\": %d}" q p) rows
+  in
+  write_json "scorecard" (fun oc ->
+      Printf.fprintf oc
+        "{\n  \"table7\": {\"records\": %d, \"queries\": [%s]},\n\
+        \  \"fig16c\": {\"records\": %d, \"pages_per_query\": [%s]},\n\
+        \  \"fig16d\": {\"records\": %d, \"pages_per_query\": [%s]},\n\
+        \  \"ablation_buffer\": {\"records\": %d, \"reads\": [%s]}\n}\n"
+        t7_n
+        (list
+           (fun (q, results, pages) ->
+             Printf.sprintf "{\"query\": %S, \"results\": %d, \"pages\": %d}"
+               q results pages)
+           t7)
+        f16_n (per_qlen f16c) f16_n (per_qlen f16d) ab_n
+        (list
+           (fun (pool, reads) ->
+             Printf.sprintf "{\"pool_pages\": %d, \"page_reads\": %d}" pool
+               reads)
+           ab))
 
 (* The index build broken down by phase, as [xseq index] runs it:
    parse the records' text, build (the phases [Xseq.build] reports),
@@ -2080,6 +2133,7 @@ let experiments =
     ("ablation-sampling", ablation_sampling);
     ("ablation-weights", ablation_weights);
     ("ablation-buffer", ablation_buffer);
+    ("scorecard", scorecard);
     ("ablation-bulk", ablation_bulk);
     ("ablation-valuemode", ablation_valuemode);
     ("load", load_bench);
