@@ -15,8 +15,9 @@ bench:
 
 # Machine-readable benchmarks: parallel build / batched-query throughput
 # (BENCH_parallel.json), probe throughput of the column backings —
-# columnar, paged, compressed resident and paged — and the
-# compressed-paged/columnar latency ratio (BENCH_storage.json),
+# the built index's flat buffers and the compressed (xseqcol2) columns,
+# resident and paged — and the compressed-paged/columnar latency ratio
+# (BENCH_storage.json),
 # query-server throughput/latency with the plan cache A/B'd
 # (BENCH_server.json), the durable ingestion path —
 # fsync batching, query latency under concurrent ingest, recovery time

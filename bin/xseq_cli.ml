@@ -555,7 +555,9 @@ let query_cmd =
           ~doc:
             "When FILE is a saved index, leave its columns on disk and \
              answer through the buffer pool; reports the page reads and \
-             hits since open and, for a single query, that query's own.")
+             hits since open and, for a single query, that query's own.  \
+             xseqcol2 snapshots only: rewrite an xseqcol1 one with \
+             $(b,xseq index) FILE $(b,--compress).")
   in
   let pool_pages =
     Arg.(
@@ -805,8 +807,10 @@ let serve_cmd =
       & info [ "paged" ]
           ~doc:
             "Serve the snapshot off disk through the buffer pool instead \
-             of materialising it in RAM (FILE must be a saved index).  \
-             $(b,Stats) then reports page reads, hits and pool size.")
+             of materialising it in RAM (FILE must be a saved index; \
+             xseqcol2 snapshots only: rewrite an xseqcol1 one with \
+             $(b,xseq index) FILE $(b,--compress)).  $(b,Stats) then \
+             reports page reads, hits and pool size.")
   in
   let pool_pages =
     Arg.(
@@ -1901,13 +1905,12 @@ let index_cmd =
   in
   let run input strategy output compress =
     let t0 = Unix.gettimeofday () in
-    (* A snapshot is loaded and written again: its records are copied
-       from the file, and a version-1 or version-2 file comes out as
-       version 3. *)
+    (* A snapshot is loaded resident (either format) and written again:
+       its records are copied from the file, and a version-1 or
+       version-2 file comes out as version 3. *)
     let index =
       if is_index_file input then
-        guard_snapshot input (fun () ->
-            Xseq.load ~mode:Xstorage.Store.Paged input)
+        guard_snapshot input (fun () -> Xseq.load input)
       else
         Xseq.build ~config:(config_of_strategy strategy) (load_documents input)
     in

@@ -212,9 +212,10 @@ val stats : t -> Xschema.Stats.t option
     decoded through bounds-checked readers, so a corrupt, truncated or
     foreign file is rejected with a diagnostic naming the failure.
 
-    A snapshot opened with [~mode:Paged] answers queries straight off
-    disk: index columns stay in the file and are read page by page
-    through the store's buffer pool. *)
+    An xseqcol2 snapshot opened with [~mode:Paged] answers queries
+    straight off disk: its compressed index columns stay in the file and
+    their blocks are read page by page through the store's buffer pool.
+    An xseqcol1 snapshot does not open paged. *)
 
 val save : ?format:Xstorage.Store.file_format -> t -> string -> unit
 (** [save t path] writes the index to [path] in the
@@ -244,9 +245,11 @@ val load : ?mode:Xstorage.Store.mode -> ?pool_pages:int -> string -> t
 (** [load path] restores a saved index; queries answer exactly as on the
     original.  [mode] (default [Resident]) reads the label columns and
     the document table into memory (compressed snapshots stay
-    compressed, decoding blocks on probe); [Paged] leaves them on disk
-    behind a buffer pool of [pool_pages] pages (default 256).  Every
-    region checksum is checked at open.
+    compressed, decoding blocks on probe); [Paged] leaves an xseqcol2
+    snapshot's columns on disk behind a buffer pool of [pool_pages]
+    pages (default 256), and refuses an xseqcol1 one, naming the
+    rewrite ([xseq index FILE --compress -o NEW]).  Every region
+    checksum is checked at open.
 
     The index's symbol table is the snapshot's dictionary and the
     [gbest] statistics are derived from the document table.  The

@@ -137,8 +137,9 @@ type config = {
   snapshot_mode : Xstorage.Store.mode;
       (** how {!Snapshot} sources (including reload targets) are opened:
           [Resident] (default) materialises the index, [Paged] serves
-          it off disk through the buffer pool — Stats then reports
-          [store.page_reads] / [store.page_hits] / [store.pool_pages] *)
+          an xseqcol2 snapshot off disk through the buffer pool — Stats
+          then reports [store.page_reads] / [store.page_hits] /
+          [store.pool_pages]; an xseqcol1 one fails to open *)
   snapshot_pool_pages : int;
       (** buffer-pool capacity for [Paged] snapshot serving
           (default 256) *)

@@ -75,11 +75,7 @@ type packed_col = {
   p_paged : bool;
 }
 
-type column =
-  | Flat of flat
-  | Paged of { r : reader; off : int; len : int; width : int }
-      (* [width]: bytes an element takes in the file, 4 or 8 *)
-  | Packed of packed_col
+type column = Flat of flat | Packed of packed_col
 
 let flat_of_array a =
   let b =
@@ -98,17 +94,13 @@ let flat_of_array a =
 
 let length = function
   | Flat b -> Bigarray.Array1.dim b
-  | Paged { len; _ } -> len
   | Packed p -> Xsuccinct.Packed.count p.ph
 
-let is_paged = function
-  | Paged _ -> true
-  | Packed p -> p.p_paged
-  | Flat _ -> false
+let is_paged = function Packed p -> p.p_paged | Flat _ -> false
 
 let off_heap_bytes = function
   | Flat b -> 4 * Bigarray.Array1.dim b
-  | Paged _ | Packed _ -> 0
+  | Packed _ -> 0
 
 (* Decoded-block cache: enough slots to hold the hot set of a
    range-restricted binary search (a handful of link lists at a time),
@@ -219,26 +211,9 @@ let read_via_pool r pos len =
     Bytes.unsafe_to_string b
   end
 
-(* The [width]-byte little-endian element at [pos] of [b]. *)
-let element width b pos =
-  if width = 4 then Int32.to_int (Bytes.get_int32_le b pos)
-  else Int64.to_int (Bytes.get_int64_le b pos)
-
 let get c i =
   match c with
   | Flat b -> Int32.to_int (Bigarray.Array1.get b i)
-  | Paged { r; off; len; width } ->
-    if i < 0 || i >= len then invalid_arg "Store.get: index out of bounds";
-    let byte = off + (i * width) in
-    let page = byte / r.r_page_size in
-    Mutex.lock r.lock;
-    (match element width (page_locked r page) (byte - (page * r.r_page_size)) with
-     | v ->
-       Mutex.unlock r.lock;
-       v
-     | exception e ->
-       Mutex.unlock r.lock;
-       raise e)
   | Packed p ->
     if i < 0 || i >= Xsuccinct.Packed.count p.ph then
       invalid_arg "Store.get: index out of bounds";
@@ -258,7 +233,7 @@ let get c i =
    decoded there, as after the same reads through [get]. *)
 let scan c f =
   match c with
-  | Flat _ | Paged _ -> f (get c)
+  | Flat _ -> f (get c)
   | Packed p ->
     let count = Xsuccinct.Packed.count p.ph in
     let bs = Xsuccinct.Packed.block_size p.ph in
@@ -311,7 +286,6 @@ let to_array c =
   | Flat b ->
     Array.init (Bigarray.Array1.dim b) (fun i ->
         Int32.to_int (Bigarray.Array1.get b i))
-  | Paged { len; _ } -> Array.init len (fun i -> get c i)
   | Packed p -> Xsuccinct.Packed.decode_all p.ph ~fetch:p.p_fetch
 
 (* --- stores ------------------------------------------------------------- *)
@@ -515,7 +489,9 @@ let stream_ints r e set =
   let w = elt_bytes e.e_kind in
   stream_region ~prefix:read_prefix r e ~buf:(chunk_for e) (fun buf at n ->
       for k = 0 to (n / w) - 1 do
-        set ((at / w) + k) (element w buf (w * k))
+        set ((at / w) + k)
+          (if w = 4 then Int32.to_int (Bytes.get_int32_le buf (4 * k))
+           else Int64.to_int (Bytes.get_int64_le buf (8 * k)))
       done)
 
 (* An xseqcol2 int region's header, over the stored bytes read into
@@ -603,9 +579,9 @@ let elements t name =
       fun set ->
         match c with
         | Packed p -> iter_packed p.ph p.p_fetch set
-        | Flat _ | Paged _ ->
-          for i = 0 to length c - 1 do
-            set i (get c i)
+        | Flat b ->
+          for i = 0 to Bigarray.Array1.dim b - 1 do
+            set i (Int32.to_int (Bigarray.Array1.unsafe_get b i))
           done )
   | R_array a -> (Array.length a, fun set -> Array.iteri set a)
   | R_file { r; e; handle = None } when not (is_blob_kind e.e_kind) ->
@@ -689,8 +665,8 @@ let width_of n get =
   if narrow 0 then 4 else 8
 
 let elt_width = function
-  | Flat _ | Paged { width = 4; _ } -> 4
-  | c -> width_of (length c) (get c)
+  | Flat _ -> 4
+  | Packed _ as c -> width_of (length c) (get c)
 
 let array_width a = width_of (Array.length a) (Array.get a)
 
@@ -741,7 +717,7 @@ let encode_region format t name =
     | Flat b ->
       int_region (length c) (elt_width c) (fun i ->
           Int32.to_int (Bigarray.Array1.get b i))
-    | Paged _ | Packed _ ->
+    | Packed _ ->
       let a = to_array c in
       int_region (Array.length a) (elt_width c) (Array.get a)
   in
@@ -869,26 +845,22 @@ let close_reader r =
     try Unix.close r.fd with Unix.Unix_error _ -> ()
   end
 
-(* The handle a paged int region keeps: probes read its pages through
-   the buffer pool.  A packed column's header is parsed here, once,
-   straight from the file. *)
+(* The handle a paged int region (an xseqcol2 column, the only kind a
+   paged store holds) keeps: its header is parsed here, once, straight
+   from the file, and probes fetch its delta blocks through the buffer
+   pool. *)
 let paged_handle r e : column =
-  if is_raw_ints e.e_kind then
-    Paged { r; off = e.e_off; len = e.e_count; width = elt_bytes e.e_kind }
-  else begin
-    let direct o l =
-      let b = Bytes.create l in
-      (try Mutex.protect r.lock (fun () -> input_at r (e.e_off + o) b 0 l)
-       with End_of_file ->
-         fail "truncated file (region %S cut short)" e.e_name);
-      Bytes.unsafe_to_string b
-    in
-    let ph = parse_packed ~prefix:open_prefix e direct in
-    Packed
-      (packed_col ~paged:true ph
-         (fun o l -> read_via_pool r (e.e_off + o) l)
-         (fun o l dst -> copy_via_pool r (e.e_off + o) l dst))
-  end
+  let direct o l =
+    let b = Bytes.create l in
+    (try Mutex.protect r.lock (fun () -> input_at r (e.e_off + o) b 0 l)
+     with End_of_file -> fail "truncated file (region %S cut short)" e.e_name);
+    Bytes.unsafe_to_string b
+  in
+  let ph = parse_packed ~prefix:open_prefix e direct in
+  Packed
+    (packed_col ~paged:true ph
+       (fun o l -> read_via_pool r (e.e_off + o) l)
+       (fun o l dst -> copy_via_pool r (e.e_off + o) l dst))
 
 let open_file ?(mode = Resident) ?(pool_pages = 256) path =
   (* The open is routed through {!Xfault.Io} (so schedules can refuse or
@@ -910,6 +882,11 @@ let open_file ?(mode = Resident) ?(pool_pages = 256) path =
         | s when String.equal s magic_packed -> Col2
         | _ -> fail "bad magic (not an xseq columnar snapshot)"
       in
+      if format = Col1 && mode = Paged then
+        fail
+          "an xseqcol1 snapshot cannot be opened paged; rewrite it as xseqcol2 \
+           with `xseq index %s --compress -o NEW`"
+          path;
       let version = Int32.to_int (Bytes.get_int32_le header_prefix 8) in
       if version <> format_version then
         fail "unsupported version %d (this build reads version %d)" version
@@ -1024,8 +1001,11 @@ let open_file ?(mode = Resident) ?(pool_pages = 256) path =
       List.iter
         (fun e ->
           stream_region ~prefix:open_prefix r e ~buf:scratch (fun _ _ _ -> ());
+          (* A raw int region of an xseqcol2 file (never written, but
+             readable) is read into memory; only packed columns page. *)
           let handle =
             match mode with
+            | Paged when is_raw_ints e.e_kind -> Some (read_ints r e)
             | Paged when not (is_blob_kind e.e_kind) -> Some (paged_handle r e)
             | Paged | Resident -> None
           in

@@ -3,7 +3,7 @@
     One format for memory and disk, and the only place page I/O is
     counted: an index is a bag of named {e regions} — typed int columns
     (32- or 64-bit little-endian elements on disk) and raw byte blobs —
-    laid out page-aligned.  The same column handle serves three physical
+    laid out page-aligned.  The same column handle serves two physical
     representations:
 
     - {b Flat}: an unboxed [int32] [Bigarray] buffer outside the OCaml
@@ -13,13 +13,17 @@
       4-byte elements are copied in as they are, and 8-byte ones (older
       files, or a region with a wider value) are narrowed as they are
       read;
-    - {b Paged}: a region of an open snapshot file, read on demand through
-      a real buffer pool (page cache + {!Lru} eviction), so queries
-      can run straight off disk without materialising the column;
     - {b Packed}: a delta+varint compressed column ([Xsuccinct.Packed])
       probed in compressed form — resident skip tables, blocks decoded
       on demand through a small lock-free cache, block bytes served
-      from memory or through the same buffer pool.
+      from memory or, for a [Paged] store, straight off disk through a
+      real buffer pool (page cache + {!Lru} eviction), so queries run
+      without materialising the column.
+
+    A built index's columns are flat, and so are the columns a
+    [Resident] store reads from an xseqcol1 file; an xseqcol2 file gives
+    packed ones, resident or paged.  Only an xseqcol2 file opens
+    [Paged].
 
     {2 File format (version 1)}
 
@@ -73,7 +77,8 @@
     in memory (skip tables plus delta bytes) and decodes blocks on
     probe; a [Paged] store leaves the delta bytes on disk behind the
     buffer pool, so the resident cost of a column is its skip tables
-    plus the decoded-block cache.
+    plus the decoded-block cache.  A probe that finds its block decoded
+    takes no lock; a block fetch through the pool does.
 
     {2 What an open file store holds}
 
@@ -92,9 +97,10 @@
 
     The file backend reads whole pages ({!open_file}'s [page_size] is
     fixed at write time), caches up to [pool_pages] of them under LRU
-    eviction, and counts hits and misses ({!page_reads} / {!page_hits}).
-    Page fetches are serialised by a mutex, so a paged store may be shared
-    across domains (reads are otherwise pure). *)
+    eviction, and counts hits and misses ({!page_reads} / {!page_hits}):
+    a block fetch requests each page its bytes span once.  Page fetches
+    are serialised by a mutex, so a paged store may be shared across
+    domains (reads are otherwise pure). *)
 
 type column
 (** A handle to an int column, independent of its physical backing. *)
@@ -118,15 +124,15 @@ val scan : column -> ((int -> int) -> 'a) -> 'a
     Reading backwards is not an error, but may decode a block again. *)
 
 val to_array : column -> int array
-(** Materialises the column (reads a paged column in full). *)
+(** Materialises the column (decodes a compressed column in full). *)
 
 val is_paged : column -> bool
-(** True when probes may touch the file (a Paged column, or a Packed
-    column whose delta blocks live behind the buffer pool). *)
+(** True when probes may touch the file: a compressed column whose delta
+    blocks live behind the buffer pool. *)
 
 val off_heap_bytes : column -> int
 (** Bytes the column keeps outside the OCaml heap: four an element for a
-    flat buffer, 0 for a paged or compressed column. *)
+    flat buffer, 0 for a compressed column. *)
 
 (** {1 Stores} *)
 
@@ -155,7 +161,7 @@ val add_blob : t -> string -> string -> unit
 val ints : t -> string -> column
 (** Looks a column region up by name.  A memory store hands back the
     column it was given, or a staged array copied into a fresh flat
-    buffer; a [Paged] file store hands back its paged handle.  A
+    buffer; a [Paged] file store hands back its compressed handle.  A
     [Resident] file store reads the region from the file on every call,
     checks its checksum and returns a fresh in-memory column (a 32-bit
     flat buffer for xseqcol1, a still-compressed column for xseqcol2)
@@ -250,7 +256,9 @@ type mode =
   | Resident
       (** {!ints} reads a region into memory when called: a 32-bit flat
           buffer for xseqcol1, a still-compressed column for xseqcol2 *)
-  | Paged  (** leave int columns on disk behind the buffer pool *)
+  | Paged
+      (** leave an xseqcol2 file's compressed int columns on disk behind
+          the buffer pool; an xseqcol1 file does not open [Paged] *)
 
 val open_file : ?mode:mode -> ?pool_pages:int -> string -> t
 (** [open_file path] validates the header and table of contents, streams
@@ -260,7 +268,9 @@ val open_file : ?mode:mode -> ?pool_pages:int -> string -> t
 
     @raise Invalid_argument naming the failure: bad magic, unsupported
     version, header or region checksum mismatch, truncated file,
-    malformed table of contents. *)
+    malformed table of contents; and for an xseqcol1 file opened
+    [Paged], naming the rewrite that makes it pageable
+    ([xseq index FILE --compress -o NEW]). *)
 
 (** {1 Introspection} *)
 

@@ -129,7 +129,7 @@ let resaves =
   let open Xstorage.Store in
   [
     (Col1, Resident, Col2);
-    (Col1, Paged, Col1);
+    (Col1, Resident, Col1);
     (Col2, Resident, Col2);
     (Col2, Paged, Col2);
   ]

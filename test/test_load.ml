@@ -19,6 +19,16 @@ let with_temp_file f =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
+(* The modes a snapshot of [format] opens in: only an xseqcol2 file
+   pages. *)
+let modes = function
+  | Store.Col1 -> [ Store.Resident ]
+  | Store.Col2 -> [ Store.Resident; Store.Paged ]
+
+let format_of file =
+  let s = Store.open_file file in
+  Fun.protect ~finally:(fun () -> Store.close s) (fun () -> Store.file_format s)
+
 (* --- statistics oracle ---------------------------------------------------- *)
 
 type corpus = Synthetic | Dblp | Xmark | Dblp_text
@@ -155,17 +165,20 @@ let test_compiled_sequences () =
         (fun format ->
           Xseq.save ~format index path;
           List.iter
-            (fun (mode_name, mode) ->
+            (fun mode ->
               let loaded = Xseq.load ~mode path in
               List.iter2
                 (fun q w ->
                   if compile loaded q <> w then
                     Alcotest.failf "%s %s: %s compiles differently"
-                      (Store.format_name format) mode_name
+                      (Store.format_name format)
+                      (match mode with
+                       | Store.Resident -> "resident"
+                       | Store.Paged -> "paged")
                       (Xquery.Pattern.to_string q))
                 queries want;
               Option.iter Store.close (Xseq.backing_store loaded))
-            [ ("resident", Store.Resident); ("paged", Store.Paged) ])
+            (modes format))
         [ Store.Col1; Store.Col2 ])
 
 (* --- one symbol table per index -------------------------------------------- *)
@@ -376,7 +389,7 @@ let test_v2_snapshots () =
               Alcotest.(check (list string)) (file ^ " re-saved without them")
                 [] (has_regions path retired_regions));
           Store.close store)
-        [ Store.Resident; Store.Paged ])
+        (modes (format_of file)))
     v2_snapshots
 
 let snapshot_version file =
@@ -435,7 +448,7 @@ let test_v2_resaved_as_v3 () =
                 queries;
               Option.iter Store.close (Xseq.backing_store again));
           Store.close store)
-        [ Store.Resident; Store.Paged ];
+        (modes (format_of file));
       Option.iter Store.close (Xseq.backing_store original))
     v2_snapshots
 
@@ -516,7 +529,7 @@ let test_save_verbatim () =
                     (Store.format_name format ^ " reproduced")
                     true
                     (String.equal (read_file original) (read_file copy)))
-                [ Store.Resident; Store.Paged ])
+                (modes format))
             [ Store.Col1; Store.Col2 ]))
 
 let live_words () =
@@ -613,7 +626,6 @@ let test_records_outlive_the_file () =
       Option.iter Store.close (Xseq.backing_store loaded))
     [
       (Store.Col1, Store.Resident);
-      (Store.Col1, Store.Paged);
       (Store.Col2, Store.Resident);
       (Store.Col2, Store.Paged);
     ]
@@ -656,9 +668,9 @@ let write_legacy ~format index path =
       Store.write ~page_size:(Store.page_size src) ~format legacy path;
       Store.close src)
 
-(* A legacy-layout snapshot loads in both formats and both modes and
-   answers id-for-id like the in-memory index; saving it again writes
-   the current layout. *)
+(* A legacy-layout snapshot loads in both formats, and in both modes
+   where the format pages, and answers id-for-id like the in-memory
+   index; saving it again writes the current layout. *)
 let test_legacy_layout () =
   let corpora =
     [
@@ -700,7 +712,7 @@ let test_legacy_layout () =
                       Alcotest.(check int) "re-save writes a 1-field meta" 1
                         (Store.length (Store.ints s "meta")));
                   Option.iter Store.close (Xseq.backing_store loaded))
-                [ Store.Resident; Store.Paged ])
+                (modes format))
             [ Store.Col1; Store.Col2 ]))
     corpora
 
@@ -730,7 +742,7 @@ let test_failed_loads_close () =
             let store = Store.memory () in
             fill store;
             Store.add_blob store "docs" "";
-            Store.write store path;
+            Store.write ~format:Store.Col2 store path;
             let before = open_fds () in
             for _ = 1 to 500 do
               match Xseq.load ~mode:Store.Paged path with
@@ -739,6 +751,32 @@ let test_failed_loads_close () =
             done;
             Alcotest.(check int) "no descriptor leaked" before (open_fds ()))
           bad_files)
+
+(* An xseqcol1 file does not open paged: the open fails naming the
+   rewrite that makes it pageable, and closes the file it opened. *)
+let test_paged_col1_refused () =
+  with_temp_file (fun path ->
+      Xseq.save (Xseq.build (Xdatagen.Dblp_gen.generate ~seed:4 20)) path;
+      let refusal =
+        Printf.sprintf
+          "Store.open_file: an xseqcol1 snapshot cannot be opened paged; \
+           rewrite it as xseqcol2 with `xseq index %s --compress -o NEW`"
+          path
+      in
+      let attempt () =
+        match Xseq.load ~mode:Store.Paged path with
+        | _ -> Alcotest.fail "an xseqcol1 snapshot opened paged"
+        | exception Invalid_argument msg ->
+          Alcotest.(check string) "the refusal names the fix" refusal msg
+      in
+      attempt ();
+      if Sys.file_exists "/proc/self/fd" then begin
+        let before = open_fds () in
+        for _ = 1 to 500 do
+          attempt ()
+        done;
+        Alcotest.(check int) "no descriptor leaked" before (open_fds ())
+      end)
 
 (* A loaded index keeps its file open until it is dropped: the store's
    finaliser closes the descriptor.  Loading and dropping one snapshot
@@ -908,6 +946,8 @@ let () =
             test_dropped_loads_close;
           Alcotest.test_case "failed paged loads close their store" `Quick
             test_failed_loads_close;
+          Alcotest.test_case "xseqcol1 paged loads are refused" `Quick
+            test_paged_col1_refused;
         ] );
       ( "allocation",
         [

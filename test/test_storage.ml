@@ -1,5 +1,5 @@
 (* The pager — Store's buffer pool: its LRU eviction policy
-   (Xstorage.Lru) and the page accounting of paged columns. *)
+   (Xstorage.Lru) and the page accounting of paged (xseqcol2) columns. *)
 
 module Lru = Xstorage.Lru
 module Store = Xstorage.Store
@@ -42,14 +42,16 @@ let test_lru_recency_update () =
   Alcotest.(check bool) "refreshed page hits" true (Lru.access l 0);
   Alcotest.(check bool) "evicted page misses" false (Lru.access l 1)
 
-(* Element [i] of a test column.  A [wide] column needs 64 bits, so the
-   writer keeps 8-byte elements (two per 16-byte page); a narrow one
-   fits in 32 bits and is written at four bytes (four per page). *)
-let value ~wide i = if wide then (i * 10) + (1 lsl 40) else i * 10
-let per_page ~wide = if wide then 2 else 4
+(* Element [i] of a test column.  A [wide] column needs 64 bits and
+   its deltas take five varint bytes; a narrow one fits in 32 bits and
+   its deltas take one.  Either way a paged column is an xseqcol2 one:
+   its delta blocks stay in the file and come through the pool. *)
+let value ~wide i = if wide then (i * (1 lsl 33)) + (1 lsl 40) else i * 10
 
 (* A paged store over one int column of [n] elements with 16-byte pages,
-   in a temporary file. *)
+   in a temporary file, a pool that never evicts, and for each block of
+   the column the file pages its delta bytes span (none for a block of
+   one element, which the skip table holds). *)
 let with_paged ~wide n f =
   let path = Filename.temp_file "xseq_pager" ".bin" in
   Fun.protect
@@ -57,40 +59,82 @@ let with_paged ~wide n f =
     (fun () ->
       let s = Store.memory () in
       Store.add_int_array s "col" (Array.init n (value ~wide));
-      Store.write ~page_size:16 s path;
+      Store.write ~page_size:16 ~format:Store.Col2 s path;
       let s = Store.open_file ~mode:Store.Paged ~pool_pages:1_000 path in
+      let r = List.find (fun r -> r.Store.r_name = "col") (Store.regions s) in
+      let data =
+        In_channel.with_open_bin path (fun ic ->
+            In_channel.seek ic (Int64.of_int r.Store.r_offset);
+            Option.get (In_channel.really_input_string ic r.Store.r_stored))
+      in
+      let ph =
+        Xsuccinct.Packed.parse ~name:"col" ~fetch:(String.sub data)
+          ~length:r.Store.r_stored
+      in
+      let pages b =
+        let at, len = Xsuccinct.Packed.block_span ph b in
+        let first = (r.Store.r_offset + at) / 16 in
+        let last = (r.Store.r_offset + at + len - 1) / 16 in
+        List.init (if len = 0 then 0 else last - first + 1) (fun k -> first + k)
+      in
       Fun.protect
         ~finally:(fun () -> Store.close s)
-        (fun () -> f s (Store.ints s "col")))
+        (fun () ->
+          f s (Store.ints s "col") (Xsuccinct.Packed.block_size ph)
+            (Array.init (Xsuccinct.Packed.nblocks ph) pages)))
+
+(* The pool requests and the distinct pages a trace of element reads
+   fetches: every element but a block's first (a skip pointer) needs its
+   block, fetched once into the decoded-block cache (which holds every
+   block of these columns) and requested page by page from the pool. *)
+let fetches bs spans trace =
+  let fetched = Hashtbl.create 8 in
+  List.fold_left
+    (fun (requests, pages) i ->
+      let b = i / bs in
+      if i mod bs = 0 || Hashtbl.mem fetched b then (requests, pages)
+      else begin
+        Hashtbl.add fetched b ();
+        (requests + List.length spans.(b), spans.(b) @ pages)
+      end)
+    (0, []) trace
 
 let test_touch_counting ~wide () =
-  let k = per_page ~wide in
-  with_paged ~wide 8 (fun s col ->
-      (* elements 0 and k - 1 share page 0; element k is on page 1 *)
+  with_paged ~wide 512 (fun s col bs spans ->
+      (* The last page of block 0 is the first of block 1. *)
+      let last0 = List.nth spans.(0) (List.length spans.(0) - 1) in
+      Alcotest.(check int) "blocks 0 and 1 share a page" last0
+        (List.hd spans.(1));
+      (* A skip pointer reads nothing, element 1 fetches block 0, element
+         2 finds it decoded, element bs + 1 fetches block 1. *)
       List.iter
-        (fun i ->
-          Alcotest.(check int) "element" (value ~wide i) (Store.get col i))
-        [ 0; k - 1; k ];
-      Alcotest.(check int) "two distinct pages read" 2 (Store.page_reads s);
+        (fun (i, reads) ->
+          Alcotest.(check int) "element" (value ~wide i) (Store.get col i);
+          Alcotest.(check int)
+            (Printf.sprintf "pages read after element %d" i)
+            reads (Store.page_reads s))
+        [
+          (0, 0);
+          (1, List.length spans.(0));
+          (2, List.length spans.(0));
+          (bs + 1, List.length spans.(0) + List.length spans.(1) - 1);
+        ];
       Alcotest.(check int) "the shared page hits" 1 (Store.page_hits s))
 
 (* Property: over any trace of element reads, with a pool that never
-   evicts, page reads are exactly the distinct pages touched and reads
-   plus hits are exactly the reads issued. *)
+   evicts, page reads are exactly the distinct pages of the blocks
+   fetched, and reads plus hits are exactly the pool's page requests. *)
 let prop_accounting ~wide name =
   QCheck.Test.make ~name ~count:100
-    QCheck.(list (int_bound 63))
+    QCheck.(list (int_bound 1023))
     (fun trace ->
-      with_paged ~wide 64 (fun s col ->
+      with_paged ~wide 1024 (fun s col bs spans ->
           List.iter
             (fun i -> assert (Store.get col i = value ~wide i))
             trace;
-          let distinct =
-            List.sort_uniq Stdlib.compare
-              (List.map (fun i -> i / per_page ~wide) trace)
-          in
-          Store.page_reads s = List.length distinct
-          && Store.page_reads s + Store.page_hits s = List.length trace))
+          let requests, pages = fetches bs spans trace in
+          Store.page_reads s = List.length (List.sort_uniq compare pages)
+          && Store.page_reads s + Store.page_hits s = requests))
 
 let () =
   Alcotest.run "storage"
