@@ -1,4 +1,4 @@
-(* Paths, constraints, strategies, encoder/decoder, Prüfer codes. *)
+(* Paths, constraints, strategies, encoder/decoder. *)
 
 module T = Xmlcore.Xml_tree
 module Symtab = Sequencing.Symtab
@@ -690,30 +690,6 @@ let prop_text_mode_roundtrip =
   QCheck.Test.make ~name:"text mode sequences valid" ~count:200 arb_tree (fun t ->
       C.is_valid sy (Enc.encode sy ~value_mode:Enc.Text ~strategy:S.Depth_first t))
 
-(* --- Prüfer -------------------------------------------------------------- *)
-
-let test_prufer_example () =
-  (* A 6-node tree: the code has length 5 and mentions only internal
-     nodes. *)
-  let t = e "P" [ e "R" []; e "D" [ e "L" [] ]; e "D" [ e "M" [] ] ] in
-  let code = Sequencing.Prufer.encode t in
-  Alcotest.(check int) "length n-1" 5 (Array.length code.parents);
-  Alcotest.(check int) "tags" 6 (Array.length code.tags);
-  Alcotest.(check bool) "roundtrip" true
-    (T.equal (Sequencing.Prufer.decode code) t);
-  Alcotest.(check bool) "to_string shape" true
-    (String.length (Sequencing.Prufer.to_string code) > 2)
-
-let test_prufer_single () =
-  let t = e "P" [] in
-  let code = Sequencing.Prufer.encode t in
-  Alcotest.(check int) "empty code" 0 (Array.length code.parents);
-  Alcotest.(check bool) "roundtrip" true (T.equal (Sequencing.Prufer.decode code) t)
-
-let prop_prufer_roundtrip =
-  QCheck.Test.make ~name:"prüfer roundtrip is exact" ~count:300 arb_tree (fun t ->
-      T.equal (Sequencing.Prufer.decode (Sequencing.Prufer.encode t)) t)
-
 let () =
   Alcotest.run "sequencing"
     [
@@ -757,17 +733,12 @@ let () =
           Alcotest.test_case "df exact" `Quick test_decode_exact_df;
           Alcotest.test_case "invalid input" `Quick test_decode_invalid;
         ] );
-      ( "prüfer",
-        [
-          Alcotest.test_case "example" `Quick test_prufer_example;
-          Alcotest.test_case "single node" `Quick test_prufer_single;
-        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           (List.concat_map
              (fun (name, s) ->
                [ prop_valid name s; prop_roundtrip name s; prop_multiset name s ])
              strategies
-          @ [ prop_ident_still_valid; prop_text_mode_roundtrip; prop_prufer_roundtrip ])
+          @ [ prop_ident_still_valid; prop_text_mode_roundtrip ])
       );
     ]
