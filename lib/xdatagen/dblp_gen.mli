@@ -11,6 +11,3 @@
 
 val generate : ?seed:int -> int -> Xmlcore.Xml_tree.t array
 (** [generate n] draws [n] records.  Deterministic in (seed, n). *)
-
-val author_pool_size : int
-(** Number of distinct author names the generator draws from. *)

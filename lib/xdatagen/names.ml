@@ -50,21 +50,6 @@ let countries =
     "Sweden"; "Switzerland"; "Korea"; "Mexico";
   |]
 
-let us_states =
-  [|
-    "Alabama"; "Alaska"; "Arizona"; "Arkansas"; "California"; "Colorado";
-    "Connecticut"; "Delaware"; "Florida"; "Georgia"; "Hawaii"; "Idaho";
-    "Illinois"; "Indiana"; "Iowa"; "Kansas"; "Kentucky"; "Louisiana";
-    "Maine"; "Maryland"; "Massachusetts"; "Michigan"; "Minnesota";
-    "Mississippi"; "Missouri"; "Montana"; "Nebraska"; "Nevada";
-    "NewHampshire"; "NewJersey"; "NewMexico"; "NewYork"; "NorthCarolina";
-    "NorthDakota"; "Ohio"; "Oklahoma"; "Oregon"; "Pennsylvania";
-    "RhodeIsland"; "SouthCarolina"; "SouthDakota"; "Tennessee"; "Texas";
-    "Utah"; "Vermont"; "Virginia"; "Washington"; "WestVirginia";
-    "Wisconsin"; "Wyoming"; "PuertoRico"; "Guam"; "AmericanSamoa";
-    "USVirginIslands"; "DistrictOfColumbia";
-  |]
-
 let journals =
   [|
     "TODS"; "VLDBJ"; "TKDE"; "SIGMOD Record"; "Information Systems";

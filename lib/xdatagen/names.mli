@@ -11,7 +11,6 @@ val cities : string array
 val countries : string array
 (** Includes ["United States"], which XMark makes frequent. *)
 
-val us_states : string array
 val journals : string array
 val conferences : string array
 val categories : string array

@@ -24,10 +24,4 @@ val generate :
 (** [generate ~opts docs n] draws [n] patterns.  Deterministic in
     (seed, opts, docs). *)
 
-val exact_of_doc :
-  ?wide:bool ->
-  rng:Random.State.t ->
-  size:int ->
-  Xmlcore.Xml_tree.t ->
-  Xquery.Pattern.t
 (** One exact (no wildcard) random sub-pattern of a single document. *)

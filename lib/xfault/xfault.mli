@@ -71,7 +71,6 @@ exception Crashed
     as a corpse: abandon it and recover from disk. *)
 
 val op_to_string : op -> string
-val fault_to_string : fault -> string
 
 val schedule_to_string : schedule -> string
 (** One line, machine-readable enough to paste into a regression test:

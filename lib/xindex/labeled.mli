@@ -97,9 +97,6 @@ val link_post : link -> int -> int
 val link_up : link -> int -> int
 (** Link position of the nearest same-encoding proper ancestor, or -1. *)
 
-val link_floor : link -> int -> int
-(** Largest position with [pre <= x], or -1. *)
-
 val link_same_desc : link -> int -> bool
 (** Whether the entry at this position has a same-encoding descendant —
     i.e. whether it "embeds identical siblings" in the sense of

@@ -7,7 +7,7 @@
 
     {v
       offset  size  field
-      0       4     payload length u32 LE  (1 .. max_record)
+      0       4     payload length u32 LE  (1 .. 16 MiB)
       4       8     checksum u64 LE — FNV-1a 64 of the payload bytes
       12      len   payload
     v}
@@ -39,15 +39,13 @@ type op =
 val magic : string
 (** ["xlogwal1"]. *)
 
-val max_record : int
-(** Upper bound on an encoded payload (matches the server frame cap). *)
-
 val encode_op : op -> string
 (** Payload bytes for one operation (no header). *)
 
 val encode_record : op -> string
 (** Full record: length + checksum header followed by the payload.
-    @raise Invalid_argument if the payload exceeds {!max_record}. *)
+    @raise Invalid_argument if the payload exceeds 16 MiB (the server
+    frame cap). *)
 
 val decode_op : string -> (op, string) result
 (** Decodes one payload.  Total: every byte participates, trailing

@@ -1,4 +1,3 @@
-module T = Xmlcore.Xml_tree
 
 type axis = Child | Descendant
 type test = Tag of string | Star | Text of string | Text_prefix of string
@@ -8,16 +7,6 @@ let elt ?(axis = Child) name children = { test = Tag name; axis; children }
 let star ?(axis = Child) children = { test = Star; axis; children }
 let text ?(axis = Child) s = { test = Text s; axis; children = [] }
 let text_prefix ?(axis = Child) s = { test = Text_prefix s; axis; children = [] }
-
-let rec of_tree ?(axis = Child) tree =
-  match tree with
-  | T.Value s -> { test = Text s; axis; children = [] }
-  | T.Element (d, cs) ->
-    {
-      test = Tag d;
-      axis;
-      children = List.map (of_tree ~axis:Child) cs;
-    }
 
 let rec size p = List.fold_left (fun n c -> n + size c) 1 p.children
 

@@ -34,10 +34,6 @@ val text : ?axis:axis -> string -> t
 
 val text_prefix : ?axis:axis -> string -> t
 
-val of_tree : ?axis:axis -> Xmlcore.Xml_tree.t -> t
-(** The exact pattern of a document subtree (all edges [Child], values
-    become {!Text} leaves).  [axis] applies to the root step. *)
-
 val size : t -> int
 (** Number of pattern nodes — the paper's "query length". *)
 

@@ -95,7 +95,6 @@ module Node = struct
     mutable reseed_req : bool;
         (* a repair (scrub quarantine, operator) asked for a full
            re-seed from the primary before the next subscription *)
-    mutable reseeds : int;  (* completed snapshot installs *)
     mutable stop_flag : bool;
     mutable thread : Thread.t option;
     mutable sub_fd : Unix.file_descr option;
@@ -134,7 +133,6 @@ module Node = struct
         watermark = (0, Xlog.Wal.start_position);
         err = None;
         reseed_req = false;
-        reseeds = 0;
         stop_flag = false;
         thread = None;
         sub_fd = None;
@@ -160,7 +158,6 @@ module Node = struct
     in
     t.lag <- (max 0 (pn - Xlog.next_id t.log), bytes)
   let last_error t = locked t (fun () -> t.err)
-  let reseeds t = locked t (fun () -> t.reseeds)
   let request_reseed t = locked t (fun () -> t.reseed_req <- true)
 
   let leader_hint t =
@@ -426,9 +423,7 @@ module Node = struct
             | _bytes -> (
               match Xlog.reseed t.log with
               | Ok () ->
-                locked t (fun () ->
-                    t.reseeds <- t.reseeds + 1;
-                    t.err <- None);
+                locked t (fun () -> t.err <- None);
                 Ok ()
               | Error m -> Error ("reseed install: " ^ m))))
 

@@ -115,12 +115,4 @@ module Node : sig
       repair hook: a quarantined region that re-verification cannot
       clear is healed by re-fetching the whole checkpoint.  No-op on a
       primary (the flag is consumed only while following). *)
-
-  val reseeds : t -> int
-  (** Completed snapshot installs over this node's lifetime.  A
-      follower whose subscription position was pruned by the primary
-      (or that was asked via {!request_reseed}) streams the primary's
-      latest checkpoint ({!Xserver.Client.fetch_snapshot}), installs
-      it atomically ({!Xlog.reseed}) and resumes WAL tailing from the
-      snapshot cut — this counts those round trips. *)
 end

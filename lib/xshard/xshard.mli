@@ -58,9 +58,6 @@ exception Shard_down of int * string
 
 (** {1 Id encoding} *)
 
-val shard_bits : int
-(** Bits reserved for the shard tag (above bit 52). *)
-
 val max_shards : int
 val encode_id : shard:int -> local:int -> int
 val shard_of_id : int -> int
@@ -179,13 +176,6 @@ val query_batch :
     private stats are merged into [stats] once per shard, not per
     query. *)
 
-val query_batch_detail :
-  ?pool:Xutil.Domain_pool.t ->
-  ?stats:Xquery.Matcher.stats ->
-  t ->
-  Pattern.t array ->
-  int list array partial
-
 (** {1 Prepared queries} *)
 
 type prepared
@@ -247,6 +237,3 @@ val next_seq : t -> int
 
 val next_route : t -> int
 (** The shard the next {!insert} will be routed to. *)
-
-val route_of_seq : t -> int -> int
-(** The routing function itself (deterministic, stateless). *)

@@ -152,7 +152,6 @@ let parse ~name ~fetch ~length =
 let count t = t.p_count
 let block_size t = t.p_block
 let nblocks t = t.p_nblocks
-let block_of t i = i / t.p_block
 
 let first t b =
   if b < 0 || b >= t.p_nblocks then
@@ -213,5 +212,3 @@ let decode_all t ~fetch =
     decode_into t ~fetch b (Array.unsafe_set out)
   done;
   out
-
-let table_bytes t = header_fixed + (12 * t.p_nblocks)

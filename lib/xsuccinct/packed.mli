@@ -30,11 +30,9 @@
 type t
 (** A parsed header: tables resident, delta stream fetched on demand. *)
 
-val default_block : int
-(** Elements per block used by {!encode} unless overridden (128). *)
-
 val encode : ?block:int -> int array -> string
-(** [encode xs] serializes [xs].  Deltas wrap modulo the int width, so
+(** [encode xs] serializes [xs] in blocks of [block] elements (default
+    128).  Deltas wrap modulo the int width, so
     arbitrary (unsorted, full-range) values round-trip exactly; sorted
     inputs just compress better.  Raises [Invalid_argument] if [block]
     is outside [1, 2^20]. *)
@@ -59,9 +57,6 @@ val parse : name:string -> fetch:(int -> int -> string) -> length:int -> t
 val count : t -> int
 val block_size : t -> int
 val nblocks : t -> int
-
-val block_of : t -> int -> int
-(** Block index holding element [i].  No bounds check. *)
 
 val first : t -> int -> int
 (** [first t b] is element [b * block_size t] — served from the
@@ -95,6 +90,3 @@ val decode_span : t -> int -> string -> int array -> unit
 
 val decode_all : t -> fetch:(int -> int -> string) -> int array
 (** The whole column, decoded block by block. *)
-
-val table_bytes : t -> int
-(** Resident footprint of the parsed header and tables, in bytes. *)
