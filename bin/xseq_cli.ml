@@ -1844,6 +1844,14 @@ let info_cmd =
       (Store.format_name (Store.file_format store))
       (Store.page_size store) (Store.file_bytes store);
     Printf.printf "snapshot:        version %d\n" xmeta.(0);
+    (* Only xseqcol2 pages; name the rewrite that makes an xseqcol1
+       file pageable, as opening it --paged does. *)
+    if compressed then print_endline "paged:           yes (--paged)"
+    else
+      Printf.printf
+        "paged:           no; rewrite it as xseqcol2 with `xseq index %s \
+         --compress -o NEW`\n"
+        input;
     if xmeta.(0) = 1 then
       print_endline
         "note:            every load re-sequences the records in memory; \

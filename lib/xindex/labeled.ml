@@ -560,7 +560,7 @@ let of_store store =
       in
       ( dir "desig_kind",
         Bytes.unsafe_of_string names,
-        I32.of_array name_off,
+        name_off,
         Some (dir "dict_desig") )
     end
     else

@@ -35,8 +35,10 @@ let encode names =
 
 (* Two passes over the entries: the first checks them and sizes each
    name, the second copies the names into one exactly-sized blob, each
-   shared prefix from the name before it. *)
+   shared prefix from the name before it.  Offsets go straight into a
+   32-bit vector, the form a symbol table keeps them in. *)
 let decode ~name s =
+  let module I32 = Xutil.I32 in
   let len = String.length s in
   if len < 4 then fail name "front-coded blob of %d bytes lacks a header" len;
   let b i = Char.code (String.unsafe_get s i) in
@@ -44,28 +46,33 @@ let decode ~name s =
   if count < 0 || count > len then
     fail name "front-coded entry count %d is implausible for %d bytes" count
       len;
-  let off = Array.make (count + 1) 0 in
+  let off = I32.make (count + 1) 0 in
   let pos = ref 4 in
   for i = 0 to count - 1 do
     let shared = Varint.uvarint ~name s ~pos ~limit:len in
     let fresh = Varint.uvarint ~name s ~pos ~limit:len in
-    let prev = if i = 0 then 0 else off.(i) - off.(i - 1) in
+    let prev = if i = 0 then 0 else I32.get off i - I32.get off (i - 1) in
     if shared > prev then
       fail name "entry %d shares %d bytes with a %d-byte predecessor" i
         shared prev;
     if fresh < 0 || !pos + fresh > len then
       fail name "entry %d's %d-byte suffix overruns the blob" i fresh;
-    off.(i + 1) <- off.(i) + shared + fresh;
+    (* Names are no longer than the blob, so their total fits 32 bits
+       unless the blob is beyond 2^31 bytes. *)
+    if not (I32.fits (I32.get off i + shared + fresh)) then
+      fail name "names of entries 0 .. %d pass 2^31 - 1 bytes" i;
+    I32.set off (i + 1) (I32.get off i + shared + fresh);
     pos := !pos + fresh
   done;
   if !pos <> len then fail name "%d trailing bytes after last entry" (len - !pos);
-  let blob = Bytes.create off.(count) in
+  let blob = Bytes.create (I32.get off count) in
   pos := 4;
   for i = 0 to count - 1 do
     let shared = Varint.uvarint ~name s ~pos ~limit:len in
     let fresh = Varint.uvarint ~name s ~pos ~limit:len in
-    if shared > 0 then Bytes.blit blob off.(i - 1) blob off.(i) shared;
-    Bytes.blit_string s !pos blob (off.(i) + shared) fresh;
+    if shared > 0 then
+      Bytes.blit blob (I32.get off (i - 1)) blob (I32.get off i) shared;
+    Bytes.blit_string s !pos blob (I32.get off i + shared) fresh;
     pos := !pos + fresh
   done;
   (Bytes.unsafe_to_string blob, off)

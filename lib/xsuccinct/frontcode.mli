@@ -15,8 +15,9 @@ val encode : string array -> string
     (duplicates allowed).  Raises [Invalid_argument] if unsorted — the
     decoder could not reproduce the order-dependent prefixes. *)
 
-val decode : name:string -> string -> string * int array
+val decode : name:string -> string -> string * Xutil.I32.t
 (** Inverse of {!encode}, as the names back to back in one string and
-    [n + 1] offsets: name [i] is bytes [[off.(i), off.(i + 1))].  No
-    string is allocated a name.  Raises [Invalid_argument] (mentioning
-    [name]) on truncated, trailing or inconsistent bytes. *)
+    [n + 1] offsets in a 32-bit vector: name [i] is bytes
+    [[off.(i), off.(i + 1))].  No string is allocated a name.  Raises
+    [Invalid_argument] (mentioning [name]) on truncated, trailing or
+    inconsistent bytes. *)

@@ -1,4 +1,6 @@
-let lower_bound a ~len x =
+(* The int annotations make the comparisons integer ones, not the
+   polymorphic compare. *)
+let lower_bound (a : int array) ~len (x : int) =
   let lo = ref 0 and hi = ref len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -6,7 +8,7 @@ let lower_bound a ~len x =
   done;
   !lo
 
-let upper_bound a ~len x =
+let upper_bound (a : int array) ~len (x : int) =
   let lo = ref 0 and hi = ref len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -19,7 +21,7 @@ let floor_index a ~len x = upper_bound a ~len x - 1
 (* Accessor-generic variants: the same searches over any indexed int
    source (flat buffers, paged columns) instead of a heap array. *)
 
-let lower_bound_by ~get ~len x =
+let lower_bound_by ~get ~len (x : int) =
   let lo = ref 0 and hi = ref len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -27,7 +29,7 @@ let lower_bound_by ~get ~len x =
   done;
   !lo
 
-let upper_bound_by ~get ~len x =
+let upper_bound_by ~get ~len (x : int) =
   let lo = ref 0 and hi = ref len in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in

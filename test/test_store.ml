@@ -466,8 +466,9 @@ let test_packed_unit () =
 (* The names a decoded blob and its offsets spell. *)
 let frontcode_names ~name s =
   let blob, off = Frontcode.decode ~name s in
-  Array.init (Array.length off - 1) (fun i ->
-      String.sub blob off.(i) (off.(i + 1) - off.(i)))
+  let at = Xutil.I32.get off in
+  Array.init (Xutil.I32.length off - 1) (fun i ->
+      String.sub blob (at i) (at (i + 1) - at i))
 
 let test_frontcode_unit () =
   let names = [| ""; "a"; "ab"; "ab"; "abc"; "abd"; "b" |] in
