@@ -9,7 +9,8 @@ drifting.
 
 The load layer (BENCH_load.json) is gated on memory: per load
 configuration, the words a load allocates, the words the loaded index
-retains and the bytes its columns keep off the heap must stay under
+retains, the words of those its symbol table reaches and the bytes its
+columns keep off the heap must stay under
 checked-in ceilings.  So is set-up, per corpus: the words the XML parse,
 each build phase and each snapshot save allocate, and the bytes of each
 snapshot.  Those counts do not depend on the machine, so the ceilings

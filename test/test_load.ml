@@ -841,11 +841,12 @@ let test_load_allocation () =
 (* Live words the same load leaves behind once the collector has run:
    the symbol table, the link directory and the statistics; the label
    columns are flat buffers, outside the heap.  The record region
-   (505k bytes, 63k words) stays in the file.  Measured 71.6k words with
-   32-bit columns and one name blob; 137k with 64-bit columns and a
-   boxed string a name, 171k with a hashtable symbol table, and a store
-   that kept its regions in memory retained 252k. *)
-let retained_word_bound = 78_000
+   (505k bytes, 63k words) stays in the file.  Measured 56.0k words
+   with a symbol table that loads without hash indexes; 71.6k with its
+   two open-addressing indexes, 137k with 64-bit columns and a boxed
+   string a name, 171k with a hashtable symbol table, and a store that
+   kept its regions in memory retained 252k. *)
+let retained_word_bound = 62_000
 
 let test_load_retention () =
   let path, _ = snapshot_of (Xdatagen.Dblp_gen.generate ~seed:2024 2000) in
@@ -862,12 +863,12 @@ let test_load_retention () =
           retained_word_bound)
 
 (* Words the symbol table of the same loaded index reaches: its name
-   and path columns, its two open-addressing id indexes and the
-   designator names.  Measured 53.4k words with 32-bit columns and one
-   name blob; 97k with [int array] columns and a boxed string a name,
-   and the table of three hashtables and doubling arrays before that
-   reached 126k. *)
-let symtab_word_bound = 58_000
+   and path columns, the runs of each path's children and the
+   designator names.  Measured 41.0k words loaded by sorting; 53.4k
+   with two open-addressing id indexes and an element-child thread, 97k
+   with [int array] columns and a boxed string a name, and the table of
+   three hashtables and doubling arrays before that reached 126k. *)
+let symtab_word_bound = 45_000
 
 let test_symtab_footprint () =
   let docs = Xdatagen.Dblp_gen.generate ~seed:2024 2000 in
