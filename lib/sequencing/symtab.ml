@@ -9,9 +9,8 @@ let set v i x = I32.set32 v (4 * i) (Int32.of_int x)
 
 (* Designators and paths as structure-of-arrays of 32-bit columns
    ([Xutil.I32]).  Designator names are one blob: name [d] is bytes
-   [name_off.(d), name_off.(d + 1)) of [names] (or, with [stride = 2],
-   [name_off.(2d), name_off.(2d + 1))).  Path 0 is epsilon, which has no
-   parent and no last designator.
+   [name_off.(d), name_off.(d + 1)) of [names].  Path 0 is epsilon, which
+   has no parent and no last designator.
 
    How a name or an edge is found depends on where the table came from.
    A built table ([Hashed]) interns, so it keeps an open-addressing
@@ -32,10 +31,7 @@ let set v i x = I32.set32 v (4 * i) (Int32.of_int x)
    needed. *)
 type t = {
   mutable names : Bytes.t; (* every name, back to back, then spare room *)
-  mutable name_off : I32.t;
-      (* offsets into [names]: [ndesig + 1] of them, or, with
-         [stride = 2], a (start, stop) pair per designator *)
-  stride : int;
+  mutable name_off : I32.t; (* [ndesig + 1] offsets into [names] *)
   mutable is_value : Bytes.t; (* '\001' for a value designator *)
   mutable ndesig : int;
   mutable parents : I32.t;
@@ -80,7 +76,6 @@ let create () =
   {
     names = Bytes.create 512;
     name_off = I32.make 65 0;
-    stride = 1;
     is_value = Bytes.make 64 '\000';
     ndesig = 0;
     parents = I32.make paths (-1);
@@ -132,8 +127,8 @@ let desig_hash kind b off len =
 (* Both ids stay below 2^31, so the key is one machine integer. *)
 let path_hash p d = mix ((p lsl 31) lor d)
 
-let name_start t d = get t.name_off (t.stride * d)
-let name_length t d = get t.name_off ((t.stride * d) + 1) - name_start t d
+let name_start t d = get t.name_off d
+let name_length t d = get t.name_off (d + 1) - name_start t d
 
 (* Whether [len] bytes of [a] at [i] equal those of [b] at [j]; the
    caller has checked both ranges. *)
@@ -503,12 +498,14 @@ module Path = struct
         (List.map (Format.asprintf "%a" (Designator.pp tbl)) (to_list tbl p))
 end
 
-(* --- Loading: (name, kind) order without hashing ----------------------- *)
+(* --- (name, kind) order without hashing --------------------------------- *)
 
-(* A designator table as a dictionary stores it: entry j is a tag or a
-   value ([kinds.(j)] 0 or 1) named by bytes [name_off.(j), name_off.(j +
-   1)) of [names]. *)
-type entries = { kinds : I32.t; names : Bytes.t; name_off : I32.t }
+(* A designator table as a dictionary or a table holds it: entry j is a
+   tag or a value ([kind.[j]] '\000' or '\001') named by bytes
+   [name_off.(j), name_off.(j + 1)) of [names]. *)
+type entries = { kind : Bytes.t; names : Bytes.t; name_off : I32.t }
+
+let entry_kind e j = Char.code (Bytes.unsafe_get e.kind j)
 
 (* Entries [j] and [k] by (name, kind). *)
 let entry_compare e j k =
@@ -519,7 +516,7 @@ let entry_compare e j k =
       e.names sk
       (get e.name_off (k + 1) - sk)
   with
-  | 0 -> get e.kinds j - get e.kinds k
+  | 0 -> entry_kind e j - entry_kind e k
   | c -> c
 
 (* Entry [j]'s sort key at byte [pos] of its name, which is no longer
@@ -538,7 +535,7 @@ let chunk_key e j pos =
       land lnot ((1 lsl (8 * (7 - len))) - 1)
     else prefix e.names start len
   in
-  (((bytes lsl 3) lor len) lsl 1) lor if len < 7 then get e.kinds j else 0
+  (((bytes lsl 3) lor len) lsl 1) lor if len < 7 then entry_kind e j else 0
 
 (* Whether keys tie on seven bytes that the names continue past. *)
 let continues key = key land 0b1110 = 0b1110
@@ -627,6 +624,25 @@ let rec sort_entries e key v tmp same counts lo hi pos =
     run := !next
   done
 
+let sort_ids e n v tmp same m =
+  sort_entries e (Array.make n 0) v tmp same
+    (Array.init 8 (fun _ -> Array.make 256 0))
+    0 m 0
+
+let name_order t =
+  let n = t.ndesig in
+  let order = I32.make n 0 in
+  for d = 0 to n - 1 do
+    set order d d
+  done;
+  (match t.lookup with
+   | Sorted _ -> ()
+   | Hashed _ ->
+     sort_ids
+       { kind = t.is_value; names = t.names; name_off = t.name_off }
+       n order (I32.make n 0) (Bytes.create n) n);
+  (order, t.names, t.name_off)
+
 let of_dictionary ~kinds ~names ~name_off ~parents ~desigs =
   let ndict = I32.length parents and ntable = I32.length kinds in
   (* A spelled-out dictionary names entry i by table entry i; entry 0,
@@ -651,7 +667,10 @@ let of_dictionary ~kinds ~names ~name_off ~parents ~desigs =
     if get kinds j <> 0 && get kinds j <> 1 then
       invalid_arg "designator kind out of range"
   done;
-  let e = { kinds; names; name_off } in
+  let kind =
+    Bytes.init ntable (fun j -> if get kinds j = 0 then '\000' else '\001')
+  in
+  let e = { kind; names; name_off } in
   (* Two scratch vectors serve the designator sort, then the path sort. *)
   let a = I32.make (max ntable ndict) 0 and b = I32.make (max ntable ndict) 0 in
   (* A compact table already in strict (name, kind) order keeps its
@@ -668,58 +687,45 @@ let of_dictionary ~kinds ~names ~name_off ~parents ~desigs =
   in
   (* Designators are numbered in (name, kind) order.  A compact table
      in that order already is one designator an entry, named in place.
-     Otherwise the entries are sorted, each run of repeats becomes one
-     designator, every entry's kind slot takes its designator, and each
-     designator keeps the (start, stop) offsets of its first entry's
-     name ([stride = 2]): the names stay where they are.  Unless the
-     repeats' bytes come to more than an eighth of the kept ones: then
-     the kept names are copied out in order, back to back. *)
-  let names, name_off, stride, is_value, ndesig =
-    if in_order then
-      ( names,
-        name_off,
-        1,
-        Bytes.init ntable (fun j -> if get kinds j = 0 then '\000' else '\001'),
-        ntable )
+     Any other table — a compact one out of order, or the spelled-out
+     table of a snapshot written before every dictionary was compact —
+     is sorted, each run of repeats becomes one designator, every
+     entry's kind slot takes its designator, and the designators' names
+     are copied out in order, back to back. *)
+  let names, name_off, is_value, ndesig =
+    if in_order then (names, name_off, kind, ntable)
     else begin
       let m = ntable - first in
       for r = 0 to m - 1 do
         set a r (first + r)
       done;
       let same = Bytes.create m in
-      sort_entries e (Array.make ntable 0) a b same
-        (Array.init 8 (fun _ -> Array.make 256 0))
-        0 m 0;
-      let ndesig = ref 0 in
+      sort_ids e ntable a b same m;
+      let ndesig = ref 0 and kept = ref 0 in
       for i = 0 to m - 1 do
-        if Bytes.get same i = '\000' then incr ndesig
+        if Bytes.get same i = '\000' then begin
+          let j = get a i in
+          incr ndesig;
+          kept := !kept + get name_off (j + 1) - get name_off j
+        end
       done;
-      let ndesig = !ndesig in
-      let spans = I32.make (2 * ndesig) 0 and is_value = Bytes.make ndesig '\000' in
-      let d = ref (-1) and kept = ref 0 in
+      let packed = Bytes.create !kept
+      and off = I32.make (!ndesig + 1) 0
+      and is_value = Bytes.make !ndesig '\000' in
+      let d = ref (-1) in
       for i = 0 to m - 1 do
         let j = get a i in
         if Bytes.get same i = '\000' then begin
           incr d;
-          let start = get name_off j and stop = get name_off (j + 1) in
-          set spans (2 * !d) start;
-          set spans ((2 * !d) + 1) stop;
-          kept := !kept + stop - start;
-          if get kinds j = 1 then Bytes.set is_value !d '\001'
+          let start = get name_off j in
+          let len = get name_off (j + 1) - start in
+          Bytes.blit names start packed (get off !d) len;
+          set off (!d + 1) (get off !d + len);
+          Bytes.set is_value !d (Bytes.get kind j)
         end;
         set kinds j !d
       done;
-      if Bytes.length names - !kept <= !kept / 8 then
-        (names, spans, 2, is_value, ndesig)
-      else begin
-        let packed = Bytes.create !kept and off = I32.make (ndesig + 1) 0 in
-        for d = 0 to ndesig - 1 do
-          let start = get spans (2 * d) and stop = get spans ((2 * d) + 1) in
-          Bytes.blit names start packed (get off d) (stop - start);
-          set off (d + 1) (get off d + stop - start)
-        done;
-        (packed, off, 1, is_value, ndesig)
-      end
+      (packed, off, is_value, !ndesig)
     end
   in
   (* Each entry's designator becomes its path's last designator, in a
@@ -800,8 +806,7 @@ let of_dictionary ~kinds ~names ~name_off ~parents ~desigs =
     then invalid_arg "duplicate dictionary entry"
   done;
   let name_prefix d =
-    let at = stride * d in
-    prefix names (get name_off at) (get name_off (at + 1) - get name_off at)
+    prefix names (get name_off d) (get name_off (d + 1) - get name_off d)
   in
   let name_dir =
     Array.init ((ndesig + dir_step - 1) / dir_step) (fun b ->
@@ -823,7 +828,6 @@ let of_dictionary ~kinds ~names ~name_off ~parents ~desigs =
   {
     names;
     name_off;
-    stride;
     is_value;
     ndesig;
     parents;

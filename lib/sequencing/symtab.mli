@@ -76,22 +76,23 @@ val of_dictionary :
     The table's designators are the table entries' distinct (name,
     kind) pairs, numbered in (name, kind) order (names by
     [String.compare], tags before values).  A table already in that
-    order, without repeats — as an xseqcol2 snapshot stores it — is
-    checked in one pass and used as it is.  Any other table is sorted
-    once, by a radix sort on seven-byte name prefixes; repeats become
-    neighbours and merge.  The paths are then grouped by parent with
-    two counting sorts.  Nothing is hashed.
+    order, without repeats — as every compact dictionary is written
+    ({!name_order}) — is checked in one pass and used as it is.  Any
+    other table is sorted once, by a radix sort on seven-byte name
+    prefixes; repeats become neighbours and merge.  A spelled-out
+    dictionary (one table entry per dictionary entry) is only found in
+    snapshots written before every dictionary was compact, and always
+    takes that path.  The paths are then grouped by parent with two
+    counting sorts.  Nothing is hashed.
 
-    The table takes ownership of all five arguments.  It keeps [names],
-    [parents] and, from a table in order, [name_off] as its own columns;
-    [kinds] becomes the path designators of a spelled-out dictionary and
-    [desigs] those of a compact one.  A sorted table names each
-    designator by the offsets of its first entry, in place; when the
-    repeats' bytes pass an eighth of the kept names, the kept names are
-    copied out, in order.  A caller hands over a blob nobody else sees —
-    a fresh file read or a decoder's output — and never the shared
-    string of a memory store ({!Xstorage.Store.blob_bytes} copies that
-    one).
+    The table takes ownership of all five arguments.  It keeps
+    [parents] and, from a table in order, [names] and [name_off] as its
+    own columns; [kinds] becomes the path designators of a spelled-out
+    dictionary and [desigs] those of a compact one.  A sorted table's
+    designators have their names copied out, in order, into a blob of
+    their own.  A caller hands over a blob nobody else sees — a fresh
+    file read or a decoder's output — and never the shared string of a
+    memory store ({!Xstorage.Store.blob_bytes} copies that one).
 
     The table interns nothing: {!Designator.tag}, {!Designator.value},
     {!Designator.char_value} and {!Path.child} return what it holds and
@@ -102,6 +103,13 @@ val of_dictionary :
     range"], ["designator id out of range"], ["dictionary parent
     order"], ["dictionary depth order"] or ["duplicate dictionary
     entry"]. *)
+
+val name_order : t -> Xutil.I32.t * Bytes.t * Xutil.I32.t
+(** [name_order tbl] is [(order, names, name_off)]: the designator ids
+    in the (name, kind) order {!of_dictionary} numbers them in — sorted
+    for a built table, the identity for a loaded one — and the table's
+    own name blob and offsets (read only): designator [d] is bytes
+    [[name_off.(d), name_off.(d + 1))] of [names]. *)
 
 val path_count : t -> int
 (** Paths in the table, [epsilon] included; every path id is below it. *)

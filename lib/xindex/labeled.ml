@@ -402,115 +402,63 @@ let column_bytes t =
 (* --- snapshot regions ---------------------------------------------------- *)
 
 (* Region names in the columnar snapshot (see Xstorage.Store for the file
-   format).  The dictionary spells each path out (kind + name + parent
-   entry), so a loaded index rebuilds its own symbol table from it. *)
+   format).  The dictionary carries the index's own symbols, so a loaded
+   index rebuilds its symbol table from it. *)
 
-(* The dictionary index of every path id, or -1. *)
-let dict_index t =
+(* Element [i] through [I32]'s inline primitives, for the save's and the
+   load's loops; every value set is an id, a rank, an offset or a slot. *)
+let get v i = Int32.to_int (I32.get32 v (4 * i))
+let set v i x = I32.set32 v (4 * i) (Int32.of_int x)
+
+(* The compact dictionary: trie edges are (parent entry, designator)
+   pairs over the designators in use, ranked in the symbol table's own
+   (name, kind) order ([Symtab.name_order]), the order a load numbers
+   them in; their names, sorted hence prefix-heavy, are front-coded
+   from the table's blob.  The result is each path's entry, or -1. *)
+let dict_regions t store =
+  let n = dict_size t in
   let index_of = Array.make (Symtab.path_count t.symbols) (-1) in
-  for i = 0 to dict_size t - 1 do
+  for i = 0 to n - 1 do
     index_of.(Path.to_int (dict_path t i)) <- i
   done;
-  index_of
-
-(* The dictionary as two columns: entry [i]'s parent entry and
-   designator id, both -1 for epsilon, which has neither. *)
-let dict_columns t =
-  let index_of = dict_index t in
-  let n = dict_size t in
   let parent = Array.make n (-1) and desig = Array.make n (-1) in
+  let order, names, name_off = Symtab.name_order t.symbols in
+  (* By designator id: its kind if in use (else -1), then its rank. *)
+  let rank = I32.make (I32.length order) (-1) and used = ref 0 in
   for i = 0 to n - 1 do
     let p = dict_path t i in
     if not (Path.equal p Path.epsilon) then begin
+      let d = Path.tag t.symbols p in
       parent.(i) <- index_of.(Path.to_int (Path.parent t.symbols p));
-      desig.(i) <- (Path.tag t.symbols p :> int)
+      desig.(i) <- (d :> int);
+      if get rank (d :> int) < 0 then begin
+        set rank (d :> int) (Bool.to_int (D.is_value t.symbols d));
+        incr used
+      end
     end
   done;
-  (parent, desig)
-
-(* The designator of dictionary entry [i], epsilon excepted. *)
-let entry_designator t i = Path.tag t.symbols (dict_path t i)
-
-let dict_regions t store =
-  let parent, desig = dict_columns t in
-  let n = Array.length parent in
-  let names = Buffer.create 1024 in
-  let kind = Array.make n 0 in
-  let name_off = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    name_off.(i) <- Buffer.length names;
-    if desig.(i) >= 0 then begin
-      let d = entry_designator t i in
-      kind.(i) <- Bool.to_int (D.is_value t.symbols d);
-      Buffer.add_string names (D.name t.symbols d)
+  let keys = I32.make !used 0 and kind = Array.make !used 0 and r = ref 0 in
+  for k = 0 to I32.length order - 1 do
+    let d = get order k in
+    let is_value = get rank d in
+    if is_value >= 0 then begin
+      set keys !r d;
+      kind.(!r) <- is_value;
+      set rank d !r;
+      incr r
     end
   done;
-  name_off.(n) <- Buffer.length names;
-  Store.add_int_array store "dict_parent" parent;
-  Store.add_int_array store "dict_kind" kind;
-  Store.add_int_array store "dict_name_off" name_off;
-  Store.add_blob store "dict_names" (Buffer.contents names)
-
-(* Compact dictionary: trie edges are (parent entry, designator id); the
-   designators themselves are deduplicated into a (kind, name) table
-   whose names — sorted, hence prefix-heavy — are front-coded.  A DBLP
-   trie has thousands of edges over a few dozen distinct tags, so the
-   edge cost drops from one spelled-out name per entry to one small
-   id.  The table is ranked by name bytes ([String.compare]), then
-   tags (kind 0) before values (kind 1). *)
-let dict_regions_compact t store =
-  let parent, desig = dict_columns t in
-  (* The name and kind of each designator in use, by id; -1 marks an id
-     no entry uses. *)
-  let top = Array.fold_left max (-1) desig in
-  let name_of = Array.make (top + 1) "" and kind_of = Array.make (top + 1) (-1) in
-  Array.iteri
-    (fun i d ->
-      if d >= 0 && kind_of.(d) < 0 then begin
-        let dd = entry_designator t i in
-        name_of.(d) <- D.name t.symbols dd;
-        kind_of.(d) <- Bool.to_int (D.is_value t.symbols dd)
-      end)
-    desig;
-  let ids =
-    Array.make (Array.fold_left (fun n k -> n + Bool.to_int (k >= 0)) 0 kind_of) 0
-  in
-  let k = ref 0 in
-  Array.iteri
-    (fun d kind ->
-      if kind >= 0 then begin
-        ids.(!k) <- d;
-        incr k
-      end)
-    kind_of;
-  let order a b =
-    match String.compare name_of.(a) name_of.(b) with
-    | 0 -> Int.compare kind_of.(a) kind_of.(b)
-    | c -> c
-  in
-  Array.sort order ids;
-  (* A table read from a spelled-out dictionary may hold one (kind,
-     name) under several ids: they share a rank. *)
-  let rank = Array.make (top + 1) (-1) in
-  let nkeys = ref 0 in
-  Array.iteri
-    (fun j d ->
-      if j > 0 && order ids.(j - 1) d <> 0 then incr nkeys;
-      rank.(d) <- !nkeys)
-    ids;
-  let keys = Array.make (min (!nkeys + 1) (Array.length ids)) 0 in
-  Array.iter (fun d -> keys.(rank.(d)) <- d) ids;
-  Array.iteri (fun i d -> if d >= 0 then desig.(i) <- rank.(d)) desig;
+  Array.iteri (fun i d -> if d >= 0 then desig.(i) <- get rank d) desig;
   Store.add_int_array store "dict_parent" parent;
   Store.add_int_array store "dict_desig" desig;
-  Store.add_int_array store "desig_kind" (Array.map (fun d -> kind_of.(d)) keys);
+  Store.add_int_array store "desig_kind" kind;
   Store.add_blob store "desig_names"
-    (Xsuccinct.Frontcode.encode (Array.map (fun d -> name_of.(d)) keys))
+    (Xsuccinct.Frontcode.encode names name_off keys);
+  index_of
 
-let add_to_store ?(compact = false) t store =
+let add_to_store t store =
   Store.add_int_array store "meta" [| t.n |];
-  (if compact then dict_regions_compact else dict_regions) t store;
-  let index_of = dict_index t and paths = slot_paths t in
+  let index_of = dict_regions t store and paths = slot_paths t in
   Store.add_int_array store "link_path"
     (Array.init (I32.length paths) (fun s -> index_of.(I32.get paths s)));
   Store.add_int_array store "link_len"
@@ -543,10 +491,10 @@ let of_store store =
   let dir = Store.i32 store in
   (* The dictionary becomes the index's symbol table, entry i as path i:
      epsilon first, every other entry extending an earlier one.
-     Compact (xseqcol2) snapshots name each entry's designator by an id
-     into a front-coded (kind, name) table; legacy snapshots spell each
-     entry out, named straight out of the stored name blob.  The table
-     takes the vectors and the blob over. *)
+     Snapshots name each entry's designator by an id into a front-coded
+     (kind, name) table; xseqcol1 snapshots written before that spell
+     each entry out, named straight out of the stored name blob.  The
+     table takes the vectors and the blob over. *)
   let parents = dir "dict_parent" in
   if I32.length parents = 0 then corrupt "dictionary root";
   let kinds, names, name_off, desigs =
@@ -587,10 +535,10 @@ let of_store store =
   (* Offsets fit 32 bits up to [n]; a larger sum fails the check below. *)
   let link_off = I32.make (nlinks + 1) 0 and total_entries = ref 0 in
   for s = 0 to nlinks - 1 do
-    let len = I32.get link_len s in
+    let len = get link_len s in
     if len < 0 || len > n then corrupt "link length out of range";
     total_entries := !total_entries + len;
-    if !total_entries <= n then I32.set link_off (s + 1) !total_entries
+    if !total_entries <= n then set link_off (s + 1) !total_entries
   done;
   let l_pre = Store.ints store "l_pre" in
   let l_post = Store.ints store "l_post" in
@@ -604,10 +552,10 @@ let of_store store =
   then corrupt "link column sizes";
   let slot = I32.make ndict (-1) in
   for s = 0 to nlinks - 1 do
-    let p = I32.get link_path s in
+    let p = get link_path s in
     if p < 0 || p >= ndict then corrupt "link path id out of range";
-    if I32.get slot p >= 0 then corrupt "duplicate link path";
-    I32.set slot p s
+    if get slot p >= 0 then corrupt "duplicate link path";
+    set slot p s
   done;
   let doc_pre = Store.ints store "doc_pre" in
   let doc_id = Store.ints store "doc_id" in
@@ -625,6 +573,6 @@ let of_store store =
     doc_id;
     multi =
       Bytes.init nlinks (fun s ->
-          if I32.get link_multi s <> 0 then '\001' else '\000');
+          if get link_multi s <> 0 then '\001' else '\000');
     source = Some store;
   }

@@ -157,22 +157,23 @@ val column_bytes : t -> int
 
     The index serialises to an {!Xstorage.Store} as a bag of named
     regions (link columns, link directory, document table, and a
-    spelled-out path dictionary), so a snapshot written by
+    compact path dictionary), so a snapshot written by
     {!Xstorage.Store.write} carries its own symbols — and, in paged
     mode, answers queries straight off disk.  The dictionary holds
     epsilon and every link path, by depth and then by the index's path
     id, so parents precede children and siblings keep their order. *)
 
-val add_to_store : ?compact:bool -> t -> Xstorage.Store.t -> unit
+val add_to_store : t -> Xstorage.Store.t -> unit
 (** Registers every index region with the store.  Region names are
     reserved; combine with other regions freely as long as names do not
     clash.  The link and document columns are registered as the
     columns the index holds, without a copy; the dictionary and link
-    directory as arrays ({!Xstorage.Store.add_int_array}).  With
-    [~compact:true] the path dictionary is written in its
-    compact form — trie edges as (parent, designator id) pairs over a
-    deduplicated, front-coded designator name table — the layout
-    compressed (xseqcol2) snapshots use; {!of_store} reads either. *)
+    directory as arrays ({!Xstorage.Store.add_int_array}).  In either
+    format the path dictionary is (parent entry, designator id) pairs
+    ([dict_parent], [dict_desig]) over the designators in use, in the
+    (name, kind) order a load numbers them in
+    ({!Sequencing.Symtab.name_order}): their kinds ([desig_kind]) and
+    front-coded names ([desig_names]). *)
 
 val of_store : Xstorage.Store.t -> t
 (** Rebuilds the index view over the store's regions.  The stored
@@ -193,7 +194,9 @@ val of_store : Xstorage.Store.t -> t
     extra fields and region are ignored.  So are the per-node columns
     ([node_pre], [node_post], [node_path]), the [l_node] link column
     and the stored [link_off] directory of older snapshots: link offsets
-    are the prefix sums of [link_len].
+    are the prefix sums of [link_len].  So do older xseqcol1 snapshots
+    that spell each entry's designator out ([dict_kind],
+    [dict_name_off], [dict_names]).
 
     @raise Invalid_argument naming the inconsistency if the regions are
     missing, mis-sized, or internally contradictory.  Validation covers

@@ -776,7 +776,7 @@ let save ?(format = Store.Col1) t path =
       t.ndocs;
     |];
   Store.add_blob store "docs" blob;
-  Xindex.Labeled.add_to_store ~compact:(format = Store.Col2) t.labeled store;
+  Xindex.Labeled.add_to_store t.labeled store;
   (* Compressed regions are small; 4 KiB alignment would waste a large
      fraction of the file (and of the buffer pool) on padding. *)
   let page_size = match format with Store.Col1 -> 4096 | Store.Col2 -> 1024 in

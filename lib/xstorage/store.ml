@@ -604,11 +604,22 @@ let saturate x =
   else if x < Xutil.I32.min_value then Xutil.I32.min_value
   else x
 
+(* [I32.set32] is inline where [I32.set] would be a call an element; a
+   file region of 4-byte elements is copied in as it streams. *)
 let i32 t name =
-  let n, iter = elements t name in
-  let v = Xutil.I32.make n 0 in
-  iter (fun i x -> Xutil.I32.set v i (saturate x));
-  v
+  match find t name with
+  | R_file { r; e; handle = None } when e.e_kind = k_ints32 ->
+    let v = Xutil.I32.make e.e_count 0 in
+    stream_region ~prefix:read_prefix r e ~buf:(chunk_for e) (fun buf at n ->
+        for k = 0 to (n / 4) - 1 do
+          Xutil.I32.set32 v (at + (4 * k)) (Bytes.get_int32_le buf (4 * k))
+        done);
+    v
+  | _ ->
+    let n, iter = elements t name in
+    let v = Xutil.I32.make n 0 in
+    iter (fun i x -> Xutil.I32.set32 v (4 * i) (Int32.of_int (saturate x)));
+    v
 
 let not_blob name =
   invalid_arg (Printf.sprintf "Store: region %S is ints, not a blob" name)

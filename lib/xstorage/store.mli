@@ -73,6 +73,11 @@
     Checksums cover the {e stored} bytes, so the corruption guarantees
     are format-independent; {!open_file} dispatches on the magic.
 
+    The formats differ only in how columns and blobs are coded: an
+    index writes the same regions, one compact path dictionary
+    included, to either ([Xindex.Labeled.add_to_store]); older xseqcol1
+    files with a spelled-out dictionary still load.
+
     A compressed column read from a [Resident] store stays compressed
     in memory (skip tables plus delta bytes) and decodes blocks on
     probe; a [Paged] store leaves the delta bytes on disk behind the

@@ -10,10 +10,13 @@
     suffix bytes].  Decoding bounds-checks everything and raises
     [Invalid_argument] naming the caller's context on corrupt input. *)
 
-val encode : string array -> string
-(** [encode names] serializes [names], which must be sorted
-    (duplicates allowed).  Raises [Invalid_argument] if unsorted — the
-    decoder could not reproduce the order-dependent prefixes. *)
+val encode : Bytes.t -> Xutil.I32.t -> Xutil.I32.t -> string
+(** [encode blob off order] serializes names [order.(0)], [order.(1)],
+    ...: name [j] is bytes [[off.(j), off.(j + 1))] of [blob], read in
+    place.  They must come sorted ([String.compare]; duplicates
+    allowed).  Raises [Invalid_argument] if they are unsorted — the
+    decoder could not reproduce the order-dependent prefixes — or if an
+    entry names no slice of [blob]. *)
 
 val decode : name:string -> string -> string * Xutil.I32.t
 (** Inverse of {!encode}, as the names back to back in one string and

@@ -635,9 +635,38 @@ let test_records_outlive_the_file () =
 (* Snapshots written before the simulated page model was retired carry
    [meta = [| n; doc_base; total_bytes |]] and a [link_base] region after
    [link_len]: the page-aligned byte offsets of every link and of the
-   document table in that model.  [write_legacy] rebuilds exactly that
-   layout through [Store.memory] from the regions of a current
-   snapshot. *)
+   document table in that model.  Their xseqcol1 dictionaries spell
+   every entry's designator out: [dict_kind], [dict_name_off] and
+   [dict_names] in place of the compact [dict_desig], [desig_kind] and
+   [desig_names].  [write_legacy] rebuilds exactly that layout through
+   [Store.memory] from the regions of a current snapshot. *)
+let compact_dictionary = [ "dict_desig"; "desig_kind"; "desig_names" ]
+
+let add_spelled_dictionary legacy src =
+  let desig = Store.int_array src "dict_desig"
+  and kind = Store.int_array src "desig_kind" in
+  let blob, off =
+    Xsuccinct.Frontcode.decode ~name:"desig_names" (Store.blob src "desig_names")
+  in
+  let n = Array.length desig in
+  let names = Buffer.create 1024 and name_off = Array.make (n + 1) 0 in
+  let kinds =
+    Array.mapi
+      (fun i d ->
+        name_off.(i) <- Buffer.length names;
+        if d < 0 then 0
+        else begin
+          let at = Xutil.I32.get off d in
+          Buffer.add_substring names blob at (Xutil.I32.get off (d + 1) - at);
+          kind.(d)
+        end)
+      desig
+  in
+  name_off.(n) <- Buffer.length names;
+  Store.add_int_array legacy "dict_kind" kinds;
+  Store.add_int_array legacy "dict_name_off" name_off;
+  Store.add_blob legacy "dict_names" (Buffer.contents names)
+
 let write_legacy ~format index path =
   with_temp_file (fun current ->
       Xseq.save ~format index current;
@@ -662,15 +691,20 @@ let write_legacy ~format index path =
           | "link_len", _ ->
             Store.add_ints legacy "link_len" (Store.ints src "link_len");
             Store.add_int_array legacy "link_base" link_base
+          | name, _
+            when format = Store.Col1 && List.mem name compact_dictionary ->
+            ()
           | name, `Ints -> Store.add_ints legacy name (Store.ints src name)
           | name, `Blob -> Store.add_blob legacy name (Store.blob src name))
         (Store.regions src);
+      if format = Store.Col1 then add_spelled_dictionary legacy src;
       Store.write ~page_size:(Store.page_size src) ~format legacy path;
       Store.close src)
 
 (* A legacy-layout snapshot loads in both formats, and in both modes
    where the format pages, and answers id-for-id like the in-memory
-   index; saving it again writes the current layout. *)
+   index; saving it again writes the current layout, the compact
+   dictionary included. *)
 let test_legacy_layout () =
   let corpora =
     [
@@ -693,6 +727,9 @@ let test_legacy_layout () =
               let legacy = Store.open_file path in
               Alcotest.(check bool) "legacy file has link_base" true
                 (Store.mem legacy "link_base");
+              Alcotest.(check bool) "legacy file spells its dictionary out"
+                (format = Store.Col1)
+                (Store.mem legacy "dict_names");
               List.iter
                 (fun mode ->
                   let loaded = Xseq.load ~mode path in
@@ -710,7 +747,12 @@ let test_legacy_layout () =
                       Alcotest.(check bool) "re-save drops link_base" false
                         (Store.mem s "link_base");
                       Alcotest.(check int) "re-save writes a 1-field meta" 1
-                        (Store.length (Store.ints s "meta")));
+                        (Store.length (Store.ints s "meta"));
+                      Alcotest.(check (list bool))
+                        "re-save writes the compact dictionary"
+                        [ true; false ]
+                        (List.map (Store.mem s) [ "dict_desig"; "dict_names" ]);
+                      Store.close s);
                   Option.iter Store.close (Xseq.backing_store loaded))
                 (modes format))
             [ Store.Col1; Store.Col2 ]))

@@ -520,6 +520,96 @@ let test_symtab_dictionary_checks () =
   rejects "dictionary depth order" ~kinds ~names ~parents:[| -1; 0; 1; 0 |]
     ~desigs:(Some [| -1; 0; 0; 1 |])
 
+(* --- designators in (name, kind) order -------------------------------- *)
+
+(* Names that tie on the radix sort's seven-byte chunks: stems agreeing
+   on 7, 8, 14, 15 and 16 bytes, the empty name, and short tails over
+   an alphabet with the zero byte (the chunks' padding) and 0xff. *)
+let order_name rng =
+  let stems =
+    [| ""; "abcdefg"; "abcdefgh"; "abcdefghijklmn"; "abcdefghijklmno";
+       "abcdefghijklmnop"; "abcdefghijklmnoabcdefghijklmno" |]
+  in
+  let alphabet = "\000ab\255" in
+  stems.(Random.State.int rng (Array.length stems))
+  ^ String.init (Random.State.int rng 4) (fun _ ->
+        alphabet.[Random.State.int rng (String.length alphabet)])
+
+(* [Symtab.name_order] fixes every compact dictionary's bytes, in both
+   formats: on a built table it is the oracle's order, names by
+   [String.compare] and tags before values, and names each designator by
+   its slice of the blob.  A table loaded from that dictionary has its
+   ids in that order already: its order is the identity, given without
+   a sort (its allocation is the order vector alone). *)
+let test_name_order () =
+  let rng = Random.State.make [| 34 |] in
+  for round = 1 to 200 do
+    let tbl = Symtab.create () in
+    let interned = Hashtbl.create 64 in
+    let intern is_value name =
+      let d = if is_value then D.value tbl name else D.tag tbl name in
+      Hashtbl.replace interned (d :> int) (name, is_value)
+    in
+    intern false "twin";
+    intern true "twin";
+    intern (round mod 2 = 0) "";
+    for _ = 1 to if round mod 20 = 0 then 4_000 else 1 + Random.State.int rng 60 do
+      intern (Random.State.bool rng) (order_name rng)
+    done;
+    let oracle =
+      List.sort
+        (fun a b ->
+          let name_a, value_a = Hashtbl.find interned a
+          and name_b, value_b = Hashtbl.find interned b in
+          match String.compare name_a name_b with
+          | 0 -> Bool.compare value_a value_b
+          | c -> c)
+        (List.of_seq (Hashtbl.to_seq_keys interned))
+    in
+    let order, names, name_off = Symtab.name_order tbl in
+    Alcotest.(check (list int)) "the oracle's order" oracle
+      (Array.to_list (I32.to_array order));
+    let spelled d =
+      Bytes.sub_string names (I32.get name_off d)
+        (I32.get name_off (d + 1) - I32.get name_off d)
+    in
+    List.iter
+      (fun d ->
+        Alcotest.(check string) "a name's slice" (fst (Hashtbl.find interned d))
+          (spelled d))
+      oracle;
+    (* The compact dictionary of one path per designator, as a save
+       writes it: ranks in the order above. *)
+    let ranked = Array.of_list oracle in
+    let n = Array.length ranked in
+    let loaded =
+      of_dictionary
+        ~kinds:(Array.map (fun d -> Bool.to_int (snd (Hashtbl.find interned d))) ranked)
+        ~names:(Array.map spelled ranked)
+        ~parents:(Array.init (n + 1) (fun i -> if i = 0 then -1 else 0))
+        ~desigs:(Some (Array.init (n + 1) (fun i -> i - 1)))
+    in
+    let _, promoted0, major0 = Gc.counters () and minor0 = Gc.minor_words () in
+    let again, names', name_off' = Symtab.name_order loaded in
+    let _, promoted1, major1 = Gc.counters () and minor1 = Gc.minor_words () in
+    Alcotest.(check (list int)) "a loaded table's order is the identity"
+      (List.init n Fun.id)
+      (Array.to_list (I32.to_array again));
+    Alcotest.(check (list string)) "a loaded table's names"
+      (Array.to_list (Array.map spelled ranked))
+      (List.init n (fun d ->
+           Bytes.sub_string names' (I32.get name_off' d)
+             (I32.get name_off' (d + 1) - I32.get name_off' d)));
+    (* The order vector (four bytes an element, a header word) and the
+       result triple; a sort's key array alone is a word an element. *)
+    let words =
+      minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
+    in
+    if words > float_of_int ((n / 2) + 16) then
+      Alcotest.failf "the order of a loaded table of %d allocated %.0f words"
+        n words
+  done
+
 (* --- constraints --------------------------------------------------------- *)
 
 (* The paper's forward-prefix example (Section 2.3): in
@@ -788,6 +878,8 @@ let () =
             test_symtab_model;
           Alcotest.test_case "dictionary checks" `Quick
             test_symtab_dictionary_checks;
+          Alcotest.test_case "designators in (name, kind) order" `Quick
+            test_name_order;
         ] );
       ( "constraints",
         [

@@ -470,15 +470,31 @@ let frontcode_names ~name s =
   Array.init (Xutil.I32.length off - 1) (fun i ->
       String.sub blob (at i) (at (i + 1) - at i))
 
+(* [Frontcode.encode] of [names], in their order, read from a blob that
+   holds them back to front: the order vector is what puts them in
+   order. *)
+let frontcode_encode names =
+  let n = Array.length names in
+  let held = Array.init n (fun j -> names.(n - 1 - j)) in
+  let off = Array.make (n + 1) 0 in
+  Array.iteri (fun j s -> off.(j + 1) <- off.(j) + String.length s) held;
+  Frontcode.encode
+    (Bytes.of_string (String.concat "" (Array.to_list held)))
+    (Xutil.I32.of_array off)
+    (Xutil.I32.of_array (Array.init n (fun i -> n - 1 - i)))
+
 let test_frontcode_unit () =
   let names = [| ""; "a"; "ab"; "ab"; "abc"; "abd"; "b" |] in
-  let s = Frontcode.encode names in
+  let s = frontcode_encode names in
   Alcotest.(check (array string))
     "decode inverts encode" names
     (frontcode_names ~name:"t" s);
-  (match Frontcode.encode [| "b"; "a" |] with
-  | _ -> Alcotest.fail "unsorted input accepted"
-  | exception Invalid_argument _ -> ());
+  List.iter
+    (fun unsorted ->
+      match frontcode_encode unsorted with
+      | _ -> Alcotest.fail "unsorted input accepted"
+      | exception Invalid_argument _ -> ())
+    [ [| "b"; "a" |]; [| "ab"; "a" |]; [| "a"; "b"; "ba"; "b" |] ];
   match Frontcode.decode ~name:"t" (String.sub s 0 (String.length s - 1)) with
   | _ -> Alcotest.fail "truncated frontcode accepted"
   | exception Invalid_argument _ -> ()
@@ -688,7 +704,7 @@ let prop_frontcode_roundtrip =
               (string_size ~gen:printable (int_range 0 10))))
        (fun names ->
          Array.sort compare names;
-         frontcode_names ~name:"q" (Frontcode.encode names) = names))
+         frontcode_names ~name:"q" (frontcode_encode names) = names))
 
 let prop_lz_roundtrip =
   QCheck_alcotest.to_alcotest
@@ -880,34 +896,40 @@ let test_roundtrip_value_modes () =
 (* Loading rejects snapshots whose regions disagree with each other even
    when every checksum is valid.  [write_tampered region f path] writes
    to [path] a snapshot of a small index with [f] applied to one int
-   region; [tampered region f] expects the load of that file to fail
-   with the diagnostic [want]. *)
-let copy_snapshot ?(format = Store.Col1) index ~ints ~blob path =
+   region (with [~source], a copy of that snapshot file instead);
+   [tampered region f] expects the load of that file to fail with the
+   diagnostic [want]. *)
+let copy_file ?(format = Store.Col1) source ~ints ~blob path =
   let s = Store.memory () in
+  let src = Store.open_file source in
+  List.iter
+    (fun r ->
+      match (r.Store.r_name, r.Store.r_kind) with
+      | name, `Ints ->
+        let m = Store.int_array src name in
+        ints name m;
+        Store.add_int_array s name m
+      | name, `Blob -> Store.add_blob s name (blob name (Store.blob src name)))
+    (Store.regions src);
+  Store.write ~format s path;
+  Store.close src
+
+let copy_snapshot ?(format = Store.Col1) index ~ints ~blob path =
   let tmp = Filename.temp_file "xseq_src" ".idx" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
     (fun () ->
       Xseq.save ~format index tmp;
-      let src = Store.open_file tmp in
-      List.iter
-        (fun r ->
-          match (r.Store.r_name, r.Store.r_kind) with
-          | name, `Ints ->
-            let m = Store.int_array src name in
-            ints name m;
-            Store.add_int_array s name m
-          | name, `Blob ->
-            Store.add_blob s name (blob name (Store.blob src name)))
-        (Store.regions src);
-      Store.write ~format s path;
-      Store.close src)
+      copy_file ~format tmp ~ints ~blob path)
 
-let write_tampered ?format region f path =
-  let index = Xseq.build (Xdatagen.Dblp_gen.generate 10) in
-  copy_snapshot ?format index path
-    ~ints:(fun name m -> if name = region then f m)
-    ~blob:(fun _ s -> s)
+let write_tampered ?format ?source region f path =
+  let ints name m = if name = region then f m in
+  let blob _ s = s in
+  match source with
+  | Some source -> copy_file ?format source ~ints ~blob path
+  | None ->
+    let index = Xseq.build (Xdatagen.Dblp_gen.generate 10) in
+    copy_snapshot ?format index path ~ints ~blob
 
 let load_fails ?(prefix = "Labeled.of_store: inconsistent snapshot: ") path
     ~want =
@@ -917,10 +939,18 @@ let load_fails ?(prefix = "Labeled.of_store: inconsistent snapshot: ") path
     Alcotest.(check string) "diagnostic names the inconsistency"
       (prefix ^ want) msg
 
-let tampered ?format region f ~want =
+let tampered ?format ?source region f ~want =
   with_temp "xseq_inconsistent" (fun path ->
-      write_tampered ?format region f path;
+      write_tampered ?format ?source region f path;
       load_fails path ~want)
+
+(* An xseqcol1 snapshot written before every dictionary was compact: its
+   dictionary spells each entry's designator out ([dict_kind],
+   [dict_name_off], [dict_names]). *)
+let spelled_fixture =
+  Filename.concat
+    (Filename.concat (Filename.dirname Sys.executable_name) "data")
+    "v2_dblp.xseq"
 
 (* A lying node count, or a lying link length, breaks the agreement of
    the link lengths' sum, the link columns' length and the node count;
@@ -969,7 +999,7 @@ let test_beyond_32_bits () =
     ~want:"link path id out of range";
   tampered "dict_parent" (fun m -> m.(1) <- wide)
     ~want:"dictionary parent order";
-  tampered "dict_name_off" (fun m -> m.(2) <- wide)
+  tampered ~source:spelled_fixture "dict_name_off" (fun m -> m.(2) <- wide)
     ~want:"dictionary name offsets";
   List.iter
     (fun region ->
@@ -988,12 +1018,15 @@ let test_beyond_32_bits () =
               Alcotest.(check int) "info exits 1" 1 (run_cli [ "info"; path ])
           end))
     [ "l_pre"; "l_post"; "l_up"; "doc_pre"; "doc_id" ];
-  (* The compact dictionary's regions are read through the same 32-bit
-     reader. *)
-  tampered ~format:Store.Col2 "dict_desig" (fun m -> m.(1) <- wide)
-    ~want:"designator id out of range";
-  tampered ~format:Store.Col2 "desig_kind" (fun m -> m.(0) <- wide)
-    ~want:"designator kind out of range";
+  (* The compact dictionary's regions, which both formats write, are
+     read through the same 32-bit reader. *)
+  List.iter
+    (fun format ->
+      tampered ~format "dict_desig" (fun m -> m.(1) <- wide)
+        ~want:"designator id out of range";
+      tampered ~format "desig_kind" (fun m -> m.(0) <- wide)
+        ~want:"designator kind out of range")
+    [ Store.Col1; Store.Col2 ];
   (match Store.flat_of_array [| 0; -wide; wide |] with
    | _ -> Alcotest.fail "a flat column took 2^31"
    | exception Invalid_argument _ -> ());
@@ -1398,12 +1431,8 @@ let test_element_widths () =
            msg);
       Store.close resident);
   (* A snapshot written with 8-byte elements comes out 32-bit when it is
-     saved again. *)
-  let legacy =
-    Filename.concat
-      (Filename.concat (Filename.dirname Sys.executable_name) "data")
-      "v2_dblp.xseq"
-  in
+     saved again, its spelled-out dictionary compact. *)
+  let legacy = spelled_fixture in
   Alcotest.(check int) "the legacy l_pre is 8-byte" 8
     (let s = Store.open_file legacy in
      let r = region_info s "l_pre" in
@@ -1412,9 +1441,16 @@ let test_element_widths () =
   with_temp "store_resave_resident" (fun p1 ->
       Xseq.save (Xseq.load legacy) p1;
       let s = Store.open_file p1 in
-      let r = region_info s "l_pre" in
-      Alcotest.(check int) "re-saved l_pre is 32-bit" (4 * r.Store.r_count)
-        r.Store.r_bytes;
+      List.iter
+        (fun name ->
+          let r = region_info s name in
+          Alcotest.(check int)
+            ("re-saved " ^ name ^ " is 32-bit")
+            (4 * r.Store.r_count) r.Store.r_bytes)
+        [ "l_pre"; "dict_parent"; "dict_desig"; "desig_kind" ];
+      Alcotest.(check (list string))
+        "no spelled-out dictionary" []
+        (List.filter (Store.mem s) [ "dict_kind"; "dict_name_off"; "dict_names" ]);
       Store.close s)
 
 (* [Store.scan] over a paged compressed column reads what [Store.get]
