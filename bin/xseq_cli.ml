@@ -557,7 +557,7 @@ let query_cmd =
              answer through the buffer pool; reports the page reads and \
              hits since open and, for a single query, that query's own.  \
              xseqcol2 snapshots only: rewrite an xseqcol1 one with \
-             $(b,xseq index) FILE $(b,--compress).")
+             $(b,xseq index) FILE $(b,-o) NEW.")
   in
   let pool_pages =
     Arg.(
@@ -809,7 +809,7 @@ let serve_cmd =
             "Serve the snapshot off disk through the buffer pool instead \
              of materialising it in RAM (FILE must be a saved index; \
              xseqcol2 snapshots only: rewrite an xseqcol1 one with \
-             $(b,xseq index) FILE $(b,--compress)).  $(b,Stats) then \
+             $(b,xseq index) FILE $(b,-o) NEW).  $(b,Stats) then \
              reports page reads, hits and pool size.")
   in
   let pool_pages =
@@ -1802,8 +1802,8 @@ let info_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"SNAPSHOT"
           ~doc:
-            "A saved index written by $(b,xseq index) (xseqcol1 or \
-             compressed xseqcol2 format).")
+            "A saved index written by $(b,xseq index) (xseqcol2, or \
+             xseqcol1 from earlier builds).")
   in
   let run input =
     if not (is_index_file input) then begin
@@ -1835,7 +1835,7 @@ let info_cmd =
     in
     let sum field rs = List.fold_left (fun a r -> a + field r) 0 rs in
     let bytes r = r.Store.r_bytes and stored r = r.Store.r_stored in
-    let compressed = Store.file_format store = Store.Col2 in
+    let col2 = Store.file_format store = Store.Col2 in
     let ratio ~stored ~logical =
       if stored > 0 then float_of_int logical /. float_of_int stored else 0.
     in
@@ -1846,11 +1846,11 @@ let info_cmd =
     Printf.printf "snapshot:        version %d\n" xmeta.(0);
     (* Only xseqcol2 pages; name the rewrite that makes an xseqcol1
        file pageable, as opening it --paged does. *)
-    if compressed then print_endline "paged:           yes (--paged)"
+    if col2 then print_endline "paged:           yes (--paged)"
     else
       Printf.printf
-        "paged:           no; rewrite it as xseqcol2 with `xseq index %s \
-         --compress -o NEW`\n"
+        "paged:           no; rewrite it as xseqcol2 with `xseq index %s -o \
+         NEW`\n"
         input;
     if xmeta.(0) = 1 then
       print_endline
@@ -1860,7 +1860,7 @@ let info_cmd =
     Printf.printf "trie nodes:      %d\n" imeta.(0);
     Printf.printf "distinct paths:  %d\n" links;
     Printf.printf "doc entries:     %d\n" doc_entries;
-    if compressed then begin
+    if col2 then begin
       let s = sum stored columns and l = sum bytes columns in
       Printf.printf "column bytes:    %d stored / %d logical (%.2fx compression)\n"
         s l (ratio ~stored:s ~logical:l);
@@ -1906,10 +1906,10 @@ let index_cmd =
       value & flag
       & info [ "compress" ]
           ~doc:
-            "Write the compressed $(b,xseqcol2) format: delta-packed \
-             label columns, dictionary-coded designators and \
-             front-coded trie edges — typically 4-10x smaller, loadable \
-             by every reader (plain or $(b,--paged)).")
+            "LZ-code the record region and designator names: a smaller \
+             file, slower to write.  Without it the label columns are \
+             still delta-packed and the file still opens \
+             $(b,--paged).")
   in
   let run input strategy output compress =
     let t0 = Unix.gettimeofday () in
@@ -1922,10 +1922,7 @@ let index_cmd =
       else
         Xseq.build ~config:(config_of_strategy strategy) (load_documents input)
     in
-    let format =
-      if compress then Xstorage.Store.Col2 else Xstorage.Store.Col1
-    in
-    guard_snapshot input (fun () -> Xseq.save ~format index output);
+    guard_snapshot input (fun () -> Xseq.save ~compress index output);
     Printf.printf "indexed %d records into %d trie nodes; saved to %s (%.0f ms)\n"
       (Xseq.doc_count index) (Xseq.node_count index) output
       ((Unix.gettimeofday () -. t0) *. 1000.)
@@ -1935,9 +1932,9 @@ let index_cmd =
        ~doc:"Build an index over the records and save it to disk; $(b,query) \
              and $(b,stats) accept the saved file in place of the XML input.  \
              Given a saved index instead of records, rewrite it to the \
-             output in the requested format, under the strategy it was \
-             built with ($(b,--strategy) is ignored); a version-1 or \
-             version-2 snapshot is written as version 3.")
+             output under the strategy it was built with \
+             ($(b,--strategy) is ignored); an xseqcol1 file comes out as \
+             xseqcol2, and a version-1 or version-2 snapshot as version 3.")
     Term.(const run $ input_arg $ strategy_arg $ output $ compress)
 
 (* Deterministic fault injection for chaos harnesses: a schedule in the

@@ -39,7 +39,7 @@ let () =
      paged, so its column blocks are read from disk page by page through
      the buffer pool. *)
   let path = Filename.temp_file "auction_site" ".xseq" in
-  Xseq.save ~format:Xstorage.Store.Col2 index path;
+  Xseq.save ~compress:true index path;
   let paged = Xseq.load ~mode:Xstorage.Store.Paged path in
   let store = Option.get (Xseq.backing_store paged) in
   Printf.printf "%-4s %-12s %-11s %-14s %-8s\n" "" "query length" "result size"

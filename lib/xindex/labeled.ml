@@ -499,11 +499,13 @@ let of_store store =
   if I32.length parents = 0 then corrupt "dictionary root";
   let kinds, names, name_off, desigs =
     if Store.mem store "dict_desig" then begin
+      (* Read first: a damaged region is its checksum mismatch. *)
+      let coded = Store.blob store "desig_names" in
       let names, name_off =
         try
           Xsuccinct.Frontcode.decode
             ~name:"Labeled.of_store: inconsistent snapshot: designator names"
-            (Store.blob store "desig_names")
+            coded
         with Invalid_argument _ -> corrupt "designator name table"
       in
       ( dir "desig_kind",

@@ -307,12 +307,13 @@ let prune_files t keep_wal_from keep_base =
         try Sys.remove (Filename.concat t.dirname name) with Sys_error _ -> ())
     (Sys.readdir t.dirname)
 
-(* Bases are compressed snapshots; directories written before that carry
-   xseqcol1 bases, which still load (and are rewritten by the next
-   compaction, see [base_settled]). *)
+(* Bases are compressed snapshots (records and designator names
+   LZ-coded); directories written before that carry xseqcol1 bases,
+   which still load (and are rewritten by the next compaction, see
+   [base_settled]). *)
 let save_base t name seg =
   let path = Filename.concat t.dirname name in
-  Xseq.save ~format:Xstorage.Store.Col2 seg.index path;
+  Xseq.save ~compress:true seg.index path;
   Layout.fsync_path path
 
 (* Translate a disk fault while writing a base and its checkpoint into
@@ -739,9 +740,12 @@ type loaded = {
   ld_recovery : recovery;
 }
 
-(* Whether a snapshot file is in the compressed container: its magic
-   (already validated by the load that precedes this).  Opening it
-   through {!Xstorage.Store} again would materialise its blobs. *)
+(* Whether a snapshot file is in the container [save_base] writes: its
+   magic (already validated by the load that precedes this).  Opening it
+   through {!Xstorage.Store} again would materialise its blobs.  Every
+   xseqcol2 base in a store directory is one [save_base] wrote,
+   compressed, or one a snapshot transfer copied from such a directory:
+   a plain [xseq index] file never becomes a base. *)
 let is_col2 path =
   let ic = open_in_bin path in
   Fun.protect

@@ -737,7 +737,7 @@ let built_under t config =
        (Int64.bits_of_float config.sample_fraction)
   && a.sample_seed = config.sample_seed
 
-let save ?(format = Store.Col1) t path =
+let save ?compress t path =
   (* A loaded index copies its record region from its file, decoded or
      not, and re-codes one of an older layout. *)
   let blob =
@@ -777,10 +777,7 @@ let save ?(format = Store.Col1) t path =
     |];
   Store.add_blob store "docs" blob;
   Xindex.Labeled.add_to_store t.labeled store;
-  (* Compressed regions are small; 4 KiB alignment would waste a large
-     fraction of the file (and of the buffer pool) on padding. *)
-  let page_size = match format with Store.Col1 -> 4096 | Store.Col2 -> 1024 in
-  Store.write ~page_size ~format store path
+  Store.write ?compress store path
 
 (* The [gbest] statistics of a loaded index, read off its document table
    instead of its records (see [Xindex.Labeled.path_frequencies]); a
@@ -845,6 +842,7 @@ let restore store =
   if version = 1 then begin
     (* The rebuilt index reads nothing more from the file. *)
     let docs = decode_docs store ~version ndocs in
+    Store.check_unread store;
     Store.close store;
     let t = build ~config:{ config with keep_documents = true } docs in
     { t with resequenced = true }
@@ -860,6 +858,7 @@ let restore store =
       resolve_strategy config (Xindex.Labeled.symbols labeled) (fun () ->
           index_stats config labeled ndocs)
     in
+    Store.check_unread store;
     {
       labeled;
       strategy;
@@ -882,7 +881,10 @@ let restore store =
   end
 
 let load ?mode ?pool_pages path =
-  let store = Store.open_file ?mode ?pool_pages path in
+  (* Each region is checked by the read that first uses it, and the rest
+     once [restore] is done with the file ([Store.check_unread]): every
+     byte is hashed once, none used before its check. *)
+  let store = Store.open_file ?mode ?pool_pages ~deferred:true path in
   (* A rejected file must not keep a paged store's fd and buffer pool. *)
   match restore store with
   | t -> t

@@ -212,20 +212,19 @@ val stats : t -> Xschema.Stats.t option
     decoded through bounds-checked readers, so a corrupt, truncated or
     foreign file is rejected with a diagnostic naming the failure.
 
-    An xseqcol2 snapshot opened with [~mode:Paged] answers queries
-    straight off disk: its compressed index columns stay in the file and
-    their blocks are read page by page through the store's buffer pool.
-    An xseqcol1 snapshot does not open paged. *)
+    Every snapshot is written as xseqcol2 and opens resident or, with
+    [~mode:Paged], answers queries straight off disk: its packed index
+    columns stay in the file and their blocks are read page by page
+    through the store's buffer pool.  An xseqcol1 snapshot, written by
+    earlier builds, still loads resident; it does not open paged. *)
 
-val save : ?format:Xstorage.Store.file_format -> t -> string -> unit
-(** [save t path] writes the index to [path] in the
-    {!Xstorage.Store} file format.  [format] (default
-    {!Xstorage.Store.Col1}) selects the container:
-    {!Xstorage.Store.Col2} writes the compressed form — delta+varint
-    label columns, LZ document blob, compact front-coded path
-    dictionary — typically several times smaller and loadable by the
-    same {!load} (which dispatches on the file's magic).  The file is
-    snapshot version 3.  A loaded index copies its record region from
+val save : ?compress:bool -> t -> string -> unit
+(** [save t path] writes the index to [path] as an xseqcol2
+    {!Xstorage.Store} file: delta+varint label columns and a compact
+    front-coded path dictionary, on 1 KiB pages.  [compress] (default
+    [false]) also LZ-codes the record region and the designator names:
+    a smaller file that is slower to write.  Either loads through
+    {!load}, resident or paged.  The file is snapshot version 3.  A loaded index copies its record region from
     its file, and re-codes a version-2 region record by record.
     @raise Invalid_argument for indexes built with [keep_documents =
     false] or with a [Custom]/[Probability_weighted] strategy (closures
@@ -244,12 +243,14 @@ val built_under : t -> config -> bool
 val load : ?mode:Xstorage.Store.mode -> ?pool_pages:int -> string -> t
 (** [load path] restores a saved index; queries answer exactly as on the
     original.  [mode] (default [Resident]) reads the label columns and
-    the document table into memory (compressed snapshots stay
-    compressed, decoding blocks on probe); [Paged] leaves an xseqcol2
-    snapshot's columns on disk behind a buffer pool of [pool_pages]
-    pages (default 256), and refuses an xseqcol1 one, naming the
-    rewrite ([xseq index FILE --compress -o NEW]).  Every region
-    checksum is checked at open.
+    the document table into 32-bit flat buffers, decoding packed columns
+    as they stream in; [Paged] leaves an xseqcol2 snapshot's columns on
+    disk behind a buffer pool of [pool_pages] pages (default 256), and
+    refuses an xseqcol1 one, naming the rewrite ([xseq index FILE -o
+    NEW]).  Every region checksum is checked once: by the read that
+    first uses the region, before any of its bytes is used, or at the
+    end of the load for a region the load does not read (paged columns
+    at the open).
 
     The index's symbol table is the snapshot's dictionary and the
     [gbest] statistics are derived from the document table.  The

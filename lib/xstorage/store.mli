@@ -2,30 +2,31 @@
 
     One format for memory and disk, and the only place page I/O is
     counted: an index is a bag of named {e regions} — typed int columns
-    (32- or 64-bit little-endian elements on disk) and raw byte blobs —
-    laid out page-aligned.  The same column handle serves two physical
-    representations:
+    (delta-packed on disk) and byte blobs — laid out page-aligned.  The
+    same column handle serves two physical representations:
 
     - {b Flat}: an unboxed [int32] [Bigarray] buffer outside the OCaml
       heap — cache-friendly structure-of-arrays at four bytes an
       element.  Every value an index stores (labels, serials, ids) fits
-      in 32 bits; a flat column refuses one that does not.  A file's
-      4-byte elements are copied in as they are, and 8-byte ones (older
-      files, or a region with a wider value) are narrowed as they are
-      read;
+      in 32 bits; a flat column refuses one that does not.  A
+      [Resident] store decodes a file's packed column straight into one
+      as the region streams in (an xseqcol1 file's 4-byte elements are
+      copied as they are, its 8-byte ones narrowed);
     - {b Packed}: a delta+varint compressed column ([Xsuccinct.Packed])
-      probed in compressed form — resident skip tables, blocks decoded
-      on demand through a small lock-free cache, block bytes served
-      from memory or, for a [Paged] store, straight off disk through a
-      real buffer pool (page cache + {!Lru} eviction), so queries run
-      without materialising the column.
+      of a [Paged] store, probed in compressed form — resident skip
+      tables, blocks decoded on demand through a small lock-free cache,
+      block bytes read straight off disk through a real buffer pool
+      (page cache + {!Lru} eviction), so queries run without
+      materialising the column.
 
     A built index's columns are flat, and so are the columns a
-    [Resident] store reads from an xseqcol1 file; an xseqcol2 file gives
-    packed ones, resident or paged.  Only an xseqcol2 file opens
-    [Paged].
+    [Resident] store reads from a file of either container.  Only an
+    xseqcol2 file opens [Paged].
 
-    {2 File format (version 1)}
+    {!write} writes xseqcol2 (below).  xseqcol1, the container it wrote
+    before, is still read:
+
+    {2 xseqcol1 (version 1, read only)}
 
     {v
     offset  size  field
@@ -49,41 +50,31 @@
                   bytes LE (kind 4) or 8 bytes LE (kind 0)
     v}
 
-    {!write} gives an int region kind 4 when every one of its values
-    fits in 32 bits — every column an index writes, and its [xseq_meta]
-    unless a sampling fraction needs 64 bits — and kind 0 otherwise: a
-    choice per region, read back from the TOC.  Files whose int regions
-    are all kind 0 (written before kind 4 existed) still open.
+    An int region was kind 4 when every one of its values fit in 32 bits
+    and kind 0 otherwise, a choice per region read back from the TOC.
     Every byte of the file is covered by a checksum (header + per-region),
     so bit flips and truncations are detected at {!open_file} and reported
     as [Invalid_argument] with the failing part named — never decoded as
     garbage.
 
-    {2 Compressed container (xseqcol2)}
+    {2 xseqcol2 (version 1, what {!write} writes)}
 
-    {!write} with [~format:Col2] emits the same container with magic
-    ["xseqcol2"] and two extra region kinds: int columns stored as
-    block-wise delta + varint with sampled skip pointers
-    ([Xsuccinct.Packed], kind 2) and blobs stored LZ-compressed
-    ([Xsuccinct.Lz], kind 3, used only when it wins).  Kind 4 is
-    xseqcol1's alone; an xseqcol2 TOC entry claiming it is malformed.
-    Compressed TOC entries additionally carry the stored (compressed)
-    byte length in the u32 at entry offset 36 — bytes that are zero
-    padding in xseqcol1.
-    Checksums cover the {e stored} bytes, so the corruption guarantees
-    are format-independent; {!open_file} dispatches on the magic.
+    The same container with magic ["xseqcol2"] and two extra region
+    kinds: int columns stored as block-wise delta + varint with sampled
+    skip pointers ([Xsuccinct.Packed], kind 2) and blobs stored
+    LZ-compressed ([Xsuccinct.Lz], kind 3).  {!write} packs every int
+    region and keeps blobs raw (kind 1) unless asked to LZ-code them,
+    which it does where that wins.  Kind 4 is xseqcol1's alone; an
+    xseqcol2 TOC entry claiming it is malformed.  Entries additionally
+    carry the stored (compressed) byte length in the u32 at entry offset
+    36 — bytes that are zero padding in xseqcol1.  Checksums cover the
+    {e stored} bytes, so the corruption guarantees are
+    container-independent; {!open_file} dispatches on the magic.
 
-    The formats differ only in how columns and blobs are coded: an
-    index writes the same regions, one compact path dictionary
-    included, to either ([Xindex.Labeled.add_to_store]); older xseqcol1
-    files with a spelled-out dictionary still load.
-
-    A compressed column read from a [Resident] store stays compressed
-    in memory (skip tables plus delta bytes) and decodes blocks on
-    probe; a [Paged] store leaves the delta bytes on disk behind the
-    buffer pool, so the resident cost of a column is its skip tables
-    plus the decoded-block cache.  A probe that finds its block decoded
-    takes no lock; a block fetch through the pool does.
+    A [Paged] store leaves a packed column's delta bytes on disk behind
+    the buffer pool, so the resident cost of a column is its skip
+    tables plus the decoded-block cache.  A probe that finds its block
+    decoded takes no lock; a block fetch through the pool does.
 
     {2 What an open file store holds}
 
@@ -93,10 +84,13 @@
     keeps none of the bytes.  {!blob}, and {!ints} on a [Resident]
     store, read the region from the file when called, check its
     checksum again and hand the result to the caller, who decides what
-    stays in memory.  The descriptor lives as long as the store: {!close}
-    releases it, or a finaliser once the store and every column handle
-    it gave out are unreachable.  A store whose file was unlinked or
-    replaced after the open therefore still reads its own regions.
+    stays in memory.  A [~deferred:true] open leaves that first check to
+    the region's first read, or to {!check_unread}, so a load that reads
+    every region hashes each byte once.  The descriptor lives as long as
+    the store: {!close} releases it, or a finaliser once the store and
+    every column handle it gave out are unreachable.  A store whose file
+    was unlinked or replaced after the open therefore still reads its
+    own regions.
 
     {2 Buffer-pool discipline}
 
@@ -129,7 +123,7 @@ val scan : column -> ((int -> int) -> 'a) -> 'a
     Reading backwards is not an error, but may decode a block again. *)
 
 val to_array : column -> int array
-(** Materialises the column (decodes a compressed column in full). *)
+(** Materialises the column (decodes a paged column in full). *)
 
 val is_paged : column -> bool
 (** True when probes may touch the file: a compressed column whose delta
@@ -137,7 +131,7 @@ val is_paged : column -> bool
 
 val off_heap_bytes : column -> int
 (** Bytes the column keeps outside the OCaml heap: four an element for a
-    flat buffer, 0 for a compressed column. *)
+    flat buffer, 0 for a paged column. *)
 
 (** {1 Stores} *)
 
@@ -168,27 +162,27 @@ val ints : t -> string -> column
     column it was given, or a staged array copied into a fresh flat
     buffer; a [Paged] file store hands back its compressed handle.  A
     [Resident] file store reads the region from the file on every call,
-    checks its checksum and returns a fresh in-memory column (a 32-bit
-    flat buffer for xseqcol1, a still-compressed column for xseqcol2)
-    that the store does not keep.
+    checks its checksum and returns a fresh 32-bit flat buffer, decoded
+    as the region streams in, that the store does not keep.
     @raise Invalid_argument if absent or a blob, and, for a region read
-    from the file, on a checksum mismatch, a short read or a closed
-    store.  An xseqcol1 element that does not fit in 32 bits fails the
-    read with ["Store: inconsistent snapshot: region ..."], a staged
-    array element that does not fit fails as {!flat_of_array} does. *)
+    from the file, on a checksum mismatch, a corrupt packed column, a
+    short read or a closed store: a damaged region reads as its
+    checksum mismatch, whatever its bytes decode to.  An element that
+    does not fit in 32 bits fails the read with ["Store: inconsistent
+    snapshot: region ..."], a staged array element that does not fit
+    fails as {!flat_of_array} does. *)
 
 val int_array : t -> string -> int array
 (** The elements of a column region, in a fresh OCaml array.  A
     [Resident] file store decodes the region from the file straight
-    into the array (no intermediate column); other stores copy the
-    column {!ints} returns.
+    into the array as it streams in (no intermediate column); other
+    stores copy the column {!ints} returns.
     @raise Invalid_argument as {!ints} does. *)
 
 val i32 : t -> string -> Xutil.I32.t
 (** The elements of a column region in a fresh 32-bit vector, decoded
-    straight into it: a [Resident] file store streams an xseqcol1 region
-    a chunk at a time and decodes an xseqcol2 region block by block;
-    other stores walk the column {!ints} returns.  An element beyond 32
+    straight into it as a [Resident] file store's region streams in, a
+    chunk at a time; other stores walk the column {!ints} returns.  An element beyond 32
     bits saturates at [Xutil.I32.max_value] or [Xutil.I32.min_value], so
     a caller that range-checks the values rejects it as it would the
     value itself.
@@ -211,10 +205,10 @@ val blob_bytes : t -> string -> Bytes.t
 (** {2 Streamed blobs} *)
 
 type blob_stream
-(** A blob region read front to back.  A raw blob of a file store (every
-    xseqcol1 blob) comes 16 KiB at a time through one buffer, hashed as
-    it is read; an LZ-compressed region (checksummed, then decompressed
-    whole) and a memory store's blob come as one chunk. *)
+(** A blob region read front to back.  A raw blob of a file store comes
+    16 KiB at a time through one buffer, hashed as it is read; an
+    LZ-compressed region (checksummed, then decompressed whole) and a
+    memory store's blob come as one chunk. *)
 
 val stream_blob : t -> string -> blob_stream
 (** Starts reading blob region [name].
@@ -245,37 +239,48 @@ val mem : t -> string -> bool
 type file_format =
   | Col1
       (** xseqcol1: raw little-endian elements, 4 bytes each unless a
-          region holds a value beyond 32 bits *)
-  | Col2  (** xseqcol2: delta+varint columns, LZ blobs *)
+          region holds a value beyond 32 bits; read, no longer written *)
+  | Col2  (** xseqcol2: delta+varint columns, raw or LZ-coded blobs *)
 
 val format_name : file_format -> string
 (** The on-disk magic string: ["xseqcol1"] / ["xseqcol2"]. *)
 
-val write : ?page_size:int -> ?format:file_format -> t -> string -> unit
-(** [write t path] serialises every region to [path] in the format above.
-    [page_size] defaults to 4096 and must be a positive multiple of 8 (so
-    no element straddles a page).  [format] (default
-    {!Col1}) selects the container: {!Col2} writes compressed regions. *)
+val write : ?page_size:int -> ?compress:bool -> t -> string -> unit
+(** [write t path] serialises every region to [path] as xseqcol2: every
+    int region delta-packed, every blob raw or, with [~compress:true],
+    LZ-coded where that is smaller.  [page_size] defaults to 1024 and
+    must be a positive multiple of 8. *)
 
 type mode =
   | Resident
-      (** {!ints} reads a region into memory when called: a 32-bit flat
-          buffer for xseqcol1, a still-compressed column for xseqcol2 *)
+      (** {!ints} reads a region into a 32-bit flat buffer when
+          called *)
   | Paged
-      (** leave an xseqcol2 file's compressed int columns on disk behind
+      (** leave an xseqcol2 file's packed int columns on disk behind
           the buffer pool; an xseqcol1 file does not open [Paged] *)
 
-val open_file : ?mode:mode -> ?pool_pages:int -> string -> t
+val open_file : ?mode:mode -> ?pool_pages:int -> ?deferred:bool -> string -> t
 (** [open_file path] validates the header and table of contents, streams
     every region once to check its checksum, and returns the store.
     [mode] defaults to [Resident].  [pool_pages] (default 256) bounds the
-    paged backend's buffer pool.
+    paged backend's buffer pool.  With [~deferred:true] the open checks
+    only the int regions of a [Paged] store (their probes never check):
+    each other region is checked by its first read, before any of its
+    bytes is used, and {!check_unread} checks the ones no read did.
 
     @raise Invalid_argument naming the failure: bad magic, unsupported
     version, header or region checksum mismatch, truncated file,
     malformed table of contents; and for an xseqcol1 file opened
     [Paged], naming the rewrite that makes it pageable
-    ([xseq index FILE --compress -o NEW]). *)
+    ([xseq index FILE -o NEW]). *)
+
+val check_unread : t -> unit
+(** Streams and checks every region of a file store that no read has
+    checked since the open, so that with a [~deferred:true] open a
+    flipped byte in a region nobody reads still fails.  A no-op for a
+    memory store and after a full open.
+    @raise Invalid_argument ["Store.open_file: region ... checksum
+    mismatch"], or on a short read or a closed store. *)
 
 (** {1 Introspection} *)
 
@@ -285,8 +290,9 @@ type region_info = {
   r_count : int;  (** elements for ints, bytes for blobs *)
   r_bytes : int;
       (** logical (uncompressed) payload bytes: for an xseqcol2 int
-          column 8 an element; for an xseqcol1 one, the 4 or 8 bytes an
-          element takes in the file *)
+          column (and any int region of a memory store) 8 an element;
+          for an xseqcol1 one, the 4 or 8 bytes an element takes in the
+          file *)
   r_stored : int;
       (** bytes actually stored before page padding; equals [r_bytes]
           for uncompressed regions *)
@@ -300,14 +306,13 @@ val regions : t -> region_info list
 val page_size : t -> int
 
 val file_format : t -> file_format
-(** The container an opened store came from; {!Col1} for memory
-    stores. *)
+(** The container an opened store came from; {!Col2}, what {!write}
+    writes, for memory stores. *)
 
 val file_bytes : t -> int
 (** Total serialised size: actual file size for file stores, the exact
-    size {!write} would produce (xseqcol1, default page size) for memory
-    stores, each int region at the element width {!write} picks for
-    it. *)
+    size {!write} would produce (plain, default page size) for memory
+    stores. *)
 
 val page_reads : t -> int
 (** Pages fetched from disk by the paged backend (buffer-pool misses)

@@ -90,3 +90,30 @@ val decode_span : t -> int -> string -> int array -> unit
 
 val decode_all : t -> fetch:(int -> int -> string) -> int array
 (** The whole column, decoded block by block. *)
+
+(** {2 Incremental decoding} *)
+
+type decoder
+(** A serialized column read front to back, in pieces of any size, with
+    no copy of its delta stream: the header and tables are kept (12
+    bytes a block), each element is handed over as soon as its bytes are
+    in. *)
+
+val decoder : name:string -> length:int -> count:int -> (int -> int -> unit) -> decoder
+(** [decoder ~name ~length ~count set] decodes a serialized column of
+    [length] bytes that must hold [count] elements, handing element [i]
+    to [set i x], in order.  Raises [Invalid_argument] (mentioning
+    [name]) if [length] is shorter than a header. *)
+
+val feed : decoder -> Bytes.t -> int -> int -> unit
+(** [feed d buf off len] hands over the next [len] bytes of the
+    serialized form, at [off] in [buf]; [buf] may be reused once [feed]
+    returns.  Raises [Invalid_argument] on every inconsistency {!parse},
+    {!decode_into} and {!decode_all} reject (a header disagreeing with
+    [length] or [count], a block's bytes ending before its elements or
+    holding more), possibly after some elements were handed over, and
+    when more than [length] bytes are fed. *)
+
+val finish : decoder -> unit
+(** Checks that all [length] bytes were fed, and so every element handed
+    over.  Raises [Invalid_argument] otherwise. *)

@@ -1,5 +1,5 @@
-(* Golden snapshot digests.  The MD5 of [Xseq.save]'s output — both
-   formats — over fixed-seed DBLP and XMark corpora, under every
+(* Golden snapshot digests.  The MD5 of [Xseq.save]'s output — plain
+   and compressed — over fixed-seed DBLP and XMark corpora, under every
    persisted sequencing configuration.  Labels, link order, dictionary
    order and the document table all follow from the order in which a
    build interns designators and paths into its symbol table, so any
@@ -10,12 +10,9 @@
    the (corpus, config) pair: all pairs are built in one process, once
    in list order and once reversed, and must give the same digests both
    times.  A snapshot loaded and saved again must give the pinned
-   digest of the format it is saved in, whatever backs the loaded
-   columns: an xseqcol1 snapshot loaded resident (flat buffers) and
-   saved as xseqcol2 — the 32-bit elements xseqcol1 writes lose nothing
-   the compressed form keeps — or loaded paged and saved as xseqcol1,
-   and an xseqcol2 snapshot loaded resident or paged (compressed
-   columns) and saved as xseqcol2. *)
+   digest of the kind it is saved as, whatever backs the loaded
+   columns: loaded resident (flat buffers) or paged (packed columns),
+   and from an xseqcol1 file, the container earlier builds wrote. *)
 
 (* [Dblp_text] and [Xmark_text] are the same records printed as XML and
    read back through [Xml_parser.parse_fragments]; [Mixed_text] is XML
@@ -77,103 +74,108 @@ let configs =
     ("text", { c with value_mode = Sequencing.Encoder.Text });
   ]
 
-(* (corpus, config, Col1 digest, Col2 digest).  The Col1 digests were
-   re-pinned once, together, when xseqcol1 began writing the compact
-   path dictionary xseqcol2 writes (dict_desig, desig_kind and the
-   front-coded desig_names in place of dict_kind, dict_name_off and
-   dict_names); no Col2 digest moved. *)
+(* (corpus, config, plain digest, compressed digest).  The compressed
+   digests are those of the xseqcol2 files every earlier build wrote
+   with [--compress]; the plain ones were pinned when the plain writer
+   stopped writing xseqcol1 (packed columns, raw blobs). *)
 let golden =
   [
     (Dblp, "probability",
-      "f55e0180c770dbbd3497331af01f9346", "c05c1728d74ca28a0dc84bd49b1c395e");
+      "decf596eee8c0fbb70233b7f29814abb", "c05c1728d74ca28a0dc84bd49b1c395e");
     (Dblp, "probability/sample 0.3",
-      "cac925627ea6fc4eec9fdcc6e4aeeb40", "1a76d3fc14d61bd893b5b99bb9543db5");
+      "0b2ff516f04aa965a6656535949747e7", "1a76d3fc14d61bd893b5b99bb9543db5");
     (Dblp, "depth-first",
-      "fe37b6c5ebc496a05ded69595a3fbdbe", "4f0f6884f915bb6a9fd092f221663732");
+      "0080581a5072cedc238ec3eb66ebebc1", "4f0f6884f915bb6a9fd092f221663732");
     (Dblp, "depth-first/canonical",
-      "d1f59ebde61ed4973b1905f2471b231c", "009aff6e9a5a05bcc43331173b6fc161");
+      "ec7ded8b05a56e163cd329edd2e1c922", "009aff6e9a5a05bcc43331173b6fc161");
     (Dblp, "breadth-first",
-      "61c27c81a101f1ae671ccb1457d7c880", "91e5867ef82f418616aa1e7d31d2571d");
+      "4fccc992e43e43382d5a6f801737f809", "91e5867ef82f418616aa1e7d31d2571d");
     (Dblp, "breadth-first/canonical",
-      "8d431d979c4ccb37758bbba9dc51e71e", "5512cd49ed52a51a08b0dfe19c460e40");
+      "19910f58cc69bf0419b686684bfdab4a", "5512cd49ed52a51a08b0dfe19c460e40");
     (Dblp, "random",
-      "ec684bccbed6ee82b7c967458ba35b65", "c9a00417e6a93419abc7266b0ad9cff7");
+      "b9d74c8fedeef730bdb05a80cc7c2587", "c9a00417e6a93419abc7266b0ad9cff7");
     (Dblp, "text",
-      "8b69a5c49a287c43a57cc5c66dac59ab", "37b170256abd41f80679d6856b5dd06a");
+      "4f8e747b3d5be75ab7fd3b0df536a1d9", "37b170256abd41f80679d6856b5dd06a");
     (Xmark, "probability",
-      "1c86daf640987e20e3d9d63cc7fde09a", "d28f121d9bcf646a1a150606a3e1cbf9");
+      "2810b8f6d311faf98e82e3a1bf02158f", "d28f121d9bcf646a1a150606a3e1cbf9");
     (Xmark, "probability/sample 0.3",
-      "1969f0d1418590a9811857c04a0fcacc", "006dc44a8f284dc7b202b6150ad2948c");
+      "7b1b6da106028169ff061063ea505326", "006dc44a8f284dc7b202b6150ad2948c");
     (Xmark, "depth-first",
-      "3ec51489d7abcb95a6627da506975509", "96c8dd52803a1831b6d4473a0ce1f267");
+      "7f9d3ff7a2088adc68da703080a18845", "96c8dd52803a1831b6d4473a0ce1f267");
     (Xmark, "depth-first/canonical",
-      "ad931240b28396fd4089287e0db95abf", "7603077c9cf01e7ca36cfc306d9dce64");
+      "f51c6a78bde6d485c7cff8d409be7956", "7603077c9cf01e7ca36cfc306d9dce64");
     (Xmark, "breadth-first",
-      "7b08edd663e4e88358df5139c1a7979c", "dc31b99c9530b5601ac4e01bda4a9eb1");
+      "6b6c2678b25656c3545f276996f8ba5b", "dc31b99c9530b5601ac4e01bda4a9eb1");
     (Xmark, "breadth-first/canonical",
-      "e35592091783d9186462d4fea3cf6c79", "9b1d02b915cc4b492241677e572f16e4");
+      "626fcd365c61a033f4666252335e9019", "9b1d02b915cc4b492241677e572f16e4");
     (Xmark, "random",
-      "26b52443c84e8faa545b538303147a15", "644459fa496dc1d956625eb96acfed3e");
+      "e0905a7d07a59ea1ea3fe44904f2311e", "644459fa496dc1d956625eb96acfed3e");
     (Xmark, "text",
-      "26fcdc3aec71becf33af840b1661b194", "37143fdabe3af8806ebecc8c926278cf");
+      "cfff637b51748280817e865db0c58105", "37143fdabe3af8806ebecc8c926278cf");
     (Dblp_text, "probability",
-      "f55e0180c770dbbd3497331af01f9346", "c05c1728d74ca28a0dc84bd49b1c395e");
+      "decf596eee8c0fbb70233b7f29814abb", "c05c1728d74ca28a0dc84bd49b1c395e");
     (Xmark_text, "probability",
-      "1c86daf640987e20e3d9d63cc7fde09a", "d28f121d9bcf646a1a150606a3e1cbf9");
+      "2810b8f6d311faf98e82e3a1bf02158f", "d28f121d9bcf646a1a150606a3e1cbf9");
     (Mixed_text, "probability",
-      "08024094a6089dc304bb2bd1944bc65d", "f15d3b92f11f8249d6518c0d04e40910");
+      "0cd1e5a5ab2c89e7545eccd72186f106", "f15d3b92f11f8249d6518c0d04e40910");
     (Mixed_text, "depth-first/canonical",
-      "da9eda4b6f40c8dd35e6f525401c8fce", "d5c4ec00cee8796136caeb808f690308");
+      "5dc01ecfc9241d3aad797bc46eaa48de", "d5c4ec00cee8796136caeb808f690308");
     (Mixed_text, "text",
-      "9c407a3c9558e85cfdb6db0253b2ed09", "875dde6fb0dbc50970ee607cbb9ac469");
+      "4a43589693b374525bc2c6743aba8607", "875dde6fb0dbc50970ee607cbb9ac469");
   ]
 
-(* The re-saves checked, as (format loaded, load mode, format saved). *)
+(* The re-saves checked, as (container loaded, load mode, container
+   saved). *)
 let resaves =
-  let open Xstorage.Store in
+  let open Containers in
   [
-    (Col1, Resident, Col2);
-    (Col1, Resident, Col1);
-    (Col2, Resident, Col2);
-    (Col2, Paged, Col2);
+    (Plain, Xstorage.Store.Resident, Plain);
+    (Plain, Xstorage.Store.Resident, Compressed);
+    (Plain, Xstorage.Store.Paged, Plain);
+    (Compressed, Xstorage.Store.Resident, Compressed);
+    (Compressed, Xstorage.Store.Paged, Compressed);
+    (Compressed, Xstorage.Store.Paged, Plain);
+    (Col1, Xstorage.Store.Resident, Plain);
   ]
 
-let resave_name (from, mode, format) =
-  Printf.sprintf "the %s snapshot loaded %s and re-saved as %s"
-    (Xstorage.Store.format_name from)
+let resave_name (from, mode, kind) =
+  Printf.sprintf "the %s snapshot loaded %s and re-saved %s"
+    (Containers.name from)
     (match mode with
      | Xstorage.Store.Resident -> "resident"
      | Xstorage.Store.Paged -> "paged")
-    (Xstorage.Store.format_name format)
+    (Containers.name kind)
 
-(* The Col1 and Col2 digests of a build, and the digest of each of
-   [resaves]. *)
+(* The plain and compressed digests of a build, and the digest of each
+   of [resaves]. *)
 let digests corpus config =
-  let col1 = Filename.temp_file "xseq_golden" ".col1" in
-  let col2 = Filename.temp_file "xseq_golden" ".col2" in
-  let resaved = Filename.temp_file "xseq_golden" ".resaved" in
+  let temp () = Filename.temp_file "xseq_golden" ".xseq" in
+  let plain = temp () and compressed = temp () and col1 = temp () in
+  let resaved = temp () in
   Fun.protect
     ~finally:(fun () ->
       List.iter
         (fun f -> try Sys.remove f with Sys_error _ -> ())
-        [ col1; col2; resaved ])
+        [ plain; compressed; col1; resaved ])
     (fun () ->
       let index = Xseq.build ~config (generate corpus) in
-      Xseq.save ~format:Xstorage.Store.Col1 index col1;
-      Xseq.save ~format:Xstorage.Store.Col2 index col2;
+      Containers.save Plain index plain;
+      Containers.save Compressed index compressed;
+      Containers.save Col1 index col1;
       let hex f = Digest.to_hex (Digest.file f) in
-      let resave (from, mode, format) =
+      let resave (from, mode, kind) =
         let loaded =
           Xseq.load ~mode
             (match from with
-             | Xstorage.Store.Col1 -> col1
-             | Xstorage.Store.Col2 -> col2)
+             | Containers.Plain -> plain
+             | Containers.Compressed -> compressed
+             | Containers.Col1 -> col1)
         in
-        Xseq.save ~format loaded resaved;
+        Containers.save kind loaded resaved;
         Option.iter Xstorage.Store.close (Xseq.backing_store loaded);
         hex resaved
       in
-      ((hex col1, hex col2), List.map resave resaves))
+      ((hex plain, hex compressed), List.map resave resaves))
 
 let test_digests () =
   let run pairs =
@@ -190,21 +192,6 @@ let test_digests () =
         Alcotest.failf "(%s, %S) depends on the build order"
           (corpus_name (fst pair)) (snd pair))
     forward;
-  List.iter
-    (fun (corpus, name, want1, want2) ->
-      let _, got = List.assoc (corpus, name) forward in
-      List.iter2
-        (fun ((_, _, format) as resave) digest ->
-          let want =
-            match format with
-            | Xstorage.Store.Col1 -> want1
-            | Xstorage.Store.Col2 -> want2
-          in
-          if digest <> want then
-            Alcotest.failf "(%s, %S): %s gives %s, not the pinned %s"
-              (corpus_name corpus) name (resave_name resave) digest want)
-        resaves got)
-    golden;
   let mismatches =
     List.filter_map
       (fun (corpus, name, want1, want2) ->
@@ -219,7 +206,23 @@ let test_digests () =
   in
   if mismatches <> [] then
     Alcotest.failf "snapshot digests changed; now:\n%s"
-      (String.concat ";\n" mismatches)
+      (String.concat ";\n" mismatches);
+  List.iter
+    (fun (corpus, name, want1, want2) ->
+      let _, got = List.assoc (corpus, name) forward in
+      List.iter2
+        (fun ((_, _, kind) as resave) digest ->
+          let want =
+            match kind with
+            | Containers.Plain -> want1
+            | Containers.Compressed -> want2
+            | Containers.Col1 -> Alcotest.fail "no xseqcol1 digest is pinned"
+          in
+          if digest <> want then
+            Alcotest.failf "(%s, %S): %s gives %s, not the pinned %s"
+              (corpus_name corpus) name (resave_name resave) digest want)
+        resaves got)
+    golden
 
 let () =
   Alcotest.run "golden"

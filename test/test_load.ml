@@ -19,15 +19,19 @@ let with_temp_file f =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* The modes a snapshot of [format] opens in: only an xseqcol2 file
-   pages. *)
+(* The modes a snapshot in container [c] opens in: only an xseqcol2
+   file pages. *)
 let modes = function
-  | Store.Col1 -> [ Store.Resident ]
-  | Store.Col2 -> [ Store.Resident; Store.Paged ]
+  | Containers.Col1 -> [ Store.Resident ]
+  | Containers.Plain | Containers.Compressed -> [ Store.Resident; Store.Paged ]
 
-let format_of file =
-  let s = Store.open_file file in
-  Fun.protect ~finally:(fun () -> Store.close s) (fun () -> Store.file_format s)
+let containers = Containers.[ Plain; Compressed; Col1 ]
+
+(* What saving an index loaded from container [c] writes: xseqcol1 is
+   no longer written. *)
+let resave_as = function
+  | Containers.Col1 -> Containers.Plain
+  | c -> c
 
 (* --- statistics oracle ---------------------------------------------------- *)
 
@@ -163,7 +167,7 @@ let test_compiled_sequences () =
   with_temp_file (fun path ->
       List.iter
         (fun format ->
-          Xseq.save ~format index path;
+          Containers.save format index path;
           List.iter
             (fun mode ->
               let loaded = Xseq.load ~mode path in
@@ -171,7 +175,7 @@ let test_compiled_sequences () =
                 (fun q w ->
                   if compile loaded q <> w then
                     Alcotest.failf "%s %s: %s compiles differently"
-                      (Store.format_name format)
+                      (Containers.name format)
                       (match mode with
                        | Store.Resident -> "resident"
                        | Store.Paged -> "paged")
@@ -179,7 +183,7 @@ let test_compiled_sequences () =
                 queries want;
               Option.iter Store.close (Xseq.backing_store loaded))
             (modes format))
-        [ Store.Col1; Store.Col2 ])
+        containers)
 
 (* --- one symbol table per index -------------------------------------------- *)
 
@@ -214,8 +218,8 @@ let cross_index_snapshots =
            List.map
              (fun format ->
                ( (name, format),
-                 Filename.temp_file "xseq_cross" (Store.format_name format) ))
-             [ Store.Col1; Store.Col2 ])
+                 Filename.temp_file "xseq_cross" ".xseq" ))
+             containers)
          cross_index_configs
      in
      at_exit (fun () ->
@@ -228,7 +232,7 @@ let cross_index_snapshots =
               (fun ((name, format), file) ->
                 let config = List.assoc name cross_index_configs in
                 let docs = Array.map Xmlcore.Xml_parser.parse_string zeta_first in
-                Xseq.save ~format (Xseq.build ~config docs) file)
+                Containers.save format (Xseq.build ~config docs) file)
               files
           with
           | () -> 0
@@ -263,8 +267,8 @@ let test_cross_index name () =
     List.map
       (fun format ->
         let loaded = Xseq.load (List.assoc (name, format) files) in
-        (Store.format_name format, Xseq.query loaded query))
-      [ Store.Col1; Store.Col2 ]
+        (Containers.name format, Xseq.query loaded query))
+      containers
   in
   Alcotest.(check (list (pair string (list int))))
     name
@@ -333,7 +337,7 @@ let test_v1_snapshots () =
           Alcotest.(check bool) "no backing store" true
             (Xseq.backing_store loaded = None);
           with_temp_file (fun path ->
-              Xseq.save ~format:Store.Col2 loaded path;
+              Xseq.save ~compress:true loaded path;
               let again = Xseq.load ~mode path in
               check "rewritten" again;
               Alcotest.(check bool) (file ^ " rewritten is settled") true
@@ -385,11 +389,11 @@ let test_v2_snapshots () =
             queries;
           let store = Option.get (Xseq.backing_store loaded) in
           with_temp_file (fun path ->
-              Xseq.save ~format:(Store.file_format store) loaded path;
+              Containers.save (resave_as (Containers.of_file file)) loaded path;
               Alcotest.(check (list string)) (file ^ " re-saved without them")
                 [] (has_regions path retired_regions));
           Store.close store)
-        (modes (format_of file)))
+        (modes (Containers.of_file file)))
     v2_snapshots
 
 let snapshot_version file =
@@ -427,7 +431,7 @@ let test_v2_resaved_as_v3 () =
           let loaded = Xseq.load ~mode file in
           let store = Option.get (Xseq.backing_store loaded) in
           with_temp_file (fun path ->
-              Xseq.save ~format:(Store.file_format store) loaded path;
+              Containers.save (resave_as (Containers.of_file file)) loaded path;
               Alcotest.(check int) (file ^ " re-saved as version 3") 3
                 (snapshot_version path);
               if docs_bytes path >= docs_bytes file then
@@ -448,7 +452,7 @@ let test_v2_resaved_as_v3 () =
                 queries;
               Option.iter Store.close (Xseq.backing_store again));
           Store.close store)
-        (modes (format_of file));
+        (modes (Containers.of_file file));
       Option.iter Store.close (Xseq.backing_store original))
     v2_snapshots
 
@@ -519,18 +523,18 @@ let test_save_verbatim () =
       with_temp_file (fun copy ->
           List.iter
             (fun format ->
-              Xseq.save ~format index original;
+              Containers.save format index original;
               List.iter
                 (fun mode ->
                   let loaded = Xseq.load ~mode original in
-                  Xseq.save ~format loaded copy;
+                  Containers.save format loaded copy;
                   Option.iter Store.close (Xseq.backing_store loaded);
                   Alcotest.(check bool)
-                    (Store.format_name format ^ " reproduced")
+                    (Containers.name format ^ " reproduced")
                     true
                     (String.equal (read_file original) (read_file copy)))
                 (modes format))
-            [ Store.Col1; Store.Col2 ]))
+            containers))
 
 let live_words () =
   Gc.full_major ();
@@ -548,14 +552,14 @@ let fallback_word_bound = 20_000
 (* A snapshot of [docs] in a fresh file, and the answer to [exploding]
    over them.  The records are garbage once it returns, so they do not
    die inside a measurement. *)
-let snapshot_of ?format docs =
+let snapshot_of ?compress docs =
   let path = Filename.temp_file "xseq_load" ".idx" in
-  Xseq.save ?format (Xseq.build docs) path;
+  Xseq.save ?compress (Xseq.build docs) path;
   (path, Xquery.Embedding.filter exploding docs)
 
 let test_fallback_keeps_nothing () =
   let path, want =
-    snapshot_of ~format:Store.Col2 (Xdatagen.Dblp_gen.generate ~seed:5 2000)
+    snapshot_of ~compress:true (Xdatagen.Dblp_gen.generate ~seed:5 2000)
   in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -570,14 +574,13 @@ let test_fallback_keeps_nothing () =
         Alcotest.failf "the fallback left %d words live (bound %d)" grown
           fallback_word_bound)
 
-(* The scan fallback of a resident xseqcol1 index streams its record
-   region through one 16 KiB chunk: the major heap grows by far less
-   than the region.  Reading the region whole as one string (505k bytes
-   here, 63k words) put all of it there on every over-budget query. *)
+(* The scan fallback of a resident index over a raw record region (a
+   plain snapshot's) streams the region through one 16 KiB chunk: the
+   major heap grows by far less than the region.  Reading the region
+   whole as one string (505k bytes here, 63k words) put all of it there
+   on every over-budget query. *)
 let test_fallback_streams () =
-  let path, want =
-    snapshot_of ~format:Store.Col1 (Xdatagen.Dblp_gen.generate ~seed:5 2000)
-  in
+  let path, want = snapshot_of (Xdatagen.Dblp_gen.generate ~seed:5 2000) in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
@@ -607,11 +610,11 @@ let test_records_outlive_the_file () =
   List.iter
     (fun (format, mode) ->
       let path = Filename.temp_file "xseq_unlinked" ".idx" in
-      Xseq.save ~format (Xseq.build docs) path;
+      Containers.save format (Xseq.build docs) path;
       let loaded = Xseq.load ~mode path in
       Sys.remove path;
       let what =
-        Printf.sprintf "%s %s" (Store.format_name format)
+        Printf.sprintf "%s %s" (Containers.name format)
           (match mode with
            | Store.Paged -> "paged"
            | Store.Resident -> "resident")
@@ -624,11 +627,14 @@ let test_records_outlive_the_file () =
             Alcotest.failf "%s: record %d differs" what i)
         docs;
       Option.iter Store.close (Xseq.backing_store loaded))
-    [
-      (Store.Col1, Store.Resident);
-      (Store.Col2, Store.Resident);
-      (Store.Col2, Store.Paged);
-    ]
+    Containers.
+      [
+        (Col1, Store.Resident);
+        (Plain, Store.Resident);
+        (Plain, Store.Paged);
+        (Compressed, Store.Resident);
+        (Compressed, Store.Paged);
+      ]
 
 (* --- legacy layout -------------------------------------------------------- *)
 
@@ -669,7 +675,7 @@ let add_spelled_dictionary legacy src =
 
 let write_legacy ~format index path =
   with_temp_file (fun current ->
-      Xseq.save ~format index current;
+      Containers.save format index current;
       let src = Store.open_file current in
       let next = ref 0 in
       let alloc entries =
@@ -692,13 +698,13 @@ let write_legacy ~format index path =
             Store.add_ints legacy "link_len" (Store.ints src "link_len");
             Store.add_int_array legacy "link_base" link_base
           | name, _
-            when format = Store.Col1 && List.mem name compact_dictionary ->
+            when format = Containers.Col1 && List.mem name compact_dictionary ->
             ()
           | name, `Ints -> Store.add_ints legacy name (Store.ints src name)
           | name, `Blob -> Store.add_blob legacy name (Store.blob src name))
         (Store.regions src);
-      if format = Store.Col1 then add_spelled_dictionary legacy src;
-      Store.write ~page_size:(Store.page_size src) ~format legacy path;
+      if format = Containers.Col1 then add_spelled_dictionary legacy src;
+      Containers.write ~page_size:(Store.page_size src) format legacy path;
       Store.close src)
 
 (* A legacy-layout snapshot loads in both formats, and in both modes
@@ -728,7 +734,7 @@ let test_legacy_layout () =
               Alcotest.(check bool) "legacy file has link_base" true
                 (Store.mem legacy "link_base");
               Alcotest.(check bool) "legacy file spells its dictionary out"
-                (format = Store.Col1)
+                (format = Containers.Col1)
                 (Store.mem legacy "dict_names");
               List.iter
                 (fun mode ->
@@ -737,12 +743,12 @@ let test_legacy_layout () =
                     (fun q ->
                       Alcotest.(check (list int))
                         (Printf.sprintf "%s %s: %s" name
-                           (Store.format_name format)
+                           (Containers.name format)
                            (Xquery.Pattern.to_string q))
                         (Xseq.query index q) (Xseq.query loaded q))
                     queries;
                   with_temp_file (fun resaved ->
-                      Xseq.save ~format loaded resaved;
+                      Containers.save (resave_as format) loaded resaved;
                       let s = Store.open_file resaved in
                       Alcotest.(check bool) "re-save drops link_base" false
                         (Store.mem s "link_base");
@@ -755,7 +761,7 @@ let test_legacy_layout () =
                       Store.close s);
                   Option.iter Store.close (Xseq.backing_store loaded))
                 (modes format))
-            [ Store.Col1; Store.Col2 ]))
+            containers))
     corpora
 
 (* --- failed loads --------------------------------------------------------- *)
@@ -784,7 +790,7 @@ let test_failed_loads_close () =
             let store = Store.memory () in
             fill store;
             Store.add_blob store "docs" "";
-            Store.write ~format:Store.Col2 store path;
+            Store.write ~compress:true store path;
             let before = open_fds () in
             for _ = 1 to 500 do
               match Xseq.load ~mode:Store.Paged path with
@@ -798,11 +804,13 @@ let test_failed_loads_close () =
    rewrite that makes it pageable, and closes the file it opened. *)
 let test_paged_col1_refused () =
   with_temp_file (fun path ->
-      Xseq.save (Xseq.build (Xdatagen.Dblp_gen.generate ~seed:4 20)) path;
+      Containers.(save Col1)
+        (Xseq.build (Xdatagen.Dblp_gen.generate ~seed:4 20))
+        path;
       let refusal =
         Printf.sprintf
           "Store.open_file: an xseqcol1 snapshot cannot be opened paged; \
-           rewrite it as xseqcol2 with `xseq index %s --compress -o NEW`"
+           rewrite it as xseqcol2 with `xseq index %s -o NEW`"
           path
       in
       let attempt () =

@@ -246,7 +246,7 @@ let test_legacy_col1_base () =
           (match bases () with
           | [ b ] ->
             let path = Filename.concat dir b in
-            Xseq.save ~format:Xstorage.Store.Col1 (Xseq.load path) path;
+            Containers.(save Col1) (Xseq.load path) path;
             Alcotest.(check bool) "legacy base in place" true
               (base_format path = Xstorage.Store.Col1)
           | l -> Alcotest.failf "%d base files" (List.length l));

@@ -59,7 +59,7 @@ let with_paged ~wide n f =
     (fun () ->
       let s = Store.memory () in
       Store.add_int_array s "col" (Array.init n (value ~wide));
-      Store.write ~page_size:16 ~format:Store.Col2 s path;
+      Store.write ~page_size:16 ~compress:true s path;
       let s = Store.open_file ~mode:Store.Paged ~pool_pages:1_000 path in
       let r = List.find (fun r -> r.Store.r_name = "col") (Store.regions s) in
       let data =

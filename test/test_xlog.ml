@@ -926,7 +926,10 @@ let test_seed_oracle () =
       (match base_files dir with
        | [ b ] ->
          Alcotest.(check bool) "base is xseqcol2" true
-           (base_format dir b = Xstorage.Store.Col2)
+           (base_format dir b = Xstorage.Store.Col2);
+         Alcotest.(check string) "base is compressed"
+           (Containers.name Containers.Compressed)
+           (Containers.name (Containers.of_file (Filename.concat dir b)))
        | l -> Alcotest.failf "%d base files" (List.length l));
       let pos = Xlog.wal_position log in
       Alcotest.(check bool) "the WAL rotated" true (pos.Wal.file > 0);
@@ -1035,7 +1038,12 @@ let check_rebuilds what dir log =
   List.iter
     (fun b ->
       Alcotest.(check bool) (what ^ ": new base is xseqcol2") true
-        (base_format dir b = Xstorage.Store.Col2))
+        (base_format dir b = Xstorage.Store.Col2);
+      (* A base is written compressed, as no plain snapshot is: its
+         records and designator names LZ-coded. *)
+      Alcotest.(check string) (what ^ ": new base is compressed")
+        (Containers.name Containers.Compressed)
+        (Containers.name (Containers.of_file (Filename.concat dir b))))
     files;
   (* ...after which the store is settled again. *)
   check_untouched (what ^ ", then again") dir log
@@ -1078,7 +1086,7 @@ let test_settled_compaction () =
       (match base_files dir with
        | [ b ] ->
          let path = Filename.concat dir b in
-         Xseq.save ~format:Xstorage.Store.Col1 (Xseq.load path) path;
+         Containers.(save Col1) (Xseq.load path) path;
          Alcotest.(check bool) "rewritten as xseqcol1" true
            (base_format dir b = Xstorage.Store.Col1)
        | l -> Alcotest.failf "%d base files" (List.length l));
