@@ -1852,7 +1852,7 @@ let info_cmd =
         "paged:           no; rewrite it as xseqcol2 with `xseq index %s -o \
          NEW`\n"
         input;
-    if xmeta.(0) = 1 then
+    if xmeta.(0) < 3 then
       print_endline
         "note:            every load re-sequences the records in memory; \
          --paged buys nothing";
@@ -1914,8 +1914,8 @@ let index_cmd =
   let run input strategy output compress =
     let t0 = Unix.gettimeofday () in
     (* A snapshot is loaded resident (either format) and written again:
-       its records are copied from the file, and a version-1 or
-       version-2 file comes out as version 3. *)
+       a current file's records are copied from it, and an older one,
+       upgraded at the load, comes out as version 3. *)
     let index =
       if is_index_file input then
         guard_snapshot input (fun () -> Xseq.load input)

@@ -643,119 +643,47 @@ let name_order t =
        n order (I32.make n 0) (Bytes.create n) n);
   (order, t.names, t.name_off)
 
+exception Out_of_order
+
 let of_dictionary ~kinds ~names ~name_off ~parents ~desigs =
   let ndict = I32.length parents and ntable = I32.length kinds in
-  (* A spelled-out dictionary names entry i by table entry i; entry 0,
-     epsilon's, names nothing. *)
-  let first = if Option.is_some desigs then 0 else 1 in
-  if
-    I32.length name_off <> ntable + 1
-    ||
-    match desigs with
-    | Some d -> I32.length d <> ndict
-    | None -> ntable <> ndict
-  then invalid_arg "dictionary region sizes";
+  if I32.length name_off <> ntable + 1 || I32.length desigs <> ndict then
+    invalid_arg "dictionary region sizes";
   if ndict = 0 || get parents 0 >= 0 then invalid_arg "dictionary root";
-  (match desigs with
-   | Some d when get d 0 >= 0 -> invalid_arg "root entry with a designator"
-   | _ -> ());
-  if get name_off first < 0 || get name_off ntable > Bytes.length names
-  then invalid_arg "dictionary name offsets";
-  for j = first to ntable - 1 do
+  if get desigs 0 >= 0 then invalid_arg "root entry with a designator";
+  if get name_off 0 < 0 || get name_off ntable > Bytes.length names then
+    invalid_arg "dictionary name offsets";
+  for j = 0 to ntable - 1 do
     if get name_off (j + 1) < get name_off j then
       invalid_arg "dictionary name offsets";
     if get kinds j <> 0 && get kinds j <> 1 then
       invalid_arg "designator kind out of range"
   done;
-  let kind =
+  let is_value =
     Bytes.init ntable (fun j -> if get kinds j = 0 then '\000' else '\001')
   in
-  let e = { kind; names; name_off } in
-  (* Two scratch vectors serve the designator sort, then the path sort. *)
-  let a = I32.make (max ntable ndict) 0 and b = I32.make (max ntable ndict) 0 in
-  (* A compact table already in strict (name, kind) order keeps its
-     entries as designators: entry j is designator j. *)
-  let in_order =
-    first = 0
-    &&
-    let ok = ref true and j = ref 1 in
-    while !ok && !j < ntable do
-      ok := entry_compare e (!j - 1) !j < 0;
-      incr j
-    done;
-    !ok
-  in
-  (* Designators are numbered in (name, kind) order.  A compact table
-     in that order already is one designator an entry, named in place.
-     Any other table — a compact one out of order, or the spelled-out
-     table of a snapshot written before every dictionary was compact —
-     is sorted, each run of repeats becomes one designator, every
-     entry's kind slot takes its designator, and the designators' names
-     are copied out in order, back to back. *)
-  let names, name_off, is_value, ndesig =
-    if in_order then (names, name_off, kind, ntable)
-    else begin
-      let m = ntable - first in
-      for r = 0 to m - 1 do
-        set a r (first + r)
-      done;
-      let same = Bytes.create m in
-      sort_ids e ntable a b same m;
-      let ndesig = ref 0 and kept = ref 0 in
-      for i = 0 to m - 1 do
-        if Bytes.get same i = '\000' then begin
-          let j = get a i in
-          incr ndesig;
-          kept := !kept + get name_off (j + 1) - get name_off j
-        end
-      done;
-      let packed = Bytes.create !kept
-      and off = I32.make (!ndesig + 1) 0
-      and is_value = Bytes.make !ndesig '\000' in
-      let d = ref (-1) in
-      for i = 0 to m - 1 do
-        let j = get a i in
-        if Bytes.get same i = '\000' then begin
-          incr d;
-          let start = get name_off j in
-          let len = get name_off (j + 1) - start in
-          Bytes.blit names start packed (get off !d) len;
-          set off (!d + 1) (get off !d + len);
-          Bytes.set is_value !d (Bytes.get kind j)
-        end;
-        set kinds j !d
-      done;
-      (packed, off, is_value, !ndesig)
-    end
-  in
+  (* Designators are numbered in (name, kind) order: a table in strict
+     order is one designator an entry, named in place. *)
+  let e = { kind = is_value; names; name_off } in
+  for j = 1 to ntable - 1 do
+    if entry_compare e (j - 1) j >= 0 then raise Out_of_order
+  done;
+  let ndesig = ntable in
   (* Each entry's designator becomes its path's last designator, in a
-     column the table takes over: the kind slots of a spelled-out table,
-     the entry ids of a compact one. *)
-  let last =
-    match desigs with
-    | None -> kinds
-    | Some dv ->
-      for i = 1 to ndict - 1 do
-        let j = get dv i in
-        if j < 0 || j >= ntable then invalid_arg "designator id out of range";
-        if not in_order then set dv i (get kinds j)
-      done;
-      dv
-  in
+     column the table takes over. *)
+  let last = desigs in
   set last 0 (-1);
   set parents 0 (-1);
-  (* One pass checks the entries' order and counts: the paths of each
+  (* One pass checks the entries and counts: the paths of each
      designator in [a], the children of each path in [kid_off] (shifted
      by one), and each path's depth in [b].  A dictionary lists every
      depth's paths before the next depth's, so the first path of each
      depth is all a loaded table keeps of them. *)
-  for d = 0 to ndesig - 1 do
-    set a d 0
-  done;
+  let a = I32.make (max ndesig ndict) 0 and b = I32.make (max ndesig ndict) 0 in
   let kid_off = I32.make (ndict + 1) 0 and ends = I32.make ndesig (-1) in
-  set b 0 0;
   for i = 1 to ndict - 1 do
     let p = get parents i and d = get last i in
+    if d < 0 || d >= ndesig then invalid_arg "designator id out of range";
     if p < 0 || p >= i then invalid_arg "dictionary parent order";
     set b i (get b p + 1);
     if get b i < get b (i - 1) then invalid_arg "dictionary depth order";

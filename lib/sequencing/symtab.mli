@@ -53,50 +53,46 @@ type t
 val create : unit -> t
 (** An empty table: no designators, and the one path {!Path.epsilon}. *)
 
+exception Out_of_order
+(** Raised by {!of_dictionary} for a designator table that is not in
+    strict (name, kind) order, which no save writes.  It is not reported
+    as damage: the table is only in a layout this reader does not take,
+    and a snapshot load rebuilds such a file from its records. *)
+
 val of_dictionary :
   kinds:Xutil.I32.t ->
   names:Bytes.t ->
   name_off:Xutil.I32.t ->
   parents:Xutil.I32.t ->
-  desigs:Xutil.I32.t option ->
+  desigs:Xutil.I32.t ->
   t
 (** [of_dictionary ~kinds ~names ~name_off ~parents ~desigs] is the
     read-only table of a stored path dictionary, sized to fit it.
     [kinds], [names] and [name_off] are a designator table: entry [j] is
     a tag ([kinds.(j) = 0]) or a value ([1]) named by bytes
     [[name_off.(j), name_off.(j + 1))] of [names].  Dictionary entry [0]
-    is {!Path.epsilon} ([parents.(0)] negative); entry [i > 0] extends
-    entry [parents.(i) < i] by a designator and becomes path [i], and
-    the entries come in depth order.  With [desigs = Some d] that
-    designator is table entry [d.(i)] ([d.(0)] negative).  With
-    [desigs = None] the dictionary spells every entry out: entry [i]'s
-    designator is table entry [i], so the table has one entry per
-    dictionary entry, and entry [0]'s is ignored.
+    is {!Path.epsilon} ([parents.(0)] and [desigs.(0)] negative); entry
+    [i > 0] extends entry [parents.(i) < i] by designator [desigs.(i)]
+    and becomes path [i], and the entries come in depth order.
 
-    The table's designators are the table entries' distinct (name,
-    kind) pairs, numbered in (name, kind) order (names by
-    [String.compare], tags before values).  A table already in that
-    order, without repeats — as every compact dictionary is written
-    ({!name_order}) — is checked in one pass and used as it is.  Any
-    other table is sorted once, by a radix sort on seven-byte name
-    prefixes; repeats become neighbours and merge.  A spelled-out
-    dictionary (one table entry per dictionary entry) is only found in
-    snapshots written before every dictionary was compact, and always
-    takes that path.  The paths are then grouped by parent with two
-    counting sorts.  Nothing is hashed.
+    The designator table must be in strict (name, kind) order (names by
+    [String.compare], tags before values), as every save writes it
+    ({!name_order}): one pass checks that, and entry [j] becomes
+    designator [j], named in place.  The paths are then grouped by
+    parent with two counting sorts.  Nothing is hashed or sorted by
+    name.
 
     The table takes ownership of all five arguments.  It keeps
-    [parents] and, from a table in order, [names] and [name_off] as its
-    own columns; [kinds] becomes the path designators of a spelled-out
-    dictionary and [desigs] those of a compact one.  A sorted table's
-    designators have their names copied out, in order, into a blob of
-    their own.  A caller hands over a blob nobody else sees — a fresh
-    file read or a decoder's output — and never the shared string of a
-    memory store ({!Xstorage.Store.blob_bytes} copies that one).
+    [parents], [names] and [name_off] as its own columns and [desigs] as
+    its path designators.  A caller hands over a blob nobody else sees —
+    a fresh file read or a decoder's output — and never the shared
+    string of a memory store ({!Xstorage.Store.blob_bytes} copies that
+    one).
 
     The table interns nothing: {!Designator.tag}, {!Designator.value},
     {!Designator.char_value} and {!Path.child} return what it holds and
     raise [Invalid_argument] for anything new.
+    @raise Out_of_order if the designator table is out of order.
     @raise Invalid_argument naming the violated condition: ["dictionary
     region sizes"], ["dictionary root"], ["root entry with a
     designator"], ["dictionary name offsets"], ["designator kind out of

@@ -1,7 +1,6 @@
 module Symtab = Sequencing.Symtab
 module D = Symtab.Designator
 module Path = Symtab.Path
-module Bs = Xutil.Binsearch
 module Store = Xstorage.Store
 module I32 = Xutil.I32
 
@@ -277,39 +276,18 @@ let link_pre l i = Store.get l.k_pre (l.loff + i)
 let link_post l i = Store.get l.k_post (l.loff + i)
 let link_up l i = Store.get l.k_up (l.loff + i)
 
-let link_floor l x = Bs.floor_index_by ~get:(fun i -> link_pre l i) ~len:l.llen x
-
 (* Link entries are in pre-order, so an entry has a same-encoding
    descendant iff the immediately following entry falls inside its range. *)
 let link_same_desc l i = i + 1 < l.llen && link_pre l (i + 1) <= link_post l i
-
-(* Deepest same-encoding ancestor of serial [x]: start from the floor
-   entry and climb [up] pointers until the range contains [x]. *)
-let nearest_in_link l x =
-  let rec climb i =
-    if i < 0 then -1 else if link_post l i >= x then i else climb (link_up l i)
-  in
-  climb (link_floor l x)
 
 let doc_len t = Store.length t.doc_pre
 let doc_pre_at t i = Store.get t.doc_pre i
 let doc_id_at t i = Store.get t.doc_id i
 
-let doc_span t ~lo ~hi =
-  let len = doc_len t in
-  let get i = doc_pre_at t i in
-  let first = Bs.lower_bound_by ~get ~len lo in
-  let last = Bs.upper_bound_by ~get ~len hi - 1 in
-  (first, last)
-
 let docs_between t ~first ~last ~f =
   for i = first to last do
     f (doc_id_at t i)
   done
-
-let docs_in_range t ~lo ~hi ~f =
-  let first, last = doc_span t ~lo ~hi in
-  docs_between t ~first ~last ~f
 
 (* Serials are ranked in blocks of [1 lsl rank_shift]: [below.(k)]
    counts the serials under [k lsl rank_shift], so the serials of block
@@ -373,13 +351,6 @@ let path_frequencies ?member t =
      back. *)
   Store.scan t.l_pre (fun pre_at -> Store.scan t.l_post (count pre_at));
   freq
-
-let path_doc_counts ?member t =
-  let freq = path_frequencies ?member t in
-  let paths = slot_paths t in
-  Array.init (I32.length paths) (fun slot ->
-      let p = I32.get paths slot in
-      (Path.of_int t.symbols p, freq.(p)))
 
 let path_multiple t p =
   match slot_of t p with
@@ -477,11 +448,7 @@ let corrupt msg = invalid_arg ("Labeled.of_store: inconsistent snapshot: " ^ msg
 
 let of_store store =
   let meta = Store.int_array store "meta" in
-  (* Snapshots written before the simulated page layout was retired carry
-     two more meta fields (its byte offsets) and a [link_base] region;
-     both are ignored. *)
-  if Array.length meta <> 1 && Array.length meta <> 3 then
-    corrupt "meta region size";
+  if Array.length meta <> 1 then corrupt "meta region size";
   let n = meta.(0) in
   if n < 0 then corrupt "negative node count";
   if n > max_nodes then corrupt "node count beyond 32 bits";
@@ -490,44 +457,29 @@ let of_store store =
      would the value itself. *)
   let dir = Store.i32 store in
   (* The dictionary becomes the index's symbol table, entry i as path i:
-     epsilon first, every other entry extending an earlier one.
-     Snapshots name each entry's designator by an id into a front-coded
-     (kind, name) table; xseqcol1 snapshots written before that spell
-     each entry out, named straight out of the stored name blob.  The
-     table takes the vectors and the blob over. *)
+     epsilon first, every other entry extending an earlier one and
+     naming its designator by an id into a front-coded (kind, name)
+     table.  The table takes the vectors and the names over. *)
   let parents = dir "dict_parent" in
   if I32.length parents = 0 then corrupt "dictionary root";
-  let kinds, names, name_off, desigs =
-    if Store.mem store "dict_desig" then begin
-      (* Read first: a damaged region is its checksum mismatch. *)
-      let coded = Store.blob store "desig_names" in
-      let names, name_off =
-        try
-          Xsuccinct.Frontcode.decode
-            ~name:"Labeled.of_store: inconsistent snapshot: designator names"
-            coded
-        with Invalid_argument _ -> corrupt "designator name table"
-      in
-      ( dir "desig_kind",
-        Bytes.unsafe_of_string names,
-        name_off,
-        Some (dir "dict_desig") )
-    end
-    else
-      ( dir "dict_kind",
-        Store.blob_bytes store "dict_names",
-        dir "dict_name_off",
-        None )
+  (* Read first: a damaged region is its checksum mismatch. *)
+  let coded = Store.blob store "desig_names" in
+  let names, name_off =
+    try
+      Xsuccinct.Frontcode.decode
+        ~name:"Labeled.of_store: inconsistent snapshot: designator names" coded
+    with Invalid_argument _ -> corrupt "designator name table"
   in
+  let desigs = dir "dict_desig" in
   let symbols =
-    match Symtab.of_dictionary ~kinds ~names ~name_off ~parents ~desigs with
+    match
+      Symtab.of_dictionary ~kinds:(dir "desig_kind")
+        ~names:(Bytes.unsafe_of_string names) ~name_off ~parents ~desigs
+    with
     | symbols -> symbols
     | exception Invalid_argument what -> corrupt what
   in
   let ndict = Symtab.path_count symbols in
-  (* Snapshots written before the per-node columns were retired also
-     carry [node_pre], [node_post], [node_path], [l_node] and [link_off];
-     they are ignored, [link_off] being the prefix sums of [link_len]. *)
   let link_path = dir "link_path" in
   let link_len = dir "link_len" in
   let link_multi = dir "link_multi" in

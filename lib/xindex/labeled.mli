@@ -60,16 +60,8 @@ val build : Sequencing.Symtab.t -> Path.t array array -> t
     column has.
 
     @raise Invalid_argument on an empty sequence, or if the trie has
-    more than {!max_nodes} nodes (see {!check_node_count}). *)
-
-val max_nodes : int
-(** The most trie nodes an index holds, [2^31 - 1]: serials are 32-bit
-    labels. *)
-
-val check_node_count : int -> unit
-(** [check_node_count n] is the check {!build} makes on its node count
-    before it labels anything.
-    @raise Invalid_argument if [n] is negative or above {!max_nodes}. *)
+    more than [2^31 - 1] nodes (serials are 32-bit labels); the node
+    count is checked before anything is labelled. *)
 
 val symbols : t -> Sequencing.Symtab.t
 (** The table of the index's paths.  Queries resolve names against it
@@ -103,17 +95,6 @@ val link_same_desc : link -> int -> bool
     Algorithm 1.  Only then can a later match be sibling-covered, so the
     matcher skips the forward-prefix check otherwise. *)
 
-val nearest_in_link : link -> int -> int
-(** [nearest_in_link l pre] is the position of the deepest link entry
-    whose range contains serial [pre] (the forward prefix of the node with
-    that serial at this encoding's level), or -1.  Follows [up] pointers
-    from the floor entry. *)
-
-val docs_in_range : t -> lo:int -> hi:int -> f:(int -> unit) -> unit
-(** Applies [f] to the id of every document whose sequence ends at a node
-    with serial in [lo, hi].  Ids may repeat across calls but not within
-    one call. *)
-
 val doc_len : t -> int
 (** Entries in the document table. *)
 
@@ -125,9 +106,8 @@ val doc_id_at : t -> int -> int
 
 val docs_between : t -> first:int -> last:int -> f:(int -> unit) -> unit
 (** Applies [f] to the doc id of every table position in
-    [[first, last]] — the iteration half of {!docs_in_range}, for
-    callers that located the span themselves (e.g. with instrumented
-    probes). *)
+    [[first, last]], for callers that located the span themselves (e.g.
+    with instrumented probes). *)
 
 val path_frequencies : ?member:(int -> bool) -> t -> int array
 (** Per path id of {!symbols}, the number of documents whose sequence
@@ -136,10 +116,6 @@ val path_frequencies : ?member:(int -> bool) -> t -> int array
     from the labels and the document table alone.  With [member], only
     documents whose id satisfies it are counted.  One pass over the
     document table and one over the link columns. *)
-
-val path_doc_counts : ?member:(int -> bool) -> t -> (Path.t * int) array
-(** {!path_frequencies} as [(path, count)] pairs, one for every path
-    with a link, in link order. *)
 
 val distinct_paths : t -> int
 (** Number of horizontal links. *)
@@ -189,15 +165,14 @@ val of_store : Xstorage.Store.t -> t
     ({!Sequencing.Symtab.of_dictionary}); the link directory keeps
     [link_len] as the entry offsets it sums to, and [link_path] only as
     the path-to-link map it inverts to.
-    Snapshots from before the simulated page layout was retired — a
-    three-field [meta] region and a [link_base] region — load too; the
-    extra fields and region are ignored.  So are the per-node columns
-    ([node_pre], [node_post], [node_path]), the [l_node] link column
-    and the stored [link_off] directory of older snapshots: link offsets
-    are the prefix sums of [link_len].  So do older xseqcol1 snapshots
-    that spell each entry's designator out ([dict_kind],
-    [dict_name_off], [dict_names]).
 
+    Only the layout {!add_to_store} writes is read: a one-field [meta]
+    and the compact dictionary with its designators in (name, kind)
+    order.  [Xseq.load] upgrades a snapshot of any other layout from
+    its records instead of calling this.
+
+    @raise Sequencing.Symtab.Out_of_order if the designator table is out
+    of (name, kind) order (see {!Sequencing.Symtab.of_dictionary}).
     @raise Invalid_argument naming the inconsistency if the regions are
     missing, mis-sized, or internally contradictory.  Validation covers
     every cross-region invariant (sizes, dictionary parent order, id

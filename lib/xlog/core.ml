@@ -307,9 +307,10 @@ let prune_files t keep_wal_from keep_base =
         try Sys.remove (Filename.concat t.dirname name) with Sys_error _ -> ())
     (Sys.readdir t.dirname)
 
-(* Bases are compressed snapshots (records and designator names
-   LZ-coded); directories written before that carry xseqcol1 bases,
-   which still load (and are rewritten by the next compaction, see
+(* Bases are compressed xseqcol2 snapshots (records and designator names
+   LZ-coded).  A base of an older layout or container, which earlier
+   builds wrote, loads as an upgraded index that is not [Xseq.built_under]
+   the store's configuration, so the next compaction rewrites it (see
    [base_settled]). *)
 let save_base t name seg =
   let path = Filename.concat t.dirname name in
@@ -740,21 +741,6 @@ type loaded = {
   ld_recovery : recovery;
 }
 
-(* Whether a snapshot file is in the container [save_base] writes: its
-   magic (already validated by the load that precedes this).  Opening it
-   through {!Xstorage.Store} again would materialise its blobs.  Every
-   xseqcol2 base in a store directory is one [save_base] wrote,
-   compressed, or one a snapshot transfer copied from such a directory:
-   a plain [xseq index] file never becomes a base. *)
-let is_col2 path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      String.equal
-        (really_input_string ic 8)
-        (Xstorage.Store.format_name Xstorage.Store.Col2))
-
 let load_dir ~sync_every ~config dirname =
   let ckp =
     let path = Filename.concat dirname Layout.checkpoint in
@@ -773,7 +759,7 @@ let load_dir ~sync_every ~config dirname =
           let index = Xseq.load path in
           if Xseq.doc_count index <> Array.length c.c_ids then
             invalid_arg "Xlog.open_: base snapshot disagrees with checkpoint";
-          Some ({ index; ids = c.c_ids }, path)
+          Some { index; ids = c.c_ids }
         end
       in
       (base, c.c_wal_index, c.c_wal_offset, c.c_next_id)
@@ -781,10 +767,8 @@ let load_dir ~sync_every ~config dirname =
   let base_settled =
     match base with
     | None -> true
-    | Some (seg, path) ->
-      is_col2 path && Xseq.built_under seg.index config
+    | Some seg -> Xseq.built_under seg.index config
   in
-  let base = Option.map fst base in
   (* Replay the WAL suffix. *)
   let replayed = ref 0 in
   let torn = ref [] in

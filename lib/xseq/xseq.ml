@@ -38,14 +38,12 @@ let default_config =
    record region, read from the file on use: queries never touch them.
    [document] (and through it Xlog compaction) decodes them once and
    keeps the trees; the [Too_many] scan fallback tests them one at a
-   time and keeps nothing; [save] copies the region, or re-codes one of
-   an older layout. *)
+   time and keeps nothing; [save] copies the region. *)
 type records =
   | Dropped (* built with [keep_documents = false] *)
   | Trees of T.t array
   | Stored of {
       store : Store.t;
-      version : int; (* the snapshot version, which fixes the layout *)
       decoded : T.t array option Atomic.t;
       lock : Mutex.t; (* serialises the one decode *)
     }
@@ -60,7 +58,7 @@ type t = {
   stats : Xschema.Stats.t option;
   built_config : config; (* for persistence: how the strategy was derived *)
   generation : int; (* process-unique stamp; see [generation] in the mli *)
-  resequenced : bool; (* loaded from a version-1 snapshot, see [restore] *)
+  upgraded : bool; (* rebuilt from an older layout or read from xseqcol1 *)
 }
 
 (* Every index constructed in this process — built, loaded, or rebuilt by
@@ -255,7 +253,7 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
     stats;
     built_config = config;
     generation = next_generation ();
-    resequenced = false;
+    upgraded = false;
   }
 
 (* --- record region -------------------------------------------------------- *)
@@ -268,23 +266,8 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
    bytes.  Versions 1 and 2 spell every node out: a u8 kind (0 =
    element, 1 = value), the u32 LE length and bytes of its name or
    text, and for an element a u32 LE child count.  Either way every node
-   takes at least one byte.  Only loads of old files read the spelled
-   layout; [save] writes version 3. *)
-
-(* A version-3 region under construction, a record at a time: the name
-   table and the nodes grow apart and are joined at the end. *)
-type encoder = {
-  ids : (string, int) Hashtbl.t;
-  table : Buffer.t;
-  nodes : Buffer.t;
-}
-
-let encoder () =
-  {
-    ids = Hashtbl.create 64;
-    table = Buffer.create 256;
-    nodes = Buffer.create 4096;
-  }
+   takes at least one byte.  Only the upgrade of an older file reads the
+   spelled layout; [save] writes version 3. *)
 
 (* One record in pre-order: each node through [uv] (a uvarint) and [str]
    (raw bytes).  An element name gets the next id in [ids] the first
@@ -309,20 +292,6 @@ let walk_record ids ~named ~uv ~str doc =
       str s
   in
   node doc
-
-let add_record e doc =
-  walk_record e.ids
-    ~named:(fun name ->
-      Varint.add_uvarint e.table (String.length name);
-      Buffer.add_string e.table name)
-    ~uv:(Varint.add_uvarint e.nodes) ~str:(Buffer.add_string e.nodes) doc
-
-let region e =
-  let b = Buffer.create (Buffer.length e.table + Buffer.length e.nodes + 9) in
-  Varint.add_uvarint b (Hashtbl.length e.ids);
-  Buffer.add_buffer b e.table;
-  Buffer.add_buffer b e.nodes;
-  Buffer.contents b
 
 (* Records in memory are walked twice: once to size the region and name
    the ids, once to write it into a buffer of exactly that size. *)
@@ -488,12 +457,11 @@ let header layout ~named c =
       -1 - arg
     end
 
-(* Runs [f] over a cursor on the record region of [store], laid out as
-   snapshot [version] writes it, and [ndocs] records that must consume
-   it exactly.  The region's checksum is checked before any verdict: a
-   failure of [f] is reported only once the rest of the region was read
-   and found intact, and so is its result. *)
-let with_records store ~version ndocs f =
+(* Runs [f] over a cursor on the record region of [store], and [ndocs]
+   records that must consume it exactly.  The region's checksum is
+   checked before any verdict: a failure of [f] is reported only once the
+   rest of the region was read and found intact, and so is its result. *)
+let with_records store ndocs f =
   let stream = Store.stream_blob store "docs" in
   let c =
     { stream; len = Store.stream_length stream; buf = Bytes.empty; lo = 0;
@@ -502,11 +470,7 @@ let with_records store ~version ndocs f =
   let verdict =
     match
       if ndocs < 0 || ndocs > c.len then corrupt_docs ();
-      let layout =
-        if version < 3 then Spelled
-        else Coded (Array.init (count c) (fun _ -> take c (count c)))
-      in
-      let r = f layout c in
+      let r = f c in
       if c.pos <> c.len then corrupt_docs ();
       r
     with
@@ -517,6 +481,9 @@ let with_records store ~version ndocs f =
   match verdict with
   | Ok r -> r
   | Error (e, bt) -> Printexc.raise_with_backtrace e bt
+
+(* The name table a version-3 region opens with. *)
+let coded c = Coded (Array.init (count c) (fun _ -> take c (count c)))
 
 (* The record at the cursor, which moves past it.  A version-3 record
    shares its names with the name table. *)
@@ -534,31 +501,25 @@ let decode_record layout c =
   in
   node ()
 
-let decode_docs store ~version ndocs =
-  with_records store ~version ndocs (fun layout c ->
+(* The records of a region in the version-3 layout, or with [~spelled]
+   in that of versions 1 and 2. *)
+let decode_docs ?(spelled = false) store ndocs =
+  with_records store ndocs (fun c ->
+      let layout = if spelled then Spelled else coded c in
       Array.init ndocs (fun _ -> decode_record layout c))
 
 (* Rejects exactly the record regions [decode_docs] rejects, without
    building any tree.  The walk needs no stack: the pre-order layout is
    consumed node by node while counting the nodes still owed. *)
-let validate_records store ~version ndocs =
-  with_records store ~version ndocs (fun layout c ->
+let validate_records store ndocs =
+  with_records store ndocs (fun c ->
+      let layout = coded c in
       let owed = ref ndocs in
       while !owed > 0 do
         decr owed;
         let h = header layout ~named:false c in
         if h >= 0 then owed := !owed + h else skip c (-1 - h)
       done)
-
-(* A version-3 region holding the records of an older one, read and
-   re-coded one record at a time. *)
-let transcode store ~version ndocs =
-  with_records store ~version ndocs (fun layout c ->
-      let e = encoder () in
-      for _ = 1 to ndocs do
-        add_record e (decode_record layout c)
-      done;
-      region e)
 
 let records t =
   match t.records with
@@ -573,9 +534,7 @@ let records t =
            match Atomic.get e.decoded with
            | Some _ as docs -> docs
            | None ->
-             let docs =
-               Some (decode_docs e.store ~version:e.version t.ndocs)
-             in
+             let docs = Some (decode_docs e.store t.ndocs) in
              Atomic.set e.decoded docs;
              docs))
 
@@ -595,7 +554,8 @@ let query ?stats t pattern =
     | Dropped -> raise (Xquery.Instantiate.Too_many 0)
     | Trees docs -> Xquery.Embedding.filter pattern docs
     | Stored e ->
-      with_records e.store ~version:e.version t.ndocs (fun layout c ->
+      with_records e.store t.ndocs (fun c ->
+          let layout = coded c in
           let ids = ref [] in
           for id = 0 to t.ndocs - 1 do
             if Xquery.Embedding.matches pattern (decode_record layout c) then
@@ -702,16 +662,15 @@ let stats t = t.stats
    byte is decoded through bounds-checked readers, so a foreign or
    damaged file is rejected with a diagnostic, never interpreted.
 
-   Versions 1, 2 and 3 are read; version 3 is written.  Version 3 codes
-   the record region against a table of element names (see "record
-   region" above); versions 1 and 2 spell every name out, and [save]
-   re-codes such a region.  Versions 2 and 3 sequence under the index's
-   own symbol table: canonical modes sort siblings by tag name and
-   [gbest] breaks ties on depth, then path id.  Version 1 sorted
-   canonical siblings by process-wide tag id and broke ties on the
-   build's path ids, so queries compiled under today's rules can miss
-   its labels; [restore] re-sequences its records instead of reading its
-   index regions. *)
+   Version 3 is written, and read as it is written: its record region
+   coded against a table of element names (see "record region" above),
+   a compact path dictionary in (name, kind) order and a one-field
+   index [meta].  Under a fixed configuration the index is a function of
+   its records, so [restore] upgrades any other layout by rebuilding:
+   it decodes the records (versions 1 and 2 spell every name out) and
+   sequences them again under the stored configuration.  Version 1 also
+   sequenced by other rules (process-wide tag ids, ties on build path
+   ids), so its labels could not be read as they are in any case. *)
 
 let snapshot_version = 3
 
@@ -727,7 +686,7 @@ let persisted_sequencing = function
 
 let built_under t config =
   let a = t.built_config in
-  (not t.resequenced)
+  (not t.upgraded)
   && (match persisted_sequencing a.sequencing with
      | Some p -> persisted_sequencing config.sequencing = Some p
      | None -> false)
@@ -739,11 +698,10 @@ let built_under t config =
 
 let save ?compress t path =
   (* A loaded index copies its record region from its file, decoded or
-     not, and re-codes one of an older layout. *)
+     not. *)
   let blob =
     match t.records with
-    | Stored e when e.version = snapshot_version -> Store.blob e.store "docs"
-    | Stored e -> transcode e.store ~version:e.version t.ndocs
+    | Stored e -> Store.blob e.store "docs"
     | Trees docs -> encode_docs docs
     | Dropped ->
       invalid_arg "Xseq.save: index was built with keep_documents = false"
@@ -839,18 +797,34 @@ let restore store =
       sample_seed = meta.(6);
     }
   in
-  if version = 1 then begin
-    (* The rebuilt index reads nothing more from the file. *)
-    let docs = decode_docs store ~version ndocs in
+  (* A current store: the version this build writes, its compact
+     dictionary in (name, kind) order, no region of the retired page
+     layout.  Its records stay in the file; a streamed read validates
+     them. *)
+  let labeled =
+    if
+      version = snapshot_version
+      && Store.mem store "dict_desig"
+      && not (Store.mem store "link_base")
+    then begin
+      validate_records store ndocs;
+      match Xindex.Labeled.of_store store with
+      | labeled -> Some labeled
+      | exception Symtab.Out_of_order -> None
+    end
+    else None
+  in
+  match labeled with
+  | None ->
+    (* Any other store is upgraded: its records, in their layout, are
+       sequenced again under the stored configuration, and the rebuilt
+       index reads nothing more from the file. *)
+    let docs = decode_docs ~spelled:(version < 3) store ndocs in
     Store.check_unread store;
     Store.close store;
     let t = build ~config:{ config with keep_documents = true } docs in
-    { t with resequenced = true }
-  end
-  else begin
-    (* The records stay in the file; a streamed read validates them. *)
-    validate_records store ~version ndocs;
-    let labeled = Xindex.Labeled.of_store store in
+    { t with upgraded = true }
+  | Some labeled ->
     if Xindex.Labeled.doc_count labeled <> ndocs then
       bad "record count disagrees with the document table";
     (* Recompute the strategy exactly as [build] derived it. *)
@@ -864,21 +838,14 @@ let restore store =
       strategy;
       value_mode;
       records =
-        Stored
-          {
-            store;
-            version;
-            decoded = Atomic.make None;
-            lock = Mutex.create ();
-          };
+        Stored { store; decoded = Atomic.make None; lock = Mutex.create () };
       ndocs;
       total_seq_len = meta.(7);
       stats;
       built_config = config;
       generation = next_generation ();
-      resequenced = false;
+      upgraded = Store.file_format store = Store.Col1;
     }
-  end
 
 let load ?mode ?pool_pages path =
   (* Each region is checked by the read that first uses it, and the rest

@@ -206,11 +206,13 @@ val stats : t -> Xschema.Stats.t option
     trie as flat int-column regions, the original records as a structural
     blob, and a small metadata region recording how the probability model
     was derived (so the strategy is deterministically recomputed on
-    load).  Snapshot versions 1, 2 and 3 are read; version 3 is written.
-    Version 3 codes the record blob against a table of element names,
-    where versions 1 and 2 spell every name out.  Nothing is marshalled — every region is checksummed and
-    decoded through bounds-checked readers, so a corrupt, truncated or
-    foreign file is rejected with a diagnostic naming the failure.
+    load).  Snapshot version 3 is written, and read as it is written;
+    older versions and layouts are upgraded from their records at the
+    load (see {!load}).  Version 3 codes the record blob against a table
+    of element names, where versions 1 and 2 spell every name out.
+    Nothing is marshalled — every region is checksummed and decoded
+    through bounds-checked readers, so a corrupt, truncated or foreign
+    file is rejected with a diagnostic naming the failure.
 
     Every snapshot is written as xseqcol2 and opens resident or, with
     [~mode:Paged], answers queries straight off disk: its packed index
@@ -224,8 +226,9 @@ val save : ?compress:bool -> t -> string -> unit
     front-coded path dictionary, on 1 KiB pages.  [compress] (default
     [false]) also LZ-codes the record region and the designator names:
     a smaller file that is slower to write.  Either loads through
-    {!load}, resident or paged.  The file is snapshot version 3.  A loaded index copies its record region from
-    its file, and re-codes a version-2 region record by record.
+    {!load}, resident or paged.  The file is snapshot version 3.  A
+    loaded index copies its record region from its file; an upgraded one
+    codes the records it holds.
     @raise Invalid_argument for indexes built with [keep_documents =
     false] or with a [Custom]/[Probability_weighted] strategy (closures
     cannot be persisted). *)
@@ -236,9 +239,9 @@ val built_under : t -> config -> bool
     does not change labels).  A loaded index compares
     the configuration its snapshot recorded.  [false] whenever either
     side uses a [Custom] or [Probability_weighted] strategy, whose
-    closures cannot be compared, and for an index loaded from a
-    version-1 snapshot (see {!load}): its file holds labels of the old
-    sequencing rules, so it must be rewritten. *)
+    closures cannot be compared, and for an upgraded index (see
+    {!load}): its file is of an older layout or container, so it must be
+    rewritten. *)
 
 val load : ?mode:Xstorage.Store.mode -> ?pool_pages:int -> string -> t
 (** [load path] restores a saved index; queries answer exactly as on the
@@ -264,13 +267,17 @@ val load : ?mode:Xstorage.Store.mode -> ?pool_pages:int -> string -> t
     region is reported as a checksum mismatch, never as a bad record.  The index keeps the file open (see {!Xstorage.Store}), so
     it still reads its records after the file is unlinked or replaced.
 
-    A version-1 snapshot (written before symbol tables were per index)
-    sorted canonical siblings by process-wide tag id and broke [gbest]
-    ties on build path ids, so today's query sequences can miss its
-    labels.  Its records are decoded and re-sequenced under the stored
-    configuration instead: the result is an in-memory index whatever
-    [mode] asks for, the file is closed again, and {!built_under} is
-    [false] for it.
+    Only the current layout is read as it is: snapshot version 3, a
+    compact path dictionary with its designators in (name, kind) order,
+    and no region of the retired page layout ([link_base]).  Under a
+    fixed configuration the index is a function of its records, so any
+    other snapshot — versions 1 and 2, whose records spell every name
+    out, or an older dictionary layout — is upgraded: its records are
+    decoded and sequenced again under the stored configuration, every
+    region it did not read is still checked, and the file is closed
+    again.  The result is an in-memory index whatever [mode] asks for,
+    and {!built_under} is [false] for it, as for an index read from an
+    xseqcol1 file.
     @raise Invalid_argument on a corrupt or incompatible file, naming
     the failing part (magic, version, checksum, region); the store is
     closed again first. *)

@@ -8,6 +8,7 @@ module Path = Symtab.Path
 module Enc = Sequencing.Encoder
 module S = Sequencing.Strategy
 module Labeled = Xindex.Labeled
+module Store = Xstorage.Store
 module Gen = QCheck.Gen
 
 let e = T.elt
@@ -18,6 +19,13 @@ let sy = Symtab.create ()
 let p_of names = Path.of_list sy (List.map (D.tag sy) names)
 
 let seq_of names_list = Array.of_list (List.map p_of names_list)
+
+(* Every path of [l] with a link, by id. *)
+let link_paths l =
+  let symbols = Labeled.symbols l in
+  List.filter
+    (fun p -> Labeled.link l p <> None)
+    (List.init (Symtab.path_count symbols) (Path.of_int symbols))
 
 (* --- labelling ----------------------------------------------------------- *)
 
@@ -37,20 +45,48 @@ let test_trie_empty_rejected () =
     (Invalid_argument "Labeled.build: empty sequence") (fun () ->
       ignore (Labeled.build sy [| [||] |]))
 
-(* Labels are 32-bit: the build checks its node count before it labels
-   anything, and refuses a trie past [max_nodes] rather than widen. *)
-let test_node_count_limit () =
-  Alcotest.(check int) "max_nodes" 0x7fff_ffff Labeled.max_nodes;
-  Labeled.check_node_count 0;
-  Labeled.check_node_count Labeled.max_nodes;
+(* Labels are 32-bit: an index holds at most [2^31 - 1] nodes, and a
+   node count past that is refused rather than widened.  A trie that
+   large cannot be built here, so the count is given to the load, whose
+   [meta] region states it: the regions of an empty index with its node
+   count replaced. *)
+let max_nodes = Xutil.I32.max_value
+
+let with_node_count n =
+  let built = Store.memory () in
+  Labeled.add_to_store (Labeled.build sy [||]) built;
+  let store = Store.memory () in
   List.iter
-    (fun n ->
-      match Labeled.check_node_count n with
-      | () -> Alcotest.failf "%d nodes accepted" n
+    (fun r ->
+      match (r.Store.r_name, r.Store.r_kind) with
+      | "meta", _ -> Store.add_int_array store "meta" [| n |]
+      | name, `Ints -> Store.add_ints store name (Store.ints built name)
+      | name, `Blob -> Store.add_blob store name (Store.blob built name))
+    (Store.regions built);
+  Labeled.of_store store
+
+let test_node_count_limit () =
+  Alcotest.(check int) "max_nodes" 0x7fff_ffff max_nodes;
+  Alcotest.(check int) "no nodes" 0 (Labeled.node_count (with_node_count 0));
+  (* The count is within bounds; the empty index's link columns then
+     disagree with it. *)
+  (match with_node_count max_nodes with
+   | _ -> Alcotest.fail "an index of 2^31 - 1 nodes and no links loaded"
+   | exception Invalid_argument msg ->
+     Alcotest.(check string) "the count passes"
+       "Labeled.of_store: inconsistent snapshot: link column sizes" msg);
+  List.iter
+    (fun (n, why) ->
+      match with_node_count n with
+      | _ -> Alcotest.failf "%d nodes accepted" n
       | exception Invalid_argument msg ->
-        Alcotest.(check bool) "names the build" true
-          (String.starts_with ~prefix:"Labeled.build: " msg))
-    [ Labeled.max_nodes + 1; 1 lsl 40; -1 ]
+        Alcotest.(check string) "names the count"
+          ("Labeled.of_store: inconsistent snapshot: " ^ why) msg)
+    [
+      (max_nodes + 1, "node count beyond 32 bits");
+      (1 lsl 40, "node count beyond 32 bits");
+      (-1, "negative node count");
+    ]
 
 (* Bad input to the labeller: an empty sequence among others is refused,
    no sequences at all give the root alone, and sequences out of order
@@ -179,6 +215,19 @@ let prop_link_invariants =
                 !ok)
             seen true))
 
+(* The position of the deepest entry of [link] whose range holds serial
+   [x] (the forward prefix of that node at the link's level), or -1: the
+   floor entry by [pre], then [up] pointers until a range holds [x]. *)
+let nearest_in_link link x =
+  let rec climb i =
+    if i < 0 then -1
+    else if Labeled.link_post link i >= x then i
+    else climb (Labeled.link_up link i)
+  in
+  climb
+    (Xutil.Binsearch.floor_index_by ~get:(Labeled.link_pre link)
+       ~len:(Labeled.link_length link) x)
+
 let prop_nearest_in_link =
   QCheck.Test.make ~name:"nearest_in_link = deepest containing entry" ~count:150
     arb_corpus (fun docs ->
@@ -195,7 +244,7 @@ let prop_nearest_in_link =
               | None -> ok := false
               | Some link ->
                 for x = 0 to Labeled.root_post l do
-                  let got = Labeled.nearest_in_link link x in
+                  let got = nearest_in_link link x in
                   let expected = ref (-1) in
                   for j = 0 to Labeled.link_length link - 1 do
                     if Labeled.link_pre link j <= x && Labeled.link_post link j >= x
@@ -341,8 +390,8 @@ let prop_build_equals_reference =
         paths;
       (* The links, read as nodes, are the reference's nodes 1..n. *)
       let link_nodes =
-        Array.to_list (Labeled.path_doc_counts l)
-        |> List.concat_map (fun (p, _) ->
+        link_paths l
+        |> List.concat_map (fun p ->
                let k = Option.get (Labeled.link l p) in
                List.init (Labeled.link_length k) (fun i ->
                    (Labeled.link_pre k i, (Labeled.link_post k i, p))))
@@ -359,12 +408,21 @@ let prop_build_equals_reference =
                 (Labeled.doc_pre_at l i, Labeled.doc_id_at l i))));
       true)
 
+(* The ids of the documents whose sequences end at a serial in
+   [[lo, hi]]: the span of the sorted document table, then its ids. *)
+let docs_in_range l ~lo ~hi ~f =
+  let get = Labeled.doc_pre_at l and len = Labeled.doc_len l in
+  Labeled.docs_between l
+    ~first:(Xutil.Binsearch.lower_bound_by ~get ~len lo)
+    ~last:(Xutil.Binsearch.upper_bound_by ~get ~len hi - 1)
+    ~f
+
 let prop_docs_in_range =
   QCheck.Test.make ~name:"docs_in_range over full range = all docs" ~count:150
     arb_corpus (fun docs ->
       with_labeled docs (fun docs l ->
           let acc = ref [] in
-          Labeled.docs_in_range l ~lo:0 ~hi:(Labeled.root_post l) ~f:(fun d ->
+          docs_in_range l ~lo:0 ~hi:(Labeled.root_post l) ~f:(fun d ->
               acc := d :: !acc);
           List.sort_uniq Stdlib.compare !acc
           = List.init (Array.length docs) (fun i -> i)))

@@ -60,8 +60,11 @@ let value_mode = function
 
 (* Every path of the index dictionary: epsilon and the link paths. *)
 let dictionary_paths labeled =
+  let symbols = Labeled.symbols labeled in
   Path.epsilon
-  :: Array.to_list (Array.map fst (Labeled.path_doc_counts labeled))
+  :: List.filter
+       (fun p -> Labeled.link labeled p <> None)
+       (List.init (Symtab.path_count symbols) (Path.of_int symbols))
 
 (* The path of [dst] spelled like [p] of [src]: ids are table-local. *)
 let rec translate src dst p =
@@ -387,12 +390,11 @@ let test_v2_snapshots () =
                 (Printf.sprintf "%s %s" file (Xquery.Pattern.to_string q))
                 (Xseq.query fresh q) (Xseq.query loaded q))
             queries;
-          let store = Option.get (Xseq.backing_store loaded) in
           with_temp_file (fun path ->
               Containers.save (resave_as (Containers.of_file file)) loaded path;
               Alcotest.(check (list string)) (file ^ " re-saved without them")
                 [] (has_regions path retired_regions));
-          Store.close store)
+          Option.iter Store.close (Xseq.backing_store loaded))
         (modes (Containers.of_file file)))
     v2_snapshots
 
@@ -429,7 +431,6 @@ let test_v2_resaved_as_v3 () =
       List.iter
         (fun mode ->
           let loaded = Xseq.load ~mode file in
-          let store = Option.get (Xseq.backing_store loaded) in
           with_temp_file (fun path ->
               Containers.save (resave_as (Containers.of_file file)) loaded path;
               Alcotest.(check int) (file ^ " re-saved as version 3") 3
@@ -451,7 +452,7 @@ let test_v2_resaved_as_v3 () =
                     (Xseq.query original q) (Xseq.query again q))
                 queries;
               Option.iter Store.close (Xseq.backing_store again));
-          Store.close store)
+          Option.iter Store.close (Xseq.backing_store loaded))
         (modes (Containers.of_file file));
       Option.iter Store.close (Xseq.backing_store original))
     v2_snapshots
@@ -764,13 +765,106 @@ let test_legacy_layout () =
             containers))
     corpora
 
+(* A current snapshot whose compact dictionary numbers its designators
+   in the order the dictionary entries first name them, not in (name,
+   kind) order: [dict_desig], [desig_kind] and [desig_names] renumbered,
+   the names front-coded with no shared prefixes (the decoder takes any
+   order).  Every other region is the current one. *)
+let write_first_seen index path =
+  with_temp_file (fun current ->
+      Xseq.save index current;
+      let src = Store.open_file current in
+      let desig = Store.int_array src "dict_desig"
+      and kind = Store.int_array src "desig_kind" in
+      let blob, off =
+        Xsuccinct.Frontcode.decode ~name:"desig_names"
+          (Store.blob src "desig_names")
+      in
+      let renumbered = Array.make (Array.length kind) (-1) and seen = ref [] in
+      let desig =
+        Array.map
+          (fun d ->
+            if d >= 0 && renumbered.(d) < 0 then begin
+              renumbered.(d) <- List.length !seen;
+              seen := d :: !seen
+            end;
+            if d < 0 then d else renumbered.(d))
+          desig
+      in
+      let seen = Array.of_list (List.rev !seen) in
+      let names = Buffer.create 1024 in
+      Buffer.add_int32_le names (Int32.of_int (Array.length seen));
+      Array.iter
+        (fun d ->
+          let at = Xutil.I32.get off d in
+          let len = Xutil.I32.get off (d + 1) - at in
+          Xsuccinct.Varint.add_uvarint names 0;
+          Xsuccinct.Varint.add_uvarint names len;
+          Buffer.add_substring names blob at len)
+        seen;
+      let unsorted = Store.memory () in
+      List.iter
+        (fun r ->
+          match (r.Store.r_name, r.Store.r_kind) with
+          | "dict_desig", _ -> Store.add_int_array unsorted "dict_desig" desig
+          | "desig_kind", _ ->
+            Store.add_int_array unsorted "desig_kind"
+              (Array.map (fun d -> kind.(d)) seen)
+          | "desig_names", _ ->
+            Store.add_blob unsorted "desig_names" (Buffer.contents names)
+          | name, `Ints -> Store.add_ints unsorted name (Store.ints src name)
+          | name, `Blob -> Store.add_blob unsorted name (Store.blob src name))
+        (Store.regions src);
+      Store.write unsorted path;
+      Store.close src)
+
+(* A current snapshot with its designators out of (name, kind) order
+   loads, resident and paged, as an upgraded index: it answers id for id
+   like the built index, is not settled under its configuration, and
+   once saved again loads as it is. *)
+let test_first_seen_dictionary () =
+  let docs = Xdatagen.Dblp_gen.generate ~seed:5 200 in
+  let index = Xseq.build docs in
+  let opts =
+    { Xdatagen.Query_gen.default_opts with size = 4; value_prob = 0.5 }
+  in
+  let queries = Xdatagen.Query_gen.generate ~seed:9 ~opts docs 12 in
+  let answers what loaded =
+    List.iter
+      (fun q ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: %s" what (Xquery.Pattern.to_string q))
+          (Xseq.query index q) (Xseq.query loaded q))
+      queries
+  in
+  with_temp_file (fun path ->
+      write_first_seen index path;
+      List.iter
+        (fun mode ->
+          let loaded = Xseq.load ~mode path in
+          answers "first-seen dictionary" loaded;
+          Alcotest.(check bool) "an upgraded index is not settled" false
+            (Xseq.built_under loaded Xseq.default_config);
+          Alcotest.(check bool) "an upgraded index is in memory" true
+            (Xseq.backing_store loaded = None);
+          with_temp_file (fun resaved ->
+              Xseq.save loaded resaved;
+              let again = Xseq.load ~mode resaved in
+              answers "re-saved" again;
+              Alcotest.(check bool) "a re-save loads without an upgrade" true
+                (Xseq.built_under again Xseq.default_config);
+              Option.iter Store.close (Xseq.backing_store again)))
+        [ Store.Resident; Store.Paged ])
+
 (* --- failed loads --------------------------------------------------------- *)
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 
 (* Checksum-valid files that fail a later check — a malformed
    [xseq_meta], an index region the labelled reader rejects — must close
-   the paged store they opened. *)
+   the paged store they opened.  Only a current file's index regions
+   are read: the second is version 3, with a compact dictionary and an
+   empty record region (no names, no records). *)
 let test_failed_loads_close () =
   if not (Sys.file_exists "/proc/self/fd") then ()
   else
@@ -778,10 +872,13 @@ let test_failed_loads_close () =
         let bad_files =
           [
             (fun store ->
-              Store.add_int_array store "xseq_meta" [| 1; 2; 3 |]);
+              Store.add_int_array store "xseq_meta" [| 1; 2; 3 |];
+              Store.add_blob store "docs" "");
             (fun store ->
               Store.add_int_array store "xseq_meta"
-                [| 2; 3; 0; 0; 0; 0; 42; 0; 0 |];
+                [| 3; 3; 0; 0; 0; 0; 42; 0; 0 |];
+              Store.add_blob store "docs" "\000";
+              Store.add_int_array store "dict_desig" [| -1 |];
               Store.add_int_array store "meta" [| 0; 0 |]);
           ]
         in
@@ -789,7 +886,6 @@ let test_failed_loads_close () =
           (fun fill ->
             let store = Store.memory () in
             fill store;
-            Store.add_blob store "docs" "";
             Store.write ~compress:true store path;
             let before = open_fds () in
             for _ = 1 to 500 do
@@ -984,6 +1080,8 @@ let () =
         [
           Alcotest.test_case "page-layout snapshots load" `Quick
             test_legacy_layout;
+          Alcotest.test_case "first-seen dictionaries upgrade" `Quick
+            test_first_seen_dictionary;
           Alcotest.test_case "version-1 snapshots re-sequence" `Quick
             test_v1_snapshots;
           Alcotest.test_case "version-2 snapshots with node columns load"

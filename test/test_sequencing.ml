@@ -128,7 +128,7 @@ let of_dictionary ~kinds ~names ~parents ~desigs =
   let names, name_off = name_blob names in
   Symtab.of_dictionary ~kinds:(I32.of_array kinds) ~names ~name_off
     ~parents:(I32.of_array parents)
-    ~desigs:(Option.map I32.of_array desigs)
+    ~desigs:(I32.of_array desigs)
 
 (* Paths spelled out by name, values before tags at each step, as the
    model orders them. *)
@@ -294,7 +294,7 @@ let test_symtab_model () =
       incr npaths
   in
   (* The same string as a tag and as a value, and the empty string, each
-     ending a path (a spelled-out dictionary names only those). *)
+     ending a path. *)
   List.iter
     (fun name ->
       add_edge 0 (intern_desig false name);
@@ -359,10 +359,11 @@ let test_symtab_model () =
       (fun p -> if p = 0 then -1 else (Path.tag tbl (Path.of_int tbl p) :> int))
       order
   in
-  (* A compact table in first-seen order, which a load must sort. *)
-  let unsorted =
-    of_dictionary ~kinds ~names ~parents ~desigs:(Some entry_desigs)
-  in
+  (* A compact table in first-seen order, the built table's own: the
+     load takes no such table, and says so apart from any damage. *)
+  (match of_dictionary ~kinds ~names ~parents ~desigs:entry_desigs with
+   | _ -> Alcotest.fail "compact unsorted: a table out of order loaded"
+   | exception Symtab.Out_of_order -> ());
   (* A compact table in (name, kind) order, as xseqcol2 stores it, which
      a load takes as it is. *)
   let sorted =
@@ -376,20 +377,8 @@ let test_symtab_model () =
       ~kinds:(Array.map (fun d -> kinds.(d)) rank)
       ~names:(Array.map (fun d -> names.(d)) rank)
       ~parents
-      ~desigs:(Some (Array.map (fun d -> if d < 0 then d else of_rank.(d)) entry_desigs))
-  in
-  (* The same dictionary with every entry's designator spelled out, as
-     xseqcol1 snapshots store it: a designator table with repeats, one
-     entry per dictionary entry, epsilon's an empty tag. *)
-  let spelled_out =
-    let spell f epsilon =
-      Array.init !npaths (fun i ->
-          if i = 0 then epsilon else f entry_desigs.(i))
-    in
-    of_dictionary
-      ~kinds:(spell (fun d -> kinds.(d)) 0)
-      ~names:(spell (fun d -> names.(d)) "")
-      ~parents ~desigs:None
+      ~desigs:
+        (Array.map (fun d -> if d < 0 then d else of_rank.(d)) entry_desigs)
   in
   let model = { desigs; edges; npaths = !npaths; built = tbl } in
   check_table "built" model tbl ~path_of:Fun.id rng;
@@ -418,8 +407,7 @@ let test_symtab_model () =
             fun () ->
               ignore (Path.child loaded (Path.of_int loaded entry.(!bare)) d) );
         ])
-    [ ("compact in order", sorted); ("compact unsorted", unsorted);
-      ("spelled out", spelled_out) ];
+    [ ("compact in order", sorted) ];
   (* Lexicographic order by spelled-out names. *)
   for _ = 1 to 5_000 do
     let a = Path.of_int tbl (Random.State.int rng !npaths)
@@ -450,13 +438,13 @@ let test_symtab_model () =
           Alcotest.(check int) "dictionary entry depth"
             (Path.depth interned q)
             (Path.depth loaded (Path.of_int loaded i)))
-        [ sorted; unsorted; spelled_out ])
+        [ sorted ])
     order;
   List.iter
     (fun loaded ->
       Alcotest.(check int) "dictionary path count" !npaths
         (Symtab.path_count loaded))
-    [ sorted; unsorted; spelled_out ]
+    [ sorted ]
 
 (* [Symtab.of_dictionary] keeps every check a snapshot load relies on. *)
 let test_symtab_dictionary_checks () =
@@ -469,20 +457,20 @@ let test_symtab_dictionary_checks () =
   let kinds = [| 0; 1 |] and names = [| "a"; "a" |] in
   ignore
     (of_dictionary ~kinds ~names ~parents:[| -1; 0; 1 |]
-       ~desigs:(Some [| -1; 0; 1 |]));
-  rejects "dictionary root" ~kinds ~names ~parents:[||] ~desigs:(Some [||]);
+       ~desigs:[| -1; 0; 1 |]);
+  rejects "dictionary root" ~kinds ~names ~parents:[||] ~desigs:[||];
   rejects "root entry with a designator" ~kinds ~names ~parents:[| -1 |]
-    ~desigs:(Some [| 0 |]);
+    ~desigs:[| 0 |];
   rejects "designator kind out of range" ~kinds:[| 2 |] ~names:[| "a" |]
-    ~parents:[| -1 |] ~desigs:(Some [| -1 |]);
+    ~parents:[| -1 |] ~desigs:[| -1 |];
   rejects "dictionary parent order" ~kinds ~names ~parents:[| -1; 1 |]
-    ~desigs:(Some [| -1; 0 |]);
+    ~desigs:[| -1; 0 |];
   rejects "designator id out of range" ~kinds ~names ~parents:[| -1; 0 |]
-    ~desigs:(Some [| -1; 2 |]);
+    ~desigs:[| -1; 2 |];
   rejects "duplicate dictionary entry" ~kinds ~names ~parents:[| -1; 0; 0 |]
-    ~desigs:(Some [| -1; 1; 1 |]);
+    ~desigs:[| -1; 1; 1 |];
   rejects "dictionary region sizes" ~kinds ~names ~parents:[| -1; 0 |]
-    ~desigs:(Some [| -1 |]);
+    ~desigs:[| -1 |];
   (* Name offsets that leave the blob or run backwards. *)
   List.iter
     (fun name_off ->
@@ -490,35 +478,31 @@ let test_symtab_dictionary_checks () =
         Symtab.of_dictionary ~kinds:(I32.of_array kinds)
           ~names:(Bytes.of_string "ab") ~name_off:(I32.of_array name_off)
           ~parents:(I32.of_array [| -1; 0 |])
-          ~desigs:(Some (I32.of_array [| -1; 0 |]))
+          ~desigs:(I32.of_array [| -1; 0 |])
       with
       | _ -> Alcotest.fail "accepted bad name offsets"
       | exception Invalid_argument msg ->
         Alcotest.(check string) "diagnostic" "dictionary name offsets" msg)
     [ [| 0; 1; 3 |]; [| -1; 0; 1 |]; [| 0; 2; 1 |] ];
   rejects "dictionary region sizes" ~kinds ~names:[| "a" |]
-    ~parents:[| -1 |] ~desigs:(Some [| -1 |]);
-  (* A spelled-out dictionary has one table entry per dictionary entry;
-     epsilon's names nothing and is not checked. *)
-  ignore
-    (of_dictionary ~kinds:[| 7; 0; 1 |] ~names:[| "x"; "a"; "a" |]
-       ~parents:[| -1; 0; 1 |] ~desigs:None);
-  rejects "dictionary region sizes" ~kinds ~names ~parents:[| -1; 0; 1 |]
-    ~desigs:None;
-  rejects "designator kind out of range" ~kinds:[| 0; 2 |] ~names
-    ~parents:[| -1; 0 |] ~desigs:None;
-  rejects "dictionary parent order" ~kinds ~names ~parents:[| -1; 1 |]
-    ~desigs:None;
-  rejects "duplicate dictionary entry" ~kinds:[| 0; 0; 0 |]
-    ~names:[| ""; "a"; "a" |] ~parents:[| -1; 0; 0 |] ~desigs:None;
+    ~parents:[| -1 |] ~desigs:[| -1 |];
+  (* A designator table out of (name, kind) order, or naming one
+     designator twice, is no damage: it raises its own signal. *)
+  List.iter
+    (fun (kinds, names) ->
+      match
+        of_dictionary ~kinds ~names ~parents:[| -1; 0 |] ~desigs:[| -1; 0 |]
+      with
+      | _ -> Alcotest.fail "accepted a designator table out of order"
+      | exception Symtab.Out_of_order -> ())
+    [ ([| 1; 0 |], [| "a"; "a" |]); ([| 0; 0 |], [| "b"; "a" |]);
+      ([| 0; 0 |], [| "a"; "a" |]) ];
   (* A repeated edge is found however far apart its entries lie. *)
   rejects "duplicate dictionary entry" ~kinds ~names ~parents:[| -1; 0; 0; 0 |]
-    ~desigs:(Some [| -1; 1; 0; 1 |]);
-  rejects "duplicate dictionary entry" ~kinds:[| 0; 0; 1; 0 |]
-    ~names:[| ""; "a"; "a"; "a" |] ~parents:[| -1; 0; 0; 0 |] ~desigs:None;
+    ~desigs:[| -1; 1; 0; 1 |];
   (* Entries come in depth order. *)
   rejects "dictionary depth order" ~kinds ~names ~parents:[| -1; 0; 1; 0 |]
-    ~desigs:(Some [| -1; 0; 0; 1 |])
+    ~desigs:[| -1; 0; 0; 1 |]
 
 (* --- designators in (name, kind) order -------------------------------- *)
 
@@ -587,7 +571,7 @@ let test_name_order () =
         ~kinds:(Array.map (fun d -> Bool.to_int (snd (Hashtbl.find interned d))) ranked)
         ~names:(Array.map spelled ranked)
         ~parents:(Array.init (n + 1) (fun i -> if i = 0 then -1 else 0))
-        ~desigs:(Some (Array.init (n + 1) (fun i -> i - 1)))
+        ~desigs:(Array.init (n + 1) (fun i -> i - 1))
     in
     let _, promoted0, major0 = Gc.counters () and minor0 = Gc.minor_words () in
     let again, names', name_off' = Symtab.name_order loaded in
@@ -758,8 +742,9 @@ let test_multiple_paths () =
         (List.init (L.doc_len l) Fun.id)
     in
     let last = L.doc_pre_at l entry in
-    Array.to_list (L.path_doc_counts l)
-    |> List.concat_map (fun (p, _) ->
+    List.init (Symtab.path_count (L.symbols l)) (Path.of_int (L.symbols l))
+    |> List.filter (fun p -> L.link l p <> None)
+    |> List.concat_map (fun p ->
            let k = Option.get (L.link l p) in
            List.init (L.link_length k) Fun.id
            |> List.filter (fun i ->
