@@ -123,26 +123,30 @@ let flatten_with symbols s ~twins value_mode t =
     twin = Bytes.sub s.stwin 0 s.n;
   }
 
-let priority_fun symbols strategy paths =
+(* Every node's strategy priority, for the scheduler. *)
+let priorities symbols strategy paths =
+  let n = Array.length paths in
   match strategy with
-  | Strategy.Depth_first -> fun i -> -.float_of_int i
+  | Strategy.Depth_first -> Float.Array.init n (fun i -> -.float_of_int i)
   | Strategy.Breadth_first ->
-    fun i -> -.float_of_int ((Path.depth symbols paths.(i) * (1 lsl 26)) + i)
+    Float.Array.init n (fun i ->
+        -.float_of_int ((Path.depth symbols paths.(i) * (1 lsl 26)) + i))
   | Strategy.Random seed ->
     let salt = Array.fold_left (fun h p -> (h * 31) + Path.to_int p) 17 paths in
     let rng = Random.State.make [| seed; salt |] in
-    let prios = Array.map (fun _ -> Random.State.float rng 1.0) paths in
-    fun i -> prios.(i)
-  | Strategy.Probability f -> fun i -> f paths.(i)
+    Float.Array.init n (fun _ -> Random.State.float rng 1.0)
+  | Strategy.Probability f -> Float.Array.map_from_array f paths
 
 let sequence ?(ident = fun _ -> false) ~strategy symbols f =
   let paths = f.fpaths in
   let spec =
     {
-      Scheduler.prio = priority_fun symbols strategy paths;
-      depth = (fun i -> Path.depth symbols paths.(i));
-      path_id = (fun i -> Path.to_int paths.(i));
-      rank = Fun.id;
+      Scheduler.prio = priorities symbols strategy paths;
+      key =
+        Array.map
+          (fun p ->
+            Scheduler.key ~depth:(Path.depth symbols p) ~path_id:(Path.to_int p))
+          paths;
       iter_children =
         (fun i visit ->
           let stop = f.stop.(i) in
@@ -156,7 +160,7 @@ let sequence ?(ident = fun _ -> false) ~strategy symbols f =
     }
   in
   let seq = Array.make (Array.length paths) Path.epsilon in
-  List.iteri (fun k i -> seq.(k) <- paths.(i)) (Scheduler.emit spec ~root:0);
+  Scheduler.emit spec ~root:0 (fun k i -> seq.(k) <- paths.(i));
   seq
 
 let flatten ?(value_mode = Hashed) ?(scratch = create_scratch ()) symbols t =

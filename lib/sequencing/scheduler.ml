@@ -1,96 +1,94 @@
 type spec = {
-  prio : int -> float;
-  depth : int -> int;
-  path_id : int -> int;
-  rank : int -> int;
+  prio : Float.Array.t;
+  key : int array;
   iter_children : int -> (int -> unit) -> unit;
   has_identical : int -> bool;
 }
 
-module Heap = struct
-  type entry = { prio : float; depth : int; path : int; rank : int; item : int }
-  type t = { mutable data : entry array; mutable size : int }
+let key ~depth ~path_id = (depth lsl 31) lor path_id
 
-  let dummy = { prio = 0.; depth = 0; path = 0; rank = 0; item = 0 }
-  let create () = { data = Array.make 16 dummy; size = 0 }
-  let is_empty h = h.size = 0
-
+(* One binary heap of node ids per call.  The heap of a nesting level
+   holds the slots [base, !size): a level's children are pushed above
+   whatever its enclosing levels hold, and it pops until [!size] is back
+   at [base].  Every node but the root is pushed once, so [n] slots
+   suffice. *)
+let emit spec ~root out =
+  let prio = spec.prio and key = spec.key in
+  let heap = Array.make (Float.Array.length prio) 0 in
+  let size = ref 0 and emitted = ref 0 in
+  (* The innermost level's base, which [push] pushes onto. *)
+  let base = ref 0 in
   let before a b =
-    a.prio > b.prio
-    || a.prio = b.prio
-       && (a.depth < b.depth
-          || a.depth = b.depth
-             && (a.path < b.path || (a.path = b.path && a.rank < b.rank)))
-
-  let push h e =
-    if h.size = Array.length h.data then begin
-      let data = Array.make (2 * h.size) dummy in
-      Array.blit h.data 0 data 0 h.size;
-      h.data <- data
-    end;
-    let i = ref h.size in
-    h.size <- h.size + 1;
-    h.data.(!i) <- e;
+    let pa = Float.Array.unsafe_get prio a
+    and pb = Float.Array.unsafe_get prio b in
+    pa > pb
+    || pa = pb
+       &&
+       let ka = Array.unsafe_get key a and kb = Array.unsafe_get key b in
+       ka < kb || (ka = kb && a < b)
+  in
+  let push v =
+    let base = !base in
+    let i = ref (!size - base) in
+    incr size;
     let continue = ref true in
     while !continue && !i > 0 do
       let p = (!i - 1) / 2 in
-      if before h.data.(!i) h.data.(p) then begin
-        let tmp = h.data.(p) in
-        h.data.(p) <- h.data.(!i);
-        h.data.(!i) <- tmp;
+      let pv = heap.(base + p) in
+      if before v pv then begin
+        heap.(base + !i) <- pv;
         i := p
       end
       else continue := false
-    done
-
-  let pop h =
-    assert (h.size > 0);
-    let top = h.data.(0) in
-    h.size <- h.size - 1;
-    h.data.(0) <- h.data.(h.size);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let best = ref !i in
-      if l < h.size && before h.data.(l) h.data.(!best) then best := l;
-      if r < h.size && before h.data.(r) h.data.(!best) then best := r;
-      if !best <> !i then begin
-        let tmp = h.data.(!best) in
-        h.data.(!best) <- h.data.(!i);
-        h.data.(!i) <- tmp;
-        i := !best
-      end
-      else continue := false
     done;
-    top.item
-end
-
-let emit spec ~root =
-  let out = ref [] in
-  let push_children heap i =
-    spec.iter_children i (fun c ->
-        Heap.push heap
-          {
-            Heap.prio = spec.prio c;
-            depth = spec.depth c;
-            path = spec.path_id c;
-            rank = spec.rank c;
-            item = c;
-          })
+    heap.(base + !i) <- v
   in
-  let rec sequentialize i =
-    out := i :: !out;
-    let heap = Heap.create () in
-    push_children heap i;
-    while not (Heap.is_empty heap) do
-      let c = Heap.pop heap in
+  let pop base =
+    let top = heap.(base) in
+    decr size;
+    let len = !size - base in
+    if len > 0 then begin
+      let v = heap.(base + len) in
+      let i = ref 0 and continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 in
+        if l >= len then continue := false
+        else begin
+          let c =
+            if l + 1 < len && before heap.(base + l + 1) heap.(base + l) then
+              l + 1
+            else l
+          in
+          let cv = heap.(base + c) in
+          if before cv v then begin
+            heap.(base + !i) <- cv;
+            i := c
+          end
+          else continue := false
+        end
+      done;
+      heap.(base + !i) <- v
+    end;
+    top
+  in
+  let emit_one v =
+    out !emitted v;
+    incr emitted
+  in
+  let rec sequentialize v =
+    emit_one v;
+    let outer = !base in
+    let mine = !size in
+    base := mine;
+    spec.iter_children v push;
+    while !size > mine do
+      let c = pop mine in
       if spec.has_identical c then sequentialize c
       else begin
-        out := c :: !out;
-        push_children heap c
+        emit_one c;
+        spec.iter_children c push
       end
-    done
+    done;
+    base := outer
   in
-  sequentialize root;
-  List.rev !out
+  sequentialize root

@@ -292,37 +292,40 @@ let lex_ranks symbols paths =
 
 let compile_one symbols ~flagged ~strategy flat =
   let has_identical i = flat.fident.(i) || flagged flat.fpaths.(i) in
+  let n = Array.length flat.fpaths in
   let prio =
     match strategy with
-    | Strategy.Probability f -> fun i -> f flat.fpaths.(i)
+    | Strategy.Probability f -> Float.Array.map_from_array f flat.fpaths
     | Strategy.Depth_first ->
       let rank = lex_ranks symbols flat.fpaths in
-      fun i -> -.float_of_int rank.(i)
+      Float.Array.init n (fun i -> -.float_of_int rank.(i))
     | Strategy.Breadth_first ->
       let rank = lex_ranks symbols flat.fpaths in
-      fun i ->
-        -.float_of_int
-            ((Path.depth symbols flat.fpaths.(i) * (1 lsl 26)) + rank.(i))
+      Float.Array.init n (fun i ->
+          -.float_of_int
+              ((Path.depth symbols flat.fpaths.(i) * (1 lsl 26)) + rank.(i)))
     | Strategy.Random _ ->
       raise (Unsupported_strategy "random sequencing cannot be queried")
   in
   let spec =
     {
       Scheduler.prio;
-      depth = (fun i -> Path.depth symbols flat.fpaths.(i));
-      path_id = (fun i -> Path.to_int flat.fpaths.(i));
-      rank = (fun i -> i);
+      key =
+        Array.map
+          (fun p ->
+            Scheduler.key ~depth:(Path.depth symbols p) ~path_id:(Path.to_int p))
+          flat.fpaths;
       iter_children = (fun i f -> List.iter f flat.fchildren.(i));
       has_identical;
     }
   in
-  let order = Scheduler.emit spec ~root:0 in
-  let n = Array.length flat.fpaths in
-  let position = Array.make n 0 in
-  List.iteri (fun pos i -> position.(i) <- pos) order;
+  let order = Array.make n 0 and position = Array.make n 0 in
+  Scheduler.emit spec ~root:0 (fun pos i ->
+      order.(pos) <- i;
+      position.(i) <- pos);
   let paths = Array.make n Path.epsilon in
   let parents = Array.make n (-1) in
-  List.iteri
+  Array.iteri
     (fun pos i ->
       paths.(pos) <- flat.fpaths.(i);
       parents.(pos) <- (if flat.fparents.(i) < 0 then -1 else position.(flat.fparents.(i))))
