@@ -68,7 +68,7 @@ let write_json name render =
    report trie node counts (the quantity of Figures 14/15, Tables 5/6). *)
 let build_with sequencing docs =
   Xseq.build
-    ~config:{ Xseq.default_config with sequencing; keep_documents = false }
+    ~config:{ Xseq.default_config with sequencing }
     docs
 
 let nodes_of sequencing docs = Xseq.node_count (build_with sequencing docs)
@@ -422,13 +422,7 @@ let ablation_sampling () =
   Printf.printf "%10s %12s\n" "fraction" "trie nodes";
   List.iter
     (fun fraction ->
-      let config =
-        {
-          Xseq.default_config with
-          sample_fraction = fraction;
-          keep_documents = false;
-        }
-      in
+      let config = { Xseq.default_config with sample_fraction = fraction } in
       let index = Xseq.build ~config docs in
       Printf.printf "%10.2f %12d\n%!" fraction (Xseq.node_count index))
     [ 0.01; 0.05; 0.20; 1.00 ]
@@ -463,7 +457,6 @@ let ablation_weights () =
             {
               Xseq.default_config with
               sequencing = Xseq.Custom weighted;
-              keep_documents = false;
             }
           docs
       in
@@ -849,7 +842,7 @@ let ablation_valuemode () =
     (fun (name, value_mode) ->
       let index =
         Xseq.build
-          ~config:{ Xseq.default_config with value_mode; keep_documents = false }
+          ~config:{ Xseq.default_config with value_mode }
           docs
       in
       Printf.printf "%-8s %10d trie nodes (avg seq length %.1f)\n%!" name

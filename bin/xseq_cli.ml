@@ -1826,9 +1826,10 @@ let info_cmd =
             Store.length (region "doc_pre") ))
     in
     let regions = Store.regions store in
-    (* The record region is already coded (names as ids, lengths as
-       varints), so its logical bytes are not comparable with a
-       column's: it gets its own line. *)
+    (* Only snapshots before version 4 carry records.  Their record
+       region is already coded (names as ids, lengths as varints), so
+       its logical bytes are not comparable with a column's: it gets its
+       own line. *)
     let records, columns =
       List.partition (fun r -> r.Store.r_name = "docs") regions
     in
@@ -1851,10 +1852,12 @@ let info_cmd =
         "paged:           no; rewrite it as xseqcol2 with `xseq index %s -o \
          NEW`\n"
         input;
-    if xmeta.(0) < 3 then
-      print_endline
+    if xmeta.(0) < 4 then
+      Printf.printf
         "note:            every load re-sequences the records in memory; \
-         --paged buys nothing";
+         --paged buys nothing; rewrite it as version 4 with `xseq index %s \
+         -o NEW`\n"
+        input;
     Printf.printf "records:         %d\n" xmeta.(8);
     Printf.printf "trie nodes:      %d\n" imeta.(0);
     Printf.printf "distinct paths:  %d\n" links;
@@ -1863,13 +1866,17 @@ let info_cmd =
       let s = sum stored columns and l = sum bytes columns in
       Printf.printf "column bytes:    %d stored / %d logical (%.2fx compression)\n"
         s l (ratio ~stored:s ~logical:l);
-      let s = sum stored records and c = sum bytes records in
-      Printf.printf "record region:   %d stored / %d coded (%.2fx compression)\n"
-        s c (ratio ~stored:s ~logical:c)
+      if records <> [] then begin
+        let s = sum stored records and c = sum bytes records in
+        Printf.printf
+          "record region:   %d stored / %d coded (%.2fx compression)\n" s c
+          (ratio ~stored:s ~logical:c)
+      end
     end
     else begin
       Printf.printf "column bytes:    %d\n" (sum bytes columns);
-      Printf.printf "record region:   %d coded\n" (sum bytes records)
+      if records <> [] then
+        Printf.printf "record region:   %d coded\n" (sum bytes records)
     end;
     Printf.printf "\n%-16s %-5s %12s %12s %12s %8s %12s\n" "region" "kind"
       "elements" "bytes" "stored" "pages" "offset";
@@ -1888,7 +1895,7 @@ let info_cmd =
              with its element count, logical and stored byte sizes, page \
              count and file offset — plus, for xseqcol2 snapshots, the \
              compression ratio of the columns and, apart, of the record \
-             region.")
+             region a snapshot before version 4 carries.")
     Term.(const run $ input)
 
 (* --- index (build + save) ------------------------------------------------ *)
@@ -1905,16 +1912,15 @@ let index_cmd =
       value & flag
       & info [ "compress" ]
           ~doc:
-            "LZ-code the record region and designator names: a smaller \
-             file, slower to write.  Without it the label columns are \
-             still delta-packed and the file still opens \
-             $(b,--paged).")
+            "LZ-code the designator names: a smaller file, slower to \
+             write.  Without it the label columns are still delta-packed \
+             and the file still opens $(b,--paged).")
   in
   let run input strategy output compress =
     let t0 = Unix.gettimeofday () in
-    (* A snapshot is loaded resident (either format) and written again:
-       a current file's records are copied from it, and an older one,
-       upgraded at the load, comes out as version 3. *)
+    (* A snapshot is loaded resident (either format) and written again
+       as version 4: an older one, upgraded from its records at the
+       load, comes out without its record region. *)
     let index =
       if is_index_file input then
         guard_snapshot input (fun () -> Xseq.load input)

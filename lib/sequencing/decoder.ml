@@ -4,38 +4,93 @@ module T = Xmlcore.Xml_tree
 
 exception Invalid_sequence of string
 
-type builder = { path : Path.t; mutable rev_children : builder list }
+type builder = {
+  path : Path.t;
+  mutable rank : int; (* rank among its siblings, or -1: sequence order *)
+  mutable rev_children : builder list;
+}
 
-let decode symbols seq =
-  if Array.length seq = 0 then raise (Invalid_sequence "empty sequence");
+let invalid msg = raise (Invalid_sequence msg)
+
+(* [children] in sequence order, each moved to its rank where it has
+   one, or [None] when every child keeps its place. *)
+let place children =
+  if List.for_all (fun c -> c.rank < 0) children then None
+  else begin
+    let slots = Array.make (List.length children) None in
+    List.iteri
+      (fun j c ->
+        let r = if c.rank >= 0 then c.rank else j in
+        if r >= Array.length slots || Option.is_some slots.(r) then
+          invalid "sibling order is not a permutation";
+        slots.(r) <- Some c)
+      children;
+    Some (Array.to_list (Array.map Option.get slots))
+  end
+
+let decode ?(value_mode = Encoder.Hashed) ?(order = [||]) symbols seq =
+  let len = Array.length seq in
+  if len = 0 then invalid "empty sequence";
   if Path.depth symbols seq.(0) <> 1 then
-    raise (Invalid_sequence "first element is not a root path");
-  let root = { path = seq.(0); rev_children = [] } in
+    invalid "first element is not a root path";
+  let nodes =
+    Array.map (fun path -> { path; rank = -1; rev_children = [] }) seq
+  in
   (* [last] maps a path to its most recent builder node: exactly the
      forward-prefix rule of Definition 2 for ancestor-first sequences. *)
   let last : (Path.t, builder) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.replace last seq.(0) root;
-  for i = 1 to Array.length seq - 1 do
+  Hashtbl.replace last seq.(0) nodes.(0);
+  for i = 1 to len - 1 do
     let p = seq.(i) in
-    if Path.depth symbols p < 2 then
-      raise (Invalid_sequence "second root element in sequence");
+    if Path.depth symbols p < 2 then invalid "second root element in sequence";
     let parent =
       match Hashtbl.find_opt last (Path.parent symbols p) with
       | Some b -> b
       | None ->
-        raise
-          (Invalid_sequence
-             (Printf.sprintf "element %d (%s) has no preceding parent" i
-                (Path.to_string symbols p)))
+        invalid
+          (Printf.sprintf "element %d (%s) has no preceding parent" i
+             (Path.to_string symbols p))
     in
-    let b = { path = p; rev_children = [] } in
-    parent.rev_children <- b :: parent.rev_children;
-    Hashtbl.replace last p b
+    parent.rev_children <- nodes.(i) :: parent.rev_children;
+    Hashtbl.replace last p nodes.(i)
   done;
+  if Array.length order land 1 <> 0 then invalid "odd sibling order";
+  for k = 0 to (Array.length order / 2) - 1 do
+    let at = order.(2 * k) and rank = order.((2 * k) + 1) in
+    if at < 1 || at >= len || rank < 0 then invalid "sibling order out of range";
+    nodes.(at).rank <- rank
+  done;
+  (* A text-mode value is a chain of one-character value designators
+     closed by the [value_end] designator: one [Value]. *)
+  let text b =
+    let buf = Buffer.create 16 in
+    let rec chain b =
+      let d = Path.tag symbols b.path in
+      if not (D.is_value symbols d) then invalid "element inside a text value"
+      else if D.name_equal symbols d Encoder.value_end then begin
+        if b.rev_children <> [] then invalid "text continues past its end"
+      end
+      else
+        match b.rev_children with
+        | [ c ] ->
+          Buffer.add_string buf (D.name symbols d);
+          chain c
+        | _ -> invalid "broken text chain"
+    in
+    chain b;
+    Buffer.contents buf
+  in
   let rec freeze b =
     let d = Path.tag symbols b.path in
-    match b.rev_children with
-    | [] when D.is_value symbols d -> T.Value (D.name symbols d)
-    | rev -> T.Element (D.name symbols d, List.rev_map freeze rev)
+    if D.is_value symbols d && value_mode = Encoder.Text then T.Value (text b)
+    else
+      match b.rev_children with
+      | [] when D.is_value symbols d -> T.Value (D.name symbols d)
+      | rev ->
+        let children = List.rev rev in
+        let children =
+          match place children with Some c -> c | None -> children
+        in
+        T.Element (D.name symbols d, List.map freeze children)
   in
-  freeze root
+  freeze nodes.(0)

@@ -34,6 +34,7 @@ val create_scratch : unit -> scratch
 val flatten :
   ?value_mode:value_mode ->
   ?scratch:scratch ->
+  ?sorted:bool ->
   Symtab.t ->
   Xmlcore.Xml_tree.t ->
   flat
@@ -41,7 +42,12 @@ val flatten :
     [symbols], in pre-order, and records [t]'s node paths and
     identical-sibling flags.  Identical siblings are found in time linear
     in the number of children.  The result does not alias [scratch]
-    (default: a fresh one).  Default [value_mode] is {!Hashed}. *)
+    (default: a fresh one).  Default [value_mode] is {!Hashed}.
+
+    With [~sorted:true] the record is flattened as
+    [Xmlcore.Xml_tree.sort_by_tag t] is, without building that tree, and
+    each node also keeps its rank among its siblings in [t], so that
+    {!sequence_ordered} reports sibling order against [t] itself. *)
 
 val paths : flat -> Symtab.Path.t array
 (** The node paths in pre-order — the multiset of path encodings of
@@ -70,6 +76,25 @@ val sequence :
 
     Only reads [symbols], which must be the table [f] was flattened
     into; safe to run on several domains. *)
+
+val sequence_ordered :
+  ?ident:(Symtab.Path.t -> bool) ->
+  strategy:Strategy.t ->
+  Symtab.t ->
+  flat ->
+  Symtab.Path.t array * int array
+(** {!sequence}, and the record's sibling-order exceptions: what
+    {!Decoder.decode}'s [order] needs besides the sequence to rebuild the
+    record with its siblings in their order.  A sequence attaches each
+    node's children in sequence order; for every node whose rank among
+    its siblings in the record (its place among them in the record, for
+    a record flattened with [~sorted]) differs from its place among them
+    in sequence order, the exceptions hold its sequence position and
+    that rank, as consecutive pairs in ascending position.  Empty when
+    every node's children come out in record order, as under non-canonical
+    depth-first sequencing.  Computed from the emission order the
+    scheduler already produces; a record in order costs one pass over
+    its nodes. *)
 
 val encode :
   ?value_mode:value_mode ->

@@ -31,7 +31,9 @@ val key : depth:int -> path_id:int -> int
 
 val emit : spec -> root:int -> (int -> int -> unit) -> unit
 (** [emit spec ~root out] calls [out k v] for the [k]-th emitted node
-    [v], starting with [out 0 root].  The heap is one int array of
+    [v], starting with [out 0 root].  [v] has left the heap by then, and
+    the scheduler reads neither [prio] nor [key] at [v] again, so [out]
+    may reuse those two slots.  The heap is one int array of
     [Float.Array.length spec.prio] slots: a nested heap (Algorithm 2's
     recursion) starts where its parent's ends and is empty again before
     the parent's grows. *)

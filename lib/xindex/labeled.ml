@@ -352,6 +352,152 @@ let path_frequencies ?member t =
   Store.scan t.l_pre (fun pre_at -> Store.scan t.l_post (count pre_at));
   freq
 
+(* Element [i] through [I32]'s inline primitives, for the sweep's, the save's
+   and the load's loops; every value set is an id, a rank, an offset or a slot. *)
+let get v i = Int32.to_int (I32.get32 v (4 * i))
+let set v i x = I32.set32 v (4 * i) (Int32.of_int x)
+
+(* --- the inversion sweep --------------------------------------------------- *)
+
+(* The links inverted, per serial (0 the virtual root): its path id, its
+   [post], its position in the link columns and its trie parent.  Read
+   off the link columns in one pass and one stack pass over the serials;
+   every step checks the structure it relies on and reports the first
+   broken invariant through [Broken]. *)
+type sweep = {
+  s_path : I32.t;
+  s_post : I32.t;
+  s_entry : I32.t;
+  s_parent : I32.t;
+}
+
+exception Broken of string
+
+let broken fmt = Printf.ksprintf (fun msg -> raise (Broken msg)) fmt
+
+let sweep t =
+  let n = t.n in
+  let s_path = I32.make (n + 1) (-1) and s_post = I32.make (n + 1) n in
+  let s_entry = I32.make (n + 1) (-1) and s_parent = I32.make (n + 1) (-1) in
+  I32.set s_path 0 (Path.to_int Path.epsilon);
+  let paths = slot_paths t in
+  let invert pre_at post_at =
+    for slot = 0 to I32.length paths - 1 do
+      let last = ref 0 in
+      for i = I32.get t.link_off slot to I32.get t.link_off (slot + 1) - 1 do
+        let pre = pre_at i and post = post_at i in
+        if pre < 1 || pre > n then broken "serial %d out of range" pre;
+        if pre <= !last then
+          broken "link pre not strictly increasing at entry %d" i;
+        if post < pre || post > n then
+          broken "pre above post or post out of range at entry %d" i;
+        if get s_entry pre >= 0 then broken "serial %d in two links" pre;
+        last := pre;
+        set s_path pre (get paths slot);
+        set s_post pre post;
+        set s_entry pre i
+      done
+    done
+  in
+  Store.scan t.l_pre (fun pre_at -> Store.scan t.l_post (invert pre_at));
+  (* Serials are pre-order: a node's parent is the innermost open range
+     still covering it, and a range must close inside its parent's. *)
+  let stack = I32.make (n + 1) 0 and top = ref 0 in
+  for v = 1 to n do
+    if get s_entry v < 0 then broken "serial %d in no link" v;
+    while get s_post (get stack !top) < v do
+      decr top
+    done;
+    let parent = get stack !top in
+    if get s_post v > get s_post parent then
+      broken "ranges not laminar at serial %d" v;
+    set s_parent v parent;
+    incr top;
+    set stack !top v
+  done;
+  { s_path; s_post; s_entry; s_parent }
+
+(* The serial document-table entry [i] ends at, checked. *)
+let doc_end t i =
+  let v = doc_pre_at t i in
+  if v < 1 || v > t.n then broken "document-table entry %d ends at serial %d" i v;
+  v
+
+(* The chain of trie nodes from the root to [v]: a document's sequence. *)
+let chain t sw v =
+  let depth = ref 0 and u = ref v in
+  while !u > 0 do
+    incr depth;
+    u := get sw.s_parent !u
+  done;
+  let seq = Array.make !depth Path.epsilon in
+  u := v;
+  for d = !depth - 1 downto 0 do
+    seq.(d) <- Path.of_int t.symbols (get sw.s_path !u);
+    u := get sw.s_parent !u
+  done;
+  seq
+
+let sequences t =
+  match sweep t with
+  | sw -> Array.init (doc_len t) (fun i -> chain t sw (doc_end t i))
+  | exception Broken msg -> invalid_arg ("Labeled.sequences: " ^ msg)
+
+let check t =
+  match
+    let sw = sweep t in
+    (* [up]: the link position of the nearest same-path proper ancestor,
+       by one more pass over the serials with the open nodes on a stack,
+       each path's innermost open node as the build keeps it. *)
+    let innermost = I32.make (Symtab.path_count t.symbols) (-1) in
+    let want_up = I32.make (max 1 t.n) (-1) in
+    let stack = I32.make (t.n + 1) 0 and top = ref 0 in
+    let entry_pos v =
+      let p = get sw.s_path v in
+      get sw.s_entry v - I32.get t.link_off (I32.get t.slot p)
+    in
+    for v = 1 to t.n do
+      while get stack !top <> get sw.s_parent v do
+        let u = get stack !top in
+        set innermost (get sw.s_path u) (get want_up (get sw.s_entry u));
+        decr top
+      done;
+      let p = get sw.s_path v in
+      set want_up (get sw.s_entry v) (get innermost p);
+      set innermost p (entry_pos v);
+      incr top;
+      set stack !top v
+    done;
+    Store.scan t.l_up (fun up_at ->
+        for i = 0 to t.n - 1 do
+          if up_at i <> get want_up i then
+            broken "up at entry %d is not the nearest same-link ancestor" i
+        done);
+    for slot = 0 to distinct_paths t - 1 do
+      let nested = ref false in
+      for i = I32.get t.link_off slot to I32.get t.link_off (slot + 1) - 2 do
+        if Store.get t.l_pre (i + 1) <= Store.get t.l_post i then nested := true
+      done;
+      if !nested <> (Bytes.get t.multi slot <> '\000') then
+        broken "link %d's multiplicity flag disagrees with its entries" slot
+    done;
+    let ndocs = doc_len t in
+    let seen = Bytes.make ndocs '\000' in
+    for i = 0 to ndocs - 1 do
+      if i > 0 && doc_end t i < doc_end t (i - 1) then
+        broken "document table not sorted by end serial at entry %d" i;
+      let id = doc_id_at t i in
+      if id < 0 || id >= ndocs || Bytes.get seen id <> '\000' then
+        broken "document ids not a permutation at entry %d" i;
+      Bytes.set seen id '\001';
+      if not (Sequencing.Seq_constraint.is_valid t.symbols
+                (chain t sw (doc_end t i)))
+      then broken "document %d's sequence is not a valid constraint sequence" id
+    done
+  with
+  | () -> Ok ()
+  | exception Broken msg -> Error msg
+
 let path_multiple t p =
   match slot_of t p with
   | -1 -> false
@@ -375,11 +521,6 @@ let column_bytes t =
 (* Region names in the columnar snapshot (see Xstorage.Store for the file
    format).  The dictionary carries the index's own symbols, so a loaded
    index rebuilds its symbol table from it. *)
-
-(* Element [i] through [I32]'s inline primitives, for the save's and the
-   load's loops; every value set is an id, a rank, an offset or a slot. *)
-let get v i = Int32.to_int (I32.get32 v (4 * i))
-let set v i x = I32.set32 v (4 * i) (Int32.of_int x)
 
 (* The compact dictionary: trie edges are (parent entry, designator)
    pairs over the designators in use, ranked in the symbol table's own

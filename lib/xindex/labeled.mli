@@ -117,6 +117,29 @@ val path_frequencies : ?member:(int -> bool) -> t -> int array
     documents whose id satisfies it are counted.  One pass over the
     document table and one over the link columns. *)
 
+val sequences : t -> Path.t array array
+(** Every document's constraint sequence, by document-table position
+    (sorted; {!doc_id_at} names each one's document): the chain of trie
+    nodes from the root to the entry's end serial.  One O(n) sweep
+    inverts the links into each serial's path and [post], and one stack
+    pass over the serials finds each one's parent; nothing is kept.
+    With {!Sequencing.Decoder.decode} this is Theorem 1's way back from
+    the index to its records.
+    @raise Invalid_argument naming the broken invariant if the links do
+    not spell a trie (see {!check}). *)
+
+val check : t -> (unit, string) result
+(** Checks the structure the matcher relies on (Section 4.1 and
+    Definition 2), on the sweep {!sequences} makes: each link's [pre]
+    strictly increases and lies in [[1, post]], every serial [1..n] is in
+    exactly one link, the ranges are laminar, [up] is the nearest
+    same-link ancestor, each link's multiplicity flag agrees with its
+    entries ({!link_same_desc}), the document table is sorted by end
+    serial with its ids a permutation, and every document's chain is a
+    valid constraint sequence ({!Sequencing.Seq_constraint.is_valid}).
+    [Error] names the first broken invariant.  For test oracles: no load
+    or build calls it. *)
+
 val distinct_paths : t -> int
 (** Number of horizontal links. *)
 

@@ -307,8 +307,8 @@ let prune_files t keep_wal_from keep_base =
         try Sys.remove (Filename.concat t.dirname name) with Sys_error _ -> ())
     (Sys.readdir t.dirname)
 
-(* Bases are compressed xseqcol2 snapshots (records and designator names
-   LZ-coded).  A base of an older layout or container, which earlier
+(* Bases are compressed xseqcol2 snapshots (designator names LZ-coded,
+   no records).  A base of an older layout or container, which earlier
    builds wrote, loads as an upgraded index that is not [Xseq.built_under]
    the store's configuration, so the next compaction rewrites it (see
    [base_settled]). *)
@@ -332,7 +332,8 @@ let disk_guard t ~what f =
 
 (* The compaction plan, a function of the frozen view alone: the live
    ids in id order and the records a base over them is built from.  It
-   writes nothing (a loaded base decodes its records from its file). *)
+   writes nothing; each segment rebuilds its records from its index
+   once ([Xseq.document]). *)
 let plan_base v =
   let live = ref [] in
   List.iter
@@ -846,7 +847,6 @@ let load_dir ~sync_every ~config dirname =
 let open_ ?(sync_every = 1) ?(memtable_limit = 256) ?(max_segments = 8)
     ?(domains = 1) ?pool ?(config = Xseq.default_config)
     ?(probe_interval = 1.0) dirname =
-  let config = { config with Xseq.keep_documents = true } in
   (try Unix.mkdir dirname 0o755
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   (* Finish any snapshot install a crash interrupted before reading. *)

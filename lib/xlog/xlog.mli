@@ -85,8 +85,8 @@ val open_ :
     [memtable_limit] (default 256) bounds the unindexed memtable;
     [max_segments] (default 8) triggers background compaction once
     enough deltas pile up.  [domains]/[pool] parallelise every
-    {!Xseq.build} the store performs; [config.keep_documents] is forced
-    on (compaction rebuilds from the kept records).  [probe_interval]
+    {!Xseq.build} the store performs (compaction rebuilds from the
+    records its segments decode from their indexes).  [probe_interval]
     (default 1s) rate-limits the automatic recovery probe a degraded
     store runs before each mutation attempt.
     @raise Invalid_argument on a corrupt checkpoint or base snapshot,

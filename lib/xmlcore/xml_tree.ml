@@ -51,21 +51,20 @@ let rec canonical_sort t =
 
 let isomorphic a b = equal (canonical_sort a) (canonical_sort b)
 
+(* Values before elements, each by name: the order in which
+   [Sequencing.Symtab.Path.lex_compare] ranks designators, so document
+   order agrees with the depth-first query pipeline in every index. *)
+let sibling_compare a b =
+  match a, b with
+  | Value x, Value y | Element (x, _), Element (y, _) -> String.compare x y
+  | Value _, Element _ -> -1
+  | Element _, Value _ -> 1
+
 let rec sort_by_tag t =
   match t with
   | Value _ -> t
   | Element (d, cs) ->
-    (* Values before elements, each by name: the order in which
-       [Sequencing.Symtab.Path.lex_compare] ranks designators, so document
-       order agrees with the depth-first query pipeline in every index. *)
-    let order a b =
-      match a, b with
-      | Value x, Value y | Element (x, _), Element (y, _) -> String.compare x y
-      | Value _, Element _ -> -1
-      | Element _, Value _ -> 1
-    in
-    let cs = List.stable_sort order (List.map sort_by_tag cs) in
-    Element (d, cs)
+    Element (d, List.stable_sort sibling_compare (List.map sort_by_tag cs))
 
 let rec has_identical_siblings = function
   | Value _ -> false

@@ -65,6 +65,10 @@ val sort_by_tag : t -> t
     same way — the property the depth-first (ViST-style) query pipeline
     relies on. *)
 
+val sibling_compare : t -> t -> int
+(** The order {!sort_by_tag} stable-sorts siblings by: the node's own
+    tag or text only. *)
+
 val fold : ('a -> t -> 'a) -> 'a -> t -> 'a
 (** Pre-order fold over every node of the tree. *)
 

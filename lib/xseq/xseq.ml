@@ -3,6 +3,7 @@ module Xpath = Xquery.Xpath_parser
 module T = Xmlcore.Xml_tree
 module Strategy = Sequencing.Strategy
 module Encoder = Sequencing.Encoder
+module Decoder = Sequencing.Decoder
 module Symtab = Sequencing.Symtab
 module Path = Symtab.Path
 module Domain_pool = Xutil.Domain_pool
@@ -22,7 +23,6 @@ type config = {
   value_mode : Encoder.value_mode;
   sample_fraction : float;
   sample_seed : int;
-  keep_documents : bool;
 }
 
 let default_config =
@@ -31,28 +31,24 @@ let default_config =
     value_mode = Encoder.Hashed;
     sample_fraction = 1.0;
     sample_seed = 42;
-    keep_documents = true;
   }
 
-(* The original records.  A loaded index leaves them in its snapshot's
-   record region, read from the file on use: queries never touch them.
-   [document] (and through it Xlog compaction) decodes them once and
-   keeps the trees; the [Too_many] scan fallback tests them one at a
-   time and keeps nothing; [save] copies the region. *)
-type records =
-  | Dropped (* built with [keep_documents = false] *)
-  | Trees of T.t array
-  | Stored of {
-      store : Store.t;
-      decoded : T.t array option Atomic.t;
-      lock : Mutex.t; (* serialises the one decode *)
-    }
-
+(* The index holds no records: [document] (and through it Xlog
+   compaction) and the [Too_many] scan fallback rebuild them from the
+   links by Theorem 1, once, and keep the trees.  Sibling order is what
+   a sequence does not fix; [order] gives the exceptions the decode
+   needs besides the sequences, packed as the snapshot's [sibling_order]
+   region holds them: per record that has any, by ascending id, the id,
+   the number of pairs, then its (sequence position, sibling rank) pairs
+   ({!Encoder.sequence_ordered}).  A built index holds the array; a
+   loaded one reads the region on the first decode. *)
 type t = {
   labeled : Xindex.Labeled.t;
   strategy : Strategy.t;
   value_mode : Encoder.value_mode;
-  records : records;
+  order : unit -> int array;
+  decoded : T.t array option Atomic.t;
+  lock : Mutex.t; (* serialises the one decode *)
   ndocs : int;
   total_seq_len : int;
   stats : Xschema.Stats.t option;
@@ -130,6 +126,26 @@ let count_paths symbols ~counted flats =
         (Encoder.paths flat))
     flats;
   c
+
+(* The records' sibling-order exceptions, one region's worth (see [t]). *)
+let pack_order exceptions =
+  let size =
+    Array.fold_left
+      (fun n e -> if Array.length e = 0 then n else n + 2 + Array.length e)
+      0 exceptions
+  in
+  let packed = Array.make size 0 and at = ref 0 in
+  Array.iteri
+    (fun id e ->
+      let len = Array.length e in
+      if len > 0 then begin
+        packed.(!at) <- id;
+        packed.(!at + 1) <- len / 2;
+        Array.blit e 0 packed (!at + 2) len;
+        at := !at + 2 + len
+      end)
+    exceptions;
+  packed
 
 let build ?domains ?pool ?on_phase ?(config = default_config) docs =
   let phase name f =
@@ -219,23 +235,32 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
         (census, strategy, stats, encode_strategy))
   in
   let ident p = Bytes.get census.multi (Path.to_int p) <> '\000' in
-  (* Phase 3 (parallel, read-only): encoding from the flat records.
-     Canonical modes sequence the tag-sorted records instead, flattened
-     first and sequentially; their paths are all in the table already. *)
-  let seqs =
+  (* Phase 3 (parallel, read-only): encoding from the flat records, with
+     each record's sibling-order exceptions.  Canonical modes sequence
+     the tag-sorted records instead, flattened first and sequentially
+     (their paths are all in the table already), against the order of
+     the records themselves. *)
+  let seqs, order =
     phase "encode" (fun () ->
         let flats =
           if canonical then
             Array.map
-              (fun d ->
-                Encoder.flatten ~value_mode ~scratch symbols (T.sort_by_tag d))
+              (Encoder.flatten ~value_mode ~scratch ~sorted:true symbols)
               docs
           else flats
         in
-        with_pool_opt ?domains ?pool (fun p ->
-            Domain_pool.map p
-              (Encoder.sequence ~ident ~strategy:encode_strategy symbols)
-              flats))
+        let exceptions = Array.make ndocs [||] in
+        let sequence = Encoder.sequence_ordered ~ident ~strategy:encode_strategy symbols in
+        let seqs =
+          with_pool_opt ?domains ?pool (fun p ->
+              Domain_pool.mapi p
+                (fun i flat ->
+                  let seq, e = sequence flat in
+                  exceptions.(i) <- e;
+                  seq)
+                flats)
+        in
+        (seqs, pack_order exceptions))
   in
   let total_seq_len = Array.fold_left (fun n s -> n + Array.length s) 0 seqs in
   (* Phase 4 (sequential): the sequences are sorted and labelled in one
@@ -247,7 +272,9 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
     labeled;
     strategy;
     value_mode;
-    records = (if config.keep_documents then Trees docs else Dropped);
+    order = Fun.const order;
+    decoded = Atomic.make None;
+    lock = Mutex.create ();
     ndocs;
     total_seq_len;
     stats;
@@ -256,79 +283,24 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
     upgraded = false;
   }
 
-(* --- record region -------------------------------------------------------- *)
+(* --- record region (snapshot versions 1 to 3) ---------------------------- *)
 
-(* The records serialise as one pre-order walk with explicit child
-   counts.  Version 3 regions open with a name table: a uvarint count,
-   then each element name's uvarint length and bytes, in first-seen
-   pre-order.  A node is then an element, uvarint (2 * name id) and a
-   uvarint child count, or a value, uvarint (2 * length + 1) and its
-   bytes.  Versions 1 and 2 spell every node out: a u8 kind (0 =
-   element, 1 = value), the u32 LE length and bytes of its name or
-   text, and for an element a u32 LE child count.  Either way every node
-   takes at least one byte.  Only the upgrade of an older file reads the
-   spelled layout; [save] writes version 3. *)
-
-(* One record in pre-order: each node through [uv] (a uvarint) and [str]
-   (raw bytes).  An element name gets the next id in [ids] the first
-   time it is seen, and [named] hears of it. *)
-let walk_record ids ~named ~uv ~str doc =
-  let rec node = function
-    | T.Element (name, cs) ->
-      let id =
-        match Hashtbl.find ids name with
-        | id -> id
-        | exception Not_found ->
-          let id = Hashtbl.length ids in
-          Hashtbl.add ids name id;
-          named name;
-          id
-      in
-      uv (2 * id);
-      uv (List.length cs);
-      List.iter node cs
-    | T.Value s ->
-      uv ((2 * String.length s) + 1);
-      str s
-  in
-  node doc
-
-(* Records in memory are walked twice: once to size the region and name
-   the ids, once to write it into a buffer of exactly that size. *)
-let encode_docs docs =
-  let ids = Hashtbl.create 64 in
-  let names = ref [] and size = ref 0 in
-  let add n = size := !size + n in
-  Array.iter
-    (walk_record ids
-       ~named:(fun name ->
-         names := name :: !names;
-         add (Varint.uvarint_size (String.length name) + String.length name))
-       ~uv:(fun v -> add (Varint.uvarint_size v))
-       ~str:(fun s -> add (String.length s)))
-    docs;
-  let count = Hashtbl.length ids in
-  let b = Bytes.create (Varint.uvarint_size count + !size) in
-  let pos = ref (Varint.set_uvarint b 0 count) in
-  let uv v = pos := Varint.set_uvarint b !pos v in
-  let str s =
-    Bytes.blit_string s 0 b !pos (String.length s);
-    pos := !pos + String.length s
-  in
-  List.iter
-    (fun name ->
-      uv (String.length name);
-      str name)
-    (List.rev !names);
-  Array.iter (walk_record ids ~named:ignore ~uv ~str) docs;
-  Bytes.unsafe_to_string b
+(* Snapshots before version 4 carry their records, serialised as one
+   pre-order walk with explicit child counts.  Version 3 regions open
+   with a name table: a uvarint count, then each element name's uvarint
+   length and bytes, in first-seen pre-order.  A node is then an
+   element, uvarint (2 * name id) and a uvarint child count, or a value,
+   uvarint (2 * length + 1) and its bytes.  Versions 1 and 2 spell every
+   node out: a u8 kind (0 = element, 1 = value), the u32 LE length and
+   bytes of its name or text, and for an element a u32 LE child count.
+   Either way every node takes at least one byte.  Only the upgrade of
+   an older file reads a record region; nothing writes one. *)
 
 let corrupt_docs () = invalid_arg "Xseq.load: corrupt document region"
 
 (* Bounds-checked reads of a record region streamed from its store a
    chunk at a time.  Positions are region offsets: the chunk in [buf]
-   holds bytes [lo, hi), and [pos] may run ahead of [hi] past skipped
-   bytes, which the next read streams through.  [name] is the name of
+   holds bytes [lo, hi), and the next read streams on from there.  [name] is the name of
    the element [header] read last. *)
 type cursor = {
   stream : Store.blob_stream;
@@ -412,8 +384,6 @@ let field c =
   if c.pos + n > c.len then corrupt_docs ();
   n
 
-let skip c n = c.pos <- c.pos + n
-
 (* The next [n] bytes, copied out of however many chunks hold them. *)
 let take c n =
   let b = Bytes.create n in
@@ -432,15 +402,15 @@ let take c n =
 type layout = Spelled | Coded of string array
 
 (* The next node's header.  An element gives its child count and leaves
-   its name in [c.name] (a spelled name only when [named]); a value
-   gives [-1 - length], its bytes next at the cursor. *)
-let header layout ~named c =
+   its name in [c.name]; a value gives [-1 - length], its bytes next at
+   the cursor. *)
+let header layout c =
   match layout with
   | Spelled -> (
     match u8 c with
     | 0 ->
       let n = field c in
-      if named then c.name <- take c n else skip c n;
+      c.name <- take c n;
       u32 c
     | 1 -> -1 - field c
     | _ -> corrupt_docs ())
@@ -489,7 +459,7 @@ let coded c = Coded (Array.init (count c) (fun _ -> take c (count c)))
    shares its names with the name table. *)
 let decode_record layout c =
   let rec node () =
-    let h = header layout ~named:true c in
+    let h = header layout c in
     if h >= 0 then
       let name = c.name in
       T.Element (name, children h [])
@@ -508,35 +478,60 @@ let decode_docs ?(spelled = false) store ndocs =
       let layout = if spelled then Spelled else coded c in
       Array.init ndocs (fun _ -> decode_record layout c))
 
-(* Rejects exactly the record regions [decode_docs] rejects, without
-   building any tree.  The walk needs no stack: the pre-order layout is
-   consumed node by node while counting the nodes still owed. *)
-let validate_records store ndocs =
-  with_records store ndocs (fun c ->
-      let layout = coded c in
-      let owed = ref ndocs in
-      while !owed > 0 do
-        decr owed;
-        let h = header layout ~named:false c in
-        if h >= 0 then owed := !owed + h else skip c (-1 - h)
-      done)
+(* Every record, rebuilt from the index by Theorem 1: each document's
+   sequence is its chain of trie nodes ([Labeled.sequences]), decoded
+   with the record's sibling-order exceptions. *)
+let decode_index t =
+  let bad msg = invalid_arg ("Xseq.document: " ^ msg) in
+  let labeled = t.labeled in
+  let order = t.order () in
+  let first = Array.make t.ndocs (-1) in
+  let at = ref 0 and last = ref (-1) in
+  while !at < Array.length order do
+    let id = order.(!at) in
+    if id <= !last || id >= t.ndocs || !at + 1 >= Array.length order then
+      bad "corrupt sibling order";
+    let pairs = order.(!at + 1) in
+    if pairs < 1 || pairs > (Array.length order - !at - 2) / 2 then
+      bad "corrupt sibling order";
+    first.(id) <- !at;
+    last := id;
+    at := !at + 2 + (2 * pairs)
+  done;
+  let seqs = Xindex.Labeled.sequences labeled in
+  if Array.length seqs <> t.ndocs then bad "document table size";
+  let docs = Array.make t.ndocs (T.Value "") in
+  let filled = Bytes.make t.ndocs '\000' in
+  let symbols = Xindex.Labeled.symbols labeled in
+  Array.iteri
+    (fun e seq ->
+      let id = Xindex.Labeled.doc_id_at labeled e in
+      if id < 0 || id >= t.ndocs || Bytes.get filled id <> '\000' then
+        bad "document ids are not a permutation";
+      Bytes.set filled id '\001';
+      let order =
+        match first.(id) with
+        | -1 -> [||]
+        | at -> Array.sub order (at + 2) (2 * order.(at + 1))
+      in
+      docs.(id) <-
+        (try Decoder.decode ~value_mode:t.value_mode ~order symbols seq
+         with Decoder.Invalid_sequence msg -> bad msg))
+    seqs;
+  docs
 
 let records t =
-  match t.records with
-  | Dropped -> None
-  | Trees docs -> Some docs
-  | Stored e ->
-    (match Atomic.get e.decoded with
-     | Some docs -> Some docs
-     | None ->
-       (* At most one decode: domains racing here wait for the first. *)
-       Mutex.protect e.lock (fun () ->
-           match Atomic.get e.decoded with
-           | Some _ as docs -> docs
-           | None ->
-             let docs = Some (decode_docs e.store t.ndocs) in
-             Atomic.set e.decoded docs;
-             docs))
+  match Atomic.get t.decoded with
+  | Some docs -> docs
+  | None ->
+    (* At most one decode: domains racing here wait for the first. *)
+    Mutex.protect t.lock (fun () ->
+        match Atomic.get t.decoded with
+        | Some docs -> docs
+        | None ->
+          let docs = decode_index t in
+          Atomic.set t.decoded (Some docs);
+          docs)
 
 let query ?stats t pattern =
   match
@@ -544,24 +539,10 @@ let query ?stats t pattern =
       ~value_mode:t.value_mode t.labeled pattern
   with
   | ids -> ids
-  | exception Xquery.Instantiate.Too_many _ -> (
+  | exception Xquery.Instantiate.Too_many _ ->
     (* Pathological wildcard/expansion blow-up: degrade to an exact
-       linear scan rather than failing, when the records are at hand.
-       Records still in the file are streamed, decoded and tested one
-       at a time, and none outlives the scan; the answer waits for the
-       region's checksum. *)
-    match t.records with
-    | Dropped -> raise (Xquery.Instantiate.Too_many 0)
-    | Trees docs -> Xquery.Embedding.filter pattern docs
-    | Stored e ->
-      with_records e.store t.ndocs (fun c ->
-          let layout = coded c in
-          let ids = ref [] in
-          for id = 0 to t.ndocs - 1 do
-            if Xquery.Embedding.matches pattern (decode_record layout c) then
-              ids := id :: !ids
-          done;
-          List.rev !ids))
+       linear scan of the records, rebuilt from the index once. *)
+    Xquery.Embedding.filter pattern (records t)
 
 let query_xpath ?stats t s = query ?stats t (Xpath.parse s)
 let contains t pattern doc = List.mem doc (query t pattern)
@@ -617,10 +598,8 @@ let explain t pattern =
     pattern
 
 let document t i =
-  match records t with
-  | Some docs when i >= 0 && i < Array.length docs -> docs.(i)
-  | Some _ -> invalid_arg "Xseq.document: unknown id"
-  | None -> invalid_arg "Xseq.document: documents were not kept"
+  if i < 0 || i >= t.ndocs then invalid_arg "Xseq.document: unknown id";
+  (records t).(i)
 
 let doc_count t = t.ndocs
 let node_count t = Xindex.Labeled.node_count t.labeled
@@ -642,22 +621,24 @@ let stats t = t.stats
 
 (* Snapshots are columnar {!Xstorage.Store} files: the labelled index as
    flat int-column regions (see Xindex.Labeled.add_to_store), the
-   original records as a structural blob, and a small [xseq_meta] region
-   recording how the strategy was derived.  Nothing is marshalled — every
-   byte is decoded through bounds-checked readers, so a foreign or
-   damaged file is rejected with a diagnostic, never interpreted.
+   records' sibling-order exceptions ([sibling_order], see [t]) and a
+   small [xseq_meta] region recording how the strategy was derived.
+   Nothing is marshalled — every byte is decoded through bounds-checked
+   readers, so a foreign or damaged file is rejected with a diagnostic,
+   never interpreted.
 
-   Version 3 is written, and read as it is written: its record region
-   coded against a table of element names (see "record region" above),
-   a compact path dictionary in (name, kind) order and a one-field
-   index [meta].  Under a fixed configuration the index is a function of
-   its records, so [restore] upgrades any other layout by rebuilding:
-   it decodes the records (versions 1 and 2 spell every name out) and
-   sequences them again under the stored configuration.  Version 1 also
-   sequenced by other rules (process-wide tag ids, ties on build path
-   ids), so its labels could not be read as they are in any case. *)
+   Version 4 is written, and read as it is written: no record region
+   (the index is the data), a compact path dictionary in (name, kind)
+   order and a one-field index [meta].  Under a fixed configuration the
+   index is a function of its records, so [restore] upgrades any older
+   version by rebuilding: it decodes the records of its record region
+   (versions 1 and 2 spell every name out, version 3 codes them against
+   a name table) and sequences them again under the stored
+   configuration.  Version 1 also sequenced by other rules (process-wide
+   tag ids, ties on build path ids), so its labels could not be read as
+   they are in any case. *)
 
-let snapshot_version = 3
+let snapshot_version = 4
 
 (* Only strategies that can be deterministically recomputed from the
    records survive a round trip: (tag, argument) as [xseq_meta] stores
@@ -682,15 +663,6 @@ let built_under t config =
   && a.sample_seed = config.sample_seed
 
 let save ?compress t path =
-  (* A loaded index copies its record region from its file, decoded or
-     not. *)
-  let blob =
-    match t.records with
-    | Stored e -> Store.blob e.store "docs"
-    | Trees docs -> encode_docs docs
-    | Dropped ->
-      invalid_arg "Xseq.save: index was built with keep_documents = false"
-  in
   let seq_tag, seq_arg =
     match persisted_sequencing t.built_config.sequencing with
     | Some p -> p
@@ -718,7 +690,7 @@ let save ?compress t path =
       t.total_seq_len;
       t.ndocs;
     |];
-  Store.add_blob store "docs" blob;
+  Store.add_int_array store "sibling_order" (t.order ());
   Xindex.Labeled.add_to_store t.labeled store;
   Store.write ?compress store path
 
@@ -745,8 +717,8 @@ let index_stats config labeled ndocs =
 
 let restore store =
   let bad msg = invalid_arg ("Xseq.load: " ^ msg) in
-  if not (Store.mem store "xseq_meta" && Store.mem store "docs") then
-    bad "not an xseq index snapshot (missing xseq_meta/docs regions)";
+  if not (Store.mem store "xseq_meta") then
+    bad "not an xseq index snapshot (missing xseq_meta region)";
   let meta = Store.int_array store "xseq_meta" in
   if Array.length meta <> 9 then bad "malformed xseq_meta region";
   let version = meta.(0) in
@@ -773,43 +745,28 @@ let restore store =
          (Int64.shift_left (Int64.of_int meta.(5)) 32))
   in
   let ndocs = meta.(8) in
-  let config =
-    {
-      default_config with
-      sequencing;
-      value_mode;
-      sample_fraction;
-      sample_seed = meta.(6);
-    }
-  in
-  (* A current store: the version this build writes, its compact
-     dictionary in (name, kind) order, no region of the retired page
-     layout.  Its records stay in the file; a streamed read validates
-     them. *)
-  let labeled =
-    if
-      version = snapshot_version
-      && Store.mem store "dict_desig"
-      && not (Store.mem store "link_base")
-    then begin
-      validate_records store ndocs;
-      match Xindex.Labeled.of_store store with
-      | labeled -> Some labeled
-      | exception Symtab.Out_of_order -> None
-    end
-    else None
-  in
-  match labeled with
-  | None ->
-    (* Any other store is upgraded: its records, in their layout, are
+  let config = { sequencing; value_mode; sample_fraction; sample_seed = meta.(6) } in
+  if version < snapshot_version then begin
+    (* An older snapshot is upgraded: its records, in their layout, are
        sequenced again under the stored configuration, and the rebuilt
        index reads nothing more from the file. *)
+    if not (Store.mem store "docs") then
+      bad "not an xseq index snapshot (missing docs region)";
     let docs = decode_docs ~spelled:(version < 3) store ndocs in
     Store.check_unread store;
     Store.close store;
-    let t = build ~config:{ config with keep_documents = true } docs in
-    { t with upgraded = true }
-  | Some labeled ->
+    { (build ~config docs) with upgraded = true }
+  end
+  else begin
+    (* A current store: the labelled regions as they are; the sibling
+       order stays in the file until a decode reads it. *)
+    if not (Store.mem store "sibling_order") then
+      bad "missing sibling_order region";
+    let labeled =
+      match Xindex.Labeled.of_store store with
+      | labeled -> labeled
+      | exception Symtab.Out_of_order -> bad "designators out of order"
+    in
     if Xindex.Labeled.doc_count labeled <> ndocs then
       bad "record count disagrees with the document table";
     (* Recompute the strategy exactly as [build] derived it. *)
@@ -822,8 +779,9 @@ let restore store =
       labeled;
       strategy;
       value_mode;
-      records =
-        Stored { store; decoded = Atomic.make None; lock = Mutex.create () };
+      order = (fun () -> Store.int_array store "sibling_order");
+      decoded = Atomic.make None;
+      lock = Mutex.create ();
       ndocs;
       total_seq_len = meta.(7);
       stats;
@@ -831,6 +789,7 @@ let restore store =
       generation = next_generation ();
       upgraded = Store.file_format store = Store.Col1;
     }
+  end
 
 let load ?mode ?pool_pages path =
   (* Each region is checked by the read that first uses it, and the rest

@@ -45,9 +45,6 @@ type config = {
       (** fraction of documents sampled for probability estimation
           (default 1.0) *)
   sample_seed : int;
-  keep_documents : bool;
-      (** retain the parsed documents for retrieval / verification
-          (default true) *)
 }
 
 val default_config : config
@@ -74,8 +71,11 @@ val build :
       record contains twice).  Then each path's priority is computed
       once.
     - ["encode"]: the constraint sequence of every record, from its
-      flat form.  Canonical modes sequence the tag-sorted records
-      instead.
+      flat form, and the record's sibling-order exceptions
+      ({!Sequencing.Encoder.sequence_ordered}).  Canonical modes
+      sequence the tag-sorted records instead, flattened in tag order
+      straight from the records, with the exceptions taken against the
+      records themselves.
     - ["sort+label"]: the sequences are sorted and labelled in one sweep
       ({!Xindex.Labeled.build}).
 
@@ -90,16 +90,17 @@ val build :
     insertion-order independent — see DESIGN.md, "Parallel
     construction".  The result depends only on [config] and [docs], not
     on any other index of the process.  The default [domains = 1] spawns no
-    domains and is the sequential code path. *)
+    domains and is the sequential code path.
+
+    The index keeps no records: {!document} rebuilds them from the
+    index. *)
 
 val query : ?stats:Xquery.Matcher.stats -> t -> Pattern.t -> int list
 (** Ids of the documents containing the pattern, sorted.  Queries whose
     wildcard instantiation or isomorphism expansion would explode fall
-    back to an exact linear scan of the kept documents (so answers are
-    never wrong and never lost); a loaded index reads its records from
-    its file for the scan and decodes one at a time.  With
-    [keep_documents = false] such queries raise
-    {!Xquery.Instantiate.Too_many} instead.
+    back to an exact linear scan of the records (so answers are never
+    wrong and never lost), which the first such query rebuilds from the
+    index as {!document} does.
     @raise Xquery.Query_seq.Unsupported_strategy for a {!Random} index. *)
 
 val query_xpath : ?stats:Xquery.Matcher.stats -> t -> string -> int list
@@ -169,10 +170,16 @@ val explain : t -> Pattern.t -> Xquery.Engine.explanation
     (see {!Xquery.Engine.explain}). *)
 
 val document : t -> int -> Xmlcore.Xml_tree.t
-(** The original document (requires [keep_documents]).  A loaded index
-    reads and decodes its stored records on the first call: once,
-    however many domains race for them.
-    @raise Invalid_argument otherwise or for an unknown id. *)
+(** The original document, rebuilt from the index by Theorem 1 and
+    [T.equal] to the record the build was given, under every strategy
+    and value mode.  The first call (or the first scan fallback of
+    {!query}) decodes every document and keeps the trees, once, however
+    many domains race for them: one O(n) sweep inverts the links
+    ({!Xindex.Labeled.sequences}), each document's chain goes through
+    {!Sequencing.Decoder.decode}, and the stored sibling-order
+    exceptions put siblings back in their order.
+    @raise Invalid_argument for an unknown id, or naming the
+    inconsistency of a damaged index. *)
 
 val doc_count : t -> int
 
@@ -203,16 +210,18 @@ val stats : t -> Xschema.Stats.t option
 (** {1 Persistence}
 
     An index saves to a columnar {!Xstorage.Store} snapshot: the labelled
-    trie as flat int-column regions, the original records as a structural
-    blob, and a small metadata region recording how the probability model
-    was derived (so the strategy is deterministically recomputed on
-    load).  Snapshot version 3 is written, and read as it is written;
-    older versions and layouts are upgraded from their records at the
-    load (see {!load}).  Version 3 codes the record blob against a table
-    of element names, where versions 1 and 2 spell every name out.
-    Nothing is marshalled — every region is checksummed and decoded
-    through bounds-checked readers, so a corrupt, truncated or foreign
-    file is rejected with a diagnostic naming the failure.
+    trie as flat int-column regions, the records' sibling-order
+    exceptions as one int region ([sibling_order], empty when every
+    record's siblings come out in sequence order), and a small metadata
+    region recording how the probability model was derived (so the
+    strategy is deterministically recomputed on load).  Snapshot version
+    4 is written, and read as it is written: it holds no record region,
+    since the index determines its records (Theorem 1).  Older versions
+    carry their records in a [docs] region and are upgraded from them at
+    the load (see {!load}).  Nothing is marshalled — every region is
+    checksummed and decoded through bounds-checked readers, so a
+    corrupt, truncated or foreign file is rejected with a diagnostic
+    naming the failure.
 
     Every snapshot is written as xseqcol2 and opens resident or, with
     [~mode:Paged], answers queries straight off disk: its packed index
@@ -224,19 +233,16 @@ val save : ?compress:bool -> t -> string -> unit
 (** [save t path] writes the index to [path] as an xseqcol2
     {!Xstorage.Store} file: delta+varint label columns and a compact
     front-coded path dictionary, on 1 KiB pages.  [compress] (default
-    [false]) also LZ-codes the record region and the designator names:
-    a smaller file that is slower to write.  Either loads through
-    {!load}, resident or paged.  The file is snapshot version 3.  A
-    loaded index copies its record region from its file; an upgraded one
-    codes the records it holds.
-    @raise Invalid_argument for indexes built with [keep_documents =
-    false] or with a [Custom]/[Probability_weighted] strategy (closures
-    cannot be persisted). *)
+    [false]) also LZ-codes the designator names: a smaller file that is
+    slower to write.  Either loads through {!load}, resident or paged.
+    The file is snapshot version 4 and holds no records.
+    @raise Invalid_argument for indexes built with a
+    [Custom]/[Probability_weighted] strategy (closures cannot be
+    persisted). *)
 
 val built_under : t -> config -> bool
 (** Whether the index's labels are the ones a build under [config] would
-    give: same sequencing, value mode and sampling ([keep_documents]
-    does not change labels).  A loaded index compares
+    give: same sequencing, value mode and sampling.  A loaded index compares
     the configuration its snapshot recorded.  [false] whenever either
     side uses a [Custom] or [Probability_weighted] strategy, whose
     closures cannot be compared, and for an upgraded index (see
@@ -256,28 +262,23 @@ val load : ?mode:Xstorage.Store.mode -> ?pool_pages:int -> string -> t
     at the open).
 
     The index's symbol table is the snapshot's dictionary and the
-    [gbest] statistics are derived from the document table.  The
-    records stay in the file: a load validates their region as it
-    streams in, 16 KiB at a time (an LZ-coded xseqcol2 region is
-    decompressed whole), and keeps none of it.  {!document} reads and
-    decodes them on its first call and keeps the trees; the scan
-    fallback of {!query} streams them the same way and tests one record
-    at a time, keeping nothing; {!save} copies the region.  Each read
-    checks the region's checksum again, before its verdict: a damaged
-    region is reported as a checksum mismatch, never as a bad record.  The index keeps the file open (see {!Xstorage.Store}), so
-    it still reads its records after the file is unlinked or replaced.
+    [gbest] statistics are derived from the document table.  A version-4
+    snapshot holds no records, and the load decodes none: {!document}
+    rebuilds them from the index on its first call.  Its
+    [sibling_order] region is checked at the end of the load and read
+    by that first decode.  The index keeps the file open (see
+    {!Xstorage.Store}), so it still answers after the file is unlinked
+    or replaced.
 
-    Only the current layout is read as it is: snapshot version 3, a
-    compact path dictionary with its designators in (name, kind) order,
-    and no region of the retired page layout ([link_base]).  Under a
-    fixed configuration the index is a function of its records, so any
-    other snapshot — versions 1 and 2, whose records spell every name
-    out, or an older dictionary layout — is upgraded: its records are
-    decoded and sequenced again under the stored configuration, every
-    region it did not read is still checked, and the file is closed
-    again.  The result is an in-memory index whatever [mode] asks for,
-    and {!built_under} is [false] for it, as for an index read from an
-    xseqcol1 file.
+    Only the current layout is read as it is: snapshot version 4.
+    Under a fixed configuration the index is a function of its records,
+    so an older snapshot — versions 1 and 2, whose records spell every
+    name out, and version 3, whose record region codes them against a
+    name table — is upgraded: its records are decoded and sequenced
+    again under the stored configuration, every region it did not read
+    is still checked, and the file is closed again.  The result is an
+    in-memory index whatever [mode] asks for, and {!built_under} is
+    [false] for it, as for an index read from an xseqcol1 file.
     @raise Invalid_argument on a corrupt or incompatible file, naming
     the failing part (magic, version, checksum, region); the store is
     closed again first. *)

@@ -116,3 +116,103 @@ let of_file path =
             (Store.regions s)
         then Compressed
         else Plain)
+
+(* A record region of snapshot version 3, which earlier saves wrote: a
+   name table (a uvarint count, then each element name's uvarint length
+   and bytes, first seen first), then the records in pre-order, an
+   element as uvarint (2 * name id) and a uvarint child count, a value
+   as uvarint (2 * length + 1) and its bytes; and the offset each record
+   starts at. *)
+let v3_records docs =
+  let module T = Xmlcore.Xml_tree in
+  let module Varint = Xsuccinct.Varint in
+  let ids = Hashtbl.create 16 in
+  let table = Buffer.create 256 and nodes = Buffer.create 4096 in
+  let id name =
+    match Hashtbl.find_opt ids name with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids in
+      Hashtbl.add ids name i;
+      Varint.add_uvarint table (String.length name);
+      Buffer.add_string table name;
+      i
+  in
+  let rec node = function
+    | T.Element (name, cs) ->
+      Varint.add_uvarint nodes (2 * id name);
+      Varint.add_uvarint nodes (List.length cs);
+      List.iter node cs
+    | T.Value s ->
+      Varint.add_uvarint nodes ((2 * String.length s) + 1);
+      Buffer.add_string nodes s
+  in
+  let starts =
+    Array.map
+      (fun d ->
+        let at = Buffer.length nodes in
+        node d;
+        at)
+      docs
+  in
+  let b = Buffer.create (Buffer.length table + Buffer.length nodes + 9) in
+  Varint.add_uvarint b (Hashtbl.length ids);
+  Buffer.add_buffer b table;
+  let base = Buffer.length b in
+  Buffer.add_buffer b nodes;
+  (Buffer.to_bytes b, Array.map (( + ) base) starts)
+
+(* [index] saved in container [t] as a snapshot of an older [version]
+   (default 3), the way saves before version 4 laid one out: [xseq_meta]
+   naming that version, then the record region [records], then the
+   index regions; no [sibling_order].  [ints] and [blob] may edit each
+   index region on the way. *)
+let save_older ?(version = 3) ?(ints = fun _ _ -> ())
+    ?(blob = fun _ s -> s) ~records t index path =
+  let tmp = Filename.temp_file "xseq_older" ".xseq" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+    (fun () ->
+      Xseq.save index tmp;
+      let src = Store.open_file tmp in
+      Fun.protect
+        ~finally:(fun () -> Store.close src)
+        (fun () ->
+          let s = Store.memory () in
+          List.iter
+            (fun r ->
+              match (r.Store.r_name, r.Store.r_kind) with
+              | "sibling_order", _ -> ()
+              | "xseq_meta", _ ->
+                let m = Store.int_array src "xseq_meta" in
+                m.(0) <- version;
+                ints "xseq_meta" m;
+                Store.add_int_array s "xseq_meta" m;
+                Store.add_blob s "docs" (Bytes.to_string records)
+              | name, `Ints ->
+                let m = Store.int_array src name in
+                ints name m;
+                Store.add_int_array s name m
+              | name, `Blob -> Store.add_blob s name (blob name (Store.blob src name)))
+            (Store.regions src);
+          write t s path))
+
+(* The CLI binary beside the test's build directory, if it is built. *)
+let cli =
+  Filename.concat
+    (Filename.dirname (Filename.dirname Sys.executable_name))
+    (Filename.concat "bin" "xseq_cli.exe")
+
+(* [xseq args], its output discarded: the exit code. *)
+let run_cli args =
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close null)
+    (fun () ->
+      let pid =
+        Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin null
+          null
+      in
+      match snd (Unix.waitpid [] pid) with
+      | Unix.WEXITED code -> code
+      | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n)

@@ -1,7 +1,7 @@
 (* Loading a snapshot without materialising its records: the [gbest]
-   statistics come from the index's document table, the record region is
-   decoded only on demand (once, across domains), a load neither leaks
-   its store on failure nor allocates the records. *)
+   statistics come from the index's document table, the records are
+   decoded from the index only on demand (once, across domains), a load
+   neither leaks its store on failure nor allocates the records. *)
 
 module T = Xmlcore.Xml_tree
 module Symtab = Sequencing.Symtab
@@ -404,19 +404,10 @@ let snapshot_version file =
     ~finally:(fun () -> Store.close s)
     (fun () -> (Store.int_array s "xseq_meta").(0))
 
-let docs_bytes file =
-  let s = Store.open_file file in
-  Fun.protect
-    ~finally:(fun () -> Store.close s)
-    (fun () ->
-      (List.find (fun r -> r.Store.r_name = "docs") (Store.regions s))
-        .Store.r_bytes)
-
-(* Saving a loaded version-2 snapshot writes version 3: its record
-   region is re-coded against a name table, in fewer bytes, and the
-   re-saved file gives the same records and answers, resident and
-   paged. *)
-let test_v2_resaved_as_v3 () =
+(* Saving a loaded version-2 snapshot writes version 4: no record
+   region at all, and the re-saved file gives the same records, decoded
+   from its index, and answers, resident and paged. *)
+let test_v2_resaved_as_v4 () =
   List.iter
     (fun file ->
       Alcotest.(check int) (file ^ " is version 2") 2 (snapshot_version file);
@@ -433,11 +424,11 @@ let test_v2_resaved_as_v3 () =
           let loaded = Xseq.load ~mode file in
           with_temp_file (fun path ->
               Containers.save (resave_as (Containers.of_file file)) loaded path;
-              Alcotest.(check int) (file ^ " re-saved as version 3") 3
+              Alcotest.(check int) (file ^ " re-saved as version 4") 4
                 (snapshot_version path);
-              if docs_bytes path >= docs_bytes file then
-                Alcotest.failf "%s: re-coded record region of %d bytes, %d \
-                                before" file (docs_bytes path) (docs_bytes file);
+              Alcotest.(check (list string))
+                (file ^ " re-saved without a record region") []
+                (has_regions path [ "docs" ]);
               let again = Xseq.load ~mode path in
               Array.iteri
                 (fun i d ->
@@ -516,7 +507,7 @@ let test_decode_race () =
       done)
 
 (* Saving a loaded index whose records were never decoded writes its
-   record region back verbatim: the file is reproduced byte for byte. *)
+   regions back verbatim: the file is reproduced byte for byte. *)
 let test_save_verbatim () =
   let docs = Xdatagen.Dblp_gen.generate ~seed:3 200 in
   let index = Xseq.build docs in
@@ -542,12 +533,12 @@ let live_words () =
   Gc.full_major ();
   (Gc.stat ()).Gc.live_words
 
-(* The scan fallback reads the record region and tests one record at a
-   time: once the query is over, nothing it decoded is live.  What stays
-   is the paged index's own working set, its 64-page buffer pool and
-   decoded-block caches: 6,000 words measured.  When the fallback
-   decoded every record and kept the array for the life of the index,
-   the same query left 245k words behind. *)
+(* The scan fallback rebuilds the records from the index once and
+   keeps them, as [document] does: once the query is over, what it left
+   live is the records and the paged index's own working set (its
+   64-page buffer pool and decoded-block caches, 6,000 words measured
+   when the fallback kept nothing), not the sweep's columns or the
+   sequences it decoded the records from. *)
 let fallback_word_bound = 20_000
 
 (* A snapshot of [docs] in a fresh file, and the answer to [exploding]
@@ -558,7 +549,7 @@ let snapshot_of ?compress docs =
   Xseq.save ?compress (Xseq.build docs) path;
   (path, Xquery.Embedding.filter exploding docs)
 
-let test_fallback_keeps_nothing () =
+let test_fallback_keeps_records () =
   let path, want =
     snapshot_of ~compress:true (Xdatagen.Dblp_gen.generate ~seed:5 2000)
   in
@@ -570,37 +561,15 @@ let test_fallback_keeps_nothing () =
       let ids = Xseq.query loaded exploding in
       let grown = live_words () - before in
       Alcotest.(check (list int)) "fallback answers" want ids;
-      Option.iter Store.close (Xseq.backing_store loaded);
-      if grown > fallback_word_bound then
-        Alcotest.failf "the fallback left %d words live (bound %d)" grown
-          fallback_word_bound)
-
-(* The scan fallback of a resident index over a raw record region (a
-   plain snapshot's) streams the region through one 16 KiB chunk: the
-   major heap grows by far less than the region.  Reading the region
-   whole as one string (505k bytes here, 63k words) put all of it there
-   on every over-budget query. *)
-let test_fallback_streams () =
-  let path, want = snapshot_of (Xdatagen.Dblp_gen.generate ~seed:5 2000) in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let store = Store.open_file path in
-      let region_words =
-        (List.find (fun r -> r.Store.r_name = "docs") (Store.regions store))
-          .Store.r_bytes / 8
+      let records =
+        Obj.reachable_words
+          (Obj.repr (Array.init (Xseq.doc_count loaded) (Xseq.document loaded)))
       in
-      Store.close store;
-      let loaded = Xseq.load path in
-      Gc.full_major ();
-      let before = (Gc.quick_stat ()).Gc.major_words in
-      let ids = Xseq.query loaded exploding in
-      let major = (Gc.quick_stat ()).Gc.major_words -. before in
       Option.iter Store.close (Xseq.backing_store loaded);
-      Alcotest.(check (list int)) "fallback answers" want ids;
-      if major >= float_of_int region_words then
-        Alcotest.failf "the scan put %.0f words on the major heap (region %d)"
-          major region_words)
+      if grown > records + fallback_word_bound then
+        Alcotest.failf
+          "the fallback left %d words live (records %d, bound %d more)" grown
+          records fallback_word_bound)
 
 (* The descriptor outlives the path: an index still reads its records,
    for [document] and for the scan fallback, after its file is
@@ -645,7 +614,8 @@ let test_records_outlive_the_file () =
    document table in that model.  Their xseqcol1 dictionaries spell
    every entry's designator out: [dict_kind], [dict_name_off] and
    [dict_names] in place of the compact [dict_desig], [desig_kind] and
-   [desig_names].  [write_legacy] rebuilds exactly that layout through
+   [desig_names].  Such files are snapshot version 3 or older, with a
+   record region.  [write_legacy] rebuilds exactly that layout through
    [Store.memory] from the regions of a current snapshot. *)
 let compact_dictionary = [ "dict_desig"; "desig_kind"; "desig_names" ]
 
@@ -674,7 +644,7 @@ let add_spelled_dictionary legacy src =
   Store.add_int_array legacy "dict_name_off" name_off;
   Store.add_blob legacy "dict_names" (Buffer.contents names)
 
-let write_legacy ~format index path =
+let write_legacy ~format ~docs index path =
   with_temp_file (fun current ->
       Containers.save format index current;
       let src = Store.open_file current in
@@ -698,6 +668,13 @@ let write_legacy ~format index path =
           | "link_len", _ ->
             Store.add_ints legacy "link_len" (Store.ints src "link_len");
             Store.add_int_array legacy "link_base" link_base
+          | "xseq_meta", _ ->
+            let m = Store.int_array src "xseq_meta" in
+            m.(0) <- 3;
+            Store.add_int_array legacy "xseq_meta" m;
+            Store.add_blob legacy "docs"
+              (Bytes.to_string (fst (Containers.v3_records docs)))
+          | "sibling_order", _ -> ()
           | name, _
             when format = Containers.Col1 && List.mem name compact_dictionary ->
             ()
@@ -730,7 +707,7 @@ let test_legacy_layout () =
       with_temp_file (fun path ->
           List.iter
             (fun format ->
-              write_legacy ~format index path;
+              write_legacy ~format ~docs index path;
               let legacy = Store.open_file path in
               Alcotest.(check bool) "legacy file has link_base" true
                 (Store.mem legacy "link_base");
@@ -770,7 +747,7 @@ let test_legacy_layout () =
    kind) order: [dict_desig], [desig_kind] and [desig_names] renumbered,
    the names front-coded with no shared prefixes (the decoder takes any
    order).  Every other region is the current one. *)
-let write_first_seen index path =
+let write_first_seen ?records index path =
   with_temp_file (fun current ->
       Xseq.save index current;
       let src = Store.open_file current in
@@ -812,16 +789,26 @@ let write_first_seen index path =
               (Array.map (fun d -> kind.(d)) seen)
           | "desig_names", _ ->
             Store.add_blob unsorted "desig_names" (Buffer.contents names)
+          | ("xseq_meta" | "sibling_order"), _ when Option.is_some records ->
+            if r.Store.r_name = "xseq_meta" then begin
+              let m = Store.int_array src "xseq_meta" in
+              m.(0) <- 3;
+              Store.add_int_array unsorted "xseq_meta" m;
+              Store.add_blob unsorted "docs"
+                (Bytes.to_string (Option.get records))
+            end
           | name, `Ints -> Store.add_ints unsorted name (Store.ints src name)
           | name, `Blob -> Store.add_blob unsorted name (Store.blob src name))
         (Store.regions src);
       Store.write unsorted path;
       Store.close src)
 
-(* A current snapshot with its designators out of (name, kind) order
-   loads, resident and paged, as an upgraded index: it answers id for id
-   like the built index, is not settled under its configuration, and
-   once saved again loads as it is. *)
+(* A snapshot with its designators out of (name, kind) order, as saves
+   of version 3 wrote them, loads, resident and paged, as an index
+   upgraded from its records: it answers id for id like the built index,
+   is not settled under its configuration, and once saved again loads as
+   it is.  A version-4 snapshot has no records to upgrade from: the same
+   dictionary there is refused. *)
 let test_first_seen_dictionary () =
   let docs = Xdatagen.Dblp_gen.generate ~seed:5 200 in
   let index = Xseq.build docs in
@@ -839,6 +826,12 @@ let test_first_seen_dictionary () =
   in
   with_temp_file (fun path ->
       write_first_seen index path;
+      (match Xseq.load path with
+       | _ -> Alcotest.fail "a version-4 first-seen dictionary loaded"
+       | exception Invalid_argument msg ->
+         Alcotest.(check string) "version 4 refuses it"
+           "Xseq.load: designators out of order" msg);
+      write_first_seen ~records:(fst (Containers.v3_records docs)) index path;
       List.iter
         (fun mode ->
           let loaded = Xseq.load ~mode path in
@@ -856,6 +849,60 @@ let test_first_seen_dictionary () =
               Option.iter Store.close (Xseq.backing_store again)))
         [ Store.Resident; Store.Paged ])
 
+(* A version-3 snapshot, with the record region saves wrote until
+   version 4, in either xseqcol2 container: it loads as an upgraded index
+   (its records sequenced again) that gives the same records and
+   answers, and saving it again, or [xseq index OLD -o NEW], writes
+   version 4 without the region. *)
+let test_v3_resaved_as_v4 () =
+  let docs = Xdatagen.Dblp_gen.generate ~seed:6 200 in
+  let index = Xseq.build docs in
+  let opts =
+    { Xdatagen.Query_gen.default_opts with size = 4; value_prob = 0.5 }
+  in
+  let queries = Xdatagen.Query_gen.generate ~seed:9 ~opts docs 12 in
+  let same what loaded =
+    Invariants.check_documents what loaded docs;
+    List.iter
+      (fun q ->
+        Alcotest.(check (list int))
+          (Printf.sprintf "%s: %s" what (Xquery.Pattern.to_string q))
+          (Xseq.query index q) (Xseq.query loaded q))
+      queries
+  in
+  let same_file what path =
+    let loaded = Xseq.load path in
+    same what loaded;
+    Option.iter Store.close (Xseq.backing_store loaded)
+  in
+  let current what path =
+    Alcotest.(check int) (what ^ " is version 4") 4 (snapshot_version path);
+    Alcotest.(check (list string)) (what ^ " has no record region") []
+      (has_regions path [ "docs" ])
+  in
+  List.iter
+    (fun format ->
+      with_temp_file (fun old ->
+          Containers.save_older ~version:3
+            ~records:(fst (Containers.v3_records docs))
+            format index old;
+          Alcotest.(check int) "written as version 3" 3 (snapshot_version old);
+          let loaded = Xseq.load old in
+          same (Containers.name format ^ " version 3") loaded;
+          Alcotest.(check bool) "an upgraded index is not settled" false
+            (Xseq.built_under loaded Xseq.default_config);
+          with_temp_file (fun resaved ->
+              Xseq.save loaded resaved;
+              current "re-saved" resaved;
+              same_file "re-saved" resaved);
+          if Sys.file_exists Containers.cli then
+            with_temp_file (fun rewritten ->
+                Alcotest.(check int) "xseq index exits 0" 0
+                  (Containers.run_cli [ "index"; old; "-o"; rewritten ]);
+                current "rewritten by xseq index" rewritten;
+                same_file "rewritten by xseq index" rewritten)))
+    Containers.[ Plain; Compressed ]
+
 (* --- failed loads --------------------------------------------------------- *)
 
 let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
@@ -863,8 +910,8 @@ let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 (* Checksum-valid files that fail a later check — a malformed
    [xseq_meta], an index region the labelled reader rejects — must close
    the paged store they opened.  Only a current file's index regions
-   are read: the second is version 3, with a compact dictionary and an
-   empty record region (no names, no records). *)
+   are read: the second is version 4, with a compact dictionary and an
+   empty sibling-order region. *)
 let test_failed_loads_close () =
   if not (Sys.file_exists "/proc/self/fd") then ()
   else
@@ -876,8 +923,8 @@ let test_failed_loads_close () =
               Store.add_blob store "docs" "");
             (fun store ->
               Store.add_int_array store "xseq_meta"
-                [| 3; 3; 0; 0; 0; 0; 42; 0; 0 |];
-              Store.add_blob store "docs" "\000";
+                [| 4; 3; 0; 0; 0; 0; 42; 0; 0 |];
+              Store.add_int_array store "sibling_order" [||];
               Store.add_int_array store "dict_desig" [| -1 |];
               Store.add_int_array store "meta" [| 0; 0 |]);
           ]
@@ -986,8 +1033,9 @@ let test_load_allocation () =
 
 (* Live words the same load leaves behind once the collector has run:
    the symbol table, the link directory and the statistics; the label
-   columns are flat buffers, outside the heap.  The record region
-   (505k bytes, 63k words) stays in the file.  Measured 56.0k words
+   columns are flat buffers, outside the heap.  Nothing of the records
+   is kept (before version 4 the file's 505k-byte record region stayed
+   in it).  Measured 56.0k words
    with a symbol table that loads without hash indexes; 71.6k with its
    two open-addressing indexes, 137k with 64-bit columns and a boxed
    string a name, 171k with a hashtable symbol table, and a store that
@@ -1069,12 +1117,10 @@ let () =
             test_decode_race;
           Alcotest.test_case "save of an undecoded load is verbatim" `Quick
             test_save_verbatim;
-          Alcotest.test_case "the scan fallback keeps nothing" `Quick
-            test_fallback_keeps_nothing;
+          Alcotest.test_case "the scan fallback keeps only the records" `Quick
+            test_fallback_keeps_records;
           Alcotest.test_case "records outlive their file" `Quick
             test_records_outlive_the_file;
-          Alcotest.test_case "the scan fallback streams its records" `Quick
-            test_fallback_streams;
         ] );
       ( "legacy",
         [
@@ -1086,8 +1132,10 @@ let () =
             test_v1_snapshots;
           Alcotest.test_case "version-2 snapshots with node columns load"
             `Quick test_v2_snapshots;
-          Alcotest.test_case "version-2 snapshots re-save as version 3" `Quick
-            test_v2_resaved_as_v3;
+          Alcotest.test_case "version-2 snapshots re-save as version 4" `Quick
+            test_v2_resaved_as_v4;
+          Alcotest.test_case "version-3 snapshots re-save as version 4" `Quick
+            test_v3_resaved_as_v4;
         ] );
       ( "failures",
         [

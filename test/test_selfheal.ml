@@ -60,7 +60,11 @@ let check_same_answers what a b =
     xpaths;
   Alcotest.(check int) (what ^ ": doc_count") (Xlog.doc_count a)
     (Xlog.doc_count b);
-  Alcotest.(check int) (what ^ ": next_id") (Xlog.next_id a) (Xlog.next_id b)
+  Alcotest.(check int) (what ^ ": next_id") (Xlog.next_id a) (Xlog.next_id b);
+  List.iter
+    (fun (side, log) ->
+      Option.iter (Invariants.check (what ^ ": " ^ side ^ " base")) (Xlog.base log))
+    [ ("first", a); ("second", b) ]
 
 let read_whole path =
   let ic = open_in_bin path in

@@ -227,12 +227,27 @@ let snapshot ids_by_ordinal eng =
       (List.sort compare (ordinals_of_answer ids_by_ordinal ids), List.length ids))
     parsed_patterns
 
+(* Every base snapshot under [dir], a shard directory or a store's,
+   loaded and held to the index invariants. *)
+let rec check_bases what dir =
+  Array.iter
+    (fun name ->
+      let path = Filename.concat dir name in
+      if Sys.is_directory path then check_bases what path
+      else if String.starts_with ~prefix:"base-" name then begin
+        let base = Xseq.load path in
+        Invariants.check (what ^ " " ^ path) base;
+        Option.iter Xstorage.Store.close (Xseq.backing_store base)
+      end)
+    (Sys.readdir dir)
+
 (* One equivalence run: the script against the unsharded oracle and
    every K-shard engine.  Answer ordinal sets and per-pattern match
    counts must agree on the raw post-script state — whatever mix of
    memtables, segments and pending tombstones each engine happens to
    hold — and again after flushing + compacting both sides, which
-   exercises seal and tombstone-purge equivalence too. *)
+   exercises seal and tombstone-purge equivalence too.  Every base the
+   compaction wrote holds the index invariants. *)
 let equivalence_run seed =
   let ops = script_of_seed seed in
   with_dir (fun oracle_dir ->
@@ -241,6 +256,7 @@ let equivalence_run seed =
       let oracle_raw = snapshot oracle_ids oracle in
       oracle.flush ();
       oracle.compact ();
+      check_bases (Printf.sprintf "seed %d oracle" seed) oracle_dir;
       let oracle_compacted = snapshot oracle_ids oracle in
       List.iter
         (fun shards ->
@@ -253,6 +269,7 @@ let equivalence_run seed =
                   let raw = snapshot ids_tbl eng in
                   eng.flush ();
                   eng.compact ();
+                  check_bases (Printf.sprintf "seed %d K=%d" seed shards) dir;
                   let compacted = snapshot ids_tbl eng in
                   let check_round round want got =
                     List.iteri

@@ -424,23 +424,37 @@ let flip_in_place path pos =
       if Unix.write fd b 0 1 <> 1 then Alcotest.fail "short write")
 
 (* A region read after the open is checksummed again before anything
-   uses it.  A byte of the record region flipped once the store is open
-   is reported as that region's checksum mismatch, by [Store.blob] and by
-   a loaded index's [document]: never a decoder's complaint (the LZ
-   decompressor's, the record decoder's), which would mean the bytes were
-   decoded first. *)
+   uses it.  A byte of the sibling-order region (not empty under
+   canonical depth-first sequencing, whose tag sort moves DBLP's fields)
+   flipped once the store is open is reported as that region's checksum
+   mismatch, by [Store.int_array] and by a loaded index's [document]:
+   never a decoder's complaint, which would mean the bytes were decoded
+   first. *)
 let test_flip_after_open () =
-  let index = Xseq.build (Xdatagen.Dblp_gen.generate ~seed:8 200) in
+  let index =
+    Xseq.build
+      ~config:
+        {
+          Xseq.default_config with
+          sequencing = Xseq.Depth_first { canonical = true };
+        }
+      (Xdatagen.Dblp_gen.generate ~seed:8 200)
+  in
   List.iter
     (fun format ->
       with_temp "store_flip_open" (fun path ->
           Containers.save format index path;
           let store = Store.open_file path in
           let loaded = Xseq.load path in
-          let docs =
-            List.find (fun r -> r.Store.r_name = "docs") (Store.regions store)
+          let order =
+            List.find
+              (fun r -> r.Store.r_name = "sibling_order")
+              (Store.regions store)
           in
-          flip_in_place path (docs.Store.r_offset + (docs.Store.r_stored / 2));
+          if order.Store.r_stored = 0 then
+            Alcotest.fail "no sibling order to flip";
+          flip_in_place path
+            (order.Store.r_offset + (order.Store.r_stored / 2));
           let mismatch what f =
             match f () with
             | _ ->
@@ -449,9 +463,9 @@ let test_flip_after_open () =
             | exception Invalid_argument msg ->
               Alcotest.(check string)
                 (Containers.name format ^ " " ^ what)
-                "Store: region \"docs\" checksum mismatch" msg
+                "Store: region \"sibling_order\" checksum mismatch" msg
           in
-          mismatch "blob" (fun () -> Store.blob store "docs");
+          mismatch "ints" (fun () -> Store.int_array store "sibling_order");
           mismatch "document" (fun () -> Xseq.document loaded 0);
           Store.close store;
           Option.iter Store.close (Xseq.backing_store loaded)))
@@ -964,7 +978,8 @@ let run_variant labeled ~strategy ~value_mode q =
    reloaded resident (flat buffers decoded from packed columns) and
    paged through the buffer pool — must produce identical ids and
    identical matcher counters; and the ids must agree with the
-   brute-force embedding oracle. *)
+   brute-force embedding oracle.  Every shape holds the index
+   invariants and decodes the records it was built from. *)
 let prop_backend_oracle (docs, seed) =
   let docs = Array.of_list docs in
   let index = Xseq.build docs in
@@ -996,6 +1011,15 @@ let prop_backend_oracle (docs, seed) =
       in
       let close t = Option.iter Store.close (Xseq.backing_store t) in
       Fun.protect ~finally:(fun () -> close paged; close zpaged) @@ fun () ->
+      List.iter
+        (fun (name, t) -> Invariants.check_documents name t docs)
+        [
+          ("built", index);
+          ("plain-resident", resident);
+          ("plain-paged", paged);
+          ("compressed-resident", zresident);
+          ("compressed-paged", zpaged);
+        ];
       List.for_all
         (fun q ->
           let runs =
@@ -1156,25 +1180,79 @@ let test_inconsistent_snapshot () =
      the path-to-link map and drop its entries from every answer. *)
   tampered "link_path" (fun m -> m.(1) <- m.(0)) ~want:"duplicate link path"
 
-(* The CLI binary beside this test's build directory, if it is built. *)
-let cli =
-  Filename.concat
-    (Filename.dirname (Filename.dirname Sys.executable_name))
-    (Filename.concat "bin" "xseq_cli.exe")
+(* --- index invariants -------------------------------------------------------- *)
 
-(* [xseq args], its output discarded: the exit code. *)
-let run_cli args =
-  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+(* [Xindex.Labeled.check] on the index loaded from [path]. *)
+let check_of path =
+  let loaded = Xseq.load path in
   Fun.protect
-    ~finally:(fun () -> Unix.close null)
-    (fun () ->
-      let pid =
-        Unix.create_process cli (Array.of_list (cli :: args)) Unix.stdin null
-          null
+    ~finally:(fun () -> Option.iter Store.close (Xseq.backing_store loaded))
+    (fun () -> Xindex.Labeled.check (Xseq.labeled loaded))
+
+(* Labels tampered so that every checksum (recomputed by the copy) and
+   every check of the load still pass, each breaking one invariant the
+   matcher relies on: [check] fails naming it.  The entry tampered is
+   the first one nested in its predecessor of the same link (an
+   identical sibling's). *)
+let test_check_mutations () =
+  let docs = Xdatagen.Xmark_gen.generate ~seed:5 ~identical_siblings:true 40 in
+  with_temp "xseq_check" (fun source ->
+      Xseq.save (Xseq.build docs) source;
+      (match check_of source with
+       | Ok () -> ()
+       | Error msg -> Alcotest.failf "the untampered index fails: %s" msg);
+      let s = Store.open_file source in
+      let l_pre = Store.int_array s "l_pre"
+      and l_post = Store.int_array s "l_post"
+      and link_len = Store.int_array s "link_len"
+      and doc_pre = Store.int_array s "doc_pre" in
+      Store.close s;
+      let link_end = Array.make (Array.length l_pre) 0 and off = ref 0 in
+      Array.iter
+        (fun len ->
+          for i = !off to !off + len - 1 do
+            link_end.(i) <- !off + len
+          done;
+          off := !off + len)
+        link_len;
+      let rec nested e =
+        if e + 1 >= Array.length l_pre then Alcotest.fail "no nested entry"
+        else if e + 1 < link_end.(e) && l_pre.(e + 1) <= l_post.(e) then e + 1
+        else nested (e + 1)
       in
-      match snd (Unix.waitpid [] pid) with
-      | Unix.WEXITED code -> code
-      | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n)
+      let e = nested 0 in
+      let broken what ~ints ~want =
+        with_temp "xseq_check_tampered" (fun path ->
+            copy_file source ~ints ~blob:(fun _ b -> b) path;
+            match check_of path with
+            | Ok () -> Alcotest.failf "%s: the index passed its check" what
+            | Error msg -> Alcotest.(check string) what want msg)
+      in
+      broken "one up tampered"
+        ~ints:(fun name m -> if name = "l_up" then m.(e) <- -1)
+        ~want:
+          (Printf.sprintf "up at entry %d is not the nearest same-link ancestor"
+             e);
+      broken "two pre swapped"
+        ~ints:(fun name m ->
+          if name = "l_pre" then begin
+            m.(e) <- l_pre.(e - 1);
+            m.(e - 1) <- l_pre.(e)
+          end)
+        ~want:(Printf.sprintf "link pre not strictly increasing at entry %d" e);
+      let last = Array.length doc_pre - 1 in
+      if doc_pre.(0) = doc_pre.(last) then
+        Alcotest.fail "every document ends at one serial";
+      broken "one document-table entry moved to the end"
+        ~ints:(fun name m ->
+          if name = "doc_pre" || name = "doc_id" then begin
+            let first = m.(0) in
+            Array.blit m 1 m 0 last;
+            m.(last) <- first
+          end)
+        ~want:
+          (Printf.sprintf "document table not sorted by end serial at entry %d"
+             last))
 
 (* Every value a loaded index holds is 32-bit.  A snapshot with a label,
    a link-directory entry, a dictionary entry or a node count of 2^31 is
@@ -1219,12 +1297,12 @@ let test_beyond_32_bits () =
               (Printf.sprintf
                  "region %S element 0 (2147483648) does not fit in 32 bits"
                  region);
-          if Sys.file_exists cli then begin
+          if Sys.file_exists Containers.cli then begin
             Alcotest.(check int) "query exits 1" 1
-              (run_cli [ "query"; path; "//author" ]);
+              (Containers.run_cli [ "query"; path; "//author" ]);
             (* [info] reads the doc table, not the link columns. *)
             if region = "doc_pre" then
-              Alcotest.(check int) "info exits 1" 1 (run_cli [ "info"; path ])
+              Alcotest.(check int) "info exits 1" 1 (Containers.run_cli [ "info"; path ])
           end))
     [ "l_pre"; "l_post"; "l_up"; "doc_pre"; "doc_id" ];
   (* The compact dictionary's regions, in every container, are read
@@ -1244,63 +1322,16 @@ let test_beyond_32_bits () =
 
 (* --- record regions at chunk edges --------------------------------------- *)
 
-(* A record region as [Xseq.save] writes it (snapshot version 3): a
-   name table (a uvarint count, then each element name's uvarint length
-   and bytes, first seen first), then the records in pre-order, an
-   element as uvarint (2 * name id) and a uvarint child count, a value
-   as uvarint (2 * length + 1) and its bytes; and the offset each record
-   starts at. *)
-let coded_region docs =
-  let ids = Hashtbl.create 16 in
-  let table = Buffer.create 256 and nodes = Buffer.create 4096 in
-  let id name =
-    match Hashtbl.find_opt ids name with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length ids in
-      Hashtbl.add ids name i;
-      Varint.add_uvarint table (String.length name);
-      Buffer.add_string table name;
-      i
-  in
-  let rec node = function
-    | T.Element (name, cs) ->
-      Varint.add_uvarint nodes (2 * id name);
-      Varint.add_uvarint nodes (List.length cs);
-      List.iter node cs
-    | T.Value s ->
-      Varint.add_uvarint nodes ((2 * String.length s) + 1);
-      Buffer.add_string nodes s
-  in
-  let starts =
-    Array.map
-      (fun d ->
-        let at = Buffer.length nodes in
-        node d;
-        at)
-      docs
-  in
-  let b = Buffer.create (Buffer.length table + Buffer.length nodes + 9) in
-  Varint.add_uvarint b (Hashtbl.length ids);
-  Buffer.add_buffer b table;
-  let base = Buffer.length b in
-  Buffer.add_buffer b nodes;
-  (Buffer.to_bytes b, Array.map (( + ) base) starts)
+(* A record region as saves before version 4 wrote it, and the offset
+   each record starts at ([Containers.v3_records]). *)
+let coded_region = Containers.v3_records
 
 (* Writes to [path] a snapshot of [docs] labelled [version] in its
-   [xseq_meta], with [region] for its record region.  On the way the
-   region [Xseq.save] wrote is checked against [coded_region]. *)
+   [xseq_meta], with [region] for its record region: the layout of the
+   older files a load upgrades. *)
 let save_region ~version docs region path =
-  copy_snapshot (Xseq.build docs) path
-    ~ints:(fun name m -> if name = "xseq_meta" then m.(0) <- version)
-    ~blob:(fun name s ->
-      if name <> "docs" then s
-      else begin
-        Alcotest.(check string) "record layout"
-          (Bytes.to_string (fst (coded_region docs)))
-          s;
-        Bytes.to_string region
-      end)
+  Containers.save_older ~version ~records:region Containers.Plain
+    (Xseq.build docs) path
 
 (* [load path] fails with the record check's diagnostic. *)
 let corrupt_region name path =
@@ -1341,8 +1372,9 @@ let straddling ?(before = 2) at =
 
 (* Fields that straddle the boundary decode; record regions that lie, at
    the boundary or elsewhere, fail the load with the record check's
-   diagnostic, whatever chunk the lie is in.  A loaded version-2 region
-   re-saves in the version-3 layout. *)
+   diagnostic, whatever chunk the lie is in.  A loaded version-2 file
+   re-saves as version 4, without a record region, and decodes the same
+   records from its index. *)
 let test_records_at_chunk_edges () =
   let corrupt name at edit =
     let docs, start = straddling at in
@@ -1362,13 +1394,16 @@ let test_records_at_chunk_edges () =
             (Printf.sprintf "%s straddles by %d, decoded" what before)
             true
             (Xseq.document loaded 1 = second);
-          with_temp "xseq_records_v3" (fun resaved ->
+          with_temp "xseq_records_v4" (fun resaved ->
               Xseq.save loaded resaved;
               let s = Store.open_file resaved in
-              Alcotest.(check string) "re-saved in the version-3 layout"
-                (Bytes.to_string (fst (coded_region docs)))
-                (Store.blob s "docs");
-              Store.close s);
+              Alcotest.(check bool) "re-saved without a record region" false
+                (Store.mem s "docs");
+              Store.close s;
+              let again = Xseq.load resaved in
+              Alcotest.(check bool) "re-saved, decoded" true
+                (Xseq.document again 1 = second);
+              Option.iter Store.close (Xseq.backing_store again));
           Option.iter Store.close (Xseq.backing_store loaded)))
     (("name", 5, 2)
     :: List.concat_map
@@ -1455,13 +1490,7 @@ let test_coded_records_at_chunk_edges () =
     (fun (what, at, before) ->
       let docs, start = coded_straddling ~before at in
       with_temp "xseq_coded" (fun path ->
-          Xseq.save (Xseq.build docs) path;
-          let s = Store.open_file path in
-          let region = Store.blob s "docs" in
-          Store.close s;
-          Alcotest.(check string) "record layout"
-            (Bytes.to_string (fst (coded_region docs)))
-            region;
+          save_region ~version:3 docs (fst (coded_region docs)) path;
           Alcotest.(check int) "second record's start" start
             (snd (coded_region docs)).(1);
           let loaded = Xseq.load path in
@@ -1507,20 +1536,22 @@ let test_coded_records_at_chunk_edges () =
   corrupt "trailing bytes" 0 (fun b _ -> Bytes.cat b (Bytes.make 1 '\000'))
 
 (* A flipped straddling name id would fail the record check (0x01 ->
-   0x11 names id 1089 of 66): the checksum is reported first. *)
+   0x11 names id 1089 of 66): the checksum is reported first.  The load
+   that upgrades the file decodes its records, so the flip comes before
+   the load. *)
 let test_coded_records_checksum_first () =
   let docs, start = coded_straddling ~before:1 0 in
   with_temp "xseq_coded_flip" (fun path ->
-      Xseq.save (Xseq.build docs) path;
+      save_region ~version:3 docs (fst (coded_region docs)) path;
       let region = region_entry path "docs" in
-      let loaded = Xseq.load path in
       flip_in_place path (region.Store.r_offset + start + 1);
-      (match Xseq.document loaded 1 with
-       | _ -> Alcotest.fail "a flipped record region was decoded"
-       | exception Invalid_argument msg ->
-         Alcotest.(check string) "checksum before the record check"
-           "Store: region \"docs\" checksum mismatch" msg);
-      Option.iter Store.close (Xseq.backing_store loaded))
+      match Xseq.load path with
+      | loaded ->
+        Option.iter Store.close (Xseq.backing_store loaded);
+        Alcotest.fail "a flipped record region was decoded"
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) "checksum before the record check"
+          "Store: region \"docs\" checksum mismatch" msg)
 
 (* The compact dictionary's cross-region invariants: a designator id
    pointing outside the name table must be rejected even though every
@@ -1862,6 +1893,11 @@ let () =
             test_load_checks_every_byte;
           Alcotest.test_case "xseqcol1 elements beyond an int" `Quick
             test_col1_beyond_int;
+        ] );
+      ( "invariants",
+        [
+          Alcotest.test_case "check names the broken invariant" `Quick
+            test_check_mutations;
         ] );
       ( "oracle",
         [

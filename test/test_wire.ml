@@ -376,21 +376,15 @@ let transcript =
     "sub: eof";
     "s1: error not_primary \"unix:leader\"";
     "c: repl_state follower epoch=1 durable=(1, 167) next_id=4002 hint=\"unix:leader\" lag=0/0";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=0 last=false crc=95d53f99793809e6 len=262144";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=262144 last=false crc=578585d25c31944a len=262144";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=524288 last=false crc=8e10e090248920ba len=262144";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=786432 last=false crc=a290405e112cf4a5 len=262144";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=1048576 last=false crc=dfe86160161493ee len=262144";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=1310720 last=false crc=33f9b2719695ae93 len=262144";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=1572864 last=true crc=3ea8eaa7f53bb6ba len=112040";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=1683904 last=true crc=e4ca207b8be332e4 len=1000";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=0 last=false crc=95d53f99793809e6 len=262144";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=262144 last=false crc=578585d25c31944a len=262144";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=524288 last=false crc=8e10e090248920ba len=262144";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=786432 last=false crc=a290405e112cf4a5 len=262144";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=1048576 last=false crc=dfe86160161493ee len=262144";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=1310720 last=false crc=33f9b2719695ae93 len=262144";
-    "c: chunk 810de3b70f9a23b6 total=1684904 offset=1572864 last=true crc=3ea8eaa7f53bb6ba len=112040";
+    "c: chunk 810de3b70f9a23b6 total=881064 offset=0 last=false crc=b1eb5043fe9a0f25 len=262144";
+    "c: chunk 810de3b70f9a23b6 total=881064 offset=262144 last=false crc=a2a9acd101907564 len=262144";
+    "c: chunk 810de3b70f9a23b6 total=881064 offset=524288 last=false crc=326b64d75d850ec1 len=262144";
+    "c: chunk 810de3b70f9a23b6 total=881064 offset=786432 last=true crc=641a0ba914dbf1d4 len=94632";
+    "c: chunk 810de3b70f9a23b6 total=881064 offset=880064 last=true crc=e4ca207b8be332e4 len=1000";
+    "c: chunk 810de3b70f9a23b6 total=881064 offset=0 last=false crc=b1eb5043fe9a0f25 len=262144";
+    "c: chunk 810de3b70f9a23b6 total=881064 offset=262144 last=false crc=a2a9acd101907564 len=262144";
+    "c: chunk 810de3b70f9a23b6 total=881064 offset=524288 last=false crc=326b64d75d850ec1 len=262144";
+    "c: chunk 810de3b70f9a23b6 total=881064 offset=786432 last=true crc=641a0ba914dbf1d4 len=94632";
     "c: pong";
     "w: pong";
     "x: error bad_request \"bad frame: bad magic \\\"ga\\\"\"";

@@ -238,7 +238,17 @@ let check_against_oracle what log live =
     patterns;
   Alcotest.(check int)
     (what ^ ": doc_count")
-    (List.length live) (Xlog.doc_count log)
+    (List.length live) (Xlog.doc_count log);
+  (* A base that holds the whole store decodes its records in id order;
+     any other holds the invariants. *)
+  match Xlog.base log with
+  | Some base
+    when Xlog.segments log = 0 && Xlog.pending log = 0
+         && Xlog.tombstones log = 0 ->
+    Invariants.check_documents (what ^ ": base") base
+      (Array.of_list (List.map snd (List.sort compare live)))
+  | Some base -> Invariants.check (what ^ ": base") base
+  | None -> ()
 
 let test_basic_store () =
   with_dir (fun dir ->
@@ -908,6 +918,21 @@ let base_format dir name =
     ~finally:(fun () -> Xstorage.Store.close st)
     (fun () -> Xstorage.Store.file_format st)
 
+(* Whether the base at [path] is what a compressed save writes: its
+   loaded index re-saved with [~compress:true] is byte-identical.  A
+   store of short names holds no blob that LZ-coding shrinks, so its
+   compressed and plain saves are the same bytes; the container alone
+   cannot tell them apart. *)
+let saved_compressed path =
+  let again = Filename.temp_file "xlog_base" ".xseq" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove again with Sys_error _ -> ())
+    (fun () ->
+      let index = Xseq.load path in
+      Xseq.save ~compress:true index again;
+      Option.iter Xstorage.Store.close (Xseq.backing_store index);
+      String.equal (read_whole path) (read_whole again))
+
 let expect_invalid what f =
   match f () with
   | _ -> Alcotest.failf "%s: accepted" what
@@ -927,9 +952,8 @@ let test_seed_oracle () =
        | [ b ] ->
          Alcotest.(check bool) "base is xseqcol2" true
            (base_format dir b = Xstorage.Store.Col2);
-         Alcotest.(check string) "base is compressed"
-           (Containers.name Containers.Compressed)
-           (Containers.name (Containers.of_file (Filename.concat dir b)))
+         Alcotest.(check bool) "base is compressed" true
+           (saved_compressed (Filename.concat dir b))
        | l -> Alcotest.failf "%d base files" (List.length l));
       let pos = Xlog.wal_position log in
       Alcotest.(check bool) "the WAL rotated" true (pos.Wal.file > 0);
@@ -1040,10 +1064,9 @@ let check_rebuilds what dir log =
       Alcotest.(check bool) (what ^ ": new base is xseqcol2") true
         (base_format dir b = Xstorage.Store.Col2);
       (* A base is written compressed, as no plain snapshot is: its
-         records and designator names LZ-coded. *)
-      Alcotest.(check string) (what ^ ": new base is compressed")
-        (Containers.name Containers.Compressed)
-        (Containers.name (Containers.of_file (Filename.concat dir b))))
+         designator names LZ-coded where that wins. *)
+      Alcotest.(check bool) (what ^ ": new base is compressed") true
+        (saved_compressed (Filename.concat dir b)))
     files;
   (* ...after which the store is settled again. *)
   check_untouched (what ^ ", then again") dir log

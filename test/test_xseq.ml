@@ -277,12 +277,6 @@ let test_builds_do_not_leak () =
     Alcotest.failf "live words %d after build 30, %d after build 2" last second
 
 let test_save_rejects () =
-  let index =
-    build ~config:{ Xseq.default_config with keep_documents = false } [ project_doc ]
-  in
-  Alcotest.check_raises "no docs"
-    (Invalid_argument "Xseq.save: index was built with keep_documents = false")
-    (fun () -> Xseq.save index "/tmp/never-written.idx");
   let custom =
     build
       ~config:
