@@ -300,8 +300,8 @@ let corrupt_docs () = invalid_arg "Xseq.load: corrupt document region"
 
 (* Bounds-checked reads of a record region streamed from its store a
    chunk at a time.  Positions are region offsets: the chunk in [buf]
-   holds bytes [lo, hi), and the next read streams on from there.  [name] is the name of
-   the element [header] read last. *)
+   holds bytes [lo, hi), and the next read streams on from there.
+   [name] is the name of the element [header] read last. *)
 type cursor = {
   stream : Store.blob_stream;
   len : int; (* region bytes *)
@@ -478,26 +478,33 @@ let decode_docs ?(spelled = false) store ndocs =
       let layout = if spelled then Spelled else coded c in
       Array.init ndocs (fun _ -> decode_record layout c))
 
+(* Each record's exceptions in the packed [order] of [ndocs] records
+   (see [t]), checked as they are indexed. *)
+let unpack_order ndocs order =
+  let bad () = invalid_arg "Xseq.document: corrupt sibling order" in
+  let first = Array.make ndocs (-1) in
+  let at = ref 0 and last = ref (-1) in
+  while !at < Array.length order do
+    let id = order.(!at) in
+    if id <= !last || id >= ndocs || !at + 1 >= Array.length order then bad ();
+    let pairs = order.(!at + 1) in
+    if pairs < 1 || pairs > (Array.length order - !at - 2) / 2 then bad ();
+    first.(id) <- !at;
+    last := id;
+    at := !at + 2 + (2 * pairs)
+  done;
+  fun id ->
+    match first.(id) with
+    | -1 -> [||]
+    | at -> Array.sub order (at + 2) (2 * order.(at + 1))
+
 (* Every record, rebuilt from the index by Theorem 1: each document's
    sequence is its chain of trie nodes ([Labeled.sequences]), decoded
    with the record's sibling-order exceptions. *)
 let decode_index t =
   let bad msg = invalid_arg ("Xseq.document: " ^ msg) in
   let labeled = t.labeled in
-  let order = t.order () in
-  let first = Array.make t.ndocs (-1) in
-  let at = ref 0 and last = ref (-1) in
-  while !at < Array.length order do
-    let id = order.(!at) in
-    if id <= !last || id >= t.ndocs || !at + 1 >= Array.length order then
-      bad "corrupt sibling order";
-    let pairs = order.(!at + 1) in
-    if pairs < 1 || pairs > (Array.length order - !at - 2) / 2 then
-      bad "corrupt sibling order";
-    first.(id) <- !at;
-    last := id;
-    at := !at + 2 + (2 * pairs)
-  done;
+  let order_of = unpack_order t.ndocs (t.order ()) in
   let seqs = Xindex.Labeled.sequences labeled in
   if Array.length seqs <> t.ndocs then bad "document table size";
   let docs = Array.make t.ndocs (T.Value "") in
@@ -509,13 +516,10 @@ let decode_index t =
       if id < 0 || id >= t.ndocs || Bytes.get filled id <> '\000' then
         bad "document ids are not a permutation";
       Bytes.set filled id '\001';
-      let order =
-        match first.(id) with
-        | -1 -> [||]
-        | at -> Array.sub order (at + 2) (2 * order.(at + 1))
-      in
       docs.(id) <-
-        (try Decoder.decode ~value_mode:t.value_mode ~order symbols seq
+        (try
+           Decoder.decode ~value_mode:t.value_mode ~order:(order_of id) symbols
+             seq
          with Decoder.Invalid_sequence msg -> bad msg))
     seqs;
   docs

@@ -843,6 +843,49 @@ let prop_text_mode_roundtrip =
   QCheck.Test.make ~name:"text mode sequences valid" ~count:200 arb_tree (fun t ->
       C.is_valid sy (Enc.encode sy ~value_mode:Enc.Text ~strategy:S.Depth_first t))
 
+(* With its sibling-order exceptions a sequence decodes to its record
+   exactly, under every strategy, both value modes, with or without a
+   global identical-sibling flag, and flattened in record or in tag
+   order (the canonical modes'). *)
+let prop_ordered_exact name strategy =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "decode with sibling order is exact (%s)" name)
+    ~count:200
+    (QCheck.pair arb_tree QCheck.bool)
+    (fun (t, flagged) ->
+      let ident p = flagged && Path.to_int p mod 2 = 0 in
+      List.for_all
+        (fun (value_mode, sorted) ->
+          let f = Enc.flatten ~value_mode ~sorted sy t in
+          let seq, order = Enc.sequence_ordered ~ident ~strategy sy f in
+          T.equal t (Dec.decode ~value_mode ~order sy seq))
+        [ (Enc.Hashed, false); (Enc.Hashed, true); (Enc.Text, false);
+          (Enc.Text, true) ])
+
+(* Text-mode values come back whole: empty, prefixes of one another,
+   beside elements and each other. *)
+let test_decode_text_values () =
+  let t =
+    T.elt "r"
+      [
+        T.Value "ab"; T.Value ""; T.elt "b" [ T.Value "a" ]; T.Value "a";
+        T.Value "ab"; T.elt "b" [];
+      ]
+  in
+  List.iter
+    (fun (name, strategy) ->
+      let f = Enc.flatten ~value_mode:Enc.Text sy t in
+      let seq, order = Enc.sequence_ordered ~strategy sy f in
+      Alcotest.(check bool) (name ^ ": text values decoded whole") true
+        (T.equal t (Dec.decode ~value_mode:Enc.Text ~order sy seq)))
+    strategies;
+  match
+    Dec.decode ~order:[| 1; 5 |] sy
+      (Enc.encode ~strategy:S.Depth_first sy (T.elt "r" [ T.elt "a" [] ]))
+  with
+  | _ -> Alcotest.fail "a rank past the siblings was placed"
+  | exception Dec.Invalid_sequence _ -> ()
+
 let () =
   Alcotest.run "sequencing"
     [
@@ -887,6 +930,7 @@ let () =
         [
           Alcotest.test_case "df exact" `Quick test_decode_exact_df;
           Alcotest.test_case "invalid input" `Quick test_decode_invalid;
+          Alcotest.test_case "text values" `Quick test_decode_text_values;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
@@ -894,6 +938,7 @@ let () =
              (fun (name, s) ->
                [ prop_valid name s; prop_roundtrip name s; prop_multiset name s ])
              strategies
-          @ [ prop_ident_still_valid; prop_text_mode_roundtrip ])
+          @ [ prop_ident_still_valid; prop_text_mode_roundtrip ]
+          @ List.map (fun (name, s) -> prop_ordered_exact name s) strategies)
       );
     ]
