@@ -57,7 +57,8 @@ let decode ?(value_mode = Encoder.Hashed) ?(order = [||]) symbols seq =
   if Array.length order land 1 <> 0 then invalid "odd sibling order";
   for k = 0 to (Array.length order / 2) - 1 do
     let at = order.(2 * k) and rank = order.((2 * k) + 1) in
-    if at < 1 || at >= len || rank < 0 then invalid "sibling order out of range";
+    if at < 1 || at >= len || rank < 0 then
+      invalid "sibling order out of range";
     nodes.(at).rank <- rank
   done;
   (* A text-mode value is a chain of one-character value designators

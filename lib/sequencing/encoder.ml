@@ -221,7 +221,8 @@ let sequence_gen ~order ?(ident = fun _ -> false) ~strategy symbols f =
   let key =
     Array.map
       (fun p ->
-        Scheduler.key ~depth:(Path.depth symbols p) ~path_id:(Path.to_int p))
+        Scheduler.key ~depth:(Path.depth symbols p)
+          ~path_id:(Path.to_int p))
       paths
   in
   let spec =

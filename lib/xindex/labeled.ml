@@ -352,12 +352,13 @@ let path_frequencies ?member t =
   Store.scan t.l_pre (fun pre_at -> Store.scan t.l_post (count pre_at));
   freq
 
-(* Element [i] through [I32]'s inline primitives, for the sweep's, the save's
-   and the load's loops; every value set is an id, a rank, an offset or a slot. *)
+(* Element [i] through [I32]'s inline primitives, for the sweep's, the
+   save's and the load's loops; every value set is an id, a rank, an
+   offset or a slot. *)
 let get v i = Int32.to_int (I32.get32 v (4 * i))
 let set v i x = I32.set32 v (4 * i) (Int32.of_int x)
 
-(* --- the inversion sweep --------------------------------------------------- *)
+(* --- the inversion sweep ------------------------------------------------ *)
 
 (* The links inverted, per serial (0 the virtual root): its path id, its
    [post], its position in the link columns and its trie parent.  Read
@@ -420,7 +421,8 @@ let sweep t =
 (* The serial document-table entry [i] ends at, checked. *)
 let doc_end t i =
   let v = doc_pre_at t i in
-  if v < 1 || v > t.n then broken "document-table entry %d ends at serial %d" i v;
+  if v < 1 || v > t.n then
+    broken "document-table entry %d ends at serial %d" i v;
   v
 
 (* The chain of trie nodes from the root to [v]: a document's sequence. *)

@@ -313,7 +313,8 @@ let compile_one symbols ~flagged ~strategy flat =
       key =
         Array.map
           (fun p ->
-            Scheduler.key ~depth:(Path.depth symbols p) ~path_id:(Path.to_int p))
+            Scheduler.key ~depth:(Path.depth symbols p)
+              ~path_id:(Path.to_int p))
           flat.fpaths;
       iter_children = (fun i f -> List.iter f flat.fchildren.(i));
       has_identical;

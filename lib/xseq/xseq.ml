@@ -250,7 +250,9 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
           else flats
         in
         let exceptions = Array.make ndocs [||] in
-        let sequence = Encoder.sequence_ordered ~ident ~strategy:encode_strategy symbols in
+        let sequence =
+          Encoder.sequence_ordered ~ident ~strategy:encode_strategy symbols
+        in
         let seqs =
           with_pool_opt ?domains ?pool (fun p ->
               Domain_pool.mapi p
@@ -749,7 +751,9 @@ let restore store =
          (Int64.shift_left (Int64.of_int meta.(5)) 32))
   in
   let ndocs = meta.(8) in
-  let config = { sequencing; value_mode; sample_fraction; sample_seed = meta.(6) } in
+  let config =
+    { sequencing; value_mode; sample_fraction; sample_seed = meta.(6) }
+  in
   if version < snapshot_version then begin
     (* An older snapshot is upgraded: its records, in their layout, are
        sequenced again under the stored configuration, and the rebuilt

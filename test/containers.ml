@@ -193,7 +193,8 @@ let save_older ?(version = 3) ?(ints = fun _ _ -> ())
                 let m = Store.int_array src name in
                 ints name m;
                 Store.add_int_array s name m
-              | name, `Blob -> Store.add_blob s name (blob name (Store.blob src name)))
+              | name, `Blob ->
+                Store.add_blob s name (blob name (Store.blob src name)))
             (Store.regions src);
           write t s path))
 

@@ -224,7 +224,7 @@ let test_digests () =
         resaves got)
     golden
 
-(* --- documents from the index (Theorem 1) ---------------------------------- *)
+(* --- documents from the index (Theorem 1) ------------------------------- *)
 
 (* Four wildcard branches expand past the instantiation limit, so the
    query takes the scan fallback over the decoded records. *)
@@ -296,7 +296,9 @@ let test_documents_roundtrip () =
           let rec rm_rf p =
             if Sys.file_exists p then
               if Sys.is_directory p then begin
-                Array.iter (fun n -> rm_rf (Filename.concat p n)) (Sys.readdir p);
+                Array.iter
+                  (fun n -> rm_rf (Filename.concat p n))
+                  (Sys.readdir p);
                 Sys.rmdir p
               end
               else Sys.remove p

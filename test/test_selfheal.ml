@@ -63,7 +63,9 @@ let check_same_answers what a b =
   Alcotest.(check int) (what ^ ": next_id") (Xlog.next_id a) (Xlog.next_id b);
   List.iter
     (fun (side, log) ->
-      Option.iter (Invariants.check (what ^ ": " ^ side ^ " base")) (Xlog.base log))
+      Option.iter
+        (Invariants.check (what ^ ": " ^ side ^ " base"))
+        (Xlog.base log))
     [ ("first", a); ("second", b) ]
 
 let read_whole path =

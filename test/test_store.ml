@@ -1180,7 +1180,7 @@ let test_inconsistent_snapshot () =
      the path-to-link map and drop its entries from every answer. *)
   tampered "link_path" (fun m -> m.(1) <- m.(0)) ~want:"duplicate link path"
 
-(* --- index invariants -------------------------------------------------------- *)
+(* --- index invariants --------------------------------------------------- *)
 
 (* [Xindex.Labeled.check] on the index loaded from [path]. *)
 let check_of path =
@@ -1194,6 +1194,45 @@ let check_of path =
    matcher relies on: [check] fails naming it.  The entry tampered is
    the first one nested in its predecessor of the same link (an
    identical sibling's). *)
+(* A sibling-order region that lies, its checksum recomputed, fails
+   the first decode with a diagnostic, never an out-of-bounds read or a
+   wrong record: a record id past the table, more pairs than the region
+   holds, a rank past its siblings. *)
+let test_lying_sibling_order () =
+  let docs = Xdatagen.Dblp_gen.generate ~seed:8 30 in
+  let config =
+    {
+      Xseq.default_config with
+      sequencing = Xseq.Depth_first { canonical = true };
+    }
+  in
+  with_temp "xseq_order" (fun source ->
+      Xseq.save (Xseq.build ~config docs) source;
+      List.iter
+        (fun (what, edit, want) ->
+          with_temp "xseq_order_tampered" (fun path ->
+              copy_file source
+                ~ints:(fun name m -> if name = "sibling_order" then edit m)
+                ~blob:(fun _ b -> b)
+                path;
+              let loaded = Xseq.load path in
+              (match Xseq.document loaded 0 with
+               | _ -> Alcotest.failf "%s: decoded" what
+               | exception Invalid_argument msg ->
+                 Alcotest.(check string) what want msg);
+              Option.iter Store.close (Xseq.backing_store loaded)))
+        [
+          ( "record id past the table",
+            (fun m -> m.(0) <- 30),
+            "Xseq.document: corrupt sibling order" );
+          ( "more pairs than the region holds",
+            (fun m -> m.(1) <- Array.length m),
+            "Xseq.document: corrupt sibling order" );
+          ( "rank past the siblings",
+            (fun m -> m.(3) <- 1000),
+            "Xseq.document: sibling order is not a permutation" );
+        ])
+
 let test_check_mutations () =
   let docs = Xdatagen.Xmark_gen.generate ~seed:5 ~identical_siblings:true 40 in
   with_temp "xseq_check" (fun source ->
@@ -1302,7 +1341,8 @@ let test_beyond_32_bits () =
               (Containers.run_cli [ "query"; path; "//author" ]);
             (* [info] reads the doc table, not the link columns. *)
             if region = "doc_pre" then
-              Alcotest.(check int) "info exits 1" 1 (Containers.run_cli [ "info"; path ])
+              Alcotest.(check int) "info exits 1" 1
+                (Containers.run_cli [ "info"; path ])
           end))
     [ "l_pre"; "l_post"; "l_up"; "doc_pre"; "doc_id" ];
   (* The compact dictionary's regions, in every container, are read
@@ -1898,6 +1938,8 @@ let () =
         [
           Alcotest.test_case "check names the broken invariant" `Quick
             test_check_mutations;
+          Alcotest.test_case "a lying sibling order is refused" `Quick
+            test_lying_sibling_order;
         ] );
       ( "oracle",
         [
