@@ -30,3 +30,15 @@ val decode :
     constraint sequence (see {!Seq_constraint.is_valid}), a text chain is
     broken, or [order] is out of range or places two siblings at one
     rank. *)
+
+val decoder :
+  ?value_mode:Encoder.value_mode ->
+  Symtab.t ->
+  ?order:int array ->
+  Symtab.Path.t array ->
+  Xmlcore.Xml_tree.t
+(** [decoder symbols] is [decode symbols] for many sequences of one
+    table.  [decode] sets up two columns as long as the table for each
+    sequence; a decoder sets them up once, and the trees it returns
+    share one string per path name.  A decoder is mutable: use each from
+    one thread at a time. *)

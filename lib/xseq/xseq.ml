@@ -512,6 +512,7 @@ let decode_index t =
   let docs = Array.make t.ndocs (T.Value "") in
   let filled = Bytes.make t.ndocs '\000' in
   let symbols = Xindex.Labeled.symbols labeled in
+  let decode = Decoder.decoder ~value_mode:t.value_mode symbols in
   Array.iteri
     (fun e seq ->
       let id = Xindex.Labeled.doc_id_at labeled e in
@@ -520,8 +521,7 @@ let decode_index t =
       Bytes.set filled id '\001';
       docs.(id) <-
         (try
-           Decoder.decode ~value_mode:t.value_mode ~order:(order_of id) symbols
-             seq
+           decode ~order:(order_of id) seq
          with Decoder.Invalid_sequence msg -> bad msg))
     seqs;
   docs

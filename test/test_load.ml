@@ -1117,7 +1117,7 @@ let () =
             test_decode_race;
           Alcotest.test_case "save of an undecoded load is verbatim" `Quick
             test_save_verbatim;
-          Alcotest.test_case "the scan fallback keeps only the records" `Quick
+          Alcotest.test_case "the scan fallback keeps only records" `Quick
             test_fallback_keeps_records;
           Alcotest.test_case "records outlive their file" `Quick
             test_records_outlive_the_file;
