@@ -520,8 +520,7 @@ let decode_index t =
         bad "document ids are not a permutation";
       Bytes.set filled id '\001';
       docs.(id) <-
-        (try
-           decode ~order:(order_of id) seq
+        (try decode ~order:(order_of id) seq
          with Decoder.Invalid_sequence msg -> bad msg))
     seqs;
   docs

@@ -175,9 +175,9 @@ val document : t -> int -> Xmlcore.Xml_tree.t
     and value mode.  The first call (or the first scan fallback of
     {!query}) decodes every document and keeps the trees, once, however
     many domains race for them: one O(n) sweep inverts the links
-    ({!Xindex.Labeled.sequences}), each document's chain goes through
-    {!Sequencing.Decoder.decode}, and the stored sibling-order
-    exceptions put siblings back in their order.
+    ({!Xindex.Labeled.sequences}), one {!Sequencing.Decoder.decoder}
+    turns each document's chain into its tree, and the stored
+    sibling-order exceptions put siblings back in their order.
     @raise Invalid_argument for an unknown id, or naming the
     inconsistency of a damaged index. *)
 

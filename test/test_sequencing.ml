@@ -776,9 +776,24 @@ let test_decode_invalid () =
   (match Dec.decode sy [||] with
    | exception Dec.Invalid_sequence _ -> ()
    | _ -> Alcotest.fail "empty must fail");
-  match Dec.decode sy [| p_of [ "P" ]; p_of [ "Q" ] |] with
-  | exception Dec.Invalid_sequence _ -> ()
-  | _ -> Alcotest.fail "two roots must fail"
+  (match Dec.decode sy [| p_of [ "P" ]; p_of [ "Q" ] |] with
+   | exception Dec.Invalid_sequence _ -> ()
+   | _ -> Alcotest.fail "two roots must fail");
+  (* A decoder forgets each sequence, decoded or refused: an orphan
+     never finds a parent in an earlier one. *)
+  let decode = Dec.decoder sy in
+  let seq = Enc.encode sy ~strategy:S.Depth_first fig3b in
+  let orphan = [| p_of [ "P" ]; p_of [ "P"; "D"; "L" ] |] in
+  let refused what s =
+    match decode s with
+    | exception Dec.Invalid_sequence _ -> ()
+    | _ -> Alcotest.failf "%s must fail" what
+  in
+  Alcotest.(check bool) "decoded" true (T.equal (decode seq) fig3b);
+  refused "an orphan after a decode" orphan;
+  refused "a sequence ending in an orphan" (Array.append seq orphan);
+  refused "an orphan after a refusal" orphan;
+  Alcotest.(check bool) "decoded again" true (T.equal (decode seq) fig3b)
 
 (* --- properties ---------------------------------------------------------- *)
 
