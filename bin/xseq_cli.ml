@@ -14,8 +14,9 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* An input is either a saved index (columnar store magic, plain or
-   compressed) or an XML record file. *)
+(* An input is either a saved index (columnar store magic, or that of
+   the older container, which the load refuses by name) or an XML record
+   file. *)
 let is_index_file path =
   match open_in_bin path with
   | ic ->
@@ -60,16 +61,6 @@ let guard_snapshot path f =
   with Invalid_argument msg ->
     Printf.eprintf "%s: %s\n" path msg;
     exit 1
-
-(* A snapshot of an older layout is sequenced again at the load and
-   answered from memory, whatever --paged asked for: say so on stderr,
-   naming the rewrite that makes it page. *)
-let note_unpaged path =
-  Printf.eprintf
-    "%s: upgraded from an older snapshot layout and answered from memory; \
-     `xseq index %s -o NEW` rewrites it to page\n\
-     %!"
-    path path
 
 (* Load a saved index, or build one from XML records. *)
 let load_or_build ?domains ?mode ?pool_pages path config =
@@ -565,9 +556,7 @@ let query_cmd =
           ~doc:
             "When FILE is a saved index, leave its columns on disk and \
              answer through the buffer pool; reports the page reads and \
-             hits since open and, for a single query, that query's own.  \
-             xseqcol2 snapshots only: rewrite an xseqcol1 one with \
-             $(b,xseq index) FILE $(b,-o) NEW.")
+             hits since open and, for a single query, that query's own.")
   in
   let pool_pages =
     Arg.(
@@ -726,7 +715,6 @@ let query_cmd =
              ~pool_pages input
              (config_of_strategy strategy)
          in
-         if paged && Xseq.backing_store index = None then note_unpaged input;
          (match queries with
           | [ q ] -> run_local_single index q show paged
           | _ ->
@@ -807,10 +795,8 @@ let serve_cmd =
       & info [ "paged" ]
           ~doc:
             "Serve the snapshot off disk through the buffer pool instead \
-             of materialising it in RAM (FILE must be a saved index; \
-             xseqcol2 snapshots only: rewrite an xseqcol1 one with \
-             $(b,xseq index) FILE $(b,-o) NEW).  $(b,Stats) then \
-             reports page reads, hits and pool size.")
+             of materialising it in RAM (FILE must be a saved index).  \
+             $(b,Stats) then reports page reads, hits and pool size.")
   in
   let pool_pages =
     Arg.(
@@ -1132,12 +1118,7 @@ let serve_cmd =
     let server =
       match source with
       | Xserver.Server.Snapshot file ->
-        let server =
-          guard_snapshot file (fun () -> Xserver.Server.create ~config source)
-        in
-        if paged && Xserver.Server.backing_store server = None then
-          note_unpaged file;
-        server
+        guard_snapshot file (fun () -> Xserver.Server.create ~config source)
       | _ -> Xserver.Server.create ~config source
     in
     Xserver.Server.start server addrs;
@@ -1800,9 +1781,7 @@ let info_cmd =
       required
       & pos 0 (some file) None
       & info [] ~docv:"SNAPSHOT"
-          ~doc:
-            "A saved index written by $(b,xseq index) (xseqcol2, or \
-             xseqcol1 from earlier builds).")
+          ~doc:"A saved index written by $(b,xseq index).")
   in
   let run input =
     if not (is_index_file input) then begin
@@ -1826,58 +1805,21 @@ let info_cmd =
             Store.length (region "doc_pre") ))
     in
     let regions = Store.regions store in
-    (* Only snapshots before version 4 carry records.  Their record
-       region is already coded (names as ids, lengths as varints), so
-       its logical bytes are not comparable with a column's: it gets its
-       own line. *)
-    let records, columns =
-      List.partition (fun r -> r.Store.r_name = "docs") regions
-    in
-    let sum field rs = List.fold_left (fun a r -> a + field r) 0 rs in
-    let bytes r = r.Store.r_bytes and stored r = r.Store.r_stored in
-    let col2 = Store.file_format store = Store.Col2 in
-    let ratio ~stored ~logical =
-      if stored > 0 then float_of_int logical /. float_of_int stored else 0.
-    in
+    let sum field = List.fold_left (fun a r -> a + field r) 0 regions in
+    let stored = sum (fun r -> r.Store.r_stored)
+    and logical = sum (fun r -> r.Store.r_bytes) in
     Printf.printf "file:            %s\n" input;
-    Printf.printf "format:          %s, %d-byte pages, %d bytes\n"
-      (Store.format_name (Store.file_format store))
+    Printf.printf "format:          xseqcol2, %d-byte pages, %d bytes\n"
       (Store.page_size store) (Store.file_bytes store);
     Printf.printf "snapshot:        version %d\n" xmeta.(0);
-    (* Only xseqcol2 pages; name the rewrite that makes an xseqcol1
-       file pageable, as opening it --paged does. *)
-    if col2 then print_endline "paged:           yes (--paged)"
-    else
-      Printf.printf
-        "paged:           no; rewrite it as xseqcol2 with `xseq index %s -o \
-         NEW`\n"
-        input;
-    if xmeta.(0) < 4 then
-      Printf.printf
-        "note:            every load re-sequences the records in memory; \
-         --paged buys nothing; rewrite it as version 4 with `xseq index %s \
-         -o NEW`\n"
-        input;
+    print_endline "paged:           yes (--paged)";
     Printf.printf "records:         %d\n" xmeta.(8);
     Printf.printf "trie nodes:      %d\n" imeta.(0);
     Printf.printf "distinct paths:  %d\n" links;
     Printf.printf "doc entries:     %d\n" doc_entries;
-    if col2 then begin
-      let s = sum stored columns and l = sum bytes columns in
-      Printf.printf "column bytes:    %d stored / %d logical (%.2fx compression)\n"
-        s l (ratio ~stored:s ~logical:l);
-      if records <> [] then begin
-        let s = sum stored records and c = sum bytes records in
-        Printf.printf
-          "record region:   %d stored / %d coded (%.2fx compression)\n" s c
-          (ratio ~stored:s ~logical:c)
-      end
-    end
-    else begin
-      Printf.printf "column bytes:    %d\n" (sum bytes columns);
-      if records <> [] then
-        Printf.printf "record region:   %d coded\n" (sum bytes records)
-    end;
+    Printf.printf "column bytes:    %d stored / %d logical (%.2fx compression)\n"
+      stored logical
+      (if stored > 0 then float_of_int logical /. float_of_int stored else 0.);
     Printf.printf "\n%-16s %-5s %12s %12s %12s %8s %12s\n" "region" "kind"
       "elements" "bytes" "stored" "pages" "offset";
     List.iter
@@ -1893,9 +1835,8 @@ let info_cmd =
     (Cmd.info "info"
        ~doc:"Print a saved index's on-disk table of contents: every region \
              with its element count, logical and stored byte sizes, page \
-             count and file offset — plus, for xseqcol2 snapshots, the \
-             compression ratio of the columns and, apart, of the record \
-             region a snapshot before version 4 carries.")
+             count and file offset — plus the compression ratio of the \
+             regions.")
     Term.(const run $ input)
 
 (* --- index (build + save) ------------------------------------------------ *)
@@ -1918,9 +1859,8 @@ let index_cmd =
   in
   let run input strategy output compress =
     let t0 = Unix.gettimeofday () in
-    (* A snapshot is loaded resident (either format) and written again
-       as version 4: an older one, upgraded from its records at the
-       load, comes out without its record region. *)
+    (* A snapshot is loaded resident and written again, plain or
+       compressed. *)
     let index =
       if is_index_file input then
         guard_snapshot input (fun () -> Xseq.load input)
@@ -1938,8 +1878,7 @@ let index_cmd =
              and $(b,stats) accept the saved file in place of the XML input.  \
              Given a saved index instead of records, rewrite it to the \
              output under the strategy it was built with \
-             ($(b,--strategy) is ignored); an xseqcol1 file comes out as \
-             xseqcol2, and a version-1 or version-2 snapshot as version 3.")
+             ($(b,--strategy) is ignored).")
     Term.(const run $ input_arg $ strategy_arg $ output $ compress)
 
 (* Deterministic fault injection for chaos harnesses: a schedule in the

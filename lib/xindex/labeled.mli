@@ -191,8 +191,8 @@ val of_store : Xstorage.Store.t -> t
 
     Only the layout {!add_to_store} writes is read: a one-field [meta]
     and the compact dictionary with its designators in (name, kind)
-    order.  [Xseq.load] upgrades a snapshot of any other layout from
-    its records instead of calling this.
+    order.  [Xseq.load] refuses a snapshot of any other version before
+    calling this.
 
     @raise Sequencing.Symtab.Out_of_order if the designator table is out
     of (name, kind) order (see {!Sequencing.Symtab.of_dictionary}).

@@ -307,11 +307,9 @@ let prune_files t keep_wal_from keep_base =
         try Sys.remove (Filename.concat t.dirname name) with Sys_error _ -> ())
     (Sys.readdir t.dirname)
 
-(* Bases are compressed xseqcol2 snapshots (designator names LZ-coded,
-   no records).  A base of an older layout or container, which earlier
-   builds wrote, loads as an upgraded index that is not [Xseq.built_under]
-   the store's configuration, so the next compaction rewrites it (see
-   [base_settled]). *)
+(* Bases are compressed snapshots (designator names LZ-coded, no
+   records).  A base of older builds is not read: [Xseq.load] refuses
+   it, naming the rebuild. *)
 let save_base t name seg =
   let path = Filename.concat t.dirname name in
   Xseq.save ~compress:true seg.index path;

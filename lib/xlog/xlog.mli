@@ -139,10 +139,12 @@ val compact : ?wait:bool -> ?rotate:bool -> t -> bool
 
     A {e settled} store is left alone and [compact] returns [true]: with
     no sealed delta, an empty memtable and no tombstone, and a base (or
-    none) that is an xseqcol2 file built under the store's config, a
-    rebuild would only rewrite the same base.  The base file, the
-    checkpoint and the WAL are untouched (no rotation).  A legacy
-    xseqcol1 base, or one built under another config, is rewritten. *)
+    none) built under the store's config, a rebuild would only rewrite
+    the same base.  The base file, the checkpoint and the WAL are
+    untouched (no rotation).  A base built under another config is
+    rewritten.  A base of older builds (another snapshot version, or
+    the xseqcol1 container) is not read: {!open_} refuses the directory
+    with the load's diagnostic, which names the rebuild. *)
 
 val query : ?stats:Xquery.Matcher.stats -> t -> Pattern.t -> int list
 (** Live ids of the documents containing the pattern, sorted — answers

@@ -8,7 +8,6 @@ module Symtab = Sequencing.Symtab
 module Path = Symtab.Path
 module Domain_pool = Xutil.Domain_pool
 module Store = Xstorage.Store
-module Varint = Xsuccinct.Varint
 
 type sequencing =
   | Depth_first of { canonical : bool }
@@ -54,7 +53,6 @@ type t = {
   stats : Xschema.Stats.t option;
   built_config : config; (* for persistence: how the strategy was derived *)
   generation : int; (* process-unique stamp; see [generation] in the mli *)
-  upgraded : bool; (* rebuilt from an older layout or read from xseqcol1 *)
 }
 
 (* Every index constructed in this process — built, loaded, or rebuilt by
@@ -282,203 +280,7 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
     stats;
     built_config = config;
     generation = next_generation ();
-    upgraded = false;
   }
-
-(* --- record region (snapshot versions 1 to 3) ---------------------------- *)
-
-(* Snapshots before version 4 carry their records, serialised as one
-   pre-order walk with explicit child counts.  Version 3 regions open
-   with a name table: a uvarint count, then each element name's uvarint
-   length and bytes, in first-seen pre-order.  A node is then an
-   element, uvarint (2 * name id) and a uvarint child count, or a value,
-   uvarint (2 * length + 1) and its bytes.  Versions 1 and 2 spell every
-   node out: a u8 kind (0 = element, 1 = value), the u32 LE length and
-   bytes of its name or text, and for an element a u32 LE child count.
-   Either way every node takes at least one byte.  Only the upgrade of
-   an older file reads a record region; nothing writes one. *)
-
-let corrupt_docs () = invalid_arg "Xseq.load: corrupt document region"
-
-(* Bounds-checked reads of a record region streamed from its store a
-   chunk at a time.  Positions are region offsets: the chunk in [buf]
-   holds bytes [lo, hi), and the next read streams on from there.
-   [name] is the name of the element [header] read last. *)
-type cursor = {
-  stream : Store.blob_stream;
-  len : int; (* region bytes *)
-  mutable buf : Bytes.t;
-  mutable lo : int;
-  mutable hi : int;
-  mutable pos : int;
-  mutable name : string;
-}
-
-(* Streams chunks until the one holding byte [pos]; the caller has
-   checked [pos < len]. *)
-let rec fill c =
-  if c.pos >= c.hi then begin
-    let buf, n = Store.stream_next c.stream in
-    if n = 0 then corrupt_docs ();
-    c.buf <- buf;
-    c.lo <- c.hi;
-    c.hi <- c.hi + n;
-    fill c
-  end
-
-let byte c =
-  fill c;
-  let v = Char.code (Bytes.unsafe_get c.buf (c.pos - c.lo)) in
-  c.pos <- c.pos + 1;
-  v
-
-let u8 c =
-  if c.pos >= c.len then corrupt_docs ();
-  byte c
-
-let u32 c =
-  if c.pos + 4 > c.len then corrupt_docs ();
-  fill c;
-  let v =
-    if c.pos + 4 <= c.hi then begin
-      let v = Int32.to_int (Bytes.get_int32_le c.buf (c.pos - c.lo)) in
-      c.pos <- c.pos + 4;
-      v
-    end
-    else
-      (* Straddles two chunks: byte by byte, sign-extended as above. *)
-      let b0 = byte c in
-      let b1 = byte c in
-      let b2 = byte c in
-      let b3 = byte c in
-      let x = b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24) in
-      (x lxor 0x8000_0000) - 0x8000_0000
-  in
-  if v < 0 || v > c.len then corrupt_docs ();
-  v
-
-(* A LEB128 varint as [Xsuccinct.Varint] writes it, byte by byte, so it
-   may straddle two chunks: at most 9 bytes, and no final zero byte
-   after the first, which would spell a shorter value at length. *)
-let rec uvarint_from c v shift =
-  let b = u8 c in
-  let v = v lor ((b land 0x7f) lsl shift) in
-  if b < 0x80 then begin
-    if b = 0 && shift > 0 then corrupt_docs ();
-    v
-  end
-  else if shift = 56 then corrupt_docs ()
-  else uvarint_from c v (shift + 7)
-
-let uvarint c = uvarint_from c 0 0
-
-(* [uvarint] as a count of whole things in the rest of the region, each
-   at least a byte long. *)
-let count c =
-  let n = uvarint c in
-  if n < 0 || n > c.len - c.pos then corrupt_docs ();
-  n
-
-(* The length of a length-prefixed name or text, whose bytes start at
-   [pos]. *)
-let field c =
-  let n = u32 c in
-  if c.pos + n > c.len then corrupt_docs ();
-  n
-
-(* The next [n] bytes, copied out of however many chunks hold them. *)
-let take c n =
-  let b = Bytes.create n in
-  let filled = ref 0 in
-  while !filled < n do
-    fill c;
-    let k = min (n - !filled) (c.hi - c.pos) in
-    Bytes.blit c.buf (c.pos - c.lo) b !filled k;
-    c.pos <- c.pos + k;
-    filled := !filled + k
-  done;
-  Bytes.unsafe_to_string b
-
-(* How a region spells its nodes: in full (versions 1 and 2), or
-   against the name table it opens with (version 3). *)
-type layout = Spelled | Coded of string array
-
-(* The next node's header.  An element gives its child count and leaves
-   its name in [c.name]; a value gives [-1 - length], its bytes next at
-   the cursor. *)
-let header layout c =
-  match layout with
-  | Spelled -> (
-    match u8 c with
-    | 0 ->
-      let n = field c in
-      c.name <- take c n;
-      u32 c
-    | 1 -> -1 - field c
-    | _ -> corrupt_docs ())
-  | Coded names ->
-    let tag = uvarint c in
-    let arg = tag lsr 1 in
-    if tag land 1 = 0 then begin
-      if arg >= Array.length names then corrupt_docs ();
-      c.name <- Array.unsafe_get names arg;
-      count c
-    end
-    else begin
-      if arg > c.len - c.pos then corrupt_docs ();
-      -1 - arg
-    end
-
-(* Runs [f] over a cursor on the record region of [store], and [ndocs]
-   records that must consume it exactly.  The region's checksum is
-   checked before any verdict: a failure of [f] is reported only once the
-   rest of the region was read and found intact, and so is its result. *)
-let with_records store ndocs f =
-  let stream = Store.stream_blob store "docs" in
-  let c =
-    { stream; len = Store.stream_length stream; buf = Bytes.empty; lo = 0;
-      hi = 0; pos = 0; name = "" }
-  in
-  let verdict =
-    match
-      if ndocs < 0 || ndocs > c.len then corrupt_docs ();
-      let r = f c in
-      if c.pos <> c.len then corrupt_docs ();
-      r
-    with
-    | r -> Ok r
-    | exception e -> Error (e, Printexc.get_raw_backtrace ())
-  in
-  Store.stream_finish stream;
-  match verdict with
-  | Ok r -> r
-  | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-
-(* The name table a version-3 region opens with. *)
-let coded c = Coded (Array.init (count c) (fun _ -> take c (count c)))
-
-(* The record at the cursor, which moves past it.  A version-3 record
-   shares its names with the name table. *)
-let decode_record layout c =
-  let rec node () =
-    let h = header layout c in
-    if h >= 0 then
-      let name = c.name in
-      T.Element (name, children h [])
-    else T.Value (take c (-1 - h))
-  and children n acc =
-    (* Every child consumes at least one byte, so a lying count runs out
-       of input and fails the bounds checks above. *)
-    if n = 0 then List.rev acc else children (n - 1) (node () :: acc)
-  in
-  node ()
-
-(* The records of a region in the version-3 layout, or with [~spelled]
-   in that of versions 1 and 2. *)
-let decode_docs ?(spelled = false) store ndocs =
-  with_records store ndocs (fun c ->
-      let layout = if spelled then Spelled else coded c in
-      Array.init ndocs (fun _ -> decode_record layout c))
 
 (* Each record's exceptions in the packed [order] of [ndocs] records
    (see [t]), checked as they are indexed. *)
@@ -632,16 +434,12 @@ let stats t = t.stats
    readers, so a foreign or damaged file is rejected with a diagnostic,
    never interpreted.
 
-   Version 4 is written, and read as it is written: no record region
+   One version is written and read: version 4, with no record region
    (the index is the data), a compact path dictionary in (name, kind)
    order and a one-field index [meta].  Under a fixed configuration the
-   index is a function of its records, so [restore] upgrades any older
-   version by rebuilding: it decodes the records of its record region
-   (versions 1 and 2 spell every name out, version 3 codes them against
-   a name table) and sequences them again under the stored
-   configuration.  Version 1 also sequenced by other rules (process-wide
-   tag ids, ties on build path ids), so its labels could not be read as
-   they are in any case. *)
+   index is a function of its records (Theorem 1), so a file of any
+   other version is refused with the one remedy there is: build it again
+   from its records. *)
 
 let snapshot_version = 4
 
@@ -657,10 +455,9 @@ let persisted_sequencing = function
 
 let built_under t config =
   let a = t.built_config in
-  (not t.upgraded)
-  && (match persisted_sequencing a.sequencing with
-     | Some p -> persisted_sequencing config.sequencing = Some p
-     | None -> false)
+  (match persisted_sequencing a.sequencing with
+   | Some p -> persisted_sequencing config.sequencing = Some p
+   | None -> false)
   && a.value_mode = config.value_mode
   && Int64.equal
        (Int64.bits_of_float a.sample_fraction)
@@ -725,10 +522,13 @@ let restore store =
   if not (Store.mem store "xseq_meta") then
     bad "not an xseq index snapshot (missing xseq_meta region)";
   let meta = Store.int_array store "xseq_meta" in
+  if Array.length meta = 0 then bad "malformed xseq_meta region";
+  if meta.(0) <> snapshot_version then
+    bad
+      (Printf.sprintf
+         "snapshot version %d is not read (this build reads version %d); %s"
+         meta.(0) snapshot_version Store.rebuild_remedy);
   if Array.length meta <> 9 then bad "malformed xseq_meta region";
-  let version = meta.(0) in
-  if version < 1 || version > snapshot_version then
-    bad (Printf.sprintf "unsupported snapshot version %d" meta.(0));
   let sequencing =
     match (meta.(1), meta.(2)) with
     | 0, c -> Depth_first { canonical = c <> 0 }
@@ -753,50 +553,36 @@ let restore store =
   let config =
     { sequencing; value_mode; sample_fraction; sample_seed = meta.(6) }
   in
-  if version < snapshot_version then begin
-    (* An older snapshot is upgraded: its records, in their layout, are
-       sequenced again under the stored configuration, and the rebuilt
-       index reads nothing more from the file. *)
-    if not (Store.mem store "docs") then
-      bad "not an xseq index snapshot (missing docs region)";
-    let docs = decode_docs ~spelled:(version < 3) store ndocs in
-    Store.check_unread store;
-    Store.close store;
-    { (build ~config docs) with upgraded = true }
-  end
-  else begin
-    (* A current store: the labelled regions as they are; the sibling
-       order stays in the file until a decode reads it. *)
-    if not (Store.mem store "sibling_order") then
-      bad "missing sibling_order region";
-    let labeled =
-      match Xindex.Labeled.of_store store with
-      | labeled -> labeled
-      | exception Symtab.Out_of_order -> bad "designators out of order"
-    in
-    if Xindex.Labeled.doc_count labeled <> ndocs then
-      bad "record count disagrees with the document table";
-    (* Recompute the strategy exactly as [build] derived it. *)
-    let strategy, stats =
-      resolve_strategy config (Xindex.Labeled.symbols labeled) (fun () ->
-          index_stats config labeled ndocs)
-    in
-    Store.check_unread store;
-    {
-      labeled;
-      strategy;
-      value_mode;
-      order = (fun () -> Store.int_array store "sibling_order");
-      decoded = Atomic.make None;
-      lock = Mutex.create ();
-      ndocs;
-      total_seq_len = meta.(7);
-      stats;
-      built_config = config;
-      generation = next_generation ();
-      upgraded = Store.file_format store = Store.Col1;
-    }
-  end
+  (* The labelled regions as they are; the sibling order stays in the
+     file until a decode reads it. *)
+  if not (Store.mem store "sibling_order") then
+    bad "missing sibling_order region";
+  let labeled =
+    match Xindex.Labeled.of_store store with
+    | labeled -> labeled
+    | exception Symtab.Out_of_order -> bad "designators out of order"
+  in
+  if Xindex.Labeled.doc_count labeled <> ndocs then
+    bad "record count disagrees with the document table";
+  (* Recompute the strategy exactly as [build] derived it. *)
+  let strategy, stats =
+    resolve_strategy config (Xindex.Labeled.symbols labeled) (fun () ->
+        index_stats config labeled ndocs)
+  in
+  Store.check_unread store;
+  {
+    labeled;
+    strategy;
+    value_mode;
+    order = (fun () -> Store.int_array store "sibling_order");
+    decoded = Atomic.make None;
+    lock = Mutex.create ();
+    ndocs;
+    total_seq_len = meta.(7);
+    stats;
+    built_config = config;
+    generation = next_generation ();
+  }
 
 let load ?mode ?pool_pages path =
   (* Each region is checked by the read that first uses it, and the rest

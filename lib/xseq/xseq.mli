@@ -214,11 +214,10 @@ val stats : t -> Xschema.Stats.t option
     exceptions as one int region ([sibling_order], empty when every
     record's siblings come out in sequence order), and a small metadata
     region recording how the probability model was derived (so the
-    strategy is deterministically recomputed on load).  Snapshot version
-    4 is written, and read as it is written: it holds no record region,
-    since the index determines its records (Theorem 1).  Older versions
-    carry their records in a [docs] region and are upgraded from them at
-    the load (see {!load}).  Nothing is marshalled — every region is
+    strategy is deterministically recomputed on load).  One snapshot
+    version is written and read, version 4: it holds no record region,
+    since the index determines its records (Theorem 1).  A file of any
+    other version is refused (see {!load}).  Nothing is marshalled — every region is
     checksummed and decoded through bounds-checked readers, so a
     corrupt, truncated or foreign file is rejected with a diagnostic
     naming the failure.
@@ -226,8 +225,7 @@ val stats : t -> Xschema.Stats.t option
     Every snapshot is written as xseqcol2 and opens resident or, with
     [~mode:Paged], answers queries straight off disk: its packed index
     columns stay in the file and their blocks are read page by page
-    through the store's buffer pool.  An xseqcol1 snapshot, written by
-    earlier builds, still loads resident; it does not open paged. *)
+    through the store's buffer pool. *)
 
 val save : ?compress:bool -> t -> string -> unit
 (** [save t path] writes the index to [path] as an xseqcol2
@@ -245,18 +243,15 @@ val built_under : t -> config -> bool
     give: same sequencing, value mode and sampling.  A loaded index compares
     the configuration its snapshot recorded.  [false] whenever either
     side uses a [Custom] or [Probability_weighted] strategy, whose
-    closures cannot be compared, and for an upgraded index (see
-    {!load}): its file is of an older layout or container, so it must be
-    rewritten. *)
+    closures cannot be compared. *)
 
 val load : ?mode:Xstorage.Store.mode -> ?pool_pages:int -> string -> t
 (** [load path] restores a saved index; queries answer exactly as on the
     original.  [mode] (default [Resident]) reads the label columns and
     the document table into 32-bit flat buffers, decoding packed columns
     as they stream in; [Paged] leaves an xseqcol2 snapshot's columns on
-    disk behind a buffer pool of [pool_pages] pages (default 256), and
-    refuses an xseqcol1 one, naming the rewrite ([xseq index FILE -o
-    NEW]).  Every region checksum is checked once: by the read that
+    disk behind a buffer pool of [pool_pages] pages (default 256).  Every
+    region checksum is checked once: by the read that
     first uses the region, before any of its bytes is used, or at the
     end of the load for a region the load does not read (paged columns
     at the open).
@@ -270,15 +265,11 @@ val load : ?mode:Xstorage.Store.mode -> ?pool_pages:int -> string -> t
     {!Xstorage.Store}), so it still answers after the file is unlinked
     or replaced.
 
-    Only the current layout is read as it is: snapshot version 4.
-    Under a fixed configuration the index is a function of its records,
-    so an older snapshot — versions 1 and 2, whose records spell every
-    name out, and version 3, whose record region codes them against a
-    name table — is upgraded: its records are decoded and sequenced
-    again under the stored configuration, every region it did not read
-    is still checked, and the file is closed again.  The result is an
-    in-memory index whatever [mode] asks for, and {!built_under} is
-    [false] for it, as for an index read from an xseqcol1 file.
+    Only snapshot version 4 is read.  A snapshot of another version, or
+    an xseqcol1 file of older builds, is refused with one diagnostic
+    that names its version and the rebuild from the records ([xseq index
+    RECORDS.xml]): by Theorem 1 a snapshot is a function of its records,
+    so rebuilding is always available.
     @raise Invalid_argument on a corrupt or incompatible file, naming
     the failing part (magic, version, checksum, region); the store is
     closed again first. *)

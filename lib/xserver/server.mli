@@ -135,7 +135,7 @@ type config = {
           [Resident] (default) materialises the index, [Paged] serves
           an xseqcol2 snapshot off disk through the buffer pool — Stats
           then reports [store.page_reads] / [store.page_hits] /
-          [store.pool_pages]; an xseqcol1 one fails to open *)
+          [store.pool_pages] *)
   snapshot_pool_pages : int;
       (** buffer-pool capacity for [Paged] snapshot serving
           (default 256) *)
@@ -198,8 +198,8 @@ val generation : t -> int
 
 val backing_store : t -> Xstorage.Store.t option
 (** The open snapshot behind the served index when it pages
-    ({!Xseq.backing_store}); [None] for an in-memory index, including a
-    [Paged] snapshot that the load upgraded, and for live stores. *)
+    ({!Xseq.backing_store}); [None] for an in-memory index and for live
+    stores. *)
 
 val pending : t -> int
 (** Queries currently admitted (queued or executing). *)

@@ -1,15 +1,14 @@
 (* Columnar flat-buffer storage engine: see store.mli for the format. *)
 
-let magic = "xseqcol1"
-let magic_packed = "xseqcol2"
+let magic = "xseqcol2"
 let format_version = 1
 let header_fixed = 40 (* bytes before the TOC *)
 let toc_entry_bytes = 64
 let name_max = 31
 
-type file_format = Col1 | Col2
-
-let format_name = function Col1 -> "xseqcol1" | Col2 -> "xseqcol2"
+(* What every refusal of an older file names: nothing converts one, and
+   by Theorem 1 its records rebuild it. *)
+let rebuild_remedy = "rebuild it from its records with `xseq index RECORDS.xml`"
 
 (* --- checksums ---------------------------------------------------------- *)
 
@@ -39,8 +38,7 @@ let checksum_string s off len =
 
 (* Flat columns hold 32-bit elements: every label, serial and id of an
    index fits.  A file's packed column is decoded into one as it streams
-   in; an xseqcol1 file's 32-bit elements are copied in as they are, its
-   64-bit elements narrowed as they are read. *)
+   in. *)
 type flat = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type reader = {
@@ -288,20 +286,13 @@ let to_array c =
 
 (* --- stores ------------------------------------------------------------- *)
 
-(* Disk kinds.  0, 1 and 4 are xseqcol1's kinds; 2 and 3 are the
-   compressed encodings of xseqcol2, which also knows 0 and 1.  Odd
-   kinds are blobs.  [write] gives int regions kind 2 and blobs kind 1,
-   or kind 3 when LZ-coding them wins. *)
-let k_ints = 0
+(* Disk kinds: raw blobs (1), packed ints (2) and LZ-coded blobs (3).
+   Odd kinds are blobs.  [write] gives int regions kind 2 and blobs kind
+   1, or kind 3 when LZ-coding them wins. *)
 let k_blob = 1
 let k_ints_packed = 2
 let k_blob_lz = 3
-let k_ints32 = 4
 let is_blob_kind k = k land 1 = 1
-
-(* Bytes an element of a raw int region of kind [k] takes on disk. *)
-let elt_bytes k = if k = k_ints32 then 4 else 8
-let is_raw_ints k = k = k_ints || k = k_ints32
 
 (* A region of an open file, as its TOC entry describes it. *)
 type entry = {
@@ -332,7 +323,6 @@ type t = {
   mutable order : string list; (* reverse registration order *)
   tbl : (string, region) Hashtbl.t;
   reader : reader option; (* file stores only *)
-  s_format : file_format;
   s_page_size : int;
   mutable s_file_bytes : int; (* -1 = recompute (memory store) *)
 }
@@ -354,7 +344,6 @@ let memory () =
     order = [];
     tbl = Hashtbl.create 16;
     reader = None;
-    s_format = Col2;
     s_page_size = default_page_size;
     s_file_bytes = -1;
   }
@@ -494,38 +483,17 @@ let parse_packed ~prefix e fetch =
       e.e_name (Xsuccinct.Packed.count ph) e.e_count;
   ph
 
-(* Hands every element of the int region [e] to [set i x] as its bytes
-   stream in: a raw region's 4- or 8-byte elements a chunk at a time, a
-   packed column through its incremental decoder, with no copy of its
-   stored bytes. *)
+(* Hands every element of the packed int region [e] to [set i x] as
+   its bytes stream in, through its incremental decoder, with no copy of
+   its stored bytes. *)
 let stream_ints r e set =
-  let buf = chunk_for e in
-  if is_raw_ints e.e_kind then begin
-    let w = elt_bytes e.e_kind in
-    stream_region ~prefix:read_prefix r e ~buf (fun buf at n ->
-        for k = 0 to (n / w) - 1 do
-          set ((at / w) + k)
-            (if w = 4 then Int32.to_int (Bytes.get_int32_le buf (4 * k))
-             else
-               (* Written from an int, so sign-extended from 63 bits. *)
-               let x = Bytes.get_int64_le buf (8 * k) in
-               if not (Int64.equal (Int64.of_int (Int64.to_int x)) x) then
-                 fail_with read_prefix
-                   "inconsistent snapshot: region %S element %d (%s) does \
-                    not fit in an int"
-                   e.e_name ((at / w) + k) (Int64.to_string x);
-               Int64.to_int x)
-        done)
-  end
-  else begin
-    let d =
-      Xsuccinct.Packed.decoder ~name:(codec_name e.e_name) ~length:e.e_stored
-        ~count:e.e_count set
-    in
-    stream_region ~prefix:read_prefix r e ~buf (fun buf _ n ->
-        Xsuccinct.Packed.feed d buf 0 n);
-    Xsuccinct.Packed.finish d
-  end
+  let d =
+    Xsuccinct.Packed.decoder ~name:(codec_name e.e_name) ~length:e.e_stored
+      ~count:e.e_count set
+  in
+  stream_region ~prefix:read_prefix r e ~buf:(chunk_for e) (fun buf _ n ->
+      Xsuccinct.Packed.feed d buf 0 n);
+  Xsuccinct.Packed.finish d
 
 (* A resident int region, decoded into a 32-bit flat buffer as it
    streams in, failing the read on a value that does not fit. *)
@@ -611,35 +579,6 @@ let blob t name =
   | R_file { r; e; _ } when is_blob_kind e.e_kind -> read_blob r e
   | R_ints _ | R_array _ | R_file _ -> not_blob name
 
-(* A raw blob region of a file is streamed; a memory store's blob and an
-   LZ region, decompressed whole once its checksum is checked, come as
-   one chunk. *)
-type blob_stream =
-  | Chunks of stream
-  | Whole of { data : string; mutable given : bool }
-
-let stream_blob t name =
-  match find t name with
-  | R_blob s -> Whole { data = s; given = false }
-  | R_file { r; e; _ } when e.e_kind = k_blob ->
-    Chunks (open_stream ~prefix:read_prefix r e (chunk_for e))
-  | R_file { r; e; _ } when is_blob_kind e.e_kind ->
-    Whole { data = read_blob r e; given = false }
-  | R_ints _ | R_array _ | R_file _ -> not_blob name
-
-let stream_length = function
-  | Chunks s -> s.s_e.e_raw
-  | Whole w -> String.length w.data
-
-let stream_next = function
-  | Chunks s -> (s.s_buf, next_data s)
-  | Whole w when w.given -> (Bytes.empty, 0)
-  | Whole w ->
-    w.given <- true;
-    (Bytes.unsafe_of_string w.data, String.length w.data)
-
-let stream_finish = function Chunks s -> finish_stream s | Whole _ -> ()
-
 let mem t name = Hashtbl.mem t.tbl name
 let names t = List.rev t.order
 
@@ -713,7 +652,7 @@ let write ?(page_size = default_page_size) ?(compress = false) t path =
   let total = !off in
   (* Header block: fixed fields + TOC, zero-padded to the payload. *)
   let header = Bytes.make payload_off '\000' in
-  Bytes.blit_string magic_packed 0 header 0 8;
+  Bytes.blit_string magic 0 header 0 8;
   Bytes.set_int32_le header 8 (Int32.of_int format_version);
   Bytes.set_int32_le header 12 (Int32.of_int page_size);
   Bytes.set_int32_le header 16 (Int32.of_int (List.length payloads));
@@ -725,8 +664,7 @@ let write ?(page_size = default_page_size) ?(compress = false) t path =
       Bytes.set_uint8 header e (String.length name);
       Bytes.blit_string name 0 header (e + 1) (String.length name);
       Bytes.set_uint8 header (e + 32) dkind;
-      (* The stored (compressed) byte length, which xseqcol1 derived
-         from the kind and the count. *)
+      (* The stored (compressed) byte length. *)
       Bytes.set_int32_le header (e + 36) (Int32.of_int stored);
       Bytes.set_int64_le header (e + 40) (Int64.of_int off);
       Bytes.set_int64_le header (e + 48) (Int64.of_int cnt);
@@ -774,7 +712,6 @@ let file_bytes t =
   t.s_file_bytes
 
 let page_size t = t.s_page_size
-let file_format t = t.s_format
 
 (* --- opening ------------------------------------------------------------ *)
 
@@ -842,17 +779,12 @@ let open_file ?(mode = Resident) ?(pool_pages = 256) ?(deferred = false) path =
       let header_prefix = Bytes.create header_fixed in
       (try read_at fd 0 header_prefix 0 header_fixed
        with End_of_file -> fail "truncated file (no header)");
-      let format =
-        match Bytes.sub_string header_prefix 0 8 with
-        | s when String.equal s magic -> Col1
-        | s when String.equal s magic_packed -> Col2
-        | _ -> fail "bad magic (not an xseq columnar snapshot)"
-      in
-      if format = Col1 && mode = Paged then
-        fail
-          "an xseqcol1 snapshot cannot be opened paged; rewrite it as xseqcol2 \
-           with `xseq index %s -o NEW`"
-          path;
+      (match Bytes.sub_string header_prefix 0 8 with
+       | s when String.equal s magic -> ()
+       | "xseqcol1" ->
+         fail "an xseqcol1 snapshot of older builds is not read; %s"
+           rebuild_remedy
+       | _ -> fail "bad magic (not an xseq columnar snapshot)");
       let version = Int32.to_int (Bytes.get_int32_le header_prefix 8) in
       if version <> format_version then
         fail "unsupported version %d (this build reads version %d)" version
@@ -892,26 +824,18 @@ let open_file ?(mode = Resident) ?(pool_pages = 256) ?(deferred = false) path =
               fail "malformed TOC entry %d (name length %d)" i name_len;
             let name = Bytes.sub_string header (e + 1) name_len in
             let dkind = Bytes.get_uint8 header (e + 32) in
-            (match format, dkind with
-             | _, (0 | 1) -> ()
-             | Col1, 4 | Col2, (2 | 3) -> ()
-             | _, k -> fail "malformed TOC entry %S (unknown kind %d)" name k);
+            if dkind < k_blob || dkind > k_blob_lz then
+              fail "malformed TOC entry %S (unknown kind %d)" name dkind;
             let off = Int64.to_int (Bytes.get_int64_le header (e + 40)) in
             let cnt = Int64.to_int (Bytes.get_int64_le header (e + 48)) in
-            let raw =
-              if is_blob_kind dkind then cnt else elt_bytes dkind * cnt
-            in
+            let raw = if is_blob_kind dkind then cnt else 8 * cnt in
             let stored =
-              match format with
-              | Col1 -> raw
-              | Col2 ->
-                let s = Int32.to_int (Bytes.get_int32_le header (e + 36)) in
-                if (dkind = k_ints || dkind = k_blob) && s <> 0 && s <> raw
-                then
-                  fail "malformed TOC entry %S (stored length %d for %d raw \
-                        bytes)"
-                    name s raw;
-                if dkind = k_ints || dkind = k_blob then raw else s
+              let s = Int32.to_int (Bytes.get_int32_le header (e + 36)) in
+              if dkind = k_blob && s <> 0 && s <> raw then
+                fail "malformed TOC entry %S (stored length %d for %d raw \
+                      bytes)"
+                  name s raw;
+              if dkind = k_blob then raw else s
             in
             let padded = padded_bytes page_size stored in
             if cnt < 0 || stored < 0 || off < payload_off
@@ -957,7 +881,6 @@ let open_file ?(mode = Resident) ?(pool_pages = 256) ?(deferred = false) path =
           order = [];
           tbl = Hashtbl.create 16;
           reader = Some r;
-          s_format = format;
           s_page_size = page_size;
           s_file_bytes = file_len;
         }
@@ -974,13 +897,7 @@ let open_file ?(mode = Resident) ?(pool_pages = 256) ?(deferred = false) path =
           if keeps || not deferred then
             stream_region ~prefix:open_prefix r e ~buf:(Lazy.force scratch)
               (fun _ _ _ -> ());
-          (* A raw int region of an xseqcol2 file (never written, but
-             readable) is read into memory; only packed columns page. *)
-          let handle =
-            if not keeps then None
-            else if is_raw_ints e.e_kind then Some (read_ints r e)
-            else Some (paged_handle r e)
-          in
+          let handle = if keeps then Some (paged_handle r e) else None in
           add t e.e_name (R_file { r; e; handle }))
         entries;
       (* Registration mutated the cached size; restore the real file size. *)

@@ -10,8 +10,7 @@
       element.  Every value an index stores (labels, serials, ids) fits
       in 32 bits; a flat column refuses one that does not.  A
       [Resident] store decodes a file's packed column straight into one
-      as the region streams in (an xseqcol1 file's 4-byte elements are
-      copied as they are, its 8-byte ones narrowed);
+      as the region streams in;
     - {b Packed}: a delta+varint compressed column ([Xsuccinct.Packed])
       of a [Paged] store, probed in compressed form — resident skip
       tables, blocks decoded on demand through a small lock-free cache,
@@ -20,17 +19,13 @@
       materialising the column.
 
     A built index's columns are flat, and so are the columns a
-    [Resident] store reads from a file of either container.  Only an
-    xseqcol2 file opens [Paged].
+    [Resident] store reads from a file.
 
-    {!write} writes xseqcol2 (below).  xseqcol1, the container it wrote
-    before, is still read:
-
-    {2 xseqcol1 (version 1, read only)}
+    {2 xseqcol2 (version 1, the one container)}
 
     {v
     offset  size  field
-    0       8     magic "xseqcol1"
+    0       8     magic "xseqcol2"
     8       4     version (u32 LE) = 1
     12      4     page size (u32 LE, multiple of 8)
     16      4     region count (u32 LE)
@@ -39,37 +34,28 @@
     32      8     header checksum (FNV-1a 64 over [0,32) ++ [40,payload))
     40      64×k  table of contents, one fixed-width entry per region:
                     name     32 bytes (u8 length + bytes, zero padded)
-                    kind     8 bytes (u8: 0 = 64-bit ints, 1 = blob,
-                             4 = 32-bit ints; zero padded)
+                    kind     4 bytes (u8: 1 = raw blob, 2 = packed
+                             ints, 3 = LZ-coded blob; zero padded)
+                    stored   u32 LE (stored bytes of a kind 2 or 3
+                             region; 0 or the raw length for kind 1)
                     offset   u64 LE (absolute, page-aligned)
                     count    u64 LE (elements for ints, bytes for blob)
                     checksum u64 LE (FNV-1a 64 of the padded region bytes)
             ...   zero padding to the payload offset
     payload ...   regions, each page-aligned and zero-padded to a page
-                  boundary; an ints region stores each element as 4
-                  bytes LE (kind 4) or 8 bytes LE (kind 0)
+                  boundary
     v}
 
-    An int region was kind 4 when every one of its values fit in 32 bits
-    and kind 0 otherwise, a choice per region read back from the TOC.
-    Every byte of the file is covered by a checksum (header + per-region),
-    so bit flips and truncations are detected at {!open_file} and reported
-    as [Invalid_argument] with the failing part named — never decoded as
-    garbage.
-
-    {2 xseqcol2 (version 1, what {!write} writes)}
-
-    The same container with magic ["xseqcol2"] and two extra region
-    kinds: int columns stored as block-wise delta + varint with sampled
-    skip pointers ([Xsuccinct.Packed], kind 2) and blobs stored
-    LZ-compressed ([Xsuccinct.Lz], kind 3).  {!write} packs every int
-    region and keeps blobs raw (kind 1) unless asked to LZ-code them,
-    which it does where that wins.  Kind 4 is xseqcol1's alone; an
-    xseqcol2 TOC entry claiming it is malformed.  Entries additionally
-    carry the stored (compressed) byte length in the u32 at entry offset
-    36 — bytes that are zero padding in xseqcol1.  Checksums cover the
-    {e stored} bytes, so the corruption guarantees are
-    container-independent; {!open_file} dispatches on the magic.
+    Packed int columns are block-wise delta + varint with sampled skip
+    pointers ([Xsuccinct.Packed]); LZ-coded blobs are [Xsuccinct.Lz].
+    {!write} packs every int region and keeps blobs raw unless asked to
+    LZ-code them, which it does where that wins.  Every byte of the file
+    is covered by a checksum (header + per-region), over the {e stored}
+    bytes, so bit flips and truncations are detected at {!open_file}
+    and reported as [Invalid_argument] with the failing part named —
+    never decoded as garbage.  An xseqcol1 file, the container of older
+    builds, is refused with a diagnostic naming the rebuild
+    ({!rebuild_remedy}).
 
     A [Paged] store leaves a packed column's delta bytes on disk behind
     the buffer pool, so the resident cost of a column is its skip
@@ -197,48 +183,13 @@ val blob : t -> string -> string
     store, on a checksum mismatch, a corrupt compressed payload, a short
     read or a closed store. *)
 
-(** {2 Streamed blobs} *)
-
-type blob_stream
-(** A blob region read front to back.  A raw blob of a file store comes
-    16 KiB at a time through one buffer, hashed as it is read; an
-    LZ-compressed region (checksummed, then decompressed whole) and a
-    memory store's blob come as one chunk. *)
-
-val stream_blob : t -> string -> blob_stream
-(** Starts reading blob region [name].
-    @raise Invalid_argument if absent or an int column, and as {!blob}
-    does for a compressed region. *)
-
-val stream_length : blob_stream -> int
-(** The region's length in (logical) bytes. *)
-
-val stream_next : blob_stream -> Bytes.t * int
-(** [(buf, n)]: the next [n] bytes of the region, at the start of [buf];
-    [n = 0] once every byte was handed out.  [buf] is overwritten by the
-    next call and must not be mutated.  Nothing read is checked until
-    {!stream_finish}.
-    @raise Invalid_argument on a short read or a closed store. *)
-
-val stream_finish : blob_stream -> unit
-(** Reads what is left of the region and checks its checksum: the
-    verdict on every byte {!stream_next} handed out, due before any of
-    them is acted on.
-    @raise Invalid_argument ["Store: region ... checksum mismatch"], or
-    on a short read or a closed store. *)
-
 val mem : t -> string -> bool
 
 (** {1 Persistence} *)
 
-type file_format =
-  | Col1
-      (** xseqcol1: raw little-endian elements, 4 bytes each unless a
-          region holds a value beyond 32 bits; read, no longer written *)
-  | Col2  (** xseqcol2: delta+varint columns, raw or LZ-coded blobs *)
-
-val format_name : file_format -> string
-(** The on-disk magic string: ["xseqcol1"] / ["xseqcol2"]. *)
+val rebuild_remedy : string
+(** The remedy every refusal of a file of older builds names: rebuilding
+    it from its records ([xseq index RECORDS.xml]). *)
 
 val write : ?page_size:int -> ?compress:bool -> t -> string -> unit
 (** [write t path] serialises every region to [path] as xseqcol2: every
@@ -251,8 +202,8 @@ type mode =
       (** {!ints} reads a region into a 32-bit flat buffer when
           called *)
   | Paged
-      (** leave an xseqcol2 file's packed int columns on disk behind
-          the buffer pool; an xseqcol1 file does not open [Paged] *)
+      (** leave the file's packed int columns on disk behind the
+          buffer pool *)
 
 val open_file : ?mode:mode -> ?pool_pages:int -> ?deferred:bool -> string -> t
 (** [open_file path] validates the header and table of contents, streams
@@ -265,9 +216,8 @@ val open_file : ?mode:mode -> ?pool_pages:int -> ?deferred:bool -> string -> t
 
     @raise Invalid_argument naming the failure: bad magic, unsupported
     version, header or region checksum mismatch, truncated file,
-    malformed table of contents; and for an xseqcol1 file opened
-    [Paged], naming the rewrite that makes it pageable
-    ([xseq index FILE -o NEW]). *)
+    malformed table of contents; and for an xseqcol1 file, naming the
+    rebuild ({!rebuild_remedy}). *)
 
 val check_unread : t -> unit
 (** Streams and checks every region of a file store that no read has
@@ -284,10 +234,7 @@ type region_info = {
   r_kind : [ `Ints | `Blob ];
   r_count : int;  (** elements for ints, bytes for blobs *)
   r_bytes : int;
-      (** logical (uncompressed) payload bytes: for an xseqcol2 int
-          column (and any int region of a memory store) 8 an element;
-          for an xseqcol1 one, the 4 or 8 bytes an element takes in the
-          file *)
+      (** logical (uncompressed) payload bytes: 8 an int element *)
   r_stored : int;
       (** bytes actually stored before page padding; equals [r_bytes]
           for uncompressed regions *)
@@ -299,10 +246,6 @@ val regions : t -> region_info list
 (** In registration (= file TOC) order. *)
 
 val page_size : t -> int
-
-val file_format : t -> file_format
-(** The container an opened store came from; {!Col2}, what {!write}
-    writes, for memory stores. *)
 
 val file_bytes : t -> int
 (** Total serialised size: actual file size for file stores, the exact

@@ -11,8 +11,7 @@
    in list order and once reversed, and must give the same digests both
    times.  A snapshot loaded and saved again must give the pinned
    digest of the kind it is saved as, whatever backs the loaded
-   columns: loaded resident (flat buffers) or paged (packed columns),
-   and from an xseqcol1 file, the container earlier builds wrote. *)
+   columns: loaded resident (flat buffers) or paged (packed columns). *)
 
 (* [Dblp_text] and [Xmark_text] are the same records printed as XML and
    read back through [Xml_parser.parse_fragments]; [Mixed_text] is XML
@@ -135,7 +134,6 @@ let resaves =
     (Compressed, Xstorage.Store.Resident, Compressed);
     (Compressed, Xstorage.Store.Paged, Compressed);
     (Compressed, Xstorage.Store.Paged, Plain);
-    (Col1, Xstorage.Store.Resident, Plain);
   ]
 
 let resave_name (from, mode, kind) =
@@ -150,26 +148,24 @@ let resave_name (from, mode, kind) =
    of [resaves]. *)
 let digests corpus config =
   let temp () = Filename.temp_file "xseq_golden" ".xseq" in
-  let plain = temp () and compressed = temp () and col1 = temp () in
+  let plain = temp () and compressed = temp () in
   let resaved = temp () in
   Fun.protect
     ~finally:(fun () ->
       List.iter
         (fun f -> try Sys.remove f with Sys_error _ -> ())
-        [ plain; compressed; col1; resaved ])
+        [ plain; compressed; resaved ])
     (fun () ->
       let index = Xseq.build ~config (generate corpus) in
       Containers.save Plain index plain;
       Containers.save Compressed index compressed;
-      Containers.save Col1 index col1;
       let hex f = Digest.to_hex (Digest.file f) in
       let resave (from, mode, kind) =
         let loaded =
           Xseq.load ~mode
             (match from with
              | Containers.Plain -> plain
-             | Containers.Compressed -> compressed
-             | Containers.Col1 -> col1)
+             | Containers.Compressed -> compressed)
         in
         Containers.save kind loaded resaved;
         Option.iter Xstorage.Store.close (Xseq.backing_store loaded);
@@ -216,7 +212,6 @@ let test_digests () =
             match kind with
             | Containers.Plain -> want1
             | Containers.Compressed -> want2
-            | Containers.Col1 -> Alcotest.fail "no xseqcol1 digest is pinned"
           in
           if digest <> want then
             Alcotest.failf "(%s, %S): %s gives %s, not the pinned %s"

@@ -19,19 +19,7 @@ let with_temp_file f =
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* The modes a snapshot in container [c] opens in: only an xseqcol2
-   file pages. *)
-let modes = function
-  | Containers.Col1 -> [ Store.Resident ]
-  | Containers.Plain | Containers.Compressed -> [ Store.Resident; Store.Paged ]
-
-let containers = Containers.[ Plain; Compressed; Col1 ]
-
-(* What saving an index loaded from container [c] writes: xseqcol1 is
-   no longer written. *)
-let resave_as = function
-  | Containers.Col1 -> Containers.Plain
-  | c -> c
+let containers = Containers.[ Plain; Compressed ]
 
 (* --- statistics oracle ---------------------------------------------------- *)
 
@@ -185,7 +173,7 @@ let test_compiled_sequences () =
                       (Xquery.Pattern.to_string q))
                 queries want;
               Option.iter Store.close (Xseq.backing_store loaded))
-            (modes format))
+            [ Store.Resident; Store.Paged ])
         containers)
 
 (* --- one symbol table per index -------------------------------------------- *)
@@ -299,155 +287,6 @@ let test_cross_depth_ties () =
       Xseq.save index path;
       Alcotest.(check (list int)) "loaded" want (Xseq.query (Xseq.load path) query))
 
-(* Snapshots written by [xseq index --compress] before snapshot version
-   2, when sequencing used process-wide tag and path ids:
-   [v1_depth_first.xseq] ([--strategy depth-first], canonical) over
-   [zeta_first], and [v1_probability.xseq] (the default strategy) over
-   the two records of [test_cross_depth_ties].  Read under today's
-   rules, the first answers the zeta/alpha query with nothing; a load
-   re-sequences both from their records, and [built_under] marks their
-   files for rewriting. *)
-let v1_snapshots =
-  let data = Filename.concat (Filename.dirname Sys.executable_name) "data" in
-  List.map
-    (fun (file, config, xpath) -> (Filename.concat data file, config, xpath))
-  [
-    ( "v1_depth_first.xseq",
-      { Xseq.default_config with sequencing = Depth_first { canonical = true } },
-      "/r[zeta='1'][alpha='2']" );
-    ( "v1_probability.xseq",
-      Xseq.default_config,
-      "/item[location]/description/text" );
-  ]
-
-let test_v1_snapshots () =
-  List.iter
-    (fun (file, config, xpath) ->
-      let query = Xseq.Xpath.parse xpath in
-      let check what index =
-        let docs = Array.init (Xseq.doc_count index) (Xseq.document index) in
-        let want = Xquery.Embedding.filter query docs in
-        if want = [] then Alcotest.failf "%s: %s matches no record" file xpath;
-        Alcotest.(check (list int)) (file ^ ", " ^ what) want
-          (Xseq.query index query)
-      in
-      List.iter
-        (fun mode ->
-          let loaded = Xseq.load ~mode file in
-          check "loaded" loaded;
-          Alcotest.(check bool) (file ^ " is settled") false
-            (Xseq.built_under loaded config);
-          Alcotest.(check bool) "no backing store" true
-            (Xseq.backing_store loaded = None);
-          with_temp_file (fun path ->
-              Xseq.save ~compress:true loaded path;
-              let again = Xseq.load ~mode path in
-              check "rewritten" again;
-              Alcotest.(check bool) (file ^ " rewritten is settled") true
-                (Xseq.built_under again config)))
-        [ Store.Resident; Store.Paged ])
-    v1_snapshots
-
-(* Version-2 snapshots written by [xseq index] (and [--compress]) over
-   the 200 DBLP records of [v2_dblp.xml], before the per-node columns
-   and the stored link offsets were retired: they carry [node_pre],
-   [node_post], [node_path], [l_node] and [link_off], which a load
-   ignores and a save no longer writes. *)
-let retired_regions =
-  [ "node_pre"; "node_post"; "node_path"; "l_node"; "link_off" ]
-
-let v2_snapshots =
-  let data = Filename.concat (Filename.dirname Sys.executable_name) "data" in
-  List.map (Filename.concat data)
-    [ "v2_dblp.xseq"; "v2_dblp_compressed.xseq" ]
-
-let has_regions file names =
-  let s = Store.open_file file in
-  Fun.protect
-    ~finally:(fun () -> Store.close s)
-    (fun () -> List.filter (Store.mem s) names)
-
-let test_v2_snapshots () =
-  List.iter
-    (fun file ->
-      Alcotest.(check (list string)) (file ^ " has the retired regions")
-        retired_regions (has_regions file retired_regions);
-      let resident = Xseq.load file in
-      let docs =
-        Array.init (Xseq.doc_count resident) (Xseq.document resident)
-      in
-      let fresh = Xseq.build docs in
-      let opts =
-        { Xdatagen.Query_gen.default_opts with size = 4; value_prob = 0.5 }
-      in
-      let queries = Xdatagen.Query_gen.generate ~seed:9 ~opts docs 24 in
-      List.iter
-        (fun mode ->
-          let loaded = Xseq.load ~mode file in
-          List.iter
-            (fun q ->
-              Alcotest.(check (list int))
-                (Printf.sprintf "%s %s" file (Xquery.Pattern.to_string q))
-                (Xseq.query fresh q) (Xseq.query loaded q))
-            queries;
-          with_temp_file (fun path ->
-              Containers.save (resave_as (Containers.of_file file)) loaded path;
-              Alcotest.(check (list string)) (file ^ " re-saved without them")
-                [] (has_regions path retired_regions));
-          Option.iter Store.close (Xseq.backing_store loaded))
-        (modes (Containers.of_file file)))
-    v2_snapshots
-
-let snapshot_version file =
-  let s = Store.open_file file in
-  Fun.protect
-    ~finally:(fun () -> Store.close s)
-    (fun () -> (Store.int_array s "xseq_meta").(0))
-
-(* Saving a loaded version-2 snapshot writes version 4: no record
-   region at all, and the re-saved file gives the same records, decoded
-   from its index, and answers, resident and paged. *)
-let test_v2_resaved_as_v4 () =
-  List.iter
-    (fun file ->
-      Alcotest.(check int) (file ^ " is version 2") 2 (snapshot_version file);
-      let original = Xseq.load file in
-      let docs =
-        Array.init (Xseq.doc_count original) (Xseq.document original)
-      in
-      let opts =
-        { Xdatagen.Query_gen.default_opts with size = 4; value_prob = 0.5 }
-      in
-      let queries = Xdatagen.Query_gen.generate ~seed:9 ~opts docs 24 in
-      List.iter
-        (fun mode ->
-          let loaded = Xseq.load ~mode file in
-          with_temp_file (fun path ->
-              Containers.save (resave_as (Containers.of_file file)) loaded path;
-              Alcotest.(check int) (file ^ " re-saved as version 4") 4
-                (snapshot_version path);
-              Alcotest.(check (list string))
-                (file ^ " re-saved without a record region") []
-                (has_regions path [ "docs" ]);
-              let again = Xseq.load ~mode path in
-              Array.iteri
-                (fun i d ->
-                  if not (T.equal d (Xseq.document again i)) then
-                    Alcotest.failf "%s: record %d differs once re-saved" file i)
-                docs;
-              List.iter
-                (fun q ->
-                  Alcotest.(check (list int))
-                    (Printf.sprintf "%s re-saved, %s" file
-                       (Xquery.Pattern.to_string q))
-                    (Xseq.query original q) (Xseq.query again q))
-                queries;
-              Option.iter Store.close (Xseq.backing_store again));
-          Option.iter Store.close (Xseq.backing_store loaded))
-        (modes (Containers.of_file file));
-      Option.iter Store.close (Xseq.backing_store original))
-    v2_snapshots
-
 (* --- records on demand ---------------------------------------------------- *)
 
 (* Four wildcard branches over DBLP's record fields expand past the
@@ -525,7 +364,7 @@ let test_save_verbatim () =
                     (Containers.name format ^ " reproduced")
                     true
                     (String.equal (read_file original) (read_file copy)))
-                (modes format))
+                [ Store.Resident; Store.Paged ])
             containers))
 
 let live_words () =
@@ -599,155 +438,18 @@ let test_records_outlive_the_file () =
       Option.iter Store.close (Xseq.backing_store loaded))
     Containers.
       [
-        (Col1, Store.Resident);
         (Plain, Store.Resident);
         (Plain, Store.Paged);
         (Compressed, Store.Resident);
         (Compressed, Store.Paged);
       ]
 
-(* --- legacy layout -------------------------------------------------------- *)
-
-(* Snapshots written before the simulated page model was retired carry
-   [meta = [| n; doc_base; total_bytes |]] and a [link_base] region after
-   [link_len]: the page-aligned byte offsets of every link and of the
-   document table in that model.  Their xseqcol1 dictionaries spell
-   every entry's designator out: [dict_kind], [dict_name_off] and
-   [dict_names] in place of the compact [dict_desig], [desig_kind] and
-   [desig_names].  Such files are snapshot version 3 or older, with a
-   record region.  [write_legacy] rebuilds exactly that layout through
-   [Store.memory] from the regions of a current snapshot. *)
-let compact_dictionary = [ "dict_desig"; "desig_kind"; "desig_names" ]
-
-let add_spelled_dictionary legacy src =
-  let desig = Store.int_array src "dict_desig"
-  and kind = Store.int_array src "desig_kind" in
-  let blob, off =
-    Xsuccinct.Frontcode.decode ~name:"desig_names" (Store.blob src "desig_names")
-  in
-  let n = Array.length desig in
-  let names = Buffer.create 1024 and name_off = Array.make (n + 1) 0 in
-  let kinds =
-    Array.mapi
-      (fun i d ->
-        name_off.(i) <- Buffer.length names;
-        if d < 0 then 0
-        else begin
-          let at = Xutil.I32.get off d in
-          Buffer.add_substring names blob at (Xutil.I32.get off (d + 1) - at);
-          kind.(d)
-        end)
-      desig
-  in
-  name_off.(n) <- Buffer.length names;
-  Store.add_int_array legacy "dict_kind" kinds;
-  Store.add_int_array legacy "dict_name_off" name_off;
-  Store.add_blob legacy "dict_names" (Buffer.contents names)
-
-let write_legacy ~format ~docs index path =
-  with_temp_file (fun current ->
-      Containers.save format index current;
-      let src = Store.open_file current in
-      let next = ref 0 in
-      let alloc entries =
-        let base = !next in
-        next := base + ((max 1 (8 * entries) + 4095) / 4096 * 4096);
-        base
-      in
-      let link_base =
-        Array.map alloc (Store.to_array (Store.ints src "link_len"))
-      in
-      let doc_base = alloc (Store.length (Store.ints src "doc_pre")) in
-      let legacy = Store.memory () in
-      List.iter
-        (fun r ->
-          match (r.Store.r_name, r.Store.r_kind) with
-          | "meta", _ ->
-            let n = (Store.to_array (Store.ints src "meta")).(0) in
-            Store.add_int_array legacy "meta" [| n; doc_base; !next |]
-          | "link_len", _ ->
-            Store.add_ints legacy "link_len" (Store.ints src "link_len");
-            Store.add_int_array legacy "link_base" link_base
-          | "xseq_meta", _ ->
-            let m = Store.int_array src "xseq_meta" in
-            m.(0) <- 3;
-            Store.add_int_array legacy "xseq_meta" m;
-            Store.add_blob legacy "docs"
-              (Bytes.to_string (fst (Containers.v3_records docs)))
-          | "sibling_order", _ -> ()
-          | name, _
-            when format = Containers.Col1 && List.mem name compact_dictionary ->
-            ()
-          | name, `Ints -> Store.add_ints legacy name (Store.ints src name)
-          | name, `Blob -> Store.add_blob legacy name (Store.blob src name))
-        (Store.regions src);
-      if format = Containers.Col1 then add_spelled_dictionary legacy src;
-      Containers.write ~page_size:(Store.page_size src) format legacy path;
-      Store.close src)
-
-(* A legacy-layout snapshot loads in both formats, and in both modes
-   where the format pages, and answers id-for-id like the in-memory
-   index; saving it again writes the current layout, the compact
-   dictionary included. *)
-let test_legacy_layout () =
-  let corpora =
-    [
-      ("dblp", Xdatagen.Dblp_gen.generate ~seed:5 200);
-      ( "xmark",
-        Xdatagen.Xmark_gen.generate ~seed:5 ~identical_siblings:true 80 );
-    ]
-  in
-  let opts =
-    { Xdatagen.Query_gen.default_opts with size = 4; value_prob = 0.5 }
-  in
-  List.iter
-    (fun (name, docs) ->
-      let index = Xseq.build docs in
-      let queries = Xdatagen.Query_gen.generate ~seed:9 ~opts docs 12 in
-      with_temp_file (fun path ->
-          List.iter
-            (fun format ->
-              write_legacy ~format ~docs index path;
-              let legacy = Store.open_file path in
-              Alcotest.(check bool) "legacy file has link_base" true
-                (Store.mem legacy "link_base");
-              Alcotest.(check bool) "legacy file spells its dictionary out"
-                (format = Containers.Col1)
-                (Store.mem legacy "dict_names");
-              List.iter
-                (fun mode ->
-                  let loaded = Xseq.load ~mode path in
-                  List.iter
-                    (fun q ->
-                      Alcotest.(check (list int))
-                        (Printf.sprintf "%s %s: %s" name
-                           (Containers.name format)
-                           (Xquery.Pattern.to_string q))
-                        (Xseq.query index q) (Xseq.query loaded q))
-                    queries;
-                  with_temp_file (fun resaved ->
-                      Containers.save (resave_as format) loaded resaved;
-                      let s = Store.open_file resaved in
-                      Alcotest.(check bool) "re-save drops link_base" false
-                        (Store.mem s "link_base");
-                      Alcotest.(check int) "re-save writes a 1-field meta" 1
-                        (Store.length (Store.ints s "meta"));
-                      Alcotest.(check (list bool))
-                        "re-save writes the compact dictionary"
-                        [ true; false ]
-                        (List.map (Store.mem s) [ "dict_desig"; "dict_names" ]);
-                      Store.close s);
-                  Option.iter Store.close (Xseq.backing_store loaded))
-                (modes format))
-            containers))
-    corpora
-
 (* A current snapshot whose compact dictionary numbers its designators
    in the order the dictionary entries first name them, not in (name,
    kind) order: [dict_desig], [desig_kind] and [desig_names] renumbered,
    the names front-coded with no shared prefixes (the decoder takes any
    order).  Every other region is the current one. *)
-let write_first_seen ?records index path =
+let write_first_seen index path =
   with_temp_file (fun current ->
       Xseq.save index current;
       let src = Store.open_file current in
@@ -789,14 +491,6 @@ let write_first_seen ?records index path =
               (Array.map (fun d -> kind.(d)) seen)
           | "desig_names", _ ->
             Store.add_blob unsorted "desig_names" (Buffer.contents names)
-          | ("xseq_meta" | "sibling_order"), _ when Option.is_some records ->
-            if r.Store.r_name = "xseq_meta" then begin
-              let m = Store.int_array src "xseq_meta" in
-              m.(0) <- 3;
-              Store.add_int_array unsorted "xseq_meta" m;
-              Store.add_blob unsorted "docs"
-                (Bytes.to_string (Option.get records))
-            end
           | name, `Ints -> Store.add_ints unsorted name (Store.ints src name)
           | name, `Blob -> Store.add_blob unsorted name (Store.blob src name))
         (Store.regions src);
@@ -804,104 +498,20 @@ let write_first_seen ?records index path =
       Store.close src)
 
 (* A snapshot with its designators out of (name, kind) order, as saves
-   of version 3 wrote them, loads, resident and paged, as an index
-   upgraded from its records: it answers id for id like the built index,
-   is not settled under its configuration, and once saved again loads as
-   it is.  A version-4 snapshot has no records to upgrade from: the same
-   dictionary there is refused. *)
+   before version 4 wrote them, is refused: a load numbers designators by
+   their rank in the table and checks that order rather than sorting. *)
 let test_first_seen_dictionary () =
-  let docs = Xdatagen.Dblp_gen.generate ~seed:5 200 in
-  let index = Xseq.build docs in
-  let opts =
-    { Xdatagen.Query_gen.default_opts with size = 4; value_prob = 0.5 }
-  in
-  let queries = Xdatagen.Query_gen.generate ~seed:9 ~opts docs 12 in
-  let answers what loaded =
-    List.iter
-      (fun q ->
-        Alcotest.(check (list int))
-          (Printf.sprintf "%s: %s" what (Xquery.Pattern.to_string q))
-          (Xseq.query index q) (Xseq.query loaded q))
-      queries
-  in
+  let index = Xseq.build (Xdatagen.Dblp_gen.generate ~seed:5 200) in
   with_temp_file (fun path ->
       write_first_seen index path;
-      (match Xseq.load path with
-       | _ -> Alcotest.fail "a version-4 first-seen dictionary loaded"
-       | exception Invalid_argument msg ->
-         Alcotest.(check string) "version 4 refuses it"
-           "Xseq.load: designators out of order" msg);
-      write_first_seen ~records:(fst (Containers.v3_records docs)) index path;
       List.iter
         (fun mode ->
-          let loaded = Xseq.load ~mode path in
-          answers "first-seen dictionary" loaded;
-          Alcotest.(check bool) "an upgraded index is not settled" false
-            (Xseq.built_under loaded Xseq.default_config);
-          Alcotest.(check bool) "an upgraded index is in memory" true
-            (Xseq.backing_store loaded = None);
-          with_temp_file (fun resaved ->
-              Xseq.save loaded resaved;
-              let again = Xseq.load ~mode resaved in
-              answers "re-saved" again;
-              Alcotest.(check bool) "a re-save loads without an upgrade" true
-                (Xseq.built_under again Xseq.default_config);
-              Option.iter Store.close (Xseq.backing_store again)))
+          match Xseq.load ~mode path with
+          | _ -> Alcotest.fail "a first-seen dictionary loaded"
+          | exception Invalid_argument msg ->
+            Alcotest.(check string) "the load refuses it"
+              "Xseq.load: designators out of order" msg)
         [ Store.Resident; Store.Paged ])
-
-(* A version-3 snapshot, with the record region saves wrote until
-   version 4, in either xseqcol2 container: it loads as an upgraded index
-   (its records sequenced again) that gives the same records and
-   answers, and saving it again, or [xseq index OLD -o NEW], writes
-   version 4 without the region. *)
-let test_v3_resaved_as_v4 () =
-  let docs = Xdatagen.Dblp_gen.generate ~seed:6 200 in
-  let index = Xseq.build docs in
-  let opts =
-    { Xdatagen.Query_gen.default_opts with size = 4; value_prob = 0.5 }
-  in
-  let queries = Xdatagen.Query_gen.generate ~seed:9 ~opts docs 12 in
-  let same what loaded =
-    Invariants.check_documents what loaded docs;
-    List.iter
-      (fun q ->
-        Alcotest.(check (list int))
-          (Printf.sprintf "%s: %s" what (Xquery.Pattern.to_string q))
-          (Xseq.query index q) (Xseq.query loaded q))
-      queries
-  in
-  let same_file what path =
-    let loaded = Xseq.load path in
-    same what loaded;
-    Option.iter Store.close (Xseq.backing_store loaded)
-  in
-  let current what path =
-    Alcotest.(check int) (what ^ " is version 4") 4 (snapshot_version path);
-    Alcotest.(check (list string)) (what ^ " has no record region") []
-      (has_regions path [ "docs" ])
-  in
-  List.iter
-    (fun format ->
-      with_temp_file (fun old ->
-          Containers.save_older ~version:3
-            ~records:(fst (Containers.v3_records docs))
-            format index old;
-          Alcotest.(check int) "written as version 3" 3 (snapshot_version old);
-          let loaded = Xseq.load old in
-          same (Containers.name format ^ " version 3") loaded;
-          Alcotest.(check bool) "an upgraded index is not settled" false
-            (Xseq.built_under loaded Xseq.default_config);
-          with_temp_file (fun resaved ->
-              Xseq.save loaded resaved;
-              current "re-saved" resaved;
-              same_file "re-saved" resaved);
-          if Sys.file_exists Containers.cli then
-            with_temp_file (fun rewritten ->
-                Alcotest.(check int) "xseq index exits 0" 0
-                  (Containers.run_cli [ "index"; old; "-o"; rewritten ]);
-                current "rewritten by xseq index" rewritten;
-                same_file "rewritten by xseq index" rewritten)))
-    Containers.[ Plain; Compressed ]
 
 (* --- failed loads --------------------------------------------------------- *)
 
@@ -943,22 +553,19 @@ let test_failed_loads_close () =
             Alcotest.(check int) "no descriptor leaked" before (open_fds ()))
           bad_files)
 
-(* An xseqcol1 file does not open paged: the open fails naming the
-   rewrite that makes it pageable, and closes the file it opened. *)
+(* An xseqcol1 file, the container of older builds, is not read: the
+   open fails naming the rebuild, and closes the file it opened. *)
 let test_paged_col1_refused () =
   with_temp_file (fun path ->
-      Containers.(save Col1)
-        (Xseq.build (Xdatagen.Dblp_gen.generate ~seed:4 20))
-        path;
+      Xseq.save (Xseq.build (Xdatagen.Dblp_gen.generate ~seed:4 20)) path;
+      Containers.stamp_col1 path;
       let refusal =
-        Printf.sprintf
-          "Store.open_file: an xseqcol1 snapshot cannot be opened paged; \
-           rewrite it as xseqcol2 with `xseq index %s -o NEW`"
-          path
+        "Store.open_file: an xseqcol1 snapshot of older builds is not read; "
+        ^ Store.rebuild_remedy
       in
       let attempt () =
         match Xseq.load ~mode:Store.Paged path with
-        | _ -> Alcotest.fail "an xseqcol1 snapshot opened paged"
+        | _ -> Alcotest.fail "an xseqcol1 snapshot opened"
         | exception Invalid_argument msg ->
           Alcotest.(check string) "the refusal names the fix" refusal msg
       in
@@ -970,6 +577,51 @@ let test_paged_col1_refused () =
         done;
         Alcotest.(check int) "no descriptor leaked" before (open_fds ())
       end)
+
+(* A snapshot of any version but the current one is refused, resident
+   and paged, with one diagnostic naming its version and the rebuild,
+   and [xseq query] exits 1 on it.  Each file is a current snapshot
+   whose [xseq_meta] names an older version: the version is the first
+   thing a load reads. *)
+let test_older_versions_refused () =
+  let index = Xseq.build (Xdatagen.Dblp_gen.generate ~seed:4 20) in
+  with_temp_file (fun current ->
+      Xseq.save index current;
+      let src = Store.open_file current in
+      let current_version = (Store.int_array src "xseq_meta").(0) in
+      for version = 1 to current_version - 1 do
+        with_temp_file (fun path ->
+            let older = Store.memory () in
+            List.iter
+              (fun r ->
+                match (r.Store.r_name, r.Store.r_kind) with
+                | "xseq_meta", _ ->
+                  let m = Store.int_array src "xseq_meta" in
+                  m.(0) <- version;
+                  Store.add_int_array older "xseq_meta" m
+                | name, `Ints -> Store.add_ints older name (Store.ints src name)
+                | name, `Blob -> Store.add_blob older name (Store.blob src name))
+              (Store.regions src);
+            Store.write older path;
+            let refusal =
+              Printf.sprintf
+                "Xseq.load: snapshot version %d is not read (this build \
+                 reads version %d); %s"
+                version current_version Store.rebuild_remedy
+            in
+            List.iter
+              (fun mode ->
+                match Xseq.load ~mode path with
+                | _ -> Alcotest.failf "a version-%d snapshot loaded" version
+                | exception Invalid_argument msg ->
+                  Alcotest.(check string) "the refusal names the rebuild"
+                    refusal msg)
+              [ Store.Resident; Store.Paged ];
+            if Sys.file_exists Containers.cli then
+              Alcotest.(check int) "xseq query exits 1" 1
+                (Containers.run_cli [ "query"; path; "//author" ]))
+      done;
+      Store.close src)
 
 (* A loaded index keeps its file open until it is dropped: the store's
    finaliser closes the descriptor.  Loading and dropping one snapshot
@@ -1122,21 +774,6 @@ let () =
           Alcotest.test_case "records outlive their file" `Quick
             test_records_outlive_the_file;
         ] );
-      ( "legacy",
-        [
-          Alcotest.test_case "page-layout snapshots load" `Quick
-            test_legacy_layout;
-          Alcotest.test_case "first-seen dictionaries upgrade" `Quick
-            test_first_seen_dictionary;
-          Alcotest.test_case "version-1 snapshots re-sequence" `Quick
-            test_v1_snapshots;
-          Alcotest.test_case "version-2 snapshots with node columns load"
-            `Quick test_v2_snapshots;
-          Alcotest.test_case "version-2 snapshots re-save as version 4" `Quick
-            test_v2_resaved_as_v4;
-          Alcotest.test_case "version-3 snapshots re-save as version 4" `Quick
-            test_v3_resaved_as_v4;
-        ] );
       ( "failures",
         [
           Alcotest.test_case "dropped loads close their file" `Quick
@@ -1145,6 +782,10 @@ let () =
             test_failed_loads_close;
           Alcotest.test_case "xseqcol1 paged loads are refused" `Quick
             test_paged_col1_refused;
+          Alcotest.test_case "older snapshot versions are refused" `Quick
+            test_older_versions_refused;
+          Alcotest.test_case "first-seen dictionaries are refused" `Quick
+            test_first_seen_dictionary;
         ] );
       ( "allocation",
         [

@@ -227,49 +227,32 @@ let test_follower_of_seeded_primary () =
           Xlog.close follower;
           Xlog.close primary))
 
-(* A directory written before bases were compressed: its xseqcol1 base
-   opens, answers id for id, passes scrub and transfer verification, and
-   an explicit compaction rewrites it as xseqcol2. *)
+(* A directory whose base is in xseqcol1, the container of older
+   builds: the store refuses to open it, naming the rebuild, and scrub
+   reports the base with the same diagnosis. *)
 let test_legacy_col1_base () =
   with_dir (fun dir ->
-      with_dir (fun fdir ->
-          let log = build_primary dir in
-          let answers log = List.map (Xlog.query_xpath log) xpaths in
-          let want = answers log in
-          let next = Xlog.next_id log in
-          Xlog.close log;
-          let base_format path =
-            let st = Xstorage.Store.open_file path in
-            Fun.protect
-              ~finally:(fun () -> Xstorage.Store.close st)
-              (fun () -> Xstorage.Store.file_format st)
-          in
-          let bases () =
-            List.filter
-              (fun n -> Filename.check_suffix n ".xseq")
-              (Array.to_list (Sys.readdir dir))
-          in
-          (match bases () with
-          | [ b ] ->
-            let path = Filename.concat dir b in
-            Containers.(save Col1) (Xseq.load path) path;
-            Alcotest.(check bool) "legacy base in place" true
-              (base_format path = Xstorage.Store.Col1)
-          | l -> Alcotest.failf "%d base files" (List.length l));
-          let log = Xlog.open_ ~sync_every:1 dir in
-          Alcotest.(check bool) "answers id for id" true (answers log = want);
-          Alcotest.(check int) "next id" next (Xlog.next_id log);
-          let r = Scrub.scrub_dir dir in
-          Alcotest.(check int) "scrub finds nothing" 0 (List.length r.Scrub.errors);
-          transfer ~src:dir fdir;
-          Alcotest.(check bool) "compact" true (Xlog.compact ~wait:true log);
-          (match bases () with
-          | [ b ] ->
-            Alcotest.(check bool) "rewritten as xseqcol2" true
-              (base_format (Filename.concat dir b) = Xstorage.Store.Col2)
-          | l -> Alcotest.failf "%d base files after compaction" (List.length l));
-          Alcotest.(check bool) "answers after the rewrite" true (answers log = want);
-          Xlog.close log))
+      let log = build_primary dir in
+      Xlog.close log;
+      (match
+         List.filter
+           (fun n -> Filename.check_suffix n ".xseq")
+           (Array.to_list (Sys.readdir dir))
+       with
+      | [ b ] -> Containers.stamp_col1 (Filename.concat dir b)
+      | l -> Alcotest.failf "%d base files" (List.length l));
+      let names_rebuild what msg =
+        Alcotest.(check bool) (what ^ " names the rebuild") true
+          (Containers.contains msg Xstorage.Store.rebuild_remedy)
+      in
+      (match Xlog.open_ dir with
+      | log ->
+        Xlog.close log;
+        Alcotest.fail "a legacy base was read"
+      | exception Invalid_argument msg -> names_rebuild "the refused open" msg);
+      match (Scrub.scrub_dir dir).Scrub.errors with
+      | [ (_, diag) ] -> names_rebuild "scrub" diag
+      | l -> Alcotest.failf "scrub reports %d errors" (List.length l))
 
 (* Kill -9 shapes: an abandoned staging dir is invisible to [open_]; a
    committed [xfer.ready] is installed by the next [open_] without any

@@ -205,9 +205,6 @@ let test_roundtrip_compressed () =
       List.iter
         (fun (what, mode, pool_pages) ->
           let s = Store.open_file ~mode ~pool_pages path in
-          Alcotest.(check bool)
-            (what ^ " reports Col2") true
-            (Store.file_format s = Store.Col2);
           Alcotest.(check (list int))
             (what ^ " extremes int_array")
             (Array.to_list extremes)
@@ -323,13 +320,12 @@ let test_api_errors () =
 
 (* --- corruption ---------------------------------------------------------- *)
 
-(* Every container runs the same batteries: the plain store, written as
-   xseqcol1 and as plain xseqcol2, and the compressed one whose regions
-   go through every xsuccinct codec. *)
+(* Every container runs the same batteries: the plain store, and the
+   compressed one whose regions go through every xsuccinct codec. *)
 let battery_write format path =
   let store =
     match format with
-    | Containers.Col1 | Containers.Plain -> tiny_store ()
+    | Containers.Plain -> tiny_store ()
     | Containers.Compressed -> tiny_store2 ()
   in
   Containers.write ~page_size:16 format store path
@@ -409,6 +405,26 @@ let test_diagnostics format () =
     (fun b -> Bytes.set b (Bytes.length b - 1) '\xff')
     [ "checksum" ]
 
+(* An xseqcol1 file, the container of older builds, is refused whatever
+   follows its magic: the diagnostic names the container and the
+   rebuild, in either mode. *)
+let test_col1_diagnostic () =
+  with_temp "store_col1" (fun path ->
+      battery_write Containers.Plain path;
+      Containers.stamp_col1 path;
+      List.iter
+        (fun mode ->
+          match Store.open_file ~mode path with
+          | s ->
+            Store.close s;
+            Alcotest.fail "an xseqcol1 file opened"
+          | exception Invalid_argument msg ->
+            Alcotest.(check string) "the refusal"
+              ("Store.open_file: an xseqcol1 snapshot of older builds is not \
+                read; " ^ Store.rebuild_remedy)
+              msg)
+        [ Store.Resident; Store.Paged ])
+
 (* Flips one bit of the file in place, as a disk might under an open
    store: the open descriptor sees the change. *)
 let flip_in_place path pos =
@@ -469,7 +485,7 @@ let test_flip_after_open () =
           mismatch "document" (fun () -> Xseq.document loaded 0);
           Store.close store;
           Option.iter Store.close (Xseq.backing_store loaded)))
-    Containers.[ Col1; Plain; Compressed ]
+    Containers.[ Plain; Compressed ]
 
 (* A load checks each region once, by the read that first uses it, and
    the regions it never reads at its end.  A snapshot of a few records
@@ -535,7 +551,6 @@ let test_load_checks_every_byte () =
       (Containers.Plain, Store.Resident, 7);
       (Containers.Plain, Store.Paged, 23);
       (Containers.Compressed, Store.Resident, 23);
-      (Containers.Col1, Store.Resident, 23);
     ]
 
 (* --- xsuccinct codecs ----------------------------------------------------- *)
@@ -1071,12 +1086,7 @@ let test_roundtrip_value_modes () =
       with_temp ("xseq_vm_" ^ name) (fun path ->
           Containers.save format index path;
           let resident = Xseq.load path in
-          let paged =
-            match format with
-            | Containers.Plain | Containers.Compressed ->
-              Some (Xseq.load ~mode:Store.Paged ~pool_pages:16 path)
-            | Containers.Col1 -> None
-          in
+          let paged = Some (Xseq.load ~mode:Store.Paged ~pool_pages:16 path) in
           List.iter
             (fun q ->
               let want = Xseq.query index q in
@@ -1104,8 +1114,6 @@ let test_roundtrip_value_modes () =
       ("text", Sequencing.Encoder.Text, Containers.Plain);
       ("hashed-z", Sequencing.Encoder.Hashed, Containers.Compressed);
       ("text-z", Sequencing.Encoder.Text, Containers.Compressed);
-      ("hashed-col1", Sequencing.Encoder.Hashed, Containers.Col1);
-      ("text-col1", Sequencing.Encoder.Text, Containers.Col1);
     ]
 
 (* Loading rejects snapshots whose regions disagree with each other even
@@ -1158,14 +1166,6 @@ let tampered ?format ?source region f ~want =
   with_temp "xseq_inconsistent" (fun path ->
       write_tampered ?format ?source region f path;
       load_fails path ~want)
-
-(* An xseqcol1 snapshot written before every dictionary was compact: its
-   dictionary spells each entry's designator out ([dict_kind],
-   [dict_name_off], [dict_names]). *)
-let spelled_fixture =
-  Filename.concat
-    (Filename.concat (Filename.dirname Sys.executable_name) "data")
-    "v2_dblp.xseq"
 
 (* A lying node count, or a lying link length, breaks the agreement of
    the link lengths' sum, the link columns' length and the node count;
@@ -1307,26 +1307,6 @@ let test_beyond_32_bits () =
     ~want:"link path id out of range";
   tampered "dict_parent" (fun m -> m.(1) <- wide)
     ~want:"dictionary parent order";
-  (* An upgraded file's index regions are not read, but still hashed:
-     a byte of [l_pre] flipped under its checksum fails the load, in
-     either container ([Store.check_unread] reports like the open). *)
-  List.iter
-    (fun (source, want) ->
-      with_temp "xseq_upgraded_flip" (fun path ->
-          write_all path (read_all source);
-          let s = Store.open_file path in
-          let r =
-            List.find (fun r -> r.Store.r_name = "l_pre") (Store.regions s)
-          in
-          Store.close s;
-          flip_in_place path (r.Store.r_offset + (r.Store.r_stored / 2));
-          load_fails ~prefix:"" path ~want))
-    [
-      (spelled_fixture, "Store.open_file: region \"l_pre\" checksum mismatch");
-      ( Filename.concat (Filename.dirname spelled_fixture)
-          "v2_dblp_compressed.xseq",
-        "Store.open_file: region \"l_pre\" checksum mismatch" );
-    ];
   List.iter
     (fun region ->
       with_temp "xseq_wide" (fun path ->
@@ -1353,245 +1333,12 @@ let test_beyond_32_bits () =
         ~want:"designator id out of range";
       tampered ~format "desig_kind" (fun m -> m.(0) <- wide)
         ~want:"designator kind out of range")
-    Containers.[ Col1; Plain; Compressed ];
+    Containers.[ Plain; Compressed ];
   (match Store.flat_of_array [| 0; -wide; wide |] with
    | _ -> Alcotest.fail "a flat column took 2^31"
    | exception Invalid_argument _ -> ());
   Alcotest.(check int) "a flat column takes -2^31" (-wide)
     (Store.get (Store.flat_of_array [| 0; -wide |]) 1)
-
-(* --- record regions at chunk edges --------------------------------------- *)
-
-(* A record region as saves before version 4 wrote it, and the offset
-   each record starts at ([Containers.v3_records]). *)
-let coded_region = Containers.v3_records
-
-(* Writes to [path] a snapshot of [docs] labelled [version] in its
-   [xseq_meta], with [region] for its record region: the layout of the
-   older files a load upgrades. *)
-let save_region ~version docs region path =
-  Containers.save_older ~version ~records:region Containers.Plain
-    (Xseq.build docs) path
-
-(* [load path] fails with the record check's diagnostic. *)
-let corrupt_region name path =
-  match Xseq.load path with
-  | _ -> Alcotest.failf "%s: accepted" name
-  | exception Invalid_argument msg ->
-    Alcotest.(check string) name "Xseq.load: corrupt document region" msg
-
-(* The region of the snapshot at [path]. *)
-let region_entry path name =
-  let store = Store.open_file path in
-  Fun.protect
-    ~finally:(fun () -> Store.close store)
-    (fun () ->
-      List.find (fun r -> r.Store.r_name = name) (Store.regions store))
-
-(* A record region is checked and decoded 16 KiB at a time. *)
-let chunk = 16384
-
-(* The version-2 tests build their snapshots through [save_region]: the
-   spelled layout is read only from old files.  The second record's
-   name length (258, bytes 02 01 00 00) is at byte 1, its name at 5 and
-   its child count (259, bytes 03 01 00 00) at 263: a misassembled u32
-   reads another value. *)
-let second =
-  T.Element
-    ( String.make 258 'n',
-      List.init 259 (fun i -> T.Value (string_of_int i)) )
-
-(* Two records, the first padded so that byte [at] of the second lands
-   [before] bytes (default 2) before the first chunk boundary; and where
-   the second starts. *)
-let straddling ?(before = 2) at =
-  let start = chunk - before - at in
-  (* The first record's header and its value's take 15 bytes. *)
-  ( [| T.Element ("r", [ T.Value (String.make (start - 15) 'x') ]); second |],
-    start )
-
-(* Fields that straddle the boundary decode; record regions that lie, at
-   the boundary or elsewhere, fail the load with the record check's
-   diagnostic, whatever chunk the lie is in.  A loaded version-2 file
-   re-saves as version 4, without a record region, and decodes the same
-   records from its index. *)
-let test_records_at_chunk_edges () =
-  let corrupt name at edit =
-    let docs, start = straddling at in
-    with_temp "xseq_records" (fun path ->
-        save_region ~version:2 docs
-          (edit (spelled_region docs) start)
-          path;
-        corrupt_region name path)
-  in
-  List.iter
-    (fun (what, at, before) ->
-      let docs, _ = straddling ~before at in
-      with_temp "xseq_records" (fun path ->
-          save_region ~version:2 docs (spelled_region docs) path;
-          let loaded = Xseq.load path in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s straddles by %d, decoded" what before)
-            true
-            (Xseq.document loaded 1 = second);
-          with_temp "xseq_records_v4" (fun resaved ->
-              Xseq.save loaded resaved;
-              let s = Store.open_file resaved in
-              Alcotest.(check bool) "re-saved without a record region" false
-                (Store.mem s "docs");
-              Store.close s;
-              let again = Xseq.load resaved in
-              Alcotest.(check bool) "re-saved, decoded" true
-                (Xseq.document again 1 = second);
-              Option.iter Store.close (Xseq.backing_store again));
-          Option.iter Store.close (Xseq.backing_store loaded)))
-    (("name", 5, 2)
-    :: List.concat_map
-         (fun before ->
-           [ ("name length", 1, before); ("child count", 263, before) ])
-         [ 1; 2; 3 ]);
-  let set32 at v b start =
-    Bytes.set_int32_le b (start + at) (Int32.of_int v);
-    b
-  in
-  corrupt "straddling name length past the region" 1 (set32 1 0x7fff_0000);
-  corrupt "region cut inside a straddling name" 5 (fun b _ ->
-      Bytes.sub b 0 chunk);
-  corrupt "straddling child count that overruns" 263 (set32 263 1000);
-  corrupt "truncated last record" 1 (fun b _ ->
-      Bytes.sub b 0 (Bytes.length b - 1));
-  corrupt "trailing bytes" 1 (fun b _ -> Bytes.cat b (Bytes.make 1 '\000'));
-  corrupt "child count that overruns the region" 1 (fun b _ ->
-      Bytes.set_int32_le b 6 3l;
-      b)
-
-(* A version-2 record region whose checksum fails is reported as such,
-   even where its bytes would fail the record check first: a name
-   length flipped in the second chunk.  The load that upgrades the file
-   decodes its records, so the flip comes before the load. *)
-let test_records_checksum_first () =
-  let docs, start = straddling 1 in
-  with_temp "xseq_records_flip" (fun path ->
-      save_region ~version:2 docs (spelled_region docs) path;
-      let region = region_entry path "docs" in
-      (* The name length's high byte, past the boundary. *)
-      flip_in_place path (region.Store.r_offset + start + 4);
-      match Xseq.load path with
-      | loaded ->
-        Option.iter Store.close (Xseq.backing_store loaded);
-        Alcotest.fail "a flipped record region was decoded"
-      | exception Invalid_argument msg ->
-        Alcotest.(check string) "checksum before the record check"
-          "Store: region \"docs\" checksum mismatch" msg)
-
-(* The version-3 twins.  Sixty-five names come before the second
-   record's, so its name id (65, tag 130), its child count (200) and its
-   first value's tag (a 100-byte text, 201) take two bytes each, at
-   offsets 0, 2 and 4 of the record. *)
-let coded_second =
-  T.Element
-    ("second", List.init 200 (fun i -> T.Value (Printf.sprintf "%100d" i)))
-
-let coded_first pad =
-  T.Element
-    ( "r",
-      List.init 64 (fun i -> T.Element (Printf.sprintf "a%d" i, []))
-      @ [ T.Value (String.make pad 'x') ] )
-
-(* As [straddling], for the version-3 layout: the pad moves the second
-   record byte for byte, and once more where the pad's own tag grows a
-   byte. *)
-let coded_straddling ?(before = 2) at =
-  let target = chunk - before - at in
-  let docs pad = [| coded_first pad; coded_second |] in
-  let rec fit pad =
-    let start = (snd (coded_region (docs pad))).(1) in
-    if start = target then docs pad else fit (pad + target - start)
-  in
-  (fit 100, target)
-
-(* [Bytes.sub b at len] replaced by [s]. *)
-let splice b at len s =
-  Bytes.concat Bytes.empty
-    [
-      Bytes.sub b 0 at;
-      Bytes.of_string s;
-      Bytes.sub b (at + len) (Bytes.length b - at - len);
-    ]
-
-let test_coded_records_at_chunk_edges () =
-  let corrupt ?(before = 2) name at edit =
-    let docs, start = coded_straddling ~before at in
-    with_temp "xseq_coded" (fun path ->
-        save_region ~version:3 docs (edit (fst (coded_region docs)) start) path;
-        corrupt_region name path)
-  in
-  List.iter
-    (fun (what, at, before) ->
-      let docs, start = coded_straddling ~before at in
-      with_temp "xseq_coded" (fun path ->
-          save_region ~version:3 docs (fst (coded_region docs)) path;
-          Alcotest.(check int) "second record's start" start
-            (snd (coded_region docs)).(1);
-          let loaded = Xseq.load path in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s straddles by %d, decoded" what before)
-            true
-            (Xseq.document loaded 1 = coded_second);
-          Option.iter Store.close (Xseq.backing_store loaded)))
-    (List.concat_map
-       (fun before ->
-         [
-           ("name id", 0, before);
-           ("child count", 2, before);
-           ("text length", 4, before);
-         ])
-       [ 1; 2; 3 ]);
-  let set at s b start = splice b (start + at) (String.length s) s in
-  corrupt ~before:1 "straddling name id past the table" 0 (set 0 "\x84\x01");
-  corrupt "name id past the table" 0 (set 0 "\x84\x01");
-  corrupt ~before:1 "region cut inside a straddling child count" 2
-    (fun b _ -> Bytes.sub b 0 chunk);
-  corrupt ~before:1 "straddling child count that overruns" 2
-    (set 2 "\xc9\x01");
-  corrupt ~before:1 "straddling text length past the region" 4 (fun b start ->
-      splice b (start + 4) 2 "\xff\xff\x7f");
-  corrupt "truncated name table" 0 (fun b _ -> Bytes.sub b 0 100);
-  corrupt "name length past the region" 0 (fun b _ ->
-      (* The first name's length, "r"'s, is byte 1. *)
-      splice b 1 1 "\xff\xff\x03");
-  corrupt "varint longer than nine bytes" 0 (fun b start ->
-      splice b start 2 "\x82\x81\x80\x80\x80\x80\x80\x80\x80\x00");
-  corrupt "varint with a needless zero byte" 2 (fun b start ->
-      (* 200 as c8 81 00, not c8 01: the reader takes only the shortest
-         form, the writer's. *)
-      splice b (start + 2) 2 "\xc8\x81\x00");
-  corrupt "text length past the region" 0 (fun b _ ->
-      (* The last value's 100 bytes, claimed as 101. *)
-      let at = Bytes.length b - 102 in
-      splice b at 2 "\xcb\x01");
-  corrupt "child count that overruns the region" 2 (set 2 "\xc9\x01");
-  corrupt "truncated last record" 0 (fun b _ ->
-      Bytes.sub b 0 (Bytes.length b - 1));
-  corrupt "trailing bytes" 0 (fun b _ -> Bytes.cat b (Bytes.make 1 '\000'))
-
-(* A flipped straddling name id would fail the record check (0x01 ->
-   0x11 names id 1089 of 66): the checksum is reported first.  The load
-   that upgrades the file decodes its records, so the flip comes before
-   the load. *)
-let test_coded_records_checksum_first () =
-  let docs, start = coded_straddling ~before:1 0 in
-  with_temp "xseq_coded_flip" (fun path ->
-      save_region ~version:3 docs (fst (coded_region docs)) path;
-      let region = region_entry path "docs" in
-      flip_in_place path (region.Store.r_offset + start + 1);
-      match Xseq.load path with
-      | loaded ->
-        Option.iter Store.close (Xseq.backing_store loaded);
-        Alcotest.fail "a flipped record region was decoded"
-      | exception Invalid_argument msg ->
-        Alcotest.(check string) "checksum before the record check"
-          "Store: region \"docs\" checksum mismatch" msg)
 
 (* The compact dictionary's cross-region invariants: a designator id
    pointing outside the name table must be rejected even though every
@@ -1670,13 +1417,11 @@ let test_compressed_save_faults () =
 let lo32 = Xutil.I32.min_value
 let hi32 = Xutil.I32.max_value
 
-let region_info s name =
-  List.find (fun r -> r.Store.r_name = name) (Store.regions s)
-
-(* An xseqcol1 int region holds four bytes an element when every value
-   fits in 32 bits, the extremes included, and reads back the same
-   through the streamed, flat and 32-bit readers.  One wider value keeps
-   its whole region at eight bytes. *)
+(* An int region reads back the same through the streamed, flat and
+   32-bit readers when every value fits in 32 bits, the extremes
+   included.  A region with one wider value reads back whole as an
+   array, saturated as a 32-bit vector, and refuses to become a resident
+   flat column. *)
 let test_element_widths () =
   let narrow = [| 0; lo32; hi32; -1; 7; hi32; lo32 |] in
   let wide = [| 0; lo32; hi32; hi32 + 1 |] in
@@ -1684,23 +1429,18 @@ let test_element_widths () =
       let m = Store.memory () in
       Store.add_int_array m "narrow" (Array.copy narrow);
       Store.add_int_array m "wide" (Array.copy wide);
-      Containers.write_col1 ~page_size:16 m path;
+      Store.write ~page_size:16 m path;
       let ints = Alcotest.(list int) in
       let resident = Store.open_file path in
       List.iter
-        (fun (name, a, width) ->
-          let r = region_info resident name in
-          Alcotest.(check int)
-            (name ^ " bytes") (width * Array.length a) r.Store.r_bytes;
-          Alcotest.(check int)
-            (name ^ " stored") (width * Array.length a) r.Store.r_stored;
+        (fun (name, a) ->
           let want = Array.to_list a in
           Alcotest.check ints (name ^ " int_array") want
             (Array.to_list (Store.int_array resident name));
           Alcotest.check ints (name ^ " i32")
             (List.map (fun x -> max lo32 (min hi32 x)) want)
             (Array.to_list (Xutil.I32.to_array (Store.i32 resident name))))
-        [ ("narrow", narrow, 4); ("wide", wide, 8) ];
+        [ ("narrow", narrow); ("wide", wide) ];
       Alcotest.check ints "narrow resident" (Array.to_list narrow)
         (Array.to_list (Store.to_array (Store.ints resident "narrow")));
       (match Store.ints resident "wide" with
@@ -1710,29 +1450,7 @@ let test_element_widths () =
            "Store: inconsistent snapshot: region \"wide\" element 3 \
             (2147483648) does not fit in 32 bits"
            msg);
-      Store.close resident);
-  (* A snapshot written with 8-byte elements comes out packed when it is
-     saved again, its spelled-out dictionary compact. *)
-  let legacy = spelled_fixture in
-  Alcotest.(check int) "the legacy l_pre is 8-byte" 8
-    (let s = Store.open_file legacy in
-     let r = region_info s "l_pre" in
-     Store.close s;
-     r.Store.r_bytes / r.Store.r_count);
-  with_temp "store_resave_resident" (fun p1 ->
-      Xseq.save (Xseq.load legacy) p1;
-      let s = Store.open_file p1 in
-      List.iter
-        (fun name ->
-          let r = region_info s name in
-          if r.Store.r_stored >= 4 * r.Store.r_count then
-            Alcotest.failf "re-saved %s: %d elements in %d bytes" name
-              r.Store.r_count r.Store.r_stored)
-        [ "l_pre"; "dict_parent"; "dict_desig"; "desig_kind" ];
-      Alcotest.(check (list string))
-        "no spelled-out dictionary" []
-        (List.filter (Store.mem s) [ "dict_kind"; "dict_name_off"; "dict_names" ]);
-      Store.close s)
+      Store.close resident)
 
 (* [Store.scan] over a paged compressed column reads what [Store.get]
    reads, page for page, and leaves the decoded-block cache as [get]
@@ -1789,61 +1507,30 @@ let open_fails path ~want =
   | exception Invalid_argument msg ->
     Alcotest.(check string) "diagnostic" ("Store.open_file: " ^ want) msg
 
-(* An xseqcol1 8-byte element was written from an int, so it is
-   sign-extended from 63 bits.  One that is not, behind valid checksums,
-   fails every read of its region instead of reading as another
-   value. *)
-let test_col1_beyond_int () =
-  with_temp "store_col1_wide" (fun path ->
-      let m = Store.memory () in
-      Store.add_int_array m "col" [| 1 lsl 40; 7 |];
-      Containers.write_col1 ~page_size:16 m path;
-      let s = Store.open_file path in
-      let r = region_info s "col" in
-      Store.close s;
-      patch_file path (fun b ->
-          let at = r.Store.r_offset in
-          Bytes.set_uint8 b (at + 7) 0x80;
-          Bytes.set_int64_le b (40 + 56)
-            (Store.checksum_bytes b at (r.Store.r_pages * 16));
-          b);
-      let s = Store.open_file path in
-      let want =
-        "Store: inconsistent snapshot: region \"col\" element 0 \
-         (-9223370937343148032) does not fit in an int"
-      in
-      List.iter
-        (fun (what, read) ->
-          match read () with
-          | () -> Alcotest.failf "%s read a value beyond an int" what
-          | exception Invalid_argument msg ->
-            Alcotest.(check string) what want msg)
-        [
-          ("int_array", fun () -> ignore (Store.int_array s "col"));
-          ("ints", fun () -> ignore (Store.ints s "col"));
-          ("i32", fun () -> ignore (Store.i32 s "col"));
-        ];
-      Store.close s)
-
-(* Kind 4 (32-bit elements) belongs to xseqcol1: an xseqcol2 TOC entry
-   claiming it is malformed.  A 32-bit region cut short, behind a header
-   that agrees with the shorter file, is reported as truncated. *)
+(* Kind 4 (32-bit elements) and kind 0 (64-bit elements) belonged to
+   older containers: a TOC entry claiming either is malformed.  A region
+   cut short, behind a header that agrees with the shorter file, is
+   reported as truncated. *)
 let test_element_width_toc () =
   let one_region () =
     let m = Store.memory () in
     Store.add_int_array m "col" (Array.init 40 (fun i -> i * 3));
     m
   in
-  with_temp "store_kind4_col2" (fun path ->
-      Store.write ~page_size:16 ~compress:true (one_region ()) path;
-      patch_file path (fun b ->
-          Bytes.set_uint8 b (40 + 32) 4;
-          b);
-      open_fails path ~want:"malformed TOC entry \"col\" (unknown kind 4)");
-  with_temp "store_kind4_cut" (fun path ->
-      Containers.write_col1 ~page_size:16 (one_region ()) path;
-      Alcotest.(check int) "the region is 32-bit" 4
-        (Char.code (read_all path).[40 + 32]);
+  List.iter
+    (fun kind ->
+      with_temp "store_old_kind" (fun path ->
+          Store.write ~page_size:16 ~compress:true (one_region ()) path;
+          patch_file path (fun b ->
+              Bytes.set_uint8 b (40 + 32) kind;
+              b);
+          open_fails path
+            ~want:
+              (Printf.sprintf "malformed TOC entry \"col\" (unknown kind %d)"
+                 kind)))
+    [ 4; 0 ];
+  with_temp "store_region_cut" (fun path ->
+      Store.write ~page_size:16 (one_region ()) path;
       patch_file path (fun b ->
           let len = Bytes.length b - 16 in
           Bytes.set_int64_le b 24 (Int64.of_int len);
@@ -1891,16 +1578,12 @@ let () =
         ] );
       ( "corruption",
         [
-          Alcotest.test_case "bit flip in every byte (xseqcol1)" `Quick
-            (test_bitflip_every_byte Containers.Col1);
           Alcotest.test_case "bit flip in every byte (xseqcol2)" `Quick
             (test_bitflip_every_byte Containers.Compressed);
-          Alcotest.test_case "truncations (xseqcol1)" `Quick
-            (test_truncations Containers.Col1);
           Alcotest.test_case "truncations (xseqcol2)" `Quick
             (test_truncations Containers.Compressed);
           Alcotest.test_case "diagnostics name the failure (xseqcol1)" `Quick
-            (test_diagnostics Containers.Col1);
+            test_col1_diagnostic;
           Alcotest.test_case "diagnostics name the failure (xseqcol2)" `Quick
             (test_diagnostics Containers.Compressed);
           Alcotest.test_case "a region flipped after the open fails its read"
@@ -1913,14 +1596,6 @@ let () =
             test_beyond_32_bits;
           Alcotest.test_case "compressed save under fault injection" `Quick
             test_compressed_save_faults;
-          Alcotest.test_case "record regions at chunk edges" `Quick
-            test_records_at_chunk_edges;
-          Alcotest.test_case "record checksum before the record check" `Quick
-            test_records_checksum_first;
-          Alcotest.test_case "version-3 record regions at chunk edges" `Quick
-            test_coded_records_at_chunk_edges;
-          Alcotest.test_case "version-3 record checksum before the record check"
-            `Quick test_coded_records_checksum_first;
           Alcotest.test_case "32-bit regions in the table of contents" `Quick
             test_element_width_toc;
           Alcotest.test_case "bit flip in every byte (plain xseqcol2)" `Quick
@@ -1931,8 +1606,6 @@ let () =
             `Quick (test_diagnostics Containers.Plain);
           Alcotest.test_case "a load checks every byte once" `Quick
             test_load_checks_every_byte;
-          Alcotest.test_case "xseqcol1 elements beyond an int" `Quick
-            test_col1_beyond_int;
         ] );
       ( "invariants",
         [
