@@ -15,48 +15,47 @@ module I32 = Xutil.I32
    most [max_nodes] nodes.
 
    Paths are the index's own: [symbols] holds them.  The dictionary is
-   epsilon and every link path, by depth then id; the columns name paths
-   by dictionary index.  A loaded index's path ids are its dictionary
-   indexes; a built index keeps its build ids and maps the dictionary
-   onto them. *)
+   epsilon and every link path, by depth then id, and the links are laid
+   out in dictionary order: link slot [s] is dictionary entry [s + 1].  A
+   loaded index's path ids are its dictionary indexes, so path [p]'s slot
+   is [p - 1]; a built index keeps its build ids and maps them.
+
+   An entry stores its [pre] and its span [post - pre]; only a link that
+   nests (some entry has a same-path descendant) stores [up], in one
+   compact column of the nesting links' entries in slot order. *)
 type t = {
   symbols : Symtab.t;
   n : int; (* nodes excluding virtual root; the root's post *)
-  dict : Path.t array option; (* dictionary index -> path; None: identity *)
-  slot : I32.t; (* path id -> link slot, or -1; see [slot_paths] *)
+  dict : built option; (* None: dictionary index = path id *)
   link_off : I32.t;
       (* slot s's entries are positions [link_off.(s), link_off.(s + 1))
-         of the l_* columns: the prefix sums of the stored [link_len] *)
+         of [l_pre] and [l_span]: the prefix sums of the link lengths *)
+  nest_slot : I32.t; (* the slots of the nesting links, ascending *)
+  nest_off : I32.t;
+      (* nesting link k's [up] entries start at [nest_off.(k)] of [l_up];
+         one more offset closes the column *)
   l_pre : Store.column; (* concatenated link entries, slot-major *)
-  l_post : Store.column;
-  l_up : Store.column;
+  l_span : Store.column; (* post - pre *)
+  l_up : Store.column; (* the nesting links' entries only *)
   doc_pre : Store.column; (* sorted *)
   doc_id : Store.column;
-  multi : Bytes.t;
-      (* Per-slot "some document carries this path twice" flags, '\001'
-         when set.  Computed eagerly at construction (one linear scan per
-         link) so the frozen index is strictly read-only afterwards —
-         query compilation probes this table from several domains at
-         once. *)
   source : Store.t option; (* the open snapshot the index was read from *)
+}
+
+(* A built index's map between its build ids and its dictionary. *)
+and built = {
+  paths : Path.t array; (* dictionary index -> path *)
+  slots : I32.t; (* path id -> link slot, or -1 *)
 }
 
 type link = {
   k_pre : Store.column;
-  k_post : Store.column;
+  k_span : Store.column;
   k_up : Store.column;
   loff : int;
   llen : int;
+  uoff : int; (* where the link's [up] entries start, or -1: it does not nest *)
 }
-
-(* Link entries are in pre-order, so an entry has a same-encoding
-   descendant iff the immediately following entry falls inside its
-   range; a link is "multiple" iff any entry does. *)
-let has_nested pres posts off len =
-  let rec scan i =
-    i + 1 < len && (pres.(off + i + 1) <= posts.(off + i) || scan (i + 1))
-  in
-  scan 0
 
 (* Sequences sorted lexicographically by path id, a prefix before its
    extensions; document ids are ignored. *)
@@ -70,6 +69,9 @@ let compare_seq (a, _) (b, _) =
   in
   loop 0
 
+(* A link length and its nesting flag share one [link_len] word. *)
+let max_link_length = (I32.max_value / 2) - 1
+
 (* [assemble] takes the labelled trie of [n] nodes, node 0 the virtual
    root and every node id its serial:
    - [post.(v)] is the largest serial in [v]'s subtree;
@@ -80,71 +82,86 @@ let compare_seq (a, _) (b, _) =
 let assemble ~symbols ~post ~path ~up ends =
   let n = Array.length post in
   let width = Symtab.path_count symbols in
-  (* Links are a counting sort of the nodes by path id: slots in
-     ascending path id, each slot's entries in serial order. *)
-  let next = Array.make width 0 in
+  (* Per path id: its link length, and whether a node has a same-path
+     ancestor, i.e. whether the link nests. *)
+  let next = Array.make width 0 and nests = Bytes.make width '\000' in
   for v = 1 to n - 1 do
     let p = Path.to_int path.(v) in
-    next.(p) <- next.(p) + 1
+    next.(p) <- next.(p) + 1;
+    if up.(v) >= 0 then Bytes.set nests p '\001'
   done;
-  let nlinks = Array.fold_left (fun k c -> if c > 0 then k + 1 else k) 0 next in
-  let link_off = Array.make (nlinks + 1) 0 in
-  let link_path_t = Array.make nlinks Path.epsilon in
-  let slot = ref 0 and off = ref 0 in
-  for p = 0 to width - 1 do
-    let len = next.(p) in
-    if len > 0 then begin
-      link_off.(!slot) <- !off;
-      link_path_t.(!slot) <- Path.of_int symbols p;
-      next.(p) <- !off;
-      off := !off + len;
-      incr slot
+  (* Dictionary: epsilon and the link paths (every node path), by depth
+     then id — a stable sort of the id-ordered paths — so parents
+     precede children.  Slot s holds the link of entry s + 1. *)
+  let dict = ref [] in
+  for p = width - 1 downto 0 do
+    if next.(p) > 0 then begin
+      if next.(p) > max_link_length then
+        invalid_arg
+          (Printf.sprintf "Labeled.build: a link of %d entries (at most %d)"
+             next.(p) max_link_length);
+      dict := Path.of_int symbols p :: !dict
     end
   done;
-  link_off.(nlinks) <- !off;
-  let l_pre = Array.make (n - 1) 0 in
-  let l_post = Array.make (n - 1) 0 in
-  let l_up = Array.make (n - 1) 0 in
+  let dict = Array.of_list (Path.epsilon :: !dict) in
+  Array.stable_sort
+    (fun a b -> Int.compare (Path.depth symbols a) (Path.depth symbols b))
+    dict;
+  let nlinks = Array.length dict - 1 in
+  let slots = I32.make width (-1) in
+  let link_off = I32.make (nlinks + 1) 0 in
+  let nested = ref 0 and nest_entries = ref 0 in
+  for s = 0 to nlinks - 1 do
+    let p = Path.to_int dict.(s + 1) in
+    I32.set slots p s;
+    I32.set link_off (s + 1) (I32.get link_off s + next.(p));
+    if Bytes.get nests p <> '\000' then begin
+      incr nested;
+      nest_entries := !nest_entries + next.(p)
+    end
+  done;
+  (* [next.(p)] becomes the position of p's next entry, and [ups.(p)],
+     for a nesting p, that of its next [up]. *)
+  let nest_slot = I32.make !nested 0 and nest_off = I32.make (!nested + 1) 0 in
+  let ups = Array.make width 0 and k = ref 0 in
+  for s = 0 to nlinks - 1 do
+    let p = Path.to_int dict.(s + 1) in
+    if Bytes.get nests p <> '\000' then begin
+      I32.set nest_slot !k s;
+      ups.(p) <- I32.get nest_off !k;
+      I32.set nest_off (!k + 1) (ups.(p) + next.(p));
+      incr k
+    end;
+    next.(p) <- I32.get link_off s
+  done;
+  let l_pre = Array.make (n - 1) 0 and l_span = Array.make (n - 1) 0 in
+  let l_up = Array.make !nest_entries 0 in
   for v = 1 to n - 1 do
     let p = Path.to_int path.(v) in
     let e = next.(p) in
     next.(p) <- e + 1;
     l_pre.(e) <- v;
-    l_post.(e) <- post.(v);
-    l_up.(e) <- up.(v)
+    l_span.(e) <- post.(v) - v;
+    if Bytes.get nests p <> '\000' then begin
+      l_up.(ups.(p)) <- up.(v);
+      ups.(p) <- ups.(p) + 1
+    end
   done;
-  let slot = I32.make width (-1) in
-  Array.iteri (fun s p -> I32.set slot (Path.to_int p) s) link_path_t;
-  let multi =
-    Bytes.init nlinks (fun s ->
-        let off = link_off.(s) in
-        if has_nested l_pre l_post off (link_off.(s + 1) - off) then '\001'
-        else '\000')
-  in
   (* Document table sorted by end-node serial. *)
   Array.sort (fun (a, _) (b, _) -> Stdlib.compare a b) ends;
-  let doc_pre = Array.map fst ends in
-  let doc_id = Array.map snd ends in
-  (* Dictionary: epsilon and the link paths (every node path), by depth
-     then id — a stable sort of the id-ordered paths — so parents
-     precede children. *)
-  let dict = Array.append [| Path.epsilon |] link_path_t in
-  Array.stable_sort
-    (fun a b -> Int.compare (Path.depth symbols a) (Path.depth symbols b))
-    dict;
   let fz = Store.flat_of_array in
   {
     symbols;
     n = n - 1;
-    dict = Some dict;
-    slot;
-    link_off = I32.of_array link_off;
+    dict = Some { paths = dict; slots };
+    link_off;
+    nest_slot;
+    nest_off;
     l_pre = fz l_pre;
-    l_post = fz l_post;
+    l_span = fz l_span;
     l_up = fz l_up;
-    doc_pre = fz doc_pre;
-    doc_id = fz doc_id;
-    multi;
+    doc_pre = fz (Array.map fst ends);
+    doc_id = fz (Array.map snd ends);
     source = None;
   }
 
@@ -234,16 +251,39 @@ let size_bytes t ~record_count = (4 * record_count) + (8 * t.n)
 let symbols t = t.symbols
 
 let dict_path t i =
-  match t.dict with Some dict -> dict.(i) | None -> Path.of_int t.symbols i
+  match t.dict with
+  | Some d -> d.paths.(i)
+  | None -> Path.of_int t.symbols i
 
 let dict_size t =
   match t.dict with
-  | Some dict -> Array.length dict
+  | Some d -> Array.length d.paths
   | None -> Symtab.path_count t.symbols
 
-let slot_of t p =
-  let p = Path.to_int p in
-  if p < I32.length t.slot then I32.get t.slot p else -1
+let distinct_paths t = I32.length t.link_off - 1
+
+(* The link slot of path id [p], or -1. *)
+let slot_of_id t p =
+  match t.dict with
+  | Some d -> if p < I32.length d.slots then I32.get d.slots p else -1
+  | None -> if p >= 1 && p <= distinct_paths t then p - 1 else -1
+
+let slot_of t p = slot_of_id t (Path.to_int p)
+
+(* The path of link slot [s]: dictionary entry [s + 1]. *)
+let slot_path t s = Path.to_int (dict_path t (s + 1))
+
+(* Where the [up] entries of slot [s] start in [l_up], or -1 if the link
+   does not nest: a binary search among the few nesting slots. *)
+let up_offset t s =
+  let lo = ref 0 and hi = ref (I32.length t.nest_slot) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if I32.get t.nest_slot mid < s then lo := mid + 1 else hi := mid
+  done;
+  if !lo < I32.length t.nest_slot && I32.get t.nest_slot !lo = s then
+    I32.get t.nest_off !lo
+  else -1
 
 let link t p =
   match slot_of t p with
@@ -253,32 +293,23 @@ let link t p =
     Some
       {
         k_pre = t.l_pre;
-        k_post = t.l_post;
+        k_span = t.l_span;
         k_up = t.l_up;
         loff;
         llen = I32.get t.link_off (slot + 1) - loff;
+        uoff = up_offset t slot;
       }
-
-let distinct_paths t = I32.length t.link_off - 1
-
-(* The path of every link slot, the inverse of [slot]: the index keeps
-   no copy of it. *)
-let slot_paths t =
-  let paths = I32.make (distinct_paths t) 0 in
-  for p = 0 to I32.length t.slot - 1 do
-    let s = I32.get t.slot p in
-    if s >= 0 then I32.set paths s p
-  done;
-  paths
 
 let link_length l = l.llen
 let link_pre l i = Store.get l.k_pre (l.loff + i)
-let link_post l i = Store.get l.k_post (l.loff + i)
-let link_up l i = Store.get l.k_up (l.loff + i)
+let link_post l i = link_pre l i + Store.get l.k_span (l.loff + i)
+let link_up l i = if l.uoff < 0 then -1 else Store.get l.k_up (l.uoff + i)
 
 (* Link entries are in pre-order, so an entry has a same-encoding
-   descendant iff the immediately following entry falls inside its range. *)
-let link_same_desc l i = i + 1 < l.llen && link_pre l (i + 1) <= link_post l i
+   descendant iff the immediately following entry falls inside its
+   range; in a link that does not nest, none does. *)
+let link_same_desc l i =
+  l.uoff >= 0 && i + 1 < l.llen && link_pre l (i + 1) <= link_post l i
 
 let doc_len t = Store.length t.doc_pre
 let doc_pre_at t i = Store.get t.doc_pre i
@@ -331,25 +362,26 @@ let path_frequencies ?member t =
     below.(k) <- below.(k) + below.(k - 1)
   done;
   let freq = Array.make (Symtab.path_count t.symbols) 0 in
-  let paths = slot_paths t in
-  let count pre_at post_at =
-    for slot = 0 to I32.length paths - 1 do
+  let count pre_at span_at =
+    for slot = 0 to distinct_paths t - 1 do
       let total = ref 0 and outer_post = ref (-1) in
       for i = I32.get t.link_off slot to I32.get t.link_off (slot + 1) - 1 do
         let pre = pre_at i in
         if pre > !outer_post then begin
-          let post = post_at i in
+          let post = pre + span_at i in
+          if pre < 1 || post < pre || post > t.n then
+            invalid_arg "Labeled.path_frequencies: link entry out of range";
           total :=
             !total + rank serials below (post + 1) - rank serials below pre;
           outer_post := post
         end
       done;
-      freq.(I32.get paths slot) <- !total
+      freq.(slot_path t slot) <- !total
     done
   in
   (* Slot order is link-column order: both columns are read front to
      back. *)
-  Store.scan t.l_pre (fun pre_at -> Store.scan t.l_post (count pre_at));
+  Store.scan t.l_pre (fun pre_at -> Store.scan t.l_span (count pre_at));
   freq
 
 (* Element [i] through [I32]'s inline primitives, for the sweep's, the
@@ -381,12 +413,12 @@ let sweep t =
   let s_path = I32.make (n + 1) (-1) and s_post = I32.make (n + 1) n in
   let s_entry = I32.make (n + 1) (-1) and s_parent = I32.make (n + 1) (-1) in
   I32.set s_path 0 (Path.to_int Path.epsilon);
-  let paths = slot_paths t in
-  let invert pre_at post_at =
-    for slot = 0 to I32.length paths - 1 do
+  let invert pre_at span_at =
+    for slot = 0 to distinct_paths t - 1 do
       let last = ref 0 in
       for i = I32.get t.link_off slot to I32.get t.link_off (slot + 1) - 1 do
-        let pre = pre_at i and post = post_at i in
+        let pre = pre_at i in
+        let post = pre + span_at i in
         if pre < 1 || pre > n then broken "serial %d out of range" pre;
         if pre <= !last then
           broken "link pre not strictly increasing at entry %d" i;
@@ -394,13 +426,13 @@ let sweep t =
           broken "pre above post or post out of range at entry %d" i;
         if get s_entry pre >= 0 then broken "serial %d in two links" pre;
         last := pre;
-        set s_path pre (get paths slot);
+        set s_path pre (slot_path t slot);
         set s_post pre post;
         set s_entry pre i
       done
     done
   in
-  Store.scan t.l_pre (fun pre_at -> Store.scan t.l_post (invert pre_at));
+  Store.scan t.l_pre (fun pre_at -> Store.scan t.l_span (invert pre_at));
   (* Serials are pre-order: a node's parent is the innermost open range
      still covering it, and a range must close inside its parent's. *)
   let stack = I32.make (n + 1) 0 and top = ref 0 in
@@ -455,8 +487,7 @@ let check t =
     let want_up = I32.make (max 1 t.n) (-1) in
     let stack = I32.make (t.n + 1) 0 and top = ref 0 in
     let entry_pos v =
-      let p = get sw.s_path v in
-      get sw.s_entry v - I32.get t.link_off (I32.get t.slot p)
+      get sw.s_entry v - I32.get t.link_off (slot_of_id t (get sw.s_path v))
     in
     for v = 1 to t.n do
       while get stack !top <> get sw.s_parent v do
@@ -470,19 +501,27 @@ let check t =
       incr top;
       set stack !top v
     done;
-    Store.scan t.l_up (fun up_at ->
-        for i = 0 to t.n - 1 do
-          if up_at i <> get want_up i then
-            broken "up at entry %d is not the nearest same-link ancestor" i
-        done);
+    (* A link nests iff an entry's successor falls inside its range,
+       and only a nesting link has [up] entries (the load has checked
+       that they fill [l_up]). *)
     for slot = 0 to distinct_paths t - 1 do
       let nested = ref false in
       for i = I32.get t.link_off slot to I32.get t.link_off (slot + 1) - 2 do
-        if Store.get t.l_pre (i + 1) <= Store.get t.l_post i then nested := true
+        if Store.get t.l_pre (i + 1) <= Store.get t.l_pre i + Store.get t.l_span i
+        then nested := true
       done;
-      if !nested <> (Bytes.get t.multi slot <> '\000') then
+      if !nested <> (up_offset t slot >= 0) then
         broken "link %d's multiplicity flag disagrees with its entries" slot
     done;
+    Store.scan t.l_up (fun up_at ->
+        for slot = 0 to distinct_paths t - 1 do
+          let off = I32.get t.link_off slot and uoff = up_offset t slot in
+          for i = off to I32.get t.link_off (slot + 1) - 1 do
+            let up = if uoff < 0 then -1 else up_at (uoff + i - off) in
+            if up <> get want_up i then
+              broken "up at entry %d is not the nearest same-link ancestor" i
+          done
+        done);
     let ndocs = doc_len t in
     let seen = Bytes.make ndocs '\000' in
     for i = 0 to ndocs - 1 do
@@ -501,22 +540,23 @@ let check t =
   | exception Broken msg -> Error msg
 
 let path_multiple t p =
-  match slot_of t p with
-  | -1 -> false
-  | slot -> Bytes.get t.multi slot <> '\000'
+  match slot_of t p with -1 -> false | slot -> up_offset t slot >= 0
 
 let backing_store t = t.source
 
 let directory_words t =
-  Obj.reachable_words (Obj.repr t.slot)
+  (match t.dict with
+   | Some d -> Obj.reachable_words (Obj.repr d.slots)
+   | None -> 0)
   + Obj.reachable_words (Obj.repr t.link_off)
-  + Obj.reachable_words (Obj.repr t.multi)
+  + Obj.reachable_words (Obj.repr t.nest_slot)
+  + Obj.reachable_words (Obj.repr t.nest_off)
 
 let column_bytes t =
   List.fold_left
     (fun total c -> total + Store.off_heap_bytes c)
     0
-    [ t.l_pre; t.l_post; t.l_up; t.doc_pre; t.doc_id ]
+    [ t.l_pre; t.l_span; t.l_up; t.doc_pre; t.doc_id ]
 
 (* --- snapshot regions ---------------------------------------------------- *)
 
@@ -528,7 +568,7 @@ let column_bytes t =
    pairs over the designators in use, ranked in the symbol table's own
    (name, kind) order ([Symtab.name_order]), the order a load numbers
    them in; their names, sorted hence prefix-heavy, are front-coded
-   from the table's blob.  The result is each path's entry, or -1. *)
+   from the table's blob. *)
 let dict_regions t store =
   let n = dict_size t in
   let index_of = Array.make (Symtab.path_count t.symbols) (-1) in
@@ -567,22 +607,25 @@ let dict_regions t store =
   Store.add_int_array store "dict_desig" desig;
   Store.add_int_array store "desig_kind" kind;
   Store.add_blob store "desig_names"
-    (Xsuccinct.Frontcode.encode names name_off keys);
-  index_of
+    (Xsuccinct.Frontcode.encode names name_off keys)
 
+(* The link directory is one word a slot: twice the link's length, plus
+   one if it nests.  The slots are the dictionary's entries after
+   epsilon, so no path is stored. *)
 let add_to_store t store =
   Store.add_int_array store "meta" [| t.n |];
-  let index_of = dict_regions t store and paths = slot_paths t in
-  Store.add_int_array store "link_path"
-    (Array.init (I32.length paths) (fun s -> index_of.(I32.get paths s)));
+  dict_regions t store;
+  let k = ref 0 in
   Store.add_int_array store "link_len"
-    (Array.init (I32.length paths) (fun s ->
-         I32.get t.link_off (s + 1) - I32.get t.link_off s));
-  Store.add_int_array store "link_multi"
-    (Array.init (Bytes.length t.multi) (fun s ->
-         Char.code (Bytes.get t.multi s)));
+    (Array.init (distinct_paths t) (fun s ->
+         let nests =
+           !k < I32.length t.nest_slot && I32.get t.nest_slot !k = s
+         in
+         if nests then incr k;
+         (2 * (I32.get t.link_off (s + 1) - I32.get t.link_off s))
+         + Bool.to_int nests));
   Store.add_ints store "l_pre" t.l_pre;
-  Store.add_ints store "l_post" t.l_post;
+  Store.add_ints store "l_span" t.l_span;
   Store.add_ints store "l_up" t.l_up;
   Store.add_ints store "doc_pre" t.doc_pre;
   Store.add_ints store "doc_id" t.doc_id
@@ -622,38 +665,44 @@ let of_store store =
     | symbols -> symbols
     | exception Invalid_argument what -> corrupt what
   in
-  let ndict = Symtab.path_count symbols in
-  let link_path = dir "link_path" in
+  (* One link a dictionary entry after epsilon, slot s for entry s + 1. *)
   let link_len = dir "link_len" in
-  let link_multi = dir "link_multi" in
-  let nlinks = I32.length link_path in
-  if I32.length link_len <> nlinks || I32.length link_multi <> nlinks then
+  let nlinks = I32.length link_len in
+  if nlinks <> Symtab.path_count symbols - 1 then
     corrupt "link directory sizes";
-  (* Offsets fit 32 bits up to [n]; a larger sum fails the check below. *)
+  (* Offsets fit 32 bits up to [n]; a larger sum fails the check below.
+     A saturated word reads as [I32.max_value], which no link's is. *)
   let link_off = I32.make (nlinks + 1) 0 and total_entries = ref 0 in
+  let nested = ref 0 in
   for s = 0 to nlinks - 1 do
-    let len = get link_len s in
-    if len < 0 || len > n then corrupt "link length out of range";
-    total_entries := !total_entries + len;
-    if !total_entries <= n then set link_off (s + 1) !total_entries
+    let w = get link_len s in
+    if w < 0 || w >= I32.max_value || w lsr 1 > n then
+      corrupt "link length out of range";
+    total_entries := !total_entries + (w lsr 1);
+    if !total_entries <= n then set link_off (s + 1) !total_entries;
+    nested := !nested + (w land 1)
   done;
   let l_pre = Store.ints store "l_pre" in
-  let l_post = Store.ints store "l_post" in
-  let l_up = Store.ints store "l_up" in
+  let l_span = Store.ints store "l_span" in
   (* Every node but the root is exactly one link entry. *)
   if
     !total_entries <> n
     || Store.length l_pre <> n
-    || Store.length l_post <> n
-    || Store.length l_up <> n
+    || Store.length l_span <> n
   then corrupt "link column sizes";
-  let slot = I32.make ndict (-1) in
+  (* The nesting links' [up] entries fill [l_up], in slot order. *)
+  let nest_slot = I32.make !nested 0 and nest_off = I32.make (!nested + 1) 0 in
+  let k = ref 0 in
   for s = 0 to nlinks - 1 do
-    let p = get link_path s in
-    if p < 0 || p >= ndict then corrupt "link path id out of range";
-    if get slot p >= 0 then corrupt "duplicate link path";
-    set slot p s
+    if get link_len s land 1 = 1 then begin
+      set nest_slot !k s;
+      set nest_off (!k + 1)
+        (get nest_off !k + get link_off (s + 1) - get link_off s);
+      incr k
+    end
   done;
+  let l_up = Store.ints store "l_up" in
+  if Store.length l_up <> get nest_off !nested then corrupt "up column size";
   let doc_pre = Store.ints store "doc_pre" in
   let doc_id = Store.ints store "doc_id" in
   if Store.length doc_pre <> Store.length doc_id then corrupt "doc table sizes";
@@ -661,15 +710,13 @@ let of_store store =
     symbols;
     n;
     dict = None;
-    slot;
     link_off;
+    nest_slot;
+    nest_off;
     l_pre;
-    l_post;
+    l_span;
     l_up;
     doc_pre;
     doc_id;
-    multi =
-      Bytes.init nlinks (fun s ->
-          if get link_multi s <> 0 then '\001' else '\000');
     source = Some store;
   }

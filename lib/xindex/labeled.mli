@@ -8,22 +8,27 @@
     path link} holds the labels of all nodes with that encoding, in
     ascending serial order, ready for binary search (Figure 8/9).
 
-    Additionally, each link entry stores the link position of its nearest
-    same-encoding ancestor ([up]); this is what makes the sibling-cover /
-    forward-prefix checks of Section 4.2 O(log) per candidate.
+    Additionally, each entry of a link that nests (some entry has a
+    same-encoding descendant) keeps the link position of its nearest
+    same-encoding ancestor ([up]); this is what makes the sibling-cover
+    / forward-prefix checks of Section 4.2 O(log) per candidate.  A
+    link that does not nest has no identical siblings, and the matcher
+    never asks for its [up].
 
     {2 Columnar representation}
 
     The index is stored as flat columns (structure of arrays): the
-    concatenated link-entry columns ([l_pre] / [l_post] / [l_up],
-    slot-major in deterministic path order), the sorted document table,
-    and a small in-memory link directory of offsets into them.  A trie
-    node's id is its serial and every node but the virtual root is
+    concatenated link-entry columns ([l_pre] and the span [l_span] =
+    [post - pre], slot-major with the slots in dictionary order, and
+    [l_up] for the nesting links' entries only), the sorted document
+    table, and a small in-memory link directory of offsets into them.  A
+    trie node's id is its serial and every node but the virtual root is
     exactly one link entry, so the links are the labels: there are no
     per-node columns.  Every label, offset and id is a 32-bit value: the
-    link directory is {!Xutil.I32} vectors (a path-to-slot map, each
-    slot's dictionary index, and [n + 1] entry offsets), and a flat
-    column is an [int32] buffer.  Each column is an
+    link directory is {!Xutil.I32} vectors (the links' entry offsets,
+    and the nesting links' slots and [up] offsets; a built index also
+    maps its path ids to slots), and a flat column is an [int32]
+    buffer.  Each column is an
     {!Xstorage.Store.column}, so one view serves every physical
     representation: unboxed 32-bit flat buffers (a built index), pages
     of an open snapshot file read through the buffer pool, and
@@ -61,7 +66,9 @@ val build : Sequencing.Symtab.t -> Path.t array array -> t
 
     @raise Invalid_argument on an empty sequence, or if the trie has
     more than [2^31 - 1] nodes (serials are 32-bit labels); the node
-    count is checked before anything is labelled. *)
+    count is checked before anything is labelled.  Likewise if one link
+    has more than [2^30 - 2] entries: the link directory keeps twice a
+    link's length, plus its nesting flag, in 32 bits. *)
 
 val symbols : t -> Sequencing.Symtab.t
 (** The table of the index's paths.  Queries resolve names against it
@@ -85,9 +92,11 @@ val link : t -> Path.t -> link option
 val link_length : link -> int
 val link_pre : link -> int -> int
 val link_post : link -> int -> int
+(** [link_pre] plus the entry's span. *)
 
 val link_up : link -> int -> int
-(** Link position of the nearest same-encoding proper ancestor, or -1. *)
+(** Link position of the nearest same-encoding proper ancestor, or -1
+    (always, in a link that does not nest). *)
 
 val link_same_desc : link -> int -> bool
 (** Whether the entry at this position has a same-encoding descendant —
@@ -132,9 +141,10 @@ val check : t -> (unit, string) result
 (** Checks the structure the matcher relies on (Section 4.1 and
     Definition 2), on the sweep {!sequences} makes: each link's [pre]
     strictly increases and lies in [[1, post]], every serial [1..n] is in
-    exactly one link, the ranges are laminar, [up] is the nearest
-    same-link ancestor, each link's multiplicity flag agrees with its
-    entries ({!link_same_desc}), the document table is sorted by end
+    exactly one link, the ranges are laminar, each link's nesting flag
+    agrees with its entries (a flag of 0: no entry's successor falls
+    inside its range), [up] is the nearest same-link ancestor (and -1
+    throughout a link that does not nest), the document table is sorted by end
     serial with its ids a permutation, and every document's chain is a
     valid constraint sequence ({!Sequencing.Seq_constraint.is_valid}).
     [Error] names the first broken invariant.  For test oracles: no load
@@ -144,9 +154,9 @@ val distinct_paths : t -> int
 (** Number of horizontal links. *)
 
 val directory_words : t -> int
-(** Words the link directory keeps on the OCaml heap: the path-to-slot
-    map, the slots' dictionary indexes, their entry offsets and their
-    multiplicity flags. *)
+(** Words the link directory keeps on the OCaml heap: the entry offsets,
+    the nesting links' slots and [up] offsets, and a built index's
+    path-to-slot map. *)
 
 val column_bytes : t -> int
 (** Bytes the link and document columns keep outside the OCaml heap
@@ -160,14 +170,20 @@ val column_bytes : t -> int
     {!Xstorage.Store.write} carries its own symbols — and, in paged
     mode, answers queries straight off disk.  The dictionary holds
     epsilon and every link path, by depth and then by the index's path
-    id, so parents precede children and siblings keep their order. *)
+    id, so parents precede children and siblings keep their order.  The
+    link slots follow it: slot [s] is the link of entry [s + 1], so no
+    region names a link's path. *)
 
 val add_to_store : t -> Xstorage.Store.t -> unit
 (** Registers every index region with the store.  Region names are
     reserved; combine with other regions freely as long as names do not
-    clash.  The link and document columns are registered as the
-    columns the index holds, without a copy; the dictionary and link
-    directory as arrays ({!Xstorage.Store.add_int_array}).  In either
+    clash.  The link and document columns ([l_pre], [l_span], [l_up],
+    [doc_pre], [doc_id]) are registered as the columns the index holds,
+    without a copy; the dictionary and the link directory as arrays
+    ({!Xstorage.Store.add_int_array}).  The link directory
+    ([link_len]) is one word a slot, twice the link's length plus one if
+    the link nests: the nesting links are the ones with [up] entries in
+    [l_up], in slot order.  In either
     format the path dictionary is (parent entry, designator id) pairs
     ([dict_parent], [dict_desig]) over the designators in use, in the
     (name, kind) order a load numbers them in
@@ -186,8 +202,9 @@ val of_store : Xstorage.Store.t -> t
     ({!Xstorage.Store.i32}).  The dictionary's vectors and its name
     blob are handed over to the symbol table
     ({!Sequencing.Symtab.of_dictionary}); the link directory keeps
-    [link_len] as the entry offsets it sums to, and [link_path] only as
-    the path-to-link map it inverts to.
+    [link_len] as the entry offsets it sums to, and the nesting links'
+    slots with the offsets of their [up] entries.  Path [p]'s link is
+    slot [p - 1]: the index keeps no path-to-slot map.
 
     Only the layout {!add_to_store} writes is read: a one-field [meta]
     and the compact dictionary with its designators in (name, kind)
@@ -199,9 +216,10 @@ val of_store : Xstorage.Store.t -> t
     @raise Invalid_argument naming the inconsistency if the regions are
     missing, mis-sized, or internally contradictory.  Validation covers
     every cross-region invariant (sizes, dictionary parent order, id
-    ranges, link lengths summing to the [meta] node count and to the
-    link columns' length, a node count within {!max_nodes}, no entry
-    twice), so a structurally valid
+    ranges, one link a dictionary entry, link lengths summing to the
+    [meta] node count and to the link columns' length, the nesting
+    links' lengths summing to [l_up]'s, a node count within 32 bits, no
+    entry twice), so a structurally valid
     file that passed checksums cannot produce out-of-bounds reads
     here. *)
 

@@ -434,14 +434,16 @@ let stats t = t.stats
    readers, so a foreign or damaged file is rejected with a diagnostic,
    never interpreted.
 
-   One version is written and read: version 4, with no record region
+   One version is written and read: version 5, with no record region
    (the index is the data), a compact path dictionary in (name, kind)
-   order and a one-field index [meta].  Under a fixed configuration the
+   order, a one-field index [meta] and only the link data the index
+   cannot derive (see [Xindex.Labeled.add_to_store]).  Under a fixed
+   configuration the
    index is a function of its records (Theorem 1), so a file of any
    other version is refused with the one remedy there is: build it again
    from its records. *)
 
-let snapshot_version = 4
+let snapshot_version = 5
 
 (* Only strategies that can be deterministically recomputed from the
    records survive a round trip: (tag, argument) as [xseq_meta] stores

@@ -771,10 +771,10 @@ let io_open dir =
 let io_seed () =
   with_dir (fun dir ->
       check_io_sequence "seed" [ ("d", dir) ]
-        ~ops:"open=6 read=0 write=20 fsync=8 rename=1"
+        ~ops:"open=6 read=0 write=18 fsync=8 rename=1"
         ~files:
           [
-            "d/base-000001.xseq 5fab68aed19f8d26747bd7e25c9e1e71";
+            "d/base-000001.xseq 1e99f76e5187af01244497d0e1d5b6d6";
             "d/checkpoint 78ea0dddaed3556f34bee03ce21bda10";
             "d/wal-000001.log 5fcbd0168b7562a604831f6029b72519";
           ]
@@ -787,10 +787,10 @@ let io_seed () =
 let io_compact () =
   with_dir (fun dir ->
       check_io_sequence "inserts, seals, compaction" [ ("d", dir) ]
-        ~ops:"open=6 read=0 write=41 fsync=29 rename=1"
+        ~ops:"open=6 read=0 write=39 fsync=29 rename=1"
         ~files:
           [
-            "d/base-000001.xseq 49c75542a38566511e55cc337c678053";
+            "d/base-000001.xseq 7608bef12c449117c69385a0c05d5c43";
             "d/checkpoint b82cdf1d349051ef524d0ba854182be1";
             "d/wal-000001.log e08acc4c76d2dd38e8c74cd59eed8210";
           ]
@@ -820,10 +820,10 @@ let io_replica () =
         List.init n (fun i -> Xlog.Wal.Insert (lo + i, seq_doc (lo + i)))
       in
       check_io_sequence "replica apply with a no-rotation cut" [ ("d", dir) ]
-        ~ops:"open=8 read=2 write=20 fsync=11 rename=1"
+        ~ops:"open=8 read=2 write=18 fsync=11 rename=1"
         ~files:
           [
-            "d/base-000000-000000.xseq 411056ebdf5f8bb93c94a94853e1fcc0";
+            "d/base-000000-000000.xseq f25502a5bc8315ce70275f36abe3100f";
             "d/checkpoint d9409e88a8934c784bc769da1b2f5608";
             "d/wal-000000.log 915c164a1a93aaba559d8f7553b3929e";
           ]
@@ -879,13 +879,13 @@ let io_transfer () =
           let module X = Xlog.Transfer in
           check_io_sequence "transfer, install, reseed"
             [ ("p", pdir); ("f", fdir) ]
-            ~ops:"open=43 read=23 write=66 fsync=28 rename=6"
+            ~ops:"open=41 read=21 write=60 fsync=28 rename=6"
         ~files:
           [
-            "p/base-000001-000000.xseq 92d29ed055c13b1e83a30dbe8f57896b";
+            "p/base-000001-000000.xseq 7d9331af242e894699c4102721636dda";
             "p/checkpoint ca4b24c0b756a427330618c40257e900";
             "p/wal-000001.log d99c1b50dbaf464b9d346239258b562d";
-            "f/base-000001-000000.xseq 92d29ed055c13b1e83a30dbe8f57896b";
+            "f/base-000001-000000.xseq 7d9331af242e894699c4102721636dda";
             "f/checkpoint ca4b24c0b756a427330618c40257e900";
             "f/wal-000001.log 80e66f96f00e0216c49f08fdefde8692";
           ]

@@ -74,53 +74,54 @@ let configs =
   ]
 
 (* (corpus, config, plain digest, compressed digest).  Pinned when
-   snapshots became version 4: no record region, a [sibling_order]
-   region, every index region byte for byte as the version-3 files that
-   earlier builds wrote with and without [--compress] held it. *)
+   snapshots became version 5: the link slots in dictionary order, no
+   [link_path] or [link_multi] (the nesting flag is [link_len]'s low
+   bit), spans in [l_span] for [l_post], and [l_up] for the nesting
+   links only; every other region byte for byte as version 4 held it. *)
 let golden =
   [
     (Dblp, "probability",
-      "56c3a2b6affa1d01a06c84161488e951", "2e5929424ecdab38b5810dc872f388f7");
+      "57fee12f44e881fd3f97a723afd2e0e1", "ba61c3e9e79cd23e1dc374bb66d6f9bd");
     (Dblp, "probability/sample 0.3",
-      "1f72a4e5b4de080cf0fc55a72b1be8f5", "c491bebc3101472883b8a2ebcee64c74");
+      "e7327c28b555e5cd9ab17d4ac6ead956", "f7f9a869aaa0b08a6ab3ba00660d0637");
     (Dblp, "depth-first",
-      "0f36dd9d7d1113c7042ac24807451487", "c767e00251e00d09ff45e1fb80510c1b");
+      "9a874a490de0d26d1bd4ba5116dc1379", "65daf069a65f36b1a34ca8976e98adf5");
     (Dblp, "depth-first/canonical",
-      "309ca1e36e50124f83553f297f1acf12", "28c46343e7a73c41c4f757f279228515");
+      "fa3563b81a340dd3ff17688ed83801ae", "d40f47492a029200a598f2c2fbd4aa24");
     (Dblp, "breadth-first",
-      "2a626d7910f6581b593ccd0f647c59f1", "5943fc91d8c94488eb91a3081c8a1204");
+      "6ca968fb879d7633dbc6e9c7723511a0", "836e8f812661169d2023e0c26b9a48fc");
     (Dblp, "breadth-first/canonical",
-      "ac7ad85f47b1ecb2ba27f47610f4089c", "a31b68f52c09ec224564d834fffb3c90");
+      "ae5484ea27f147ff078b1962ccfc63f6", "7f8288b9d8848b12447b83315797c018");
     (Dblp, "random",
-      "c3be1e456b5abc39fd30a30f973103e8", "db8e61255613784203a81c986bd5d73a");
+      "5186924a7f21e7cb2a2e97417722df4c", "203452db73f88df27d8fe1836a8a90b6");
     (Dblp, "text",
-      "07707c78aabefb06297a12309cd77088", "07707c78aabefb06297a12309cd77088");
+      "ecaec62a076ae14dbe6d040c00b63bc1", "ecaec62a076ae14dbe6d040c00b63bc1");
     (Xmark, "probability",
-      "bec04e058a9724bdef5517a84876cc0e", "3d948d9bc7f0155bf14332e47c4867ec");
+      "a3901e0a19af41b0921e3596ca1e0c06", "62bccdc17fd64e02b5cc0522afcdb308");
     (Xmark, "probability/sample 0.3",
-      "256af0641f235329a7148b0c41643230", "b7e8a0a5b61f1cdd2946eb2a25acb7c6");
+      "853e9b4d118be2eb2b3afd2951bacfd6", "e46cacebad6187b140642b1e057d3212");
     (Xmark, "depth-first",
-      "cbb537da3d0a107664b9d917ae87b2b9", "9c537e698a712ecb91a49d54a0121c2b");
+      "3dd8dc105c23dbba8a55024daf10bab2", "b93fbd98e71952d07101f3231abbdbc5");
     (Xmark, "depth-first/canonical",
-      "3c7bda08aba564324e39b7686e136c1f", "f0112624c8d039613e3860a94680bb74");
+      "dcdf9e3821f2a7358b12b3c40608ed03", "e46443f7b90febfb9c8dac663c2dae14");
     (Xmark, "breadth-first",
-      "67db993862cc1f16e6942a3da68c31e7", "52880068da2a210373071238f4b56a2a");
+      "c83072d9cea480d44a1f3bd651de5184", "29afb04f4b56cd8b1cc6985f282fa488");
     (Xmark, "breadth-first/canonical",
-      "671067d829ea9a55840fad873f0fb652", "47a92c39af9f08ea2369378beac68c2c");
+      "5b6331216a40d2c5a68546132ec0a753", "6e637c2b491c4fe0e22c018143dc3bdc");
     (Xmark, "random",
-      "79ff9df08639716057b0851446540b91", "272b6cf34816d9ee9e77b602ad3f3cf1");
+      "3142963e580d559bc5a2446b5b75237c", "c10f829367ec9f713f0bb65d0babe0fb");
     (Xmark, "text",
-      "7ab16d856beb1c7e2cf5d0d5ac67f8b2", "99c10c9f0612163a48938d95c5dd68d4");
+      "35c26cde2c8e0cf3c4823ec68f332895", "2b7780325d38ad1ce95ed038e8b4e14e");
     (Dblp_text, "probability",
-      "56c3a2b6affa1d01a06c84161488e951", "2e5929424ecdab38b5810dc872f388f7");
+      "57fee12f44e881fd3f97a723afd2e0e1", "ba61c3e9e79cd23e1dc374bb66d6f9bd");
     (Xmark_text, "probability",
-      "bec04e058a9724bdef5517a84876cc0e", "3d948d9bc7f0155bf14332e47c4867ec");
+      "a3901e0a19af41b0921e3596ca1e0c06", "62bccdc17fd64e02b5cc0522afcdb308");
     (Mixed_text, "probability",
-      "0cd6b91e8c7daaf9c72b2fa831a92477", "bf434bcc405888a252a6f1827f035d54");
+      "1c48f3cb7143f0a3aee1f1c41e84be60", "a5b56dfd71e5186bc2553b0178ea778e");
     (Mixed_text, "depth-first/canonical",
-      "36f6e5f971c21b4f65b763a97bcce47a", "9d1279e993a20eecee0697920c7cac06");
+      "5f19913350d276d6bd7bd44377064cbe", "f2aca271b75383c1d00538d860373dd3");
     (Mixed_text, "text",
-      "fc500e64b2a8fcbaa281990e19acd618", "fc500e64b2a8fcbaa281990e19acd618");
+      "9d2dfa5c9016f94ff845609272ef1d23", "9d2dfa5c9016f94ff845609272ef1d23");
   ]
 
 (* The re-saves checked, as (container loaded, load mode, container

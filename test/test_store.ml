@@ -1121,8 +1121,10 @@ let test_roundtrip_value_modes () =
    to [path] a snapshot of a small index with [f] applied to one int
    region (with [~source], a copy of that snapshot file instead);
    [tampered region f] expects the load of that file to fail with the
-   diagnostic [want]. *)
-let copy_file ?(format = Containers.Plain) source ~ints ~blob path =
+   diagnostic [want].  [copy_file] edits int regions in place through
+   [ints], then replaces them through [resize]. *)
+let copy_file ?(format = Containers.Plain) ?(resize = fun _ m -> m) source
+    ~ints ~blob path =
   let s = Store.memory () in
   let src = Store.open_file source in
   List.iter
@@ -1131,7 +1133,7 @@ let copy_file ?(format = Containers.Plain) source ~ints ~blob path =
       | name, `Ints ->
         let m = Store.int_array src name in
         ints name m;
-        Store.add_int_array s name m
+        Store.add_int_array s name (resize name m)
       | name, `Blob -> Store.add_blob s name (blob name (Store.blob src name)))
     (Store.regions src);
   Containers.write format s path;
@@ -1168,17 +1170,41 @@ let tampered ?format ?source region f ~want =
       load_fails path ~want)
 
 (* A lying node count, or a lying link length, breaks the agreement of
-   the link lengths' sum, the link columns' length and the node count;
-   a link directory naming one path twice is rejected too. *)
+   the link lengths' sum, the link columns' length and the node count.
+   The link directory has one word a dictionary entry after epsilon, so
+   a word short is rejected too, and a nesting flag set on a link that
+   does not nest claims [up] entries the up column does not hold.  (A
+   link directory word is twice the link's length, plus its flag.) *)
 let test_inconsistent_snapshot () =
   tampered "meta" (fun m -> m.(0) <- m.(0) + 1) ~want:"link column sizes";
   tampered "link_len"
-    (fun m -> m.(0) <- m.(0) + 1)
+    (fun m -> m.(0) <- m.(0) + 2)
     ~want:"link column sizes";
   tampered "link_len" (fun m -> m.(0) <- -1) ~want:"link length out of range";
-  (* Two links naming one path: the later would shadow the earlier in
-     the path-to-link map and drop its entries from every answer. *)
-  tampered "link_path" (fun m -> m.(1) <- m.(0)) ~want:"duplicate link path"
+  with_temp "xseq_inconsistent" (fun path ->
+      let index = Xseq.build (Xdatagen.Dblp_gen.generate 10) in
+      with_temp "xseq_inconsistent_src" (fun source ->
+          Xseq.save index source;
+          copy_file source
+            ~ints:(fun _ _ -> ())
+            ~resize:(fun name m ->
+              if name = "link_len" then Array.sub m 0 (Array.length m - 1)
+              else m)
+            ~blob:(fun _ b -> b)
+            path;
+          load_fails path ~want:"link directory sizes";
+          copy_file source
+            ~ints:(fun name m ->
+              if name = "link_len" then begin
+                let k = ref 0 in
+                while m.(!k) land 1 = 1 do
+                  incr k
+                done;
+                m.(!k) <- m.(!k) lor 1
+              end)
+            ~blob:(fun _ b -> b)
+            path;
+          load_fails path ~want:"up column size"))
 
 (* --- index invariants --------------------------------------------------- *)
 
@@ -1242,43 +1268,82 @@ let test_check_mutations () =
        | Error msg -> Alcotest.failf "the untampered index fails: %s" msg);
       let s = Store.open_file source in
       let l_pre = Store.int_array s "l_pre"
-      and l_post = Store.int_array s "l_post"
+      and l_span = Store.int_array s "l_span"
+      and l_up = Store.int_array s "l_up"
       and link_len = Store.int_array s "link_len"
       and doc_pre = Store.int_array s "doc_pre" in
       Store.close s;
-      let link_end = Array.make (Array.length l_pre) 0 and off = ref 0 in
-      Array.iter
-        (fun len ->
+      (* Per entry: its link's slot and the end of its link; per nesting
+         slot, where its [up] entries start. *)
+      let n = Array.length l_pre in
+      let slot = Array.make n 0 and link_end = Array.make n 0 in
+      let up_at = Array.make (Array.length link_len) (-1) in
+      let off = ref 0 and ups = ref 0 in
+      Array.iteri
+        (fun s w ->
+          let len = w lsr 1 in
           for i = !off to !off + len - 1 do
+            slot.(i) <- s;
             link_end.(i) <- !off + len
           done;
+          if w land 1 = 1 then begin
+            up_at.(s) <- !ups;
+            ups := !ups + len
+          end;
           off := !off + len)
         link_len;
       let rec nested e =
-        if e + 1 >= Array.length l_pre then Alcotest.fail "no nested entry"
-        else if e + 1 < link_end.(e) && l_pre.(e + 1) <= l_post.(e) then e + 1
+        if e + 1 >= n then Alcotest.fail "no nested entry"
+        else if e + 1 < link_end.(e) && l_pre.(e + 1) <= l_pre.(e) + l_span.(e)
+        then e + 1
         else nested (e + 1)
       in
       let e = nested 0 in
-      let broken what ~ints ~want =
+      let ls = slot.(e) in
+      let first = link_end.(e) - (link_len.(ls) lsr 1) in
+      let broken what ?resize ~ints ~want () =
         with_temp "xseq_check_tampered" (fun path ->
-            copy_file source ~ints ~blob:(fun _ b -> b) path;
+            copy_file source ?resize ~ints ~blob:(fun _ b -> b) path;
             match check_of path with
             | Ok () -> Alcotest.failf "%s: the index passed its check" what
             | Error msg -> Alcotest.(check string) what want msg)
       in
       broken "one up tampered"
-        ~ints:(fun name m -> if name = "l_up" then m.(e) <- -1)
+        ~ints:(fun name m ->
+          if name = "l_up" then m.(up_at.(ls) + e - first) <- -1)
         ~want:
           (Printf.sprintf "up at entry %d is not the nearest same-link ancestor"
-             e);
+             e)
+        ();
+      (* The flag cleared and the link's [up] entries dropped with it, so
+         the load's size checks still hold. *)
+      broken "one multiplicity flag cleared"
+        ~ints:(fun name m -> if name = "link_len" then m.(ls) <- m.(ls) - 1)
+        ~resize:(fun name m ->
+          if name = "l_up" then
+            Array.append
+              (Array.sub m 0 up_at.(ls))
+              (Array.sub m (up_at.(ls) + (link_len.(ls) lsr 1))
+                 (Array.length m - up_at.(ls) - (link_len.(ls) lsr 1)))
+          else m)
+        ~want:
+          (Printf.sprintf "link %d's multiplicity flag disagrees with its entries"
+             ls)
+        ();
+      (* Their spans moved so that each keeps its post. *)
       broken "two pre swapped"
         ~ints:(fun name m ->
+          let post i = l_pre.(i) + l_span.(i) in
           if name = "l_pre" then begin
             m.(e) <- l_pre.(e - 1);
             m.(e - 1) <- l_pre.(e)
+          end
+          else if name = "l_span" then begin
+            m.(e) <- post e - l_pre.(e - 1);
+            m.(e - 1) <- post (e - 1) - l_pre.(e)
           end)
-        ~want:(Printf.sprintf "link pre not strictly increasing at entry %d" e);
+        ~want:(Printf.sprintf "link pre not strictly increasing at entry %d" e)
+        ();
       let last = Array.length doc_pre - 1 in
       if doc_pre.(0) = doc_pre.(last) then
         Alcotest.fail "every document ends at one serial";
@@ -1291,7 +1356,19 @@ let test_check_mutations () =
           end)
         ~want:
           (Printf.sprintf "document table not sorted by end serial at entry %d"
-             last))
+             last)
+        ();
+      (* An up column shorter than the nesting links is a size the load
+         checks, like the link columns': it never reaches [check]. *)
+      with_temp "xseq_check_short" (fun path ->
+          copy_file source
+            ~ints:(fun _ _ -> ())
+            ~resize:(fun name m ->
+              if name = "l_up" then Array.sub m 0 (Array.length l_up - 1)
+              else m)
+            ~blob:(fun _ b -> b)
+            path;
+          load_fails path ~want:"up column size"))
 
 (* Every value a loaded index holds is 32-bit.  A snapshot with a label,
    a link-directory entry, a dictionary entry or a node count of 2^31 is
@@ -1303,8 +1380,6 @@ let test_beyond_32_bits () =
   tampered "meta" (fun m -> m.(0) <- wide) ~want:"node count beyond 32 bits";
   tampered "link_len" (fun m -> m.(0) <- wide)
     ~want:"link length out of range";
-  tampered "link_path" (fun m -> m.(0) <- wide)
-    ~want:"link path id out of range";
   tampered "dict_parent" (fun m -> m.(1) <- wide)
     ~want:"dictionary parent order";
   List.iter
@@ -1324,7 +1399,7 @@ let test_beyond_32_bits () =
               Alcotest.(check int) "info exits 1" 1
                 (Containers.run_cli [ "info"; path ])
           end))
-    [ "l_pre"; "l_post"; "l_up"; "doc_pre"; "doc_id" ];
+    [ "l_pre"; "l_span"; "l_up"; "doc_pre"; "doc_id" ];
   (* The compact dictionary's regions, in every container, are read
      through the same 32-bit reader. *)
   List.iter
