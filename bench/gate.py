@@ -21,7 +21,9 @@ The scorecard (BENCH_scorecard.json: the page counts and result sizes
 of Table 7, Fig. 16(c,d) and the LRU ablation at fixed sizes) is held
 exactly to the committed file, value by value, and the storage
 experiment's probe count must be the same on every backing and, at the
-committed record count, equal to the committed one.
+committed record count, equal to the committed one.  These exact gates
+need the committed files: where git has none (a `git archive` copy, a
+file not yet committed) the gate fails rather than pass unchecked.
 
 Floors are core-count-aware: on a runner with at least
 `min_cores_for_scaling` cores the 'scaling' floors apply (parallelism
@@ -198,7 +200,8 @@ def gate_exact(name, fresh_path, failures):
     fresh = load(fresh_path)
     base = committed(fresh_path)
     if base is None:
-        print(f"== {name}: no committed {fresh_path} baseline; nothing to compare")
+        print(f"== {name}: no committed {fresh_path} baseline")
+        failures.append(f"{name}: no committed {fresh_path} to hold exactly")
         return
     got, was = dict(leaves(fresh)), dict(leaves(base))
     moved = [
@@ -222,7 +225,10 @@ def gate_probes(fresh_path, failures):
     if len(set(probes.values())) != 1:
         failures.append(f"storage: backings count different probes: {probes}")
     base = committed(fresh_path)
-    if base is None or base.get("records") != fresh.get("records"):
+    if base is None:
+        failures.append(f"storage: no committed {fresh_path} to hold probes to")
+        return
+    if base.get("records") != fresh.get("records"):
         print("   no committed baseline at this record count; informational")
         return
     want = {run.get("probes") for run in base.get("runs", [])}

@@ -2,6 +2,11 @@ module Path = Symtab.Path
 
 type kind = F1 | F2
 
+(* The index of the forward prefix of element [i]: the nearest [j < i]
+   with [seq.(j) = Path.parent seq.(i)] (Definition 2, restricted to
+   ancestor-first sequences, which is what [Encoder] produces and the
+   paper's sequencing procedure guarantees); [None] for the root or an
+   invalid sequence. *)
 let forward_prefix symbols seq i =
   let p = seq.(i) in
   if Path.depth symbols p <= 1 then None

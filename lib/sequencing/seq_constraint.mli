@@ -11,14 +11,6 @@
 
 type kind = F1 | F2
 
-val forward_prefix : Symtab.t -> Symtab.Path.t array -> int -> int option
-(** [forward_prefix symbols seq i] is the index of the forward prefix of
-    element [i]: the nearest [j < i] with [seq.(j) = Path.parent seq.(i)]
-    (Definition 2, restricted to ancestor-first sequences, which is what
-    {!Encoder} produces and the paper's sequencing procedure guarantees).
-    [None] when no such element exists — for the root, or for an invalid
-    sequence. *)
-
 val is_valid : Symtab.t -> Symtab.Path.t array -> bool
 (** [is_valid symbols seq] checks that [seq] is a well-formed
     ancestor-first constraint sequence: it is non-empty, its first

@@ -22,11 +22,6 @@ let rec depth = function
   | Value _ -> 1
   | Element (_, cs) -> 1 + List.fold_left (fun d c -> max d (depth c)) 0 cs
 
-let rec max_fanout = function
-  | Value _ -> 0
-  | Element (_, cs) ->
-    List.fold_left (fun m c -> max m (max_fanout c)) (List.length cs) cs
-
 let rec equal a b =
   match a, b with
   | Value x, Value y -> String.equal x y

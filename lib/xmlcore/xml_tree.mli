@@ -36,9 +36,6 @@ val node_count : t -> int
 val depth : t -> int
 (** Height of the tree; a single node has depth 1. *)
 
-val max_fanout : t -> int
-(** Largest number of children of any node. *)
-
 val equal : t -> t -> bool
 (** Ordered structural equality. *)
 

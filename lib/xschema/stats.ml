@@ -65,9 +65,6 @@ let count ?value_mode ?(symbols = Symtab.create ()) ~keep docs =
 let of_documents_array ?value_mode ?symbols docs =
   count ?value_mode ?symbols ~keep:(fun _ -> true) docs
 
-let of_documents ?value_mode ?symbols docs =
-  of_documents_array ?value_mode ?symbols (Array.of_list docs)
-
 let sample_members ~fraction ~seed n =
   let rng = Random.State.make [| seed |] in
   let m = Array.init n (fun _ -> Random.State.float rng 1.0 < fraction) in
@@ -86,12 +83,6 @@ let rec p_root t path =
   if id < Array.length t.p then t.p.(id)
   else p_root t (Path.parent t.symbols path) *. 0.1
 
-let p_parent t path =
-  if Path.equal path Path.epsilon then 1.0
-  else begin
-    let pp = p_root t (Path.parent t.symbols path) in
-    if pp <= 0. then 0. else p_root t path /. pp
-  end
 
 let set_weight t path w = Hashtbl.replace t.weights path w
 

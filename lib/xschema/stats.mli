@@ -9,26 +9,20 @@
 
     Statistics price the paths of one symbol table: the one they were
     counted into, fixed at construction.  Estimates for every path of the
-    table are computed then, so {!p_root}, {!p_parent} and {!priority}
+    table are computed then, so {!p_root} and {!priority}
     only read and may be called from many domains at once.  {!set_weight}
     and {!set_tag_weight} must run on one domain, before pricing
     starts. *)
 
 type t
 
-val of_documents :
-  ?value_mode:Sequencing.Encoder.value_mode ->
-  ?symbols:Sequencing.Symtab.t ->
-  Xmlcore.Xml_tree.t list ->
-  t
-(** Collects path document-frequencies over the sample, interning its
-    paths into [symbols] (default: a fresh table). *)
-
 val of_documents_array :
   ?value_mode:Sequencing.Encoder.value_mode ->
   ?symbols:Sequencing.Symtab.t ->
   Xmlcore.Xml_tree.t array ->
   t
+(** Collects path document-frequencies over the sample, interning its
+    paths into [symbols] (default: a fresh table). *)
 
 val sample :
   ?value_mode:Sequencing.Encoder.value_mode ->
@@ -66,9 +60,6 @@ val p_root : t -> Sequencing.Symtab.Path.t -> float
 (** Estimated [p(C|root)]; unseen paths decay geometrically from their
     longest seen prefix so estimates remain deterministic and
     parent-monotone. *)
-
-val p_parent : t -> Sequencing.Symtab.Path.t -> float
-(** Estimated [p(C|parent)] = [p(C|root) / p(parent|root)] (Figure 12). *)
 
 val set_weight : t -> Sequencing.Symtab.Path.t -> float -> unit
 (** Registers the tunable weight [w(C)] of Eq. 6 for a path; weights

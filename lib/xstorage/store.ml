@@ -93,8 +93,6 @@ let length = function
   | Flat b -> Bigarray.Array1.dim b
   | Packed p -> Xsuccinct.Packed.count p.ph
 
-let is_paged = function Packed _ -> true | Flat _ -> false
-
 let off_heap_bytes = function
   | Flat b -> 4 * Bigarray.Array1.dim b
   | Packed _ -> 0

@@ -111,10 +111,6 @@ val scan : column -> ((int -> int) -> 'a) -> 'a
 val to_array : column -> int array
 (** Materialises the column (decodes a paged column in full). *)
 
-val is_paged : column -> bool
-(** True when probes may touch the file: a compressed column whose delta
-    blocks live behind the buffer pool. *)
-
 val off_heap_bytes : column -> int
 (** Bytes the column keeps outside the OCaml heap: four an element for a
     flat buffer, 0 for a paged column. *)

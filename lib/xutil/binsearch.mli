@@ -6,15 +6,3 @@ val lower_bound : int array -> len:int -> int -> int
 
 val upper_bound : int array -> len:int -> int -> int
 (** Smallest index [i < len] with [a.(i) > x], or [len]. *)
-
-val floor_index : int array -> len:int -> int -> int
-(** Largest index [i < len] with [a.(i) <= x], or [-1]. *)
-
-(** {1 Accessor-generic variants}
-
-    The same searches over any indexed int source — columnar flat buffers,
-    paged columns — via a [get] function instead of a heap array. *)
-
-val lower_bound_by : get:(int -> int) -> len:int -> int -> int
-val upper_bound_by : get:(int -> int) -> len:int -> int -> int
-val floor_index_by : get:(int -> int) -> len:int -> int -> int

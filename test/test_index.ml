@@ -224,9 +224,12 @@ let nearest_in_link link x =
     else if Labeled.link_post link i >= x then i
     else climb (Labeled.link_up link i)
   in
+  let len = Labeled.link_length link in
   climb
-    (Xutil.Binsearch.floor_index_by ~get:(Labeled.link_pre link)
-       ~len:(Labeled.link_length link) x)
+    (Xutil.Binsearch.upper_bound
+       (Array.init len (Labeled.link_pre link))
+       ~len x
+    - 1)
 
 let prop_nearest_in_link =
   QCheck.Test.make ~name:"nearest_in_link = deepest containing entry" ~count:150
@@ -411,10 +414,11 @@ let prop_build_equals_reference =
 (* The ids of the documents whose sequences end at a serial in
    [[lo, hi]]: the span of the sorted document table, then its ids. *)
 let docs_in_range l ~lo ~hi ~f =
-  let get = Labeled.doc_pre_at l and len = Labeled.doc_len l in
+  let len = Labeled.doc_len l in
+  let pres = Array.init len (Labeled.doc_pre_at l) in
   Labeled.docs_between l
-    ~first:(Xutil.Binsearch.lower_bound_by ~get ~len lo)
-    ~last:(Xutil.Binsearch.upper_bound_by ~get ~len hi - 1)
+    ~first:(Xutil.Binsearch.lower_bound pres ~len lo)
+    ~last:(Xutil.Binsearch.upper_bound pres ~len hi - 1)
     ~f
 
 let prop_docs_in_range =

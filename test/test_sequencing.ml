@@ -610,12 +610,19 @@ let fp_example =
     Path.child sy (p_of [ "P"; "D"; "M" ]) (D.value sy "v3");
   |]
 
+(* The forward prefix of element [j], through [holds F2]: the earlier
+   elements at its parent's depth that it holds with. *)
+let forward_prefix j =
+  List.filter
+    (fun i ->
+      Path.depth sy fp_example.(i) = Path.depth sy fp_example.(j) - 1
+      && C.holds sy C.F2 fp_example i j)
+    (List.init j Fun.id)
+
 let test_forward_prefix () =
-  Alcotest.(check (option int)) "PDM's fp is 2nd PD" (Some 4)
-    (C.forward_prefix sy fp_example 5);
-  Alcotest.(check (option int)) "PDL's fp is 1st PD" (Some 1)
-    (C.forward_prefix sy fp_example 2);
-  Alcotest.(check (option int)) "root has none" None (C.forward_prefix sy fp_example 0)
+  Alcotest.(check (list int)) "PDM's fp is 2nd PD" [ 4 ] (forward_prefix 5);
+  Alcotest.(check (list int)) "PDL's fp is 1st PD" [ 1 ] (forward_prefix 2);
+  Alcotest.(check (list int)) "root has none" [] (forward_prefix 0)
 
 let test_constraint_holds () =
   Alcotest.(check bool) "f2: 2nd PD ancestor of PDM" true (C.holds sy C.F2 fp_example 4 5);

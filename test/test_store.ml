@@ -72,8 +72,8 @@ let test_roundtrip_resident () =
         (Array.to_list (Store.to_array col));
       Alcotest.(check string) "blob survives" "hello, store"
         (Store.blob s "blob");
-      Alcotest.(check bool) "resident columns are not paged" false
-        (Store.is_paged col);
+      Alcotest.(check int) "a resident column is a flat buffer" 12
+        (Store.off_heap_bytes col);
       Alcotest.(check int)
         "file_bytes matches the file" (String.length (read_all path))
         (Store.file_bytes s);
@@ -128,7 +128,8 @@ let test_roundtrip_paged () =
       Store.write ~page_size:16 ~compress:true (tiny_store ()) path;
       let s = Store.open_file ~mode:Store.Paged ~pool_pages:2 path in
       let col = Store.ints s "col" in
-      Alcotest.(check bool) "paged column" true (Store.is_paged col);
+      Alcotest.(check int) "a paged column keeps nothing off the heap" 0
+        (Store.off_heap_bytes col);
       Alcotest.(check int) "length" 7 (Store.length col);
       for i = 0 to 6 do
         Alcotest.(check int)

@@ -15,7 +15,6 @@ let sample = e "P" [ v "xml"; e "R" [ e "L" [ v "boston" ] ]; e "D" [] ]
 let test_tree_measures () =
   Alcotest.(check int) "node count" 6 (T.node_count sample);
   Alcotest.(check int) "depth" 4 (T.depth sample);
-  Alcotest.(check int) "fanout" 3 (T.max_fanout sample);
   Alcotest.(check bool) "no identical sibs" false (T.has_identical_siblings sample);
   let dup = e "P" [ e "D" []; e "D" [] ] in
   Alcotest.(check bool) "identical sibs" true (T.has_identical_siblings dup)

@@ -13,9 +13,6 @@ let test_binsearch () =
   Alcotest.(check int) "lower_bound after" 6 (Bs.lower_bound a ~len 100);
   Alcotest.(check int) "upper_bound hit" 4 (Bs.upper_bound a ~len 3);
   Alcotest.(check int) "upper_bound after" 6 (Bs.upper_bound a ~len 9);
-  Alcotest.(check int) "floor hit" 3 (Bs.floor_index a ~len 3);
-  Alcotest.(check int) "floor miss" 3 (Bs.floor_index a ~len 6);
-  Alcotest.(check int) "floor before" (-1) (Bs.floor_index a ~len 0);
   (* len smaller than the physical array restricts the view *)
   Alcotest.(check int) "restricted len" 2 (Bs.upper_bound a ~len:2 5)
 
@@ -43,8 +40,7 @@ let prop_bounds =
          done
        with Exit -> ());
       Xutil.Binsearch.lower_bound a ~len x = !lb
-      && Xutil.Binsearch.upper_bound a ~len x = !ub
-      && Xutil.Binsearch.floor_index a ~len x = !ub - 1)
+      && Xutil.Binsearch.upper_bound a ~len x = !ub)
 
 (* --- domain pool ----------------------------------------------------------- *)
 
