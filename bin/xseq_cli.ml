@@ -1795,6 +1795,7 @@ let info_cmd =
           let store = Store.open_file input in
           let region name = Store.ints store name in
           let xmeta = Store.int_array store "xseq_meta" in
+          if Array.length xmeta > 0 then Xseq.check_version xmeta.(0);
           let imeta = Store.int_array store "meta" in
           if Array.length xmeta <> 9 || Array.length imeta = 0 then
             invalid_arg "malformed xseq_meta/meta region";

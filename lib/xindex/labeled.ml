@@ -507,8 +507,8 @@ let check t =
     for slot = 0 to distinct_paths t - 1 do
       let nested = ref false in
       for i = I32.get t.link_off slot to I32.get t.link_off (slot + 1) - 2 do
-        if Store.get t.l_pre (i + 1) <= Store.get t.l_pre i + Store.get t.l_span i
-        then nested := true
+        let post = Store.get t.l_pre i + Store.get t.l_span i in
+        if Store.get t.l_pre (i + 1) <= post then nested := true
       done;
       if !nested <> (up_offset t slot >= 0) then
         broken "link %d's multiplicity flag disagrees with its entries" slot

@@ -445,6 +445,14 @@ let stats t = t.stats
 
 let snapshot_version = 5
 
+let check_version v =
+  if v <> snapshot_version then
+    invalid_arg
+      (Printf.sprintf
+         "Xseq.load: snapshot version %d is not read (this build reads \
+          version %d); %s"
+         v snapshot_version Store.rebuild_remedy)
+
 (* Only strategies that can be deterministically recomputed from the
    records survive a round trip: (tag, argument) as [xseq_meta] stores
    them. *)
@@ -525,11 +533,7 @@ let restore store =
     bad "not an xseq index snapshot (missing xseq_meta region)";
   let meta = Store.int_array store "xseq_meta" in
   if Array.length meta = 0 then bad "malformed xseq_meta region";
-  if meta.(0) <> snapshot_version then
-    bad
-      (Printf.sprintf
-         "snapshot version %d is not read (this build reads version %d); %s"
-         meta.(0) snapshot_version Store.rebuild_remedy);
+  check_version meta.(0);
   if Array.length meta <> 9 then bad "malformed xseq_meta region";
   let sequencing =
     match (meta.(1), meta.(2)) with

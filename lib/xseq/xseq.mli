@@ -215,9 +215,11 @@ val stats : t -> Xschema.Stats.t option
     record's siblings come out in sequence order), and a small metadata
     region recording how the probability model was derived (so the
     strategy is deterministically recomputed on load).  One snapshot
-    version is written and read, version 4: it holds no record region,
-    since the index determines its records (Theorem 1).  A file of any
-    other version is refused (see {!load}).  Nothing is marshalled — every region is
+    version is written and read, version 5: it holds no record region,
+    since the index determines its records (Theorem 1), and no link
+    region the index can derive (see
+    {!Xindex.Labeled.add_to_store}).  A file of any other version is
+    refused (see {!load}).  Nothing is marshalled — every region is
     checksummed and decoded through bounds-checked readers, so a
     corrupt, truncated or foreign file is rejected with a diagnostic
     naming the failure.
@@ -233,7 +235,7 @@ val save : ?compress:bool -> t -> string -> unit
     front-coded path dictionary, on 1 KiB pages.  [compress] (default
     [false]) also LZ-codes the designator names: a smaller file that is
     slower to write.  Either loads through {!load}, resident or paged.
-    The file is snapshot version 4 and holds no records.
+    The file is snapshot version 5 and holds no records.
     @raise Invalid_argument for indexes built with a
     [Custom]/[Probability_weighted] strategy (closures cannot be
     persisted). *)
@@ -244,6 +246,12 @@ val built_under : t -> config -> bool
     the configuration its snapshot recorded.  [false] whenever either
     side uses a [Custom] or [Probability_weighted] strategy, whose
     closures cannot be compared. *)
+
+val check_version : int -> unit
+(** [check_version v] refuses every snapshot version but the one
+    {!save} writes and {!load} reads, with the diagnostic {!load} gives.
+    @raise Invalid_argument naming [v] and the rebuild from the records
+    ([xseq index RECORDS.xml]). *)
 
 val load : ?mode:Xstorage.Store.mode -> ?pool_pages:int -> string -> t
 (** [load path] restores a saved index; queries answer exactly as on the
@@ -257,7 +265,7 @@ val load : ?mode:Xstorage.Store.mode -> ?pool_pages:int -> string -> t
     at the open).
 
     The index's symbol table is the snapshot's dictionary and the
-    [gbest] statistics are derived from the document table.  A version-4
+    [gbest] statistics are derived from the document table.  A
     snapshot holds no records, and the load decodes none: {!document}
     rebuilds them from the index on its first call.  Its
     [sibling_order] region is checked at the end of the load and read
@@ -265,7 +273,7 @@ val load : ?mode:Xstorage.Store.mode -> ?pool_pages:int -> string -> t
     {!Xstorage.Store}), so it still answers after the file is unlinked
     or replaced.
 
-    Only snapshot version 4 is read.  A snapshot of another version, or
+    Only snapshot version 5 is read.  A snapshot of another version, or
     an xseqcol1 file of older builds, is refused with one diagnostic
     that names its version and the rebuild from the records ([xseq index
     RECORDS.xml]): by Theorem 1 a snapshot is a function of its records,

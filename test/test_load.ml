@@ -520,8 +520,8 @@ let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
 (* Checksum-valid files that fail a later check — a malformed
    [xseq_meta], an index region the labelled reader rejects — must close
    the paged store they opened.  Only a current file's index regions
-   are read: the second is version 4, with a compact dictionary and an
-   empty sibling-order region. *)
+   are read: both name version 5, the second with an empty
+   sibling-order region. *)
 let test_failed_loads_close () =
   if not (Sys.file_exists "/proc/self/fd") then ()
   else
@@ -529,11 +529,10 @@ let test_failed_loads_close () =
         let bad_files =
           [
             (fun store ->
-              Store.add_int_array store "xseq_meta" [| 1; 2; 3 |];
-              Store.add_blob store "docs" "");
+              Store.add_int_array store "xseq_meta" [| 5; 2; 3 |]);
             (fun store ->
               Store.add_int_array store "xseq_meta"
-                [| 4; 3; 0; 0; 0; 0; 42; 0; 0 |];
+                [| 5; 3; 0; 0; 0; 0; 42; 0; 0 |];
               Store.add_int_array store "sibling_order" [||];
               Store.add_int_array store "dict_desig" [| -1 |];
               Store.add_int_array store "meta" [| 0; 0 |]);
@@ -580,7 +579,7 @@ let test_paged_col1_refused () =
 
 (* A snapshot of any version but the current one is refused, resident
    and paged, with one diagnostic naming its version and the rebuild,
-   and [xseq query] exits 1 on it.  Each file is a current snapshot
+   and [xseq query] and [xseq info] exit 1 on it.  Each file is a current snapshot
    whose [xseq_meta] names an older version: the version is the first
    thing a load reads. *)
 let test_older_versions_refused () =
@@ -617,9 +616,12 @@ let test_older_versions_refused () =
                   Alcotest.(check string) "the refusal names the rebuild"
                     refusal msg)
               [ Store.Resident; Store.Paged ];
-            if Sys.file_exists Containers.cli then
+            if Sys.file_exists Containers.cli then begin
               Alcotest.(check int) "xseq query exits 1" 1
-                (Containers.run_cli [ "query"; path; "//author" ]))
+                (Containers.run_cli [ "query"; path; "//author" ]);
+              Alcotest.(check int) "xseq info exits 1" 1
+                (Containers.run_cli [ "info"; path ])
+            end)
       done;
       Store.close src)
 
