@@ -438,10 +438,9 @@ let stats t = t.stats
    (the index is the data), a compact path dictionary in (name, kind)
    order, a one-field index [meta] and only the link data the index
    cannot derive (see [Xindex.Labeled.add_to_store]).  Under a fixed
-   configuration the
-   index is a function of its records (Theorem 1), so a file of any
-   other version is refused with the one remedy there is: build it again
-   from its records. *)
+   configuration the index is a function of its records (Theorem 1), so
+   a file of any other version is refused with the one remedy there is:
+   build it again from its records. *)
 
 let snapshot_version = 5
 
