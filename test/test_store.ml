@@ -370,6 +370,71 @@ let test_truncations format () =
               | exception Invalid_argument _ -> ())
             (lens @ [ n - 1 ])))
 
+(* The refusal of an xseqcol1 file, the container of older builds. *)
+let col1_refusal =
+  "Store.open_file: an xseqcol1 snapshot of older builds is not read; "
+  ^ Store.rebuild_remedy
+
+(* An xseqcol1 file is refused at its magic whatever else it holds: a
+   bit flipped anywhere past the magic still draws the xseqcol1
+   refusal, and one flipped inside the magic leaves no snapshot magic at
+   all.  Nothing after the magic is trusted, so no flip opens the
+   file. *)
+let test_col1_bitflip_every_byte () =
+  with_temp "store_col1_flip" (fun path ->
+      battery_write Containers.Plain path;
+      Containers.stamp_col1 path;
+      let pristine = read_all path in
+      let n = String.length pristine in
+      with_temp "store_col1_flip_mut" (fun mut ->
+          for i = 0 to n - 1 do
+            let b = Bytes.of_string pristine in
+            Bytes.set b i
+              (Char.chr (Char.code pristine.[i] lxor (1 lsl (i mod 8))));
+            write_all mut (Bytes.to_string b);
+            match Store.open_file mut with
+            | s ->
+              Store.close s;
+              Alcotest.failf "xseqcol1: bit flip at byte %d opened" i
+            | exception Invalid_argument msg ->
+              let want =
+                if i < 8 then
+                  "Store.open_file: bad magic (not an xseq columnar snapshot)"
+                else col1_refusal
+              in
+              Alcotest.(check string)
+                (Printf.sprintf "xseqcol1: bit flip at byte %d" i)
+                want msg
+          done))
+
+(* A cut xseqcol1 file is refused too: as truncated while its 40-byte
+   header is incomplete, by its magic once the header is whole. *)
+let test_col1_truncations () =
+  with_temp "store_col1_trunc" (fun path ->
+      battery_write Containers.Plain path;
+      Containers.stamp_col1 path;
+      let pristine = read_all path in
+      let n = String.length pristine in
+      with_temp "store_col1_trunc_mut" (fun mut ->
+          let lens = List.init ((n + 6) / 7) (fun k -> k * 7) in
+          List.iter
+            (fun len ->
+              write_all mut (String.sub pristine 0 len);
+              match Store.open_file mut with
+              | s ->
+                Store.close s;
+                Alcotest.failf "xseqcol1: truncation to %d bytes opened" len
+              | exception Invalid_argument msg ->
+                let want =
+                  if len < 40 then
+                    "Store.open_file: truncated file (no header)"
+                  else col1_refusal
+                in
+                Alcotest.(check string)
+                  (Printf.sprintf "xseqcol1: truncation to %d bytes" len)
+                  want msg)
+            (lens @ [ n - 1 ])))
+
 let check_diagnostic format name mutate expect =
   with_temp ("store_" ^ name) (fun path ->
       battery_write format path;
@@ -420,10 +485,7 @@ let test_col1_diagnostic () =
             Store.close s;
             Alcotest.fail "an xseqcol1 file opened"
           | exception Invalid_argument msg ->
-            Alcotest.(check string) "the refusal"
-              ("Store.open_file: an xseqcol1 snapshot of older builds is not \
-                read; " ^ Store.rebuild_remedy)
-              msg)
+            Alcotest.(check string) "the refusal" col1_refusal msg)
         [ Store.Resident; Store.Paged ])
 
 (* Flips one bit of the file in place, as a disk might under an open
@@ -1684,6 +1746,10 @@ let () =
             `Quick (test_diagnostics Containers.Plain);
           Alcotest.test_case "a load checks every byte once" `Quick
             test_load_checks_every_byte;
+          Alcotest.test_case "bit flip in every byte (xseqcol1)" `Quick
+            test_col1_bitflip_every_byte;
+          Alcotest.test_case "truncations (xseqcol1)" `Quick
+            test_col1_truncations;
         ] );
       ( "invariants",
         [
