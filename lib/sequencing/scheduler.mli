@@ -13,7 +13,7 @@
     node's encoding ({!key}), provides that when both are sequenced over
     the same index's symbol table, and the node number (its pre-order
     position) only breaks ties between nodes with the {e same} path.  A
-    loaded index numbers its paths by depth, then build id (its stored
+    loaded index numbers its paths in their build id order (its stored
     dictionary order), so it breaks ties exactly as its build did. *)
 
 type spec = {

@@ -24,9 +24,8 @@ let set v i x = I32.set32 v (4 * i) (Int32.of_int x)
    prefixes are all kept.  Each path's children are one
    run of [kids], tags before values and each kind by designator, so an
    edge is binary-searched in its parent's run, after a look at the
-   first path its designator ends.  Its paths come in depth order, so
-   their depths are a handful of boundaries.  Neither form allocates on
-   a lookup.  Only the build's sequential flatten phase (or a snapshot
+   first path its designator ends; a path's depth is its walk up the
+   parents.  Neither form allocates on a lookup.  Only the build's sequential flatten phase (or a snapshot
    load) writes; everything else reads, so no synchronisation is
    needed. *)
 type t = {
@@ -58,9 +57,6 @@ and sorted = {
   kid_off : I32.t; (* [npaths + 1]: path p's children are
                       [kids.(kid_off.(p) .. kid_off.(p + 1) - 1)] *)
   ends : I32.t; (* per designator, the first path it ends, or -1 *)
-  depth_start : I32.t;
-      (* the first path of each depth, then [npaths]: a loaded
-         dictionary is in depth order *)
 }
 
 (* Index capacity for [n] keys: a power of two at least [2n]. *)
@@ -413,18 +409,13 @@ module Path = struct
     if p = epsilon then invalid_arg "Path.tag: epsilon";
     get tbl.last p
 
-  (* The depth [k] with [depth_start.(k) <= p < depth_start.(k + 1)]. *)
-  let rec depth_at s p lo hi =
-    if hi - lo <= 1 then lo
-    else
-      let mid = (lo + hi) lsr 1 in
-      if get s.depth_start mid <= p then depth_at s p mid hi
-      else depth_at s p lo mid
+  let rec depth_up tbl p d =
+    if p = epsilon then d else depth_up tbl (get tbl.parents p) (d + 1)
 
   let depth tbl p =
     match tbl.lookup with
     | Hashed h -> get h.depths p
-    | Sorted s -> depth_at s p 0 (I32.length s.depth_start - 1)
+    | Sorted _ -> depth_up tbl p 0
 
   (* Newest first along the thread, so consing yields ascending ids. *)
   let rec kids_from h k acc =
@@ -675,26 +666,17 @@ let of_dictionary ~kinds ~names ~name_off ~parents ~desigs =
   set last 0 (-1);
   set parents 0 (-1);
   (* One pass checks the entries and counts: the paths of each
-     designator in [a], the children of each path in [kid_off] (shifted
-     by one), and each path's depth in [b].  A dictionary lists every
-     depth's paths before the next depth's, so the first path of each
-     depth is all a loaded table keeps of them. *)
+     designator in [a] and the children of each path in [kid_off]
+     (shifted by one). *)
   let a = I32.make (max ndesig ndict) 0 and b = I32.make (max ndesig ndict) 0 in
   let kid_off = I32.make (ndict + 1) 0 and ends = I32.make ndesig (-1) in
   for i = 1 to ndict - 1 do
     let p = get parents i and d = get last i in
     if d < 0 || d >= ndesig then invalid_arg "designator id out of range";
     if p < 0 || p >= i then invalid_arg "dictionary parent order";
-    set b i (get b p + 1);
-    if get b i < get b (i - 1) then invalid_arg "dictionary depth order";
     if get ends d < 0 then set ends d i;
     set a d (get a d + 1);
     set kid_off (p + 1) (get kid_off (p + 1) + 1)
-  done;
-  let depth_start = I32.make (get b (ndict - 1) + 2) ndict in
-  set depth_start 0 0;
-  for i = 1 to ndict - 1 do
-    if get b i > get b (i - 1) then set depth_start (get b i) i
   done;
   (* Every path's children as one run: a stable counting sort of the
      paths by (kind, designator) into [b], then one by parent, whose
@@ -770,6 +752,5 @@ let of_dictionary ~kinds ~names ~name_off ~parents ~desigs =
           kids;
           kid_off;
           ends;
-          depth_start;
         };
   }

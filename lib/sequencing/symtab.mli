@@ -38,8 +38,8 @@
       block) picks out; a tag among the tags alone, whose prefixes are
       all kept.  Each path's children form one run, tags first,
       in which an edge is binary-searched; a per-designator column of
-      the first path it ends answers most value edges at once.  Its
-      depths are the first path of each depth.
+      the first path it ends answers most value edges at once.  A
+      path's depth is counted up its parents.
     A lookup compares its key against a slice of the blob in place: it
     allocates nothing but the [Some] of a hit.  {!Designator.name} is
     the one accessor that copies a name out; {!Designator.name_equal}
@@ -73,7 +73,8 @@ val of_dictionary :
     [[name_off.(j), name_off.(j + 1))] of [names].  Dictionary entry [0]
     is {!Path.epsilon} ([parents.(0)] and [desigs.(0)] negative); entry
     [i > 0] extends entry [parents.(i) < i] by designator [desigs.(i)]
-    and becomes path [i], and the entries come in depth order.
+    and becomes path [i].  Any such order is taken: a save keeps the
+    order its build interned the paths in.
 
     The designator table must be in strict (name, kind) order (names by
     [String.compare], tags before values), as every save writes it
@@ -96,8 +97,7 @@ val of_dictionary :
     region sizes"], ["dictionary root"], ["root entry with a
     designator"], ["dictionary name offsets"], ["designator kind out of
     range"], ["designator id out of range"], ["dictionary parent
-    order"], ["dictionary depth order"] or ["duplicate dictionary
-    entry"]. *)
+    order"] or ["duplicate dictionary entry"]. *)
 
 val name_order : t -> Xutil.I32.t * Bytes.t * Xutil.I32.t
 (** [name_order tbl] is [(order, names, name_off)]: the designator ids
@@ -183,7 +183,8 @@ module Path : sig
   (** Last designator.  @raise Invalid_argument on {!epsilon}. *)
 
   val depth : table -> t -> int
-  (** Number of designators; [depth tbl epsilon = 0]. *)
+  (** Number of designators; [depth tbl epsilon = 0].  O(1) on a built
+      table, O(depth) on a loaded one, which keeps no depths. *)
 
   val element_children : table -> t -> t list
   (** One-step extensions of [p] by a {e tag} designator, in ascending id

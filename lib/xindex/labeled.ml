@@ -15,10 +15,13 @@ module I32 = Xutil.I32
    most [max_nodes] nodes.
 
    Paths are the index's own: [symbols] holds them.  The dictionary is
-   epsilon and every link path, by depth then id, and the links are laid
-   out in dictionary order: link slot [s] is dictionary entry [s + 1].  A
-   loaded index's path ids are its dictionary indexes, so path [p]'s slot
-   is [p - 1]; a built index keeps its build ids and maps them.
+   epsilon and every link path in id order (a parent's id is below its
+   children's), and the links are laid out in dictionary order: link
+   slot [s] is dictionary entry [s + 1].  A loaded index's path ids are
+   its dictionary indexes, so path [p]'s slot is [p - 1]; a built index
+   keeps its build ids and maps them.  Either way the slots keep the
+   order the build interned the paths in, so paths first met together
+   (a record's elements and their children) have neighbouring links.
 
    An entry stores its [pre] and its span [post - pre]; only a link that
    nests (some entry has a same-path descendant) stores [up], in one
@@ -90,11 +93,11 @@ let assemble ~symbols ~post ~path ~up ends =
     next.(p) <- next.(p) + 1;
     if up.(v) >= 0 then Bytes.set nests p '\001'
   done;
-  (* Dictionary: epsilon and the link paths (every node path), by depth
-     then id — a stable sort of the id-ordered paths — so parents
-     precede children.  Slot s holds the link of entry s + 1. *)
+  (* Dictionary: epsilon and the link paths (every node path) in id
+     order, so parents precede children.  Slot s holds the link of entry
+     s + 1. *)
   let dict = ref [] in
-  for p = width - 1 downto 0 do
+  for p = width - 1 downto 1 do
     if next.(p) > 0 then begin
       if next.(p) > max_link_length then
         invalid_arg
@@ -104,9 +107,6 @@ let assemble ~symbols ~post ~path ~up ends =
     end
   done;
   let dict = Array.of_list (Path.epsilon :: !dict) in
-  Array.stable_sort
-    (fun a b -> Int.compare (Path.depth symbols a) (Path.depth symbols b))
-    dict;
   let nlinks = Array.length dict - 1 in
   let slots = I32.make width (-1) in
   let link_off = I32.make (nlinks + 1) 0 in

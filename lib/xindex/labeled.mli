@@ -169,10 +169,11 @@ val column_bytes : t -> int
     compact path dictionary), so a snapshot written by
     {!Xstorage.Store.write} carries its own symbols — and, in paged
     mode, answers queries straight off disk.  The dictionary holds
-    epsilon and every link path, by depth and then by the index's path
-    id, so parents precede children and siblings keep their order.  The
-    link slots follow it: slot [s] is the link of entry [s + 1], so no
-    region names a link's path. *)
+    epsilon and every link path in the index's path id order, so
+    parents precede children and the paths keep the order the build
+    interned them in.  The link slots follow it: slot [s] is the link of
+    entry [s + 1], so no region names a link's path, and paths first
+    met together (a query's usually are) have neighbouring links. *)
 
 val add_to_store : t -> Xstorage.Store.t -> unit
 (** Registers every index region with the store.  Region names are

@@ -774,7 +774,7 @@ let io_seed () =
         ~ops:"open=6 read=0 write=18 fsync=8 rename=1"
         ~files:
           [
-            "d/base-000001.xseq 1e99f76e5187af01244497d0e1d5b6d6";
+            "d/base-000001.xseq 454011bd9e8194b5bd41971e5784cee9";
             "d/checkpoint 78ea0dddaed3556f34bee03ce21bda10";
             "d/wal-000001.log 5fcbd0168b7562a604831f6029b72519";
           ]
@@ -790,7 +790,7 @@ let io_compact () =
         ~ops:"open=6 read=0 write=39 fsync=29 rename=1"
         ~files:
           [
-            "d/base-000001.xseq 7608bef12c449117c69385a0c05d5c43";
+            "d/base-000001.xseq 2c3974d5a88b63f1b7d164f52737c9c0";
             "d/checkpoint b82cdf1d349051ef524d0ba854182be1";
             "d/wal-000001.log e08acc4c76d2dd38e8c74cd59eed8210";
           ]
@@ -823,7 +823,7 @@ let io_replica () =
         ~ops:"open=8 read=2 write=18 fsync=11 rename=1"
         ~files:
           [
-            "d/base-000000-000000.xseq f25502a5bc8315ce70275f36abe3100f";
+            "d/base-000000-000000.xseq 9a5f954296a5792fec9632dff6b5d01f";
             "d/checkpoint d9409e88a8934c784bc769da1b2f5608";
             "d/wal-000000.log 915c164a1a93aaba559d8f7553b3929e";
           ]
@@ -882,10 +882,10 @@ let io_transfer () =
             ~ops:"open=41 read=21 write=60 fsync=28 rename=6"
         ~files:
           [
-            "p/base-000001-000000.xseq 7d9331af242e894699c4102721636dda";
+            "p/base-000001-000000.xseq 8065b4015e7631aae36fbfcfaea20d56";
             "p/checkpoint ca4b24c0b756a427330618c40257e900";
             "p/wal-000001.log d99c1b50dbaf464b9d346239258b562d";
-            "f/base-000001-000000.xseq 7d9331af242e894699c4102721636dda";
+            "f/base-000001-000000.xseq 8065b4015e7631aae36fbfcfaea20d56";
             "f/checkpoint ca4b24c0b756a427330618c40257e900";
             "f/wal-000001.log 80e66f96f00e0216c49f08fdefde8692";
           ]

@@ -74,54 +74,54 @@ let configs =
   ]
 
 (* (corpus, config, plain digest, compressed digest).  Pinned when
-   snapshots became version 5: the link slots in dictionary order, no
-   [link_path] or [link_multi] (the nesting flag is [link_len]'s low
-   bit), spans in [l_span] for [l_post], and [l_up] for the nesting
-   links only; every other region byte for byte as version 4 held it. *)
+   snapshots became version 5: the dictionary in build id order and the
+   link slots in dictionary order, no [link_path] or [link_multi] (the
+   nesting flag is [link_len]'s low bit), spans in [l_span] for
+   [l_post], and [l_up] for the nesting links only. *)
 let golden =
   [
     (Dblp, "probability",
-      "57fee12f44e881fd3f97a723afd2e0e1", "ba61c3e9e79cd23e1dc374bb66d6f9bd");
+      "1b06b9a8067c4c5577c66d84ffacf5f8", "defd07df5dd1d23aff2238abae8555ee");
     (Dblp, "probability/sample 0.3",
-      "e7327c28b555e5cd9ab17d4ac6ead956", "f7f9a869aaa0b08a6ab3ba00660d0637");
+      "c15ad45e10e713ed1165f6da053ae37d", "05dc90bae8da5cd9f58e2d1ac4f28ebc");
     (Dblp, "depth-first",
-      "9a874a490de0d26d1bd4ba5116dc1379", "65daf069a65f36b1a34ca8976e98adf5");
+      "d1aa3ef2145dc52004f4ea4a2ffcb095", "4fb66f39f19d38abe5e821d78884d75e");
     (Dblp, "depth-first/canonical",
-      "fa3563b81a340dd3ff17688ed83801ae", "d40f47492a029200a598f2c2fbd4aa24");
+      "2c57f0ae0848a99589237fa4852416c3", "9d53da8775070beda6a999c0ba4bdd2a");
     (Dblp, "breadth-first",
-      "6ca968fb879d7633dbc6e9c7723511a0", "836e8f812661169d2023e0c26b9a48fc");
+      "b367dbdbfce2519b2bea4a7a83b04ccd", "38c272dadb11b85c508ffdd89de0b25b");
     (Dblp, "breadth-first/canonical",
-      "ae5484ea27f147ff078b1962ccfc63f6", "7f8288b9d8848b12447b83315797c018");
+      "7902d2e358ec6e57442356eef2ce56e3", "cf92efc8ced8d8443d33bf49002f5563");
     (Dblp, "random",
-      "5186924a7f21e7cb2a2e97417722df4c", "203452db73f88df27d8fe1836a8a90b6");
+      "7c9e6718629a7cabbc873eb160d48e11", "c5b70f08777cf1354f488254108c509d");
     (Dblp, "text",
-      "ecaec62a076ae14dbe6d040c00b63bc1", "ecaec62a076ae14dbe6d040c00b63bc1");
+      "9e63f62bb20739c2562eb48b0fee15e9", "9e63f62bb20739c2562eb48b0fee15e9");
     (Xmark, "probability",
-      "a3901e0a19af41b0921e3596ca1e0c06", "62bccdc17fd64e02b5cc0522afcdb308");
+      "f04b6d42839f9c9ecb3f315efb451b72", "19f7f7b3cf015ff19492ce2444a33704");
     (Xmark, "probability/sample 0.3",
-      "853e9b4d118be2eb2b3afd2951bacfd6", "e46cacebad6187b140642b1e057d3212");
+      "f8d1353b30ac7aac73a8595e7ce4af0c", "d11f3e2f0390e7af7db079e33014883f");
     (Xmark, "depth-first",
-      "3dd8dc105c23dbba8a55024daf10bab2", "b93fbd98e71952d07101f3231abbdbc5");
+      "81a12ab17a9fd145ebfac64830330261", "995a7a6d062777eb1c4176256d32f0f4");
     (Xmark, "depth-first/canonical",
-      "dcdf9e3821f2a7358b12b3c40608ed03", "e46443f7b90febfb9c8dac663c2dae14");
+      "033c19f487f5492a3877093af1aed414", "134966d7424ce0af0b6c7fffac8ac367");
     (Xmark, "breadth-first",
-      "c83072d9cea480d44a1f3bd651de5184", "29afb04f4b56cd8b1cc6985f282fa488");
+      "a669fc81856da88873f78568131f333e", "a8dc9663fab6fce0b5754214f7a0cda2");
     (Xmark, "breadth-first/canonical",
-      "5b6331216a40d2c5a68546132ec0a753", "6e637c2b491c4fe0e22c018143dc3bdc");
+      "d7d33867d9ae2cd6092bfec561e725a8", "b97be83cdc242999602abb00d6c99fd0");
     (Xmark, "random",
-      "3142963e580d559bc5a2446b5b75237c", "c10f829367ec9f713f0bb65d0babe0fb");
+      "a4ffb55e8acfa85d4e6b1ede07aef4a2", "d3b2d9c6580a171a99a6280b4916d2c2");
     (Xmark, "text",
-      "35c26cde2c8e0cf3c4823ec68f332895", "2b7780325d38ad1ce95ed038e8b4e14e");
+      "206124a01b96569407950c5984fb7c88", "89611bfb3a648bea21cb011f9bb9aa1f");
     (Dblp_text, "probability",
-      "57fee12f44e881fd3f97a723afd2e0e1", "ba61c3e9e79cd23e1dc374bb66d6f9bd");
+      "1b06b9a8067c4c5577c66d84ffacf5f8", "defd07df5dd1d23aff2238abae8555ee");
     (Xmark_text, "probability",
-      "a3901e0a19af41b0921e3596ca1e0c06", "62bccdc17fd64e02b5cc0522afcdb308");
+      "f04b6d42839f9c9ecb3f315efb451b72", "19f7f7b3cf015ff19492ce2444a33704");
     (Mixed_text, "probability",
-      "1c48f3cb7143f0a3aee1f1c41e84be60", "a5b56dfd71e5186bc2553b0178ea778e");
+      "f8ee7e4b44966fd1640122eafc473ed9", "bd198ec369782f0021a38f84120acfb0");
     (Mixed_text, "depth-first/canonical",
-      "5f19913350d276d6bd7bd44377064cbe", "f2aca271b75383c1d00538d860373dd3");
+      "b99b243e319cfbe341c9bb4a1fd9fe8e", "8ce42f330f275cb7d9b60d33e215ab5b");
     (Mixed_text, "text",
-      "9d2dfa5c9016f94ff845609272ef1d23", "9d2dfa5c9016f94ff845609272ef1d23");
+      "a8cc0a3f8d3a2cb2829b1ffe6c804ece", "a8cc0a3f8d3a2cb2829b1ffe6c804ece");
   ]
 
 (* The re-saves checked, as (container loaded, load mode, container

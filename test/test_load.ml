@@ -267,9 +267,10 @@ let test_cross_index name () =
     answers
 
 (* Priority ties across depths: [text] (depth 3) is met before
-   [location] (depth 2) when the build interns, but a loaded index
-   numbers its paths by depth.  Sequencing breaks ties on depth first,
-   so the reload sequences queries as the build sequenced records. *)
+   [location] (depth 2) when the build interns.  Sequencing breaks ties
+   on depth first, then path id, and a loaded index keeps its build's
+   id order, so the reload sequences queries as the build sequenced
+   records. *)
 let test_cross_depth_ties () =
   let docs =
     Array.map Xmlcore.Xml_parser.parse_string

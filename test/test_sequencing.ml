@@ -333,8 +333,9 @@ let test_symtab_model () =
           (Option.map (fun (d : D.t) -> (d :> int)) (D.find_value small name)))
       names
   done;
-  (* Dictionaries of the same paths, by depth then id, as snapshots
-     store them: entry i is built path [order.(i)]. *)
+  (* Dictionaries of the same paths, by depth then id: entry i is built
+     path [order.(i)].  Snapshots store the build's own id order; any
+     order that lists parents first loads, and this one renumbers. *)
   let order = Array.init (!npaths - 1) (fun i -> i + 1) in
   Array.stable_sort
     (fun a b ->
@@ -500,9 +501,14 @@ let test_symtab_dictionary_checks () =
   (* A repeated edge is found however far apart its entries lie. *)
   rejects "duplicate dictionary entry" ~kinds ~names ~parents:[| -1; 0; 0; 0 |]
     ~desigs:[| -1; 1; 0; 1 |];
-  (* Entries come in depth order. *)
-  rejects "dictionary depth order" ~kinds ~names ~parents:[| -1; 0; 1; 0 |]
-    ~desigs:[| -1; 0; 0; 1 |]
+  (* Entries need not come in depth order, as a build interns them: a
+     loaded depth is counted up the parents. *)
+  let loaded =
+    of_dictionary ~kinds ~names ~parents:[| -1; 0; 1; 0 |]
+      ~desigs:[| -1; 0; 0; 1 |]
+  in
+  Alcotest.(check (list int)) "depths of an entry order by id" [ 0; 1; 2; 1 ]
+    (List.init 4 (fun i -> Path.depth loaded (Path.of_int loaded i)))
 
 (* --- designators in (name, kind) order -------------------------------- *)
 

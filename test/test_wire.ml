@@ -376,15 +376,15 @@ let transcript =
     "sub: eof";
     "s1: error not_primary \"unix:leader\"";
     "c: repl_state follower epoch=1 durable=(1, 167) next_id=4002 hint=\"unix:leader\" lag=0/0";
-    "c: chunk 810de3b70f9a23b6 total=862632 offset=0 last=false crc=f17b089883ece5b8 len=262144";
+    "c: chunk 810de3b70f9a23b6 total=862632 offset=0 last=false crc=0ada1e442f6dc0b0 len=262144";
     "c: chunk 810de3b70f9a23b6 total=862632 offset=262144 last=false crc=a2a9acd101907564 len=262144";
     "c: chunk 810de3b70f9a23b6 total=862632 offset=524288 last=false crc=326b64d75d850ec1 len=262144";
-    "c: chunk 810de3b70f9a23b6 total=862632 offset=786432 last=true crc=a35716aacbedfafe len=76200";
+    "c: chunk 810de3b70f9a23b6 total=862632 offset=786432 last=true crc=d2a41b337be116b6 len=76200";
     "c: chunk 810de3b70f9a23b6 total=862632 offset=861632 last=true crc=e4ca207b8be332e4 len=1000";
-    "c: chunk 810de3b70f9a23b6 total=862632 offset=0 last=false crc=f17b089883ece5b8 len=262144";
+    "c: chunk 810de3b70f9a23b6 total=862632 offset=0 last=false crc=0ada1e442f6dc0b0 len=262144";
     "c: chunk 810de3b70f9a23b6 total=862632 offset=262144 last=false crc=a2a9acd101907564 len=262144";
     "c: chunk 810de3b70f9a23b6 total=862632 offset=524288 last=false crc=326b64d75d850ec1 len=262144";
-    "c: chunk 810de3b70f9a23b6 total=862632 offset=786432 last=true crc=a35716aacbedfafe len=76200";
+    "c: chunk 810de3b70f9a23b6 total=862632 offset=786432 last=true crc=d2a41b337be116b6 len=76200";
     "c: pong";
     "w: pong";
     "x: error bad_request \"bad frame: bad magic \\\"ga\\\"\"";
