@@ -302,7 +302,8 @@ let link t p =
 
 let link_length l = l.llen
 let link_pre l i = Store.get l.k_pre (l.loff + i)
-let link_post l i = link_pre l i + Store.get l.k_span (l.loff + i)
+let link_span l i = Store.get l.k_span (l.loff + i)
+let link_post l i = link_pre l i + link_span l i
 let link_up l i = if l.uoff < 0 then -1 else Store.get l.k_up (l.uoff + i)
 
 (* Link entries are in pre-order, so an entry has a same-encoding

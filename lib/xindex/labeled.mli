@@ -91,6 +91,10 @@ val link : t -> Path.t -> link option
 
 val link_length : link -> int
 val link_pre : link -> int -> int
+val link_span : link -> int -> int
+(** The entry's [post - pre]: a caller that has read [link_pre] adds it
+    to that, reading one column where {!link_post} reads two. *)
+
 val link_post : link -> int -> int
 (** [link_pre] plus the entry's span. *)
 

@@ -39,25 +39,32 @@ let run ?(mode = Constraint) ?stats idx (q : Query_seq.compiled) ~on_doc
       done;
       !lo
     in
-    let upper_bound l x =
-      let lo = ref 0 and hi = ref (Labeled.link_length l) in
+    (* Deepest same-encoding ancestor of serial [x] in link [l]: the
+       last entry at or before [x] (an upper bound, whose search has read
+       that entry's pre), then up its nesting. *)
+    let nearest l x =
+      let lo = ref 0 and hi = ref (Labeled.link_length l) and last = ref 0 in
       while !lo < !hi do
         let mid = (!lo + !hi) / 2 in
         probe ();
-        if Labeled.link_pre l mid <= x then lo := mid + 1 else hi := mid
+        let pre = Labeled.link_pre l mid in
+        if pre <= x then begin
+          lo := mid + 1;
+          last := pre
+        end
+        else hi := mid
       done;
-      !lo
-    in
-    (* Deepest same-encoding ancestor of serial [x] in link [l]. *)
-    let nearest l x =
-      let rec climb i =
+      let rec climb i pre =
         if i < 0 then -1
         else begin
           probe ();
-          if Labeled.link_post l i >= x then i else climb (Labeled.link_up l i)
+          if pre + Labeled.link_span l i >= x then i
+          else
+            let up = Labeled.link_up l i in
+            climb up (if up < 0 then 0 else Labeled.link_pre l up)
         end
       in
-      climb (upper_bound l x - 1)
+      climb (!lo - 1) !last
     in
     (* The identical-sibling test reads the entry and its successor — both
        count, exactly like any other probe. *)
@@ -124,7 +131,7 @@ let run ?(mode = Constraint) ?stats idx (q : Query_seq.compiled) ~on_doc
             in
             if ok then begin
               mpos.(i) <- !pos;
-              search (i + 1) (pre + 1) (Labeled.link_post l !pos)
+              search (i + 1) (pre + 1) (pre + Labeled.link_span l !pos)
             end
             else stats.rejected <- stats.rejected + 1;
             incr pos
