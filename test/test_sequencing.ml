@@ -642,7 +642,24 @@ let test_is_valid () =
   Alcotest.(check bool) "orphan invalid" false
     (C.is_valid sy [| p_of [ "P" ]; p_of [ "P"; "D"; "L" ] |]);
   Alcotest.(check bool) "deep first invalid" false
-    (C.is_valid sy [| p_of [ "P"; "D" ] |])
+    (C.is_valid sy [| p_of [ "P"; "D" ] |]);
+  (* Every later element needs a forward prefix: its parent's path
+     somewhere before it. *)
+  Alcotest.(check bool) "parent after child invalid" false
+    (C.is_valid sy
+       [| p_of [ "P" ]; p_of [ "P"; "D"; "L" ]; p_of [ "P"; "D" ] |]);
+  Alcotest.(check bool) "value under a missing element invalid" false
+    (C.is_valid sy [| fp_example.(0); fp_example.(1); fp_example.(3) |]);
+  Alcotest.(check bool) "first PD dropped invalid" false
+    (C.is_valid sy
+       (Array.append [| fp_example.(0) |] (Array.sub fp_example 2 5)));
+  Alcotest.(check bool) "second PD dropped: PDM takes the first" true
+    (C.is_valid sy
+       (Array.append (Array.sub fp_example 0 4) (Array.sub fp_example 5 2)));
+  for k = 1 to Array.length fp_example do
+    Alcotest.(check bool) "every prefix valid" true
+      (C.is_valid sy (Array.sub fp_example 0 k))
+  done
 
 (* --- encoder: paper's Table 1 -------------------------------------------- *)
 
