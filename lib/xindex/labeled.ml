@@ -309,8 +309,8 @@ let link_up l i = if l.uoff < 0 then -1 else Store.get l.k_up (l.uoff + i)
 (* Link entries are in pre-order, so an entry has a same-encoding
    descendant iff the immediately following entry falls inside its
    range; in a link that does not nest, none does. *)
-let link_same_desc l i =
-  l.uoff >= 0 && i + 1 < l.llen && link_pre l (i + 1) <= link_post l i
+let link_same_desc l i ~post =
+  l.uoff >= 0 && i + 1 < l.llen && link_pre l (i + 1) <= post
 
 let doc_len t = Store.length t.doc_pre
 let doc_pre_at t i = Store.get t.doc_pre i

@@ -102,11 +102,14 @@ val link_up : link -> int -> int
 (** Link position of the nearest same-encoding proper ancestor, or -1
     (always, in a link that does not nest). *)
 
-val link_same_desc : link -> int -> bool
-(** Whether the entry at this position has a same-encoding descendant —
-    i.e. whether it "embeds identical siblings" in the sense of
-    Algorithm 1.  Only then can a later match be sibling-covered, so the
-    matcher skips the forward-prefix check otherwise. *)
+val link_same_desc : link -> int -> post:int -> bool
+(** Whether the entry at this position, whose post ({!link_post}) is
+    [post], has a same-encoding descendant — i.e. whether it "embeds
+    identical siblings" in the sense of Algorithm 1.  Only then can a
+    later match be sibling-covered, so the matcher skips the
+    forward-prefix check otherwise.  The caller passes the post it
+    computed when it matched the entry; the test reads only the next
+    entry's pre, and nothing in a link that does not nest. *)
 
 val doc_len : t -> int
 (** Entries in the document table. *)

@@ -68,10 +68,10 @@ let run ?(mode = Constraint) ?stats idx (q : Query_seq.compiled) ~on_doc
     in
     (* The identical-sibling test reads the entry and its successor — both
        count, exactly like any other probe. *)
-    let same_desc l i =
+    let same_desc l i ~post =
       probe ();
       if i + 1 < Labeled.link_length l then probe ();
-      Labeled.link_same_desc l i
+      Labeled.link_same_desc l i ~post
     in
     (* The document table is located by binary search too, so its probes
        count entry by entry like link probes do. *)
@@ -93,7 +93,8 @@ let run ?(mode = Constraint) ?stats idx (q : Query_seq.compiled) ~on_doc
       done;
       !lo
     in
-    let mpos = Array.make qlen (-1) in
+    (* Per query position, the link entry matched there and its post. *)
+    let mpos = Array.make qlen (-1) and mpost = Array.make qlen 0 in
     let rec search i lo hi =
       if i = qlen then begin
         stats.matches <- stats.matches + 1;
@@ -126,12 +127,14 @@ let run ?(mode = Constraint) ?stats idx (q : Query_seq.compiled) ~on_doc
                 let pl = links.(pi) and ppos = mpos.(pi) in
                 (* Only identical siblings can break the forward-prefix
                    relation (Algorithm 1's ins set). *)
-                (not (same_desc pl ppos))
+                (not (same_desc pl ppos ~post:mpost.(pi)))
                 || nearest pl pre = ppos
             in
             if ok then begin
+              let post = pre + Labeled.link_span l !pos in
               mpos.(i) <- !pos;
-              search (i + 1) (pre + 1) (pre + Labeled.link_span l !pos)
+              mpost.(i) <- post;
+              search (i + 1) (pre + 1) post
             end
             else stats.rejected <- stats.rejected + 1;
             incr pos

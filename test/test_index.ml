@@ -210,7 +210,8 @@ let prop_link_invariants =
                   for j = i + 1 to n - 1 do
                     if Labeled.link_pre link j <= post then has_desc := true
                   done;
-                  if Labeled.link_same_desc link i <> !has_desc then ok := false
+                  if Labeled.link_same_desc link i ~post <> !has_desc then
+                    ok := false
                 done;
                 !ok)
             seen true))
