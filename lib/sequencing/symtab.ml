@@ -25,9 +25,9 @@ let set v i x = I32.set32 v (4 * i) (Int32.of_int x)
    run of [kids], tags before values and each kind by designator, so an
    edge is binary-searched in its parent's run, after a look at the
    first path its designator ends; a path's depth is its walk up the
-   parents.  Neither form allocates on a lookup.  Only the build's sequential flatten phase (or a snapshot
-   load) writes; everything else reads, so no synchronisation is
-   needed. *)
+   parents.  Neither form allocates on a lookup.  Only the build's
+   sequential flatten phase (or a snapshot load) writes; everything else
+   reads, so no synchronisation is needed. *)
 type t = {
   mutable names : Bytes.t; (* every name, back to back, then spare room *)
   mutable name_off : I32.t; (* [ndesig + 1] offsets into [names] *)
