@@ -634,8 +634,6 @@ let name_order t =
        n order (I32.make n 0) (Bytes.create n) n);
   (order, t.names, t.name_off)
 
-exception Out_of_order
-
 let of_dictionary ~kinds ~names ~name_off ~parents ~desigs =
   let ndict = I32.length parents and ntable = I32.length kinds in
   if I32.length name_off <> ntable + 1 || I32.length desigs <> ndict then
@@ -657,7 +655,8 @@ let of_dictionary ~kinds ~names ~name_off ~parents ~desigs =
      order is one designator an entry, named in place. *)
   let e = { kind = is_value; names; name_off } in
   for j = 1 to ntable - 1 do
-    if entry_compare e (j - 1) j >= 0 then raise Out_of_order
+    if entry_compare e (j - 1) j >= 0 then
+      invalid_arg "designators out of order"
   done;
   let ndesig = ntable in
   (* Each entry's designator becomes its path's last designator, in a

@@ -53,12 +53,6 @@ type t
 val create : unit -> t
 (** An empty table: no designators, and the one path {!Path.epsilon}. *)
 
-exception Out_of_order
-(** Raised by {!of_dictionary} for a designator table that is not in
-    strict (name, kind) order, which no save writes.  It is not reported
-    as damage: the table is only in a layout this reader does not take,
-    and a snapshot load rebuilds such a file from its records. *)
-
 val of_dictionary :
   kinds:Xutil.I32.t ->
   names:Bytes.t ->
@@ -92,12 +86,12 @@ val of_dictionary :
     The table interns nothing: {!Designator.tag}, {!Designator.value},
     {!Designator.char_value} and {!Path.child} return what it holds and
     raise [Invalid_argument] for anything new.
-    @raise Out_of_order if the designator table is out of order.
     @raise Invalid_argument naming the violated condition: ["dictionary
     region sizes"], ["dictionary root"], ["root entry with a
     designator"], ["dictionary name offsets"], ["designator kind out of
-    range"], ["designator id out of range"], ["dictionary parent
-    order"] or ["duplicate dictionary entry"]. *)
+    range"], ["designators out of order"], ["designator id out of
+    range"], ["dictionary parent order"] or ["duplicate dictionary
+    entry"]. *)
 
 val name_order : t -> Xutil.I32.t * Bytes.t * Xutil.I32.t
 (** [name_order tbl] is [(order, names, name_off)]: the designator ids

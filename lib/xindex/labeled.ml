@@ -14,22 +14,21 @@ module I32 = Xutil.I32
    directory is 32-bit ([I32]), like the flat columns: an index holds at
    most [max_nodes] nodes.
 
-   Paths are the index's own: [symbols] holds them.  The dictionary is
-   epsilon and every link path in id order (a parent's id is below its
-   children's), and the links are laid out in dictionary order: link
-   slot [s] is dictionary entry [s + 1].  A loaded index's path ids are
-   its dictionary indexes, so path [p]'s slot is [p - 1]; a built index
-   keeps its build ids and maps them.  Either way the slots keep the
-   order the build interned the paths in, so paths first met together
-   (a record's elements and their children) have neighbouring links.
+   Paths are the index's own: [symbols] holds them, and a path's id
+   names its link: path [p]'s link is slot [p - 1], in a built index and
+   a loaded one alike.  Ids are the order the build interned the paths
+   in (a parent's id is below its children's), so paths first met
+   together (a record's elements and their children) have neighbouring
+   links.  A table path no node carries has an empty link.  One
+   function, [directory], derives the directory from the links'
+   lengths, for the build and the load.
 
    An entry stores its [pre] and its span [post - pre]; only a link that
    nests (some entry has a same-path descendant) stores [up], in one
    compact column of the nesting links' entries in slot order. *)
-type t = {
-  symbols : Symtab.t;
-  n : int; (* nodes excluding virtual root; the root's post *)
-  dict : built option; (* None: dictionary index = path id *)
+(* The link directory, which [directory] derives from the links'
+   [link_len] words for the build and the load alike. *)
+type directory = {
   link_off : I32.t;
       (* slot s's entries are positions [link_off.(s), link_off.(s + 1))
          of [l_pre] and [l_span]: the prefix sums of the link lengths *)
@@ -37,18 +36,18 @@ type t = {
   nest_off : I32.t;
       (* nesting link k's [up] entries start at [nest_off.(k)] of [l_up];
          one more offset closes the column *)
+}
+
+type t = {
+  symbols : Symtab.t;
+  n : int; (* nodes excluding virtual root; the root's post *)
+  dir : directory;
   l_pre : Store.column; (* concatenated link entries, slot-major *)
   l_span : Store.column; (* post - pre *)
   l_up : Store.column; (* the nesting links' entries only *)
   doc_pre : Store.column; (* sorted *)
   doc_id : Store.column;
   source : Store.t option; (* the open snapshot the index was read from *)
-}
-
-(* A built index's map between its build ids and its dictionary. *)
-and built = {
-  paths : Path.t array; (* dictionary index -> path *)
-  slots : I32.t; (* path id -> link slot, or -1 *)
 }
 
 type link = {
@@ -72,8 +71,47 @@ let compare_seq (a, _) (b, _) =
   in
   loop 0
 
-(* A link length and its nesting flag share one [link_len] word. *)
+(* Element [i] through [I32]'s inline primitives, for the directory's,
+   the sweep's, the save's and the load's loops; every value set is an
+   id, a rank, an offset, a slot or a [link_len] word. *)
+let get v i = Int32.to_int (I32.get32 v (4 * i))
+let set v i x = I32.set32 v (4 * i) (Int32.of_int x)
+
+let corrupt msg = invalid_arg ("Labeled.of_store: inconsistent snapshot: " ^ msg)
+
+(* A link length and its nesting flag share one [link_len] word: twice
+   the length, plus one if the link nests. *)
 let max_link_length = (I32.max_value / 2) - 1
+
+(* The link directory of the [link_len] words of an index of [n] nodes.
+   A word out of range is a damaged snapshot's.  Sums beyond [n] are not
+   kept, so the links fill the [n] entries iff the last offset is [n]: a
+   total beyond [n > 0] leaves it 0, and with [n = 0] every word is 0 or
+   out of range. *)
+let directory ~n link_len =
+  let nlinks = I32.length link_len in
+  let link_off = I32.make (nlinks + 1) 0 in
+  let total = ref 0 and nested = ref 0 in
+  for s = 0 to nlinks - 1 do
+    let w = get link_len s in
+    (* A saturated word reads as [I32.max_value], which no link's is. *)
+    if w < 0 || w >= I32.max_value || w lsr 1 > n then
+      corrupt "link length out of range";
+    total := !total + (w lsr 1);
+    if !total <= n then set link_off (s + 1) !total;
+    nested := !nested + (w land 1)
+  done;
+  let nest_slot = I32.make !nested 0 and nest_off = I32.make (!nested + 1) 0 in
+  let k = ref 0 in
+  for s = 0 to nlinks - 1 do
+    if get link_len s land 1 = 1 then begin
+      set nest_slot !k s;
+      set nest_off (!k + 1)
+        (get nest_off !k + get link_off (s + 1) - get link_off s);
+      incr k
+    end
+  done;
+  { link_off; nest_slot; nest_off }
 
 (* [assemble] takes the labelled trie of [n] nodes, node 0 the virtual
    root and every node id its serial:
@@ -87,62 +125,38 @@ let assemble ~symbols ~post ~path ~up ends =
   let width = Symtab.path_count symbols in
   (* Per path id: its link length, and whether a node has a same-path
      ancestor, i.e. whether the link nests. *)
-  let next = Array.make width 0 and nests = Bytes.make width '\000' in
+  let next = Array.make width 0 and link_len = I32.make (width - 1) 0 in
   for v = 1 to n - 1 do
     let p = Path.to_int path.(v) in
     next.(p) <- next.(p) + 1;
-    if up.(v) >= 0 then Bytes.set nests p '\001'
+    if up.(v) >= 0 then set link_len (p - 1) 1
   done;
-  (* Dictionary: epsilon and the link paths (every node path) in id
-     order, so parents precede children.  Slot s holds the link of entry
-     s + 1. *)
-  let dict = ref [] in
-  for p = width - 1 downto 1 do
-    if next.(p) > 0 then begin
-      if next.(p) > max_link_length then
-        invalid_arg
-          (Printf.sprintf "Labeled.build: a link of %d entries (at most %d)"
-             next.(p) max_link_length);
-      dict := Path.of_int symbols p :: !dict
-    end
+  for p = 1 to width - 1 do
+    if next.(p) > max_link_length then
+      invalid_arg
+        (Printf.sprintf "Labeled.build: a link of %d entries (at most %d)"
+           next.(p) max_link_length);
+    set link_len (p - 1) ((2 * next.(p)) + get link_len (p - 1))
   done;
-  let dict = Array.of_list (Path.epsilon :: !dict) in
-  let nlinks = Array.length dict - 1 in
-  let slots = I32.make width (-1) in
-  let link_off = I32.make (nlinks + 1) 0 in
-  let nested = ref 0 and nest_entries = ref 0 in
-  for s = 0 to nlinks - 1 do
-    let p = Path.to_int dict.(s + 1) in
-    I32.set slots p s;
-    I32.set link_off (s + 1) (I32.get link_off s + next.(p));
-    if Bytes.get nests p <> '\000' then begin
-      incr nested;
-      nest_entries := !nest_entries + next.(p)
-    end
-  done;
+  let dir = directory ~n:(n - 1) link_len in
   (* [next.(p)] becomes the position of p's next entry, and [ups.(p)],
      for a nesting p, that of its next [up]. *)
-  let nest_slot = I32.make !nested 0 and nest_off = I32.make (!nested + 1) 0 in
-  let ups = Array.make width 0 and k = ref 0 in
-  for s = 0 to nlinks - 1 do
-    let p = Path.to_int dict.(s + 1) in
-    if Bytes.get nests p <> '\000' then begin
-      I32.set nest_slot !k s;
-      ups.(p) <- I32.get nest_off !k;
-      I32.set nest_off (!k + 1) (ups.(p) + next.(p));
-      incr k
-    end;
-    next.(p) <- I32.get link_off s
+  let ups = Array.make width 0 in
+  for k = 0 to I32.length dir.nest_slot - 1 do
+    ups.(get dir.nest_slot k + 1) <- get dir.nest_off k
+  done;
+  for p = 1 to width - 1 do
+    next.(p) <- get dir.link_off (p - 1)
   done;
   let l_pre = Array.make (n - 1) 0 and l_span = Array.make (n - 1) 0 in
-  let l_up = Array.make !nest_entries 0 in
+  let l_up = Array.make (get dir.nest_off (I32.length dir.nest_slot)) 0 in
   for v = 1 to n - 1 do
     let p = Path.to_int path.(v) in
     let e = next.(p) in
     next.(p) <- e + 1;
     l_pre.(e) <- v;
     l_span.(e) <- post.(v) - v;
-    if Bytes.get nests p <> '\000' then begin
+    if get link_len (p - 1) land 1 = 1 then begin
       l_up.(ups.(p)) <- up.(v);
       ups.(p) <- ups.(p) + 1
     end
@@ -153,10 +167,7 @@ let assemble ~symbols ~post ~path ~up ends =
   {
     symbols;
     n = n - 1;
-    dict = Some { paths = dict; slots };
-    link_off;
-    nest_slot;
-    nest_off;
+    dir;
     l_pre = fz l_pre;
     l_span = fz l_span;
     l_up = fz l_up;
@@ -250,60 +261,59 @@ let size_bytes t ~record_count = (4 * record_count) + (8 * t.n)
 
 let symbols t = t.symbols
 
-let dict_path t i =
-  match t.dict with
-  | Some d -> d.paths.(i)
-  | None -> Path.of_int t.symbols i
+let nlinks t = I32.length t.dir.link_off - 1
 
-let dict_size t =
-  match t.dict with
-  | Some d -> Array.length d.paths
-  | None -> Symtab.path_count t.symbols
+(* Slot [s]'s entries are positions [first_entry t s] up to
+   [first_entry t (s + 1)] (excluded) of the link columns. *)
+let first_entry t s = I32.get t.dir.link_off s
 
-let distinct_paths t = I32.length t.link_off - 1
+let distinct_paths t =
+  let count = ref 0 in
+  for s = 0 to nlinks t - 1 do
+    if first_entry t (s + 1) > first_entry t s then incr count
+  done;
+  !count
 
-(* The link slot of path id [p], or -1. *)
-let slot_of_id t p =
-  match t.dict with
-  | Some d -> if p < I32.length d.slots then I32.get d.slots p else -1
-  | None -> if p >= 1 && p <= distinct_paths t then p - 1 else -1
-
-let slot_of t p = slot_of_id t (Path.to_int p)
-
-(* The path of link slot [s]: dictionary entry [s + 1]. *)
-let slot_path t s = Path.to_int (dict_path t (s + 1))
+(* The link slot of path [p], or -1. *)
+let slot_of t p =
+  let p = Path.to_int p in
+  if p >= 1 && p <= nlinks t then p - 1 else -1
 
 (* Where the [up] entries of slot [s] start in [l_up], or -1 if the link
    does not nest: a binary search among the few nesting slots. *)
 let up_offset t s =
-  let lo = ref 0 and hi = ref (I32.length t.nest_slot) in
+  let nest_slot = t.dir.nest_slot in
+  let lo = ref 0 and hi = ref (I32.length nest_slot) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if I32.get t.nest_slot mid < s then lo := mid + 1 else hi := mid
+    if I32.get nest_slot mid < s then lo := mid + 1 else hi := mid
   done;
-  if !lo < I32.length t.nest_slot && I32.get t.nest_slot !lo = s then
-    I32.get t.nest_off !lo
+  if !lo < I32.length nest_slot && I32.get nest_slot !lo = s then
+    I32.get t.dir.nest_off !lo
   else -1
 
 let link t p =
   match slot_of t p with
   | -1 -> None
   | slot ->
-    let loff = I32.get t.link_off slot in
-    Some
-      {
-        k_pre = t.l_pre;
-        k_span = t.l_span;
-        k_up = t.l_up;
-        loff;
-        llen = I32.get t.link_off (slot + 1) - loff;
-        uoff = up_offset t slot;
-      }
+    let loff = first_entry t slot in
+    let llen = first_entry t (slot + 1) - loff in
+    (* An empty link: a table path no node carries. *)
+    if llen = 0 then None
+    else
+      Some
+        {
+          k_pre = t.l_pre;
+          k_span = t.l_span;
+          k_up = t.l_up;
+          loff;
+          llen;
+          uoff = up_offset t slot;
+        }
 
 let link_length l = l.llen
 let link_pre l i = Store.get l.k_pre (l.loff + i)
 let link_span l i = Store.get l.k_span (l.loff + i)
-let link_post l i = link_pre l i + link_span l i
 let link_up l i = if l.uoff < 0 then -1 else Store.get l.k_up (l.uoff + i)
 
 (* Link entries are in pre-order, so an entry has a same-encoding
@@ -364,9 +374,9 @@ let path_frequencies ?member t =
   done;
   let freq = Array.make (Symtab.path_count t.symbols) 0 in
   let count pre_at span_at =
-    for slot = 0 to distinct_paths t - 1 do
+    for slot = 0 to nlinks t - 1 do
       let total = ref 0 and outer_post = ref (-1) in
-      for i = I32.get t.link_off slot to I32.get t.link_off (slot + 1) - 1 do
+      for i = first_entry t slot to first_entry t (slot + 1) - 1 do
         let pre = pre_at i in
         if pre > !outer_post then begin
           let post = pre + span_at i in
@@ -377,19 +387,13 @@ let path_frequencies ?member t =
           outer_post := post
         end
       done;
-      freq.(slot_path t slot) <- !total
+      freq.(slot + 1) <- !total
     done
   in
   (* Slot order is link-column order: both columns are read front to
      back. *)
   Store.scan t.l_pre (fun pre_at -> Store.scan t.l_span (count pre_at));
   freq
-
-(* Element [i] through [I32]'s inline primitives, for the sweep's, the
-   save's and the load's loops; every value set is an id, a rank, an
-   offset or a slot. *)
-let get v i = Int32.to_int (I32.get32 v (4 * i))
-let set v i x = I32.set32 v (4 * i) (Int32.of_int x)
 
 (* --- the inversion sweep ------------------------------------------------ *)
 
@@ -415,9 +419,9 @@ let sweep t =
   let s_entry = I32.make (n + 1) (-1) and s_parent = I32.make (n + 1) (-1) in
   I32.set s_path 0 (Path.to_int Path.epsilon);
   let invert pre_at span_at =
-    for slot = 0 to distinct_paths t - 1 do
+    for slot = 0 to nlinks t - 1 do
       let last = ref 0 in
-      for i = I32.get t.link_off slot to I32.get t.link_off (slot + 1) - 1 do
+      for i = first_entry t slot to first_entry t (slot + 1) - 1 do
         let pre = pre_at i in
         let post = pre + span_at i in
         if pre < 1 || pre > n then broken "serial %d out of range" pre;
@@ -427,7 +431,7 @@ let sweep t =
           broken "pre above post or post out of range at entry %d" i;
         if get s_entry pre >= 0 then broken "serial %d in two links" pre;
         last := pre;
-        set s_path pre (slot_path t slot);
+        set s_path pre (slot + 1);
         set s_post pre post;
         set s_entry pre i
       done
@@ -487,9 +491,7 @@ let check t =
     let innermost = I32.make (Symtab.path_count t.symbols) (-1) in
     let want_up = I32.make (max 1 t.n) (-1) in
     let stack = I32.make (t.n + 1) 0 and top = ref 0 in
-    let entry_pos v =
-      get sw.s_entry v - I32.get t.link_off (slot_of_id t (get sw.s_path v))
-    in
+    let entry_pos v = get sw.s_entry v - first_entry t (get sw.s_path v - 1) in
     for v = 1 to t.n do
       while get stack !top <> get sw.s_parent v do
         let u = get stack !top in
@@ -505,9 +507,9 @@ let check t =
     (* A link nests iff an entry's successor falls inside its range,
        and only a nesting link has [up] entries (the load has checked
        that they fill [l_up]). *)
-    for slot = 0 to distinct_paths t - 1 do
+    for slot = 0 to nlinks t - 1 do
       let nested = ref false in
-      for i = I32.get t.link_off slot to I32.get t.link_off (slot + 1) - 2 do
+      for i = first_entry t slot to first_entry t (slot + 1) - 2 do
         let post = Store.get t.l_pre i + Store.get t.l_span i in
         if Store.get t.l_pre (i + 1) <= post then nested := true
       done;
@@ -515,9 +517,9 @@ let check t =
         broken "link %d's multiplicity flag disagrees with its entries" slot
     done;
     Store.scan t.l_up (fun up_at ->
-        for slot = 0 to distinct_paths t - 1 do
-          let off = I32.get t.link_off slot and uoff = up_offset t slot in
-          for i = off to I32.get t.link_off (slot + 1) - 1 do
+        for slot = 0 to nlinks t - 1 do
+          let off = first_entry t slot and uoff = up_offset t slot in
+          for i = off to first_entry t (slot + 1) - 1 do
             let up = if uoff < 0 then -1 else up_at (uoff + i - off) in
             if up <> get want_up i then
               broken "up at entry %d is not the nearest same-link ancestor" i
@@ -545,13 +547,7 @@ let path_multiple t p =
 
 let backing_store t = t.source
 
-let directory_words t =
-  (match t.dict with
-   | Some d -> Obj.reachable_words (Obj.repr d.slots)
-   | None -> 0)
-  + Obj.reachable_words (Obj.repr t.link_off)
-  + Obj.reachable_words (Obj.repr t.nest_slot)
-  + Obj.reachable_words (Obj.repr t.nest_off)
+let directory_words t = Obj.reachable_words (Obj.repr t.dir)
 
 let column_bytes t =
   List.fold_left
@@ -565,31 +561,26 @@ let column_bytes t =
    format).  The dictionary carries the index's own symbols, so a loaded
    index rebuilds its symbol table from it. *)
 
-(* The compact dictionary: trie edges are (parent entry, designator)
-   pairs over the designators in use, ranked in the symbol table's own
-   (name, kind) order ([Symtab.name_order]), the order a load numbers
-   them in; their names, sorted hence prefix-heavy, are front-coded
-   from the table's blob. *)
+(* The compact dictionary: entry [i] is path [i], epsilon and every link
+   path, so parents precede children.  Trie edges are (parent entry,
+   designator) pairs over the designators in use, ranked in the symbol
+   table's own (name, kind) order ([Symtab.name_order]), the order a load
+   numbers them in; their names, sorted hence prefix-heavy, are
+   front-coded from the table's blob. *)
 let dict_regions t store =
-  let n = dict_size t in
-  let index_of = Array.make (Symtab.path_count t.symbols) (-1) in
-  for i = 0 to n - 1 do
-    index_of.(Path.to_int (dict_path t i)) <- i
-  done;
+  let n = nlinks t + 1 in
   let parent = Array.make n (-1) and desig = Array.make n (-1) in
   let order, names, name_off = Symtab.name_order t.symbols in
   (* By designator id: its kind if in use (else -1), then its rank. *)
   let rank = I32.make (I32.length order) (-1) and used = ref 0 in
-  for i = 0 to n - 1 do
-    let p = dict_path t i in
-    if not (Path.equal p Path.epsilon) then begin
-      let d = Path.tag t.symbols p in
-      parent.(i) <- index_of.(Path.to_int (Path.parent t.symbols p));
-      desig.(i) <- (d :> int);
-      if get rank (d :> int) < 0 then begin
-        set rank (d :> int) (Bool.to_int (D.is_value t.symbols d));
-        incr used
-      end
+  for i = 1 to n - 1 do
+    let p = Path.of_int t.symbols i in
+    let d = Path.tag t.symbols p in
+    parent.(i) <- Path.to_int (Path.parent t.symbols p);
+    desig.(i) <- (d :> int);
+    if get rank (d :> int) < 0 then begin
+      set rank (d :> int) (Bool.to_int (D.is_value t.symbols d));
+      incr used
     end
   done;
   let keys = I32.make !used 0 and kind = Array.make !used 0 and r = ref 0 in
@@ -611,27 +602,24 @@ let dict_regions t store =
     (Xsuccinct.Frontcode.encode names name_off keys)
 
 (* The link directory is one word a slot: twice the link's length, plus
-   one if it nests.  The slots are the dictionary's entries after
-   epsilon, so no path is stored. *)
+   one if it nests.  Slot [s] is path [s + 1], so no path is stored. *)
 let add_to_store t store =
   Store.add_int_array store "meta" [| t.n |];
   dict_regions t store;
   let k = ref 0 in
   Store.add_int_array store "link_len"
-    (Array.init (distinct_paths t) (fun s ->
+    (Array.init (nlinks t) (fun s ->
          let nests =
-           !k < I32.length t.nest_slot && I32.get t.nest_slot !k = s
+           !k < I32.length t.dir.nest_slot && I32.get t.dir.nest_slot !k = s
          in
          if nests then incr k;
-         (2 * (I32.get t.link_off (s + 1) - I32.get t.link_off s))
+         (2 * (first_entry t (s + 1) - first_entry t s))
          + Bool.to_int nests));
   Store.add_ints store "l_pre" t.l_pre;
   Store.add_ints store "l_span" t.l_span;
   Store.add_ints store "l_up" t.l_up;
   Store.add_ints store "doc_pre" t.doc_pre;
   Store.add_ints store "doc_id" t.doc_id
-
-let corrupt msg = invalid_arg ("Labeled.of_store: inconsistent snapshot: " ^ msg)
 
 let of_store store =
   let meta = Store.int_array store "meta" in
@@ -668,52 +656,28 @@ let of_store store =
   in
   (* One link a dictionary entry after epsilon, slot s for entry s + 1. *)
   let link_len = dir "link_len" in
-  let nlinks = I32.length link_len in
-  if nlinks <> Symtab.path_count symbols - 1 then
+  if I32.length link_len <> Symtab.path_count symbols - 1 then
     corrupt "link directory sizes";
-  (* Offsets fit 32 bits up to [n]; a larger sum fails the check below.
-     A saturated word reads as [I32.max_value], which no link's is. *)
-  let link_off = I32.make (nlinks + 1) 0 and total_entries = ref 0 in
-  let nested = ref 0 in
-  for s = 0 to nlinks - 1 do
-    let w = get link_len s in
-    if w < 0 || w >= I32.max_value || w lsr 1 > n then
-      corrupt "link length out of range";
-    total_entries := !total_entries + (w lsr 1);
-    if !total_entries <= n then set link_off (s + 1) !total_entries;
-    nested := !nested + (w land 1)
-  done;
+  let dir = directory ~n link_len in
   let l_pre = Store.ints store "l_pre" in
   let l_span = Store.ints store "l_span" in
   (* Every node but the root is exactly one link entry. *)
   if
-    !total_entries <> n
+    get dir.link_off (I32.length link_len) <> n
     || Store.length l_pre <> n
     || Store.length l_span <> n
   then corrupt "link column sizes";
   (* The nesting links' [up] entries fill [l_up], in slot order. *)
-  let nest_slot = I32.make !nested 0 and nest_off = I32.make (!nested + 1) 0 in
-  let k = ref 0 in
-  for s = 0 to nlinks - 1 do
-    if get link_len s land 1 = 1 then begin
-      set nest_slot !k s;
-      set nest_off (!k + 1)
-        (get nest_off !k + get link_off (s + 1) - get link_off s);
-      incr k
-    end
-  done;
   let l_up = Store.ints store "l_up" in
-  if Store.length l_up <> get nest_off !nested then corrupt "up column size";
+  if Store.length l_up <> get dir.nest_off (I32.length dir.nest_slot) then
+    corrupt "up column size";
   let doc_pre = Store.ints store "doc_pre" in
   let doc_id = Store.ints store "doc_id" in
   if Store.length doc_pre <> Store.length doc_id then corrupt "doc table sizes";
   {
     symbols;
     n;
-    dict = None;
-    link_off;
-    nest_slot;
-    nest_off;
+    dir;
     l_pre;
     l_span;
     l_up;

@@ -19,16 +19,15 @@
 
     The index is stored as flat columns (structure of arrays): the
     concatenated link-entry columns ([l_pre] and the span [l_span] =
-    [post - pre], slot-major with the slots in dictionary order, and
+    [post - pre], slot-major with the slots in path id order, and
     [l_up] for the nesting links' entries only), the sorted document
     table, and a small in-memory link directory of offsets into them.  A
     trie node's id is its serial and every node but the virtual root is
     exactly one link entry, so the links are the labels: there are no
     per-node columns.  Every label, offset and id is a 32-bit value: the
     link directory is {!Xutil.I32} vectors (the links' entry offsets,
-    and the nesting links' slots and [up] offsets; a built index also
-    maps its path ids to slots), and a flat column is an [int32]
-    buffer.  Each column is an
+    and the nesting links' slots and [up] offsets), and a flat column is
+    an [int32] buffer.  Each column is an
     {!Xstorage.Store.column}, so one view serves every physical
     representation: unboxed 32-bit flat buffers (a built index), pages
     of an open snapshot file read through the buffer pool, and
@@ -40,7 +39,10 @@
     An index owns the symbol table its paths belong to ({!symbols}):
     the build's table for a built index, one rebuilt from the stored
     dictionary for a loaded one.  Every [Path.t] an index takes or
-    returns is a path of that table. *)
+    returns is a path of that table, and a path's id names its link:
+    path [p]'s link is slot [p - 1] of the directory, in a built index
+    and a loaded one alike, with no map between them.  A path of the
+    table that no node carries has an empty link. *)
 
 module Path = Sequencing.Symtab.Path
 
@@ -87,25 +89,22 @@ val size_bytes : t -> record_count:int -> int
 (** The paper's disk-size estimate [4n + cN] with [c = 8] (Section 6.2). *)
 
 val link : t -> Path.t -> link option
-(** The path link for an encoding; [None] if no node carries it. *)
+(** The path link for an encoding, found by its id; [None] if no node
+    carries it. *)
 
 val link_length : link -> int
 val link_pre : link -> int -> int
 val link_span : link -> int -> int
-(** The entry's [post - pre]: a caller that has read [link_pre] adds it
-    to that, reading one column where {!link_post} reads two. *)
-
-val link_post : link -> int -> int
-(** [link_pre] plus the entry's span. *)
+(** The entry's [post - pre]: its post is [link_pre] plus the span. *)
 
 val link_up : link -> int -> int
 (** Link position of the nearest same-encoding proper ancestor, or -1
     (always, in a link that does not nest). *)
 
 val link_same_desc : link -> int -> post:int -> bool
-(** Whether the entry at this position, whose post ({!link_post}) is
-    [post], has a same-encoding descendant — i.e. whether it "embeds
-    identical siblings" in the sense of Algorithm 1.  Only then can a
+(** Whether the entry at this position, whose post ({!link_pre} plus
+    {!link_span}) is [post], has a same-encoding descendant — i.e.
+    whether it "embeds identical siblings" in the sense of Algorithm 1.  Only then can a
     later match be sibling-covered, so the matcher skips the
     forward-prefix check otherwise.  The caller passes the post it
     computed when it matched the entry; the test reads only the next
@@ -158,12 +157,12 @@ val check : t -> (unit, string) result
     or build calls it. *)
 
 val distinct_paths : t -> int
-(** Number of horizontal links. *)
+(** Number of horizontal links: the paths some node carries. *)
 
 val directory_words : t -> int
-(** Words the link directory keeps on the OCaml heap: the entry offsets,
-    the nesting links' slots and [up] offsets, and a built index's
-    path-to-slot map. *)
+(** Words the link directory keeps on the OCaml heap: the entry offsets
+    and the nesting links' slots and [up] offsets, the same in a built
+    index and a loaded one. *)
 
 val column_bytes : t -> int
 (** Bytes the link and document columns keep outside the OCaml heap
@@ -175,9 +174,9 @@ val column_bytes : t -> int
     regions (link columns, link directory, document table, and a
     compact path dictionary), so a snapshot written by
     {!Xstorage.Store.write} carries its own symbols — and, in paged
-    mode, answers queries straight off disk.  The dictionary holds
-    epsilon and every link path in the index's path id order, so
-    parents precede children and the paths keep the order the build
+    mode, answers queries straight off disk.  Dictionary entry [i] is
+    path [i]: epsilon and every link path in the index's path id order,
+    so parents precede children and the paths keep the order the build
     interned them in.  The link slots follow it: slot [s] is the link of
     entry [s + 1], so no region names a link's path, and paths first
     met together (a query's usually are) have neighbouring links. *)
@@ -191,12 +190,12 @@ val add_to_store : t -> Xstorage.Store.t -> unit
     ({!Xstorage.Store.add_int_array}).  The link directory
     ([link_len]) is one word a slot, twice the link's length plus one if
     the link nests: the nesting links are the ones with [up] entries in
-    [l_up], in slot order.  In either
-    format the path dictionary is (parent entry, designator id) pairs
-    ([dict_parent], [dict_desig]) over the designators in use, in the
-    (name, kind) order a load numbers them in
-    ({!Sequencing.Symtab.name_order}): their kinds ([desig_kind]) and
-    front-coded names ([desig_names]). *)
+    [l_up], in slot order.  The build derives its directory from these
+    words as a load does.  The path dictionary is (parent entry,
+    designator id) pairs ([dict_parent], [dict_desig]), its paths in id
+    order and its designators (those in use) in the (name, kind) order a
+    load numbers them in ({!Sequencing.Symtab.name_order}): their kinds
+    ([desig_kind]) and front-coded names ([desig_names]). *)
 
 val of_store : Xstorage.Store.t -> t
 (** Rebuilds the index view over the store's regions.  The stored
@@ -211,23 +210,22 @@ val of_store : Xstorage.Store.t -> t
     blob are handed over to the symbol table
     ({!Sequencing.Symtab.of_dictionary}); the link directory keeps
     [link_len] as the entry offsets it sums to, and the nesting links'
-    slots with the offsets of their [up] entries.  Path [p]'s link is
-    slot [p - 1]: the index keeps no path-to-slot map.
+    slots with the offsets of their [up] entries, derived by the one
+    function {!build} derives them with.  Path [p]'s link is slot
+    [p - 1]: the index keeps no path-to-slot map.
 
     Only the layout {!add_to_store} writes is read: a one-field [meta]
     and the compact dictionary with its designators in (name, kind)
     order.  [Xseq.load] refuses a snapshot of any other version before
     calling this.
 
-    @raise Sequencing.Symtab.Out_of_order if the designator table is out
-    of (name, kind) order (see {!Sequencing.Symtab.of_dictionary}).
     @raise Invalid_argument naming the inconsistency if the regions are
     missing, mis-sized, or internally contradictory.  Validation covers
     every cross-region invariant (sizes, dictionary parent order, id
-    ranges, one link a dictionary entry, link lengths summing to the
-    [meta] node count and to the link columns' length, the nesting
-    links' lengths summing to [l_up]'s, a node count within 32 bits, no
-    entry twice), so a structurally valid
+    ranges, designators in (name, kind) order, one link a dictionary
+    entry, link lengths summing to the [meta] node count and to the link
+    columns' length, the nesting links' lengths summing to [l_up]'s, a
+    node count within 32 bits, no entry twice), so a structurally valid
     file that passed checksums cannot produce out-of-bounds reads
     here. *)
 

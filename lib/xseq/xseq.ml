@@ -352,7 +352,6 @@ let query ?stats t pattern =
     Xquery.Embedding.filter pattern (records t)
 
 let query_xpath ?stats t s = query ?stats t (Xpath.parse s)
-let contains t pattern doc = List.mem doc (query t pattern)
 
 (* --- batched execution ---------------------------------------------------- *)
 
@@ -435,9 +434,10 @@ let stats t = t.stats
    never interpreted.
 
    One version is written and read: version 5, with no record region
-   (the index is the data), a compact path dictionary in (name, kind)
-   order, a one-field index [meta] and only the link data the index
-   cannot derive (see [Xindex.Labeled.add_to_store]).  Under a fixed
+   (the index is the data), a compact path dictionary (its paths in
+   build id order, its designators in (name, kind) order), a one-field
+   index [meta] and only the link data the index cannot derive (see
+   [Xindex.Labeled.add_to_store]).  Under a fixed
    configuration the index is a function of its records (Theorem 1), so
    a file of any other version is refused with the one remedy there is:
    build it again from its records. *)
@@ -562,11 +562,7 @@ let restore store =
      file until a decode reads it. *)
   if not (Store.mem store "sibling_order") then
     bad "missing sibling_order region";
-  let labeled =
-    match Xindex.Labeled.of_store store with
-    | labeled -> labeled
-    | exception Symtab.Out_of_order -> bad "designators out of order"
-  in
+  let labeled = Xindex.Labeled.of_store store in
   if Xindex.Labeled.doc_count labeled <> ndocs then
     bad "record count disagrees with the document table";
   (* Recompute the strategy exactly as [build] derived it. *)

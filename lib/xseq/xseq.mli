@@ -106,9 +106,6 @@ val query : ?stats:Xquery.Matcher.stats -> t -> Pattern.t -> int list
 val query_xpath : ?stats:Xquery.Matcher.stats -> t -> string -> int list
 (** Parses the XPath fragment and runs {!query}. *)
 
-val contains : t -> Pattern.t -> int -> bool
-(** Whether one particular document matches (via the index). *)
-
 (** {1 Batched execution}
 
     Many queries against one frozen index, executed concurrently.  The

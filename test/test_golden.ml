@@ -322,6 +322,79 @@ let test_documents_roundtrip () =
         roundtrip_configs)
     [ Dblp; Xmark; Dblp_text; Xmark_text; Mixed_text ]
 
+(* --- links by path id ----------------------------------------------------- *)
+
+module Labeled = Xindex.Labeled
+module Path = Sequencing.Symtab.Path
+
+(* Path [id]'s link in [l], entry by entry: (pre, span, up, whether the
+   entry has a same-path descendant); [None] if [l] has no such link. *)
+let link_entries l id =
+  let p = Path.of_int (Labeled.symbols l) id in
+  Option.map
+    (fun k ->
+      List.init (Labeled.link_length k) (fun i ->
+          let pre = Labeled.link_pre k i and span = Labeled.link_span k i in
+          ( pre,
+            span,
+            Labeled.link_up k i,
+            Labeled.link_same_desc k i ~post:(pre + span) )))
+    (Labeled.link l p)
+
+(* A path's id names its link, in a built index and in its reloads
+   alike.  On every golden (corpus, configuration) pair, every path of
+   the built table has a link, and the plain snapshot loaded resident and
+   the compressed one loaded paged hold the same links under the same
+   ids, with the same nesting, compared by id alone. *)
+let test_links_by_id () =
+  let temp () = Filename.temp_file "xseq_links" ".xseq" in
+  let plain = temp () and compressed = temp () in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun f -> try Sys.remove f with Sys_error _ -> ())
+        [ plain; compressed ])
+    (fun () ->
+      List.iter
+        (fun (corpus, name, _, _) ->
+          let what = Printf.sprintf "%s, %s" (corpus_name corpus) name in
+          let index =
+            Xseq.build ~config:(List.assoc name configs) (generate corpus)
+          in
+          Containers.save Plain index plain;
+          Containers.save Compressed index compressed;
+          let built = Xseq.labeled index in
+          let width = Sequencing.Symtab.path_count (Labeled.symbols built) in
+          for id = 1 to width - 1 do
+            if link_entries built id = None then
+              Alcotest.failf "%s: built path %d has no link" what id
+          done;
+          List.iter
+            (fun (how, loaded) ->
+              let l = Xseq.labeled loaded in
+              Alcotest.(check int)
+                (Printf.sprintf "%s %s: paths" what how)
+                width
+                (Sequencing.Symtab.path_count (Labeled.symbols l));
+              for id = 0 to width - 1 do
+                if link_entries built id <> link_entries l id then
+                  Alcotest.failf "%s %s: path %d's link differs" what how id;
+                let multiple l =
+                  Labeled.path_multiple l (Path.of_int (Labeled.symbols l) id)
+                in
+                if multiple built <> multiple l then
+                  Alcotest.failf "%s %s: path %d's multiplicity differs" what
+                    how id
+              done;
+              Option.iter Xstorage.Store.close (Xseq.backing_store loaded))
+            [
+              ("plain resident", Xseq.load plain);
+              ( "compressed paged",
+                Xseq.load ~mode:Xstorage.Store.Paged ~pool_pages:16 compressed
+              );
+            ])
+        golden)
+
 let () =
   Alcotest.run "golden"
     [
@@ -330,5 +403,7 @@ let () =
           Alcotest.test_case "save digests, both formats" `Quick test_digests;
           Alcotest.test_case "documents round-trip" `Quick
             test_documents_roundtrip;
+          Alcotest.test_case "links by path id, built and loaded" `Quick
+            test_links_by_id;
         ] );
     ]

@@ -144,6 +144,73 @@ let test_path_multiple () =
   Alcotest.(check bool) "memoised second call" true
     (Labeled.path_multiple l (p_of [ "P"; "L" ]))
 
+(* A path's id names its link, so a table path no node carries has an
+   empty link, which [link] answers [None] for.  Paths interned among
+   the data's (before the encoding), after them and after the build
+   (beyond the directory) all answer so, and the first two keep that
+   answer, like every path id, through a store round trip; the
+   structure checks out either way. *)
+let test_paths_without_nodes () =
+  let tbl = Symtab.create () in
+  let tag = D.tag tbl in
+  let docs =
+    [|
+      e "a" [ e "b" []; e "c" [ e "b" [] ] ];
+      e "a" [ e "c" [ e "c" [] ] ];
+    |]
+  in
+  let among = Path.of_list tbl [ tag "a"; tag "z" ] in
+  let seqs = Array.map (Enc.encode tbl ~strategy:S.Depth_first) docs in
+  let spare = [ among; Path.of_list tbl [ tag "z" ] ] in
+  let built = Labeled.build tbl seqs in
+  let late = Path.of_list tbl [ tag "a"; tag "y" ] in
+  let store = Store.memory () in
+  Labeled.add_to_store built store;
+  let loaded = Labeled.of_store store in
+  let entries l p =
+    Option.map
+      (fun k ->
+        List.init (Labeled.link_length k) (fun i ->
+            (Labeled.link_pre k i, Labeled.link_span k i, Labeled.link_up k i)))
+      (Labeled.link l p)
+  in
+  List.iter
+    (fun (how, l) ->
+      Alcotest.(check bool)
+        (how ^ ": structure") true
+        (Labeled.check l = Ok ());
+      List.iter
+        (fun p ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s has no link" how (Path.to_string tbl p))
+            true
+            (Labeled.link l (Path.of_int (Labeled.symbols l) (Path.to_int p))
+             = None))
+        spare;
+      Alcotest.(check int) (how ^ ": distinct paths") 5
+        (Labeled.distinct_paths l))
+    [ ("built", built); ("loaded", loaded) ];
+  Alcotest.(check bool) "a path interned after the build" true
+    (Labeled.link built late = None);
+  let width = Symtab.path_count (Labeled.symbols loaded) in
+  Alcotest.(check int) "every path before the build is stored"
+    (Path.to_int late) width;
+  for id = 0 to width - 1 do
+    let p = Path.of_int tbl id
+    and q = Path.of_int (Labeled.symbols loaded) id in
+    Alcotest.(check (list string))
+      (Printf.sprintf "path %d" id)
+      (List.map (D.name tbl) (Path.to_list tbl p))
+      (List.map (D.name (Labeled.symbols loaded))
+         (Path.to_list (Labeled.symbols loaded) q));
+    if entries built p <> entries loaded q then
+      Alcotest.failf "path %d's link differs after the round trip" id;
+    Alcotest.(check bool)
+      (Printf.sprintf "path %d nests alike" id)
+      (Labeled.path_multiple built p)
+      (Labeled.path_multiple loaded q)
+  done
+
 (* --- randomised invariants ------------------------------------------------ *)
 
 let tags = [| "a"; "b"; "c" |]
@@ -193,7 +260,9 @@ let prop_link_invariants =
                 let ok = ref true in
                 for i = 0 to n - 1 do
                   let pre = Labeled.link_pre link i in
-                  let post = Labeled.link_post link i in
+                  let post =
+                    Labeled.link_pre link i + Labeled.link_span link i
+                  in
                   if post < pre then ok := false;
                   if i > 0 && Labeled.link_pre link (i - 1) >= pre then ok := false;
                   (* up = nearest j < i whose range contains pre *)
@@ -201,7 +270,8 @@ let prop_link_invariants =
                   for j = 0 to i - 1 do
                     if
                       Labeled.link_pre link j < pre
-                      && Labeled.link_post link j >= pre
+                      && Labeled.link_pre link j + Labeled.link_span link j
+                         >= pre
                     then expected_up := j
                   done;
                   if Labeled.link_up link i <> !expected_up then ok := false;
@@ -222,7 +292,7 @@ let prop_link_invariants =
 let nearest_in_link link x =
   let rec climb i =
     if i < 0 then -1
-    else if Labeled.link_post link i >= x then i
+    else if Labeled.link_pre link i + Labeled.link_span link i >= x then i
     else climb (Labeled.link_up link i)
   in
   let len = Labeled.link_length link in
@@ -251,7 +321,9 @@ let prop_nearest_in_link =
                   let got = nearest_in_link link x in
                   let expected = ref (-1) in
                   for j = 0 to Labeled.link_length link - 1 do
-                    if Labeled.link_pre link j <= x && Labeled.link_post link j >= x
+                    if
+                      Labeled.link_pre link j <= x
+                      && Labeled.link_pre link j + Labeled.link_span link j >= x
                     then expected := j
                   done;
                   if got <> !expected then ok := false
@@ -380,7 +452,7 @@ let prop_build_equals_reference =
             | Some k ->
               List.init (Labeled.link_length k) (fun i ->
                   ( Labeled.link_pre k i,
-                    Labeled.link_post k i,
+                    Labeled.link_pre k i + Labeled.link_span k i,
                     Labeled.link_up k i ))
           in
           check "link entries" want got;
@@ -398,7 +470,8 @@ let prop_build_equals_reference =
         |> List.concat_map (fun p ->
                let k = Option.get (Labeled.link l p) in
                List.init (Labeled.link_length k) (fun i ->
-                   (Labeled.link_pre k i, (Labeled.link_post k i, p))))
+                   ( Labeled.link_pre k i,
+                     (Labeled.link_pre k i + Labeled.link_span k i, p) )))
         |> List.sort compare
       in
       check "nodes"
@@ -448,6 +521,8 @@ let () =
             test_build_rejects_bad_input;
           Alcotest.test_case "node count fits 32-bit labels" `Quick
             test_node_count_limit;
+          Alcotest.test_case "paths without nodes" `Quick
+            test_paths_without_nodes;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -511,7 +511,9 @@ let test_first_seen_dictionary () =
           | _ -> Alcotest.fail "a first-seen dictionary loaded"
           | exception Invalid_argument msg ->
             Alcotest.(check string) "the load refuses it"
-              "Xseq.load: designators out of order" msg)
+              "Labeled.of_store: inconsistent snapshot: designators out of \
+               order"
+              msg)
         [ Store.Resident; Store.Paged ])
 
 (* --- failed loads --------------------------------------------------------- *)

@@ -360,11 +360,12 @@ let test_symtab_model () =
       (fun p -> if p = 0 then -1 else (Path.tag tbl (Path.of_int tbl p) :> int))
       order
   in
-  (* A compact table in first-seen order, the built table's own: the
-     load takes no such table, and says so apart from any damage. *)
+  (* A compact table in first-seen order, the built table's own: no save
+     writes one, and the load refuses it. *)
   (match of_dictionary ~kinds ~names ~parents ~desigs:entry_desigs with
    | _ -> Alcotest.fail "compact unsorted: a table out of order loaded"
-   | exception Symtab.Out_of_order -> ());
+   | exception Invalid_argument msg ->
+     Alcotest.(check string) "diagnostic" "designators out of order" msg);
   (* A compact table in (name, kind) order, as xseqcol2 stores it, which
      a load takes as it is. *)
   let sorted =
@@ -488,14 +489,11 @@ let test_symtab_dictionary_checks () =
   rejects "dictionary region sizes" ~kinds ~names:[| "a" |]
     ~parents:[| -1 |] ~desigs:[| -1 |];
   (* A designator table out of (name, kind) order, or naming one
-     designator twice, is no damage: it raises its own signal. *)
+     designator twice, is refused like any other damage. *)
   List.iter
     (fun (kinds, names) ->
-      match
-        of_dictionary ~kinds ~names ~parents:[| -1; 0 |] ~desigs:[| -1; 0 |]
-      with
-      | _ -> Alcotest.fail "accepted a designator table out of order"
-      | exception Symtab.Out_of_order -> ())
+      rejects "designators out of order" ~kinds ~names ~parents:[| -1; 0 |]
+        ~desigs:[| -1; 0 |])
     [ ([| 1; 0 |], [| "a"; "a" |]); ([| 0; 0 |], [| "b"; "a" |]);
       ([| 0; 0 |], [| "a"; "a" |]) ];
   (* A repeated edge is found however far apart its entries lie. *)
@@ -778,7 +776,8 @@ let test_multiple_paths () =
            let k = Option.get (L.link l p) in
            List.init (L.link_length k) Fun.id
            |> List.filter (fun i ->
-                  L.link_pre k i <= last && L.link_post k i >= last)
+                  L.link_pre k i <= last
+                  && L.link_pre k i + L.link_span k i >= last)
            |> List.map (fun i -> (L.link_pre k i, p)))
     |> List.sort compare
     |> List.map (fun (_, p) -> Path.to_string (L.symbols l) p)
