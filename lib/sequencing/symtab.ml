@@ -1,4 +1,5 @@
 module I32 = Xutil.I32
+module Frontcode = Xsuccinct.Frontcode
 
 (* Element [i] of a vector through [I32]'s primitives, which compile
    inline where [I32.get] and [I32.set] would be calls in the lookup and
@@ -8,29 +9,29 @@ let get v i = Int32.to_int (I32.get32 v (4 * i))
 let set v i x = I32.set32 v (4 * i) (Int32.of_int x)
 
 (* Designators and paths as structure-of-arrays of 32-bit columns
-   ([Xutil.I32]).  Designator names are one blob: name [d] is bytes
-   [name_off.(d), name_off.(d + 1)) of [names].  Path 0 is epsilon, which
-   has no parent and no last designator.
+   ([Xutil.I32]).  Path 0 is epsilon, which has no parent and no last
+   designator.
 
    How a name or an edge is found depends on where the table came from.
-   A built table ([Hashed]) interns, so it keeps an open-addressing
-   index of ids per namespace: a power-of-two vector probed linearly, at
-   most half full, -1 marking an empty slot, whose keys are read back
-   from the columns; [first_kid]/[next_kid] thread each path's element
-   children, newest first.  A loaded table ([Sorted]) is read-only and
-   hashes nothing.  Its designator ids are (name, kind) ranks, so a name
-   is binary-searched among the ids themselves: a value within the block
-   a directory of name prefixes picks out, a tag among the tags, whose
-   prefixes are all kept.  Each path's children are one
-   run of [kids], tags before values and each kind by designator, so an
-   edge is binary-searched in its parent's run, after a look at the
-   first path its designator ends; a path's depth is its walk up the
-   parents.  Neither form allocates on a lookup.  Only the build's
-   sequential flatten phase (or a snapshot load) writes; everything else
-   reads, so no synchronisation is needed. *)
+   A built table ([Hashed]) interns, so its designator names are one
+   blob, name [d] bytes [name_off.(d), name_off.(d + 1)) of [names], and
+   it keeps an open-addressing index of ids per namespace: a
+   power-of-two vector probed linearly, at most half full, -1 marking an
+   empty slot, whose keys are read back from the columns;
+   [first_kid]/[next_kid] thread each path's element children, newest
+   first.  A loaded table ([Sorted]) is read-only and hashes nothing.
+   Its designator ids are (name, kind) ranks, and its names stay in the
+   front-coded form the snapshot stores them in ([Frontcode.t]): a value
+   is found by the reader's restart points and a scan of at most 15
+   coded entries.  Tags are few and looked up often, so they are also
+   spelled out, each with its name prefix kept.  Each path's children
+   are one run of [kids], tags before values and each kind by
+   designator, so an edge is binary-searched in its parent's run, after
+   a look at the first path its designator ends; a path's depth is its
+   walk up the parents.  Neither form allocates on a lookup.  Only the
+   build's sequential flatten phase (or a snapshot load) writes;
+   everything else reads, so no synchronisation is needed. *)
 type t = {
-  mutable names : Bytes.t; (* every name, back to back, then spare room *)
-  mutable name_off : I32.t; (* [ndesig + 1] offsets into [names] *)
   mutable is_value : Bytes.t; (* '\001' for a value designator *)
   mutable ndesig : int;
   mutable parents : I32.t;
@@ -42,6 +43,8 @@ type t = {
 and lookup = Hashed of hashed | Sorted of sorted
 
 and hashed = {
+  mutable names : Bytes.t; (* every name, back to back, then spare room *)
+  mutable name_off : I32.t; (* [ndesig + 1] offsets into [names] *)
   mutable depths : I32.t;
   mutable desig_index : I32.t;
   mutable path_index : I32.t;
@@ -50,9 +53,11 @@ and hashed = {
 }
 
 and sorted = {
-  name_dir : int array; (* [prefix] of every [dir_step]-th name *)
+  coded : Frontcode.t; (* every name, in (name, kind) order *)
   tags : I32.t; (* the tag designators, in order *)
-  tag_dir : int array; (* [prefix] of every tag's name *)
+  tag_names : Bytes.t; (* their names, back to back *)
+  tag_off : I32.t; (* [ntags + 1] offsets into [tag_names] *)
+  tag_dir : int array; (* [Frontcode.prefix] of every tag's name *)
   kids : I32.t; (* every path but epsilon, by parent, then (kind, designator) *)
   kid_off : I32.t; (* [npaths + 1]: path p's children are
                       [kids.(kid_off.(p) .. kid_off.(p + 1) - 1)] *)
@@ -70,8 +75,6 @@ let index_capacity n =
 let create () =
   let paths = 256 in
   {
-    names = Bytes.create 512;
-    name_off = I32.make 65 0;
     is_value = Bytes.make 64 '\000';
     ndesig = 0;
     parents = I32.make paths (-1);
@@ -80,6 +83,8 @@ let create () =
     lookup =
       Hashed
         {
+          names = Bytes.create 512;
+          name_off = I32.make 65 0;
           depths = I32.make paths 0;
           desig_index = I32.make (index_capacity 64) (-1);
           path_index = I32.make (index_capacity (paths - 1)) (-1);
@@ -123,8 +128,8 @@ let desig_hash kind b off len =
 (* Both ids stay below 2^31, so the key is one machine integer. *)
 let path_hash p d = mix ((p lsl 31) lor d)
 
-let name_start t d = get t.name_off d
-let name_length t d = get t.name_off (d + 1) - name_start t d
+let name_start h d = get h.name_off d
+let name_length h d = get h.name_off (d + 1) - name_start h d
 
 (* Whether [len] bytes of [a] at [i] equal those of [b] at [j]; the
    caller has checked both ranges. *)
@@ -142,30 +147,15 @@ let rec compare_bytes a i la b j lb =
     if c = 0 then compare_bytes a (i + 1) (la - 1) b (j + 1) (lb - 1) else c
 
 (* Whether designator [d]'s name is bytes [off, off + len) of [key]. *)
-let spells t d key off len =
-  name_length t d = len && same_bytes t.names (name_start t d) key off len
-
-(* The first seven bytes of a name as one integer, big-endian and padded
-   with zero bytes: a name that sorts before another never has a larger
-   prefix. *)
-let prefix b off len =
-  let k = ref 0 in
-  for i = 0 to 6 do
-    k :=
-      (!k lsl 8)
-      lor if i < len then Char.code (Bytes.unsafe_get b (off + i)) else 0
-  done;
-  !k
-
-(* One directory word per this many names in (name, kind) order. *)
-let dir_step = 8
+let spells h d key off len =
+  name_length h d = len && same_bytes h.names (name_start h d) key off len
 
 (* The probe and search loops are top-level functions, not local
    closures, so a lookup allocates nothing.  Each probe returns the slot
    holding the key's id, or the empty slot where it would go. *)
 let rec desig_slot t h kind key off len i =
   let id = get h.desig_index i in
-  if id < 0 || (Bytes.get t.is_value id = kind && spells t id key off len)
+  if id < 0 || (Bytes.get t.is_value id = kind && spells h id key off len)
   then i
   else
     desig_slot t h kind key off len
@@ -189,57 +179,44 @@ let reindex capacity first last hash =
   done;
   index
 
-let desig_key t id =
-  desig_hash (Bytes.get t.is_value id) t.names (name_start t id)
-    (name_length t id)
+let desig_key t h id =
+  desig_hash (Bytes.get t.is_value id) h.names (name_start h id)
+    (name_length h id)
 
 let path_key t id = path_hash (get t.parents id) (get t.last id)
 
-(* Designator [d]'s (name, kind) against bytes [off, off + len) of [key]
-   as a [kind] designator; tags ('\000') rank before values. *)
-let compare_key t d kind key off len =
-  match
-    compare_bytes t.names (name_start t d) (name_length t d) key off len
-  with
-  | 0 -> Char.code (Bytes.unsafe_get t.is_value d) - Char.code kind
-  | c -> c
+(* Tag [k] of a loaded table, the [k]-th in (name, kind) order: its
+   name's slice of [tag_names]. *)
+let tag_start s k = get s.tag_off k
+let tag_length s k = get s.tag_off (k + 1) - tag_start s k
 
-let rec search_names t kind key off len lo hi =
-  if lo >= hi then -1
+(* Where tag designator [d] is among [tags.(lo .. hi - 1)]. *)
+let rec tag_index s d lo hi =
+  if lo >= hi then invalid_arg "Symtab: not a tag"
   else
     let mid = (lo + hi) lsr 1 in
-    let c = compare_key t mid kind key off len in
-    if c = 0 then mid
-    else if c < 0 then search_names t kind key off len (mid + 1) hi
-    else search_names t kind key off len lo mid
+    let x = get s.tags mid in
+    if x = d then mid
+    else if x < d then tag_index s d (mid + 1) hi
+    else tag_index s d lo mid
 
 (* The tag named by the key, or -1: tags are few and looked up often,
    so each has its prefix in [tag_dir], and a lookup reads one name. *)
-let rec scan_tags t s pk key off len i =
-  if i >= Array.length s.tag_dir || s.tag_dir.(i) <> pk then -1
-  else
-    let d = get s.tags i in
-    if compare_key t d '\000' key off len = 0 then d
-    else scan_tags t s pk key off len (i + 1)
+let rec scan_tags s pk key off len k =
+  if k >= Array.length s.tag_dir || s.tag_dir.(k) <> pk then -1
+  else if
+    tag_length s k = len && same_bytes s.tag_names (tag_start s k) key off len
+  then get s.tags k
+  else scan_tags s pk key off len (k + 1)
 
-(* The designator named by the key, or -1.  A value's search is narrowed
-   by the directory to the blocks whose first names' prefixes bracket
-   the key's: a block whose first prefix is below the key's ends at most
-   one block later, and one whose first prefix is above it starts past
-   it. *)
-let find_sorted t s kind key off len =
-  let pk = prefix key off len in
+(* The designator named by the key, or -1: a tag among the tags, a value
+   in the coded names, ranked by kind. *)
+let find_sorted s kind key off len =
   if kind = '\000' then
-    scan_tags t s pk key off len
+    let pk = Frontcode.prefix key off len in
+    scan_tags s pk key off len
       (Xutil.Binsearch.lower_bound s.tag_dir ~len:(Array.length s.tag_dir) pk)
-  else begin
-    let nblocks = Array.length s.name_dir in
-    let first = Xutil.Binsearch.lower_bound s.name_dir ~len:nblocks pk in
-    let past = Xutil.Binsearch.upper_bound s.name_dir ~len:nblocks pk in
-    search_names t kind key off len
-      (max 0 (first - 1) * dir_step)
-      (min t.ndesig (past * dir_step))
-  end
+  else Frontcode.find s.coded key off len (Char.code kind)
 
 (* A child's key in its parent's run: values after tags, each kind by
    designator id. *)
@@ -266,13 +243,13 @@ module Designator = struct
   let lookup tbl kind key off len =
     match tbl.lookup with
     | Hashed h -> get h.desig_index (find_slot tbl h kind key off len)
-    | Sorted s -> find_sorted tbl s kind key off len
+    | Sorted s -> find_sorted s kind key off len
 
   (* Interns the name held in bytes [off, off + len) of [key]. *)
   let intern tbl kind key off len =
     match tbl.lookup with
     | Sorted s ->
-      let d = find_sorted tbl s kind key off len in
+      let d = find_sorted s kind key off len in
       if d < 0 then read_only "designator" else d
     | Hashed h ->
       let i = find_slot tbl h kind key off len in
@@ -280,24 +257,24 @@ module Designator = struct
       if found >= 0 then found
       else begin
         let d = tbl.ndesig in
-        let at = name_start tbl d in
+        let at = name_start h d in
         check_id "designators" (d + 1);
         check_id "bytes of designator names" (at + len);
-        if at + len > Bytes.length tbl.names then
-          tbl.names <-
-            Bytes.extend tbl.names 0
-              (max (at + len) (2 * Bytes.length tbl.names)
-              - Bytes.length tbl.names);
-        Bytes.blit key off tbl.names at len;
-        tbl.name_off <- grow tbl.name_off (d + 1) 0;
-        set tbl.name_off (d + 1) (at + len);
+        if at + len > Bytes.length h.names then
+          h.names <-
+            Bytes.extend h.names 0
+              (max (at + len) (2 * Bytes.length h.names)
+              - Bytes.length h.names);
+        Bytes.blit key off h.names at len;
+        h.name_off <- grow h.name_off (d + 1) 0;
+        set h.name_off (d + 1) (at + len);
         if d = Bytes.length tbl.is_value then
           tbl.is_value <- Bytes.extend tbl.is_value 0 (max 8 d);
         Bytes.set tbl.is_value d kind;
         tbl.ndesig <- d + 1;
         if 2 * (d + 1) > I32.length h.desig_index then
           h.desig_index <-
-            reindex (2 * I32.length h.desig_index) 0 d (desig_key tbl)
+            reindex (2 * I32.length h.desig_index) 0 d (desig_key tbl h)
         else set h.desig_index i d;
         d
       end
@@ -317,23 +294,48 @@ module Designator = struct
   let find_tag tbl s = find tbl '\000' s
   let find_value tbl s = find tbl '\001' s
   let is_value tbl d = Bytes.get tbl.is_value d <> '\000'
-  let name tbl d =
-    Bytes.sub_string tbl.names (name_start tbl d) (name_length tbl d)
 
-  let name_equal tbl d s =
-    spells tbl d (Bytes.unsafe_of_string s) 0 (String.length s)
+  (* A loaded value's name is read from its bucket of the coded names, a
+     loaded tag's from the spelled-out tags. *)
+  let tag_of s d = tag_index s d 0 (I32.length s.tags)
+
+  let name tbl d =
+    match tbl.lookup with
+    | Hashed h -> Bytes.sub_string h.names (name_start h d) (name_length h d)
+    | Sorted s when is_value tbl d -> Frontcode.name s.coded d
+    | Sorted s ->
+      let k = tag_of s d in
+      Bytes.sub_string s.tag_names (tag_start s k) (tag_length s k)
+
+  let name_equal tbl d str =
+    let key = Bytes.unsafe_of_string str and len = String.length str in
+    match tbl.lookup with
+    | Hashed h -> spells h d key 0 len
+    | Sorted s when is_value tbl d -> Frontcode.equal s.coded d key 0 len
+    | Sorted s ->
+      let k = tag_of s d in
+      tag_length s k = len && same_bytes s.tag_names (tag_start s k) key 0 len
 
   let name_has_prefix tbl d prefix =
-    let len = String.length prefix in
-    len <= name_length tbl d
-    && same_bytes tbl.names (name_start tbl d) (Bytes.unsafe_of_string prefix)
-         0 len
+    let key = Bytes.unsafe_of_string prefix and len = String.length prefix in
+    match tbl.lookup with
+    | Hashed h ->
+      len <= name_length h d && same_bytes h.names (name_start h d) key 0 len
+    | Sorted s when is_value tbl d -> Frontcode.has_prefix s.coded d key 0 len
+    | Sorted s ->
+      let k = tag_of s d in
+      len <= tag_length s k && same_bytes s.tag_names (tag_start s k) key 0 len
 
+  (* A loaded table's ids are (name, kind) ranks: within a kind, they
+     compare as their names do. *)
   let compare_names tbl a b =
     match Bool.compare (is_value tbl b) (is_value tbl a) with
-    | 0 ->
-      compare_bytes tbl.names (name_start tbl a) (name_length tbl a) tbl.names
-        (name_start tbl b) (name_length tbl b)
+    | 0 -> (
+      match tbl.lookup with
+      | Hashed h ->
+        compare_bytes h.names (name_start h a) (name_length h a) h.names
+          (name_start h b) (name_length h b)
+      | Sorted _ -> Int.compare a b)
     | c -> c
 
   let equal (a : int) b = a = b
@@ -491,28 +493,17 @@ end
 
 (* --- (name, kind) order without hashing --------------------------------- *)
 
-(* A designator table as a dictionary or a table holds it: entry j is a
-   tag or a value ([kind.[j]] '\000' or '\001') named by bytes
+(* A built table's designators as its sort reads them: entry j is a tag
+   or a value ([kind.[j]] '\000' or '\001') named by bytes
    [name_off.(j), name_off.(j + 1)) of [names]. *)
 type entries = { kind : Bytes.t; names : Bytes.t; name_off : I32.t }
 
 let entry_kind e j = Char.code (Bytes.unsafe_get e.kind j)
 
-(* Entries [j] and [k] by (name, kind). *)
-let entry_compare e j k =
-  let sj = get e.name_off j and sk = get e.name_off k in
-  match
-    compare_bytes e.names sj
-      (get e.name_off (j + 1) - sj)
-      e.names sk
-      (get e.name_off (k + 1) - sk)
-  with
-  | 0 -> entry_kind e j - entry_kind e k
-  | c -> c
-
 (* Entry [j]'s sort key at byte [pos] of its name, which is no longer
-   than that: the [prefix] from there, how many bytes the name has from
-   there (7 for seven or more), and, when that is fewer, the kind.  Keys
+   than that: the [Frontcode.prefix] from there, how many bytes the name
+   has from there (7 for seven or more), and, when that is fewer, the
+   kind.  Keys
    order entries that agree before [pos] as (name, kind) does, except
    that those agreeing on seven bytes more tie. *)
 let chunk_key e j pos =
@@ -524,7 +515,7 @@ let chunk_key e j pos =
       Int64.to_int
         (Int64.shift_right_logical (Bytes.get_int64_be e.names start) 8)
       land lnot ((1 lsl (8 * (7 - len))) - 1)
-    else prefix e.names start len
+    else Frontcode.prefix e.names start len
   in
   (((bytes lsl 3) lor len) lsl 1) lor if len < 7 then entry_kind e j else 0
 
@@ -628,72 +619,104 @@ let name_order t =
   done;
   (match t.lookup with
    | Sorted _ -> ()
-   | Hashed _ ->
+   | Hashed h ->
      sort_ids
-       { kind = t.is_value; names = t.names; name_off = t.name_off }
+       { kind = t.is_value; names = h.names; name_off = h.name_off }
        n order (I32.make n 0) (Bytes.create n) n);
-  (order, t.names, t.name_off)
+  order
 
-let of_dictionary ~kinds ~names ~name_off ~parents ~desigs =
-  let ndict = I32.length parents and ntable = I32.length kinds in
-  if I32.length name_off <> ntable + 1 || I32.length desigs <> ndict then
-    invalid_arg "dictionary region sizes";
+let coded_names t keys =
+  match t.lookup with
+  | Hashed h -> Frontcode.encode h.names h.name_off keys
+  | Sorted s when I32.length keys = t.ndesig -> Frontcode.coded s.coded
+  | Sorted _ ->
+    (* A table holding designators no path uses: the others spelled out
+       and coded afresh. *)
+    let n = I32.length keys in
+    let spelled = Array.init n (fun k -> Designator.name t (get keys k)) in
+    let off = I32.make (n + 1) 0 in
+    Array.iteri
+      (fun k name -> set off (k + 1) (get off k + String.length name))
+      spelled;
+    Frontcode.encode
+      (Bytes.unsafe_of_string (String.concat "" (Array.to_list spelled)))
+      off
+      (I32.of_array (Array.init n Fun.id))
+
+let of_dictionary ~scratch ~kinds ~names ~parents ~desigs =
+  let ndict = I32.length parents and ndesig = Bytes.length kinds in
+  if I32.length desigs <> ndict then invalid_arg "dictionary region sizes";
   if ndict = 0 || get parents 0 >= 0 then invalid_arg "dictionary root";
   if get desigs 0 >= 0 then invalid_arg "root entry with a designator";
-  if get name_off 0 < 0 || get name_off ntable > Bytes.length names then
-    invalid_arg "dictionary name offsets";
-  for j = 0 to ntable - 1 do
-    if get name_off (j + 1) < get name_off j then
-      invalid_arg "dictionary name offsets";
-    if get kinds j <> 0 && get kinds j <> 1 then
-      invalid_arg "designator kind out of range"
-  done;
-  let is_value =
-    Bytes.init ntable (fun j -> if get kinds j = 0 then '\000' else '\001')
-  in
+  Bytes.iter
+    (fun k ->
+      if k <> '\000' && k <> '\001' then
+        invalid_arg "designator kind out of range")
+    kinds;
+  let kind d = Char.code (Bytes.unsafe_get kinds d) in
   (* Designators are numbered in (name, kind) order: a table in strict
-     order is one designator an entry, named in place. *)
-  let e = { kind = is_value; names; name_off } in
-  for j = 1 to ntable - 1 do
-    if entry_compare e (j - 1) j >= 0 then
-      invalid_arg "designators out of order"
-  done;
-  let ndesig = ntable in
+     order is one designator an entry, its names kept coded.  A count
+     that disagrees with the kinds is refused below; until then a rank
+     past them is a tag's. *)
+  let coded =
+    match
+      Frontcode.read ~name:"designator names"
+        ~rank:(fun j -> if j < ndesig then kind j else 0)
+        names
+    with
+    | coded -> coded
+    | exception Invalid_argument _ -> invalid_arg "designator name table"
+    | exception Frontcode.Out_of_order -> invalid_arg "designators out of order"
+  in
+  if Frontcode.count coded <> ndesig then invalid_arg "dictionary region sizes";
   (* Each entry's designator becomes its path's last designator, in a
      column the table takes over. *)
   let last = desigs in
   set last 0 (-1);
   set parents 0 (-1);
   (* One pass checks the entries and counts: the paths of each
-     designator in [a] and the children of each path in [kid_off]
+     designator in [ends] and the children of each path in [kid_off]
      (shifted by one). *)
-  let a = I32.make (max ndesig ndict) 0 and b = I32.make (max ndesig ndict) 0 in
-  let kid_off = I32.make (ndict + 1) 0 and ends = I32.make ndesig (-1) in
+  let ends = I32.make ndesig 0 and kid_off = I32.make (ndict + 1) 0 in
   for i = 1 to ndict - 1 do
     let p = get parents i and d = get last i in
     if d < 0 || d >= ndesig then invalid_arg "designator id out of range";
     if p < 0 || p >= i then invalid_arg "dictionary parent order";
-    if get ends d < 0 then set ends d i;
-    set a d (get a d + 1);
+    set ends d (get ends d + 1);
     set kid_off (p + 1) (get kid_off (p + 1) + 1)
   done;
   (* Every path's children as one run: a stable counting sort of the
-     paths by (kind, designator) into [b], then one by parent, whose
-     counts become the run offsets. *)
+     paths by (kind, designator) into [by_desig], then one by parent,
+     whose counts become the run offsets.  [ends] holds where each
+     designator's paths start, then where they end. *)
   let at = ref 0 in
   for value = 0 to 1 do
     for d = 0 to ndesig - 1 do
-      if Char.code (Bytes.get is_value d) = value then begin
-        let n = get a d in
-        set a d !at;
+      if kind d = value then begin
+        let n = get ends d in
+        set ends d !at;
         at := !at + n
       end
     done
   done;
+  if I32.length scratch < ndict - 1 then invalid_arg "Symtab: short scratch";
+  let by_desig = scratch in
   for i = 1 to ndict - 1 do
     let d = get last i in
-    set b (get a d) i;
-    set a d (get a d + 1)
+    set by_desig (get ends d) i;
+    set ends d (get ends d + 1)
+  done;
+  (* A designator's first path, the smallest entry it ends, heads its
+     group; the group starts where the one before it ends. *)
+  let start = ref 0 in
+  for value = 0 to 1 do
+    for d = 0 to ndesig - 1 do
+      if kind d = value then begin
+        let stop = get ends d in
+        set ends d (if stop > !start then get by_desig !start else -1);
+        start := stop
+      end
+    done
   done;
   for p = 1 to ndict do
     set kid_off p (get kid_off p + get kid_off (p - 1))
@@ -702,7 +725,7 @@ let of_dictionary ~kinds ~names ~name_off ~parents ~desigs =
      to where the run ends, which is where p + 1's starts. *)
   let kids = I32.make (ndict - 1) 0 in
   for r = 0 to ndict - 2 do
-    let i = get b r in
+    let i = get by_desig r in
     let p = get parents i in
     set kids (get kid_off p) i;
     set kid_off p (get kid_off p + 1)
@@ -714,42 +737,33 @@ let of_dictionary ~kinds ~names ~name_off ~parents ~desigs =
     if get parents x = get parents y && get last x = get last y
     then invalid_arg "duplicate dictionary entry"
   done;
-  let name_prefix d =
-    prefix names (get name_off d) (get name_off (d + 1) - get name_off d)
-  in
-  let name_dir =
-    Array.init ((ndesig + dir_step - 1) / dir_step) (fun b ->
-        name_prefix (b * dir_step))
-  in
+  (* The tags, spelled out with their prefixes. *)
   let ntags = ref 0 in
   for d = 0 to ndesig - 1 do
-    if Bytes.get is_value d = '\000' then incr ntags
+    if kind d = 0 then incr ntags
   done;
-  let tags = I32.make !ntags 0 and tag_dir = Array.make !ntags 0 in
-  let k = ref 0 in
+  let tags = I32.make !ntags 0 and tag_off = I32.make (!ntags + 1) 0 in
+  let spelled = Array.make !ntags "" and k = ref 0 in
   for d = 0 to ndesig - 1 do
-    if Bytes.get is_value d = '\000' then begin
+    if kind d = 0 then begin
       set tags !k d;
-      tag_dir.(!k) <- name_prefix d;
+      spelled.(!k) <- Frontcode.name coded d;
+      set tag_off (!k + 1) (get tag_off !k + String.length spelled.(!k));
       incr k
     end
   done;
+  let tag_names = Bytes.of_string (String.concat "" (Array.to_list spelled)) in
+  let tag_dir =
+    Array.init !ntags (fun k ->
+        Frontcode.prefix tag_names (get tag_off k)
+          (get tag_off (k + 1) - get tag_off k))
+  in
   {
-    names;
-    name_off;
-    is_value;
+    is_value = kinds;
     ndesig;
     parents;
     last;
     npaths = ndict;
     lookup =
-      Sorted
-        {
-          name_dir;
-          tags;
-          tag_dir;
-          kids;
-          kid_off;
-          ends;
-        };
+      Sorted { coded; tags; tag_names; tag_off; tag_dir; kids; kid_off; ends };
   }

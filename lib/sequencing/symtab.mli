@@ -20,30 +20,34 @@
     mentions it misses cleanly.
 
     The table is flat: designators and paths are columns indexed by id
-    (a designator's kind and the offsets of its name; a path's parent
-    and last designator).  Every column holds 32-bit values
-    ({!Xutil.I32}), so ids, path counts and name bytes stay below
-    [2^31]; interning past that raises [Invalid_argument].  The
-    designator names are one blob, each name a slice of it.  The two
-    kinds of table find names and edges differently:
-    - A built table interns, so it keeps an open-addressing index of
-      ids per namespace (a power-of-two vector, linear probing, at most
-      half full) whose keys are read back from the columns, a depth
-      column, and a thread of each path's element children.  Interning
-      a new designator or path allocates nothing but the growth of
-      those columns.
-    - A loaded table hashes nothing and interns nothing.  A value is
-      binary-searched in (name, kind) order, within the block of eight
-      designators that a directory of name prefixes (one word per
-      block) picks out; a tag among the tags alone, whose prefixes are
-      all kept.  Each path's children form one run, tags first,
-      in which an edge is binary-searched; a per-designator column of
-      the first path it ends answers most value edges at once.  A
-      path's depth is counted up its parents.
-    A lookup compares its key against a slice of the blob in place: it
-    allocates nothing but the [Some] of a hit.  {!Designator.name} is
-    the one accessor that copies a name out; {!Designator.name_equal}
-    and {!Designator.name_has_prefix} test one without copying.
+    (a designator's kind; a path's parent and last designator).  Every
+    column holds 32-bit values ({!Xutil.I32}), so ids, path counts and
+    name bytes stay below [2^31]; interning past that raises
+    [Invalid_argument].  The two kinds of table hold names and find
+    names and edges differently:
+    - A built table interns, so its designator names are one blob, each
+      name a slice of it, and it keeps an open-addressing index of ids
+      per namespace (a power-of-two vector, linear probing, at most half
+      full) whose keys are read back from the columns, a depth column,
+      and a thread of each path's element children.  Interning a new
+      designator or path allocates nothing but the growth of those
+      columns.
+    - A loaded table hashes nothing and interns nothing.  Its names stay
+      front-coded as the snapshot stores them
+      ({!Xsuccinct.Frontcode.t}), with every 16th name spelled out: a
+      value is found by a binary search over those heads, narrowed by a
+      directory of their prefixes, and a scan of at most 15 coded
+      entries after one.  Tags are few, so they are also kept spelled
+      out, each with its prefix: a tag is found among the tags alone.
+      Each path's children form one run, tags first, in which an edge is
+      binary-searched; a per-designator column of the first path it
+      ends answers most value edges at once.  A path's depth is counted
+      up its parents.
+    A lookup compares its key against names in place: it allocates
+    nothing but the [Some] of a hit.  {!Designator.name} is the one
+    accessor that copies a name out (a loaded value's decoded from its
+    bucket of the coded names); {!Designator.name_equal} and
+    {!Designator.name_has_prefix} test one without copying.
 
     Ids mean nothing outside their table: compare paths of two indexes
     by their names ({!Path.to_list} and {!Designator.name}). *)
@@ -54,17 +58,17 @@ val create : unit -> t
 (** An empty table: no designators, and the one path {!Path.epsilon}. *)
 
 val of_dictionary :
-  kinds:Xutil.I32.t ->
-  names:Bytes.t ->
-  name_off:Xutil.I32.t ->
+  scratch:Xutil.I32.t ->
+  kinds:Bytes.t ->
+  names:string ->
   parents:Xutil.I32.t ->
   desigs:Xutil.I32.t ->
   t
-(** [of_dictionary ~kinds ~names ~name_off ~parents ~desigs] is the
-    read-only table of a stored path dictionary, sized to fit it.
-    [kinds], [names] and [name_off] are a designator table: entry [j] is
-    a tag ([kinds.(j) = 0]) or a value ([1]) named by bytes
-    [[name_off.(j), name_off.(j + 1))] of [names].  Dictionary entry [0]
+(** [of_dictionary ~scratch ~kinds ~names ~parents ~desigs] is the
+    read-only table of a stored path dictionary, sized to fit it.  [kinds] and
+    [names] are a designator table: entry [j] is a tag ([kinds.[j] =
+    '\000']) or a value (['\001']) named by entry [j] of the front-coded
+    list [names] ({!Xsuccinct.Frontcode}).  Dictionary entry [0]
     is {!Path.epsilon} ([parents.(0)] and [desigs.(0)] negative); entry
     [i > 0] extends entry [parents.(i) < i] by designator [desigs.(i)]
     and becomes path [i].  Any such order is taken: a save keeps the
@@ -72,33 +76,38 @@ val of_dictionary :
 
     The designator table must be in strict (name, kind) order (names by
     [String.compare], tags before values), as every save writes it
-    ({!name_order}): one pass checks that, and entry [j] becomes
-    designator [j], named in place.  The paths are then grouped by
-    parent with two counting sorts.  Nothing is hashed or sorted by
-    name.
+    ({!name_order}): the reader's one checking pass sees that, and entry
+    [j] becomes designator [j], its name left coded
+    ({!Xsuccinct.Frontcode.read}).  The paths are then grouped by parent
+    with two counting sorts.  Nothing is hashed or sorted by name.
 
-    The table takes ownership of all five arguments.  It keeps
-    [parents], [names] and [name_off] as its own columns and [desigs] as
-    its path designators.  A caller hands over a blob nobody else sees —
-    a fresh file read or a decoder's output — and never the shared
-    string of a memory store without copying it.
+    The table takes ownership of its vector arguments: it keeps [kinds]
+    and [parents] as its own columns and [desigs] as its path
+    designators, and [names] as it is.  It sorts the paths in
+    [scratch], a vector of at least [Xutil.I32.length parents - 1]
+    elements that the caller no longer needs (a load hands over its link
+    lengths, read already).
 
     The table interns nothing: {!Designator.tag}, {!Designator.value},
     {!Designator.char_value} and {!Path.child} return what it holds and
     raise [Invalid_argument] for anything new.
     @raise Invalid_argument naming the violated condition: ["dictionary
     region sizes"], ["dictionary root"], ["root entry with a
-    designator"], ["dictionary name offsets"], ["designator kind out of
-    range"], ["designators out of order"], ["designator id out of
-    range"], ["dictionary parent order"] or ["duplicate dictionary
-    entry"]. *)
+    designator"], ["designator kind out of range"], ["designator name
+    table"] (bytes the front-coded reader rejects), ["designators out of
+    order"], ["designator id out of range"], ["dictionary parent order"]
+    or ["duplicate dictionary entry"]. *)
 
-val name_order : t -> Xutil.I32.t * Bytes.t * Xutil.I32.t
-(** [name_order tbl] is [(order, names, name_off)]: the designator ids
-    in the (name, kind) order {!of_dictionary} numbers them in — sorted
-    for a built table, the identity for a loaded one — and the table's
-    own name blob and offsets (read only): designator [d] is bytes
-    [[name_off.(d), name_off.(d + 1))] of [names]. *)
+val name_order : t -> Xutil.I32.t
+(** The designator ids in the (name, kind) order {!of_dictionary}
+    numbers them in: sorted for a built table, the identity for a loaded
+    one. *)
+
+val coded_names : t -> Xutil.I32.t -> string
+(** [coded_names tbl keys] front-codes the names of designators [keys],
+    given in {!name_order}'s order, as {!of_dictionary} reads them.  A
+    loaded table asked for every designator hands back the coded names
+    it was loaded from, the same string. *)
 
 val path_count : t -> int
 (** Paths in the table, [epsilon] included; every path id is below it. *)

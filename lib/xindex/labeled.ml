@@ -194,6 +194,7 @@ let build symbols seqs =
   let seqs = Array.mapi (fun i s -> (s, i)) seqs in
   Array.sort compare_seq seqs;
   let nseqs = Array.length seqs in
+  let width = Symtab.path_count symbols in
   (* lcp.(k): the prefix sequence [k] shares with sequence [k - 1], i.e.
      the nodes it reuses. *)
   let lcp = Array.make nseqs 0 in
@@ -202,6 +203,13 @@ let build symbols seqs =
     (fun k (s, _) ->
       let len = Array.length s in
       if len = 0 then invalid_arg "Labeled.build: empty sequence";
+      for j = 0 to len - 1 do
+        let p = Path.to_int s.(j) in
+        if p = Path.to_int Path.epsilon then
+          invalid_arg "Labeled.build: the empty path in a sequence";
+        if p < 0 || p >= width then
+          invalid_arg "Labeled.build: a path the table does not have"
+      done;
       let l = ref 0 in
       if k > 0 then begin
         let prev = fst seqs.(k - 1) in
@@ -221,7 +229,6 @@ let build symbols seqs =
   (* Per path id: the link entries created so far, and the link position
      of the innermost open node.  Opening a node makes it the innermost;
      closing it restores its [up]. *)
-  let width = Symtab.path_count symbols in
   let entries = Array.make width 0 and innermost = Array.make width (-1) in
   let open_at = Array.make (!depth + 1) 0 (* open node per depth *) in
   let ends = Array.make nseqs (0, 0) in
@@ -343,7 +350,7 @@ let rank serials below x =
   and hi = ref below.((x lsr rank_shift) + 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if serials.(mid) < x then lo := mid + 1 else hi := mid
+    if get serials mid < x then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -353,9 +360,11 @@ let rank serials below x =
    earlier one ([pre <=] its [post]) add nothing: only the outermost
    ranges are counted.  [serials] holds the (member) doc-table serials,
    sorted as the table is, so a range's count is a difference of two
-   ranks: one pass over the doc table, then one over each link. *)
+   ranks: one pass over the doc table, then one over each link.  The
+   serials are a 32-bit vector; the counts are floats, the array the
+   statistics turn into their estimates in place. *)
 let path_frequencies ?member t =
-  let serials = Array.make (doc_len t) 0 and counted = ref 0 in
+  let serials = I32.make (doc_len t) 0 and counted = ref 0 in
   let below = Array.make (((t.n + 1) lsr rank_shift) + 2) 0 in
   for i = 0 to doc_len t - 1 do
     let x = doc_pre_at t i in
@@ -364,7 +373,7 @@ let path_frequencies ?member t =
     match member with
     | Some keep when not (keep (doc_id_at t i)) -> ()
     | Some _ | None ->
-      serials.(!counted) <- x;
+      set serials !counted x;
       incr counted;
       let k = (x lsr rank_shift) + 1 in
       below.(k) <- below.(k) + 1
@@ -372,7 +381,7 @@ let path_frequencies ?member t =
   for k = 1 to Array.length below - 1 do
     below.(k) <- below.(k) + below.(k - 1)
   done;
-  let freq = Array.make (Symtab.path_count t.symbols) 0 in
+  let freq = Array.make (Symtab.path_count t.symbols) 0. in
   let count pre_at span_at =
     for slot = 0 to nlinks t - 1 do
       let total = ref 0 and outer_post = ref (-1) in
@@ -387,7 +396,7 @@ let path_frequencies ?member t =
           outer_post := post
         end
       done;
-      freq.(slot + 1) <- !total
+      freq.(slot + 1) <- float_of_int !total
     done
   in
   (* Slot order is link-column order: both columns are read front to
@@ -566,11 +575,11 @@ let column_bytes t =
    designator) pairs over the designators in use, ranked in the symbol
    table's own (name, kind) order ([Symtab.name_order]), the order a load
    numbers them in; their names, sorted hence prefix-heavy, are
-   front-coded from the table's blob. *)
+   front-coded ([Symtab.coded_names]). *)
 let dict_regions t store =
   let n = nlinks t + 1 in
   let parent = Array.make n (-1) and desig = Array.make n (-1) in
-  let order, names, name_off = Symtab.name_order t.symbols in
+  let order = Symtab.name_order t.symbols in
   (* By designator id: its kind if in use (else -1), then its rank. *)
   let rank = I32.make (I32.length order) (-1) and used = ref 0 in
   for i = 1 to n - 1 do
@@ -598,8 +607,7 @@ let dict_regions t store =
   Store.add_int_array store "dict_parent" parent;
   Store.add_int_array store "dict_desig" desig;
   Store.add_int_array store "desig_kind" kind;
-  Store.add_blob store "desig_names"
-    (Xsuccinct.Frontcode.encode names name_off keys)
+  Store.add_blob store "desig_names" (Symtab.coded_names t.symbols keys)
 
 (* The link directory is one word a slot: twice the link's length, plus
    one if it nests.  Slot [s] is path [s + 1], so no path is stored. *)
@@ -630,35 +638,36 @@ let of_store store =
   (* Directory regions are read straight into 32-bit vectors.  A value
      beyond 32 bits saturates, and every check below rejects it as it
      would the value itself. *)
-  let dir = Store.i32 store in
+  let vector = Store.i32 store in
   (* The dictionary becomes the index's symbol table, entry i as path i:
      epsilon first, every other entry extending an earlier one and
      naming its designator by an id into a front-coded (kind, name)
-     table.  The table takes the vectors and the names over. *)
-  let parents = dir "dict_parent" in
+     table.  The table takes the vectors and the coded names over; the
+     kinds are read straight into its bytes, anything but 0 or 1 as a
+     byte it refuses. *)
+  let parents = vector "dict_parent" in
   if I32.length parents = 0 then corrupt "dictionary root";
+  (* One link a dictionary entry after epsilon, slot s for entry s + 1.
+     Once the directory is read off it, the table sorts its paths in
+     [link_len]'s room. *)
+  let link_len = vector "link_len" in
+  if I32.length link_len <> I32.length parents - 1 then
+    corrupt "link directory sizes";
+  let dir = directory ~n link_len in
   (* Read first: a damaged region is its checksum mismatch. *)
-  let coded = Store.blob store "desig_names" in
-  let names, name_off =
-    try
-      Xsuccinct.Frontcode.decode
-        ~name:"Labeled.of_store: inconsistent snapshot: designator names" coded
-    with Invalid_argument _ -> corrupt "designator name table"
+  let names = Store.blob store "desig_names" in
+  let desigs = vector "dict_desig" in
+  let kinds =
+    Store.bytes store "desig_kind" (fun k ->
+        if k = 0 || k = 1 then Char.chr k else '\002')
   in
-  let desigs = dir "dict_desig" in
   let symbols =
     match
-      Symtab.of_dictionary ~kinds:(dir "desig_kind")
-        ~names:(Bytes.unsafe_of_string names) ~name_off ~parents ~desigs
+      Symtab.of_dictionary ~scratch:link_len ~kinds ~names ~parents ~desigs
     with
     | symbols -> symbols
     | exception Invalid_argument what -> corrupt what
   in
-  (* One link a dictionary entry after epsilon, slot s for entry s + 1. *)
-  let link_len = dir "link_len" in
-  if I32.length link_len <> Symtab.path_count symbols - 1 then
-    corrupt "link directory sizes";
-  let dir = directory ~n link_len in
   let l_pre = Store.ints store "l_pre" in
   let l_span = Store.ints store "l_span" in
   (* Every node but the root is exactly one link entry. *)

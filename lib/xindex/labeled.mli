@@ -66,7 +66,9 @@ val build : Sequencing.Symtab.t -> Path.t array array -> t
     ({!Xstorage.Store.flat_of_array}), the one in-memory backing a
     column has.
 
-    @raise Invalid_argument on an empty sequence, or if the trie has
+    @raise Invalid_argument on an empty sequence, a sequence holding
+    {!Path.epsilon} or a path id at or past the table's
+    {!Sequencing.Symtab.path_count}, or if the trie has
     more than [2^31 - 1] nodes (serials are 32-bit labels); the node
     count is checked before anything is labelled.  Likewise if one link
     has more than [2^30 - 2] entries: the link directory keeps twice a
@@ -124,13 +126,14 @@ val docs_between : t -> first:int -> last:int -> f:(int -> unit) -> unit
     [[first, last]], for callers that located the span themselves (e.g.
     with instrumented probes). *)
 
-val path_frequencies : ?member:(int -> bool) -> t -> int array
+val path_frequencies : ?member:(int -> bool) -> t -> float array
 (** Per path id of {!symbols}, the number of documents whose sequence
     contains the path (0 for a path without a link) — the document
     frequency the [gbest] statistics count over the records, derived
     from the labels and the document table alone.  With [member], only
     documents whose id satisfies it are counted.  One pass over the
-    document table and one over the link columns. *)
+    document table and one over the link columns.  The counts are
+    floats, the form [Xschema.Stats.of_frequencies] takes over. *)
 
 val sequences : t -> Path.t array array
 (** Every document's constraint sequence, by document-table position

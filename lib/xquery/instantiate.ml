@@ -28,16 +28,21 @@ let descendants symbols p =
 
 (* Candidate paths for an element step relative to concrete parent [pp]:
    a name test is one lookup in the table, a wildcard every child or
-   descendant. *)
+   descendant.  A descendant name test resolves the name once and
+   compares designator ids; a name the table lacks has no candidate. *)
 let element_candidates symbols test axis pp =
-  let named s p = D.name_equal symbols (Path.tag symbols p) s in
   match axis, test with
   | Pattern.Child, Pattern.Tag s ->
     Option.to_list
       (Option.bind (D.find_tag symbols s) (Path.find_child symbols pp))
   | Pattern.Child, Pattern.Star -> Path.element_children symbols pp
-  | Pattern.Descendant, Pattern.Tag s ->
-    List.filter (named s) (descendants symbols pp)
+  | Pattern.Descendant, Pattern.Tag s -> (
+    match D.find_tag symbols s with
+    | None -> []
+    | Some d ->
+      List.filter
+        (fun p -> D.equal (Path.tag symbols p) d)
+        (descendants symbols pp))
   | Pattern.Descendant, Pattern.Star -> descendants symbols pp
   | _, (Pattern.Text _ | Pattern.Text_prefix _) -> assert false
 

@@ -15,26 +15,25 @@ type t = {
 (* Estimates for every path of the table ([freq] has one count per
    path), parents first (a path's id is always above its parent's): seen
    paths by frequency, unseen ones decaying from their parent.  Computed
-   once, so pricing only reads; of the counts only which paths were seen
-   is kept. *)
+   once, in place of the counts, so pricing only reads; of the counts
+   only which paths were seen is kept. *)
 let of_frequencies symbols ~docs freq =
   let n = Array.length freq in
-  let p = Array.make n 1.0 in
+  let seen =
+    Bytes.init n (fun id -> if freq.(id) > 0. then '\001' else '\000')
+  in
+  let distinct = ref 0 in
+  Bytes.iter (fun c -> if c <> '\000' then incr distinct) seen;
+  let p = freq in
+  if n > 0 then p.(0) <- 1.0;
   for id = 1 to n - 1 do
     p.(id) <-
-      (if freq.(id) > 0 then
-         float_of_int freq.(id) /. float_of_int (max 1 docs)
+      (if Bytes.get seen id <> '\000' then p.(id) /. float_of_int (max 1 docs)
        else
          let parent = Path.parent symbols (Path.of_int symbols id) in
          p.(Path.to_int parent) *. 0.1)
   done;
-  let seen =
-    Bytes.init n (fun id -> if freq.(id) > 0 then '\001' else '\000')
-  in
-  let distinct =
-    Array.fold_left (fun k c -> if c > 0 then k + 1 else k) 0 freq
-  in
-  { symbols; docs; seen; distinct; p; weights = Hashtbl.create 16 }
+  { symbols; docs; seen; distinct = !distinct; p; weights = Hashtbl.create 16 }
 
 (* Counts the documents [keep] selects, each path once per document. *)
 let count ?value_mode ?(symbols = Symtab.create ()) ~keep docs =
@@ -50,14 +49,14 @@ let count ?value_mode ?(symbols = Symtab.create ()) ~keep docs =
       docs
   in
   let n = Symtab.path_count symbols in
-  let freq = Array.make n 0 and stamp = Array.make n (-1) in
+  let freq = Array.make n 0. and stamp = Array.make n (-1) in
   Array.iteri
     (fun i ->
       Array.iter (fun p ->
           let p = Path.to_int p in
           if stamp.(p) <> i then begin
             stamp.(p) <- i;
-            freq.(p) <- freq.(p) + 1
+            freq.(p) <- freq.(p) +. 1.
           end))
     paths;
   of_frequencies symbols ~docs:!counted freq
@@ -86,15 +85,18 @@ let rec p_root t path =
 
 let set_weight t path w = Hashtbl.replace t.weights path w
 
+(* The name is resolved once; paths are then matched by designator
+   id. *)
 let set_tag_weight t name w =
-  for id = 0 to Bytes.length t.seen - 1 do
-    if Bytes.get t.seen id <> '\000' then begin
-      let p = Path.of_int t.symbols id in
-      let d = Path.tag t.symbols p in
-      if (not (D.is_value t.symbols d)) && D.name_equal t.symbols d name then
-        Hashtbl.replace t.weights p w
-    end
-  done
+  match D.find_tag t.symbols name with
+  | None -> ()
+  | Some d ->
+    for id = 0 to Bytes.length t.seen - 1 do
+      if Bytes.get t.seen id <> '\000' then begin
+        let p = Path.of_int t.symbols id in
+        if D.equal (Path.tag t.symbols p) d then Hashtbl.replace t.weights p w
+      end
+    done
 
 let weight t path = try Hashtbl.find t.weights path with Not_found -> 1.0
 let priority t path = p_root t path *. weight t path

@@ -41,13 +41,14 @@ val sample_members : fraction:float -> seed:int -> int -> bool array
     from the persisted (seed, fraction) and its record count, so its
     statistics cover the same sample without the documents. *)
 
-val of_frequencies : Sequencing.Symtab.t -> docs:int -> int array -> t
+val of_frequencies : Sequencing.Symtab.t -> docs:int -> float array -> t
 (** Statistics from precomputed document frequencies over the paths of
     a table: [docs] documents, of which [freq.(id)] contain path [id]
-    ([freq] has at most one count per path of the table).  A path with
-    a zero count, or beyond the array, is treated as unseen.  The
-    statistics keep their estimates and which paths were seen, not
-    [freq] itself.  Used by a build, which counts as it flattens, and to
+    ([freq] has at most one count per path of the table, each a whole
+    number as a float).  A path with a zero count, or beyond the array,
+    is treated as unseen.  The statistics take [freq] over and turn it
+    into their estimates in place; of the counts they keep only which
+    paths were seen.  Used by a build, which counts as it flattens, and to
     derive the statistics of a loaded index from its document table
     instead of its records. *)
 

@@ -98,15 +98,16 @@ let with_pool_opt ?domains ?pool f =
    under the same stamp occurs twice in that record ([multi], the global
    identical-sibling trigger), and a path seen under a new stamp adds
    one to its record frequency [freq] when the record is [counted].
-   Every path of [flats] is in [symbols] already. *)
-type census = { stamp : int array; freq : int array; multi : Bytes.t }
+   Every path of [flats] is in [symbols] already.  The frequencies are
+   floats, the array the statistics take over. *)
+type census = { stamp : int array; freq : float array; multi : Bytes.t }
 
 let count_paths symbols ~counted flats =
   let width = Symtab.path_count symbols in
   let c =
     {
       stamp = Array.make width (-1);
-      freq = Array.make width 0;
+      freq = Array.make width 0.;
       multi = Bytes.make width '\000';
     }
   in
@@ -119,7 +120,7 @@ let count_paths symbols ~counted flats =
           if c.stamp.(p) = record then Bytes.set c.multi p '\001'
           else begin
             c.stamp.(p) <- record;
-            if counted then c.freq.(p) <- c.freq.(p) + 1
+            if counted then c.freq.(p) <- c.freq.(p) +. 1.
           end)
         (Encoder.paths flat))
     flats;

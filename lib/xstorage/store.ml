@@ -568,6 +568,12 @@ let i32 t name =
   iter (fun i x -> Xutil.I32.set32 v (4 * i) (Int32.of_int (saturate x)));
   v
 
+let bytes t name f =
+  let n, iter = elements t name in
+  let b = Bytes.create n in
+  iter (fun i x -> Bytes.unsafe_set b i (f x));
+  b
+
 let not_blob name =
   invalid_arg (Printf.sprintf "Store: region %S is ints, not a blob" name)
 

@@ -171,6 +171,12 @@ val i32 : t -> string -> Xutil.I32.t
     @raise Invalid_argument as {!ints} does, but never for a wide
     element. *)
 
+val bytes : t -> string -> (int -> char) -> Bytes.t
+(** [bytes t name f] is the elements of a column region mapped by [f],
+    one byte each, decoded straight into the bytes as {!i32} decodes.
+    @raise Invalid_argument as {!ints} does, but never for a wide
+    element. *)
+
 val blob : t -> string -> string
 (** Looks a blob region up by name.  A file store reads it from the file
     on every call, in either mode, checks its checksum and decompresses

@@ -89,12 +89,27 @@ let test_node_count_limit () =
     ]
 
 (* Bad input to the labeller: an empty sequence among others is refused,
-   no sequences at all give the root alone, and sequences out of order
-   are sorted rather than refused. *)
+   and so is a sequence holding the empty path or a path of a larger
+   table; no sequences at all give the root alone, and sequences out of
+   order are sorted rather than refused. *)
 let test_build_rejects_bad_input () =
   Alcotest.check_raises "empty"
     (Invalid_argument "Labeled.build: empty sequence") (fun () ->
       ignore (Labeled.build sy [| [| p_of [ "a" ] |]; [||] |]));
+  Alcotest.check_raises "epsilon"
+    (Invalid_argument "Labeled.build: the empty path in a sequence")
+    (fun () ->
+      let a = p_of [ "a" ] and ab = p_of [ "a"; "b" ] in
+      ignore (Labeled.build sy [| [| a; Path.epsilon |]; [| a; ab |] |]));
+  let small = Symtab.create () in
+  let mine = Path.of_list small [ D.tag small "a" ] in
+  let foreign = p_of [ "a"; "b"; "c"; "d" ] in
+  Alcotest.(check bool) "the foreign path is past the small table" true
+    (Path.to_int foreign >= Symtab.path_count small);
+  Alcotest.check_raises "a path the table lacks"
+    (Invalid_argument "Labeled.build: a path the table does not have")
+    (fun () ->
+      ignore (Labeled.build small [| [| mine |]; [| mine; foreign |] |]));
   let l = Labeled.build sy [||] in
   Alcotest.(check (pair int int)) "no sequences: the root alone" (0, 0)
     (Labeled.node_count l, Labeled.root_post l);
@@ -505,6 +520,147 @@ let prop_docs_in_range =
           List.sort_uniq Stdlib.compare !acc
           = List.init (Array.length docs) (fun i -> i)))
 
+(* --- a loaded symbol table ----------------------------------------------- *)
+
+(* Names for a table's designators: the empty name, prefixes of one
+   another, stems sharing more than the prefix directory's seven bytes,
+   over an alphabet with the zero byte and 0xff. *)
+let name_gen =
+  let open Gen in
+  let stems =
+    [| ""; "a"; "ab"; "abcdefgh"; "abcdefghij"; "abcdefghijklmnopq" |]
+  in
+  map2
+    (fun stem tail -> stem ^ tail)
+    (oneofa stems)
+    (string_size ~gen:(oneofa [| '\000'; 'a'; 'b'; '\255' |]) (int_bound 3))
+
+(* A set of (name, kind) designators of one of the sizes around the
+   reader's bucket of 16, with a tag and a value of one name among
+   them when there are two or more. *)
+let desig_set_gen =
+  let open Gen in
+  oneofa [| 0; 1; 2; 15; 16; 17; 33 |] >>= fun n ->
+  let rec fill acc st =
+    if List.length acc >= n then acc
+    else
+      let d = (name_gen st, bool st) in
+      fill (if List.mem d acc then acc else d :: acc) st
+  in
+  fun st ->
+    let twins = if n >= 2 then [ ("twin", false); ("twin", true) ] else [] in
+    let rec more acc =
+      if List.length acc >= n then acc
+      else
+        let acc' = fill acc st in
+        if List.length acc' > List.length acc then more acc' else acc'
+    in
+    let ds = more twins in
+    (* Interned in a shuffled order: a built table's ids are first-seen. *)
+    shuffle_l ds st
+
+let arb_desig_set =
+  QCheck.make
+    ~print:(fun ds ->
+      String.concat "; "
+        (List.map
+           (fun (n, v) -> Printf.sprintf "%s %S" (if v then "v" else "t") n)
+           ds))
+    desig_set_gen
+
+let sign x = compare x 0
+
+(* A table loaded through a snapshot's regions answers every name and
+   edge question as the built table it was saved from: lookups of both
+   kinds (hits and misses), names, name tests, the name order (which
+   [Path.lex_compare] reads off the designators of two paths under the
+   root) and child edges.  Every designator ends a path under the root,
+   and every other one a path under the first tag's. *)
+let prop_loaded_table =
+  QCheck.Test.make ~name:"a loaded table answers as the built one" ~count:300
+    arb_desig_set (fun ds ->
+      let bt = Symtab.create () in
+      let desigs =
+        Array.of_list
+          (List.map (fun (n, v) -> if v then D.value bt n else D.tag bt n) ds)
+      in
+      let top = Array.map (Path.child bt Path.epsilon) desigs in
+      let under =
+        match
+          List.find_opt (fun d -> not (D.is_value bt d)) (Array.to_list desigs)
+        with
+        | None -> [||]
+        | Some t ->
+          let pt = Path.child bt Path.epsilon t in
+          Array.of_list
+            (List.filteri (fun i _ -> i mod 2 = 0) (Array.to_list desigs))
+          |> Array.map (fun d -> (pt, d, Path.child bt pt d))
+      in
+      let seqs =
+        Array.append
+          (Array.map (fun p -> [| p |]) top)
+          (Array.map (fun (pt, _, p) -> [| pt; p |]) under)
+      in
+      let store = Store.memory () in
+      Labeled.add_to_store (Labeled.build bt seqs) store;
+      let lt = Labeled.symbols (Labeled.of_store store) in
+      let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+      (* The loaded designator of a built one, found by name. *)
+      let find tbl v n = (if v then D.find_value else D.find_tag) tbl n in
+      let loaded d =
+        match find lt (D.is_value bt d) (D.name bt d) with
+        | Some d' -> d'
+        | None -> fail "%S missing from the loaded table" (D.name bt d)
+      in
+      let probes =
+        List.concat_map
+          (fun (n, _) ->
+            [ n; n ^ "\000"; n ^ "a"; n ^ "\255"; "zz" ^ n ]
+            @ List.init (String.length n) (fun k -> String.sub n 0 k))
+          (("", false) :: ds)
+      in
+      List.iter
+        (fun n ->
+          List.iter
+            (fun v ->
+              let spell tbl =
+                Option.map (fun d -> (D.name tbl d, D.is_value tbl d))
+              in
+              if spell bt (find bt v n) <> spell lt (find lt v n) then
+                fail "lookup of %s %S differs" (if v then "value" else "tag") n)
+            [ false; true ])
+        probes;
+      Array.iter
+        (fun d ->
+          let d' = loaded d in
+          if D.name lt d' <> D.name bt d then fail "name of %S" (D.name bt d);
+          List.iter
+            (fun n ->
+              if D.name_equal lt d' n <> D.name_equal bt d n then
+                fail "name_equal %S %S" (D.name bt d) n;
+              if D.name_has_prefix lt d' n <> D.name_has_prefix bt d n then
+                fail "name_has_prefix %S %S" (D.name bt d) n)
+            probes;
+          let top tbl d = Option.get (Path.find_child tbl Path.epsilon d) in
+          Array.iter
+            (fun e ->
+              if
+                sign (Path.lex_compare lt (top lt d') (top lt (loaded e)))
+                <> sign (Path.lex_compare bt (top bt d) (top bt e))
+              then fail "name order of %S and %S" (D.name bt d) (D.name bt e))
+            desigs;
+          (* Every edge the built table has, and only those. *)
+          List.iter
+            (fun p ->
+              let lp = Path.of_int lt (Path.to_int p) in
+              let want = Option.map Path.to_int (Path.find_child bt p d) in
+              if Option.map Path.to_int (Path.find_child lt lp d') <> want then
+                fail "find_child %s %S" (Path.to_string bt p) (D.name bt d))
+            (Path.epsilon
+            :: Array.to_list (Array.map (fun (pt, _, _) -> pt) under)))
+        desigs;
+      true)
+
 let () =
   Alcotest.run "index"
     [
@@ -531,5 +687,6 @@ let () =
             prop_nearest_in_link;
             prop_build_equals_reference;
             prop_docs_in_range;
+            prop_loaded_table;
           ] );
     ]

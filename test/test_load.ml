@@ -456,8 +456,8 @@ let write_first_seen index path =
       let src = Store.open_file current in
       let desig = Store.int_array src "dict_desig"
       and kind = Store.int_array src "desig_kind" in
-      let blob, off =
-        Xsuccinct.Frontcode.decode ~name:"desig_names"
+      let coded =
+        Xsuccinct.Frontcode.read ~name:"desig_names" ~rank:(Array.get kind)
           (Store.blob src "desig_names")
       in
       let renumbered = Array.make (Array.length kind) (-1) and seen = ref [] in
@@ -476,11 +476,10 @@ let write_first_seen index path =
       Buffer.add_int32_le names (Int32.of_int (Array.length seen));
       Array.iter
         (fun d ->
-          let at = Xutil.I32.get off d in
-          let len = Xutil.I32.get off (d + 1) - at in
+          let name = Xsuccinct.Frontcode.name coded d in
           Xsuccinct.Varint.add_uvarint names 0;
-          Xsuccinct.Varint.add_uvarint names len;
-          Buffer.add_substring names blob at len)
+          Xsuccinct.Varint.add_uvarint names (String.length name);
+          Buffer.add_string names name)
         seen;
       let unsorted = Store.memory () in
       List.iter
@@ -670,10 +669,13 @@ let allocated_words () =
    counted exactly).  Reading the directory regions straight into
    32-bit vectors, handing the name blob to the symbol table, ranking
    document serials in blocks and streaming the record check brought it
-   to 133k.  Decoding the records as part of it costs about 0.39M more,
-   and recounting the statistics over them (as loads once did) brings
-   it to 3.9M, so a change that materialises them again fails here. *)
-let load_word_bound = 150_000.
+   to 133k, and keeping the designator names front-coded (no copy of
+   them spelled out, the kinds read into bytes, the frequencies counted
+   into the statistics' own array) to 63.5k.  Decoding the records as
+   part of it costs about 0.39M more, and recounting the statistics over
+   them (as loads once did) brings it to 3.9M, so a change that
+   materialises them again fails here. *)
+let load_word_bound = 70_000.
 
 let test_load_allocation () =
   let docs = Xdatagen.Dblp_gen.generate ~seed:2024 2000 in
@@ -692,12 +694,13 @@ let test_load_allocation () =
    the symbol table, the link directory and the statistics; the label
    columns are flat buffers, outside the heap.  Nothing of the records
    is kept (before version 4 the file's 505k-byte record region stayed
-   in it).  Measured 56.0k words
-   with a symbol table that loads without hash indexes; 71.6k with its
+   in it).  Measured 42.0k words with the designator names kept
+   front-coded, 56.0k with them spelled out in one blob and a symbol
+   table that loads without hash indexes; 71.6k with its
    two open-addressing indexes, 137k with 64-bit columns and a boxed
    string a name, 171k with a hashtable symbol table, and a store that
    kept its regions in memory retained 252k. *)
-let retained_word_bound = 62_000
+let retained_word_bound = 46_000
 
 let test_load_retention () =
   let path, _ = snapshot_of (Xdatagen.Dblp_gen.generate ~seed:2024 2000) in
@@ -715,11 +718,12 @@ let test_load_retention () =
 
 (* Words the symbol table of the same loaded index reaches: its name
    and path columns, the runs of each path's children and the
-   designator names.  Measured 41.0k words loaded by sorting; 53.4k
+   designator names.  Measured 30.9k words with the names front-coded
+   as the file stores them, 41.0k with them spelled out; 53.4k
    with two open-addressing id indexes and an element-child thread, 97k
    with [int array] columns and a boxed string a name, and the table of
    three hashtables and doubling arrays before that reached 126k. *)
-let symtab_word_bound = 45_000
+let symtab_word_bound = 34_000
 
 let test_symtab_footprint () =
   let docs = Xdatagen.Dblp_gen.generate ~seed:2024 2000 in

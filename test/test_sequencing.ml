@@ -117,17 +117,30 @@ let model_name rng =
   in
   String.init len (fun _ -> Char.chr (Char.code 'a' + Random.State.int rng 4))
 
-(* A designator name table as [Symtab.of_dictionary] takes it: one blob
-   and the offsets of its names, fresh for the table to take over. *)
-let name_blob names =
-  let off = Array.make (Array.length names + 1) 0 in
-  Array.iteri (fun j s -> off.(j + 1) <- off.(j) + String.length s) names;
-  (Bytes.of_string (String.concat "" (Array.to_list names)), I32.of_array off)
+(* A designator name table as [Symtab.of_dictionary] takes it: the
+   names front-coded in the order given, sorted or not, each against
+   the one before. *)
+let front_code names =
+  let b = Buffer.create 64 in
+  Buffer.add_int32_le b (Int32.of_int (Array.length names));
+  Array.iteri
+    (fun j s ->
+      let prev = if j = 0 then "" else names.(j - 1) in
+      let n = min (String.length prev) (String.length s) and k = ref 0 in
+      while !k < n && prev.[!k] = s.[!k] do
+        incr k
+      done;
+      Xsuccinct.Varint.add_uvarint b !k;
+      Xsuccinct.Varint.add_uvarint b (String.length s - !k);
+      Buffer.add_substring b s !k (String.length s - !k))
+    names;
+  Buffer.contents b
 
 let of_dictionary ~kinds ~names ~parents ~desigs =
-  let names, name_off = name_blob names in
-  Symtab.of_dictionary ~kinds:(I32.of_array kinds) ~names ~name_off
-    ~parents:(I32.of_array parents)
+  Symtab.of_dictionary
+    ~scratch:(I32.make (Array.length parents) 0)
+    ~kinds:(Bytes.init (Array.length kinds) (fun j -> Char.chr kinds.(j)))
+    ~names:(front_code names) ~parents:(I32.of_array parents)
     ~desigs:(I32.of_array desigs)
 
 (* Paths spelled out by name, values before tags at each step, as the
@@ -473,19 +486,25 @@ let test_symtab_dictionary_checks () =
     ~desigs:[| -1; 1; 1 |];
   rejects "dictionary region sizes" ~kinds ~names ~parents:[| -1; 0 |]
     ~desigs:[| -1 |];
-  (* Name offsets that leave the blob or run backwards. *)
+  (* Coded names the reader rejects: truncated, trailing bytes, a
+     prefix longer than the name before. *)
+  let coded = front_code names in
   List.iter
-    (fun name_off ->
+    (fun names ->
       match
-        Symtab.of_dictionary ~kinds:(I32.of_array kinds)
-          ~names:(Bytes.of_string "ab") ~name_off:(I32.of_array name_off)
+        Symtab.of_dictionary ~scratch:(I32.make 1 0)
+          ~kinds:(Bytes.of_string "\000\001") ~names
           ~parents:(I32.of_array [| -1; 0 |])
           ~desigs:(I32.of_array [| -1; 0 |])
       with
-      | _ -> Alcotest.fail "accepted bad name offsets"
+      | _ -> Alcotest.fail "accepted bad coded names"
       | exception Invalid_argument msg ->
-        Alcotest.(check string) "diagnostic" "dictionary name offsets" msg)
-    [ [| 0; 1; 3 |]; [| -1; 0; 1 |]; [| 0; 2; 1 |] ];
+        Alcotest.(check string) "diagnostic" "designator name table" msg)
+    [
+      String.sub coded 0 (String.length coded - 1);
+      coded ^ "\000";
+      "\002\000\000\000\000\001a\002\000";
+    ];
   rejects "dictionary region sizes" ~kinds ~names:[| "a" |]
     ~parents:[| -1 |] ~desigs:[| -1 |];
   (* A designator table out of (name, kind) order, or naming one
@@ -525,18 +544,21 @@ let order_name rng =
 
 (* [Symtab.name_order] fixes every compact dictionary's bytes, in both
    formats: on a built table it is the oracle's order, names by
-   [String.compare] and tags before values, and names each designator by
-   its slice of the blob.  A table loaded from that dictionary has its
+   [String.compare] and tags before values, and [Symtab.coded_names]
+   codes the names in it.  A table loaded from that dictionary has its
    ids in that order already: its order is the identity, given without
-   a sort (its allocation is the order vector alone). *)
+   a sort (its allocation is the order vector alone), and its coded
+   names are the ones it was loaded from; a subset of them is coded as
+   the built table codes it. *)
 let test_name_order () =
   let rng = Random.State.make [| 34 |] in
   for round = 1 to 200 do
     let tbl = Symtab.create () in
-    let interned = Hashtbl.create 64 in
+    let interned = Hashtbl.create 64 and desig_of = Hashtbl.create 64 in
     let intern is_value name =
       let d = if is_value then D.value tbl name else D.tag tbl name in
-      Hashtbl.replace interned (d :> int) (name, is_value)
+      Hashtbl.replace interned (d :> int) (name, is_value);
+      Hashtbl.replace desig_of (d :> int) d
     in
     intern false "twin";
     intern true "twin";
@@ -554,42 +576,56 @@ let test_name_order () =
           | c -> c)
         (List.of_seq (Hashtbl.to_seq_keys interned))
     in
-    let order, names, name_off = Symtab.name_order tbl in
+    let order = Symtab.name_order tbl in
     Alcotest.(check (list int)) "the oracle's order" oracle
       (Array.to_list (I32.to_array order));
-    let spelled d =
-      Bytes.sub_string names (I32.get name_off d)
-        (I32.get name_off (d + 1) - I32.get name_off d)
-    in
+    let spelled d = D.name tbl (Hashtbl.find desig_of d) in
     List.iter
       (fun d ->
-        Alcotest.(check string) "a name's slice" (fst (Hashtbl.find interned d))
+        Alcotest.(check string) "a name" (fst (Hashtbl.find interned d))
           (spelled d))
       oracle;
     (* The compact dictionary of one path per designator, as a save
        writes it: ranks in the order above. *)
     let ranked = Array.of_list oracle in
     let n = Array.length ranked in
+    let coded = Symtab.coded_names tbl order in
     let loaded =
-      of_dictionary
-        ~kinds:(Array.map (fun d -> Bool.to_int (snd (Hashtbl.find interned d))) ranked)
-        ~names:(Array.map spelled ranked)
-        ~parents:(Array.init (n + 1) (fun i -> if i = 0 then -1 else 0))
-        ~desigs:(Array.init (n + 1) (fun i -> i - 1))
+      Symtab.of_dictionary ~scratch:(I32.make n 0)
+        ~kinds:
+          (Bytes.init n (fun r ->
+               if snd (Hashtbl.find interned ranked.(r)) then '\001'
+               else '\000'))
+        ~names:coded
+        ~parents:
+          (I32.of_array (Array.init (n + 1) (fun i -> if i = 0 then -1 else 0)))
+        ~desigs:(I32.of_array (Array.init (n + 1) (fun i -> i - 1)))
     in
     let _, promoted0, major0 = Gc.counters () and minor0 = Gc.minor_words () in
-    let again, names', name_off' = Symtab.name_order loaded in
+    let again = Symtab.name_order loaded in
     let _, promoted1, major1 = Gc.counters () and minor1 = Gc.minor_words () in
     Alcotest.(check (list int)) "a loaded table's order is the identity"
       (List.init n Fun.id)
       (Array.to_list (I32.to_array again));
-    Alcotest.(check (list string)) "a loaded table's names"
-      (Array.to_list (Array.map spelled ranked))
-      (List.init n (fun d ->
-           Bytes.sub_string names' (I32.get name_off' d)
-             (I32.get name_off' (d + 1) - I32.get name_off' d)));
-    (* The order vector (four bytes an element, a header word) and the
-       result triple; a sort's key array alone is a word an element. *)
+    Array.iteri
+      (fun r d ->
+        let name, is_value = Hashtbl.find interned d in
+        match (if is_value then D.find_value else D.find_tag) loaded name with
+        | None -> Alcotest.failf "a loaded table lacks %S" name
+        | Some found ->
+          Alcotest.(check int) "a loaded designator's rank" r (found :> int);
+          Alcotest.(check string) "a loaded table's name" name
+            (D.name loaded found))
+      ranked;
+    Alcotest.(check bool) "a loaded table's coded names are its own" true
+      (Symtab.coded_names loaded again == coded);
+    let even = List.filteri (fun r _ -> r mod 2 = 0) in
+    Alcotest.(check string) "a subset coded as the built table codes it"
+      (Symtab.coded_names tbl (I32.of_array (Array.of_list (even oracle))))
+      (Symtab.coded_names loaded
+         (I32.of_array (Array.of_list (even (List.init n Fun.id)))));
+    (* The order vector: four bytes an element and a header word; a
+       sort's key array alone is a word an element. *)
     let words =
       minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0)
     in

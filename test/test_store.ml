@@ -670,12 +670,11 @@ let test_packed_unit () =
   | _ -> Alcotest.fail "truncated packed column accepted"
   | exception Invalid_argument _ -> ()
 
-(* The names a decoded blob and its offsets spell. *)
+(* The names a coded list spells, each read from its bucket by the
+   reader; equal names are allowed (each entry ranks by its index). *)
 let frontcode_names ~name s =
-  let blob, off = Frontcode.decode ~name s in
-  let at = Xutil.I32.get off in
-  Array.init (Xutil.I32.length off - 1) (fun i ->
-      String.sub blob (at i) (at (i + 1) - at i))
+  let r = Frontcode.read ~name ~rank:Fun.id s in
+  Array.init (Frontcode.count r) (Frontcode.name r)
 
 (* [Frontcode.encode] of [names], in their order, read from a blob that
    holds them back to front: the order vector is what puts them in
@@ -702,9 +701,80 @@ let test_frontcode_unit () =
       | _ -> Alcotest.fail "unsorted input accepted"
       | exception Invalid_argument _ -> ())
     [ [| "b"; "a" |]; [| "ab"; "a" |]; [| "a"; "b"; "ba"; "b" |] ];
-  match Frontcode.decode ~name:"t" (String.sub s 0 (String.length s - 1)) with
-  | _ -> Alcotest.fail "truncated frontcode accepted"
-  | exception Invalid_argument _ -> ()
+  (match
+     Frontcode.read ~name:"t" ~rank:Fun.id
+       (String.sub s 0 (String.length s - 1))
+   with
+   | _ -> Alcotest.fail "truncated frontcode accepted"
+   | exception Invalid_argument _ -> ());
+  (* Every malformation names itself, as the list's context. *)
+  let coded entries =
+    let b = Buffer.create 64 in
+    Buffer.add_int32_le b (Int32.of_int (List.length entries));
+    List.iter
+      (fun (shared, fresh, suffix) ->
+        Varint.add_uvarint b shared;
+        Varint.add_uvarint b fresh;
+        Buffer.add_string b suffix)
+      entries;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (s, want) ->
+      match Frontcode.read ~name:"t" ~rank:Fun.id s with
+      | _ -> Alcotest.failf "malformed list accepted (%s)" want
+      | exception Invalid_argument msg ->
+        Alcotest.(check string) "diagnostic" ("t: " ^ want) msg)
+    [
+      ("\001\000", "front-coded blob of 2 bytes lacks a header");
+      ( "\009\000\000\000",
+        "front-coded entry count 9 is implausible for 4 bytes" );
+      ( coded [ (0, 1, "a"); (2, 0, "") ],
+        "entry 1 shares 2 bytes with a 1-byte predecessor" );
+      (coded [ (0, 1, "a"); (-1, 1, "b") ],
+        "entry 1 shares -1 bytes with a 1-byte predecessor");
+      ( String.sub (coded [ (0, 3, "abc") ]) 0 7,
+        "entry 0's 3-byte suffix overruns the blob" );
+      (coded [ (0, 1, "a") ] ^ "\000", "1 trailing bytes after last entry");
+      ( String.sub (coded [ (0, 1, "a") ]) 0 4 ^ "\128",
+        "truncated varint at byte 5" );
+    ];
+  (* Sound bytes out of order, or twins whose ranks do not rise. *)
+  List.iter
+    (fun (names, rank) ->
+      let s =
+        frontcode_encode (Array.of_list (List.sort String.compare names))
+      in
+      let s =
+        (* The sorted list's entries recoded in the given order. *)
+        if List.sort String.compare names = names then s
+        else
+          let b = Buffer.create 16 in
+          Buffer.add_int32_le b (Int32.of_int (List.length names));
+          List.iter
+            (fun n ->
+              Varint.add_uvarint b 0;
+              Varint.add_uvarint b (String.length n);
+              Buffer.add_string b n)
+            names;
+          Buffer.contents b
+      in
+      match Frontcode.read ~name:"t" ~rank s with
+      | _ -> Alcotest.fail "entries out of order accepted"
+      | exception Frontcode.Out_of_order -> ())
+    [
+      ([ "b"; "a" ], Fun.id);
+      ([ "ab"; "a" ], Fun.id);
+      ([ "a"; "a" ], fun _ -> 0);
+      ([ "a"; "a" ], fun i -> -i);
+    ];
+  (* A shared prefix shorter than the names share is sound, and found. *)
+  let loose = coded [ (0, 2, "ab"); (0, 2, "ac") ] in
+  let r = Frontcode.read ~name:"t" ~rank:Fun.id loose in
+  Alcotest.(check int) "a loose prefix is found" 1
+    (Frontcode.find r (Bytes.of_string "ac") 0 2 1);
+  Alcotest.(check int) "a loose prefix misses" (-1)
+    (Frontcode.find r (Bytes.of_string "aa") 0 2 1)
 
 let test_lz_unit () =
   List.iter
