@@ -448,7 +448,7 @@ let test_records_outlive_the_file () =
 (* A current snapshot whose compact dictionary numbers its designators
    in the order the dictionary entries first name them, not in (name,
    kind) order: [dict_desig], [desig_kind] and [desig_names] renumbered,
-   the names front-coded with no shared prefixes (the decoder takes any
+   the names front-coded with no shared prefixes (sound bytes, out of
    order).  Every other region is the current one. *)
 let write_first_seen index path =
   with_temp_file (fun current ->
