@@ -21,10 +21,9 @@ let set v i x = I32.set32 v (4 * i) (Int32.of_int x)
    [first_kid]/[next_kid] thread each path's element children, newest
    first.  A loaded table ([Sorted]) is read-only and hashes nothing.
    Its designator ids are (name, kind) ranks, and its names stay in the
-   front-coded form the snapshot stores them in ([Frontcode.t]): a value
-   is found by the reader's restart points and a scan of at most 15
-   coded entries.  Tags are few and looked up often, so they are also
-   spelled out, each with its name prefix kept.  Each path's children
+   front-coded form the snapshot stores them in ([Frontcode.t]): a name
+   of either kind is found by the reader's restart points and a scan of
+   at most 15 coded entries.  Each path's children
    are one run of [kids], tags before values and each kind by
    designator, so an edge is binary-searched in its parent's run, after
    a look at the first path its designator ends; a path's depth is its
@@ -54,10 +53,6 @@ and hashed = {
 
 and sorted = {
   coded : Frontcode.t; (* every name, in (name, kind) order *)
-  tags : I32.t; (* the tag designators, in order *)
-  tag_names : Bytes.t; (* their names, back to back *)
-  tag_off : I32.t; (* [ntags + 1] offsets into [tag_names] *)
-  tag_dir : int array; (* [Frontcode.prefix] of every tag's name *)
   kids : I32.t; (* every path but epsilon, by parent, then (kind, designator) *)
   kid_off : I32.t; (* [npaths + 1]: path p's children are
                       [kids.(kid_off.(p) .. kid_off.(p + 1) - 1)] *)
@@ -185,39 +180,6 @@ let desig_key t h id =
 
 let path_key t id = path_hash (get t.parents id) (get t.last id)
 
-(* Tag [k] of a loaded table, the [k]-th in (name, kind) order: its
-   name's slice of [tag_names]. *)
-let tag_start s k = get s.tag_off k
-let tag_length s k = get s.tag_off (k + 1) - tag_start s k
-
-(* Where tag designator [d] is among [tags.(lo .. hi - 1)]. *)
-let rec tag_index s d lo hi =
-  if lo >= hi then invalid_arg "Symtab: not a tag"
-  else
-    let mid = (lo + hi) lsr 1 in
-    let x = get s.tags mid in
-    if x = d then mid
-    else if x < d then tag_index s d (mid + 1) hi
-    else tag_index s d lo mid
-
-(* The tag named by the key, or -1: tags are few and looked up often,
-   so each has its prefix in [tag_dir], and a lookup reads one name. *)
-let rec scan_tags s pk key off len k =
-  if k >= Array.length s.tag_dir || s.tag_dir.(k) <> pk then -1
-  else if
-    tag_length s k = len && same_bytes s.tag_names (tag_start s k) key off len
-  then get s.tags k
-  else scan_tags s pk key off len (k + 1)
-
-(* The designator named by the key, or -1: a tag among the tags, a value
-   in the coded names, ranked by kind. *)
-let find_sorted s kind key off len =
-  if kind = '\000' then
-    let pk = Frontcode.prefix key off len in
-    scan_tags s pk key off len
-      (Xutil.Binsearch.lower_bound s.tag_dir ~len:(Array.length s.tag_dir) pk)
-  else Frontcode.find s.coded key off len (Char.code kind)
-
 (* A child's key in its parent's run: values after tags, each kind by
    designator id. *)
 let kid_key t d = (Char.code (Bytes.unsafe_get t.is_value d) lsl 31) lor d
@@ -243,13 +205,13 @@ module Designator = struct
   let lookup tbl kind key off len =
     match tbl.lookup with
     | Hashed h -> get h.desig_index (find_slot tbl h kind key off len)
-    | Sorted s -> find_sorted s kind key off len
+    | Sorted s -> Frontcode.find s.coded key off len (Char.code kind)
 
   (* Interns the name held in bytes [off, off + len) of [key]. *)
   let intern tbl kind key off len =
     match tbl.lookup with
     | Sorted s ->
-      let d = find_sorted s kind key off len in
+      let d = Frontcode.find s.coded key off len (Char.code kind) in
       if d < 0 then read_only "designator" else d
     | Hashed h ->
       let i = find_slot tbl h kind key off len in
@@ -295,36 +257,24 @@ module Designator = struct
   let find_value tbl s = find tbl '\001' s
   let is_value tbl d = Bytes.get tbl.is_value d <> '\000'
 
-  (* A loaded value's name is read from its bucket of the coded names, a
-     loaded tag's from the spelled-out tags. *)
-  let tag_of s d = tag_index s d 0 (I32.length s.tags)
-
+  (* A loaded name is read from its bucket of the coded names. *)
   let name tbl d =
     match tbl.lookup with
     | Hashed h -> Bytes.sub_string h.names (name_start h d) (name_length h d)
-    | Sorted s when is_value tbl d -> Frontcode.name s.coded d
-    | Sorted s ->
-      let k = tag_of s d in
-      Bytes.sub_string s.tag_names (tag_start s k) (tag_length s k)
+    | Sorted s -> Frontcode.name s.coded d
 
   let name_equal tbl d str =
     let key = Bytes.unsafe_of_string str and len = String.length str in
     match tbl.lookup with
     | Hashed h -> spells h d key 0 len
-    | Sorted s when is_value tbl d -> Frontcode.equal s.coded d key 0 len
-    | Sorted s ->
-      let k = tag_of s d in
-      tag_length s k = len && same_bytes s.tag_names (tag_start s k) key 0 len
+    | Sorted s -> Frontcode.equal s.coded d key 0 len
 
   let name_has_prefix tbl d prefix =
     let key = Bytes.unsafe_of_string prefix and len = String.length prefix in
     match tbl.lookup with
     | Hashed h ->
       len <= name_length h d && same_bytes h.names (name_start h d) key 0 len
-    | Sorted s when is_value tbl d -> Frontcode.has_prefix s.coded d key 0 len
-    | Sorted s ->
-      let k = tag_of s d in
-      len <= tag_length s k && same_bytes s.tag_names (tag_start s k) key 0 len
+    | Sorted s -> Frontcode.has_prefix s.coded d key 0 len
 
   (* A loaded table's ids are (name, kind) ranks: within a kind, they
      compare as their names do. *)
@@ -737,27 +687,6 @@ let of_dictionary ~scratch ~kinds ~names ~parents ~desigs =
     if get parents x = get parents y && get last x = get last y
     then invalid_arg "duplicate dictionary entry"
   done;
-  (* The tags, spelled out with their prefixes. *)
-  let ntags = ref 0 in
-  for d = 0 to ndesig - 1 do
-    if kind d = 0 then incr ntags
-  done;
-  let tags = I32.make !ntags 0 and tag_off = I32.make (!ntags + 1) 0 in
-  let spelled = Array.make !ntags "" and k = ref 0 in
-  for d = 0 to ndesig - 1 do
-    if kind d = 0 then begin
-      set tags !k d;
-      spelled.(!k) <- Frontcode.name coded d;
-      set tag_off (!k + 1) (get tag_off !k + String.length spelled.(!k));
-      incr k
-    end
-  done;
-  let tag_names = Bytes.of_string (String.concat "" (Array.to_list spelled)) in
-  let tag_dir =
-    Array.init !ntags (fun k ->
-        Frontcode.prefix tag_names (get tag_off k)
-          (get tag_off (k + 1) - get tag_off k))
-  in
   {
     is_value = kinds;
     ndesig;
@@ -765,5 +694,5 @@ let of_dictionary ~scratch ~kinds ~names ~parents ~desigs =
     last;
     npaths = ndict;
     lookup =
-      Sorted { coded; tags; tag_names; tag_off; tag_dir; kids; kid_off; ends };
+      Sorted { coded; kids; kid_off; ends };
   }

@@ -35,17 +35,16 @@
     - A loaded table hashes nothing and interns nothing.  Its names stay
       front-coded as the snapshot stores them
       ({!Xsuccinct.Frontcode.t}), with every 16th name spelled out: a
-      value is found by a binary search over those heads, narrowed by a
-      directory of their prefixes, and a scan of at most 15 coded
-      entries after one.  Tags are few, so they are also kept spelled
-      out, each with its prefix: a tag is found among the tags alone.
+      tag or a value is found by a binary search over those heads,
+      narrowed by a directory of their prefixes, and a scan of at most
+      15 coded entries after one.
       Each path's children form one run, tags first, in which an edge is
       binary-searched; a per-designator column of the first path it
       ends answers most value edges at once.  A path's depth is counted
       up its parents.
     A lookup compares its key against names in place: it allocates
     nothing but the [Some] of a hit.  {!Designator.name} is the one
-    accessor that copies a name out (a loaded value's decoded from its
+    accessor that copies a name out (a loaded one decoded from its
     bucket of the coded names); {!Designator.name_equal} and
     {!Designator.name_has_prefix} test one without copying.
 

@@ -361,9 +361,8 @@ let rank serials below x =
    ranges are counted.  [serials] holds the (member) doc-table serials,
    sorted as the table is, so a range's count is a difference of two
    ranks: one pass over the doc table, then one over each link.  The
-   serials are a 32-bit vector; the counts are floats, the array the
-   statistics turn into their estimates in place. *)
-let path_frequencies ?member t =
+   serials are a 32-bit vector, and each count goes straight to [f]. *)
+let path_frequencies ?member t f =
   let serials = I32.make (doc_len t) 0 and counted = ref 0 in
   let below = Array.make (((t.n + 1) lsr rank_shift) + 2) 0 in
   for i = 0 to doc_len t - 1 do
@@ -381,7 +380,6 @@ let path_frequencies ?member t =
   for k = 1 to Array.length below - 1 do
     below.(k) <- below.(k) + below.(k - 1)
   done;
-  let freq = Array.make (Symtab.path_count t.symbols) 0. in
   let count pre_at span_at =
     for slot = 0 to nlinks t - 1 do
       let total = ref 0 and outer_post = ref (-1) in
@@ -396,13 +394,12 @@ let path_frequencies ?member t =
           outer_post := post
         end
       done;
-      freq.(slot + 1) <- float_of_int !total
+      f (slot + 1) !total
     done
   in
   (* Slot order is link-column order: both columns are read front to
      back. *)
-  Store.scan t.l_pre (fun pre_at -> Store.scan t.l_span (count pre_at));
-  freq
+  Store.scan t.l_pre (fun pre_at -> Store.scan t.l_span (count pre_at))
 
 (* --- the inversion sweep ------------------------------------------------ *)
 
@@ -649,30 +646,30 @@ let of_store store =
   if I32.length parents = 0 then corrupt "dictionary root";
   (* One link a dictionary entry after epsilon, slot s for entry s + 1.
      Once the directory is read off it, the table sorts its paths in
-     [link_len]'s room. *)
-  let link_len = vector "link_len" in
-  if I32.length link_len <> I32.length parents - 1 then
-    corrupt "link directory sizes";
-  let dir = directory ~n link_len in
-  (* Read first: a damaged region is its checksum mismatch. *)
-  let names = Store.blob store "desig_names" in
-  let desigs = vector "dict_desig" in
-  let kinds =
-    Store.bytes store "desig_kind" (fun k ->
-        if k = 0 || k = 1 then Char.chr k else '\002')
-  in
-  let symbols =
+     [link_len]'s room, so [link_len] is out of scope after that. *)
+  let nslots, dir, symbols =
+    let link_len = vector "link_len" in
+    let nslots = I32.length link_len in
+    if nslots <> I32.length parents - 1 then corrupt "link directory sizes";
+    let dir = directory ~n link_len in
+    (* Read first: a damaged region is its checksum mismatch. *)
+    let names = Store.blob store "desig_names" in
+    let desigs = vector "dict_desig" in
+    let kinds =
+      Store.bytes store "desig_kind" (fun k ->
+          if k = 0 || k = 1 then Char.chr k else '\002')
+    in
     match
       Symtab.of_dictionary ~scratch:link_len ~kinds ~names ~parents ~desigs
     with
-    | symbols -> symbols
+    | symbols -> (nslots, dir, symbols)
     | exception Invalid_argument what -> corrupt what
   in
   let l_pre = Store.ints store "l_pre" in
   let l_span = Store.ints store "l_span" in
   (* Every node but the root is exactly one link entry. *)
   if
-    get dir.link_off (I32.length link_len) <> n
+    get dir.link_off nslots <> n
     || Store.length l_pre <> n
     || Store.length l_span <> n
   then corrupt "link column sizes";

@@ -126,14 +126,15 @@ val docs_between : t -> first:int -> last:int -> f:(int -> unit) -> unit
     [[first, last]], for callers that located the span themselves (e.g.
     with instrumented probes). *)
 
-val path_frequencies : ?member:(int -> bool) -> t -> float array
-(** Per path id of {!symbols}, the number of documents whose sequence
-    contains the path (0 for a path without a link) — the document
-    frequency the [gbest] statistics count over the records, derived
-    from the labels and the document table alone.  With [member], only
-    documents whose id satisfies it are counted.  One pass over the
-    document table and one over the link columns.  The counts are
-    floats, the form [Xschema.Stats.of_frequencies] takes over. *)
+val path_frequencies :
+  ?member:(int -> bool) -> t -> (int -> int -> unit) -> unit
+(** [path_frequencies t f] applies [f id k] to every path id of
+    {!symbols} that has a link, once, where [k] is the number of
+    documents whose sequence contains the path — the document frequency
+    the [gbest] statistics count over the records, derived from the
+    labels and the document table alone.  With [member], only documents
+    whose id satisfies it are counted.  One pass over the document table
+    and one over the link columns. *)
 
 val sequences : t -> Path.t array array
 (** Every document's constraint sequence, by document-table position

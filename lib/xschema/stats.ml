@@ -12,12 +12,21 @@ type t = {
   weights : (Path.t, float) Hashtbl.t;
 }
 
+(* Document counts by path id, kept as floats so the estimates can take
+   their room; [of_counts] empties the record it takes them from. *)
+type counts = { mutable freq : float array }
+
+let counts n = { freq = Array.make n 0. }
+let add_count c id k = c.freq.(id) <- c.freq.(id) +. float_of_int k
+
 (* Estimates for every path of the table ([freq] has one count per
    path), parents first (a path's id is always above its parent's): seen
    paths by frequency, unseen ones decaying from their parent.  Computed
    once, in place of the counts, so pricing only reads; of the counts
    only which paths were seen is kept. *)
-let of_frequencies symbols ~docs freq =
+let of_counts symbols ~docs c =
+  let freq = c.freq in
+  c.freq <- [||];
   let n = Array.length freq in
   let seen =
     Bytes.init n (fun id -> if freq.(id) > 0. then '\001' else '\000')
@@ -49,17 +58,17 @@ let count ?value_mode ?(symbols = Symtab.create ()) ~keep docs =
       docs
   in
   let n = Symtab.path_count symbols in
-  let freq = Array.make n 0. and stamp = Array.make n (-1) in
+  let freq = counts n and stamp = Array.make n (-1) in
   Array.iteri
     (fun i ->
       Array.iter (fun p ->
           let p = Path.to_int p in
           if stamp.(p) <> i then begin
             stamp.(p) <- i;
-            freq.(p) <- freq.(p) +. 1.
+            add_count freq p 1
           end))
     paths;
-  of_frequencies symbols ~docs:!counted freq
+  of_counts symbols ~docs:!counted freq
 
 let of_documents_array ?value_mode ?symbols docs =
   count ?value_mode ?symbols ~keep:(fun _ -> true) docs

@@ -41,16 +41,29 @@ val sample_members : fraction:float -> seed:int -> int -> bool array
     from the persisted (seed, fraction) and its record count, so its
     statistics cover the same sample without the documents. *)
 
-val of_frequencies : Sequencing.Symtab.t -> docs:int -> float array -> t
-(** Statistics from precomputed document frequencies over the paths of
-    a table: [docs] documents, of which [freq.(id)] contain path [id]
-    ([freq] has at most one count per path of the table, each a whole
-    number as a float).  A path with a zero count, or beyond the array,
-    is treated as unseen.  The statistics take [freq] over and turn it
-    into their estimates in place; of the counts they keep only which
-    paths were seen.  Used by a build, which counts as it flattens, and to
-    derive the statistics of a loaded index from its document table
-    instead of its records. *)
+type counts
+(** Document frequencies being counted over the paths of a table, by
+    path id.  They can only be added to, then handed to {!of_counts}
+    once. *)
+
+val counts : int -> counts
+(** [counts n] is a zero count for each of [n] path ids. *)
+
+val add_count : counts -> int -> int -> unit
+(** [add_count c id k] counts [k] more documents that contain path
+    [id].  @raise Invalid_argument if [id] is not below the [n] that
+    made [c], or once [c] has gone to {!of_counts}. *)
+
+val of_counts : Sequencing.Symtab.t -> docs:int -> counts -> t
+(** Statistics from document frequencies over the paths of a table:
+    [docs] documents, of which the counts say how many contain each
+    path ([counts] has at most one count per path of the table).  A
+    path with a zero count, or beyond the counts, is treated as unseen.
+    The statistics take the counts' room over for their estimates, so
+    [counts] takes no more {!add_count}; of the counts they keep only
+    which paths were seen.  Used by a build, which counts as it
+    flattens, and to derive the statistics of a loaded index from its
+    document table instead of its records. *)
 
 val symbols : t -> Sequencing.Symtab.t
 (** The table whose paths these statistics price. *)

@@ -98,16 +98,19 @@ let with_pool_opt ?domains ?pool f =
    under the same stamp occurs twice in that record ([multi], the global
    identical-sibling trigger), and a path seen under a new stamp adds
    one to its record frequency [freq] when the record is [counted].
-   Every path of [flats] is in [symbols] already.  The frequencies are
-   floats, the array the statistics take over. *)
-type census = { stamp : int array; freq : float array; multi : Bytes.t }
+   Every path of [flats] is in [symbols] already. *)
+type census = {
+  stamp : int array;
+  freq : Xschema.Stats.counts;
+  multi : Bytes.t;
+}
 
 let count_paths symbols ~counted flats =
   let width = Symtab.path_count symbols in
   let c =
     {
       stamp = Array.make width (-1);
-      freq = Array.make width 0.;
+      freq = Xschema.Stats.counts width;
       multi = Bytes.make width '\000';
     }
   in
@@ -120,7 +123,7 @@ let count_paths symbols ~counted flats =
           if c.stamp.(p) = record then Bytes.set c.multi p '\001'
           else begin
             c.stamp.(p) <- record;
-            if counted then c.freq.(p) <- c.freq.(p) +. 1.
+            if counted then Xschema.Stats.add_count c.freq p 1
           end)
         (Encoder.paths flat))
     flats;
@@ -216,7 +219,7 @@ let build ?domains ?pool ?on_phase ?(config = default_config) docs =
                   Array.fold_left (fun n b -> if b then n + 1 else n) 0 m
                 | None -> ndocs
               in
-              Xschema.Stats.of_frequencies symbols ~docs census.freq)
+              Xschema.Stats.of_counts symbols ~docs census.freq)
         in
         (* Each path's priority is computed once, not once per node. *)
         let encode_strategy =
@@ -513,18 +516,19 @@ let save ?compress t path =
 let index_stats config labeled ndocs =
   let module Stats = Xschema.Stats in
   let symbols = Xindex.Labeled.symbols labeled in
-  if config.sample_fraction >= 1.0 then
-    Stats.of_frequencies symbols ~docs:ndocs
-      (Xindex.Labeled.path_frequencies labeled)
+  let count ?member docs =
+    let counts = Stats.counts (Symtab.path_count symbols) in
+    Xindex.Labeled.path_frequencies ?member labeled (Stats.add_count counts);
+    Stats.of_counts symbols ~docs counts
+  in
+  if config.sample_fraction >= 1.0 then count ndocs
   else begin
     let m =
       Stats.sample_members ~fraction:config.sample_fraction
         ~seed:config.sample_seed ndocs
     in
     let member id = id >= 0 && id < ndocs && m.(id) in
-    Stats.of_frequencies symbols
-      ~docs:(Array.fold_left (fun n b -> if b then n + 1 else n) 0 m)
-      (Xindex.Labeled.path_frequencies ~member labeled)
+    count ~member (Array.fold_left (fun n b -> if b then n + 1 else n) 0 m)
   end
 
 let restore store =
